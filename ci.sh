@@ -46,6 +46,17 @@ for simd in scalar auto; do
   done
 done
 
+# The pinned API surface perfbench calls (perfbench/README.md) must still
+# build and produce its output schema: one block per workload on 200-row
+# tables, offline, ~4 s. A break fails here, not in the benchmark run.
+bash perfbench/run.sh --check
+
+# Every smoke below writes its report under a throwaway directory: the
+# tracked bench-results/*.json are full-run baselines, and a fast-mode
+# smoke must never replace one (asserted at the end of this script).
+MAXSON_BENCH_RESULTS="$(mktemp -d)"
+export MAXSON_BENCH_RESULTS
+
 # Smoke-run the scaling benchmark (fast mode: 1 run per point); it asserts
 # rows are byte-identical across thread counts before reporting walls.
 MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig_scaling
@@ -94,3 +105,9 @@ MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig_serv
 # cold p50, byte-identical responses, bytes within budget, and zero stale
 # hits across a mid-stream epoch swap.
 MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig_reuse
+
+rm -rf "$MAXSON_BENCH_RESULTS"
+git diff --quiet -- bench-results || {
+  echo "ci.sh: a smoke changed a tracked file under bench-results/" >&2
+  exit 1
+}

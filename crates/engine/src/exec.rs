@@ -30,6 +30,7 @@
 //! serially at the top but still parallelize any segment found deeper in
 //! their inputs.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use maxson_obs::{SpanGuard, SpanId, Tracer};
@@ -41,7 +42,7 @@ use crate::extract::{JsonExtractor, RowSlots};
 use crate::metrics::ExecMetrics;
 use crate::plan::LogicalPlan;
 use crate::pool;
-use crate::scan::{Batch, BatchData, ScanProvider};
+use crate::scan::{BatchData, ScanProvider};
 use crate::sql::ast::AggFunc;
 
 /// Knobs controlling one plan execution.
@@ -171,15 +172,7 @@ pub fn execute_plan_traced(
         return Ok(rows);
     }
     match plan {
-        LogicalPlan::Scan { provider } => {
-            let span = tracer.child("scan", parent);
-            span.attr("label", provider.label());
-            let before = counters_before(tracer, metrics);
-            let rows = provider.scan(metrics)?;
-            span.attr("rows_out", rows.len());
-            attr_counter_deltas(&span, before.as_ref(), metrics);
-            Ok(rows)
-        }
+        LogicalPlan::Scan { .. } => unreachable!("run_pipeline accepts every bare scan"),
         LogicalPlan::Filter { input, predicate } => {
             let span = tracer.child("filter", parent);
             let rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
@@ -493,15 +486,6 @@ impl<'a> PipelineSegment<'a> {
         Some(segment)
     }
 
-    /// One split as a batch (`None` = the provider's whole-table scan, used
-    /// for degenerate zero-split providers).
-    fn scan_batch(&self, split: Option<usize>, metrics: &mut ExecMetrics) -> Result<Batch> {
-        match split {
-            Some(s) => self.provider.scan_split_batch(s, metrics),
-            None => self.provider.scan_batch(metrics),
-        }
-    }
-
     /// Materialize columnar row `i` into `scratch` with the filter applied
     /// lazily: only the predicate's columns are built before it runs; the
     /// rest are built only when the row survives. Returns `false` (and
@@ -541,150 +525,89 @@ impl<'a> PipelineSegment<'a> {
         Ok(true)
     }
 
-    /// The surviving row indexes of a columnar batch, charging
-    /// `batch_rows_skipped` for rows the selection vector drops (they are
-    /// never materialized at all).
-    fn batch_indexes(n: usize, selection: Option<Vec<u32>>, metrics: &mut ExecMetrics) -> Vec<u32> {
-        match selection {
-            Some(sel) => {
-                metrics.batch_rows_skipped += (n - sel.len()) as u64;
-                sel
-            }
-            None => (0..n as u32).collect(),
-        }
-    }
-
-    /// Scan one split and run the filter (and projection, if any) over it,
-    /// row at a time so both stages share one [`RowSlots`] — the filter's
-    /// parse is reused by the projection. Columnar batches reuse one
-    /// scratch row and materialize cells late; row-major batches keep the
-    /// pre-batching row loop byte for byte.
-    fn run_rows(
+    /// Scan one split and hand every row that survives the batch's
+    /// selection vector and the segment's filter to `visit`, together with
+    /// the row's [`RowSlots`] — so whatever `visit` evaluates reuses the
+    /// filter's parse. Columnar batches reuse one scratch row and
+    /// materialize cells late ([`PipelineSegment::fill_row`]), so `visit`
+    /// borrows it; row-major batches already own their cells and give each
+    /// surviving row away.
+    fn for_each_row(
         &self,
-        split: Option<usize>,
+        split: usize,
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
-    ) -> Result<Vec<Vec<Cell>>> {
-        let batch = self.scan_batch(split, metrics)?;
-        let selection = batch.selection;
-        let cols = match batch.data {
-            BatchData::Rows(rows) => {
-                let rows = Batch {
-                    data: BatchData::Rows(rows),
-                    selection,
-                }
-                .into_rows(metrics);
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let slots = self.extractor.as_ref().map(RowSlots::new);
+        mut visit: impl FnMut(Cow<'_, [Cell]>, Option<&RowSlots<'_>>, &mut ExecMetrics) -> Result<()>,
+    ) -> Result<()> {
+        let batch = self.provider.scan_split(split, metrics)?;
+        let (mut data, indexes) = batch.into_selected(metrics);
+        let mut scratch = match &data {
+            BatchData::Columns(cols) => vec![Cell::Null; cols.len()],
+            BatchData::Rows(_) => Vec::new(),
+        };
+        for i in indexes {
+            let i = i as usize;
+            let slots = self.extractor.as_ref().map(RowSlots::new);
+            let slots = slots.as_ref();
+            let row = match &mut data {
+                BatchData::Rows(rows) => {
                     if let Some(predicate) = self.filter {
-                        if !truthy(&predicate.eval_with(&row, parser, metrics, slots.as_ref())?) {
+                        if !truthy(&predicate.eval_with(&rows[i], parser, metrics, slots)?) {
                             continue;
                         }
                     }
-                    match self.project {
-                        Some(exprs) => {
-                            let mut projected = Vec::with_capacity(exprs.len());
-                            for (e, _) in exprs {
-                                projected.push(e.eval_with(
-                                    &row,
-                                    parser,
-                                    metrics,
-                                    slots.as_ref(),
-                                )?);
-                            }
-                            out.push(projected);
-                        }
-                        None => out.push(row),
-                    }
+                    Cow::Owned(std::mem::take(&mut rows[i]))
                 }
-                return Ok(out);
-            }
-            BatchData::Columns(cols) => cols,
-        };
-        let n = cols.first().map_or(0, |c| c.len());
-        let indexes = Self::batch_indexes(n, selection, metrics);
-        let mut scratch: Vec<Cell> = vec![Cell::Null; cols.len()];
+                BatchData::Columns(cols) => {
+                    if !self.fill_row(cols, i, &mut scratch, parser, metrics, slots)? {
+                        continue;
+                    }
+                    Cow::Borrowed(scratch.as_slice())
+                }
+            };
+            visit(row, slots, metrics)?;
+        }
+        Ok(())
+    }
+
+    /// Scan one split and run the filter (and projection, if any) over it.
+    fn run_rows(
+        &self,
+        split: usize,
+        parser: JsonParserKind,
+        metrics: &mut ExecMetrics,
+    ) -> Result<Vec<Vec<Cell>>> {
         let mut out = Vec::new();
-        for &i in &indexes {
-            let slots = self.extractor.as_ref().map(RowSlots::new);
-            if !self.fill_row(
-                &cols,
-                i as usize,
-                &mut scratch,
-                parser,
-                metrics,
-                slots.as_ref(),
-            )? {
-                continue;
-            }
-            match self.project {
+        self.for_each_row(split, parser, metrics, |row, slots, metrics| {
+            out.push(match self.project {
                 Some(exprs) => {
                     let mut projected = Vec::with_capacity(exprs.len());
                     for (e, _) in exprs {
-                        projected.push(e.eval_with(&scratch, parser, metrics, slots.as_ref())?);
+                        projected.push(e.eval_with(&row, parser, metrics, slots)?);
                     }
-                    out.push(projected);
+                    projected
                 }
-                // Cheap: cell clones are refcount bumps on shared buffers.
-                None => out.push(scratch.clone()),
-            }
-        }
+                // A scratch-row copy is cheap: cell clones are refcount
+                // bumps on shared buffers.
+                None => row.into_owned(),
+            });
+            Ok(())
+        })?;
         Ok(out)
     }
 
-    /// Scan one split and fold it into an aggregate partial, sharing each
-    /// row's parse between the filter and the group-key/argument
-    /// evaluations. Columnar batches materialize cells late, as in
-    /// [`PipelineSegment::run_rows`].
+    /// Scan one split and fold it into an aggregate partial.
     fn run_agg(
         &self,
-        split: Option<usize>,
+        split: usize,
         partial: &mut AggPartial,
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
     ) -> Result<()> {
         let (group_by, aggs) = self.agg.expect("run_agg requires an aggregate segment");
-        let batch = self.scan_batch(split, metrics)?;
-        let selection = batch.selection;
-        let cols = match batch.data {
-            BatchData::Rows(rows) => {
-                let rows = Batch {
-                    data: BatchData::Rows(rows),
-                    selection,
-                }
-                .into_rows(metrics);
-                for row in rows {
-                    let slots = self.extractor.as_ref().map(RowSlots::new);
-                    if let Some(predicate) = self.filter {
-                        if !truthy(&predicate.eval_with(&row, parser, metrics, slots.as_ref())?) {
-                            continue;
-                        }
-                    }
-                    partial.update(&row, group_by, aggs, parser, metrics, slots.as_ref())?;
-                }
-                return Ok(());
-            }
-            BatchData::Columns(cols) => cols,
-        };
-        let n = cols.first().map_or(0, |c| c.len());
-        let indexes = Self::batch_indexes(n, selection, metrics);
-        let mut scratch: Vec<Cell> = vec![Cell::Null; cols.len()];
-        for &i in &indexes {
-            let slots = self.extractor.as_ref().map(RowSlots::new);
-            if !self.fill_row(
-                &cols,
-                i as usize,
-                &mut scratch,
-                parser,
-                metrics,
-                slots.as_ref(),
-            )? {
-                continue;
-            }
-            partial.update(&scratch, group_by, aggs, parser, metrics, slots.as_ref())?;
-        }
-        Ok(())
+        self.for_each_row(split, parser, metrics, |row, slots, metrics| {
+            partial.update(&row, group_by, aggs, parser, metrics, slots)
+        })
     }
 }
 
@@ -706,9 +629,8 @@ fn note_pool_run(metrics: &mut ExecMetrics, threads_spawned: usize, walls: &[std
 /// Returns `Ok(None)` when the plan shape does not qualify, in which case
 /// the caller falls back to the per-operator path. Serial execution (one
 /// thread, or fewer than two splits) walks the splits sequentially on the
-/// calling thread in index order — provably the same rows and metrics as
-/// the old chained operators, since `scan()` is exactly that loop — while
-/// parallel execution fans splits out over the pool.
+/// calling thread in index order, while parallel execution fans splits out
+/// over the pool.
 fn run_pipeline(
     plan: &LogicalPlan,
     parser: JsonParserKind,
@@ -741,21 +663,12 @@ fn run_pipeline(
     // spawning threads for one task buys nothing and must not change
     // observable behavior (threads_used stays 0).
     if opts.threads <= 1 || splits <= 1 {
-        // Degenerate providers report zero splits; run their whole-table
-        // `scan()` as one pseudo-split to preserve their behavior.
-        let split_ids: Vec<Option<usize>> = if splits == 0 {
-            vec![None]
-        } else {
-            (0..splits).map(Some).collect()
-        };
         match segment.agg {
             None => {
                 let mut out = Vec::new();
-                for split in split_ids {
+                for split in 0..splits {
                     let split_span = tracer.child("split", span.id());
-                    if let Some(s) = split {
-                        split_span.attr("split", s);
-                    }
+                    split_span.attr("split", split);
                     let before = counters_before(tracer, metrics);
                     let rows = segment.run_rows(split, parser, metrics)?;
                     split_span.attr("rows_out", rows.len());
@@ -767,11 +680,9 @@ fn run_pipeline(
             }
             Some((group_by, aggs)) => {
                 let mut partial = AggPartial::new(group_by, aggs);
-                for split in split_ids {
+                for split in 0..splits {
                     let split_span = tracer.child("split", span.id());
-                    if let Some(s) = split {
-                        split_span.attr("split", s);
-                    }
+                    split_span.attr("split", split);
                     let before = counters_before(tracer, metrics);
                     segment.run_agg(split, &mut partial, parser, metrics)?;
                     attr_counter_deltas(&split_span, before.as_ref(), metrics);
@@ -794,7 +705,7 @@ fn run_pipeline(
                     let split_span = tracer.child("split", pipe_id);
                     split_span.attr("split", split);
                     let zero = counters_before(tracer, &ExecMetrics::default());
-                    let rows = segment.run_rows(Some(split), parser, &mut task_metrics)?;
+                    let rows = segment.run_rows(split, parser, &mut task_metrics)?;
                     split_span.attr("rows_out", rows.len());
                     attr_counter_deltas(&split_span, zero.as_ref(), &task_metrics);
                     Ok((rows, task_metrics))
@@ -818,7 +729,7 @@ fn run_pipeline(
                     split_span.attr("split", split);
                     let zero = counters_before(tracer, &ExecMetrics::default());
                     let mut partial = AggPartial::new(group_by, aggs);
-                    segment.run_agg(Some(split), &mut partial, parser, &mut task_metrics)?;
+                    segment.run_agg(split, &mut partial, parser, &mut task_metrics)?;
                     attr_counter_deltas(&split_span, zero.as_ref(), &task_metrics);
                     Ok((partial, task_metrics))
                 })?;
@@ -1323,6 +1234,7 @@ pub fn project_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::Batch;
     use crate::sql::ast::BinaryOp;
     use maxson_storage::{ColumnType, Field, Schema};
 
@@ -1366,27 +1278,16 @@ mod tests {
         fn schema(&self) -> &Schema {
             &self.schema
         }
-        fn scan(&self, m: &mut ExecMetrics) -> crate::error::Result<Vec<Vec<Cell>>> {
-            let mut rows = Vec::new();
-            for s in 0..self.splits.len() {
-                rows.extend(self.scan_split(s, m)?);
-            }
-            Ok(rows)
-        }
         fn split_count(&self) -> usize {
             self.splits.len()
         }
-        fn scan_split(
-            &self,
-            split: usize,
-            m: &mut ExecMetrics,
-        ) -> crate::error::Result<Vec<Vec<Cell>>> {
+        fn scan_split(&self, split: usize, m: &mut ExecMetrics) -> crate::error::Result<Batch> {
             if self.poisoned == Some(split) {
                 panic!("corrupt split body");
             }
             let rows = self.splits[split].clone();
             m.rows_scanned += rows.len() as u64;
-            Ok(rows)
+            Ok(Batch::from_rows(rows))
         }
         fn label(&self) -> String {
             "SplitFixed".into()
@@ -1704,16 +1605,18 @@ mod tests {
     #[test]
     fn filter_and_limit_via_execute_plan() {
         // Build a plan over a fake provider.
-        use crate::scan::ScanProvider;
-
         #[derive(Debug)]
         struct Fixed(Schema, Vec<Vec<Cell>>);
         impl ScanProvider for Fixed {
             fn schema(&self) -> &Schema {
                 &self.0
             }
-            fn scan(&self, _m: &mut ExecMetrics) -> crate::error::Result<Vec<Vec<Cell>>> {
-                Ok(self.1.clone())
+            fn scan_split(
+                &self,
+                _split: usize,
+                _m: &mut ExecMetrics,
+            ) -> crate::error::Result<Batch> {
+                Ok(Batch::from_rows(self.1.clone()))
             }
             fn label(&self) -> String {
                 "Fixed".into()

@@ -1,16 +1,18 @@
 //! Table scanning with a pluggable provider.
 //!
 //! [`ScanProvider`] is the engine's extension point for the table-reading
-//! phase. The default [`NorcScanProvider`] reads a Norc table split by
-//! split, applying SARG row-group skipping. Maxson's value combiner
-//! installs its own provider that reads the raw table and cache table with
-//! two synchronized readers.
+//! phase: a provider names its splits and reads one split as a [`Batch`].
+//! The default [`NorcScanProvider`] reads a Norc table split by split,
+//! applying SARG row-group skipping. Maxson's value combiner installs its
+//! own provider that stitches the raw table's and the cache table's decoded
+//! columns side by side.
 
 use std::fmt::Debug;
+use std::sync::Arc;
 use std::time::Instant;
 
 use maxson_json::RawFilter;
-use maxson_storage::{Cell, ColumnData, Schema, SearchArgument, Table};
+use maxson_storage::{Cell, ColumnData, NorcFile, Schema, SearchArgument, Table};
 
 use crate::error::Result;
 use crate::metrics::ExecMetrics;
@@ -18,12 +20,27 @@ use crate::metrics::ExecMetrics;
 /// Physical layout of one scanned batch.
 #[derive(Debug)]
 pub enum BatchData {
-    /// Row-major: providers that assemble rows directly (the Maxson
-    /// combiner's two synchronized readers, the online LRU, test stubs).
+    /// Row-major: providers that already hold cells (the online LRU, the
+    /// join-stitch baseline, replayed reuse fragments, test stubs).
     Rows(Vec<Vec<Cell>>),
     /// Column-major: decoded storage chunks handed over without
     /// materializing any row. Cells are built lazily by the consumer.
     Columns(Vec<ColumnData>),
+}
+
+impl BatchData {
+    /// Number of rows held, before any selection vector applies.
+    pub fn len(&self) -> usize {
+        match self {
+            BatchData::Rows(rows) => rows.len(),
+            BatchData::Columns(cols) => cols.first().map_or(0, |c| c.len()),
+        }
+    }
+
+    /// `true` when the batch holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// One split's worth of scanned data plus an optional selection vector.
@@ -49,15 +66,19 @@ impl Batch {
         }
     }
 
+    /// Wrap decoded column chunks (no selection).
+    pub fn from_columns(cols: Vec<ColumnData>) -> Self {
+        Batch {
+            data: BatchData::Columns(cols),
+            selection: None,
+        }
+    }
+
     /// Number of rows a consumer will see (after selection).
     pub fn len(&self) -> usize {
-        match &self.selection {
-            Some(sel) => sel.len(),
-            None => match &self.data {
-                BatchData::Rows(rows) => rows.len(),
-                BatchData::Columns(cols) => cols.first().map_or(0, |c| c.len()),
-            },
-        }
+        self.selection
+            .as_ref()
+            .map_or_else(|| self.data.len(), Vec::len)
     }
 
     /// `true` when no rows survive.
@@ -65,52 +86,42 @@ impl Batch {
         self.len() == 0
     }
 
+    /// Split into the data and the surviving row indexes (ascending),
+    /// charging `batch_rows_skipped` for rows the selection vector drops.
+    pub fn into_selected(self, metrics: &mut ExecMetrics) -> (BatchData, Vec<u32>) {
+        let n = self.data.len();
+        let indexes = match self.selection {
+            Some(sel) => {
+                metrics.batch_rows_skipped += (n - sel.len()) as u64;
+                sel
+            }
+            None => (0..n as u32).collect(),
+        };
+        (self.data, indexes)
+    }
+
     /// Materialize the selected rows, charging `cells_materialized` for
-    /// every column→cell conversion and `batch_rows_skipped` for rows the
-    /// selection vector drops. Row-major batches move through unchanged
+    /// every column→cell conversion. Row-major batches charge nothing
     /// (their cells were already built by the provider).
     pub fn into_rows(self, metrics: &mut ExecMetrics) -> Vec<Vec<Cell>> {
-        match self.data {
-            BatchData::Rows(rows) => match self.selection {
-                None => rows,
-                Some(sel) => {
-                    metrics.batch_rows_skipped += (rows.len() - sel.len()) as u64;
-                    let mut keep = vec![false; rows.len()];
-                    for &i in &sel {
-                        keep[i as usize] = true;
-                    }
-                    rows.into_iter()
-                        .zip(keep)
-                        .filter_map(|(row, k)| k.then_some(row))
-                        .collect()
-                }
-            },
+        let (data, indexes) = self.into_selected(metrics);
+        match data {
+            BatchData::Rows(mut rows) => indexes
+                .iter()
+                .map(|&i| std::mem::take(&mut rows[i as usize]))
+                .collect(),
             BatchData::Columns(cols) => {
-                let n = cols.first().map_or(0, |c| c.len());
-                let mut out = Vec::new();
-                match self.selection {
-                    None => {
-                        out.reserve(n);
-                        for i in 0..n {
-                            out.push(cols.iter().map(|c| c.get(i)).collect());
-                        }
-                    }
-                    Some(sel) => {
-                        metrics.batch_rows_skipped += (n - sel.len()) as u64;
-                        out.reserve(sel.len());
-                        for &i in &sel {
-                            out.push(cols.iter().map(|c| c.get(i as usize)).collect());
-                        }
-                    }
-                }
-                metrics.cells_materialized += (out.len() * cols.len()) as u64;
-                out
+                metrics.cells_materialized += (indexes.len() * cols.len()) as u64;
+                indexes
+                    .iter()
+                    .map(|&i| cols.iter().map(|c| c.get(i as usize)).collect())
+                    .collect()
             }
         }
     }
 }
 
-/// Supplies rows for a scan node.
+/// Supplies rows for a scan node, one split at a time.
 ///
 /// `Send + Sync` is a supertrait because the split-parallel executor shares
 /// one provider across scoped worker threads, each calling
@@ -120,41 +131,82 @@ pub trait ScanProvider: Debug + Send + Sync {
     /// against).
     fn schema(&self) -> &Schema;
 
-    /// Read all rows, charging read time/bytes to `metrics`.
-    fn scan(&self, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>>;
-
-    /// Number of independently scannable splits. The default of 1 keeps a
-    /// provider on the serial path; providers that can read splits
-    /// independently override this together with [`ScanProvider::scan_split`].
+    /// Number of independently scannable splits. The default of 1 is for
+    /// providers that produce their whole output in one piece; zero means
+    /// an empty table.
     fn split_count(&self) -> usize {
         1
     }
 
-    /// Read the rows of one split (`0 <= split < split_count()`), charging
-    /// that split's read time/bytes to `metrics`. Concatenating the outputs
-    /// of every split in index order must equal [`ScanProvider::scan`].
-    fn scan_split(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
-        debug_assert_eq!(split, 0, "default provider has a single split");
-        let _ = split;
-        self.scan(metrics)
-    }
-
-    /// Read all rows as one batch. The default wraps [`ScanProvider::scan`]
-    /// row-major; columnar providers override to hand decoded chunks to the
-    /// pipeline without materializing cells.
-    fn scan_batch(&self, metrics: &mut ExecMetrics) -> Result<Batch> {
-        Ok(Batch::from_rows(self.scan(metrics)?))
-    }
-
-    /// Read one split as a batch (same contract as
-    /// [`ScanProvider::scan_split`]: selected rows concatenated in split
-    /// index order must equal [`ScanProvider::scan`]).
-    fn scan_split_batch(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Batch> {
-        Ok(Batch::from_rows(self.scan_split(split, metrics)?))
-    }
+    /// Read one split (`0 <= split < split_count()`), charging that split's
+    /// read time/bytes to `metrics`. The table is the selected rows of
+    /// every split concatenated in index order.
+    fn scan_split(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Batch>;
 
     /// Short label for plan display.
     fn label(&self) -> String;
+}
+
+/// Read a provider's whole table as rows: every split in index order,
+/// materialized. The executor never does this (it consumes batches); tests
+/// and the combiner ablation do.
+pub fn scan_rows(provider: &dyn ScanProvider, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
+    let mut rows = Vec::new();
+    for split in 0..provider.split_count() {
+        rows.extend(provider.scan_split(split, metrics)?.into_rows(metrics));
+    }
+    Ok(rows)
+}
+
+/// Open one split of `table` through the shared footer cache, charging the
+/// hit or miss.
+pub fn open_split(table: &Table, split: usize, metrics: &mut ExecMetrics) -> Result<Arc<NorcFile>> {
+    let (file, hit) = table.open_split_cached(split)?;
+    if hit {
+        metrics.meta_cache_hits += 1;
+    } else {
+        metrics.meta_cache_misses += 1;
+    }
+    Ok(file)
+}
+
+/// Evaluate `sarg` against `file`'s row-group statistics. Match ORC: only
+/// single-stripe files support skipping, mirroring the restriction the
+/// paper inherits (§IV-F); a multi-stripe file keeps every row group.
+pub fn sarg_keep(sarg: &SearchArgument, file: &NorcFile) -> Vec<bool> {
+    if file.stripe_count() <= 1 {
+        sarg.keep_array(file.row_groups())
+    } else {
+        vec![true; file.row_group_count()]
+    }
+}
+
+/// Charge the row groups a keep-array reads and skips (`None` reads all
+/// `total`).
+pub fn charge_row_groups(metrics: &mut ExecMetrics, keep: Option<&[bool]>, total: usize) {
+    match keep {
+        Some(keep) => {
+            let skipped = keep.iter().filter(|k| !**k).count() as u64;
+            metrics.row_groups_skipped += skipped;
+            metrics.row_groups_read += keep.len() as u64 - skipped;
+        }
+        None => metrics.row_groups_read += total as u64,
+    }
+}
+
+/// Decode `projection` from `file` under an optional row-group keep-array,
+/// charging `bytes_read` once per decoded column chunk — not per
+/// materialized row, which would walk every cell on the hot path and miss
+/// rows a prefilter drops (their bytes were decoded all the same).
+pub fn read_chunks(
+    file: &NorcFile,
+    projection: &[usize],
+    keep: Option<&[bool]>,
+    metrics: &mut ExecMetrics,
+) -> Result<Vec<ColumnData>> {
+    let cols = file.read_columns(projection, keep)?;
+    metrics.bytes_read += cols.iter().map(|c| c.byte_size() as u64).sum::<u64>();
+    Ok(cols)
 }
 
 /// The default provider: scan a Norc table directory.
@@ -211,59 +263,16 @@ impl ScanProvider for NorcScanProvider {
         &self.out_schema
     }
 
-    fn scan(&self, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
-        let mut rows = Vec::new();
-        for split_idx in 0..self.table.file_count() {
-            rows.extend(self.scan_split(split_idx, metrics)?);
-        }
-        Ok(rows)
-    }
-
     fn split_count(&self) -> usize {
         self.table.file_count()
     }
 
-    fn scan_split(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
-        Ok(self.scan_split_batch(split, metrics)?.into_rows(metrics))
-    }
-
-    fn scan_batch(&self, metrics: &mut ExecMetrics) -> Result<Batch> {
-        // Whole-table batch only makes sense for single-file tables; the
-        // pipeline walks splits individually otherwise.
-        Ok(Batch::from_rows(self.scan(metrics)?))
-    }
-
-    fn scan_split_batch(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Batch> {
+    fn scan_split(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Batch> {
         let start = Instant::now();
-        let (file, meta_hit) = self.table.open_split_cached(split)?;
-        if meta_hit {
-            metrics.meta_cache_hits += 1;
-        } else {
-            metrics.meta_cache_misses += 1;
-        }
-        let keep: Option<Vec<bool>> = self.sarg.as_ref().map(|s| {
-            // Match ORC: only single-stripe files support skipping here,
-            // mirroring the restriction the paper inherits (§IV-F).
-            if file.stripe_count() <= 1 {
-                s.keep_array(file.row_groups())
-            } else {
-                vec![true; file.row_group_count()]
-            }
-        });
-        if let Some(keep) = &keep {
-            let skipped = keep.iter().filter(|k| !**k).count() as u64;
-            metrics.row_groups_skipped += skipped;
-            metrics.row_groups_read += keep.len() as u64 - skipped;
-        } else {
-            metrics.row_groups_read += file.row_group_count() as u64;
-        }
-        let cols = file.read_columns(&self.projection, keep.as_deref())?;
-        // Charge bytes once per decoded column chunk — not per materialized
-        // row, which walked every cell on the hot path and missed rows the
-        // prefilter drops (their bytes were decoded all the same).
-        for c in &cols {
-            metrics.bytes_read += c.byte_size() as u64;
-        }
+        let file = open_split(&self.table, split, metrics)?;
+        let keep = self.sarg.as_ref().map(|s| sarg_keep(s, &file));
+        charge_row_groups(metrics, keep.as_deref(), file.row_group_count());
+        let cols = read_chunks(&file, &self.projection, keep.as_deref(), metrics)?;
         let n = cols.first().map_or(0, |c| c.len());
         let selection = match &self.prefilter {
             // Sparser-style raw rejection straight off the decoded column:
@@ -362,7 +371,7 @@ mod tests {
         let t = make_table("all", &[10, 5], 4);
         let p = NorcScanProvider::new(t, vec![0, 1], None).unwrap();
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(rows.len(), 15);
         assert_eq!(rows[0][0], Cell::Int(0));
         assert_eq!(rows[14][0], Cell::Int(14));
@@ -378,7 +387,7 @@ mod tests {
         let p = NorcScanProvider::new(t, vec![1], None).unwrap();
         assert_eq!(p.schema().fields()[0].name, "tag");
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(rows[3], vec![Cell::Str("t3".into())]);
         p.table.drop_table().unwrap();
     }
@@ -390,7 +399,7 @@ mod tests {
         let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(12));
         let p = NorcScanProvider::new(t, vec![0], Some(sarg)).unwrap();
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         // Groups 0-4 and 5-9 skipped; group 10-14 kept (contains 12+).
         assert_eq!(m.row_groups_skipped, 2);
         assert_eq!(m.row_groups_read, 2);
@@ -416,7 +425,7 @@ mod tests {
         let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(100));
         let p = NorcScanProvider::new(t, vec![0], Some(sarg)).unwrap();
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(m.row_groups_skipped, 0, "multi-stripe file must not skip");
         assert_eq!(rows.len(), 20);
         p.table.drop_table().unwrap();
@@ -428,11 +437,15 @@ mod tests {
         let p = NorcScanProvider::new(t, vec![0, 1], None).unwrap();
         assert_eq!(p.split_count(), 3);
         let mut whole_m = ExecMetrics::default();
-        let whole = p.scan(&mut whole_m).unwrap();
+        let whole = scan_rows(&p, &mut whole_m).unwrap();
         let mut split_m = ExecMetrics::default();
         let mut stitched = Vec::new();
         for s in 0..p.split_count() {
-            stitched.extend(p.scan_split(s, &mut split_m).unwrap());
+            stitched.extend(
+                p.scan_split(s, &mut split_m)
+                    .unwrap()
+                    .into_rows(&mut split_m),
+            );
         }
         assert_eq!(stitched, whole);
         assert_eq!(split_m.rows_scanned, whole_m.rows_scanned);
@@ -446,7 +459,7 @@ mod tests {
         let t = make_table("batch", &[8], 4);
         let p = NorcScanProvider::new(t, vec![0, 1], None).unwrap();
         let mut bm = ExecMetrics::default();
-        let batch = p.scan_split_batch(0, &mut bm).unwrap();
+        let batch = p.scan_split(0, &mut bm).unwrap();
         assert!(matches!(batch.data, BatchData::Columns(_)));
         assert!(batch.selection.is_none());
         assert_eq!(batch.len(), 8);
@@ -457,9 +470,9 @@ mod tests {
         let rows = batch.into_rows(&mut bm);
         assert_eq!(bm.cells_materialized, 16);
         assert_eq!(bm.batch_rows_skipped, 0);
-        // The row API is the batch API plus materialization.
+        // The whole-table row read is the batch API plus materialization.
         let mut rm = ExecMetrics::default();
-        let via_rows = p.scan_split(0, &mut rm).unwrap();
+        let via_rows = scan_rows(&p, &mut rm).unwrap();
         assert_eq!(rows, via_rows);
         assert_eq!(rm.bytes_read, bm.bytes_read);
         assert_eq!(rm.cells_materialized, 16);
@@ -489,7 +502,7 @@ mod tests {
             .unwrap()
             .with_prefilter(1, filter);
         let mut m = ExecMetrics::default();
-        let batch = p.scan_split_batch(0, &mut m).unwrap();
+        let batch = p.scan_split(0, &mut m).unwrap();
         assert_eq!(batch.selection, Some(vec![0, 3]));
         assert_eq!(batch.len(), 2);
         assert_eq!(m.prefilter_dropped, 4);
@@ -498,7 +511,7 @@ mod tests {
         let mut no_filter_m = ExecMetrics::default();
         let p2 =
             NorcScanProvider::new(Table::open(p.table.dir()).unwrap(), vec![0, 1], None).unwrap();
-        p2.scan(&mut no_filter_m).unwrap();
+        scan_rows(&p2, &mut no_filter_m).unwrap();
         assert_eq!(m.bytes_read, no_filter_m.bytes_read);
         // Materializing honors the selection and counts skipped rows.
         let rows_out = batch.into_rows(&mut m);

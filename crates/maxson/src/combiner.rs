@@ -23,9 +23,11 @@
 use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::ScanProvider;
+use maxson_engine::scan::{
+    charge_row_groups, open_split, read_chunks, sarg_keep, Batch, ScanProvider,
+};
 use maxson_obs::Tracer;
-use maxson_storage::{Cell, Schema, SearchArgument, Table};
+use maxson_storage::{Schema, SearchArgument, Table};
 
 /// Scan provider combining a raw table with its cache table.
 #[derive(Debug)]
@@ -90,14 +92,6 @@ impl ScanProvider for CombinedScanProvider {
         &self.out_schema
     }
 
-    fn scan(&self, metrics: &mut ExecMetrics) -> maxson_engine::Result<Vec<Vec<Cell>>> {
-        let mut rows: Vec<Vec<Cell>> = Vec::new();
-        for split in 0..self.split_count() {
-            rows.extend(self.scan_split(split, metrics)?);
-        }
-        Ok(rows)
-    }
-
     fn split_count(&self) -> usize {
         // Cache files are written one per raw file, so the cache file count
         // IS the split count (and covers cache-only scans too).
@@ -109,123 +103,75 @@ impl ScanProvider for CombinedScanProvider {
     /// single split task is what lets the split-parallel executor fan scans
     /// out without touching Algorithm 2 (positional stitch) or Algorithm 3
     /// (shared SARG skips): both stay split-local.
-    fn scan_split(
-        &self,
-        split: usize,
-        metrics: &mut ExecMetrics,
-    ) -> maxson_engine::Result<Vec<Vec<Cell>>> {
+    fn scan_split(&self, split: usize, metrics: &mut ExecMetrics) -> maxson_engine::Result<Batch> {
         let start = Instant::now();
-        let mut rows: Vec<Vec<Cell>> = Vec::new();
-        let (cache_file, cache_meta_hit) =
-            self.cache.open_split_cached(split).map_err(engine_err)?;
-        charge_meta_open(metrics, cache_meta_hit);
+        let cache_file = open_split(&self.cache, split, metrics)?;
 
         // Algorithm 3: evaluate the cache-side SARG against the cache
         // file's row-group stats (single-stripe files only).
-        let cache_keep: Option<Vec<bool>> = self.cache_sarg.as_ref().map(|sarg| {
-            if cache_file.stripe_count() <= 1 {
-                sarg.keep_array(cache_file.row_groups())
-            } else {
-                vec![true; cache_file.row_group_count()]
-            }
-        });
+        let cache_keep = self.cache_sarg.as_ref().map(|s| sarg_keep(s, &cache_file));
 
-        if self.is_cache_only() {
-            let keep = cache_keep;
-            count_rg(metrics, &keep, cache_file.row_group_count());
-            let cols = cache_file
-                .read_columns(&self.cache_projection, keep.as_deref())
-                .map_err(engine_err)?;
-            let n = cols.first().map_or(0, |c| c.len());
-            for i in 0..n {
-                let row: Vec<Cell> = cols.iter().map(|c| c.get(i)).collect();
-                metrics.bytes_read += row.iter().map(Cell::byte_size).sum::<usize>() as u64;
-                metrics.cache_hits += self.cache_projection.len() as u64;
-                rows.push(row);
-            }
-            metrics.rows_scanned += rows.len() as u64;
-            let spent = start.elapsed();
-            metrics.read += spent;
-            metrics.read_wall += spent;
-            self.tracer
-                .add("combiner.cache_only_rows", rows.len() as u64);
-            return Ok(rows);
-        }
-
-        let raw_table = self.raw.as_ref().expect("raw table present");
-        let (raw_file, raw_meta_hit) = raw_table.open_split_cached(split).map_err(engine_err)?;
-        charge_meta_open(metrics, raw_meta_hit);
-
-        // The alignment invariant of §IV-C. If it does not hold (e.g.
-        // the raw table changed underneath us) fail loudly rather than
-        // stitch misaligned rows.
-        if raw_file.num_rows() != cache_file.num_rows() {
-            return Err(maxson_engine::EngineError::exec(format!(
-                "cache misalignment on split {split}: raw has {} rows, cache has {}",
-                raw_file.num_rows(),
-                cache_file.num_rows()
-            )));
-        }
-
-        // Combine keep arrays. Sharing requires identical row-group
-        // boundaries; otherwise fall back to reading everything.
-        let aligned_groups = raw_file.row_group_count() == cache_file.row_group_count()
-            && raw_file.stripe_count() <= 1
-            && cache_file.stripe_count() <= 1;
-        let raw_keep: Option<Vec<bool>> = self.raw_sarg.as_ref().map(|sarg| {
-            if raw_file.stripe_count() <= 1 {
-                sarg.keep_array(raw_file.row_groups())
-            } else {
-                vec![true; raw_file.row_group_count()]
-            }
-        });
-        let shared_keep: Option<Vec<bool>> = if aligned_groups {
-            match (&raw_keep, &cache_keep) {
-                (Some(r), Some(c)) => Some(r.iter().zip(c).map(|(a, b)| *a && *b).collect()),
-                (Some(r), None) => Some(r.clone()),
-                (None, Some(c)) => Some(c.clone()),
-                (None, None) => None,
-            }
+        let (cols, counter) = if self.is_cache_only() {
+            let keep = cache_keep.as_deref();
+            charge_row_groups(metrics, keep, cache_file.row_group_count());
+            let cols = read_chunks(&cache_file, &self.cache_projection, keep, metrics)?;
+            (cols, "combiner.cache_only_rows")
         } else {
-            // Cannot share: only the raw-side SARG can be applied, and
-            // only consistently on both readers, so read everything.
-            None
+            let raw_table = self.raw.as_ref().expect("raw table present");
+            let raw_file = open_split(raw_table, split, metrics)?;
+
+            // The alignment invariant of §IV-C. If it does not hold (e.g.
+            // the raw table changed underneath us) fail loudly rather than
+            // stitch misaligned rows.
+            if raw_file.num_rows() != cache_file.num_rows() {
+                return Err(maxson_engine::EngineError::exec(format!(
+                    "cache misalignment on split {split}: raw has {} rows, cache has {}",
+                    raw_file.num_rows(),
+                    cache_file.num_rows()
+                )));
+            }
+
+            // Combine keep arrays. Sharing requires identical row-group
+            // boundaries; otherwise fall back to reading everything.
+            let aligned_groups = raw_file.row_group_count() == cache_file.row_group_count()
+                && raw_file.stripe_count() <= 1
+                && cache_file.stripe_count() <= 1;
+            let raw_keep = self.raw_sarg.as_ref().map(|s| sarg_keep(s, &raw_file));
+            let shared_keep: Option<Vec<bool>> = if aligned_groups {
+                match (&raw_keep, &cache_keep) {
+                    (Some(r), Some(c)) => Some(r.iter().zip(c).map(|(a, b)| *a && *b).collect()),
+                    (Some(r), None) => Some(r.clone()),
+                    (None, Some(c)) => Some(c.clone()),
+                    (None, None) => None,
+                }
+            } else {
+                // Cannot share: only the raw-side SARG can be applied, and
+                // only consistently on both readers, so read everything.
+                None
+            };
+            let keep = shared_keep.as_deref();
+            charge_row_groups(metrics, keep, cache_file.row_group_count());
+
+            // Algorithm 2: the two readers decode the same kept row groups,
+            // so the positional stitch into the output schema (raw fields
+            // then cache fields) is the two column lists end to end.
+            let mut cols = read_chunks(&raw_file, &self.raw_projection, keep, metrics)?;
+            cols.extend(read_chunks(
+                &cache_file,
+                &self.cache_projection,
+                keep,
+                metrics,
+            )?);
+            (cols, "combiner.stitched_rows")
         };
-        count_rg(metrics, &shared_keep, cache_file.row_group_count());
-
-        let raw_cols = raw_file
-            .read_columns(&self.raw_projection, shared_keep.as_deref())
-            .map_err(engine_err)?;
-        let cache_cols = cache_file
-            .read_columns(&self.cache_projection, shared_keep.as_deref())
-            .map_err(engine_err)?;
-        let n = raw_cols
-            .first()
-            .map(|c| c.len())
-            .or_else(|| cache_cols.first().map(|c| c.len()))
-            .unwrap_or(0);
-
-        // Algorithm 2: positional stitch of the two readers' outputs
-        // into the output schema (raw fields then cache fields).
-        for i in 0..n {
-            let mut row: Vec<Cell> =
-                Vec::with_capacity(self.raw_projection.len() + self.cache_projection.len());
-            for c in &raw_cols {
-                row.push(c.get(i));
-            }
-            for c in &cache_cols {
-                row.push(c.get(i));
-            }
-            metrics.bytes_read += row.iter().map(Cell::byte_size).sum::<usize>() as u64;
-            metrics.cache_hits += self.cache_projection.len() as u64;
-            rows.push(row);
-        }
-        metrics.rows_scanned += rows.len() as u64;
+        let n = cols.first().map_or(0, |c| c.len()) as u64;
+        metrics.cache_hits += n * self.cache_projection.len() as u64;
+        metrics.rows_scanned += n;
         let spent = start.elapsed();
         metrics.read += spent;
         metrics.read_wall += spent;
-        self.tracer.add("combiner.stitched_rows", rows.len() as u64);
-        Ok(rows)
+        self.tracer.add(counter, n);
+        Ok(Batch::from_columns(cols))
     }
 
     fn label(&self) -> String {
@@ -247,34 +193,12 @@ impl ScanProvider for CombinedScanProvider {
     }
 }
 
-fn charge_meta_open(metrics: &mut ExecMetrics, hit: bool) {
-    if hit {
-        metrics.meta_cache_hits += 1;
-    } else {
-        metrics.meta_cache_misses += 1;
-    }
-}
-
-fn count_rg(metrics: &mut ExecMetrics, keep: &Option<Vec<bool>>, total: usize) {
-    match keep {
-        Some(keep) => {
-            let skipped = keep.iter().filter(|k| !**k).count() as u64;
-            metrics.row_groups_skipped += skipped;
-            metrics.row_groups_read += keep.len() as u64 - skipped;
-        }
-        None => metrics.row_groups_read += total as u64,
-    }
-}
-
-fn engine_err(e: maxson_storage::StorageError) -> maxson_engine::EngineError {
-    maxson_engine::EngineError::Storage(e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maxson_engine::scan::{scan_rows, BatchData};
     use maxson_storage::file::WriteOptions;
-    use maxson_storage::{CmpOp, ColumnType, Field};
+    use maxson_storage::{Cell, CmpOp, ColumnType, Field};
     use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -339,7 +263,7 @@ mod tests {
         let p =
             CombinedScanProvider::new(Some(raw), vec![0], cache, vec![0], out_schema(), None, None);
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(rows.len(), 40);
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row[0], Cell::Int(i as i64));
@@ -367,7 +291,7 @@ mod tests {
             Some(sarg),
         );
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         // Row group size 5, 4 groups per file, 2 files = 8 shared groups.
         // Only file 1's last group ([35..39], va 350..390) survives.
         assert_eq!(m.row_groups_read, 1);
@@ -393,10 +317,57 @@ mod tests {
             Some(cache_sarg),
         );
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         // id < 10 AND va >= 50 -> ids 5..9 (row group [5..9]).
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[0][0], Cell::Int(5));
+        std::fs::remove_dir_all(rd).ok();
+        std::fs::remove_dir_all(cd).ok();
+    }
+
+    /// The stitch is columnar: no cell exists until the consumer builds
+    /// one, bytes are charged per decoded chunk, and the shared keep-array
+    /// prunes the raw and the cache columns to the same length.
+    #[test]
+    fn split_batch_is_columnar_and_pruned_on_both_sides() {
+        let (raw, cache, rd, cd) = setup("columnar");
+        // Only file 1's last row group (va 350..390) survives.
+        let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(350));
+        let p = CombinedScanProvider::new(
+            Some(raw),
+            vec![0, 1],
+            cache,
+            vec![0],
+            Schema::new(vec![
+                Field::new("id", ColumnType::Int64),
+                Field::new("payload", ColumnType::Utf8),
+                Field::new("va", ColumnType::Utf8),
+            ])
+            .unwrap(),
+            None,
+            Some(sarg),
+        );
+        let mut m = ExecMetrics::default();
+        assert!(p.scan_split(0, &mut m).unwrap().is_empty());
+        let batch = p.scan_split(1, &mut m).unwrap();
+        assert!(batch.selection.is_none());
+        let BatchData::Columns(cols) = &batch.data else {
+            panic!("combiner must hand over decoded columns");
+        };
+        assert_eq!(cols.len(), 3);
+        assert!(
+            cols.iter().all(|c| c.len() == 5),
+            "raw and cache pruned alike"
+        );
+        assert_eq!(m.cells_materialized, 0, "no cell before consumption");
+        assert_eq!(m.rows_scanned, 5);
+        assert_eq!(m.cache_hits, 5);
+        let chunk_bytes: usize = cols.iter().map(|c| c.byte_size()).sum();
+        assert_eq!(m.bytes_read, chunk_bytes as u64);
+        let rows = batch.into_rows(&mut m);
+        assert_eq!(m.cells_materialized, 15);
+        assert_eq!(rows[0][0], Cell::Int(35));
+        assert_eq!(rows[0][2], Cell::from("350"));
         std::fs::remove_dir_all(rd).ok();
         std::fs::remove_dir_all(cd).ok();
     }
@@ -408,9 +379,14 @@ mod tests {
         let p = CombinedScanProvider::new(None, vec![], cache, vec![0], schema, None, None);
         assert!(p.is_cache_only());
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(rows.len(), 40);
         assert_eq!(m.cache_hits, 40);
+        assert_eq!(
+            m.meta_cache_hits + m.meta_cache_misses,
+            2,
+            "cache files only"
+        );
         assert!(p.label().contains("cache-only"));
         std::fs::remove_dir_all(rd).ok();
         std::fs::remove_dir_all(cd).ok();
@@ -431,11 +407,15 @@ mod tests {
         );
         assert_eq!(p.split_count(), 2);
         let mut whole_m = ExecMetrics::default();
-        let whole = p.scan(&mut whole_m).unwrap();
+        let whole = scan_rows(&p, &mut whole_m).unwrap();
         let mut split_m = ExecMetrics::default();
         let mut stitched = Vec::new();
         for s in 0..p.split_count() {
-            stitched.extend(p.scan_split(s, &mut split_m).unwrap());
+            stitched.extend(
+                p.scan_split(s, &mut split_m)
+                    .unwrap()
+                    .into_rows(&mut split_m),
+            );
         }
         assert_eq!(stitched, whole);
         assert_eq!(split_m.rows_scanned, whole_m.rows_scanned);
@@ -459,7 +439,7 @@ mod tests {
         let p =
             CombinedScanProvider::new(Some(raw), vec![0], bad, vec![0], out_schema(), None, None);
         let mut m = ExecMetrics::default();
-        let err = p.scan(&mut m).unwrap_err();
+        let err = scan_rows(&p, &mut m).unwrap_err();
         assert!(err.to_string().contains("misalignment"));
         std::fs::remove_dir_all(rd).ok();
         std::fs::remove_dir_all(cd).ok();
@@ -506,7 +486,7 @@ mod tests {
         let p =
             CombinedScanProvider::new(Some(raw), vec![0], cache, vec![0], schema, None, Some(sarg));
         let mut m = ExecMetrics::default();
-        let rows = p.scan(&mut m).unwrap();
+        let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(rows.len(), 20, "no skipping on multi-stripe files");
         assert_eq!(m.row_groups_skipped, 0);
         std::fs::remove_dir_all(rd).ok();

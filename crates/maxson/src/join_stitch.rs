@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::ScanProvider;
+use maxson_engine::scan::{charge_row_groups, open_split, read_chunks, Batch, ScanProvider};
 use maxson_obs::Tracer;
 use maxson_storage::{Cell, Schema, Table};
 
@@ -62,6 +62,7 @@ impl JoinStitchProvider {
     }
 }
 
+/// Materialize every row of `table`'s `projection`, split by split.
 fn read_all(
     table: &Table,
     projection: &[usize],
@@ -69,19 +70,10 @@ fn read_all(
 ) -> maxson_engine::Result<Vec<Vec<Cell>>> {
     let mut rows = Vec::new();
     for split in 0..table.file_count() {
-        let file = table
-            .open_split(split)
-            .map_err(maxson_engine::EngineError::Storage)?;
-        metrics.row_groups_read += file.row_group_count() as u64;
-        let cols = file
-            .read_columns(projection, None)
-            .map_err(maxson_engine::EngineError::Storage)?;
-        let n = cols.first().map_or(0, |c| c.len());
-        for i in 0..n {
-            let row: Vec<Cell> = cols.iter().map(|c| c.get(i)).collect();
-            metrics.bytes_read += row.iter().map(Cell::byte_size).sum::<usize>() as u64;
-            rows.push(row);
-        }
+        let file = open_split(table, split, metrics)?;
+        charge_row_groups(metrics, None, file.row_group_count());
+        let cols = read_chunks(&file, projection, None, metrics)?;
+        rows.extend(Batch::from_columns(cols).into_rows(metrics));
     }
     Ok(rows)
 }
@@ -91,7 +83,8 @@ impl ScanProvider for JoinStitchProvider {
         &self.out_schema
     }
 
-    fn scan(&self, metrics: &mut ExecMetrics) -> maxson_engine::Result<Vec<Vec<Cell>>> {
+    /// The join needs both tables whole, so the provider is one split.
+    fn scan_split(&self, _split: usize, metrics: &mut ExecMetrics) -> maxson_engine::Result<Batch> {
         let start = Instant::now();
         // Materialize both sides in full.
         let raw_rows = read_all(&self.raw, &self.raw_projection, metrics)?;
@@ -124,7 +117,7 @@ impl ScanProvider for JoinStitchProvider {
         metrics.read += spent;
         metrics.read_wall += spent;
         self.tracer.add("join_stitch.joined_rows", out.len() as u64);
-        Ok(out)
+        Ok(Batch::from_rows(out))
     }
 
     fn label(&self) -> String {
@@ -139,6 +132,7 @@ impl ScanProvider for JoinStitchProvider {
 mod tests {
     use super::*;
     use crate::combiner::CombinedScanProvider;
+    use maxson_engine::scan::scan_rows;
     use maxson_storage::file::WriteOptions;
     use maxson_storage::{ColumnType, Field};
     use std::path::PathBuf;
@@ -206,8 +200,8 @@ mod tests {
         let join = JoinStitchProvider::new(raw, vec![0], cache, vec![0], out_schema());
         let mut m1 = ExecMetrics::default();
         let mut m2 = ExecMetrics::default();
-        let a = combiner.scan(&mut m1).unwrap();
-        let b = join.scan(&mut m2).unwrap();
+        let a = scan_rows(&combiner, &mut m1).unwrap();
+        let b = scan_rows(&join, &mut m2).unwrap();
         assert_eq!(a, b);
         assert_eq!(b.len(), 45);
         assert_eq!(b[44], vec![Cell::Int(44), Cell::Str("44".into())]);
@@ -225,7 +219,7 @@ mod tests {
             .unwrap();
         let join = JoinStitchProvider::new(raw, vec![0], bad, vec![0], out_schema());
         let mut m = ExecMetrics::default();
-        assert!(join.scan(&mut m).is_err());
+        assert!(scan_rows(&join, &mut m).is_err());
         std::fs::remove_dir_all(rd).ok();
         std::fs::remove_dir_all(cd).ok();
         std::fs::remove_dir_all(bad_dir).ok();

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::ScanProvider;
+use maxson_engine::scan::{open_split, Batch, ScanProvider};
 use maxson_engine::session::{ScanContext, ScanRewrite, TableScanRewriter};
 use maxson_engine::EngineError;
 use maxson_json::JsonPath;
@@ -202,26 +202,16 @@ impl ScanProvider for LruBackedProvider {
         &self.out_schema
     }
 
-    fn scan(&self, metrics: &mut ExecMetrics) -> maxson_engine::Result<Vec<Vec<Cell>>> {
+    /// Cached columns span the whole table, so the provider is one split.
+    fn scan_split(&self, _split: usize, metrics: &mut ExecMetrics) -> maxson_engine::Result<Batch> {
         let span = self.tracer.span("lru_scan");
         span.attr("table", format!("{}.{}", self.database, self.table_name));
         let read_start = Instant::now();
         // Read raw output columns.
         let mut raw_cols = Vec::new();
         for split in 0..self.table.file_count() {
-            let (file, meta_hit) = self
-                .table
-                .open_split_cached(split)
-                .map_err(EngineError::Storage)?;
-            if meta_hit {
-                metrics.meta_cache_hits += 1;
-            } else {
-                metrics.meta_cache_misses += 1;
-            }
-            let cols = file
-                .read_columns(&self.raw_projection, None)
-                .map_err(EngineError::Storage)?;
-            raw_cols.push(cols);
+            let file = open_split(&self.table, split, metrics)?;
+            raw_cols.push(file.read_columns(&self.raw_projection, None)?);
         }
         let read_spent = read_start.elapsed();
         metrics.read += read_spent;
@@ -273,10 +263,8 @@ impl ScanProvider for LruBackedProvider {
             let mut values = Vec::new();
             let mut bytes = 0u64;
             for split in 0..self.table.file_count() {
-                let file = self.table.open_split(split).map_err(EngineError::Storage)?;
-                let cols = file
-                    .read_columns(&[col_idx], None)
-                    .map_err(EngineError::Storage)?;
+                let file = open_split(&self.table, split, metrics)?;
+                let cols = file.read_columns(&[col_idx], None)?;
                 let parse_start = Instant::now();
                 let mut stats = maxson_json::tape::TapeStats::default();
                 for i in 0..cols[0].len() {
@@ -365,7 +353,7 @@ impl ScanProvider for LruBackedProvider {
         }
         metrics.rows_scanned += rows.len() as u64;
         span.attr("rows_out", rows.len());
-        Ok(rows)
+        Ok(Batch::from_rows(rows))
     }
 
     fn label(&self) -> String {

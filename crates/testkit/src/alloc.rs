@@ -67,16 +67,14 @@ mod tests {
     // so only the counter plumbing is checkable here; the end-to-end
     // behavior is exercised by the workspace's alloc_regression test,
     // which does install it.
+    // One test, not two: both read exact deltas of the process-wide
+    // counter, so run in parallel they count each other.
     #[test]
-    fn counter_is_monotonic() {
+    fn counter_is_monotonic_and_delegates_to_system() {
         let a = allocation_count();
         ALLOCATION_COUNT.fetch_add(3, Ordering::Relaxed);
         let b = allocation_count();
         assert_eq!(b - a, 3);
-    }
-
-    #[test]
-    fn delegates_to_system() {
         unsafe {
             let layout = Layout::from_size_align(64, 8).unwrap();
             let before = allocation_count();

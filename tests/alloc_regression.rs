@@ -21,10 +21,14 @@
 //! path shares one buffer per distinct document and materializes only the
 //! filter column for rejected rows.
 
+use maxson::mpjp::PredictorKind;
+use maxson::{MaxsonPipeline, PipelineConfig};
 use maxson_engine::session::Session;
 use maxson_storage::file::WriteOptions;
 use maxson_storage::{Cell, ColumnType, Field, Schema};
 use maxson_testkit::alloc::{allocation_count, CountingAllocator};
+use maxson_trace::model::RecurrenceClass;
+use maxson_trace::{JsonPathLocation, QueryRecord};
 use std::path::PathBuf;
 
 #[global_allocator]
@@ -155,5 +159,78 @@ fn scan_filter_hot_loop_allocations_per_row() {
          engine {engine_per_row:.3} allocs/row (need >= {MIN_IMPROVEMENT}x)"
     );
 
+    assert_maxson_rewritten_allocations_per_row(&mut session, &root);
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// Whole-execution allocations per scanned row of `sql` on a warmed-up
+/// serial session.
+fn allocs_per_row(session: &Session, sql: &str, expect_rows: usize) -> f64 {
+    assert_eq!(session.execute(sql).unwrap().rows.len(), expect_rows);
+    let before = allocation_count();
+    let result = session.execute(sql).unwrap();
+    let allocs = allocation_count() - before;
+    assert_eq!(result.rows.len(), expect_rows);
+    assert_eq!(result.metrics.rows_scanned, ROWS as u64);
+    assert_eq!(result.metrics.parse_calls, 0, "served from the cache");
+    assert!(result.metrics.cache_hits > 0);
+    allocs as f64 / ROWS as f64
+}
+
+/// The Maxson-rewritten path hands the pipeline stitched column chunks, so
+/// it must meet the plain path's ceiling: a combiner that builds a row per
+/// scanned row costs more than one allocation per row before the filter
+/// even runs. Called from the one test above — the allocation counter is
+/// process-wide, so a second `#[test]` running beside it would be counted.
+fn assert_maxson_rewritten_allocations_per_row(session: &mut Session, root: &PathBuf) {
+    // Two daily users of both paths make them multi-parsed JSONPaths.
+    let history: Vec<QueryRecord> = (0..20u32)
+        .map(|i| QueryRecord {
+            query_id: u64::from(i),
+            user_id: i % 2,
+            day: i / 2,
+            hour: 9,
+            recurrence: RecurrenceClass::Daily,
+            paths: ["$.group", "$.name"]
+                .map(|p| JsonPathLocation::new("db", "t", "payload", p))
+                .to_vec(),
+        })
+        .collect();
+    let mut pipeline = MaxsonPipeline::new(
+        root,
+        PipelineConfig {
+            predictor: PredictorKind::RepeatYesterday,
+            ..Default::default()
+        },
+    );
+    pipeline.observe(history.iter());
+    pipeline
+        .run_midnight_cycle(session, &history, 8, 100)
+        .unwrap();
+
+    // Raw + cache stitch, the plain test's shape and selectivity.
+    let stitched = allocs_per_row(
+        session,
+        &format!(
+            "select id, get_json_object(payload, '$.name') as name from db.t where id >= {KEEP_FROM}"
+        ),
+        (ROWS - KEEP_FROM) as usize,
+    );
+    // Cache-only, filtering on a cached path (one row in eight survives).
+    let cache_only = allocs_per_row(
+        session,
+        "select get_json_object(payload, '$.name') as name from db.t \
+         where get_json_object(payload, '$.group') = 7",
+        (ROWS / 8) as usize,
+    );
+    eprintln!(
+        "alloc_regression: maxson raw+cache {stitched:.4} allocs/row, cache-only {cache_only:.4} allocs/row"
+    );
+    for (shape, per_row) in [("raw+cache", stitched), ("cache-only", cache_only)] {
+        assert!(
+            per_row <= ENGINE_ALLOCS_PER_ROW_CEILING,
+            "maxson {shape} allocations per row above the plain path's ceiling: \
+             {per_row:.3} (ceiling {ENGINE_ALLOCS_PER_ROW_CEILING})"
+        );
+    }
 }

@@ -122,6 +122,34 @@ fn golden_tree_exact_at_one_and_four_threads() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// The Maxson path's counter semantics, pinned on a raw + cache stitch over
+/// the checked-in warehouse: the raw-side SARG's keep-array is shared with
+/// the cache reader (7 of 8 row groups skipped on both), `bytes_read` is
+/// the decoded chunks' size, and the pipeline builds cells late — `id` for
+/// every decoded row, `f0` only for the rows the filter keeps.
+const MAXSON_GOLDEN: &str = "\
+query wall=_ rows=100
+  planning wall=_
+  scan_pipeline wall=_ label=MaxsonCombinedScan(raw_cols=[0], cache_cols=[1]) stages=scan+filter+project splits=2 rows_out=100
+    split wall=_ split=0 rows_out=100 rows_scanned=250 bytes_read=2948 cache_hits=250 rg_read=1 rg_skipped=3 cells_materialized=350 batch_rows_skipped=150
+    split wall=_ split=1 rows_out=0 rg_skipped=4";
+
+#[test]
+fn rewritten_golden_tree_exact_at_one_and_four_threads() {
+    let root = bench_data_root();
+    let mut session = Session::open(&root).unwrap();
+    session.set_scan_rewriter(Some(Box::new(MaxsonScanRewriter::open(&root).unwrap())));
+    let sql = "select id, get_json_object(payload, '$.f0') as f0 from mydb.q1 where id < 100";
+    for threads in [1usize, 4] {
+        session.set_threads(Some(threads));
+        let text = run_explain_analyze(&session, sql, &root);
+        assert_eq!(
+            text, MAXSON_GOLDEN,
+            "rewritten explain analyze drifted at {threads} threads:\n{text}"
+        );
+    }
+}
+
 /// Maxson-rewritten JSON queries over the checked-in warehouse: the
 /// normalized tree must be identical at 1 and 4 threads (same shape, same
 /// rows, same counter deltas, split children in split order).

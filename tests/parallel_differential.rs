@@ -22,7 +22,7 @@
 use maxson::rewriter::MaxsonScanRewriter;
 use maxson_datagen::NobenchGenerator;
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::ScanProvider;
+use maxson_engine::scan::{Batch, ScanProvider};
 use maxson_engine::session::{ScanContext, ScanRewrite, Session, TableScanRewriter};
 use maxson_storage::file::WriteOptions;
 use maxson_storage::{Cell, ColumnType, Field, Schema};
@@ -357,25 +357,14 @@ impl ScanProvider for PoisonedProvider {
     fn schema(&self) -> &Schema {
         &self.schema
     }
-    fn scan(&self, metrics: &mut ExecMetrics) -> maxson_engine::Result<Vec<Vec<Cell>>> {
-        let mut rows = Vec::new();
-        for s in 0..self.splits {
-            rows.extend(self.scan_split(s, metrics)?);
-        }
-        Ok(rows)
-    }
     fn split_count(&self) -> usize {
         self.splits
     }
-    fn scan_split(
-        &self,
-        split: usize,
-        _metrics: &mut ExecMetrics,
-    ) -> maxson_engine::Result<Vec<Vec<Cell>>> {
+    fn scan_split(&self, split: usize, _metrics: &mut ExecMetrics) -> maxson_engine::Result<Batch> {
         if split == self.poisoned {
             panic!("poisoned split payload");
         }
-        Ok(vec![vec![Cell::Int(split as i64)]])
+        Ok(Batch::from_rows(vec![vec![Cell::Int(split as i64)]]))
     }
     fn label(&self) -> String {
         "PoisonedProvider".into()

@@ -112,9 +112,11 @@ fn midnight_cycle_is_an_atomic_epoch_swap_under_load() {
     // Clients loop until told to stop, then take two guaranteed
     // post-cycle samples each.
     let cycle_done = Arc::new(AtomicBool::new(false));
+    let (answered_tx, answered_rx) = std::sync::mpsc::channel();
     let workers: Vec<_> = (0..CLIENTS)
         .map(|_| {
             let cycle_done = cycle_done.clone();
+            let answered_tx = answered_tx.clone();
             std::thread::spawn(move || -> Vec<Observation> {
                 let mut client = Client::connect(addr).expect("connect");
                 let mut seen = Vec::new();
@@ -129,11 +131,16 @@ fn midnight_cycle_is_an_atomic_epoch_swap_under_load() {
                         parse_calls: result.metrics.parse_calls,
                         display: result.to_display_string(),
                     });
+                    answered_tx.send(()).ok();
                 }
                 seen
             })
         })
         .collect();
+    // The cycle below takes milliseconds; on a busy box it can finish before
+    // any client has an answer, so hold it until one pre-swap result exists.
+    answered_rx.recv().expect("a client answered");
+    drop(answered_rx);
 
     // Run the midnight cycle on the admin clone while queries are in
     // flight: builds the cache tables off to the side, then swaps them in.

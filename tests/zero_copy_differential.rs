@@ -19,6 +19,7 @@
 //!    multi-row-group splits that exercise SARG skipping) and random
 //!    queries; failures replay via `MAXSON_TESTKIT_SEED`.
 
+use maxson::rewriter::MaxsonScanRewriter;
 use maxson_datagen::NobenchGenerator;
 use maxson_engine::metrics::ExecMetrics;
 use maxson_engine::session::{JsonParserKind, Session};
@@ -188,6 +189,30 @@ fn warehouse_queries_identical_across_batching_matrix() {
     for sql in WAREHOUSE_QUERIES {
         assert_zero_copy_differential(|| Session::open(&root).unwrap(), sql, &root, "warehouse");
     }
+}
+
+/// The same statements with the Maxson rewriter installed, plus a raw +
+/// cache stitch under a raw-side SARG: cached paths reach the pipeline as
+/// stitched column chunks, which must be as invisible as the plain batches.
+#[test]
+fn rewritten_warehouse_queries_identical_across_batching_matrix() {
+    let root = bench_data_root();
+    let make = || {
+        let mut session = Session::open(&root).unwrap();
+        session.set_scan_rewriter(Some(Box::new(MaxsonScanRewriter::open(&root).unwrap())));
+        session
+    };
+    let stitched = "select id, get_json_object(payload, '$.f0') as f0, \
+                    get_json_object(payload, '$.f10') as f10 from mydb.q2 where id < 100";
+    for sql in WAREHOUSE_QUERIES.into_iter().chain([stitched]) {
+        assert_zero_copy_differential(make, sql, &root, "warehouse+maxson");
+    }
+    let result = make().execute(stitched).unwrap();
+    assert!(
+        result.metrics.cache_hits > 0 && result.metrics.cells_materialized > 0,
+        "stitch never reached the columnar pipeline: {:?}",
+        result.metrics
+    );
 }
 
 /// The Sparser-style prefilter now produces a selection vector instead of
