@@ -8,17 +8,18 @@ cd "$(dirname "$0")"
 cargo fmt --check
 cargo build --release --offline
 
-# The whole suite runs twice: once on the serial reference path and once
-# split-parallel, so every test doubles as a differential check. Note the
-# root Cargo.toml is both a workspace and a package, so bare `cargo test`
-# would only run the root integration tests; --workspace covers the crates.
+# The whole suite runs twice: once with split tasks inline on the calling
+# thread and once on pool workers, so every test doubles as a differential
+# check. Note the root Cargo.toml is both a workspace and a package, so
+# bare `cargo test` would only run the root integration tests; --workspace
+# covers the crates.
 MAXSON_THREADS=1 cargo test -q --offline --workspace
 MAXSON_THREADS=4 cargo test -q --offline --workspace
 
-# And twice more across the shared-parse toggle, so every test also checks
-# the naive parse-per-call path against intra-query shared parsing.
+# And once more with shared parse off, so every test also runs on the naive
+# parse-per-call path the differential suites use as their reference.
+# Shared parse is on by default: the two passes above already run it.
 MAXSON_SHARED_PARSE=0 cargo test -q --offline --workspace
-MAXSON_SHARED_PARSE=1 cargo test -q --offline --workspace
 
 # Reuse-cache matrix: the differential suite proves cache on/off is
 # byte-identical whatever the session default, so run it under both env

@@ -1,34 +1,48 @@
-//! Volcano-style (materialized) plan execution, with optional
-//! split-parallel scan pipelines.
+//! Volcano-style (materialized) plan execution around one row loop.
 //!
-//! ## Parallel execution model
+//! ## One row loop
 //!
-//! The executor recognizes *scan pipeline segments* — `Scan`,
-//! `Filter(Scan)`, `Project([Filter](Scan))`, and
-//! `Aggregate([Filter](Scan))` — and, when the scan provider exposes more
-//! than one split and [`ExecOptions::threads`] allows it, fans the segment
-//! out one task per split on a scoped-thread pool
-//! ([`crate::pool::run_split_tasks`]). Each task runs
-//! scan→filter→project (or scan→filter→partial-aggregate) against its own
-//! [`ExecMetrics`]; the barrier absorbs task metrics and reassembles rows
-//! (or merges aggregate partials) **in split order**, which makes the
-//! output byte-identical to the serial path:
+//! Filter, Project and Aggregate are evaluated in exactly one place,
+//! `PipelineSegment::run`: it takes a [`Batch`], applies the segment's
+//! filter, and feeds every surviving row to a `Sink` — the output row
+//! vector (projected or not) or an aggregate partial. Two things produce
+//! batches:
 //!
-//! * row pipelines: the serial scan visits splits in index order, so
-//!   concatenating per-split outputs in index order reproduces the exact
-//!   serial row sequence;
+//! * **scans** — `Scan`, `Filter(Scan)`, `Project([Filter](Scan))` and
+//!   `Aggregate([Filter](Scan))` are fused into one segment whose batches
+//!   come from `provider.scan_split(i)`, one task per split
+//!   (`run_pipeline`);
+//! * **materialised inputs** — a Filter / Project / Aggregate over a join,
+//!   aggregate (HAVING, the post-aggregate projection), sort, limit or
+//!   distinct runs the same loop over `Batch::from_rows(child_rows)`, one
+//!   stage per operator (stages over a materialised input are not fused,
+//!   so each keeps its own shared-parse extractor and span).
+//!
+//! Join, sort, limit and distinct are blocking operators, not row loops,
+//! and keep arms of their own in [`execute_plan_traced`].
+//!
+//! ## Split tasks
+//!
+//! `run_pipeline` hands the splits to [`crate::pool::run_split_tasks`] at
+//! every thread count and split count. The pool runs them inline on the
+//! caller's thread, in split order, when `threads <= 1` or the table has at
+//! most one split, and on scoped worker threads otherwise; either way each
+//! task runs inside the scheduler's acquire/release bracket and a panic
+//! comes back as an error naming the split. Each task charges its own
+//! zero-based [`ExecMetrics`] and fills its own sink; the barrier absorbs
+//! task metrics and concatenates rows (or merges aggregate partials) **in
+//! split order**, which makes the output independent of the thread count:
+//!
+//! * row pipelines: concatenating per-split outputs in index order is the
+//!   table's row order;
 //! * aggregates: partial states merge in split order. `SUM`/`AVG` over
 //!   floats defer their addends and fold them at finish time in input
-//!   order, so the float additions happen in exactly the sequence the
-//!   serial accumulator would use (float addition is not associative —
-//!   summing per-split subtotals would *not* be bit-identical). Integer
-//!   sums use wrapping i64 arithmetic, which is associative. Grouped
-//!   output keeps first-seen group order because split 0's groups are
-//!   merged first.
-//!
-//! Plans that are not segment-shaped (joins, sorts, HAVING chains, …) run
-//! serially at the top but still parallelize any segment found deeper in
-//! their inputs.
+//!   order, so the float additions happen in exactly the sequence one
+//!   accumulator over the whole input would use (float addition is not
+//!   associative — summing per-split subtotals would *not* be
+//!   bit-identical). Integer sums use wrapping i64 arithmetic, which is
+//!   associative. Grouped output keeps first-seen group order because
+//!   split 0's groups are merged first.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -36,20 +50,20 @@ use std::collections::HashMap;
 use maxson_obs::{SpanGuard, SpanId, Tracer};
 use maxson_storage::{Cell, CellKey, RowKey, RowKeySlice};
 
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use crate::expr::{truthy, Expr, JsonParserKind};
 use crate::extract::{JsonExtractor, RowSlots};
 use crate::metrics::ExecMetrics;
 use crate::plan::LogicalPlan;
 use crate::pool;
-use crate::scan::{BatchData, ScanProvider};
+use crate::scan::{Batch, BatchData, ScanProvider};
 use crate::sql::ast::AggFunc;
 
 /// Knobs controlling one plan execution.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// Maximum worker threads for split-parallel segments. `1` is the
-    /// serial reference path (no pool involvement at all).
+    /// Maximum worker threads for split tasks. At `1` the pool runs every
+    /// task inline on the calling thread, in split order.
     pub threads: usize,
     /// Intra-query shared-parse extraction: parse each JSON document once
     /// per row and answer every path the query needs from that single
@@ -62,8 +76,9 @@ pub struct ExecOptions {
 }
 
 impl ExecOptions {
-    /// The serial reference configuration (shared-parse still follows the
-    /// `MAXSON_SHARED_PARSE` environment toggle).
+    /// One thread: split tasks run inline on the calling thread
+    /// (shared-parse still follows the `MAXSON_SHARED_PARSE` environment
+    /// toggle).
     pub fn serial() -> Self {
         ExecOptions {
             threads: 1,
@@ -133,26 +148,6 @@ pub fn shared_parse_from_env() -> bool {
         .unwrap_or(true)
 }
 
-/// Execute a plan to completion, returning the output rows. Threading is
-/// resolved from the environment ([`ExecOptions::from_env`]).
-pub fn execute_plan(
-    plan: &LogicalPlan,
-    parser: JsonParserKind,
-    metrics: &mut ExecMetrics,
-) -> Result<Vec<Vec<Cell>>> {
-    execute_plan_with(plan, parser, metrics, ExecOptions::from_env())
-}
-
-/// Execute a plan to completion with explicit options (untraced).
-pub fn execute_plan_with(
-    plan: &LogicalPlan,
-    parser: JsonParserKind,
-    metrics: &mut ExecMetrics,
-    opts: ExecOptions,
-) -> Result<Vec<Vec<Cell>>> {
-    execute_plan_traced(plan, parser, metrics, &opts, &Tracer::disabled(), None)
-}
-
 /// Execute a plan to completion, recording one span per operator (and per
 /// split, inside scan pipelines) under `parent`. With a disabled tracer
 /// every hook is a branch on a bool — rows and metrics are identical to
@@ -165,45 +160,32 @@ pub fn execute_plan_traced(
     tracer: &Tracer,
     parent: Option<SpanId>,
 ) -> Result<Vec<Vec<Cell>>> {
-    // Segment-shaped plans run through the unified scan pipeline at every
-    // thread count: it is what lets one row's parse be shared across the
-    // filter *and* the projection/aggregation above it.
-    if let Some(rows) = run_pipeline(plan, parser, metrics, opts, tracer, parent)? {
-        return Ok(rows);
-    }
     match plan {
-        LogicalPlan::Scan { .. } => unreachable!("run_pipeline accepts every bare scan"),
-        LogicalPlan::Filter { input, predicate } => {
-            let span = tracer.child("filter", parent);
-            let rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
+        LogicalPlan::Scan { .. }
+        | LogicalPlan::Filter { .. }
+        | LogicalPlan::Project { .. }
+        | LogicalPlan::Aggregate { .. } => {
+            let (segment, source) = PipelineSegment::extract(plan, opts.shared_parse);
+            if let LogicalPlan::Scan { provider } = source {
+                return run_pipeline(
+                    &segment,
+                    provider.as_ref(),
+                    parser,
+                    metrics,
+                    opts,
+                    tracer,
+                    parent,
+                );
+            }
+            // A materialised input: one stage, the same row loop, the
+            // child's rows handed over as one owned row-major batch.
+            let span = tracer.child(segment.stage_name(), parent);
+            let rows = execute_plan_traced(source, parser, metrics, opts, tracer, span.id())?;
             span.attr("rows_in", rows.len());
             let before = counters_before(tracer, metrics);
-            let out = filter_rows(rows, predicate, parser, metrics, opts.shared_parse)?;
-            span.attr("rows_out", out.len());
-            attr_counter_deltas(&span, before.as_ref(), metrics);
-            Ok(out)
-        }
-        LogicalPlan::Project { input, exprs, .. } => {
-            let span = tracer.child("project", parent);
-            let rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
-            span.attr("rows_in", rows.len());
-            let before = counters_before(tracer, metrics);
-            let out = project_exprs(rows, exprs, parser, metrics, opts.shared_parse)?;
-            span.attr("rows_out", out.len());
-            attr_counter_deltas(&span, before.as_ref(), metrics);
-            Ok(out)
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            ..
-        } => {
-            let span = tracer.child("hash_agg", parent);
-            let rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
-            span.attr("rows_in", rows.len());
-            let before = counters_before(tracer, metrics);
-            let out = aggregate(rows, group_by, aggs, parser, metrics, opts.shared_parse)?;
+            let mut sink = segment.new_sink();
+            segment.run(Batch::from_rows(rows), &mut sink, parser, metrics)?;
+            let out = sink.finish();
             span.attr("rows_out", out.len());
             attr_counter_deltas(&span, before.as_ref(), metrics);
             Ok(out)
@@ -328,44 +310,6 @@ fn attr_counter_deltas(span: &SpanGuard<'_>, before: Option<&ExecMetrics>, after
     }
 }
 
-fn filter_rows(
-    rows: Vec<Vec<Cell>>,
-    predicate: &Expr,
-    parser: JsonParserKind,
-    metrics: &mut ExecMetrics,
-    shared_parse: bool,
-) -> Result<Vec<Vec<Cell>>> {
-    let extractor = shared_extractor(shared_parse, [predicate]);
-    let mut out = Vec::new();
-    for row in rows {
-        let slots = extractor.as_ref().map(RowSlots::new);
-        if truthy(&predicate.eval_with(&row, parser, metrics, slots.as_ref())?) {
-            out.push(row);
-        }
-    }
-    Ok(out)
-}
-
-fn project_exprs(
-    rows: Vec<Vec<Cell>>,
-    exprs: &[(Expr, String)],
-    parser: JsonParserKind,
-    metrics: &mut ExecMetrics,
-    shared_parse: bool,
-) -> Result<Vec<Vec<Cell>>> {
-    let extractor = shared_extractor(shared_parse, exprs.iter().map(|(e, _)| e));
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let slots = extractor.as_ref().map(RowSlots::new);
-        let mut projected = Vec::with_capacity(exprs.len());
-        for (e, _) in exprs {
-            projected.push(e.eval_with(&row, parser, metrics, slots.as_ref())?);
-        }
-        out.push(projected);
-    }
-    Ok(out)
-}
-
 /// Build a shared-parse extractor over `exprs` when the toggle is on (and
 /// the expressions contain any JSON path at all).
 fn shared_extractor<'a>(
@@ -380,15 +324,41 @@ fn shared_extractor<'a>(
 }
 
 // ----------------------------------------------------------------------
-// Split-parallel scan pipeline
+// The row loop
 // ----------------------------------------------------------------------
 
-/// A parallelizable plan prefix: scan, optional filter, then either a
-/// projection or an aggregation (never both — the planner puts the
-/// post-aggregate projection above the Aggregate node, where it stays
-/// serial because it only touches a handful of result rows).
+/// Where a segment's surviving rows go: the output row vector, or an
+/// aggregate partial. One per split task (or per materialised input),
+/// merged in split order.
+#[derive(Debug)]
+enum Sink {
+    Rows(Vec<Vec<Cell>>),
+    Agg(AggPartial),
+}
+
+impl Sink {
+    /// Append a later split's sink: rows concatenate, partials merge.
+    fn merge(&mut self, later: Sink) {
+        match (self, later) {
+            (Sink::Rows(rows), Sink::Rows(more)) => rows.extend(more),
+            (Sink::Agg(partial), Sink::Agg(more)) => partial.merge(more),
+            _ => unreachable!("merging sinks of different segments"),
+        }
+    }
+
+    fn finish(self) -> Vec<Vec<Cell>> {
+        match self {
+            Sink::Rows(rows) => rows,
+            Sink::Agg(partial) => finish_aggregate(partial),
+        }
+    }
+}
+
+/// The stages one pass of the row loop evaluates: an optional filter, then
+/// either a projection or an aggregation (never both — the planner puts the
+/// post-aggregate projection above the Aggregate node, where it is a
+/// segment of its own over the aggregate's rows).
 struct PipelineSegment<'a> {
-    provider: &'a dyn ScanProvider,
     filter: Option<&'a Expr>,
     project: Option<&'a [(Expr, String)]>,
     agg: Option<(&'a [Expr], &'a [(AggFunc, Option<Expr>)])>,
@@ -397,69 +367,52 @@ struct PipelineSegment<'a> {
     /// stage. `None` when the toggle is off or no stage touches JSON.
     /// Read-only, hence safely shared across split tasks.
     extractor: Option<JsonExtractor>,
-    /// Scan-schema columns the filter reads (ascending). For columnar
+    /// Input-schema columns the filter reads (ascending). For columnar
     /// batches only these are materialized before the filter runs.
     filter_cols: Vec<usize>,
-    /// The complement of `filter_cols` over the scan schema (ascending):
+    /// The complement of `filter_cols` over the input schema (ascending):
     /// materialized only for rows the filter keeps.
     rest_cols: Vec<usize>,
 }
 
 impl<'a> PipelineSegment<'a> {
-    fn extract(plan: &'a LogicalPlan, shared_parse: bool) -> Option<Self> {
-        fn base(plan: &LogicalPlan) -> Option<(&dyn ScanProvider, Option<&Expr>)> {
-            match plan {
-                LogicalPlan::Scan { provider } => Some((provider.as_ref(), None)),
-                LogicalPlan::Filter { input, predicate } => match input.as_ref() {
-                    LogicalPlan::Scan { provider } => Some((provider.as_ref(), Some(predicate))),
-                    _ => None,
-                },
-                _ => None,
-            }
-        }
-        let mut segment = match plan {
+    /// The segment rooted at `plan` (a Scan, Filter, Project or Aggregate)
+    /// and the plan that produces its input. A Project or Aggregate takes
+    /// the Filter below it into the same segment only when that Filter sits
+    /// directly on a Scan; over any other input every operator is a segment
+    /// of its own.
+    fn extract(plan: &'a LogicalPlan, shared_parse: bool) -> (Self, &'a LogicalPlan) {
+        let mut segment = PipelineSegment {
+            filter: None,
+            project: None,
+            agg: None,
+            extractor: None,
+            filter_cols: Vec::new(),
+            rest_cols: Vec::new(),
+        };
+        let mut source = plan;
+        match plan {
             LogicalPlan::Aggregate {
                 input,
                 group_by,
                 aggs,
                 ..
             } => {
-                let (provider, filter) = base(input)?;
-                PipelineSegment {
-                    provider,
-                    filter,
-                    project: None,
-                    agg: Some((group_by, aggs)),
-                    extractor: None,
-                    filter_cols: Vec::new(),
-                    rest_cols: Vec::new(),
-                }
+                segment.agg = Some((group_by, aggs));
+                source = input;
             }
             LogicalPlan::Project { input, exprs, .. } => {
-                let (provider, filter) = base(input)?;
-                PipelineSegment {
-                    provider,
-                    filter,
-                    project: Some(exprs),
-                    agg: None,
-                    extractor: None,
-                    filter_cols: Vec::new(),
-                    rest_cols: Vec::new(),
-                }
+                segment.project = Some(exprs);
+                source = input;
             }
-            other => {
-                let (provider, filter) = base(other)?;
-                PipelineSegment {
-                    provider,
-                    filter,
-                    project: None,
-                    agg: None,
-                    extractor: None,
-                    filter_cols: Vec::new(),
-                    rest_cols: Vec::new(),
-                }
+            _ => {}
+        }
+        if let LogicalPlan::Filter { input, predicate } = source {
+            if std::ptr::eq(source, plan) || matches!(**input, LogicalPlan::Scan { .. }) {
+                segment.filter = Some(predicate);
+                source = input;
             }
-        };
+        }
         if shared_parse {
             let mut exprs: Vec<&Expr> = Vec::new();
             if let Some(p) = segment.filter {
@@ -477,13 +430,32 @@ impl<'a> PipelineSegment<'a> {
         if let Some(predicate) = segment.filter {
             let mut referenced = std::collections::BTreeSet::new();
             predicate.collect_columns(&mut referenced);
-            let width = segment.provider.schema().fields().len();
+            let width = source.schema().fields().len();
             // Out-of-range references (a planner bug) are left out so the
             // filter's own eval reports the error instead of an index panic.
             segment.filter_cols = referenced.iter().copied().filter(|&c| c < width).collect();
             segment.rest_cols = (0..width).filter(|c| !referenced.contains(c)).collect();
         }
-        Some(segment)
+        (segment, source)
+    }
+
+    /// Span name of this segment when it runs over a materialised input.
+    fn stage_name(&self) -> &'static str {
+        if self.agg.is_some() {
+            "hash_agg"
+        } else if self.project.is_some() {
+            "project"
+        } else {
+            "filter"
+        }
+    }
+
+    /// An empty sink of the kind this segment fills.
+    fn new_sink(&self) -> Sink {
+        match self.agg {
+            Some((group_by, aggs)) => Sink::Agg(AggPartial::new(group_by, aggs)),
+            None => Sink::Rows(Vec::new()),
+        }
     }
 
     /// Materialize columnar row `i` into `scratch` with the filter applied
@@ -525,21 +497,20 @@ impl<'a> PipelineSegment<'a> {
         Ok(true)
     }
 
-    /// Scan one split and hand every row that survives the batch's
-    /// selection vector and the segment's filter to `visit`, together with
-    /// the row's [`RowSlots`] — so whatever `visit` evaluates reuses the
-    /// filter's parse. Columnar batches reuse one scratch row and
-    /// materialize cells late ([`PipelineSegment::fill_row`]), so `visit`
-    /// borrows it; row-major batches already own their cells and give each
-    /// surviving row away.
-    fn for_each_row(
+    /// The row loop: every row of `batch` that survives its selection
+    /// vector and the segment's filter is projected into, copied into, or
+    /// folded into `sink`, all under one [`RowSlots`] — so the projection
+    /// or aggregation reuses the filter's parse. Columnar batches reuse one
+    /// scratch row and materialize cells late
+    /// ([`PipelineSegment::fill_row`]); row-major batches already own their
+    /// cells and give each surviving row away.
+    fn run(
         &self,
-        split: usize,
+        batch: Batch,
+        sink: &mut Sink,
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
-        mut visit: impl FnMut(Cow<'_, [Cell]>, Option<&RowSlots<'_>>, &mut ExecMetrics) -> Result<()>,
     ) -> Result<()> {
-        let batch = self.provider.scan_split(split, metrics)?;
         let (mut data, indexes) = batch.into_selected(metrics);
         let mut scratch = match &data {
             BatchData::Columns(cols) => vec![Cell::Null; cols.len()],
@@ -565,49 +536,26 @@ impl<'a> PipelineSegment<'a> {
                     Cow::Borrowed(scratch.as_slice())
                 }
             };
-            visit(row, slots, metrics)?;
+            match sink {
+                Sink::Rows(out) => out.push(match self.project {
+                    Some(exprs) => {
+                        let mut projected = Vec::with_capacity(exprs.len());
+                        for (e, _) in exprs {
+                            projected.push(e.eval_with(&row, parser, metrics, slots)?);
+                        }
+                        projected
+                    }
+                    // A scratch-row copy is cheap: cell clones are refcount
+                    // bumps on shared buffers.
+                    None => row.into_owned(),
+                }),
+                Sink::Agg(partial) => {
+                    let (group_by, aggs) = self.agg.expect("an Agg sink comes from an agg segment");
+                    partial.update(&row, group_by, aggs, parser, metrics, slots)?;
+                }
+            }
         }
         Ok(())
-    }
-
-    /// Scan one split and run the filter (and projection, if any) over it.
-    fn run_rows(
-        &self,
-        split: usize,
-        parser: JsonParserKind,
-        metrics: &mut ExecMetrics,
-    ) -> Result<Vec<Vec<Cell>>> {
-        let mut out = Vec::new();
-        self.for_each_row(split, parser, metrics, |row, slots, metrics| {
-            out.push(match self.project {
-                Some(exprs) => {
-                    let mut projected = Vec::with_capacity(exprs.len());
-                    for (e, _) in exprs {
-                        projected.push(e.eval_with(&row, parser, metrics, slots)?);
-                    }
-                    projected
-                }
-                // A scratch-row copy is cheap: cell clones are refcount
-                // bumps on shared buffers.
-                None => row.into_owned(),
-            });
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// Scan one split and fold it into an aggregate partial.
-    fn run_agg(
-        &self,
-        split: usize,
-        partial: &mut AggPartial,
-        parser: JsonParserKind,
-        metrics: &mut ExecMetrics,
-    ) -> Result<()> {
-        let (group_by, aggs) = self.agg.expect("run_agg requires an aggregate segment");
-        self.for_each_row(split, parser, metrics, |row, slots, metrics| {
-            partial.update(&row, group_by, aggs, parser, metrics, slots)
-        })
     }
 }
 
@@ -625,27 +573,25 @@ fn note_pool_run(metrics: &mut ExecMetrics, threads_spawned: usize, walls: &[std
     metrics.absorb(&run);
 }
 
-/// Run `plan` through the unified scan pipeline if it has segment shape.
-/// Returns `Ok(None)` when the plan shape does not qualify, in which case
-/// the caller falls back to the per-operator path. Serial execution (one
-/// thread, or fewer than two splits) walks the splits sequentially on the
-/// calling thread in index order, while parallel execution fans splits out
-/// over the pool.
+/// Run a scan-rooted segment: one pool task per split, each scanning its
+/// split into a batch and running the row loop over it against its own
+/// zero-based metrics and sink; the barrier absorbs the metrics and merges
+/// the sinks in split order. The pool decides where tasks run (inline on
+/// this thread for one thread or at most one split); the pool gauges are
+/// charged only when it spawned threads.
 fn run_pipeline(
-    plan: &LogicalPlan,
+    segment: &PipelineSegment<'_>,
+    provider: &dyn ScanProvider,
     parser: JsonParserKind,
     metrics: &mut ExecMetrics,
     opts: &ExecOptions,
     tracer: &Tracer,
     parent: Option<SpanId>,
-) -> Result<Option<Vec<Vec<Cell>>>> {
-    let Some(segment) = PipelineSegment::extract(plan, opts.shared_parse) else {
-        return Ok(None);
-    };
-    let splits = segment.provider.split_count();
+) -> Result<Vec<Vec<Cell>>> {
+    let splits = provider.split_count();
     let span = tracer.child("scan_pipeline", parent);
     if span.is_recording() {
-        span.attr("label", segment.provider.label());
+        span.attr("label", provider.label());
         let mut stages = String::from("scan");
         if segment.filter.is_some() {
             stages.push_str("+filter");
@@ -659,100 +605,44 @@ fn run_pipeline(
         span.attr("stages", stages);
         span.attr("splits", splits);
     }
-    // Single-split (and empty) tables stay serial even with many threads:
-    // spawning threads for one task buys nothing and must not change
-    // observable behavior (threads_used stays 0).
-    if opts.threads <= 1 || splits <= 1 {
-        match segment.agg {
-            None => {
-                let mut out = Vec::new();
-                for split in 0..splits {
-                    let split_span = tracer.child("split", span.id());
-                    split_span.attr("split", split);
-                    let before = counters_before(tracer, metrics);
-                    let rows = segment.run_rows(split, parser, metrics)?;
-                    split_span.attr("rows_out", rows.len());
-                    attr_counter_deltas(&split_span, before.as_ref(), metrics);
-                    out.extend(rows);
-                }
-                span.attr("rows_out", out.len());
-                return Ok(Some(out));
-            }
-            Some((group_by, aggs)) => {
-                let mut partial = AggPartial::new(group_by, aggs);
-                for split in 0..splits {
-                    let split_span = tracer.child("split", span.id());
-                    split_span.attr("split", split);
-                    let before = counters_before(tracer, metrics);
-                    segment.run_agg(split, &mut partial, parser, metrics)?;
-                    attr_counter_deltas(&split_span, before.as_ref(), metrics);
-                }
-                let out = finish_aggregate(partial);
-                span.attr("rows_out", out.len());
-                return Ok(Some(out));
-            }
-        }
-    }
-    // Worker tasks parent their per-split spans on the pipeline span even
-    // though they record from pool threads — the guard id is Copy and the
-    // tracer is Sync, so each split lands on its own thread track.
+    // Tasks parent their per-split spans on the pipeline span even when
+    // they record from pool threads — the guard id is Copy and the tracer
+    // is Sync, so each split lands on its own thread track.
     let pipe_id = span.id();
-    match segment.agg {
-        None => {
-            let run =
-                pool::run_split_tasks(splits, opts.threads, opts.scheduler.as_deref(), |split| {
-                    let mut task_metrics = ExecMetrics::default();
-                    let split_span = tracer.child("split", pipe_id);
-                    split_span.attr("split", split);
-                    let zero = counters_before(tracer, &ExecMetrics::default());
-                    let rows = segment.run_rows(split, parser, &mut task_metrics)?;
-                    split_span.attr("rows_out", rows.len());
-                    attr_counter_deltas(&split_span, zero.as_ref(), &task_metrics);
-                    Ok((rows, task_metrics))
-                })?;
-            note_pool_run(metrics, run.threads_spawned, &run.task_walls);
-            let workers = run.threads_spawned.max(1) as u32;
-            let mut out = Vec::new();
-            for (rows, mut task_metrics) in run.results {
-                scale_wall_gauges(&mut task_metrics, workers);
-                metrics.absorb(&task_metrics);
-                out.extend(rows);
-            }
-            span.attr("rows_out", out.len());
-            Ok(Some(out))
+    let run = pool::run_split_tasks(splits, opts.threads, opts.scheduler.as_deref(), |split| {
+        let mut task_metrics = ExecMetrics::default();
+        let split_span = tracer.child("split", pipe_id);
+        split_span.attr("split", split);
+        let zero = counters_before(tracer, &task_metrics);
+        let mut sink = segment.new_sink();
+        let batch = provider.scan_split(split, &mut task_metrics)?;
+        segment.run(batch, &mut sink, parser, &mut task_metrics)?;
+        if let Sink::Rows(rows) = &sink {
+            split_span.attr("rows_out", rows.len());
         }
-        Some((group_by, aggs)) => {
-            let run =
-                pool::run_split_tasks(splits, opts.threads, opts.scheduler.as_deref(), |split| {
-                    let mut task_metrics = ExecMetrics::default();
-                    let split_span = tracer.child("split", pipe_id);
-                    split_span.attr("split", split);
-                    let zero = counters_before(tracer, &ExecMetrics::default());
-                    let mut partial = AggPartial::new(group_by, aggs);
-                    segment.run_agg(split, &mut partial, parser, &mut task_metrics)?;
-                    attr_counter_deltas(&split_span, zero.as_ref(), &task_metrics);
-                    Ok((partial, task_metrics))
-                })?;
-            note_pool_run(metrics, run.threads_spawned, &run.task_walls);
-            let workers = run.threads_spawned.max(1) as u32;
-            let mut merged: Option<AggPartial> = None;
-            for (partial, mut task_metrics) in run.results {
-                scale_wall_gauges(&mut task_metrics, workers);
-                metrics.absorb(&task_metrics);
-                merged = Some(match merged {
-                    None => partial,
-                    Some(mut acc) => {
-                        acc.merge(partial);
-                        acc
-                    }
-                });
-            }
-            let merged = merged.expect("split count >= 2 yields partials");
-            let out = finish_aggregate(merged);
-            span.attr("rows_out", out.len());
-            Ok(Some(out))
-        }
+        attr_counter_deltas(&split_span, zero.as_ref(), &task_metrics);
+        Ok((sink, task_metrics))
+    })?;
+    if run.threads_spawned > 0 {
+        note_pool_run(metrics, run.threads_spawned, &run.task_walls);
     }
+    let workers = run.threads_spawned.max(1) as u32;
+    let merged = run
+        .results
+        .into_iter()
+        .map(|(sink, mut task_metrics)| {
+            scale_wall_gauges(&mut task_metrics, workers);
+            metrics.absorb(&task_metrics);
+            sink
+        })
+        .reduce(|mut merged, later| {
+            merged.merge(later);
+            merged
+        });
+    // An empty table has no task to build a sink.
+    let out = merged.unwrap_or_else(|| segment.new_sink()).finish();
+    span.attr("rows_out", out.len());
+    Ok(out)
 }
 
 /// Turn a pool task's serially-charged wall gauges into this run's
@@ -1077,31 +967,6 @@ impl AggPartial {
     }
 }
 
-/// Build the aggregate partial for one slice of input rows (first-seen
-/// group order for deterministic output). With `shared_parse`, each row
-/// parses its JSON documents once across group keys and aggregate args.
-fn partial_aggregate(
-    rows: &[Vec<Cell>],
-    group_by: &[Expr],
-    aggs: &[(AggFunc, Option<Expr>)],
-    parser: JsonParserKind,
-    metrics: &mut ExecMetrics,
-    shared_parse: bool,
-) -> Result<AggPartial> {
-    let extractor = shared_extractor(
-        shared_parse,
-        group_by
-            .iter()
-            .chain(aggs.iter().filter_map(|(_, a)| a.as_ref())),
-    );
-    let mut partial = AggPartial::new(group_by, aggs);
-    for row in rows {
-        let slots = extractor.as_ref().map(RowSlots::new);
-        partial.update(row, group_by, aggs, parser, metrics, slots.as_ref())?;
-    }
-    Ok(partial)
-}
-
 /// Finish a (possibly merged) partial into output rows.
 fn finish_aggregate(partial: AggPartial) -> Vec<Vec<Cell>> {
     match partial {
@@ -1121,22 +986,6 @@ fn finish_aggregate(partial: AggPartial) -> Vec<Vec<Cell>> {
             out
         }
     }
-}
-
-/// Serial aggregation: one partial over the whole input, finished. The
-/// parallel path goes through the same `partial_aggregate` /
-/// `finish_aggregate` pair, so there is a single aggregation
-/// implementation to trust.
-fn aggregate(
-    rows: Vec<Vec<Cell>>,
-    group_by: &[Expr],
-    aggs: &[(AggFunc, Option<Expr>)],
-    parser: JsonParserKind,
-    metrics: &mut ExecMetrics,
-    shared_parse: bool,
-) -> Result<Vec<Vec<Cell>>> {
-    let partial = partial_aggregate(&rows, group_by, aggs, parser, metrics, shared_parse)?;
-    Ok(finish_aggregate(partial))
 }
 
 fn hash_join(
@@ -1213,30 +1062,13 @@ fn sort_rows(
     Ok(keyed.into_iter().map(|(_, row)| row).collect())
 }
 
-/// Evaluate a standalone expression list over rows (helper for tests).
-pub fn project_rows(
-    rows: &[Vec<Cell>],
-    exprs: &[Expr],
-    parser: JsonParserKind,
-    metrics: &mut ExecMetrics,
-) -> Result<Vec<Vec<Cell>>> {
-    rows.iter()
-        .map(|row| {
-            exprs
-                .iter()
-                .map(|e| e.eval(row, parser, metrics))
-                .collect::<Result<Vec<Cell>>>()
-        })
-        .collect::<Result<Vec<_>>>()
-        .map_err(|e| EngineError::exec(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::Batch;
     use crate::sql::ast::BinaryOp;
     use maxson_storage::{ColumnType, Field, Schema};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn rows3() -> Vec<Vec<Cell>> {
         vec![
@@ -1249,6 +1081,16 @@ mod tests {
 
     fn m() -> ExecMetrics {
         ExecMetrics::default()
+    }
+
+    /// Execute a plan to completion with explicit options (untraced).
+    fn execute_plan_with(
+        plan: &LogicalPlan,
+        parser: JsonParserKind,
+        metrics: &mut ExecMetrics,
+        opts: ExecOptions,
+    ) -> Result<Vec<Vec<Cell>>> {
+        execute_plan_traced(plan, parser, metrics, &opts, &Tracer::disabled(), None)
     }
 
     /// Test provider with an explicit split structure.
@@ -1313,6 +1155,43 @@ mod tests {
         }
     }
 
+    /// One split of five rows, all tagged `g0`.
+    fn single_split_plan(poisoned: Option<usize>) -> LogicalPlan {
+        let splits = vec![(0..5)
+            .map(|i| vec![Cell::Str("g0".into()), Cell::Int(i)])
+            .collect()];
+        let mut provider = SplitFixed::new(splits);
+        provider.poisoned = poisoned;
+        LogicalPlan::Scan {
+            provider: Box::new(provider),
+        }
+    }
+
+    /// Aggregate through the one entry point: every element of `splits` is
+    /// one batch with its own partial, merged in order. One split is the
+    /// no-merge reference.
+    fn aggregate(
+        splits: Vec<Vec<Vec<Cell>>>,
+        group_by: &[Expr],
+        aggs: &[(AggFunc, Option<Expr>)],
+    ) -> Vec<Vec<Cell>> {
+        let plan = LogicalPlan::Aggregate {
+            input: Box::new(LogicalPlan::Scan {
+                provider: Box::new(SplitFixed::new(splits)),
+            }),
+            group_by: group_by.to_vec(),
+            aggs: aggs.to_vec(),
+            schema: Schema::new(vec![Field::new("g", ColumnType::Utf8)]).unwrap(),
+        };
+        execute_plan_with(
+            &plan,
+            JsonParserKind::Jackson,
+            &mut m(),
+            ExecOptions::serial(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn global_aggregates() {
         let aggs = vec![
@@ -1323,7 +1202,7 @@ mod tests {
             (AggFunc::Max, Some(Expr::Column(1))),
             (AggFunc::Avg, Some(Expr::Column(1))),
         ];
-        let out = aggregate(rows3(), &[], &aggs, JsonParserKind::Jackson, &mut m(), true).unwrap();
+        let out = aggregate(vec![rows3()], &[], &aggs);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][0], Cell::Int(4)); // COUNT(*)
         assert_eq!(out[0][1], Cell::Int(3)); // COUNT(v) skips null
@@ -1341,11 +1220,14 @@ mod tests {
             (AggFunc::Avg, Some(Expr::Column(0))),
             (AggFunc::Min, Some(Expr::Column(0))),
         ];
-        let out = aggregate(vec![], &[], &aggs, JsonParserKind::Jackson, &mut m(), true).unwrap();
-        assert_eq!(
-            out[0],
-            vec![Cell::Int(0), Cell::Null, Cell::Null, Cell::Null]
-        );
+        // No split at all, and one split with no row.
+        for splits in [vec![], vec![vec![]]] {
+            let out = aggregate(splits, &[], &aggs);
+            assert_eq!(
+                out[0],
+                vec![Cell::Int(0), Cell::Null, Cell::Null, Cell::Null]
+            );
+        }
     }
 
     #[test]
@@ -1354,15 +1236,7 @@ mod tests {
             (AggFunc::Count, None),
             (AggFunc::Sum, Some(Expr::Column(1))),
         ];
-        let out = aggregate(
-            rows3(),
-            &[Expr::Column(0)],
-            &aggs,
-            JsonParserKind::Jackson,
-            &mut m(),
-            true,
-        )
-        .unwrap();
+        let out = aggregate(vec![rows3()], &[Expr::Column(0)], &aggs);
         assert_eq!(out.len(), 3);
         assert_eq!(
             out[0],
@@ -1389,39 +1263,15 @@ mod tests {
             (AggFunc::Sum, Some(Expr::Column(0))),
             (AggFunc::Avg, Some(Expr::Column(0))),
         ];
-        let serial = aggregate(
-            rows.clone(),
-            &[],
-            &aggs,
-            JsonParserKind::Jackson,
-            &mut m(),
-            true,
-        )
-        .unwrap();
+        let serial = aggregate(vec![rows.clone()], &[], &aggs);
         for cut1 in 0..rows.len() {
             for cut2 in cut1..rows.len() {
-                let mut acc = partial_aggregate(
-                    &rows[..cut1],
-                    &[],
-                    &aggs,
-                    JsonParserKind::Jackson,
-                    &mut m(),
-                    true,
-                )
-                .unwrap();
-                for chunk in [&rows[cut1..cut2], &rows[cut2..]] {
-                    let part = partial_aggregate(
-                        chunk,
-                        &[],
-                        &aggs,
-                        JsonParserKind::Jackson,
-                        &mut m(),
-                        true,
-                    )
-                    .unwrap();
-                    acc.merge(part);
-                }
-                let merged = finish_aggregate(acc);
+                let splits = vec![
+                    rows[..cut1].to_vec(),
+                    rows[cut1..cut2].to_vec(),
+                    rows[cut2..].to_vec(),
+                ];
+                let merged = aggregate(splits, &[], &aggs);
                 // Compare exact bits, not approximate equality.
                 let (Cell::Float(a), Cell::Float(b)) = (&serial[0][0], &merged[0][0]) else {
                     panic!("expected float sums");
@@ -1440,36 +1290,10 @@ mod tests {
             (AggFunc::Sum, Some(Expr::Column(1))),
         ];
         let group = vec![Expr::Column(0)];
-        let serial = aggregate(
-            rows.clone(),
-            &group,
-            &aggs,
-            JsonParserKind::Jackson,
-            &mut m(),
-            true,
-        )
-        .unwrap();
+        let serial = aggregate(vec![rows.clone()], &group, &aggs);
         for cut in 0..=rows.len() {
-            let mut acc = partial_aggregate(
-                &rows[..cut],
-                &group,
-                &aggs,
-                JsonParserKind::Jackson,
-                &mut m(),
-                true,
-            )
-            .unwrap();
-            let rest = partial_aggregate(
-                &rows[cut..],
-                &group,
-                &aggs,
-                JsonParserKind::Jackson,
-                &mut m(),
-                true,
-            )
-            .unwrap();
-            acc.merge(rest);
-            assert_eq!(finish_aggregate(acc), serial, "cut at {cut}");
+            let splits = vec![rows[..cut].to_vec(), rows[cut..].to_vec()];
+            assert_eq!(aggregate(splits, &group, &aggs), serial, "cut at {cut}");
         }
     }
 
@@ -1477,35 +1301,9 @@ mod tests {
     fn count_distinct_merges_as_set_union() {
         let rows = rows3();
         let aggs = vec![(AggFunc::CountDistinct, Some(Expr::Column(0)))];
-        let serial = aggregate(
-            rows.clone(),
-            &[],
-            &aggs,
-            JsonParserKind::Jackson,
-            &mut m(),
-            true,
-        )
-        .unwrap();
-        let mut acc = partial_aggregate(
-            &rows[..2],
-            &[],
-            &aggs,
-            JsonParserKind::Jackson,
-            &mut m(),
-            true,
-        )
-        .unwrap();
-        let rest = partial_aggregate(
-            &rows[2..],
-            &[],
-            &aggs,
-            JsonParserKind::Jackson,
-            &mut m(),
-            true,
-        )
-        .unwrap();
-        acc.merge(rest);
-        assert_eq!(finish_aggregate(acc), serial);
+        let serial = aggregate(vec![rows.clone()], &[], &aggs);
+        let splits = vec![rows[..2].to_vec(), rows[2..].to_vec()];
+        assert_eq!(aggregate(splits, &[], &aggs), serial);
         assert_eq!(serial[0][0], Cell::Int(3));
     }
 
@@ -1589,7 +1387,7 @@ mod tests {
     fn sum_mixed_int_float_is_float() {
         let rows = vec![vec![Cell::Int(1)], vec![Cell::Float(2.5)]];
         let aggs = vec![(AggFunc::Sum, Some(Expr::Column(0)))];
-        let out = aggregate(rows, &[], &aggs, JsonParserKind::Jackson, &mut m(), true).unwrap();
+        let out = aggregate(vec![rows], &[], &aggs);
         assert_eq!(out[0][0], Cell::Float(3.5));
     }
 
@@ -1598,12 +1396,12 @@ mod tests {
         // JSON-extracted values arrive as strings; SUM must still work.
         let rows = vec![vec![Cell::Str("10".into())], vec![Cell::Str("5".into())]];
         let aggs = vec![(AggFunc::Sum, Some(Expr::Column(0)))];
-        let out = aggregate(rows, &[], &aggs, JsonParserKind::Jackson, &mut m(), true).unwrap();
+        let out = aggregate(vec![rows], &[], &aggs);
         assert_eq!(out[0][0], Cell::Float(15.0));
     }
 
     #[test]
-    fn filter_and_limit_via_execute_plan() {
+    fn filter_and_limit_via_execute_plan_with() {
         // Build a plan over a fake provider.
         #[derive(Debug)]
         struct Fixed(Schema, Vec<Vec<Cell>>);
@@ -1637,7 +1435,13 @@ mod tests {
                 }),
             }),
         };
-        let out = execute_plan(&plan, JsonParserKind::Jackson, &mut m()).unwrap();
+        let out = execute_plan_with(
+            &plan,
+            JsonParserKind::Jackson,
+            &mut m(),
+            ExecOptions::from_env(),
+        )
+        .unwrap();
         assert_eq!(
             out,
             vec![vec![Cell::Int(4)], vec![Cell::Int(5)], vec![Cell::Int(6)]]
@@ -1674,7 +1478,7 @@ mod tests {
             ExecOptions::serial(),
         )
         .unwrap();
-        assert_eq!(serial_m.threads_used, 0, "serial path never touches pool");
+        assert_eq!(serial_m.threads_used, 0, "one thread never spawns a worker");
         for threads in [2, 4, 8] {
             let mut par_m = m();
             let parallel = execute_plan_with(
@@ -1728,28 +1532,73 @@ mod tests {
 
     #[test]
     fn poisoned_split_propagates_error_with_split_index() {
-        let plan = ten_split_plan(Some(7));
-        let mut metrics = m();
-        let err = execute_plan_with(
-            &plan,
-            JsonParserKind::Jackson,
-            &mut metrics,
-            ExecOptions::with_threads(4),
-        )
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("split 7"), "error must name the split: {msg}");
-        assert!(msg.contains("corrupt split body"), "{msg}");
+        for (plan, opts, split) in [
+            (ten_split_plan(Some(7)), ExecOptions::with_threads(4), 7),
+            (ten_split_plan(Some(7)), ExecOptions::serial(), 7),
+            (single_split_plan(Some(0)), ExecOptions::with_threads(4), 0),
+        ] {
+            let threads = opts.threads;
+            let err =
+                execute_plan_with(&plan, JsonParserKind::Jackson, &mut m(), opts).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("split {split}")),
+                "error must name the split at {threads} threads: {msg}"
+            );
+            assert!(msg.contains("corrupt split body"), "{msg}");
+        }
+    }
+
+    #[derive(Debug, Default)]
+    struct CountingScheduler {
+        acquires: AtomicUsize,
+        releases: AtomicUsize,
+    }
+
+    impl pool::SplitScheduler for CountingScheduler {
+        fn acquire(&self) {
+            self.acquires.fetch_add(1, Ordering::SeqCst);
+        }
+        fn release(&self) {
+            self.releases.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// One acquire/release pair per split task, whether the pool runs the
+    /// tasks inline (one thread, or a single split) or on workers.
+    #[test]
+    fn every_split_task_runs_inside_a_scheduler_permit() {
+        let ten_split_aggregate = || LogicalPlan::Aggregate {
+            input: Box::new(ten_split_plan(None)),
+            group_by: vec![Expr::Column(0)],
+            aggs: vec![(AggFunc::Count, None)],
+            schema: Schema::new(vec![Field::new("g", ColumnType::Utf8)]).unwrap(),
+        };
+        for threads in [1, 4] {
+            for (plan, splits) in [
+                (ten_split_plan(None), 10),
+                (ten_split_aggregate(), 10),
+                (single_split_plan(None), 1),
+            ] {
+                let scheduler = Arc::new(CountingScheduler::default());
+                let opts = ExecOptions::with_threads(threads)
+                    .with_scheduler(Some(scheduler.clone() as Arc<_>));
+                execute_plan_with(&plan, JsonParserKind::Jackson, &mut m(), opts).unwrap();
+                assert_eq!(
+                    (
+                        scheduler.acquires.load(Ordering::SeqCst),
+                        scheduler.releases.load(Ordering::SeqCst)
+                    ),
+                    (splits, splits),
+                    "{threads} threads, {splits} splits"
+                );
+            }
+        }
     }
 
     #[test]
     fn single_split_scan_stays_serial_even_with_many_threads() {
-        let splits = vec![(0..5)
-            .map(|i| vec![Cell::Str("g0".into()), Cell::Int(i)])
-            .collect()];
-        let plan = LogicalPlan::Scan {
-            provider: Box::new(SplitFixed::new(splits)),
-        };
+        let plan = single_split_plan(None);
         let mut metrics = m();
         let rows = execute_plan_with(
             &plan,

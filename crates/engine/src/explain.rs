@@ -4,7 +4,7 @@
 //! dedup, cache hits, ...), followed by the tracer's named counters.
 //!
 //! The tree shape, rows, and counters are deterministic across thread
-//! counts: per-split spans exist on the serial path too, child order sorts
+//! counts: per-split spans exist at one thread too, child order sorts
 //! by split index (not completion order), and zero-valued counter deltas
 //! are never emitted. Only the `wall=` annotations vary run to run —
 //! golden tests normalize exactly those tokens.

@@ -14,7 +14,7 @@ use crate::scan::ScanProvider;
 use crate::sql::ast::AggFunc;
 
 /// A resolved plan node. Children are boxed; the tree is executed bottom-up
-/// by [`crate::exec::execute_plan`].
+/// by [`crate::exec::execute_plan_traced`].
 #[derive(Debug)]
 pub enum LogicalPlan {
     /// Leaf: produce rows from a provider.

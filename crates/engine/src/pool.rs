@@ -65,8 +65,8 @@ pub struct PoolRun<T> {
 /// results in task order.
 ///
 /// * `max_threads <= 1` or `tasks <= 1` runs everything inline on the
-///   caller's thread — no threads are spawned, making 1-thread execution
-///   exactly the serial reference path.
+///   caller's thread, in task order — no threads are spawned. The
+///   executor has no serial path of its own: this is it.
 /// * A task returning `Err` or panicking aborts the run; the error for the
 ///   **lowest failing task index** is returned so failure is deterministic
 ///   regardless of scheduling. Remaining queued tasks are skipped once a

@@ -298,7 +298,7 @@ pub struct Session {
     /// Sparser-style raw prefiltering on JSON equality predicates.
     prefilter_enabled: bool,
     /// Explicit worker-thread override. `None` defers to `MAXSON_THREADS`
-    /// (default: available cores); `Some(1)` forces the serial path.
+    /// (default: available cores); `Some(1)` runs split tasks inline.
     threads: Option<usize>,
     /// Explicit shared-parse override. `None` defers to
     /// `MAXSON_SHARED_PARSE` (default: on).
@@ -478,8 +478,8 @@ impl Session {
 
     /// Set (or clear) the worker-thread count for split-parallel execution.
     /// `None` resolves from the environment at each `execute` call
-    /// (`MAXSON_THREADS`, defaulting to available cores); `Some(1)` pins the
-    /// serial reference path. Tests prefer this over the env var to avoid
+    /// (`MAXSON_THREADS`, defaulting to available cores); `Some(1)` runs the
+    /// split tasks inline on the calling thread. Tests prefer this over the env var to avoid
     /// process-global races.
     pub fn set_threads(&mut self, threads: Option<usize>) {
         self.threads = threads;

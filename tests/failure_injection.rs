@@ -538,7 +538,15 @@ impl TableScanRewriter for SelectivePanicRewriter {
 
 #[test]
 fn panicking_split_task_is_contained_by_the_server() {
-    let root = temp_root("panic-split");
+    // Four threads run the split tasks on pool workers, one thread inline
+    // on the connection's thread: the panic is an error response on both.
+    for threads in [4, 1] {
+        panicking_split_is_contained_at(threads);
+    }
+}
+
+fn panicking_split_is_contained_at(threads: usize) {
+    let root = temp_root(&format!("panic-split-{threads}"));
     let mut template = Session::open(&root).unwrap();
     {
         let schema = Schema::new(vec![
@@ -562,7 +570,7 @@ fn panicking_split_task_is_contained_by_the_server() {
         template,
         "127.0.0.1:0",
         ServerConfig {
-            threads: Some(4),
+            threads: Some(threads),
             permits: Some(4),
             result_cache_mb: None,
         },
@@ -578,7 +586,7 @@ fn panicking_split_task_is_contained_by_the_server() {
         let msg = err.to_string();
         assert!(
             msg.contains("panic") || msg.contains("poisoned provider"),
-            "round {round}: error should surface the panic: {msg}"
+            "{threads} threads, round {round}: error should surface the panic: {msg}"
         );
         // Same connection keeps working after its query panicked.
         assert_eq!(client.query(SERVED_SQL).unwrap().rows.len(), 5);

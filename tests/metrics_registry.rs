@@ -8,6 +8,10 @@
 //! streams concurrently at 1, 4, and 8 threads, and asserts that every
 //! counter equals the serially-replayed expectation while a sampler
 //! thread observes only monotonically non-decreasing values.
+//!
+//! The scheduler's permit counter lives in the process-wide registry, so
+//! the one test that reads it through a server's METRICS frame sits here:
+//! no other test in this binary starts a scheduler.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -215,4 +219,57 @@ fn exposition_matches_golden() {
         "maxson_hot_path_extracts{path=\"$.b\",table=\"db.t\"} 2\n",
     );
     assert_eq!(registry.expose(), golden);
+}
+
+/// A one-thread server runs its split tasks inline on the connection's
+/// thread, and still brackets each with a fair-share permit: the permit
+/// counter in the served exposition moves by at least the split count.
+#[test]
+fn one_thread_server_takes_a_scheduler_permit_per_split() {
+    use maxson_engine::Session;
+    use maxson_server::{Client, Server, ServerConfig};
+    use maxson_storage::file::WriteOptions;
+    use maxson_storage::{Cell, ColumnType, Field, Schema};
+
+    const FILES: u64 = 3;
+    let root = std::env::temp_dir().join(format!("maxson-sched-{}", std::process::id()));
+    let mut template = Session::open(&root).unwrap();
+    {
+        let schema = Schema::new(vec![Field::new("id", ColumnType::Int64)]).unwrap();
+        let mut catalog = template.catalog_mut();
+        let table = catalog.create_table("db", "t", schema, 0).unwrap();
+        for f in 0..FILES as i64 {
+            table
+                .append_file(&[vec![Cell::Int(f)]], WriteOptions::default(), 1)
+                .unwrap();
+        }
+    }
+    let mut server = Server::serve(
+        template,
+        "127.0.0.1:0",
+        ServerConfig {
+            threads: Some(1),
+            permits: Some(4),
+            result_cache_mb: None,
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let acquires = |client: &mut Client| -> u64 {
+        let text = client.metrics().unwrap();
+        text.lines()
+            .find_map(|l| l.strip_prefix("maxson_sched_acquires_total "))
+            .expect("permit counter is registered with the scheduler")
+            .parse()
+            .unwrap()
+    };
+    let before = acquires(&mut client);
+    assert_eq!(
+        client.query("select id from db.t").unwrap().rows.len() as u64,
+        FILES
+    );
+    let taken = acquires(&mut client) - before;
+    assert!(taken >= FILES, "{taken} permits for {FILES} splits");
+    server.stop();
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -1,5 +1,6 @@
 //! Differential tests proving split-parallel execution is byte-identical
-//! to the serial reference path.
+//! to the one-thread run, where the pool runs the same split tasks inline
+//! on the calling thread in split order.
 //!
 //! Three layers:
 //!
@@ -12,8 +13,8 @@
 //!    nulls) and random filter/project/agg queries; parallel == serial for
 //!    every case. Failures replay via `MAXSON_TESTKIT_SEED`.
 //! 3. **Pool stress at the engine boundary** — a poisoned split surfaces
-//!    the split index in an engine error (not a hang), and empty or
-//!    single-split tables never engage the pool.
+//!    the split index in an engine error (not a hang, and not an unwind at
+//!    one thread), and empty or single-split tables never engage the pool.
 //!
 //! Thread counts are pinned with `Session::set_threads`, not the
 //! `MAXSON_THREADS` env var, so parallel test binaries cannot race on
@@ -202,6 +203,15 @@ fn nobench_workload_identical_across_thread_counts() {
          group by get_json_object(payload, '$.str2')",
         // Sort + limit above a parallel segment.
         "select id from nb.docs order by id desc limit 7",
+        // Project(Filter(Aggregate)): HAVING and the post-aggregate
+        // projection run the row loop over the aggregate's rows.
+        "select get_json_object(payload, '$.str2') as grp, count(*) as n from nb.docs \
+         group by get_json_object(payload, '$.str2') having count(*) > 1",
+        // Project(Filter(Join)): both stages run over the join's rows and
+        // parse JSON there, each under its own extractor.
+        "select a.id, get_json_object(b.payload, '$.num') as num \
+         from nb.docs a join nb.docs b on a.id = b.id \
+         where get_json_object(a.payload, '$.bool') = 'true'",
     ];
     for sql in queries {
         assert_differential(|| Session::open(&root).unwrap(), sql, "nobench");
@@ -415,9 +425,9 @@ fn poisoned_split_surfaces_split_index_as_engine_error() {
         splits: 6,
         poisoned: 3,
     })));
-    // Panic containment is a pool property: at 1 thread the scan runs on
-    // the caller like it always has, so only pooled counts are asserted.
-    for threads in [2, 4, 8] {
+    // Containment holds at every thread count: one thread runs the same
+    // split tasks inline on the caller.
+    for threads in THREAD_COUNTS {
         session.set_threads(Some(threads));
         let err = session.execute("select id from db.t").unwrap_err();
         let msg = err.to_string();
