@@ -6,17 +6,19 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo fmt --check
+cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --release --offline
 
-# The whole suite runs twice: once with split tasks inline on the calling
-# thread and once on pool workers, so every test doubles as a differential
-# check. Note the root Cargo.toml is both a workspace and a package, so
+# The whole suite runs three times: once with split tasks inline on the
+# calling thread and once on pool workers (below), then once more with
+# shared parse off, so every test doubles as a differential check. Note
+# the root Cargo.toml is both a workspace and a package, so
 # bare `cargo test` would only run the root integration tests; --workspace
 # covers the crates.
 MAXSON_THREADS=1 cargo test -q --offline --workspace
 MAXSON_THREADS=4 cargo test -q --offline --workspace
 
-# And once more with shared parse off, so every test also runs on the naive
+# The third pass: shared parse off, so every test also runs on the naive
 # parse-per-call path the differential suites use as their reference.
 # Shared parse is on by default: the two passes above already run it.
 MAXSON_SHARED_PARSE=0 cargo test -q --offline --workspace

@@ -81,7 +81,7 @@ fn main() {
     hit_series.push("Online LRU", lru_hit_ratio);
     report.add(time_series);
     report.add(hit_series);
-    report.note(&format!(
+    report.note(format!(
         "LRU telemetry: {lru_hits} hits, {lru_misses} misses, {lru_evictions} evictions, peak resident {lru_resident} bytes"
     ));
     report.emit();

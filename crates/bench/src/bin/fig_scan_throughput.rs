@@ -8,10 +8,10 @@
 //!
 //! * `scan_only`    — full materialization of every row (id, date, payload),
 //! * `scan_filter`  — a raw-column predicate keeping ~26% of rows; late
-//!                    materialization means rejected rows never build
-//!                    their wide payload cells,
+//!   materialization means rejected rows never build their wide payload
+//!   cells,
 //! * `scan_agg`     — grouped aggregation; the group key is hashed from
-//!                    cell views instead of a per-row heap string.
+//!   cell views instead of a per-row heap string.
 //!
 //! Unlike the figure benches it does NOT use the tiny shared warehouse:
 //! per-query fixed costs (SQL parse, planning) would drown the per-row

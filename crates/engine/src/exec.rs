@@ -354,6 +354,9 @@ impl Sink {
     }
 }
 
+/// An aggregation stage: group-by keys and aggregate calls.
+type AggStage<'a> = (&'a [Expr], &'a [(AggFunc, Option<Expr>)]);
+
 /// The stages one pass of the row loop evaluates: an optional filter, then
 /// either a projection or an aggregation (never both — the planner puts the
 /// post-aggregate projection above the Aggregate node, where it is a
@@ -361,7 +364,7 @@ impl Sink {
 struct PipelineSegment<'a> {
     filter: Option<&'a Expr>,
     project: Option<&'a [(Expr, String)]>,
-    agg: Option<(&'a [Expr], &'a [(AggFunc, Option<Expr>)])>,
+    agg: Option<AggStage<'a>>,
     /// Shared-parse extraction sites across the *whole* segment (filter
     /// plus projection or aggregation), so one row-parse serves every
     /// stage. `None` when the toggle is off or no stage touches JSON.

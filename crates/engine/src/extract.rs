@@ -144,6 +144,9 @@ impl JsonExtractor {
     }
 }
 
+/// One column group's extracted values for a row, one per path.
+type GroupValues = Vec<Option<Arc<str>>>;
+
 /// Per-row lazily-filled extraction slots over a shared [`JsonExtractor`].
 ///
 /// Created fresh for each row; interior mutability keeps the evaluator
@@ -153,7 +156,7 @@ pub struct RowSlots<'e> {
     extractor: &'e JsonExtractor,
     /// One entry per column group; `None` until the first path access for
     /// this row triggers the (single) parse.
-    filled: RefCell<Vec<Option<Vec<Option<Arc<str>>>>>>,
+    filled: RefCell<Vec<Option<GroupValues>>>,
 }
 
 impl<'e> RowSlots<'e> {

@@ -218,18 +218,6 @@ fn op_name(op: BinaryOp) -> &'static str {
     }
 }
 
-/// Flatten a left/right-nested chain of one associative operator into its
-/// leaf operands (`(a AND b) AND c` -> `[a, b, c]`).
-fn flatten_chain<'a>(e: &'a SqlExpr, op: BinaryOp, out: &mut Vec<&'a SqlExpr>) {
-    match e {
-        SqlExpr::Binary { left, op: o, right } if *o == op => {
-            flatten_chain(left, op, out);
-            flatten_chain(right, op, out);
-        }
-        other => out.push(other),
-    }
-}
-
 fn expr_text(e: &SqlExpr, aliases: &AliasMap) -> String {
     match e {
         SqlExpr::Column { qualifier, name } => match qualifier {
@@ -246,9 +234,7 @@ fn expr_text(e: &SqlExpr, aliases: &AliasMap) -> String {
             if matches!(op, BinaryOp::And | BinaryOp::Or) {
                 // Flatten the whole chain and sort the conjunct/disjunct
                 // renderings: `a AND (b AND c)` == `(c AND b) AND a`.
-                let mut leaves = Vec::new();
-                flatten_chain(e, *op, &mut leaves);
-                let mut texts: Vec<String> = leaves.iter().map(|l| expr_text(l, aliases)).collect();
+                let mut texts: Vec<String> = e.chain(*op).map(|l| expr_text(l, aliases)).collect();
                 texts.sort();
                 return format!("{}({})", op_name(*op), texts.join(","));
             }

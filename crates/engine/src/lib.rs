@@ -16,6 +16,9 @@
 //!   that single parse (toggle: `MAXSON_SHARED_PARSE`),
 //! * [`plan`] — the logical plan with a [`scan::ScanProvider`]
 //!   extension point that Maxson's combined reader plugs into,
+//! * [`planner`] — statement → logical plan: name resolution, the
+//!   scan-rewriter contract Algorithm 1 plugs into, and the one
+//!   predicate → SARG translator (Algorithm 3) every scan shares,
 //! * [`exec`] — volcano-style operators (scan, filter, project, hash
 //!   aggregate, hash join, sort, limit) over materialized row batches,
 //! * [`metrics`] — per-phase instrumentation (Read / Parse / Compute), the
@@ -45,6 +48,7 @@ pub mod extract;
 pub mod fingerprint;
 pub mod metrics;
 pub mod plan;
+pub mod planner;
 pub mod pool;
 pub mod querylog;
 pub mod reuse;

@@ -104,8 +104,8 @@ where
     let cursor = AtomicUsize::new(0);
     // One slot per task; a Mutex around the whole vector keeps this simple
     // (contention is negligible: one lock per task completion).
-    let slots: Mutex<Vec<Option<Result<(T, Duration)>>>> =
-        Mutex::new((0..tasks).map(|_| None).collect());
+    type Slot<T> = Option<Result<(T, Duration)>>;
+    let slots: Mutex<Vec<Slot<T>>> = Mutex::new((0..tasks).map(|_| None).collect());
     let failed = std::sync::atomic::AtomicBool::new(false);
 
     std::thread::scope(|scope| {
@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn single_task_runs_inline_without_spawning() {
-        let run = run_split_tasks(1, 8, None, |i| Ok(i)).unwrap();
+        let run = run_split_tasks(1, 8, None, Ok).unwrap();
         assert_eq!(run.results, vec![0]);
         assert_eq!(run.threads_spawned, 0, "one task must not spawn threads");
     }
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn workers_capped_by_task_count() {
-        let run = run_split_tasks(2, 16, None, |i| Ok(i)).unwrap();
+        let run = run_split_tasks(2, 16, None, Ok).unwrap();
         assert_eq!(run.threads_spawned, 2);
     }
 

@@ -241,8 +241,8 @@ impl ReuseCache {
     }
 
     /// Offer an entry for admission. The caller has already executed the
-    /// query; `rows` are the finished output (shared, so admission never
-    /// copies them). `planned_gen` is the [`ReuseCache::generation`]
+    /// query; `entry` holds the finished output (shared, so admission never
+    /// copies it). `planned_gen` is the [`ReuseCache::generation`]
     /// observed when the query planned: a mismatch means an invalidation
     /// (catalog write, table append, epoch swap) ran while the query was
     /// executing, so its rows come from a pre-invalidation snapshot and
@@ -250,13 +250,13 @@ impl ReuseCache {
     pub fn fill(
         &self,
         key: u64,
-        rows: Arc<Vec<Vec<Cell>>>,
-        schema: Schema,
+        entry: CachedEntry,
         epoch: u64,
         tables: Vec<String>,
         wall_ns: u64,
         planned_gen: u64,
     ) -> FillOutcome {
+        let CachedEntry { rows, schema } = entry;
         if self.disabled.load(Ordering::Relaxed) {
             return FillOutcome::Disabled;
         }
@@ -477,8 +477,9 @@ mod tests {
     use super::*;
     use maxson_storage::{ColumnType, Field};
 
-    fn schema() -> Schema {
-        Schema::new(vec![Field::new("a", ColumnType::Int64)]).unwrap()
+    fn entry(rows: Arc<Vec<Vec<Cell>>>) -> CachedEntry {
+        let schema = Schema::new(vec![Field::new("a", ColumnType::Int64)]).unwrap();
+        CachedEntry { rows, schema }
     }
 
     fn rows(n: usize) -> Arc<Vec<Vec<Cell>>> {
@@ -496,8 +497,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 1,
-                rows(4),
-                schema(),
+                entry(rows(4)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -517,8 +517,7 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            rows(4),
-            schema(),
+            entry(rows(4)),
             7,
             vec!["db.t".into()],
             EXPENSIVE,
@@ -534,8 +533,7 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            rows(2),
-            schema(),
+            entry(rows(2)),
             0,
             vec!["db.a".into()],
             EXPENSIVE,
@@ -543,8 +541,7 @@ mod tests {
         );
         c.fill(
             2,
-            rows(2),
-            schema(),
+            entry(rows(2)),
             0,
             vec!["db.b".into()],
             EXPENSIVE,
@@ -560,8 +557,7 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            rows(2),
-            schema(),
+            entry(rows(2)),
             0,
             vec!["db.t".into()],
             EXPENSIVE,
@@ -583,8 +579,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 1,
-                big,
-                schema(),
+                entry(big),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -607,8 +602,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 1,
-                large,
-                schema(),
+                entry(large),
                 0,
                 vec!["db.t".into()],
                 1000,
@@ -618,15 +612,7 @@ mod tests {
         );
         // Small entries skip the cost model entirely.
         assert_eq!(
-            c.fill(
-                2,
-                rows(1),
-                schema(),
-                0,
-                vec!["db.t".into()],
-                1,
-                c.generation()
-            ),
+            c.fill(2, entry(rows(1)), 0, vec!["db.t".into()], 1, c.generation()),
             FillOutcome::Admitted
         );
     }
@@ -645,8 +631,7 @@ mod tests {
         for key in 0..30u64 {
             c.fill(
                 key,
-                make(),
-                schema(),
+                entry(make()),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -670,8 +655,7 @@ mod tests {
             let n = 50 + (key as usize % 300);
             c.fill(
                 key,
-                rows(n),
-                schema(),
+                entry(rows(n)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -690,8 +674,7 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            rows(2),
-            schema(),
+            entry(rows(2)),
             0,
             vec!["db.t".into()],
             EXPENSIVE,
@@ -702,8 +685,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 2,
-                rows(2),
-                schema(),
+                entry(rows(2)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -721,8 +703,7 @@ mod tests {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             c.fill(
                 1,
-                rows(2),
-                schema(),
+                entry(rows(2)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -734,8 +715,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 1,
-                rows(2),
-                schema(),
+                entry(rows(2)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -757,8 +737,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 1,
-                rows(4),
-                schema(),
+                entry(rows(4)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -775,8 +754,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 1,
-                rows(4),
-                schema(),
+                entry(rows(4)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -811,23 +789,14 @@ mod tests {
         // ~140 bytes per row. Fill order fixes the (freq, last_used) scan
         // order: a tiny, cheap entry first (the evictable head of the
         // victim scan)...
-        c.fill(1, strs(70), schema(), 0, vec!["db.t".into()], 1_000, gen);
+        c.fill(1, entry(strs(70)), 0, vec!["db.t".into()], 1_000, gen);
         // ...then a same-freq but high-value resident the policy protects...
-        c.fill(
-            2,
-            strs(1800),
-            schema(),
-            0,
-            vec!["db.t".into()],
-            EXPENSIVE,
-            gen,
-        );
+        c.fill(2, entry(strs(1800)), 0, vec!["db.t".into()], EXPENSIVE, gen);
         // ...then hotter residents that fill the budget.
         for key in 3..6u64 {
             c.fill(
                 key,
-                strs(1800),
-                schema(),
+                entry(strs(1800)),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -844,8 +813,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 9,
-                strs(700),
-                schema(),
+                entry(strs(700)),
                 0,
                 vec!["db.t".into()],
                 1_000_000_000,
@@ -870,8 +838,7 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            rows(3),
-            schema(),
+            entry(rows(3)),
             0,
             vec!["db.t".into()],
             EXPENSIVE,

@@ -278,39 +278,73 @@ pub enum SqlExpr {
 impl SqlExpr {
     /// Walk the tree, calling `f` on every node (pre-order).
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a SqlExpr)) {
-        f(self);
+        self.walk_pruned(&mut |e| {
+            f(e);
+            true
+        });
+    }
+
+    /// Pre-order walk that descends into a node's children only when `f`
+    /// returns `true` for it.
+    pub(crate) fn walk_pruned<'a>(&'a self, f: &mut impl FnMut(&'a SqlExpr) -> bool) {
+        if !f(self) {
+            return;
+        }
         match self {
-            SqlExpr::GetJsonObject { column, .. } => column.walk(f),
+            SqlExpr::GetJsonObject { column, .. } => column.walk_pruned(f),
             SqlExpr::Binary { left, right, .. } => {
-                left.walk(f);
-                right.walk(f);
+                left.walk_pruned(f);
+                right.walk_pruned(f);
             }
-            SqlExpr::Not(e) | SqlExpr::Neg(e) => e.walk(f),
-            SqlExpr::IsNull { expr, .. } => expr.walk(f),
+            SqlExpr::Not(e) | SqlExpr::Neg(e) => e.walk_pruned(f),
+            SqlExpr::IsNull { expr, .. } => expr.walk_pruned(f),
             SqlExpr::Between { expr, low, high } => {
-                expr.walk(f);
-                low.walk(f);
-                high.walk(f);
+                expr.walk_pruned(f);
+                low.walk_pruned(f);
+                high.walk_pruned(f);
             }
             SqlExpr::Aggregate { arg, .. } => {
                 if let Some(a) = arg {
-                    a.walk(f);
+                    a.walk_pruned(f);
                 }
             }
             SqlExpr::InList { expr, items, .. } => {
-                expr.walk(f);
+                expr.walk_pruned(f);
                 for i in items {
-                    i.walk(f);
+                    i.walk_pruned(f);
                 }
             }
-            SqlExpr::Like { expr, .. } => expr.walk(f),
+            SqlExpr::Like { expr, .. } => expr.walk_pruned(f),
             SqlExpr::Function { args, .. } => {
                 for a in args {
-                    a.walk(f);
+                    a.walk_pruned(f);
                 }
             }
             SqlExpr::Column { .. } | SqlExpr::Literal(_) => {}
         }
+    }
+
+    /// The operands of a left/right-nested chain of one associative
+    /// operator, left to right (`(a AND b) AND c` yields `a`, `b`, `c`); an
+    /// expression that is not such a chain yields itself.
+    pub(crate) fn chain(&self, op: BinaryOp) -> impl Iterator<Item = &SqlExpr> {
+        let mut stack = vec![self];
+        std::iter::from_fn(move || loop {
+            match stack.pop()? {
+                SqlExpr::Binary { left, op: o, right } if *o == op => {
+                    stack.push(right);
+                    stack.push(left);
+                }
+                operand => return Some(operand),
+            }
+        })
+    }
+
+    /// The top-level `AND` conjuncts of a predicate — the unit SARG
+    /// pushdown, the Sparser needle collector and the canonical fingerprint
+    /// all reason about.
+    pub(crate) fn conjuncts(&self) -> impl Iterator<Item = &SqlExpr> {
+        self.chain(BinaryOp::And)
     }
 
     /// `true` if the subtree contains an aggregate call.

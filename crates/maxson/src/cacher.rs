@@ -754,13 +754,7 @@ impl JsonPathCacher {
                 let groups = group_by_column(compiled.iter().map(|(c, p)| (*c, p)));
                 let mut rows: Vec<Vec<Cell>> = Vec::with_capacity(n);
                 for i in 0..n {
-                    rows.push(extract_cache_row(
-                        &groups,
-                        &cols,
-                        &col_of,
-                        i,
-                        compiled.len(),
-                    ));
+                    rows.push(extract_cache_row(&groups, &cols, col_of, i, compiled.len()));
                 }
                 catalog.table_mut(CACHE_DB, &ct_name)?.append_file(
                     &rows,

@@ -12,17 +12,19 @@
 //!
 //! Predicate conjuncts of the form `get_json_object(col, path) <cmp>
 //! literal` over cached paths are turned into SARGs on the cache table
-//! (Algorithm 3) and handed to the combined provider, which shares the
-//! row-group skips with the raw-side reader.
+//! (Algorithm 3) by the engine's one translator,
+//! [`maxson_engine::planner::sarg`] — the rewriter only answers which
+//! side and column a left-hand side maps to — and handed to the combined
+//! provider, which shares the row-group skips with the raw-side reader.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
+use maxson_engine::planner::sarg::{self, Lhs, Side};
 use maxson_engine::session::{ScanContext, ScanRewrite, TableScanRewriter};
-use maxson_engine::sql::ast::{BinaryOp, SqlExpr};
 use maxson_engine::EngineError;
 use maxson_obs::{Registry, Tracer};
-use maxson_storage::{Catalog, Cell, CmpOp, Field, Schema, SearchArgument};
+use maxson_storage::{Catalog, Field, Schema};
 use maxson_trace::JsonPathLocation;
 
 use crate::cacher::{CacheRegistry, CACHE_DB};
@@ -240,14 +242,18 @@ impl TableScanRewriter for MaxsonScanRewriter {
         }
         let out_schema = Schema::new(out_fields).map_err(EngineError::Storage)?;
 
-        // SARGs. Cache-side pushdown (Alg. 3) plus plain raw-column SARGs.
+        // SARGs. Cache-side pushdown (Alg. 3) plus plain raw-column SARGs,
+        // through the translator the default scan uses.
         let (raw_sarg, cache_sarg) = if self.enable_pushdown {
-            extract_sargs(
-                ctx.predicate,
-                ctx.table_schema,
-                cache_table.schema(),
-                &resolved,
-            )
+            sarg::extract(ctx.predicate, ctx.alias, |lhs| match lhs {
+                Lhs::Column(name) => Some((Side::Raw, ctx.table_schema.index_of(name)?)),
+                Lhs::JsonCall { column, path } => {
+                    let (_, field) = resolved
+                        .iter()
+                        .find(|((c, p), _)| c == column && p == path)?;
+                    Some((Side::Cache, cache_table.schema().index_of(field)?))
+                }
+            })
         } else {
             (None, None)
         };
@@ -292,168 +298,6 @@ impl TableScanRewriter for MaxsonScanRewriter {
     }
 }
 
-/// Extract `(raw_sarg, cache_sarg)` from the predicate's conjuncts.
-/// Only unqualified references are extracted (joins with aliases skip
-/// pushdown — conservative and correct).
-fn extract_sargs(
-    predicate: Option<&SqlExpr>,
-    raw_schema: &Schema,
-    cache_schema: &Schema,
-    resolved: &[((String, String), String)],
-) -> (Option<SearchArgument>, Option<SearchArgument>) {
-    let mut raw_sarg = SearchArgument::new();
-    let mut cache_sarg = SearchArgument::new();
-    if let Some(p) = predicate {
-        walk_conjuncts(p, &mut |conjunct| match conjunct {
-            SqlExpr::Binary { left, op, right } => {
-                let Some(cmp) = cmp_of(*op) else { return };
-                match (left.as_ref(), right.as_ref()) {
-                    (lhs, SqlExpr::Literal(lit)) => {
-                        push_leaf(
-                            lhs,
-                            cmp,
-                            lit,
-                            raw_schema,
-                            cache_schema,
-                            resolved,
-                            &mut raw_sarg,
-                            &mut cache_sarg,
-                        );
-                    }
-                    (SqlExpr::Literal(lit), rhs) => {
-                        push_leaf(
-                            rhs,
-                            flip(cmp),
-                            lit,
-                            raw_schema,
-                            cache_schema,
-                            resolved,
-                            &mut raw_sarg,
-                            &mut cache_sarg,
-                        );
-                    }
-                    _ => {}
-                }
-            }
-            SqlExpr::Between { expr, low, high } => {
-                if let (SqlExpr::Literal(lo), SqlExpr::Literal(hi)) = (low.as_ref(), high.as_ref())
-                {
-                    push_leaf(
-                        expr,
-                        CmpOp::GtEq,
-                        lo,
-                        raw_schema,
-                        cache_schema,
-                        resolved,
-                        &mut raw_sarg,
-                        &mut cache_sarg,
-                    );
-                    push_leaf(
-                        expr,
-                        CmpOp::LtEq,
-                        hi,
-                        raw_schema,
-                        cache_schema,
-                        resolved,
-                        &mut raw_sarg,
-                        &mut cache_sarg,
-                    );
-                }
-            }
-            _ => {}
-        });
-    }
-    (
-        if raw_sarg.is_empty() {
-            None
-        } else {
-            Some(raw_sarg)
-        },
-        if cache_sarg.is_empty() {
-            None
-        } else {
-            Some(cache_sarg)
-        },
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn push_leaf(
-    lhs: &SqlExpr,
-    cmp: CmpOp,
-    lit: &Cell,
-    raw_schema: &Schema,
-    cache_schema: &Schema,
-    resolved: &[((String, String), String)],
-    raw_sarg: &mut SearchArgument,
-    cache_sarg: &mut SearchArgument,
-) {
-    match lhs {
-        // Plain raw column.
-        SqlExpr::Column {
-            qualifier: None,
-            name,
-        } => {
-            if let Some(idx) = raw_schema.index_of(name) {
-                *raw_sarg = std::mem::take(raw_sarg).with(idx, cmp, lit.clone());
-            }
-        }
-        // get_json_object over a cached path -> cache-table SARG.
-        SqlExpr::GetJsonObject { column, path } => {
-            if let SqlExpr::Column {
-                qualifier: None,
-                name,
-            } = column.as_ref()
-            {
-                if let Some((_, field)) = resolved.iter().find(|((c, p), _)| c == name && p == path)
-                {
-                    if let Some(idx) = cache_schema.index_of(field) {
-                        *cache_sarg = std::mem::take(cache_sarg).with(idx, cmp, lit.clone());
-                    }
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-fn cmp_of(op: BinaryOp) -> Option<CmpOp> {
-    Some(match op {
-        BinaryOp::Eq => CmpOp::Eq,
-        BinaryOp::NotEq => CmpOp::NotEq,
-        BinaryOp::Lt => CmpOp::Lt,
-        BinaryOp::LtEq => CmpOp::LtEq,
-        BinaryOp::Gt => CmpOp::Gt,
-        BinaryOp::GtEq => CmpOp::GtEq,
-        _ => return None,
-    })
-}
-
-fn flip(cmp: CmpOp) -> CmpOp {
-    match cmp {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::LtEq => CmpOp::GtEq,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::GtEq => CmpOp::LtEq,
-        other => other,
-    }
-}
-
-/// Visit the AND-conjuncts of a predicate.
-fn walk_conjuncts<'a>(e: &'a SqlExpr, f: &mut impl FnMut(&'a SqlExpr)) {
-    if let SqlExpr::Binary {
-        left,
-        op: BinaryOp::And,
-        right,
-    } = e
-    {
-        walk_conjuncts(left, f);
-        walk_conjuncts(right, f);
-    } else {
-        f(e);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,7 +306,7 @@ mod tests {
     use crate::score::score_candidates;
     use maxson_engine::session::Session;
     use maxson_storage::file::WriteOptions;
-    use maxson_storage::{ColumnType, Field};
+    use maxson_storage::{Cell, ColumnType, Field};
     use maxson_trace::model::RecurrenceClass;
     use maxson_trace::QueryRecord;
     use std::path::PathBuf;
@@ -603,6 +447,7 @@ mod tests {
         let ctx = maxson_engine::session::ScanContext {
             database: "db",
             table: "t",
+            alias: None,
             table_schema: &ctx_schema,
             raw_columns: &raw_cols,
             json_calls: &calls,
@@ -633,6 +478,7 @@ mod tests {
         let ctx = maxson_engine::session::ScanContext {
             database: "db",
             table: "t",
+            alias: None,
             table_schema: &ctx_schema,
             raw_columns: &raw_cols,
             json_calls: &calls,
@@ -661,6 +507,44 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// The planner hands the two sides of a join their aliases; the
+    /// rewriter passes them to the shared SARG translator, so a qualified
+    /// raw column and a qualified call over a cached path are pushed
+    /// exactly as the unqualified forms are.
+    #[test]
+    fn aliased_join_sides_keep_raw_and_cache_pushdown() {
+        let (plain, root) = setup("alias");
+        let mut rewritten = Session::open(&root).unwrap();
+        rewritten.set_scan_rewriter(Some(Box::new(MaxsonScanRewriter::open(&root).unwrap())));
+        let select = "select a.id, get_json_object(a.payload, '$.a') \
+                      from db.t a join db.t b on a.id = b.id";
+        let run = |predicate: &str| {
+            let sql = format!("{select} where {predicate}");
+            let reference = plain.execute(&sql).unwrap();
+            let result = rewritten.execute(&sql).unwrap();
+            assert!(
+                result.plan_display.contains("MaxsonCombinedScan"),
+                "plan not rewritten:\n{}",
+                result.plan_display
+            );
+            assert_eq!(result.to_display_string(), reference.to_display_string());
+            assert_eq!(result.rows.len(), 10, "{predicate}");
+            (reference.metrics, result.metrics)
+        };
+        // `id` clusters the raw row groups (three groups of ten rows).
+        let (reference, result) = run("a.id < 10 and b.id < 10");
+        assert!(result.row_groups_skipped > 0, "{result:?}");
+        assert_eq!(result.row_groups_skipped, reference.row_groups_skipped);
+        // `$.a` clusters the cache table's the same way; only the rewritten
+        // plan can skip on it.
+        let (reference, result) = run(
+            "get_json_object(a.payload, '$.a') > 19 and get_json_object(b.payload, '$.a') > 19",
+        );
+        assert_eq!(reference.row_groups_skipped, 0);
+        assert!(result.row_groups_skipped > 0, "{result:?}");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
     #[test]
     fn no_json_calls_keeps_default_scan() {
         let (_, root) = setup("nocalls");
@@ -670,6 +554,7 @@ mod tests {
         let ctx = maxson_engine::session::ScanContext {
             database: "db",
             table: "t",
+            alias: None,
             table_schema: &ctx_schema,
             raw_columns: &raw_cols,
             json_calls: &[],

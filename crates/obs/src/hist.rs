@@ -79,11 +79,7 @@ impl LatencyHistogram {
 
     /// Mean recorded duration (zero when empty).
     pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_micros(self.total_us / self.count)
-        }
+        Duration::from_micros(self.total_us.checked_div(self.count).unwrap_or(0))
     }
 
     /// Upper bound of the bucket holding the `q`-quantile sample

@@ -282,7 +282,7 @@ fn malformed_payload_literals_execute_in_every_parser_mode() {
     ] {
         for shared in [false, true] {
             let mut session = Session::open(&root).unwrap();
-            session.set_parser(parser);
+            session.set_parser_kind(parser);
             session.set_threads(Some(2));
             session.set_shared_parse(Some(shared));
             let result = session
@@ -339,7 +339,7 @@ fn property_mutated_payloads_error_never_panic() {
             ] {
                 for shared in [false, true] {
                     let mut session = Session::open(&root).map_err(|e| format!("open: {e}"))?;
-                    session.set_parser(parser);
+                    session.set_parser_kind(parser);
                     session.set_threads(Some(2));
                     session.set_shared_parse(Some(shared));
                     let result = session

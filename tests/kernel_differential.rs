@@ -143,7 +143,7 @@ fn all_tiers_agree_with_std_contains_over_corpus() {
 /// rendered output + the deterministic work counters.
 fn run_golden(root: &Path, parser: JsonParserKind, rewritten: bool) -> Vec<(String, [u64; 6])> {
     let mut session = Session::open(root).unwrap();
-    session.set_parser(parser);
+    session.set_parser_kind(parser);
     session.set_threads(Some(1));
     if rewritten {
         let rewriter = MaxsonScanRewriter::open(root).unwrap();
@@ -205,7 +205,7 @@ fn golden_queries_identical_across_kernel_tiers() {
 #[test]
 fn kernel_metrics_surface_in_query_metrics() {
     let mut session = Session::open(bench_data_root()).unwrap();
-    session.set_parser(JsonParserKind::Mison);
+    session.set_parser_kind(JsonParserKind::Mison);
     session.set_threads(Some(1));
     let r = session.execute(GOLDEN_QUERIES[0]).unwrap();
     let m = &r.metrics;
@@ -219,7 +219,7 @@ fn kernel_metrics_surface_in_query_metrics() {
     assert!(m.summary().contains("simd="), "summary: {}", m.summary());
 
     // Jackson parses a DOM: no bitmaps, no kernel recorded.
-    session.set_parser(JsonParserKind::Jackson);
+    session.set_parser_kind(JsonParserKind::Jackson);
     let r = session.execute(GOLDEN_QUERIES[0]).unwrap();
     assert_eq!(r.metrics.bitmap_builds, 0, "{:?}", r.metrics);
     assert_eq!(r.metrics.simd_kernel, 0);

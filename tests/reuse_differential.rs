@@ -78,7 +78,7 @@ const PARSERS: [JsonParserKind; 3] = [
 
 fn open(root: &PathBuf, parser: JsonParserKind, threads: usize) -> Session {
     let mut session = Session::open(root).unwrap();
-    session.set_parser(parser);
+    session.set_parser_kind(parser);
     session.set_threads(Some(threads));
     session
 }
@@ -176,7 +176,7 @@ fn entries_are_parser_scoped() {
     session.set_result_cache(Some(16));
     let sql = QUERIES[0];
     session.execute(sql).unwrap();
-    session.set_parser(JsonParserKind::Tape);
+    session.set_parser_kind(JsonParserKind::Tape);
     let other = session.execute(sql).unwrap();
     assert_eq!(other.metrics.reuse_hits, 0, "cross-parser reuse is unsound");
     assert_eq!(other.metrics.reuse_misses, 1);

@@ -107,7 +107,7 @@ fn serial_reference(
     threads: usize,
 ) -> Vec<String> {
     let mut session = Session::open(root).unwrap();
-    session.set_parser(parser);
+    session.set_parser_kind(parser);
     session.set_threads(Some(threads));
     queries
         .iter()
@@ -132,7 +132,7 @@ fn assert_served_identical(
     let reference = Arc::new(serial_reference(root, queries, parser, threads));
 
     let mut template = Session::open(root).unwrap();
-    template.set_parser(parser);
+    template.set_parser_kind(parser);
     let mut server = Server::serve(
         template,
         "127.0.0.1:0",

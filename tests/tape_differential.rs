@@ -24,7 +24,7 @@
 //!    parsers × 1/4 threads × shared parse off/on. Failures replay via
 //!    `MAXSON_TESTKIT_SEED`.
 //!
-//! Toggles are pinned with `Session::set_parser` / `set_threads` /
+//! Toggles are pinned with `Session::set_parser_kind` / `set_threads` /
 //! `set_shared_parse`, not env vars, so parallel test binaries cannot race
 //! on process-global state; only the env-resolution test reads the
 //! environment, and it asserts consistency rather than a fixed kind.
@@ -93,7 +93,7 @@ fn parser_invariant_counters(m: &ExecMetrics) -> [u64; 7] {
 /// output, and work counters must match the reference exactly.
 fn assert_tape_differential(mut make_session: impl FnMut() -> Session, sql: &str, label: &str) {
     let mut reference_session = make_session();
-    reference_session.set_parser(JsonParserKind::Jackson);
+    reference_session.set_parser_kind(JsonParserKind::Jackson);
     reference_session.set_threads(Some(1));
     reference_session.set_shared_parse(Some(false));
     let reference = reference_session
@@ -103,7 +103,7 @@ fn assert_tape_differential(mut make_session: impl FnMut() -> Session, sql: &str
         for threads in [1, 4] {
             for shared in [false, true] {
                 let mut session = make_session();
-                session.set_parser(parser);
+                session.set_parser_kind(parser);
                 session.set_threads(Some(threads));
                 session.set_shared_parse(Some(shared));
                 let result = session.execute(sql).unwrap_or_else(|e| {
@@ -437,7 +437,7 @@ fn duplicate_keys_are_first_wins_in_all_parsers() {
     let sql = "select get_json_object(payload, '$.dup') as dup from db.t";
     let mut rendered: Option<String> = None;
     for parser in ALL_PARSERS {
-        session.set_parser(parser);
+        session.set_parser_kind(parser);
         let result = session.execute(sql).unwrap();
         for (i, row) in result.rows.iter().enumerate() {
             assert_eq!(
@@ -466,11 +466,11 @@ fn selective_query_skips_nodes_without_extra_parses() {
     session.set_threads(Some(1));
     session.set_shared_parse(Some(true));
 
-    session.set_parser(JsonParserKind::Jackson);
+    session.set_parser_kind(JsonParserKind::Jackson);
     let jackson = session.execute(sql).unwrap();
     assert_eq!(jackson.metrics.nodes_skipped, 0);
 
-    session.set_parser(JsonParserKind::Tape);
+    session.set_parser_kind(JsonParserKind::Tape);
     let tape_run = session.execute(sql).unwrap();
     assert_eq!(tape_run.rows, jackson.rows);
     assert_eq!(
@@ -491,7 +491,7 @@ fn selective_query_skips_nodes_without_extra_parses() {
 
 /// `Session::open` resolves `MAXSON_PARSER` from the environment: the
 /// opened session's parser matches what the env names (unset or unknown →
-/// Jackson), and `set_parser` still overrides. ci.sh runs this test binary
+/// Jackson), and `set_parser_kind` still overrides. ci.sh runs this test binary
 /// under `MAXSON_PARSER=tape`, covering the non-default branch.
 #[test]
 fn session_open_resolves_parser_from_env() {
@@ -502,7 +502,7 @@ fn session_open_resolves_parser_from_env() {
     let root = temp_root("envparser");
     let mut session = Session::open(&root).unwrap();
     assert_eq!(session.parser_kind(), expected);
-    session.set_parser(JsonParserKind::Mison);
+    session.set_parser_kind(JsonParserKind::Mison);
     assert_eq!(session.parser_kind(), JsonParserKind::Mison);
     assert_eq!(
         JsonParserKind::from_name("TAPE"),
@@ -594,7 +594,7 @@ fn property_corpus_queries_three_way_identical() {
             }
             let sql = scenario_sql(scenario);
             let mut reference_session = Session::open(&root).map_err(|e| format!("open: {e}"))?;
-            reference_session.set_parser(JsonParserKind::Jackson);
+            reference_session.set_parser_kind(JsonParserKind::Jackson);
             reference_session.set_threads(Some(1));
             reference_session.set_shared_parse(Some(false));
             let reference = reference_session
@@ -604,7 +604,7 @@ fn property_corpus_queries_three_way_identical() {
                 for threads in [1, 4] {
                     for shared in [false, true] {
                         let mut session = Session::open(&root).map_err(|e| format!("open: {e}"))?;
-                        session.set_parser(parser);
+                        session.set_parser_kind(parser);
                         session.set_threads(Some(threads));
                         session.set_shared_parse(Some(shared));
                         let result = session
