@@ -69,8 +69,45 @@ fn bench_structural_index_build(runner: &BenchRunner) -> Report {
     report
 }
 
+/// A Table II-shaped document: a few dozen short fields, then one `_pad`
+/// string carrying it to `size` bytes — where most bytes of the big
+/// workload tables sit.
+fn padded_record(size: usize) -> String {
+    let mut s = record_with_fields(40);
+    s.pop();
+    let pad = size.saturating_sub(s.len() + 12);
+    s.push_str(&format!(",\"_pad\": \"{}\"}}", "x".repeat(pad)));
+    s
+}
+
+fn bench_tape_build(runner: &BenchRunner) -> Report {
+    let mut report = Report::new(
+        "bench-parsing-tape-build",
+        "tape build vs DOM parse throughput on padded documents",
+    );
+    report.note("MB/s at the median; the tape's strings cost a word at a time, the DOM's a byte");
+    let mut tape = Series::new("tape_build");
+    let mut dom = Series::new("jackson_dom");
+    for (label, size) in [("padded 4.8 kB", 4_800usize), ("padded 21 kB", 21_000)] {
+        let record = padded_record(size);
+        let mb_per_s = |median_ns: f64| record.len() as f64 / median_ns * 1e3;
+        let stats = runner.run(&format!("tape_build/{size}"), || {
+            bb(maxson_json::tape::TapeDoc::build(bb(&record)).map(|t| t.node_count()))
+        });
+        tape.push(label, mb_per_s(stats.median_ns));
+        let stats = runner.run(&format!("jackson_dom/{size}"), || {
+            bb(maxson_json::parse(bb(&record)))
+        });
+        dom.push(label, mb_per_s(stats.median_ns));
+    }
+    report.add(tape);
+    report.add(dom);
+    report
+}
+
 fn main() {
     let runner = BenchRunner::from_env();
     bench_parsers(&runner).emit();
     bench_structural_index_build(&runner).emit();
+    bench_tape_build(&runner).emit();
 }

@@ -181,12 +181,19 @@ fn run_one<T>(
 }
 
 fn panic_error(split: usize, payload: &(dyn std::any::Any + Send)) -> EngineError {
-    let message = payload
+    let message = panic_message(payload);
+    EngineError::exec(format!("task for split {split} panicked: {message}"))
+}
+
+/// The text of a caught panic's payload. For callers whose task index is
+/// not a split index (the cacher's `(table, split)` list) and who catch
+/// their own panics to name the task properly.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string());
-    EngineError::exec(format!("task for split {split} panicked: {message}"))
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// Percentiles and skew over the per-task wall times of one pool run

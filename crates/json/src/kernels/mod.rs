@@ -40,6 +40,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 mod scalar;
 mod swar;
+pub(crate) use swar::has_control_or_backslash;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
@@ -165,7 +166,7 @@ pub fn set_active(kernel: Kernel) -> Kernel {
 }
 
 /// Structural bitmaps over one record: one bit per input byte.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Bitmaps {
     /// Bytes strictly inside string literals (between unescaped quotes;
     /// escaped quotes are interior, the delimiting quotes are not).
@@ -218,6 +219,15 @@ pub fn build_bitmaps(bytes: &[u8]) -> Bitmaps {
 /// Build structural bitmaps with an explicit tier (clamped to what the CPU
 /// supports). All tiers produce bit-identical output for any byte string.
 pub fn build_bitmaps_with(kernel: Kernel, bytes: &[u8]) -> Bitmaps {
+    let mut out = Bitmaps::default();
+    build_bitmaps_into(kernel, bytes, &mut out);
+    out
+}
+
+/// [`build_bitmaps_with`] into caller-owned bitmaps, so a worker indexing
+/// many records reuses two vectors instead of allocating two per record.
+/// Whatever `out` held is overwritten.
+pub fn build_bitmaps_into(kernel: Kernel, bytes: &[u8], out: &mut Bitmaps) {
     let kernel = if kernel.is_available() {
         kernel
     } else {
@@ -225,18 +235,24 @@ pub fn build_bitmaps_with(kernel: Kernel, bytes: &[u8]) -> Bitmaps {
     };
     let t0 = std::time::Instant::now();
     let words = bytes.len().div_ceil(64);
-    let mut in_string = vec![0u64; words];
-    let mut structural = vec![0u64; words];
+    let Bitmaps {
+        in_string,
+        structural,
+    } = out;
+    for bitmap in [&mut *in_string, &mut *structural] {
+        bitmap.clear();
+        bitmap.resize(words, 0);
+    }
     match kernel {
-        Kernel::Scalar => scalar::build_bitmaps(bytes, &mut in_string, &mut structural),
-        Kernel::Swar => swar::build_bitmaps(bytes, &mut in_string, &mut structural),
+        Kernel::Scalar => scalar::build_bitmaps(bytes, in_string, structural),
+        Kernel::Swar => swar::build_bitmaps(bytes, in_string, structural),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `is_available` above verified the feature via
         // `is_x86_feature_detected!` (unavailable tiers were clamped away).
-        Kernel::Sse2 => unsafe { x86::build_bitmaps_sse2(bytes, &mut in_string, &mut structural) },
+        Kernel::Sse2 => unsafe { x86::build_bitmaps_sse2(bytes, in_string, structural) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above — AVX2 presence runtime-verified.
-        Kernel::Avx2 => unsafe { x86::build_bitmaps_avx2(bytes, &mut in_string, &mut structural) },
+        Kernel::Avx2 => unsafe { x86::build_bitmaps_avx2(bytes, in_string, structural) },
         #[cfg(not(target_arch = "x86_64"))]
         Kernel::Sse2 | Kernel::Avx2 => unreachable!("clamped to available tiers"),
     }
@@ -247,10 +263,6 @@ pub fn build_bitmaps_with(kernel: Kernel, bytes: &[u8]) -> Bitmaps {
         s.nanos += t0.elapsed().as_nanos() as u64;
         c.set(s);
     });
-    Bitmaps {
-        in_string,
-        structural,
-    }
 }
 
 /// Substring test with the process-wide active kernel. Exactly

@@ -23,6 +23,21 @@ fn eq_mask(w: u64, b: u8) -> u64 {
     (zero >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
+/// `true` when any of the eight bytes of `w` is below 0x20 or a backslash
+/// — the only bytes of a JSON string body the grammar has something to say
+/// about, so the tape builder validates a clean word without looking at its
+/// bytes. Both halves are the exact "has a byte less than n" / "has a zero
+/// byte" word tests: as *any*-tests they have no false positives (the
+/// borrow that makes [`eq_mask`] take the long way only smears a true hit
+/// upwards), and bytes ≥ 0x80, UTF-8 continuation included, never trip.
+#[inline]
+pub(crate) fn has_control_or_backslash(w: u64) -> bool {
+    let control = w.wrapping_sub(LO * 0x20) & !w;
+    let x = w ^ (LO * b'\\' as u64);
+    let backslash = x.wrapping_sub(LO) & !x;
+    (control | backslash) & HI != 0
+}
+
 /// Classify one 64-byte block into (backslash, quote, structural) masks.
 #[inline]
 fn classify(block: &[u8; 64]) -> (u64, u64, u64) {

@@ -113,6 +113,27 @@ impl<'a> StructuralIndex<'a> {
         get_bit(&self.in_string, i)
     }
 
+    /// Byte offset of the quote closing the string opened by the quote at
+    /// `open`, read off an `in_string` bitmap over `len` input bytes: every
+    /// byte after an opening quote is string-interior until the closing
+    /// quote, so that quote is the first clear bit after `open` — found a
+    /// word at a time, no byte of the string is looked at. `None` when the
+    /// string runs to the end of the input. `open` must be a quote outside
+    /// any string (a structural position), which is where both callers —
+    /// [`Self::value_end`] and the tape builder — stand.
+    pub(crate) fn closing_quote(in_string: &[u64], len: usize, open: usize) -> Option<usize> {
+        let from = open + 1;
+        let mut w = from / 64;
+        // Bits below `from` in the first word count as set (not candidates).
+        let mut clear = !*in_string.get(w)? & (u64::MAX << (from % 64));
+        while clear == 0 {
+            w += 1;
+            clear = !*in_string.get(w)?;
+        }
+        // The tail word's bits past the input are clear: bound by `len`.
+        Some(w * 64 + clear.trailing_zeros() as usize).filter(|&close| close < len)
+    }
+
     /// Index into `pairs` of the bracket opening at `pos`, if any.
     fn pair_at(&self, pos: usize) -> Option<usize> {
         self.pairs
@@ -199,18 +220,7 @@ impl<'a> StructuralIndex<'a> {
     fn value_end(&self, vstart: usize, limit: usize) -> Option<usize> {
         match *self.input.get(vstart)? {
             b'{' | b'[' => self.matching_close(vstart).map(|c| c + 1),
-            b'"' => {
-                // The closing quote is the first quote byte after vstart
-                // that is not string-interior.
-                let mut i = vstart + 1;
-                while i < self.input.len() {
-                    if self.input[i] == b'"' && !self.is_in_string(i) {
-                        return Some(i + 1);
-                    }
-                    i += 1;
-                }
-                None
-            }
+            b'"' => Self::closing_quote(&self.in_string, self.input.len(), vstart).map(|c| c + 1),
             _ => {
                 // Scalar: runs until a raw comma/close outside strings.
                 let mut i = vstart;

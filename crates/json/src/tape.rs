@@ -1,15 +1,25 @@
 //! A two-stage tape parser in the style of On-Demand JSON
 //! (Keiser & Lemire, VLDB 2021).
 //!
-//! Stage 1 reuses the Mison-style [`StructuralIndex`] (SWAR string-interior
-//! bitmap + bracket matching); stage 2 walks the masked bytes once to build
-//! a *typed tape*: one entry per JSON node carrying its kind, its raw byte
-//! span, and a **skip marker** — the tape index one past the node's whole
-//! subtree. Path navigation then follows skip markers: probing `$.f12`
-//! hops key→key in O(1) per sibling, never materializing (or even
+//! Stage 1 is the dispatched [`crate::kernels`] bitmap build; of its output
+//! the tape reads only the string-interior bitmap (the colon/bracket index
+//! Mison layers on top is never built). Stage 2 walks the bytes once to
+//! build a *typed tape*: one entry per JSON node carrying its kind, its raw
+//! byte span, and a **skip marker** — the tape index one past the node's
+//! whole subtree. Path navigation then follows skip markers: probing
+//! `$.f12` hops key→key in O(1) per sibling, never materializing (or even
 //! re-scanning) the subtrees of the eleven fields it jumps over. The
 //! entries jumped over are counted as `nodes_skipped`, surfaced through
 //! `ExecMetrics` and EXPLAIN ANALYZE.
+//!
+//! Strings — most of a document's bytes — cost stage 2 a word at a time:
+//! the closing quote is the first clear bit of the string-interior bitmap
+//! after the opening quote ([`StructuralIndex::closing_quote`], a
+//! `trailing_zeros` walk), and the body is checked eight bytes per step for
+//! "any byte below 0x20 or a backslash"; only a chunk that trips that test
+//! goes through the per-byte escape/surrogate checker. The bitmaps and the
+//! node vector are recycled through a per-thread scratch, so a worker that
+//! builds one tape after another allocates for none of them.
 //!
 //! The build validates exactly the document set the DOM parser
 //! ([`crate::parse`]) accepts — same depth limit, number grammar,
@@ -22,9 +32,11 @@
 //! container (or a wildcard step) falls back to DOM-parsing its slice,
 //! which keeps rendering byte-identical to the Jackson path.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::error::{JsonError, Result};
+use crate::kernels::{self, Bitmaps};
 use crate::mison::{steps_to_path, StructuralIndex};
 use crate::parser::{Parser, MAX_DEPTH};
 use crate::path::{JsonPath, Step};
@@ -90,27 +102,64 @@ pub struct TapeDoc<'a> {
     nodes: Vec<TapeNode>,
 }
 
+/// What one thread's tape builds hand from one document to the next: the
+/// stage-1 bitmaps (dead once the build returns) and the node vector of the
+/// last dropped tape.
+#[derive(Default)]
+struct Scratch {
+    bitmaps: Bitmaps,
+    nodes: Vec<TapeNode>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Entries a recycled vector may hold (a 1 MiB node vector, bitmaps of a
+/// 4 MiB document): one giant document does not pin its scratch to the
+/// thread for good.
+const RETAIN: usize = 1 << 16;
+
+impl Drop for TapeDoc<'_> {
+    /// Leave the node vector for this thread's next build. `try_with`: a
+    /// tape dropped during thread teardown just frees its vector.
+    fn drop(&mut self) {
+        let mut nodes = std::mem::take(&mut self.nodes);
+        nodes.clear();
+        let _ = SCRATCH.try_with(|scratch| {
+            if let Ok(mut scratch) = scratch.try_borrow_mut() {
+                let capacity = nodes.capacity();
+                if capacity > scratch.nodes.capacity() && capacity <= RETAIN {
+                    scratch.nodes = nodes;
+                }
+            }
+        });
+    }
+}
+
 impl<'a> TapeDoc<'a> {
-    /// Build the tape for one record: structural index first, then one
-    /// validating walk that emits typed entries. Errors on exactly the
+    /// Build the tape for one record: string-interior bitmap first, then
+    /// one validating walk that emits typed entries. Errors on exactly the
     /// inputs [`crate::parse`] errors on.
     pub fn build(input: &'a str) -> Result<TapeDoc<'a>> {
-        let index = StructuralIndex::build(input);
+        let mut scratch = SCRATCH.with(RefCell::take);
+        kernels::build_bitmaps_into(kernels::active(), input.as_bytes(), &mut scratch.bitmaps);
         let mut b = Builder {
             bytes: input.as_bytes(),
             pos: 0,
-            index: &index,
-            nodes: Vec::new(),
+            in_string: &scratch.bitmaps.in_string,
+            nodes: std::mem::take(&mut scratch.nodes),
         };
-        b.value(0)?;
-        b.skip_ws();
-        if b.pos < b.bytes.len() {
-            return Err(JsonError::TrailingData { offset: b.pos });
-        }
-        Ok(TapeDoc {
+        let built = b.document();
+        // The tape (or, on error, its drop) carries the node vector on.
+        let tape = TapeDoc {
             input,
             nodes: b.nodes,
-        })
+        };
+        if scratch.bitmaps.in_string.capacity() <= RETAIN {
+            SCRATCH.with(|s| s.borrow_mut().bitmaps = scratch.bitmaps);
+        }
+        built.map(|()| tape)
     }
 
     /// Number of tape entries (the root value's subtree).
@@ -288,15 +337,25 @@ pub fn project_paths(
 
 /// The stage-2 walk: mirrors the DOM parser's control flow token for token
 /// (same depth accounting, same grammar checks) but emits tape entries
-/// instead of building values, using the structural index for string ends.
+/// instead of building values, using the string-interior bitmap for string
+/// ends.
 struct Builder<'a, 'i> {
     bytes: &'a [u8],
     pos: usize,
-    index: &'i StructuralIndex<'a>,
+    in_string: &'i [u64],
     nodes: Vec<TapeNode>,
 }
 
 impl Builder<'_, '_> {
+    fn document(&mut self) -> Result<()> {
+        self.value(0)?;
+        self.skip_ws();
+        if self.pos < self.bytes.len() {
+            return Err(JsonError::TrailingData { offset: self.pos });
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             match b {
@@ -463,30 +522,42 @@ impl Builder<'_, '_> {
     }
 
     /// Consume one string token. The closing quote comes from the
-    /// structural index's string-interior bitmap (stage 1); the interior is
-    /// then validated against the DOM parser's escape/surrogate/control
-    /// rules without materializing the unescaped text.
+    /// string-interior bitmap (stage 1); the interior is then validated
+    /// against the DOM parser's escape/surrogate/control rules without
+    /// materializing the unescaped text.
     fn string_span(&mut self) -> Result<()> {
         self.expect(b'"', "'\"'")?;
-        let start = self.pos;
-        let mut close = None;
-        let mut i = start;
-        while i < self.bytes.len() {
-            if self.bytes[i] == b'"' && !self.index.is_in_string(i) {
-                close = Some(i);
-                break;
-            }
-            i += 1;
-        }
-        let close = close.ok_or(JsonError::UnexpectedEof { context: "string" })?;
-        self.validate_string_body(start, close)?;
+        let close = StructuralIndex::closing_quote(self.in_string, self.bytes.len(), self.pos - 1)
+            .ok_or(JsonError::UnexpectedEof { context: "string" })?;
+        self.validate_string_body(self.pos, close)?;
         self.pos = close + 1;
         Ok(())
     }
 
+    /// Validate `bytes[start..end]` eight bytes per step; a chunk holding a
+    /// control byte or a backslash (and the tail shorter than a chunk) goes
+    /// through [`Self::validate_bytes`], which reports what a per-byte walk
+    /// of the whole body would: clean chunks hold nothing to report.
     fn validate_string_body(&self, start: usize, end: usize) -> Result<()> {
         let mut pos = start;
         while pos < end {
+            if let Some(chunk) = self.bytes[..end].get(pos..pos + 8) {
+                let w = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+                if !kernels::has_control_or_backslash(w) {
+                    pos += 8;
+                    continue;
+                }
+            }
+            pos = self.validate_bytes(pos, (pos + 8).min(end), end)?;
+        }
+        Ok(())
+    }
+
+    /// The per-byte checker: validate from `pos` until `stop` is reached
+    /// (an escape sequence may carry past it, never past `end`, the closing
+    /// quote) and return where it stopped.
+    fn validate_bytes(&self, mut pos: usize, stop: usize, end: usize) -> Result<usize> {
+        while pos < stop {
             let b = self.bytes[pos];
             if b == b'\\' {
                 pos += 1;
@@ -545,7 +616,7 @@ impl Builder<'_, '_> {
                 pos += 1;
             }
         }
-        Ok(())
+        Ok(pos)
     }
 
     fn hex4(&self, pos: &mut usize, end: usize) -> Result<u32> {

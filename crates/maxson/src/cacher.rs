@@ -15,12 +15,30 @@
 //!   table, field, cache time)`. Entries whose cache time precedes the raw
 //!   table's modification time are invalid; invalid cache tables are
 //!   dropped at the next population cycle (Algorithm 1, line 19).
+//!
+//! # Task model
+//!
+//! One build — a full [`JsonPathCacher::populate`] or a
+//! [`JsonPathCacher::refresh_incremental`] — is one flat list of
+//! `(cache table, split)` tasks on the engine's split pool (`MAXSON_THREADS`
+//! workers, default one per core), the paper's "scalable way using Spark".
+//! A task reads its raw split, projects every cached path of the table off
+//! one tape per document straight into per-path string columns, and encodes
+//! and writes its own `part-0000k.norc`; tasks share nothing, so at most
+//! *workers* splits are in memory. The calling thread registers the parts
+//! in split order, one `_meta.json` write per table, and only once every
+//! task succeeded: a failed or panicking task is an error naming its table
+//! and split, and leaves no part listed that was not written.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
+use maxson_engine::{pool, EngineError, ExecOptions};
+use maxson_json::tape::{project_paths, TapeStats};
 use maxson_json::{parse as json_parse, JsonPath, JsonValue};
-use maxson_storage::file::WriteOptions;
-use maxson_storage::{Catalog, Cell, ColumnType, Field, Schema};
+use maxson_storage::file::{NorcWriter, WriteOptions};
+use maxson_storage::{Catalog, ColumnData, ColumnType, Field, Schema, Table};
 use maxson_trace::JsonPathLocation;
 
 use crate::error::{MaxsonError, Result};
@@ -266,7 +284,8 @@ impl JsonPathCacher {
             }
         }
 
-        // 3. Group by raw table and materialize one cache table each.
+        // 3. Group by raw table, create one cache table each, and build
+        //    every split of every table as one flat task list.
         let mut by_table: BTreeMap<(String, String), Vec<&ScoredMpjp>> = BTreeMap::new();
         for cand in &admitted {
             by_table
@@ -274,105 +293,43 @@ impl JsonPathCacher {
                 .or_default()
                 .push(cand);
         }
-        for ((db, table_name), cands) in by_table {
-            let bytes =
-                self.materialize_table(catalog, &db, &table_name, &cands, now, &mut registry)?;
-            report.bytes_used += bytes;
-            report
-                .cached
-                .extend(cands.iter().map(|c| c.location.clone()));
+        let mut builds = Vec::with_capacity(by_table.len());
+        for ((db, table_name), cands) in &by_table {
+            let fields: Vec<(&str, &str)> = cands
+                .iter()
+                .map(|c| (c.location.column.as_str(), c.location.path.as_str()))
+                .collect();
+            let cache_schema = Schema::new(
+                fields
+                    .iter()
+                    .map(|(column, path)| {
+                        Field::new(cache_field_name(column, path), ColumnType::Utf8)
+                    })
+                    .collect(),
+            )
+            .map_err(MaxsonError::Storage)?;
+            let ct_name = cache_table_name(db, table_name);
+            catalog.create_table(CACHE_DB, &ct_name, cache_schema, now)?;
+            let build = TableBuild::new(catalog, db, table_name, ct_name, &fields)?;
+            let splits = 0..build.raw.file_count();
+            builds.push((build, splits));
+        }
+        report.bytes_used = build_and_register(catalog, &builds, now)?;
+        for cand in by_table.values().flatten() {
+            registry.insert(CachedEntry {
+                location: cand.location.clone(),
+                cache_table: cache_table_name(&cand.location.database, &cand.location.table),
+                cache_field: cache_field_name(&cand.location.column, &cand.location.path),
+                cached_at: now,
+                bytes: cand.estimated_bytes,
+            });
+            report.cached.push(cand.location.clone());
         }
         registry.save(catalog)?;
         report.population_seconds = start.elapsed().as_secs_f64();
         Ok((registry, report))
     }
-
-    /// Build one cache table for `cands` (all on the same raw table).
-    fn materialize_table(
-        &self,
-        catalog: &mut Catalog,
-        database: &str,
-        table_name: &str,
-        cands: &[&ScoredMpjp],
-        now: u64,
-        registry: &mut CacheRegistry,
-    ) -> Result<u64> {
-        // Compile paths and build the cache schema.
-        let mut fields = Vec::with_capacity(cands.len());
-        let mut compiled: Vec<(usize, JsonPath, String)> = Vec::with_capacity(cands.len());
-        let raw = catalog.table(database, table_name)?.clone();
-        for cand in cands {
-            let field_name = cache_field_name(&cand.location.column, &cand.location.path);
-            let col_idx = raw
-                .schema()
-                .index_of(&cand.location.column)
-                .ok_or_else(|| {
-                    MaxsonError::invalid(format!(
-                        "column {} missing in {database}.{table_name}",
-                        cand.location.column
-                    ))
-                })?;
-            let path = JsonPath::parse(&cand.location.path)
-                .map_err(|e| MaxsonError::invalid(format!("bad path: {e}")))?;
-            fields.push(Field::new(field_name.clone(), ColumnType::Utf8));
-            compiled.push((col_idx, path, field_name));
-        }
-        let cache_schema = Schema::new(fields).map_err(MaxsonError::Storage)?;
-        let ct_name = cache_table_name(database, table_name);
-        catalog.create_table(CACHE_DB, &ct_name, cache_schema, now)?;
-
-        // Parse file by file so cache file k aligns with raw file k. The
-        // per-split parses are independent, so they run on worker threads
-        // (the paper's population step is "done in a scalable way using
-        // Spark"); the appends stay sequential to preserve file order.
-        let needed: Vec<usize> = {
-            let mut v: Vec<usize> = compiled.iter().map(|(c, _, _)| *c).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let split_results: Vec<Result<ParsedSplit>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..raw.file_count())
-                .map(|split| {
-                    let raw = &raw;
-                    let compiled = &compiled;
-                    let needed = &needed;
-                    scope.spawn(move || parse_split(raw, split, compiled, needed))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("parse worker must not panic"))
-                .collect()
-        });
-        let mut total_bytes = 0u64;
-        for result in split_results {
-            let (rows, rg_size, bytes) = result?;
-            total_bytes += bytes;
-            catalog.table_mut(CACHE_DB, &ct_name)?.append_file(
-                &rows,
-                WriteOptions {
-                    row_group_size: rg_size,
-                    ..Default::default()
-                },
-                now,
-            )?;
-        }
-        for cand in cands {
-            registry.insert(CachedEntry {
-                location: cand.location.clone(),
-                cache_table: ct_name.clone(),
-                cache_field: cache_field_name(&cand.location.column, &cand.location.path),
-                cached_at: now,
-                bytes: cand.estimated_bytes,
-            });
-        }
-        Ok(total_bytes)
-    }
 }
-
-/// One parsed raw split: `(rows, row_group_size, bytes)`.
-type ParsedSplit = (Vec<Vec<Cell>>, usize, u64);
 
 /// The cached paths of one source column, grouped so cache population
 /// builds exactly one tape per raw JSON document no matter how many paths
@@ -381,88 +338,162 @@ type ParsedSplit = (Vec<Vec<Cell>>, usize, u64);
 struct ColumnPaths {
     /// Raw-table column index holding the JSON string.
     col: usize,
-    /// Cache-row slot each path fills, in `paths` order.
+    /// Cache-table column each path fills, in `paths` order.
     slots: Vec<usize>,
     /// The cached paths over this column.
     paths: Vec<JsonPath>,
 }
 
-/// Group `(column, path)` cache fields by column, remembering each field's
-/// cache-row slot.
-fn group_by_column<'a>(pairs: impl Iterator<Item = (usize, &'a JsonPath)>) -> Vec<ColumnPaths> {
-    let mut groups: Vec<ColumnPaths> = Vec::new();
-    for (slot, (col, path)) in pairs.enumerate() {
-        match groups.iter_mut().find(|g| g.col == col) {
-            Some(g) => {
-                g.slots.push(slot);
-                g.paths.push(path.clone());
-            }
-            None => groups.push(ColumnPaths {
-                col,
-                slots: vec![slot],
-                paths: vec![path.clone()],
-            }),
-        }
-    }
-    groups
+/// What the split tasks of one cache table share: where to read, what to
+/// extract, where to write.
+struct TableBuild {
+    /// `db.table` of the raw table, for error messages.
+    source: String,
+    raw: Table,
+    cache_table: String,
+    cache: Table,
+    groups: Vec<ColumnPaths>,
 }
 
-/// Fill cache row `i` from the raw columns: one tape per JSON document
-/// answers every cached path over it. Non-string and invalid documents
-/// leave their slots `Null`, exactly as the per-path DOM parse would.
-fn extract_cache_row(
-    groups: &[ColumnPaths],
-    cols: &[maxson_storage::ColumnData],
-    col_of: impl Fn(usize) -> usize,
-    i: usize,
-    width: usize,
-) -> Vec<Cell> {
-    let mut row = vec![Cell::Null; width];
-    let mut stats = maxson_json::tape::TapeStats::default();
-    for g in groups {
-        if let Cell::Str(json) = cols[col_of(g.col)].get(i) {
-            let values = maxson_json::tape::project_paths(&json, &g.paths, &mut stats);
-            for (&slot, value) in g.slots.iter().zip(values) {
-                row[slot] = value.map_or(Cell::Null, Cell::from);
+impl TableBuild {
+    /// Compile `fields` — the `(raw column, JSONPath)` of every column of
+    /// `cache_table`, in cache-schema order — against raw table
+    /// `database.table`.
+    fn new(
+        catalog: &Catalog,
+        database: &str,
+        table: &str,
+        cache_table: String,
+        fields: &[(&str, &str)],
+    ) -> Result<Self> {
+        let source = format!("{database}.{table}");
+        let raw = catalog.table(database, table)?.clone();
+        let cache = catalog.table(CACHE_DB, &cache_table)?.clone();
+        let mut groups: Vec<ColumnPaths> = Vec::new();
+        for (slot, (column, path)) in fields.iter().enumerate() {
+            let col = raw.schema().index_of(column).ok_or_else(|| {
+                MaxsonError::invalid(format!("column {column} missing in {source}"))
+            })?;
+            let path = JsonPath::parse(path)
+                .map_err(|e| MaxsonError::invalid(format!("bad path: {e}")))?;
+            let at = groups.iter().position(|g| g.col == col).unwrap_or_else(|| {
+                groups.push(ColumnPaths {
+                    col,
+                    slots: Vec::new(),
+                    paths: Vec::new(),
+                });
+                groups.len() - 1
+            });
+            groups[at].slots.push(slot);
+            groups[at].paths.push(path);
+        }
+        Ok(TableBuild {
+            source,
+            raw,
+            cache_table,
+            cache,
+            groups,
+        })
+    }
+
+    /// Build cache part `split` from raw part `split`: same row count, same
+    /// row-group boundaries. One tape per JSON document answers every
+    /// cached path over it; non-string and invalid documents leave their
+    /// values NULL, exactly as a per-path DOM parse would. Returns the
+    /// decoded bytes of the values written.
+    fn build_split(&self, split: usize) -> Result<u64> {
+        let file = self.raw.open_split(split)?;
+        // Reconstruct the raw file's row-group size so boundaries match.
+        let row_group_size = file
+            .row_groups()
+            .map(|rg| rg.row_count)
+            .max()
+            .unwrap_or(maxson_storage::DEFAULT_ROW_GROUP_SIZE);
+        let needed: Vec<usize> = self.groups.iter().map(|g| g.col).collect();
+        let raw_cols = file.read_columns(&needed, None)?;
+        let rows = file.num_rows();
+        let width = self.cache.schema().len();
+        let mut valid = vec![vec![false; rows]; width];
+        let null: Arc<str> = Arc::from("");
+        let mut values = vec![vec![null; rows]; width];
+        let mut bytes = 0u64;
+        let mut stats = TapeStats::default();
+        for (g, raw_col) in self.groups.iter().zip(&raw_cols) {
+            let ColumnData::Utf8 {
+                valid: present,
+                values: docs,
+            } = raw_col
+            else {
+                continue;
+            };
+            for (row, json) in docs.iter().enumerate().filter(|(row, _)| present[*row]) {
+                for (&slot, value) in g
+                    .slots
+                    .iter()
+                    .zip(project_paths(json, &g.paths, &mut stats))
+                {
+                    if let Some(value) = value {
+                        bytes += value.len() as u64;
+                        valid[slot][row] = true;
+                        values[slot][row] = value;
+                    }
+                }
             }
         }
+        // A NULL costs the marker byte of `Cell::Null.byte_size()`.
+        bytes += valid.iter().flatten().filter(|v| !**v).count() as u64;
+        let columns: Vec<ColumnData> = valid
+            .into_iter()
+            .zip(values)
+            .map(|(valid, values)| ColumnData::Utf8 { valid, values })
+            .collect();
+        let mut writer = NorcWriter::create(
+            self.cache.part_path(split),
+            self.cache.schema().clone(),
+            WriteOptions {
+                row_group_size,
+                ..Default::default()
+            },
+        )?;
+        writer.append_columns(&columns)?;
+        writer.finish()?;
+        Ok(bytes)
     }
-    row
 }
 
-/// Parse one raw split into cache rows.
-fn parse_split(
-    raw: &maxson_storage::Table,
-    split: usize,
-    compiled: &[(usize, JsonPath, String)],
-    needed: &[usize],
-) -> Result<ParsedSplit> {
-    let file = raw.open_split(split)?;
-    // Reconstruct the raw file's row-group size so boundaries match.
-    let rg_size = file
-        .row_groups()
-        .map(|rg| rg.row_count)
-        .max()
-        .unwrap_or(maxson_storage::DEFAULT_ROW_GROUP_SIZE);
-    let cols = file.read_columns(needed, None)?;
-    let n = cols.first().map_or(0, |c| c.len());
-    let col_of = |idx: usize| -> usize {
-        needed
-            .iter()
-            .position(|&c| c == idx)
-            .expect("requested column")
-    };
-    let groups = group_by_column(compiled.iter().map(|(c, p, _)| (*c, p)));
-    let mut bytes = 0u64;
-    let mut rows: Vec<Vec<Cell>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let row = extract_cache_row(&groups, &cols, col_of, i, compiled.len());
-        for value in &row {
-            bytes += value.byte_size() as u64;
-        }
-        rows.push(row);
+/// Run every `(table, split)` of `builds` as one flat task list on the
+/// engine's split pool, then register each table's new parts in split
+/// order with one metadata write. A failing or panicking task fails the
+/// whole build with an error naming its table and split; nothing is
+/// registered then. Returns the decoded bytes of all values written.
+fn build_and_register(
+    catalog: &mut Catalog,
+    builds: &[(TableBuild, std::ops::Range<usize>)],
+    now: u64,
+) -> Result<u64> {
+    let tasks: Vec<(&TableBuild, usize)> = builds
+        .iter()
+        .flat_map(|(build, splits)| splits.clone().map(move |split| (build, split)))
+        .collect();
+    let threads = ExecOptions::from_env().threads;
+    let run = pool::run_split_tasks(tasks.len(), threads, None, |i| {
+        let (build, split) = tasks[i];
+        // The pool would name a panic by flat task index; catch it here,
+        // where table and split are known.
+        catch_unwind(AssertUnwindSafe(|| build.build_split(split)))
+            .map_err(|p| format!("task panicked: {}", pool::panic_message(p.as_ref())))
+            .and_then(|built| built.map_err(|e| e.to_string()))
+            .map_err(|e| {
+                let source = &build.source;
+                EngineError::exec(format!("cache build of {source} split {split} failed: {e}"))
+            })
+    })?;
+    for (build, splits) in builds {
+        catalog
+            .table_mut(CACHE_DB, &build.cache_table)?
+            .register_parts(splits.len(), now)?;
     }
-    Ok((rows, rg_size, bytes))
+    Ok(run.results.iter().sum())
 }
 
 #[cfg(test)]
@@ -470,6 +501,7 @@ mod tests {
     use super::*;
     use crate::mpjp::MpjpCandidate;
     use crate::score::score_candidates;
+    use maxson_storage::Cell;
     use maxson_trace::model::RecurrenceClass;
     use maxson_trace::QueryRecord;
     use std::path::PathBuf;
@@ -689,8 +721,10 @@ impl JsonPathCacher {
                 .or_default()
                 .push(e.clone());
         }
+        let mut builds = Vec::new();
+        let mut refreshed: Vec<CachedEntry> = Vec::new();
         for ((db, table_name), entries) in by_table {
-            let raw = catalog.table(&db, &table_name)?.clone();
+            let raw = catalog.table(&db, &table_name)?;
             let stale = entries.iter().any(|e| raw.modified_at() > e.cached_at);
             if !stale {
                 continue;
@@ -703,9 +737,9 @@ impl JsonPathCacher {
                 report.needs_full.push((db, table_name));
                 continue;
             }
-            // Compile the cached paths of this table in cache-schema order.
-            let cache_schema = catalog.table(CACHE_DB, &ct_name)?.schema().clone();
-            let mut compiled: Vec<(usize, JsonPath)> = Vec::new();
+            // The cached paths of this table in cache-schema order.
+            let cache_schema = catalog.table(CACHE_DB, &ct_name)?.schema();
+            let mut fields: Vec<(&str, &str)> = Vec::new();
             for field in cache_schema.fields() {
                 let entry = entries
                     .iter()
@@ -716,63 +750,21 @@ impl JsonPathCacher {
                             field.name
                         ))
                     })?;
-                let col_idx = raw
-                    .schema()
-                    .index_of(&entry.location.column)
-                    .ok_or_else(|| {
-                        MaxsonError::invalid(format!(
-                            "column {} missing in {db}.{table_name}",
-                            entry.location.column
-                        ))
-                    })?;
-                let path = JsonPath::parse(&entry.location.path)
-                    .map_err(|e| MaxsonError::invalid(format!("bad path: {e}")))?;
-                compiled.push((col_idx, path));
+                fields.push((&entry.location.column, &entry.location.path));
             }
-            // Parse only the new splits.
-            for split in cache_files..raw.file_count() {
-                let file = raw.open_split(split)?;
-                let rg_size = file
-                    .row_groups()
-                    .map(|rg| rg.row_count)
-                    .max()
-                    .unwrap_or(maxson_storage::DEFAULT_ROW_GROUP_SIZE);
-                let needed: Vec<usize> = {
-                    let mut v: Vec<usize> = compiled.iter().map(|(c, _)| *c).collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                };
-                let cols = file.read_columns(&needed, None)?;
-                let n = cols.first().map_or(0, |c| c.len());
-                let col_of = |idx: usize| -> usize {
-                    needed
-                        .iter()
-                        .position(|&c| c == idx)
-                        .expect("requested column")
-                };
-                let groups = group_by_column(compiled.iter().map(|(c, p)| (*c, p)));
-                let mut rows: Vec<Vec<Cell>> = Vec::with_capacity(n);
-                for i in 0..n {
-                    rows.push(extract_cache_row(&groups, &cols, col_of, i, compiled.len()));
-                }
-                catalog.table_mut(CACHE_DB, &ct_name)?.append_file(
-                    &rows,
-                    WriteOptions {
-                        row_group_size: rg_size,
-                        ..Default::default()
-                    },
-                    now,
-                )?;
-                report.appended_files += 1;
-            }
-            // Revalidate the entries.
-            for e in &entries {
-                let mut updated = e.clone();
-                updated.cached_at = now;
-                registry.insert(updated);
-                report.refreshed_paths += 1;
-            }
+            // Build only the new splits.
+            let new_splits = cache_files..raw.file_count();
+            report.appended_files += new_splits.len();
+            let build = TableBuild::new(catalog, &db, &table_name, ct_name, &fields)?;
+            builds.push((build, new_splits));
+            refreshed.extend(entries);
+        }
+        build_and_register(catalog, &builds, now)?;
+        // Revalidate the entries.
+        for mut e in refreshed {
+            e.cached_at = now;
+            registry.insert(e);
+            report.refreshed_paths += 1;
         }
         registry.save(catalog)?;
         Ok(report)
@@ -785,6 +777,7 @@ mod incremental_tests {
     use crate::mpjp::MpjpCandidate;
     use crate::score::score_candidates;
     use maxson_engine::session::Session;
+    use maxson_storage::Cell;
     use maxson_trace::model::RecurrenceClass;
     use maxson_trace::QueryRecord;
     use std::path::PathBuf;

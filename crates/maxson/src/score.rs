@@ -16,8 +16,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use maxson_json::tape::{project_paths, TapeStats};
 use maxson_json::JsonPath;
-use maxson_storage::{Catalog, Cell};
+use maxson_storage::{Catalog, ColumnData, Table};
 use maxson_trace::{JsonPathLocation, QueryRecord};
 
 use crate::error::{MaxsonError, Result};
@@ -107,21 +108,15 @@ pub fn score_candidates(
             MaxsonError::invalid(format!("column {column} missing in {db}.{table_name}"))
         })?;
         let total_rows = table.num_rows()? as u64;
-        // Sample the first rows of the first split.
-        let mut sample: Vec<String> = Vec::new();
-        if table.file_count() > 0 {
-            let file = table.open_split(0)?;
-            let cols = file.read_columns(&[col_idx], None)?;
-            for i in 0..cols[0].len().min(SAMPLE_ROWS) {
-                if let Cell::Str(s) = cols[0].get(i) {
-                    sample.push(s.to_string());
-                }
-            }
-        }
-        for cand in cands {
-            let path = JsonPath::parse(&cand.location.path)
-                .map_err(|e| MaxsonError::invalid(format!("bad path: {e}")))?;
-            let (parse_time, value_size) = measure(&sample, &path);
+        let paths = cands
+            .iter()
+            .map(|c| {
+                JsonPath::parse(&c.location.path)
+                    .map_err(|e| MaxsonError::invalid(format!("bad path: {e}")))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let measured = measure_sample(table, col_idx, &paths)?;
+        for (cand, (parse_time, value_size)) in cands.into_iter().zip(measured) {
             let acceleration = if value_size > 0.0 {
                 parse_time / value_size
             } else {
@@ -155,36 +150,67 @@ pub fn score_candidates(
     Ok(scored)
 }
 
-/// Average (parse-cost proxy, value bytes) of evaluating `path` over
-/// `sample`. The cost proxy is the mean raw document length in bytes:
-/// evaluating a path through a full parse reads every input byte, so the
-/// cost ratio between two paths on the same column equals their document
-/// ratio — exactly what `A_j` divides away — while staying bit-identical
-/// across runs (a wall clock here made the scores, and therefore which
-/// cache tables get built, depend on machine load).
-fn measure(sample: &[String], path: &JsonPath) -> (f64, f64) {
-    if sample.is_empty() {
-        return (0.0, 1.0);
-    }
+/// Average (parse-cost proxy, value bytes) of each of `paths` over the
+/// first [`SAMPLE_ROWS`] documents of the table's first split: only the
+/// leading row groups that hold the sample are decoded, and every path is
+/// answered from **one tape per sampled document**. The cost proxy is the
+/// mean raw document length in bytes: evaluating a path through a full
+/// parse reads every input byte, so the cost ratio between two paths on the
+/// same column equals their document ratio — exactly what `A_j` divides
+/// away — while staying bit-identical across runs (a wall clock here made
+/// the scores, and therefore which cache tables get built, depend on
+/// machine load).
+fn measure_sample(table: &Table, column: usize, paths: &[JsonPath]) -> Result<Vec<(f64, f64)>> {
+    let mut docs = 0usize;
     let mut doc_bytes = 0usize;
-    let mut value_bytes = 0usize;
-    for json in sample {
-        doc_bytes += json.len();
-        if let Some(v) = maxson_json::get_json_object(json, path) {
-            value_bytes += v.len();
-        } else {
-            value_bytes += 1; // NULL marker byte, matching Cell::Null.byte_size()
+    let mut value_bytes = vec![0usize; paths.len()];
+    if table.file_count() > 0 {
+        let file = table.open_split(0)?;
+        let mut covered = 0usize;
+        let keep: Vec<bool> = file
+            .row_groups()
+            .map(|rg| {
+                let needed = covered < SAMPLE_ROWS;
+                covered += rg.row_count;
+                needed
+            })
+            .collect();
+        let sample = file.read_columns(&[column], Some(&keep))?.swap_remove(0);
+        if let ColumnData::Utf8 { valid, values } = &sample {
+            let mut stats = TapeStats::default();
+            for (_, json) in valid
+                .iter()
+                .zip(values)
+                .take(SAMPLE_ROWS)
+                .filter(|(valid, _)| **valid)
+            {
+                docs += 1;
+                doc_bytes += json.len();
+                for (sum, value) in value_bytes
+                    .iter_mut()
+                    .zip(project_paths(json, paths, &mut stats))
+                {
+                    // A miss costs the NULL marker byte of Cell::Null.byte_size().
+                    *sum += value.map_or(1, |v| v.len());
+                }
+            }
         }
     }
-    let n = sample.len() as f64;
-    (doc_bytes as f64 / n, value_bytes as f64 / n)
+    if docs == 0 {
+        return Ok(vec![(0.0, 1.0); paths.len()]);
+    }
+    let n = docs as f64;
+    Ok(value_bytes
+        .into_iter()
+        .map(|bytes| (doc_bytes as f64 / n, bytes as f64 / n))
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use maxson_storage::file::WriteOptions;
-    use maxson_storage::{ColumnType, Field, Schema};
+    use maxson_storage::{Cell, ColumnType, Field, Schema};
     use maxson_trace::model::RecurrenceClass;
     use std::path::PathBuf;
 
@@ -302,6 +328,120 @@ mod tests {
             assert!(w[0].score >= w[1].score);
         }
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// What `measure_sample` replaces, kept as the oracle: one full DOM parse per
+    /// (sampled document, path) through `get_json_object`.
+    fn measure_per_path(sample: &[String], path: &JsonPath) -> (f64, f64) {
+        if sample.is_empty() {
+            return (0.0, 1.0);
+        }
+        let mut doc_bytes = 0usize;
+        let mut value_bytes = 0usize;
+        for json in sample {
+            doc_bytes += json.len();
+            value_bytes += maxson_json::get_json_object(json, path).map_or(1, |v| v.len());
+        }
+        let n = sample.len() as f64;
+        (doc_bytes as f64 / n, value_bytes as f64 / n)
+    }
+
+    /// Scores, order and footprints are bit-identical to the per-path
+    /// measurement — with the sample inside one row group, spread over
+    /// several, shorter than `SAMPLE_ROWS`, and holding NULL, malformed and
+    /// escaped documents.
+    #[test]
+    fn scores_are_bit_identical_to_the_per_path_measurement() {
+        let paths = [
+            "$.small",
+            "$.big",
+            "$.deep.x.y",
+            "$.deep",
+            "$.arr[1]",
+            "$.nope",
+        ];
+        for (name, rows, row_group_size) in [
+            ("one-group", 100usize, 10_000usize),
+            ("many-groups", 100, 10),
+            ("ragged-groups", 100, 48),
+            ("short", 23, 7),
+        ] {
+            let root = temp_root(&format!("golden-{name}"));
+            let mut cat = Catalog::open(&root).unwrap();
+            let schema = Schema::new(vec![Field::new("payload", ColumnType::Utf8)]).unwrap();
+            let t = cat.create_table("db", "t", schema, 0).unwrap();
+            let docs: Vec<Cell> = (0..rows)
+                .map(|i| match i % 9 {
+                    3 => Cell::Null,
+                    5 => Cell::from(r#"{"small": 1, "big": "unterminated"#),
+                    _ => Cell::from(format!(
+                        r#"{{"small": {i}.50, "big": "q"{}é", "deep": {{"x": {{"y": {i}}}}}, "arr": [{i}, "{}"]}}"#,
+                        "z".repeat(i * 3),
+                        "w".repeat(i % 13),
+                    )),
+                })
+                .collect();
+            let rows_of_cells: Vec<Vec<Cell>> = docs.iter().map(|d| vec![d.clone()]).collect();
+            // Two files: only the first is ever sampled.
+            for part in rows_of_cells.chunks(rows.div_ceil(2)) {
+                let opts = WriteOptions {
+                    row_group_size,
+                    ..Default::default()
+                };
+                t.append_file(part, opts, 1).unwrap();
+            }
+            let first_file = rows.div_ceil(2);
+            let sample: Vec<String> = docs[..first_file.min(SAMPLE_ROWS)]
+                .iter()
+                .filter_map(|d| match d {
+                    Cell::Str(s) => Some(s.to_string()),
+                    _ => None,
+                })
+                .collect();
+
+            let cands: Vec<MpjpCandidate> = paths.iter().map(|p| cand(p)).collect();
+            let history = vec![query(&paths[..3]), query(&paths[2..]), query(&["$.small"])];
+            let scored = score_candidates(&cat, &cands, &history).unwrap();
+            assert_eq!(scored.len(), paths.len());
+            for w in scored.windows(2) {
+                assert!(
+                    w[0].score > w[1].score
+                        || (w[0].score == w[1].score && w[0].location < w[1].location),
+                    "{name}: order"
+                );
+            }
+            for s in &scored {
+                let path = JsonPath::parse(&s.location.path).unwrap();
+                let (parse_time, value_size) = measure_per_path(&sample, &path);
+                let acceleration = parse_time / value_size;
+                let expected = [
+                    ("parse_time", parse_time, s.parse_time),
+                    ("value_size", value_size, s.value_size),
+                    ("acceleration", acceleration, s.acceleration),
+                    (
+                        "score",
+                        acceleration * s.relevance * s.occurrence as f64,
+                        s.score,
+                    ),
+                ];
+                for (field, want, got) in expected {
+                    assert_eq!(
+                        want.to_bits(),
+                        got.to_bits(),
+                        "{name}: {field} of {}",
+                        s.location.path
+                    );
+                }
+                assert_eq!(
+                    s.estimated_bytes,
+                    (value_size.max(1.0) as u64) * rows as u64,
+                    "{name}: estimated_bytes of {}",
+                    s.location.path
+                );
+                assert!(s.occurrence > 0 && s.relevance > 0.0);
+            }
+            std::fs::remove_dir_all(&root).ok();
+        }
     }
 
     #[test]

@@ -143,6 +143,58 @@ impl ColumnData {
         Ok(())
     }
 
+    /// Append rows `range` of `other`. The writer checks a chunk's type
+    /// against the schema before it calls this.
+    pub(crate) fn extend_from(&mut self, other: &ColumnData, range: std::ops::Range<usize>) {
+        match (self, other) {
+            (
+                ColumnData::Int64 { valid, values },
+                ColumnData::Int64 {
+                    valid: v,
+                    values: x,
+                },
+            ) => {
+                valid.extend_from_slice(&v[range.clone()]);
+                values.extend_from_slice(&x[range]);
+            }
+            (
+                ColumnData::Float64 { valid, values },
+                ColumnData::Float64 {
+                    valid: v,
+                    values: x,
+                },
+            ) => {
+                valid.extend_from_slice(&v[range.clone()]);
+                values.extend_from_slice(&x[range]);
+            }
+            (
+                ColumnData::Utf8 { valid, values },
+                ColumnData::Utf8 {
+                    valid: v,
+                    values: x,
+                },
+            ) => {
+                valid.extend_from_slice(&v[range.clone()]);
+                values.extend_from_slice(&x[range]);
+            }
+            (
+                ColumnData::Bool { valid, values },
+                ColumnData::Bool {
+                    valid: v,
+                    values: x,
+                },
+            ) => {
+                valid.extend_from_slice(&v[range.clone()]);
+                values.extend_from_slice(&x[range]);
+            }
+            (col, other) => unreachable!(
+                "{} chunk appended to a {} column",
+                other.column_type().name(),
+                col.column_type().name()
+            ),
+        }
+    }
+
     /// Read row `i` as a [`Cell`].
     pub fn get(&self, i: usize) -> Cell {
         match self {

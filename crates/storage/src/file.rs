@@ -100,94 +100,74 @@ pub enum ColumnStats {
 }
 
 impl ColumnStats {
-    fn new(ty: ColumnType) -> Self {
-        match ty {
-            ColumnType::Int64 => ColumnStats::Int {
-                min: None,
-                max: None,
-                nulls: 0,
-            },
-            ColumnType::Float64 => ColumnStats::Float {
-                min: None,
-                max: None,
-                nulls: 0,
-            },
-            ColumnType::Utf8 => ColumnStats::Utf8 {
-                min: None,
-                max: None,
-                num_min: None,
-                num_max: None,
-                all_numeric: true,
-                nulls: 0,
-            },
-            ColumnType::Bool => ColumnStats::Bool {
-                true_count: 0,
-                false_count: 0,
-                nulls: 0,
-            },
+    /// Statistics of one row group's column, folded in row order.
+    fn of(col: &ColumnData) -> Self {
+        fn nulls(valid: &[bool]) -> u64 {
+            valid.iter().filter(|v| !**v).count() as u64
         }
-    }
-
-    fn update(&mut self, cell: &Cell) {
-        match (self, cell) {
-            (ColumnStats::Int { nulls, .. }, Cell::Null)
-            | (ColumnStats::Float { nulls, .. }, Cell::Null)
-            | (ColumnStats::Utf8 { nulls, .. }, Cell::Null)
-            | (ColumnStats::Bool { nulls, .. }, Cell::Null) => *nulls += 1,
-            (ColumnStats::Int { min, max, .. }, Cell::Int(v)) => {
-                *min = Some(min.map_or(*v, |m| m.min(*v)));
-                *max = Some(max.map_or(*v, |m| m.max(*v)));
-            }
-            (ColumnStats::Float { min, max, .. }, Cell::Float(v)) => {
-                *min = Some(min.map_or(*v, |m| m.min(*v)));
-                *max = Some(max.map_or(*v, |m| m.max(*v)));
-            }
-            (ColumnStats::Float { min, max, .. }, Cell::Int(v)) => {
-                let v = *v as f64;
-                *min = Some(min.map_or(v, |m| m.min(v)));
-                *max = Some(max.map_or(v, |m| m.max(v)));
-            }
-            (
-                ColumnStats::Utf8 {
+        fn present<'c, T>(valid: &'c [bool], values: &'c [T]) -> impl Iterator<Item = &'c T> {
+            valid
+                .iter()
+                .zip(values)
+                .filter(|(v, _)| **v)
+                .map(|(_, x)| x)
+        }
+        match col {
+            ColumnData::Int64 { valid, values } => ColumnStats::Int {
+                min: present(valid, values).copied().min(),
+                max: present(valid, values).copied().max(),
+                nulls: nulls(valid),
+            },
+            ColumnData::Float64 { valid, values } => {
+                let (mut min, mut max) = (None::<f64>, None::<f64>);
+                for &v in present(valid, values) {
+                    min = Some(min.map_or(v, |m| m.min(v)));
+                    max = Some(max.map_or(v, |m| m.max(v)));
+                }
+                ColumnStats::Float {
                     min,
                     max,
+                    nulls: nulls(valid),
+                }
+            }
+            ColumnData::Utf8 { valid, values } => {
+                let (mut min, mut max) = (None::<&str>, None::<&str>);
+                let (mut num_min, mut num_max) = (None::<f64>, None::<f64>);
+                let mut all_numeric = true;
+                for s in present(valid, values) {
+                    let s: &str = s;
+                    if min.is_none_or(|m| s < m) {
+                        min = Some(s);
+                    }
+                    if max.is_none_or(|m| s > m) {
+                        max = Some(s);
+                    }
+                    match s.trim().parse::<f64>() {
+                        Ok(v) => {
+                            num_min = Some(num_min.map_or(v, |m| m.min(v)));
+                            num_max = Some(num_max.map_or(v, |m| m.max(v)));
+                        }
+                        Err(_) => all_numeric = false,
+                    }
+                }
+                ColumnStats::Utf8 {
+                    min: min.map(str::to_string),
+                    max: max.map(str::to_string),
                     num_min,
                     num_max,
                     all_numeric,
-                    ..
-                },
-                Cell::Str(s),
-            ) => {
-                if min.as_deref().is_none_or(|m| s.as_ref() < m) {
-                    *min = Some(s.to_string());
-                }
-                if max.as_deref().is_none_or(|m| s.as_ref() > m) {
-                    *max = Some(s.to_string());
-                }
-                match s.trim().parse::<f64>() {
-                    Ok(v) => {
-                        *num_min = Some(num_min.map_or(v, |m| m.min(v)));
-                        *num_max = Some(num_max.map_or(v, |m| m.max(v)));
-                    }
-                    Err(_) => *all_numeric = false,
+                    nulls: nulls(valid),
                 }
             }
-            (
+            ColumnData::Bool { valid, values } => {
+                let true_count = present(valid, values).filter(|b| **b).count() as u64;
+                let nulls = nulls(valid);
                 ColumnStats::Bool {
                     true_count,
-                    false_count,
-                    ..
-                },
-                Cell::Bool(b),
-            ) => {
-                if *b {
-                    *true_count += 1;
-                } else {
-                    *false_count += 1;
+                    false_count: valid.len() as u64 - nulls - true_count,
+                    nulls,
                 }
             }
-            // push() already rejected mismatched cells; nothing to record.
-            _ => {}
         }
     }
 
@@ -345,7 +325,11 @@ impl StripeInfo {
 }
 
 /// Streaming writer that buffers a row group at a time and produces a Norc
-/// file on [`NorcWriter::finish`].
+/// file on [`NorcWriter::finish`]. Rows arrive a row at a time
+/// ([`NorcWriter::append_row`]) or a column chunk at a time
+/// ([`NorcWriter::append_columns`]); either way they land in the pending
+/// row group's column vectors, and a full group is summarised and encoded
+/// in one place, so the two entrances cannot produce different bytes.
 pub struct NorcWriter {
     path: PathBuf,
     schema: Schema,
@@ -354,7 +338,6 @@ pub struct NorcWriter {
     stripes: Vec<StripeInfo>,
     current_stripe: Vec<RowGroupStats>,
     pending_cols: Vec<ColumnData>,
-    pending_stats: Vec<ColumnStats>,
     pending_rows: usize,
 }
 
@@ -371,11 +354,6 @@ impl NorcWriter {
             .iter()
             .map(|f| ColumnData::empty(f.ty))
             .collect();
-        let pending_stats = schema
-            .fields()
-            .iter()
-            .map(|f| ColumnStats::new(f.ty))
-            .collect();
         Ok(NorcWriter {
             path: path.into(),
             schema,
@@ -384,68 +362,97 @@ impl NorcWriter {
             stripes: Vec::new(),
             current_stripe: Vec::new(),
             pending_cols,
-            pending_stats,
             pending_rows: 0,
         })
     }
 
     /// Append one row. Cells must match the schema positionally.
     pub fn append_row(&mut self, row: &[Cell]) -> Result<()> {
-        if row.len() != self.schema.len() {
-            return Err(StorageError::ShapeMismatch {
-                detail: format!(
-                    "row has {} cells, schema has {} columns",
-                    row.len(),
-                    self.schema.len()
-                ),
-            });
-        }
-        for ((col, stats), (cell, field)) in self
+        self.check_width(row.len(), "row", "cells")?;
+        for (col, (cell, field)) in self
             .pending_cols
             .iter_mut()
-            .zip(self.pending_stats.iter_mut())
             .zip(row.iter().zip(self.schema.fields()))
         {
             col.push(cell, &field.name)?;
-            stats.update(cell);
         }
-        self.pending_rows += 1;
-        if self.pending_rows >= self.options.row_group_size {
-            self.flush_row_group();
+        self.rows_added(1);
+        Ok(())
+    }
+
+    /// Append a chunk of rows held column-wise: one [`ColumnData`] per
+    /// schema column, of the column's type, all of one length. The chunk
+    /// may be any length; row groups still close every `row_group_size`
+    /// rows, so the file is the one the same rows would give through
+    /// [`NorcWriter::append_row`].
+    pub fn append_columns(&mut self, columns: &[ColumnData]) -> Result<()> {
+        self.check_width(columns.len(), "chunk", "columns")?;
+        let rows = columns.first().map_or(0, ColumnData::len);
+        if columns.iter().any(|c| c.len() != rows) {
+            return Err(StorageError::ShapeMismatch {
+                detail: "column chunk has columns of different lengths".into(),
+            });
+        }
+        for (chunk, field) in columns.iter().zip(self.schema.fields()) {
+            if chunk.column_type() != field.ty {
+                return Err(StorageError::TypeMismatch {
+                    column: field.name.clone(),
+                    expected: field.ty.name(),
+                    found: format!("a {} column chunk", chunk.column_type().name()),
+                });
+            }
+        }
+        let mut done = 0;
+        while done < rows {
+            let take = (self.options.row_group_size - self.pending_rows).min(rows - done);
+            for (pending, chunk) in self.pending_cols.iter_mut().zip(columns) {
+                pending.extend_from(chunk, done..done + take);
+            }
+            done += take;
+            self.rows_added(take);
         }
         Ok(())
     }
 
+    fn check_width(&self, got: usize, what: &str, unit: &str) -> Result<()> {
+        if got == self.schema.len() {
+            return Ok(());
+        }
+        Err(StorageError::ShapeMismatch {
+            detail: format!(
+                "{what} has {got} {unit}, schema has {} columns",
+                self.schema.len()
+            ),
+        })
+    }
+
+    fn rows_added(&mut self, rows: usize) {
+        self.pending_rows += rows;
+        if self.pending_rows >= self.options.row_group_size {
+            self.flush_row_group();
+        }
+    }
+
+    /// Close the pending row group: statistics and encoding of every column
+    /// happen here and nowhere else.
     fn flush_row_group(&mut self) {
         if self.pending_rows == 0 {
             return;
         }
         let mut chunks = Vec::with_capacity(self.pending_cols.len());
-        for col in &self.pending_cols {
+        let mut columns = Vec::with_capacity(self.pending_cols.len());
+        for (col, field) in self.pending_cols.iter_mut().zip(self.schema.fields()) {
             let start = self.body.len() as u64;
             col.encode(&mut self.body);
             chunks.push((start, self.body.len() as u64 - start));
+            columns.push(ColumnStats::of(col));
+            *col = ColumnData::empty(field.ty);
         }
-        let stats = std::mem::replace(
-            &mut self.pending_stats,
-            self.schema
-                .fields()
-                .iter()
-                .map(|f| ColumnStats::new(f.ty))
-                .collect(),
-        );
-        let row_count = self.pending_rows;
-        self.pending_cols = self
-            .schema
-            .fields()
-            .iter()
-            .map(|f| ColumnData::empty(f.ty))
-            .collect();
-        self.pending_rows = 0;
+        let row_count = std::mem::take(&mut self.pending_rows);
         self.current_stripe.push(RowGroupStats {
             row_count,
             chunks,
-            columns: stats,
+            columns,
         });
         if self.current_stripe.len() >= self.options.row_groups_per_stripe {
             self.stripes.push(StripeInfo {
@@ -997,6 +1004,154 @@ mod tests {
         assert_eq!(f.num_rows(), 0);
         assert_eq!(f.row_group_count(), 0);
         assert!(f.read_all_rows().unwrap().is_empty());
+    }
+
+    /// `rows` as one column chunk per schema column.
+    fn to_columns(schema: &Schema, rows: &[Vec<Cell>]) -> Vec<ColumnData> {
+        let mut cols: Vec<ColumnData> = schema
+            .fields()
+            .iter()
+            .map(|f| ColumnData::empty(f.ty))
+            .collect();
+        for row in rows {
+            for ((col, cell), field) in cols.iter_mut().zip(row).zip(schema.fields()) {
+                col.push(cell, &field.name).unwrap();
+            }
+        }
+        cols
+    }
+
+    /// Rows that exercise every stats and encoding branch: nulls, a
+    /// dictionary-worthy string column, a numeric-string column, bools.
+    fn mixed_rows(n: usize) -> (Schema, Vec<Vec<Cell>>) {
+        let schema = Schema::new(vec![
+            Field::new("id", ColumnType::Int64),
+            Field::new("name", ColumnType::Utf8),
+            Field::new("score", ColumnType::Float64),
+            Field::new("tag", ColumnType::Utf8),
+            Field::new("num", ColumnType::Utf8),
+            Field::new("flag", ColumnType::Bool),
+        ])
+        .unwrap();
+        let rows = (0..n)
+            .map(|i| {
+                vec![
+                    Cell::Int(i as i64 * 3 - 40),
+                    if i % 7 == 0 {
+                        Cell::Null
+                    } else {
+                        Cell::from(format!("name-{i}"))
+                    },
+                    if i % 11 == 3 {
+                        Cell::Null
+                    } else {
+                        Cell::Float(i as f64 / 2.0)
+                    },
+                    Cell::from(["red", "green", "blue"][i % 3]),
+                    if i % 5 == 4 {
+                        Cell::Null
+                    } else {
+                        Cell::from(format!("{}", (i * 37) % 101))
+                    },
+                    if i % 13 == 0 {
+                        Cell::Null
+                    } else {
+                        Cell::Bool(i % 2 == 0)
+                    },
+                ]
+            })
+            .collect();
+        (schema, rows)
+    }
+
+    #[test]
+    fn column_chunks_round_trip_across_row_group_boundaries() {
+        let path = temp_path("col-round-trip");
+        let (schema, rows) = mixed_rows(103);
+        let opts = WriteOptions {
+            row_group_size: 10,
+            row_groups_per_stripe: 3,
+        };
+        let mut w = NorcWriter::create(&path, schema.clone(), opts).unwrap();
+        // Chunk lengths that neither divide nor align with the row group:
+        // one inside a group, one spanning four, a one-row chunk, the rest.
+        let mut at = 0;
+        for len in [7, 36, 1, 0, 59] {
+            w.append_columns(&to_columns(&schema, &rows[at..at + len]))
+                .unwrap();
+            at += len;
+        }
+        assert_eq!(at, rows.len());
+        let f = w.finish().unwrap();
+        assert_eq!(f.row_group_count(), 11);
+        assert_eq!(f.stripe_count(), 4);
+        assert!(f.row_groups().take(10).all(|rg| rg.row_count == 10));
+        assert_eq!(
+            NorcFile::open(&path).unwrap().read_all_rows().unwrap(),
+            rows
+        );
+    }
+
+    #[test]
+    fn rows_and_column_chunks_write_identical_bytes() {
+        let (schema, rows) = mixed_rows(257);
+        for (row_group_size, chunk) in [(10, 7), (64, 257), (1000, 100), (1, 3)] {
+            let opts = WriteOptions {
+                row_group_size,
+                row_groups_per_stripe: 4,
+            };
+            let by_rows = temp_path("ident-rows");
+            write_rows(&by_rows, schema.clone(), &rows, opts).unwrap();
+            let by_cols = temp_path("ident-cols");
+            let mut w = NorcWriter::create(&by_cols, schema.clone(), opts).unwrap();
+            for part in rows.chunks(chunk) {
+                w.append_columns(&to_columns(&schema, part)).unwrap();
+            }
+            w.finish().unwrap();
+            // Stats, dictionary/plain choice, footer and checksum included.
+            assert_eq!(
+                fs::read(&by_rows).unwrap(),
+                fs::read(&by_cols).unwrap(),
+                "row_group_size {row_group_size}, chunks of {chunk}"
+            );
+            // The two entrances mix freely, too.
+            let mixed = temp_path("ident-mixed");
+            let mut w = NorcWriter::create(&mixed, schema.clone(), opts).unwrap();
+            w.append_row(&rows[0]).unwrap();
+            w.append_columns(&to_columns(&schema, &rows[1..200]))
+                .unwrap();
+            for row in &rows[200..] {
+                w.append_row(row).unwrap();
+            }
+            w.finish().unwrap();
+            assert_eq!(fs::read(&by_rows).unwrap(), fs::read(&mixed).unwrap());
+        }
+    }
+
+    #[test]
+    fn malformed_column_chunks_rejected() {
+        let path = temp_path("col-shape");
+        let schema = sample_schema();
+        let mut w = NorcWriter::create(&path, schema.clone(), WriteOptions::default()).unwrap();
+        let mut cols = to_columns(&schema, &sample_rows(4));
+        // Wrong arity.
+        assert!(matches!(
+            w.append_columns(&cols[..2]),
+            Err(StorageError::ShapeMismatch { .. })
+        ));
+        // Ragged lengths.
+        cols[2] = to_columns(&schema, &sample_rows(3)).swap_remove(2);
+        assert!(matches!(
+            w.append_columns(&cols),
+            Err(StorageError::ShapeMismatch { .. })
+        ));
+        // A chunk of the wrong type names the column.
+        cols[2] = ColumnData::Utf8 {
+            valid: vec![true; 4],
+            values: vec!["x".into(); 4],
+        };
+        let err = w.append_columns(&cols).unwrap_err();
+        assert!(err.to_string().contains("score"), "{err}");
     }
 
     #[test]

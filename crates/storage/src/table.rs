@@ -24,6 +24,11 @@ use crate::schema::{ColumnType, Field, Schema};
 /// Name of the metadata document inside a table directory.
 const META_FILE: &str = "_meta.json";
 
+/// Name of part file `index`.
+fn part_name(index: usize) -> String {
+    format!("part-{index:05}.norc")
+}
+
 /// A table on disk: directory + metadata.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -182,13 +187,33 @@ impl Table {
         options: WriteOptions,
         now: u64,
     ) -> Result<PathBuf> {
-        let name = format!("part-{:05}.norc", self.files.len());
-        let path = self.dir.join(&name);
+        let path = self.part_path(self.files.len());
         write_rows(&path, self.schema.clone(), rows, options)?;
-        self.files.push(name);
-        self.modified_at = self.modified_at.max(now);
-        self.write_meta()?;
+        self.register_parts(1, now)?;
         Ok(path)
+    }
+
+    /// Where part file `index` lives. Writers that build several parts of
+    /// one table at once write them here and then call
+    /// [`Table::register_parts`].
+    pub fn part_path(&self, index: usize) -> PathBuf {
+        self.dir.join(part_name(index))
+    }
+
+    /// Make the next `count` part files — already written at their
+    /// [`Table::part_path`]s — part of the table: one metadata write for
+    /// all of them, and the modification time bumped. A missing file is an
+    /// error and registers nothing.
+    pub fn register_parts(&mut self, count: usize, now: u64) -> Result<()> {
+        let first = self.files.len();
+        if let Some(missing) = (first..first + count).find(|&i| !self.part_path(i).is_file()) {
+            return Err(StorageError::NotFound {
+                what: format!("part file {}", self.part_path(missing).display()),
+            });
+        }
+        self.files.extend((first..first + count).map(part_name));
+        self.modified_at = self.modified_at.max(now);
+        self.write_meta()
     }
 
     /// Touch the modification timestamp without changing data — used by
@@ -354,6 +379,40 @@ mod tests {
             .map(|f| f.unwrap().read_all_rows().unwrap()[0][0].clone())
             .collect();
         assert_eq!(firsts, vec![Cell::Int(0), Cell::Int(10), Cell::Int(20)]);
+        t.drop_table().unwrap();
+    }
+
+    #[test]
+    fn parts_written_elsewhere_register_with_one_meta_write() {
+        let dir = temp_dir("register");
+        let mut t = Table::create(&dir, schema(), 0).unwrap();
+        t.append_file(&rows(0, 4), WriteOptions::default(), 1)
+            .unwrap();
+        // Parts 1 and 2 are written by someone else, out of order.
+        for (k, from) in [(2, 8), (1, 4)] {
+            write_rows(
+                t.part_path(k),
+                schema(),
+                &rows(from, 4),
+                WriteOptions::default(),
+            )
+            .unwrap();
+        }
+        // Part 3 was never written: nothing is registered.
+        assert!(matches!(
+            t.register_parts(3, 5),
+            Err(StorageError::NotFound { .. })
+        ));
+        assert_eq!((t.file_count(), t.modified_at()), (1, 1));
+        t.register_parts(2, 5).unwrap();
+        assert_eq!((t.file_count(), t.modified_at()), (3, 5));
+        let reopened = Table::open(&dir).unwrap();
+        assert_eq!(reopened.files(), t.files());
+        let firsts: Vec<Cell> = reopened
+            .reader()
+            .map(|f| f.unwrap().read_all_rows().unwrap()[0][0].clone())
+            .collect();
+        assert_eq!(firsts, vec![Cell::Int(0), Cell::Int(4), Cell::Int(8)]);
         t.drop_table().unwrap();
     }
 

@@ -160,6 +160,80 @@ fn scan_filter_hot_loop_allocations_per_row() {
     );
 
     assert_maxson_rewritten_allocations_per_row(&mut session, &root);
+    assert_cache_build_allocations_per_row();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Locked ceiling for one `JsonPathCacher::populate` over the Table II
+/// warehouse, in allocations per cached row (a row carries nine cached
+/// values on average, each an `Arc<str>` of its own). The row-at-a-time
+/// build — a tape's vectors and five index vectors per document, a
+/// `Vec<Cell>` per row — measured 43.2 here; the per-split column build
+/// measures 20.6.
+const CACHE_BUILD_ALLOCS_PER_ROW_CEILING: f64 = 30.0;
+
+/// The write side of the same property: building the cache must not pay
+/// per-document scratch or per-row containers. Called from the one test
+/// above, like the cell before it, because the counter is process-wide.
+fn assert_cache_build_allocations_per_row() {
+    use maxson::mpjp::MpjpCandidate;
+    use maxson::{score_candidates, JsonPathCacher};
+    use maxson_datagen::tables::{load_workload_tables, WorkloadConfig};
+    use maxson_storage::Catalog;
+
+    const ROWS_PER_TABLE: usize = 400;
+    let root = temp_root("cachebuild");
+    let mut catalog = Catalog::open(&root).unwrap();
+    let config = WorkloadConfig {
+        rows_per_table: ROWS_PER_TABLE,
+        files_per_table: 4,
+        ..Default::default()
+    };
+    let queries = load_workload_tables(&mut catalog, &config).unwrap();
+    let locations = |q: &maxson_datagen::tables::QuerySpec| -> Vec<JsonPathLocation> {
+        q.paths
+            .iter()
+            .map(|p| JsonPathLocation::new(q.database.clone(), q.table.clone(), "payload", p))
+            .collect()
+    };
+    let candidates: Vec<MpjpCandidate> = queries
+        .iter()
+        .flat_map(locations)
+        .map(|location| MpjpCandidate {
+            location,
+            target_day: 1,
+        })
+        .collect();
+    let history: Vec<QueryRecord> = queries
+        .iter()
+        .map(|q| QueryRecord {
+            query_id: 0,
+            user_id: 0,
+            day: 0,
+            hour: 9,
+            recurrence: RecurrenceClass::Daily,
+            paths: locations(q),
+        })
+        .collect();
+    let ranked = score_candidates(&catalog, &candidates, &history).unwrap();
+    let cacher = JsonPathCacher::new(u64::MAX);
+    // Warm up footers and per-thread scratch, as a standing process has.
+    cacher.populate(&mut catalog, &ranked, 5).unwrap();
+
+    let before = allocation_count();
+    let (registry, _) = cacher.populate(&mut catalog, &ranked, 6).unwrap();
+    let allocs = allocation_count() - before;
+    assert_eq!(registry.len(), candidates.len(), "every path cached");
+    let per_row = allocs as f64 / (ROWS_PER_TABLE * queries.len()) as f64;
+    eprintln!(
+        "alloc_regression: cache build {per_row:.2} allocs/cached row ({allocs} total, {} paths)",
+        candidates.len()
+    );
+    assert!(
+        per_row <= CACHE_BUILD_ALLOCS_PER_ROW_CEILING,
+        "cache build allocations per cached row regressed: {per_row:.2} \
+         (ceiling {CACHE_BUILD_ALLOCS_PER_ROW_CEILING})"
+    );
     std::fs::remove_dir_all(&root).ok();
 }
 

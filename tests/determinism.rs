@@ -3,6 +3,8 @@
 //! failure seeds and the regenerable `bench-data/` warehouse stop meaning
 //! anything.
 
+use maxson::cacher::CACHE_DB;
+use maxson::{CacheRegistry, JsonPathCacher, ScoredMpjp};
 use maxson_datagen::tables::{load_workload_tables, WorkloadConfig};
 use maxson_datagen::NobenchGenerator;
 use maxson_storage::Catalog;
@@ -81,4 +83,75 @@ fn workload_tables_are_deterministic_per_seed() {
         assert_eq!(name_a, name_b);
         assert_eq!(rows_a, rows_b, "table {name_a} diverged between runs");
     }
+}
+
+/// The cache tables `bench-data/` commits are what the cacher builds today
+/// from the raw tables committed beside them: same part-file bytes (values,
+/// row-group statistics, dictionary/plain choice, footer, checksum), same
+/// `_meta.json`, same registry entries. The worker count comes from
+/// `MAXSON_THREADS` (ci.sh runs this at 1 and 4), so the bytes cannot depend
+/// on it either. A deliberate format change regenerates `bench-data/` (see
+/// ROADMAP's standing policies) and this pin moves with it.
+#[test]
+fn cache_build_reproduces_the_committed_cache_tables() {
+    // The raw tables small enough to be committed (.gitignore).
+    const SHIPPED: [&str; 5] = ["q1", "q2", "q5", "q7", "q8"];
+    let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("bench-data");
+    let root = temp_root("committed-cache");
+    for table in SHIPPED {
+        let to = root.join("mydb").join(table);
+        std::fs::create_dir_all(&to).unwrap();
+        for entry in std::fs::read_dir(committed.join("mydb").join(table)).unwrap() {
+            let from = entry.unwrap().path();
+            std::fs::copy(&from, to.join(from.file_name().unwrap())).unwrap();
+        }
+    }
+
+    // The committed admission, in the committed cache-schema order.
+    let reference = Catalog::open(&committed).unwrap();
+    let registry = CacheRegistry::load(&reference).unwrap();
+    let mut ranked: Vec<ScoredMpjp> = Vec::new();
+    for table in SHIPPED {
+        let cache = reference
+            .table(CACHE_DB, &format!("mydb__{table}"))
+            .unwrap();
+        for field in cache.schema().fields() {
+            let entry = registry
+                .entries()
+                .find(|e| e.location.table == table && e.cache_field == field.name)
+                .unwrap();
+            ranked.push(ScoredMpjp {
+                location: entry.location.clone(),
+                parse_time: 0.0,
+                value_size: 0.0,
+                acceleration: 0.0,
+                relevance: 0.0,
+                occurrence: 0,
+                score: 0.0,
+                estimated_bytes: entry.bytes,
+            });
+        }
+    }
+
+    let mut catalog = Catalog::open(&root).unwrap();
+    let (built, _) = JsonPathCacher::new(u64::MAX)
+        .populate(&mut catalog, &ranked, 100)
+        .unwrap();
+    for table in SHIPPED {
+        let name = format!("mydb__{table}");
+        let files = reference.table(CACHE_DB, &name).unwrap().files().to_vec();
+        assert_eq!(catalog.table(CACHE_DB, &name).unwrap().files(), files);
+        for file in files.iter().map(String::as_str).chain(["_meta.json"]) {
+            let at = |base: &PathBuf| std::fs::read(base.join(CACHE_DB).join(&name).join(file));
+            assert!(
+                at(&root).unwrap() == at(&committed).unwrap(),
+                "{name}/{file} differs from the committed bytes"
+            );
+        }
+    }
+    assert_eq!(built.len(), ranked.len());
+    for entry in built.entries() {
+        assert_eq!(registry.get(&entry.location), Some(entry));
+    }
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -213,6 +213,89 @@ fn raw_table_shrunk_below_cache_is_misalignment_error() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A raw part file whose schema disagrees with its table's panics the
+/// split task that reads it (a column index past the file's schema). The
+/// cache build runs its `(table, split)` tasks on the engine's split pool,
+/// so the panic comes back from `run_midnight_cycle` as an error naming the
+/// table and the split — it used to unwind through the cycle, and through
+/// a server thread that ran one — and the half-built cache table lists no
+/// part file that was never written.
+#[test]
+fn poisoned_raw_split_fails_the_cache_build_with_table_and_split() {
+    let root = temp_root("poisoned-split");
+    let mut session = Session::open(&root).unwrap();
+    let schema = Schema::new(vec![
+        Field::new("id", ColumnType::Int64),
+        Field::new("payload", ColumnType::Utf8),
+    ])
+    .unwrap();
+    {
+        let mut catalog = session.catalog_mut();
+        let t = catalog.create_table("db", "t", schema, 0).unwrap();
+        for part in 0..3 {
+            let rows: Vec<Vec<Cell>> = (part * 10..part * 10 + 10)
+                .map(|i| vec![Cell::Int(i), Cell::from(format!(r#"{{"a": {i}}}"#))])
+                .collect();
+            t.append_file(&rows, WriteOptions::default(), 1).unwrap();
+        }
+    }
+    // Out-of-band: part 1 becomes a valid Norc file without a payload column.
+    maxson_storage::file::write_rows(
+        root.join("db").join("t").join("part-00001.norc"),
+        Schema::new(vec![Field::new("id", ColumnType::Int64)]).unwrap(),
+        &(10..20).map(|i| vec![Cell::Int(i)]).collect::<Vec<_>>(),
+        WriteOptions::default(),
+    )
+    .unwrap();
+
+    // Two daily users make `$.a` a multi-parsed JSONPath.
+    let history: Vec<QueryRecord> = (0..20u32)
+        .map(|i| QueryRecord {
+            query_id: u64::from(i),
+            user_id: i % 2,
+            day: i / 2,
+            hour: 9,
+            recurrence: RecurrenceClass::Daily,
+            paths: vec![JsonPathLocation::new("db", "t", "payload", "$.a")],
+        })
+        .collect();
+    let mut pipeline = MaxsonPipeline::new(
+        &root,
+        PipelineConfig {
+            predictor: PredictorKind::RepeatYesterday,
+            ..Default::default()
+        },
+    );
+    pipeline.observe(history.iter());
+    let err = pipeline
+        .run_midnight_cycle(&mut session, &history, 8, 100)
+        .expect_err("a poisoned split must fail the cycle, not unwind through it")
+        .to_string();
+    assert!(
+        err.contains("db.t") && err.contains("split 1") && err.contains("panicked"),
+        "error should name table, split and the panic: {err}"
+    );
+
+    // Whatever the other tasks wrote, nothing is registered without its file.
+    let catalog = Catalog::open(&root).unwrap();
+    for (db, name) in catalog.list_tables() {
+        let table = catalog.table(&db, &name).unwrap();
+        for file in table.files() {
+            assert!(table.dir().join(file).is_file(), "{db}.{name} lists {file}");
+        }
+        if db == maxson::cacher::CACHE_DB {
+            assert_eq!(table.file_count(), 0, "a failed build registers no part");
+        }
+    }
+    // The session was never swapped to the failed epoch: it still answers
+    // (from the column every part does have).
+    assert_eq!(
+        session.execute("select id from db.t").unwrap().rows.len(),
+        30
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
 // ---------------------------------------------------------------------
 // Malformed payloads: data, not failures
 // ---------------------------------------------------------------------

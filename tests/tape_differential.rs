@@ -311,6 +311,221 @@ fn api_tape_matches_jackson_on_mutated_corpus() {
 }
 
 // ---------------------------------------------------------------------
+// String boundaries: the tape's word-at-a-time string handling
+// ---------------------------------------------------------------------
+//
+// The tape finds a closing quote as the first clear bit of the
+// string-interior bitmap (64 input bytes per word) and validates a string
+// body eight bytes per step, dropping to the per-byte checker only in a
+// chunk holding a control byte or a backslash. Every document below puts
+// the bytes that matter on one of those boundaries.
+
+/// `{"k": "<body>", "t": 1}` behind `pad` bytes of leading whitespace, so
+/// the body starts anywhere in a bitmap word; `filler` x's inside the body
+/// move what follows them through the eight lanes of a validation chunk.
+fn boundary_doc(pad: usize, filler: usize, tail: &str) -> String {
+    format!(
+        r#"{}{{"k": "{}{tail}", "t": 1}}"#,
+        " ".repeat(pad),
+        "x".repeat(filler)
+    )
+}
+
+/// Body tails that are legal JSON string content.
+const VALID_TAILS: [&str; 8] = [
+    r#"\"x"#,             // escaped quote: `\` ends a chunk, `"` starts the next
+    r#"\\"#,              // escaped backslash right before the closing quote
+    r#"\\\"\\"#,          // a run of three escapes
+    r#"\uD83D\uDE00 ok"#, // surrogate pair, split across chunks at most fillers
+    r#"\u00e9\n\t\/"#,
+    "é😀é", // raw multi-byte UTF-8 never trips the word test
+    "",
+    "plain ascii body, longer than one chunk",
+];
+
+/// Body tails the grammar rejects, the string itself still terminated.
+const INVALID_TAILS: [&str; 8] = [
+    "\u{1}tail", // raw control byte: one per lane as filler moves
+    "\u{1f}",
+    "ok\ttab",         // a raw tab is a control byte too
+    r#"\q"#,           // unknown escape
+    r#"\uD83D x"#,     // high surrogate without its low half
+    r#"\uD83D\u0041"#, // high surrogate followed by a non-surrogate
+    r#"\uDE00"#,       // lone low surrogate
+    r#"\u12G4"#,       // bad hex digit
+];
+
+/// Rejected by both, reported differently: the tape bounds an escape by the
+/// closing quote it already knows (`UnexpectedEof`), Jackson reads the quote
+/// as a bad hex digit.
+const CUT_SHORT_TAIL: &str = r#"\uD83D\uDE0"#;
+
+/// Build `doc` on every kernel tier; the outcome — the rendered values of
+/// `$.k`, `$.t` and `$` or the build error, offsets included — must not
+/// depend on the tier. Returns it.
+fn tape_outcome_on_every_tier(doc: &str) -> Result<Vec<Option<String>>, maxson_json::JsonError> {
+    use maxson_json::kernels;
+    let paths: Vec<JsonPath> = ["$.k", "$.t", "$"]
+        .iter()
+        .map(|p| JsonPath::parse(p).unwrap())
+        .collect();
+    let mut outcomes = kernels::available().into_iter().map(|kernel| {
+        assert_eq!(kernels::set_active(kernel), kernel);
+        let built = tape::TapeDoc::build(doc).map(|t| {
+            t.eval_paths(&paths, &mut TapeStats::default())
+                .into_iter()
+                .map(|v| v.map(|s| s.to_string()))
+                .collect::<Vec<_>>()
+        });
+        (kernel, built)
+    });
+    let (_, reference) = outcomes.next().expect("scalar is always available");
+    for (kernel, got) in outcomes {
+        assert_eq!(
+            got,
+            reference,
+            "{} diverged from scalar on {doc:?}",
+            kernel.name()
+        );
+    }
+    reference
+}
+
+/// The DOM parser's verdict on the same three paths.
+fn jackson_outcome(doc: &str) -> Result<Vec<Option<String>>, maxson_json::JsonError> {
+    let v = maxson_json::parse(doc)?;
+    Ok(["$.k", "$.t", "$"]
+        .iter()
+        .map(|p| {
+            JsonPath::parse(p)
+                .unwrap()
+                .eval(&v)
+                .map(|v| v.to_hive_string())
+        })
+        .collect())
+}
+
+/// Process-wide kernel pinning is safe beside the other tests of this
+/// binary because tiers are bit-identical (see tests/kernel_differential.rs).
+struct RestoreKernel(maxson_json::kernels::Kernel);
+impl Drop for RestoreKernel {
+    fn drop(&mut self) {
+        maxson_json::kernels::set_active(self.0);
+    }
+}
+
+#[test]
+fn strings_on_chunk_and_word_boundaries_match_jackson_on_every_tier() {
+    let _restore = RestoreKernel(maxson_json::kernels::active());
+    // 0..=17 fillers walk a tail through every lane of two chunks; the
+    // pads put the body start on, just before and just after a word edge.
+    for pad in [0, 1, 7, 55, 56, 57, 58, 63, 64, 65, 120] {
+        for filler in 0..=17 {
+            for tail in VALID_TAILS {
+                let doc = boundary_doc(pad, filler, tail);
+                let tape = tape_outcome_on_every_tier(&doc);
+                assert!(tape.is_ok(), "tape rejected {doc:?}: {tape:?}");
+                assert_eq!(tape, jackson_outcome(&doc), "{doc:?}");
+            }
+            for tail in INVALID_TAILS {
+                let doc = boundary_doc(pad, filler, tail);
+                let tape = tape_outcome_on_every_tier(&doc);
+                // Same rejection, same variant, same offset.
+                assert!(tape.is_err(), "tape accepted {doc:?}");
+                assert_eq!(tape, jackson_outcome(&doc), "{doc:?}");
+            }
+            let doc = boundary_doc(pad, filler, CUT_SHORT_TAIL);
+            assert!(tape_outcome_on_every_tier(&doc).is_err(), "{doc:?}");
+            assert!(jackson_outcome(&doc).is_err(), "{doc:?}");
+        }
+    }
+}
+
+#[test]
+fn unterminated_and_very_long_strings_match_jackson_on_every_tier() {
+    let _restore = RestoreKernel(maxson_json::kernels::active());
+    // An unterminated string ending exactly on, one before and one past a
+    // bitmap word edge — with and without an escape as its last bytes.
+    for len in [63usize, 64, 65, 127, 128, 129, 192] {
+        for tail in ["", r#"\""#, r#"\\"#] {
+            let head = r#"{"k": ""#;
+            let doc = format!("{head}{}{tail}", "x".repeat(len - head.len() - tail.len()));
+            assert_eq!(doc.len(), len);
+            let tape = tape_outcome_on_every_tier(&doc);
+            assert_eq!(
+                tape,
+                Err(maxson_json::JsonError::UnexpectedEof { context: "string" }),
+                "{doc:?}"
+            );
+            assert_eq!(tape, jackson_outcome(&doc), "{doc:?}");
+        }
+    }
+    // A 70 kB pad string: a thousand bitmap words between its quotes.
+    let pad = "x".repeat(70_000);
+    let doc = format!(r#"{{"a": 1, "k": "{pad}", "t": 1}}"#);
+    let tape = tape_outcome_on_every_tier(&doc).unwrap();
+    assert_eq!(tape[0].as_deref(), Some(pad.as_str()));
+    assert_eq!(Ok(tape), jackson_outcome(&doc));
+    // The same with an escape deep inside, a control byte near the end,
+    // and the closing quote missing.
+    let escaped = format!(r#"{{"k": "{pad}\"{pad}", "t": 1}}"#);
+    assert_eq!(
+        tape_outcome_on_every_tier(&escaped).unwrap()[0],
+        Some(format!("{pad}\"{pad}"))
+    );
+    let control = format!("{{\"k\": \"{pad}\u{2}xyz\", \"t\": 1}}");
+    let rejected = tape_outcome_on_every_tier(&control);
+    assert_eq!(
+        rejected,
+        Err(maxson_json::JsonError::InvalidString {
+            offset: 7 + pad.len(),
+            reason: "raw control character"
+        })
+    );
+    assert_eq!(rejected, jackson_outcome(&control));
+    let open = format!(r#"{{"k": "{pad}"#);
+    assert_eq!(tape_outcome_on_every_tier(&open), jackson_outcome(&open));
+}
+
+/// Seed-replayable: byte-mutate the boundary documents. Whatever the
+/// mutation did, tape and Jackson agree on accept/reject and on every
+/// rendered value, on every tier. (Error values are compared only above:
+/// a string the mutation left unterminated *and* malformed is rejected by
+/// both, but the tape reports the missing quote and Jackson the first bad
+/// byte.)
+#[test]
+fn property_mutated_boundary_strings_match_jackson_on_every_tier() {
+    let _restore = RestoreKernel(maxson_json::kernels::active());
+    let tails: Vec<&'static str> = VALID_TAILS
+        .into_iter()
+        .chain(INVALID_TAILS)
+        .chain([CUT_SHORT_TAIL])
+        .collect();
+    let tail_count = tails.len();
+    let gen = Gen::tuple2(
+        Gen::tuple2(Gen::usize_in(0..=130), Gen::usize_in(0..=40)),
+        Gen::tuple2(Gen::usize_in(0..=tail_count - 1), Gen::u64_any()),
+    );
+    check(
+        "tape_string_boundaries",
+        &Config::with_cases(400),
+        &gen,
+        |&((pad, filler), (tail, mutation_seed))| {
+            let doc = boundary_doc(pad, filler, tails[tail]);
+            let mut rng = maxson_testkit::Rng::seed_from_u64(mutation_seed);
+            let mutated = corpus::mutate_bytes(&doc, &mut rng);
+            let tape = tape_outcome_on_every_tier(&mutated);
+            let jackson = jackson_outcome(&mutated);
+            maxson_testkit::prop_assert_eq!(tape.is_err(), jackson.is_err());
+            if let (Ok(tape), Ok(jackson)) = (tape, jackson) {
+                maxson_testkit::prop_assert_eq!(tape, jackson);
+            }
+            Ok(())
+        },
+    );
+}
+
+// ---------------------------------------------------------------------
 // Adversarial corpus: engine level
 // ---------------------------------------------------------------------
 
