@@ -80,19 +80,6 @@ MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig_scan
 # (well-formed, >0 spans, nested parents, named thread tracks).
 MAXSON_BENCH_FAST=1 MAXSON_THREADS=4 cargo run --release --offline -p maxson-bench --bin trace_smoke
 
-# Telemetry smoke: replays the golden workload against a fresh metric
-# registry with a query log installed; asserts registry counters settle
-# exactly to the ExecMetrics sums, the Prometheus exposition is
-# well-formed and deterministic, plan fingerprints are stable across
-# replays, and the server's STATS/METRICS opcodes round-trip.
-cargo run --release --offline -p maxson-bench --bin telemetry_smoke
-
-# Telemetry report: skewed golden-workload replay; asserts the streaming
-# workload sketch's hot-path ranking and estimates exactly match per-path
-# counts accumulated from ExecMetrics (lossless regime: distinct paths
-# fit in the sketch's 128 slots).
-cargo run --release --offline -p maxson-bench --bin fig_telemetry
-
 # Server smoke: starts the TCP query server over a throwaway warehouse,
 # replays queries from 8 concurrent clients (results checked against a
 # serial reference), then shuts down cleanly and proves no thread leaked.

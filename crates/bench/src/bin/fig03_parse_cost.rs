@@ -79,9 +79,10 @@ fn main() {
     for (name, sql) in queries {
         let result = session.execute(sql).expect("query");
         let total = result.metrics.total.as_secs_f64().max(1e-12);
-        parse_series.push(name, result.metrics.parse.as_secs_f64() / total);
-        read_series.push(name, result.metrics.read.as_secs_f64() / total);
-        compute_series.push(name, result.metrics.compute().as_secs_f64() / total);
+        // The wall gauges, so the three shares sum to one at any thread count.
+        parse_series.push(name, result.metrics.parse_fraction());
+        read_series.push(name, result.metrics.read_wall.as_secs_f64() / total);
+        compute_series.push(name, result.metrics.compute_wall().as_secs_f64() / total);
     }
     report.add(parse_series);
     report.add(read_series);

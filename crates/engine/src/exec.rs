@@ -264,38 +264,9 @@ fn counters_before(tracer: &Tracer, metrics: &ExecMetrics) -> Option<ExecMetrics
 /// deterministic across thread counts).
 fn attr_counter_deltas(span: &SpanGuard<'_>, before: Option<&ExecMetrics>, after: &ExecMetrics) {
     let Some(b) = before else { return };
-    for (key, delta) in [
-        ("rows_scanned", after.rows_scanned - b.rows_scanned),
-        ("bytes_read", after.bytes_read - b.bytes_read),
-        ("parse_calls", after.parse_calls - b.parse_calls),
-        ("docs_parsed", after.docs_parsed - b.docs_parsed),
-        ("cache_hits", after.cache_hits - b.cache_hits),
-        ("rg_read", after.row_groups_read - b.row_groups_read),
-        (
-            "rg_skipped",
-            after.row_groups_skipped - b.row_groups_skipped,
-        ),
-        (
-            "prefilter_dropped",
-            after.prefilter_dropped - b.prefilter_dropped,
-        ),
-        (
-            "cells_materialized",
-            after.cells_materialized - b.cells_materialized,
-        ),
-        (
-            "batch_rows_skipped",
-            after.batch_rows_skipped - b.batch_rows_skipped,
-        ),
-        ("lru_hits", after.lru_hits - b.lru_hits),
-        ("lru_misses", after.lru_misses - b.lru_misses),
-        ("lru_evictions", after.lru_evictions - b.lru_evictions),
-        ("nodes_skipped", after.nodes_skipped - b.nodes_skipped),
-        ("bitmap_builds", after.bitmap_builds - b.bitmap_builds),
-        ("bitmap_bytes", after.bitmap_bytes - b.bitmap_bytes),
-    ] {
-        if delta > 0 {
-            span.attr(key, delta);
+    for ((label, now), (_, was)) in after.work_counters().into_iter().zip(b.work_counters()) {
+        if now > was {
+            span.attr(label, now - was);
         }
     }
     // Kernel attribution rides along only when this operator actually built

@@ -5,227 +5,318 @@
 //! `get_json_object`), and **Compute** (everything else). The executor
 //! threads one [`ExecMetrics`] through a query; the scan operator charges
 //! read time and bytes, the JSON expression charges parse time, and compute
-//! is derived as `total - read - parse`.
+//! is derived as `total - read_wall - parse_wall`.
 //!
 //! Under split-parallel execution each worker task accumulates into its own
 //! `ExecMetrics` instance; the barrier merges them into the query's metrics
 //! via [`ExecMetrics::absorb`], so `absorb` must be commutative and
 //! associative over every field it touches (counters sum, gauges max —
 //! both orders are order-insensitive; see the shuffled-order test below).
+//!
+//! The field list is declared once, in the `exec_metrics!` table below.
+//! Everything that used to repeat it — `absorb`, the EXPLAIN ANALYZE
+//! deltas, the query log's `counters` object, the registry series charged
+//! at query end, the README catalogue, the tests' work-counter lists — is
+//! generated from that table or loops over [`ExecMetrics::fields`]. Adding
+//! a metric is one row plus the site that charges it.
 
 use std::time::Duration;
 
-/// Counters accumulated during one query execution.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExecMetrics {
-    /// Time spent reading/decoding storage. Under parallel execution this is
-    /// the *sum across tasks*, so it can exceed wall-clock time.
-    pub read: Duration,
-    /// Time spent parsing JSON inside `get_json_object` (summed across
-    /// tasks, like `read`).
-    pub parse: Duration,
-    /// Wall-clock estimate of the read phase. Serial execution charges this
-    /// in lockstep with `read`; the parallel barrier divides each task's
-    /// contribution by the number of pool workers before absorbing it
-    /// (tasks overlap, so summed CPU time overstates elapsed time by about
-    /// that factor). Unlike `read`, this stays comparable to `total`.
-    pub read_wall: Duration,
-    /// Wall-clock estimate of the parse phase (same convention as
-    /// `read_wall`).
-    pub parse_wall: Duration,
-    /// Wall-clock for the whole execution (set by the session).
-    pub total: Duration,
-    /// Time spent generating/rewriting the plan (set by the session).
-    pub planning: Duration,
-    /// Rows scanned out of storage (after row-group skipping).
-    pub rows_scanned: u64,
-    /// Bytes of storage input actually decoded.
-    pub bytes_read: u64,
-    /// Number of `get_json_object` evaluations that reached a parser (the
-    /// input cell held a JSON string). Identical whether shared-parse
-    /// extraction is on or off — it counts path *evaluations*, not parses.
-    pub parse_calls: u64,
-    /// Number of documents actually parsed (DOM builds in Jackson mode,
-    /// structural-index builds in Mison mode). With shared-parse extraction
-    /// a row is parsed once per JSON column however many paths the query
-    /// needs, so `parse_calls / docs_parsed` is the intra-query dedup
-    /// factor; naively the two counters are equal.
-    pub docs_parsed: u64,
-    /// Number of JSON evaluations answered from a cache (Maxson hits).
-    pub cache_hits: u64,
-    /// Row groups skipped via SARG pushdown.
-    pub row_groups_skipped: u64,
-    /// Row groups read.
-    pub row_groups_read: u64,
-    /// Rows rejected by the Sparser-style raw prefilter before parsing.
-    pub prefilter_dropped: u64,
-    /// Cells converted out of columnar batches into row [`Cell`]s. Late
-    /// materialization keeps this below `rows × columns` whenever a filter
-    /// rejects rows: rejected rows only materialize the predicate's
+/// How [`ExecMetrics::absorb`] combines a field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merge {
+    /// Work and phase times: the merged value is the sum.
+    Sum,
+    /// Gauges: the merged value is the larger side.
+    Max,
+    /// Whole-query wall clocks the session sets; `absorb` leaves them alone.
+    Session,
+}
+
+/// Typed read access to one declared field; the variant is the field's type.
+#[derive(Clone, Copy)]
+pub enum Get {
+    /// A `u64` field.
+    Count(fn(&ExecMetrics) -> u64),
+    /// A `Duration` field.
+    Time(fn(&ExecMetrics) -> Duration),
+    /// An `f64` field.
+    Ratio(fn(&ExecMetrics) -> f64),
+}
+
+/// One row of the metric declaration (see [`ExecMetrics::fields`]).
+pub struct MetricField {
+    /// The struct field's name — also the query-log key and the stem of
+    /// the registry series.
+    pub name: &'static str,
+    /// The short label `EXPLAIN ANALYZE` and [`ExecMetrics::summary`] print.
+    pub label: &'static str,
+    /// How `absorb` combines it.
+    pub merge: Merge,
+    /// Whether it is a deterministic work counter: a pure function of plan
+    /// and data, identical across thread counts and with any observer on.
+    pub work: bool,
+    /// One line of help text.
+    pub help: &'static str,
+    /// Reads the field.
+    pub get: Get,
+    /// The registry series a summed `u64` field is charged to at query
+    /// end: `maxson_<field>_total`. Every other field has none.
+    pub series: Option<&'static str>,
+}
+
+impl MetricField {
+    /// The field's value as `summary()` prints it; `None` when zero.
+    fn render(&self, m: &ExecMetrics) -> Option<String> {
+        match self.get {
+            Get::Count(get) => Some(get(m)).filter(|v| *v != 0).map(|v| v.to_string()),
+            Get::Time(get) => Some(get(m))
+                .filter(|d| !d.is_zero())
+                .map(|d| format!("{d:?}")),
+            Get::Ratio(get) => Some(get(m))
+                .filter(|r| *r != 0.0)
+                .map(|r| format!("{r:.2}")),
+        }
+    }
+}
+
+/// The one declaration of the per-query metric list. Each row is
+/// `field: type, merge rule, label, work counter?, help;` and may carry
+/// further doc lines above it (rustdoc shows them after the help). The
+/// struct, `absorb`, the [`MetricField`] table and the test generator all
+/// expand from these rows; EXPLAIN deltas, the query log, registry
+/// charging and the README catalogue loop over the table. The work
+/// counters stand in the order `EXPLAIN ANALYZE` prints them.
+macro_rules! exec_metrics {
+    (@get u64 $name:ident) => { Get::Count(|m| m.$name) };
+    (@get Duration $name:ident) => { Get::Time(|m| m.$name) };
+    (@get f64 $name:ident) => { Get::Ratio(|m| m.$name) };
+
+    (@series Sum u64 $name:ident) => { Some(concat!("maxson_", stringify!($name), "_total")) };
+    (@series $merge:ident $ty:ident $name:ident) => { None };
+
+    (@absorb Sum $mine:expr, $theirs:expr) => { $mine += $theirs };
+    (@absorb Max $mine:expr, $theirs:expr) => { $mine = $mine.max($theirs) };
+    (@absorb Session $mine:expr, $theirs:expr) => {};
+
+    // Session-owned fields stay zero so equality of merged structs is
+    // meaningful; everything `absorb` touches gets a pseudo-random value.
+    (@arb Session $ty:ident $next:ident) => { <$ty>::default() };
+    (@arb $merge:ident u64 $next:ident) => { $next() % 100_000 };
+    (@arb $merge:ident Duration $next:ident) => { Duration::from_micros($next() % 10_000) };
+    (@arb $merge:ident f64 $next:ident) => { 1.0 + ($next() % 1000) as f64 / 250.0 };
+
+    ($($(#[$doc:meta])* $name:ident: $ty:ident, $merge:ident, $label:literal, $work:literal, $help:literal;)*) => {
+        /// Counters accumulated during one query execution.
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct ExecMetrics {
+            $(
+                #[doc = $help]
+                $(#[$doc])*
+                pub $name: $ty,
+            )*
+            /// Per-JSONPath evaluation counts for this query, `(path text, count)`
+            /// **kept sorted by path** so `absorb` is order-insensitive. Charged
+            /// wherever `parse_calls` is charged (one entry bump per evaluation);
+            /// the session drains this into the process-wide workload sketch at
+            /// query end, attributed to the scanned table. A query touches a
+            /// handful of distinct paths, so the sorted-Vec lookup is a short
+            /// binary search with no per-row allocation after first touch.
+            pub path_extracts: Vec<(String, u64)>,
+        }
+
+        const FIELDS: &[MetricField] = &[
+            $(MetricField {
+                name: stringify!($name),
+                label: $label,
+                merge: Merge::$merge,
+                work: $work,
+                help: $help,
+                get: exec_metrics!(@get $ty $name),
+                series: exec_metrics!(@series $merge $ty $name),
+            },)*
+        ];
+
+        impl ExecMetrics {
+            /// Merge counters from another execution (both sides of a join, or one
+            /// worker task's metrics at the parallel barrier).
+            ///
+            /// Every field combines by its declared rule — `+` for counters and
+            /// phase times, `max` for gauges, both commutative and associative —
+            /// so the merged result does not depend on the order tasks finish
+            /// in. `total` and `planning` are deliberately untouched: they are
+            /// whole-query wall clocks owned by the session, not per-task work.
+            pub fn absorb(&mut self, other: &ExecMetrics) {
+                $(exec_metrics!(@absorb $merge self.$name, other.$name);)*
+                for (path, n) in &other.path_extracts {
+                    self.charge_path_extracts(path, *n);
+                }
+            }
+
+            /// One deterministic pseudo-random instance drawn from `next`,
+            /// filling every declared field `absorb` touches.
+            #[cfg(test)]
+            fn arb(next: &mut impl FnMut() -> u64) -> ExecMetrics {
+                ExecMetrics {
+                    $($name: exec_metrics!(@arb $merge $ty next),)*
+                    path_extracts: {
+                        // A few overlapping keys so merges both sum and insert.
+                        let mut v = vec![
+                            (format!("$.f{}", next() % 3), 1 + next() % 50),
+                            ("$.shared".to_string(), 1 + next() % 50),
+                        ];
+                        v.sort();
+                        v
+                    },
+                }
+            }
+        }
+    };
+}
+
+exec_metrics! {
+    // field: type, merge, label, work counter?, help;
+    total: Duration, Session, "total", false,
+        "Wall-clock for the whole execution (set by the session).";
+    planning: Duration, Session, "planning", false,
+        "Time spent generating/rewriting the plan (set by the session).";
+    /// Under parallel execution this is the *sum across tasks*, so it can
+    /// exceed wall-clock time.
+    read: Duration, Sum, "read", false,
+        "Time spent reading/decoding storage, summed across tasks.";
+    parse: Duration, Sum, "parse", false,
+        "Time spent parsing JSON inside `get_json_object`, summed across tasks.";
+    /// Serial execution charges this in lockstep with `read`; the parallel
+    /// barrier divides each task's contribution by the number of pool
+    /// workers before absorbing it (tasks overlap, so summed CPU time
+    /// overstates elapsed time by about that factor). Unlike `read`, this
+    /// stays comparable to `total`.
+    read_wall: Duration, Sum, "read_wall", false,
+        "Wall-clock estimate of the read phase.";
+    parse_wall: Duration, Sum, "parse_wall", false,
+        "Wall-clock estimate of the parse phase (same convention as `read_wall`).";
+    rows_scanned: u64, Sum, "rows_scanned", true,
+        "Rows scanned out of storage (after row-group skipping).";
+    bytes_read: u64, Sum, "bytes_read", true,
+        "Bytes of storage input actually decoded.";
+    /// Identical whether shared-parse extraction is on or off — it counts
+    /// path *evaluations*, not parses.
+    parse_calls: u64, Sum, "parse_calls", true,
+        "`get_json_object` evaluations that reached a parser (the input cell held a JSON string).";
+    /// With shared-parse extraction a row is parsed once per JSON column
+    /// however many paths the query needs, so `parse_calls / docs_parsed`
+    /// is the intra-query dedup factor; naively the two counters are equal.
+    docs_parsed: u64, Sum, "docs_parsed", true,
+        "Documents actually parsed (DOM builds in Jackson mode, structural-index builds in Mison and tape modes).";
+    cache_hits: u64, Sum, "cache_hits", true,
+        "JSON evaluations answered from a cache (Maxson hits).";
+    row_groups_read: u64, Sum, "rg_read", true,
+        "Row groups read.";
+    row_groups_skipped: u64, Sum, "rg_skipped", true,
+        "Row groups skipped via SARG pushdown.";
+    prefilter_dropped: u64, Sum, "prefilter_dropped", true,
+        "Rows rejected by the Sparser-style raw prefilter before parsing.";
+    /// Late materialization keeps this below `rows × columns` whenever a
+    /// filter rejects rows: rejected rows only materialize the predicate's
     /// columns. Zero for providers that produce rows directly.
-    pub cells_materialized: u64,
-    /// Rows of a columnar batch dropped before full-row materialization —
-    /// by the batch's selection vector (prefilter) or by the filter after
-    /// only its predicate columns were materialized.
-    pub batch_rows_skipped: u64,
-    /// Worker threads used by the widest parallel pool run (0 = serial).
-    pub threads_used: u64,
-    /// Split tasks executed by parallel pool runs.
-    pub par_tasks: u64,
-    /// Median per-task wall time of the slowest-skewed pool run.
-    pub task_wall_p50: Duration,
-    /// 95th-percentile per-task wall time of the slowest-skewed pool run.
-    pub task_wall_p95: Duration,
-    /// Task skew: max task wall over mean task wall (1.0 = perfectly even,
-    /// 0.0 = no parallel run happened).
-    pub task_skew: f64,
-    /// Tape mode: tape entries navigation hopped over via skip markers
-    /// without visiting (unqueried sibling subtrees). Zero in Jackson and
-    /// Mison modes — those parsers have no tape to skip.
-    pub nodes_skipped: u64,
-    /// Tape mode: wall time spent building tapes (structural index + typed
-    /// tape), summed across tasks like `parse`.
-    pub tape_build_wall: Duration,
-    /// Tape mode: wall time spent navigating built tapes and rendering the
-    /// queried spans (the on-demand half), summed across tasks.
-    pub tape_nav_wall: Duration,
-    /// Online-LRU cache: per-path-per-scan lookups answered from the cache.
-    pub lru_hits: u64,
-    /// Online-LRU cache: lookups that had to parse and fill.
-    pub lru_misses: u64,
-    /// Online-LRU cache: entries evicted to make room during this query.
-    pub lru_evictions: u64,
-    /// Online-LRU cache: resident bytes after the largest fill this query
-    /// observed (a gauge — `absorb` takes the max, not the sum).
-    pub lru_resident_bytes: u64,
-    /// Norc metadata cache: split opens whose decoded footer/index was
-    /// served from the shared cache.
-    pub meta_cache_hits: u64,
-    /// Norc metadata cache: split opens that had to read and decode the
-    /// part file (cache absent, cold, or invalidated).
-    pub meta_cache_misses: u64,
-    /// Structural-bitmap constructions (one per record indexed by the Mison
-    /// or tape parser). Zero in Jackson mode — the DOM parser builds no
-    /// bitmaps.
-    pub bitmap_builds: u64,
-    /// Input bytes classified by the structural kernels.
-    pub bitmap_bytes: u64,
-    /// Wall time inside structural-bitmap construction (classification +
-    /// string-mask resolve, not the colon/bracket walk), summed across
-    /// tasks like `parse`.
-    pub bitmap_build_wall: Duration,
-    /// Which structural-kernel tier ran (`maxson_json::kernels::Kernel`
-    /// id: 1 scalar, 2 swar, 3 sse2, 4 avx2; 0 = no bitmap work observed).
-    /// A gauge — `absorb` takes the max, and the tier is process-wide so
-    /// concurrent tasks always agree.
-    pub simd_kernel: u64,
-    /// Cross-query reuse cache: full-result probe hits (the query was
-    /// served entirely from cache; every execution counter stays zero).
-    pub reuse_hits: u64,
-    /// Cross-query reuse cache: probes that found nothing usable.
-    pub reuse_misses: u64,
-    /// Cross-query reuse cache: fragment hits (the result was rebuilt by
-    /// replaying cached intermediate rows under `LIMIT`/`DISTINCT`).
-    pub reuse_fragment_hits: u64,
-    /// Cross-query reuse cache: entries this query filled (admitted).
-    pub reuse_fills: u64,
-    /// Per-JSONPath evaluation counts for this query, `(path text, count)`
-    /// **kept sorted by path** so `absorb` is order-insensitive. Charged
-    /// wherever `parse_calls` is charged (one entry bump per evaluation);
-    /// the session drains this into the process-wide workload sketch at
-    /// query end, attributed to the scanned table. A query touches a
-    /// handful of distinct paths, so the sorted-Vec lookup is a short
-    /// binary search with no per-row allocation after first touch.
-    pub path_extracts: Vec<(String, u64)>,
+    cells_materialized: u64, Sum, "cells_materialized", true,
+        "Cells converted out of columnar batches into row `Cell`s.";
+    batch_rows_skipped: u64, Sum, "batch_rows_skipped", true,
+        "Rows of a columnar batch dropped before full-row materialization, by the prefilter's selection vector or by the filter after only its predicate columns were materialized.";
+    lru_hits: u64, Sum, "lru_hits", true,
+        "Online-LRU cache: per-path-per-scan lookups answered from the cache.";
+    lru_misses: u64, Sum, "lru_misses", true,
+        "Online-LRU cache: lookups that had to parse and fill.";
+    lru_evictions: u64, Sum, "lru_evictions", true,
+        "Online-LRU cache: entries evicted to make room during this query.";
+    /// Zero in Jackson and Mison modes — those parsers have no tape to skip.
+    nodes_skipped: u64, Sum, "nodes_skipped", true,
+        "Tape mode: tape entries navigation hopped over via skip markers without visiting (unqueried sibling subtrees).";
+    /// Zero in Jackson mode — the DOM parser builds no bitmaps.
+    bitmap_builds: u64, Sum, "bitmap_builds", true,
+        "Structural-bitmap constructions (one per record indexed by the Mison or tape parser).";
+    bitmap_bytes: u64, Sum, "bitmap_bytes", true,
+        "Input bytes classified by the structural kernels.";
+    lru_resident_bytes: u64, Max, "lru_bytes", false,
+        "Online-LRU cache: resident bytes after the largest fill this query observed.";
+    meta_cache_hits: u64, Sum, "meta_hits", false,
+        "Norc metadata cache: split opens whose decoded footer/index was served from the shared cache.";
+    meta_cache_misses: u64, Sum, "meta_misses", false,
+        "Norc metadata cache: split opens that had to read and decode the part file (cache absent, cold, or invalidated).";
+    threads_used: u64, Max, "threads", false,
+        "Worker threads used by the widest parallel pool run (0 = serial).";
+    par_tasks: u64, Sum, "tasks", false,
+        "Split tasks executed by parallel pool runs.";
+    task_wall_p50: Duration, Max, "task_p50", false,
+        "Median per-task wall time of the slowest-skewed pool run.";
+    task_wall_p95: Duration, Max, "task_p95", false,
+        "95th-percentile per-task wall time of the slowest-skewed pool run.";
+    task_skew: f64, Max, "skew", false,
+        "Task skew: max task wall over mean task wall (1.0 = perfectly even, 0.0 = no parallel run happened).";
+    tape_build_wall: Duration, Sum, "tape_build", false,
+        "Tape mode: wall time spent building tapes (structural index + typed tape), summed across tasks.";
+    tape_nav_wall: Duration, Sum, "tape_nav", false,
+        "Tape mode: wall time spent navigating built tapes and rendering the queried spans, summed across tasks.";
+    bitmap_build_wall: Duration, Sum, "bitmap_wall", false,
+        "Wall time inside structural-bitmap construction (classification + string-mask resolve, not the colon/bracket walk), summed across tasks.";
+    /// The tier is process-wide, so concurrent tasks always agree.
+    simd_kernel: u64, Max, "simd_kernel", false,
+        "Which structural-kernel tier ran (`maxson_json::kernels::Kernel` id: 1 scalar, 2 swar, 3 sse2, 4 avx2; 0 = no bitmap work observed).";
+    reuse_hits: u64, Sum, "reuse_hits", false,
+        "Cross-query reuse cache: full-result probe hits (the query was served entirely from cache; every execution counter stays zero).";
+    reuse_misses: u64, Sum, "reuse_misses", false,
+        "Cross-query reuse cache: probes that found nothing usable.";
+    reuse_fragment_hits: u64, Sum, "reuse_frag", false,
+        "Cross-query reuse cache: fragment hits (the result was rebuilt by replaying cached intermediate rows under `LIMIT`/`DISTINCT`).";
+    reuse_fills: u64, Sum, "reuse_fills", false,
+        "Cross-query reuse cache: entries this query filled (admitted).";
 }
 
 impl ExecMetrics {
-    /// Compute phase: total minus read and parse (clamped at zero).
-    ///
-    /// **Only meaningful for serial execution.** `read` and `parse` are
-    /// *sums across tasks*: with N workers they approach N× the elapsed
-    /// time, so this residual clamps to zero whenever threads > 1. Use
-    /// [`ExecMetrics::compute_wall`] for a breakdown that stays honest
-    /// under parallel execution.
-    pub fn compute(&self) -> Duration {
-        self.total
-            .saturating_sub(self.read)
-            .saturating_sub(self.parse)
+    /// The metric declaration, one descriptor per field in declaration
+    /// order (`path_extracts`, a keyed ledger, is not in the table).
+    pub fn fields() -> &'static [MetricField] {
+        FIELDS
     }
 
-    /// Compute phase against the wall-clock gauges: total minus
-    /// `read_wall` and `parse_wall` (clamped at zero). Equals
-    /// [`ExecMetrics::compute`] for serial runs and remains a sane
-    /// residual under parallel execution, where cross-task CPU sums
-    /// exceed elapsed time.
+    /// `(label, value)` of every deterministic work counter, in the order
+    /// `EXPLAIN ANALYZE` prints them.
+    pub fn work_counters(&self) -> Vec<(&'static str, u64)> {
+        FIELDS
+            .iter()
+            .filter(|f| f.work)
+            .filter_map(|f| match f.get {
+                Get::Count(get) => Some((f.label, get(self))),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `(series, value)` of every field the registry exports (see
+    /// [`MetricField::series`]), in declaration order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        FIELDS.iter().filter_map(move |f| match (f.series, f.get) {
+            (Some(series), Get::Count(get)) => Some((series, get(self))),
+            _ => None,
+        })
+    }
+
+    /// Compute phase: total minus `read_wall` and `parse_wall` (clamped at
+    /// zero). The wall gauges, not the cross-task `read`/`parse` sums,
+    /// which exceed elapsed time as soon as two workers overlap.
     pub fn compute_wall(&self) -> Duration {
         self.total
             .saturating_sub(self.read_wall)
             .saturating_sub(self.parse_wall)
     }
 
-    /// Fraction of total time spent parsing (0 when total is zero).
+    /// Fraction of total time spent parsing, by the wall gauge (0 when
+    /// total is zero).
     pub fn parse_fraction(&self) -> f64 {
         if self.total.is_zero() {
             0.0
         } else {
-            self.parse.as_secs_f64() / self.total.as_secs_f64()
-        }
-    }
-
-    /// Merge counters from another execution (both sides of a join, or one
-    /// worker task's metrics at the parallel barrier).
-    ///
-    /// Every field this touches combines with a commutative, associative
-    /// operation (`+` for counters and phase times, `max` for the pool
-    /// gauges), so the merged result does not depend on the order tasks
-    /// finish in. `total` and `planning` are deliberately untouched: they
-    /// are whole-query wall clocks owned by the session, not per-task work.
-    pub fn absorb(&mut self, other: &ExecMetrics) {
-        self.read += other.read;
-        self.parse += other.parse;
-        self.read_wall += other.read_wall;
-        self.parse_wall += other.parse_wall;
-        self.rows_scanned += other.rows_scanned;
-        self.bytes_read += other.bytes_read;
-        self.parse_calls += other.parse_calls;
-        self.docs_parsed += other.docs_parsed;
-        self.cache_hits += other.cache_hits;
-        self.row_groups_skipped += other.row_groups_skipped;
-        self.row_groups_read += other.row_groups_read;
-        self.prefilter_dropped += other.prefilter_dropped;
-        self.cells_materialized += other.cells_materialized;
-        self.batch_rows_skipped += other.batch_rows_skipped;
-        self.threads_used = self.threads_used.max(other.threads_used);
-        self.par_tasks += other.par_tasks;
-        self.task_wall_p50 = self.task_wall_p50.max(other.task_wall_p50);
-        self.task_wall_p95 = self.task_wall_p95.max(other.task_wall_p95);
-        self.task_skew = self.task_skew.max(other.task_skew);
-        self.nodes_skipped += other.nodes_skipped;
-        self.tape_build_wall += other.tape_build_wall;
-        self.tape_nav_wall += other.tape_nav_wall;
-        self.lru_hits += other.lru_hits;
-        self.lru_misses += other.lru_misses;
-        self.lru_evictions += other.lru_evictions;
-        self.lru_resident_bytes = self.lru_resident_bytes.max(other.lru_resident_bytes);
-        self.meta_cache_hits += other.meta_cache_hits;
-        self.meta_cache_misses += other.meta_cache_misses;
-        self.bitmap_builds += other.bitmap_builds;
-        self.bitmap_bytes += other.bitmap_bytes;
-        self.bitmap_build_wall += other.bitmap_build_wall;
-        self.simd_kernel = self.simd_kernel.max(other.simd_kernel);
-        self.reuse_hits += other.reuse_hits;
-        self.reuse_misses += other.reuse_misses;
-        self.reuse_fragment_hits += other.reuse_fragment_hits;
-        self.reuse_fills += other.reuse_fills;
-        for (path, n) in &other.path_extracts {
-            match self
-                .path_extracts
-                .binary_search_by(|(p, _)| p.as_str().cmp(path.as_str()))
-            {
-                Ok(i) => self.path_extracts[i].1 += n,
-                Err(i) => self.path_extracts.insert(i, (path.clone(), *n)),
-            }
+            self.parse_wall.as_secs_f64() / self.total.as_secs_f64()
         }
     }
 
@@ -292,92 +383,30 @@ impl ExecMetrics {
         }
     }
 
-    /// One-line human-readable summary.
+    /// One-line human-readable summary: every non-zero field as
+    /// `label=value` in declaration order, then the derived values
+    /// (`compute=`, `dedup=`, `lru_ratio=`, and the kernel tier by name).
     pub fn summary(&self) -> String {
-        let mut s = format!(
-            "total={:?} read={:?} parse={:?} compute={:?} rows={} bytes={} parse_calls={} docs_parsed={} dedup={:.2}x cache_hits={} rg_skipped={}/{}",
-            self.total,
-            self.read,
-            self.parse,
-            self.compute(),
-            self.rows_scanned,
-            self.bytes_read,
-            self.parse_calls,
-            self.docs_parsed,
-            self.parse_dedup_factor(),
-            self.cache_hits,
-            self.row_groups_skipped,
-            self.row_groups_skipped + self.row_groups_read,
-        );
-        if self.threads_used > 0 {
-            // Parallel runs: `read`/`parse` above are cross-task CPU sums
-            // (compute() clamps to zero), so print the honest wall-clock
-            // breakdown alongside the pool-shape gauges.
-            s.push_str(&format!(
-                " read_wall={:?} parse_wall={:?} compute_wall={:?}",
-                self.read_wall,
-                self.parse_wall,
-                self.compute_wall(),
-            ));
-            s.push_str(&format!(
-                " threads={} tasks={} task_p50={:?} task_p95={:?} skew={:.2}",
-                self.threads_used,
-                self.par_tasks,
-                self.task_wall_p50,
-                self.task_wall_p95,
-                self.task_skew,
-            ));
+        let mut s = String::new();
+        // The kernel tier is printed by name at the end, not as its raw id.
+        for f in FIELDS.iter().filter(|f| f.name != "simd_kernel") {
+            if let Some(v) = f.render(self) {
+                s.push_str(&format!("{}={v} ", f.label));
+            }
         }
-        if self.cells_materialized + self.batch_rows_skipped > 0 {
-            // Batch-mode scans only: how much row materialization the
-            // columnar path performed, and how much it avoided.
-            s.push_str(&format!(
-                " cells_mat={} batch_skipped={}",
-                self.cells_materialized, self.batch_rows_skipped,
-            ));
-        }
-        if self.nodes_skipped > 0
-            || !self.tape_build_wall.is_zero()
-            || !self.tape_nav_wall.is_zero()
-        {
-            // Tape mode only: skip-marker work avoided plus the build vs
-            // navigate wall split.
-            s.push_str(&format!(
-                " nodes_skipped={} tape_build={:?} tape_nav={:?}",
-                self.nodes_skipped, self.tape_build_wall, self.tape_nav_wall,
-            ));
-        }
+        s.push_str(&format!(
+            "compute={:?} dedup={:.2}x",
+            self.compute_wall(),
+            self.parse_dedup_factor()
+        ));
         if self.lru_hits + self.lru_misses > 0 {
-            s.push_str(&format!(
-                " lru_hits={} lru_misses={} lru_ratio={:.2} lru_evict={} lru_bytes={}",
-                self.lru_hits,
-                self.lru_misses,
-                self.lru_hit_ratio(),
-                self.lru_evictions,
-                self.lru_resident_bytes,
-            ));
-        }
-        if self.meta_cache_hits + self.meta_cache_misses > 0 {
-            s.push_str(&format!(
-                " meta_hits={} meta_misses={}",
-                self.meta_cache_hits, self.meta_cache_misses,
-            ));
-        }
-        if self.reuse_hits + self.reuse_misses + self.reuse_fragment_hits + self.reuse_fills > 0 {
-            s.push_str(&format!(
-                " reuse_hits={} reuse_misses={} reuse_frag={} reuse_fills={}",
-                self.reuse_hits, self.reuse_misses, self.reuse_fragment_hits, self.reuse_fills,
-            ));
+            s.push_str(&format!(" lru_ratio={:.2}", self.lru_hit_ratio()));
         }
         if self.bitmap_builds > 0 {
-            // Structural-kernel modes (Mison/tape) only: which tier ran and
-            // what the bitmap construction cost.
+            // Structural-kernel modes (Mison/tape) only: which tier ran.
             let kernel = maxson_json::kernels::Kernel::from_id(self.simd_kernel as u8)
                 .map_or("unknown", |k| k.name());
-            s.push_str(&format!(
-                " simd={kernel} bitmap_builds={} bitmap_bytes={} bitmap_wall={:?}",
-                self.bitmap_builds, self.bitmap_bytes, self.bitmap_build_wall,
-            ));
+            s.push_str(&format!(" simd={kernel}"));
         }
         s
     }
@@ -388,25 +417,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn compute_is_residual() {
+    fn compute_wall_is_the_wall_residual() {
         let m = ExecMetrics {
             total: Duration::from_millis(100),
-            read: Duration::from_millis(30),
-            parse: Duration::from_millis(50),
+            read_wall: Duration::from_millis(30),
+            parse_wall: Duration::from_millis(50),
             ..Default::default()
         };
-        assert_eq!(m.compute(), Duration::from_millis(20));
+        assert_eq!(m.compute_wall(), Duration::from_millis(20));
         assert!((m.parse_fraction() - 0.5).abs() < 1e-9);
+        // Parallel runs: the cross-task sums exceed total, the residual and
+        // the fraction follow the wall gauges and stay within it.
+        let p = ExecMetrics {
+            read: Duration::from_millis(240),
+            parse: Duration::from_millis(160),
+            threads_used: 4,
+            ..m.clone()
+        };
+        assert_eq!(p.compute_wall(), Duration::from_millis(20));
+        assert!(p.parse_fraction() <= 1.0);
     }
 
     #[test]
-    fn compute_clamps_at_zero() {
+    fn compute_wall_clamps_at_zero() {
         let m = ExecMetrics {
             total: Duration::from_millis(10),
-            read: Duration::from_millis(30),
+            read_wall: Duration::from_millis(30),
             ..Default::default()
         };
-        assert_eq!(m.compute(), Duration::ZERO);
+        assert_eq!(m.compute_wall(), Duration::ZERO);
         assert_eq!(ExecMetrics::default().parse_fraction(), 0.0);
     }
 
@@ -501,70 +540,18 @@ mod tests {
         assert!((a.task_skew - 1.5).abs() < 1e-12);
     }
 
-    /// One deterministic pseudo-random metrics instance per seed,
-    /// exercising every field `absorb` touches.
+    /// One deterministic pseudo-random metrics instance per seed, filled
+    /// from the declaration (so it covers every field by construction).
     fn arb_metrics(seed: u64) -> ExecMetrics {
         // splitmix64: cheap, deterministic, good dispersion.
         let mut x = seed.wrapping_add(0x9E3779B97F4A7C15);
-        let mut next = move || {
+        ExecMetrics::arb(&mut || {
             x = x.wrapping_add(0x9E3779B97F4A7C15);
             let mut z = x;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
             z ^ (z >> 31)
-        };
-        ExecMetrics {
-            read: Duration::from_micros(next() % 10_000),
-            parse: Duration::from_micros(next() % 10_000),
-            read_wall: Duration::from_micros(next() % 10_000),
-            parse_wall: Duration::from_micros(next() % 10_000),
-            // total/planning are not absorbed; leave zero so equality of the
-            // merged structs is meaningful.
-            total: Duration::ZERO,
-            planning: Duration::ZERO,
-            rows_scanned: next() % 1000,
-            bytes_read: next() % 100_000,
-            parse_calls: next() % 500,
-            docs_parsed: next() % 500,
-            cache_hits: next() % 500,
-            row_groups_skipped: next() % 64,
-            row_groups_read: next() % 64,
-            prefilter_dropped: next() % 100,
-            cells_materialized: next() % 10_000,
-            batch_rows_skipped: next() % 1000,
-            threads_used: next() % 16,
-            par_tasks: next() % 16,
-            task_wall_p50: Duration::from_micros(next() % 5_000),
-            task_wall_p95: Duration::from_micros(next() % 5_000),
-            task_skew: 1.0 + (next() % 1000) as f64 / 250.0,
-            nodes_skipped: next() % 10_000,
-            tape_build_wall: Duration::from_micros(next() % 5_000),
-            tape_nav_wall: Duration::from_micros(next() % 5_000),
-            lru_hits: next() % 500,
-            lru_misses: next() % 500,
-            lru_evictions: next() % 100,
-            lru_resident_bytes: next() % 1_000_000,
-            meta_cache_hits: next() % 500,
-            meta_cache_misses: next() % 500,
-            bitmap_builds: next() % 500,
-            bitmap_bytes: next() % 100_000,
-            bitmap_build_wall: Duration::from_micros(next() % 5_000),
-            simd_kernel: next() % 5,
-            reuse_hits: next() % 500,
-            reuse_misses: next() % 500,
-            reuse_fragment_hits: next() % 500,
-            reuse_fills: next() % 500,
-            path_extracts: {
-                // A few overlapping keys so merges both sum and insert.
-                let mut v = vec![
-                    (format!("$.f{}", next() % 3), 1 + next() % 50),
-                    ("$.shared".to_string(), 1 + next() % 50),
-                ];
-                v.sort();
-                v.dedup_by(|a, b| a.0 == b.0);
-                v
-            },
-        }
+        })
     }
 
     fn absorb_all(parts: &[ExecMetrics]) -> ExecMetrics {
@@ -581,6 +568,16 @@ mod tests {
     fn absorb_is_commutative_and_associative_under_shuffles() {
         let parts: Vec<ExecMetrics> = (0..8).map(arb_metrics).collect();
         let reference = absorb_all(&parts);
+        // The generator reaches every absorbed field: none is left at its
+        // default in the merged reference.
+        for f in ExecMetrics::fields() {
+            assert_eq!(
+                f.render(&reference).is_some(),
+                f.merge != Merge::Session,
+                "{} not exercised",
+                f.name
+            );
+        }
 
         // A handful of deterministic shuffles (rotations + reversal +
         // interleavings) covers both pairwise swaps and regroupings.
@@ -609,122 +606,150 @@ mod tests {
     }
 
     #[test]
-    fn summary_mentions_fields() {
+    fn every_declared_field_has_a_unique_name_and_label_and_help() {
+        let fields = ExecMetrics::fields();
+        for (i, f) in fields.iter().enumerate() {
+            assert!(!f.label.is_empty(), "{} has no label", f.name);
+            assert!(!f.help.trim().is_empty(), "{} has no help", f.name);
+            assert!(
+                !f.work || (f.merge == Merge::Sum && matches!(f.get, Get::Count(_))),
+                "work counter {} must be a summed u64",
+                f.name
+            );
+            // The query log writes summed fields as integers.
+            assert!(
+                f.merge != Merge::Sum || !matches!(f.get, Get::Ratio(_)),
+                "{} is a summed ratio",
+                f.name
+            );
+            for g in &fields[..i] {
+                assert_ne!(f.name, g.name, "duplicate field");
+                assert_ne!(f.label, g.label, "{} and {} share a label", f.name, g.name);
+            }
+        }
+    }
+
+    /// The `maxson_<field>_total` rule reproduces the fourteen series the
+    /// hand-written charging exported and adds the nine it had left out.
+    #[test]
+    fn series_rule_yields_the_existing_names_plus_nine() {
+        let mut derived: Vec<&str> = ExecMetrics::default()
+            .counters()
+            .map(|(series, _)| series)
+            .collect();
+        let summed_counts = ExecMetrics::fields()
+            .iter()
+            .filter(|f| f.merge == Merge::Sum && matches!(f.get, Get::Count(_)));
+        assert!(summed_counts
+            .map(|f| f.series.expect("a summed u64 field has a series"))
+            .eq(derived.iter().copied()));
+        let existing = [
+            "maxson_rows_scanned_total",
+            "maxson_bytes_read_total",
+            "maxson_parse_calls_total",
+            "maxson_docs_parsed_total",
+            "maxson_cache_hits_total",
+            "maxson_lru_hits_total",
+            "maxson_lru_misses_total",
+            "maxson_nodes_skipped_total",
+            "maxson_bitmap_builds_total",
+            "maxson_bitmap_bytes_total",
+            "maxson_reuse_hits_total",
+            "maxson_reuse_misses_total",
+            "maxson_reuse_fragment_hits_total",
+            "maxson_reuse_fills_total",
+        ];
+        for name in existing {
+            let at = derived.iter().position(|d| *d == name);
+            derived.remove(at.unwrap_or_else(|| panic!("{name} no longer derived")));
+        }
+        assert_eq!(
+            derived,
+            [
+                "maxson_row_groups_read_total",
+                "maxson_row_groups_skipped_total",
+                "maxson_prefilter_dropped_total",
+                "maxson_cells_materialized_total",
+                "maxson_batch_rows_skipped_total",
+                "maxson_lru_evictions_total",
+                "maxson_meta_cache_hits_total",
+                "maxson_meta_cache_misses_total",
+                "maxson_par_tasks_total",
+            ]
+        );
+    }
+
+    #[test]
+    fn work_counters_follow_explain_order() {
+        let labels: Vec<&str> = ExecMetrics::default()
+            .work_counters()
+            .into_iter()
+            .map(|(label, _)| label)
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "rows_scanned",
+                "bytes_read",
+                "parse_calls",
+                "docs_parsed",
+                "cache_hits",
+                "rg_read",
+                "rg_skipped",
+                "prefilter_dropped",
+                "cells_materialized",
+                "batch_rows_skipped",
+                "lru_hits",
+                "lru_misses",
+                "lru_evictions",
+                "nodes_skipped",
+                "bitmap_builds",
+                "bitmap_bytes",
+            ]
+        );
+    }
+
+    #[test]
+    fn summary_prints_nonzero_fields_and_derived_values() {
         let m = ExecMetrics {
             rows_scanned: 42,
             ..Default::default()
         };
-        assert!(m.summary().contains("rows=42"));
-        assert!(m.summary().contains("docs_parsed=0"));
-        assert!(
-            !m.summary().contains("threads="),
-            "serial omits pool gauges"
-        );
+        assert_eq!(m.summary(), "rows_scanned=42 compute=0ns dedup=1.00x");
         let p = ExecMetrics {
             threads_used: 4,
             par_tasks: 8,
+            row_groups_skipped: 2,
             ..Default::default()
         };
-        assert!(p.summary().contains("threads=4"));
-        assert!(p.summary().contains("tasks=8"));
-        assert!(
-            p.summary().contains("compute_wall="),
-            "parallel summary prints the honest wall breakdown"
-        );
-        assert!(
-            !m.summary().contains("lru_hits="),
-            "LRU fields only print when the LRU ran"
-        );
-        assert!(
-            !m.summary().contains("cells_mat="),
-            "batch fields only print when a columnar batch ran"
-        );
-        let c = ExecMetrics {
-            cells_materialized: 12,
-            batch_rows_skipped: 5,
-            ..Default::default()
-        };
-        assert!(c.summary().contains("cells_mat=12"));
-        assert!(c.summary().contains("batch_skipped=5"));
+        assert!(p.summary().contains("threads=4 tasks=8"));
+        assert!(p.summary().contains("rg_skipped=2"));
         let l = ExecMetrics {
             lru_hits: 3,
             lru_misses: 1,
-            lru_evictions: 2,
             lru_resident_bytes: 640,
             ..Default::default()
         };
-        assert!(
-            !m.summary().contains("nodes_skipped="),
-            "tape fields only print when the tape parser ran"
-        );
+        assert!(l
+            .summary()
+            .contains("lru_hits=3 lru_misses=1 lru_bytes=640"));
+        assert!(l.summary().contains("lru_ratio=0.75"));
         let t = ExecMetrics {
             nodes_skipped: 7,
             tape_build_wall: Duration::from_micros(10),
             ..Default::default()
         };
-        assert!(t.summary().contains("nodes_skipped=7"));
-        assert!(t.summary().contains("tape_build="));
-        assert!(t.summary().contains("tape_nav="));
-        assert!(l.summary().contains("lru_hits=3"));
-        assert!(l.summary().contains("lru_ratio=0.75"));
-        assert!(l.summary().contains("lru_evict=2"));
-        assert!(l.summary().contains("lru_bytes=640"));
-        assert!(
-            !m.summary().contains("reuse_hits="),
-            "reuse fields only print when the reuse cache participated"
-        );
-        let u = ExecMetrics {
-            reuse_hits: 1,
-            reuse_fills: 2,
-            ..Default::default()
-        };
-        assert!(u.summary().contains("reuse_hits=1"));
-        assert!(u.summary().contains("reuse_fills=2"));
-        assert!(
-            !m.summary().contains("simd="),
-            "kernel fields only print when bitmaps were built"
-        );
+        assert!(t.summary().contains("nodes_skipped=7 tape_build=10µs"));
+        assert!(!m.summary().contains("simd="), "no bitmap work, no tier");
         let k = ExecMetrics {
             bitmap_builds: 4,
             bitmap_bytes: 1200,
             simd_kernel: maxson_json::kernels::Kernel::Swar.id() as u64,
             ..Default::default()
         };
-        assert!(k.summary().contains("simd=swar"));
-        assert!(k.summary().contains("bitmap_builds=4"));
-        assert!(k.summary().contains("bitmap_bytes=1200"));
-    }
-
-    #[test]
-    fn wall_gauges_track_serial_phases() {
-        let m = ExecMetrics {
-            total: Duration::from_millis(100),
-            read: Duration::from_millis(30),
-            parse: Duration::from_millis(50),
-            read_wall: Duration::from_millis(30),
-            parse_wall: Duration::from_millis(50),
-            ..Default::default()
-        };
-        // Serial runs charge wall gauges in lockstep with the sums.
-        assert_eq!(m.compute_wall(), m.compute());
-        // Parallel runs: sums exceed total, walls stay comparable.
-        let p = ExecMetrics {
-            total: Duration::from_millis(100),
-            read: Duration::from_millis(240),
-            parse: Duration::from_millis(160),
-            read_wall: Duration::from_millis(60),
-            parse_wall: Duration::from_millis(40),
-            threads_used: 4,
-            ..Default::default()
-        };
-        assert_eq!(p.compute(), Duration::ZERO, "the misleading residual");
-        assert_eq!(p.compute_wall(), Duration::from_millis(0));
-        let p2 = ExecMetrics {
-            read_wall: Duration::from_millis(20),
-            parse_wall: Duration::from_millis(30),
-            ..p
-        };
-        assert_eq!(p2.compute_wall(), Duration::from_millis(50));
+        assert!(k.summary().contains("bitmap_builds=4 bitmap_bytes=1200"));
+        assert!(k.summary().ends_with("simd=swar"));
+        assert!(!k.summary().contains("simd_kernel="), "tier printed once");
     }
 
     #[test]

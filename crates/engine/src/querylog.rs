@@ -8,11 +8,17 @@
 //! {"fingerprint":"9f86d081884c7d65","sql":"select ...","parser":"tape",
 //!  "simd":"avx2","mmap":true,"threads":4,"shared_parse":true,"epoch":2,
 //!  "reuse":"miss","rows":100,"wall_us":1234,"planning_us":88,"slow":false,
-//!  "counters":{"rows_scanned":100,"bytes_read":5120,"parse_calls":300,
-//!   "docs_parsed":100,"cache_hits":0,"lru_hits":0,"lru_misses":0,
-//!   "nodes_skipped":40,"bitmap_builds":100,"bitmap_build_wall_us":52,
-//!   "meta_cache_hits":1,"meta_cache_misses":0}}
+//!  "counters":{"read_us":310,"parse_us":640,...,"rows_scanned":100,
+//!   "bytes_read":5120,"parse_calls":300,"docs_parsed":100,"cache_hits":0,
+//!   ...,"nodes_skipped":40,"bitmap_builds":100,...,"meta_cache_hits":1,
+//!   "meta_cache_misses":0,...,"bitmap_build_wall_us":52,...}}
 //! ```
+//!
+//! `counters` is not a hand-kept list: it holds every summed field of the
+//! [`ExecMetrics`] declaration, in declaration order — a `u64` field under
+//! its own name, a `Duration` field as `<name>_us`. The `_us` rule exists
+//! only so that `bitmap_build_wall_us`, a key the log has always carried,
+//! needs no special case; the other summed times ride along under it.
 //!
 //! The `fingerprint` is [`crate::fingerprint::stmt_fingerprint`]: FNV-1a
 //! over the canonical normalized statement text (alias/whitespace
@@ -39,7 +45,7 @@ use maxson_json::value::JsonNumber;
 use maxson_json::JsonValue;
 
 use crate::error::{EngineError, Result};
-use crate::metrics::ExecMetrics;
+use crate::metrics::{ExecMetrics, Get, Merge};
 // The identity hash lives in the shared fingerprint module now; re-export
 // so `querylog::fnv1a64` callers keep compiling.
 pub use crate::fingerprint::fnv1a64;
@@ -108,23 +114,21 @@ impl QueryLog {
     /// Append one line for a finished query.
     pub fn record(&self, entry: &QueryLogEntry<'_>, metrics: &ExecMetrics) -> Result<()> {
         let n = |v: u64| JsonValue::Number(JsonNumber::Int(v as i64));
-        let counters = JsonValue::object(vec![
-            ("rows_scanned".into(), n(metrics.rows_scanned)),
-            ("bytes_read".into(), n(metrics.bytes_read)),
-            ("parse_calls".into(), n(metrics.parse_calls)),
-            ("docs_parsed".into(), n(metrics.docs_parsed)),
-            ("cache_hits".into(), n(metrics.cache_hits)),
-            ("lru_hits".into(), n(metrics.lru_hits)),
-            ("lru_misses".into(), n(metrics.lru_misses)),
-            ("nodes_skipped".into(), n(metrics.nodes_skipped)),
-            ("bitmap_builds".into(), n(metrics.bitmap_builds)),
-            (
-                "bitmap_build_wall_us".into(),
-                n(metrics.bitmap_build_wall.as_micros() as u64),
-            ),
-            ("meta_cache_hits".into(), n(metrics.meta_cache_hits)),
-            ("meta_cache_misses".into(), n(metrics.meta_cache_misses)),
-        ]);
+        // Every summed field of the declaration: counts under the field's
+        // name, times as `<name>_us`.
+        let counters = JsonValue::object(
+            ExecMetrics::fields()
+                .iter()
+                .filter(|f| f.merge == Merge::Sum)
+                .map(|f| match f.get {
+                    Get::Count(get) => (f.name.to_string(), n(get(metrics))),
+                    Get::Time(get) => {
+                        (format!("{}_us", f.name), n(get(metrics).as_micros() as u64))
+                    }
+                    Get::Ratio(_) => unreachable!("no summed ratio is declared: {}", f.name),
+                })
+                .collect(),
+        );
         let line = JsonValue::object(vec![
             (
                 "fingerprint".into(),

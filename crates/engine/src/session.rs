@@ -893,26 +893,10 @@ impl Session {
         r.counter("maxson_queries_total", &labels).inc();
         r.histogram("maxson_query_wall_seconds", &labels)
             .observe(metrics.total);
-        r.counter("maxson_rows_scanned_total", &[])
-            .add(metrics.rows_scanned);
-        r.counter("maxson_bytes_read_total", &[])
-            .add(metrics.bytes_read);
-        r.counter("maxson_parse_calls_total", &[])
-            .add(metrics.parse_calls);
-        r.counter("maxson_docs_parsed_total", &[])
-            .add(metrics.docs_parsed);
-        r.counter("maxson_cache_hits_total", &[])
-            .add(metrics.cache_hits);
-        r.counter("maxson_lru_hits_total", &[])
-            .add(metrics.lru_hits);
-        r.counter("maxson_lru_misses_total", &[])
-            .add(metrics.lru_misses);
-        r.counter("maxson_nodes_skipped_total", &[])
-            .add(metrics.nodes_skipped);
-        r.counter("maxson_bitmap_builds_total", &[])
-            .add(metrics.bitmap_builds);
-        r.counter("maxson_bitmap_bytes_total", &[])
-            .add(metrics.bitmap_bytes);
+        // Every summed `u64` field of the declaration, as `maxson_<field>_total`.
+        for (series, value) in metrics.counters() {
+            r.counter(series, &[]).add(value);
+        }
         if metrics.bitmap_builds > 0 {
             r.histogram("maxson_bitmap_build_wall_seconds", &[])
                 .observe(metrics.bitmap_build_wall);
@@ -920,17 +904,9 @@ impl Session {
         }
         r.gauge("maxson_epoch", &[]).max(pq.epoch);
         if let Some(cache) = &pq.reuse {
-            // Reuse exposition: per-query deltas as counters, cumulative
+            // Reuse exposition beyond the per-query counters: cumulative
             // cache-wide state as gauges, and the hit-serving wall (the
             // latency a hit actually cost the client) as a histogram.
-            r.counter("maxson_reuse_hits_total", &[])
-                .add(metrics.reuse_hits);
-            r.counter("maxson_reuse_misses_total", &[])
-                .add(metrics.reuse_misses);
-            r.counter("maxson_reuse_fragment_hits_total", &[])
-                .add(metrics.reuse_fragment_hits);
-            r.counter("maxson_reuse_fills_total", &[])
-                .add(metrics.reuse_fills);
             let stats = cache.stats();
             r.gauge("maxson_reuse_evictions", &[]).max(stats.evictions);
             r.gauge("maxson_reuse_stale_rejects", &[])

@@ -68,9 +68,12 @@ pub struct StatsSnapshot {
     pub active_queries: u64,
     /// Current warehouse epoch.
     pub epoch: u64,
-    /// JSON tree nodes skipped by structural parsers, across all queries.
+    /// Tape entries hopped over via skip markers: the session registry's
+    /// `maxson_nodes_skipped_total`, so registry-wide (every session that
+    /// charges that registry, served or not), like `hot_paths`.
     pub nodes_skipped: u64,
-    /// Structural bitmap builds across all queries.
+    /// Structural bitmap builds: `maxson_bitmap_builds_total`, registry-wide
+    /// likewise.
     pub bitmap_builds: u64,
     /// Reuse-cache full-result hits (0 when the cache is off).
     pub reuse_hits: u64,
@@ -106,8 +109,6 @@ struct ServerState {
     queries_ok: AtomicU64,
     queries_err: AtomicU64,
     latency: Mutex<LatencyHistogram>,
-    /// Sum of every answered query's `ExecMetrics` (work totals for STATS).
-    exec_totals: Mutex<maxson_engine::ExecMetrics>,
     next_client_id: AtomicU64,
     shutdown: AtomicBool,
 }
@@ -149,7 +150,6 @@ impl Server {
             queries_ok: AtomicU64::new(0),
             queries_err: AtomicU64::new(0),
             latency: Mutex::new(LatencyHistogram::new()),
-            exec_totals: Mutex::new(maxson_engine::ExecMetrics::default()),
             next_client_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
@@ -436,11 +436,6 @@ fn handle_frame(
                     registry
                         .counter("maxson_server_queries_total", &[("status", "ok")])
                         .inc();
-                    state
-                        .exec_totals
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .absorb(&result.metrics);
                     let mut w = Writer::new();
                     w.u8(STATUS_OK).u64(result.epoch);
                     w.u32(result.columns.len() as u32);
@@ -527,13 +522,8 @@ fn snapshot_stats(
         (hist.quantile(0.5), hist.quantile(0.99))
     };
     let meta = session.catalog().meta_cache().stats();
-    let (nodes_skipped, bitmap_builds) = {
-        let totals = state
-            .exec_totals
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        (totals.nodes_skipped, totals.bitmap_builds)
-    };
+    let registry = session.metrics_registry();
+    let total = |series: &str| registry.counter_value(series, &[]).unwrap_or(0);
     let reuse = session.reuse_stats();
     StatsSnapshot {
         queries_ok: state.queries_ok.load(Ordering::Relaxed),
@@ -545,14 +535,14 @@ fn snapshot_stats(
         meta_cache_misses: meta.misses,
         active_queries: scheduler.active_queries() as u64,
         epoch: session.epoch(),
-        nodes_skipped,
-        bitmap_builds,
+        nodes_skipped: total("maxson_nodes_skipped_total"),
+        bitmap_builds: total("maxson_bitmap_builds_total"),
         reuse_hits: reuse.as_ref().map_or(0, |r| r.hits),
         reuse_misses: reuse.as_ref().map_or(0, |r| r.misses),
         reuse_fills: reuse.as_ref().map_or(0, |r| r.fills),
         reuse_bytes: reuse.as_ref().map_or(0, |r| r.bytes_resident),
         simd_kernel: session.simd_kernel().name().to_string(),
-        hot_paths: session.metrics_registry().hot_paths(10),
+        hot_paths: registry.hot_paths(10),
     }
 }
 

@@ -9,6 +9,10 @@
 //! counter equals the serially-replayed expectation while a sampler
 //! thread observes only monotonically non-decreasing values.
 //!
+//! The README's per-query metric catalogue is rendered from the metric
+//! declaration (`ExecMetrics::fields`); the last test fails when the two
+//! differ, so a field cannot land undocumented.
+//!
 //! The scheduler's permit counter lives in the process-wide registry, so
 //! the one test that reads it through a server's METRICS frame sits here:
 //! no other test in this binary starts a scheduler.
@@ -272,4 +276,53 @@ fn one_thread_server_takes_a_scheduler_permit_per_split() {
     assert!(taken >= FILES, "{taken} permits for {FILES} splits");
     server.stop();
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// The README "Observability" catalogue is the declaration, rendered. On a
+/// mismatch the failure message is the block to paste between the markers.
+#[test]
+fn readme_metric_catalogue_matches_the_declaration() {
+    use maxson_engine::metrics::{Get, Merge};
+    use maxson_engine::ExecMetrics;
+
+    let mut rendered = String::from(
+        "| Field | Label | Unit | Merge | Work counter | Registry series | Help |\n\
+         |---|---|---|---|---|---|---|\n",
+    );
+    for f in ExecMetrics::fields() {
+        let merge = match f.merge {
+            Merge::Sum => "sum",
+            Merge::Max => "max",
+            Merge::Session => "set by session",
+        };
+        let unit = match f.get {
+            Get::Count(_) => "count",
+            Get::Time(_) => "time",
+            Get::Ratio(_) => "ratio",
+        };
+        let series = f.series.map_or("—".to_string(), |s| format!("`{s}`"));
+        rendered.push_str(&format!(
+            "| `{}` | `{}` | {unit} | {merge} | {} | {series} | {} |\n",
+            f.name,
+            f.label,
+            if f.work { "yes" } else { "" },
+            f.help
+        ));
+    }
+
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md");
+    let (begin, end) = (
+        "<!-- metric-catalogue:begin -->\n",
+        "<!-- metric-catalogue:end -->",
+    );
+    let block = readme
+        .split_once(begin)
+        .and_then(|(_, rest)| rest.split_once(end))
+        .map(|(block, _)| block)
+        .expect("README.md has the metric-catalogue markers");
+    assert!(
+        block == rendered,
+        "README metric catalogue is stale; replace the block between the markers with:\n{rendered}"
+    );
 }

@@ -57,23 +57,6 @@ const GOLDEN_QUERIES: [&str; 4] = [
     "select get_json_object(payload, '$.f12') as f12 from mydb.q2",
 ];
 
-/// Work-counting metrics that must be invariant under parallelism. Timing
-/// fields are excluded (they legitimately vary); everything that counts
-/// discrete work must not — including `docs_parsed`, since shared-parse
-/// slots are per-row and rows never move between splits.
-fn work_counters(m: &ExecMetrics) -> [u64; 8] {
-    [
-        m.rows_scanned,
-        m.bytes_read,
-        m.parse_calls,
-        m.docs_parsed,
-        m.cache_hits,
-        m.row_groups_skipped,
-        m.row_groups_read,
-        m.prefilter_dropped,
-    ]
-}
-
 fn assert_differential(mut make_session: impl FnMut() -> Session, sql: &str, label: &str) {
     let mut reference_session = make_session();
     reference_session.set_threads(Some(1));
@@ -100,8 +83,8 @@ fn assert_differential(mut make_session: impl FnMut() -> Session, sql: &str, lab
             "[{label}] rendered output diverged at {threads} threads for {sql}"
         );
         assert_eq!(
-            work_counters(&result.metrics),
-            work_counters(&reference.metrics),
+            result.metrics.work_counters(),
+            reference.metrics.work_counters(),
             "[{label}] work counters diverged at {threads} threads for {sql}: \
              parallel {:?} vs serial {:?}",
             result.metrics,
@@ -341,8 +324,8 @@ fn property_random_tables_and_plans_parallel_equals_serial() {
                     reference.to_display_string()
                 );
                 maxson_testkit::prop_assert_eq!(
-                    work_counters(&result.metrics),
-                    work_counters(&reference.metrics)
+                    result.metrics.work_counters(),
+                    reference.metrics.work_counters()
                 );
             }
             std::fs::remove_dir_all(&root).ok();

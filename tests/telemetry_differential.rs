@@ -2,7 +2,7 @@
 //! observation-only: installing a query log, a private metric registry,
 //! and a zero slow-query threshold never changes what a query computes.
 //!
-//! Four layers:
+//! Five layers:
 //!
 //! 1. **Golden queries** — Maxson-rewritten golden queries over the
 //!    checked-in warehouse, with full telemetry vs without, across
@@ -16,6 +16,10 @@
 //!    wall-time series are filtered out.
 //! 4. **Sketch fidelity** — the workload sketch's hot-path ranking equals
 //!    exact per-(table, path) counts accumulated from `ExecMetrics`.
+//! 5. **Settlement** — every registry series and every query-log counter
+//!    key derived from the metric declaration settles exactly to the
+//!    `ExecMetrics` the engine returned, and the server's STATS and
+//!    METRICS opcodes read that same registry.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -23,9 +27,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use maxson::rewriter::MaxsonScanRewriter;
-use maxson_engine::metrics::ExecMetrics;
+use maxson_engine::metrics::{ExecMetrics, Get, Merge};
 use maxson_engine::session::{JsonParserKind, Session};
 use maxson_engine::Registry;
+use maxson_server::{Client, Server, ServerConfig};
 use maxson_storage::file::WriteOptions;
 use maxson_storage::{Cell, ColumnType, Field, Schema};
 
@@ -44,32 +49,6 @@ fn temp_root(name: &str) -> PathBuf {
 
 fn temp_log(name: &str) -> PathBuf {
     temp_root(name).with_extension("jsonl")
-}
-
-/// Every discrete-work counter plus the per-path extraction ledger.
-/// Timing gauges are excluded (they legitimately vary run to run).
-fn work_counters(m: &ExecMetrics) -> (Vec<u64>, Vec<(String, u64)>) {
-    (
-        vec![
-            m.rows_scanned,
-            m.bytes_read,
-            m.parse_calls,
-            m.docs_parsed,
-            m.cache_hits,
-            m.row_groups_skipped,
-            m.row_groups_read,
-            m.prefilter_dropped,
-            m.cells_materialized,
-            m.batch_rows_skipped,
-            m.lru_hits,
-            m.lru_misses,
-            m.lru_evictions,
-            m.nodes_skipped,
-            m.bitmap_builds,
-            m.bitmap_bytes,
-        ],
-        m.path_extracts.clone(),
-    )
 }
 
 const GOLDEN_QUERIES: [&str; 3] = [
@@ -119,10 +98,15 @@ fn assert_telemetry_is_observation_only(
         instrumented.to_display_string(),
         "[{label}] telemetry changed rendered output for {sql}"
     );
+    // Timing fields are excluded (they legitimately vary run to run).
     assert_eq!(
-        work_counters(&bare.metrics),
-        work_counters(&instrumented.metrics),
+        bare.metrics.work_counters(),
+        instrumented.metrics.work_counters(),
         "[{label}] telemetry changed work counters for {sql}"
+    );
+    assert_eq!(
+        bare.metrics.path_extracts, instrumented.metrics.path_extracts,
+        "[{label}] telemetry changed the per-path extraction ledger for {sql}"
     );
 
     // The instrumentation must actually have observed the query — an
@@ -299,4 +283,112 @@ fn sketch_ranking_matches_exact_counts_on_golden_workload() {
         got, truth,
         "sketch ranking diverged from exact per-path counts"
     );
+}
+
+/// Telemetry loses and invents nothing: after the golden sequence, every
+/// `maxson_<field>_total` series the declaration derives equals the summed
+/// `ExecMetrics`, and each query-log line's `counters` object holds
+/// exactly the declared summed fields of its own query.
+#[test]
+fn registry_and_query_log_settle_exactly_to_the_summed_exec_metrics() {
+    let root = bench_data_root();
+    for (parser, rewritten) in [
+        (JsonParserKind::Jackson, false),
+        (JsonParserKind::Mison, false),
+        (JsonParserKind::Tape, true),
+    ] {
+        let label = format!("{parser:?}/rewritten={rewritten}");
+        let mut session = Session::open(&root).unwrap();
+        session.set_parser_kind(parser);
+        session.set_threads(Some(2));
+        if rewritten {
+            let rewriter = MaxsonScanRewriter::open(&root).unwrap();
+            session.set_scan_rewriter(Some(Box::new(rewriter)));
+        }
+        let registry = Arc::new(Registry::new());
+        session.set_metrics_registry(Arc::clone(&registry));
+        let log_path = temp_log(&format!("settle-{parser:?}"));
+        session.set_query_log(Some(log_path.clone())).unwrap();
+        let per_query: Vec<ExecMetrics> = GOLDEN_QUERIES
+            .iter()
+            .map(|sql| session.execute(sql).expect("golden query").metrics)
+            .collect();
+
+        let mut summed = ExecMetrics::default();
+        per_query.iter().for_each(|m| summed.absorb(m));
+        assert!(summed.rows_scanned > 0, "[{label}] vacuous replay");
+        assert_eq!(summed.cache_hits > 0, rewritten, "[{label}] {summed:?}");
+        for (series, want) in summed.counters() {
+            assert_eq!(
+                registry.counter_value(series, &[]),
+                Some(want),
+                "[{label}] {series} did not settle to the ExecMetrics sum"
+            );
+        }
+
+        let log = std::fs::read_to_string(&log_path).expect("query log written");
+        assert_eq!(
+            log.lines().count(),
+            per_query.len(),
+            "[{label}] one line per query"
+        );
+        let summed_fields: Vec<_> = ExecMetrics::fields()
+            .iter()
+            .filter(|f| f.merge == Merge::Sum)
+            .collect();
+        for (line, metrics) in log.lines().zip(&per_query) {
+            let line = maxson_json::parse(line).expect("log line parses");
+            assert_eq!(line.get("slow").and_then(|s| s.as_bool()), Some(false));
+            let counters = line.get("counters").expect("counters object");
+            assert_eq!(
+                counters.as_object().map(<[_]>::len),
+                Some(summed_fields.len()),
+                "[{label}] a counters key no declared field accounts for"
+            );
+            for f in &summed_fields {
+                let (key, want) = match f.get {
+                    Get::Count(get) => (f.name.to_string(), get(metrics)),
+                    Get::Time(get) => (format!("{}_us", f.name), get(metrics).as_micros() as u64),
+                    Get::Ratio(_) => panic!("no summed ratio is declared: {}", f.name),
+                };
+                assert_eq!(
+                    counters.get(&key).and_then(|v| v.as_i64()),
+                    Some(want as i64),
+                    "[{label}] query-log counter {key}"
+                );
+            }
+        }
+        std::fs::remove_file(&log_path).ok();
+
+        if rewritten {
+            continue;
+        }
+        // The server's STATS work totals and METRICS text are views over
+        // the same registry, and the served text is well-formed.
+        let mut server = Server::serve(session, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.query(GOLDEN_QUERIES[0]).expect("served query");
+        let stats = client.stats().unwrap();
+        let total = |series| registry.counter_value(series, &[]).unwrap();
+        assert_eq!(stats.queries_ok, 1);
+        assert_eq!(stats.nodes_skipped, total("maxson_nodes_skipped_total"));
+        assert_eq!(stats.bitmap_builds, total("maxson_bitmap_builds_total"));
+        assert_eq!(
+            stats.bitmap_builds > 0,
+            parser != JsonParserKind::Jackson,
+            "[{label}]"
+        );
+        assert!(!stats.simd_kernel.is_empty(), "STATS names the kernel tier");
+        let served = client.metrics().unwrap();
+        assert!(served.contains("maxson_server_queries_total{status=\"ok\"} 1"));
+        for sample in served.lines().filter(|l| !l.starts_with("# TYPE ")) {
+            let value = sample.rsplit_once(' ').map(|(_, v)| v.parse::<f64>());
+            assert!(
+                matches!(value, Some(Ok(v)) if v.is_finite()),
+                "malformed sample: {sample:?}"
+            );
+        }
+        drop(client);
+        server.stop();
+    }
 }

@@ -15,7 +15,6 @@
 //!    and whose events all sit on named per-thread tracks.
 
 use maxson::rewriter::MaxsonScanRewriter;
-use maxson_engine::metrics::ExecMetrics;
 use maxson_engine::session::{JsonParserKind, Session};
 use maxson_json::JsonValue;
 use maxson_storage::file::WriteOptions;
@@ -34,24 +33,6 @@ fn temp_root(name: &str) -> PathBuf {
         .unwrap()
         .subsec_nanos();
     std::env::temp_dir().join(format!("maxson-td-{}-{nanos}-{name}", std::process::id()))
-}
-
-/// Every discrete-work counter, including the LRU telemetry. Timing
-/// gauges are excluded (they legitimately vary run to run).
-fn work_counters(m: &ExecMetrics) -> [u64; 11] {
-    [
-        m.rows_scanned,
-        m.bytes_read,
-        m.parse_calls,
-        m.docs_parsed,
-        m.cache_hits,
-        m.row_groups_skipped,
-        m.row_groups_read,
-        m.prefilter_dropped,
-        m.lru_hits,
-        m.lru_misses,
-        m.lru_evictions,
-    ]
 }
 
 fn assert_traced_equals_untraced(
@@ -82,8 +63,8 @@ fn assert_traced_equals_untraced(
         "[{label}] tracing changed rendered output for {sql}"
     );
     assert_eq!(
-        work_counters(&untraced.metrics),
-        work_counters(&traced.metrics),
+        untraced.metrics.work_counters(),
+        traced.metrics.work_counters(),
         "[{label}] tracing changed work counters for {sql}: \
          untraced {:?} vs traced {:?}",
         untraced.metrics,
@@ -246,8 +227,8 @@ fn property_tracing_never_changes_rows_or_counters() {
                 .map_err(|e| format!("traced: {e}"))?;
             maxson_testkit::prop_assert_eq!(&traced.rows, &untraced.rows);
             maxson_testkit::prop_assert_eq!(
-                work_counters(&traced.metrics),
-                work_counters(&untraced.metrics)
+                traced.metrics.work_counters(),
+                untraced.metrics.work_counters()
             );
             std::fs::remove_dir_all(&root).ok();
             Ok(())
