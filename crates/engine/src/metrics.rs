@@ -222,7 +222,7 @@ exec_metrics! {
     cells_materialized: u64, Sum, "cells_materialized", true,
         "Cells converted out of columnar batches into row `Cell`s.";
     batch_rows_skipped: u64, Sum, "batch_rows_skipped", true,
-        "Rows of a columnar batch dropped before full-row materialization, by the prefilter's selection vector or by the filter after only its predicate columns were materialized.";
+        "Rows of a columnar batch dropped before full-row materialization, by the prefilter's selection vector, by the filter after only its predicate columns were materialized, or by the scan's row-level SARG before their other columns were decoded.";
     lru_hits: u64, Sum, "lru_hits", true,
         "Online-LRU cache: per-path-per-scan lookups answered from the cache.";
     lru_misses: u64, Sum, "lru_misses", true,

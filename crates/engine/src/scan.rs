@@ -181,32 +181,83 @@ pub fn sarg_keep(sarg: &SearchArgument, file: &NorcFile) -> Vec<bool> {
     }
 }
 
-/// Charge the row groups a keep-array reads and skips (`None` reads all
-/// `total`).
-pub fn charge_row_groups(metrics: &mut ExecMetrics, keep: Option<&[bool]>, total: usize) {
-    match keep {
-        Some(keep) => {
-            let skipped = keep.iter().filter(|k| !**k).count() as u64;
-            metrics.row_groups_skipped += skipped;
-            metrics.row_groups_read += keep.len() as u64 - skipped;
+/// Charge the row groups of `file` a keep-array reads and skips (`None`
+/// reads all) and return the rows the read groups hold — what
+/// `rows_scanned` and `cache_hits` count, whatever a row selection drops
+/// afterwards.
+pub fn charge_row_groups(
+    metrics: &mut ExecMetrics,
+    keep: Option<&[bool]>,
+    file: &NorcFile,
+) -> usize {
+    let mut kept_rows = 0;
+    for (rgi, rg) in file.row_groups().enumerate() {
+        if keep.is_none_or(|keep| keep[rgi]) {
+            metrics.row_groups_read += 1;
+            kept_rows += rg.row_count;
+        } else {
+            metrics.row_groups_skipped += 1;
         }
-        None => metrics.row_groups_read += total as u64,
     }
+    kept_rows
 }
 
 /// Decode `projection` from `file` under an optional row-group keep-array,
-/// charging `bytes_read` once per decoded column chunk — not per
-/// materialized row, which would walk every cell on the hot path and miss
-/// rows a prefilter drops (their bytes were decoded all the same).
+/// at `rows` only (positions in the kept row groups; `None` = every row),
+/// charging `bytes_read` once per decoded column — not per materialized
+/// row, which would walk every cell on the hot path and miss rows a
+/// prefilter drops (their bytes were decoded all the same).
+pub fn read_chunks_at(
+    file: &NorcFile,
+    projection: &[usize],
+    keep: Option<&[bool]>,
+    rows: Option<&[u32]>,
+    metrics: &mut ExecMetrics,
+) -> Result<Vec<ColumnData>> {
+    let cols = file.read_columns_at(projection, keep, rows)?;
+    metrics.bytes_read += cols.iter().map(|c| c.byte_size() as u64).sum::<u64>();
+    Ok(cols)
+}
+
+/// Algorithm 3 at row granularity, the one read every file-backed provider
+/// goes through: decode the columns `sarg` can test row by row under the
+/// keep-array, select, then decode the rest of `projection` at the selected
+/// rows only. Returns the dense columns and the selection (positions in the
+/// kept row groups; `None` = nothing was dropped), which a paired reader
+/// over an aligned file passes to [`read_chunks_at`] as it shares the
+/// keep-array. Rows the selection drops are charged to
+/// `batch_rows_skipped` here; the `Filter` above still runs.
 pub fn read_chunks(
     file: &NorcFile,
     projection: &[usize],
     keep: Option<&[bool]>,
+    sarg: Option<&SearchArgument>,
     metrics: &mut ExecMetrics,
-) -> Result<Vec<ColumnData>> {
-    let cols = file.read_columns(projection, keep)?;
-    metrics.bytes_read += cols.iter().map(|c| c.byte_size() as u64).sum::<u64>();
-    Ok(cols)
+) -> Result<(Vec<ColumnData>, Option<Vec<u32>>)> {
+    let tested = sarg.map_or_else(Vec::new, |s| s.row_test_columns(file.schema()));
+    let decoded = if tested.is_empty() {
+        Vec::new()
+    } else {
+        read_chunks_at(file, &tested, keep, None, metrics)?
+    };
+    let Some(rows) = sarg.and_then(|s| s.select_rows(&tested, &decoded)) else {
+        return Ok((read_chunks_at(file, projection, keep, None, metrics)?, None));
+    };
+    metrics.batch_rows_skipped += (decoded[0].len() - rows.len()) as u64;
+    let rest: Vec<usize> = projection
+        .iter()
+        .copied()
+        .filter(|c| !tested.contains(c))
+        .collect();
+    let mut rest = read_chunks_at(file, &rest, keep, Some(&rows), metrics)?.into_iter();
+    let cols = projection
+        .iter()
+        .map(|c| match tested.iter().position(|t| t == c) {
+            Some(at) => decoded[at].gather(&rows),
+            None => rest.next().expect("one decoded column per untested one"),
+        })
+        .collect();
+    Ok((cols, Some(rows)))
 }
 
 /// The default provider: scan a Norc table directory.
@@ -271,14 +322,21 @@ impl ScanProvider for NorcScanProvider {
         let start = Instant::now();
         let file = open_split(&self.table, split, metrics)?;
         let keep = self.sarg.as_ref().map(|s| sarg_keep(s, &file));
-        charge_row_groups(metrics, keep.as_deref(), file.row_group_count());
-        let cols = read_chunks(&file, &self.projection, keep.as_deref(), metrics)?;
+        let kept_rows = charge_row_groups(metrics, keep.as_deref(), &file);
+        let (cols, _) = read_chunks(
+            &file,
+            &self.projection,
+            keep.as_deref(),
+            self.sarg.as_ref(),
+            metrics,
+        )?;
         let n = cols.first().map_or(0, |c| c.len());
         let selection = match &self.prefilter {
-            // Sparser-style raw rejection straight off the decoded column:
-            // sound because the needles are required by the predicate the
-            // Filter re-checks. NULL documents pass through (the filter
-            // decides), matching the row-at-a-time behavior.
+            // Sparser-style raw rejection straight off the decoded column,
+            // over the rows the SARG's row selection left: sound because
+            // the needles are required by the predicate the Filter
+            // re-checks. NULL documents pass through (the filter decides),
+            // matching the row-at-a-time behavior.
             Some((ci, filter)) => {
                 let mut sel: Vec<u32> = Vec::with_capacity(n);
                 if let Some(ColumnData::Utf8 { valid, values }) = cols.get(*ci) {
@@ -296,7 +354,8 @@ impl ScanProvider for NorcScanProvider {
             }
             None => None,
         };
-        metrics.rows_scanned += selection.as_ref().map_or(n, Vec::len) as u64;
+        let prefiltered = selection.as_ref().map_or(0, |sel| n - sel.len());
+        metrics.rows_scanned += (kept_rows - prefiltered) as u64;
         let spent = start.elapsed();
         metrics.read += spent;
         metrics.read_wall += spent;
@@ -400,11 +459,14 @@ mod tests {
         let p = NorcScanProvider::new(t, vec![0], Some(sarg)).unwrap();
         let mut m = ExecMetrics::default();
         let rows = scan_rows(&p, &mut m).unwrap();
-        // Groups 0-4 and 5-9 skipped; group 10-14 kept (contains 12+).
+        // Groups 0-4 and 5-9 skipped; group 10-14 kept (contains 12+), and
+        // its rows 10 and 11 dropped by the row selection.
         assert_eq!(m.row_groups_skipped, 2);
         assert_eq!(m.row_groups_read, 2);
-        assert_eq!(rows.len(), 10);
-        assert_eq!(rows[0][0], Cell::Int(10));
+        assert_eq!(m.rows_scanned, 10, "rows of the kept row groups");
+        assert_eq!(m.batch_rows_skipped, 2);
+        assert_eq!(rows.len(), 8);
+        assert_eq!(rows[0][0], Cell::Int(12));
         p.table.drop_table().unwrap();
     }
 
@@ -427,7 +489,10 @@ mod tests {
         let mut m = ExecMetrics::default();
         let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(m.row_groups_skipped, 0, "multi-stripe file must not skip");
-        assert_eq!(rows.len(), 20);
+        assert_eq!(m.rows_scanned, 20);
+        // Row selection reads values, not statistics, so it still applies.
+        assert_eq!(m.batch_rows_skipped, 20);
+        assert!(rows.is_empty());
         p.table.drop_table().unwrap();
     }
 
@@ -519,6 +584,57 @@ mod tests {
         assert_eq!(rows_out[1][0], Cell::Int(3));
         assert_eq!(m.batch_rows_skipped, 4);
         assert_eq!(m.cells_materialized, 4);
+        p.table.drop_table().unwrap();
+    }
+
+    /// The SARG's row selection runs first — over a column the scan does
+    /// not even project — and the prefilter sees only what it left.
+    #[test]
+    fn row_selection_feeds_the_prefilter() {
+        let schema = Schema::new(vec![
+            Field::new("id", ColumnType::Int64),
+            Field::new("doc", ColumnType::Utf8),
+        ])
+        .unwrap();
+        let mut t = Table::create(temp_dir("rowsel-prefilter"), schema, 0).unwrap();
+        let rows: Vec<Vec<Cell>> = (0..6i64)
+            .map(|i| {
+                let name = if i % 3 == 0 { "banana" } else { "apple" };
+                vec![Cell::Int(i), Cell::from(format!(r#"{{"name": "{name}"}}"#))]
+            })
+            .collect();
+        t.append_file(&rows, WriteOptions::default(), 1).unwrap();
+        let doc_bytes = rows[0][1].byte_size() as u64 + 3 * rows[1][1].byte_size() as u64;
+        let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(2));
+        let filter = RawFilter::new(vec![RawFilter::equality_needle("banana").unwrap()]);
+        let p = NorcScanProvider::new(t, vec![1], Some(sarg))
+            .unwrap()
+            .with_prefilter(0, filter);
+        let mut m = ExecMetrics::default();
+        let batch = p.scan_split(0, &mut m).unwrap();
+        // Rows 2..=5 are decoded densely; of those only row 3 holds a banana.
+        assert_eq!(batch.data.len(), 4);
+        assert_eq!(batch.selection, Some(vec![1]));
+        assert_eq!(
+            m.batch_rows_skipped, 2,
+            "the selection's drops, charged once"
+        );
+        assert_eq!(
+            m.prefilter_dropped, 3,
+            "rows 0 and 1 never reached the prefilter"
+        );
+        assert_eq!(
+            m.rows_scanned, 3,
+            "kept row groups' rows minus prefilter drops"
+        );
+        assert_eq!(
+            m.bytes_read,
+            6 * 8 + doc_bytes,
+            "ids whole, documents at 4 rows"
+        );
+        let out = batch.into_rows(&mut m);
+        assert_eq!(out, vec![vec![rows[3][1].clone()]]);
+        assert_eq!(m.batch_rows_skipped, 5);
         p.table.drop_table().unwrap();
     }
 

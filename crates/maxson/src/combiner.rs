@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
 use maxson_engine::scan::{
-    charge_row_groups, open_split, read_chunks, sarg_keep, Batch, ScanProvider,
+    charge_row_groups, open_split, read_chunks, read_chunks_at, sarg_keep, Batch, ScanProvider,
 };
 use maxson_obs::Tracer;
 use maxson_storage::{Schema, SearchArgument, Table};
@@ -111,11 +111,17 @@ impl ScanProvider for CombinedScanProvider {
         // file's row-group stats (single-stripe files only).
         let cache_keep = self.cache_sarg.as_ref().map(|s| sarg_keep(s, &cache_file));
 
-        let (cols, counter) = if self.is_cache_only() {
+        let (cols, kept_rows, counter) = if self.is_cache_only() {
             let keep = cache_keep.as_deref();
-            charge_row_groups(metrics, keep, cache_file.row_group_count());
-            let cols = read_chunks(&cache_file, &self.cache_projection, keep, metrics)?;
-            (cols, "combiner.cache_only_rows")
+            let kept_rows = charge_row_groups(metrics, keep, &cache_file);
+            let (cols, _) = read_chunks(
+                &cache_file,
+                &self.cache_projection,
+                keep,
+                self.cache_sarg.as_ref(),
+                metrics,
+            )?;
+            (cols, kept_rows, "combiner.cache_only_rows")
         } else {
             let raw_table = self.raw.as_ref().expect("raw table present");
             let raw_file = open_split(raw_table, split, metrics)?;
@@ -150,21 +156,32 @@ impl ScanProvider for CombinedScanProvider {
                 None
             };
             let keep = shared_keep.as_deref();
-            charge_row_groups(metrics, keep, cache_file.row_group_count());
+            let kept_rows = charge_row_groups(metrics, keep, &cache_file);
 
-            // Algorithm 2: the two readers decode the same kept row groups,
-            // so the positional stitch into the output schema (raw fields
-            // then cache fields) is the two column lists end to end.
-            let mut cols = read_chunks(&raw_file, &self.raw_projection, keep, metrics)?;
-            cols.extend(read_chunks(
+            // Algorithm 2: the two readers decode the same rows of the same
+            // kept row groups — the PrimaryReader selects them with the raw
+            // SARG's row-testable leaves and hands the selection to the
+            // CacheReader as it hands the keep-array — so the positional
+            // stitch into the output schema (raw fields then cache fields)
+            // is the two column lists end to end. The cache SARG's leaves
+            // sit on string columns and select no rows of their own.
+            let (mut cols, rows) = read_chunks(
+                &raw_file,
+                &self.raw_projection,
+                keep,
+                self.raw_sarg.as_ref(),
+                metrics,
+            )?;
+            cols.extend(read_chunks_at(
                 &cache_file,
                 &self.cache_projection,
                 keep,
+                rows.as_deref(),
                 metrics,
             )?);
-            (cols, "combiner.stitched_rows")
+            (cols, kept_rows, "combiner.stitched_rows")
         };
-        let n = cols.first().map_or(0, |c| c.len()) as u64;
+        let n = kept_rows as u64;
         metrics.cache_hits += n * self.cache_projection.len() as u64;
         metrics.rows_scanned += n;
         let spent = start.elapsed();
@@ -370,6 +387,52 @@ mod tests {
         assert_eq!(rows[0][2], Cell::from("350"));
         std::fs::remove_dir_all(rd).ok();
         std::fs::remove_dir_all(cd).ok();
+    }
+
+    /// Algorithm 3 at row granularity: the rows the raw SARG's `id` leaf
+    /// selects are the rows the cache reader decodes, so the stitch stays
+    /// positional; the scan is still charged for the kept row group.
+    #[test]
+    fn raw_row_selection_is_shared_with_the_cache_reader() {
+        for raw_projection in [vec![0], vec![1]] {
+            let (raw, cache, rd, cd) = setup("rowsel");
+            // Row groups of 5: only [35..39] may hold id >= 37.
+            let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(37));
+            let raw_field = ["id", "payload"][raw_projection[0]];
+            let raw_type = [ColumnType::Int64, ColumnType::Utf8][raw_projection[0]];
+            let p = CombinedScanProvider::new(
+                Some(raw),
+                raw_projection.clone(),
+                cache,
+                vec![0],
+                Schema::new(vec![
+                    Field::new(raw_field, raw_type),
+                    Field::new("va", ColumnType::Utf8),
+                ])
+                .unwrap(),
+                Some(sarg),
+                None,
+            );
+            let mut m = ExecMetrics::default();
+            let batch = p.scan_split(1, &mut m).unwrap();
+            assert!(batch.selection.is_none(), "the batch is dense");
+            assert_eq!(m.rows_scanned, 5);
+            assert_eq!(m.cache_hits, 5);
+            assert_eq!(m.batch_rows_skipped, 2);
+            let rows = batch.into_rows(&mut m);
+            let va: Vec<Cell> = rows.iter().map(|r| r[1].clone()).collect();
+            assert_eq!(va, ["370", "380", "390"].map(Cell::from));
+            if raw_projection == [0] {
+                assert_eq!(rows[0][0], Cell::Int(37));
+                // `id` for the kept group, `va` at the three selected rows.
+                assert_eq!(m.bytes_read, 5 * 8 + 3 * 3);
+            } else {
+                assert_eq!(rows[2][0], Cell::from("{\"a\":390}"));
+            }
+            assert_eq!(m.cells_materialized, 6);
+            std::fs::remove_dir_all(rd).ok();
+            std::fs::remove_dir_all(cd).ok();
+        }
     }
 
     #[test]

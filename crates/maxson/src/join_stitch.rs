@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::{charge_row_groups, open_split, read_chunks, Batch, ScanProvider};
+use maxson_engine::scan::{charge_row_groups, open_split, read_chunks_at, Batch, ScanProvider};
 use maxson_obs::Tracer;
 use maxson_storage::{Cell, Schema, Table};
 
@@ -71,8 +71,8 @@ fn read_all(
     let mut rows = Vec::new();
     for split in 0..table.file_count() {
         let file = open_split(table, split, metrics)?;
-        charge_row_groups(metrics, None, file.row_group_count());
-        let cols = read_chunks(&file, projection, None, metrics)?;
+        charge_row_groups(metrics, None, &file);
+        let cols = read_chunks_at(&file, projection, None, None, metrics)?;
         rows.extend(Batch::from_columns(cols).into_rows(metrics));
     }
     Ok(rows)

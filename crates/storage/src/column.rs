@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use crate::cell::Cell;
 use crate::encoding::{
-    read_bitmap, read_f64, read_str, read_varint, rle_decode_i64, rle_encode_i64, write_bitmap,
-    write_f64, write_str, write_varint,
+    read_str, read_varint, rle_decode_i64_with, rle_encode_i64, skip_str, write_bitmap, write_f64,
+    write_str, write_varint, Bitmap,
 };
 use crate::error::{Result, StorageError};
 use crate::schema::ColumnType;
@@ -43,6 +43,22 @@ pub enum ColumnData {
         /// Row values; false where invalid.
         values: Vec<bool>,
     },
+}
+
+thread_local! {
+    /// This thread's empty string: NULL slots and empty values clone it
+    /// instead of allocating one `Arc` header each.
+    static EMPTY: Arc<str> = Arc::from("");
+}
+
+/// `s` as a column value: one allocation and one copy, or for the empty
+/// string a clone of the thread's shared one.
+fn shared_str(s: &str) -> Arc<str> {
+    if s.is_empty() {
+        EMPTY.with(Arc::clone)
+    } else {
+        Arc::from(s)
+    }
 }
 
 impl ColumnData {
@@ -122,7 +138,7 @@ impl ColumnData {
             }
             (ColumnData::Utf8 { valid, values }, Cell::Null) => {
                 valid.push(false);
-                values.push(Arc::from(""));
+                values.push(shared_str(""));
             }
             (ColumnData::Bool { valid, values }, Cell::Bool(b)) => {
                 valid.push(true);
@@ -281,85 +297,183 @@ impl ColumnData {
         }
     }
 
-    /// Decode a column of `ty` from `buf`, advancing `pos`.
+    /// Decode a column of `ty` from `buf`, advancing `pos`: the unselected
+    /// case of [`ColumnData::decode_into`] on an empty column.
     pub fn decode(ty: ColumnType, buf: &[u8], pos: &mut usize) -> Result<Self> {
-        let valid = read_bitmap(buf, pos)?;
-        match ty {
-            ColumnType::Int64 => {
-                let values = rle_decode_i64(buf, pos)?;
-                if values.len() != valid.len() {
-                    return Err(StorageError::corrupt("int column length mismatch"));
-                }
-                Ok(ColumnData::Int64 { valid, values })
+        let mut out = ColumnData::empty(ty);
+        out.decode_into(buf, pos, None)?;
+        Ok(out)
+    }
+
+    /// Decode one encoded chunk of this column's type from `buf`, appending
+    /// its rows to `self` and advancing `pos` past the chunk: every row, or
+    /// with `select` — ascending chunk-local row indexes — only those.
+    /// Returns the chunk's row count. Each kept string is copied out of
+    /// `buf` once; a skipped one is stepped over unvalidated.
+    ///
+    /// Every count in the chunk is checked against the bytes that must back
+    /// it before it sizes anything; room for the values is the caller's to
+    /// reserve (`NorcFile::read_columns_at` does, once for all kept chunks).
+    /// On an error `self` may hold part of the chunk; callers drop it.
+    pub fn decode_into(
+        &mut self,
+        buf: &[u8],
+        pos: &mut usize,
+        select: Option<&[u32]>,
+    ) -> Result<usize> {
+        let validity = Bitmap::read(buf, pos)?;
+        let rows = validity.len();
+        if select.is_some_and(|s| s.last().is_some_and(|&r| r as usize >= rows)) {
+            return Err(StorageError::corrupt("chunk row count mismatch"));
+        }
+        // Float and string streams repeat the row count.
+        let check_count = |pos: &mut usize, what: &str| {
+            if read_varint(buf, pos)? == rows as u64 {
+                Ok(())
+            } else {
+                Err(StorageError::corrupt(format!(
+                    "{what} column length mismatch"
+                )))
             }
-            ColumnType::Float64 => {
-                let n = read_varint(buf, pos)? as usize;
-                if n != valid.len() {
-                    return Err(StorageError::corrupt("float column length mismatch"));
-                }
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(read_f64(buf, pos)?);
-                }
-                Ok(ColumnData::Float64 { valid, values })
+        };
+        match self {
+            ColumnData::Int64 { valid, values } => {
+                validity.append_to(valid, select);
+                rle_decode_i64_with(buf, pos, rows, select, |v| {
+                    values.push(v);
+                    Ok(())
+                })?;
             }
-            ColumnType::Utf8 => {
-                let n = read_varint(buf, pos)? as usize;
-                if n != valid.len() {
-                    return Err(StorageError::corrupt("string column length mismatch"));
+            ColumnData::Float64 { valid, values } => {
+                check_count(pos, "float")?;
+                let raw = rows
+                    .checked_mul(8)
+                    .and_then(|len| pos.checked_add(len))
+                    .and_then(|end| buf.get(*pos..end))
+                    .ok_or_else(|| StorageError::corrupt("f64 truncated"))?;
+                *pos += raw.len();
+                let at = |r: usize| {
+                    let bytes = raw[r * 8..r * 8 + 8].try_into();
+                    f64::from_le_bytes(bytes.expect("the slice is eight bytes long"))
+                };
+                validity.append_to(valid, select);
+                match select {
+                    None => values.extend((0..rows).map(at)),
+                    Some(select) => values.extend(select.iter().map(|&r| at(r as usize))),
                 }
+            }
+            ColumnData::Utf8 { valid, values } => {
+                check_count(pos, "string")?;
                 let mode = *buf
                     .get(*pos)
                     .ok_or_else(|| StorageError::corrupt("string stream mode truncated"))?;
                 *pos += 1;
-                let values = match mode {
+                // Every plain string and every dictionary entry costs at
+                // least its length byte.
+                let left = buf.len() - *pos;
+                match mode {
                     0 => {
-                        let mut values = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            values.push(Arc::<str>::from(read_str(buf, pos)?));
+                        if rows > left {
+                            return Err(StorageError::corrupt("string truncated"));
                         }
-                        values
+                        validity.append_to(valid, select);
+                        let mut wanted = select.map(|s| s.iter().peekable());
+                        for i in 0..rows {
+                            let keep = wanted
+                                .as_mut()
+                                .is_none_or(|w| w.next_if(|&&r| r as usize == i).is_some());
+                            if keep && validity.get(i) {
+                                values.push(shared_str(read_str(buf, pos)?));
+                            } else {
+                                skip_str(buf, pos)?;
+                                if keep {
+                                    values.push(shared_str(""));
+                                }
+                            }
+                        }
                     }
                     1 => {
-                        let dict_len = read_varint(buf, pos)? as usize;
-                        let mut dict: Vec<Arc<str>> = Vec::with_capacity(dict_len);
-                        for _ in 0..dict_len {
-                            dict.push(Arc::from(read_str(buf, pos)?));
-                        }
-                        let indexes = rle_decode_i64(buf, pos)?;
-                        if indexes.len() != n {
-                            return Err(StorageError::corrupt("dictionary index count mismatch"));
+                        let dict_len = read_varint(buf, pos)?;
+                        if dict_len > left as u64 {
+                            return Err(StorageError::corrupt("dictionary longer than its chunk"));
                         }
                         // Rows sharing a dictionary entry share one
                         // allocation in memory too.
-                        indexes
-                            .into_iter()
-                            .map(|i| {
-                                usize::try_from(i)
-                                    .ok()
-                                    .and_then(|i| dict.get(i))
-                                    .map(Arc::clone)
-                                    .ok_or_else(|| {
-                                        StorageError::corrupt("dictionary index out of range")
-                                    })
-                            })
-                            .collect::<Result<Vec<Arc<str>>>>()?
+                        let dict = (0..dict_len)
+                            .map(|_| read_str(buf, pos).map(shared_str))
+                            .collect::<Result<Vec<Arc<str>>>>()?;
+                        validity.append_to(valid, select);
+                        rle_decode_i64_with(buf, pos, rows, select, |i| {
+                            let entry = usize::try_from(i).ok().and_then(|i| dict.get(i));
+                            values.push(Arc::clone(entry.ok_or_else(|| {
+                                StorageError::corrupt("dictionary index out of range")
+                            })?));
+                            Ok(())
+                        })?;
                     }
                     m => {
                         return Err(StorageError::corrupt(format!(
                             "unknown string stream mode {m}"
                         )))
                     }
-                };
-                Ok(ColumnData::Utf8 { valid, values })
+                }
             }
-            ColumnType::Bool => {
-                let values = read_bitmap(buf, pos)?;
-                if values.len() != valid.len() {
+            ColumnData::Bool { valid, values } => {
+                let bits = Bitmap::read(buf, pos)?;
+                if bits.len() != rows {
                     return Err(StorageError::corrupt("bool column length mismatch"));
                 }
-                Ok(ColumnData::Bool { valid, values })
+                validity.append_to(valid, select);
+                bits.append_to(values, select);
             }
+        }
+        Ok(rows)
+    }
+
+    /// Reserve room for `rows` more rows.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        match self {
+            ColumnData::Int64 { valid, values } => {
+                valid.reserve(rows);
+                values.reserve(rows);
+            }
+            ColumnData::Float64 { valid, values } => {
+                valid.reserve(rows);
+                values.reserve(rows);
+            }
+            ColumnData::Utf8 { valid, values } => {
+                valid.reserve(rows);
+                values.reserve(rows);
+            }
+            ColumnData::Bool { valid, values } => {
+                valid.reserve(rows);
+                values.reserve(rows);
+            }
+        }
+    }
+
+    /// The rows at `rows` (indexes into this column), as a new column.
+    pub fn gather(&self, rows: &[u32]) -> ColumnData {
+        fn pick<T: Clone>(from: &[T], rows: &[u32]) -> Vec<T> {
+            rows.iter().map(|&r| from[r as usize].clone()).collect()
+        }
+        match self {
+            ColumnData::Int64 { valid, values } => ColumnData::Int64 {
+                valid: pick(valid, rows),
+                values: pick(values, rows),
+            },
+            ColumnData::Float64 { valid, values } => ColumnData::Float64 {
+                valid: pick(valid, rows),
+                values: pick(values, rows),
+            },
+            ColumnData::Utf8 { valid, values } => ColumnData::Utf8 {
+                valid: pick(valid, rows),
+                values: pick(values, rows),
+            },
+            ColumnData::Bool { valid, values } => ColumnData::Bool {
+                valid: pick(valid, rows),
+                values: pick(values, rows),
+            },
         }
     }
 
@@ -458,6 +572,76 @@ mod tests {
     }
 
     #[test]
+    fn chunks_decode_in_place_whole_or_at_a_selection() {
+        let mut plain = ColumnData::empty(ColumnType::Utf8);
+        let mut dict = ColumnData::empty(ColumnType::Utf8);
+        let mut ints = ColumnData::empty(ColumnType::Int64);
+        let mut floats = ColumnData::empty(ColumnType::Float64);
+        let mut bools = ColumnData::empty(ColumnType::Bool);
+        for i in 0..20i64 {
+            let null = i % 6 == 1;
+            let cell = |c: Cell| if null { Cell::Null } else { c };
+            plain.push(&cell(Cell::from(format!("v{i}"))), "c").unwrap();
+            dict.push(&cell(Cell::from(["a", "b"][i as usize % 2])), "c")
+                .unwrap();
+            ints.push(&cell(Cell::Int(i / 5)), "c").unwrap();
+            floats
+                .push(&cell(Cell::Float(i as f64 / 2.0)), "c")
+                .unwrap();
+            bools.push(&cell(Cell::Bool(i % 3 == 0)), "c").unwrap();
+        }
+        for col in [plain, dict, ints, floats, bools] {
+            let mut buf = Vec::new();
+            col.encode(&mut buf);
+            // Appending: two chunks land one after the other.
+            let mut twice = ColumnData::empty(col.column_type());
+            for _ in 0..2 {
+                let mut pos = 0;
+                assert_eq!(twice.decode_into(&buf, &mut pos, None).unwrap(), 20);
+                assert_eq!(pos, buf.len());
+            }
+            let all: Vec<u32> = (0..20).chain(0..20).collect();
+            assert_eq!(twice, col.gather(&all));
+            for select in [vec![], vec![0, 1, 2], vec![1, 7, 13, 19], (0..20).collect()] {
+                let mut at = ColumnData::empty(col.column_type());
+                let mut pos = 0;
+                at.decode_into(&buf, &mut pos, Some(&select)).unwrap();
+                assert_eq!(
+                    pos,
+                    buf.len(),
+                    "a selected decode still ends past the chunk"
+                );
+                assert_eq!(at, col.gather(&select), "select {select:?}");
+            }
+            // A selection made for a longer chunk is a corrupt chunk.
+            let mut at = ColumnData::empty(col.column_type());
+            assert!(at.decode_into(&buf, &mut 0, Some(&[3, 20])).is_err());
+        }
+    }
+
+    #[test]
+    fn null_and_empty_strings_share_one_buffer() {
+        let mut col = ColumnData::empty(ColumnType::Utf8);
+        for c in [Cell::Null, Cell::from("x"), Cell::Null, Cell::from("")] {
+            col.push(&c, "c").unwrap();
+        }
+        let mut buf = Vec::new();
+        col.encode(&mut buf);
+        let back = ColumnData::decode(ColumnType::Utf8, &buf, &mut 0).unwrap();
+        let values = |col: &ColumnData| match col {
+            ColumnData::Utf8 { values, .. } => values.clone(),
+            _ => unreachable!(),
+        };
+        // Pushed NULLs share the thread's empty string; a pushed cell keeps
+        // the buffer it came with.
+        assert!(Arc::ptr_eq(&values(&col)[0], &values(&col)[2]));
+        let decoded = values(&back);
+        assert!(Arc::ptr_eq(&decoded[0], &decoded[2]));
+        assert!(Arc::ptr_eq(&decoded[0], &decoded[3]));
+        assert_eq!(back.get(3), Cell::from(""), "an empty string is not a NULL");
+    }
+
+    #[test]
     fn byte_size_reflects_content() {
         let mut col = ColumnData::empty(ColumnType::Utf8);
         col.push(&Cell::Str("abcd".into()), "c").unwrap();
@@ -513,7 +697,7 @@ mod dict_tests {
         col.encode(&mut buf);
         // Mode byte follows bitmap + count; find it by decoding prefix.
         let mut pos = 0;
-        let _ = crate::encoding::read_bitmap(&buf, &mut pos).unwrap();
+        let _ = Bitmap::read(&buf, &mut pos).unwrap();
         let _ = crate::encoding::read_varint(&buf, &mut pos).unwrap();
         assert_eq!(buf[pos], 0, "unique values must use the plain stream");
         let (back, _) = round_trip(&col);
@@ -543,7 +727,7 @@ mod dict_tests {
         col.encode(&mut buf);
         // Find the mode byte and corrupt it.
         let mut pos = 0;
-        let _ = crate::encoding::read_bitmap(&buf, &mut pos).unwrap();
+        let _ = Bitmap::read(&buf, &mut pos).unwrap();
         let _ = crate::encoding::read_varint(&buf, &mut pos).unwrap();
         buf[pos] = 9;
         let mut dpos = 0;

@@ -93,25 +93,77 @@ pub fn rle_encode_i64(values: &[i64], out: &mut Vec<u8>) {
     }
 }
 
-/// Decode a stream produced by [`rle_encode_i64`].
-pub fn rle_decode_i64(buf: &[u8], pos: &mut usize) -> Result<Vec<i64>> {
-    let total = read_varint(buf, pos)? as usize;
-    let mut out = Vec::with_capacity(total);
-    while out.len() < total {
+/// Walk a stream produced by [`rle_encode_i64`] that must hold exactly
+/// `rows` values, handing `emit` every value in order, or — with `select`,
+/// an ascending list of positions below `rows` — only the values at those
+/// positions. The whole stream is consumed either way, so `pos` ends past
+/// it. `rows` is the caller's bound (a chunk's row count, itself bounded by
+/// the bytes of its validity bitmap): the declared total is checked against
+/// it before anything is emitted, so a hostile total cannot size a buffer.
+pub fn rle_decode_i64_with(
+    buf: &[u8],
+    pos: &mut usize,
+    rows: usize,
+    select: Option<&[u32]>,
+    mut emit: impl FnMut(i64) -> Result<()>,
+) -> Result<()> {
+    if read_varint(buf, pos)? != rows as u64 {
+        return Err(StorageError::corrupt(
+            "RLE stream length disagrees with the row count",
+        ));
+    }
+    let mut done = 0usize;
+    // Index of the next wanted position in `select`.
+    let mut next = 0usize;
+    while done < rows {
         let header = read_varint(buf, pos)?;
-        let len = (header >> 1) as usize;
-        if len == 0 || out.len() + len > total {
-            return Err(StorageError::corrupt("RLE span overruns declared length"));
-        }
-        if header & 1 == 1 {
-            let v = unzigzag(read_varint(buf, pos)?);
-            out.extend(std::iter::repeat_n(v, len));
-        } else {
-            for _ in 0..len {
-                out.push(unzigzag(read_varint(buf, pos)?));
+        let end = usize::try_from(header >> 1)
+            .ok()
+            .filter(|&len| len != 0 && len <= rows - done)
+            .map(|len| done + len)
+            .ok_or_else(|| StorageError::corrupt("RLE span overruns declared length"))?;
+        let is_run = header & 1 == 1;
+        match select {
+            None if is_run => {
+                let v = unzigzag(read_varint(buf, pos)?);
+                for _ in done..end {
+                    emit(v)?;
+                }
+            }
+            None => {
+                for _ in done..end {
+                    emit(unzigzag(read_varint(buf, pos)?))?;
+                }
+            }
+            Some(select) if is_run => {
+                let v = unzigzag(read_varint(buf, pos)?);
+                while select.get(next).is_some_and(|&r| (r as usize) < end) {
+                    emit(v)?;
+                    next += 1;
+                }
+            }
+            Some(select) => {
+                for i in done..end {
+                    let raw = read_varint(buf, pos)?;
+                    if select.get(next).is_some_and(|&r| r as usize == i) {
+                        emit(unzigzag(raw))?;
+                        next += 1;
+                    }
+                }
             }
         }
+        done = end;
     }
+    Ok(())
+}
+
+/// Decode a stream produced by [`rle_encode_i64`] holding `rows` values.
+pub fn rle_decode_i64(buf: &[u8], pos: &mut usize, rows: usize) -> Result<Vec<i64>> {
+    let mut out = Vec::with_capacity(rows);
+    rle_decode_i64_with(buf, pos, rows, None, |v| {
+        out.push(v);
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -121,20 +173,28 @@ pub fn write_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Read a length-prefixed UTF-8 string.
-pub fn read_str(buf: &[u8], pos: &mut usize) -> Result<String> {
-    let len = read_varint(buf, pos)? as usize;
+/// The bytes of a length-prefixed string, advancing `pos` past them.
+fn str_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
+    let len = usize::try_from(read_varint(buf, pos)?)
+        .map_err(|_| StorageError::corrupt("string length overflow"))?;
     let end = pos
         .checked_add(len)
-        .ok_or_else(|| StorageError::corrupt("string length overflow"))?;
-    if end > buf.len() {
-        return Err(StorageError::corrupt("string truncated"));
-    }
-    let s = std::str::from_utf8(&buf[*pos..end])
-        .map_err(|_| StorageError::corrupt("string is not UTF-8"))?
-        .to_string();
+        .filter(|&end| end <= buf.len())
+        .ok_or_else(|| StorageError::corrupt("string truncated"))?;
+    let bytes = &buf[*pos..end];
     *pos = end;
-    Ok(s)
+    Ok(bytes)
+}
+
+/// Read a length-prefixed UTF-8 string, borrowed from `buf`.
+pub fn read_str<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str> {
+    std::str::from_utf8(str_bytes(buf, pos)?)
+        .map_err(|_| StorageError::corrupt("string is not UTF-8"))
+}
+
+/// Step over a length-prefixed string without validating its bytes.
+pub fn skip_str(buf: &[u8], pos: &mut usize) -> Result<()> {
+    str_bytes(buf, pos).map(|_| ())
 }
 
 /// Append an `f64` in little-endian.
@@ -144,14 +204,14 @@ pub fn write_f64(out: &mut Vec<u8>, v: f64) {
 
 /// Read an `f64` in little-endian.
 pub fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64> {
-    let end = *pos + 8;
-    if end > buf.len() {
-        return Err(StorageError::corrupt("f64 truncated"));
-    }
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[*pos..end]);
-    *pos = end;
-    Ok(f64::from_le_bytes(b))
+    let bytes = pos
+        .checked_add(8)
+        .and_then(|end| buf.get(*pos..end))
+        .ok_or_else(|| StorageError::corrupt("f64 truncated"))?;
+    *pos += 8;
+    Ok(f64::from_le_bytes(
+        bytes.try_into().expect("the slice is eight bytes long"),
+    ))
 }
 
 /// Pack a slice of booleans into a bitmap (LSB-first within each byte),
@@ -173,20 +233,63 @@ pub fn write_bitmap(out: &mut Vec<u8>, bits: &[bool]) {
     }
 }
 
+/// A bitmap written by [`write_bitmap`], borrowed from its buffer. Its bit
+/// count is bounded by the bytes it occupies (eight bits a byte), which is
+/// what lets a chunk decoder reserve for that many rows.
+#[derive(Debug, Clone, Copy)]
+pub struct Bitmap<'a> {
+    bytes: &'a [u8],
+    len: usize,
+}
+
+impl<'a> Bitmap<'a> {
+    /// Borrow the bitmap at `pos`, advancing past it.
+    pub fn read(buf: &'a [u8], pos: &mut usize) -> Result<Self> {
+        let len = usize::try_from(read_varint(buf, pos)?)
+            .map_err(|_| StorageError::corrupt("bitmap length overflow"))?;
+        let bytes = pos
+            .checked_add(len.div_ceil(8))
+            .and_then(|end| buf.get(*pos..end))
+            .ok_or_else(|| StorageError::corrupt("bitmap truncated"))?;
+        *pos += bytes.len();
+        Ok(Bitmap { bytes, len })
+    }
+
+    /// Number of bits.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the bitmap holds no bits.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bit `i` (`i < len`).
+    pub fn get(&self, i: usize) -> bool {
+        self.bytes[i / 8] >> (i % 8) & 1 == 1
+    }
+
+    /// Append every bit to `out`, or with `select` (positions below `len`)
+    /// only the bits at those positions.
+    pub fn append_to(&self, out: &mut Vec<bool>, select: Option<&[u32]>) {
+        match select {
+            Some(select) => out.extend(select.iter().map(|&i| self.get(i as usize))),
+            None => {
+                out.reserve(self.len);
+                for (&byte, at) in self.bytes.iter().zip((0..self.len).step_by(8)) {
+                    let bits: [bool; 8] = std::array::from_fn(|k| byte >> k & 1 == 1);
+                    out.extend_from_slice(&bits[..(self.len - at).min(8)]);
+                }
+            }
+        }
+    }
+}
+
 /// Inverse of [`write_bitmap`].
 pub fn read_bitmap(buf: &[u8], pos: &mut usize) -> Result<Vec<bool>> {
-    let n = read_varint(buf, pos)? as usize;
-    let nbytes = n.div_ceil(8);
-    let end = *pos + nbytes;
-    if end > buf.len() {
-        return Err(StorageError::corrupt("bitmap truncated"));
-    }
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let byte = buf[*pos + i / 8];
-        out.push(byte >> (i % 8) & 1 == 1);
-    }
-    *pos = end;
+    let mut out = Vec::new();
+    Bitmap::read(buf, pos)?.append_to(&mut out, None);
     Ok(out)
 }
 
@@ -243,7 +346,10 @@ mod tests {
         let mut buf = Vec::new();
         rle_encode_i64(&values, &mut buf);
         let mut pos = 0;
-        assert_eq!(rle_decode_i64(&buf, &mut pos).unwrap(), values);
+        assert_eq!(
+            rle_decode_i64(&buf, &mut pos, values.len()).unwrap(),
+            values
+        );
         assert_eq!(pos, buf.len());
     }
 
@@ -265,8 +371,38 @@ mod tests {
             let mut buf = Vec::new();
             rle_encode_i64(&values, &mut buf);
             let mut pos = 0;
-            assert_eq!(rle_decode_i64(&buf, &mut pos).unwrap(), values);
+            assert_eq!(
+                rle_decode_i64(&buf, &mut pos, values.len()).unwrap(),
+                values
+            );
         }
+    }
+
+    #[test]
+    fn rle_selected_positions_match_the_full_decode() {
+        let values: Vec<i64> = vec![5, 5, 5, 5, 1, 2, 3, -9, -9, -9, 0, 0, 7];
+        let mut buf = Vec::new();
+        rle_encode_i64(&values, &mut buf);
+        for select in [vec![], vec![0], vec![3, 4, 6, 9, 12], (0..13).collect()] {
+            let (mut pos, mut got) = (0, Vec::new());
+            rle_decode_i64_with(&buf, &mut pos, values.len(), Some(&select), |v| {
+                got.push(v);
+                Ok(())
+            })
+            .unwrap();
+            let want: Vec<i64> = select.iter().map(|&i| values[i as usize]).collect();
+            assert_eq!(got, want, "select {select:?}");
+            assert_eq!(pos, buf.len(), "the whole stream is consumed");
+        }
+    }
+
+    #[test]
+    fn rle_total_is_checked_against_the_row_count_before_reserving() {
+        let mut buf = Vec::new();
+        write_varint(&mut buf, u64::MAX);
+        write_varint(&mut buf, (u64::MAX << 1) | 1);
+        write_varint(&mut buf, zigzag(1));
+        assert!(rle_decode_i64(&buf, &mut 0, 4).is_err());
     }
 
     #[test]
@@ -275,7 +411,7 @@ mod tests {
         rle_encode_i64(&[1, 2, 3, 4, 5], &mut buf);
         buf.truncate(buf.len() - 1);
         let mut pos = 0;
-        assert!(rle_decode_i64(&buf, &mut pos).is_err());
+        assert!(rle_decode_i64(&buf, &mut pos, 5).is_err());
     }
 
     #[test]
@@ -286,6 +422,21 @@ mod tests {
         let mut pos = 0;
         assert_eq!(read_str(&buf, &mut pos).unwrap(), "héllo \"world\"");
         assert_eq!(read_str(&buf, &mut pos).unwrap(), "");
+    }
+
+    #[test]
+    fn skipped_strings_are_stepped_over_unvalidated() {
+        let mut buf = Vec::new();
+        write_varint(&mut buf, 2);
+        buf.extend_from_slice(&[0xff, 0xfe]);
+        write_str(&mut buf, "next");
+        let mut pos = 0;
+        skip_str(&buf, &mut pos).unwrap();
+        assert_eq!(read_str(&buf, &mut pos).unwrap(), "next");
+        // A length reaching past the buffer is still an error.
+        let mut buf = Vec::new();
+        write_varint(&mut buf, u64::MAX);
+        assert!(skip_str(&buf, &mut 0).is_err());
     }
 
     #[test]
@@ -318,6 +469,24 @@ mod tests {
             let mut pos = 0;
             assert_eq!(read_bitmap(&buf, &mut pos).unwrap(), bits);
             assert_eq!(pos, buf.len());
+        }
+    }
+
+    #[test]
+    fn bitmap_selected_bits_and_hostile_counts() {
+        let bits: Vec<bool> = (0..21).map(|i| i % 3 == 0).collect();
+        let mut buf = Vec::new();
+        write_bitmap(&mut buf, &bits);
+        let bitmap = Bitmap::read(&buf, &mut 0).unwrap();
+        assert_eq!(bitmap.len(), 21);
+        let mut out = vec![true];
+        bitmap.append_to(&mut out, Some(&[0, 7, 8, 20]));
+        assert_eq!(out, [true, true, false, false, false]);
+        for huge in [1 << 20, u64::MAX] {
+            let mut buf = Vec::new();
+            write_varint(&mut buf, huge);
+            buf.push(0xff);
+            assert!(Bitmap::read(&buf, &mut 0).is_err());
         }
     }
 

@@ -265,7 +265,7 @@ impl ColumnStats {
         }
         fn read_opt_str(buf: &[u8], pos: &mut usize) -> Result<Option<String>> {
             Ok(if read_u8(buf, pos)? == 1 {
-                Some(read_str(buf, pos)?)
+                Some(read_str(buf, pos)?.to_string())
             } else {
                 None
             })
@@ -607,6 +607,7 @@ impl NorcFile {
         }
         let footer_start = cksum_start - 8 - footer_len;
         let footer = &data[footer_start..cksum_start - 8];
+        let body_len = (footer_start - MAGIC.len()) as u64;
         let mut pos = 0usize;
         // Schema.
         let ncols = read_varint(footer, &mut pos)? as usize;
@@ -627,13 +628,24 @@ impl NorcFile {
             let nrg = read_varint(footer, &mut pos)? as usize;
             let mut row_groups = Vec::with_capacity(nrg);
             for _ in 0..nrg {
-                let row_count = read_varint(footer, &mut pos)? as usize;
+                let row_count = read_varint(footer, &mut pos)?;
                 let mut chunks = Vec::with_capacity(ncols);
                 for _ in 0..ncols {
                     let off = read_varint(footer, &mut pos)?;
                     let len = read_varint(footer, &mut pos)?;
+                    if off.checked_add(len).is_none_or(|end| end > body_len) {
+                        return Err(StorageError::corrupt("chunk out of range"));
+                    }
+                    // A chunk opens with one validity bit per row, so its
+                    // bytes bound the row count readers reserve for.
+                    if row_count.div_ceil(8) > len {
+                        return Err(StorageError::corrupt(
+                            "row group declares more rows than its chunks hold",
+                        ));
+                    }
                     chunks.push((off, len));
                 }
+                let row_count = row_count as usize;
                 let mut columns = Vec::with_capacity(ncols);
                 for _ in 0..ncols {
                     columns.push(ColumnStats::decode(footer, &mut pos)?);
@@ -704,35 +716,6 @@ impl NorcFile {
         }
     }
 
-    /// Decode one column chunk of one row group (global row-group index).
-    pub fn read_chunk(&self, row_group: usize, column: usize) -> Result<ColumnData> {
-        let rg = self
-            .row_groups()
-            .nth(row_group)
-            .ok_or_else(|| StorageError::NotFound {
-                what: format!("row group {row_group}"),
-            })?;
-        let (off, len) = *rg
-            .chunks
-            .get(column)
-            .ok_or_else(|| StorageError::NotFound {
-                what: format!("column {column}"),
-            })?;
-        let start = MAGIC.len() + off as usize;
-        let end = start + len as usize;
-        let data = self.data.as_slice();
-        if end > data.len() {
-            return Err(StorageError::corrupt("chunk out of range"));
-        }
-        let ty = self.schema.fields()[column].ty;
-        let mut pos = 0usize;
-        let col = ColumnData::decode(ty, &data[start..end], &mut pos)?;
-        if col.len() != rg.row_count {
-            return Err(StorageError::corrupt("chunk row count mismatch"));
-        }
-        Ok(col)
-    }
-
     /// Read the requested columns for the row groups where `keep` is true
     /// (or all row groups when `keep` is `None`). Returns one concatenated
     /// [`ColumnData`] per requested column, in request order.
@@ -740,6 +723,19 @@ impl NorcFile {
         &self,
         columns: &[usize],
         keep: Option<&[bool]>,
+    ) -> Result<Vec<ColumnData>> {
+        self.read_columns_at(columns, keep, None)
+    }
+
+    /// [`NorcFile::read_columns`] restricted to `rows`: ascending positions
+    /// in the concatenation of the kept row groups (`None` = every row).
+    /// Each kept chunk is decoded once, straight into the output column; a
+    /// row group none of whose rows is wanted is not decoded at all.
+    pub fn read_columns_at(
+        &self,
+        columns: &[usize],
+        keep: Option<&[bool]>,
+        rows: Option<&[u32]>,
     ) -> Result<Vec<ColumnData>> {
         if let Some(keep) = keep {
             if keep.len() != self.row_group_count() {
@@ -752,23 +748,54 @@ impl NorcFile {
                 });
             }
         }
+        let kept = || {
+            self.row_groups()
+                .enumerate()
+                .filter(|(rgi, _)| keep.is_none_or(|keep| keep[*rgi]))
+                .map(|(_, rg)| rg)
+        };
+        let kept_rows: usize = kept().map(|rg| rg.row_count).sum();
+        if rows.is_some_and(|rows| {
+            rows.last().is_some_and(|&r| r as usize >= kept_rows)
+                || rows.windows(2).any(|pair| pair[0] >= pair[1])
+        }) {
+            return Err(StorageError::ShapeMismatch {
+                detail: format!("row selection is not ascending within the {kept_rows} kept rows"),
+            });
+        }
         let mut out: Vec<ColumnData> = columns
             .iter()
             .map(|&c| ColumnData::empty(self.schema.fields()[c].ty))
             .collect();
-        for (rgi, rg) in self.row_groups().enumerate() {
-            if let Some(keep) = keep {
-                if !keep[rgi] {
-                    continue;
-                }
+        for col in &mut out {
+            col.reserve(rows.map_or(kept_rows, <[u32]>::len));
+        }
+        let data = self.data.as_slice();
+        // Unvisited tail of `rows`, and the chunk-local indexes of the rows
+        // that fall into the current row group.
+        let mut ahead = rows;
+        let mut local: Vec<u32> = Vec::new();
+        let mut base = 0usize;
+        for rg in kept() {
+            let end = base + rg.row_count;
+            let select = ahead.as_mut().map(|ahead| {
+                let here = ahead.partition_point(|&r| (r as usize) < end);
+                local.clear();
+                local.extend(ahead[..here].iter().map(|&r| r - base as u32));
+                *ahead = &ahead[here..];
+                local.as_slice()
+            });
+            base = end;
+            if select.is_some_and(<[u32]>::is_empty) {
+                continue;
             }
-            for (outi, &c) in columns.iter().enumerate() {
-                let chunk = self.read_chunk(rgi, c)?;
-                // Concatenate chunk into out[outi].
-                for i in 0..rg.row_count {
-                    out[outi]
-                        .push(&chunk.get(i), &self.schema.fields()[c].name)
-                        .expect("chunk cell matches its own column type");
+            for (col, &c) in out.iter_mut().zip(columns) {
+                // `parse` checked every chunk against the body's length.
+                let (off, len) = rg.chunks[c];
+                let start = MAGIC.len() + off as usize;
+                let chunk = &data[start..start + len as usize];
+                if col.decode_into(chunk, &mut 0, select)? != rg.row_count {
+                    return Err(StorageError::corrupt("chunk row count mismatch"));
                 }
             }
         }
@@ -938,6 +965,67 @@ mod tests {
         assert_eq!(cols[0].len(), 10);
         assert_eq!(cols[0].get(0), Cell::Int(10));
         assert_eq!(cols[0].get(9), Cell::Int(19));
+    }
+
+    #[test]
+    fn row_selection_reads_across_row_groups() {
+        let path = temp_path("selected");
+        let opts = WriteOptions {
+            row_group_size: 10,
+            ..Default::default()
+        };
+        let rows = sample_rows(35);
+        let f = write_rows(&path, sample_schema(), &rows, opts).unwrap();
+        // Kept groups hold rows 0..10 and 20..35; positions count within them.
+        let keep = [true, false, true, true];
+        let at = [0u32, 9, 10, 11, 24];
+        let cols = f.read_columns_at(&[1, 0], Some(&keep), Some(&at)).unwrap();
+        let ids: Vec<Cell> = (0..at.len()).map(|i| cols[1].get(i)).collect();
+        assert_eq!(ids, [0, 9, 20, 21, 34].map(Cell::Int));
+        assert_eq!(cols[0].get(0), Cell::Null);
+        assert_eq!(cols[0].get(4), Cell::from("name-34"));
+        // Nothing selected decodes nothing; the shape stays.
+        let none = f.read_columns_at(&[0, 1], None, Some(&[])).unwrap();
+        assert!(none.iter().all(ColumnData::is_empty) && none.len() == 2);
+        for bad in [&[25u32][..], &[3, 3], &[4, 2]] {
+            assert!(matches!(
+                f.read_columns_at(&[0], Some(&keep), Some(bad)),
+                Err(StorageError::ShapeMismatch { .. })
+            ));
+        }
+    }
+
+    /// A footer with a valid checksum whose row count no chunk could hold
+    /// is refused at open, before any reader reserves for it.
+    #[test]
+    fn hostile_footer_row_count_rejected_at_open() {
+        let path = temp_path("hostile-footer");
+        let schema = Schema::new(vec![Field::new("v", ColumnType::Int64)]).unwrap();
+        let rows: Vec<Vec<Cell>> = (0..5).map(|i| vec![Cell::Int(i)]).collect();
+        write_rows(&path, schema, &rows, WriteOptions::default()).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        let footer_len =
+            u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap());
+        let footer_start = bytes.len() - 16 - footer_len as usize;
+        // ncols, name, type tag, stripe count, row-group count, row count.
+        let at = footer_start + 6;
+        assert_eq!(bytes[at], 5);
+        for huge in [u64::from(u32::MAX), u64::MAX] {
+            let mut hostile = bytes[..at].to_vec();
+            write_varint(&mut hostile, huge);
+            hostile.extend_from_slice(&bytes[at + 1..bytes.len() - 16]);
+            let footer_len = (hostile.len() - footer_start) as u64;
+            hostile.extend_from_slice(&footer_len.to_le_bytes());
+            let checksum = fnv1a(&hostile);
+            hostile.extend_from_slice(&checksum.to_le_bytes());
+            fs::write(&path, &hostile).unwrap();
+            for mode in [MmapMode::Enabled, MmapMode::Disabled] {
+                assert!(matches!(
+                    NorcFile::open_with(&path, mode),
+                    Err(StorageError::Corrupt { .. })
+                ));
+            }
+        }
     }
 
     #[test]

@@ -2,14 +2,22 @@
 //! row-group statistics.
 //!
 //! A SARG never decides that a row *matches* — it only proves that an entire
-//! row group *cannot* contain matching rows, so it can be skipped. The
-//! soundness invariant (checked by the `maxson-testkit` property test
-//! `sarg_skipping_never_drops_qualifying_rows` in the workspace-level
-//! `tests/property_tests.rs`) is: a row group containing any row satisfying
-//! the predicate is never skipped.
+//! row group *cannot* contain matching rows, so it can be skipped
+//! ([`SearchArgument::keep_array`]), or that one decoded row cannot match,
+//! so the remaining columns need not be decoded for it
+//! ([`SearchArgument::select_rows`]). The soundness invariant (checked by the
+//! `maxson-testkit` property tests `sarg_skipping_never_drops_qualifying_rows`
+//! and `sarg_row_selection_never_drops_qualifying_rows` in the
+//! workspace-level `tests/property_tests.rs`) is the same at both
+//! granularities: nothing satisfying the predicate is ever dropped, and the
+//! `Filter` above the scan still runs.
+
+use std::cmp::Ordering;
 
 use crate::cell::Cell;
+use crate::column::ColumnData;
 use crate::file::{ColumnStats, RowGroupStats};
+use crate::schema::{ColumnType, Schema};
 
 /// Comparison operators supported in SARGs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +103,98 @@ impl SearchArgument {
     /// Compute the keep array over an ordered row-group listing.
     pub fn keep_array<'a>(&self, row_groups: impl Iterator<Item = &'a RowGroupStats>) -> Vec<bool> {
         row_groups.map(|rg| self.row_group_may_match(rg)).collect()
+    }
+
+    /// The columns of `schema` (ascending, distinct) that
+    /// [`SearchArgument::select_rows`] wants decoded: those under a leaf it
+    /// can test row by row.
+    pub fn row_test_columns(&self, schema: &Schema) -> Vec<usize> {
+        let mut columns: Vec<usize> = self
+            .leaves
+            .iter()
+            .filter(|leaf| {
+                leaf.number().is_some()
+                    && schema
+                        .fields()
+                        .get(leaf.column)
+                        .is_some_and(|f| f.ty != ColumnType::Utf8)
+            })
+            .map(|leaf| leaf.column)
+            .collect();
+        columns.sort_unstable();
+        columns.dedup();
+        columns
+    }
+
+    /// Evaluate the leaves row by row over decoded columns — `data[i]`
+    /// holds file column `columns[i]`, all of one length — and return the
+    /// ascending indexes of the rows that may satisfy every leaf, or `None`
+    /// when no leaf could be tested (every row is kept).
+    ///
+    /// A leaf is tested when its column is a decoded `Int64`, `Float64` or
+    /// `Bool` column and its literal is one of those types, with the
+    /// semantics of [`Cell::sql_cmp`]: both sides compare as `f64` and a
+    /// NULL (or NaN) satisfies nothing. Any other leaf — a `Utf8` column,
+    /// whose comparison depends on how each value parses, or a string or
+    /// NULL literal — keeps every row, as a mixed row group does in
+    /// [`SearchArgument::keep_array`].
+    pub fn select_rows(&self, columns: &[usize], data: &[ColumnData]) -> Option<Vec<u32>> {
+        let mut selected: Option<Vec<u32>> = None;
+        for leaf in &self.leaves {
+            let at = columns.iter().position(|&c| c == leaf.column);
+            let (Some(literal), Some(column)) = (leaf.number(), at.map(|at| &data[at])) else {
+                continue;
+            };
+            if column.column_type() == ColumnType::Utf8 {
+                continue;
+            }
+            let passes = |row: &u32| {
+                number_at(column, *row as usize)
+                    .and_then(|v| v.partial_cmp(&literal))
+                    .is_some_and(|ord| leaf.op.accepts(ord))
+            };
+            match &mut selected {
+                Some(rows) => rows.retain(passes),
+                None => selected = Some((0..column.len() as u32).filter(passes).collect()),
+            }
+        }
+        selected
+    }
+}
+
+impl CmpOp {
+    /// Whether `column <op> literal` holds when the two compare as `ord`.
+    fn accepts(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord == Ordering::Equal,
+            CmpOp::NotEq => ord != Ordering::Equal,
+            CmpOp::Lt => ord == Ordering::Less,
+            CmpOp::LtEq => ord != Ordering::Greater,
+            CmpOp::Gt => ord == Ordering::Greater,
+            CmpOp::GtEq => ord != Ordering::Less,
+        }
+    }
+}
+
+impl SargLeaf {
+    /// The literal as `Cell::sql_cmp` sees it beside a numeric or boolean
+    /// cell; `None` for the literals no row test is made against.
+    fn number(&self) -> Option<f64> {
+        match self.literal {
+            Cell::Int(_) | Cell::Float(_) | Cell::Bool(_) => self.literal.coerce_f64(),
+            Cell::Str(_) | Cell::Null => None,
+        }
+    }
+}
+
+/// Row `row` of a numeric or boolean column as `Cell::coerce_f64` would
+/// give it; `None` for a NULL and for any string column.
+fn number_at(column: &ColumnData, row: usize) -> Option<f64> {
+    match column {
+        ColumnData::Int64 { valid, values } => valid[row].then(|| values[row] as f64),
+        ColumnData::Float64 { valid, values } => valid[row].then(|| values[row]),
+        ColumnData::Bool { valid, values } => valid[row].then(|| f64::from(u8::from(values[row]))),
+        ColumnData::Utf8 { .. } => None,
     }
 }
 
@@ -372,6 +472,62 @@ mod tests {
         ];
         let sarg = SearchArgument::new().with(0, CmpOp::Gt, Cell::Int(15));
         assert_eq!(sarg.keep_array(groups.iter()), vec![false, true, true]);
+    }
+
+    #[test]
+    fn row_selection_follows_sql_cmp() {
+        let col = |cells: &[Cell], ty| {
+            let mut col = ColumnData::empty(ty);
+            for c in cells {
+                col.push(c, "c").unwrap();
+            }
+            col
+        };
+        let date = col(
+            &[Cell::Int(3), Cell::Null, Cell::Int(7), Cell::Int(9)],
+            ColumnType::Int64,
+        );
+        let score = col(
+            &[
+                Cell::Float(f64::NAN),
+                Cell::Float(1.5),
+                Cell::Float(2.0),
+                Cell::Null,
+            ],
+            ColumnType::Float64,
+        );
+        let text = col(&["3", "x", "7", "9"].map(Cell::from), ColumnType::Utf8);
+        let data = [date, score, text];
+        let rows = |sarg: SearchArgument| sarg.select_rows(&[0, 1, 2], &data);
+        let leaf = |c, op, lit| SearchArgument::new().with(c, op, lit);
+        assert_eq!(rows(leaf(0, CmpOp::GtEq, Cell::Int(7))), Some(vec![2, 3]));
+        // An integer column against a float literal compares as f64.
+        assert_eq!(rows(leaf(0, CmpOp::Lt, Cell::Float(7.5))), Some(vec![0, 2]));
+        // NULL and NaN satisfy nothing, `<>` included.
+        assert_eq!(rows(leaf(0, CmpOp::NotEq, Cell::Int(7))), Some(vec![0, 3]));
+        assert_eq!(rows(leaf(1, CmpOp::NotEq, Cell::Int(2))), Some(vec![1]));
+        // Leaves conjoin.
+        let both = leaf(0, CmpOp::Gt, Cell::Int(3)).with(1, CmpOp::LtEq, Cell::Int(2));
+        assert_eq!(rows(both), Some(vec![2]));
+        // String columns and string or NULL literals select nothing.
+        assert_eq!(rows(leaf(2, CmpOp::Eq, Cell::Int(7))), None);
+        assert_eq!(rows(leaf(0, CmpOp::Eq, Cell::from("7"))), None);
+        assert_eq!(rows(leaf(0, CmpOp::Eq, Cell::Null)), None);
+        // Nor does a leaf whose column was not decoded.
+        assert_eq!(rows(leaf(5, CmpOp::Eq, Cell::Int(7))), None);
+
+        let schema = Schema::new(vec![
+            crate::schema::Field::new("date", ColumnType::Int64),
+            crate::schema::Field::new("score", ColumnType::Float64),
+            crate::schema::Field::new("text", ColumnType::Utf8),
+        ])
+        .unwrap();
+        let sarg = leaf(1, CmpOp::Gt, Cell::Int(0))
+            .with(2, CmpOp::Eq, Cell::Int(7))
+            .with(0, CmpOp::Eq, Cell::from("7"))
+            .with(1, CmpOp::Lt, Cell::Float(9.0))
+            .with(9, CmpOp::Lt, Cell::Int(1));
+        assert_eq!(sarg.row_test_columns(&schema), vec![1]);
     }
 
     #[test]

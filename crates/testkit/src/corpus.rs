@@ -24,7 +24,8 @@
 //!
 //! [`mutate_bytes`] turns any document into a byte-level fuzz case
 //! (flips, insertions, deletions, truncation), for property tests that
-//! assert "malformed input returns an error, never a panic".
+//! assert "malformed input returns an error, never a panic";
+//! [`mutate_byte_slice`] is the same step over binary input.
 //!
 //! This module deliberately does **not** depend on `maxson-json`: it
 //! produces strings only, and the parser crates' own tests decide what the
@@ -296,13 +297,10 @@ fn invalid_doc(rng: &mut Rng, i: usize) -> String {
 }
 
 /// Apply 1–4 random byte-level mutations (flip, insert, delete, truncate,
-/// splice) to `doc`, returning the result re-interpreted as UTF-8 (lossy,
-/// so parsers always receive a `&str` — invalid sequences become U+FFFD).
-/// The output may still be valid JSON; callers asserting rejection should
-/// pair it with a parse check, and callers asserting "no panic" need
-/// nothing else.
-pub fn mutate_bytes(doc: &str, rng: &mut Rng) -> String {
-    let mut bytes = doc.as_bytes().to_vec();
+/// splice) to `bytes`: the fuzz step for binary inputs (encoded Norc
+/// chunks), and what [`mutate_bytes`] does to a document's bytes.
+pub fn mutate_byte_slice(bytes: &[u8], rng: &mut Rng) -> Vec<u8> {
+    let mut bytes = bytes.to_vec();
     for _ in 0..rng.gen_range(1usize..=4) {
         if bytes.is_empty() {
             bytes.push(rng.gen_range(0u8..=255));
@@ -317,7 +315,7 @@ pub fn mutate_bytes(doc: &str, rng: &mut Rng) -> String {
             }
             3 => bytes.truncate(pos),
             _ => {
-                // Splice a short window from elsewhere in the doc.
+                // Splice a short window from elsewhere in the input.
                 let src = rng.gen_range(0usize..bytes.len());
                 let len = rng.gen_range(1usize..=8).min(bytes.len() - src);
                 let window: Vec<u8> = bytes[src..src + len].to_vec();
@@ -326,7 +324,16 @@ pub fn mutate_bytes(doc: &str, rng: &mut Rng) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&bytes).into_owned()
+    bytes
+}
+
+/// [`mutate_byte_slice`] over `doc`, returning the result re-interpreted as
+/// UTF-8 (lossy, so parsers always receive a `&str` — invalid sequences
+/// become U+FFFD). The output may still be valid JSON; callers asserting
+/// rejection should pair it with a parse check, and callers asserting "no
+/// panic" need nothing else.
+pub fn mutate_bytes(doc: &str, rng: &mut Rng) -> String {
+    String::from_utf8_lossy(&mutate_byte_slice(doc.as_bytes(), rng)).into_owned()
 }
 
 #[cfg(test)]

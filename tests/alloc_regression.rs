@@ -21,6 +21,16 @@
 //! path shares one buffer per distinct document and materializes only the
 //! filter column for rejected rows.
 
+//!
+//! That table never saw what a *plain*-encoded column costs: a dictionary
+//! chunk decodes its eight entries once and every row clones one of them,
+//! so a decoder that copied each decoded string twice (`read_str` into a
+//! `String`, then into an `Arc<str>`) paid for it eight times per 4,096
+//! rows. The real cache columns hold mostly unique values and stay plain;
+//! the last cell below builds such a table and holds the raw + cache and
+//! cache-only scans over it to one allocation per decoded string, and to
+//! none for the strings of rows the scan's row selection drops.
+
 use maxson::mpjp::PredictorKind;
 use maxson::{MaxsonPipeline, PipelineConfig};
 use maxson_engine::session::Session;
@@ -161,6 +171,7 @@ fn scan_filter_hot_loop_allocations_per_row() {
 
     assert_maxson_rewritten_allocations_per_row(&mut session, &root);
     assert_cache_build_allocations_per_row();
+    assert_plain_encoded_cache_allocations_per_row();
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -257,30 +268,7 @@ fn allocs_per_row(session: &Session, sql: &str, expect_rows: usize) -> f64 {
 /// even runs. Called from the one test above — the allocation counter is
 /// process-wide, so a second `#[test]` running beside it would be counted.
 fn assert_maxson_rewritten_allocations_per_row(session: &mut Session, root: &PathBuf) {
-    // Two daily users of both paths make them multi-parsed JSONPaths.
-    let history: Vec<QueryRecord> = (0..20u32)
-        .map(|i| QueryRecord {
-            query_id: u64::from(i),
-            user_id: i % 2,
-            day: i / 2,
-            hour: 9,
-            recurrence: RecurrenceClass::Daily,
-            paths: ["$.group", "$.name"]
-                .map(|p| JsonPathLocation::new("db", "t", "payload", p))
-                .to_vec(),
-        })
-        .collect();
-    let mut pipeline = MaxsonPipeline::new(
-        root,
-        PipelineConfig {
-            predictor: PredictorKind::RepeatYesterday,
-            ..Default::default()
-        },
-    );
-    pipeline.observe(history.iter());
-    pipeline
-        .run_midnight_cycle(session, &history, 8, 100)
-        .unwrap();
+    cache_paths(session, root, ["$.group", "$.name"]);
 
     // Raw + cache stitch, the plain test's shape and selectivity.
     let stitched = allocs_per_row(
@@ -307,4 +295,105 @@ fn assert_maxson_rewritten_allocations_per_row(session: &mut Session, root: &Pat
              {per_row:.3} (ceiling {ENGINE_ALLOCS_PER_ROW_CEILING})"
         );
     }
+}
+
+/// Run one midnight cycle that caches `paths` of `db.t.payload`: two daily
+/// users of each make them multi-parsed JSONPaths.
+fn cache_paths(session: &mut Session, root: &PathBuf, paths: [&str; 2]) {
+    let history: Vec<QueryRecord> = (0..20u32)
+        .map(|i| QueryRecord {
+            query_id: u64::from(i),
+            user_id: i % 2,
+            day: i / 2,
+            hour: 9,
+            recurrence: RecurrenceClass::Daily,
+            paths: paths
+                .map(|p| JsonPathLocation::new("db", "t", "payload", p))
+                .to_vec(),
+        })
+        .collect();
+    let mut pipeline = MaxsonPipeline::new(
+        root,
+        PipelineConfig {
+            predictor: PredictorKind::RepeatYesterday,
+            ..Default::default()
+        },
+    );
+    pipeline.observe(history.iter());
+    pipeline
+        .run_midnight_cycle(session, &history, 8, 100)
+        .unwrap();
+}
+
+/// Ceiling for a cache-only scan that decodes two plain-encoded columns in
+/// full: two strings a row at one allocation each, plus the kept rows. The
+/// two-copy decoder paid four a row.
+const PLAIN_CACHE_ONLY_ALLOCS_PER_ROW_CEILING: f64 = 3.0;
+
+/// Ceiling for the raw + cache stitch whose `id >= …` leaf selects 64 of
+/// 4,096 rows before the cache column is decoded: its strings are copied
+/// for the selected rows only. Decoding the column whole costs one
+/// allocation a row even at one copy per string (two before that).
+const PLAIN_STITCH_ALLOCS_PER_ROW_CEILING: f64 = 0.5;
+
+/// The shape of the real cache columns: every cached value distinct, so
+/// the cache table's columns are plain-encoded and each decoded value is
+/// an allocation of its own. Called from the one test above, like the
+/// cells before it.
+fn assert_plain_encoded_cache_allocations_per_row() {
+    let root = temp_root("plaincache");
+    let mut session = Session::open(&root).unwrap();
+    let schema = Schema::new(vec![
+        Field::new("id", ColumnType::Int64),
+        Field::new("payload", ColumnType::Utf8),
+    ])
+    .unwrap();
+    {
+        let mut catalog = session.catalog_mut();
+        let table = catalog.create_table("db", "t", schema, 0).unwrap();
+        let rows: Vec<Vec<Cell>> = (0..ROWS)
+            .map(|i| {
+                vec![
+                    Cell::Int(i),
+                    Cell::from(format!(
+                        r#"{{"name": "unique-name-{i}", "tag": "tag-{i}"}}"#
+                    )),
+                ]
+            })
+            .collect();
+        table
+            .append_file(&rows, WriteOptions::default(), 1)
+            .unwrap();
+    }
+    session.set_threads(Some(1));
+    cache_paths(&mut session, &root, ["$.name", "$.tag"]);
+
+    let stitched = allocs_per_row(
+        &session,
+        &format!(
+            "select id, get_json_object(payload, '$.name') as name from db.t where id >= {KEEP_FROM}"
+        ),
+        (ROWS - KEEP_FROM) as usize,
+    );
+    let cache_only = allocs_per_row(
+        &session,
+        "select get_json_object(payload, '$.name') as name from db.t \
+         where get_json_object(payload, '$.tag') = 'tag-7'",
+        1,
+    );
+    eprintln!(
+        "alloc_regression: plain-encoded cache raw+cache {stitched:.4} allocs/row, \
+         cache-only {cache_only:.4} allocs/row"
+    );
+    assert!(
+        stitched <= PLAIN_STITCH_ALLOCS_PER_ROW_CEILING,
+        "raw+cache over a plain-encoded cache column copies strings of unselected rows: \
+         {stitched:.3} allocs/row (ceiling {PLAIN_STITCH_ALLOCS_PER_ROW_CEILING})"
+    );
+    assert!(
+        cache_only <= PLAIN_CACHE_ONLY_ALLOCS_PER_ROW_CEILING,
+        "cache-only scan of two plain-encoded columns pays more than one allocation a string: \
+         {cache_only:.3} allocs/row (ceiling {PLAIN_CACHE_ONLY_ALLOCS_PER_ROW_CEILING})"
+    );
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -155,3 +155,47 @@ fn cache_build_reproduces_the_committed_cache_tables() {
     }
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// `NorcFile::read_columns` over every committed part file — the five
+/// shipped raw tables and all cache tables, every column, every row —
+/// folded into one FNV-1a digest of the rendered cells. The constant was
+/// taken with the decoder this repository had before chunks were decoded in
+/// place (one `ColumnData::decode` per chunk, concatenated a `get` + `push`
+/// at a time), so the single-copy decoder reads the warehouse as that one
+/// did.
+#[test]
+fn read_columns_of_the_committed_warehouse_is_pinned() {
+    const SHIPPED: [&str; 5] = ["q1", "q2", "q5", "q7", "q8"];
+    let catalog =
+        Catalog::open(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("bench-data")).unwrap();
+    let mut tables: Vec<(String, String)> = catalog
+        .list_tables()
+        .into_iter()
+        .filter(|(db, name)| db == CACHE_DB || SHIPPED.contains(&name.as_str()))
+        .collect();
+    tables.sort();
+    let (mut digest, mut cells) = (0xcbf2_9ce4_8422_2325u64, 0u64);
+    let mut fold = |bytes: &[u8]| {
+        for &b in bytes {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+        }
+    };
+    for (db, name) in &tables {
+        let table = catalog.table(db, name).unwrap();
+        let columns: Vec<usize> = (0..table.schema().len()).collect();
+        for split in 0..table.file_count() {
+            let file = table.open_split(split).unwrap();
+            for column in file.read_columns(&columns, None).unwrap() {
+                for row in 0..column.len() {
+                    let cell = column.get(row);
+                    fold(&[u8::from(cell.is_null())]);
+                    fold(cell.render().as_bytes());
+                    fold(&[0xff]);
+                    cells += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(tables.len(), 15, "five raw tables and ten cache tables");
+    assert_eq!((cells, digest), (210_000, 8_884_663_090_766_363_383));
+}

@@ -124,14 +124,17 @@ fn golden_tree_exact_at_one_and_four_threads() {
 
 /// The Maxson path's counter semantics, pinned on a raw + cache stitch over
 /// the checked-in warehouse: the raw-side SARG's keep-array is shared with
-/// the cache reader (7 of 8 row groups skipped on both), `bytes_read` is
-/// the decoded chunks' size, and the pipeline builds cells late — `id` for
-/// every decoded row, `f0` only for the rows the filter keeps.
+/// the cache reader (7 of 8 row groups skipped on both), and so is its row
+/// selection: `id` is decoded for the kept row group's 250 rows (2,000
+/// bytes), the 150 that fail `id < 100` are charged to `batch_rows_skipped`
+/// by the scan, and `f0` is decoded (356 bytes) and both cells are built
+/// for the 100 selected rows only. `rows_scanned` and `cache_hits` keep
+/// counting the kept row group's rows.
 const MAXSON_GOLDEN: &str = "\
 query wall=_ rows=100
   planning wall=_
   scan_pipeline wall=_ label=MaxsonCombinedScan(raw_cols=[0], cache_cols=[1]) stages=scan+filter+project splits=2 rows_out=100
-    split wall=_ split=0 rows_out=100 rows_scanned=250 bytes_read=2948 cache_hits=250 rg_read=1 rg_skipped=3 cells_materialized=350 batch_rows_skipped=150
+    split wall=_ split=0 rows_out=100 rows_scanned=250 bytes_read=2356 cache_hits=250 rg_read=1 rg_skipped=3 cells_materialized=200 batch_rows_skipped=150
     split wall=_ split=1 rows_out=0 rg_skipped=4";
 
 #[test]

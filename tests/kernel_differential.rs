@@ -262,18 +262,11 @@ fn part_file_chunks_identical_mapped_and_copied() {
     assert!(!copied.is_mapped());
     assert_eq!(mapped.num_rows(), copied.num_rows());
     assert_eq!(mapped.byte_size(), copied.byte_size());
-    let rgs = mapped.row_group_count();
-    let cols = mapped.schema().fields().len();
-    for rg in 0..rgs {
-        for c in 0..cols {
-            let a = mapped.read_chunk(rg, c).unwrap();
-            let b = copied.read_chunk(rg, c).unwrap();
-            assert_eq!(a.len(), b.len(), "rg {rg} col {c}");
-            for i in 0..a.len() {
-                assert_eq!(a.get(i), b.get(i), "rg {rg} col {c} row {i}");
-            }
-        }
-    }
+    let cols: Vec<usize> = (0..mapped.schema().fields().len()).collect();
+    assert_eq!(
+        mapped.read_columns(&cols, None).unwrap(),
+        copied.read_columns(&cols, None).unwrap()
+    );
 }
 
 /// Truncated and corrupted part files must fail at open in both modes —

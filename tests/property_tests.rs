@@ -11,9 +11,10 @@ use maxson_storage::encoding::{
     read_bitmap, read_str, read_varint, rle_decode_i64, rle_encode_i64, unzigzag, write_bitmap,
     write_str, write_varint, zigzag,
 };
-use maxson_storage::file::{write_rows, NorcFile, WriteOptions};
-use maxson_storage::{Cell, CmpOp, ColumnType, Field, Schema, SearchArgument};
+use maxson_storage::file::{write_rows, MmapMode, NorcFile, WriteOptions};
+use maxson_storage::{Cell, CmpOp, ColumnData, ColumnType, Field, Schema, SearchArgument};
 use maxson_testkit::prop::{alphabet, check, Config, Gen};
+use maxson_testkit::Rng;
 use maxson_testkit::{prop_assert, prop_assert_eq, prop_assert_ne};
 
 // ---------------------------------------------------------------------
@@ -203,7 +204,10 @@ fn rle_round_trip() {
         let mut buf = Vec::new();
         rle_encode_i64(values, &mut buf);
         let mut pos = 0;
-        prop_assert_eq!(rle_decode_i64(&buf, &mut pos).unwrap(), values.clone());
+        prop_assert_eq!(
+            rle_decode_i64(&buf, &mut pos, values.len()).unwrap(),
+            values.clone()
+        );
         prop_assert_eq!(pos, buf.len());
         Ok(())
     });
@@ -313,6 +317,29 @@ fn norc_round_trip_arbitrary_rows() {
     );
 }
 
+const CMP_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::NotEq,
+    CmpOp::Lt,
+    CmpOp::LtEq,
+    CmpOp::Gt,
+    CmpOp::GtEq,
+];
+
+/// `cell <op> literal` as the engine's `Filter` decides it: through
+/// [`Cell::sql_cmp`], NULL and incomparable pairs satisfying nothing.
+fn satisfies(cell: &Cell, op: CmpOp, literal: &Cell) -> bool {
+    use std::cmp::Ordering;
+    cell.sql_cmp(literal).is_some_and(|ord| match op {
+        CmpOp::Eq => ord == Ordering::Equal,
+        CmpOp::NotEq => ord != Ordering::Equal,
+        CmpOp::Lt => ord == Ordering::Less,
+        CmpOp::LtEq => ord != Ordering::Greater,
+        CmpOp::Gt => ord == Ordering::Greater,
+        CmpOp::GtEq => ord != Ordering::Less,
+    })
+}
+
 #[test]
 fn sarg_skipping_never_drops_qualifying_rows() {
     let gen = Gen::tuple2(
@@ -331,14 +358,7 @@ fn sarg_skipping_never_drops_qualifying_rows() {
         &gen,
         |((case, values), ((rg_size, lit), op_idx))| {
             let lit = *lit;
-            let op = [
-                CmpOp::Eq,
-                CmpOp::NotEq,
-                CmpOp::Lt,
-                CmpOp::LtEq,
-                CmpOp::Gt,
-                CmpOp::GtEq,
-            ][*op_idx];
+            let op = CMP_OPS[*op_idx];
             let schema = Schema::new(vec![Field::new("v", ColumnType::Int64)]).unwrap();
             let rows: Vec<Vec<Cell>> = values.iter().map(|v| vec![Cell::from(*v)]).collect();
             let path = temp_file("sarg", *case);
@@ -359,20 +379,7 @@ fn sarg_skipping_never_drops_qualifying_rows() {
             // Collect the surviving values.
             let survived: Vec<Cell> = (0..cols[0].len()).map(|i| cols[0].get(i)).collect();
             // Every row that truly satisfies the predicate must be present.
-            use std::cmp::Ordering;
-            let qualifies = |c: &Cell| -> bool {
-                match c.sql_cmp(&Cell::Int(lit)) {
-                    None => false,
-                    Some(ord) => match op {
-                        CmpOp::Eq => ord == Ordering::Equal,
-                        CmpOp::NotEq => ord != Ordering::Equal,
-                        CmpOp::Lt => ord == Ordering::Less,
-                        CmpOp::LtEq => ord != Ordering::Greater,
-                        CmpOp::Gt => ord == Ordering::Greater,
-                        CmpOp::GtEq => ord != Ordering::Less,
-                    },
-                }
-            };
+            let qualifies = |c: &Cell| satisfies(c, op, &Cell::Int(lit));
             let expected: Vec<Cell> = rows
                 .iter()
                 .map(|r| r[0].clone())
@@ -386,6 +393,187 @@ fn sarg_skipping_never_drops_qualifying_rows() {
                 op,
                 lit
             );
+            std::fs::remove_file(&path).ok();
+            Ok(())
+        },
+    );
+}
+
+/// Algorithm 3 at row granularity: whatever the leaves — Int against Float,
+/// literals beyond 2^53 (where `i64 -> f64` rounds), NaN, NULLs, `<>`,
+/// Bool, a `Utf8` column, a string or NULL literal — every row the
+/// conjunction holds for is selected, and a row failing a leaf the
+/// selection does test is not.
+#[test]
+fn sarg_row_selection_never_drops_qualifying_rows() {
+    const BIG: i64 = 1 << 53;
+    let int = Gen::one_of(vec![
+        Gen::i64_in(-5..=5),
+        Gen::i64_in(BIG - 2..=BIG + 2),
+        Gen::i64_in(-BIG - 2..=-BIG + 2),
+    ]);
+    let float = Gen::one_of(vec![
+        Gen::f64_in(-5.0, 5.0),
+        Gen::i64_in(-5..=5).map(|i| i as f64),
+        Gen::just(f64::NAN),
+        Gen::just(BIG as f64),
+    ]);
+    let text = Gen::one_of(vec![
+        Gen::i64_in(-5..=5).map(|i| i.to_string()),
+        Gen::just("abc".to_string()),
+        Gen::just(" 3 ".to_string()),
+    ]);
+    let row = Gen::tuple2(
+        Gen::tuple2(Gen::option_of(int.clone()), Gen::option_of(float.clone())),
+        Gen::tuple2(
+            Gen::option_of(Gen::bool_any()),
+            Gen::option_of(text.clone()),
+        ),
+    );
+    let literal = Gen::one_of(vec![
+        int.map(Cell::Int),
+        float.map(Cell::Float),
+        Gen::bool_any().map(Cell::Bool),
+        text.map(Cell::from),
+        Gen::just(Cell::Null),
+    ]);
+    let leaf = Gen::tuple2(
+        Gen::tuple2(Gen::usize_in(0..=3), Gen::usize_in(0..=5)),
+        literal,
+    );
+    let gen = Gen::tuple2(Gen::vec_of(row, 0..60), Gen::vec_of(leaf, 1..4));
+    check(
+        "sarg_row_selection_never_drops_qualifying_rows",
+        &cfg128(),
+        &gen,
+        |(rows, leaves)| {
+            let types = [
+                ColumnType::Int64,
+                ColumnType::Float64,
+                ColumnType::Bool,
+                ColumnType::Utf8,
+            ];
+            let rows: Vec<[Cell; 4]> = rows
+                .iter()
+                .map(|((i, f), (b, s))| {
+                    [
+                        Cell::from(*i),
+                        Cell::from(*f),
+                        Cell::from(*b),
+                        Cell::from(s.clone()),
+                    ]
+                })
+                .collect();
+            let mut data: Vec<ColumnData> = types.iter().map(|&ty| ColumnData::empty(ty)).collect();
+            for row in &rows {
+                for (col, cell) in data.iter_mut().zip(row) {
+                    col.push(cell, "c").unwrap();
+                }
+            }
+            let mut sarg = SearchArgument::new();
+            for ((column, op), literal) in leaves {
+                sarg = sarg.with(*column, CMP_OPS[*op], literal.clone());
+            }
+            let selected = sarg.select_rows(&[0, 1, 2, 3], &data);
+            let tested = |leaf: &maxson_storage::sarg::SargLeaf| {
+                types[leaf.column] != ColumnType::Utf8
+                    && matches!(leaf.literal, Cell::Int(_) | Cell::Float(_) | Cell::Bool(_))
+            };
+            prop_assert_eq!(selected.is_some(), sarg.leaves.iter().any(tested));
+            for (r, row) in rows.iter().enumerate() {
+                let holds = |leaf: &maxson_storage::sarg::SargLeaf| {
+                    satisfies(&row[leaf.column], leaf.op, &leaf.literal)
+                };
+                let is_selected = selected
+                    .as_ref()
+                    .is_none_or(|rows| rows.contains(&(r as u32)));
+                if sarg.leaves.iter().all(holds) {
+                    prop_assert!(is_selected, "row {r} {row:?} qualifies and was dropped");
+                }
+                if sarg.leaves.iter().any(|leaf| tested(leaf) && !holds(leaf)) {
+                    prop_assert!(!is_selected, "row {r} {row:?} fails a tested leaf");
+                }
+            }
+            prop_assert!(selected.is_none_or(|rows| rows.windows(2).all(|w| w[0] < w[1])));
+            Ok(())
+        },
+    );
+}
+
+/// One decode path: for columns of all four types (unique strings that stay
+/// plain, repetitive ones that dictionary-encode, NULLs everywhere), several
+/// row groups, a keep-array with holes and any ascending selection — empty,
+/// everything, or a scatter that crosses row-group edges — the selected read
+/// is the unselected read gathered at the same rows, mapped or copied.
+#[test]
+fn selected_read_equals_unselected_read_gathered() {
+    let row = Gen::tuple2(
+        Gen::tuple2(
+            Gen::option_of(Gen::i64_in(-3..=3)),
+            Gen::option_of(Gen::f64_in(-1e6, 1e6)),
+        ),
+        Gen::tuple2(
+            Gen::option_of(Gen::bool_any()),
+            Gen::tuple2(
+                Gen::option_of(Gen::string_of(&alphabet("a-z0-9\u{e9}"), 0..12)),
+                Gen::option_of(Gen::usize_in(0..=2)),
+            ),
+        ),
+    );
+    let gen = Gen::tuple2(
+        Gen::tuple2(Gen::u64_any(), Gen::vec_of(row, 1..120)),
+        Gen::tuple2(Gen::usize_in(1..=15), Gen::usize_in(0..=3)),
+    );
+    check(
+        "selected_read_equals_unselected_read_gathered",
+        &cfg24(),
+        &gen,
+        |((case, raw_rows), (rg_size, density))| {
+            let schema = Schema::new(vec![
+                Field::new("i", ColumnType::Int64),
+                Field::new("f", ColumnType::Float64),
+                Field::new("b", ColumnType::Bool),
+                Field::new("plain", ColumnType::Utf8),
+                Field::new("dict", ColumnType::Utf8),
+            ])
+            .unwrap();
+            let rows: Vec<Vec<Cell>> = raw_rows
+                .iter()
+                .enumerate()
+                .map(|(n, ((i, f), (b, (plain, dict))))| {
+                    vec![
+                        Cell::from(*i),
+                        Cell::from(*f),
+                        Cell::from(*b),
+                        Cell::from(plain.as_ref().map(|s| format!("{n}:{s}"))),
+                        Cell::from(dict.map(|d| ["red", "green", ""][d])),
+                    ]
+                })
+                .collect();
+            let path = temp_file("selected", *case);
+            let options = WriteOptions {
+                row_group_size: *rg_size,
+                ..Default::default()
+            };
+            write_rows(&path, schema, &rows, options).unwrap();
+            let mut rng = Rng::seed_from_u64(*case);
+            let groups = rows.len().div_ceil(*rg_size);
+            let keep: Vec<bool> = (0..groups).map(|_| rng.gen_bool(0.7)).collect();
+            let columns = [4, 0, 3, 1, 2];
+            for mode in [MmapMode::Enabled, MmapMode::Disabled] {
+                let file = NorcFile::open_with(&path, mode).unwrap();
+                let whole = file.read_columns(&columns, Some(&keep)).unwrap();
+                // density 0 selects nothing, 3 everything.
+                let selection: Vec<u32> = (0..whole[0].len() as u32)
+                    .filter(|_| rng.gen_bool(*density as f64 / 3.0))
+                    .collect();
+                let at = file
+                    .read_columns_at(&columns, Some(&keep), Some(&selection))
+                    .unwrap();
+                let gathered: Vec<ColumnData> =
+                    whole.iter().map(|c| c.gather(&selection)).collect();
+                prop_assert_eq!(at, gathered, "keep {:?} rows {:?}", keep, selection);
+            }
             std::fs::remove_file(&path).ok();
             Ok(())
         },
