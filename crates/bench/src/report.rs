@@ -62,14 +62,6 @@ impl Report {
             maxson_engine::exec::default_threads()
         ));
         report.note(format!(
-            "shared parse: {} (MAXSON_SHARED_PARSE)",
-            if maxson_engine::ExecOptions::from_env().shared_parse {
-                "on"
-            } else {
-                "off"
-            }
-        ));
-        report.note(format!(
             "simd kernel: {} (MAXSON_SIMD); norc mmap: {} (MAXSON_MMAP)",
             maxson_json::kernels::active().name(),
             match maxson_storage::MmapMode::from_env() {

@@ -65,10 +65,6 @@ pub struct ExecOptions {
     /// Maximum worker threads for split tasks. At `1` the pool runs every
     /// task inline on the calling thread, in split order.
     pub threads: usize,
-    /// Intra-query shared-parse extraction: parse each JSON document once
-    /// per row and answer every path the query needs from that single
-    /// parse. Off = the naive one-parse-per-`get_json_object` baseline.
-    pub shared_parse: bool,
     /// Cooperative split scheduler: when set, every split task (inline or
     /// pooled) runs inside an acquire/release bracket so a query server can
     /// time-slice split execution fairly across concurrent queries.
@@ -76,30 +72,17 @@ pub struct ExecOptions {
 }
 
 impl ExecOptions {
-    /// One thread: split tasks run inline on the calling thread
-    /// (shared-parse still follows the `MAXSON_SHARED_PARSE` environment
-    /// toggle).
+    /// One thread: split tasks run inline on the calling thread.
     pub fn serial() -> Self {
-        ExecOptions {
-            threads: 1,
-            shared_parse: shared_parse_from_env(),
-            scheduler: None,
-        }
+        ExecOptions::with_threads(1)
     }
 
     /// Explicit thread count (clamped to at least 1).
     pub fn with_threads(threads: usize) -> Self {
         ExecOptions {
             threads: threads.max(1),
-            shared_parse: shared_parse_from_env(),
             scheduler: None,
         }
-    }
-
-    /// Override the shared-parse toggle (builder style).
-    pub fn with_shared_parse(mut self, on: bool) -> Self {
-        self.shared_parse = on;
-        self
     }
 
     /// Attach (or clear) a cooperative split scheduler (builder style).
@@ -112,19 +95,14 @@ impl ExecOptions {
     }
 
     /// Resolve from the environment: `MAXSON_THREADS` if set to a positive
-    /// integer (otherwise the number of available cores), and
-    /// `MAXSON_SHARED_PARSE` (default on; `0` disables).
+    /// integer, otherwise the number of available cores.
     pub fn from_env() -> Self {
         let threads = std::env::var("MAXSON_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n >= 1)
             .unwrap_or_else(default_threads);
-        ExecOptions {
-            threads,
-            shared_parse: shared_parse_from_env(),
-            scheduler: None,
-        }
+        ExecOptions::with_threads(threads)
     }
 }
 
@@ -139,13 +117,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Resolve the `MAXSON_SHARED_PARSE` toggle: default on, `0` disables.
-pub fn shared_parse_from_env() -> bool {
-    std::env::var("MAXSON_SHARED_PARSE")
-        .map(|v| v.trim() != "0")
-        .unwrap_or(true)
 }
 
 /// Execute a plan to completion, recording one span per operator (and per
@@ -165,7 +136,7 @@ pub fn execute_plan_traced(
         | LogicalPlan::Filter { .. }
         | LogicalPlan::Project { .. }
         | LogicalPlan::Aggregate { .. } => {
-            let (segment, source) = PipelineSegment::extract(plan, opts.shared_parse);
+            let (segment, source) = PipelineSegment::extract(plan);
             if let LogicalPlan::Scan { provider } = source {
                 return run_pipeline(
                     &segment,
@@ -203,15 +174,7 @@ pub fn execute_plan_traced(
             span.attr("rows_left", left_rows.len());
             span.attr("rows_right", right_rows.len());
             let before = counters_before(tracer, metrics);
-            let out = hash_join(
-                left_rows,
-                right_rows,
-                left_key,
-                right_key,
-                parser,
-                metrics,
-                opts.shared_parse,
-            )?;
+            let out = hash_join(left_rows, right_rows, left_key, right_key, parser, metrics)?;
             span.attr("rows_out", out.len());
             attr_counter_deltas(&span, before.as_ref(), metrics);
             Ok(out)
@@ -221,7 +184,7 @@ pub fn execute_plan_traced(
             let rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
             span.attr("rows_in", rows.len());
             let before = counters_before(tracer, metrics);
-            let out = sort_rows(rows, keys, parser, metrics, opts.shared_parse)?;
+            let out = sort_rows(rows, keys, parser, metrics)?;
             attr_counter_deltas(&span, before.as_ref(), metrics);
             Ok(out)
         }
@@ -281,19 +244,6 @@ fn attr_counter_deltas(span: &SpanGuard<'_>, before: Option<&ExecMetrics>, after
     }
 }
 
-/// Build a shared-parse extractor over `exprs` when the toggle is on (and
-/// the expressions contain any JSON path at all).
-fn shared_extractor<'a>(
-    shared_parse: bool,
-    exprs: impl IntoIterator<Item = &'a Expr>,
-) -> Option<JsonExtractor> {
-    if shared_parse {
-        JsonExtractor::from_exprs(exprs)
-    } else {
-        None
-    }
-}
-
 // ----------------------------------------------------------------------
 // The row loop
 // ----------------------------------------------------------------------
@@ -338,8 +288,8 @@ struct PipelineSegment<'a> {
     agg: Option<AggStage<'a>>,
     /// Shared-parse extraction sites across the *whole* segment (filter
     /// plus projection or aggregation), so one row-parse serves every
-    /// stage. `None` when the toggle is off or no stage touches JSON.
-    /// Read-only, hence safely shared across split tasks.
+    /// stage. `None` when no stage touches JSON. Read-only, hence safely
+    /// shared across split tasks.
     extractor: Option<JsonExtractor>,
     /// Input-schema columns the filter reads (ascending). For columnar
     /// batches only these are materialized before the filter runs.
@@ -355,7 +305,7 @@ impl<'a> PipelineSegment<'a> {
     /// the Filter below it into the same segment only when that Filter sits
     /// directly on a Scan; over any other input every operator is a segment
     /// of its own.
-    fn extract(plan: &'a LogicalPlan, shared_parse: bool) -> (Self, &'a LogicalPlan) {
+    fn extract(plan: &'a LogicalPlan) -> (Self, &'a LogicalPlan) {
         let mut segment = PipelineSegment {
             filter: None,
             project: None,
@@ -387,20 +337,18 @@ impl<'a> PipelineSegment<'a> {
                 source = input;
             }
         }
-        if shared_parse {
-            let mut exprs: Vec<&Expr> = Vec::new();
-            if let Some(p) = segment.filter {
-                exprs.push(p);
-            }
-            if let Some(list) = segment.project {
-                exprs.extend(list.iter().map(|(e, _)| e));
-            }
-            if let Some((group_by, aggs)) = segment.agg {
-                exprs.extend(group_by.iter());
-                exprs.extend(aggs.iter().filter_map(|(_, a)| a.as_ref()));
-            }
-            segment.extractor = JsonExtractor::from_exprs(exprs);
+        let mut exprs: Vec<&Expr> = Vec::new();
+        if let Some(p) = segment.filter {
+            exprs.push(p);
         }
+        if let Some(list) = segment.project {
+            exprs.extend(list.iter().map(|(e, _)| e));
+        }
+        if let Some((group_by, aggs)) = segment.agg {
+            exprs.extend(group_by.iter());
+            exprs.extend(aggs.iter().filter_map(|(_, a)| a.as_ref()));
+        }
+        segment.extractor = JsonExtractor::from_exprs(exprs);
         if let Some(predicate) = segment.filter {
             let mut referenced = std::collections::BTreeSet::new();
             predicate.collect_columns(&mut referenced);
@@ -969,13 +917,12 @@ fn hash_join(
     right_key: &Expr,
     parser: JsonParserKind,
     metrics: &mut ExecMetrics,
-    shared_parse: bool,
 ) -> Result<Vec<Vec<Cell>>> {
     // Each side keys on one expression over its own rows, so the shared
     // extractor covers that single expression (still worthwhile: a path
     // repeated inside one key expression parses once).
-    let right_extractor = shared_extractor(shared_parse, [right_key]);
-    let left_extractor = shared_extractor(shared_parse, [left_key]);
+    let right_extractor = JsonExtractor::from_exprs([right_key]);
+    let left_extractor = JsonExtractor::from_exprs([left_key]);
     // Build on the right side.
     let mut table: HashMap<CellKey, Vec<usize>> = HashMap::new();
     let mut right_keys = Vec::with_capacity(right_rows.len());
@@ -1010,9 +957,8 @@ fn sort_rows(
     keys: &[(Expr, bool)],
     parser: JsonParserKind,
     metrics: &mut ExecMetrics,
-    shared_parse: bool,
 ) -> Result<Vec<Vec<Cell>>> {
-    let extractor = shared_extractor(shared_parse, keys.iter().map(|(e, _)| e));
+    let extractor = JsonExtractor::from_exprs(keys.iter().map(|(e, _)| e));
     // Precompute sort keys once per row (get_json_object keys are costly).
     let mut keyed: Vec<(Vec<Cell>, Vec<Cell>)> = Vec::with_capacity(rows.len());
     for row in rows {
@@ -1301,7 +1247,6 @@ mod tests {
             &Expr::Column(0),
             JsonParserKind::Jackson,
             &mut m(),
-            true,
         )
         .unwrap();
         // Only key 2 matches, twice.
@@ -1322,7 +1267,6 @@ mod tests {
             &Expr::Column(0),
             JsonParserKind::Jackson,
             &mut m(),
-            true,
         )
         .unwrap();
         assert_eq!(out.len(), 1);
@@ -1336,7 +1280,7 @@ mod tests {
             vec![Cell::Str("a".into()), Cell::Int(1)],
         ];
         let keys = vec![(Expr::Column(0), true), (Expr::Column(1), false)];
-        let out = sort_rows(rows, &keys, JsonParserKind::Jackson, &mut m(), true).unwrap();
+        let out = sort_rows(rows, &keys, JsonParserKind::Jackson, &mut m()).unwrap();
         assert_eq!(out[0], vec![Cell::Str("a".into()), Cell::Int(2)]);
         assert_eq!(out[1], vec![Cell::Str("a".into()), Cell::Int(1)]);
         assert_eq!(out[2], vec![Cell::Str("b".into()), Cell::Int(1)]);
@@ -1350,7 +1294,6 @@ mod tests {
             &[(Expr::Column(0), true)],
             JsonParserKind::Jackson,
             &mut m(),
-            true,
         )
         .unwrap();
         assert_eq!(out[0][0], Cell::Null);
@@ -1650,88 +1593,75 @@ mod tests {
         }
     }
 
-    /// Shared-parse must be invisible in the output (byte-identical rows,
-    /// same parse_calls) while collapsing docs_parsed to one per row across
-    /// the filter *and* the projection above it.
+    fn strs(cells: &[&str]) -> Vec<Cell> {
+        cells.iter().map(|c| Cell::from(*c)).collect()
+    }
+
+    /// The filter *and* the projection above it are answered from one
+    /// parse per row: every path evaluation is still a `parse_call`, but
+    /// only the eight rows are parsed, at any thread count.
     #[test]
-    fn shared_parse_pipeline_matches_naive_and_dedupes() {
+    fn pipeline_parses_each_row_once_across_filter_and_projection() {
         let filter = Expr::Binary {
             left: Box::new(jp(0, "$.v")),
             op: BinaryOp::Gt,
             right: Box::new(Expr::Literal(Cell::Int(0))),
         };
         let plan = json_project(json_split_plan(), filter);
+        // Rows whose `$.v = n % 3` is 1 or 2.
+        let expected: Vec<Vec<Cell>> = [1, 2, 4, 5, 7]
+            .iter()
+            .map(|n| strs(&[&n.to_string(), &format!("t{n}"), &(n % 3).to_string()]))
+            .collect();
         for parser in [
             JsonParserKind::Jackson,
             JsonParserKind::Mison,
             JsonParserKind::Tape,
         ] {
-            let mut naive_m = m();
-            let naive = execute_plan_with(
-                &plan,
-                parser,
-                &mut naive_m,
-                ExecOptions::serial().with_shared_parse(false),
-            )
-            .unwrap();
-            let mut shared_m = m();
-            let shared = execute_plan_with(
-                &plan,
-                parser,
-                &mut shared_m,
-                ExecOptions::serial().with_shared_parse(true),
-            )
-            .unwrap();
-            assert_eq!(shared, naive, "{parser:?}");
-            assert_eq!(naive.len(), 5, "rows with $.v in {{1,2}}");
-            // 8 filter evals + 3 projected paths x 5 passing rows.
-            assert_eq!(naive_m.parse_calls, 23);
-            assert_eq!(shared_m.parse_calls, 23, "parse_calls must not change");
-            assert_eq!(naive_m.docs_parsed, 23, "naive parses once per call");
-            assert_eq!(shared_m.docs_parsed, 8, "shared parses once per row");
-            // Parallel shared run: same rows, same thread-invariant counters.
-            let mut par_m = m();
-            let parallel = execute_plan_with(
-                &plan,
-                parser,
-                &mut par_m,
-                ExecOptions::with_threads(4).with_shared_parse(true),
-            )
-            .unwrap();
-            assert_eq!(parallel, naive);
-            assert_eq!(par_m.parse_calls, 23);
-            assert_eq!(par_m.docs_parsed, 8);
+            for threads in [1, 4] {
+                let mut metrics = m();
+                let rows = execute_plan_with(
+                    &plan,
+                    parser,
+                    &mut metrics,
+                    ExecOptions::with_threads(threads),
+                )
+                .unwrap();
+                assert_eq!(rows, expected, "{parser:?} at {threads} threads");
+                // 8 filter evals + 3 projected paths x 5 passing rows.
+                assert_eq!(metrics.parse_calls, 23);
+                assert_eq!(metrics.docs_parsed, 8, "one parse per row");
+            }
         }
     }
 
     /// Rows rejected by a raw-column predicate must not parse at all:
     /// slots fill on first JSON access, which never happens for them.
     #[test]
-    fn shared_parse_stays_lazy_for_filtered_rows() {
+    fn rows_rejected_by_a_raw_predicate_parse_nothing() {
         let filter = Expr::Binary {
             left: Box::new(Expr::Column(1)),
             op: BinaryOp::GtEq,
             right: Box::new(Expr::Literal(Cell::Int(6))),
         };
         let plan = json_project(json_split_plan(), filter);
-        let mut shared_m = m();
-        let shared = execute_plan_with(
+        let mut metrics = m();
+        let rows = execute_plan_with(
             &plan,
             JsonParserKind::Jackson,
-            &mut shared_m,
-            ExecOptions::serial().with_shared_parse(true),
+            &mut metrics,
+            ExecOptions::serial(),
         )
         .unwrap();
-        assert_eq!(shared.len(), 2);
-        assert_eq!(shared_m.parse_calls, 6, "3 paths x 2 passing rows");
-        assert_eq!(shared_m.docs_parsed, 2, "skipped rows parse nothing");
+        assert_eq!(rows, vec![strs(&["6", "t6", "0"]), strs(&["7", "t7", "1"])]);
+        assert_eq!(metrics.parse_calls, 6, "3 paths x 2 passing rows");
+        assert_eq!(metrics.docs_parsed, 2, "skipped rows parse nothing");
     }
 
     /// Aggregation over JSON group keys and arguments shares the filter's
-    /// parse too, and stays byte-identical to the naive path at any thread
-    /// count.
+    /// parse too: filter, group key and SUM argument cost one parse per row.
     #[test]
-    fn shared_parse_aggregate_matches_naive() {
+    fn aggregate_shares_the_filter_parse() {
         let filter = Expr::Binary {
             left: Box::new(jp(0, "$.v")),
             op: BinaryOp::GtEq,
@@ -1746,35 +1676,31 @@ mod tests {
             aggs: vec![(AggFunc::Count, None), (AggFunc::Sum, Some(jp(0, "$.a")))],
             schema: Schema::new(vec![Field::new("v", ColumnType::Utf8)]).unwrap(),
         };
+        // Groups in first-seen order; extracted values are strings, so SUM
+        // folds them as floats.
+        let expected = vec![
+            vec![Cell::from("0"), Cell::Int(3), Cell::Float(9.0)],
+            vec![Cell::from("1"), Cell::Int(3), Cell::Float(12.0)],
+            vec![Cell::from("2"), Cell::Int(2), Cell::Float(7.0)],
+        ];
         for parser in [
             JsonParserKind::Jackson,
             JsonParserKind::Mison,
             JsonParserKind::Tape,
         ] {
-            let mut naive_m = m();
-            let naive = execute_plan_with(
-                &plan,
-                parser,
-                &mut naive_m,
-                ExecOptions::serial().with_shared_parse(false),
-            )
-            .unwrap();
             for threads in [1, 4] {
-                let mut shared_m = m();
-                let shared = execute_plan_with(
+                let mut metrics = m();
+                let rows = execute_plan_with(
                     &plan,
                     parser,
-                    &mut shared_m,
-                    ExecOptions::with_threads(threads).with_shared_parse(true),
+                    &mut metrics,
+                    ExecOptions::with_threads(threads),
                 )
                 .unwrap();
-                assert_eq!(shared, naive, "{parser:?} at {threads} threads");
-                // Filter + group key + SUM arg all served by one parse/row.
-                assert_eq!(shared_m.parse_calls, naive_m.parse_calls);
-                assert_eq!(shared_m.parse_calls, 24);
-                assert_eq!(shared_m.docs_parsed, 8);
+                assert_eq!(rows, expected, "{parser:?} at {threads} threads");
+                assert_eq!(metrics.parse_calls, 24);
+                assert_eq!(metrics.docs_parsed, 8);
             }
-            assert_eq!(naive_m.docs_parsed, 24);
         }
     }
 }

@@ -169,20 +169,9 @@ impl Expr {
     }
 
     /// Evaluate against one row. JSON parse time is charged to `metrics`.
-    /// Every `get_json_object` runs its own full parse (the naive path);
-    /// use [`Expr::eval_with`] to share parses across calls via row slots.
-    pub fn eval(
-        &self,
-        row: &[Cell],
-        parser: JsonParserKind,
-        metrics: &mut ExecMetrics,
-    ) -> Result<Cell> {
-        self.eval_with(row, parser, metrics, None)
-    }
-
-    /// Evaluate against one row, answering `GetJsonObject` nodes from the
-    /// shared-parse `slots` when provided (and covered); uncovered pairs —
-    /// and `slots: None` — fall back to a per-call parse.
+    /// `GetJsonObject` nodes are answered from the shared-parse `slots`
+    /// when provided (and covered); uncovered pairs — and `slots: None` —
+    /// fall back to a per-call parse.
     pub fn eval_with(
         &self,
         row: &[Cell],
@@ -631,7 +620,8 @@ mod tests {
 
     fn eval(e: &Expr, row: &[Cell]) -> Cell {
         let mut m = ExecMetrics::default();
-        e.eval(row, JsonParserKind::Jackson, &mut m).unwrap()
+        e.eval_with(row, JsonParserKind::Jackson, &mut m, None)
+            .unwrap()
     }
 
     fn bin(l: Expr, op: BinaryOp, r: Expr) -> Expr {
@@ -649,7 +639,7 @@ mod tests {
         assert_eq!(eval(&Expr::Literal(Cell::Int(3)), &row), Cell::Int(3));
         let mut m = ExecMetrics::default();
         assert!(Expr::Column(9)
-            .eval(&row, JsonParserKind::Jackson, &mut m)
+            .eval_with(&row, JsonParserKind::Jackson, &mut m, None)
             .is_err());
     }
 
@@ -663,12 +653,13 @@ mod tests {
         let mut m = ExecMetrics::default();
         for _ in 0..10 {
             assert_eq!(
-                e.eval(&row, JsonParserKind::Jackson, &mut m).unwrap(),
+                e.eval_with(&row, JsonParserKind::Jackson, &mut m, None)
+                    .unwrap(),
                 Cell::Str("42".into())
             );
         }
         assert_eq!(m.parse_calls, 10);
-        assert_eq!(m.docs_parsed, 10, "naive path parses per call");
+        assert_eq!(m.docs_parsed, 10, "without slots every call parses");
         assert!(m.parse > std::time::Duration::ZERO);
     }
 
@@ -701,15 +692,15 @@ mod tests {
                         .unwrap()
                 })
                 .collect();
-            let mut naive_m = ExecMetrics::default();
-            let naive: Vec<Cell> = exprs
+            let mut per_call_m = ExecMetrics::default();
+            let per_call: Vec<Cell> = exprs
                 .iter()
-                .map(|e| e.eval(&row, parser, &mut naive_m).unwrap())
+                .map(|e| e.eval_with(&row, parser, &mut per_call_m, None).unwrap())
                 .collect();
-            assert_eq!(shared, naive, "{parser:?}");
-            assert_eq!(shared_m.parse_calls, naive_m.parse_calls);
+            assert_eq!(shared, per_call, "{parser:?}");
+            assert_eq!(shared_m.parse_calls, per_call_m.parse_calls);
             assert_eq!(shared_m.docs_parsed, 1);
-            assert_eq!(naive_m.docs_parsed, 3);
+            assert_eq!(per_call_m.docs_parsed, 3);
         }
     }
 
@@ -722,9 +713,9 @@ mod tests {
                 path: JsonPath::parse(path).unwrap(),
             };
             let mut m = ExecMetrics::default();
-            let jackson = e.eval(&row, JsonParserKind::Jackson, &mut m).unwrap();
-            let mison = e.eval(&row, JsonParserKind::Mison, &mut m).unwrap();
-            assert_eq!(jackson, mison, "path {path}");
+            let jackson = e.eval_with(&row, JsonParserKind::Jackson, &mut m, None);
+            let mison = e.eval_with(&row, JsonParserKind::Mison, &mut m, None);
+            assert_eq!(jackson.unwrap(), mison.unwrap(), "path {path}");
         }
     }
 
@@ -896,7 +887,8 @@ mod new_op_tests {
 
     fn eval(e: &Expr, row: &[Cell]) -> Cell {
         let mut m = ExecMetrics::default();
-        e.eval(row, JsonParserKind::Jackson, &mut m).unwrap()
+        e.eval_with(row, JsonParserKind::Jackson, &mut m, None)
+            .unwrap()
     }
 
     fn in_list(expr: Expr, items: Vec<Cell>, negated: bool) -> Expr {

@@ -13,7 +13,7 @@
 //!   metered,
 //! * [`extract`] — intra-query shared-parse extraction: each JSON document
 //!   is parsed once per row and all the query's paths are answered from
-//!   that single parse (toggle: `MAXSON_SHARED_PARSE`),
+//!   that single parse,
 //! * [`plan`] — the logical plan with a [`scan::ScanProvider`]
 //!   extension point that Maxson's combined reader plugs into,
 //! * [`planner`] — statement → logical plan: name resolution, the

@@ -190,7 +190,15 @@ pub(crate) fn plan(
     for (pos, item) in stmt.items.iter().enumerate() {
         match item {
             SelectItem::Wildcard => {
-                for f in resolver.schema.fields() {
+                // The table's own columns: a rewritten scan's output also
+                // carries cache columns, which `*` does not name.
+                let fields = match &stmt.join {
+                    None => catalog
+                        .table(&stmt.from.database, &stmt.from.table)?
+                        .schema(),
+                    Some(_) => &resolver.schema,
+                };
+                for f in fields.fields() {
                     select_exprs.push((
                         SqlExpr::Column {
                             qualifier: None,
@@ -396,11 +404,10 @@ impl ScanPlanner<'_> {
             });
         }
         if self.wildcard {
-            // SELECT * — every other table column is part of the output,
-            // except a JSON column referenced only through calls.
+            // SELECT * — every table column is part of the output, a JSON
+            // column the rewriter answers calls over from its cache too.
             for f in schema.fields() {
-                let json_only = json_calls.iter().any(|(c, _)| *c == f.name);
-                if !json_only && !raw_columns.contains(&f.name) {
+                if !raw_columns.contains(&f.name) {
                     raw_columns.push(f.name.clone());
                 }
             }

@@ -6,7 +6,7 @@
 //!
 //! ```json
 //! {"fingerprint":"9f86d081884c7d65","sql":"select ...","parser":"tape",
-//!  "simd":"avx2","mmap":true,"threads":4,"shared_parse":true,"epoch":2,
+//!  "simd":"avx2","mmap":true,"threads":4,"epoch":2,
 //!  "reuse":"miss","rows":100,"wall_us":1234,"planning_us":88,"slow":false,
 //!  "counters":{"read_us":310,"parse_us":640,...,"rows_scanned":100,
 //!   "bytes_read":5120,"parse_calls":300,"docs_parsed":100,"cache_hits":0,
@@ -64,8 +64,6 @@ pub struct QueryLogEntry<'a> {
     pub mmap: bool,
     /// Configured worker threads (resolved; 1 = serial).
     pub threads: u64,
-    /// Whether shared-parse extraction is on.
-    pub shared_parse: bool,
     /// Warehouse epoch the query planned against.
     pub epoch: u64,
     /// Reuse-cache participation (`off` / `hit` / `fragment` / `fill` /
@@ -139,7 +137,6 @@ impl QueryLog {
             ("simd".into(), JsonValue::String(entry.simd.to_string())),
             ("mmap".into(), JsonValue::Bool(entry.mmap)),
             ("threads".into(), n(entry.threads)),
-            ("shared_parse".into(), JsonValue::Bool(entry.shared_parse)),
             ("epoch".into(), n(entry.epoch)),
             ("reuse".into(), JsonValue::String(entry.reuse.to_string())),
             ("rows".into(), n(entry.rows)),
@@ -188,7 +185,6 @@ mod tests {
                 simd: "scalar",
                 mmap: true,
                 threads: i + 1,
-                shared_parse: true,
                 epoch: 7,
                 reuse: "miss",
                 rows: 10,
@@ -237,7 +233,6 @@ mod tests {
             simd: "scalar",
             mmap: false,
             threads: 1,
-            shared_parse: false,
             epoch: 0,
             reuse: "off",
             rows: 0,

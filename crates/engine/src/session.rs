@@ -340,9 +340,9 @@ impl Drop for CatalogWrite<'_> {
 ///
 /// Cloning is cheap and shares the warehouse: clones see the same catalog,
 /// rewriter, epoch, and Norc metadata cache, and record into the same trace
-/// buffer. Per-session knobs (parser, thread count, shared-parse, prefilter,
-/// split scheduler) stay independent per clone — the serving front end gives
-/// every connection its own clone over one warehouse.
+/// buffer. Per-session knobs (parser, thread count, prefilter, split
+/// scheduler) stay independent per clone — the serving front end gives every
+/// connection its own clone over one warehouse.
 #[derive(Clone)]
 pub struct Session {
     warehouse: Arc<RwLock<Warehouse>>,
@@ -352,9 +352,6 @@ pub struct Session {
     /// Explicit worker-thread override. `None` defers to `MAXSON_THREADS`
     /// (default: available cores); `Some(1)` runs split tasks inline.
     threads: Option<usize>,
-    /// Explicit shared-parse override. `None` defers to
-    /// `MAXSON_SHARED_PARSE` (default: on).
-    shared_parse: Option<bool>,
     /// Cooperative split scheduler consulted around every split task (the
     /// server installs its fair-share scheduler here). `None` = run freely.
     scheduler: Option<Arc<dyn SplitScheduler>>,
@@ -435,7 +432,6 @@ impl Session {
             parser_kind,
             prefilter_enabled: false,
             threads: None,
-            shared_parse: None,
             scheduler: None,
             tracer,
             trace_path,
@@ -542,19 +538,6 @@ impl Session {
         self.threads
     }
 
-    /// Set (or clear) intra-query shared-parse extraction. `None` resolves
-    /// from `MAXSON_SHARED_PARSE` at each `execute` call (default: on);
-    /// `Some(false)` pins the naive parse-per-call reference path. Tests
-    /// prefer this over the env var to avoid process-global races.
-    pub fn set_shared_parse(&mut self, shared_parse: Option<bool>) {
-        self.shared_parse = shared_parse;
-    }
-
-    /// Current explicit shared-parse override, if any.
-    pub fn shared_parse(&self) -> Option<bool> {
-        self.shared_parse
-    }
-
     /// Install (or clear) the cooperative split scheduler consulted around
     /// every split task this session executes. The serving front end points
     /// every connection's session at one shared fair-share scheduler.
@@ -566,10 +549,6 @@ impl Session {
         let opts = match self.threads {
             Some(n) => ExecOptions::with_threads(n),
             None => ExecOptions::from_env(),
-        };
-        let opts = match self.shared_parse {
-            Some(on) => opts.with_shared_parse(on),
-            None => opts,
         };
         opts.with_scheduler(self.scheduler.clone())
     }
@@ -947,7 +926,6 @@ impl Session {
                 simd: maxson_json::kernels::active().name(),
                 mmap: matches!(MmapMode::from_env(), MmapMode::Enabled),
                 threads: opts.threads as u64,
-                shared_parse: opts.shared_parse,
                 epoch: pq.epoch,
                 reuse: reuse_status,
                 rows: rows as u64,

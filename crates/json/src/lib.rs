@@ -43,7 +43,6 @@ pub mod serializer;
 pub mod sparser;
 pub mod tape;
 pub mod value;
-pub mod xml;
 
 pub use error::{JsonError, Result};
 pub use parser::{parse, Parser};

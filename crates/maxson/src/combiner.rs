@@ -13,8 +13,7 @@
 //! row groups. As in the paper, the optimization only applies when both
 //! files hold a single stripe.
 //!
-//! Composition with shared-parse execution (`MAXSON_SHARED_PARSE`) is
-//! automatic: cached paths were compiled down to plain column references
+//! Composition with shared-parse execution is automatic: cached paths were compiled down to plain column references
 //! against this provider's output schema, so only the *residual* uncached
 //! `get_json_object` calls reach the executor's per-row extractor — the
 //! combiner removes cross-query duplicate parsing, shared-parse dedupes

@@ -31,6 +31,8 @@
 //! cache-only scans over it to one allocation per decoded string, and to
 //! none for the strings of rows the scan's row selection drops.
 
+mod support;
+
 use maxson::mpjp::PredictorKind;
 use maxson::{MaxsonPipeline, PipelineConfig};
 use maxson_engine::session::Session;
@@ -40,6 +42,7 @@ use maxson_testkit::alloc::{allocation_count, CountingAllocator};
 use maxson_trace::model::RecurrenceClass;
 use maxson_trace::{JsonPathLocation, QueryRecord};
 use std::path::PathBuf;
+use support::temp_root;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -58,18 +61,6 @@ const ROWS: i64 = 4096;
 /// Filter keeps 64 of 4096 rows (~1.6%), the selective case Sparser and
 /// late materialization target.
 const KEEP_FROM: i64 = ROWS - 64;
-
-fn temp_root(name: &str) -> PathBuf {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .subsec_nanos();
-    std::env::temp_dir().join(format!(
-        "maxson-alloc-{}-{nanos}-{name}",
-        std::process::id()
-    ))
-}
 
 /// A table whose payload column dictionary-encodes (8 distinct documents),
 /// so decoded rows share buffers instead of copying them.

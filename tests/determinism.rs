@@ -3,6 +3,8 @@
 //! failure seeds and the regenerable `bench-data/` warehouse stop meaning
 //! anything.
 
+mod support;
+
 use maxson::cacher::CACHE_DB;
 use maxson::{CacheRegistry, JsonPathCacher, ScoredMpjp};
 use maxson_datagen::tables::{load_workload_tables, WorkloadConfig};
@@ -10,15 +12,7 @@ use maxson_datagen::NobenchGenerator;
 use maxson_storage::Catalog;
 use maxson_trace::{SynthConfig, TraceSynthesizer};
 use std::path::PathBuf;
-
-fn temp_root(name: &str) -> PathBuf {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .subsec_nanos();
-    std::env::temp_dir().join(format!("maxson-det-{}-{nanos}-{name}", std::process::id()))
-}
+use support::temp_root;
 
 #[test]
 fn trace_synthesis_is_deterministic_per_seed() {
@@ -96,7 +90,7 @@ fn workload_tables_are_deterministic_per_seed() {
 fn cache_build_reproduces_the_committed_cache_tables() {
     // The raw tables small enough to be committed (.gitignore).
     const SHIPPED: [&str; 5] = ["q1", "q2", "q5", "q7", "q8"];
-    let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("bench-data");
+    let committed = support::bench_data_root();
     let root = temp_root("committed-cache");
     for table in SHIPPED {
         let to = root.join("mydb").join(table);
@@ -166,8 +160,7 @@ fn cache_build_reproduces_the_committed_cache_tables() {
 #[test]
 fn read_columns_of_the_committed_warehouse_is_pinned() {
     const SHIPPED: [&str; 5] = ["q1", "q2", "q5", "q7", "q8"];
-    let catalog =
-        Catalog::open(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("bench-data")).unwrap();
+    let catalog = Catalog::open(support::bench_data_root()).unwrap();
     let mut tables: Vec<(String, String)> = catalog
         .list_tables()
         .into_iter()

@@ -6,66 +6,15 @@
 //! they (and the warehouse path inside provider labels) are normalized
 //! before comparison.
 
-use maxson::rewriter::MaxsonScanRewriter;
+mod support;
+
 use maxson_engine::session::Session;
-use maxson_storage::file::WriteOptions;
 use maxson_storage::{Cell, ColumnType, Field, Schema};
-use std::path::{Path, PathBuf};
-
-fn bench_data_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("bench-data")
-}
-
-fn temp_root(name: &str) -> PathBuf {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .subsec_nanos();
-    std::env::temp_dir().join(format!("maxson-ea-{}-{nanos}-{name}", std::process::id()))
-}
-
-/// Join the result rows (one `Cell::Str` line each) and normalize the two
-/// nondeterministic parts: `wall=<duration>` tokens and the warehouse path
-/// embedded in provider labels.
-fn normalized(result: &maxson_engine::QueryResult, root: &Path) -> String {
-    let text: String = result
-        .rows
-        .iter()
-        .map(|r| match &r[0] {
-            Cell::Str(s) => s.clone(),
-            other => panic!("explain analyze rows must be strings: {other:?}"),
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
-    let text = text.replace(&root.display().to_string(), "<root>");
-    text.lines()
-        .map(|line| {
-            line.split(' ')
-                .map(|tok| {
-                    if tok.starts_with("wall=") {
-                        "wall=_"
-                    } else {
-                        tok
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join(" ")
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-fn run_explain_analyze(session: &Session, sql: &str, root: &Path) -> String {
-    let result = session
-        .execute(&format!("explain analyze {sql}"))
-        .unwrap_or_else(|e| panic!("explain analyze failed for {sql}: {e}"));
-    assert_eq!(result.columns, vec!["explain analyze".to_string()]);
-    normalized(&result, root)
-}
+use std::path::PathBuf;
+use support::{bench_data_root, normalized_tree as run_explain_analyze, temp_root};
 
 /// Two-split table with plain columns only, so the golden text is
-/// independent of the JSON parser and shared-parse mode.
+/// independent of the JSON parser.
 fn two_split_table(name: &str) -> PathBuf {
     let root = temp_root(name);
     let mut session = Session::open(&root).unwrap();
@@ -83,15 +32,7 @@ fn two_split_table(name: &str) -> PathBuf {
                 vec![Cell::Int(n), Cell::from(format!("g{}", n % 3))]
             })
             .collect();
-        t.append_file(
-            &rows,
-            WriteOptions {
-                row_group_size: 5,
-                ..Default::default()
-            },
-            1,
-        )
-        .unwrap();
+        support::append(t, &rows, 5);
     }
     drop(catalog);
     root
@@ -140,8 +81,7 @@ query wall=_ rows=100
 #[test]
 fn rewritten_golden_tree_exact_at_one_and_four_threads() {
     let root = bench_data_root();
-    let mut session = Session::open(&root).unwrap();
-    session.set_scan_rewriter(Some(Box::new(MaxsonScanRewriter::open(&root).unwrap())));
+    let mut session = support::rewritten_session(&root);
     let sql = "select id, get_json_object(payload, '$.f0') as f0 from mydb.q1 where id < 100";
     for threads in [1usize, 4] {
         session.set_threads(Some(threads));
@@ -159,21 +99,8 @@ fn rewritten_golden_tree_exact_at_one_and_four_threads() {
 #[test]
 fn rewritten_queries_deterministic_across_threads() {
     let root = bench_data_root();
-    let queries = [
-        "select get_json_object(payload, '$.f0') as f0, \
-         get_json_object(payload, '$.f1') as f1 from mydb.q1",
-        "select get_json_object(payload, '$.f0') as f0, \
-         get_json_object(payload, '$.f10') as f10 from mydb.q2",
-        "select get_json_object(payload, '$.f0') as f0 \
-         from mydb.q1 where get_json_object(payload, '$.f0') > 900",
-    ];
-    for sql in queries {
-        let make = || {
-            let mut session = Session::open(&root).unwrap();
-            let rewriter = MaxsonScanRewriter::open(&root).unwrap();
-            session.set_scan_rewriter(Some(Box::new(rewriter)));
-            session
-        };
+    for sql in &support::GOLDEN_QUERIES[..3] {
+        let make = || support::rewritten_session(&root);
         let mut reference_session = make();
         reference_session.set_threads(Some(1));
         let reference = run_explain_analyze(&reference_session, sql, &root);

@@ -1,5 +1,8 @@
 //! Cross-crate integration tests: the full Maxson stack from trace
-//! synthesis through prediction, caching, plan rewriting, and execution.
+//! synthesis through prediction, caching, plan rewriting, and execution,
+//! with every result held to the oracle's.
+
+mod support;
 
 use maxson::mpjp::PredictorKind;
 use maxson::rewriter::MaxsonScanRewriter;
@@ -9,15 +12,18 @@ use maxson_engine::session::{JsonParserKind, Session};
 use maxson_storage::{Catalog, Cell};
 use maxson_trace::model::RecurrenceClass;
 use maxson_trace::{JsonPathLocation, QueryRecord};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use support::cells::assert_matches;
+use support::oracle::{Answer, Oracle};
+use support::temp_root;
 
-fn temp_root(name: &str) -> PathBuf {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .subsec_nanos();
-    std::env::temp_dir().join(format!("maxson-sys-{}-{nanos}-{name}", std::process::id()))
+/// The oracle's answer to each of `queries`.
+fn oracle_answers(root: &Path, queries: &[maxson_datagen::QuerySpec]) -> Vec<Answer> {
+    let oracle = Oracle::new(root);
+    queries
+        .iter()
+        .map(|q| oracle.answer(&q.sql).unwrap())
+        .collect()
 }
 
 /// Build the ten workload tables in a temp warehouse.
@@ -86,12 +92,7 @@ fn all_ten_workload_queries_run_uncached() {
 #[test]
 fn cached_results_match_uncached_results_for_every_query() {
     let (root, queries) = workload_root("equivalence");
-    // Uncached reference results.
-    let plain = Session::open(&root).unwrap();
-    let reference: Vec<_> = queries
-        .iter()
-        .map(|q| plain.execute(&q.sql).expect("uncached run").rows)
-        .collect();
+    let reference = oracle_answers(&root, &queries);
 
     // Cache everything and rerun.
     let mut session = Session::open(&root).unwrap();
@@ -116,11 +117,7 @@ fn cached_results_match_uncached_results_for_every_query() {
         let result = session
             .execute(&q.sql)
             .unwrap_or_else(|e| panic!("{} failed cached: {e}", q.name));
-        assert_eq!(
-            &result.rows, expected,
-            "{} rows diverged with cache",
-            q.name
-        );
+        assert_matches(expected, &result, &format!("{} with cache", q.name));
     }
     std::fs::remove_dir_all(&root).ok();
 }
@@ -130,11 +127,7 @@ fn cached_results_match_under_mison_parser_too() {
     let (root, queries) = workload_root("mison-equiv");
     let mut session = Session::open(&root).unwrap();
     session.set_parser_kind(JsonParserKind::Mison);
-    let reference: Vec<_> = queries
-        .iter()
-        .take(4)
-        .map(|q| session.execute(&q.sql).expect("mison run").rows)
-        .collect();
+    let reference = oracle_answers(&root, &queries[..4]);
     let history = history_for(&queries, 10);
     let mut pipeline = MaxsonPipeline::new(
         &root,
@@ -149,7 +142,11 @@ fn cached_results_match_under_mison_parser_too() {
         .unwrap();
     for (q, expected) in queries.iter().take(4).zip(&reference) {
         let result = session.execute(&q.sql).unwrap();
-        assert_eq!(&result.rows, expected, "{} diverged", q.name);
+        assert_matches(
+            expected,
+            &result,
+            &format!("{} on Mison with cache", q.name),
+        );
     }
     std::fs::remove_dir_all(&root).ok();
 }
@@ -157,19 +154,14 @@ fn cached_results_match_under_mison_parser_too() {
 #[test]
 fn lru_baseline_matches_maxson_results() {
     let (root, queries) = workload_root("lru-equiv");
-    let plain = Session::open(&root).unwrap();
-    let reference: Vec<_> = queries
-        .iter()
-        .take(3)
-        .map(|q| plain.execute(&q.sql).expect("plain").rows)
-        .collect();
+    let reference = oracle_answers(&root, &queries[..3]);
     let mut session = Session::open(&root).unwrap();
     let lru = OnlineLruRewriter::open(&root, u64::MAX).unwrap();
     session.set_scan_rewriter(Some(Box::new(lru)));
     for round in 0..2 {
         for (q, expected) in queries.iter().take(3).zip(&reference) {
             let result = session.execute(&q.sql).unwrap();
-            assert_eq!(&result.rows, expected, "{} round {round}", q.name);
+            assert_matches(expected, &result, &format!("{} round {round}", q.name));
         }
     }
     std::fs::remove_dir_all(&root).ok();
@@ -260,8 +252,7 @@ fn predicate_pushdown_preserves_results_on_workload_query() {
     let (root, queries) = workload_root("pushdown-equiv");
     // Q9 filters on a cached JSONPath — the pushdown showcase.
     let q9 = queries.iter().find(|q| q.name == "Q9").unwrap();
-    let plain = Session::open(&root).unwrap();
-    let expected = plain.execute(&q9.sql).unwrap().rows;
+    let expected = Oracle::new(&root).answer(&q9.sql).unwrap();
 
     let history = history_for(&queries, 10);
     for enable_pushdown in [true, false] {
@@ -279,9 +270,10 @@ fn predicate_pushdown_preserves_results_on_workload_query() {
             .run_midnight_cycle(&mut session, &history, 8, 100)
             .unwrap();
         let result = session.execute(&q9.sql).unwrap();
-        assert_eq!(
-            result.rows, expected,
-            "pushdown={enable_pushdown} changed Q9 results"
+        assert_matches(
+            &expected,
+            &result,
+            &format!("Q9 with pushdown={enable_pushdown}"),
         );
     }
     std::fs::remove_dir_all(&root).ok();

@@ -10,14 +10,13 @@
 //!    corpus (`maxson_testkit::corpus`): valid documents, invalid
 //!    documents, and byte-level mutations of both. Same for the prefilter
 //!    needle search against `str::contains`.
-//! 2. **Query identity across tiers** — the golden rewriter queries run
-//!    under every available tier × the bitmap-consuming parsers
-//!    (Mison, Tape); rows, rendered output, and work counters must match
-//!    the scalar-tier Jackson-free reference exactly.
+//! 2. **Statements on every tier** — the golden rewriter queries under
+//!    every available tier × the bitmap-consuming parsers (Mison, Tape),
+//!    plain and rewritten, return what the oracle returns.
 //! 3. **mmap vs `fs::read`** — the same golden queries with mapped and
-//!    copied part files must agree on rows *and* on `bytes_read` (the
-//!    accounting is decode-driven, not I/O-driven, so mapping must not
-//!    change it).
+//!    copied part files return what the oracle returns, and agree on every
+//!    work counter, `bytes_read` included (the accounting is
+//!    decode-driven, not I/O-driven, so mapping must not change it).
 //! 4. **Failure injection** — truncated and bit-flipped part files must be
 //!    rejected at open in both modes: the checksum is verified against the
 //!    mapped bytes exactly as against the copied ones.
@@ -26,42 +25,17 @@
 //! to exercise from a multi-threaded test binary precisely because tiers
 //! are bit-identical — a concurrent test can never observe which tier ran.
 
-use maxson::rewriter::MaxsonScanRewriter;
+mod support;
+
 use maxson_engine::session::{JsonParserKind, Session};
 use maxson_json::kernels::{self, Kernel};
 use maxson_storage::file::MmapMode;
 use maxson_storage::NorcFile;
 use maxson_testkit::corpus;
 use maxson_testkit::rng::Rng;
-use std::path::{Path, PathBuf};
-
-fn bench_data_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("bench-data")
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .subsec_nanos();
-    let dir =
-        std::env::temp_dir().join(format!("maxson-kern-{}-{nanos}-{name}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// The golden rewriter queries (see tests/rewriter_golden.rs), exercising
-/// projection, filtering on an extracted field, and a sparse field.
-const GOLDEN_QUERIES: [&str; 4] = [
-    "select get_json_object(payload, '$.f0') as f0, \
-     get_json_object(payload, '$.f1') as f1 from mydb.q1",
-    "select get_json_object(payload, '$.f0') as f0, \
-     get_json_object(payload, '$.f10') as f10 from mydb.q2",
-    "select get_json_object(payload, '$.f0') as f0 \
-     from mydb.q1 where get_json_object(payload, '$.f0') > 900",
-    "select get_json_object(payload, '$.f12') as f12 from mydb.q2",
-];
+use support::cells::{assert_agrees, assert_matches, ConfigCell};
+use support::oracle::Oracle;
+use support::{bench_data_root, GOLDEN_QUERIES};
 
 /// The corpus both bitmap tests walk: valid documents, invalid documents,
 /// and byte-level mutations of both (seed-replayable).
@@ -139,67 +113,22 @@ fn all_tiers_agree_with_std_contains_over_corpus() {
     }
 }
 
-/// Run the golden queries under one configuration and collect rows +
-/// rendered output + the deterministic work counters.
-fn run_golden(root: &Path, parser: JsonParserKind, rewritten: bool) -> Vec<(String, [u64; 6])> {
-    let mut session = Session::open(root).unwrap();
-    session.set_parser_kind(parser);
-    session.set_threads(Some(1));
-    if rewritten {
-        let rewriter = MaxsonScanRewriter::open(root).unwrap();
-        session.set_scan_rewriter(Some(Box::new(rewriter)));
-    }
-    GOLDEN_QUERIES
-        .iter()
-        .map(|sql| {
-            let r = session
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("{sql} failed: {e}"));
-            let m = &r.metrics;
-            (
-                r.to_display_string(),
-                [
-                    m.rows_scanned,
-                    m.bytes_read,
-                    m.parse_calls,
-                    m.docs_parsed,
-                    m.row_groups_read,
-                    m.cache_hits,
-                ],
-            )
-        })
-        .collect()
-}
-
 #[test]
 fn golden_queries_identical_across_kernel_tiers() {
-    let root = bench_data_root();
-    let initial = kernels::active();
-    let reference = {
-        kernels::set_active(Kernel::Scalar);
-        run_golden(&root, JsonParserKind::Mison, false)
-    };
-    for kernel in kernels::available() {
-        let took = kernels::set_active(kernel);
-        assert_eq!(took, kernel, "available tier must not clamp");
-        for parser in [JsonParserKind::Mison, JsonParserKind::Tape] {
-            for rewritten in [false, true] {
-                let got = run_golden(&root, parser, rewritten);
-                for (g, r) in got.iter().zip(&reference) {
-                    assert_eq!(
-                        g.0,
-                        r.0,
-                        "rows diverged under {} / {parser:?} / rewritten={rewritten}",
-                        kernel.name()
-                    );
-                    if parser == JsonParserKind::Mison && !rewritten {
-                        assert_eq!(g.1, r.1, "work counters diverged under {}", kernel.name());
-                    }
-                }
-            }
-        }
-    }
-    kernels::set_active(initial);
+    let cells: Vec<ConfigCell> = kernels::available()
+        .into_iter()
+        .flat_map(|simd| {
+            [(JsonParserKind::Mison, false), (JsonParserKind::Tape, true)].map(
+                |(parser, rewritten)| ConfigCell {
+                    parser,
+                    simd,
+                    rewritten,
+                    ..ConfigCell::default()
+                },
+            )
+        })
+        .collect();
+    assert_agrees(&bench_data_root(), &GOLDEN_QUERIES, &cells);
 }
 
 #[test]
@@ -225,25 +154,35 @@ fn kernel_metrics_surface_in_query_metrics() {
     assert_eq!(r.metrics.simd_kernel, 0);
 }
 
-/// Golden queries must agree between mapped and copied part files on rows
-/// and on `bytes_read` — mapping changes how bytes arrive, never how many
-/// are decoded.
+/// Golden queries return the oracle's rows from mapped and from copied
+/// part files, and decode the same bytes — mapping changes how bytes
+/// arrive, never how many are decoded.
 #[test]
 fn golden_queries_identical_mmap_on_and_off() {
     let root = bench_data_root();
-    for parser in [
-        JsonParserKind::Jackson,
-        JsonParserKind::Mison,
-        JsonParserKind::Tape,
-    ] {
-        // MAXSON_MMAP is read at each split open inside execute; flipping
-        // it around whole query runs is the honest engine-level toggle.
-        std::env::set_var("MAXSON_MMAP", "0");
-        let copied = run_golden(&root, parser, false);
-        std::env::set_var("MAXSON_MMAP", "1");
-        let mapped = run_golden(&root, parser, false);
-        std::env::remove_var("MAXSON_MMAP");
-        assert_eq!(copied, mapped, "mmap on/off diverged under {parser:?}");
+    let oracle = Oracle::new(&root);
+    for parser in support::cells::PARSERS {
+        let mut session = Session::open(&root).unwrap();
+        session.set_parser_kind(parser);
+        session.set_threads(Some(1));
+        for sql in GOLDEN_QUERIES {
+            let expected = oracle.answer(sql).unwrap();
+            // MAXSON_MMAP is read at each split open inside execute;
+            // flipping it around whole query runs is the honest
+            // engine-level toggle.
+            let counters = ["0", "1"].map(|mmap| {
+                std::env::set_var("MAXSON_MMAP", mmap);
+                let got = session.execute(sql).unwrap();
+                std::env::remove_var("MAXSON_MMAP");
+                assert_matches(
+                    &expected,
+                    &got,
+                    &format!("{parser:?} MAXSON_MMAP={mmap}: {sql}"),
+                );
+                got.metrics.work_counters()
+            });
+            assert_eq!(counters[0], counters[1], "{parser:?}: {sql}");
+        }
     }
 }
 
@@ -276,7 +215,8 @@ fn truncated_and_corrupt_files_rejected_in_both_modes() {
     let root = bench_data_root();
     let part = root.join("mydb/q1/part-00000.norc");
     let bytes = std::fs::read(&part).unwrap();
-    let dir = temp_dir("inject");
+    let dir = support::temp_root("inject");
+    std::fs::create_dir_all(&dir).unwrap();
 
     // Truncations: mid-footer, mid-stripe, below any plausible header, and
     // a partial-page cut (len deliberately not sector-aligned).

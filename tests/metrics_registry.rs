@@ -17,6 +17,8 @@
 //! the one test that reads it through a server's METRICS frame sits here:
 //! no other test in this binary starts a scheduler.
 
+mod support;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -236,7 +238,7 @@ fn one_thread_server_takes_a_scheduler_permit_per_split() {
     use maxson_storage::{Cell, ColumnType, Field, Schema};
 
     const FILES: u64 = 3;
-    let root = std::env::temp_dir().join(format!("maxson-sched-{}", std::process::id()));
+    let root = support::temp_root("sched");
     let mut template = Session::open(&root).unwrap();
     {
         let schema = Schema::new(vec![Field::new("id", ColumnType::Int64)]).unwrap();

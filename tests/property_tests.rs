@@ -645,49 +645,3 @@ fn sql_parser_never_panics() {
         },
     );
 }
-
-#[test]
-fn xml_parser_never_panics() {
-    check(
-        "xml_parser_never_panics",
-        &cfg256(),
-        &Gen::printable(80),
-        |s| {
-            let _ = maxson_json::xml::xml_to_value(s); // must not panic
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn xml_round_trip_preserves_structure() {
-    let gen = Gen::tuple2(
-        Gen::vec_of(Gen::string_of(&alphabet("a-z"), 1..7), 1..5),
-        Gen::string_of(&alphabet("a-z0-9"), 1..7),
-    );
-    check(
-        "xml_round_trip_preserves_structure",
-        &cfg256(),
-        &gen,
-        |(items, attr)| {
-            let mut xml = format!("<root id=\"{attr}\">");
-            for item in items {
-                xml.push_str(&format!("<item>{item}</item>"));
-            }
-            xml.push_str("</root>");
-            let v = maxson_json::xml::xml_to_value(&xml).unwrap();
-            let root = v.get("root").unwrap();
-            prop_assert_eq!(root.get("@id").unwrap().as_str(), Some(attr.as_str()));
-            if items.len() == 1 {
-                prop_assert_eq!(root.get("item").unwrap().as_str(), Some(items[0].as_str()));
-            } else {
-                let arr = root.get("item").unwrap().as_array().unwrap();
-                prop_assert_eq!(arr.len(), items.len());
-                for (got, want) in arr.iter().zip(items) {
-                    prop_assert_eq!(got.as_str(), Some(want.as_str()));
-                }
-            }
-            Ok(())
-        },
-    );
-}

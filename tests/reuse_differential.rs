@@ -1,62 +1,34 @@
-//! Differential proof that the cross-query reuse cache is invisible to
-//! results: cache on vs cache off is byte-identical across parser modes
-//! and thread counts, repeats are served without parsing a single
-//! document, trivially-equivalent plan spellings share one entry, and a
-//! `LIMIT` variant reuses the unlimited result (and vice versa) through
-//! the fragment key space.
+//! The cross-query reuse cache is invisible to results: a filled and a
+//! hit run return what the oracle returns across parser modes and thread
+//! counts, repeats are served without parsing a single document,
+//! trivially-equivalent plan spellings share one entry while a changed
+//! literal misses, and a `LIMIT` variant reuses the unlimited result (and
+//! vice versa) through the fragment key space.
+//!
+//! Every session pins its cache (`Session::set_result_cache`), so the
+//! `MAXSON_RESULT_CACHE` default of the environment changes nothing here.
+
+mod support;
 
 use maxson_engine::session::{JsonParserKind, Session};
 use maxson_storage::file::WriteOptions;
-use maxson_storage::{Cell, ColumnType, Field, Schema};
+use maxson_storage::Cell;
 use std::path::PathBuf;
-
-fn temp_root(name: &str) -> PathBuf {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .subsec_nanos();
-    std::env::temp_dir().join(format!(
-        "maxson-reuse-{}-{nanos}-{name}",
-        std::process::id()
-    ))
-}
+use support::cells::{assert_agrees, parser_thread_cells, ConfigCell, Reuse, PARSERS};
 
 /// A table whose payload column exercises the JSON parsers: any cold run
 /// must parse documents, so `docs_parsed == 0` proves a cache serve.
 fn build_table(name: &str) -> PathBuf {
-    let root = temp_root(name);
-    let mut session = Session::open(&root).unwrap();
-    let schema = Schema::new(vec![
-        Field::new("id", ColumnType::Int64),
-        Field::new("payload", ColumnType::Utf8),
-    ])
-    .unwrap();
-    let mut catalog = session.catalog_mut();
-    let table = catalog.create_table("db", "t", schema, 0).unwrap();
-    let rows: Vec<Vec<Cell>> = (0..60)
+    let root = support::temp_root(name);
+    let docs: Vec<(i64, String)> = (0..60)
         .map(|i| {
-            vec![
-                Cell::Int(i),
-                Cell::from(format!(
-                    r#"{{"a": {i}, "b": {}, "tag": "t{}"}}"#,
-                    i % 9,
-                    i % 4
-                )),
-            ]
+            (
+                i,
+                format!(r#"{{"a": {i}, "b": {}, "tag": "t{}"}}"#, i % 9, i % 4),
+            )
         })
         .collect();
-    table
-        .append_file(
-            &rows,
-            WriteOptions {
-                row_group_size: 16,
-                ..Default::default()
-            },
-            1,
-        )
-        .unwrap();
-    drop(catalog);
+    support::json_table(&mut Session::open(&root).unwrap(), "db", "t", &[docs], 16);
     root
 }
 
@@ -70,12 +42,6 @@ const QUERIES: [&str; 5] = [
     "select count(*) as n, max(get_json_object(payload, '$.a')) as hi from db.t",
 ];
 
-const PARSERS: [JsonParserKind; 3] = [
-    JsonParserKind::Jackson,
-    JsonParserKind::Mison,
-    JsonParserKind::Tape,
-];
-
 fn open(root: &PathBuf, parser: JsonParserKind, threads: usize) -> Session {
     let mut session = Session::open(root).unwrap();
     session.set_parser_kind(parser);
@@ -83,34 +49,17 @@ fn open(root: &PathBuf, parser: JsonParserKind, threads: usize) -> Session {
     session
 }
 
-/// Cache on vs cache off, three parsers, one and four threads, cold fill
-/// and warm hit: every rendered result is byte-identical.
+/// Three parsers, one and four threads, a cold fill and — after a literal
+/// variant of the statement ran — a warm hit: every result is the
+/// oracle's.
 #[test]
 fn cache_on_off_is_byte_identical_across_parsers_and_threads() {
     let root = build_table("onoff");
-    for parser in PARSERS {
-        for threads in [1usize, 4] {
-            let mut off = open(&root, parser, threads);
-            off.set_result_cache(None); // explicit: immune to env defaults
-            let mut on = open(&root, parser, threads);
-            on.set_result_cache(Some(16));
-            for sql in QUERIES {
-                let reference = off.execute(sql).unwrap().to_display_string();
-                let cold = on.execute(sql).unwrap();
-                let warm = on.execute(sql).unwrap();
-                assert_eq!(
-                    cold.to_display_string(),
-                    reference,
-                    "[{parser:?}/{threads}t] cold cached run diverged for {sql}"
-                );
-                assert_eq!(
-                    warm.to_display_string(),
-                    reference,
-                    "[{parser:?}/{threads}t] warm cached run diverged for {sql}"
-                );
-            }
-        }
-    }
+    let cells: Vec<ConfigCell> = parser_thread_cells(&PARSERS, &[1, 4])
+        .into_iter()
+        .flat_map(|cell| [Reuse::Fill, Reuse::Hit].map(|reuse| ConfigCell { reuse, ..cell }))
+        .collect();
+    assert_agrees(&root, &QUERIES, &cells);
     std::fs::remove_dir_all(&root).ok();
 }
 

@@ -8,44 +8,33 @@
 //! touching both sides must read the cache table for the cached paths and
 //! fall back to raw JSON parsing for the rest.
 
-use maxson::rewriter::MaxsonScanRewriter;
-use maxson_engine::session::Session;
-use std::path::PathBuf;
+mod support;
 
-fn bench_data_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("bench-data")
-}
+use maxson_engine::session::Session;
+use support::cells::assert_matches;
+use support::oracle::Oracle;
+use support::{bench_data_root, GOLDEN_QUERIES};
 
 fn plain_session() -> Session {
     Session::open(bench_data_root()).unwrap()
 }
 
 fn rewriting_session() -> Session {
-    let root = bench_data_root();
-    let mut session = Session::open(&root).unwrap();
-    let rewriter = MaxsonScanRewriter::open(&root).unwrap();
-    session.set_scan_rewriter(Some(Box::new(rewriter)));
-    session
+    support::rewritten_session(&bench_data_root())
 }
 
 /// Fully cached paths only: plan must read the cache table, not parse JSON.
-const Q_FULLY_CACHED: &str = "select get_json_object(payload, '$.f0') as f0, \
-     get_json_object(payload, '$.f1') as f1 from mydb.q1";
+const Q_FULLY_CACHED: &str = GOLDEN_QUERIES[0];
 
 /// Mixed: `$.f0` is cached on q2, `$.f10` exists only in the raw payload.
-const Q_STITCHED: &str = "select get_json_object(payload, '$.f0') as f0, \
-     get_json_object(payload, '$.f10') as f10 from mydb.q2";
+const Q_STITCHED: &str = GOLDEN_QUERIES[1];
 
 /// Predicate on a cached numeric path (exercises SARG pushdown to the
 /// cache table, Algorithm 3).
-const Q_PUSHDOWN: &str = "select get_json_object(payload, '$.f0') as f0 \
-     from mydb.q1 where get_json_object(payload, '$.f0') > 900";
+const Q_PUSHDOWN: &str = GOLDEN_QUERIES[2];
 
-/// Query touching only uncached paths of a cached table: the rewriter
-/// must still leave results intact.
-const Q_UNCACHED_PATH: &str = "select get_json_object(payload, '$.f12') as f12 from mydb.q2";
-
-const GOLDEN_QUERIES: [&str; 4] = [Q_FULLY_CACHED, Q_STITCHED, Q_PUSHDOWN, Q_UNCACHED_PATH];
+// The fourth, `$.f12` on q2, touches only uncached paths of a cached table:
+// the rewriter must still leave results intact.
 
 #[test]
 fn fully_cached_query_reads_cache_table_without_parsing() {
@@ -112,42 +101,36 @@ fn partially_cached_query_stitches_uncached_columns_from_raw() {
 
 #[test]
 fn rewritten_results_are_byte_identical_to_unrewritten() {
+    let oracle = Oracle::new(&bench_data_root());
     let plain = plain_session();
     let rewritten = rewriting_session();
     for sql in GOLDEN_QUERIES {
-        let reference = plain.execute(sql).unwrap();
-        let result = rewritten.execute(sql).unwrap();
         assert!(
-            reference.metrics.parse_calls > 0,
+            plain.execute(sql).unwrap().metrics.parse_calls > 0,
             "unrewritten run must parse JSON for {sql}"
         );
-        assert_eq!(
-            result.to_display_string(),
-            reference.to_display_string(),
-            "rewritten output diverged for {sql}"
-        );
+        let result = rewritten.execute(sql).unwrap();
+        assert_matches(&oracle.answer(sql).unwrap(), &result, sql);
     }
 }
 
 #[test]
 fn pushdown_query_stays_rewritten_and_correct() {
-    let plain = plain_session();
-    let rewritten = rewriting_session();
-    let reference = plain.execute(Q_PUSHDOWN).unwrap();
-    let result = rewritten.execute(Q_PUSHDOWN).unwrap();
+    let oracle = Oracle::new(&bench_data_root());
+    let result = rewriting_session().execute(Q_PUSHDOWN).unwrap();
     assert!(
         result.plan_display.contains("MaxsonCombinedScan"),
         "plan not rewritten:\n{}",
         result.plan_display
     );
-    assert_eq!(result.to_display_string(), reference.to_display_string());
-    // The filter keeps only rows with f0 > 900; both engines agree on the
-    // (non-trivial, non-empty) selection.
+    assert_matches(&oracle.answer(Q_PUSHDOWN).unwrap(), &result, Q_PUSHDOWN);
+    // The filter keeps only rows with f0 > 900: a non-trivial, non-empty
+    // selection.
+    let table_rows = oracle.table("mydb", "q1").unwrap().rows.len();
     assert!(!result.rows.is_empty(), "some rows satisfy f0 > 900");
     assert!(
-        (result.rows.len() as u64) < reference.metrics.rows_scanned,
-        "filter must be selective: {} rows out of {} scanned",
-        result.rows.len(),
-        reference.metrics.rows_scanned
+        result.rows.len() < table_rows,
+        "filter must be selective: {} rows out of {table_rows}",
+        result.rows.len()
     );
 }

@@ -1,36 +1,22 @@
 //! Algorithm 3 at row granularity, end to end: a scan's row selection drops
-//! only rows the `Filter` above it would drop anyway, so spelling a
-//! predicate so that it *cannot* be pushed down (`date + 0 between …` has
-//! no `column op literal` leaf) must not change a single row — on a plain
-//! session and on a Maxson-rewritten one (where the selection made on the
-//! raw file is shared with the cache reader), at 1 and 4 threads. A second
-//! test pins what the selection may and may not move in the work counters.
+//! only rows the `Filter` above it would drop anyway, so a predicate
+//! spelled so that it *cannot* be pushed down (`date + 0 between …` has no
+//! `column op literal` leaf) and the pushable spelling both return the
+//! oracle's rows — on a plain session and on a Maxson-rewritten one (where
+//! the selection made on the raw file is shared with the cache reader), at
+//! 1 and 4 threads, with and without the prefilter. A second test pins what
+//! the selection may and may not move in the work counters.
 
-use maxson::mpjp::PredictorKind;
-use maxson::rewriter::MaxsonScanRewriter;
-use maxson::{MaxsonPipeline, PipelineConfig};
+mod support;
+
 use maxson_engine::session::Session;
 use maxson_engine::ExecMetrics;
-use maxson_storage::file::WriteOptions;
 use maxson_storage::{Cell, ColumnType, Field, Schema};
-use maxson_trace::model::RecurrenceClass;
-use maxson_trace::{JsonPathLocation, QueryRecord};
 use std::path::PathBuf;
+use support::cells::{assert_agrees, ConfigCell};
 
 const FILES: i64 = 3;
 const ROWS_PER_FILE: i64 = 40;
-
-fn temp_root(name: &str) -> PathBuf {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .subsec_nanos();
-    std::env::temp_dir().join(format!(
-        "maxson-rowsel-{}-{nanos}-{name}",
-        std::process::id()
-    ))
-}
 
 /// `db.t(id, date, score, payload)` with NULLs in both filter columns, and
 /// a cache of `$.k`, `$.v` and `$.name` — `$.w` stays uncached, so a
@@ -39,7 +25,7 @@ fn temp_root(name: &str) -> PathBuf {
 /// window (the keep-array and the row selection both act) and with one row
 /// group a file none does (only the row selection acts).
 fn warehouse(name: &str, row_group_size: usize) -> PathBuf {
-    let root = temp_root(name);
+    let root = support::temp_root(name);
     let mut session = Session::open(&root).unwrap();
     let schema = Schema::new(vec![
         Field::new("id", ColumnType::Int64),
@@ -74,46 +60,20 @@ fn warehouse(name: &str, row_group_size: usize) -> PathBuf {
                     ]
                 })
                 .collect();
-            let options = WriteOptions {
-                row_group_size,
-                ..Default::default()
-            };
-            table.append_file(&rows, options, 1).unwrap();
+            support::append(table, &rows, row_group_size);
         }
     }
-    let history: Vec<QueryRecord> = (0..20u32)
-        .map(|i| QueryRecord {
-            query_id: u64::from(i),
-            user_id: i % 2,
-            day: i / 2,
-            hour: 9,
-            recurrence: RecurrenceClass::Daily,
-            paths: ["$.k", "$.v", "$.name"]
-                .map(|p| JsonPathLocation::new("db", "t", "payload", p))
-                .to_vec(),
-        })
-        .collect();
-    let mut pipeline = MaxsonPipeline::new(
-        &root,
-        PipelineConfig {
-            predictor: PredictorKind::RepeatYesterday,
-            ..Default::default()
-        },
-    );
-    pipeline.observe(history.iter());
-    let report = pipeline
-        .run_midnight_cycle(&mut session, &history, 8, 100)
-        .unwrap();
-    assert_eq!(report.cache.cached.len(), 3);
+    let cached = ["$.k", "$.v", "$.name"].map(|p| ("db", "t", p));
+    support::cache_paths(&mut session, &root, &cached);
     root
 }
 
 fn session(root: &PathBuf, rewritten: bool, threads: usize) -> Session {
-    let mut session = Session::open(root).unwrap();
-    if rewritten {
-        let rewriter = MaxsonScanRewriter::open(root).unwrap();
-        session.set_scan_rewriter(Some(Box::new(rewriter)));
-    }
+    let mut session = if rewritten {
+        support::rewritten_session(root)
+    } else {
+        Session::open(root).unwrap()
+    };
     session.set_threads(Some(threads));
     session
 }
@@ -157,32 +117,25 @@ const STATEMENTS: [(&str, &str, &str, &str); 5] = [
 #[test]
 fn pushed_down_and_evaluated_predicates_return_the_same_rows() {
     let root = warehouse("rows", 8);
+    let cells: Vec<ConfigCell> = [(false, 1), (false, 4), (true, 1), (true, 4)]
+        .into_iter()
+        .flat_map(|(rewritten, threads)| {
+            [false, true].map(|prefilter| ConfigCell {
+                threads,
+                rewritten,
+                prefilter,
+                ..ConfigCell::default()
+            })
+        })
+        .collect();
+    let oracle = support::oracle::Oracle::new(&root);
     for (what, select, pushed, evaluated) in STATEMENTS {
-        let mut reference: Option<Vec<Vec<Cell>>> = None;
-        for rewritten in [false, true] {
-            for threads in [1, 4] {
-                for prefilter in [false, true] {
-                    let mut session = session(&root, rewritten, threads);
-                    session.set_prefilter_enabled(prefilter);
-                    for predicate in [pushed, evaluated] {
-                        let rows = session
-                            .execute(&format!("{select} where {predicate}"))
-                            .unwrap_or_else(|e| panic!("{what}: {e}"))
-                            .rows;
-                        let expected = reference.get_or_insert_with(|| rows.clone());
-                        assert_eq!(
-                            &rows, expected,
-                            "{what}: rewritten={rewritten} threads={threads} \
-                             prefilter={prefilter} `{predicate}`"
-                        );
-                    }
-                }
-            }
-        }
+        let sqls = [pushed, evaluated].map(|p| format!("{select} where {p}"));
         assert!(
-            !reference.unwrap().is_empty(),
+            !oracle.answer(&sqls[0]).unwrap().rows.is_empty(),
             "{what}: the predicate keeps some rows"
         );
+        assert_agrees(&root, &sqls.each_ref().map(String::as_str), &cells);
     }
     std::fs::remove_dir_all(&root).ok();
 }

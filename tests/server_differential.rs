@@ -1,136 +1,37 @@
-//! Differential tests proving the query server returns byte-identical
-//! results to serial in-process execution.
+//! The query server returns what the oracle returns while concurrent
+//! clients interleave.
 //!
 //! For every cell of the {1, 4 engine threads} x {Jackson, Mison, Tape}
-//! matrix: a serial single-`Session` run of the golden rewriter queries
-//! (bench-data warehouse) and a NoBench workload (temp warehouse) produces
-//! the reference rendering; then 8 concurrent clients replay the same
-//! query set against one server over the same warehouse, each starting at
-//! a different offset so in-flight queries genuinely interleave. Every
-//! served result must render byte-identically to the serial reference,
-//! and row counts must match cell by cell.
+//! matrix, 8 concurrent clients replay the golden rewriter statements
+//! (bench-data warehouse) and five NoBench statements (temp warehouse)
+//! against one server, each starting at a different offset so in-flight
+//! queries genuinely interleave. Every served result must hold the
+//! oracle's rows and render to the oracle's text.
 
-use std::path::PathBuf;
+mod support;
+
+use std::path::Path;
 use std::sync::Arc;
 
-use maxson_datagen::NobenchGenerator;
 use maxson_engine::{JsonParserKind, Session};
 use maxson_server::{Client, Server, ServerConfig};
-use maxson_storage::file::WriteOptions;
-use maxson_storage::{Cell, ColumnType, Field, Schema};
+use support::cells::{assert_matches, PARSERS};
+use support::oracle::{Answer, Oracle};
+use support::{bench_data_root, GOLDEN_QUERIES, NOBENCH_QUERIES};
 
 const CLIENTS: usize = 8;
 const THREAD_COUNTS: [usize; 2] = [1, 4];
-const PARSERS: [JsonParserKind; 3] = [
-    JsonParserKind::Jackson,
-    JsonParserKind::Mison,
-    JsonParserKind::Tape,
-];
-
-fn bench_data_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("bench-data")
-}
-
-fn temp_root(name: &str) -> PathBuf {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .subsec_nanos();
-    std::env::temp_dir().join(format!(
-        "maxson-srvdiff-{}-{nanos}-{name}",
-        std::process::id()
-    ))
-}
-
-/// The golden rewriter queries from PR 1 (see tests/rewriter_golden.rs).
-const GOLDEN_QUERIES: [&str; 4] = [
-    "select get_json_object(payload, '$.f0') as f0, \
-     get_json_object(payload, '$.f1') as f1 from mydb.q1",
-    "select get_json_object(payload, '$.f0') as f0, \
-     get_json_object(payload, '$.f10') as f10 from mydb.q2",
-    "select get_json_object(payload, '$.f0') as f0 \
-     from mydb.q1 where get_json_object(payload, '$.f0') > 900",
-    "select get_json_object(payload, '$.f12') as f12 from mydb.q2",
-];
-
-const NOBENCH_QUERIES: [&str; 5] = [
-    "select get_json_object(payload, '$.str1') as s1, \
-     get_json_object(payload, '$.nested_obj.num') as nn from nb.docs",
-    "select id, get_json_object(payload, '$.num') as num from nb.docs \
-     where get_json_object(payload, '$.bool') = 'true' and id < 200",
-    "select count(*), sum(get_json_object(payload, '$.num')), \
-     avg(get_json_object(payload, '$.num')) from nb.docs",
-    "select get_json_object(payload, '$.str2') as grp, count(*), \
-     max(get_json_object(payload, '$.num')) from nb.docs \
-     group by get_json_object(payload, '$.str2')",
-    "select id from nb.docs order by id desc limit 7",
-];
-
-/// Build a NoBench table: `rows` seeded JSON documents over `files` splits.
-fn nobench_table(name: &str, rows: u64, files: u64) -> PathBuf {
-    let root = temp_root(name);
-    let mut session = Session::open(&root).unwrap();
-    let schema = Schema::new(vec![
-        Field::new("id", ColumnType::Int64),
-        Field::new("payload", ColumnType::Utf8),
-    ])
-    .unwrap();
-    let mut catalog = session.catalog_mut();
-    let table = catalog.create_table("nb", "docs", schema, 0).unwrap();
-    let mut generator = NobenchGenerator::new(42);
-    let per_file = rows / files;
-    for f in 0..files {
-        let rows: Vec<Vec<Cell>> = (f * per_file..(f + 1) * per_file)
-            .map(|i| vec![Cell::Int(i as i64), Cell::from(generator.record_text(i))])
-            .collect();
-        table
-            .append_file(
-                &rows,
-                WriteOptions {
-                    row_group_size: 16,
-                    ..Default::default()
-                },
-                1,
-            )
-            .unwrap();
-    }
-    drop(catalog);
-    root
-}
-
-/// Serial reference renderings for `queries` under one parser/thread combo.
-fn serial_reference(
-    root: &PathBuf,
-    queries: &[&str],
-    parser: JsonParserKind,
-    threads: usize,
-) -> Vec<String> {
-    let mut session = Session::open(root).unwrap();
-    session.set_parser_kind(parser);
-    session.set_threads(Some(threads));
-    queries
-        .iter()
-        .map(|sql| {
-            session
-                .execute(sql)
-                .unwrap_or_else(|e| panic!("serial reference failed for {sql}: {e}"))
-                .to_display_string()
-        })
-        .collect()
-}
 
 /// Serve `root` and have `CLIENTS` concurrent clients replay `queries`,
-/// asserting every served rendering equals the serial reference.
+/// asserting every served result is the oracle's.
 fn assert_served_identical(
-    root: &PathBuf,
+    root: &Path,
     queries: &'static [&'static str],
+    reference: &Arc<Vec<Answer>>,
     parser: JsonParserKind,
     threads: usize,
     label: &str,
 ) {
-    let reference = Arc::new(serial_reference(root, queries, parser, threads));
-
     let mut template = Session::open(root).unwrap();
     template.set_parser_kind(parser);
     let mut server = Server::serve(
@@ -148,7 +49,7 @@ fn assert_served_identical(
     let label: Arc<str> = Arc::from(format!("{label}/{parser:?}/{threads}t"));
     let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {
-            let reference = reference.clone();
+            let reference = Arc::clone(reference);
             let label = label.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
@@ -159,10 +60,10 @@ fn assert_served_identical(
                     let result = client
                         .query(queries[q])
                         .unwrap_or_else(|e| panic!("[{label}] client {c} failed {q}: {e}"));
-                    assert_eq!(
-                        result.to_display_string(),
-                        reference[q],
-                        "[{label}] client {c} diverged from serial reference on query {q}"
+                    assert_matches(
+                        &reference[q],
+                        &result,
+                        &format!("[{label}] client {c}, {q}"),
                     );
                 }
             })
@@ -183,24 +84,26 @@ fn assert_served_identical(
     server.stop();
 }
 
-#[test]
-fn golden_queries_served_identical_across_matrix() {
-    let root = bench_data_root();
+/// Every cell of the matrix over `root`.
+fn assert_matrix(root: &Path, queries: &'static [&'static str], label: &str) {
+    let oracle = Oracle::new(root);
+    let reference = Arc::new(queries.iter().map(|q| oracle.answer(q).unwrap()).collect());
     for parser in PARSERS {
         for threads in THREAD_COUNTS {
-            assert_served_identical(&root, &GOLDEN_QUERIES, parser, threads, "golden");
+            assert_served_identical(root, queries, &reference, parser, threads, label);
         }
     }
 }
 
 #[test]
+fn golden_queries_served_identical_across_matrix() {
+    assert_matrix(&bench_data_root(), &GOLDEN_QUERIES, "golden");
+}
+
+#[test]
 fn nobench_workload_served_identical_across_matrix() {
-    let root = nobench_table("nobench", 240, 4);
-    for parser in PARSERS {
-        for threads in THREAD_COUNTS {
-            assert_served_identical(&root, &NOBENCH_QUERIES, parser, threads, "nobench");
-        }
-    }
+    let root = support::nobench_table("nobench", 240, 4);
+    assert_matrix(&root, &NOBENCH_QUERIES[..5], "nobench");
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -211,7 +114,7 @@ fn nobench_workload_served_identical_across_matrix() {
 /// invariant is phrased as a delta over a warmed cache.)
 #[test]
 fn served_load_hits_the_shared_metadata_cache() {
-    let root = nobench_table("metacache", 120, 3);
+    let root = support::nobench_table("metacache", 120, 3);
     let mut server = Server::start(&root, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.addr();
 

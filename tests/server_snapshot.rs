@@ -6,12 +6,14 @@
 //! cache via an epoch swap. Every served result must
 //!
 //! * carry exactly the old or the new epoch — never anything else,
-//! * render byte-identically to the serial reference (the cache changes
+//! * render byte-identically to the oracle's answer (the cache changes
 //!   where values come from, not what they are), and
 //! * correlate epoch with provenance: new-epoch results are served from
 //!   the cache (zero parse calls), old-epoch results from raw JSON
 //!   (non-zero parse calls). A mixed-epoch read would break exactly this
 //!   correlation.
+
+mod support;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,60 +23,21 @@ use maxson::mpjp::PredictorKind;
 use maxson::{MaxsonPipeline, PipelineConfig};
 use maxson_engine::Session;
 use maxson_server::{Client, Server, ServerConfig};
-use maxson_storage::file::WriteOptions;
-use maxson_storage::{Cell, ColumnType, Field, Schema};
-use maxson_trace::model::RecurrenceClass;
-use maxson_trace::{JsonPathLocation, QueryRecord};
+use maxson_trace::QueryRecord;
+use support::oracle::Oracle;
+use support::temp_root;
 
 const SQL: &str = "select id, get_json_object(payload, '$.a') as a from db.t";
 const CLIENTS: usize = 6;
-
-fn temp_root(name: &str) -> PathBuf {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .subsec_nanos();
-    std::env::temp_dir().join(format!("maxson-snap-{}-{nanos}-{name}", std::process::id()))
-}
 
 /// Warehouse with a JSON table plus the query history that makes the
 /// midnight cycle cache `$.a` — but without running the cycle yet.
 fn warehouse_with_history(name: &str) -> (Session, Vec<QueryRecord>, PathBuf) {
     let root = temp_root(name);
     let mut session = Session::open(&root).unwrap();
-    let schema = Schema::new(vec![
-        Field::new("id", ColumnType::Int64),
-        Field::new("payload", ColumnType::Utf8),
-    ])
-    .unwrap();
-    let mut catalog = session.catalog_mut();
-    let t = catalog.create_table("db", "t", schema, 0).unwrap();
-    let rows: Vec<Vec<Cell>> = (0..40)
-        .map(|i| vec![Cell::Int(i), Cell::from(format!(r#"{{"a": {i}}}"#))])
-        .collect();
-    t.append_file(
-        &rows,
-        WriteOptions {
-            row_group_size: 10,
-            ..Default::default()
-        },
-        1,
-    )
-    .unwrap();
-    drop(catalog);
-    let history: Vec<QueryRecord> = (0..10u32)
-        .flat_map(|day| {
-            (0..2u32).map(move |user| QueryRecord {
-                query_id: u64::from(day * 2 + user),
-                user_id: user,
-                day,
-                hour: 9,
-                recurrence: RecurrenceClass::Daily,
-                paths: vec![JsonPathLocation::new("db", "t", "payload", "$.a")],
-            })
-        })
-        .collect();
+    let docs: Vec<(i64, String)> = (0..40).map(|i| (i, format!(r#"{{"a": {i}}}"#))).collect();
+    support::json_table(&mut session, "db", "t", &[docs], 10);
+    let history = support::daily_history(&[("db", "t", "$.a")]);
     (session, history, root)
 }
 
@@ -90,12 +53,11 @@ fn midnight_cycle_is_an_atomic_epoch_swap_under_load() {
     let (template, history, root) = warehouse_with_history("swap");
     let mut admin = template.clone();
     let e0 = admin.epoch();
-    let reference = admin.execute(SQL).unwrap();
     assert!(
-        reference.metrics.parse_calls > 0,
+        admin.execute(SQL).unwrap().metrics.parse_calls > 0,
         "pre-cycle queries must parse raw JSON"
     );
-    let reference_display = reference.to_display_string();
+    let reference_display = Oracle::new(&root).answer(SQL).unwrap().display();
 
     let mut server = Server::serve(
         template,
@@ -222,28 +184,11 @@ fn reuse_cache_never_serves_stale_results_across_an_epoch_swap() {
 
     let root = temp_root("reuse-swap");
     let mut admin = Session::open(&root).unwrap();
-    let schema = Schema::new(vec![
-        Field::new("id", ColumnType::Int64),
-        Field::new("payload", ColumnType::Utf8),
-    ])
-    .unwrap();
-    {
-        let mut catalog = admin.catalog_mut();
-        let t = catalog.create_table("db", "t", schema, 0).unwrap();
-        let rows: Vec<Vec<Cell>> = (0..40)
-            .map(|i| vec![Cell::Int(i), Cell::from(format!(r#"{{"v": 1, "a": {i}}}"#))])
-            .collect();
-        t.append_file(
-            &rows,
-            WriteOptions {
-                row_group_size: 10,
-                ..Default::default()
-            },
-            1,
-        )
-        .unwrap();
-    }
-    let old_reference = admin.execute(COUNT_SQL).unwrap().to_display_string();
+    let docs: Vec<(i64, String)> = (0..40)
+        .map(|i| (i, format!(r#"{{"v": 1, "a": {i}}}"#)))
+        .collect();
+    support::json_table(&mut admin, "db", "t", &[docs], 10);
+    let old_reference = Oracle::new(&root).answer(COUNT_SQL).unwrap().display();
 
     let mut server = Server::serve(
         admin.clone(),
@@ -287,16 +232,16 @@ fn reuse_cache_never_serves_stale_results_across_an_epoch_swap() {
     {
         let mut catalog = admin.catalog_mut();
         let t = catalog.table_mut("db", "t").unwrap();
-        let rows: Vec<Vec<Cell>> = (40..50)
-            .map(|i| vec![Cell::Int(i), Cell::from(format!(r#"{{"v": 2, "a": {i}}}"#))])
+        let rows: Vec<Vec<maxson_storage::Cell>> = (40..50)
+            .map(|i| vec![i.into(), format!(r#"{{"v": 2, "a": {i}}}"#).into()])
             .collect();
-        t.append_file(&rows, WriteOptions::default(), 2).unwrap();
+        t.append_file(&rows, Default::default(), 2).unwrap();
     }
     let e1 = admin.swap_warehouse_epoch(None).unwrap();
     assert_eq!(e1, e0 + 1);
     cycle_done.store(true, Ordering::SeqCst);
 
-    let new_reference = admin.execute(COUNT_SQL).unwrap().to_display_string();
+    let new_reference = Oracle::new(&root).answer(COUNT_SQL).unwrap().display();
     assert_ne!(
         new_reference, old_reference,
         "the swap must be detectable, or this test proves nothing"

@@ -16,14 +16,15 @@
 //! Failures replay exactly via `MAXSON_TESTKIT_SEED` (the testkit prop
 //! harness prints the seed on failure).
 
+mod support;
+
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use support::temp_root;
 
 use maxson_engine::Session;
 use maxson_server::wire::{self, OpCode, Writer, MAGIC};
 use maxson_server::{Client, Server, ServerConfig};
-use maxson_storage::file::WriteOptions;
-use maxson_storage::{Cell, ColumnType, Field, Schema};
 use maxson_testkit::prop::{check, Config, Gen};
 use maxson_testkit::Rng;
 
@@ -37,40 +38,17 @@ const QUERIES: [&str; 3] = [
 ];
 const BAD_QUERY: &str = "select boom from no.such_table";
 
-fn temp_root(name: &str) -> PathBuf {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .unwrap()
-        .subsec_nanos();
-    std::env::temp_dir().join(format!("maxson-soak-{}-{nanos}-{name}", std::process::id()))
-}
-
 fn build_warehouse(name: &str) -> (Session, PathBuf) {
     let root = temp_root(name);
     let mut session = Session::open(&root).unwrap();
-    let schema = Schema::new(vec![
-        Field::new("id", ColumnType::Int64),
-        Field::new("payload", ColumnType::Utf8),
-    ])
-    .unwrap();
-    let mut catalog = session.catalog_mut();
-    let table = catalog.create_table("db", "t", schema, 0).unwrap();
-    for f in 0..FILES as i64 {
-        let rows: Vec<Vec<Cell>> = (0..32)
-            .map(|i| {
-                let n = f * 32 + i;
-                vec![
-                    Cell::Int(n),
-                    Cell::from(format!(r#"{{"a": {n}, "b": "x{}"}}"#, n % 5)),
-                ]
-            })
-            .collect();
-        table
-            .append_file(&rows, WriteOptions::default(), 1)
-            .unwrap();
-    }
-    drop(catalog);
+    let files: Vec<Vec<(i64, String)>> = (0..FILES as i64)
+        .map(|f| {
+            (f * 32..(f + 1) * 32)
+                .map(|n| (n, format!(r#"{{"a": {n}, "b": "x{}"}}"#, n % 5)))
+                .collect()
+        })
+        .collect();
+    support::json_table(&mut session, "db", "t", &files, 1024);
     (session, root)
 }
 
