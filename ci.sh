@@ -13,20 +13,12 @@ cargo build --release --offline
 # thread and once on pool workers. Note the root Cargo.toml is both a
 # workspace and a package, so bare `cargo test` would only run the root
 # integration tests; --workspace covers the crates. The suites that vary
-# the reuse cache, the parser and the SIMD tier set them per session (or
-# through kernels::set_active), so no other environment default needs a
-# pass of its own.
+# the reuse cache, the parser, the mmap mode and the SIMD tier set them per
+# session (through Session::open_with, or kernels::set_active), and knob
+# resolution is tested over Config::from_lookup, so no other environment
+# default needs a pass of its own.
 MAXSON_THREADS=1 cargo test -q --offline --workspace
 MAXSON_THREADS=4 cargo test -q --offline --workspace
-
-# The oracle suite walks the SIMD tiers itself (kernels::set_active) over
-# memory-mapped part files; once more over copied ones.
-MAXSON_MMAP=0 cargo test -q --offline --test oracle
-
-# MAXSON_PARSER resolution in Session::open: the env test asserts the
-# opened session runs whatever parser the environment names.
-MAXSON_PARSER=tape cargo test -q --offline --test tape_differential \
-  session_open_resolves_parser_from_env
 
 # The pinned API surface perfbench calls (perfbench/README.md) must still
 # build and produce its output schema: one block per workload on 200-row
@@ -53,11 +45,6 @@ MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig_scal
 # tape series parses exactly as many documents as the Jackson baseline,
 # and that nodes_skipped is positive on tape runs and zero elsewhere.
 MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig15_parsers
-
-# Smoke-run the zero-copy scan benchmark (fast mode); it reports scan-only,
-# scan+filter, and scan+agg rows/s on the batched columnar pipeline and the
-# cells_materialized / batch_rows_skipped work counters.
-MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig_scan_throughput
 
 # Server smoke: starts the TCP query server over a throwaway warehouse,
 # replays queries from 8 concurrent clients (results checked against a

@@ -2,10 +2,12 @@
 //! Maxson-style cached read, per record size, on the testkit bench runner.
 //!
 //! This is the microscopic view of Fig. 15: what one `get_json_object`
-//! call costs under each strategy. Run with `cargo bench --bench parsing`;
+//! call costs under each strategy, plus the structural-bitmap build per
+//! kernel tier. Run with `cargo bench --bench parsing`;
 //! set `MAXSON_BENCH_FAST=1` for a quick smoke pass.
 
 use maxson_bench::report::{Report, Series};
+use maxson_json::kernels;
 use maxson_json::mison::MisonProjector;
 use maxson_json::JsonPath;
 use maxson_testkit::bench::{bb, BenchRunner};
@@ -105,9 +107,36 @@ fn bench_tape_build(runner: &BenchRunner) -> Report {
     report
 }
 
+/// Structural-bitmap construction throughput per kernel tier the CPU runs,
+/// over the padded documents: pure kernel time, so tiers compare directly
+/// (the SSE2-between-AVX2-and-SWAR question is answered here).
+fn bench_bitmap_tiers(runner: &BenchRunner) -> Report {
+    let mut report = Report::new(
+        "bench-parsing-bitmap-tiers",
+        "structural-bitmap build throughput per kernel tier",
+    );
+    report.note(format!(
+        "MB/s at the median; the dispatched tier is {}",
+        kernels::active().name()
+    ));
+    for kernel in kernels::available() {
+        let mut tier = Series::new(kernel.name());
+        for (label, size) in [("padded 4.8 kB", 4_800usize), ("padded 21 kB", 21_000)] {
+            let record = padded_record(size);
+            let stats = runner.run(&format!("bitmaps_{}/{size}", kernel.name()), || {
+                bb(kernels::build_bitmaps_with(kernel, bb(record.as_bytes())))
+            });
+            tier.push(label, record.len() as f64 / stats.median_ns * 1e3);
+        }
+        report.add(tier);
+    }
+    report
+}
+
 fn main() {
     let runner = BenchRunner::from_env();
     bench_parsers(&runner).emit();
     bench_structural_index_build(&runner).emit();
     bench_tape_build(&runner).emit();
+    bench_bitmap_tiers(&runner).emit();
 }

@@ -36,7 +36,7 @@ fn main() {
     let mut cells_s = Series::new("cells materialized");
     let mut skipped_s = Series::new("batch rows skipped");
 
-    let fast = std::env::var("MAXSON_BENCH_FAST").as_deref() == Ok("1");
+    let fast = maxson_bench::fast();
     let runs = if fast { 1 } else { 2 };
 
     for q in &picks {

@@ -20,7 +20,7 @@ use maxson_trace::JsonPathCollector;
 
 fn main() {
     let queries = load_tables();
-    let fast = std::env::var("MAXSON_BENCH_FAST").as_deref() == Ok("1");
+    let fast = maxson_bench::fast();
     let runs = if fast { 1 } else { 2 };
 
     // Match the paper's setting: the 300 GB limit caches most-but-not-all

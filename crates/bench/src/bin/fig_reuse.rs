@@ -58,7 +58,7 @@ fn zipf(rng: &mut Lcg, n: usize, harmonics: &[f64]) -> usize {
 }
 
 fn main() {
-    let fast = std::env::var("MAXSON_BENCH_FAST").as_deref() == Ok("1");
+    let fast = maxson_bench::fast();
     let rounds = if fast { 3 } else { 8 };
     let zipf_requests = if fast { 60 } else { 400 };
     let no_repeat_requests = if fast { 40 } else { 200 };

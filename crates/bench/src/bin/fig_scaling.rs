@@ -28,7 +28,7 @@ fn main() {
         .find(|q| q.name == "Q2")
         .expect("Q2 in workload");
 
-    let fast = std::env::var("MAXSON_BENCH_FAST").as_deref() == Ok("1");
+    let fast = maxson_bench::fast();
     let runs = if fast { 1 } else { 5 };
 
     let mut report = Report::new(

@@ -29,7 +29,7 @@ use maxson_storage::Catalog;
 const CLIENT_COUNTS: [usize; 3] = [1, 4, 8];
 
 fn main() {
-    let fast = std::env::var("MAXSON_BENCH_FAST").as_deref() == Ok("1");
+    let fast = maxson_bench::fast();
     let rounds = if fast { 2 } else { 12 };
 
     let queries = load_tables();

@@ -14,4 +14,6 @@ pub mod report;
 pub mod workload;
 
 pub use report::{Report, Series};
-pub use workload::{bench_root, fresh_session, load_tables, run_query, run_query_avg, SystemKind};
+pub use workload::{
+    bench_root, fast, fresh_session, load_tables, run_query, run_query_avg, SystemKind,
+};

@@ -46,9 +46,10 @@ pub struct Report {
 impl Report {
     /// Create an empty report.
     ///
-    /// Every report opens with a note recording the engine's configured
-    /// thread count, so benchmark numbers are always interpretable (serial
-    /// vs split-parallel runs produce identical rows but different walls).
+    /// Every report opens with a note recording the resolved knobs, the
+    /// core count and the detected SIMD tier, so benchmark numbers are
+    /// always interpretable (serial vs split-parallel runs produce
+    /// identical rows but different walls).
     pub fn new(id: impl Into<String>, title: impl Into<String>) -> Self {
         let mut report = Report {
             id: id.into(),
@@ -57,17 +58,10 @@ impl Report {
             series: Vec::new(),
         };
         report.note(format!(
-            "engine threads: {} (MAXSON_THREADS; {} cores available)",
-            maxson_engine::ExecOptions::from_env().threads,
-            maxson_engine::exec::default_threads()
-        ));
-        report.note(format!(
-            "simd kernel: {} (MAXSON_SIMD); norc mmap: {} (MAXSON_MMAP)",
+            "config: {}; {} cores available; simd kernel: {}",
+            maxson_engine::Config::from_env().describe(),
+            maxson_engine::exec::default_threads(),
             maxson_json::kernels::active().name(),
-            match maxson_storage::MmapMode::from_env() {
-                maxson_storage::MmapMode::Enabled => "on",
-                maxson_storage::MmapMode::Disabled => "off",
-            }
         ));
         report
     }

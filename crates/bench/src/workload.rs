@@ -80,6 +80,11 @@ pub fn bench_rows() -> usize {
         .unwrap_or(2_000)
 }
 
+/// Smoke mode (`MAXSON_BENCH_FAST=1`): fewer runs and smaller replays.
+pub fn fast() -> bool {
+    std::env::var("MAXSON_BENCH_FAST").as_deref() == Ok("1")
+}
+
 /// Build (or reuse) the ten Table II tables; returns the query specs.
 pub fn load_tables() -> Vec<QuerySpec> {
     let mut catalog = Catalog::open(bench_root()).expect("open benchmark warehouse");
@@ -203,7 +208,7 @@ pub fn cached_path_count(query: &QuerySpec, cached: &[JsonPathLocation]) -> usiz
 /// An online-LRU session (Fig. 14's baseline).
 pub fn lru_session(budget_bytes: u64) -> Session {
     let mut session = fresh_session();
-    let mut lru = OnlineLruRewriter::open(bench_root(), budget_bytes).expect("lru rewriter");
+    let mut lru = OnlineLruRewriter::open(&session, budget_bytes).expect("lru rewriter");
     lru.set_tracer(session.tracer().clone());
     session.set_scan_rewriter(Some(Box::new(lru)));
     session

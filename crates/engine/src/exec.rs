@@ -93,23 +93,6 @@ impl ExecOptions {
         self.scheduler = scheduler;
         self
     }
-
-    /// Resolve from the environment: `MAXSON_THREADS` if set to a positive
-    /// integer, otherwise the number of available cores.
-    pub fn from_env() -> Self {
-        let threads = std::env::var("MAXSON_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(default_threads);
-        ExecOptions::with_threads(threads)
-    }
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions::from_env()
-    }
 }
 
 /// Available hardware parallelism (1 when it cannot be determined).
@@ -1356,7 +1339,7 @@ mod tests {
             &plan,
             JsonParserKind::Jackson,
             &mut m(),
-            ExecOptions::from_env(),
+            ExecOptions::with_threads(4),
         )
         .unwrap();
         assert_eq!(

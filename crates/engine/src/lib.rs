@@ -25,6 +25,8 @@
 //!   measurement behind the paper's Fig. 3 and Fig. 12,
 //! * [`explain`] — the `EXPLAIN ANALYZE` renderer: the recorded span tree
 //!   annotated with per-operator wall time, rows, and cache counters,
+//! * [`config`] — the one declaration of the `MAXSON_*` knobs, resolved
+//!   once per session into a [`Config`],
 //! * [`session`] — the user-facing entry point: a catalog plus
 //!   `execute(sql)` with pluggable plan rewriters, a per-query span tracer
 //!   (`maxson-obs`), and Chrome-trace export via `MAXSON_TRACE=<path>` or
@@ -40,6 +42,7 @@
 //! println!("{}", result.to_display_string());
 //! ```
 
+pub mod config;
 pub mod error;
 pub mod exec;
 pub mod explain;
@@ -56,6 +59,7 @@ pub mod scan;
 pub mod session;
 pub mod sql;
 
+pub use config::Config;
 pub use error::{EngineError, Result};
 pub use exec::ExecOptions;
 pub use expr::Expr;

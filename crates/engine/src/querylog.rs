@@ -2,7 +2,10 @@
 //!
 //! One line per executed query, written append-only to the path named by
 //! `MAXSON_QUERY_LOG` (or [`crate::session::Session::set_query_log`]).
-//! Each line is a self-contained JSON object with a stable field order:
+//! Each line is a self-contained JSON object with a stable field order;
+//! `parser`, `threads` and the slow threshold are the session's resolved
+//! values, `mmap` the mode of its footer cache, `simd` the active kernel
+//! tier:
 //!
 //! ```json
 //! {"fingerprint":"9f86d081884c7d65","sql":"select ...","parser":"tape",
@@ -60,9 +63,9 @@ pub struct QueryLogEntry<'a> {
     pub parser: &'a str,
     /// Structural-kernel tier name (`avx2` / `sse2` / `swar` / `scalar`).
     pub simd: &'a str,
-    /// Whether Norc part files are memory-mapped.
+    /// Whether the session's footer cache memory-maps Norc part files.
     pub mmap: bool,
-    /// Configured worker threads (resolved; 1 = serial).
+    /// The session's worker threads (resolved; 1 = serial).
     pub threads: u64,
     /// Warehouse epoch the query planned against.
     pub epoch: u64,

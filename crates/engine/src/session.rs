@@ -15,10 +15,11 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use maxson_obs::{Registry, SpanId, Tracer};
-use maxson_storage::{Catalog, Cell, MmapMode};
+use maxson_storage::{Catalog, Cell, MmapMode, NorcMetaCache};
 
+use crate::config::Config;
 use crate::error::{EngineError, Result};
-use crate::exec::{execute_plan_traced, ExecOptions};
+use crate::exec::{default_threads, execute_plan_traced, ExecOptions};
 pub use crate::expr::JsonParserKind;
 use crate::fingerprint::{
     canonical_fragment_text, canonical_stmt_text, reuse_key, stmt_fingerprint, table_key,
@@ -346,12 +347,16 @@ impl Drop for CatalogWrite<'_> {
 #[derive(Clone)]
 pub struct Session {
     warehouse: Arc<RwLock<Warehouse>>,
+    /// JSON parser behind `get_json_object` (`MAXSON_PARSER`).
     parser_kind: JsonParserKind,
+    /// Explicit worker-thread count (`MAXSON_THREADS`); `None` = one per
+    /// available core.
+    threads_override: Option<usize>,
+    /// The override, or one worker per available core — resolved when the
+    /// count is set, never per execute.
+    threads: usize,
     /// Sparser-style raw prefiltering on JSON equality predicates.
     prefilter_enabled: bool,
-    /// Explicit worker-thread override. `None` defers to `MAXSON_THREADS`
-    /// (default: available cores); `Some(1)` runs split tasks inline.
-    threads: Option<usize>,
     /// Cooperative split scheduler consulted around every split task (the
     /// server installs its fair-share scheduler here). `None` = run freely.
     scheduler: Option<Arc<dyn SplitScheduler>>,
@@ -361,8 +366,8 @@ pub struct Session {
     /// shows the daily job next to the queries it accelerated. Disabled
     /// by default — every hook is then a branch on a bool.
     tracer: Tracer,
-    /// Where to write the Chrome trace-event JSON (rewritten after every
-    /// execute). `None` = no export.
+    /// Where to write the Chrome trace-event JSON (`MAXSON_TRACE`;
+    /// rewritten after every execute). `None` = no export.
     trace_path: Option<PathBuf>,
     /// Always-on metric registry charged after every execute. Defaults to
     /// the process-global [`Registry`]; tests inject fresh instances via
@@ -373,68 +378,56 @@ pub struct Session {
     /// every connection of a serving warehouse.
     query_log: Option<Arc<QueryLog>>,
     /// Queries whose wall time exceeds this get `slow=true` in the log
-    /// (`MAXSON_SLOW_MS`, default 1000 ms).
+    /// (`MAXSON_SLOW_MS`).
     slow_threshold: Duration,
 }
 
 impl Session {
-    /// Open a session over a warehouse directory. When the `MAXSON_TRACE`
-    /// environment variable names a file, tracing starts enabled and every
-    /// execute rewrites that file with the accumulated Chrome trace. The
-    /// `MAXSON_PARSER` environment variable (`jackson` / `mison` / `tape`,
-    /// case-insensitive) selects the default JSON parser; unrecognized
-    /// values keep the Jackson default, and [`Session::set_parser_kind`]
-    /// overrides either way. The structural-kernel tier resolves lazily
-    /// from `MAXSON_SIMD` on first bitmap build (see
-    /// [`Session::set_simd`]), and Norc file mapping from `MAXSON_MMAP`
-    /// at each split open.
+    /// Open a session over a warehouse directory under the process
+    /// environment's configuration: [`Session::open_with`] over
+    /// [`Config::from_env`].
     pub fn open(root: impl AsRef<Path>) -> Result<Self> {
-        let trace_path = std::env::var_os("MAXSON_TRACE")
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from);
-        let parser_kind = std::env::var("MAXSON_PARSER")
-            .ok()
-            .and_then(|v| JsonParserKind::from_name(&v))
-            .unwrap_or_default();
+        Session::open_with(root, Config::from_env())
+    }
+
+    /// Open a session over a warehouse directory under `config`. The
+    /// footer cache the catalog opens part files through is created with
+    /// the configured mmap mode and byte budget; a named trace file starts
+    /// tracing enabled, and every execute rewrites it; a named query log is
+    /// opened for appending; a result-cache budget enables the reuse cache.
+    /// Every knob is consumed here: what the session runs under afterwards
+    /// lives in the state it configures, not in a copy of `config`.
+    pub fn open_with(root: impl AsRef<Path>, config: Config) -> Result<Self> {
+        let Config {
+            threads,
+            parser,
+            mmap,
+            meta_cache_bytes,
+            trace,
+            query_log,
+            slow_threshold,
+            result_cache_mb,
+        } = config;
         let tracer = Tracer::new();
-        tracer.set_enabled(trace_path.is_some());
-        let query_log = std::env::var_os("MAXSON_QUERY_LOG")
-            .filter(|v| !v.is_empty())
-            .map(|p| QueryLog::open(PathBuf::from(p)).map(Arc::new))
+        tracer.set_enabled(trace.is_some());
+        let query_log = query_log
+            .map(|p| QueryLog::open(p).map(Arc::new))
             .transpose()?;
-        let slow_threshold = std::env::var("MAXSON_SLOW_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(Duration::from_millis)
-            .unwrap_or(Duration::from_millis(1000));
-        // Cross-query result reuse (off by default): `MAXSON_RESULT_CACHE`
-        // switches it on, `MAXSON_RESULT_CACHE_MB` sizes the byte budget.
-        let reuse = std::env::var("MAXSON_RESULT_CACHE")
-            .map(|v| {
-                let v = v.trim().to_ascii_lowercase();
-                !v.is_empty() && v != "0" && v != "false" && v != "off"
-            })
-            .unwrap_or(false)
-            .then(|| {
-                let mb = std::env::var("MAXSON_RESULT_CACHE_MB")
-                    .ok()
-                    .and_then(|v| v.trim().parse::<u64>().ok())
-                    .unwrap_or(64);
-                Arc::new(ReuseCache::new(mb))
-            });
+        let meta_cache = Arc::new(NorcMetaCache::new(meta_cache_bytes, mmap));
         Ok(Session {
             warehouse: Arc::new(RwLock::new(Warehouse {
-                catalog: Catalog::open(root.as_ref())?,
+                catalog: Catalog::open_with_cache(root.as_ref(), meta_cache)?,
                 rewriter: None,
                 epoch: 0,
-                reuse,
+                reuse: result_cache_mb.map(|mb| Arc::new(ReuseCache::new(mb))),
             })),
-            parser_kind,
+            parser_kind: parser,
+            threads_override: threads,
+            threads: threads.unwrap_or_else(default_threads),
             prefilter_enabled: false,
-            threads: None,
             scheduler: None,
             tracer,
-            trace_path,
+            trace_path: trace,
             registry: Arc::clone(Registry::global()),
             query_log,
             slow_threshold,
@@ -525,17 +518,17 @@ impl Session {
     }
 
     /// Set (or clear) the worker-thread count for split-parallel execution.
-    /// `None` resolves from the environment at each `execute` call
-    /// (`MAXSON_THREADS`, defaulting to available cores); `Some(1)` runs the
-    /// split tasks inline on the calling thread. Tests prefer this over the env var to avoid
-    /// process-global races.
+    /// `None` means one worker per available core, resolved here rather
+    /// than at each `execute`; `Some(1)` runs the split tasks inline on the
+    /// calling thread.
     pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads;
+        self.threads_override = threads;
+        self.threads = threads.unwrap_or_else(default_threads);
     }
 
-    /// Current explicit thread override, if any.
+    /// The configured thread count, if any (`None` = one per core).
     pub fn threads(&self) -> Option<usize> {
-        self.threads
+        self.threads_override
     }
 
     /// Install (or clear) the cooperative split scheduler consulted around
@@ -546,11 +539,7 @@ impl Session {
     }
 
     fn exec_options(&self) -> ExecOptions {
-        let opts = match self.threads {
-            Some(n) => ExecOptions::with_threads(n),
-            None => ExecOptions::from_env(),
-        };
-        opts.with_scheduler(self.scheduler.clone())
+        ExecOptions::with_threads(self.threads).with_scheduler(self.scheduler.clone())
     }
 
     /// Enable/disable the Sparser-style raw prefilter: when a predicate
@@ -561,21 +550,19 @@ impl Session {
     }
 
     /// Which JSON parser `get_json_object` uses (Fig. 15's axis),
-    /// overriding the `MAXSON_PARSER` environment default.
+    /// overriding the configured `MAXSON_PARSER`.
     pub fn set_parser_kind(&mut self, kind: JsonParserKind) {
         self.parser_kind = kind;
     }
 
     /// Pin the structural-kernel tier used for bitmap construction and
-    /// prefilter needle search, overriding the `MAXSON_SIMD` environment
-    /// default (`auto` / `avx2` / `sse2` / `swar` / `scalar`). Returns the
-    /// tier that actually took effect — a request for a tier the CPU lacks
-    /// clamps to the best available one.
+    /// prefilter needle search, overriding the detected best tier. Returns
+    /// the tier that actually took effect — a request for a tier the CPU
+    /// lacks clamps to the best available one.
     ///
     /// The kernel dispatch is **process-wide** (results are bit-identical
     /// across tiers, so this only affects speed, never answers): setting it
-    /// on one session changes every session in the process, mirroring how
-    /// the env var behaves.
+    /// on one session changes every session in the process.
     pub fn set_simd(
         &mut self,
         kernel: maxson_json::kernels::Kernel,
@@ -583,8 +570,8 @@ impl Session {
         maxson_json::kernels::set_active(kernel)
     }
 
-    /// The structural-kernel tier currently in effect (resolving
-    /// `MAXSON_SIMD` on first use).
+    /// The structural-kernel tier currently in effect (the best available
+    /// unless [`Session::set_simd`] pinned another).
     pub fn simd_kernel(&self) -> maxson_json::kernels::Kernel {
         maxson_json::kernels::active()
     }
@@ -611,10 +598,9 @@ impl Session {
 
     /// Enable (or disable, with `None`) the cross-query reuse cache, with
     /// a byte budget of `budget_mb` MiB. Equivalent to launching with
-    /// `MAXSON_RESULT_CACHE=1 MAXSON_RESULT_CACHE_MB=<mb>`. The cache is
-    /// warehouse-shared: every session cloned from this one probes and
-    /// fills the same cache (the serving front end enables it once and all
-    /// connections benefit).
+    /// `MAXSON_RESULT_CACHE_MB=<mb>`. The cache is warehouse-shared: every
+    /// session cloned from this one probes and fills the same cache (the
+    /// serving front end enables it once and all connections benefit).
     pub fn set_result_cache(&mut self, budget_mb: Option<u64>) {
         let mut wh = self.wh_write();
         wh.reuse = budget_mb.map(|mb| Arc::new(ReuseCache::new(mb)));
@@ -790,8 +776,6 @@ impl Session {
         // to its logical source.
         let fingerprint = stmt_fingerprint(&pq.stmt);
         let plan_display = pq.plan.display();
-        // The options resolve per run, not per query: a full-result hit
-        // runs nothing and must not pay for reading the environment.
         let run = |plan: &LogicalPlan, metrics: &mut ExecMetrics| {
             let opts = self.exec_options();
             execute_plan_traced(plan, self.parser_kind, metrics, &opts, tracer, root_id)
@@ -918,14 +902,16 @@ impl Session {
         }
 
         if let Some(log) = &self.query_log {
-            let opts = self.exec_options();
+            // The mode of the footer cache the scans read through — the
+            // session's, which every rewriter opened from it shares.
+            let mmap = self.wh_read().catalog.meta_cache().mode();
             let entry = QueryLogEntry {
                 fingerprint,
                 sql: sql.trim(),
                 parser,
                 simd: maxson_json::kernels::active().name(),
-                mmap: matches!(MmapMode::from_env(), MmapMode::Enabled),
-                threads: opts.threads as u64,
+                mmap: mmap == MmapMode::Enabled,
+                threads: self.threads as u64,
                 epoch: pq.epoch,
                 reuse: reuse_status,
                 rows: rows as u64,

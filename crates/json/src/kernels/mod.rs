@@ -16,10 +16,10 @@
 //!   `_mm256_cmpeq_epi8` + movemask) doing the classification 16/32 bytes
 //!   at a time, feeding the same word-level resolver as the SWAR tier.
 //!
-//! The active tier is selected once per process: `MAXSON_SIMD=
-//! {auto,avx2,sse2,swar,scalar}` clamped to what `is_x86_feature_detected!`
-//! reports, defaulting to the best available. Per-tier `_with` entry points
-//! exist so differential tests can pin a tier explicitly.
+//! The active tier is detected once per process — the best one
+//! `is_x86_feature_detected!` reports — and [`set_active`] pins another
+//! (clamped to what the CPU runs). Per-tier `_with` entry points exist so
+//! differential tests and benches can drive a tier explicitly.
 //!
 //! # Bit-identity across tiers
 //!
@@ -59,24 +59,13 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// Stable lowercase name, matching the `MAXSON_SIMD` values.
+    /// Stable lowercase name (`EXPLAIN ANALYZE`, the query log, STATS).
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Swar => "swar",
             Kernel::Sse2 => "sse2",
             Kernel::Avx2 => "avx2",
-        }
-    }
-
-    /// Inverse of [`Kernel::name`].
-    pub fn from_name(name: &str) -> Option<Kernel> {
-        match name {
-            "scalar" => Some(Kernel::Scalar),
-            "swar" => Some(Kernel::Swar),
-            "sse2" => Some(Kernel::Sse2),
-            "avx2" => Some(Kernel::Avx2),
-            _ => None,
         }
     }
 
@@ -123,28 +112,16 @@ pub fn best_available() -> Kernel {
     *available().last().expect("scalar is always available")
 }
 
-/// Process-wide active kernel id; 0 = not yet resolved from the env.
+/// Process-wide active kernel id; 0 = not yet detected.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
-/// Resolve `MAXSON_SIMD` to a tier: a known, available tier name wins;
-/// `auto`, unset, unknown, or unavailable-on-this-CPU all mean "best
-/// available".
-pub fn kernel_from_env() -> Kernel {
-    match std::env::var("MAXSON_SIMD") {
-        Ok(v) => match Kernel::from_name(v.trim().to_ascii_lowercase().as_str()) {
-            Some(k) if k.is_available() => k,
-            _ => best_available(),
-        },
-        Err(_) => best_available(),
-    }
-}
-
-/// The process-wide active kernel, resolving `MAXSON_SIMD` on first use.
+/// The process-wide active kernel: the best available tier unless
+/// [`set_active`] pinned another.
 pub fn active() -> Kernel {
     match Kernel::from_id(ACTIVE.load(Ordering::Relaxed)) {
         Some(k) => k,
         None => {
-            let k = kernel_from_env();
+            let k = best_available();
             ACTIVE.store(k.id(), Ordering::Relaxed);
             k
         }
@@ -528,12 +505,10 @@ mod tests {
     }
 
     #[test]
-    fn env_name_round_trip() {
+    fn id_round_trip() {
         for k in [Kernel::Scalar, Kernel::Swar, Kernel::Sse2, Kernel::Avx2] {
-            assert_eq!(Kernel::from_name(k.name()), Some(k));
             assert_eq!(Kernel::from_id(k.id()), Some(k));
         }
-        assert_eq!(Kernel::from_name("auto"), None);
         assert_eq!(Kernel::from_id(0), None);
     }
 

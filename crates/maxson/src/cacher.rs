@@ -34,7 +34,8 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use maxson_engine::{pool, EngineError, ExecOptions};
+use maxson_engine::exec::default_threads;
+use maxson_engine::{pool, Config, EngineError};
 use maxson_json::tape::{project_paths, TapeStats};
 use maxson_json::{parse as json_parse, JsonPath, JsonValue};
 use maxson_storage::file::{NorcWriter, WriteOptions};
@@ -475,7 +476,7 @@ fn build_and_register(
         .iter()
         .flat_map(|(build, splits)| splits.clone().map(move |split| (build, split)))
         .collect();
-    let threads = ExecOptions::from_env().threads;
+    let threads = Config::from_env().threads.unwrap_or_else(default_threads);
     let run = pool::run_split_tasks(tasks.len(), threads, None, |i| {
         let (build, split) = tasks[i];
         // The pool would name a panic by flat task index; catch it here,
@@ -881,7 +882,7 @@ mod incremental_tests {
         // End to end: a fresh session over the refreshed cache serves all
         // 50 rows without parsing.
         let mut session = Session::open(&root).unwrap();
-        let rewriter = crate::rewriter::MaxsonScanRewriter::open(&root).unwrap();
+        let rewriter = crate::rewriter::MaxsonScanRewriter::open(&session).unwrap();
         session.set_scan_rewriter(Some(Box::new(rewriter)));
         let result = session
             .execute("select get_json_object(payload, '$.a') as a from db.t")

@@ -8,13 +8,12 @@
 //! parse time), and inserts them into the LRU.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
 use maxson_engine::scan::{open_split, Batch, ScanProvider};
-use maxson_engine::session::{ScanContext, ScanRewrite, TableScanRewriter};
+use maxson_engine::session::{ScanContext, ScanRewrite, Session, TableScanRewriter};
 use maxson_engine::EngineError;
 use maxson_json::JsonPath;
 use maxson_obs::Tracer;
@@ -81,10 +80,11 @@ pub struct OnlineLruRewriter {
 }
 
 impl OnlineLruRewriter {
-    /// Open over the warehouse at `root` with a byte budget.
-    pub fn open(root: impl Into<PathBuf>, budget_bytes: u64) -> crate::Result<Self> {
+    /// Open over `session`'s warehouse with a byte budget, reading part
+    /// files through the session's footer cache.
+    pub fn open(session: &Session, budget_bytes: u64) -> crate::Result<Self> {
         Ok(OnlineLruRewriter {
-            catalog: Catalog::open(root.into())?,
+            catalog: crate::rewriter::session_catalog(session)?,
             budget_bytes,
             state: Arc::new(Mutex::new(LruState::default())),
             tracer: Tracer::disabled(),
@@ -404,7 +404,7 @@ mod tests {
     #[test]
     fn first_access_misses_then_hits() {
         let (mut session, root) = setup("hits");
-        let lru = OnlineLruRewriter::open(&root, u64::MAX).unwrap();
+        let lru = OnlineLruRewriter::open(&session, u64::MAX).unwrap();
         let stats_handle = Arc::clone(&lru.state);
         session.set_scan_rewriter(Some(Box::new(lru)));
         let sql = "select get_json_object(payload, '$.a') as a from db.t";
@@ -432,7 +432,7 @@ mod tests {
     fn eviction_under_small_budget() {
         let (mut session, root) = setup("evict");
         // Budget fits roughly one column of small values.
-        let lru = OnlineLruRewriter::open(&root, 80).unwrap();
+        let lru = OnlineLruRewriter::open(&session, 80).unwrap();
         let state = Arc::clone(&lru.state);
         session.set_scan_rewriter(Some(Box::new(lru)));
         session
@@ -457,7 +457,7 @@ mod tests {
     #[test]
     fn table_update_invalidates_entries() {
         let (mut session, root) = setup("invalidate");
-        let lru = OnlineLruRewriter::open(&root, u64::MAX).unwrap();
+        let lru = OnlineLruRewriter::open(&session, u64::MAX).unwrap();
         let state = Arc::clone(&lru.state);
         session.set_scan_rewriter(Some(Box::new(lru)));
         let sql = "select get_json_object(payload, '$.a') as a from db.t";
@@ -477,7 +477,7 @@ mod tests {
         // The rewriter's own catalog instance must observe the change; it
         // reads from disk via Table metadata, but our in-memory Table handle
         // is stale — reopen to simulate the next planning cycle.
-        let lru2 = OnlineLruRewriter::open(&root, u64::MAX).unwrap();
+        let lru2 = OnlineLruRewriter::open(&session, u64::MAX).unwrap();
         // Carry over the old state to prove invalidation (versions differ).
         *lru2.state.lock().unwrap() = std::mem::take(&mut state.lock().unwrap());
         let state2 = Arc::clone(&lru2.state);

@@ -471,7 +471,7 @@ mod tests {
             .unwrap();
         // Reinstall the rewriter so its catalog sees the new mod time (the
         // paper's Algorithm 1 reads table metadata at planning time).
-        let rewriter = MaxsonScanRewriter::open(&root).unwrap();
+        let rewriter = MaxsonScanRewriter::open(&session).unwrap();
         session.set_scan_rewriter(Some(Box::new(rewriter)));
         let result = session
             .execute("select get_json_object(payload, '$.a') as a from db.t")

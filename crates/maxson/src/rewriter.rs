@@ -17,11 +17,10 @@
 //! side and column a left-hand side maps to — and handed to the combined
 //! provider, which shares the row-group skips with the raw-side reader.
 
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use maxson_engine::planner::sarg::{self, Lhs, Side};
-use maxson_engine::session::{ScanContext, ScanRewrite, TableScanRewriter};
+use maxson_engine::session::{ScanContext, ScanRewrite, Session, TableScanRewriter};
 use maxson_engine::EngineError;
 use maxson_obs::{Registry, Tracer};
 use maxson_storage::{Catalog, Field, Schema};
@@ -43,8 +42,18 @@ pub struct RewriteStats {
     pub cache_only_scans: u64,
 }
 
-/// The rewriter. Holds its own read-only catalog handle (opened from the
-/// same warehouse root the session uses) plus the cache registry.
+/// A fresh catalog over `session`'s warehouse root that opens part files
+/// through the session's footer cache — what a rewriter reads with.
+pub(crate) fn session_catalog(session: &Session) -> crate::Result<Catalog> {
+    let current = session.catalog();
+    Ok(Catalog::open_with_cache(
+        current.root(),
+        Arc::clone(current.meta_cache()),
+    )?)
+}
+
+/// The rewriter. Holds its own read-only catalog handle (opened over the
+/// session's warehouse root and footer cache) plus the cache registry.
 pub struct MaxsonScanRewriter {
     catalog: Catalog,
     registry: CacheRegistry,
@@ -62,10 +71,12 @@ pub struct MaxsonScanRewriter {
 }
 
 impl MaxsonScanRewriter {
-    /// Open a rewriter over the warehouse at `root`, loading the registry
-    /// from disk.
-    pub fn open(root: impl Into<PathBuf>) -> crate::Result<Self> {
-        let catalog = Catalog::open(root.into())?;
+    /// Open a rewriter over `session`'s warehouse, loading the registry
+    /// from disk. Its catalog reads part files through the session's footer
+    /// cache, so rewritten scans read them the session's way (`MAXSON_MMAP`)
+    /// and share its resident footers.
+    pub fn open(session: &Session) -> crate::Result<Self> {
+        let catalog = session_catalog(session)?;
         let registry = CacheRegistry::load(&catalog)?;
         Ok(MaxsonScanRewriter {
             catalog,
@@ -377,7 +388,7 @@ mod tests {
     #[test]
     fn stats_track_hits_misses_and_cache_only() {
         let (mut session, root) = setup("stats");
-        let rewriter = MaxsonScanRewriter::open(&root).unwrap();
+        let rewriter = MaxsonScanRewriter::open(&session).unwrap();
         let stats_probe = rewriter.stats();
         assert_eq!(stats_probe.hits, 0);
         session.set_scan_rewriter(Some(Box::new(rewriter)));
@@ -405,8 +416,8 @@ mod tests {
     #[test]
     fn rewriter_ignores_cache_db_scans() {
         let (_, root) = setup("cachedb");
-        let rewriter = MaxsonScanRewriter::open(&root).unwrap();
         let session = Session::open(&root).unwrap();
+        let rewriter = MaxsonScanRewriter::open(&session).unwrap();
         // Query the cache table directly: the rewriter must not recurse.
         let mut s2 = session;
         s2.set_scan_rewriter(Some(Box::new(rewriter)));
@@ -431,10 +442,10 @@ mod tests {
             .unwrap()
             .touch(200)
             .unwrap();
-        let rewriter = MaxsonScanRewriter::open(&root).unwrap();
         // Plan-time check happens inside rewrite_scan: run a plan through a
         // fresh session holding the rewriter.
         let mut s2 = Session::open(&root).unwrap();
+        let rewriter = MaxsonScanRewriter::open(&s2).unwrap();
         // Keep a second probe handle open on the same state via the session
         // metrics; the invalidated list is observable pre-installation.
         let ctx_schema = Schema::new(vec![
@@ -463,8 +474,8 @@ mod tests {
 
     #[test]
     fn rewrite_scan_resolves_hit_and_keeps_miss() {
-        let (_, root) = setup("mixed");
-        let rewriter = MaxsonScanRewriter::open(&root).unwrap();
+        let (session, root) = setup("mixed");
+        let rewriter = MaxsonScanRewriter::open(&session).unwrap();
         let ctx_schema = Schema::new(vec![
             Field::new("id", ColumnType::Int64),
             Field::new("payload", ColumnType::Utf8),
@@ -515,7 +526,8 @@ mod tests {
     fn aliased_join_sides_keep_raw_and_cache_pushdown() {
         let (plain, root) = setup("alias");
         let mut rewritten = Session::open(&root).unwrap();
-        rewritten.set_scan_rewriter(Some(Box::new(MaxsonScanRewriter::open(&root).unwrap())));
+        let rewriter = MaxsonScanRewriter::open(&rewritten).unwrap();
+        rewritten.set_scan_rewriter(Some(Box::new(rewriter)));
         let select = "select a.id, get_json_object(a.payload, '$.a') \
                       from db.t a join db.t b on a.id = b.id";
         let run = |predicate: &str, ids: std::ops::Range<i64>| {
@@ -551,8 +563,8 @@ mod tests {
 
     #[test]
     fn no_json_calls_keeps_default_scan() {
-        let (_, root) = setup("nocalls");
-        let rewriter = MaxsonScanRewriter::open(&root).unwrap();
+        let (session, root) = setup("nocalls");
+        let rewriter = MaxsonScanRewriter::open(&session).unwrap();
         let ctx_schema = Schema::new(vec![Field::new("id", ColumnType::Int64)]).unwrap();
         let raw_cols = vec!["id".to_string()];
         let ctx = maxson_engine::session::ScanContext {

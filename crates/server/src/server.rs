@@ -36,14 +36,16 @@ use crate::{Result, ServerError};
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Worker threads per query (engine split parallelism). `None` defers
-    /// to `MAXSON_THREADS` / available cores.
+    /// Worker threads per query (engine split parallelism). `None` keeps
+    /// the served session's count — its configured `MAXSON_THREADS`, else
+    /// one per available core.
     pub threads: Option<usize>,
     /// Split permits in the fair scheduler. `None` = available cores.
     pub permits: Option<usize>,
     /// Enable the cross-query reuse cache with this byte budget (MiB) on
     /// the served warehouse; every connection shares one cache. `None`
-    /// defers to the session's own setting (`MAXSON_RESULT_CACHE`).
+    /// keeps the served session's own setting (its configured
+    /// `MAXSON_RESULT_CACHE_MB`, else off).
     pub result_cache_mb: Option<u64>,
 }
 

@@ -510,7 +510,8 @@ impl NorcWriter {
     }
 }
 
-/// How [`NorcFile::open`] acquires the file body.
+/// How [`NorcFile::open_with`] acquires the file body. A warehouse's
+/// [`crate::NorcMetaCache`] owns one mode and opens every part file with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MmapMode {
     /// Memory-map the file (`PROT_READ`/`MAP_PRIVATE`), so chunk decodes
@@ -523,13 +524,22 @@ pub enum MmapMode {
 }
 
 impl MmapMode {
-    /// Resolve `MAXSON_MMAP`: `0`/`false`/`off` disable mapping; anything
-    /// else (including unset) enables it where the platform supports it.
-    pub fn from_env() -> MmapMode {
-        match std::env::var("MAXSON_MMAP") {
-            Ok(v) if matches!(v.trim(), "0" | "false" | "off") => MmapMode::Disabled,
+    /// Parse a `MAXSON_MMAP` value: `0`/`false`/`off` disable mapping;
+    /// anything else enables it where the platform supports it.
+    pub fn parse(value: &str) -> MmapMode {
+        match value.trim() {
+            "0" | "false" | "off" => MmapMode::Disabled,
             _ => MmapMode::Enabled,
         }
+    }
+
+    /// [`MmapMode::parse`] over the process environment's `MAXSON_MMAP`
+    /// (unset = enabled). Nothing in `crates/` calls this — a session
+    /// resolves the knob through the engine's `Config` — it stays for the
+    /// benchmark harness's knob line, which ROADMAP item 1(e) replaces with
+    /// `Config::describe`, retiring this wrapper.
+    pub fn from_env() -> MmapMode {
+        MmapMode::parse(&std::env::var("MAXSON_MMAP").unwrap_or_default())
     }
 }
 
@@ -562,10 +572,10 @@ pub struct NorcFile {
 }
 
 impl NorcFile {
-    /// Open and validate a Norc file (magic, checksum, footer), honoring
-    /// the `MAXSON_MMAP` knob for how the body is acquired.
+    /// Open and validate a Norc file (magic, checksum, footer), mapping
+    /// the body where the platform allows and copying it otherwise.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Self::open_with(path, MmapMode::from_env())
+        Self::open_with(path, MmapMode::Enabled)
     }
 
     /// [`Self::open`] with an explicit body-acquisition mode (differential

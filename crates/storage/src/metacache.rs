@@ -14,6 +14,12 @@
 //! (`MAXSON_META_CACHE_BYTES`, default 256 MiB) with least-recently-used
 //! eviction; hit/miss/invalidation/eviction counts are exposed for the server
 //! stats endpoint and the stress-test invariant checker.
+//!
+//! How a file body is acquired — mapped or copied ([`MmapMode`]) — is a
+//! property of the cache, fixed when it is created, not a per-open choice.
+//! The validation key says nothing about how an entry's bytes arrived, so a
+//! mode that could change under a warm cache would be served entries read
+//! the other way, silently.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -22,9 +28,9 @@ use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
 use crate::error::Result;
-use crate::file::NorcFile;
+use crate::file::{MmapMode, NorcFile};
 
-/// Default byte budget when `MAXSON_META_CACHE_BYTES` is unset.
+/// Default byte budget (`MAXSON_META_CACHE_BYTES` unset).
 pub const DEFAULT_META_CACHE_BYTES: u64 = 256 * 1024 * 1024;
 
 /// Counter snapshot for telemetry and test invariants.
@@ -62,6 +68,7 @@ struct CacheState {
 /// [`Arc`]; every [`crate::Catalog`] owns one and attaches it to its tables.
 pub struct NorcMetaCache {
     budget_bytes: u64,
+    mode: MmapMode,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -74,6 +81,7 @@ impl std::fmt::Debug for NorcMetaCache {
         let s = self.stats();
         f.debug_struct("NorcMetaCache")
             .field("budget_bytes", &self.budget_bytes)
+            .field("mode", &self.mode)
             .field("resident_bytes", &s.resident_bytes)
             .field("resident_files", &s.resident_files)
             .field("hits", &s.hits)
@@ -84,10 +92,12 @@ impl std::fmt::Debug for NorcMetaCache {
 
 impl NorcMetaCache {
     /// A cache bounded to `budget_bytes` (0 disables residency: every open
-    /// misses, which keeps the type usable as an "off" switch in tests).
-    pub fn new(budget_bytes: u64) -> Self {
+    /// misses, which keeps the type usable as an "off" switch in tests)
+    /// that opens every file with `mode`.
+    pub fn new(budget_bytes: u64, mode: MmapMode) -> Self {
         NorcMetaCache {
             budget_bytes,
+            mode,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
@@ -96,18 +106,14 @@ impl NorcMetaCache {
         }
     }
 
-    /// Budget from `MAXSON_META_CACHE_BYTES` (default 256 MiB).
-    pub fn from_env() -> Self {
-        let budget = std::env::var("MAXSON_META_CACHE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_META_CACHE_BYTES);
-        NorcMetaCache::new(budget)
-    }
-
     /// The configured byte budget.
     pub fn budget_bytes(&self) -> u64 {
         self.budget_bytes
+    }
+
+    /// How this cache acquires file bodies.
+    pub fn mode(&self) -> MmapMode {
+        self.mode
     }
 
     /// Open `path`, serving the decoded file from the cache when the on-disk
@@ -142,7 +148,7 @@ impl NorcMetaCache {
         // Read outside the lock so concurrent misses on different files
         // don't serialize on each other's disk reads.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let file = Arc::new(NorcFile::open(path)?);
+        let file = Arc::new(NorcFile::open_with(path, self.mode)?);
         let size = file.byte_size() as u64;
         if size <= self.budget_bytes {
             let mut state = self.state.lock().unwrap();
@@ -240,7 +246,7 @@ mod tests {
     fn second_open_hits() {
         let dir = temp_dir("hits");
         let path = write_part(&dir, "a.norc", 10);
-        let cache = NorcMetaCache::new(u64::MAX);
+        let cache = NorcMetaCache::new(u64::MAX, MmapMode::Enabled);
         let (f1, hit1) = cache.open(&path).unwrap();
         let (f2, hit2) = cache.open(&path).unwrap();
         assert!(!hit1);
@@ -253,10 +259,25 @@ mod tests {
     }
 
     #[test]
+    fn files_are_opened_in_the_cache_mode() {
+        let dir = temp_dir("mode");
+        let path = write_part(&dir, "a.norc", 10);
+        for mode in [MmapMode::Enabled, MmapMode::Disabled] {
+            let cache = NorcMetaCache::new(u64::MAX, mode);
+            assert_eq!(cache.mode(), mode);
+            for _ in 0..2 {
+                let (file, _) = cache.open(&path).unwrap();
+                assert_eq!(file.is_mapped(), cfg!(unix) && mode == MmapMode::Enabled);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn changed_file_invalidates() {
         let dir = temp_dir("inval");
         let path = write_part(&dir, "a.norc", 10);
-        let cache = NorcMetaCache::new(u64::MAX);
+        let cache = NorcMetaCache::new(u64::MAX, MmapMode::Enabled);
         cache.open(&path).unwrap();
         // Rewrite with a different row count: length changes.
         write_part(&dir, "a.norc", 25);
@@ -277,7 +298,7 @@ mod tests {
         let c = write_part(&dir, "c.norc", 50);
         let one = NorcFile::open(&a).unwrap().byte_size() as u64;
         // Room for roughly two files.
-        let cache = NorcMetaCache::new(one * 2 + one / 2);
+        let cache = NorcMetaCache::new(one * 2 + one / 2, MmapMode::Enabled);
         cache.open(&a).unwrap();
         cache.open(&b).unwrap();
         cache.open(&a).unwrap(); // a most recent → b is the LRU victim
@@ -294,7 +315,7 @@ mod tests {
     fn zero_budget_never_resides() {
         let dir = temp_dir("zero");
         let path = write_part(&dir, "a.norc", 10);
-        let cache = NorcMetaCache::new(0);
+        let cache = NorcMetaCache::new(0, MmapMode::Enabled);
         assert!(!cache.open(&path).unwrap().1);
         assert!(!cache.open(&path).unwrap().1);
         assert_eq!(cache.stats().resident_files, 0);
@@ -305,7 +326,7 @@ mod tests {
     fn clear_drops_entries_keeps_counters() {
         let dir = temp_dir("clear");
         let path = write_part(&dir, "a.norc", 10);
-        let cache = NorcMetaCache::new(u64::MAX);
+        let cache = NorcMetaCache::new(u64::MAX, MmapMode::Enabled);
         cache.open(&path).unwrap();
         cache.open(&path).unwrap();
         cache.clear();

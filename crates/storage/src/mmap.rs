@@ -18,7 +18,11 @@
 //! the mapped bytes at open, so a file damaged *before* open is rejected
 //! exactly like on the `fs::read` path; external interference *after* open
 //! is outside the storage contract on either path (with `read` it yields
-//! stale bytes, with mmap it may fault). `MAXSON_MMAP=0` opts out entirely.
+//! stale bytes, with mmap it may fault). `MAXSON_MMAP=0` opts a session out:
+//! its footer cache copies files instead, and every scan the session runs —
+//! through a Maxson or LRU rewriter opened from it too — reads through that
+//! cache. A catalog opened on its own with `Catalog::open` (loaders, tools,
+//! tests) still maps.
 
 use std::fs::File;
 use std::io;

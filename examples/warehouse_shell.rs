@@ -103,7 +103,7 @@ fn main() {
                     println!("  {db}.{t}");
                 }
             }
-            "\\cache on" => match MaxsonScanRewriter::open(&root) {
+            "\\cache on" => match MaxsonScanRewriter::open(&session) {
                 Ok(rw) => {
                     session.set_scan_rewriter(Some(Box::new(rw)));
                     println!("Maxson rewriter installed");

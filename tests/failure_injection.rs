@@ -83,13 +83,13 @@ fn truncated_cache_file_detected() {
 
 #[test]
 fn corrupt_registry_is_an_error_not_a_silent_miss() {
-    let (_, root) = cached_session("bad-registry");
+    let (session, root) = cached_session("bad-registry");
     std::fs::write(
         root.join("__maxson_cache").join("registry.json"),
         "{not valid json",
     )
     .unwrap();
-    assert!(maxson::rewriter::MaxsonScanRewriter::open(&root).is_err());
+    assert!(maxson::rewriter::MaxsonScanRewriter::open(&session).is_err());
     std::fs::remove_dir_all(&root).ok();
 }
 

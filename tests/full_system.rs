@@ -156,7 +156,7 @@ fn lru_baseline_matches_maxson_results() {
     let (root, queries) = workload_root("lru-equiv");
     let reference = oracle_answers(&root, &queries[..3]);
     let mut session = Session::open(&root).unwrap();
-    let lru = OnlineLruRewriter::open(&root, u64::MAX).unwrap();
+    let lru = OnlineLruRewriter::open(&session, u64::MAX).unwrap();
     session.set_scan_rewriter(Some(Box::new(lru)));
     for round in 0..2 {
         for (q, expected) in queries.iter().take(3).zip(&reference) {
@@ -208,7 +208,7 @@ fn rewriter_reloads_registry_from_disk() {
         .unwrap();
     // Simulate a new process: fresh session + rewriter loaded from disk.
     let mut session2 = Session::open(&root).unwrap();
-    let rewriter = MaxsonScanRewriter::open(&root).unwrap();
+    let rewriter = MaxsonScanRewriter::open(&session2).unwrap();
     session2.set_scan_rewriter(Some(Box::new(rewriter)));
     let q = &queries[5]; // Q6: all paths cached
     let result = session2.execute(&q.sql).unwrap();
@@ -316,7 +316,7 @@ fn mid_day_append_invalidates_until_next_cycle() {
         )
         .unwrap();
     // A fresh rewriter (planning reads metadata) must refuse the stale cache.
-    let rewriter = MaxsonScanRewriter::open(&root).unwrap();
+    let rewriter = MaxsonScanRewriter::open(&session).unwrap();
     session.set_scan_rewriter(Some(Box::new(rewriter)));
     let stale_run = session.execute(&q.sql).unwrap();
     assert!(

@@ -1,9 +1,10 @@
 //! Differential tests for the structural-kernel tiers and mmap'd Norc I/O.
 //!
-//! Two process-global fast paths ride the scan hot loop: the dispatched
+//! Two fast paths ride the scan hot loop: the process-wide dispatched
 //! SIMD/SWAR structural kernels (`maxson_json::kernels`) and memory-mapped
-//! part-file reads (`MAXSON_MMAP`). Both are pure accelerations — they must
-//! never change an answer — so every layer is pinned differentially:
+//! part-file reads (the mode of a session's footer cache, `MAXSON_MMAP`).
+//! Both are pure accelerations — they must never change an answer — so
+//! every layer is pinned differentially:
 //!
 //! 1. **Bitmap bit-identity** — every available kernel tier must produce
 //!    bitmaps identical to the scalar reference over the adversarial
@@ -13,10 +14,12 @@
 //! 2. **Statements on every tier** — the golden rewriter queries under
 //!    every available tier × the bitmap-consuming parsers (Mison, Tape),
 //!    plain and rewritten, return what the oracle returns.
-//! 3. **mmap vs `fs::read`** — the same golden queries with mapped and
-//!    copied part files return what the oracle returns, and agree on every
-//!    work counter, `bytes_read` included (the accounting is
-//!    decode-driven, not I/O-driven, so mapping must not change it).
+//! 3. **mmap vs `fs::read`** — the same golden queries, rewritten, in a
+//!    session whose footer cache maps part files and in one whose cache
+//!    copies them read every raw and cache part file that way, return what
+//!    the oracle returns, and agree on every work counter,
+//!    `bytes_read` included (the accounting is decode-driven, not
+//!    I/O-driven, so mapping must not change it).
 //! 4. **Failure injection** — truncated and bit-flipped part files must be
 //!    rejected at open in both modes: the checksum is verified against the
 //!    mapped bytes exactly as against the copied ones.
@@ -28,6 +31,7 @@
 mod support;
 
 use maxson_engine::session::{JsonParserKind, Session};
+use maxson_engine::Config;
 use maxson_json::kernels::{self, Kernel};
 use maxson_storage::file::MmapMode;
 use maxson_storage::NorcFile;
@@ -35,7 +39,7 @@ use maxson_testkit::corpus;
 use maxson_testkit::rng::Rng;
 use support::cells::{assert_agrees, assert_matches, ConfigCell};
 use support::oracle::Oracle;
-use support::{bench_data_root, GOLDEN_QUERIES};
+use support::{bench_data_root, install_rewriter, GOLDEN_QUERIES};
 
 /// The corpus both bitmap tests walk: valid documents, invalid documents,
 /// and byte-level mutations of both (seed-replayable).
@@ -154,35 +158,73 @@ fn kernel_metrics_surface_in_query_metrics() {
     assert_eq!(r.metrics.simd_kernel, 0);
 }
 
-/// Golden queries return the oracle's rows from mapped and from copied
-/// part files, and decode the same bytes — mapping changes how bytes
-/// arrive, never how many are decoded.
+/// Golden queries, rewritten, return the oracle's rows in a session that
+/// maps part files and in one that copies them, and decode the same bytes —
+/// mapping changes how bytes arrive, never how many are decoded. Every part
+/// file the queries read, raw and cache table alike, must sit in the
+/// session's footer cache read the session's way: the mode is a property of
+/// the cache, and the rewriter reads through it too. The query log reports
+/// that mode.
 #[test]
 fn golden_queries_identical_mmap_on_and_off() {
     let root = bench_data_root();
     let oracle = Oracle::new(&root);
     for parser in support::cells::PARSERS {
-        let mut session = Session::open(&root).unwrap();
-        session.set_parser_kind(parser);
-        session.set_threads(Some(1));
-        for sql in GOLDEN_QUERIES {
-            let expected = oracle.answer(sql).unwrap();
-            // MAXSON_MMAP is read at each split open inside execute;
-            // flipping it around whole query runs is the honest
-            // engine-level toggle.
-            let counters = ["0", "1"].map(|mmap| {
-                std::env::set_var("MAXSON_MMAP", mmap);
-                let got = session.execute(sql).unwrap();
-                std::env::remove_var("MAXSON_MMAP");
-                assert_matches(
-                    &expected,
-                    &got,
-                    &format!("{parser:?} MAXSON_MMAP={mmap}: {sql}"),
+        let counters = [MmapMode::Enabled, MmapMode::Disabled].map(|mmap| {
+            let log = support::temp_root(&format!("mmap-{parser:?}-{mmap:?}.jsonl"));
+            let config = Config {
+                parser,
+                threads: Some(1),
+                mmap,
+                query_log: Some(log.clone()),
+                ..Config::default()
+            };
+            let session = install_rewriter(Session::open_with(&root, config).unwrap());
+            let counters: Vec<_> = GOLDEN_QUERIES
+                .iter()
+                .map(|sql| {
+                    let got = session.execute(sql).unwrap();
+                    let what = format!("{parser:?} {mmap:?}: {sql}");
+                    assert_matches(&oracle.answer(sql).unwrap(), &got, &what);
+                    got.metrics.work_counters()
+                })
+                .collect();
+            // The tables the golden queries read: the raw `mydb.q2` (the
+            // `mydb.q1` statements are served from the cache alone) and
+            // both cache tables. A hit means a query put the file there.
+            let catalog = session.catalog();
+            for (db, name) in [
+                ("mydb", "q2"),
+                ("__maxson_cache", "mydb__q1"),
+                ("__maxson_cache", "mydb__q2"),
+            ] {
+                let table = catalog.table(db, name).unwrap();
+                for split in 0..table.file_count() {
+                    let (file, hit) = table.open_split_cached(split).unwrap();
+                    let what = format!("{parser:?} {mmap:?}: {}", file.path().display());
+                    assert!(hit, "{what} was not read by the golden queries");
+                    assert_eq!(
+                        file.is_mapped(),
+                        cfg!(unix) && mmap == MmapMode::Enabled,
+                        "{what}"
+                    );
+                }
+            }
+            let lines = std::fs::read_to_string(&log).unwrap();
+            assert_eq!(lines.lines().count(), GOLDEN_QUERIES.len());
+            for line in lines.lines() {
+                let line = maxson_json::parse(line).unwrap();
+                let mapped = line.get("mmap").and_then(|m| m.as_bool());
+                assert_eq!(
+                    mapped,
+                    Some(mmap == MmapMode::Enabled),
+                    "{parser:?} {mmap:?}"
                 );
-                got.metrics.work_counters()
-            });
-            assert_eq!(counters[0], counters[1], "{parser:?}: {sql}");
-        }
+            }
+            std::fs::remove_file(&log).ok();
+            counters
+        });
+        assert_eq!(counters[0], counters[1], "{parser:?}");
     }
 }
 
@@ -267,16 +309,17 @@ fn truncated_and_corrupt_files_rejected_in_both_modes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `MAXSON_SIMD` name resolution: every tier name round-trips, unknown
-/// names fall back to best-available, and `set_active` clamps requests the
-/// CPU cannot serve.
+/// Every available tier has its own name and pins through `set_active`,
+/// which the session surface reports; requests the CPU cannot serve clamp.
 #[test]
 fn kernel_name_resolution_and_clamping() {
-    for kernel in kernels::available() {
-        assert_eq!(Kernel::from_name(kernel.name()), Some(kernel));
+    let tiers = kernels::available();
+    let names: std::collections::BTreeSet<&str> = tiers.iter().map(|k| k.name()).collect();
+    assert_eq!(names.len(), tiers.len(), "{names:?}");
+    for kernel in tiers {
         assert_eq!(kernels::set_active(kernel), kernel);
     }
-    assert_eq!(Kernel::from_name("not-a-kernel"), None);
+    assert!(kernels::set_active(Kernel::Avx2).is_available());
     // Scalar and SWAR are always available; the session surface reports
     // whatever dispatch settled on.
     let mut session = Session::open(bench_data_root()).unwrap();

@@ -13,16 +13,16 @@
 //!
 //! Cells: parser {Jackson, Mison, Tape} × threads {1, 4} × SIMD tier
 //! (every tier the CPU has) × reuse cache {off, fill, hit} × plan {plain,
-//! Maxson-rewritten} × {in-process, served}, chosen by a covering array in
-//! which every pair of dimension values meets for every statement. Every
+//! Maxson-rewritten} × {in-process, served} × part files {mapped, copied},
+//! chosen by a covering array in which every pair of dimension values
+//! meets for every statement. Every
 //! in-process, reuse-off run also feeds the work-counter rules
 //! (`cells::assert_counter_rules`), and the Table II statements'
 //! `EXPLAIN ANALYZE` trees must not depend on the thread count.
 //!
 //! The seed picks the generated statements and breaks covering-array ties.
 //! A failure prints it; `MAXSON_TESTKIT_SEED=<seed> cargo test --test
-//! oracle` replays it (decimal or `0x` hex). Norc part files are mapped by
-//! default; `MAXSON_MMAP=0` runs the suite over copied ones.
+//! oracle` replays it (decimal or `0x` hex).
 
 mod support;
 

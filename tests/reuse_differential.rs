@@ -6,7 +6,7 @@
 //! vice versa) through the fragment key space.
 //!
 //! Every session pins its cache (`Session::set_result_cache`), so the
-//! `MAXSON_RESULT_CACHE` default of the environment changes nothing here.
+//! `MAXSON_RESULT_CACHE_MB` default of the environment changes nothing here.
 
 mod support;
 

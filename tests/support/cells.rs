@@ -5,9 +5,10 @@
 //! A cell fixes the JSON parser, the thread count, the SIMD tier, how the
 //! reuse cache takes part (off; on, so the run fills it; on, run after a
 //! literal variant and then again, so it may hit), whether the Maxson
-//! rewriter is installed, and whether the statement goes over the wire to
-//! a server or runs in-process. [`covering_array`] picks cells so that
-//! every pair of values of any two dimensions meets.
+//! rewriter is installed, whether the statement goes over the wire to a
+//! server or runs in-process, and whether the session's footer cache maps
+//! part files or copies them. [`covering_array`] picks cells so that every
+//! pair of values of any two dimensions meets.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -17,10 +18,10 @@ use std::sync::Mutex;
 use maxson_engine::session::{JsonParserKind, Session};
 use maxson_engine::sql::ast::SelectStatement;
 use maxson_engine::sql::parse_select;
-use maxson_engine::{ExecMetrics, QueryResult};
+use maxson_engine::{Config, ExecMetrics, QueryResult};
 use maxson_json::kernels::{self, Kernel};
 use maxson_server::{Client, Server, ServerConfig};
-use maxson_storage::Cell;
+use maxson_storage::{Cell, MmapMode};
 use maxson_testkit::rng::Rng;
 
 use super::oracle::{Answer, Oracle};
@@ -53,12 +54,15 @@ pub struct ConfigCell {
     pub reuse: Reuse,
     pub rewritten: bool,
     pub served: bool,
+    /// How the session's footer cache reads part files.
+    pub mmap: MmapMode,
     /// The Sparser-style raw prefilter; off in every covering-array cell.
     pub prefilter: bool,
 }
 
 impl Default for ConfigCell {
-    /// Jackson, one thread, the best tier, no reuse cache, plain, in-process.
+    /// Jackson, one thread, the best tier, no reuse cache, plain,
+    /// in-process, mapped part files.
     fn default() -> Self {
         ConfigCell {
             parser: JsonParserKind::Jackson,
@@ -67,6 +71,7 @@ impl Default for ConfigCell {
             reuse: Reuse::Off,
             rewritten: false,
             served: false,
+            mmap: MmapMode::Enabled,
             prefilter: false,
         }
     }
@@ -76,13 +81,14 @@ impl fmt::Display for ConfigCell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "parser={} threads={} simd={} reuse={:?} plan={} via={}",
+            "parser={} threads={} simd={} reuse={:?} plan={} via={} mmap={:?}",
             self.parser.name(),
             self.threads,
             self.simd.name(),
             self.reuse,
             if self.rewritten { "rewritten" } else { "plain" },
             if self.served { "server" } else { "in-process" },
+            self.mmap,
         )?;
         if self.prefilter {
             f.write_str(" prefilter=on")?;
@@ -105,21 +111,22 @@ pub fn parser_thread_cells(parsers: &[JsonParserKind], threads: &[usize]) -> Vec
         .collect()
 }
 
-/// A pairwise covering array over the six dimensions: every pair of
+/// A pairwise covering array over the seven dimensions: every pair of
 /// values of any two dimensions appears in some cell. With `families`, it
 /// starts from an in-process, reuse-off cell at one thread on the first
-/// tier and one at four threads on the last tier for every (parser, plan)
-/// — what the work-counter rules compare — and completes the pairs those
-/// leave uncovered greedily; `seed` breaks ties.
+/// tier over mapped part files and one at four threads on the last tier
+/// over copied ones for every (parser, plan) — what the work-counter rules
+/// compare — and completes the pairs those leave uncovered greedily;
+/// `seed` breaks ties.
 pub fn covering_array(seed: u64, families: bool) -> Vec<ConfigCell> {
     let tiers = kernels::available();
-    let dims = [PARSERS.len(), 2, tiers.len(), 3, 2, 2];
-    let mut rows: Vec<[usize; 6]> = Vec::new();
+    let dims = [PARSERS.len(), 2, tiers.len(), 3, 2, 2, 2];
+    let mut rows: Vec<[usize; 7]> = Vec::new();
     if families {
         for parser in 0..PARSERS.len() {
             for plan in 0..2 {
-                rows.push([parser, 0, 0, 0, plan, 0]);
-                rows.push([parser, 1, tiers.len() - 1, 0, plan, 0]);
+                rows.push([parser, 0, 0, 0, plan, 0, 0]);
+                rows.push([parser, 1, tiers.len() - 1, 0, plan, 0, 1]);
             }
         }
     }
@@ -133,9 +140,9 @@ pub fn covering_array(seed: u64, families: bool) -> Vec<ConfigCell> {
             }
         }
     }
-    let cover = |uncovered: &mut BTreeSet<_>, row: &[usize; 6]| {
-        for i in 0..6 {
-            for j in i + 1..6 {
+    let cover = |uncovered: &mut BTreeSet<_>, row: &[usize; 7]| {
+        for i in 0..dims.len() {
+            for j in i + 1..dims.len() {
                 uncovered.remove(&(i, row[i], j, row[j]));
             }
         }
@@ -143,7 +150,7 @@ pub fn covering_array(seed: u64, families: bool) -> Vec<ConfigCell> {
     rows.iter().for_each(|row| cover(&mut uncovered, row));
     let mut rng = Rng::seed_from_u64(seed);
     while let Some(&(i, a, j, b)) = uncovered.iter().next() {
-        let mut row = [usize::MAX; 6];
+        let mut row = [usize::MAX; 7];
         row[i] = a;
         row[j] = b;
         for d in 0..dims.len() {
@@ -153,7 +160,7 @@ pub fn covering_array(seed: u64, families: bool) -> Vec<ConfigCell> {
             // The value that covers the most open pairs with the values
             // already chosen; ties broken by the seed.
             let gain = |v: usize| {
-                (0..6)
+                (0..dims.len())
                     .filter(|&e| row[e] != usize::MAX)
                     .filter(|&e| {
                         let pair = if d < e {
@@ -181,6 +188,7 @@ pub fn covering_array(seed: u64, families: bool) -> Vec<ConfigCell> {
             reuse: reuse[r[3]],
             rewritten: r[4] == 1,
             served: r[5] == 1,
+            mmap: [MmapMode::Enabled, MmapMode::Disabled][r[6]],
             prefilter: false,
         })
         .collect()
@@ -274,18 +282,21 @@ enum Runner {
 
 impl Runner {
     fn open(root: &Path, cell: &ConfigCell) -> Runner {
-        let mut session = if cell.rewritten {
-            super::rewritten_session(root)
-        } else {
-            Session::open(root).unwrap()
+        let config = Config {
+            parser: cell.parser,
+            threads: Some(cell.threads),
+            mmap: cell.mmap,
+            result_cache_mb: match cell.reuse {
+                Reuse::Off => None,
+                Reuse::Fill | Reuse::Hit => Some(16),
+            },
+            ..Config::default()
         };
-        session.set_parser_kind(cell.parser);
-        session.set_threads(Some(cell.threads));
+        let mut session = Session::open_with(root, config).unwrap();
+        if cell.rewritten {
+            session = super::install_rewriter(session);
+        }
         session.set_prefilter_enabled(cell.prefilter);
-        session.set_result_cache(match cell.reuse {
-            Reuse::Off => None,
-            Reuse::Fill | Reuse::Hit => Some(16),
-        });
         if !cell.served {
             return Runner::InProcess(session);
         }
@@ -451,7 +462,7 @@ pub fn property_agrees(name: &str, cases: u32, cells: &[ConfigCell]) {
 
 /// The work-counter rules over one statement's in-process, reuse-off runs:
 /// within a (parser, plan) family every counter is identical across
-/// thread counts and SIMD tiers; across parsers of one plan only
+/// thread counts, SIMD tiers and mmap modes; across parsers of one plan only
 /// `bitmap_*` (which Jackson never charges) and `nodes_skipped` (which only
 /// Tape charges) may differ.
 pub fn assert_counter_rules(label: &str, runs: &[(ConfigCell, ExecMetrics)]) {

@@ -44,8 +44,14 @@ pub fn temp_root(name: &str) -> PathBuf {
 /// A session over `root` with the Maxson rewriter installed from the cache
 /// registry on disk.
 pub fn rewritten_session(root: &Path) -> Session {
-    let mut session = Session::open(root).unwrap();
-    session.set_scan_rewriter(Some(Box::new(MaxsonScanRewriter::open(root).unwrap())));
+    install_rewriter(Session::open(root).unwrap())
+}
+
+/// `session` with the Maxson rewriter installed from the cache registry on
+/// disk, reading through the session's footer cache.
+pub fn install_rewriter(mut session: Session) -> Session {
+    let rewriter = MaxsonScanRewriter::open(&session).unwrap();
+    session.set_scan_rewriter(Some(Box::new(rewriter)));
     session
 }
 

@@ -15,18 +15,16 @@
 //!    is a two-parser property.
 //! 3. **Semantics regressions** — duplicate keys are first-wins in all
 //!    three parsers; selective queries under Tape skip nodes without
-//!    parsing a single extra document; `MAXSON_PARSER` resolution in
-//!    `Session::open` honors the environment (ci.sh runs this whole binary
-//!    under `MAXSON_PARSER=tape`).
+//!    parsing a single extra document; a `MAXSON_PARSER` value resolves
+//!    through the configuration into the session that opens with it.
 //!
-//! Parsers and thread counts are pinned per session, not through env vars,
-//! so parallel test binaries cannot race on process-global state; only the
-//! env-resolution test reads the environment, and it asserts consistency
-//! rather than a fixed kind.
+//! Parsers and thread counts are pinned per session, never through the
+//! process environment, so parallel tests cannot race on global state.
 
 mod support;
 
 use maxson_engine::session::{JsonParserKind, Session};
+use maxson_engine::Config as SessionConfig;
 use maxson_json::mison::MisonProjector;
 use maxson_json::tape::{self, TapeStats};
 use maxson_json::JsonPath;
@@ -524,30 +522,31 @@ fn selective_query_skips_nodes_without_extra_parses() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// `Session::open` resolves `MAXSON_PARSER` from the environment: the
-/// opened session's parser matches what the env names (unset or unknown →
-/// Jackson), and `set_parser_kind` still overrides. ci.sh runs this test binary
-/// under `MAXSON_PARSER=tape`, covering the non-default branch.
+/// A `MAXSON_PARSER` value opens a session running the parser it names
+/// (any case, surrounding blanks ignored); unset or unknown opens Jackson;
+/// `set_parser_kind` still overrides. Resolved through
+/// `Config::from_lookup`, so every branch runs without touching the
+/// process environment.
 #[test]
 fn session_open_resolves_parser_from_env() {
-    let expected = std::env::var("MAXSON_PARSER")
-        .ok()
-        .and_then(|v| JsonParserKind::from_name(&v))
-        .unwrap_or(JsonParserKind::Jackson);
     let root = support::temp_root("envparser");
-    let mut session = Session::open(&root).unwrap();
-    assert_eq!(session.parser_kind(), expected);
-    session.set_parser_kind(JsonParserKind::Mison);
-    assert_eq!(session.parser_kind(), JsonParserKind::Mison);
-    assert_eq!(
-        JsonParserKind::from_name("TAPE"),
-        Some(JsonParserKind::Tape)
-    );
-    assert_eq!(
-        JsonParserKind::from_name(" jackson "),
-        Some(JsonParserKind::Jackson)
-    );
-    assert_eq!(JsonParserKind::from_name("simdjson"), None);
+    for (value, expected) in [
+        (None, JsonParserKind::Jackson),
+        (Some("TAPE"), JsonParserKind::Tape),
+        (Some(" mison "), JsonParserKind::Mison),
+        (Some(" jackson "), JsonParserKind::Jackson),
+        (Some("simdjson"), JsonParserKind::Jackson),
+    ] {
+        let config = SessionConfig::from_lookup(|name| {
+            value
+                .filter(|_| name == "MAXSON_PARSER")
+                .map(str::to_string)
+        });
+        let mut session = Session::open_with(&root, config).unwrap();
+        assert_eq!(session.parser_kind(), expected, "MAXSON_PARSER={value:?}");
+        session.set_parser_kind(JsonParserKind::Mison);
+        assert_eq!(session.parser_kind(), JsonParserKind::Mison);
+    }
     std::fs::remove_dir_all(&root).ok();
 }
 
