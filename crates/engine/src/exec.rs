@@ -19,7 +19,10 @@
 //!   so each keeps its own shared-parse extractor and span).
 //!
 //! Join, sort, limit and distinct are blocking operators, not row loops,
-//! and keep arms of their own in [`execute_plan_traced`].
+//! and keep arms of their own in [`execute_plan_traced`]. The limit arm
+//! runs a top-N whose projection reads JSON as a late projection
+//! ([`LateProjection`]): the projection's `get_json_object` work waits for
+//! the rows the limit keeps.
 //!
 //! ## Split tasks
 //!
@@ -46,6 +49,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use maxson_obs::{SpanGuard, SpanId, Tracer};
 use maxson_storage::{Cell, CellKey, RowKey, RowKeySlice};
@@ -120,29 +124,7 @@ pub fn execute_plan_traced(
         | LogicalPlan::Project { .. }
         | LogicalPlan::Aggregate { .. } => {
             let (segment, source) = PipelineSegment::extract(plan);
-            if let LogicalPlan::Scan { provider } = source {
-                return run_pipeline(
-                    &segment,
-                    provider.as_ref(),
-                    parser,
-                    metrics,
-                    opts,
-                    tracer,
-                    parent,
-                );
-            }
-            // A materialised input: one stage, the same row loop, the
-            // child's rows handed over as one owned row-major batch.
-            let span = tracer.child(segment.stage_name(), parent);
-            let rows = execute_plan_traced(source, parser, metrics, opts, tracer, span.id())?;
-            span.attr("rows_in", rows.len());
-            let before = counters_before(tracer, metrics);
-            let mut sink = segment.new_sink();
-            segment.run(Batch::from_rows(rows), &mut sink, parser, metrics)?;
-            let out = sink.finish();
-            span.attr("rows_out", out.len());
-            attr_counter_deltas(&span, before.as_ref(), metrics);
-            Ok(out)
+            run_segment(&segment, source, parser, metrics, opts, tracer, parent)
         }
         LogicalPlan::Join {
             left,
@@ -165,14 +147,13 @@ pub fn execute_plan_traced(
         LogicalPlan::Sort { input, keys } => {
             let span = tracer.child("sort", parent);
             let rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
-            span.attr("rows_in", rows.len());
-            let before = counters_before(tracer, metrics);
-            let out = sort_rows(rows, keys, parser, metrics)?;
-            attr_counter_deltas(&span, before.as_ref(), metrics);
-            Ok(out)
+            sort_stage(rows, keys, &span, parser, metrics, tracer)
         }
         LogicalPlan::Limit { input, n } => {
             let span = tracer.child("limit", parent);
+            if let Some(late) = LateProjection::of(input) {
+                return late.run(*n, parser, metrics, opts, tracer, &span);
+            }
             let mut rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
             span.attr("rows_in", rows.len());
             rows.truncate(*n);
@@ -197,6 +178,58 @@ pub fn execute_plan_traced(
             Ok(out)
         }
     }
+}
+
+/// Run `segment` over `source`: through the split pool when `source` is a
+/// scan, otherwise as one stage over the materialised input's rows.
+fn run_segment(
+    segment: &PipelineSegment<'_>,
+    source: &LogicalPlan,
+    parser: JsonParserKind,
+    metrics: &mut ExecMetrics,
+    opts: &ExecOptions,
+    tracer: &Tracer,
+    parent: Option<SpanId>,
+) -> Result<Vec<Vec<Cell>>> {
+    if let LogicalPlan::Scan { provider } = source {
+        return run_pipeline(
+            segment,
+            provider.as_ref(),
+            parser,
+            metrics,
+            opts,
+            tracer,
+            parent,
+        );
+    }
+    // A materialised input: one stage, the same row loop, the child's rows
+    // handed over as one owned row-major batch.
+    let span = tracer.child(segment.stage_name(), parent);
+    let rows = execute_plan_traced(source, parser, metrics, opts, tracer, span.id())?;
+    span.attr("rows_in", rows.len());
+    let before = counters_before(tracer, metrics);
+    let mut sink = segment.new_sink();
+    segment.run(Batch::from_rows(rows), &mut sink, parser, metrics)?;
+    let out = sink.finish();
+    span.attr("rows_out", out.len());
+    attr_counter_deltas(&span, before.as_ref(), metrics);
+    Ok(out)
+}
+
+/// The sort operator over its input's `rows`, charged to its `span`.
+fn sort_stage(
+    rows: Vec<Vec<Cell>>,
+    keys: &[(Expr, bool)],
+    span: &SpanGuard<'_>,
+    parser: JsonParserKind,
+    metrics: &mut ExecMetrics,
+    tracer: &Tracer,
+) -> Result<Vec<Vec<Cell>>> {
+    span.attr("rows_in", rows.len());
+    let before = counters_before(tracer, metrics);
+    let out = sort_rows(rows, keys, parser, metrics)?;
+    attr_counter_deltas(span, before.as_ref(), metrics);
+    Ok(out)
 }
 
 /// Snapshot the counters an operator span will diff against — only when
@@ -280,6 +313,8 @@ struct PipelineSegment<'a> {
     /// The complement of `filter_cols` over the input schema (ascending):
     /// materialized only for rows the filter keeps.
     rest_cols: Vec<usize>,
+    /// A late projection's cut of each sink's rows (see [`TopN`]).
+    top_n: Option<&'a TopN<'a>>,
 }
 
 impl<'a> PipelineSegment<'a> {
@@ -296,6 +331,7 @@ impl<'a> PipelineSegment<'a> {
             extractor: None,
             filter_cols: Vec::new(),
             rest_cols: Vec::new(),
+            top_n: None,
         };
         let mut source = plan;
         match plan {
@@ -320,18 +356,7 @@ impl<'a> PipelineSegment<'a> {
                 source = input;
             }
         }
-        let mut exprs: Vec<&Expr> = Vec::new();
-        if let Some(p) = segment.filter {
-            exprs.push(p);
-        }
-        if let Some(list) = segment.project {
-            exprs.extend(list.iter().map(|(e, _)| e));
-        }
-        if let Some((group_by, aggs)) = segment.agg {
-            exprs.extend(group_by.iter());
-            exprs.extend(aggs.iter().filter_map(|(_, a)| a.as_ref()));
-        }
-        segment.extractor = JsonExtractor::from_exprs(exprs);
+        segment.extractor = segment.shared_extractor();
         if let Some(predicate) = segment.filter {
             let mut referenced = std::collections::BTreeSet::new();
             predicate.collect_columns(&mut referenced);
@@ -342,6 +367,32 @@ impl<'a> PipelineSegment<'a> {
             segment.rest_cols = (0..width).filter(|c| !referenced.contains(c)).collect();
         }
         (segment, source)
+    }
+
+    /// The shared-parse extraction sites of every stage of the segment.
+    fn shared_extractor(&self) -> Option<JsonExtractor> {
+        let mut exprs: Vec<&Expr> = Vec::new();
+        exprs.extend(self.filter);
+        if let Some(list) = self.project {
+            exprs.extend(list.iter().map(|(e, _)| e));
+        }
+        if let Some((group_by, aggs)) = self.agg {
+            exprs.extend(group_by.iter());
+            exprs.extend(aggs.iter().filter_map(|(_, a)| a.as_ref()));
+        }
+        JsonExtractor::from_exprs(exprs)
+    }
+
+    /// This projection segment evaluating `exprs` instead of its own list,
+    /// each sink's rows cut by `top_n`.
+    fn late_eager(self, exprs: &'a [(Expr, String)], top_n: &'a TopN<'a>) -> Self {
+        let mut segment = PipelineSegment {
+            project: Some(exprs),
+            top_n: Some(top_n),
+            ..self
+        };
+        segment.extractor = segment.shared_extractor();
+        segment
     }
 
     /// Span name of this segment when it runs over a materialised input.
@@ -408,7 +459,9 @@ impl<'a> PipelineSegment<'a> {
     /// or aggregation reuses the filter's parse. Columnar batches reuse one
     /// scratch row and materialize cells late
     /// ([`PipelineSegment::fill_row`]); row-major batches already own their
-    /// cells and give each surviving row away.
+    /// cells and give each surviving row away. A bounded segment cuts the
+    /// sink's rows to its [`TopN`] after the batch, so the batch's cells
+    /// outlive it only in the kept rows.
     fn run(
         &self,
         batch: Batch,
@@ -460,22 +513,38 @@ impl<'a> PipelineSegment<'a> {
                 }
             }
         }
+        if let (Some(top_n), Sink::Rows(rows)) = (self.top_n, sink) {
+            top_n.cut(rows, parser, metrics)?;
+        }
         Ok(())
     }
 }
 
-/// Record one pool run's shape in the query metrics.
-fn note_pool_run(metrics: &mut ExecMetrics, threads_spawned: usize, walls: &[std::time::Duration]) {
-    let (p50, p95, skew) = pool::wall_stats(walls);
-    let run = ExecMetrics {
-        threads_used: threads_spawned as u64,
-        par_tasks: walls.len() as u64,
-        task_wall_p50: p50,
-        task_wall_p95: p95,
-        task_skew: skew,
-        ..Default::default()
-    };
-    metrics.absorb(&run);
+/// The barrier of a pool run whose tasks return `(output, task metrics)`:
+/// records the run's shape when it spawned threads, and yields the outputs
+/// in task order as it absorbs each task's metrics into `metrics`, wall
+/// gauges scaled to the workers that overlapped.
+fn absorb_pool_run<'m, T: 'm>(
+    metrics: &'m mut ExecMetrics,
+    run: pool::PoolRun<(T, ExecMetrics)>,
+) -> impl Iterator<Item = T> + 'm {
+    if run.threads_spawned > 0 {
+        let (p50, p95, skew) = pool::wall_stats(&run.task_walls);
+        metrics.absorb(&ExecMetrics {
+            threads_used: run.threads_spawned as u64,
+            par_tasks: run.task_walls.len() as u64,
+            task_wall_p50: p50,
+            task_wall_p95: p95,
+            task_skew: skew,
+            ..Default::default()
+        });
+    }
+    let workers = run.threads_spawned.max(1) as u32;
+    run.results.into_iter().map(move |(out, mut task_metrics)| {
+        scale_wall_gauges(&mut task_metrics, workers);
+        metrics.absorb(&task_metrics);
+        out
+    })
 }
 
 /// Run a scan-rooted segment: one pool task per split, each scanning its
@@ -528,22 +597,10 @@ fn run_pipeline(
         attr_counter_deltas(&split_span, zero.as_ref(), &task_metrics);
         Ok((sink, task_metrics))
     })?;
-    if run.threads_spawned > 0 {
-        note_pool_run(metrics, run.threads_spawned, &run.task_walls);
-    }
-    let workers = run.threads_spawned.max(1) as u32;
-    let merged = run
-        .results
-        .into_iter()
-        .map(|(sink, mut task_metrics)| {
-            scale_wall_gauges(&mut task_metrics, workers);
-            metrics.absorb(&task_metrics);
-            sink
-        })
-        .reduce(|mut merged, later| {
-            merged.merge(later);
-            merged
-        });
+    let merged = absorb_pool_run(metrics, run).reduce(|mut merged, later| {
+        merged.merge(later);
+        merged
+    });
     // An empty table has no task to build a sink.
     let out = merged.unwrap_or_else(|| segment.new_sink()).finish();
     span.attr("rows_out", out.len());
@@ -558,6 +615,240 @@ fn run_pipeline(
 fn scale_wall_gauges(m: &mut ExecMetrics, workers: u32) {
     m.read_wall /= workers;
     m.parse_wall /= workers;
+}
+
+// ----------------------------------------------------------------------
+// Late projection for top-N
+// ----------------------------------------------------------------------
+
+/// A `LIMIT` whose row `Project` defers its `get_json_object` work to the
+/// rows the limit keeps. The plan is `Limit → [strip Project →] Sort →
+/// Project` (the strip being the planner's hidden-order-column `Project`)
+/// or `Limit → Project`, and applies only when nothing below the row
+/// `Project` and no sort key reads JSON, while some projected expression
+/// does. The projection then runs with each JSON-reading expression
+/// replaced by a NULL placeholder, each task keeps its first `n` rows
+/// ([`TopN`]), the rows sort and truncate as before, and the deferred
+/// expressions run over the survivors alone.
+///
+/// The rows are exactly the full plan's: a projection is one row in, one
+/// row out; `eval_with` fails only on an out-of-range column (a planner
+/// bug); and the sort keys read only eager columns, so the stable order is
+/// the same. The plan tree is untouched — the reuse cache executes its
+/// peeled, limitless fragment as it always did.
+struct LateProjection<'a> {
+    /// The strip above the sort; it reads no JSON.
+    strip: Option<&'a [(Expr, String)]>,
+    /// Sort keys over the projection's output; `None` for `Limit → Project`.
+    keys: Option<&'a [(Expr, bool)]>,
+    /// The row `Project`.
+    project: &'a LogicalPlan,
+    /// The projection with a placeholder in place of each deferred
+    /// expression, then one pass-through `Column` per input column the
+    /// deferred expressions read (a `Cell::Str` clone is a refcount bump).
+    eager: Vec<(Expr, String)>,
+    /// Each deferred expression's output position and the expression over
+    /// the eager row's pass-through columns.
+    deferred: Vec<(usize, Expr)>,
+    /// The projection's width; eager rows are truncated back to it.
+    width: usize,
+}
+
+impl<'a> LateProjection<'a> {
+    /// The late path for a `Limit` over `input`, when it applies.
+    fn of(input: &'a LogicalPlan) -> Option<Self> {
+        let (strip, below) = match input {
+            LogicalPlan::Project { input, exprs, .. }
+                if matches!(**input, LogicalPlan::Sort { .. }) =>
+            {
+                (Some(exprs.as_slice()), input.as_ref())
+            }
+            other => (None, other),
+        };
+        let (keys, project) = match below {
+            LogicalPlan::Sort { input, keys } => (Some(keys.as_slice()), input.as_ref()),
+            other => (None, other),
+        };
+        let LogicalPlan::Project {
+            input: source,
+            exprs,
+            ..
+        } = project
+        else {
+            return None;
+        };
+        let reads_json = |e: &Expr| e.json_parse_count() > 0;
+        let late: Vec<usize> = (0..exprs.len())
+            .filter(|&i| reads_json(&exprs[i].0))
+            .collect();
+        let eager_keys = keys.unwrap_or_default().iter().all(|(key, _)| {
+            !reads_json(key) && key.referenced_columns().iter().all(|c| !late.contains(c))
+        });
+        if late.is_empty()
+            || !eager_keys
+            || source.json_parse_expr_count() > 0
+            || strip.is_some_and(|s| s.iter().any(|(e, _)| reads_json(e)))
+        {
+            return None;
+        }
+        let mut passed: Vec<usize> = late
+            .iter()
+            .flat_map(|&i| exprs[i].0.referenced_columns())
+            .collect();
+        passed.sort_unstable();
+        passed.dedup();
+        let width = exprs.len();
+        let at = |c: usize| width + passed.binary_search(&c).expect("a collected column");
+        let deferred = late
+            .iter()
+            .map(|&i| {
+                let e = exprs[i].0.clone().rewrite(&mut |node| match node {
+                    Expr::Column(c) => Expr::Column(at(c)),
+                    Expr::GetJsonObject { column, path } => Expr::GetJsonObject {
+                        column: at(column),
+                        path,
+                    },
+                    other => other,
+                });
+                (i, e)
+            })
+            .collect();
+        let eager = (0..width)
+            .map(|i| {
+                let e = if late.contains(&i) {
+                    Expr::Literal(Cell::Null)
+                } else {
+                    exprs[i].0.clone()
+                };
+                (e, String::new())
+            })
+            .chain(passed.iter().map(|&c| (Expr::Column(c), String::new())))
+            .collect();
+        Some(LateProjection {
+            strip,
+            keys,
+            project,
+            eager,
+            deferred,
+            width,
+        })
+    }
+
+    /// Run the eager projection (and sort) under the `limit` span, keep the
+    /// first `n` rows and evaluate the deferred expressions over them.
+    fn run(
+        &self,
+        n: usize,
+        parser: JsonParserKind,
+        metrics: &mut ExecMetrics,
+        opts: &ExecOptions,
+        tracer: &Tracer,
+        span: &SpanGuard<'_>,
+    ) -> Result<Vec<Vec<Cell>>> {
+        let top_n = TopN {
+            keys: self.keys,
+            n,
+            offered: AtomicUsize::new(0),
+        };
+        let (segment, source) = PipelineSegment::extract(self.project);
+        let segment = segment.late_eager(&self.eager, &top_n);
+        let mut rows = match self.keys {
+            Some(keys) => {
+                let sort = tracer.child("sort", span.id());
+                let rows = run_segment(&segment, source, parser, metrics, opts, tracer, sort.id())?;
+                sort_stage(rows, keys, &sort, parser, metrics, tracer)?
+            }
+            None => run_segment(&segment, source, parser, metrics, opts, tracer, span.id())?,
+        };
+        let eager_rows = top_n.offered.load(Ordering::Relaxed);
+        span.attr("rows_in", eager_rows);
+        rows.truncate(n);
+        let survivors = rows.len();
+        span.attr("late_exprs", self.deferred.len());
+        span.attr("late_rows", survivors);
+        let before = counters_before(tracer, metrics);
+        // One task unless nearly every row survives: finishing those in one
+        // task would serialise parses the eager run could have split, so
+        // they go to the pool in contiguous chunks, concatenated in order.
+        let chunks = if survivors * opts.threads <= eager_rows {
+            1
+        } else {
+            opts.threads
+        };
+        let parts: Vec<&[Vec<Cell>]> = rows.chunks(survivors.div_ceil(chunks).max(1)).collect();
+        let run =
+            pool::run_split_tasks(parts.len(), opts.threads, opts.scheduler.as_deref(), |i| {
+                let mut task_metrics = ExecMetrics::default();
+                let out = self.finish_rows(parts[i], parser, &mut task_metrics)?;
+                Ok((out, task_metrics))
+            })?;
+        let out: Vec<Vec<Cell>> = absorb_pool_run(metrics, run).flatten().collect();
+        span.attr("rows_out", out.len());
+        attr_counter_deltas(span, before.as_ref(), metrics);
+        Ok(out)
+    }
+
+    /// The output rows of the eager `rows`: the deferred expressions
+    /// evaluated (one shared parse per row), the pass-through columns
+    /// dropped and the strip applied.
+    fn finish_rows(
+        &self,
+        rows: &[Vec<Cell>],
+        parser: JsonParserKind,
+        metrics: &mut ExecMetrics,
+    ) -> Result<Vec<Vec<Cell>>> {
+        let extractor = JsonExtractor::from_exprs(self.deferred.iter().map(|(_, e)| e));
+        rows.iter()
+            .map(|eager| {
+                let slots = extractor.as_ref().map(RowSlots::new);
+                let mut row = eager[..self.width].to_vec();
+                for (i, e) in &self.deferred {
+                    row[*i] = e.eval_with(eager, parser, metrics, slots.as_ref())?;
+                }
+                match self.strip {
+                    Some(strip) => strip
+                        .iter()
+                        .map(|(e, _)| e.eval_with(&row, parser, metrics, None))
+                        .collect(),
+                    None => Ok(row),
+                }
+            })
+            .collect()
+    }
+}
+
+/// The bound on a late projection's eager rows: each sink keeps only its
+/// first `n` rows in `keys` order (stable; input order without keys). The
+/// `n` rows a stable sort of every sink's rows, concatenated in split
+/// order, keeps are among them — fewer than `n` rows precede such a row
+/// overall, so fewer do within its sink — and their order is unchanged,
+/// since ties keep split order and then input order. A pass-through
+/// document therefore outlives its batch only in a kept row: the eager
+/// rows hold at most `n` documents per split, not one per qualifying row.
+struct TopN<'a> {
+    keys: Option<&'a [(Expr, bool)]>,
+    n: usize,
+    /// Rows offered to every sink before the cut: the eager row count.
+    offered: AtomicUsize,
+}
+
+impl TopN<'_> {
+    /// Cut one sink's `rows` (filled by one batch) to the first `n`.
+    fn cut(
+        &self,
+        rows: &mut Vec<Vec<Cell>>,
+        parser: JsonParserKind,
+        metrics: &mut ExecMetrics,
+    ) -> Result<()> {
+        self.offered.fetch_add(rows.len(), Ordering::Relaxed);
+        if rows.len() > self.n {
+            if let Some(keys) = self.keys {
+                *rows = sort_rows(std::mem::take(rows), keys, parser, metrics)?;
+            }
+            rows.truncate(self.n);
+        }
+        Ok(())
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1639,6 +1930,90 @@ mod tests {
         assert_eq!(rows, vec![strs(&["6", "t6", "0"]), strs(&["7", "t7", "1"])]);
         assert_eq!(metrics.parse_calls, 6, "3 paths x 2 passing rows");
         assert_eq!(metrics.docs_parsed, 2, "skipped rows parse nothing");
+    }
+
+    /// A top-N over a raw sort key parses only the rows the limit keeps —
+    /// in one task, or split over the pool when nearly every row survives —
+    /// and returns the first `n` rows of the unlimited plan, also when the
+    /// key's ties span both splits and each split cuts its own rows first.
+    #[test]
+    fn late_projection_parses_only_the_kept_rows() {
+        let distinct = Expr::Column(0);
+        // `n % 3`: three ties, each spanning both splits.
+        let tied = Expr::Binary {
+            left: Box::new(Expr::Column(0)),
+            op: BinaryOp::Mod,
+            right: Box::new(Expr::Literal(Cell::Int(3))),
+        };
+        for key in [distinct, tied] {
+            late_projection_case(key);
+        }
+    }
+
+    fn late_projection_case(key: Expr) {
+        let top = |n: Option<usize>| {
+            let project = LogicalPlan::Project {
+                input: Box::new(json_split_plan()),
+                exprs: vec![
+                    (Expr::Column(1), "n".into()),
+                    (jp(0, "$.b"), "b".into()),
+                    (jp(0, "$.a"), "a".into()),
+                ],
+                schema: Schema::new(vec![
+                    Field::new("n", ColumnType::Int64),
+                    Field::new("b", ColumnType::Utf8),
+                    Field::new("a", ColumnType::Utf8),
+                ])
+                .unwrap(),
+            };
+            let sort = LogicalPlan::Sort {
+                input: Box::new(project),
+                keys: vec![(key.clone(), false)],
+            };
+            match n {
+                Some(n) => LogicalPlan::Limit {
+                    input: Box::new(sort),
+                    n,
+                },
+                None => sort,
+            }
+        };
+        let full = execute_plan_with(
+            &top(None),
+            JsonParserKind::Jackson,
+            &mut m(),
+            ExecOptions::serial(),
+        )
+        .unwrap();
+        for parser in [JsonParserKind::Jackson, JsonParserKind::Tape] {
+            for threads in [1, 4] {
+                for n in [0, 3, 8, 20] {
+                    let mut metrics = m();
+                    let rows = execute_plan_with(
+                        &top(Some(n)),
+                        parser,
+                        &mut metrics,
+                        ExecOptions::with_threads(threads),
+                    )
+                    .unwrap();
+                    let kept = n.min(full.len());
+                    let case = format!("{key:?}, {parser:?}, {threads} threads, limit {n}");
+                    assert_eq!(rows, full[..kept], "{case}");
+                    assert_eq!(metrics.docs_parsed, kept as u64, "{case}");
+                    assert_eq!(metrics.parse_calls, 2 * kept as u64, "{case}");
+                    // Pool tasks: the scan's two splits, then one per chunk
+                    // of the kept rows when kept × threads > eager rows.
+                    let tasks = if threads == 1 {
+                        0
+                    } else if kept * threads <= full.len() {
+                        2
+                    } else {
+                        2 + kept.div_ceil(kept.div_ceil(threads))
+                    };
+                    assert_eq!(metrics.par_tasks, tasks as u64, "{case}");
+                }
+            }
+        }
     }
 
     /// Aggregation over JSON group keys and arguments shares the filter's

@@ -393,6 +393,18 @@ impl Expr {
         f(rewritten)
     }
 
+    /// Number of `GetJsonObject` nodes in the tree: the parses a naive
+    /// evaluation of it pays per row.
+    pub fn json_parse_count(&self) -> usize {
+        let mut n = 0;
+        self.walk(&mut |node| {
+            if matches!(node, Expr::GetJsonObject { .. }) {
+                n += 1;
+            }
+        });
+        n
+    }
+
     /// Indexes of all input columns referenced by the tree.
     pub fn referenced_columns(&self) -> Vec<usize> {
         let mut cols = Vec::new();

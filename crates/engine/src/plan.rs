@@ -161,15 +161,7 @@ impl LogicalPlan {
     /// a Maxson rewrite this is the number of cache *misses* still paying
     /// parse cost.
     pub fn json_parse_expr_count(&self) -> usize {
-        fn count_expr(e: &Expr) -> usize {
-            let mut n = 0;
-            e.walk(&mut |node| {
-                if matches!(node, Expr::GetJsonObject { .. }) {
-                    n += 1;
-                }
-            });
-            n
-        }
+        let count_expr = Expr::json_parse_count;
         match self {
             LogicalPlan::Scan { .. } => 0,
             LogicalPlan::Filter { input, predicate } => {

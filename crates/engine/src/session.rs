@@ -92,10 +92,11 @@ impl QueryResult {
 }
 
 /// Split `LIMIT`/`DISTINCT` off the top of a physical plan — the operators
-/// the reuse cache peels. Both run *after* their input is fully
-/// materialized in this engine (`Limit` truncates, `Distinct` dedups), so
-/// executing the peeled fragment costs exactly what the full plan's input
-/// cost and replaying the uppers over its rows is byte-identical.
+/// the reuse cache peels. Both take their input's rows as they are
+/// (`Limit` truncates, `Distinct` dedups), so replaying the uppers over
+/// the peeled fragment's rows is byte-identical. It is not always
+/// work-neutral: a `Limit` that runs a late projection parses only the
+/// rows it keeps, while the fragment must parse every row to be complete.
 fn peel_uppers(plan: &LogicalPlan) -> &LogicalPlan {
     let plan = match plan {
         LogicalPlan::Limit { input, .. } => input.as_ref(),
@@ -143,10 +144,10 @@ fn probe_full(cache: &ReuseCache, key: u64, epoch: u64, metrics: &mut ExecMetric
 /// the full key of the statement without those uppers. A hit replays the
 /// cached intermediate rows under rebuilt uppers (`"fragment"`). Otherwise
 /// the query executes (`"miss"`): with peelable uppers the fragment runs
-/// first and the uppers replay over its rows — LIMIT and DISTINCT both run
-/// after full materialization in this engine, so the split adds no work
-/// and the output is byte-identical to the unsplit plan — and the fragment
-/// is returned for admission next to the output.
+/// first and the uppers replay over its rows — byte-identical to the
+/// unsplit plan, though a fragment under a late-projecting `Limit` parses
+/// every row where the unsplit plan would parse only the kept ones — and
+/// the fragment is returned for admission next to the output.
 fn replay_or_execute(
     cache: &ReuseCache,
     frag_key: Option<u64>,
@@ -235,7 +236,10 @@ fn offer_for_admission(
 /// whitespace); `None` when `text` does not start with it as a whole word.
 fn strip_keyword<'a>(text: &'a str, keyword: &str) -> Option<&'a str> {
     let t = text.trim_start();
-    if t.len() >= keyword.len() && t[..keyword.len()].eq_ignore_ascii_case(keyword) {
+    // `get`, not slicing: a multibyte character may straddle the cut.
+    if t.get(..keyword.len())
+        .is_some_and(|p| p.eq_ignore_ascii_case(keyword))
+    {
         let rest = &t[keyword.len()..];
         if rest.is_empty() || rest.starts_with(char::is_whitespace) {
             return Some(rest);

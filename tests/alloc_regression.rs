@@ -38,7 +38,7 @@ use maxson::{MaxsonPipeline, PipelineConfig};
 use maxson_engine::session::Session;
 use maxson_storage::file::WriteOptions;
 use maxson_storage::{Cell, ColumnType, Field, Schema};
-use maxson_testkit::alloc::{allocation_count, CountingAllocator};
+use maxson_testkit::alloc::{allocation_count, peak_bytes, reset_peak_bytes, CountingAllocator};
 use maxson_trace::model::RecurrenceClass;
 use maxson_trace::{JsonPathLocation, QueryRecord};
 use std::path::PathBuf;
@@ -163,6 +163,7 @@ fn scan_filter_hot_loop_allocations_per_row() {
     assert_maxson_rewritten_allocations_per_row(&mut session, &root);
     assert_cache_build_allocations_per_row();
     assert_plain_encoded_cache_allocations_per_row();
+    assert_top_n_holds_only_kept_documents();
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -240,15 +241,16 @@ fn assert_cache_build_allocations_per_row() {
 }
 
 /// Whole-execution allocations per scanned row of `sql` on a warmed-up
-/// serial session.
-fn allocs_per_row(session: &Session, sql: &str, expect_rows: usize) -> f64 {
+/// serial session, which reads the cache and parses `expect_docs`
+/// documents.
+fn allocs_per_row(session: &Session, sql: &str, expect_rows: usize, expect_docs: u64) -> f64 {
     assert_eq!(session.execute(sql).unwrap().rows.len(), expect_rows);
     let before = allocation_count();
     let result = session.execute(sql).unwrap();
     let allocs = allocation_count() - before;
     assert_eq!(result.rows.len(), expect_rows);
     assert_eq!(result.metrics.rows_scanned, ROWS as u64);
-    assert_eq!(result.metrics.parse_calls, 0, "served from the cache");
+    assert_eq!(result.metrics.docs_parsed, expect_docs);
     assert!(result.metrics.cache_hits > 0);
     allocs as f64 / ROWS as f64
 }
@@ -268,6 +270,7 @@ fn assert_maxson_rewritten_allocations_per_row(session: &mut Session, root: &Pat
             "select id, get_json_object(payload, '$.name') as name from db.t where id >= {KEEP_FROM}"
         ),
         (ROWS - KEEP_FROM) as usize,
+        0,
     );
     // Cache-only, filtering on a cached path (one row in eight survives).
     let cache_only = allocs_per_row(
@@ -275,9 +278,21 @@ fn assert_maxson_rewritten_allocations_per_row(session: &mut Session, root: &Pat
         "select get_json_object(payload, '$.name') as name from db.t \
          where get_json_object(payload, '$.group') = 7",
         (ROWS / 8) as usize,
+        0,
+    );
+    // The stitch statement S2's shape: a cached sort key, an uncached path
+    // parsed for the rows the limit keeps.
+    let top_n = allocs_per_row(
+        session,
+        "select id, get_json_object(payload, '$.name') as name, \
+         get_json_object(payload, '$.weight') as weight from db.t \
+         order by get_json_object(payload, '$.group') desc limit 50",
+        50,
+        50,
     );
     eprintln!(
-        "alloc_regression: maxson raw+cache {stitched:.4} allocs/row, cache-only {cache_only:.4} allocs/row"
+        "alloc_regression: maxson raw+cache {stitched:.4} allocs/row, cache-only {cache_only:.4} \
+         allocs/row, top-N stitch {top_n:.4} allocs/row"
     );
     for (shape, per_row) in [("raw+cache", stitched), ("cache-only", cache_only)] {
         assert!(
@@ -286,7 +301,18 @@ fn assert_maxson_rewritten_allocations_per_row(session: &mut Session, root: &Pat
              {per_row:.3} (ceiling {ENGINE_ALLOCS_PER_ROW_CEILING})"
         );
     }
+    assert!(
+        top_n <= TOP_N_STITCH_ALLOCS_PER_ROW_CEILING,
+        "top-N stitch allocations per row regressed: {top_n:.3} \
+         (ceiling {TOP_N_STITCH_ALLOCS_PER_ROW_CEILING})"
+    );
 }
+
+/// Ceiling for the top-N stitch in allocations per scanned row: a
+/// projected row and a sort key per row, and a document parse for the
+/// fifty kept rows only (measured 2.2). Parsing every row before the sort
+/// measured 13.1.
+const TOP_N_STITCH_ALLOCS_PER_ROW_CEILING: f64 = 4.0;
 
 /// Run one midnight cycle that caches `paths` of `db.t.payload`: two daily
 /// users of each make them multi-parsed JSONPaths.
@@ -365,12 +391,14 @@ fn assert_plain_encoded_cache_allocations_per_row() {
             "select id, get_json_object(payload, '$.name') as name from db.t where id >= {KEEP_FROM}"
         ),
         (ROWS - KEEP_FROM) as usize,
+        0,
     );
     let cache_only = allocs_per_row(
         &session,
         "select get_json_object(payload, '$.name') as name from db.t \
          where get_json_object(payload, '$.tag') = 'tag-7'",
         1,
+        0,
     );
     eprintln!(
         "alloc_regression: plain-encoded cache raw+cache {stitched:.4} allocs/row, \
@@ -385,6 +413,78 @@ fn assert_plain_encoded_cache_allocations_per_row() {
         cache_only <= PLAIN_CACHE_ONLY_ALLOCS_PER_ROW_CEILING,
         "cache-only scan of two plain-encoded columns pays more than one allocation a string: \
          {cache_only:.3} allocs/row (ceiling {PLAIN_CACHE_ONLY_ALLOCS_PER_ROW_CEILING})"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Files of the large-document table, rows in each, and the bytes of
+/// padding in each document.
+const BIG_FILES: i64 = 8;
+const BIG_FILE_ROWS: i64 = 256;
+const BIG_DOC_PAD: usize = 2048;
+
+/// The most of the large-document table's document bytes a top-N over it
+/// may hold at once. A scan holds one file's documents (an eighth) while it
+/// projects them; keeping every document until the sort holds them all.
+const TOP_N_HELD_SHARE_CEILING: f64 = 0.25;
+
+/// A late projection passes each row's raw document through the sort so
+/// the rows the `LIMIT` keeps can be parsed after it. The documents of the
+/// rows it drops must die with their batch: a top-N over large documents
+/// holds a fraction of the table's document bytes at peak, as the parse
+/// before the sort did, however many rows qualify. Called from the one
+/// test above, like the cells before it — the byte peak is process-wide.
+fn assert_top_n_holds_only_kept_documents() {
+    let root = temp_root("bigdocs");
+    let mut session = Session::open(&root).unwrap();
+    let schema = Schema::new(vec![
+        Field::new("id", ColumnType::Int64),
+        Field::new("payload", ColumnType::Utf8),
+    ])
+    .unwrap();
+    let pad = "x".repeat(BIG_DOC_PAD);
+    let mut doc_bytes = 0;
+    {
+        let mut catalog = session.catalog_mut();
+        let table = catalog.create_table("db", "t", schema, 0).unwrap();
+        for file in 0..BIG_FILES {
+            let rows: Vec<Vec<Cell>> = (file * BIG_FILE_ROWS..(file + 1) * BIG_FILE_ROWS)
+                .map(|i| {
+                    let doc = format!(
+                        r#"{{"rank": {}, "tag": "tag-{}", "note": "note-{i}", "pad": "{pad}"}}"#,
+                        i * 7919 % 1000,
+                        i % 5
+                    );
+                    doc_bytes += doc.len();
+                    vec![Cell::Int(i), Cell::from(doc)]
+                })
+                .collect();
+            table
+                .append_file(&rows, WriteOptions::default(), 1)
+                .unwrap();
+        }
+    }
+    session.set_threads(Some(1));
+    cache_paths(&mut session, &root, ["$.rank", "$.tag"]);
+
+    let sql = "select id, get_json_object(payload, '$.note') as note from db.t \
+               order by get_json_object(payload, '$.rank') desc limit 5";
+    let warm = session.execute(sql).unwrap();
+    assert_eq!(warm.rows.len(), 5);
+    let base = reset_peak_bytes();
+    let result = session.execute(sql).unwrap();
+    let held = peak_bytes() - base;
+    assert_eq!(result.rows, warm.rows);
+    assert_eq!(result.metrics.docs_parsed, 5, "the late projection applies");
+    let share = held as f64 / doc_bytes as f64;
+    eprintln!(
+        "alloc_regression: top-N over {doc_bytes} document bytes held {held} bytes at peak \
+         ({share:.3} of them)"
+    );
+    assert!(
+        share <= TOP_N_HELD_SHARE_CEILING,
+        "a top-N held {held} bytes at peak, {share:.3} of the table's {doc_bytes} document \
+         bytes (ceiling {TOP_N_HELD_SHARE_CEILING}): dropped rows' documents outlive their batch"
     );
     std::fs::remove_dir_all(&root).ok();
 }

@@ -93,6 +93,37 @@ fn rewritten_golden_tree_exact_at_one_and_four_threads() {
     }
 }
 
+/// The stitch statement S2's shape: a cached sort key and an uncached path
+/// under `ORDER BY … LIMIT`. The pipeline and the sort run without the
+/// uncached path, which the limit evaluates for the five rows it keeps, so
+/// the parse is charged on the `limit` line, above the sort. Each split
+/// hands on only its own first five rows; `rows_in` on the `limit` line
+/// counts every row the splits offered.
+const LATE_GOLDEN: &str = "\
+query wall=_ rows=5
+  planning wall=_
+  limit wall=_ rows_in=2000 late_exprs=1 late_rows=5 rows_out=5 parse_calls=5 docs_parsed=5
+    sort wall=_ rows_in=10
+      scan_pipeline wall=_ label=MaxsonCombinedScan(raw_cols=[0, 2], cache_cols=[0]) stages=scan+project splits=2 rows_out=10
+        split wall=_ split=0 rows_out=5 rows_scanned=1000 bytes_read=378538 cache_hits=1000 rg_read=4 cells_materialized=3000
+        split wall=_ split=1 rows_out=5 rows_scanned=1000 bytes_read=378855 cache_hits=1000 rg_read=4 cells_materialized=3000";
+
+#[test]
+fn late_projection_charges_its_parse_above_the_sort() {
+    let root = bench_data_root();
+    let mut session = support::rewritten_session(&root);
+    let sql = "select id, get_json_object(payload, '$.f1') as f1 from mydb.q8 \
+               order by get_json_object(payload, '$.f0') desc limit 5";
+    for threads in [1usize, 4] {
+        session.set_threads(Some(threads));
+        let text = run_explain_analyze(&session, sql, &root);
+        assert_eq!(
+            text, LATE_GOLDEN,
+            "late-projection explain analyze drifted at {threads} threads:\n{text}"
+        );
+    }
+}
+
 /// Maxson-rewritten JSON queries over the checked-in warehouse: the
 /// normalized tree must be identical at 1 and 4 threads (same shape, same
 /// rows, same counter deltas, split children in split order).

@@ -9,7 +9,9 @@ mod support;
 
 use maxson::mpjp::PredictorKind;
 use maxson::{CacheRegistry, MaxsonPipeline, PipelineConfig};
+use maxson_datagen::tables::{query_paths, schema_paths, table_specs};
 use maxson_engine::session::{JsonParserKind, Session};
+use maxson_engine::sql::parse_select;
 use maxson_storage::file::WriteOptions;
 use maxson_storage::{Catalog, Cell, ColumnType, Field, Schema};
 use maxson_testkit::corpus;
@@ -18,6 +20,7 @@ use maxson_testkit::Rng;
 use std::path::PathBuf;
 use support::cells::{assert_matches, PARSERS};
 use support::oracle::Oracle;
+use support::sqlgen::{render, Generator, Source};
 use support::{rewritten_session, temp_root};
 
 /// `db.t(id, payload)` holding `{"a": i}` for `0..rows`, one split.
@@ -328,6 +331,62 @@ fn property_mutated_payloads_error_never_panic() {
             Ok(())
         },
     );
+}
+
+// ---------------------------------------------------------------------
+// Mutated SQL: an error, never a panic
+// ---------------------------------------------------------------------
+
+/// Property test: byte-mutated statements — the Table II statements Q1–Q10,
+/// S1, S2 and a generated statement, each put through one to three rounds
+/// of `corpus::mutate_bytes` — make `parse_select` and `Session::execute`,
+/// plain and rewritten, return `Ok` or `Err` and never panic. A multibyte
+/// character inside the first seven bytes used to panic the `EXPLAIN`
+/// prefix check.
+#[test]
+fn property_mutated_sql_errors_never_panic() {
+    let (root, t2x) = support::t2x_warehouse("mutated-sql", 32);
+    let oracle = Oracle::new(&root);
+    let sources: Vec<Source> = ["q1", "q5", "q8"]
+        .iter()
+        .map(|&table| {
+            let spec = table_specs().into_iter().find(|s| s.name == table).unwrap();
+            let cached = query_paths(&spec);
+            let uncached = schema_paths(&spec)
+                .into_iter()
+                .find(|p| !cached.contains(p));
+            let paths: Vec<&str> = cached
+                .iter()
+                .take(3)
+                .chain(&uncached)
+                .map(String::as_str)
+                .collect();
+            Source::sample(&oracle, "mydb", table, "payload", &paths, &["id"])
+        })
+        .collect();
+    let sessions = [Session::open(&root).unwrap(), rewritten_session(&root)];
+    check(
+        "mutated_sql_never_panics",
+        &Config::with_cases(48),
+        &Gen::u64_any(),
+        |&seed| {
+            let mut rng = Rng::seed_from_u64(seed);
+            let generated = render(&Generator::new(seed, &sources).statement());
+            for _ in 0..8 {
+                let pick = rng.gen_range(0..=t2x.len());
+                let mut sql = t2x.get(pick).map_or(&generated, |(_, sql)| sql).clone();
+                for _ in 0..rng.gen_range(1..=3u32) {
+                    sql = corpus::mutate_bytes(&sql, &mut rng);
+                }
+                let _ = parse_select(&sql);
+                for session in &sessions {
+                    let _ = session.execute(&sql);
+                }
+            }
+            Ok(())
+        },
+    );
+    std::fs::remove_dir_all(&root).ok();
 }
 
 // ---------------------------------------------------------------------

@@ -30,7 +30,10 @@ use std::path::Path;
 
 use maxson_datagen::tables::{query_paths, schema_paths, table_specs};
 use maxson_engine::ExecMetrics;
-use support::cells::{assert_counter_rules, check_cell, covering_array, Case, ConfigCell, PARSERS};
+use support::cells::{
+    assert_counter_rules, check_cell, covering_array, parser_thread_cells, Case, ConfigCell,
+    PARSERS,
+};
 use support::oracle::Oracle;
 use support::sqlgen::{render, Generator, Source};
 
@@ -113,6 +116,123 @@ fn table_ii_statements_agree_with_the_oracle_in_every_cell() {
                 trees[0], trees[1],
                 "{name} (rewritten={rewritten}): the tree depends on the thread count"
             );
+        }
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Rows of `nb.docs` in `support::generated_warehouse`.
+const NB_ROWS: u64 = 240;
+
+/// Top-N statements over the generated warehouse, whose `$.str1`, `$.num`,
+/// `$.str2` and `$.name` are cached: `ORDER BY` a cached path (or no
+/// order) with an uncached path projected, and the documents each parses
+/// in a rewritten cell. Where the late projection applies that is the rows
+/// the `LIMIT` keeps; where it must not, what the statement parses without
+/// its `LIMIT`. `None`: results only (NULL documents parse nothing).
+const LATE_SLICE: [(&str, Option<u64>); 13] = [
+    // `$.str2` repeats every hundred rows: ties, kept in input order. Two
+    // uncached paths share one parse per kept row.
+    (
+        "select id, get_json_object(payload, '$.dyn1') as d, \
+         get_json_object(payload, '$.nested_obj.str') as s from nb.docs \
+         order by get_json_object(payload, '$.str2') limit 7",
+        Some(7),
+    ),
+    (
+        "select id, get_json_object(payload, '$.nested_obj.num') as n from nb.docs \
+         order by get_json_object(payload, '$.str2') desc limit 1",
+        Some(1),
+    ),
+    (
+        "select id, get_json_object(payload, '$.nested_obj.num') as n from nb.docs \
+         order by get_json_object(payload, '$.str2') desc limit 0",
+        Some(0),
+    ),
+    (
+        "select id, get_json_object(payload, '$.nested_obj.num') as n from nb.docs \
+         order by get_json_object(payload, '$.str2') desc limit 1000",
+        Some(NB_ROWS),
+    ),
+    // The key is not selected: the planner strips it above the sort.
+    (
+        "select id, get_json_object(payload, '$.nested_obj.str') as s from nb.docs \
+         order by get_json_object(payload, '$.num') desc limit 7",
+        Some(7),
+    ),
+    // JSON-free filters: a raw column, and a cached path ten rows pass.
+    (
+        "select id, get_json_object(payload, '$.dyn1') as d from nb.docs where id < 100 \
+         order by get_json_object(payload, '$.str2') desc limit 7",
+        Some(7),
+    ),
+    (
+        "select id, get_json_object(payload, '$.dyn1') as d from nb.docs \
+         where get_json_object(payload, '$.num') >= 230 \
+         order by get_json_object(payload, '$.str2') limit 50",
+        Some(10),
+    ),
+    // A filter on an uncached path parses every row: nothing is deferred.
+    (
+        "select id, get_json_object(payload, '$.dyn1') as d from nb.docs \
+         where get_json_object(payload, '$.bool') = 'true' \
+         order by get_json_object(payload, '$.str2') limit 7",
+        Some(NB_ROWS),
+    ),
+    // So does a sort key on an uncached path.
+    (
+        "select id, get_json_object(payload, '$.dyn1') as d from nb.docs \
+         order by get_json_object(payload, '$.nested_obj.num') limit 7",
+        Some(NB_ROWS),
+    ),
+    // A rewritten self-join under the sort, its key stripped.
+    (
+        "select a.id, get_json_object(b.payload, '$.nested_obj.str') as s \
+         from nb.docs a join nb.docs b on a.id = b.id \
+         order by get_json_object(a.payload, '$.str2') desc limit 7",
+        Some(7),
+    ),
+    // `LIMIT` with no `ORDER BY`.
+    (
+        "select id, get_json_object(payload, '$.nested_obj.num') as n from nb.docs limit 7",
+        Some(7),
+    ),
+    (
+        "select id, get_json_object(payload, '$.nested_obj.num') as n from nb.docs \
+         where id >= 235 limit 7",
+        Some(5),
+    ),
+    // NULL and malformed documents under a mixed-type key with ties.
+    (
+        "select id, get_json_object(payload, '$.w') as w, get_json_object(payload, '$.obj.a') as a \
+         from db.mixed order by get_json_object(payload, '$.name') desc limit 9",
+        None,
+    ),
+];
+
+/// The late-projection slice in rewritten cells, every parser at one and
+/// two threads: the oracle's rows, and the documents `LATE_SLICE` states.
+#[test]
+fn late_projection_slice_agrees_with_the_oracle_and_parses_only_kept_rows() {
+    let root = support::generated_warehouse("oracle-late");
+    let oracle = Oracle::new(&root);
+    let cases: Vec<Case> = LATE_SLICE
+        .iter()
+        .enumerate()
+        .map(|(i, (sql, _))| Case::new(&oracle, &format!("late #{i}"), sql))
+        .collect();
+    let cells = parser_thread_cells(&PARSERS, &[1, 2])
+        .into_iter()
+        .map(|cell| ConfigCell {
+            rewritten: true,
+            ..cell
+        });
+    for (ordinal, cell) in cells.enumerate() {
+        let metrics = check_cell(&root, &cell, ordinal, &cases, "late-projection slice");
+        for ((sql, docs), m) in LATE_SLICE.iter().zip(metrics) {
+            if let (Some(docs), Some(m)) = (docs, m) {
+                assert_eq!(m.docs_parsed, *docs, "{cell}: {sql}");
+            }
         }
     }
     std::fs::remove_dir_all(&root).ok();

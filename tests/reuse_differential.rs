@@ -14,7 +14,10 @@ use maxson_engine::session::{JsonParserKind, Session};
 use maxson_storage::file::WriteOptions;
 use maxson_storage::Cell;
 use std::path::PathBuf;
-use support::cells::{assert_agrees, parser_thread_cells, ConfigCell, Reuse, PARSERS};
+use support::cells::{
+    assert_agrees, assert_matches, parser_thread_cells, ConfigCell, Reuse, PARSERS,
+};
+use support::oracle::Oracle;
 
 /// A table whose payload column exercises the JSON parsers: any cold run
 /// must parse documents, so `docs_parsed == 0` proves a cache serve.
@@ -172,6 +175,53 @@ fn limit_variant_and_unlimited_query_reuse_each_other() {
     );
     assert_eq!(full.metrics.docs_parsed, 0);
     assert_eq!(full.rows[..5].to_vec(), lim.rows);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A top-N that stitches a cached sort key with an uncached path runs its
+/// late projection only outside the reuse cache: a miss executes the
+/// peeled, limitless fragment, which parses every row so that the entry
+/// is complete. `limit 5`, then no limit (a full hit on that fragment),
+/// then `limit 6` (a fragment hit) all return the oracle's rows, and no
+/// returned or cached row holds the late path's NULL placeholder.
+#[test]
+fn late_projection_never_reaches_the_reuse_cache() {
+    let root = build_table("late");
+    support::cache_paths(
+        &mut Session::open(&root).unwrap(),
+        &root,
+        &[("db", "t", "$.a")],
+    );
+    let oracle = Oracle::new(&root);
+    let sql = |limit: &str| {
+        format!(
+            "select id, get_json_object(payload, '$.a') as a, \
+             get_json_object(payload, '$.tag') as tag from db.t \
+             order by get_json_object(payload, '$.a') desc{limit}"
+        )
+    };
+    for parser in PARSERS {
+        for threads in [1, 4] {
+            let mut session = support::rewritten_session(&root);
+            session.set_parser_kind(parser);
+            session.set_threads(Some(threads));
+            session.set_result_cache(None);
+            let uncached = session.execute(&sql(" limit 5")).unwrap();
+            assert_eq!(uncached.metrics.docs_parsed, 5, "the late path applies");
+            session.set_result_cache(Some(16));
+            for (limit, docs_parsed) in [(" limit 5", 60), ("", 0), (" limit 6", 0)] {
+                let sql = sql(limit);
+                let got = session.execute(&sql).unwrap();
+                let what = format!("{parser:?} at {threads} threads: {sql}");
+                assert_matches(&oracle.answer(&sql).unwrap(), &got, &what);
+                assert!(
+                    got.rows.iter().all(|row| !row[2].is_null()),
+                    "{what}: a placeholder reached a row"
+                );
+                assert_eq!(got.metrics.docs_parsed, docs_parsed, "{what}");
+            }
+        }
+    }
     std::fs::remove_dir_all(&root).ok();
 }
 
