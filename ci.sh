@@ -36,10 +36,6 @@ MAXSON_BENCH_DATA="$MAXSON_BENCH_RESULTS/bench-data"
 cp -r bench-data "$MAXSON_BENCH_DATA"
 export MAXSON_BENCH_RESULTS MAXSON_BENCH_DATA
 
-# Smoke-run the scaling benchmark (fast mode: 1 run per point); it asserts
-# rows are byte-identical across thread counts before reporting walls.
-MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig_scaling
-
 # Smoke-run the parser benchmark (fast mode); it asserts the shared-parse
 # accounting invariant docs_parsed <= parse_calls on every query, that the
 # tape series parses exactly as many documents as the Jackson baseline,

@@ -1,7 +1,8 @@
 //! `EXPLAIN ANALYZE` rendering: the span tree a traced execution recorded,
 //! printed as an indented operator tree with per-operator wall time, row
 //! counts, and the counter deltas each operator charged (parse calls,
-//! dedup, cache hits, ...), followed by the tracer's named counters.
+//! dedup, cache hits, ...). Everything it prints is this query's: the
+//! tree is the subtree under this execution's root span.
 //!
 //! The tree shape, rows, and counters are deterministic across thread
 //! counts: per-split spans exist at one thread too, child order sorts
@@ -11,21 +12,12 @@
 
 use maxson_obs::{SpanRecord, TraceSnapshot};
 
-/// Render the subtree rooted at span `root` (a query-root span) plus the
-/// tracer's counters.
+/// Render the subtree rooted at span `root` (a query-root span).
 pub fn render_analyze(snap: &TraceSnapshot, root: u64) -> String {
     let mut out = String::new();
     match snap.span(root) {
         Some(span) => render_node(snap, span, 0, &mut out),
         None => out.push_str("(no spans recorded)\n"),
-    }
-    let mut counters = snap.counters.clone();
-    counters.sort();
-    if !counters.is_empty() {
-        out.push_str("counters:\n");
-        for (k, v) in counters {
-            out.push_str(&format!("  {k}={v}\n"));
-        }
     }
     out
 }
@@ -53,7 +45,7 @@ mod tests {
     use maxson_obs::Tracer;
 
     #[test]
-    fn renders_tree_with_attrs_and_counters() {
+    fn renders_tree_with_attrs_in_split_order() {
         let t = Tracer::enabled();
         let root_id;
         {
@@ -68,7 +60,6 @@ mod tests {
                 split.attr("split", s);
             }
         }
-        t.add("cache.hits", 3);
         let text = render_analyze(&t.snapshot(), root_id);
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[0].starts_with("query wall="));
@@ -78,8 +69,7 @@ mod tests {
         // Split children render in split order despite reversed recording.
         assert!(lines[2].contains("split=0"));
         assert!(lines[3].contains("split=1"));
-        assert_eq!(lines[4], "counters:");
-        assert_eq!(lines[5], "  cache.hits=3");
+        assert_eq!(lines.len(), 4);
     }
 
     #[test]

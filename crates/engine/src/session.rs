@@ -364,7 +364,7 @@ pub struct Session {
     /// Cooperative split scheduler consulted around every split task (the
     /// server installs its fair-share scheduler here). `None` = run freely.
     scheduler: Option<Arc<dyn SplitScheduler>>,
-    /// Span/counter collector. One buffer for the session's lifetime:
+    /// Span recorder. One buffer for the session's lifetime:
     /// query executions, plan rewrites, and offline-pipeline stages all
     /// record into it (clones share the buffer), so a single trace file
     /// shows the daily job next to the queries it accelerated. Disabled
@@ -455,9 +455,10 @@ impl Session {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The session's tracer. Clone it into rewriters/providers so their
-    /// spans and counters land in the same buffer; the clones follow this
-    /// session's enable toggle.
+    /// The session's tracer. Clone it into rewriters and providers so their
+    /// spans land in the same buffer; the clones follow this session's
+    /// enable toggle. It records spans only: counts live in each query's
+    /// `ExecMetrics` and in [`Session::metrics_registry`].
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -812,7 +813,6 @@ impl Session {
             }
         };
         metrics.total = start.elapsed();
-        tracer.observe("query_exec_us", metrics.total);
         root.attr("rows", rows.len());
         if pq.reuse.is_some() {
             // Only when reuse is enabled, so cache-off EXPLAIN ANALYZE

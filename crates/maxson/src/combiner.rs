@@ -25,10 +25,11 @@ use maxson_engine::metrics::ExecMetrics;
 use maxson_engine::scan::{
     charge_row_groups, open_split, read_chunks, read_chunks_at, sarg_keep, Batch, ScanProvider,
 };
-use maxson_obs::Tracer;
 use maxson_storage::{Schema, SearchArgument, Table};
 
-/// Scan provider combining a raw table with its cache table.
+/// Scan provider combining a raw table with its cache table. It counts
+/// only into the `ExecMetrics` each split is handed: `rows_scanned` is the
+/// stitched (or cache-only) row count, `cache_hits` the cached cells served.
 #[derive(Debug)]
 pub struct CombinedScanProvider {
     /// The raw data table (PrimaryReader side). `None` for cache-only
@@ -47,8 +48,6 @@ pub struct CombinedScanProvider {
     raw_sarg: Option<SearchArgument>,
     /// SARG over cache table columns (Algorithm 3).
     cache_sarg: Option<SearchArgument>,
-    /// Span/counter sink; inert unless the rewriter installs a live one.
-    tracer: Tracer,
 }
 
 impl CombinedScanProvider {
@@ -71,13 +70,7 @@ impl CombinedScanProvider {
             out_schema,
             raw_sarg,
             cache_sarg,
-            tracer: Tracer::disabled(),
         }
-    }
-
-    /// Install the tracer stitch counters are recorded into.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 
     /// Whether this scan reads only the cache table.
@@ -110,7 +103,7 @@ impl ScanProvider for CombinedScanProvider {
         // file's row-group stats (single-stripe files only).
         let cache_keep = self.cache_sarg.as_ref().map(|s| sarg_keep(s, &cache_file));
 
-        let (cols, kept_rows, counter) = if self.is_cache_only() {
+        let (cols, kept_rows) = if self.is_cache_only() {
             let keep = cache_keep.as_deref();
             let kept_rows = charge_row_groups(metrics, keep, &cache_file);
             let (cols, _) = read_chunks(
@@ -120,7 +113,7 @@ impl ScanProvider for CombinedScanProvider {
                 self.cache_sarg.as_ref(),
                 metrics,
             )?;
-            (cols, kept_rows, "combiner.cache_only_rows")
+            (cols, kept_rows)
         } else {
             let raw_table = self.raw.as_ref().expect("raw table present");
             let raw_file = open_split(raw_table, split, metrics)?;
@@ -178,7 +171,7 @@ impl ScanProvider for CombinedScanProvider {
                 rows.as_deref(),
                 metrics,
             )?);
-            (cols, kept_rows, "combiner.stitched_rows")
+            (cols, kept_rows)
         };
         let n = kept_rows as u64;
         metrics.cache_hits += n * self.cache_projection.len() as u64;
@@ -186,7 +179,6 @@ impl ScanProvider for CombinedScanProvider {
         let spent = start.elapsed();
         metrics.read += spent;
         metrics.read_wall += spent;
-        self.tracer.add(counter, n);
         Ok(Batch::from_columns(cols))
     }
 

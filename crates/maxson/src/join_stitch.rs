@@ -21,7 +21,6 @@ use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
 use maxson_engine::scan::{charge_row_groups, open_split, read_chunks_at, Batch, ScanProvider};
-use maxson_obs::Tracer;
 use maxson_storage::{Cell, Schema, Table};
 
 /// Join-based stitching provider (ablation baseline).
@@ -32,7 +31,6 @@ pub struct JoinStitchProvider {
     cache: Table,
     cache_projection: Vec<usize>,
     out_schema: Schema,
-    tracer: Tracer,
 }
 
 impl JoinStitchProvider {
@@ -52,13 +50,7 @@ impl JoinStitchProvider {
             cache,
             cache_projection,
             out_schema,
-            tracer: Tracer::disabled(),
         }
-    }
-
-    /// Install the tracer stitch counters are recorded into.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 }
 
@@ -116,7 +108,6 @@ impl ScanProvider for JoinStitchProvider {
         let spent = start.elapsed();
         metrics.read += spent;
         metrics.read_wall += spent;
-        self.tracer.add("join_stitch.joined_rows", out.len() as u64);
         Ok(Batch::from_rows(out))
     }
 

@@ -5,7 +5,9 @@
 //! JSONPath always pays the parse cost, and an LRU policy evicts under the
 //! byte budget. Implemented as a [`TableScanRewriter`] whose provider
 //! serves cached columns from memory, parses misses on the spot (charging
-//! parse time), and inserts them into the LRU.
+//! parse time), and inserts them into the LRU. Hits, misses and evictions
+//! are counted in the query's `ExecMetrics` (`lru_hits`, `lru_misses`,
+//! `lru_evictions`) and nowhere else.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -37,36 +39,6 @@ struct LruState {
     entries: HashMap<String, LruEntry>,
     clock: u64,
     used_bytes: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// Counters reported for Fig. 14.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LruStats {
-    /// JSONPath accesses served from the cache.
-    pub hits: u64,
-    /// Accesses that had to parse.
-    pub misses: u64,
-    /// Bytes currently resident.
-    pub used_bytes: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Entries evicted to make room since the rewriter opened.
-    pub evictions: u64,
-}
-
-impl LruStats {
-    /// Hit ratio over all accesses.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// The online LRU rewriter/baseline.
@@ -92,9 +64,9 @@ impl OnlineLruRewriter {
         })
     }
 
-    /// Record hit/miss/evict events and per-scan spans into `tracer`
-    /// (normally a clone of the session's, so LRU activity shows up in the
-    /// same trace file as the queries that caused it).
+    /// Record an `lru_scan` span per scan into `tracer` (normally a clone
+    /// of the session's, so LRU activity shows up in the same trace file as
+    /// the queries that caused it).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -103,18 +75,6 @@ impl OnlineLruRewriter {
     /// is the process-wide [`maxson_obs::Registry::global`]).
     pub fn set_metrics_registry(&mut self, registry: Arc<maxson_obs::Registry>) {
         self.metrics = registry;
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> LruStats {
-        let s = self.state.lock().expect("lru state lock");
-        LruStats {
-            hits: s.hits,
-            misses: s.misses,
-            used_bytes: s.used_bytes,
-            entries: s.entries.len(),
-            evictions: s.evictions,
-        }
     }
 }
 
@@ -241,18 +201,14 @@ impl ScanProvider for LruBackedProvider {
                 }
             };
             if let Some(values) = hit {
-                self.state.lock().expect("lru state lock").hits += 1;
                 metrics.cache_hits += values.len() as u64;
                 metrics.lru_hits += 1;
                 metrics.charge_path_extracts(path, values.len() as u64);
-                self.tracer.add("lru.hit", 1);
                 call_columns.push(values);
                 continue;
             }
             // Miss: parse the whole column (the first query pays, §III-A).
-            self.state.lock().expect("lru state lock").misses += 1;
             metrics.lru_misses += 1;
-            self.tracer.add("lru.miss", 1);
             let col_idx = self
                 .table
                 .schema()
@@ -265,6 +221,7 @@ impl ScanProvider for LruBackedProvider {
             for split in 0..self.table.file_count() {
                 let file = open_split(&self.table, split, metrics)?;
                 let cols = file.read_columns(&[col_idx], None)?;
+                let kernels_before = maxson_json::kernels::thread_build_stats();
                 let parse_start = Instant::now();
                 let mut stats = maxson_json::tape::TapeStats::default();
                 for i in 0..cols[0].len() {
@@ -286,6 +243,7 @@ impl ScanProvider for LruBackedProvider {
                 metrics.parse += parse_spent;
                 metrics.parse_wall += parse_spent;
                 metrics.nodes_skipped += stats.nodes_skipped;
+                metrics.charge_bitmap_builds(kernels_before);
                 metrics.charge_path_extracts(path, cols[0].len() as u64);
             }
             let values = Arc::new(values);
@@ -303,9 +261,7 @@ impl ScanProvider for LruBackedProvider {
                         .expect("non-empty");
                     if let Some(e) = st.entries.remove(&victim) {
                         st.used_bytes -= e.bytes;
-                        st.evictions += 1;
                         metrics.lru_evictions += 1;
-                        self.tracer.add("lru.evict", 1);
                     }
                 }
                 if bytes <= self.budget_bytes {
@@ -401,30 +357,50 @@ mod tests {
         (session, root)
     }
 
+    /// `(lru_hits, lru_misses, lru_evictions)` of one execution.
+    fn lru_events(session: &Session, sql: &str) -> (u64, u64, u64) {
+        let m = session.execute(sql).unwrap().metrics;
+        (m.lru_hits, m.lru_misses, m.lru_evictions)
+    }
+
     #[test]
     fn first_access_misses_then_hits() {
         let (mut session, root) = setup("hits");
         let lru = OnlineLruRewriter::open(&session, u64::MAX).unwrap();
-        let stats_handle = Arc::clone(&lru.state);
         session.set_scan_rewriter(Some(Box::new(lru)));
         let sql = "select get_json_object(payload, '$.a') as a from db.t";
         let expected: Vec<Vec<Cell>> = (0..30).map(|i| vec![Cell::from(i.to_string())]).collect();
         let r1 = session.execute(sql).unwrap();
         assert_eq!(r1.rows, expected);
-        {
-            let st = stats_handle.lock().unwrap();
-            assert_eq!(st.misses, 1);
-            assert_eq!(st.hits, 0);
-        }
+        assert_eq!((r1.metrics.lru_hits, r1.metrics.lru_misses), (0, 1));
         let r2 = session.execute(sql).unwrap();
         assert_eq!(r2.rows, expected);
-        {
-            let st = stats_handle.lock().unwrap();
-            assert_eq!(st.misses, 1);
-            assert_eq!(st.hits, 1);
-        }
+        assert_eq!((r2.metrics.lru_hits, r2.metrics.lru_misses), (1, 0));
         // The hit run performs no parsing.
         assert_eq!(r2.metrics.parse_calls, 0);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// The miss fill parses through the tape projector, which builds one
+    /// set of structural bitmaps per document: that kernel work is charged
+    /// like any other parse's.
+    #[test]
+    fn miss_fill_charges_structural_kernel_work() {
+        let (mut session, root) = setup("bitmaps");
+        let lru = OnlineLruRewriter::open(&session, u64::MAX).unwrap();
+        session.set_scan_rewriter(Some(Box::new(lru)));
+        let m = session
+            .execute(
+                "select get_json_object(payload, '$.a') as a, \
+                 get_json_object(payload, '$.b') as b from db.t",
+            )
+            .unwrap()
+            .metrics;
+        assert_eq!(m.lru_misses, 2);
+        assert_eq!(m.docs_parsed, 60);
+        assert_eq!(m.bitmap_builds, m.docs_parsed);
+        assert!(m.bitmap_bytes > 0);
+        assert_ne!(m.simd_kernel, 0, "the tier that ran is recorded");
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -435,22 +411,18 @@ mod tests {
         let lru = OnlineLruRewriter::open(&session, 80).unwrap();
         let state = Arc::clone(&lru.state);
         session.set_scan_rewriter(Some(Box::new(lru)));
-        session
-            .execute("select get_json_object(payload, '$.a') as a from db.t")
-            .unwrap();
-        session
-            .execute("select get_json_object(payload, '$.b') as b from db.t")
-            .unwrap();
+        let a = "select get_json_object(payload, '$.a') as a from db.t";
+        assert_eq!(lru_events(&session, a), (0, 1, 0));
+        let b = "select get_json_object(payload, '$.b') as b from db.t";
+        let (_, misses, evictions) = lru_events(&session, b);
+        assert_eq!((misses, evictions), (1, 1), "budget forces eviction");
         {
             let st = state.lock().unwrap();
-            assert!(st.entries.len() <= 1, "budget forces eviction");
+            assert!(st.entries.len() <= 1);
             assert!(st.used_bytes <= 80);
         }
         // $.a was evicted: next access misses again.
-        session
-            .execute("select get_json_object(payload, '$.a') as a from db.t")
-            .unwrap();
-        assert_eq!(state.lock().unwrap().misses, 3);
+        assert_eq!(lru_events(&session, a).1, 1);
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -461,8 +433,7 @@ mod tests {
         let state = Arc::clone(&lru.state);
         session.set_scan_rewriter(Some(Box::new(lru)));
         let sql = "select get_json_object(payload, '$.a') as a from db.t";
-        session.execute(sql).unwrap();
-        assert_eq!(state.lock().unwrap().misses, 1);
+        assert_eq!(lru_events(&session, sql), (0, 1, 0));
         // Append new data: version bump.
         session
             .catalog_mut()
@@ -480,28 +451,14 @@ mod tests {
         let lru2 = OnlineLruRewriter::open(&session, u64::MAX).unwrap();
         // Carry over the old state to prove invalidation (versions differ).
         *lru2.state.lock().unwrap() = std::mem::take(&mut state.lock().unwrap());
-        let state2 = Arc::clone(&lru2.state);
         session.set_scan_rewriter(Some(Box::new(lru2)));
         let r = session.execute(sql).unwrap();
         assert_eq!(r.rows.len(), 31);
         assert_eq!(
-            state2.lock().unwrap().misses,
-            2,
+            (r.metrics.lru_hits, r.metrics.lru_misses),
+            (0, 1),
             "stale entry must not be served"
         );
         std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn hit_ratio_math() {
-        let s = LruStats {
-            hits: 3,
-            misses: 1,
-            used_bytes: 0,
-            entries: 0,
-            evictions: 0,
-        };
-        assert!((s.hit_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(LruStats::default().hit_ratio(), 0.0);
     }
 }

@@ -6,9 +6,14 @@
 //! rewriter pattern-matches the `(database, table, column, path)` key
 //! against the cache registry; a hit whose cache time is at or after the
 //! raw table's last modification time becomes a *placeholder* — a plain
-//! column reference into the combined scan output — while stale entries
-//! are marked invalid (to be dropped at the next population cycle) and the
-//! call keeps paying the parse cost.
+//! column reference into the combined scan output — while a stale entry is
+//! passed over (the next population cycle rebuilds it) and the call keeps
+//! paying the parse cost.
+//!
+//! Every decision is counted once, in the rewriter's metric registry:
+//! `maxson_rewrite_paths_total{outcome="hit"|"miss"|"stale"}` per call and
+//! `maxson_scan_rewrites_total{decision="cache_only"|"combined"|"no_rewrite"}`
+//! per scan. The tracer only records a `maxson_rewrite` span per scan.
 //!
 //! Predicate conjuncts of the form `get_json_object(col, path) <cmp>
 //! literal` over cached paths are turned into SARGs on the cache table
@@ -17,7 +22,7 @@
 //! side and column a left-hand side maps to — and handed to the combined
 //! provider, which shares the row-group skips with the raw-side reader.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use maxson_engine::planner::sarg::{self, Lhs, Side};
 use maxson_engine::session::{ScanContext, ScanRewrite, Session, TableScanRewriter};
@@ -28,19 +33,6 @@ use maxson_trace::JsonPathLocation;
 
 use crate::cacher::{CacheRegistry, CACHE_DB};
 use crate::combiner::CombinedScanProvider;
-
-/// Statistics of one rewriter lifetime (per session installation).
-#[derive(Debug, Default, Clone)]
-pub struct RewriteStats {
-    /// JSONPath calls replaced by placeholders.
-    pub hits: u64,
-    /// JSONPath calls left to parse (not cached).
-    pub misses: u64,
-    /// Cache entries found stale (table modified after caching).
-    pub invalidated: u64,
-    /// Scans converted to cache-only reads.
-    pub cache_only_scans: u64,
-}
 
 /// A fresh catalog over `session`'s warehouse root that opens part files
 /// through the session's footer cache — what a rewriter reads with.
@@ -53,18 +45,15 @@ pub(crate) fn session_catalog(session: &Session) -> crate::Result<Catalog> {
 }
 
 /// The rewriter. Holds its own read-only catalog handle (opened over the
-/// session's warehouse root and footer cache) plus the cache registry.
+/// session's warehouse root and footer cache) plus the cache registry. It
+/// keeps no tally of its own: every decision is charged to its metric
+/// registry, so planning a scan takes no lock of the rewriter's.
 pub struct MaxsonScanRewriter {
     catalog: Catalog,
     registry: CacheRegistry,
-    /// Locations marked invalid during planning (interior mutability:
-    /// `rewrite_scan` takes `&self`, and sessions share the rewriter across
-    /// threads, so these are mutexes rather than cells).
-    invalid: Mutex<Vec<JsonPathLocation>>,
-    stats: Mutex<RewriteStats>,
     /// Enable Algorithm 3 pushdown (ablation switch).
     pub enable_pushdown: bool,
-    /// Span/counter sink for rewrite decisions; inert unless installed.
+    /// Span sink for rewrite decisions; inert unless installed.
     tracer: Tracer,
     /// Process-wide metric registry rewrite outcomes are charged to.
     metrics: Arc<Registry>,
@@ -81,8 +70,6 @@ impl MaxsonScanRewriter {
         Ok(MaxsonScanRewriter {
             catalog,
             registry,
-            invalid: Mutex::new(Vec::new()),
-            stats: Mutex::new(RewriteStats::default()),
             enable_pushdown: true,
             tracer: Tracer::disabled(),
             metrics: Arc::clone(Registry::global()),
@@ -94,18 +81,14 @@ impl MaxsonScanRewriter {
         MaxsonScanRewriter {
             catalog,
             registry,
-            invalid: Mutex::new(Vec::new()),
-            stats: Mutex::new(RewriteStats::default()),
             enable_pushdown: true,
             tracer: Tracer::disabled(),
             metrics: Arc::clone(Registry::global()),
         }
     }
 
-    /// Install the tracer rewrite decisions are recorded into (normally a
-    /// clone of the session's). The installed tracer is also threaded into
-    /// every combined provider this rewriter builds, so stitch counters
-    /// land in the same trace.
+    /// Install the tracer each scan's `maxson_rewrite` span is recorded
+    /// into (normally a clone of the session's).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -114,16 +97,6 @@ impl MaxsonScanRewriter {
     /// is the process-wide [`Registry::global`]).
     pub fn set_metrics_registry(&mut self, registry: Arc<Registry>) {
         self.metrics = registry;
-    }
-
-    /// Locations marked invalid so far.
-    pub fn invalidated(&self) -> Vec<JsonPathLocation> {
-        self.invalid.lock().expect("rewriter invalid lock").clone()
-    }
-
-    /// Rewrite statistics so far.
-    pub fn stats(&self) -> RewriteStats {
-        self.stats.lock().expect("rewriter stats lock").clone()
     }
 }
 
@@ -144,7 +117,7 @@ impl TableScanRewriter for MaxsonScanRewriter {
             .map_err(EngineError::Storage)?;
 
         // Classify each call: valid hit, stale, or miss (Alg. 1 lines 14-23).
-        let invalidated_before = self.stats.lock().expect("rewriter stats lock").invalidated;
+        let mut stale = 0u64;
         let mut resolved: Vec<((String, String), String)> = Vec::new();
         let mut unresolved: Vec<(String, String)> = Vec::new();
         let mut cache_table_name: Option<String> = None;
@@ -153,12 +126,8 @@ impl TableScanRewriter for MaxsonScanRewriter {
             match self.registry.get(&loc) {
                 Some(entry) => {
                     if raw_meta.modified_at > entry.cached_at {
-                        // Stale: mark invalid, fall back to parsing.
-                        self.invalid
-                            .lock()
-                            .expect("rewriter invalid lock")
-                            .push(loc);
-                        self.stats.lock().expect("rewriter stats lock").invalidated += 1;
+                        // Stale: fall back to parsing.
+                        stale += 1;
                         unresolved.push((column.clone(), path.clone()));
                     } else {
                         cache_table_name = Some(entry.cache_table.clone());
@@ -168,21 +137,11 @@ impl TableScanRewriter for MaxsonScanRewriter {
                 None => unresolved.push((column.clone(), path.clone())),
             }
         }
-        {
-            let mut stats = self.stats.lock().expect("rewriter stats lock");
-            stats.hits += resolved.len() as u64;
-            stats.misses += unresolved.len() as u64;
-        }
-        let stale =
-            self.stats.lock().expect("rewriter stats lock").invalidated - invalidated_before;
-        self.tracer.add("rewrite.hits", resolved.len() as u64);
-        self.tracer.add("rewrite.misses", unresolved.len() as u64);
-        self.tracer.add("rewrite.invalidated", stale);
         let outcome = |o: &str| {
             self.metrics
                 .counter("maxson_rewrite_paths_total", &[("outcome", o)])
         };
-        // `misses` counts never-cached paths only; stale entries get their
+        // `miss` counts never-cached paths only; stale entries get their
         // own outcome so cache churn is visible separately.
         outcome("hit").add(resolved.len() as u64);
         outcome("miss").add(unresolved.len() as u64 - stale);
@@ -270,13 +229,6 @@ impl TableScanRewriter for MaxsonScanRewriter {
         };
 
         let cache_only = raw_projection.is_empty();
-        if cache_only {
-            self.stats
-                .lock()
-                .expect("rewriter stats lock")
-                .cache_only_scans += 1;
-            self.tracer.add("rewrite.cache_only_scans", 1);
-        }
         let decision = if cache_only { "cache_only" } else { "combined" };
         span.attr("decision", decision);
         self.metrics
@@ -292,7 +244,7 @@ impl TableScanRewriter for MaxsonScanRewriter {
                     .clone(),
             )
         };
-        let mut provider = CombinedScanProvider::new(
+        let provider = CombinedScanProvider::new(
             raw,
             raw_projection,
             cache_table,
@@ -301,7 +253,6 @@ impl TableScanRewriter for MaxsonScanRewriter {
             raw_sarg,
             cache_sarg,
         );
-        provider.set_tracer(self.tracer.clone());
         Ok(Some(ScanRewrite {
             provider: Box::new(provider),
             resolved_paths: resolved,
@@ -385,17 +336,37 @@ mod tests {
         (session, root)
     }
 
+    /// A rewriter over `session` charging a fresh registry.
+    fn counted_rewriter(session: &Session) -> (MaxsonScanRewriter, Arc<Registry>) {
+        let registry = Arc::new(Registry::new());
+        let mut rewriter = MaxsonScanRewriter::open(session).unwrap();
+        rewriter.set_metrics_registry(Arc::clone(&registry));
+        (rewriter, registry)
+    }
+
+    /// `[hit, miss, stale]` path outcomes and `[cache_only, combined,
+    /// no_rewrite]` scan decisions charged to `registry`.
+    fn outcomes(registry: &Registry) -> ([u64; 3], [u64; 3]) {
+        let count = |name: &str, label: &str, value: &str| {
+            registry.counter_value(name, &[(label, value)]).unwrap_or(0)
+        };
+        (
+            ["hit", "miss", "stale"].map(|o| count("maxson_rewrite_paths_total", "outcome", o)),
+            ["cache_only", "combined", "no_rewrite"]
+                .map(|d| count("maxson_scan_rewrites_total", "decision", d)),
+        )
+    }
+
     #[test]
-    fn stats_track_hits_misses_and_cache_only() {
+    fn registry_counts_hits_misses_and_scan_decisions() {
         let (mut session, root) = setup("stats");
-        let rewriter = MaxsonScanRewriter::open(&session).unwrap();
-        let stats_probe = rewriter.stats();
-        assert_eq!(stats_probe.hits, 0);
+        let (rewriter, registry) = counted_rewriter(&session);
         session.set_scan_rewriter(Some(Box::new(rewriter)));
         // $.a hits (cache-only: no raw columns needed).
         session
             .execute("select get_json_object(payload, '$.a') as a from db.t")
             .unwrap();
+        assert_eq!(outcomes(&registry), ([1, 0, 0], [1, 0, 0]));
         // $.a hits + $.b misses (combined scan).
         session
             .execute(
@@ -403,13 +374,13 @@ mod tests {
                  get_json_object(payload, '$.b') as b from db.t",
             )
             .unwrap();
-        // Reopen a probe rewriter to re-run the plan-only stats check:
-        // the installed one is owned by the session, so validate behavior
-        // through metrics instead.
+        assert_eq!(outcomes(&registry), ([2, 1, 0], [1, 1, 0]));
+        // $.b alone misses: no valid hit, so the default scan parses it.
         let res = session
             .execute("select get_json_object(payload, '$.b') as b from db.t")
             .unwrap();
         assert!(res.metrics.parse_calls > 0, "$.b is not cached");
+        assert_eq!(outcomes(&registry), ([2, 2, 0], [1, 1, 1]));
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -433,7 +404,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_entry_lands_in_invalidated_list() {
+    fn stale_entry_is_counted_stale_not_miss() {
         let (mut session, root) = setup("stale");
         // Touch the raw table after caching (logical time 200 > 100).
         session
@@ -442,18 +413,17 @@ mod tests {
             .unwrap()
             .touch(200)
             .unwrap();
-        // Plan-time check happens inside rewrite_scan: run a plan through a
-        // fresh session holding the rewriter.
-        let mut s2 = Session::open(&root).unwrap();
-        let rewriter = MaxsonScanRewriter::open(&s2).unwrap();
-        // Keep a second probe handle open on the same state via the session
-        // metrics; the invalidated list is observable pre-installation.
+        // A fresh session sees the new modification time at plan time.
+        let (rewriter, registry) = counted_rewriter(&Session::open(&root).unwrap());
         let ctx_schema = Schema::new(vec![
             Field::new("id", ColumnType::Int64),
             Field::new("payload", ColumnType::Utf8),
         ])
         .unwrap();
-        let calls = vec![("payload".to_string(), "$.a".to_string())];
+        let calls = vec![
+            ("payload".to_string(), "$.a".to_string()),
+            ("payload".to_string(), "$.b".to_string()),
+        ];
         let raw_cols: Vec<String> = vec![];
         let ctx = maxson_engine::session::ScanContext {
             database: "db",
@@ -466,16 +436,16 @@ mod tests {
         };
         let rewrite = rewriter.rewrite_scan(&ctx).unwrap();
         assert!(rewrite.is_none(), "stale cache must not rewrite");
-        assert_eq!(rewriter.invalidated(), vec![loc("$.a")]);
-        assert_eq!(rewriter.stats().invalidated, 1);
-        let _ = &mut s2;
+        // Both calls parse, but only never-cached `$.b` is a miss: stale
+        // `$.a` is counted apart from it.
+        assert_eq!(outcomes(&registry), ([0, 1, 1], [0, 0, 1]));
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn rewrite_scan_resolves_hit_and_keeps_miss() {
         let (session, root) = setup("mixed");
-        let rewriter = MaxsonScanRewriter::open(&session).unwrap();
+        let (rewriter, registry) = counted_rewriter(&session);
         let ctx_schema = Schema::new(vec![
             Field::new("id", ColumnType::Int64),
             Field::new("payload", ColumnType::Utf8),
@@ -512,9 +482,7 @@ mod tests {
         assert!(names.contains(&"id"));
         assert!(names.contains(&"payload"));
         assert!(names.contains(&cache_field_name("payload", "$.a").as_str()));
-        let stats = rewriter.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
+        assert_eq!(outcomes(&registry), ([1, 1, 0], [0, 1, 0]));
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -2,11 +2,10 @@
 //!
 //! Renders a [`TraceSnapshot`] as the Trace Event Format JSON that
 //! `chrome://tracing` and Perfetto load: one `"X"` (complete) event per
-//! span with microsecond `ts`/`dur`, one `"M"` `thread_name` metadata
-//! event per recorded thread (so every worker gets its own track), and one
-//! `"C"` counter event per named counter/histogram. Span args carry the
-//! span id, parent id, and all attributes, so nesting can be checked
-//! programmatically even across tracks.
+//! span with microsecond `ts`/`dur` and one `"M"` `thread_name` metadata
+//! event per recorded thread (so every worker gets its own track). Span
+//! args carry the span id, parent id, and all attributes, so nesting can
+//! be checked programmatically even across tracks.
 
 use maxson_json::value::JsonNumber;
 use maxson_json::JsonValue;
@@ -54,38 +53,6 @@ pub fn to_chrome_json(snap: &TraceSnapshot) -> String {
             ("args".into(), JsonValue::Object(args)),
         ]));
     }
-    let end_ts = snap.spans.iter().map(|s| s.end_us).max().unwrap_or(0);
-    for (name, value) in &snap.counters {
-        events.push(JsonValue::object(vec![
-            ("ph".into(), s("C")),
-            ("pid".into(), num(1)),
-            ("tid".into(), num(0)),
-            ("ts".into(), num(end_ts)),
-            ("name".into(), s(name)),
-            (
-                "args".into(),
-                JsonValue::object(vec![("value".into(), num(*value))]),
-            ),
-        ]));
-    }
-    for (name, hist) in &snap.histograms {
-        events.push(JsonValue::object(vec![
-            ("ph".into(), s("C")),
-            ("pid".into(), num(1)),
-            ("tid".into(), num(0)),
-            ("ts".into(), num(end_ts)),
-            ("name".into(), s(&format!("hist:{name}"))),
-            (
-                "args".into(),
-                JsonValue::object(vec![
-                    ("count".into(), num(hist.count())),
-                    ("p50_us".into(), num(hist.quantile(0.5).as_micros() as u64)),
-                    ("p95_us".into(), num(hist.quantile(0.95).as_micros() as u64)),
-                    ("max_us".into(), num(hist.max().as_micros() as u64)),
-                ]),
-            ),
-        ]));
-    }
     let doc = JsonValue::object(vec![
         ("traceEvents".into(), JsonValue::Array(events)),
         ("displayTimeUnit".into(), s("ms")),
@@ -95,8 +62,6 @@ pub fn to_chrome_json(snap: &TraceSnapshot) -> String {
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
-
     use crate::Tracer;
 
     #[test]
@@ -107,8 +72,6 @@ mod tests {
             root.attr("sql", "select \"x\" from t");
             let _child = t.child("scan", root.id());
         }
-        t.add("cache.hits", 7);
-        t.observe("lat", Duration::from_micros(123));
         let text = t.to_chrome_json();
         let doc = maxson_json::parse(&text).expect("well-formed JSON");
         let events = doc
@@ -127,11 +90,7 @@ mod tests {
             .filter(|e| phase(e).as_deref() == Some("M"))
             .collect();
         assert_eq!(ms.len(), 1, "one thread -> one thread_name event");
-        let cs: Vec<_> = events
-            .iter()
-            .filter(|e| phase(e).as_deref() == Some("C"))
-            .collect();
-        assert_eq!(cs.len(), 2, "one counter + one histogram");
+        assert_eq!(xs.len() + ms.len(), events.len(), "spans and tracks only");
         // The child event names its parent in args.
         let child = xs
             .iter()

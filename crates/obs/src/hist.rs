@@ -72,11 +72,6 @@ impl LatencyHistogram {
         Duration::from_micros(self.total_us)
     }
 
-    /// Largest recorded duration (µs resolution).
-    pub fn max(&self) -> Duration {
-        Duration::from_micros(self.max_us)
-    }
-
     /// Mean recorded duration (zero when empty).
     pub fn mean(&self) -> Duration {
         Duration::from_micros(self.total_us.checked_div(self.count).unwrap_or(0))
@@ -159,7 +154,6 @@ mod tests {
         }
         assert_eq!(h.count(), 6);
         assert_eq!(h.total(), Duration::from_micros(101_106));
-        assert_eq!(h.max(), Duration::from_micros(100_000));
         // Median lands in the bucket holding 3µs: [2,4) → upper bound 4µs.
         assert_eq!(h.quantile(0.5), Duration::from_micros(4));
         // The top quantile is capped at the observed max.
@@ -182,7 +176,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), both.count());
         assert_eq!(a.total(), both.total());
-        assert_eq!(a.max(), both.max());
+        assert_eq!(a.quantile(1.0), both.quantile(1.0));
         assert_eq!(a.nonzero_buckets(), both.nonzero_buckets());
     }
 
@@ -191,6 +185,6 @@ mod tests {
         let mut h = LatencyHistogram::new();
         h.record(Duration::MAX);
         assert_eq!(h.count(), 1);
-        assert!(h.max() >= Duration::from_secs(1 << 40));
+        assert!(h.quantile(1.0) >= Duration::from_secs(1 << 40));
     }
 }

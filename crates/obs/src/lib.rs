@@ -1,5 +1,6 @@
-//! Observability spine: a thread-safe span tracer, log-bucketed latency
-//! histograms, named counters, and Chrome trace-event export.
+//! Observability spine: a thread-safe span tracer with Chrome trace-event
+//! export, and the metric registry (counters, gauges, log-bucketed latency
+//! histograms) every count is charged to.
 //!
 //! ## Span model
 //!
@@ -12,6 +13,10 @@
 //! Every span remembers which OS thread recorded it — the Chrome export
 //! turns that into one track per worker thread.
 //!
+//! The tracer records spans and nothing else: a count belongs in the
+//! engine's `ExecMetrics` (per query) or a [`Registry`] (process-wide),
+//! never in a third ledger beside them.
+//!
 //! ## Overhead contract
 //!
 //! Tracing is pay-for-what-you-use. A default tracer carries no buffer at
@@ -19,8 +24,7 @@
 //! toggleable tracer ([`Tracer::new`]) gates every hook on one relaxed
 //! atomic load. When disabled, `span`/`child` return an inert guard,
 //! `attr` never formats its value (the generic parameter is only rendered
-//! after the enabled check), and `add`/`observe` return before touching
-//! the buffer: branch-on-a-bool, no allocation, no lock.
+//! after the enabled check): branch-on-a-bool, no allocation, no lock.
 
 mod chrome;
 mod hist;

@@ -7,8 +7,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-use crate::hist::LatencyHistogram;
-
 /// Opaque handle to a recorded span, used to parent child spans — including
 /// spans recorded on *other* threads (a pool worker attaches its per-split
 /// span to the pipeline span opened on the coordinating thread).
@@ -52,8 +50,6 @@ impl SpanRecord {
 #[derive(Default)]
 struct State {
     spans: Vec<SpanRecord>,
-    counters: Vec<(String, u64)>,
-    histograms: Vec<(String, LatencyHistogram)>,
     /// OS-thread → track index registry, in first-seen order. Track 0 is
     /// whichever thread records first (normally the session thread).
     threads: Vec<(ThreadId, String)>,
@@ -80,7 +76,7 @@ struct Inner {
     state: Mutex<State>,
 }
 
-/// A thread-safe span/counter/histogram collector.
+/// A thread-safe span recorder.
 ///
 /// Cloning is cheap and shares the buffer: hand clones to providers,
 /// rewriters, and worker tasks, and every event lands in one trace.
@@ -140,8 +136,7 @@ impl Tracer {
         }
     }
 
-    /// Clear the trace buffer (spans, counters, histograms, thread
-    /// registry). Do not call while spans are open — their guards would
+    /// Clear the trace buffer (spans and the thread registry). Do not call while spans are open — their guards would
     /// write end timestamps into the fresh buffer.
     pub fn reset(&self) {
         if let Some(inner) = &self.inner {
@@ -183,56 +178,6 @@ impl Tracer {
         }
     }
 
-    /// Bump a named counter.
-    pub fn add(&self, name: &str, delta: u64) {
-        if !self.is_enabled() || delta == 0 {
-            return;
-        }
-        let inner = self.inner.as_ref().expect("enabled implies buffer");
-        let mut st = inner.state.lock().unwrap();
-        match st.counters.iter_mut().find(|(k, _)| k == name) {
-            Some((_, v)) => *v += delta,
-            None => st.counters.push((name.to_string(), delta)),
-        }
-    }
-
-    /// Current value of a named counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        let Some(inner) = &self.inner else { return 0 };
-        let st = inner.state.lock().unwrap();
-        st.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Record a duration into a named log-bucketed histogram.
-    pub fn observe(&self, name: &str, d: Duration) {
-        if !self.is_enabled() {
-            return;
-        }
-        let inner = self.inner.as_ref().expect("enabled implies buffer");
-        let mut st = inner.state.lock().unwrap();
-        match st.histograms.iter_mut().find(|(k, _)| k == name) {
-            Some((_, h)) => h.record(d),
-            None => {
-                let mut h = LatencyHistogram::new();
-                h.record(d);
-                st.histograms.push((name.to_string(), h));
-            }
-        }
-    }
-
-    /// Copy of a named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<LatencyHistogram> {
-        let inner = self.inner.as_ref()?;
-        let st = inner.state.lock().unwrap();
-        st.histograms
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, h)| h.clone())
-    }
-
     /// Snapshot the whole trace buffer.
     pub fn snapshot(&self) -> TraceSnapshot {
         let Some(inner) = &self.inner else {
@@ -241,8 +186,6 @@ impl Tracer {
         let st = inner.state.lock().unwrap();
         TraceSnapshot {
             spans: st.spans.clone(),
-            counters: st.counters.clone(),
-            histograms: st.histograms.clone(),
             threads: st.threads.iter().map(|(_, n)| n.clone()).collect(),
         }
     }
@@ -322,10 +265,6 @@ impl Drop for SpanGuard<'_> {
 pub struct TraceSnapshot {
     /// All spans recorded so far (open spans have `end_us == start_us`).
     pub spans: Vec<SpanRecord>,
-    /// Named counters in first-touch order.
-    pub counters: Vec<(String, u64)>,
-    /// Named histograms in first-touch order.
-    pub histograms: Vec<(String, LatencyHistogram)>,
     /// Track names, indexed by [`SpanRecord::track`].
     pub threads: Vec<String>,
 }
@@ -399,12 +338,7 @@ mod tests {
         assert!(!g.is_recording());
         g.attr("k", "v");
         drop(g);
-        t.add("c", 5);
-        t.observe("h", Duration::from_millis(1));
-        let snap = t.snapshot();
-        assert!(snap.spans.is_empty());
-        assert!(snap.counters.is_empty());
-        assert!(snap.histograms.is_empty());
+        assert!(t.snapshot().spans.is_empty());
         // set_enabled on a bufferless tracer stays off.
         t.set_enabled(true);
         assert!(!t.is_enabled());
@@ -479,28 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_sum_across_clones() {
-        let t = Tracer::enabled();
-        let clone = t.clone();
-        t.add("hits", 2);
-        clone.add("hits", 3);
-        clone.add("misses", 1);
-        assert_eq!(t.counter("hits"), 5);
-        assert_eq!(t.counter("misses"), 1);
-        assert_eq!(t.counter("absent"), 0);
-    }
-
-    #[test]
-    fn histograms_collect_observations() {
-        let t = Tracer::enabled();
-        t.observe("lat", Duration::from_micros(10));
-        t.observe("lat", Duration::from_micros(1000));
-        let h = t.histogram("lat").expect("recorded");
-        assert_eq!(h.count(), 2);
-        assert!(t.histogram("other").is_none());
-    }
-
-    #[test]
     fn rollup_aggregates_by_name() {
         let t = Tracer::enabled();
         drop(t.span("a"));
@@ -516,11 +428,10 @@ mod tests {
     fn reset_clears_the_buffer() {
         let t = Tracer::enabled();
         drop(t.span("x"));
-        t.add("c", 1);
         t.reset();
         let snap = t.snapshot();
         assert!(snap.spans.is_empty());
-        assert!(snap.counters.is_empty());
+        assert!(snap.threads.is_empty());
         assert!(t.is_enabled(), "reset keeps the enable flag");
     }
 }

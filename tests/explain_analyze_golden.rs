@@ -153,6 +153,43 @@ fn rewritten_queries_deterministic_across_threads() {
     }
 }
 
+/// `EXPLAIN ANALYZE` prints this query's tree and nothing else. The
+/// rewriter a midnight cycle installs records into the session's tracer,
+/// so turning session tracing on lights it up; the rendered text must still
+/// be the same as with tracing off, on the first run and on a repeat.
+#[test]
+fn explain_analyze_is_per_query_with_session_tracing_on_or_off() {
+    let root = temp_root("perquery");
+    let mut session = Session::open(&root).unwrap();
+    let files: Vec<Vec<(i64, String)>> = (0..2i64)
+        .map(|f| {
+            (f * 10..(f + 1) * 10)
+                .map(|n| (n, format!(r#"{{"a": {n}, "b": "x{n}"}}"#)))
+                .collect()
+        })
+        .collect();
+    support::json_table(&mut session, "db", "t", &files, 5);
+    support::cache_paths(&mut session, &root, &[("db", "t", "$.a")]);
+    // A cached path stitched with an uncached one.
+    let sql = "select id, get_json_object(payload, '$.a') as a, \
+               get_json_object(payload, '$.b') as b from db.t";
+    let untraced: Vec<String> = (0..2)
+        .map(|_| run_explain_analyze(&session, sql, &root))
+        .collect();
+    assert!(
+        untraced[0].contains("MaxsonCombinedScan"),
+        "plan not rewritten:\n{}",
+        untraced[0]
+    );
+    session.set_trace_enabled(true);
+    for _ in 0..2 {
+        let traced = run_explain_analyze(&session, sql, &root);
+        assert_eq!(traced, untraced[0], "traced explain analyze differs");
+    }
+    assert_eq!(untraced[1], untraced[0]);
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// The plain `EXPLAIN` (no ANALYZE) path still renders the logical plan.
 #[test]
 fn plain_explain_still_renders_plan() {

@@ -2,7 +2,7 @@
 //! what the oracle returns and charges exactly the work counters the
 //! untraced query charges, and the Chrome trace-event file a parallel query
 //! writes is valid JSON whose spans nest under a query root on named
-//! per-thread tracks.
+//! per-thread tracks, with no counter (`C`) events beside them.
 //!
 //! Layers:
 //!
@@ -148,7 +148,9 @@ fn chrome_export_nests_spans_on_named_thread_tracks() {
                 );
                 named_tids.push(e.get("tid").and_then(JsonValue::as_i64).expect("meta tid"));
             }
-            _ => {}
+            // The tracer records spans only; counts live in the query's
+            // metrics and the registry, so no counter track is exported.
+            other => panic!("unexpected trace event phase {other:?}: {e:?}"),
         }
     }
     assert!(!span_ids.is_empty(), "no spans exported");
