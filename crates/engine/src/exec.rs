@@ -18,6 +18,11 @@
 //!   stage per operator (stages over a materialised input are not fused,
 //!   so each keeps its own shared-parse extractor and span).
 //!
+//! Output rows are built by the segment's [`RowShape`]: a bare `Column`
+//! output is handed over, not evaluated — moved out of a columnar batch
+//! for the rows the filter keeps, or out of an owned row — so each cell
+//! reaches the result once.
+//!
 //! Join, sort, limit and distinct are blocking operators, not row loops,
 //! and keep arms of their own in [`execute_plan_traced`]. The limit arm
 //! runs a top-N whose projection reads JSON as a late projection
@@ -47,14 +52,13 @@
 //!   associative. Grouped output keeps first-seen group order because
 //!   split 0's groups are merged first.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use maxson_obs::{SpanGuard, SpanId, Tracer};
-use maxson_storage::{Cell, CellKey, RowKey, RowKeySlice};
+use maxson_storage::{Cell, CellKey, ColumnData, RowKey, RowKeySlice};
 
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::expr::{truthy, Expr, JsonParserKind};
 use crate::extract::{JsonExtractor, RowSlots};
 use crate::metrics::ExecMetrics;
@@ -307,12 +311,16 @@ struct PipelineSegment<'a> {
     /// stage. `None` when no stage touches JSON. Read-only, hence safely
     /// shared across split tasks.
     extractor: Option<JsonExtractor>,
+    /// Width of the input schema.
+    width: usize,
     /// Input-schema columns the filter reads (ascending). For columnar
     /// batches only these are materialized before the filter runs.
     filter_cols: Vec<usize>,
     /// The complement of `filter_cols` over the input schema (ascending):
-    /// materialized only for rows the filter keeps.
+    /// what an aggregation materializes for rows the filter keeps.
     rest_cols: Vec<usize>,
+    /// How a row segment (no aggregation) builds its output rows.
+    shape: Option<RowShape<'a>>,
     /// A late projection's cut of each sink's rows (see [`TopN`]).
     top_n: Option<&'a TopN<'a>>,
 }
@@ -329,8 +337,10 @@ impl<'a> PipelineSegment<'a> {
             project: None,
             agg: None,
             extractor: None,
+            width: 0,
             filter_cols: Vec::new(),
             rest_cols: Vec::new(),
+            shape: None,
             top_n: None,
         };
         let mut source = plan;
@@ -356,17 +366,28 @@ impl<'a> PipelineSegment<'a> {
                 source = input;
             }
         }
-        segment.extractor = segment.shared_extractor();
+        let mut referenced = std::collections::BTreeSet::new();
         if let Some(predicate) = segment.filter {
-            let mut referenced = std::collections::BTreeSet::new();
             predicate.collect_columns(&mut referenced);
-            let width = source.schema().fields().len();
-            // Out-of-range references (a planner bug) are left out so the
-            // filter's own eval reports the error instead of an index panic.
-            segment.filter_cols = referenced.iter().copied().filter(|&c| c < width).collect();
-            segment.rest_cols = (0..width).filter(|c| !referenced.contains(c)).collect();
         }
+        let width = source.schema().fields().len();
+        // Out-of-range references (a planner bug) are left out so the
+        // filter's own eval reports the error instead of an index panic.
+        segment.width = width;
+        segment.filter_cols = referenced.iter().copied().filter(|&c| c < width).collect();
+        segment.rest_cols = (0..width).filter(|c| !referenced.contains(c)).collect();
+        segment.derive();
         (segment, source)
+    }
+
+    /// Recompute what follows from the stages: the shared extractor and
+    /// the row shape.
+    fn derive(&mut self) {
+        self.extractor = self.shared_extractor();
+        self.shape = self
+            .agg
+            .is_none()
+            .then(|| RowShape::new(self.project, self.width, &self.filter_cols));
     }
 
     /// The shared-parse extraction sites of every stage of the segment.
@@ -391,7 +412,7 @@ impl<'a> PipelineSegment<'a> {
             top_n: Some(top_n),
             ..self
         };
-        segment.extractor = segment.shared_extractor();
+        segment.derive();
         segment
     }
 
@@ -414,41 +435,28 @@ impl<'a> PipelineSegment<'a> {
         }
     }
 
-    /// Materialize columnar row `i` into `scratch` with the filter applied
-    /// lazily: only the predicate's columns are built before it runs; the
-    /// rest are built only when the row survives. Returns `false` (and
-    /// charges `batch_rows_skipped`) for rejected rows — their non-predicate
-    /// slots then hold stale cells nothing reads.
-    fn fill_row(
+    /// Run the segment's filter over columnar row `i`, materializing only
+    /// the predicate's columns into `scratch` first. Returns `false` (and
+    /// charges `batch_rows_skipped`) for a rejected row.
+    fn keep_row(
         &self,
-        cols: &[maxson_storage::ColumnData],
+        cols: &[ColumnData],
         i: usize,
         scratch: &mut [Cell],
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
         slots: Option<&RowSlots<'_>>,
     ) -> Result<bool> {
-        match self.filter {
-            Some(predicate) => {
-                for &c in &self.filter_cols {
-                    scratch[c] = cols[c].get(i);
-                }
-                metrics.cells_materialized += self.filter_cols.len() as u64;
-                if !truthy(&predicate.eval_with(scratch, parser, metrics, slots)?) {
-                    metrics.batch_rows_skipped += 1;
-                    return Ok(false);
-                }
-                for &c in &self.rest_cols {
-                    scratch[c] = cols[c].get(i);
-                }
-                metrics.cells_materialized += self.rest_cols.len() as u64;
-            }
-            None => {
-                for (c, col) in cols.iter().enumerate() {
-                    scratch[c] = col.get(i);
-                }
-                metrics.cells_materialized += cols.len() as u64;
-            }
+        let Some(predicate) = self.filter else {
+            return Ok(true);
+        };
+        for &c in &self.filter_cols {
+            scratch[c] = cols[c].get(i);
+        }
+        metrics.cells_materialized += self.filter_cols.len() as u64;
+        if !truthy(&predicate.eval_with(scratch, parser, metrics, slots)?) {
+            metrics.batch_rows_skipped += 1;
+            return Ok(false);
         }
         Ok(true)
     }
@@ -456,10 +464,7 @@ impl<'a> PipelineSegment<'a> {
     /// The row loop: every row of `batch` that survives its selection
     /// vector and the segment's filter is projected into, copied into, or
     /// folded into `sink`, all under one [`RowSlots`] — so the projection
-    /// or aggregation reuses the filter's parse. Columnar batches reuse one
-    /// scratch row and materialize cells late
-    /// ([`PipelineSegment::fill_row`]); row-major batches already own their
-    /// cells and give each surviving row away. A bounded segment cuts the
+    /// or aggregation reuses the filter's parse. A bounded segment cuts the
     /// sink's rows to its [`TopN`] after the batch, so the batch's cells
     /// outlive it only in the kept rows.
     fn run(
@@ -469,54 +474,256 @@ impl<'a> PipelineSegment<'a> {
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
     ) -> Result<()> {
-        let (mut data, indexes) = batch.into_selected(metrics);
+        let (data, indexes) = batch.into_selected(metrics);
+        match sink {
+            Sink::Rows(out) => self.project_rows(data, &indexes, out, parser, metrics)?,
+            Sink::Agg(partial) => self.fold_rows(data, &indexes, partial, parser, metrics)?,
+        }
+        if let (Some(top_n), Sink::Rows(rows)) = (self.top_n, sink) {
+            top_n.cut(rows, parser, metrics)?;
+        }
+        Ok(())
+    }
+
+    /// The row loop into output rows, built by the segment's [`RowShape`].
+    /// A row-major batch already owns its cells: each surviving row gives
+    /// its bare columns away. A columnar batch reuses one scratch row for
+    /// the filter's columns and the evaluated outputs' columns, then moves
+    /// every other bare column's values for the kept rows out of the batch.
+    fn project_rows(
+        &self,
+        data: BatchData,
+        indexes: &[u32],
+        out: &mut Vec<Vec<Cell>>,
+        parser: JsonParserKind,
+        metrics: &mut ExecMetrics,
+    ) -> Result<()> {
+        let shape = self
+            .shape
+            .as_ref()
+            .expect("a Rows sink comes from a row segment");
+        match data {
+            BatchData::Rows(mut rows) => {
+                for &i in indexes {
+                    let row = &mut rows[i as usize];
+                    let slots = self.extractor.as_ref().map(RowSlots::new);
+                    let slots = slots.as_ref();
+                    if let Some(predicate) = self.filter {
+                        if !truthy(&predicate.eval_with(row, parser, metrics, slots)?) {
+                            continue;
+                        }
+                    }
+                    out.push(match self.project {
+                        Some(_) => shape.build(row, &shape.bare, parser, metrics, slots)?,
+                        None => std::mem::take(row),
+                    });
+                }
+            }
+            BatchData::Columns(mut cols) => {
+                let mut scratch = vec![Cell::Null; cols.len()];
+                let first = out.len();
+                let mut kept = Vec::with_capacity(indexes.len());
+                for &i in indexes {
+                    let slots = self.extractor.as_ref().map(RowSlots::new);
+                    let slots = slots.as_ref();
+                    if !self.keep_row(&cols, i as usize, &mut scratch, parser, metrics, slots)? {
+                        continue;
+                    }
+                    for &c in &shape.eval_cols {
+                        scratch[c] = cols[c].get(i as usize);
+                    }
+                    metrics.cells_materialized += shape.eval_cols.len() as u64;
+                    out.push(shape.build(
+                        &mut scratch,
+                        &shape.scratch_bare,
+                        parser,
+                        metrics,
+                        slots,
+                    )?);
+                    kept.push(i);
+                }
+                metrics.cells_materialized += (shape.moved.len() * kept.len()) as u64;
+                for (c, positions) in &shape.moved {
+                    let (&last, copies) = positions.split_last().expect("a moved column is output");
+                    for (row, cell) in out[first..].iter_mut().zip(cols[*c].take_cells(&kept)) {
+                        for &p in copies {
+                            row[p] = cell.clone();
+                        }
+                        row[last] = cell;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The row loop into an aggregate partial. Columnar rows materialize
+    /// the filter's columns first and the rest only for rows it keeps.
+    fn fold_rows(
+        &self,
+        data: BatchData,
+        indexes: &[u32],
+        partial: &mut AggPartial,
+        parser: JsonParserKind,
+        metrics: &mut ExecMetrics,
+    ) -> Result<()> {
+        let (group_by, aggs) = self.agg.expect("an Agg sink comes from an agg segment");
         let mut scratch = match &data {
             BatchData::Columns(cols) => vec![Cell::Null; cols.len()],
             BatchData::Rows(_) => Vec::new(),
         };
-        for i in indexes {
+        for &i in indexes {
             let i = i as usize;
             let slots = self.extractor.as_ref().map(RowSlots::new);
             let slots = slots.as_ref();
-            let row = match &mut data {
+            let row = match &data {
                 BatchData::Rows(rows) => {
                     if let Some(predicate) = self.filter {
                         if !truthy(&predicate.eval_with(&rows[i], parser, metrics, slots)?) {
                             continue;
                         }
                     }
-                    Cow::Owned(std::mem::take(&mut rows[i]))
+                    &rows[i]
                 }
                 BatchData::Columns(cols) => {
-                    if !self.fill_row(cols, i, &mut scratch, parser, metrics, slots)? {
+                    if !self.keep_row(cols, i, &mut scratch, parser, metrics, slots)? {
                         continue;
                     }
-                    Cow::Borrowed(scratch.as_slice())
+                    for &c in &self.rest_cols {
+                        scratch[c] = cols[c].get(i);
+                    }
+                    metrics.cells_materialized += self.rest_cols.len() as u64;
+                    &scratch
                 }
             };
-            match sink {
-                Sink::Rows(out) => out.push(match self.project {
-                    Some(exprs) => {
-                        let mut projected = Vec::with_capacity(exprs.len());
-                        for (e, _) in exprs {
-                            projected.push(e.eval_with(&row, parser, metrics, slots)?);
-                        }
-                        projected
-                    }
-                    // A scratch-row copy is cheap: cell clones are refcount
-                    // bumps on shared buffers.
-                    None => row.into_owned(),
-                }),
-                Sink::Agg(partial) => {
-                    let (group_by, aggs) = self.agg.expect("an Agg sink comes from an agg segment");
-                    partial.update(&row, group_by, aggs, parser, metrics, slots)?;
-                }
-            }
-        }
-        if let (Some(top_n), Sink::Rows(rows)) = (self.top_n, sink) {
-            top_n.cut(rows, parser, metrics)?;
+            partial.update(row, group_by, aggs, parser, metrics, slots)?;
         }
         Ok(())
+    }
+}
+
+/// One bare `Column` output: the input column, the output position, and
+/// whether this is the column's last bare output (which takes the cell
+/// instead of cloning it).
+#[derive(Debug, Clone, Copy)]
+struct Bare {
+    column: usize,
+    position: usize,
+    last: bool,
+}
+
+/// How a row segment builds each output row. An evaluated output runs
+/// `eval_with` over the input row; a bare `Column` output is handed over
+/// instead — taken from the input row, or moved out of a columnar batch —
+/// so each of its cells is converted once and never cloned on the way. No
+/// projection is the identity: every input column is a bare output.
+struct RowShape<'a> {
+    /// Each output's expression; `None` for a bare column, filled after.
+    exprs: Vec<Option<&'a Expr>>,
+    /// Every bare output, filled from the input row (a row-major batch).
+    bare: Vec<Bare>,
+    /// Columnar batches: the bare outputs whose column the scratch row
+    /// holds (the filter or an evaluated output reads it).
+    scratch_bare: Vec<Bare>,
+    /// Columnar batches: every other bare column with its output positions,
+    /// moved out of the batch for the kept rows after the row loop.
+    moved: Vec<(usize, Vec<usize>)>,
+    /// Columnar batches: the columns outside the filter's that evaluated
+    /// outputs read, materialized into the scratch row for kept rows.
+    eval_cols: Vec<usize>,
+}
+
+impl<'a> RowShape<'a> {
+    fn new(project: Option<&'a [(Expr, String)]>, width: usize, filter_cols: &[usize]) -> Self {
+        // Each bare output as `(column, position)`. An out-of-range column
+        // (a planner bug) is evaluated, so its eval reports the error.
+        let mut exprs: Vec<Option<&Expr>> = Vec::new();
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        match project {
+            Some(list) => {
+                for (position, (e, _)) in list.iter().enumerate() {
+                    match e {
+                        Expr::Column(c) if *c < width => {
+                            exprs.push(None);
+                            pairs.push((*c, position));
+                        }
+                        e => exprs.push(Some(e)),
+                    }
+                }
+            }
+            None => {
+                exprs = vec![None; width];
+                pairs = (0..width).map(|c| (c, c)).collect();
+            }
+        }
+        let bare: Vec<Bare> = pairs
+            .iter()
+            .enumerate()
+            .map(|(k, &(column, position))| Bare {
+                column,
+                position,
+                last: pairs[k + 1..].iter().all(|&(c, _)| c != column),
+            })
+            .collect();
+        let mut read = std::collections::BTreeSet::new();
+        for e in exprs.iter().flatten() {
+            e.collect_columns(&mut read);
+        }
+        let eval_cols: Vec<usize> = read
+            .into_iter()
+            .filter(|c| *c < width && !filter_cols.contains(c))
+            .collect();
+        let in_scratch = |c: usize| filter_cols.contains(&c) || eval_cols.contains(&c);
+        let scratch_bare = bare
+            .iter()
+            .copied()
+            .filter(|b| in_scratch(b.column))
+            .collect();
+        let mut moved: Vec<(usize, Vec<usize>)> = Vec::new();
+        for b in bare.iter().filter(|b| !in_scratch(b.column)) {
+            match moved.iter_mut().find(|(c, _)| *c == b.column) {
+                Some((_, positions)) => positions.push(b.position),
+                None => moved.push((b.column, vec![b.position])),
+            }
+        }
+        RowShape {
+            exprs,
+            bare,
+            scratch_bare,
+            moved,
+            eval_cols,
+        }
+    }
+
+    /// One output row over the input `row`: the evaluated outputs first,
+    /// then the `bare` outputs filled from `row` (a moved column's
+    /// positions stay NULL until the caller moves it in).
+    fn build(
+        &self,
+        row: &mut [Cell],
+        bare: &[Bare],
+        parser: JsonParserKind,
+        metrics: &mut ExecMetrics,
+        slots: Option<&RowSlots<'_>>,
+    ) -> Result<Vec<Cell>> {
+        let mut out = Vec::with_capacity(self.exprs.len());
+        for e in &self.exprs {
+            out.push(match e {
+                Some(e) => e.eval_with(row, parser, metrics, slots)?,
+                None => Cell::Null,
+            });
+        }
+        for b in bare {
+            let cell = row.get_mut(b.column).ok_or_else(|| {
+                EngineError::exec(format!("column index {} out of range", b.column))
+            })?;
+            out[b.position] = if b.last {
+                std::mem::replace(cell, Cell::Null)
+            } else {
+                cell.clone()
+            };
+        }
+        Ok(out)
     }
 }
 
@@ -1059,10 +1266,12 @@ impl AggState {
 enum AggPartial {
     Global(Vec<AggState>),
     Grouped {
-        /// Group keys in first-seen order. The key cells double as the
-        /// output key columns, so no separate per-group row is stored.
-        order: Vec<RowKey>,
-        groups: HashMap<RowKey, Vec<AggState>>,
+        /// Each group's key and its first-seen index. The key cells double
+        /// as the output key columns, so no separate per-group row is
+        /// stored.
+        index: HashMap<RowKey, usize>,
+        /// Each group's states, in first-seen order.
+        states: Vec<Vec<AggState>>,
     },
 }
 
@@ -1073,8 +1282,8 @@ impl AggPartial {
             AggPartial::Global(aggs.iter().map(|(f, _)| AggState::new(*f)).collect())
         } else {
             AggPartial::Grouped {
-                order: Vec::new(),
-                groups: HashMap::new(),
+                index: HashMap::new(),
+                states: Vec::new(),
             }
         }
     }
@@ -1093,22 +1302,20 @@ impl AggPartial {
     ) -> Result<()> {
         let states = match self {
             AggPartial::Global(states) => states,
-            AggPartial::Grouped { order, groups } => {
-                let mut keys = Vec::with_capacity(group_by.len());
+            AggPartial::Grouped { index, states } => {
+                // Room for the aggregate columns too: a first-seen group's
+                // key becomes its output row without growing.
+                let mut key = Vec::with_capacity(group_by.len() + aggs.len());
                 for g in group_by {
-                    keys.push(g.eval_with(row, parser, metrics, slots)?);
+                    key.push(g.eval_with(row, parser, metrics, slots)?);
                 }
-                // Probe with the evaluated cells directly — no per-row key
-                // string. Only a first-seen group owns its key (cheap cell
-                // clones).
-                if !groups.contains_key(RowKeySlice::new(&keys)) {
-                    let key = RowKey(keys.clone());
-                    order.push(key.clone());
-                    groups.insert(key, aggs.iter().map(|(f, _)| AggState::new(*f)).collect());
+                // One probe: a first-seen group keeps the evaluated key.
+                let next = states.len();
+                let at = *index.entry(RowKey(key)).or_insert(next);
+                if at == next {
+                    states.push(aggs.iter().map(|(f, _)| AggState::new(*f)).collect());
                 }
-                groups
-                    .get_mut(RowKeySlice::new(&keys))
-                    .expect("group inserted above")
+                &mut states[at]
             }
         };
         for (state, (_, arg)) in states.iter_mut().zip(aggs) {
@@ -1126,7 +1333,8 @@ impl AggPartial {
     /// Merge a later split's partial into this one, preserving this side's
     /// first-seen group order and appending the other side's new groups in
     /// their own first-seen order — exactly the order a serial pass over
-    /// the concatenated input would have discovered them in.
+    /// the concatenated input would have discovered them in. Each of the
+    /// other side's groups is hashed once.
     fn merge(&mut self, other: AggPartial) {
         match (self, other) {
             (AggPartial::Global(states), AggPartial::Global(other_states)) => {
@@ -1135,25 +1343,20 @@ impl AggPartial {
                 }
             }
             (
-                AggPartial::Grouped { order, groups },
+                AggPartial::Grouped { index, states },
                 AggPartial::Grouped {
-                    order: other_order,
-                    groups: mut other_groups,
+                    index: other_index,
+                    states: other_states,
                 },
             ) => {
-                for key in other_order {
-                    let states = other_groups
-                        .remove(&key)
-                        .expect("group key recorded in order list");
-                    match groups.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            for (state, other_state) in e.get_mut().iter_mut().zip(states) {
-                                state.merge(other_state);
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            order.push(e.key().clone());
-                            e.insert(states);
+                for (key, other_states) in in_index_order(other_index).zip(other_states) {
+                    let next = states.len();
+                    let at = *index.entry(key).or_insert(next);
+                    if at == next {
+                        states.push(other_states);
+                    } else {
+                        for (state, other_state) in states[at].iter_mut().zip(other_states) {
+                            state.merge(other_state);
                         }
                     }
                 }
@@ -1163,24 +1366,31 @@ impl AggPartial {
     }
 }
 
+/// A grouped partial's keys in first-seen order, placed by their index
+/// without hashing them again.
+fn in_index_order(index: HashMap<RowKey, usize>) -> impl Iterator<Item = RowKey> {
+    let mut keys: Vec<Option<RowKey>> = std::iter::repeat_with(|| None).take(index.len()).collect();
+    for (key, at) in index {
+        keys[at] = Some(key);
+    }
+    keys.into_iter()
+        .map(|key| key.expect("every group index has a key"))
+}
+
 /// Finish a (possibly merged) partial into output rows.
 fn finish_aggregate(partial: AggPartial) -> Vec<Vec<Cell>> {
     match partial {
         AggPartial::Global(states) => {
             vec![states.into_iter().map(AggState::finish).collect()]
         }
-        AggPartial::Grouped { order, mut groups } => {
-            let mut out = Vec::with_capacity(order.len());
-            for key in order {
-                let states = groups
-                    .remove(&key)
-                    .expect("group key recorded in order list");
+        AggPartial::Grouped { index, states } => in_index_order(index)
+            .zip(states)
+            .map(|(key, states)| {
                 let mut row = key.into_cells();
                 row.extend(states.into_iter().map(AggState::finish));
-                out.push(row);
-            }
-            out
-        }
+                row
+            })
+            .collect(),
     }
 }
 
@@ -1226,34 +1436,78 @@ fn hash_join(
     Ok(out)
 }
 
+/// One evaluated sort key and, for a string, its numeric parse — computed
+/// once per row instead of on both sides of every comparison.
+#[derive(Debug, Clone)]
+struct SortKey {
+    cell: Cell,
+    number: Option<f64>,
+}
+
+impl SortKey {
+    fn new(cell: Cell) -> Self {
+        let number = match &cell {
+            Cell::Str(s) => s.trim().parse::<f64>().ok(),
+            _ => None,
+        };
+        SortKey { cell, number }
+    }
+
+    /// Exactly [`Cell::total_cmp`] of the two cells: two strings compare by
+    /// their parses (numeric before non-numeric) and otherwise by bytes;
+    /// every other pair goes to `total_cmp` itself.
+    fn cmp(&self, other: &SortKey) -> std::cmp::Ordering {
+        use std::cmp::Ordering::{Greater, Less};
+        match (&self.cell, &other.cell) {
+            (Cell::Str(a), Cell::Str(b)) => match (self.number, other.number) {
+                (Some(x), Some(y)) => x.total_cmp(&y),
+                (Some(_), None) => Less,
+                (None, Some(_)) => Greater,
+                (None, None) => a.as_ref().cmp(b.as_ref()),
+            },
+            (a, b) => a.total_cmp(b),
+        }
+    }
+}
+
+/// Stable sort of `rows` by `keys`: each row's keys are evaluated and
+/// parsed once, then a permutation sorts over them.
 fn sort_rows(
-    rows: Vec<Vec<Cell>>,
+    mut rows: Vec<Vec<Cell>>,
     keys: &[(Expr, bool)],
     parser: JsonParserKind,
     metrics: &mut ExecMetrics,
 ) -> Result<Vec<Vec<Cell>>> {
     let extractor = JsonExtractor::from_exprs(keys.iter().map(|(e, _)| e));
-    // Precompute sort keys once per row (get_json_object keys are costly).
-    let mut keyed: Vec<(Vec<Cell>, Vec<Cell>)> = Vec::with_capacity(rows.len());
-    for row in rows {
+    let width = keys.len();
+    let mut sort_keys: Vec<SortKey> = Vec::with_capacity(rows.len() * width);
+    for row in &rows {
         let slots = extractor.as_ref().map(RowSlots::new);
-        let mut ks = Vec::with_capacity(keys.len());
         for (e, _) in keys {
-            ks.push(e.eval_with(&row, parser, metrics, slots.as_ref())?);
+            sort_keys.push(SortKey::new(e.eval_with(
+                row,
+                parser,
+                metrics,
+                slots.as_ref(),
+            )?));
         }
-        keyed.push((ks, row));
     }
-    keyed.sort_by(|(ka, _), (kb, _)| {
-        for ((a, b), (_, asc)) in ka.iter().zip(kb).zip(keys) {
-            let ord = a.total_cmp(b);
+    let row_keys = |i: usize| &sort_keys[i * width..(i + 1) * width];
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by(|&a, &b| {
+        for ((x, y), (_, asc)) in row_keys(a).iter().zip(row_keys(b)).zip(keys) {
+            let ord = x.cmp(y);
             let ord = if *asc { ord } else { ord.reverse() };
-            if ord != std::cmp::Ordering::Equal {
+            if ord.is_ne() {
                 return ord;
             }
         }
         std::cmp::Ordering::Equal
     });
-    Ok(keyed.into_iter().map(|(_, row)| row).collect())
+    Ok(order
+        .into_iter()
+        .map(|i| std::mem::take(&mut rows[i]))
+        .collect())
 }
 
 #[cfg(test)]
@@ -1261,6 +1515,8 @@ mod tests {
     use super::*;
     use crate::sql::ast::BinaryOp;
     use maxson_storage::{ColumnType, Field, Schema};
+    use maxson_testkit::prop::{self, Gen};
+    use maxson_testkit::prop_assert_eq;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -1572,6 +1828,216 @@ mod tests {
         .unwrap();
         assert_eq!(out[0][0], Cell::Null);
         assert_eq!(out[1][0], Cell::Int(1));
+    }
+
+    /// Cells of all five variants, with strings that parse (padded,
+    /// signed, `NaN`, `inf`, `-0`, exponent), strings that do not, and
+    /// numbers that tie across variants.
+    fn cell_gen() -> Gen<Cell> {
+        const STRS: [&str; 15] = [
+            "12", " 12", "12.0", "-0", "0", "NaN", "inf", "-inf", "1e3", "abc", "", "Red", "7.5",
+            "x1", " ",
+        ];
+        let floats = Gen::one_of(vec![
+            Gen::f64_in(-20.0, 20.0),
+            Gen::just(f64::NAN),
+            Gen::just(-0.0),
+            Gen::just(f64::INFINITY),
+            Gen::just(12.0),
+        ]);
+        let strings = Gen::one_of(vec![
+            Gen::usize_in(0..=STRS.len() - 1).map(|i| STRS[i].to_string()),
+            Gen::i64_in(-50..=50).map(|i| i.to_string()),
+            Gen::printable(4),
+        ]);
+        Gen::one_of(vec![
+            Gen::just(Cell::Null),
+            Gen::bool_any().map(Cell::Bool),
+            Gen::i64_in(-3..=12).map(Cell::Int),
+            floats.map(Cell::Float),
+            strings.map(Cell::from),
+        ])
+    }
+
+    /// The pre-parsed sort-key comparison is `Cell::total_cmp`, both ways
+    /// round, on every pair of variants.
+    #[test]
+    fn sort_key_comparison_is_cell_total_cmp() {
+        let pairs = Gen::tuple2(cell_gen(), cell_gen());
+        prop::check(
+            "sort_key_comparison_is_cell_total_cmp",
+            &prop::Config::with_cases(4000),
+            &pairs,
+            |(a, b)| {
+                let (ka, kb) = (SortKey::new(a.clone()), SortKey::new(b.clone()));
+                prop_assert_eq!(ka.cmp(&kb), a.total_cmp(b));
+                prop_assert_eq!(kb.cmp(&ka), b.total_cmp(a));
+                Ok(())
+            },
+        );
+    }
+
+    /// Rows whose keys tie keep their input order, in either direction and
+    /// under a second key that ties too.
+    #[test]
+    fn sort_keeps_input_order_on_ties() {
+        // Numerically equal keys spelled differently, and a NULL pair.
+        let keys = ["12", " 12", "12.0", "abc", "12", "abc"];
+        let mut rows: Vec<Vec<Cell>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| vec![Cell::from(*k), Cell::Int(i as i64 % 2), Cell::Int(i as i64)])
+            .collect();
+        rows.push(vec![Cell::Null, Cell::Int(0), Cell::Int(6)]);
+        rows.push(vec![Cell::Null, Cell::Int(0), Cell::Int(7)]);
+        let order = |keys: &[(Expr, bool)]| -> Vec<i64> {
+            sort_rows(rows.clone(), keys, JsonParserKind::Jackson, &mut m())
+                .unwrap()
+                .iter()
+                .map(|r| r[2].coerce_i64().unwrap())
+                .collect()
+        };
+        assert_eq!(order(&[(Expr::Column(0), true)]), [6, 7, 0, 1, 2, 4, 3, 5]);
+        assert_eq!(order(&[(Expr::Column(0), false)]), [3, 5, 0, 1, 2, 4, 6, 7]);
+        assert_eq!(
+            order(&[(Expr::Column(0), true), (Expr::Column(1), true)]),
+            [6, 7, 0, 2, 4, 1, 3, 5]
+        );
+    }
+
+    /// Bare columns handed to the output — named twice, read by the filter,
+    /// read by an evaluated output, or read by nothing else — give the rows
+    /// and the conversion count of evaluating every output, over columnar
+    /// and row-major batches at one and four threads.
+    #[test]
+    fn bare_columns_are_handed_over_once() {
+        let schema = Schema::new(vec![
+            Field::new("a", ColumnType::Int64),
+            Field::new("b", ColumnType::Utf8),
+            Field::new("c", ColumnType::Utf8),
+        ])
+        .unwrap();
+        let rows: Vec<Vec<Cell>> = (0..10)
+            .map(|i| {
+                vec![
+                    Cell::Int(i),
+                    if i % 4 == 1 {
+                        Cell::Null
+                    } else {
+                        Cell::from(format!("b{i}"))
+                    },
+                    Cell::from(format!("c{}", i % 3)),
+                ]
+            })
+            .collect();
+        let plus_one = Expr::Binary {
+            left: Box::new(Expr::Column(0)),
+            op: BinaryOp::Add,
+            right: Box::new(Expr::Literal(Cell::Int(1))),
+        };
+        let exprs: Vec<(Expr, String)> = [
+            Expr::Column(1),
+            Expr::Column(0),
+            Expr::Column(1),
+            plus_one,
+            Expr::Column(2),
+            Expr::Column(0),
+        ]
+        .into_iter()
+        .map(|e| (e, String::new()))
+        .collect();
+        let predicate = Expr::Binary {
+            left: Box::new(Expr::Column(2)),
+            op: BinaryOp::NotEq,
+            right: Box::new(Expr::Literal(Cell::from("c1"))),
+        };
+        let expected: Vec<Vec<Cell>> = rows
+            .iter()
+            .filter(|r| r[2] != Cell::from("c1"))
+            .map(|r| {
+                let a = r[0].coerce_i64().unwrap();
+                vec![
+                    r[1].clone(),
+                    r[0].clone(),
+                    r[1].clone(),
+                    Cell::Int(a + 1),
+                    r[2].clone(),
+                    r[0].clone(),
+                ]
+            })
+            .collect();
+        for columnar in [true, false] {
+            for threads in [1, 4] {
+                let provider = Columns {
+                    schema: schema.clone(),
+                    splits: vec![rows[..6].to_vec(), rows[6..].to_vec()],
+                    columnar,
+                };
+                let plan = LogicalPlan::Project {
+                    input: Box::new(LogicalPlan::Filter {
+                        predicate: predicate.clone(),
+                        input: Box::new(LogicalPlan::Scan {
+                            provider: Box::new(provider),
+                        }),
+                    }),
+                    exprs: exprs.clone(),
+                    schema: schema.clone(),
+                };
+                let mut metrics = m();
+                let out = execute_plan_with(
+                    &plan,
+                    JsonParserKind::Jackson,
+                    &mut metrics,
+                    ExecOptions::with_threads(threads),
+                )
+                .unwrap();
+                assert_eq!(out, expected, "columnar={columnar} threads={threads}");
+                // Columnar: the filter's column for all ten rows, then `a`
+                // and `b` once each for the seven kept rows.
+                let cells = if columnar { 10 + 2 * 7 } else { 0 };
+                assert_eq!(metrics.cells_materialized, cells, "columnar={columnar}");
+            }
+        }
+    }
+
+    /// A provider handing out its splits as columnar or row-major batches.
+    #[derive(Debug)]
+    struct Columns {
+        schema: Schema,
+        splits: Vec<Vec<Vec<Cell>>>,
+        columnar: bool,
+    }
+
+    impl ScanProvider for Columns {
+        fn schema(&self) -> &Schema {
+            &self.schema
+        }
+        fn split_count(&self) -> usize {
+            self.splits.len()
+        }
+        fn scan_split(&self, split: usize, _m: &mut ExecMetrics) -> crate::error::Result<Batch> {
+            let rows = self.splits[split].clone();
+            if !self.columnar {
+                return Ok(Batch::from_rows(rows));
+            }
+            let cols = self
+                .schema
+                .fields()
+                .iter()
+                .enumerate()
+                .map(|(c, f)| {
+                    let mut col = ColumnData::empty(f.ty);
+                    for row in &rows {
+                        col.push(&row[c], &f.name).unwrap();
+                    }
+                    col
+                })
+                .collect();
+            Ok(Batch::from_columns(cols))
+        }
+        fn label(&self) -> String {
+            "Columns".into()
+        }
     }
 
     #[test]

@@ -245,6 +245,40 @@ impl ColumnData {
         }
     }
 
+    /// Move the values of `rows` (strictly ascending indexes) out as cells,
+    /// leaving this column empty: a string cell takes the column's `Arc`
+    /// instead of sharing it, and the values of other rows are dropped.
+    pub fn take_cells(&mut self, rows: &[u32]) -> Vec<Cell> {
+        fn take<T>(
+            valid: &mut Vec<bool>,
+            values: &mut Vec<T>,
+            rows: &[u32],
+            cell: fn(T) -> Cell,
+        ) -> Vec<Cell> {
+            let valid = std::mem::take(valid);
+            let mut values = std::mem::take(values).into_iter();
+            let mut next = 0;
+            rows.iter()
+                .map(|&row| {
+                    let row = row as usize;
+                    let value = values.nth(row - next).expect("row index in range");
+                    next = row + 1;
+                    if valid[row] {
+                        cell(value)
+                    } else {
+                        Cell::Null
+                    }
+                })
+                .collect()
+        }
+        match self {
+            ColumnData::Int64 { valid, values } => take(valid, values, rows, Cell::Int),
+            ColumnData::Float64 { valid, values } => take(valid, values, rows, Cell::Float),
+            ColumnData::Utf8 { valid, values } => take(valid, values, rows, Cell::Str),
+            ColumnData::Bool { valid, values } => take(valid, values, rows, Cell::Bool),
+        }
+    }
+
     /// Encode into `out`. Layout: null bitmap, then type-specific stream.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -547,6 +581,40 @@ mod tests {
         let back = round_trip(&b);
         assert_eq!(back.get(0), Cell::Bool(true));
         assert_eq!(back.get(2), Cell::Null);
+    }
+
+    /// The taken cells are the selected rows' `get`, and a string cell is
+    /// the column's own buffer, not a second reference to it.
+    #[test]
+    fn take_cells_moves_the_selected_values_out() {
+        let mut ints = ColumnData::empty(ColumnType::Int64);
+        let mut strs = ColumnData::empty(ColumnType::Utf8);
+        for i in 0..6 {
+            let null = i % 4 == 3;
+            ints.push(&if null { Cell::Null } else { Cell::Int(i) }, "c")
+                .unwrap();
+            strs.push(
+                &if null {
+                    Cell::Null
+                } else {
+                    Cell::from(format!("s{i}"))
+                },
+                "c",
+            )
+            .unwrap();
+        }
+        let rows = [1, 3, 4, 5];
+        for col in [&mut ints, &mut strs] {
+            let expected: Vec<Cell> = rows.iter().map(|&r| col.get(r as usize)).collect();
+            assert_eq!(col.take_cells(&rows), expected);
+            assert_eq!(col.len(), 0, "the column is left empty");
+        }
+        let mut one = ColumnData::empty(ColumnType::Utf8);
+        one.push(&Cell::from("only"), "c").unwrap();
+        let Cell::Str(s) = &one.take_cells(&[0])[0] else {
+            panic!("a string cell");
+        };
+        assert_eq!(Arc::strong_count(s), 1);
     }
 
     #[test]

@@ -164,6 +164,7 @@ fn scan_filter_hot_loop_allocations_per_row() {
     assert_cache_build_allocations_per_row();
     assert_plain_encoded_cache_allocations_per_row();
     assert_top_n_holds_only_kept_documents();
+    assert_unique_group_by_allocations_per_row();
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -309,9 +310,9 @@ fn assert_maxson_rewritten_allocations_per_row(session: &mut Session, root: &Pat
 }
 
 /// Ceiling for the top-N stitch in allocations per scanned row: a
-/// projected row and a sort key per row, and a document parse for the
-/// fifty kept rows only (measured 2.2). Parsing every row before the sort
-/// measured 13.1.
+/// projected row per row, and a document parse for the fifty kept rows
+/// only (measured 2.2 with a key vector per row, 1.2 with every row's keys
+/// in one list). Parsing every row before the sort measured 13.1.
 const TOP_N_STITCH_ALLOCS_PER_ROW_CEILING: f64 = 4.0;
 
 /// Run one midnight cycle that caches `paths` of `db.t.payload`: two daily
@@ -485,6 +486,57 @@ fn assert_top_n_holds_only_kept_documents() {
         share <= TOP_N_HELD_SHARE_CEILING,
         "a top-N held {held} bytes at peak, {share:.3} of the table's {doc_bytes} document \
          bytes (ceiling {TOP_N_HELD_SHARE_CEILING}): dropped rows' documents outlive their batch"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Rows of the high-cardinality `GROUP BY` table, one group each.
+const GROUP_ROWS: i64 = 4096;
+
+/// Ceiling for a `GROUP BY` over unique keys with `SUM` and `COUNT`, in
+/// allocations per input row: the evaluated key, the group's states, the
+/// `SUM` addend list and the output row. Measured 7.05 when each group
+/// cloned its key for the group map and again for the first-seen order
+/// list, and grew the key into its output row; 4.05 with the evaluated key
+/// owned by the group index alone, sized for the output row.
+const UNIQUE_GROUP_BY_ALLOCS_PER_ROW_CEILING: f64 = 5.5;
+
+/// A group-by whose every row opens a group pays its per-group costs once
+/// a row. Called from the one test above, like the cells before it.
+fn assert_unique_group_by_allocations_per_row() {
+    let root = temp_root("groupby");
+    let mut session = Session::open(&root).unwrap();
+    let schema = Schema::new(vec![
+        Field::new("id", ColumnType::Int64),
+        Field::new("v", ColumnType::Int64),
+    ])
+    .unwrap();
+    {
+        let mut catalog = session.catalog_mut();
+        let table = catalog.create_table("db", "g", schema, 0).unwrap();
+        let rows: Vec<Vec<Cell>> = (0..GROUP_ROWS)
+            .map(|i| vec![Cell::Int(i), Cell::Int(i % 7)])
+            .collect();
+        table
+            .append_file(&rows, WriteOptions::default(), 1)
+            .unwrap();
+    }
+    session.set_threads(Some(1));
+    let sql = "select id, sum(v) as s, count(*) as n from db.g group by id";
+    assert_eq!(
+        session.execute(sql).unwrap().rows.len(),
+        GROUP_ROWS as usize
+    );
+    let before = allocation_count();
+    let result = session.execute(sql).unwrap();
+    let allocs = allocation_count() - before;
+    assert_eq!(result.rows.len(), GROUP_ROWS as usize);
+    let per_row = allocs as f64 / GROUP_ROWS as f64;
+    eprintln!("alloc_regression: unique-key group-by {per_row:.4} allocs/row ({allocs} total)");
+    assert!(
+        per_row <= UNIQUE_GROUP_BY_ALLOCS_PER_ROW_CEILING,
+        "unique-key group-by allocations per row regressed: {per_row:.3} \
+         (ceiling {UNIQUE_GROUP_BY_ALLOCS_PER_ROW_CEILING})"
     );
     std::fs::remove_dir_all(&root).ok();
 }

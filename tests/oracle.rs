@@ -29,13 +29,16 @@ mod support;
 use std::path::Path;
 
 use maxson_datagen::tables::{query_paths, schema_paths, table_specs};
+use maxson_engine::session::{JsonParserKind, Session};
 use maxson_engine::ExecMetrics;
+use maxson_storage::Cell;
 use support::cells::{
-    assert_counter_rules, check_cell, covering_array, parser_thread_cells, Case, ConfigCell,
-    PARSERS,
+    assert_agrees, assert_counter_rules, check, check_cell, covering_array, parser_thread_cells,
+    property_agrees, Case, ConfigCell, PARSERS,
 };
 use support::oracle::Oracle;
 use support::sqlgen::{render, Generator, Source};
+use support::{bench_data_root, GOLDEN_QUERIES, NOBENCH_QUERIES};
 
 const DEFAULT_SEED: u64 = 0x0A11_CE5E_ED00_0022;
 
@@ -322,4 +325,175 @@ fn nobench_pinned_and_generated_statements_agree_with_the_oracle_in_every_cell()
     cases.extend(generated(&oracle, &sources, seed ^ 1, GENERATED_TEMPORARY));
     sweep(&root, &cases, seed, true);
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// Statements whose select list names one column or JSONPath twice —
+/// under a `WHERE` that rejects rows and without one — and whose sort keys
+/// are strings that sort as numbers (padded, `NaN`, `inf`, `-0`, an
+/// exponent) or as text, JSON nulls and missing values (`db.mixed`'s
+/// `$.t`, cached in rewritten cells).
+const REPEATED_AND_MIXED: [&str; 13] = [
+    "select id as a, id as b from db.mixed",
+    "select id as a, tag, id as b from db.mixed where date <> 20190105",
+    "select tag as a, tag as b from db.mixed where score > 5",
+    "select date as a, id, date as b from db.mixed where date > 20190110",
+    "select get_json_object(payload, '$.name') as x, get_json_object(payload, '$.name') as y \
+     from db.mixed",
+    "select get_json_object(payload, '$.name') as x, id, get_json_object(payload, '$.name') as y \
+     from db.mixed where get_json_object(payload, '$.v') > 40",
+    "select get_json_object(payload, '$.str1') as x, get_json_object(payload, '$.str1') as y, \
+     get_json_object(payload, '$.dyn1') as d from nb.docs where id % 3 <> 1",
+    "select id, get_json_object(payload, '$.t') as t from db.mixed \
+     order by get_json_object(payload, '$.t'), id",
+    "select id, get_json_object(payload, '$.t') as t from db.mixed order by t desc, id desc",
+    "select get_json_object(payload, '$.t') as t, count(*) as n from db.mixed \
+     group by get_json_object(payload, '$.t') order by t",
+    "select tag, get_json_object(payload, '$.t') as t from db.mixed where id < 70 \
+     order by get_json_object(payload, '$.t') desc limit 7",
+    "select id, get_json_object(payload, '$.w') as w from db.mixed \
+     order by get_json_object(payload, '$.t') limit 9",
+    "select id as a, id as b, get_json_object(payload, '$.t') as t from db.mixed \
+     where get_json_object(payload, '$.t') is not null order by t, id",
+];
+
+/// Generated repeated-output statements, half of them under a `WHERE`.
+const GENERATED_REPEATED: usize = 12;
+
+/// Repeated outputs and mixed sort keys in plain and rewritten cells, every
+/// parser at one and four threads: the fixed statements above and
+/// statements of the generator's repeated-output production.
+#[test]
+fn repeated_outputs_and_mixed_sort_keys_agree_with_the_oracle_plain_and_rewritten() {
+    let seed = seed();
+    let root = support::generated_warehouse("oracle-repeated");
+    let oracle = Oracle::new(&root);
+    let mut cases: Vec<Case> = REPEATED_AND_MIXED
+        .iter()
+        .enumerate()
+        .flat_map(|(i, sql)| Case::spellings(&oracle, &format!("repeated #{i}"), sql))
+        .collect();
+    let sources = [
+        Source::sample(
+            &oracle,
+            "nb",
+            "docs",
+            "payload",
+            &["$.str1", "$.num", "$.dyn1", "$.nested_obj.str"],
+            &[],
+        ),
+        Source::sample(
+            &oracle,
+            "db",
+            "mixed",
+            "payload",
+            &["$.t", "$.name", "$.k", "$.w"],
+            &[],
+        ),
+    ];
+    let mut generator = Generator::new(seed ^ 2, &sources);
+    for i in 0..GENERATED_REPEATED {
+        let stmt = generator.repeated_output(i % 2 == 0);
+        let label = format!("generated repeated #{i}");
+        cases.extend(Case::spellings_of(&oracle, &label, &stmt, render(&stmt)));
+    }
+    let cells: Vec<ConfigCell> = [false, true]
+        .into_iter()
+        .flat_map(|rewritten| {
+            parser_thread_cells(&PARSERS, &[1, 4])
+                .into_iter()
+                .map(move |cell| ConfigCell { rewritten, ..cell })
+        })
+        .collect();
+    check(&root, &cells, &cases, &context(seed));
+    std::fs::remove_dir_all(&root).ok();
+}
+
+// Intra-query shared parse: the engine parses each JSON document once per
+// row however many paths a statement evaluates, and still returns what
+// the oracle — which parses once per call — returns, under Jackson and
+// Mison at one and four threads. A Fig. 15-shaped statement reaches a
+// four-fold dedup factor. Parsers and thread counts are pinned per
+// session, so parallel test binaries cannot race on process-global state.
+
+const SHARED_PARSE_PARSERS: [JsonParserKind; 2] = [JsonParserKind::Jackson, JsonParserKind::Mison];
+
+fn shared_parse_cells(rewritten: bool) -> Vec<ConfigCell> {
+    parser_thread_cells(&SHARED_PARSE_PARSERS, &[1, 4])
+        .into_iter()
+        .map(|cell| ConfigCell { rewritten, ..cell })
+        .collect()
+}
+
+#[test]
+fn golden_queries_identical_with_and_without_shared_parse_plain() {
+    assert_agrees(
+        &bench_data_root(),
+        &GOLDEN_QUERIES,
+        &shared_parse_cells(false),
+    );
+}
+
+#[test]
+fn golden_queries_identical_with_and_without_shared_parse_rewritten() {
+    assert_agrees(
+        &bench_data_root(),
+        &GOLDEN_QUERIES,
+        &shared_parse_cells(true),
+    );
+}
+
+#[test]
+fn nobench_workload_identical_with_and_without_shared_parse() {
+    let root = support::nobench_table("nobench", 240, 4);
+    assert_agrees(&root, &NOBENCH_QUERIES, &shared_parse_cells(false));
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A Fig. 15-shaped query — JSON predicate plus three more paths on the
+/// same column — must reach a >=4x intra-query dedup factor: four
+/// evaluations per row served by one parse.
+#[test]
+fn fig15_shape_reaches_4x_dedup_factor() {
+    let root = support::temp_root("dedup4x");
+    let mut session = Session::open(&root).unwrap();
+    let docs: Vec<(i64, String)> = (0..120)
+        .map(|i| {
+            let doc = format!(
+                r#"{{"a": {i}, "b": "s{i}", "c": {}, "v": {}}}"#,
+                i * 2,
+                i % 5
+            );
+            (i, doc)
+        })
+        .collect();
+    support::json_table(&mut session, "db", "t", &[docs], 1024);
+
+    let sql = "select get_json_object(payload, '$.a') as a, \
+               get_json_object(payload, '$.b') as b, \
+               get_json_object(payload, '$.c') as c from db.t \
+               where get_json_object(payload, '$.v') >= 0";
+    for parser in SHARED_PARSE_PARSERS {
+        session.set_parser_kind(parser);
+        session.set_threads(Some(1));
+        let result = session.execute(sql).unwrap();
+        assert_eq!(result.rows.len(), 120);
+        assert_eq!(result.rows[7][1], Cell::from("s7"), "{parser:?}");
+        assert_eq!(result.metrics.parse_calls, 480, "4 evaluations per row");
+        assert_eq!(result.metrics.docs_parsed, 120, "1 parse per row");
+        assert!(
+            result.metrics.parse_dedup_factor() >= 4.0,
+            "{parser:?}: dedup {:.2}x",
+            result.metrics.parse_dedup_factor()
+        );
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn property_random_json_queries_shared_equals_naive() {
+    property_agrees(
+        "one_parse_per_row_equals_oracle",
+        10,
+        &shared_parse_cells(false),
+    );
 }

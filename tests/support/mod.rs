@@ -153,7 +153,9 @@ pub const NOBENCH_QUERIES: [&str; 10] = [
 /// `db.mixed(id, date, score, tag, payload)`: NULLs in every column, a
 /// string column holding numbers, empty strings and words, and documents
 /// whose `$.k` is a number, a string, a boolean, JSON null, an array or
-/// missing — plus malformed and NULL documents. Three splits.
+/// missing, and whose `$.t` is a string that sorts as a number (padded,
+/// `NaN`, `inf`, `-0`, an exponent) or as text, JSON null or missing —
+/// plus malformed and NULL documents. Three splits.
 fn add_mixed(session: &mut Session) {
     let schema = Schema::new(vec![
         Field::new("id", ColumnType::Int64),
@@ -164,6 +166,9 @@ fn add_mixed(session: &mut Session) {
     ])
     .unwrap();
     let tags = ["red", "12", "", "Red", "7.5", "blue"];
+    let sorts = [
+        "12", " 12", "NaN", "inf", "-0", "0", "abc", "7.5", "-inf", "Red", "1e3", "12.0", "",
+    ];
     let mut catalog = session.catalog_mut();
     let table = catalog.create_table("db", "mixed", schema, 0).unwrap();
     for file in 0..3i64 {
@@ -178,12 +183,16 @@ fn add_mixed(session: &mut Session) {
                     5 => format!("{}.25", i % 4),
                     _ => "\"word\"".to_string(),
                 };
+                let t = match i % 15 {
+                    14 => "null".to_string(),
+                    n => format!("\"{}\"", sorts[n as usize % sorts.len()]),
+                };
                 let payload = match i % 13 {
                     5 => Cell::Null,
                     9 => Cell::from("{broken"),
                     11 => Cell::from(format!(r#"{{"v": {i}, "name": "n{}"}}"#, i % 4)),
                     _ => Cell::from(format!(
-                        r#"{{"k": {k}, "v": {i}, "name": "n{}", "w": "w-{i}", "obj": {{"a": {}, "b": "s{}"}}}}"#,
+                        r#"{{"k": {k}, "v": {i}, "name": "n{}", "w": "w-{i}", "t": {t}, "obj": {{"a": {}, "b": "s{}"}}}}"#,
                         i % 4,
                         i % 6,
                         i % 3
@@ -296,7 +305,8 @@ pub fn cache_paths(session: &mut Session, root: &Path, paths: &[(&str, &str, &st
 
 /// A temporary warehouse holding `nb.docs` (240 NoBench rows over four
 /// splits) and `db.mixed`, with `$.str1`, `$.num`, `$.str2` and `$.k`,
-/// `$.v`, `$.name` cached — every other path of theirs stitches from raw.
+/// `$.v`, `$.name`, `$.t` cached — every other path of theirs stitches from
+/// raw.
 pub fn generated_warehouse(name: &str) -> PathBuf {
     let root = temp_root(name);
     let mut session = Session::open(&root).unwrap();
@@ -312,6 +322,7 @@ pub fn generated_warehouse(name: &str) -> PathBuf {
             ("db", "mixed", "$.k"),
             ("db", "mixed", "$.v"),
             ("db", "mixed", "$.name"),
+            ("db", "mixed", "$.t"),
         ],
     );
     root

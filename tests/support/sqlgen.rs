@@ -9,7 +9,8 @@
 //! BY` / `HAVING` / `ORDER BY` / `LIMIT` / `DISTINCT` and `*`, over raw
 //! columns and over JSONPaths the cache holds and does not hold. Literals
 //! are drawn from the data, so comparisons land on row-group and row
-//! boundaries.
+//! boundaries. [`Generator::repeated_output`] draws statements that name one
+//! column or JSONPath twice in the select list.
 
 use std::collections::BTreeSet;
 
@@ -643,6 +644,53 @@ impl<'a> Generator<'a> {
             stmt.limit = Some(self.below(25));
         }
         stmt
+    }
+
+    /// A statement whose select list names one atom twice — a raw column or
+    /// a JSONPath, with another output between them half the time — under
+    /// a `WHERE` when `filtered`, ordered by one or two atoms half the time.
+    /// Under the rewriter a repeated cached path is one cache column read
+    /// twice.
+    pub fn repeated_output(&mut self, filtered: bool) -> SelectStatement {
+        self.source = self.pick_source();
+        self.qualifiers = &[None];
+        let x = self.atom().0;
+        let mut outputs = vec![x.clone()];
+        if self.chance(0.5) {
+            outputs.push(self.scalar(1));
+        }
+        outputs.push(x);
+        let where_clause = filtered.then(|| self.predicate(1));
+        let order_by = match self.chance(0.5) {
+            true => (0..=self.below(2))
+                .map(|_| OrderItem {
+                    expr: self.atom().0,
+                    asc: self.chance(0.5),
+                })
+                .collect(),
+            false => Vec::new(),
+        };
+        SelectStatement {
+            distinct: false,
+            items: (0..)
+                .zip(outputs)
+                .map(|(i, expr)| SelectItem::Expr {
+                    expr,
+                    alias: Some(format!("c{i}")),
+                })
+                .collect(),
+            from: TableRef {
+                database: self.source.database.clone(),
+                table: self.source.table.clone(),
+                alias: None,
+            },
+            join: None,
+            where_clause,
+            group_by: Vec::new(),
+            having: None,
+            order_by,
+            limit: self.chance(0.3).then(|| self.below(25)),
+        }
     }
 
     fn pick_source(&mut self) -> &'a Source {
