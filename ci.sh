@@ -47,16 +47,10 @@ MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig15_pa
 # serial reference), then shuts down cleanly and proves no thread leaked.
 cargo run --release --offline -p maxson-server --bin server_smoke
 
-# Serving smoke (fast mode): multi-client replay through the server after a
-# midnight cycle; asserts byte-identical results, zero footer-cache misses
-# in steady state, and reports QPS/p99 per client count.
-MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig_serving
-
-# Reuse-cache smoke (fast mode): repeat-heavy / Zipf / no-repeat mixes
-# through the server with the reuse cache on; asserts hit p50 >= 5x below
-# cold p50, byte-identical responses, bytes within budget, and zero stale
-# hits across a mid-stream epoch swap.
-MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig_reuse
+# Serving performance is judged by perfbench's serve_zipf workload alone
+# (its reuse hit/miss p50 included); what a served run must get right —
+# identical results, zero footer-cache misses in steady state, no stale
+# reuse hit across an epoch swap — is asserted by the server_* tests above.
 
 rm -rf "$MAXSON_BENCH_RESULTS"
 git diff --quiet -- bench-results bench-data || {

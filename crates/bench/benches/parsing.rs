@@ -108,8 +108,7 @@ fn bench_tape_build(runner: &BenchRunner) -> Report {
 }
 
 /// Structural-bitmap construction throughput per kernel tier the CPU runs,
-/// over the padded documents: pure kernel time, so tiers compare directly
-/// (the SSE2-between-AVX2-and-SWAR question is answered here).
+/// over the padded documents: pure kernel time, so tiers compare directly.
 fn bench_bitmap_tiers(runner: &BenchRunner) -> Report {
     let mut report = Report::new(
         "bench-parsing-bitmap-tiers",

@@ -7,7 +7,7 @@
 //! both tables are materialized in full, keyed by their global row number,
 //! and hash-joined back together.
 //!
-//! Differences from [`crate::combiner::CombinedScanProvider`]:
+//! Differences from [`maxson::combiner::CombinedScanProvider`]:
 //!
 //! * every row of both tables is read (no shared row-group skipping — a
 //!   SARG on the cache table cannot restrict the raw side, because rows
@@ -122,7 +122,7 @@ impl ScanProvider for JoinStitchProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::combiner::CombinedScanProvider;
+    use maxson::combiner::CombinedScanProvider;
     use maxson_engine::scan::scan_rows;
     use maxson_storage::file::WriteOptions;
     use maxson_storage::{ColumnType, Field};

@@ -54,9 +54,13 @@ pub struct OnlineLruRewriter {
 impl OnlineLruRewriter {
     /// Open over `session`'s warehouse with a byte budget, reading part
     /// files through the session's footer cache.
-    pub fn open(session: &Session, budget_bytes: u64) -> crate::Result<Self> {
+    pub fn open(session: &Session, budget_bytes: u64) -> maxson_storage::Result<Self> {
+        let catalog = {
+            let current = session.catalog();
+            Catalog::open_with_cache(current.root(), Arc::clone(current.meta_cache()))?
+        };
         Ok(OnlineLruRewriter {
-            catalog: crate::rewriter::session_catalog(session)?,
+            catalog,
             budget_bytes,
             state: Arc::new(Mutex::new(LruState::default())),
             tracer: Tracer::disabled(),

@@ -7,7 +7,7 @@
 //! hash table per row.
 
 use maxson::combiner::CombinedScanProvider;
-use maxson::JoinStitchProvider;
+use maxson_bench::baselines::JoinStitchProvider;
 use maxson_bench::{Report, Series};
 use maxson_engine::metrics::ExecMetrics;
 use maxson_engine::scan::{scan_rows, ScanProvider};

@@ -7,9 +7,12 @@
 //! * [`workload`] — building the ten Table II tables in a reusable
 //!   warehouse directory and timing query sets under different systems
 //!   (Spark+Jackson, Spark+Mison, Maxson, Maxson+Mison, online LRU),
+//! * [`baselines`] — the online-LRU cache and the row-number join stitch
+//!   the paper compares Maxson against (Fig. 14, the combiner ablation),
 //! * [`report`] — aligned text tables and a machine-readable JSON dump of
 //!   every experiment's series, written under `bench-results/`.
 
+pub mod baselines;
 pub mod report;
 pub mod workload;
 

@@ -9,13 +9,15 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use maxson::mpjp::PredictorKind;
-use maxson::{MaxsonPipeline, OnlineLruRewriter, PipelineConfig, ScoringStrategy};
+use maxson::{MaxsonPipeline, PipelineConfig, ScoringStrategy};
 use maxson_datagen::tables::{load_workload_tables, QuerySpec, WorkloadConfig};
 use maxson_engine::session::{JsonParserKind, Session};
 use maxson_engine::ExecMetrics;
 use maxson_storage::Catalog;
 use maxson_trace::model::RecurrenceClass;
 use maxson_trace::{JsonPathLocation, QueryRecord};
+
+use crate::baselines::OnlineLruRewriter;
 
 /// The systems compared across the evaluation figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,16 +2,15 @@
 //!
 //! Physical expressions reference input columns by *index* into the
 //! operator's input schema. `GetJsonObject` is the expression where JSON
-//! parsing happens — its evaluation time is charged to
+//! parsing happens — answered from the row's shared-parse slots
+//! ([`crate::extract`]), whose parse time is charged to
 //! [`ExecMetrics::parse`], which is how the engine reproduces the paper's
 //! parse-cost measurements. Maxson's Algorithm 1 rewrite replaces
 //! `GetJsonObject` nodes with plain `Column` references into cache-provided
 //! slots, making the parse cost vanish.
 
 use std::cmp::Ordering;
-use std::time::Instant;
 
-use maxson_json::mison::MisonProjector;
 use maxson_json::JsonPath;
 use maxson_storage::Cell;
 
@@ -169,9 +168,10 @@ impl Expr {
     }
 
     /// Evaluate against one row. JSON parse time is charged to `metrics`.
-    /// `GetJsonObject` nodes are answered from the shared-parse `slots`
-    /// when provided (and covered); uncovered pairs — and `slots: None` —
-    /// fall back to a per-call parse.
+    /// A `GetJsonObject` over a string is answered from the shared-parse
+    /// `slots`, which every caller builds from the expressions it
+    /// evaluates; a call they do not cover (or `slots: None`) is an
+    /// execution error, never a parse of its own.
     pub fn eval_with(
         &self,
         row: &[Cell],
@@ -192,39 +192,15 @@ impl Expr {
                 let Cell::Str(json) = cell else {
                     return Ok(Cell::Null);
                 };
-                if let Some(slots) = slots {
-                    if let Some(extracted) = slots.get(json, *column, path, parser, metrics) {
-                        return Ok(extracted.map_or(Cell::Null, Cell::from));
-                    }
-                }
-                let kernels_before = maxson_json::kernels::thread_build_stats();
-                let start = Instant::now();
-                let cell = match parser {
-                    JsonParserKind::Jackson => {
-                        maxson_json::get_json_object(json, path).map_or(Cell::Null, Cell::from)
-                    }
-                    JsonParserKind::Mison => {
-                        MisonProjector::project_path(json, path).map_or(Cell::Null, Cell::from)
-                    }
-                    JsonParserKind::Tape => {
-                        let tape = maxson_json::tape::TapeDoc::build(json).ok();
-                        let built = start.elapsed();
-                        metrics.tape_build_wall += built;
-                        let mut stats = maxson_json::tape::TapeStats::default();
-                        let out = tape.as_ref().and_then(|t| t.eval_path(path, &mut stats));
-                        metrics.tape_nav_wall += start.elapsed().saturating_sub(built);
-                        metrics.nodes_skipped += stats.nodes_skipped;
-                        out.map_or(Cell::Null, Cell::from)
-                    }
-                };
-                let spent = start.elapsed();
-                metrics.parse += spent;
-                metrics.parse_wall += spent;
-                metrics.parse_calls += 1;
-                metrics.docs_parsed += 1;
-                metrics.charge_path_extract(path.text());
-                metrics.charge_bitmap_builds(kernels_before);
-                Ok(cell)
+                slots
+                    .and_then(|slots| slots.get(json, *column, path, parser, metrics))
+                    .map(|extracted| extracted.map_or(Cell::Null, Cell::from))
+                    .ok_or_else(|| {
+                        EngineError::exec(format!(
+                            "get_json_object(#{column}, '{}') is not covered by the row's extractor",
+                            path.text()
+                        ))
+                    })
             }
             Expr::Binary { left, op, right } => {
                 let l = left.eval_with(row, parser, metrics, slots)?;
@@ -655,80 +631,101 @@ mod tests {
             .is_err());
     }
 
+    fn json(column: usize, path: &str) -> Expr {
+        Expr::GetJsonObject {
+            column,
+            path: JsonPath::parse(path).unwrap(),
+        }
+    }
+
+    /// Evaluate `exprs` over `row` with one row's slots built from them.
+    fn eval_over_slots(
+        exprs: &[Expr],
+        row: &[Cell],
+        parser: JsonParserKind,
+        m: &mut ExecMetrics,
+    ) -> Vec<Cell> {
+        let ex = crate::extract::JsonExtractor::from_exprs(exprs).unwrap();
+        let slots = crate::extract::RowSlots::new(&ex);
+        exprs
+            .iter()
+            .map(|e| e.eval_with(row, parser, m, Some(&slots)).unwrap())
+            .collect()
+    }
+
     #[test]
     fn get_json_object_charges_parse_time() {
         let row = vec![Cell::Str(r#"{"a": {"b": 42}}"#.into())];
-        let e = Expr::GetJsonObject {
-            column: 0,
-            path: JsonPath::parse("$.a.b").unwrap(),
-        };
+        let e = [json(0, "$.a.b")];
         let mut m = ExecMetrics::default();
         for _ in 0..10 {
-            assert_eq!(
-                e.eval_with(&row, JsonParserKind::Jackson, &mut m, None)
-                    .unwrap(),
-                Cell::Str("42".into())
-            );
+            let got = eval_over_slots(&e, &row, JsonParserKind::Jackson, &mut m);
+            assert_eq!(got, vec![Cell::Str("42".into())]);
         }
         assert_eq!(m.parse_calls, 10);
-        assert_eq!(m.docs_parsed, 10, "without slots every call parses");
+        assert_eq!(m.docs_parsed, 10, "each row's slots parse once");
         assert!(m.parse > std::time::Duration::ZERO);
     }
 
-    /// Shared-parse slots must change the counters (one parse, many calls)
-    /// without changing any result.
+    /// One row's slots answer every path over a column from one parse.
     #[test]
     fn eval_with_slots_shares_one_parse_across_paths() {
-        use crate::extract::{JsonExtractor, RowSlots};
         let row = vec![Cell::Str(r#"{"a": {"b": 42}, "c": "x"}"#.into())];
-        let paths = ["$.a.b", "$.c", "$.missing"];
-        let exprs: Vec<Expr> = paths
-            .iter()
-            .map(|p| Expr::GetJsonObject {
-                column: 0,
-                path: JsonPath::parse(p).unwrap(),
-            })
-            .collect();
-        let ex = JsonExtractor::from_exprs(exprs.iter()).unwrap();
+        let exprs = [json(0, "$.a.b"), json(0, "$.c"), json(0, "$.missing")];
         for parser in [
             JsonParserKind::Jackson,
             JsonParserKind::Mison,
             JsonParserKind::Tape,
         ] {
-            let mut shared_m = ExecMetrics::default();
-            let slots = RowSlots::new(&ex);
-            let shared: Vec<Cell> = exprs
-                .iter()
-                .map(|e| {
-                    e.eval_with(&row, parser, &mut shared_m, Some(&slots))
-                        .unwrap()
-                })
-                .collect();
-            let mut per_call_m = ExecMetrics::default();
-            let per_call: Vec<Cell> = exprs
-                .iter()
-                .map(|e| e.eval_with(&row, parser, &mut per_call_m, None).unwrap())
-                .collect();
-            assert_eq!(shared, per_call, "{parser:?}");
-            assert_eq!(shared_m.parse_calls, per_call_m.parse_calls);
-            assert_eq!(shared_m.docs_parsed, 1);
-            assert_eq!(per_call_m.docs_parsed, 3);
+            let mut m = ExecMetrics::default();
+            let got = eval_over_slots(&exprs, &row, parser, &mut m);
+            let want = vec![Cell::Str("42".into()), Cell::Str("x".into()), Cell::Null];
+            assert_eq!(got, want, "{parser:?}");
+            assert_eq!(m.parse_calls, 3, "{parser:?}");
+            assert_eq!(m.docs_parsed, 1, "{parser:?}");
         }
     }
 
     #[test]
     fn both_parsers_agree() {
         let row = vec![Cell::Str(r#"{"a": {"b": "v"}, "n": 5}"#.into())];
-        for path in ["$.a.b", "$.n", "$.missing"] {
-            let e = Expr::GetJsonObject {
-                column: 0,
-                path: JsonPath::parse(path).unwrap(),
-            };
+        let exprs = [json(0, "$.a.b"), json(0, "$.n"), json(0, "$.missing")];
+        let want = vec![Cell::Str("v".into()), Cell::Str("5".into()), Cell::Null];
+        for parser in [
+            JsonParserKind::Jackson,
+            JsonParserKind::Mison,
+            JsonParserKind::Tape,
+        ] {
             let mut m = ExecMetrics::default();
-            let jackson = e.eval_with(&row, JsonParserKind::Jackson, &mut m, None);
-            let mison = e.eval_with(&row, JsonParserKind::Mison, &mut m, None);
-            assert_eq!(jackson.unwrap(), mison.unwrap(), "path {path}");
+            assert_eq!(
+                eval_over_slots(&exprs, &row, parser, &mut m),
+                want,
+                "{parser:?}"
+            );
         }
+    }
+
+    /// A `get_json_object` the row's slots do not cover is an error, not a
+    /// parse of its own: nothing is charged.
+    #[test]
+    fn uncovered_json_call_is_an_error() {
+        let doc = Cell::Str(r#"{"a": 1, "b": 2}"#.into());
+        let row = vec![doc.clone(), doc];
+        let covered = [json(0, "$.a")];
+        let ex = crate::extract::JsonExtractor::from_exprs(&covered).unwrap();
+        let slots = crate::extract::RowSlots::new(&ex);
+        let mut m = ExecMetrics::default();
+        // Another path of the covered column, the covered path of another.
+        for e in [json(0, "$.b"), json(1, "$.a")] {
+            assert!(e
+                .eval_with(&row, JsonParserKind::Jackson, &mut m, Some(&slots))
+                .is_err());
+        }
+        let err = covered[0]
+            .eval_with(&row, JsonParserKind::Jackson, &mut m, None)
+            .unwrap_err();
+        assert!(err.to_string().contains("not covered"), "{err}");
+        assert_eq!((m.parse_calls, m.docs_parsed), (0, 0));
     }
 
     #[test]

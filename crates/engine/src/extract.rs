@@ -19,9 +19,11 @@
 //! Laziness is preserved: slots fill on the *first* path access for a row,
 //! so rows skipped by SARG/row-group pruning never parse, and a predicate
 //! that decides a row without touching any JSON path (short-circuit on a
-//! raw column) parses nothing. Byte-identity with the naive path holds
-//! because the shared evaluators run the exact same per-path machinery as
-//! the per-call ones; only the parse is hoisted.
+//! raw column) parses nothing. Results equal one parse per call (the
+//! reference oracle's evaluation) because the shared evaluators run the
+//! same per-path machinery over one parse. These slots are the only place
+//! the engine parses at query time: a call they do not cover is an error
+//! in [`Expr::eval_with`], not a parse of its own.
 //!
 //! Accounting: every evaluation still charges
 //! [`ExecMetrics::parse_calls`]; the actual parse charges
@@ -170,14 +172,14 @@ impl<'e> RowSlots<'e> {
 
     /// Answer one `(column, path)` evaluation over this row's `json`
     /// document. Returns `None` when the pair is not covered by the
-    /// extractor (the caller falls back to a direct parse); otherwise the
-    /// inner `Option<Arc<str>>` is the extraction result, exactly as the
-    /// naive per-call parse would produce it (shared, not copied, on every
-    /// subsequent access).
+    /// extractor (the caller reports the call as an error); otherwise the
+    /// inner `Option<Arc<str>>` is the extraction result, exactly as one
+    /// parse of `json` for `path` alone would produce it (shared, not
+    /// copied, on every subsequent access).
     ///
     /// The first covered access parses the document and charges
     /// `docs_parsed` + parse wall time; every access (hit or fill) charges
-    /// `parse_calls`, keeping that counter identical to the naive path.
+    /// `parse_calls`, so that counter stays one per evaluated call.
     pub fn get(
         &self,
         json: &str,
@@ -266,7 +268,7 @@ mod tests {
             assert_eq!(miss, Some(None));
             assert_eq!(m.docs_parsed, 1, "one parse for three evaluations");
             assert_eq!(m.parse_calls, 3);
-            // Uncovered pairs fall back to the caller.
+            // Uncovered pairs are left to the caller (an error there).
             assert!(slots
                 .get(json, 1, &JsonPath::parse("$.a").unwrap(), parser, &mut m)
                 .is_none());

@@ -261,7 +261,7 @@ exec_metrics! {
         "Wall time inside structural-bitmap construction (classification + string-mask resolve, not the colon/bracket walk), summed across tasks.";
     /// The tier is process-wide, so concurrent tasks always agree.
     simd_kernel: u64, Max, "simd_kernel", false,
-        "Which structural-kernel tier ran (`maxson_json::kernels::Kernel` id: 1 scalar, 2 swar, 3 sse2, 4 avx2; 0 = no bitmap work observed).";
+        "Which structural-kernel tier ran (`maxson_json::kernels::Kernel` id: 1 scalar, 2 swar, 4 avx2 (3 retired); 0 = no bitmap work observed).";
     reuse_hits: u64, Sum, "reuse_hits", false,
         "Cross-query reuse cache: full-result probe hits (the query was served entirely from cache; every execution counter stays zero).";
     reuse_misses: u64, Sum, "reuse_misses", false,

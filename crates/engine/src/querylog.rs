@@ -61,7 +61,7 @@ pub struct QueryLogEntry<'a> {
     pub sql: &'a str,
     /// Parser mode name (`jackson` / `mison` / `tape`).
     pub parser: &'a str,
-    /// Structural-kernel tier name (`avx2` / `sse2` / `swar` / `scalar`).
+    /// Structural-kernel tier name (`avx2` / `swar` / `scalar`).
     pub simd: &'a str,
     /// Whether the session's footer cache memory-maps Norc part files.
     pub mmap: bool,

@@ -3,7 +3,7 @@
 //! Everything that scans raw JSON bytes on the hot path funnels through
 //! this module: structural-bitmap construction for the Mison index (and
 //! therefore the tape parser and cache population, which build on it) and
-//! substring search for the Sparser prefilter. Four tiers implement the
+//! substring search for the Sparser prefilter. Three tiers implement the
 //! same two primitives:
 //!
 //! * `scalar` — the original byte-at-a-time state machine; the portable
@@ -12,14 +12,16 @@
 //!   trick, carry-propagated odd-backslash-run escape detection and a
 //!   prefix-XOR string mask (à la simdjson, "Parsing Gigabytes of JSON per
 //!   Second"), one 64-byte block per iteration.
-//! * `sse2` / `avx2` — `std::arch` intrinsics (`_mm_cmpeq_epi8` /
-//!   `_mm256_cmpeq_epi8` + movemask) doing the classification 16/32 bytes
-//!   at a time, feeding the same word-level resolver as the SWAR tier.
+//! * `avx2` — `std::arch` intrinsics (`_mm256_cmpeq_epi8` + movemask)
+//!   doing the classification 32 bytes at a time, feeding the same
+//!   word-level resolver as the SWAR tier.
 //!
-//! The active tier is detected once per process — the best one
-//! `is_x86_feature_detected!` reports — and [`set_active`] pins another
-//! (clamped to what the CPU runs). Per-tier `_with` entry points exist so
-//! differential tests and benches can drive a tier explicitly.
+//! Dispatch is AVX2 where `is_x86_feature_detected!` reports it, else
+//! SWAR; scalar runs only when pinned, as the reference the kernel tests
+//! compare against. The active tier is detected once per process and
+//! [`set_active`] pins another (clamped to what the CPU runs). Per-tier
+//! `_with` entry points exist so differential tests and benches can drive
+//! a tier explicitly.
 //!
 //! # Bit-identity across tiers
 //!
@@ -44,7 +46,8 @@ pub(crate) use swar::has_control_or_backslash;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-/// One structural-kernel tier. Ordered weakest to strongest.
+/// One structural-kernel tier. Ordered weakest to strongest. The ids are
+/// stable (they are logged as `simd_kernel`); id 3 is retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Kernel {
@@ -52,8 +55,6 @@ pub enum Kernel {
     Scalar = 1,
     /// 64-bit SWAR block kernel (portable).
     Swar = 2,
-    /// SSE2 intrinsics (x86-64 baseline).
-    Sse2 = 3,
     /// AVX2 intrinsics (runtime-detected).
     Avx2 = 4,
 }
@@ -64,7 +65,6 @@ impl Kernel {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Swar => "swar",
-            Kernel::Sse2 => "sse2",
             Kernel::Avx2 => "avx2",
         }
     }
@@ -79,7 +79,6 @@ impl Kernel {
         match id {
             1 => Some(Kernel::Scalar),
             2 => Some(Kernel::Swar),
-            3 => Some(Kernel::Sse2),
             4 => Some(Kernel::Avx2),
             _ => None,
         }
@@ -90,18 +89,16 @@ impl Kernel {
         match self {
             Kernel::Scalar | Kernel::Swar => true,
             #[cfg(target_arch = "x86_64")]
-            Kernel::Sse2 => std::arch::is_x86_feature_detected!("sse2"),
-            #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
+            Kernel::Avx2 => false,
         }
     }
 }
 
 /// Every tier the current CPU can run, weakest first.
 pub fn available() -> Vec<Kernel> {
-    [Kernel::Scalar, Kernel::Swar, Kernel::Sse2, Kernel::Avx2]
+    [Kernel::Scalar, Kernel::Swar, Kernel::Avx2]
         .into_iter()
         .filter(|k| k.is_available())
         .collect()
@@ -226,12 +223,9 @@ pub fn build_bitmaps_into(kernel: Kernel, bytes: &[u8], out: &mut Bitmaps) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `is_available` above verified the feature via
         // `is_x86_feature_detected!` (unavailable tiers were clamped away).
-        Kernel::Sse2 => unsafe { x86::build_bitmaps_sse2(bytes, in_string, structural) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — AVX2 presence runtime-verified.
         Kernel::Avx2 => unsafe { x86::build_bitmaps_avx2(bytes, in_string, structural) },
         #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Sse2 | Kernel::Avx2 => unreachable!("clamped to available tiers"),
+        Kernel::Avx2 => unreachable!("clamped to available tiers"),
     }
     BUILD_STATS.with(|c| {
         let mut s = c.get();
@@ -266,12 +260,9 @@ pub fn contains_with(kernel: Kernel, hay: &[u8], needle: &[u8]) -> bool {
         Kernel::Swar => swar::contains(hay, needle),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: feature presence runtime-verified via `is_available`.
-        Kernel::Sse2 => unsafe { x86::contains_sse2(hay, needle) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
         Kernel::Avx2 => unsafe { x86::contains_avx2(hay, needle) },
         #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Sse2 | Kernel::Avx2 => unreachable!("clamped to available tiers"),
+        Kernel::Avx2 => unreachable!("clamped to available tiers"),
     }
 }
 
@@ -506,10 +497,12 @@ mod tests {
 
     #[test]
     fn id_round_trip() {
-        for k in [Kernel::Scalar, Kernel::Swar, Kernel::Sse2, Kernel::Avx2] {
+        for k in [Kernel::Scalar, Kernel::Swar, Kernel::Avx2] {
             assert_eq!(Kernel::from_id(k.id()), Some(k));
         }
+        assert_eq!(Kernel::Avx2.id(), 4, "logged ids keep their meaning");
         assert_eq!(Kernel::from_id(0), None);
+        assert_eq!(Kernel::from_id(3), None, "id 3 is retired");
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! The SSE2 and AVX2 tiers: `std::arch` byte-equality classification
-//! (`cmpeq` + `movemask`, 16 or 32 bytes per instruction) feeding the same
-//! shared word resolver as the SWAR tier. Compiled only on x86-64; callers
-//! verify feature presence with `is_x86_feature_detected!` before entering.
+//! The AVX2 tier: `std::arch` byte-equality classification (`cmpeq` +
+//! `movemask`, 32 bytes per instruction) feeding the same shared word
+//! resolver as the SWAR tier. Compiled only on x86-64; callers verify
+//! feature presence with `is_x86_feature_detected!` before entering.
 
 #![cfg(target_arch = "x86_64")]
 
@@ -10,79 +10,6 @@ use std::arch::x86_64::*;
 use super::Carry;
 
 /// The seven compared byte values, broadcast once per build.
-struct Needles128 {
-    bs: __m128i,
-    qt: __m128i,
-    ob: __m128i,
-    cb: __m128i,
-    os: __m128i,
-    cs: __m128i,
-    co: __m128i,
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn needles128() -> Needles128 {
-    Needles128 {
-        bs: _mm_set1_epi8(b'\\' as i8),
-        qt: _mm_set1_epi8(b'"' as i8),
-        ob: _mm_set1_epi8(b'{' as i8),
-        cb: _mm_set1_epi8(b'}' as i8),
-        os: _mm_set1_epi8(b'[' as i8),
-        cs: _mm_set1_epi8(b']' as i8),
-        co: _mm_set1_epi8(b':' as i8),
-    }
-}
-
-/// Classify one 64-byte block (4 × 16) at `ptr`.
-#[target_feature(enable = "sse2")]
-unsafe fn classify_sse2(ptr: *const u8, n: &Needles128) -> (u64, u64, u64) {
-    let mut bs = 0u64;
-    let mut qt = 0u64;
-    let mut st = 0u64;
-    for k in 0..4 {
-        let v = _mm_loadu_si128(ptr.add(k * 16).cast());
-        let m = |x: __m128i| (_mm_movemask_epi8(x) as u32 as u64) << (k * 16);
-        bs |= m(_mm_cmpeq_epi8(v, n.bs));
-        qt |= m(_mm_cmpeq_epi8(v, n.qt));
-        let s = _mm_or_si128(
-            _mm_or_si128(_mm_cmpeq_epi8(v, n.ob), _mm_cmpeq_epi8(v, n.cb)),
-            _mm_or_si128(
-                _mm_or_si128(_mm_cmpeq_epi8(v, n.os), _mm_cmpeq_epi8(v, n.cs)),
-                _mm_cmpeq_epi8(v, n.co),
-            ),
-        );
-        st |= m(s);
-    }
-    (bs, qt, st)
-}
-
-#[target_feature(enable = "sse2")]
-pub(super) unsafe fn build_bitmaps_sse2(
-    bytes: &[u8],
-    in_string: &mut [u64],
-    structural: &mut [u64],
-) {
-    let n = needles128();
-    let mut carry = Carry::default();
-    let full = bytes.len() / 64;
-    for w in 0..full {
-        let (bs, qt, st) = classify_sse2(bytes.as_ptr().add(w * 64), &n);
-        let (ins, st_out) = super::resolve_word(bs, qt, st, &mut carry);
-        in_string[w] = ins;
-        structural[w] = st_out;
-    }
-    let rem = &bytes[full * 64..];
-    if !rem.is_empty() {
-        let mut buf = [0u8; 64];
-        buf[..rem.len()].copy_from_slice(rem);
-        let (bs, qt, st) = classify_sse2(buf.as_ptr(), &n);
-        let (ins, st_out) = super::resolve_word(bs, qt, st, &mut carry);
-        let mask = (1u64 << rem.len()) - 1;
-        in_string[full] = ins & mask;
-        structural[full] = st_out & mask;
-    }
-}
-
 struct Needles256 {
     bs: __m256i,
     qt: __m256i,
@@ -158,44 +85,14 @@ pub(super) unsafe fn build_bitmaps_avx2(
     }
 }
 
-/// Substring test, first+last-byte SIMD filter (Mula's algorithm) with a
-/// full-needle verify per candidate. Callers guarantee `!needle.is_empty()`
-/// and `needle.len() <= hay.len()`.
-#[target_feature(enable = "sse2")]
-pub(super) unsafe fn contains_sse2(hay: &[u8], needle: &[u8]) -> bool {
-    let k = needle.len();
-    let first = _mm_set1_epi8(needle[0] as i8);
-    let last = _mm_set1_epi8(needle[k - 1] as i8);
-    let last_start = hay.len() - k;
-    let mut i = 0usize;
-    // Both loads (starts i.., ends i+k-1..) must stay in bounds for a full
-    // 16-lane window of candidate starts.
-    while i + 16 + k - 1 <= hay.len() {
-        let a = _mm_loadu_si128(hay.as_ptr().add(i).cast());
-        let b = _mm_loadu_si128(hay.as_ptr().add(i + k - 1).cast());
-        let mut m = _mm_movemask_epi8(_mm_and_si128(
-            _mm_cmpeq_epi8(a, first),
-            _mm_cmpeq_epi8(b, last),
-        )) as u32;
-        while m != 0 {
-            let j = i + m.trailing_zeros() as usize;
-            m &= m - 1;
-            if hay[j..j + k] == *needle {
-                return true;
-            }
-        }
-        i += 16;
-    }
-    while i <= last_start {
-        if hay[i..i + k] == *needle {
-            return true;
-        }
-        i += 1;
-    }
-    false
-}
-
-/// AVX2 variant of [`contains_sse2`] (32 candidate starts per iteration).
+/// Substring test, first+last-byte SIMD filter (Mula's algorithm, 32
+/// candidate starts per iteration) with a full-needle verify per
+/// candidate.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `needle` must be non-empty and no
+/// longer than `hay`.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn contains_avx2(hay: &[u8], needle: &[u8]) -> bool {
     let k = needle.len();
@@ -203,6 +100,8 @@ pub(super) unsafe fn contains_avx2(hay: &[u8], needle: &[u8]) -> bool {
     let last = _mm256_set1_epi8(needle[k - 1] as i8);
     let last_start = hay.len() - k;
     let mut i = 0usize;
+    // Both loads (starts i.., ends i+k-1..) must stay in bounds for a full
+    // 32-lane window of candidate starts.
     while i + 32 + k - 1 <= hay.len() {
         let a = _mm256_loadu_si256(hay.as_ptr().add(i).cast());
         let b = _mm256_loadu_si256(hay.as_ptr().add(i + k - 1).cast());

@@ -11,8 +11,8 @@
 //! * [`path`] — a JSONPath dialect matching Hive/Spark's
 //!   `get_json_object(column, '$.a.b[0]')`, with both a DOM evaluator and a
 //!   raw-string evaluator.
-//! * [`kernels`] — runtime-dispatched structural kernels (AVX2 / SSE2 /
-//!   64-bit SWAR / scalar) building the quote-escape-colon-brace bitmaps
+//! * [`kernels`] — runtime-dispatched structural kernels (AVX2 / 64-bit
+//!   SWAR / scalar) building the quote-escape-colon-brace bitmaps
 //!   and running the prefilter's substring search; every tier is proven
 //!   bit-identical to the scalar reference.
 //! * [`mison`] — a structural-index parser in the style of Mison (Li et al.,

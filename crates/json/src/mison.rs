@@ -4,7 +4,7 @@
 //! Mison avoids building a DOM. It scans the raw bytes once to build
 //! *structural bitmaps* — one bit per input byte marking quotes, colons,
 //! braces and brackets — through the dispatched [`crate::kernels`] tier
-//! (AVX2/SSE2 intrinsics, portable SWAR, or the scalar reference, selected
+//! (AVX2 intrinsics, portable SWAR, or the scalar reference, selected
 //! at runtime), then derives a *leveled colon index*: for every
 //! structural colon, its byte position and nesting depth, plus a matching
 //! table from every open bracket to its close. Locating a field is then a

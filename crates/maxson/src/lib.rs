@@ -24,17 +24,13 @@
 //!   a PrimaryReader and a CacheReader over the same split index, stitching
 //!   rows positionally and sharing the SARG row-group skip array between
 //!   the two readers.
-//! * [`online`] — the online LRU caching baseline the paper compares
-//!   against in Fig. 14.
 //! * [`pipeline`] — `MaxsonPipeline`, the end-to-end "every midnight" cycle
 //!   used by the examples and benchmarks.
 
 pub mod cacher;
 pub mod combiner;
 pub mod error;
-pub mod join_stitch;
 pub mod mpjp;
-pub mod online;
 pub mod pipeline;
 pub mod rewriter;
 pub mod score;
@@ -42,9 +38,7 @@ pub mod stats_store;
 
 pub use cacher::{CacheRegistry, CachedEntry, JsonPathCacher};
 pub use error::{MaxsonError, Result};
-pub use join_stitch::JoinStitchProvider;
 pub use mpjp::{predict_mpjps, MpjpCandidate, PredictorKind};
-pub use online::OnlineLruRewriter;
 pub use pipeline::{MaxsonPipeline, PipelineConfig, ScoringStrategy};
 pub use rewriter::MaxsonScanRewriter;
 pub use score::{score_candidates, ScoredMpjp};

@@ -34,16 +34,6 @@ use maxson_trace::JsonPathLocation;
 use crate::cacher::{CacheRegistry, CACHE_DB};
 use crate::combiner::CombinedScanProvider;
 
-/// A fresh catalog over `session`'s warehouse root that opens part files
-/// through the session's footer cache — what a rewriter reads with.
-pub(crate) fn session_catalog(session: &Session) -> crate::Result<Catalog> {
-    let current = session.catalog();
-    Ok(Catalog::open_with_cache(
-        current.root(),
-        Arc::clone(current.meta_cache()),
-    )?)
-}
-
 /// The rewriter. Holds its own read-only catalog handle (opened over the
 /// session's warehouse root and footer cache) plus the cache registry. It
 /// keeps no tally of its own: every decision is charged to its metric
@@ -65,7 +55,10 @@ impl MaxsonScanRewriter {
     /// cache, so rewritten scans read them the session's way (`MAXSON_MMAP`)
     /// and share its resident footers.
     pub fn open(session: &Session) -> crate::Result<Self> {
-        let catalog = session_catalog(session)?;
+        let catalog = {
+            let current = session.catalog();
+            Catalog::open_with_cache(current.root(), Arc::clone(current.meta_cache()))?
+        };
         let registry = CacheRegistry::load(&catalog)?;
         Ok(MaxsonScanRewriter {
             catalog,

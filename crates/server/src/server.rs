@@ -85,7 +85,7 @@ pub struct StatsSnapshot {
     pub reuse_fills: u64,
     /// Bytes currently resident in the reuse cache (0 when off).
     pub reuse_bytes: u64,
-    /// Active SIMD structural-kernel tier (`avx2`/`sse2`/`swar`/`scalar`).
+    /// Active SIMD structural-kernel tier (`avx2`/`swar`/`scalar`).
     pub simd_kernel: String,
     /// Hottest `(table, path, estimated extracts)` from the workload
     /// sketch, heaviest first.

@@ -6,7 +6,8 @@ mod support;
 
 use maxson::mpjp::PredictorKind;
 use maxson::rewriter::MaxsonScanRewriter;
-use maxson::{MaxsonPipeline, OnlineLruRewriter, PipelineConfig};
+use maxson::{MaxsonPipeline, PipelineConfig};
+use maxson_bench::baselines::OnlineLruRewriter;
 use maxson_datagen::tables::{load_workload_tables, WorkloadConfig};
 use maxson_engine::session::{JsonParserKind, Session};
 use maxson_storage::{Catalog, Cell};

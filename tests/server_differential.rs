@@ -107,29 +107,35 @@ fn nobench_workload_served_identical_across_matrix() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// The metadata cache actually carries the concurrent load: once one query
-/// has warmed the footers, a storm of concurrent clients adds hits only.
-/// (Cold misses are not bounded by the file count — two connection threads
-/// can race on the same cold footer and each record a miss — so the
-/// invariant is phrased as a delta over a warmed cache.)
-#[test]
-fn served_load_hits_the_shared_metadata_cache() {
-    let root = support::nobench_table("metacache", 120, 3);
-    let mut server = Server::start(&root, "127.0.0.1:0", ServerConfig::default()).unwrap();
+/// Serve `template` and assert the metadata cache carries the concurrent
+/// load: once a serial pass over `queries` has warmed the footers, a storm
+/// of concurrent clients adds hits only. (Cold misses are not bounded by
+/// the file count — two connection threads can race on the same cold
+/// footer and each record a miss — so the invariant is phrased as a delta
+/// over a warmed cache.)
+fn assert_steady_load_hits_footer_cache(template: Session, queries: &'static [&str], label: &str) {
+    let mut server = Server::serve(template, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.addr();
 
-    // Serial warmup: one pass over the table pulls every footer in.
+    // Serial warmup: one pass over the statements pulls every footer in.
     let mut warm = Client::connect(addr).unwrap();
-    warm.query(NOBENCH_QUERIES[1]).expect("warmup query");
+    for sql in queries {
+        warm.query(sql).expect("warmup query");
+    }
     let before = warm.stats().unwrap();
-    assert!(before.meta_cache_misses > 0, "warmup never hit storage");
+    assert!(
+        before.meta_cache_misses > 0,
+        "[{label}] warmup never hit storage"
+    );
 
     let workers: Vec<_> = (0..CLIENTS)
-        .map(|_| {
+        .map(|c| {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
-                for _ in 0..4 {
-                    client.query(NOBENCH_QUERIES[1]).expect("query");
+                for k in 0..4 * queries.len() {
+                    client
+                        .query(queries[(c + k) % queries.len()])
+                        .expect("query");
                 }
             })
         })
@@ -140,12 +146,30 @@ fn served_load_hits_the_shared_metadata_cache() {
     let stats = warm.stats().unwrap();
     assert!(
         stats.meta_cache_hits > before.meta_cache_hits,
-        "concurrent load never touched the footer cache: {stats:?}"
+        "[{label}] concurrent load never touched the footer cache: {stats:?}"
     );
     assert_eq!(
         stats.meta_cache_misses, before.meta_cache_misses,
-        "footer fetched from storage after warmup: {stats:?}"
+        "[{label}] footer fetched from storage after warmup: {stats:?}"
     );
     server.stop();
+}
+
+/// The shared footer cache carries a steady served phase on a plain
+/// warehouse and on the committed one with the Maxson rewriter installed,
+/// whose scans also open cache-table footers through it.
+#[test]
+fn served_load_hits_the_shared_metadata_cache() {
+    let root = support::nobench_table("metacache", 120, 3);
+    let plain = Session::open(&root).unwrap();
+    assert_steady_load_hits_footer_cache(plain, &NOBENCH_QUERIES[1..2], "plain");
     std::fs::remove_dir_all(&root).ok();
+
+    // Each session has its own footer cache, so the probe leaves the
+    // served session's cold.
+    let probe = support::rewritten_session(&bench_data_root());
+    let cached = probe.execute(GOLDEN_QUERIES[0]).unwrap().metrics.cache_hits;
+    assert!(cached > 0, "the rewriter did not rewrite the probe");
+    let rewritten = support::rewritten_session(&bench_data_root());
+    assert_steady_load_hits_footer_cache(rewritten, &GOLDEN_QUERIES, "rewritten");
 }

@@ -176,11 +176,15 @@ fn midnight_cycle_is_an_atomic_epoch_swap_under_load() {
 /// before the admin bumps the epoch, so any reuse entry leaking across
 /// the swap would serve a visibly wrong answer. Every new-epoch result
 /// must reflect the new data, and post-swap repeats must still be served
-/// from the cache (the swap invalidates, it does not disable).
+/// from the cache (the swap invalidates, it does not disable): after a
+/// second, quiet swap the first round of repeats hits nothing and the
+/// second hits every statement.
 #[test]
 fn reuse_cache_never_serves_stale_results_across_an_epoch_swap() {
     const COUNT_SQL: &str =
         "select count(*) as n, max(get_json_object(payload, '$.v')) as vmax from db.t";
+    const ROWS_SQL: &str = "select id, get_json_object(payload, '$.a') as a from db.t \
+                            where get_json_object(payload, '$.v') > 1 order by id";
 
     let root = temp_root("reuse-swap");
     let mut admin = Session::open(&root).unwrap();
@@ -286,6 +290,33 @@ fn reuse_cache_never_serves_stale_results_across_an_epoch_swap() {
         "post-swap repeats must hit the refilled cache"
     );
     assert!(after.reuse_bytes > 0, "refilled entries must be resident");
+
+    // A second swap with no load in flight, counted per round: the first
+    // round of repeats re-executes every statement (no entry outlives the
+    // swap), the second is served entirely from the refilled cache.
+    let statements = [COUNT_SQL, ROWS_SQL];
+    let oracle = Oracle::new(&root);
+    let references: Vec<String> = statements
+        .iter()
+        .map(|sql| oracle.answer(sql).unwrap().display())
+        .collect();
+    let e2 = admin.swap_warehouse_epoch(None).unwrap();
+    let round_hits: Vec<u64> = (0..2)
+        .map(|_| {
+            let before = prober.stats().unwrap().reuse_hits;
+            for (sql, reference) in statements.iter().zip(&references) {
+                let result = prober.query(sql).unwrap();
+                assert_eq!(result.epoch, e2);
+                assert_eq!(&result.to_display_string(), reference);
+            }
+            prober.stats().unwrap().reuse_hits - before
+        })
+        .collect();
+    assert_eq!(
+        round_hits,
+        [0, statements.len() as u64],
+        "post-swap rounds: (stale hits, hits on the refilled cache)"
+    );
     server.stop();
     std::fs::remove_dir_all(&root).ok();
 }
