@@ -65,7 +65,7 @@ fn read_all(
         let file = open_split(table, split, metrics)?;
         charge_row_groups(metrics, None, &file);
         let cols = read_chunks_at(&file, projection, None, None, metrics)?;
-        rows.extend(Batch::from_columns(cols).into_rows(metrics));
+        rows.extend(Batch::Columns(cols).into_rows(metrics));
     }
     Ok(rows)
 }
@@ -108,7 +108,7 @@ impl ScanProvider for JoinStitchProvider {
         let spent = start.elapsed();
         metrics.read += spent;
         metrics.read_wall += spent;
-        Ok(Batch::from_rows(out))
+        Ok(Batch::Rows(out))
     }
 
     fn label(&self) -> String {

@@ -313,7 +313,7 @@ impl ScanProvider for LruBackedProvider {
         }
         metrics.rows_scanned += rows.len() as u64;
         span.attr("rows_out", rows.len());
-        Ok(Batch::from_rows(rows))
+        Ok(Batch::Rows(rows))
     }
 
     fn label(&self) -> String {

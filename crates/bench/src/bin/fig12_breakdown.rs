@@ -32,7 +32,7 @@ fn main() {
     let mut input_s = Series::new("input bytes");
     // Zero-copy pipeline work counters: how many column values were
     // materialized into row cells, and how many rows the batched scan
-    // dropped (selection vector + filter) before full materialization.
+    // dropped (row-level SARG + filter) before full materialization.
     let mut cells_s = Series::new("cells materialized");
     let mut skipped_s = Series::new("batch rows skipped");
 

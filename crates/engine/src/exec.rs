@@ -14,7 +14,7 @@
 //!   (`run_pipeline`);
 //! * **materialised inputs** — a Filter / Project / Aggregate over a join,
 //!   aggregate (HAVING, the post-aggregate projection), sort, limit or
-//!   distinct runs the same loop over `Batch::from_rows(child_rows)`, one
+//!   distinct runs the same loop over `Batch::Rows(child_rows)`, one
 //!   stage per operator (stages over a materialised input are not fused,
 //!   so each keeps its own shared-parse extractor and span).
 //!
@@ -64,7 +64,7 @@ use crate::extract::{JsonExtractor, RowSlots};
 use crate::metrics::ExecMetrics;
 use crate::plan::LogicalPlan;
 use crate::pool;
-use crate::scan::{Batch, BatchData, ScanProvider};
+use crate::scan::{Batch, ScanProvider};
 use crate::sql::ast::AggFunc;
 
 /// Knobs controlling one plan execution.
@@ -213,7 +213,7 @@ fn run_segment(
     span.attr("rows_in", rows.len());
     let before = counters_before(tracer, metrics);
     let mut sink = segment.new_sink();
-    segment.run(Batch::from_rows(rows), &mut sink, parser, metrics)?;
+    segment.run(Batch::Rows(rows), &mut sink, parser, metrics)?;
     let out = sink.finish();
     span.attr("rows_out", out.len());
     attr_counter_deltas(&span, before.as_ref(), metrics);
@@ -461,12 +461,12 @@ impl<'a> PipelineSegment<'a> {
         Ok(true)
     }
 
-    /// The row loop: every row of `batch` that survives its selection
-    /// vector and the segment's filter is projected into, copied into, or
-    /// folded into `sink`, all under one [`RowSlots`] — so the projection
-    /// or aggregation reuses the filter's parse. A bounded segment cuts the
-    /// sink's rows to its [`TopN`] after the batch, so the batch's cells
-    /// outlive it only in the kept rows.
+    /// The row loop: every row of `batch` that survives the segment's
+    /// filter is projected into, copied into, or folded into `sink`, all
+    /// under one [`RowSlots`] — so the projection or aggregation reuses
+    /// the filter's parse. A bounded segment cuts the sink's rows to its
+    /// [`TopN`] after the batch, so the batch's cells outlive it only in the
+    /// kept rows.
     fn run(
         &self,
         batch: Batch,
@@ -474,10 +474,9 @@ impl<'a> PipelineSegment<'a> {
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
     ) -> Result<()> {
-        let (data, indexes) = batch.into_selected(metrics);
         match sink {
-            Sink::Rows(out) => self.project_rows(data, &indexes, out, parser, metrics)?,
-            Sink::Agg(partial) => self.fold_rows(data, &indexes, partial, parser, metrics)?,
+            Sink::Rows(out) => self.project_rows(batch, out, parser, metrics)?,
+            Sink::Agg(partial) => self.fold_rows(batch, partial, parser, metrics)?,
         }
         if let (Some(top_n), Sink::Rows(rows)) = (self.top_n, sink) {
             top_n.cut(rows, parser, metrics)?;
@@ -492,8 +491,7 @@ impl<'a> PipelineSegment<'a> {
     /// every other bare column's values for the kept rows out of the batch.
     fn project_rows(
         &self,
-        data: BatchData,
-        indexes: &[u32],
+        batch: Batch,
         out: &mut Vec<Vec<Cell>>,
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
@@ -502,10 +500,10 @@ impl<'a> PipelineSegment<'a> {
             .shape
             .as_ref()
             .expect("a Rows sink comes from a row segment");
-        match data {
-            BatchData::Rows(mut rows) => {
-                for &i in indexes {
-                    let row = &mut rows[i as usize];
+        let n = batch.len();
+        match batch {
+            Batch::Rows(mut rows) => {
+                for row in &mut rows {
                     let slots = self.extractor.as_ref().map(RowSlots::new);
                     let slots = slots.as_ref();
                     if let Some(predicate) = self.filter {
@@ -519,18 +517,18 @@ impl<'a> PipelineSegment<'a> {
                     });
                 }
             }
-            BatchData::Columns(mut cols) => {
+            Batch::Columns(mut cols) => {
                 let mut scratch = vec![Cell::Null; cols.len()];
                 let first = out.len();
-                let mut kept = Vec::with_capacity(indexes.len());
-                for &i in indexes {
+                let mut kept = Vec::with_capacity(n);
+                for i in 0..n {
                     let slots = self.extractor.as_ref().map(RowSlots::new);
                     let slots = slots.as_ref();
-                    if !self.keep_row(&cols, i as usize, &mut scratch, parser, metrics, slots)? {
+                    if !self.keep_row(&cols, i, &mut scratch, parser, metrics, slots)? {
                         continue;
                     }
                     for &c in &shape.eval_cols {
-                        scratch[c] = cols[c].get(i as usize);
+                        scratch[c] = cols[c].get(i);
                     }
                     metrics.cells_materialized += shape.eval_cols.len() as u64;
                     out.push(shape.build(
@@ -540,7 +538,7 @@ impl<'a> PipelineSegment<'a> {
                         metrics,
                         slots,
                     )?);
-                    kept.push(i);
+                    kept.push(i as u32);
                 }
                 metrics.cells_materialized += (shape.moved.len() * kept.len()) as u64;
                 for (c, positions) in &shape.moved {
@@ -561,23 +559,21 @@ impl<'a> PipelineSegment<'a> {
     /// the filter's columns first and the rest only for rows it keeps.
     fn fold_rows(
         &self,
-        data: BatchData,
-        indexes: &[u32],
+        batch: Batch,
         partial: &mut AggPartial,
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
     ) -> Result<()> {
         let (group_by, aggs) = self.agg.expect("an Agg sink comes from an agg segment");
-        let mut scratch = match &data {
-            BatchData::Columns(cols) => vec![Cell::Null; cols.len()],
-            BatchData::Rows(_) => Vec::new(),
+        let mut scratch = match &batch {
+            Batch::Columns(cols) => vec![Cell::Null; cols.len()],
+            Batch::Rows(_) => Vec::new(),
         };
-        for &i in indexes {
-            let i = i as usize;
+        for i in 0..batch.len() {
             let slots = self.extractor.as_ref().map(RowSlots::new);
             let slots = slots.as_ref();
-            let row = match &data {
-                BatchData::Rows(rows) => {
+            let row = match &batch {
+                Batch::Rows(rows) => {
                     if let Some(predicate) = self.filter {
                         if !truthy(&predicate.eval_with(&rows[i], parser, metrics, slots)?) {
                             continue;
@@ -585,7 +581,7 @@ impl<'a> PipelineSegment<'a> {
                     }
                     &rows[i]
                 }
-                BatchData::Columns(cols) => {
+                Batch::Columns(cols) => {
                     if !self.keep_row(cols, i, &mut scratch, parser, metrics, slots)? {
                         continue;
                     }
@@ -841,8 +837,8 @@ fn scale_wall_gauges(m: &mut ExecMetrics, workers: u32) {
 /// The rows are exactly the full plan's: a projection is one row in, one
 /// row out; `eval_with` fails only on an out-of-range column (a planner
 /// bug); and the sort keys read only eager columns, so the stable order is
-/// the same. The plan tree is untouched — the reuse cache executes its
-/// peeled, limitless fragment as it always did.
+/// the same. The plan tree is untouched: the rows a reuse-cache miss
+/// offers for admission are the late path's output.
 struct LateProjection<'a> {
     /// The strip above the sort; it reads no JSON.
     strip: Option<&'a [(Expr, String)]>,
@@ -1579,7 +1575,7 @@ mod tests {
             }
             let rows = self.splits[split].clone();
             m.rows_scanned += rows.len() as u64;
-            Ok(Batch::from_rows(rows))
+            Ok(Batch::Rows(rows))
         }
         fn label(&self) -> String {
             "SplitFixed".into()
@@ -2018,7 +2014,7 @@ mod tests {
         fn scan_split(&self, split: usize, _m: &mut ExecMetrics) -> crate::error::Result<Batch> {
             let rows = self.splits[split].clone();
             if !self.columnar {
-                return Ok(Batch::from_rows(rows));
+                return Ok(Batch::Rows(rows));
             }
             let cols = self
                 .schema
@@ -2033,7 +2029,7 @@ mod tests {
                     col
                 })
                 .collect();
-            Ok(Batch::from_columns(cols))
+            Ok(Batch::Columns(cols))
         }
         fn label(&self) -> String {
             "Columns".into()
@@ -2071,7 +2067,7 @@ mod tests {
                 _split: usize,
                 _m: &mut ExecMetrics,
             ) -> crate::error::Result<Batch> {
-                Ok(Batch::from_rows(self.1.clone()))
+                Ok(Batch::Rows(self.1.clone()))
             }
             fn label(&self) -> String {
                 "Fixed".into()

@@ -25,9 +25,7 @@
 //!   changes the key.
 //!
 //! Projection order, `GROUP BY` order, `ORDER BY`, `LIMIT`, and `DISTINCT`
-//! all affect the visible result, so they stay in the key. The reuse
-//! cache's *fragment* key is the same rendering with `LIMIT`/`DISTINCT`
-//! cleared — see [`canonical_fragment_text`].
+//! all affect the visible result, so they stay in the key.
 
 use crate::sql::ast::{BinaryOp, SelectItem, SelectStatement, SqlExpr, TableRef};
 
@@ -49,44 +47,11 @@ pub fn table_key(database: &str, table: &str) -> String {
 }
 
 /// Canonical text of a whole statement — the query-log fingerprint input
-/// and the reuse cache's full-result key input.
+/// and the reuse cache's key input.
 pub fn canonical_stmt_text(stmt: &SelectStatement) -> String {
-    render_stmt(stmt, true, true)
-}
-
-/// Canonical text of the statement's reusable fragment: the statement with
-/// `LIMIT` and `DISTINCT` cleared. Two queries that differ only in those
-/// cheap top operators share this key (and hence the cached rows below
-/// them). Returns `None` when the fragment would equal the full statement
-/// (no `LIMIT`/`DISTINCT` to peel), so callers skip double-caching.
-pub fn canonical_fragment_text(stmt: &SelectStatement) -> Option<String> {
-    if stmt.limit.is_none() && !stmt.distinct {
-        return None;
-    }
-    Some(render_stmt(stmt, false, false))
-}
-
-/// Fingerprint of a statement (FNV-1a over the canonical text). This is
-/// the value the query log records and the workload analyses join on.
-pub fn stmt_fingerprint(stmt: &SelectStatement) -> u64 {
-    fnv1a64(canonical_stmt_text(stmt).as_bytes())
-}
-
-/// Reuse-cache key over a canonical text (full or fragment). The parser
-/// is part of the identity: parsers may legitimately diverge on malformed
-/// documents, so reuse across parser modes would be unsound. A statement's
-/// *fragment* key equals the *full* key of the peeled statement (the one
-/// with no `LIMIT`/`DISTINCT`), so `select ... limit 5` can be rebuilt
-/// from the cached result of plain `select ...` and vice versa — one key
-/// space, no kind markers.
-pub fn reuse_key(parser: &str, canonical_text: &str) -> u64 {
-    fnv1a64(format!("{parser}\0{canonical_text}").as_bytes())
-}
-
-fn render_stmt(stmt: &SelectStatement, with_limit: bool, with_distinct: bool) -> String {
     let aliases = AliasMap::of(stmt);
     let mut out = String::from("select");
-    if with_distinct && stmt.distinct {
+    if stmt.distinct {
         out.push_str(" distinct");
     }
     out.push('[');
@@ -143,15 +108,26 @@ fn render_stmt(stmt: &SelectStatement, with_limit: bool, with_distinct: bool) ->
         }
         out.push(']');
     }
-    if with_distinct && stmt.distinct {
+    if stmt.distinct {
         out.push_str(" distinct");
     }
-    if with_limit {
-        if let Some(n) = stmt.limit {
-            out.push_str(&format!(" limit {n}"));
-        }
+    if let Some(n) = stmt.limit {
+        out.push_str(&format!(" limit {n}"));
     }
     out
+}
+
+/// Fingerprint of a statement (FNV-1a over the canonical text). This is
+/// the value the query log records and the workload analyses join on.
+pub fn stmt_fingerprint(stmt: &SelectStatement) -> u64 {
+    fnv1a64(canonical_stmt_text(stmt).as_bytes())
+}
+
+/// Reuse-cache key over a statement's canonical text. The parser is part
+/// of the identity: parsers may legitimately diverge on malformed
+/// documents, so reuse across parser modes would be unsound.
+pub fn reuse_key(parser: &str, canonical_text: &str) -> u64 {
+    fnv1a64(format!("{parser}\0{canonical_text}").as_bytes())
 }
 
 fn table_text(t: &TableRef) -> String {
@@ -406,29 +382,6 @@ mod tests {
         assert_ne!(
             fp("select a from db.t where a like 'x%'"),
             fp("select a from db.t where a like 'y%'")
-        );
-    }
-
-    #[test]
-    fn fragment_text_peels_limit_and_distinct() {
-        let stmt = parse_select("select a from db.t where a > 1 limit 5").unwrap();
-        let frag = canonical_fragment_text(&stmt).unwrap();
-        assert_eq!(frag, "select[a] from db.t where gt(a,lit(Int(1)))");
-        let stmt2 = parse_select("select a from db.t where a > 1 limit 9").unwrap();
-        assert_eq!(
-            canonical_fragment_text(&stmt2).unwrap(),
-            frag,
-            "different LIMITs share one fragment"
-        );
-        let plain = parse_select("select a from db.t where a > 1").unwrap();
-        assert!(
-            canonical_fragment_text(&plain).is_none(),
-            "nothing to peel -> no separate fragment entry"
-        );
-        assert_eq!(
-            canonical_stmt_text(&plain),
-            frag,
-            "the fragment key equals the full key of the peeled statement"
         );
     }
 

@@ -214,15 +214,13 @@ exec_metrics! {
         "Row groups read.";
     row_groups_skipped: u64, Sum, "rg_skipped", true,
         "Row groups skipped via SARG pushdown.";
-    prefilter_dropped: u64, Sum, "prefilter_dropped", true,
-        "Rows rejected by the Sparser-style raw prefilter before parsing.";
     /// Late materialization keeps this below `rows × columns` whenever a
     /// filter rejects rows: rejected rows only materialize the predicate's
     /// columns. Zero for providers that produce rows directly.
     cells_materialized: u64, Sum, "cells_materialized", true,
         "Cells converted out of columnar batches into row `Cell`s.";
     batch_rows_skipped: u64, Sum, "batch_rows_skipped", true,
-        "Rows of a columnar batch dropped before full-row materialization, by the prefilter's selection vector, by the filter after only its predicate columns were materialized, or by the scan's row-level SARG before their other columns were decoded.";
+        "Rows of a columnar batch dropped before full-row materialization, by the filter after only its predicate columns were materialized, or by the scan's row-level SARG before their other columns were decoded.";
     lru_hits: u64, Sum, "lru_hits", true,
         "Online-LRU cache: per-path-per-scan lookups answered from the cache.";
     lru_misses: u64, Sum, "lru_misses", true,
@@ -266,8 +264,6 @@ exec_metrics! {
         "Cross-query reuse cache: full-result probe hits (the query was served entirely from cache; every execution counter stays zero).";
     reuse_misses: u64, Sum, "reuse_misses", false,
         "Cross-query reuse cache: probes that found nothing usable.";
-    reuse_fragment_hits: u64, Sum, "reuse_frag", false,
-        "Cross-query reuse cache: fragment hits (the result was rebuilt by replaying cached intermediate rows under `LIMIT`/`DISTINCT`).";
     reuse_fills: u64, Sum, "reuse_fills", false,
         "Cross-query reuse cache: entries this query filled (admitted).";
 }
@@ -629,10 +625,11 @@ mod tests {
         }
     }
 
-    /// The `maxson_<field>_total` rule reproduces the fourteen series the
-    /// hand-written charging exported and adds the nine it had left out.
+    /// The `maxson_<field>_total` rule reproduces the thirteen series the
+    /// hand-written charging exported that still exist and adds the eight
+    /// it had left out.
     #[test]
-    fn series_rule_yields_the_existing_names_plus_nine() {
+    fn series_rule_yields_the_existing_names_plus_eight() {
         let mut derived: Vec<&str> = ExecMetrics::default()
             .counters()
             .map(|(series, _)| series)
@@ -656,7 +653,6 @@ mod tests {
             "maxson_bitmap_bytes_total",
             "maxson_reuse_hits_total",
             "maxson_reuse_misses_total",
-            "maxson_reuse_fragment_hits_total",
             "maxson_reuse_fills_total",
         ];
         for name in existing {
@@ -668,7 +664,6 @@ mod tests {
             [
                 "maxson_row_groups_read_total",
                 "maxson_row_groups_skipped_total",
-                "maxson_prefilter_dropped_total",
                 "maxson_cells_materialized_total",
                 "maxson_batch_rows_skipped_total",
                 "maxson_lru_evictions_total",
@@ -696,7 +691,6 @@ mod tests {
                 "cache_hits",
                 "rg_read",
                 "rg_skipped",
-                "prefilter_dropped",
                 "cells_materialized",
                 "batch_rows_skipped",
                 "lru_hits",

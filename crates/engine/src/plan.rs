@@ -288,7 +288,7 @@ mod tests {
             _split: usize,
             _m: &mut crate::metrics::ExecMetrics,
         ) -> crate::error::Result<crate::scan::Batch> {
-            Ok(crate::scan::Batch::from_rows(vec![]))
+            Ok(crate::scan::Batch::Rows(vec![]))
         }
         fn label(&self) -> String {
             "Fake".into()

@@ -1,10 +1,10 @@
 //! The planner: everything that turns a [`SelectStatement`] into a
 //! [`LogicalPlan`].
 //!
-//! `plan` is a function of a catalog, an optional scan rewriter, the
-//! prefilter switch and a parsed statement — no session, no lock, no
-//! warehouse on disk — so planning is testable on its own. It owns the two
-//! planning-time steps of Maxson's online half:
+//! `plan` is a function of a catalog, an optional scan rewriter and a
+//! parsed statement — no session, no lock, no warehouse on disk — so
+//! planning is testable on its own. It owns the two planning-time steps
+//! of Maxson's online half:
 //!
 //! * **Plan rewrite (Algorithm 1).** Every table scan is offered to the
 //!   installed [`TableScanRewriter`] together with the `get_json_object`
@@ -26,16 +26,15 @@
 //!   that side's file schema, or `None` to leave the conjunct to the
 //!   `Filter`. The default scan answers "this table's raw column"; the
 //!   Maxson rewriter answers "raw column → raw SARG, resolved
-//!   `get_json_object` → cache SARG". The Sparser needle collector reads
-//!   the same leaves.
+//!   `get_json_object` → cache SARG".
 //!
 //! Expressions compile through one structural `SqlExpr` → [`Expr`]
 //! recursion, `compile_expr`, whose leaf hook decides what a column, a
 //! JSON call or an aggregate means: `Resolver` resolves them against a
 //! scan (or join) schema, `post_agg_leaf` against an aggregate's output.
 
-use maxson_json::{JsonPath, RawFilter};
-use maxson_storage::{Catalog, Cell, CmpOp, ColumnType, Field, Schema, SearchArgument};
+use maxson_json::JsonPath;
+use maxson_storage::{Catalog, ColumnType, Field, Schema, SearchArgument};
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
@@ -102,7 +101,7 @@ pub(crate) struct Planned {
 
 /// A schema of `Utf8` columns with the given names. The engine is
 /// value-typed at runtime, so every computed column is declared `Utf8`.
-pub(crate) fn utf8_schema(names: impl IntoIterator<Item = impl Into<String>>) -> Result<Schema> {
+fn utf8_schema(names: impl IntoIterator<Item = impl Into<String>>) -> Result<Schema> {
     Schema::new(
         names
             .into_iter()
@@ -119,12 +118,10 @@ fn qualifier_matches(qualifier: &Option<String>, alias: Option<&str>) -> bool {
 }
 
 /// Compile `stmt` against `catalog`, offering every table scan to
-/// `rewriter`; `prefilter` arms the Sparser-style raw prefilter on default
-/// scans.
+/// `rewriter`.
 pub(crate) fn plan(
     catalog: &Catalog,
     rewriter: Option<&dyn TableScanRewriter>,
-    prefilter: bool,
     stmt: &SelectStatement,
 ) -> Result<Planned> {
     // 1. Gather every expression in the query (for column analysis).
@@ -145,7 +142,6 @@ pub(crate) fn plan(
     let mut scans = ScanPlanner {
         catalog,
         rewriter,
-        prefilter,
         exprs,
         predicate: stmt.where_clause.as_ref(),
         wildcard: stmt.items.iter().any(|i| matches!(i, SelectItem::Wildcard)),
@@ -349,7 +345,6 @@ pub(crate) fn plan(
 struct ScanPlanner<'a> {
     catalog: &'a Catalog,
     rewriter: Option<&'a dyn TableScanRewriter>,
-    prefilter: bool,
     /// Every expression of the statement.
     exprs: Vec<&'a SqlExpr>,
     /// The WHERE clause.
@@ -479,23 +474,7 @@ impl ScanPlanner<'_> {
             })
             .collect::<Result<_>>()?;
         let sarg = raw_sarg(self.predicate, alias, schema);
-        let mut provider = NorcScanProvider::new(table.clone(), projection, sarg)?;
-        if let (true, Some(p)) = (self.prefilter, self.predicate) {
-            // One prefilter column is enough in practice: the first scan
-            // column with a needle gets the filter.
-            let filter = provider
-                .schema()
-                .fields()
-                .iter()
-                .enumerate()
-                .find_map(|(ci, f)| {
-                    let needles = equality_needles(p, &f.name, alias);
-                    (!needles.is_empty()).then(|| (ci, RawFilter::new(needles)))
-                });
-            if let Some((ci, filter)) = filter {
-                provider = provider.with_prefilter(ci, filter);
-            }
-        }
+        let provider = NorcScanProvider::new(table.clone(), projection, sarg)?;
         let resolver = resolver_over(provider.schema().clone(), Vec::new());
         Ok((
             LogicalPlan::Scan {
@@ -519,22 +498,6 @@ fn raw_sarg(
         sarg::Lhs::JsonCall { .. } => None,
     });
     raw
-}
-
-/// Collect Sparser needles: string literals that the predicate's top-level
-/// AND-conjuncts require to appear in `json_column`'s raw text
-/// (`get_json_object(json_column, path) = 'literal'`, either way round).
-fn equality_needles(predicate: &SqlExpr, json_column: &str, alias: Option<&str>) -> Vec<String> {
-    sarg::leaves(predicate, alias)
-        .filter_map(|leaf| match leaf {
-            (sarg::Lhs::JsonCall { column, .. }, CmpOp::Eq, Cell::Str(value))
-                if column == json_column =>
-            {
-                RawFilter::equality_needle(value)
-            }
-            _ => None,
-        })
-        .collect()
 }
 
 /// Predicate → [`SearchArgument`] translation (Algorithm 3), shared by the
@@ -613,7 +576,7 @@ pub mod sarg {
 
     /// The `lhs op literal` leaves the predicate's conjuncts require, with
     /// a literal on the left flipped over and `BETWEEN` as its two bounds.
-    pub(super) fn leaves<'a>(
+    fn leaves<'a>(
         predicate: &'a SqlExpr,
         alias: Option<&'a str>,
     ) -> impl Iterator<Item = (Lhs<'a>, CmpOp, &'a Cell)> {
@@ -929,6 +892,7 @@ mod tests {
     use super::*;
     use crate::sql::ast::BinaryOp;
     use crate::sql::parse_select;
+    use maxson_storage::{Cell, CmpOp};
 
     fn predicate(text: &str) -> SqlExpr {
         let stmt = parse_select(&format!("select id from db.t where {text}")).unwrap();
@@ -1170,22 +1134,5 @@ mod tests {
             plan_error(scan_resolver(None).compile(&expr("k + count(*)"))),
             "planning error: aggregate call in a non-aggregate position"
         );
-    }
-
-    #[test]
-    fn needles_come_from_string_equalities_either_way_round() {
-        let p = predicate(
-            "get_json_object(payload, '$.name') = 'banana' \
-             and 'apple' = get_json_object(payload, '$.kind') \
-             and get_json_object(payload, '$.n') > 'q' \
-             and get_json_object(payload, '$.n') = 7 \
-             and get_json_object(other, '$.x') = 'zzz' \
-             and (get_json_object(payload, '$.y') = 'or' or k = 1)",
-        );
-        assert_eq!(equality_needles(&p, "payload", None), ["banana", "apple"]);
-        assert_eq!(equality_needles(&p, "other", None), ["zzz"]);
-        let aliased = predicate("get_json_object(a.payload, '$.name') = 'banana'");
-        assert_eq!(equality_needles(&aliased, "payload", Some("a")), ["banana"]);
-        assert!(equality_needles(&aliased, "payload", Some("b")).is_empty());
     }
 }

@@ -28,8 +28,8 @@
 //! insensitive, commutative predicates sorted), so equivalent queries
 //! collide across machines and sessions — the same identity the reuse
 //! cache and the workload sketch key on. The `reuse` field records how
-//! the reuse cache participated (`off`/`hit`/`fragment`/`fill`/`miss`/
-//! `disabled`/`poisoned`). The `slow` flag trips when wall time exceeds
+//! the reuse cache participated (`off`/`hit`/`fill`/`miss`/`disabled`/
+//! `poisoned`). The `slow` flag trips when wall time exceeds
 //! the session's threshold (`MAXSON_SLOW_MS`, default 1000).
 //!
 //! Writes happen after the result is materialized, serialized under one
@@ -69,8 +69,8 @@ pub struct QueryLogEntry<'a> {
     pub threads: u64,
     /// Warehouse epoch the query planned against.
     pub epoch: u64,
-    /// Reuse-cache participation (`off` / `hit` / `fragment` / `fill` /
-    /// `miss` / `disabled` / `poisoned`).
+    /// Reuse-cache participation (`off` / `hit` / `fill` / `miss` /
+    /// `disabled` / `poisoned`).
     pub reuse: &'a str,
     /// Output row count.
     pub rows: u64,

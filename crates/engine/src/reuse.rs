@@ -1,13 +1,11 @@
-//! Cross-query result & intermediate reuse cache.
+//! Cross-query result reuse cache.
 //!
 //! Maxson's JSONPath cache removes duplicate *parsing*; this cache removes
 //! duplicate *execution* one level up the stack. It is a process-wide,
-//! thread-safe store of (a) full query results and (b) reusable
-//! intermediate fragments (the statement below its `LIMIT`/`DISTINCT`
-//! top), keyed on the canonical normalized fingerprint from
-//! [`crate::fingerprint`] plus the active JSON parser (parsers may
-//! legitimately diverge on malformed documents, so cross-parser reuse is
-//! unsound).
+//! thread-safe store of full query results, keyed on the canonical
+//! normalized fingerprint from [`crate::fingerprint`] plus the active JSON
+//! parser (parsers may legitimately diverge on malformed documents, so
+//! cross-parser reuse is unsound).
 //!
 //! **Admission** is cost-modelled, not blind (after "Revisiting Reuse in
 //! Main Memory Database Systems"): the cache keeps an EWMA of each
@@ -44,11 +42,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use maxson_storage::{Cell, Schema};
-
-use crate::error::Result;
-use crate::metrics::ExecMetrics;
-use crate::scan::{Batch, ScanProvider};
+use maxson_storage::Cell;
 
 /// Entries at or below this size are admitted without consulting the cost
 /// model — the bookkeeping outweighs any misjudgement.
@@ -58,15 +52,9 @@ const SMALL_ENTRY_BYTES: u64 = 64 * 1024;
 /// Entries cheaper than ~1 ns/byte to rebuild are not worth holding.
 const MIN_NS_PER_BYTE: f64 = 1.0;
 
-/// What a probe found.
-#[derive(Debug, Clone)]
-pub struct CachedEntry {
-    /// The cached rows (shared; serving a hit is a refcount bump).
-    pub rows: Arc<Vec<Vec<Cell>>>,
-    /// Output schema of the cached rows (needed to rebuild operators over
-    /// a fragment).
-    pub schema: Schema,
-}
+/// A cached result's rows, shared: serving a hit or admitting a fill is a
+/// refcount bump.
+pub type CachedRows = Arc<Vec<Vec<Cell>>>;
 
 /// What a fill attempt did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,12 +70,10 @@ pub enum FillOutcome {
 /// Point-in-time cache statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReuseStats {
-    /// Full-result probe hits.
+    /// Probe hits.
     pub hits: u64,
     /// Probe misses (including epoch-mismatch bypasses).
     pub misses: u64,
-    /// Fragment probe hits (result rebuilt over cached intermediate).
-    pub fragment_hits: u64,
     /// Entries admitted.
     pub fills: u64,
     /// Entries evicted to make room.
@@ -106,8 +92,7 @@ pub struct ReuseStats {
 
 #[derive(Debug)]
 struct Entry {
-    rows: Arc<Vec<Vec<Cell>>>,
-    schema: Schema,
+    rows: CachedRows,
     /// Warehouse epoch at fill time; probes from other epochs miss.
     epoch: u64,
     /// `db.table` identities this entry was computed from.
@@ -154,7 +139,6 @@ pub struct ReuseCache {
     disabled: AtomicBool,
     hits: AtomicU64,
     misses: AtomicU64,
-    fragment_hits: AtomicU64,
     fills: AtomicU64,
     evictions: AtomicU64,
     stale_rejects: AtomicU64,
@@ -172,7 +156,6 @@ impl ReuseCache {
             disabled: AtomicBool::new(false),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            fragment_hits: AtomicU64::new(0),
             fills: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             stale_rejects: AtomicU64::new(0),
@@ -190,10 +173,9 @@ impl ReuseCache {
         }
     }
 
-    /// Probe for `key` at `epoch`. A full-result hit bumps `hits`; pass
-    /// `fragment = true` to charge `fragment_hits` instead. Entries from
-    /// other epochs are removed and count as misses.
-    pub fn lookup(&self, key: u64, epoch: u64, fragment: bool) -> Option<CachedEntry> {
+    /// Probe for `key` at `epoch`. A hit bumps `hits`; entries from other
+    /// epochs are removed and count as misses.
+    pub fn lookup(&self, key: u64, epoch: u64) -> Option<CachedRows> {
         if self.disabled.load(Ordering::Relaxed) {
             return None;
         }
@@ -204,16 +186,9 @@ impl ReuseCache {
             Some(e) if e.epoch == epoch => {
                 e.freq += 1;
                 e.last_used = clock;
-                let found = CachedEntry {
-                    rows: Arc::clone(&e.rows),
-                    schema: e.schema.clone(),
-                };
+                let found = Arc::clone(&e.rows);
                 drop(inner);
-                if fragment {
-                    self.fragment_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                }
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(found)
             }
             Some(_) => {
@@ -241,7 +216,7 @@ impl ReuseCache {
     }
 
     /// Offer an entry for admission. The caller has already executed the
-    /// query; `entry` holds the finished output (shared, so admission never
+    /// query; `rows` is the finished output (shared, so admission never
     /// copies it). `planned_gen` is the [`ReuseCache::generation`]
     /// observed when the query planned: a mismatch means an invalidation
     /// (catalog write, table append, epoch swap) ran while the query was
@@ -250,13 +225,12 @@ impl ReuseCache {
     pub fn fill(
         &self,
         key: u64,
-        entry: CachedEntry,
+        rows: CachedRows,
         epoch: u64,
         tables: Vec<String>,
         wall_ns: u64,
         planned_gen: u64,
     ) -> FillOutcome {
-        let CachedEntry { rows, schema } = entry;
         if self.disabled.load(Ordering::Relaxed) {
             return FillOutcome::Disabled;
         }
@@ -335,7 +309,6 @@ impl ReuseCache {
             key,
             Entry {
                 rows,
-                schema,
                 epoch,
                 tables,
                 bytes,
@@ -412,7 +385,6 @@ impl ReuseCache {
         ReuseStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            fragment_hits: self.fragment_hits.load(Ordering::Relaxed),
             fills: self.fills.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             stale_rejects: self.stale_rejects.load(Ordering::Relaxed),
@@ -439,50 +411,11 @@ fn rows_bytes(rows: &[Vec<Cell>]) -> u64 {
     bytes
 }
 
-/// Scan provider that replays cached fragment rows. Rebuilt operators
-/// (`LIMIT`, `DISTINCT`) execute over this scan; it charges nothing to
-/// the read/parse phases because no I/O or parsing happens.
-#[derive(Debug)]
-pub struct CachedRowsProvider {
-    rows: Arc<Vec<Vec<Cell>>>,
-    schema: Schema,
-}
-
-impl CachedRowsProvider {
-    /// Wrap a cache entry for scanning.
-    pub fn new(entry: CachedEntry) -> Self {
-        CachedRowsProvider {
-            rows: entry.rows,
-            schema: entry.schema,
-        }
-    }
-}
-
-impl ScanProvider for CachedRowsProvider {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn scan_split(&self, _split: usize, _metrics: &mut ExecMetrics) -> Result<Batch> {
-        Ok(Batch::from_rows((*self.rows).clone()))
-    }
-
-    fn label(&self) -> String {
-        format!("ReuseFragment({} rows)", self.rows.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maxson_storage::{ColumnType, Field};
 
-    fn entry(rows: Arc<Vec<Vec<Cell>>>) -> CachedEntry {
-        let schema = Schema::new(vec![Field::new("a", ColumnType::Int64)]).unwrap();
-        CachedEntry { rows, schema }
-    }
-
-    fn rows(n: usize) -> Arc<Vec<Vec<Cell>>> {
+    fn rows(n: usize) -> CachedRows {
         Arc::new((0..n).map(|i| vec![Cell::Int(i as i64)]).collect())
     }
 
@@ -493,11 +426,11 @@ mod tests {
     #[test]
     fn hit_after_fill_and_miss_on_other_key() {
         let c = ReuseCache::new(16);
-        assert!(c.lookup(1, 0, false).is_none());
+        assert!(c.lookup(1, 0).is_none());
         assert_eq!(
             c.fill(
                 1,
-                entry(rows(4)),
+                rows(4),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -505,9 +438,9 @@ mod tests {
             ),
             FillOutcome::Admitted
         );
-        let hit = c.lookup(1, 0, false).expect("filled key hits");
-        assert_eq!(hit.rows.len(), 4);
-        assert!(c.lookup(2, 0, false).is_none());
+        let hit = c.lookup(1, 0).expect("filled key hits");
+        assert_eq!(hit.len(), 4);
+        assert!(c.lookup(2, 0).is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.fills), (1, 2, 1));
     }
@@ -517,15 +450,15 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            entry(rows(4)),
+            rows(4),
             7,
             vec!["db.t".into()],
             EXPENSIVE,
             c.generation(),
         );
-        assert!(c.lookup(1, 8, false).is_none(), "stale epoch must miss");
+        assert!(c.lookup(1, 8).is_none(), "stale epoch must miss");
         assert_eq!(c.stats().bytes_resident, 0, "stale entry dropped eagerly");
-        assert!(c.lookup(1, 7, false).is_none(), "entry is gone for good");
+        assert!(c.lookup(1, 7).is_none(), "entry is gone for good");
     }
 
     #[test]
@@ -533,7 +466,7 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            entry(rows(2)),
+            rows(2),
             0,
             vec!["db.a".into()],
             EXPENSIVE,
@@ -541,15 +474,15 @@ mod tests {
         );
         c.fill(
             2,
-            entry(rows(2)),
+            rows(2),
             0,
             vec!["db.b".into()],
             EXPENSIVE,
             c.generation(),
         );
         c.invalidate_table("db.a");
-        assert!(c.lookup(1, 0, false).is_none());
-        assert!(c.lookup(2, 0, false).is_some());
+        assert!(c.lookup(1, 0).is_none());
+        assert!(c.lookup(2, 0).is_some());
     }
 
     #[test]
@@ -557,34 +490,27 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            entry(rows(2)),
+            rows(2),
             0,
             vec!["db.t".into()],
             EXPENSIVE,
             c.generation(),
         );
         c.invalidate_all();
-        assert!(c.lookup(1, 0, false).is_none());
+        assert!(c.lookup(1, 0).is_none());
         assert_eq!(c.stats().bytes_resident, 0);
     }
 
     #[test]
     fn oversized_entries_are_rejected() {
         let c = ReuseCache::new(1); // 1 MiB budget -> 256 KiB oversize line
-        let big: Arc<Vec<Vec<Cell>>> = Arc::new(
+        let big: CachedRows = Arc::new(
             (0..5000)
                 .map(|_| vec![Cell::Str(Arc::from("x".repeat(100)))])
                 .collect(),
         );
         assert_eq!(
-            c.fill(
-                1,
-                entry(big),
-                0,
-                vec!["db.t".into()],
-                EXPENSIVE,
-                c.generation()
-            ),
+            c.fill(1, big, 0, vec!["db.t".into()], EXPENSIVE, c.generation()),
             FillOutcome::Rejected
         );
         assert_eq!(c.stats().bytes_resident, 0);
@@ -593,26 +519,19 @@ mod tests {
     #[test]
     fn cheap_large_entries_fail_the_cost_model() {
         let c = ReuseCache::new(64);
-        let large: Arc<Vec<Vec<Cell>>> = Arc::new(
+        let large: CachedRows = Arc::new(
             (0..2000)
                 .map(|_| vec![Cell::Str(Arc::from("y".repeat(64)))])
                 .collect(),
         );
         // ~160 KB entry, 1000 ns to recompute: far below 1 ns/byte.
         assert_eq!(
-            c.fill(
-                1,
-                entry(large),
-                0,
-                vec!["db.t".into()],
-                1000,
-                c.generation()
-            ),
+            c.fill(1, large, 0, vec!["db.t".into()], 1000, c.generation()),
             FillOutcome::Rejected
         );
         // Small entries skip the cost model entirely.
         assert_eq!(
-            c.fill(2, entry(rows(1)), 0, vec!["db.t".into()], 1, c.generation()),
+            c.fill(2, rows(1), 0, vec!["db.t".into()], 1, c.generation()),
             FillOutcome::Admitted
         );
     }
@@ -621,7 +540,7 @@ mod tests {
     fn eviction_respects_budget_and_prefers_cold_entries() {
         let c = ReuseCache::new(1);
         // ~50 KiB each; 1 MiB budget holds ~20.
-        let make = || -> Arc<Vec<Vec<Cell>>> {
+        let make = || -> CachedRows {
             Arc::new(
                 (0..500)
                     .map(|_| vec![Cell::Str(Arc::from("z".repeat(80)))])
@@ -631,7 +550,7 @@ mod tests {
         for key in 0..30u64 {
             c.fill(
                 key,
-                entry(make()),
+                make(),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -655,14 +574,14 @@ mod tests {
             let n = 50 + (key as usize % 300);
             c.fill(
                 key,
-                entry(rows(n)),
+                rows(n),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
                 c.generation(),
             );
             if key % 3 == 0 {
-                c.lookup(key / 2, 0, false);
+                c.lookup(key / 2, 0);
             }
             let s = c.stats();
             assert!(s.bytes_resident <= s.budget_bytes);
@@ -674,18 +593,18 @@ mod tests {
         let c = ReuseCache::new(16);
         c.fill(
             1,
-            entry(rows(2)),
+            rows(2),
             0,
             vec!["db.t".into()],
             EXPENSIVE,
             c.generation(),
         );
         c.disable();
-        assert!(c.lookup(1, 0, false).is_none());
+        assert!(c.lookup(1, 0).is_none());
         assert_eq!(
             c.fill(
                 2,
-                entry(rows(2)),
+                rows(2),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -703,7 +622,7 @@ mod tests {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             c.fill(
                 1,
-                entry(rows(2)),
+                rows(2),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -715,7 +634,7 @@ mod tests {
         assert_eq!(
             c.fill(
                 1,
-                entry(rows(2)),
+                rows(2),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -735,26 +654,16 @@ mod tests {
         // ...and the in-flight query's fill arrives late: dead on arrival,
         // because its rows were computed from the pre-write snapshot.
         assert_eq!(
-            c.fill(
-                1,
-                entry(rows(4)),
-                0,
-                vec!["db.t".into()],
-                EXPENSIVE,
-                planned_gen
-            ),
+            c.fill(1, rows(4), 0, vec!["db.t".into()], EXPENSIVE, planned_gen),
             FillOutcome::Rejected
         );
-        assert!(
-            c.lookup(1, 0, false).is_none(),
-            "stale rows must not be admitted"
-        );
+        assert!(c.lookup(1, 0).is_none(), "stale rows must not be admitted");
         assert_eq!(c.stats().stale_rejects, 1);
         // A fill planned after the invalidation is admitted normally.
         assert_eq!(
             c.fill(
                 1,
-                entry(rows(4)),
+                rows(4),
                 0,
                 vec!["db.t".into()],
                 EXPENSIVE,
@@ -779,7 +688,7 @@ mod tests {
     fn protected_victim_rejects_candidate_without_collateral_evictions() {
         let c = ReuseCache::new(1); // 1 MiB budget
         let gen = c.generation();
-        let strs = |n: usize| -> Arc<Vec<Vec<Cell>>> {
+        let strs = |n: usize| -> CachedRows {
             Arc::new(
                 (0..n)
                     .map(|_| vec![Cell::Str(Arc::from("x".repeat(100)))])
@@ -789,21 +698,14 @@ mod tests {
         // ~140 bytes per row. Fill order fixes the (freq, last_used) scan
         // order: a tiny, cheap entry first (the evictable head of the
         // victim scan)...
-        c.fill(1, entry(strs(70)), 0, vec!["db.t".into()], 1_000, gen);
+        c.fill(1, strs(70), 0, vec!["db.t".into()], 1_000, gen);
         // ...then a same-freq but high-value resident the policy protects...
-        c.fill(2, entry(strs(1800)), 0, vec!["db.t".into()], EXPENSIVE, gen);
+        c.fill(2, strs(1800), 0, vec!["db.t".into()], EXPENSIVE, gen);
         // ...then hotter residents that fill the budget.
         for key in 3..6u64 {
-            c.fill(
-                key,
-                entry(strs(1800)),
-                0,
-                vec!["db.t".into()],
-                EXPENSIVE,
-                gen,
-            );
-            c.lookup(key, 0, false);
-            c.lookup(key, 0, false);
+            c.fill(key, strs(1800), 0, vec!["db.t".into()], EXPENSIVE, gen);
+            c.lookup(key, 0);
+            c.lookup(key, 0);
         }
         let before = c.stats();
         // Candidate (~98 KiB, mid score): evicting key 1 is not enough
@@ -811,14 +713,7 @@ mod tests {
         // than the candidate, so the offer must be rejected with *nothing*
         // displaced (not evict-key-1-then-reject).
         assert_eq!(
-            c.fill(
-                9,
-                entry(strs(700)),
-                0,
-                vec!["db.t".into()],
-                1_000_000_000,
-                gen
-            ),
+            c.fill(9, strs(700), 0, vec!["db.t".into()], 1_000_000_000, gen),
             FillOutcome::Rejected
         );
         let after = c.stats();
@@ -828,29 +723,8 @@ mod tests {
         );
         assert_eq!(after.evictions, before.evictions);
         assert!(
-            c.lookup(1, 0, false).is_some(),
+            c.lookup(1, 0).is_some(),
             "the low-score resident survives the rejected offer"
         );
-    }
-
-    #[test]
-    fn cached_rows_provider_replays_without_charging() {
-        let c = ReuseCache::new(16);
-        c.fill(
-            1,
-            entry(rows(3)),
-            0,
-            vec!["db.t".into()],
-            EXPENSIVE,
-            c.generation(),
-        );
-        let entry = c.lookup(1, 0, true).unwrap();
-        assert_eq!(c.stats().fragment_hits, 1);
-        let provider = CachedRowsProvider::new(entry);
-        let mut m = ExecMetrics::default();
-        let out = crate::scan::scan_rows(&provider, &mut m).unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(m.docs_parsed, 0);
-        assert_eq!(m.bytes_read, 0);
     }
 }

@@ -11,29 +11,28 @@ use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::Instant;
 
-use maxson_json::RawFilter;
 use maxson_storage::{Cell, ColumnData, NorcFile, Schema, SearchArgument, Table};
 
 use crate::error::Result;
 use crate::metrics::ExecMetrics;
 
-/// Physical layout of one scanned batch.
+/// One split's worth of scanned data.
 #[derive(Debug)]
-pub enum BatchData {
+pub enum Batch {
     /// Row-major: providers that already hold cells (the online LRU, the
-    /// join-stitch baseline, replayed reuse fragments, test stubs).
+    /// join-stitch baseline, materialised inputs, test stubs).
     Rows(Vec<Vec<Cell>>),
     /// Column-major: decoded storage chunks handed over without
     /// materializing any row. Cells are built lazily by the consumer.
     Columns(Vec<ColumnData>),
 }
 
-impl BatchData {
-    /// Number of rows held, before any selection vector applies.
+impl Batch {
+    /// Number of rows held.
     pub fn len(&self) -> usize {
         match self {
-            BatchData::Rows(rows) => rows.len(),
-            BatchData::Columns(cols) => cols.first().map_or(0, |c| c.len()),
+            Batch::Rows(rows) => rows.len(),
+            Batch::Columns(cols) => cols.first().map_or(0, |c| c.len()),
         }
     }
 
@@ -41,80 +40,18 @@ impl BatchData {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-/// One split's worth of scanned data plus an optional selection vector.
-///
-/// `selection` lists the surviving row indexes in ascending order (rows a
-/// SARG/Sparser prefilter rejected are absent); `None` means every row
-/// survives. Consumers must visit only selected rows — a columnar batch's
-/// unselected rows hold decoded but logically dead data.
-#[derive(Debug)]
-pub struct Batch {
-    /// The scanned data.
-    pub data: BatchData,
-    /// Surviving row indexes, ascending; `None` keeps all rows.
-    pub selection: Option<Vec<u32>>,
-}
-
-impl Batch {
-    /// Wrap already-materialized rows (no selection).
-    pub fn from_rows(rows: Vec<Vec<Cell>>) -> Self {
-        Batch {
-            data: BatchData::Rows(rows),
-            selection: None,
-        }
-    }
-
-    /// Wrap decoded column chunks (no selection).
-    pub fn from_columns(cols: Vec<ColumnData>) -> Self {
-        Batch {
-            data: BatchData::Columns(cols),
-            selection: None,
-        }
-    }
-
-    /// Number of rows a consumer will see (after selection).
-    pub fn len(&self) -> usize {
-        self.selection
-            .as_ref()
-            .map_or_else(|| self.data.len(), Vec::len)
-    }
-
-    /// `true` when no rows survive.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Split into the data and the surviving row indexes (ascending),
-    /// charging `batch_rows_skipped` for rows the selection vector drops.
-    pub fn into_selected(self, metrics: &mut ExecMetrics) -> (BatchData, Vec<u32>) {
-        let n = self.data.len();
-        let indexes = match self.selection {
-            Some(sel) => {
-                metrics.batch_rows_skipped += (n - sel.len()) as u64;
-                sel
-            }
-            None => (0..n as u32).collect(),
-        };
-        (self.data, indexes)
-    }
-
-    /// Materialize the selected rows, charging `cells_materialized` for
-    /// every column→cell conversion. Row-major batches charge nothing
-    /// (their cells were already built by the provider).
+    /// Materialize the rows, charging `cells_materialized` for every
+    /// column→cell conversion. Row-major batches charge nothing (their
+    /// cells were already built by the provider).
     pub fn into_rows(self, metrics: &mut ExecMetrics) -> Vec<Vec<Cell>> {
-        let (data, indexes) = self.into_selected(metrics);
-        match data {
-            BatchData::Rows(mut rows) => indexes
-                .iter()
-                .map(|&i| std::mem::take(&mut rows[i as usize]))
-                .collect(),
-            BatchData::Columns(cols) => {
-                metrics.cells_materialized += (indexes.len() * cols.len()) as u64;
-                indexes
-                    .iter()
-                    .map(|&i| cols.iter().map(|c| c.get(i as usize)).collect())
+        let n = self.len();
+        match self {
+            Batch::Rows(rows) => rows,
+            Batch::Columns(cols) => {
+                metrics.cells_materialized += (n * cols.len()) as u64;
+                (0..n)
+                    .map(|i| cols.iter().map(|c| c.get(i)).collect())
                     .collect()
             }
         }
@@ -139,8 +76,8 @@ pub trait ScanProvider: Debug + Send + Sync {
     }
 
     /// Read one split (`0 <= split < split_count()`), charging that split's
-    /// read time/bytes to `metrics`. The table is the selected rows of
-    /// every split concatenated in index order.
+    /// read time/bytes to `metrics`. The table is the rows of every split
+    /// concatenated in index order.
     fn scan_split(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Batch>;
 
     /// Short label for plan display.
@@ -205,8 +142,7 @@ pub fn charge_row_groups(
 /// Decode `projection` from `file` under an optional row-group keep-array,
 /// at `rows` only (positions in the kept row groups; `None` = every row),
 /// charging `bytes_read` once per decoded column — not per materialized
-/// row, which would walk every cell on the hot path and miss rows a
-/// prefilter drops (their bytes were decoded all the same).
+/// row, which would walk every cell on the hot path.
 pub fn read_chunks_at(
     file: &NorcFile,
     projection: &[usize],
@@ -270,10 +206,6 @@ pub struct NorcScanProvider {
     out_schema: Schema,
     /// Optional SARG used to skip row groups (on raw columns).
     sarg: Option<SearchArgument>,
-    /// Optional Sparser-style raw prefilter: `(output column index, filter)`.
-    /// Rows whose JSON text cannot satisfy the predicate are dropped before
-    /// they reach the parser.
-    prefilter: Option<(usize, RawFilter)>,
 }
 
 impl NorcScanProvider {
@@ -290,17 +222,7 @@ impl NorcScanProvider {
             projection,
             out_schema,
             sarg,
-            prefilter: None,
         })
-    }
-
-    /// Attach a raw prefilter over output column `column_idx` (must hold
-    /// the JSON text the filter's needles constrain).
-    pub fn with_prefilter(mut self, column_idx: usize, filter: RawFilter) -> Self {
-        if !filter.is_empty() {
-            self.prefilter = Some((column_idx, filter));
-        }
-        self
     }
 
     /// The underlying table.
@@ -330,39 +252,11 @@ impl ScanProvider for NorcScanProvider {
             self.sarg.as_ref(),
             metrics,
         )?;
-        let n = cols.first().map_or(0, |c| c.len());
-        let selection = match &self.prefilter {
-            // Sparser-style raw rejection straight off the decoded column,
-            // over the rows the SARG's row selection left: sound because
-            // the needles are required by the predicate the Filter
-            // re-checks. NULL documents pass through (the filter decides),
-            // matching the row-at-a-time behavior.
-            Some((ci, filter)) => {
-                let mut sel: Vec<u32> = Vec::with_capacity(n);
-                if let Some(ColumnData::Utf8 { valid, values }) = cols.get(*ci) {
-                    for i in 0..n {
-                        if valid[i] && !filter.maybe_matches(&values[i]) {
-                            metrics.prefilter_dropped += 1;
-                        } else {
-                            sel.push(i as u32);
-                        }
-                    }
-                } else {
-                    sel.extend(0..n as u32);
-                }
-                Some(sel)
-            }
-            None => None,
-        };
-        let prefiltered = selection.as_ref().map_or(0, |sel| n - sel.len());
-        metrics.rows_scanned += (kept_rows - prefiltered) as u64;
+        metrics.rows_scanned += kept_rows as u64;
         let spent = start.elapsed();
         metrics.read += spent;
         metrics.read_wall += spent;
-        Ok(Batch {
-            data: BatchData::Columns(cols),
-            selection,
-        })
+        Ok(Batch::Columns(cols))
     }
 
     fn label(&self) -> String {
@@ -375,11 +269,7 @@ impl ScanProvider for NorcScanProvider {
             } else {
                 ""
             }
-        ) + if self.prefilter.is_some() {
-            " +prefilter"
-        } else {
-            ""
-        }
+        )
     }
 }
 
@@ -525,8 +415,7 @@ mod tests {
         let p = NorcScanProvider::new(t, vec![0, 1], None).unwrap();
         let mut bm = ExecMetrics::default();
         let batch = p.scan_split(0, &mut bm).unwrap();
-        assert!(matches!(batch.data, BatchData::Columns(_)));
-        assert!(batch.selection.is_none());
+        assert!(matches!(batch, Batch::Columns(_)));
         assert_eq!(batch.len(), 8);
         // Bytes are charged at decode time, before any cell exists.
         assert!(bm.bytes_read > 0);
@@ -544,59 +433,17 @@ mod tests {
         p.table.drop_table().unwrap();
     }
 
+    /// The SARG's row selection runs over a column the scan does not even
+    /// project, and the projected column is decoded at the selected rows
+    /// only.
     #[test]
-    fn prefilter_becomes_selection_vector() {
+    fn row_selection_decodes_the_rest_at_selected_rows() {
         let schema = Schema::new(vec![
             Field::new("id", ColumnType::Int64),
             Field::new("doc", ColumnType::Utf8),
         ])
         .unwrap();
-        let mut t = Table::create(temp_dir("prefilter-batch"), schema, 0).unwrap();
-        let rows: Vec<Vec<Cell>> = (0..6i64)
-            .map(|i| {
-                let name = if i % 3 == 0 { "banana" } else { "apple" };
-                vec![
-                    Cell::Int(i),
-                    Cell::from(format!(r#"{{"name": "{name}", "n": {i}}}"#)),
-                ]
-            })
-            .collect();
-        t.append_file(&rows, WriteOptions::default(), 1).unwrap();
-        let filter = RawFilter::new(vec![RawFilter::equality_needle("banana").unwrap()]);
-        let p = NorcScanProvider::new(t, vec![0, 1], None)
-            .unwrap()
-            .with_prefilter(1, filter);
-        let mut m = ExecMetrics::default();
-        let batch = p.scan_split(0, &mut m).unwrap();
-        assert_eq!(batch.selection, Some(vec![0, 3]));
-        assert_eq!(batch.len(), 2);
-        assert_eq!(m.prefilter_dropped, 4);
-        assert_eq!(m.rows_scanned, 2, "only selected rows count as scanned");
-        // Dropped rows' bytes were still decoded, so they are still charged.
-        let mut no_filter_m = ExecMetrics::default();
-        let p2 =
-            NorcScanProvider::new(Table::open(p.table.dir()).unwrap(), vec![0, 1], None).unwrap();
-        scan_rows(&p2, &mut no_filter_m).unwrap();
-        assert_eq!(m.bytes_read, no_filter_m.bytes_read);
-        // Materializing honors the selection and counts skipped rows.
-        let rows_out = batch.into_rows(&mut m);
-        assert_eq!(rows_out.len(), 2);
-        assert_eq!(rows_out[1][0], Cell::Int(3));
-        assert_eq!(m.batch_rows_skipped, 4);
-        assert_eq!(m.cells_materialized, 4);
-        p.table.drop_table().unwrap();
-    }
-
-    /// The SARG's row selection runs first — over a column the scan does
-    /// not even project — and the prefilter sees only what it left.
-    #[test]
-    fn row_selection_feeds_the_prefilter() {
-        let schema = Schema::new(vec![
-            Field::new("id", ColumnType::Int64),
-            Field::new("doc", ColumnType::Utf8),
-        ])
-        .unwrap();
-        let mut t = Table::create(temp_dir("rowsel-prefilter"), schema, 0).unwrap();
+        let mut t = Table::create(temp_dir("rowsel-rest"), schema, 0).unwrap();
         let rows: Vec<Vec<Cell>> = (0..6i64)
             .map(|i| {
                 let name = if i % 3 == 0 { "banana" } else { "apple" };
@@ -606,52 +453,26 @@ mod tests {
         t.append_file(&rows, WriteOptions::default(), 1).unwrap();
         let doc_bytes = rows[0][1].byte_size() as u64 + 3 * rows[1][1].byte_size() as u64;
         let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(2));
-        let filter = RawFilter::new(vec![RawFilter::equality_needle("banana").unwrap()]);
-        let p = NorcScanProvider::new(t, vec![1], Some(sarg))
-            .unwrap()
-            .with_prefilter(0, filter);
+        let p = NorcScanProvider::new(t, vec![1], Some(sarg)).unwrap();
         let mut m = ExecMetrics::default();
         let batch = p.scan_split(0, &mut m).unwrap();
-        // Rows 2..=5 are decoded densely; of those only row 3 holds a banana.
-        assert_eq!(batch.data.len(), 4);
-        assert_eq!(batch.selection, Some(vec![1]));
+        // Rows 2..=5 are decoded densely.
+        assert_eq!(batch.len(), 4);
         assert_eq!(
             m.batch_rows_skipped, 2,
             "the selection's drops, charged once"
         );
-        assert_eq!(
-            m.prefilter_dropped, 3,
-            "rows 0 and 1 never reached the prefilter"
-        );
-        assert_eq!(
-            m.rows_scanned, 3,
-            "kept row groups' rows minus prefilter drops"
-        );
+        assert_eq!(m.rows_scanned, 6, "rows of the kept row groups");
         assert_eq!(
             m.bytes_read,
             6 * 8 + doc_bytes,
             "ids whole, documents at 4 rows"
         );
         let out = batch.into_rows(&mut m);
-        assert_eq!(out, vec![vec![rows[3][1].clone()]]);
-        assert_eq!(m.batch_rows_skipped, 5);
+        let expect: Vec<Vec<Cell>> = rows[2..].iter().map(|r| vec![r[1].clone()]).collect();
+        assert_eq!(out, expect);
+        assert_eq!(m.batch_rows_skipped, 2);
         p.table.drop_table().unwrap();
-    }
-
-    #[test]
-    fn row_major_batch_selection_filters_rows() {
-        let rows: Vec<Vec<Cell>> = (0..5).map(|i| vec![Cell::Int(i)]).collect();
-        let batch = Batch {
-            data: BatchData::Rows(rows),
-            selection: Some(vec![1, 4]),
-        };
-        assert_eq!(batch.len(), 2);
-        assert!(!batch.is_empty());
-        let mut m = ExecMetrics::default();
-        let out = batch.into_rows(&mut m);
-        assert_eq!(out, vec![vec![Cell::Int(1)], vec![Cell::Int(4)]]);
-        assert_eq!(m.batch_rows_skipped, 3);
-        assert_eq!(m.cells_materialized, 0, "row-major cells pre-exist");
     }
 
     #[test]

@@ -21,23 +21,18 @@ use crate::config::Config;
 use crate::error::{EngineError, Result};
 use crate::exec::{default_threads, execute_plan_traced, ExecOptions};
 pub use crate::expr::JsonParserKind;
-use crate::fingerprint::{
-    canonical_fragment_text, canonical_stmt_text, reuse_key, stmt_fingerprint, table_key,
-};
+use crate::fingerprint::{canonical_stmt_text, reuse_key, stmt_fingerprint, table_key};
 use crate::metrics::ExecMetrics;
 use crate::plan::LogicalPlan;
 use crate::planner::{self, Planned};
 pub use crate::planner::{ScanContext, ScanRewrite, TableScanRewriter};
 use crate::pool::SplitScheduler;
 use crate::querylog::{QueryLog, QueryLogEntry};
-use crate::reuse::{CachedEntry, CachedRowsProvider, FillOutcome, ReuseCache, ReuseStats};
+use crate::reuse::{FillOutcome, ReuseCache, ReuseStats};
 use crate::sql::ast::SelectStatement;
 use crate::sql::parse_select;
 
 type Rows = Vec<Vec<Cell>>;
-
-/// A peeled fragment waiting for admission: its reuse key and its rows.
-type Fragment = (u64, CachedEntry);
 
 /// Result of executing one query.
 #[derive(Debug)]
@@ -91,102 +86,28 @@ impl QueryResult {
     }
 }
 
-/// Split `LIMIT`/`DISTINCT` off the top of a physical plan — the operators
-/// the reuse cache peels. Both take their input's rows as they are
-/// (`Limit` truncates, `Distinct` dedups), so replaying the uppers over
-/// the peeled fragment's rows is byte-identical. It is not always
-/// work-neutral: a `Limit` that runs a late projection parses only the
-/// rows it keeps, while the fragment must parse every row to be complete.
-fn peel_uppers(plan: &LogicalPlan) -> &LogicalPlan {
-    let plan = match plan {
-        LogicalPlan::Limit { input, .. } => input.as_ref(),
-        p => p,
-    };
-    match plan {
-        LogicalPlan::Distinct { input } => input.as_ref(),
-        p => p,
-    }
-}
-
-/// Rebuild the peeled uppers from the statement over `input` (a cached-
-/// rows scan), in the same order the planner stacks them: `Distinct`
-/// below `Limit`.
-fn rebuild_uppers(input: LogicalPlan, stmt: &SelectStatement) -> LogicalPlan {
-    let mut plan = input;
-    if stmt.distinct {
-        plan = LogicalPlan::Distinct {
-            input: Box::new(plan),
-        };
-    }
-    if let Some(n) = stmt.limit {
-        plan = LogicalPlan::Limit {
-            input: Box::new(plan),
-            n,
-        };
-    }
-    plan
-}
-
-/// Reuse phase 1 — full-result probe: a hit serves the cached rows
-/// directly — no operator runs, no split task is scheduled (so no fair-
-/// scheduler lease is ever taken), no document is parsed.
-fn probe_full(cache: &ReuseCache, key: u64, epoch: u64, metrics: &mut ExecMetrics) -> Option<Rows> {
-    let hit = cache.lookup(key, epoch, false);
+/// Reuse probe: a hit serves the cached rows directly — no operator runs,
+/// no split task is scheduled (so no fair-scheduler lease is ever taken),
+/// no document is parsed.
+fn probe(cache: &ReuseCache, key: u64, epoch: u64, metrics: &mut ExecMetrics) -> Option<Rows> {
+    let hit = cache.lookup(key, epoch);
     match hit {
         Some(_) => metrics.reuse_hits = 1,
         None => metrics.reuse_misses = 1,
     }
-    hit.map(|entry| (*entry.rows).clone())
+    hit.map(|rows| (*rows).clone())
 }
 
-/// Reuse phase 2 — fragment probe, else execute. `frag_key` is the peeled
-/// statement's key (LIMIT/DISTINCT cleared) — equal, by construction, to
-/// the full key of the statement without those uppers. A hit replays the
-/// cached intermediate rows under rebuilt uppers (`"fragment"`). Otherwise
-/// the query executes (`"miss"`): with peelable uppers the fragment runs
-/// first and the uppers replay over its rows — byte-identical to the
-/// unsplit plan, though a fragment under a late-projecting `Limit` parses
-/// every row where the unsplit plan would parse only the kept ones — and
-/// the fragment is returned for admission next to the output.
-fn replay_or_execute(
-    cache: &ReuseCache,
-    frag_key: Option<u64>,
-    pq: &PlannedQuery,
-    metrics: &mut ExecMetrics,
-    run: &impl Fn(&LogicalPlan, &mut ExecMetrics) -> Result<Rows>,
-) -> Result<(Rows, &'static str, Option<Fragment>)> {
-    let replay = |entry: CachedEntry, metrics: &mut ExecMetrics| {
-        let scan = LogicalPlan::Scan {
-            provider: Box::new(CachedRowsProvider::new(entry)),
-        };
-        run(&rebuild_uppers(scan, &pq.stmt), metrics)
-    };
-    let Some(key) = frag_key else {
-        return Ok((run(&pq.plan, metrics)?, "miss", None));
-    };
-    if let Some(entry) = cache.lookup(key, pq.epoch, true) {
-        metrics.reuse_fragment_hits = 1;
-        return Ok((replay(entry, metrics)?, "fragment", None));
-    }
-    let frag_plan = peel_uppers(&pq.plan);
-    let entry = CachedEntry {
-        rows: Arc::new(run(frag_plan, metrics)?),
-        schema: frag_plan.schema().clone(),
-    };
-    Ok((replay(entry.clone(), metrics)?, "miss", Some((key, entry))))
-}
-
-/// Reuse phase 3 — offer a miss's output (and its fragment) for admission;
-/// `start` is when the query began executing, the cost the cache weighs.
+/// Offer a miss's output for admission under `key`; `start` is when the
+/// query began executing, the cost the cache weighs.
 /// The fill is contained: a panic inside the cache disables it loudly and
 /// the already-computed rows are returned unchanged.
 fn offer_for_admission(
     cache: &ReuseCache,
-    full_key: u64,
+    key: u64,
     pq: &PlannedQuery,
     start: Instant,
     rows: Rows,
-    fragment: Option<Fragment>,
     metrics: &mut ExecMetrics,
 ) -> (Rows, &'static str) {
     if cache.is_disabled() {
@@ -195,26 +116,14 @@ fn offer_for_admission(
     let wall_ns = start.elapsed().as_nanos() as u64;
     let shared = Arc::new(rows);
     let fill = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let fill = |key, entry| {
-            cache.fill(
-                key,
-                entry,
-                pq.epoch,
-                pq.tables.clone(),
-                wall_ns,
-                pq.reuse_gen,
-            )
-        };
-        if let Some((key, entry)) = fragment {
-            fill(key, entry);
-        }
-        // Colliding output names have no schema (the planner rejects them
-        // earlier); such a result is not cached.
-        let Ok(schema) = planner::utf8_schema(&pq.names) else {
-            return FillOutcome::Rejected;
-        };
-        let rows = Arc::clone(&shared);
-        fill(full_key, CachedEntry { rows, schema })
+        cache.fill(
+            key,
+            Arc::clone(&shared),
+            pq.epoch,
+            pq.tables.clone(),
+            wall_ns,
+            pq.reuse_gen,
+        )
     }));
     let status = match fill {
         Ok(FillOutcome::Admitted) => {
@@ -345,9 +254,9 @@ impl Drop for CatalogWrite<'_> {
 ///
 /// Cloning is cheap and shares the warehouse: clones see the same catalog,
 /// rewriter, epoch, and Norc metadata cache, and record into the same trace
-/// buffer. Per-session knobs (parser, thread count, prefilter, split
-/// scheduler) stay independent per clone — the serving front end gives every
-/// connection its own clone over one warehouse.
+/// buffer. Per-session knobs (parser, thread count, split scheduler) stay
+/// independent per clone — the serving front end gives every connection
+/// its own clone over one warehouse.
 #[derive(Clone)]
 pub struct Session {
     warehouse: Arc<RwLock<Warehouse>>,
@@ -359,8 +268,6 @@ pub struct Session {
     /// The override, or one worker per available core — resolved when the
     /// count is set, never per execute.
     threads: usize,
-    /// Sparser-style raw prefiltering on JSON equality predicates.
-    prefilter_enabled: bool,
     /// Cooperative split scheduler consulted around every split task (the
     /// server installs its fair-share scheduler here). `None` = run freely.
     scheduler: Option<Arc<dyn SplitScheduler>>,
@@ -428,7 +335,6 @@ impl Session {
             parser_kind: parser,
             threads_override: threads,
             threads: threads.unwrap_or_else(default_threads),
-            prefilter_enabled: false,
             scheduler: None,
             tracer,
             trace_path: trace,
@@ -547,36 +453,15 @@ impl Session {
         ExecOptions::with_threads(self.threads).with_scheduler(self.scheduler.clone())
     }
 
-    /// Enable/disable the Sparser-style raw prefilter: when a predicate
-    /// requires `get_json_object(col, path) = 'literal'`, records whose raw
-    /// bytes cannot contain the literal are dropped before parsing.
-    pub fn set_prefilter_enabled(&mut self, enabled: bool) {
-        self.prefilter_enabled = enabled;
-    }
-
     /// Which JSON parser `get_json_object` uses (Fig. 15's axis),
     /// overriding the configured `MAXSON_PARSER`.
     pub fn set_parser_kind(&mut self, kind: JsonParserKind) {
         self.parser_kind = kind;
     }
 
-    /// Pin the structural-kernel tier used for bitmap construction and
-    /// prefilter needle search, overriding the detected best tier. Returns
-    /// the tier that actually took effect — a request for a tier the CPU
-    /// lacks clamps to the best available one.
-    ///
-    /// The kernel dispatch is **process-wide** (results are bit-identical
-    /// across tiers, so this only affects speed, never answers): setting it
-    /// on one session changes every session in the process.
-    pub fn set_simd(
-        &mut self,
-        kernel: maxson_json::kernels::Kernel,
-    ) -> maxson_json::kernels::Kernel {
-        maxson_json::kernels::set_active(kernel)
-    }
-
-    /// The structural-kernel tier currently in effect (the best available
-    /// unless [`Session::set_simd`] pinned another).
+    /// The structural-kernel tier currently in effect: process-wide, the
+    /// best available unless `maxson_json::kernels::set_active` pinned
+    /// another.
     pub fn simd_kernel(&self) -> maxson_json::kernels::Kernel {
         maxson_json::kernels::active()
     }
@@ -701,12 +586,8 @@ impl Session {
         let start = Instant::now();
         let stmt = parse_select(sql)?;
         let wh = self.wh_read();
-        let Planned { plan, names, paths } = planner::plan(
-            &wh.catalog,
-            wh.rewriter.as_deref(),
-            self.prefilter_enabled,
-            &stmt,
-        )?;
+        let Planned { plan, names, paths } =
+            planner::plan(&wh.catalog, wh.rewriter.as_deref(), &stmt)?;
         // `db.table` identities this query reads, for reuse-cache
         // dependency tracking (shared identity with the workload sketch).
         let mut tables = vec![table_key(&stmt.from.database, &stmt.from.table)];
@@ -790,24 +671,12 @@ impl Session {
             None => (run(&pq.plan, &mut metrics)?, "off"),
             Some(cache) if cache.is_disabled() => (run(&pq.plan, &mut metrics)?, "disabled"),
             Some(cache) => {
-                let full_key = reuse_key(parser, &canonical_stmt_text(&pq.stmt));
-                match probe_full(cache, full_key, pq.epoch, &mut metrics) {
+                let key = reuse_key(parser, &canonical_stmt_text(&pq.stmt));
+                match probe(cache, key, pq.epoch, &mut metrics) {
                     Some(rows) => (rows, "hit"),
                     None => {
-                        let frag_key =
-                            canonical_fragment_text(&pq.stmt).map(|t| reuse_key(parser, &t));
-                        match replay_or_execute(cache, frag_key, &pq, &mut metrics, &run)? {
-                            (rows, "miss", fragment) => offer_for_admission(
-                                cache,
-                                full_key,
-                                &pq,
-                                start,
-                                rows,
-                                fragment,
-                                &mut metrics,
-                            ),
-                            (rows, status, _) => (rows, status),
-                        }
+                        let rows = run(&pq.plan, &mut metrics)?;
+                        offer_for_admission(cache, key, &pq, start, rows, &mut metrics)
                     }
                 }
             }

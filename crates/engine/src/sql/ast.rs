@@ -341,8 +341,7 @@ impl SqlExpr {
     }
 
     /// The top-level `AND` conjuncts of a predicate — the unit SARG
-    /// pushdown, the Sparser needle collector and the canonical fingerprint
-    /// all reason about.
+    /// pushdown and the canonical fingerprint both reason about.
     pub(crate) fn conjuncts(&self) -> impl Iterator<Item = &SqlExpr> {
         self.chain(BinaryOp::And)
     }

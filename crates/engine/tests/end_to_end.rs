@@ -392,47 +392,6 @@ fn having_with_cached_paths_still_works() {
 }
 
 #[test]
-fn sparser_prefilter_drops_rows_without_changing_results() {
-    let (mut session, root) = sales_session("prefilter");
-    let sql = "select date from mydb.t \
-               where get_json_object(sale_logs, '$.item_name') = 'banana'";
-    // Both bananas (rows 2 and 5) were sold on the third day.
-    let expected = vec![vec![Cell::Int(20190103)], vec![Cell::Int(20190103)]];
-    let reference = session.execute(sql).unwrap();
-    assert_eq!(reference.rows, expected);
-    assert_eq!(reference.metrics.prefilter_dropped, 0);
-    assert_eq!(reference.metrics.parse_calls, 6);
-
-    session.set_prefilter_enabled(true);
-    let filtered = session.execute(sql).unwrap();
-    assert_eq!(filtered.rows, expected);
-    // Four records don't contain "banana" at all and never reach the parser.
-    assert_eq!(filtered.metrics.prefilter_dropped, 4);
-    assert_eq!(filtered.metrics.parse_calls, 2);
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn prefilter_is_conservative_for_unsafe_literals() {
-    let (mut session, root) = sales_session("prefilter-safe");
-    session.set_prefilter_enabled(true);
-    // A literal with a quote cannot be used as a needle; nothing is dropped.
-    let sql = "select date from mydb.t \
-               where get_json_object(sale_logs, '$.item_name') = 'ba\"na'";
-    let result = session.execute(sql).unwrap();
-    assert_eq!(result.rows.len(), 0);
-    assert_eq!(result.metrics.prefilter_dropped, 0);
-    // OR predicates must not prefilter (the needle is not required).
-    let sql = "select date from mydb.t \
-               where get_json_object(sale_logs, '$.item_name') = 'banana' \
-               or date = 20190101";
-    let result = session.execute(sql).unwrap();
-    assert_eq!(result.metrics.prefilter_dropped, 0);
-    assert_eq!(result.rows.len(), 4); // 2 bananas + rows 0,3 from date
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
 fn count_star_without_column_references() {
     let (session, root) = sales_session("countstar");
     let result = session.execute("select count(*) as n from mydb.t").unwrap();

@@ -2,9 +2,8 @@
 //!
 //! Everything that scans raw JSON bytes on the hot path funnels through
 //! this module: structural-bitmap construction for the Mison index (and
-//! therefore the tape parser and cache population, which build on it) and
-//! substring search for the Sparser prefilter. Three tiers implement the
-//! same two primitives:
+//! therefore the tape parser and cache population, which build on it).
+//! Three tiers implement that one primitive:
 //!
 //! * `scalar` — the original byte-at-a-time state machine; the portable
 //!   reference whose semantics every other tier must reproduce bit for bit.
@@ -19,9 +18,9 @@
 //! Dispatch is AVX2 where `is_x86_feature_detected!` reports it, else
 //! SWAR; scalar runs only when pinned, as the reference the kernel tests
 //! compare against. The active tier is detected once per process and
-//! [`set_active`] pins another (clamped to what the CPU runs). Per-tier
-//! `_with` entry points exist so differential tests and benches can drive
-//! a tier explicitly.
+//! [`set_active`] pins another (clamped to what the CPU runs).
+//! [`build_bitmaps_with`] drives a tier explicitly for differential tests
+//! and benches.
 //!
 //! # Bit-identity across tiers
 //!
@@ -127,8 +126,8 @@ pub fn active() -> Kernel {
 
 /// Install `kernel` as the process-wide active tier (clamped to what the
 /// CPU supports); returns what was actually installed. Parsing happens in
-/// shared code paths below any one session, so this is process-wide state —
-/// `Session::set_simd` documents the same caveat.
+/// shared code paths below any one session, so this is process-wide state,
+/// not a session setting.
 pub fn set_active(kernel: Kernel) -> Kernel {
     let k = if kernel.is_available() {
         kernel
@@ -234,36 +233,6 @@ pub fn build_bitmaps_into(kernel: Kernel, bytes: &[u8], out: &mut Bitmaps) {
         s.nanos += t0.elapsed().as_nanos() as u64;
         c.set(s);
     });
-}
-
-/// Substring test with the process-wide active kernel. Exactly
-/// `hay.contains(needle)` on bytes — the Sparser prefilter sits on this.
-pub fn contains(hay: &[u8], needle: &[u8]) -> bool {
-    contains_with(active(), hay, needle)
-}
-
-/// Substring test with an explicit tier (clamped to what the CPU supports).
-pub fn contains_with(kernel: Kernel, hay: &[u8], needle: &[u8]) -> bool {
-    if needle.is_empty() {
-        return true;
-    }
-    if needle.len() > hay.len() {
-        return false;
-    }
-    let kernel = if kernel.is_available() {
-        kernel
-    } else {
-        best_available()
-    };
-    match kernel {
-        Kernel::Scalar => scalar::contains(hay, needle),
-        Kernel::Swar => swar::contains(hay, needle),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: feature presence runtime-verified via `is_available`.
-        Kernel::Avx2 => unsafe { x86::contains_avx2(hay, needle) },
-        #[cfg(not(target_arch = "x86_64"))]
-        Kernel::Avx2 => unreachable!("clamped to available tiers"),
-    }
 }
 
 const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
@@ -438,60 +407,6 @@ mod tests {
                 bytes.push(b);
             }
             assert_all_tiers_match(&bytes);
-        }
-    }
-
-    #[test]
-    fn contains_matches_std_on_random_inputs() {
-        let mut rng = Rng(0xDEAD_BEEF_CAFE_F00D);
-        for _ in 0..300 {
-            let hay_len = (rng.next() % 120) as usize;
-            let hay: Vec<u8> = (0..hay_len)
-                .map(|_| b'a' + (rng.next() % 4) as u8)
-                .collect();
-            let nee_len = (rng.next() % 6) as usize;
-            let needle: Vec<u8> = (0..nee_len)
-                .map(|_| b'a' + (rng.next() % 4) as u8)
-                .collect();
-            let expect =
-                hay.windows(needle.len().max(1)).any(|w| w == &needle[..]) || needle.is_empty();
-            for k in available() {
-                assert_eq!(
-                    contains_with(k, &hay, &needle),
-                    expect,
-                    "tier {} hay={:?} needle={:?}",
-                    k.name(),
-                    String::from_utf8_lossy(&hay),
-                    String::from_utf8_lossy(&needle)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn contains_edge_cases() {
-        for k in available() {
-            assert!(contains_with(k, b"", b""));
-            assert!(contains_with(k, b"abc", b""));
-            assert!(!contains_with(k, b"", b"a"));
-            assert!(contains_with(k, b"a", b"a"));
-            assert!(!contains_with(k, b"a", b"ab"));
-            assert!(contains_with(k, b"xxabyy", b"ab"));
-            assert!(contains_with(k, b"xxxxab", b"ab"), "match at very end");
-            assert!(contains_with(k, b"abxxxx", b"ab"), "match at start");
-            assert!(!contains_with(k, b"aaaaab", b"ba"));
-            assert!(
-                contains_with(k, b"aabaabaac", b"aabaac"),
-                "overlapping prefix"
-            );
-            let long = [
-                b"pad".repeat(30).as_slice(),
-                b"needle",
-                b"pad".repeat(10).as_slice(),
-            ]
-            .concat();
-            assert!(contains_with(k, &long, b"needle"));
-            assert!(!contains_with(k, &long, b"needles "));
         }
     }
 

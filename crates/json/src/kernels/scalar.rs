@@ -24,9 +24,3 @@ pub(super) fn build_bitmaps(bytes: &[u8], in_string: &mut [u64], structural: &mu
         }
     }
 }
-
-/// Substring test; callers guarantee `!needle.is_empty()` and
-/// `needle.len() <= hay.len()`.
-pub(super) fn contains(hay: &[u8], needle: &[u8]) -> bool {
-    hay.windows(needle.len()).any(|w| w == needle)
-}

@@ -82,30 +82,3 @@ pub(super) fn build_bitmaps(bytes: &[u8], in_string: &mut [u64], structural: &mu
         structural[w] = st_out & mask;
     }
 }
-
-/// Substring test: SWAR scan for the first needle byte, verify candidates.
-/// Callers guarantee `!needle.is_empty()` and `needle.len() <= hay.len()`.
-pub(super) fn contains(hay: &[u8], needle: &[u8]) -> bool {
-    let first = needle[0];
-    let last_start = hay.len() - needle.len();
-    let mut i = 0usize;
-    while i + 8 <= hay.len() {
-        let w = u64::from_le_bytes(hay[i..i + 8].try_into().unwrap());
-        let mut m = eq_mask(w, first);
-        while m != 0 {
-            let j = i + m.trailing_zeros() as usize;
-            m &= m - 1;
-            if j <= last_start && hay[j..j + needle.len()] == *needle {
-                return true;
-            }
-        }
-        i += 8;
-    }
-    while i <= last_start {
-        if hay[i] == first && hay[i..i + needle.len()] == *needle {
-            return true;
-        }
-        i += 1;
-    }
-    false
-}

@@ -84,45 +84,3 @@ pub(super) unsafe fn build_bitmaps_avx2(
         structural[full] = st_out & mask;
     }
 }
-
-/// Substring test, first+last-byte SIMD filter (Mula's algorithm, 32
-/// candidate starts per iteration) with a full-needle verify per
-/// candidate.
-///
-/// # Safety
-///
-/// The CPU must support AVX2, and `needle` must be non-empty and no
-/// longer than `hay`.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn contains_avx2(hay: &[u8], needle: &[u8]) -> bool {
-    let k = needle.len();
-    let first = _mm256_set1_epi8(needle[0] as i8);
-    let last = _mm256_set1_epi8(needle[k - 1] as i8);
-    let last_start = hay.len() - k;
-    let mut i = 0usize;
-    // Both loads (starts i.., ends i+k-1..) must stay in bounds for a full
-    // 32-lane window of candidate starts.
-    while i + 32 + k - 1 <= hay.len() {
-        let a = _mm256_loadu_si256(hay.as_ptr().add(i).cast());
-        let b = _mm256_loadu_si256(hay.as_ptr().add(i + k - 1).cast());
-        let mut m = _mm256_movemask_epi8(_mm256_and_si256(
-            _mm256_cmpeq_epi8(a, first),
-            _mm256_cmpeq_epi8(b, last),
-        )) as u32;
-        while m != 0 {
-            let j = i + m.trailing_zeros() as usize;
-            m &= m - 1;
-            if hay[j..j + k] == *needle {
-                return true;
-            }
-        }
-        i += 32;
-    }
-    while i <= last_start {
-        if hay[i..i + k] == *needle {
-            return true;
-        }
-        i += 1;
-    }
-    false
-}

@@ -12,9 +12,8 @@
 //!   `get_json_object(column, '$.a.b[0]')`, with both a DOM evaluator and a
 //!   raw-string evaluator.
 //! * [`kernels`] — runtime-dispatched structural kernels (AVX2 / 64-bit
-//!   SWAR / scalar) building the quote-escape-colon-brace bitmaps
-//!   and running the prefilter's substring search; every tier is proven
-//!   bit-identical to the scalar reference.
+//!   SWAR / scalar) building the quote-escape-colon-brace bitmaps; every
+//!   tier is proven bit-identical to the scalar reference.
 //! * [`mison`] — a structural-index parser in the style of Mison (Li et al.,
 //!   VLDB 2017), its bitmaps built by [`kernels`]. It extracts individual
 //!   fields without materializing a DOM, which is the "fast parser"
@@ -40,7 +39,6 @@ pub mod mison;
 pub mod parser;
 pub mod path;
 pub mod serializer;
-pub mod sparser;
 pub mod tape;
 pub mod value;
 
@@ -48,7 +46,6 @@ pub use error::{JsonError, Result};
 pub use parser::{parse, Parser};
 pub use path::JsonPath;
 pub use serializer::{to_string, to_string_pretty};
-pub use sparser::RawFilter;
 pub use value::JsonValue;
 
 /// Parse a document and evaluate a JSONPath against it, returning the value

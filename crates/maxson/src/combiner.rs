@@ -179,7 +179,7 @@ impl ScanProvider for CombinedScanProvider {
         let spent = start.elapsed();
         metrics.read += spent;
         metrics.read_wall += spent;
-        Ok(Batch::from_columns(cols))
+        Ok(Batch::Columns(cols))
     }
 
     fn label(&self) -> String {
@@ -204,7 +204,7 @@ impl ScanProvider for CombinedScanProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maxson_engine::scan::{scan_rows, BatchData};
+    use maxson_engine::scan::scan_rows;
     use maxson_storage::file::WriteOptions;
     use maxson_storage::{Cell, CmpOp, ColumnType, Field};
     use std::path::PathBuf;
@@ -358,8 +358,7 @@ mod tests {
         let mut m = ExecMetrics::default();
         assert!(p.scan_split(0, &mut m).unwrap().is_empty());
         let batch = p.scan_split(1, &mut m).unwrap();
-        assert!(batch.selection.is_none());
-        let BatchData::Columns(cols) = &batch.data else {
+        let Batch::Columns(cols) = &batch else {
             panic!("combiner must hand over decoded columns");
         };
         assert_eq!(cols.len(), 3);
@@ -406,7 +405,7 @@ mod tests {
             );
             let mut m = ExecMetrics::default();
             let batch = p.scan_split(1, &mut m).unwrap();
-            assert!(batch.selection.is_none(), "the batch is dense");
+            assert_eq!(batch.len(), 3, "the batch is dense");
             assert_eq!(m.rows_scanned, 5);
             assert_eq!(m.cache_hits, 5);
             assert_eq!(m.batch_rows_skipped, 2);

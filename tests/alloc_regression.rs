@@ -58,8 +58,8 @@ const ENGINE_ALLOCS_PER_ROW_CEILING: f64 = 1.0;
 const MIN_IMPROVEMENT: f64 = 5.0;
 
 const ROWS: i64 = 4096;
-/// Filter keeps 64 of 4096 rows (~1.6%), the selective case Sparser and
-/// late materialization target.
+/// Filter keeps 64 of 4096 rows (~1.6%), the selective case late
+/// materialization targets.
 const KEEP_FROM: i64 = ROWS - 64;
 
 /// A table whose payload column dictionary-encodes (8 distinct documents),

@@ -104,7 +104,7 @@ impl ScanProvider for PoisonedProvider {
         if split == self.poisoned {
             panic!("poisoned split payload");
         }
-        Ok(Batch::from_rows(vec![vec![Cell::Int(split as i64)]]))
+        Ok(Batch::Rows(vec![vec![Cell::Int(split as i64)]]))
     }
     fn label(&self) -> String {
         "PoisonedProvider".into()

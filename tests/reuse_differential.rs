@@ -2,8 +2,7 @@
 //! hit run return what the oracle returns across parser modes and thread
 //! counts, repeats are served without parsing a single document,
 //! trivially-equivalent plan spellings share one entry while a changed
-//! literal misses, and a `LIMIT` variant reuses the unlimited result (and
-//! vice versa) through the fragment key space.
+//! literal misses, and a `LIMIT` variant is an entry of its own.
 //!
 //! Every session pins its cache (`Session::set_result_cache`), so the
 //! `MAXSON_RESULT_CACHE_MB` default of the environment changes nothing here.
@@ -136,54 +135,56 @@ fn entries_are_parser_scoped() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// The fragment key space is the full key space of the peeled statement:
-/// a `LIMIT` query reuses the unlimited result as its intermediate, and
-/// an unlimited query is served outright by the fragment a `LIMIT` run
-/// left behind.
+/// A `LIMIT` variant and the unlimited statement are separate entries:
+/// whichever runs first, the other misses and executes.
 #[test]
-fn limit_variant_and_unlimited_query_reuse_each_other() {
+fn limit_variant_and_unlimited_query_are_separate_entries() {
     let unlimited = "select id, get_json_object(payload, '$.a') as a from db.t \
                      where get_json_object(payload, '$.b') < 8";
     let limited = "select id, get_json_object(payload, '$.a') as a from db.t \
                    where get_json_object(payload, '$.b') < 8 limit 5";
+    for (first, second) in [(unlimited, limited), (limited, unlimited)] {
+        let root = build_table("limit-entries");
+        let mut session = open(&root, JsonParserKind::Tape, 2);
+        session.set_result_cache(Some(16));
+        let a = session.execute(first).unwrap();
+        assert_eq!(a.metrics.reuse_fills, 1, "{first}");
+        let b = session.execute(second).unwrap();
+        assert_eq!(b.metrics.reuse_hits, 0, "{second} is served by {first}");
+        assert_eq!(b.metrics.reuse_misses, 1);
+        assert!(b.metrics.docs_parsed > 0, "{second} must execute");
+        assert_eq!(b.metrics.reuse_fills, 1, "{second} fills its own entry");
+        let (full, lim) = if first == unlimited { (a, b) } else { (b, a) };
+        assert_eq!(lim.rows, full.rows[..5].to_vec());
+        std::fs::remove_dir_all(&root).ok();
+    }
+}
 
-    // Direction 1: unlimited first, then LIMIT rides its cached rows.
-    let root = build_table("frag-fwd");
-    let mut session = open(&root, JsonParserKind::Tape, 2);
+/// A missed `LIMIT` statement is one miss in the cache's statistics, as
+/// in its own metrics: run twice on a fresh cache, it is one miss and one
+/// hit both ways.
+#[test]
+fn a_missed_limit_statement_counts_one_miss() {
+    let root = build_table("one-miss");
+    let mut session = open(&root, JsonParserKind::Jackson, 1);
     session.set_result_cache(Some(16));
-    let full = session.execute(unlimited).unwrap();
-    let lim = session.execute(limited).unwrap();
-    assert_eq!(
-        lim.metrics.reuse_fragment_hits, 1,
-        "LIMIT variant must rebuild over the cached unlimited rows"
-    );
-    assert_eq!(lim.metrics.docs_parsed, 0, "fragment hit parses nothing");
-    assert_eq!(lim.rows, full.rows[..5].to_vec());
-    std::fs::remove_dir_all(&root).ok();
-
-    // Direction 2: LIMIT first fills its peeled fragment too, which *is*
-    // the unlimited query's full key — so the unlimited run is a full hit.
-    let root = build_table("frag-rev");
-    let mut session = open(&root, JsonParserKind::Tape, 2);
-    session.set_result_cache(Some(16));
-    let lim = session.execute(limited).unwrap();
-    assert!(lim.metrics.docs_parsed > 0);
-    let full = session.execute(unlimited).unwrap();
-    assert_eq!(
-        full.metrics.reuse_hits, 1,
-        "unlimited query must be served by the fragment the LIMIT run filled"
-    );
-    assert_eq!(full.metrics.docs_parsed, 0);
-    assert_eq!(full.rows[..5].to_vec(), lim.rows);
+    let sql = QUERIES[2];
+    let runs: Vec<_> = (0..2).map(|_| session.execute(sql).unwrap()).collect();
+    let hits: u64 = runs.iter().map(|r| r.metrics.reuse_hits).sum();
+    let misses: u64 = runs.iter().map(|r| r.metrics.reuse_misses).sum();
+    let stats = session.reuse_stats().unwrap();
+    assert_eq!((stats.hits, stats.misses), (1, 1));
+    assert_eq!((stats.hits, stats.misses), (hits, misses));
     std::fs::remove_dir_all(&root).ok();
 }
 
 /// A top-N that stitches a cached sort key with an uncached path runs its
-/// late projection only outside the reuse cache: a miss executes the
-/// peeled, limitless fragment, which parses every row so that the entry
-/// is complete. `limit 5`, then no limit (a full hit on that fragment),
-/// then `limit 6` (a fragment hit) all return the oracle's rows, and no
-/// returned or cached row holds the late path's NULL placeholder.
+/// late projection under the reuse cache too: a miss parses only the rows
+/// the limit keeps, and the entry it fills is that output. `limit 5`,
+/// `limit 6` and no limit are three entries; each misses once, parsing 5,
+/// 6 and 60 documents, then hits parsing none. Every run returns the
+/// oracle's rows, and no row — returned or served from an entry — holds
+/// the late path's NULL placeholder.
 #[test]
 fn late_projection_never_reaches_the_reuse_cache() {
     let root = build_table("late");
@@ -205,20 +206,21 @@ fn late_projection_never_reaches_the_reuse_cache() {
             let mut session = support::rewritten_session(&root);
             session.set_parser_kind(parser);
             session.set_threads(Some(threads));
-            session.set_result_cache(None);
-            let uncached = session.execute(&sql(" limit 5")).unwrap();
-            assert_eq!(uncached.metrics.docs_parsed, 5, "the late path applies");
             session.set_result_cache(Some(16));
-            for (limit, docs_parsed) in [(" limit 5", 60), ("", 0), (" limit 6", 0)] {
+            for (limit, miss_parses) in [(" limit 5", 5), (" limit 6", 6), ("", 60)] {
                 let sql = sql(limit);
-                let got = session.execute(&sql).unwrap();
-                let what = format!("{parser:?} at {threads} threads: {sql}");
-                assert_matches(&oracle.answer(&sql).unwrap(), &got, &what);
-                assert!(
-                    got.rows.iter().all(|row| !row[2].is_null()),
-                    "{what}: a placeholder reached a row"
-                );
-                assert_eq!(got.metrics.docs_parsed, docs_parsed, "{what}");
+                let expect = oracle.answer(&sql).unwrap();
+                for (hits, docs_parsed) in [(0, miss_parses), (1, 0)] {
+                    let got = session.execute(&sql).unwrap();
+                    let what = format!("{parser:?} at {threads} threads, hits={hits}: {sql}");
+                    assert_matches(&expect, &got, &what);
+                    assert!(
+                        got.rows.iter().all(|row| !row[2].is_null()),
+                        "{what}: a placeholder reached a row"
+                    );
+                    assert_eq!(got.metrics.reuse_hits, hits, "{what}");
+                    assert_eq!(got.metrics.docs_parsed, docs_parsed, "{what}");
+                }
             }
         }
     }

@@ -56,8 +56,6 @@ pub struct ConfigCell {
     pub served: bool,
     /// How the session's footer cache reads part files.
     pub mmap: MmapMode,
-    /// The Sparser-style raw prefilter; off in every covering-array cell.
-    pub prefilter: bool,
 }
 
 impl Default for ConfigCell {
@@ -72,7 +70,6 @@ impl Default for ConfigCell {
             rewritten: false,
             served: false,
             mmap: MmapMode::Enabled,
-            prefilter: false,
         }
     }
 }
@@ -89,11 +86,7 @@ impl fmt::Display for ConfigCell {
             if self.rewritten { "rewritten" } else { "plain" },
             if self.served { "server" } else { "in-process" },
             self.mmap,
-        )?;
-        if self.prefilter {
-            f.write_str(" prefilter=on")?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -189,7 +182,6 @@ pub fn covering_array(seed: u64, families: bool) -> Vec<ConfigCell> {
             rewritten: r[4] == 1,
             served: r[5] == 1,
             mmap: [MmapMode::Enabled, MmapMode::Disabled][r[6]],
-            prefilter: false,
         })
         .collect()
 }
@@ -296,7 +288,6 @@ impl Runner {
         if cell.rewritten {
             session = super::install_rewriter(session);
         }
-        session.set_prefilter_enabled(cell.prefilter);
         if !cell.served {
             return Runner::InProcess(session);
         }

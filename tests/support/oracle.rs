@@ -7,7 +7,7 @@
 //! parse. A join is a nested loop — left rows in order, matching right rows
 //! in right order — an aggregate folds its group's values in input order,
 //! and `ORDER BY` is a stable sort on `Cell::total_cmp`. There is no cache,
-//! rewriter, pushdown, prefilter, batch, thread pool, reuse cache or server.
+//! rewriter, pushdown, batch, thread pool, reuse cache or server.
 //!
 //! What it shares with the engine is deliberate and small: the SQL parser
 //! (the statement under test), `Cell`'s comparisons, coercions and

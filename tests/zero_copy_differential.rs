@@ -1,26 +1,22 @@
-//! The zero-copy batched scan pipeline: column-major batches, prefilter
-//! selection vectors and late materialization over shared `Arc<str>`
-//! buffers must be invisible — scan-only, scan+filter and scan+agg shapes,
-//! raw + cache stitches and prefiltered scans return what the oracle
-//! returns under Jackson and Mison at 1 and 4 threads, and so do random
+//! The zero-copy batched scan pipeline: column-major batches and late
+//! materialization over shared `Arc<str>` buffers must be invisible —
+//! scan-only, scan+filter and scan+agg shapes and raw + cache stitches
+//! return what the oracle returns under Jackson and Mison at 1 and 4
+//! threads, and so do random
 //! statements over random tables with NULL and malformed documents
 //! (seed-replayable via `MAXSON_TESTKIT_SEED`).
 
 mod support;
 
-use maxson_engine::session::{JsonParserKind, Session};
+use maxson_engine::session::JsonParserKind;
 use support::cells::{assert_agrees, parser_thread_cells, property_agrees, ConfigCell};
 use support::{bench_data_root, NOBENCH_QUERIES};
 
 /// Jackson and Mison at 1 and 4 threads.
-fn cells(rewritten: bool, prefilter: bool) -> Vec<ConfigCell> {
+fn cells(rewritten: bool) -> Vec<ConfigCell> {
     parser_thread_cells(&[JsonParserKind::Jackson, JsonParserKind::Mison], &[1, 4])
         .into_iter()
-        .map(|cell| ConfigCell {
-            rewritten,
-            prefilter,
-            ..cell
-        })
+        .map(|cell| ConfigCell { rewritten, ..cell })
         .collect()
 }
 
@@ -40,7 +36,7 @@ const WAREHOUSE_QUERIES: [&str; 6] = [
 
 #[test]
 fn warehouse_queries_identical_across_batching_matrix() {
-    assert_agrees(&bench_data_root(), &WAREHOUSE_QUERIES, &cells(false, false));
+    assert_agrees(&bench_data_root(), &WAREHOUSE_QUERIES, &cells(false));
 }
 
 /// The same statements with the Maxson rewriter installed, plus a raw +
@@ -53,7 +49,7 @@ fn rewritten_warehouse_queries_identical_across_batching_matrix() {
                     get_json_object(payload, '$.f10') as f10 from mydb.q2 where id < 100";
     let mut queries = WAREHOUSE_QUERIES.to_vec();
     queries.push(stitched);
-    assert_agrees(&root, &queries, &cells(true, false));
+    assert_agrees(&root, &queries, &cells(true));
     let result = support::rewritten_session(&root).execute(stitched).unwrap();
     assert!(
         result.metrics.cache_hits > 0 && result.metrics.cells_materialized > 0,
@@ -62,50 +58,14 @@ fn rewritten_warehouse_queries_identical_across_batching_matrix() {
     );
 }
 
-/// The Sparser-style prefilter produces a selection vector instead of
-/// dropping rows one at a time; it must stay invisible in results.
-#[test]
-fn prefilter_selection_vector_identical_across_matrix() {
-    let root = support::temp_root("prefilter");
-    let files: Vec<Vec<(i64, String)>> = (0..3i64)
-        .map(|f| {
-            (f * 40..(f + 1) * 40)
-                .map(|n| {
-                    let name = if n % 5 == 0 { "banana" } else { "apple" };
-                    (n, format!(r#"{{"name": "{name}", "n": {n}}}"#))
-                })
-                .collect()
-        })
-        .collect();
-    support::json_table(&mut Session::open(&root).unwrap(), "db", "t", &files, 8);
-    let sql = "select id from db.t where get_json_object(payload, '$.name') = 'banana'";
-    // Sanity: the prefilter actually fires on this shape.
-    let mut probe = Session::open(&root).unwrap();
-    probe.set_prefilter_enabled(true);
-    probe.set_threads(Some(1));
-    let result = probe.execute(sql).unwrap();
-    assert_eq!(result.rows.len(), 24);
-    assert!(
-        result.metrics.prefilter_dropped > 0,
-        "prefilter never fired: {:?}",
-        result.metrics
-    );
-    assert_eq!(
-        result.metrics.batch_rows_skipped, result.metrics.prefilter_dropped,
-        "every prefiltered row must be skipped before materialization"
-    );
-    assert_agrees(&root, &[sql], &cells(false, true));
-    std::fs::remove_dir_all(&root).ok();
-}
-
 #[test]
 fn nobench_workload_identical_across_batching_matrix() {
     let root = support::nobench_table("nobench", 200, 4);
-    assert_agrees(&root, &NOBENCH_QUERIES, &cells(false, false));
+    assert_agrees(&root, &NOBENCH_QUERIES, &cells(false));
     std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
 fn property_random_queries_identical_across_batching_matrix() {
-    property_agrees("zero_copy_batching_oracle", 10, &cells(false, false));
+    property_agrees("zero_copy_batching_oracle", 10, &cells(false));
 }
