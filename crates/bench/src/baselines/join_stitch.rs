@@ -20,7 +20,9 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::{charge_row_groups, open_split, read_chunks_at, Batch, ScanProvider};
+use maxson_engine::scan::{
+    charge_row_groups, open_split, read_chunks_at, Batch, Columns, ScanProvider,
+};
 use maxson_storage::{Cell, Schema, Table};
 
 /// Join-based stitching provider (ablation baseline).
@@ -65,7 +67,7 @@ fn read_all(
         let file = open_split(table, split, metrics)?;
         charge_row_groups(metrics, None, &file);
         let cols = read_chunks_at(&file, projection, None, None, metrics)?;
-        rows.extend(Batch::Columns(cols).into_rows(metrics));
+        rows.extend(Batch::Columns(Columns::decoded(cols)).into_rows(metrics)?);
     }
     Ok(rows)
 }

@@ -24,17 +24,19 @@
 //! reaches the result once.
 //!
 //! Join, sort, limit and distinct are blocking operators, not row loops,
-//! and keep arms of their own in [`execute_plan_traced`]. The limit arm
-//! runs a top-N whose projection reads JSON as a late projection
-//! ([`LateProjection`]): the projection's `get_json_object` work waits for
-//! the rows the limit keeps.
+//! and keep arms of their own in [`execute_plan_traced`]. A limit over a
+//! row projection runs as a top-N ([`TopN`]): each split task keeps its
+//! first `n` rows and decodes the columns only they need at those rows
+//! alone, and JSON work the sort does not need waits for the rows the
+//! limit keeps.
 //!
 //! ## Split tasks
 //!
 //! `run_pipeline` hands the splits to [`crate::pool::run_split_tasks`] at
 //! every thread count and split count. The pool runs them inline on the
 //! caller's thread, in split order, when `threads <= 1` or the table has at
-//! most one split, and on scoped worker threads otherwise; either way each
+//! most one split, and otherwise on the caller and `threads - 1` scoped
+//! worker threads, which share one split cursor; either way each
 //! task runs inside the scheduler's acquire/release bracket and a panic
 //! comes back as an error naming the split. Each task charges its own
 //! zero-based [`ExecMetrics`] and fills its own sink; the barrier absorbs
@@ -56,7 +58,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use maxson_obs::{SpanGuard, SpanId, Tracer};
-use maxson_storage::{Cell, CellKey, ColumnData, RowKey, RowKeySlice};
+use maxson_storage::{Cell, CellKey, RowKey, RowKeySlice};
 
 use crate::error::{EngineError, Result};
 use crate::expr::{truthy, Expr, JsonParserKind};
@@ -64,7 +66,7 @@ use crate::extract::{JsonExtractor, RowSlots};
 use crate::metrics::ExecMetrics;
 use crate::plan::LogicalPlan;
 use crate::pool;
-use crate::scan::{Batch, ScanProvider};
+use crate::scan::{Batch, Columns, ScanProvider};
 use crate::sql::ast::AggFunc;
 
 /// Knobs controlling one plan execution.
@@ -155,8 +157,8 @@ pub fn execute_plan_traced(
         }
         LogicalPlan::Limit { input, n } => {
             let span = tracer.child("limit", parent);
-            if let Some(late) = LateProjection::of(input) {
-                return late.run(*n, parser, metrics, opts, tracer, &span);
+            if let Some(top_n) = TopN::of(input) {
+                return top_n.run(*n, parser, metrics, opts, tracer, &span);
             }
             let mut rows = execute_plan_traced(input, parser, metrics, opts, tracer, span.id())?;
             span.attr("rows_in", rows.len());
@@ -321,8 +323,8 @@ struct PipelineSegment<'a> {
     rest_cols: Vec<usize>,
     /// How a row segment (no aggregation) builds its output rows.
     shape: Option<RowShape<'a>>,
-    /// A late projection's cut of each sink's rows (see [`TopN`]).
-    top_n: Option<&'a TopN<'a>>,
+    /// A top-N's share of each batch's rows (see [`Bound`]).
+    bound: Option<&'a Bound<'a>>,
 }
 
 impl<'a> PipelineSegment<'a> {
@@ -341,7 +343,7 @@ impl<'a> PipelineSegment<'a> {
             filter_cols: Vec::new(),
             rest_cols: Vec::new(),
             shape: None,
-            top_n: None,
+            bound: None,
         };
         let mut source = plan;
         match plan {
@@ -384,10 +386,14 @@ impl<'a> PipelineSegment<'a> {
     /// the row shape.
     fn derive(&mut self) {
         self.extractor = self.shared_extractor();
+        let mut keyed = std::collections::BTreeSet::new();
+        for (key, _) in self.bound.and_then(|b| b.keys).unwrap_or_default() {
+            key.collect_columns(&mut keyed);
+        }
         self.shape = self
             .agg
             .is_none()
-            .then(|| RowShape::new(self.project, self.width, &self.filter_cols));
+            .then(|| RowShape::new(self.project, self.width, &self.filter_cols, &keyed));
     }
 
     /// The shared-parse extraction sites of every stage of the segment.
@@ -405,11 +411,11 @@ impl<'a> PipelineSegment<'a> {
     }
 
     /// This projection segment evaluating `exprs` instead of its own list,
-    /// each sink's rows cut by `top_n`.
-    fn late_eager(self, exprs: &'a [(Expr, String)], top_n: &'a TopN<'a>) -> Self {
+    /// each batch's rows cut to `bound`.
+    fn bounded(self, exprs: &'a [(Expr, String)], bound: &'a Bound<'a>) -> Self {
         let mut segment = PipelineSegment {
             project: Some(exprs),
-            top_n: Some(top_n),
+            bound: Some(bound),
             ..self
         };
         segment.derive();
@@ -440,7 +446,7 @@ impl<'a> PipelineSegment<'a> {
     /// charges `batch_rows_skipped`) for a rejected row.
     fn keep_row(
         &self,
-        cols: &[ColumnData],
+        cols: &Columns,
         i: usize,
         scratch: &mut [Cell],
         parser: JsonParserKind,
@@ -451,7 +457,7 @@ impl<'a> PipelineSegment<'a> {
             return Ok(true);
         };
         for &c in &self.filter_cols {
-            scratch[c] = cols[c].get(i);
+            scratch[c] = cols.column(c).get(i);
         }
         metrics.cells_materialized += self.filter_cols.len() as u64;
         if !truthy(&predicate.eval_with(scratch, parser, metrics, slots)?) {
@@ -464,9 +470,7 @@ impl<'a> PipelineSegment<'a> {
     /// The row loop: every row of `batch` that survives the segment's
     /// filter is projected into, copied into, or folded into `sink`, all
     /// under one [`RowSlots`] — so the projection or aggregation reuses
-    /// the filter's parse. A bounded segment cuts the sink's rows to its
-    /// [`TopN`] after the batch, so the batch's cells outlive it only in the
-    /// kept rows.
+    /// the filter's parse.
     fn run(
         &self,
         batch: Batch,
@@ -475,35 +479,40 @@ impl<'a> PipelineSegment<'a> {
         metrics: &mut ExecMetrics,
     ) -> Result<()> {
         match sink {
-            Sink::Rows(out) => self.project_rows(batch, out, parser, metrics)?,
+            Sink::Rows(out) => {
+                let rows = self.project_rows(batch, parser, metrics)?;
+                if out.is_empty() {
+                    *out = rows;
+                } else {
+                    out.extend(rows);
+                }
+            }
             Sink::Agg(partial) => self.fold_rows(batch, partial, parser, metrics)?,
-        }
-        if let (Some(top_n), Sink::Rows(rows)) = (self.top_n, sink) {
-            top_n.cut(rows, parser, metrics)?;
         }
         Ok(())
     }
 
     /// The row loop into output rows, built by the segment's [`RowShape`].
     /// A row-major batch already owns its cells: each surviving row gives
-    /// its bare columns away. A columnar batch reuses one scratch row for
-    /// the filter's columns and the evaluated outputs' columns, then moves
-    /// every other bare column's values for the kept rows out of the batch.
+    /// its bare columns away. A columnar batch decodes the filter's columns
+    /// and those the evaluated outputs read, and reuses one scratch row for
+    /// them; every other bare column's values for the kept rows are moved
+    /// out of the batch after the loop. A bounded segment keeps only its
+    /// [`Bound`]'s rows, and decodes those other columns at them alone.
     fn project_rows(
         &self,
         batch: Batch,
-        out: &mut Vec<Vec<Cell>>,
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
-    ) -> Result<()> {
+    ) -> Result<Vec<Vec<Cell>>> {
         let shape = self
             .shape
             .as_ref()
             .expect("a Rows sink comes from a row segment");
-        let n = batch.len();
+        let mut out = OutRows::new(self.bound);
         match batch {
             Batch::Rows(mut rows) => {
-                for row in &mut rows {
+                for (i, row) in rows.iter_mut().enumerate() {
                     let slots = self.extractor.as_ref().map(RowSlots::new);
                     let slots = slots.as_ref();
                     if let Some(predicate) = self.filter {
@@ -511,62 +520,90 @@ impl<'a> PipelineSegment<'a> {
                             continue;
                         }
                     }
-                    out.push(match self.project {
-                        Some(_) => shape.build(row, &shape.bare, parser, metrics, slots)?,
+                    let built = match self.project {
+                        Some(_) => {
+                            let spare = out.spare();
+                            shape.build(spare, row, &shape.bare, parser, metrics, slots)?
+                        }
                         None => std::mem::take(row),
-                    });
+                    };
+                    out.push(built, i, parser, metrics)?;
                 }
+                Ok(out.finish().0)
             }
             Batch::Columns(mut cols) => {
-                let mut scratch = vec![Cell::Null; cols.len()];
-                let first = out.len();
-                let mut kept = Vec::with_capacity(n);
-                for i in 0..n {
+                cols.decode(&self.filter_cols, metrics)?;
+                cols.decode(&shape.eval_cols, metrics)?;
+                let moved: Vec<usize> = shape.moved.iter().map(|(c, _)| *c).collect();
+                if self.bound.is_none() {
+                    cols.decode(&moved, metrics)?;
+                }
+                let mut scratch = vec![Cell::Null; cols.width()];
+                for i in 0..cols.len() {
                     let slots = self.extractor.as_ref().map(RowSlots::new);
                     let slots = slots.as_ref();
                     if !self.keep_row(&cols, i, &mut scratch, parser, metrics, slots)? {
                         continue;
                     }
                     for &c in &shape.eval_cols {
-                        scratch[c] = cols[c].get(i);
+                        scratch[c] = cols.column(c).get(i);
                     }
                     metrics.cells_materialized += shape.eval_cols.len() as u64;
-                    out.push(shape.build(
+                    let spare = out.spare();
+                    let built = shape.build(
+                        spare,
                         &mut scratch,
                         &shape.scratch_bare,
                         parser,
                         metrics,
                         slots,
-                    )?);
-                    kept.push(i as u32);
+                    )?;
+                    out.push(built, i, parser, metrics)?;
                 }
-                metrics.cells_materialized += (shape.moved.len() * kept.len()) as u64;
-                for (c, positions) in &shape.moved {
+                let (mut rows, kept) = out.finish();
+                // Each moved column's values for the kept rows, in order.
+                let values: Vec<Vec<Cell>> = match self.bound {
+                    None => moved
+                        .iter()
+                        .map(|&c| cols.column_mut(c).take_cells(&kept))
+                        .collect(),
+                    Some(bound) => {
+                        bound.deferred(moved.len(), kept.len());
+                        let every: Vec<u32> = (0..kept.len() as u32).collect();
+                        let mut read = cols.read_at(&moved, &kept, metrics)?;
+                        read.iter_mut().map(|col| col.take_cells(&every)).collect()
+                    }
+                };
+                metrics.cells_materialized += (moved.len() * kept.len()) as u64;
+                for ((_, positions), cells) in shape.moved.iter().zip(values) {
                     let (&last, copies) = positions.split_last().expect("a moved column is output");
-                    for (row, cell) in out[first..].iter_mut().zip(cols[*c].take_cells(&kept)) {
+                    for (row, cell) in rows.iter_mut().zip(cells) {
                         for &p in copies {
                             row[p] = cell.clone();
                         }
                         row[last] = cell;
                     }
                 }
+                Ok(rows)
             }
         }
-        Ok(())
     }
 
     /// The row loop into an aggregate partial. Columnar rows materialize
     /// the filter's columns first and the rest only for rows it keeps.
     fn fold_rows(
         &self,
-        batch: Batch,
+        mut batch: Batch,
         partial: &mut AggPartial,
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
     ) -> Result<()> {
         let (group_by, aggs) = self.agg.expect("an Agg sink comes from an agg segment");
-        let mut scratch = match &batch {
-            Batch::Columns(cols) => vec![Cell::Null; cols.len()],
+        let mut scratch = match &mut batch {
+            Batch::Columns(cols) => {
+                cols.decode_all(metrics)?;
+                vec![Cell::Null; cols.width()]
+            }
             Batch::Rows(_) => Vec::new(),
         };
         for i in 0..batch.len() {
@@ -586,7 +623,7 @@ impl<'a> PipelineSegment<'a> {
                         continue;
                     }
                     for &c in &self.rest_cols {
-                        scratch[c] = cols[c].get(i);
+                        scratch[c] = cols.column(c).get(i);
                     }
                     metrics.cells_materialized += self.rest_cols.len() as u64;
                     &scratch
@@ -612,7 +649,9 @@ struct Bare {
 /// `eval_with` over the input row; a bare `Column` output is handed over
 /// instead — taken from the input row, or moved out of a columnar batch —
 /// so each of its cells is converted once and never cloned on the way. No
-/// projection is the identity: every input column is a bare output.
+/// projection is the identity: every input column is a bare output. A bare
+/// output a sort key reads goes through the scratch row, so a bounded
+/// segment has it before it cuts.
 struct RowShape<'a> {
     /// Each output's expression; `None` for a bare column, filled after.
     exprs: Vec<Option<&'a Expr>>,
@@ -625,12 +664,20 @@ struct RowShape<'a> {
     /// moved out of the batch for the kept rows after the row loop.
     moved: Vec<(usize, Vec<usize>)>,
     /// Columnar batches: the columns outside the filter's that evaluated
-    /// outputs read, materialized into the scratch row for kept rows.
+    /// outputs and sort keys read, materialized into the scratch row for
+    /// kept rows.
     eval_cols: Vec<usize>,
 }
 
 impl<'a> RowShape<'a> {
-    fn new(project: Option<&'a [(Expr, String)]>, width: usize, filter_cols: &[usize]) -> Self {
+    /// The shape of `project` over an input of `width` columns, whose
+    /// filter reads `filter_cols`; sort keys read the outputs `keyed`.
+    fn new(
+        project: Option<&'a [(Expr, String)]>,
+        width: usize,
+        filter_cols: &[usize],
+        keyed: &std::collections::BTreeSet<usize>,
+    ) -> Self {
         // Each bare output as `(column, position)`. An out-of-range column
         // (a planner bug) is evaluated, so its eval reports the error.
         let mut exprs: Vec<Option<&Expr>> = Vec::new();
@@ -665,6 +712,12 @@ impl<'a> RowShape<'a> {
         for e in exprs.iter().flatten() {
             e.collect_columns(&mut read);
         }
+        read.extend(
+            pairs
+                .iter()
+                .filter(|(_, position)| keyed.contains(position))
+                .map(|&(column, _)| column),
+        );
         let eval_cols: Vec<usize> = read
             .into_iter()
             .filter(|c| *c < width && !filter_cols.contains(c))
@@ -691,18 +744,20 @@ impl<'a> RowShape<'a> {
         }
     }
 
-    /// One output row over the input `row`: the evaluated outputs first,
-    /// then the `bare` outputs filled from `row` (a moved column's
-    /// positions stay NULL until the caller moves it in).
+    /// One output row over the input `row`, built in `out` (empty, its
+    /// capacity reused): the evaluated outputs first, then the `bare`
+    /// outputs filled from `row` (a moved column's positions stay NULL
+    /// until the caller moves it in).
     fn build(
         &self,
+        mut out: Vec<Cell>,
         row: &mut [Cell],
         bare: &[Bare],
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
         slots: Option<&RowSlots<'_>>,
     ) -> Result<Vec<Cell>> {
-        let mut out = Vec::with_capacity(self.exprs.len());
+        out.reserve_exact(self.exprs.len());
         for e in &self.exprs {
             out.push(match e {
                 Some(e) => e.eval_with(row, parser, metrics, slots)?,
@@ -731,10 +786,10 @@ fn absorb_pool_run<'m, T: 'm>(
     metrics: &'m mut ExecMetrics,
     run: pool::PoolRun<(T, ExecMetrics)>,
 ) -> impl Iterator<Item = T> + 'm {
-    if run.threads_spawned > 0 {
+    if run.threads_used > 0 {
         let (p50, p95, skew) = pool::wall_stats(&run.task_walls);
         metrics.absorb(&ExecMetrics {
-            threads_used: run.threads_spawned as u64,
+            threads_used: run.threads_used as u64,
             par_tasks: run.task_walls.len() as u64,
             task_wall_p50: p50,
             task_wall_p95: p95,
@@ -742,7 +797,7 @@ fn absorb_pool_run<'m, T: 'm>(
             ..Default::default()
         });
     }
-    let workers = run.threads_spawned.max(1) as u32;
+    let workers = run.threads_used.max(1) as u32;
     run.results.into_iter().map(move |(out, mut task_metrics)| {
         scale_wall_gauges(&mut task_metrics, workers);
         metrics.absorb(&task_metrics);
@@ -821,44 +876,50 @@ fn scale_wall_gauges(m: &mut ExecMetrics, workers: u32) {
 }
 
 // ----------------------------------------------------------------------
-// Late projection for top-N
+// Top-N: deferred decode and late projection
 // ----------------------------------------------------------------------
 
-/// A `LIMIT` whose row `Project` defers its `get_json_object` work to the
-/// rows the limit keeps. The plan is `Limit → [strip Project →] Sort →
+/// A `LIMIT` over a row `Project`: `Limit → [strip Project →] Sort →
 /// Project` (the strip being the planner's hidden-order-column `Project`)
-/// or `Limit → Project`, and applies only when nothing below the row
-/// `Project` and no sort key reads JSON, while some projected expression
-/// does. The projection then runs with each JSON-reading expression
-/// replaced by a NULL placeholder, each task keeps its first `n` rows
-/// ([`TopN`]), the rows sort and truncate as before, and the deferred
-/// expressions run over the survivors alone.
+/// or `Limit → Project`. The projection runs as a bounded segment: each
+/// split task decodes what it needs to choose rows — the filter's columns,
+/// the sort keys' columns and the columns its evaluated outputs read (the
+/// JSON column whose parse they share among them) — keeps its first `n`
+/// rows by (key, position) ([`Bound`]) and decodes every other projected
+/// column at those rows alone. The rows then sort and truncate as before.
+///
+/// When nothing below the row `Project`, no sort key and no strip reads
+/// JSON while some projected expression does, those expressions are also
+/// late: the projection runs with a NULL placeholder in their place and one
+/// pass-through `Column` per input column they read — a deferred column
+/// like any other — and they run over the rows the limit keeps alone.
 ///
 /// The rows are exactly the full plan's: a projection is one row in, one
 /// row out; `eval_with` fails only on an out-of-range column (a planner
-/// bug); and the sort keys read only eager columns, so the stable order is
+/// bug); and the sort keys read only eager outputs, so the stable order is
 /// the same. The plan tree is untouched: the rows a reuse-cache miss
-/// offers for admission are the late path's output.
-struct LateProjection<'a> {
-    /// The strip above the sort; it reads no JSON.
+/// offers for admission are the top-N's output.
+struct TopN<'a> {
+    /// The strip above the sort; it reads no JSON when anything is late.
     strip: Option<&'a [(Expr, String)]>,
     /// Sort keys over the projection's output; `None` for `Limit → Project`.
     keys: Option<&'a [(Expr, bool)]>,
     /// The row `Project`.
     project: &'a LogicalPlan,
-    /// The projection with a placeholder in place of each deferred
-    /// expression, then one pass-through `Column` per input column the
-    /// deferred expressions read (a `Cell::Str` clone is a refcount bump).
+    /// The projection with a placeholder in place of each late expression,
+    /// then one pass-through `Column` per input column the late expressions
+    /// read.
     eager: Vec<(Expr, String)>,
-    /// Each deferred expression's output position and the expression over
-    /// the eager row's pass-through columns.
-    deferred: Vec<(usize, Expr)>,
+    /// Each late expression's output position and the expression over the
+    /// eager row's pass-through columns.
+    late: Vec<(usize, Expr)>,
     /// The projection's width; eager rows are truncated back to it.
     width: usize,
 }
 
-impl<'a> LateProjection<'a> {
-    /// The late path for a `Limit` over `input`, when it applies.
+impl<'a> TopN<'a> {
+    /// The top-N for a `Limit` over `input`, when `input` is a row
+    /// projection (under a sort and its strip).
     fn of(input: &'a LogicalPlan) -> Option<Self> {
         let (strip, below) = match input {
             LogicalPlan::Project { input, exprs, .. }
@@ -881,18 +942,17 @@ impl<'a> LateProjection<'a> {
             return None;
         };
         let reads_json = |e: &Expr| e.json_parse_count() > 0;
-        let late: Vec<usize> = (0..exprs.len())
+        let mut late: Vec<usize> = (0..exprs.len())
             .filter(|&i| reads_json(&exprs[i].0))
             .collect();
         let eager_keys = keys.unwrap_or_default().iter().all(|(key, _)| {
             !reads_json(key) && key.referenced_columns().iter().all(|c| !late.contains(c))
         });
-        if late.is_empty()
-            || !eager_keys
+        if !eager_keys
             || source.json_parse_expr_count() > 0
             || strip.is_some_and(|s| s.iter().any(|(e, _)| reads_json(e)))
         {
-            return None;
+            late.clear();
         }
         let mut passed: Vec<usize> = late
             .iter()
@@ -902,7 +962,7 @@ impl<'a> LateProjection<'a> {
         passed.dedup();
         let width = exprs.len();
         let at = |c: usize| width + passed.binary_search(&c).expect("a collected column");
-        let deferred = late
+        let late_exprs = late
             .iter()
             .map(|&i| {
                 let e = exprs[i].0.clone().rewrite(&mut |node| match node {
@@ -927,18 +987,18 @@ impl<'a> LateProjection<'a> {
             })
             .chain(passed.iter().map(|&c| (Expr::Column(c), String::new())))
             .collect();
-        Some(LateProjection {
+        Some(TopN {
             strip,
             keys,
             project,
             eager,
-            deferred,
+            late: late_exprs,
             width,
         })
     }
 
-    /// Run the eager projection (and sort) under the `limit` span, keep the
-    /// first `n` rows and evaluate the deferred expressions over them.
+    /// Run the bounded projection (and sort) under the `limit` span, keep
+    /// the first `n` rows and evaluate the late expressions over them.
     fn run(
         &self,
         n: usize,
@@ -948,13 +1008,15 @@ impl<'a> LateProjection<'a> {
         tracer: &Tracer,
         span: &SpanGuard<'_>,
     ) -> Result<Vec<Vec<Cell>>> {
-        let top_n = TopN {
+        let bound = Bound {
             keys: self.keys,
             n,
             offered: AtomicUsize::new(0),
+            deferred_cols: AtomicUsize::new(0),
+            deferred_rows: AtomicUsize::new(0),
         };
         let (segment, source) = PipelineSegment::extract(self.project);
-        let segment = segment.late_eager(&self.eager, &top_n);
+        let segment = segment.bounded(&self.eager, &bound);
         let mut rows = match self.keys {
             Some(keys) => {
                 let sort = tracer.child("sort", span.id());
@@ -963,49 +1025,61 @@ impl<'a> LateProjection<'a> {
             }
             None => run_segment(&segment, source, parser, metrics, opts, tracer, span.id())?,
         };
-        let eager_rows = top_n.offered.load(Ordering::Relaxed);
+        let eager_rows = bound.offered.load(Ordering::Relaxed);
         span.attr("rows_in", eager_rows);
+        span.attr("deferred_cols", bound.deferred_cols.load(Ordering::Relaxed));
+        span.attr("deferred_rows", bound.deferred_rows.load(Ordering::Relaxed));
         rows.truncate(n);
         let survivors = rows.len();
-        span.attr("late_exprs", self.deferred.len());
-        span.attr("late_rows", survivors);
+        span.attr("late_exprs", self.late.len());
+        span.attr(
+            "late_rows",
+            if self.late.is_empty() { 0 } else { survivors },
+        );
         let before = counters_before(tracer, metrics);
-        // One task unless nearly every row survives: finishing those in one
-        // task would serialise parses the eager run could have split, so
-        // they go to the pool in contiguous chunks, concatenated in order.
-        let chunks = if survivors * opts.threads <= eager_rows {
-            1
+        let out = if self.late.is_empty() && self.strip.is_none() {
+            rows
+        } else if self.late.is_empty() {
+            self.finish_rows(&rows, parser, metrics)?
         } else {
-            opts.threads
+            // One task unless nearly every row survives: finishing those in
+            // one task would serialise parses the eager run could have
+            // split, so they go to the pool in contiguous chunks,
+            // concatenated in order.
+            let chunks = if survivors * opts.threads <= eager_rows {
+                1
+            } else {
+                opts.threads
+            };
+            let parts: Vec<&[Vec<Cell>]> = rows.chunks(survivors.div_ceil(chunks).max(1)).collect();
+            let run =
+                pool::run_split_tasks(parts.len(), opts.threads, opts.scheduler.as_deref(), |i| {
+                    let mut task_metrics = ExecMetrics::default();
+                    let out = self.finish_rows(parts[i], parser, &mut task_metrics)?;
+                    Ok((out, task_metrics))
+                })?;
+            absorb_pool_run(metrics, run).flatten().collect()
         };
-        let parts: Vec<&[Vec<Cell>]> = rows.chunks(survivors.div_ceil(chunks).max(1)).collect();
-        let run =
-            pool::run_split_tasks(parts.len(), opts.threads, opts.scheduler.as_deref(), |i| {
-                let mut task_metrics = ExecMetrics::default();
-                let out = self.finish_rows(parts[i], parser, &mut task_metrics)?;
-                Ok((out, task_metrics))
-            })?;
-        let out: Vec<Vec<Cell>> = absorb_pool_run(metrics, run).flatten().collect();
         span.attr("rows_out", out.len());
         attr_counter_deltas(span, before.as_ref(), metrics);
         Ok(out)
     }
 
-    /// The output rows of the eager `rows`: the deferred expressions
-    /// evaluated (one shared parse per row), the pass-through columns
-    /// dropped and the strip applied.
+    /// The output rows of the eager `rows`: the late expressions evaluated
+    /// (one shared parse per row), the pass-through columns dropped and the
+    /// strip applied.
     fn finish_rows(
         &self,
         rows: &[Vec<Cell>],
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
     ) -> Result<Vec<Vec<Cell>>> {
-        let extractor = JsonExtractor::from_exprs(self.deferred.iter().map(|(_, e)| e));
+        let extractor = JsonExtractor::from_exprs(self.late.iter().map(|(_, e)| e));
         rows.iter()
             .map(|eager| {
                 let slots = extractor.as_ref().map(RowSlots::new);
                 let mut row = eager[..self.width].to_vec();
-                for (i, e) in &self.deferred {
+                for (i, e) in &self.late {
                     row[*i] = e.eval_with(eager, parser, metrics, slots.as_ref())?;
                 }
                 match self.strip {
@@ -1020,37 +1094,142 @@ impl<'a> LateProjection<'a> {
     }
 }
 
-/// The bound on a late projection's eager rows: each sink keeps only its
-/// first `n` rows in `keys` order (stable; input order without keys). The
-/// `n` rows a stable sort of every sink's rows, concatenated in split
-/// order, keeps are among them — fewer than `n` rows precede such a row
-/// overall, so fewer do within its sink — and their order is unchanged,
-/// since ties keep split order and then input order. A pass-through
-/// document therefore outlives its batch only in a kept row: the eager
-/// rows hold at most `n` documents per split, not one per qualifying row.
-struct TopN<'a> {
+/// A top-N's share of one batch: its first `n` rows by `keys` (stable;
+/// position order without keys). The `n` rows a stable sort of every
+/// batch's rows, concatenated in split order, keeps are among them — fewer
+/// than `n` rows precede such a row overall, so fewer do within its batch —
+/// and their order is unchanged, since the kept rows stay in position
+/// order and ties keep split order and then position order. So a deferred
+/// column is decoded at no more than `n` rows of a split, and a
+/// pass-through document outlives its batch only in a kept row.
+struct Bound<'a> {
     keys: Option<&'a [(Expr, bool)]>,
     n: usize,
-    /// Rows offered to every sink before the cut: the eager row count.
+    /// Rows offered to every cut: the eager row count.
     offered: AtomicUsize,
+    /// Columns a columnar batch decodes at its kept rows alone, and the
+    /// rows it decodes them at, over every batch.
+    deferred_cols: AtomicUsize,
+    deferred_rows: AtomicUsize,
 }
 
-impl TopN<'_> {
-    /// Cut one sink's `rows` (filled by one batch) to the first `n`.
-    fn cut(
-        &self,
-        rows: &mut Vec<Vec<Cell>>,
+impl Bound<'_> {
+    /// Record that a batch decoded `cols` columns at its `rows` kept rows.
+    fn deferred(&self, cols: usize, rows: usize) {
+        self.deferred_cols.store(cols, Ordering::Relaxed);
+        self.deferred_rows.fetch_add(rows, Ordering::Relaxed);
+    }
+}
+
+/// Rows held at least before a bounded batch cuts its rows back to `n`.
+const CUT_AT_LEAST: usize = 64;
+
+/// One batch's output rows as the row loop builds them, with the batch
+/// position of each. Under a [`Bound`], each time twice `n` rows (and at
+/// least [`CUT_AT_LEAST`]) are held they are cut back to the first `n` by
+/// (keys, position) — each row's keys evaluated once, when it is built —
+/// and the vectors of the rows cut away are reused for the rows built next,
+/// so a batch holds and allocates a few more than `n` rows, however many
+/// it builds.
+struct OutRows<'b> {
+    bound: Option<&'b Bound<'b>>,
+    extractor: Option<JsonExtractor>,
+    rows: Vec<Vec<Cell>>,
+    positions: Vec<u32>,
+    /// The held rows' sort keys, one run of `keys.len()` per row.
+    keys: Vec<SortKey>,
+    spare: Vec<Vec<Cell>>,
+    order: Vec<usize>,
+    offered: usize,
+}
+
+impl<'b> OutRows<'b> {
+    fn new(bound: Option<&'b Bound<'b>>) -> Self {
+        let keys = bound.and_then(|b| b.keys).unwrap_or_default();
+        OutRows {
+            bound,
+            extractor: JsonExtractor::from_exprs(keys.iter().map(|(e, _)| e)),
+            rows: Vec::new(),
+            positions: Vec::new(),
+            keys: Vec::new(),
+            spare: Vec::new(),
+            order: Vec::new(),
+            offered: 0,
+        }
+    }
+
+    /// An empty vector to build the next row in.
+    fn spare(&mut self) -> Vec<Cell> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Hold `row`, built from batch row `position`.
+    fn push(
+        &mut self,
+        row: Vec<Cell>,
+        position: usize,
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
     ) -> Result<()> {
-        self.offered.fetch_add(rows.len(), Ordering::Relaxed);
-        if rows.len() > self.n {
-            if let Some(keys) = self.keys {
-                *rows = sort_rows(std::mem::take(rows), keys, parser, metrics)?;
+        if let Some(keys) = self.bound.and_then(|b| b.keys) {
+            let slots = self.extractor.as_ref().map(RowSlots::new);
+            for (e, _) in keys {
+                let key = e.eval_with(&row, parser, metrics, slots.as_ref())?;
+                self.keys.push(SortKey::new(key));
             }
-            rows.truncate(self.n);
+        }
+        self.rows.push(row);
+        self.positions.push(position as u32);
+        self.offered += 1;
+        if let Some(bound) = self.bound {
+            if self.rows.len() >= bound.n.saturating_mul(2).max(CUT_AT_LEAST) {
+                self.cut(bound);
+            }
         }
         Ok(())
+    }
+
+    /// Cut the held rows to the first `n` by (keys, position), in position
+    /// order; the vectors of the others become spares.
+    fn cut(&mut self, bound: &Bound<'_>) {
+        let n = bound.n;
+        if self.rows.len() <= n {
+            return;
+        }
+        let width = bound.keys.map_or(0, <[_]>::len);
+        self.order.clear();
+        self.order.extend(0..self.rows.len());
+        if let Some(keys) = bound.keys {
+            let row_keys = |i: usize| &self.keys[i * width..(i + 1) * width];
+            self.order.select_nth_unstable_by(n, |&a, &b| {
+                cmp_keys(row_keys(a), row_keys(b), keys).then(a.cmp(&b))
+            });
+            self.order[..n].sort_unstable();
+        }
+        // Kept indexes ascend, and the `w`-th is at least `w`: swapping
+        // each into place never moves a row already placed.
+        for (w, &i) in self.order[..n].iter().enumerate() {
+            self.rows.swap(w, i);
+            self.positions.swap(w, i);
+            for j in 0..width {
+                self.keys.swap(w * width + j, i * width + j);
+            }
+        }
+        self.positions.truncate(n);
+        self.keys.truncate(n * width);
+        for mut row in self.rows.drain(n..) {
+            row.clear();
+            self.spare.push(row);
+        }
+    }
+
+    /// The rows held, and their batch positions, after the last cut.
+    fn finish(mut self) -> (Vec<Vec<Cell>>, Vec<u32>) {
+        if let Some(bound) = self.bound {
+            self.cut(bound);
+            bound.offered.fetch_add(self.offered, Ordering::Relaxed);
+        }
+        (self.rows, self.positions)
     }
 }
 
@@ -1466,6 +1645,18 @@ impl SortKey {
     }
 }
 
+/// The order of two rows' sort keys under `keys`' directions.
+fn cmp_keys(a: &[SortKey], b: &[SortKey], keys: &[(Expr, bool)]) -> std::cmp::Ordering {
+    for ((x, y), (_, asc)) in a.iter().zip(b).zip(keys) {
+        let ord = x.cmp(y);
+        let ord = if *asc { ord } else { ord.reverse() };
+        if ord.is_ne() {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
 /// Stable sort of `rows` by `keys`: each row's keys are evaluated and
 /// parsed once, then a permutation sorts over them.
 fn sort_rows(
@@ -1490,16 +1681,7 @@ fn sort_rows(
     }
     let row_keys = |i: usize| &sort_keys[i * width..(i + 1) * width];
     let mut order: Vec<usize> = (0..rows.len()).collect();
-    order.sort_by(|&a, &b| {
-        for ((x, y), (_, asc)) in row_keys(a).iter().zip(row_keys(b)).zip(keys) {
-            let ord = x.cmp(y);
-            let ord = if *asc { ord } else { ord.reverse() };
-            if ord.is_ne() {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    order.sort_by(|&a, &b| cmp_keys(row_keys(a), row_keys(b), keys));
     Ok(order
         .into_iter()
         .map(|i| std::mem::take(&mut rows[i]))
@@ -1510,7 +1692,7 @@ fn sort_rows(
 mod tests {
     use super::*;
     use crate::sql::ast::BinaryOp;
-    use maxson_storage::{ColumnType, Field, Schema};
+    use maxson_storage::{ColumnData, ColumnType, Field, Schema};
     use maxson_testkit::prop::{self, Gen};
     use maxson_testkit::prop_assert_eq;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1964,7 +2146,7 @@ mod tests {
             .collect();
         for columnar in [true, false] {
             for threads in [1, 4] {
-                let provider = Columns {
+                let provider = Stub {
                     schema: schema.clone(),
                     splits: vec![rows[..6].to_vec(), rows[6..].to_vec()],
                     columnar,
@@ -1998,13 +2180,13 @@ mod tests {
 
     /// A provider handing out its splits as columnar or row-major batches.
     #[derive(Debug)]
-    struct Columns {
+    struct Stub {
         schema: Schema,
         splits: Vec<Vec<Vec<Cell>>>,
         columnar: bool,
     }
 
-    impl ScanProvider for Columns {
+    impl ScanProvider for Stub {
         fn schema(&self) -> &Schema {
             &self.schema
         }
@@ -2029,10 +2211,10 @@ mod tests {
                     col
                 })
                 .collect();
-            Ok(Batch::Columns(cols))
+            Ok(Batch::Columns(Columns::decoded(cols)))
         }
         fn label(&self) -> String {
-            "Columns".into()
+            "Stub".into()
         }
     }
 
@@ -2289,9 +2471,10 @@ mod tests {
         }
     }
 
-    /// 2 splits x 4 rows; col 0 is a JSON document, col 1 a raw int.
-    fn json_split_plan() -> LogicalPlan {
-        let splits: Vec<Vec<Vec<Cell>>> = (0..2)
+    /// 2 splits x 4 rows; col 0 is a JSON document (all of one length),
+    /// col 1 a raw int.
+    fn json_splits() -> Vec<Vec<Vec<Cell>>> {
+        (0..2)
             .map(|s| {
                 (0..4)
                     .map(|i| {
@@ -2303,10 +2486,35 @@ mod tests {
                     })
                     .collect()
             })
-            .collect();
+            .collect()
+    }
+
+    fn json_split_plan() -> LogicalPlan {
         LogicalPlan::Scan {
-            provider: Box::new(SplitFixed::new(splits)),
+            provider: Box::new(SplitFixed::new(json_splits())),
         }
+    }
+
+    /// [`json_splits`] as a Norc table, one part file per split.
+    fn json_split_table(name: &str) -> maxson_storage::Table {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .subsec_nanos();
+        let dir =
+            std::env::temp_dir().join(format!("maxson-exec-{}-{nanos}-{name}", std::process::id()));
+        let schema = Schema::new(vec![
+            Field::new("doc", ColumnType::Utf8),
+            Field::new("n", ColumnType::Int64),
+        ])
+        .unwrap();
+        let mut table = maxson_storage::Table::create(dir, schema, 0).unwrap();
+        for rows in json_splits() {
+            table
+                .append_file(&rows, maxson_storage::file::WriteOptions::default(), 1)
+                .unwrap();
+        }
+        table
     }
 
     fn json_project(input: LogicalPlan, filter: Expr) -> LogicalPlan {
@@ -2398,6 +2606,8 @@ mod tests {
     /// in one task, or split over the pool when nearly every row survives —
     /// and returns the first `n` rows of the unlimited plan, also when the
     /// key's ties span both splits and each split cuts its own rows first.
+    /// Over a Norc table the documents, a deferred column, are decoded at
+    /// no more than `n` rows of each split.
     #[test]
     fn late_projection_parses_only_the_kept_rows() {
         let distinct = Expr::Column(0);
@@ -2407,15 +2617,26 @@ mod tests {
             op: BinaryOp::Mod,
             right: Box::new(Expr::Literal(Cell::Int(3))),
         };
+        let table = json_split_table("late");
         for key in [distinct, tied] {
-            late_projection_case(key);
+            late_projection_case(key, &table);
         }
+        table.drop_table().unwrap();
     }
 
-    fn late_projection_case(key: Expr) {
-        let top = |n: Option<usize>| {
+    fn late_projection_case(key: Expr, table: &maxson_storage::Table) {
+        let top = |n: Option<usize>, columnar: bool| {
+            let source = match columnar {
+                true => LogicalPlan::Scan {
+                    provider: Box::new(
+                        crate::scan::NorcScanProvider::new(table.clone(), vec![0, 1], None)
+                            .unwrap(),
+                    ),
+                },
+                false => json_split_plan(),
+            };
             let project = LogicalPlan::Project {
-                input: Box::new(json_split_plan()),
+                input: Box::new(source),
                 exprs: vec![
                     (Expr::Column(1), "n".into()),
                     (jp(0, "$.b"), "b".into()),
@@ -2441,38 +2662,51 @@ mod tests {
             }
         };
         let full = execute_plan_with(
-            &top(None),
+            &top(None, false),
             JsonParserKind::Jackson,
             &mut m(),
             ExecOptions::serial(),
         )
         .unwrap();
+        let doc_bytes = json_splits()[0][0][0].byte_size() as u64;
         for parser in [JsonParserKind::Jackson, JsonParserKind::Tape] {
-            for threads in [1, 4] {
-                for n in [0, 3, 8, 20] {
-                    let mut metrics = m();
-                    let rows = execute_plan_with(
-                        &top(Some(n)),
-                        parser,
-                        &mut metrics,
-                        ExecOptions::with_threads(threads),
-                    )
-                    .unwrap();
-                    let kept = n.min(full.len());
-                    let case = format!("{key:?}, {parser:?}, {threads} threads, limit {n}");
-                    assert_eq!(rows, full[..kept], "{case}");
-                    assert_eq!(metrics.docs_parsed, kept as u64, "{case}");
-                    assert_eq!(metrics.parse_calls, 2 * kept as u64, "{case}");
-                    // Pool tasks: the scan's two splits, then one per chunk
-                    // of the kept rows when kept × threads > eager rows.
-                    let tasks = if threads == 1 {
-                        0
-                    } else if kept * threads <= full.len() {
-                        2
-                    } else {
-                        2 + kept.div_ceil(kept.div_ceil(threads))
-                    };
-                    assert_eq!(metrics.par_tasks, tasks as u64, "{case}");
+            for threads in [1, 2, 4] {
+                for n in [0, 3, 8, 20, usize::MAX] {
+                    for columnar in [false, true] {
+                        let mut metrics = m();
+                        let rows = execute_plan_with(
+                            &top(Some(n), columnar),
+                            parser,
+                            &mut metrics,
+                            ExecOptions::with_threads(threads),
+                        )
+                        .unwrap();
+                        let kept = n.min(full.len());
+                        let case = format!(
+                            "{key:?}, {parser:?}, {threads} threads, limit {n}, columnar {columnar}"
+                        );
+                        assert_eq!(rows, full[..kept], "{case}");
+                        assert_eq!(metrics.docs_parsed, kept as u64, "{case}");
+                        assert_eq!(metrics.parse_calls, 2 * kept as u64, "{case}");
+                        // Pool tasks: the scan's two splits, then one per
+                        // chunk of the kept rows when kept × threads > eager
+                        // rows.
+                        let tasks = if threads == 1 {
+                            0
+                        } else if kept * threads <= full.len() {
+                            2
+                        } else {
+                            2 + kept.div_ceil(kept.div_ceil(threads))
+                        };
+                        assert_eq!(metrics.par_tasks, tasks as u64, "{case}");
+                        if columnar {
+                            // The key's ints at every row; the documents at
+                            // each split's first `n` rows alone.
+                            let deferred = 2 * n.min(4) as u64;
+                            assert_eq!(metrics.cells_materialized, 8 + deferred, "{case}");
+                            assert_eq!(metrics.bytes_read, 8 * 8 + deferred * doc_bytes, "{case}");
+                        }
+                    }
                 }
             }
         }

@@ -242,7 +242,7 @@ exec_metrics! {
     meta_cache_misses: u64, Sum, "meta_misses", false,
         "Norc metadata cache: split opens that had to read and decode the part file (cache absent, cold, or invalidated).";
     threads_used: u64, Max, "threads", false,
-        "Worker threads used by the widest parallel pool run (0 = serial).";
+        "Threads of the widest parallel pool run, the caller included (0 = serial).";
     par_tasks: u64, Sum, "tasks", false,
         "Split tasks executed by parallel pool runs.";
     task_wall_p50: Duration, Max, "task_p50", false,

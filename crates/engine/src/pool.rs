@@ -2,10 +2,11 @@
 //!
 //! The executor fans the scan+filter+project phase out one task per Norc
 //! split (morsel-style). This module owns the threading mechanics: a shared
-//! atomic cursor hands out split indexes, each worker runs tasks until the
-//! cursor is exhausted, and results land in per-task slots so the caller
-//! reassembles them **in split order** — the property the differential
-//! tests lean on for byte-identical output.
+//! atomic cursor hands out split indexes, each worker — the calling thread
+//! is one of them — runs tasks until the cursor is exhausted, and results
+//! land in per-task slots so the caller reassembles them **in split
+//! order** — the property the differential tests lean on for
+//! byte-identical output.
 //!
 //! Built on `std::thread::scope` only (hermetic policy: no crates-io
 //! dependencies). Panics inside a task are caught and surfaced as
@@ -55,8 +56,10 @@ impl Drop for SchedulerPermit<'_> {
 pub struct PoolRun<T> {
     /// Per-task results, indexed by task (= split) index.
     pub results: Vec<T>,
-    /// Worker threads actually spawned (0 when the run was inline).
-    pub threads_spawned: usize,
+    /// Threads the run put on its tasks, the caller included (0 when the
+    /// run was inline). A worker that starts after the others have taken
+    /// every task runs none.
+    pub threads_used: usize,
     /// Wall time of each task, indexed like `results`.
     pub task_walls: Vec<Duration>,
 }
@@ -67,10 +70,13 @@ pub struct PoolRun<T> {
 /// * `max_threads <= 1` or `tasks <= 1` runs everything inline on the
 ///   caller's thread, in task order — no threads are spawned. The
 ///   executor has no serial path of its own: this is it.
+/// * Otherwise `min(max_threads, tasks)` workers share the cursor: the
+///   caller and `min(max_threads, tasks) - 1` spawned threads, so the
+///   caller works instead of waiting for the others to start.
 /// * A task returning `Err` or panicking aborts the run; the error for the
 ///   **lowest failing task index** is returned so failure is deterministic
-///   regardless of scheduling. Remaining queued tasks are skipped once a
-///   failure is recorded.
+///   regardless of scheduling. Once a failure is recorded, queued tasks
+///   above its index are skipped; those below it still run.
 /// * When `scheduler` is set, every task (inline or pooled) runs inside an
 ///   acquire/release bracket, letting a server time-slice splits fairly
 ///   across concurrent queries.
@@ -95,7 +101,7 @@ where
         }
         return Ok(PoolRun {
             results,
-            threads_spawned: 0,
+            threads_used: 0,
             task_walls,
         });
     }
@@ -106,30 +112,32 @@ where
     // (contention is negligible: one lock per task completion).
     type Slot<T> = Option<Result<(T, Duration)>>;
     let slots: Mutex<Vec<Slot<T>>> = Mutex::new((0..tasks).map(|_| None).collect());
-    let failed = std::sync::atomic::AtomicBool::new(false);
+    // The lowest index that failed so far: tasks above it are skipped, tasks
+    // below it still run, so the lowest failing index is found whichever
+    // worker fails first.
+    let failed_at = AtomicUsize::new(usize::MAX);
 
+    // One worker's loop; the spawned threads and the caller all run it.
+    // The caller does not wait for the others to start: when the tasks
+    // are short it may run all of them before a worker asks for one.
+    let body = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= tasks || i > failed_at.load(Ordering::Relaxed) {
+            break;
+        }
+        // Acquire before timing: fairness wait is queueing delay, not task
+        // work, and must not inflate the skew gauges.
+        let permit = SchedulerPermit::acquire(scheduler);
+        let start = Instant::now();
+        let outcome = run_one(&task, permit, i);
+        if outcome.is_err() {
+            failed_at.fetch_min(i, Ordering::Relaxed);
+        }
+        let wall = start.elapsed();
+        slots.lock().expect("pool slots lock")[i] = Some(outcome.map(|t| (t, wall)));
+    };
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let body = || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks || failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                // Acquire before timing: fairness wait is queueing delay,
-                // not task work, and must not inflate the skew gauges.
-                let permit = SchedulerPermit::acquire(scheduler);
-                let start = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let _permit = permit;
-                    task(i)
-                }))
-                .unwrap_or_else(|payload| Err(panic_error(i, payload.as_ref())));
-                if outcome.is_err() {
-                    failed.store(true, Ordering::Relaxed);
-                }
-                let wall = start.elapsed();
-                slots.lock().expect("pool slots lock")[i] = Some(outcome.map(|t| (t, wall)));
-            };
+        for w in 0..workers - 1 {
             // Named threads so trace exports get stable per-worker track
             // names; fall back to an anonymous thread if the OS refuses.
             if std::thread::Builder::new()
@@ -140,6 +148,7 @@ where
                 scope.spawn(body);
             }
         }
+        body();
     });
 
     let slots = slots.into_inner().expect("pool slots lock");
@@ -160,14 +169,14 @@ where
     debug_assert_eq!(results.len(), tasks, "no failure implies every slot ran");
     Ok(PoolRun {
         results,
-        threads_spawned: workers,
+        threads_used: workers,
         task_walls,
     })
 }
 
-/// Inline task execution with the same panic containment as workers get.
-/// The permit moves into the unwind scope so a panicking task still
-/// releases its scheduler slot.
+/// One task under panic containment, inline or on a worker. The permit
+/// moves into the unwind scope so a panicking task still releases its
+/// scheduler slot.
 fn run_one<T>(
     task: &(impl Fn(usize) -> Result<T> + Sync),
     permit: SchedulerPermit<'_>,
@@ -230,7 +239,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(run.results, (0..16).map(|i| i * 10).collect::<Vec<_>>());
-        assert_eq!(run.threads_spawned, 4);
+        assert_eq!(run.threads_used, 4);
         assert_eq!(run.task_walls.len(), 16);
     }
 
@@ -238,7 +247,7 @@ mod tests {
     fn single_task_runs_inline_without_spawning() {
         let run = run_split_tasks(1, 8, None, Ok).unwrap();
         assert_eq!(run.results, vec![0]);
-        assert_eq!(run.threads_spawned, 0, "one task must not spawn threads");
+        assert_eq!(run.threads_used, 0, "one task must not spawn threads");
     }
 
     #[test]
@@ -248,7 +257,7 @@ mod tests {
         })
         .unwrap();
         assert!(run.results.is_empty());
-        assert_eq!(run.threads_spawned, 0);
+        assert_eq!(run.threads_used, 0);
     }
 
     #[test]
@@ -260,13 +269,13 @@ mod tests {
         })
         .unwrap();
         assert_eq!(run.results, vec![0, 1, 2, 3]);
-        assert_eq!(run.threads_spawned, 0);
+        assert_eq!(run.threads_used, 0);
     }
 
     #[test]
     fn workers_capped_by_task_count() {
         let run = run_split_tasks(2, 16, None, Ok).unwrap();
-        assert_eq!(run.threads_spawned, 2);
+        assert_eq!(run.threads_used, 2);
     }
 
     #[test]
@@ -320,6 +329,70 @@ mod tests {
             ran.load(Ordering::Relaxed) < 1000,
             "failure must short-circuit"
         );
+    }
+
+    /// Counts permits taken and returned.
+    #[derive(Debug, Default)]
+    struct Permits {
+        acquired: AtomicUsize,
+        released: AtomicUsize,
+    }
+
+    impl SplitScheduler for Permits {
+        fn acquire(&self) {
+            self.acquired.fetch_add(1, Ordering::SeqCst);
+        }
+        fn release(&self) {
+            self.released.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// At two threads the caller works the cursor beside one spawned
+    /// worker: the two tasks, each held until both have started, run on
+    /// two threads, one of them the caller.
+    #[test]
+    fn two_threads_are_the_caller_and_one_spawned_worker() {
+        let caller = std::thread::current().id();
+        let both = std::sync::Barrier::new(2);
+        let run = run_split_tasks(2, 2, None, |i| {
+            both.wait();
+            let me = std::thread::current();
+            Ok((i, me.id(), me.name().map(str::to_string)))
+        })
+        .unwrap();
+        assert_eq!(run.threads_used, 2);
+        let ids: Vec<_> = run.results.iter().map(|(_, id, _)| *id).collect();
+        assert_ne!(ids[0], ids[1], "the two tasks share a thread");
+        assert!(ids.contains(&caller), "the caller ran no task");
+        let spawned = run.results.iter().find(|(_, id, _)| *id != caller);
+        assert_eq!(spawned.unwrap().2.as_deref(), Some("maxson-pool-0"));
+        assert_eq!(run.results.iter().map(|r| r.0).collect::<Vec<_>>(), [0, 1]);
+    }
+
+    /// A task that panics on the caller still returns its permit, and the
+    /// lowest failing index is the error, whichever thread ran it. Both
+    /// tasks start before either fails (a task above a recorded failure
+    /// would be skipped).
+    #[test]
+    fn a_panic_on_the_caller_releases_its_permit_and_the_lowest_error_wins() {
+        let caller = std::thread::current().id();
+        let permits = Permits::default();
+        let both = std::sync::Barrier::new(2);
+        let err = run_split_tasks(2, 2, Some(&permits), |i| -> Result<usize> {
+            both.wait();
+            if std::thread::current().id() == caller {
+                panic!("caller task {i} poisoned");
+            }
+            Err(EngineError::exec(format!("worker task {i} failed")))
+        })
+        .unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("split 0 panicked: caller task 0") || msg.contains("worker task 0"),
+            "the error is not task 0's: {msg}"
+        );
+        assert_eq!(permits.acquired.load(Ordering::SeqCst), 2);
+        assert_eq!(permits.released.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -22,9 +22,9 @@ pub enum Batch {
     /// Row-major: providers that already hold cells (the online LRU, the
     /// join-stitch baseline, materialised inputs, test stubs).
     Rows(Vec<Vec<Cell>>),
-    /// Column-major: decoded storage chunks handed over without
-    /// materializing any row. Cells are built lazily by the consumer.
-    Columns(Vec<ColumnData>),
+    /// Column-major: a split's columns, each decoded when its consumer
+    /// first reads it. Cells are built lazily by the consumer.
+    Columns(Columns),
 }
 
 impl Batch {
@@ -32,7 +32,7 @@ impl Batch {
     pub fn len(&self) -> usize {
         match self {
             Batch::Rows(rows) => rows.len(),
-            Batch::Columns(cols) => cols.first().map_or(0, |c| c.len()),
+            Batch::Columns(cols) => cols.len(),
         }
     }
 
@@ -41,20 +41,197 @@ impl Batch {
         self.len() == 0
     }
 
-    /// Materialize the rows, charging `cells_materialized` for every
-    /// column→cell conversion. Row-major batches charge nothing (their
-    /// cells were already built by the provider).
-    pub fn into_rows(self, metrics: &mut ExecMetrics) -> Vec<Vec<Cell>> {
+    /// Materialize the rows, decoding every column still in its file and
+    /// charging `cells_materialized` for every column→cell conversion.
+    /// Row-major batches charge nothing (their cells were already built by
+    /// the provider).
+    pub fn into_rows(self, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
         let n = self.len();
         match self {
-            Batch::Rows(rows) => rows,
-            Batch::Columns(cols) => {
-                metrics.cells_materialized += (n * cols.len()) as u64;
-                (0..n)
-                    .map(|i| cols.iter().map(|c| c.get(i)).collect())
-                    .collect()
+            Batch::Rows(rows) => Ok(rows),
+            Batch::Columns(mut cols) => {
+                cols.decode_all(metrics)?;
+                metrics.cells_materialized += (n * cols.width()) as u64;
+                Ok((0..n)
+                    .map(|i| (0..cols.width()).map(|c| cols.column(c).get(i)).collect())
+                    .collect())
             }
         }
+    }
+}
+
+/// The columns of one split. Each is decoded already or still in one of
+/// the split's files; the consumer decodes what it reads at every row with
+/// [`Columns::decode`] and the rest at the rows it keeps with
+/// [`Columns::read_at`], so a value nothing reads is never built. A batch
+/// row is a position in the rows the SARG's row selection kept within the
+/// kept row groups, and it maps through both to the same row of every file
+/// the batch reads: the raw file and an aligned cache file alike
+/// (Algorithm 2's synchronized readers).
+#[derive(Debug)]
+pub struct Columns {
+    len: usize,
+    slots: Vec<Slot>,
+    files: Vec<Arc<NorcFile>>,
+    /// The row-group keep-array every file shares (`None` = every group).
+    keep: Option<Vec<bool>>,
+    /// The batch's rows as positions in the kept row groups (`None` = all).
+    selection: Option<Vec<u32>>,
+}
+
+#[derive(Debug)]
+enum Slot {
+    Decoded(ColumnData),
+    /// Column `column` of `files[file]`, not decoded yet.
+    InFile {
+        file: usize,
+        column: usize,
+    },
+}
+
+impl Columns {
+    /// A batch of columns decoded already (in-memory providers, tests).
+    pub fn decoded(cols: Vec<ColumnData>) -> Self {
+        Columns {
+            len: cols.first().map_or(0, ColumnData::len),
+            slots: cols.into_iter().map(Slot::Decoded).collect(),
+            files: Vec::new(),
+            keep: None,
+            selection: None,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the batch holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of columns.
+    pub fn width(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Append `projection` of `file`, a file aligned with the batch's first
+    /// (the same rows in the same row groups): its columns stay in the file
+    /// and share the batch's keep-array and row selection.
+    pub fn pair(&mut self, file: Arc<NorcFile>, projection: &[usize]) {
+        let at = self.files.len();
+        self.files.push(file);
+        self.slots.extend(
+            projection
+                .iter()
+                .map(|&column| Slot::InFile { file: at, column }),
+        );
+    }
+
+    /// Decode `columns` at every row of the batch, those not decoded yet,
+    /// charging `bytes_read` and read time.
+    pub fn decode(&mut self, columns: &[usize], metrics: &mut ExecMetrics) -> Result<()> {
+        let pending: Vec<usize> = columns
+            .iter()
+            .copied()
+            .filter(|&c| matches!(self.slots[c], Slot::InFile { .. }))
+            .collect();
+        if pending.is_empty() {
+            return Ok(());
+        }
+        let cols = self.read(&pending, self.selection.as_deref(), metrics)?;
+        for (c, col) in pending.into_iter().zip(cols) {
+            self.slots[c] = Slot::Decoded(col);
+        }
+        Ok(())
+    }
+
+    /// Decode every column at every row of the batch.
+    pub fn decode_all(&mut self, metrics: &mut ExecMetrics) -> Result<()> {
+        self.decode(&(0..self.width()).collect::<Vec<_>>(), metrics)
+    }
+
+    /// Column `c`. A consumer decodes every column it reads before reading
+    /// it; reading one still in its file is a bug, and panics.
+    pub fn column(&self, c: usize) -> &ColumnData {
+        match &self.slots[c] {
+            Slot::Decoded(col) => col,
+            Slot::InFile { .. } => panic!("column {c} read before it was decoded"),
+        }
+    }
+
+    /// Column `c`, mutably (see [`Columns::column`]).
+    pub fn column_mut(&mut self, c: usize) -> &mut ColumnData {
+        match &mut self.slots[c] {
+            Slot::Decoded(col) => col,
+            Slot::InFile { .. } => panic!("column {c} read before it was decoded"),
+        }
+    }
+
+    /// `columns` at the batch rows `rows` (ascending) alone: a decoded
+    /// column is gathered, one still in its file is decoded at those rows
+    /// only, charging `bytes_read` for them.
+    pub fn read_at(
+        &self,
+        columns: &[usize],
+        rows: &[u32],
+        metrics: &mut ExecMetrics,
+    ) -> Result<Vec<ColumnData>> {
+        let in_file: Vec<usize> = columns
+            .iter()
+            .copied()
+            .filter(|&c| matches!(self.slots[c], Slot::InFile { .. }))
+            .collect();
+        let at: Vec<u32> = match &self.selection {
+            Some(selection) => rows.iter().map(|&r| selection[r as usize]).collect(),
+            None => rows.to_vec(),
+        };
+        let mut read = self.read(&in_file, Some(&at), metrics)?.into_iter();
+        Ok(columns
+            .iter()
+            .map(|&c| match &self.slots[c] {
+                Slot::Decoded(col) => col.gather(rows),
+                Slot::InFile { .. } => read.next().expect("one read column per column in a file"),
+            })
+            .collect())
+    }
+
+    /// Decode `columns`, all still in their files, at `rows` (positions in
+    /// the kept row groups; `None` = every row): one read per file, the
+    /// result in `columns` order.
+    fn read(
+        &self,
+        columns: &[usize],
+        rows: Option<&[u32]>,
+        metrics: &mut ExecMetrics,
+    ) -> Result<Vec<ColumnData>> {
+        let start = Instant::now();
+        let mut out: Vec<Option<ColumnData>> = columns.iter().map(|_| None).collect();
+        for (at, file) in self.files.iter().enumerate() {
+            let (positions, projection): (Vec<usize>, Vec<usize>) = columns
+                .iter()
+                .enumerate()
+                .filter_map(|(k, &c)| match self.slots[c] {
+                    Slot::InFile { file, column } if file == at => Some((k, column)),
+                    _ => None,
+                })
+                .unzip();
+            if projection.is_empty() {
+                continue;
+            }
+            let cols = read_chunks_at(file, &projection, self.keep.as_deref(), rows, metrics)?;
+            for (k, col) in positions.into_iter().zip(cols) {
+                out[k] = Some(col);
+            }
+        }
+        let spent = start.elapsed();
+        metrics.read += spent;
+        metrics.read_wall += spent;
+        Ok(out
+            .into_iter()
+            .map(|col| col.expect("every column read is in a file"))
+            .collect())
     }
 }
 
@@ -90,7 +267,7 @@ pub trait ScanProvider: Debug + Send + Sync {
 pub fn scan_rows(provider: &dyn ScanProvider, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
     let mut rows = Vec::new();
     for split in 0..provider.split_count() {
-        rows.extend(provider.scan_split(split, metrics)?.into_rows(metrics));
+        rows.extend(provider.scan_split(split, metrics)?.into_rows(metrics)?);
     }
     Ok(rows)
 }
@@ -157,43 +334,57 @@ pub fn read_chunks_at(
 
 /// Algorithm 3 at row granularity, the one read every file-backed provider
 /// goes through: decode the columns `sarg` can test row by row under the
-/// keep-array, select, then decode the rest of `projection` at the selected
-/// rows only. Returns the dense columns and the selection (positions in the
-/// kept row groups; `None` = nothing was dropped), which a paired reader
-/// over an aligned file passes to [`read_chunks_at`] as it shares the
-/// keep-array. Rows the selection drops are charged to
-/// `batch_rows_skipped` here; the `Filter` above still runs.
+/// keep-array and select the rows they pass. The batch holds the tested
+/// columns of `projection` at the selected rows and leaves every other one
+/// in `file`, to be decoded at those rows (or at the ones its consumer
+/// keeps) when it is read; a paired reader over an aligned file adds its
+/// columns with [`Columns::pair`], sharing the keep-array and the
+/// selection. Rows the selection drops are charged to `batch_rows_skipped`
+/// here; the `Filter` above still runs.
 pub fn read_chunks(
-    file: &NorcFile,
+    file: Arc<NorcFile>,
     projection: &[usize],
-    keep: Option<&[bool]>,
+    keep: Option<Vec<bool>>,
     sarg: Option<&SearchArgument>,
     metrics: &mut ExecMetrics,
-) -> Result<(Vec<ColumnData>, Option<Vec<u32>>)> {
+) -> Result<Columns> {
     let tested = sarg.map_or_else(Vec::new, |s| s.row_test_columns(file.schema()));
     let decoded = if tested.is_empty() {
         Vec::new()
     } else {
-        read_chunks_at(file, &tested, keep, None, metrics)?
+        read_chunks_at(&file, &tested, keep.as_deref(), None, metrics)?
     };
-    let Some(rows) = sarg.and_then(|s| s.select_rows(&tested, &decoded)) else {
-        return Ok((read_chunks_at(file, projection, keep, None, metrics)?, None));
+    let selection = sarg.and_then(|s| s.select_rows(&tested, &decoded));
+    let len = match (&selection, decoded.first()) {
+        (Some(rows), Some(col)) => {
+            metrics.batch_rows_skipped += (col.len() - rows.len()) as u64;
+            rows.len()
+        }
+        (_, Some(col)) => col.len(),
+        (_, None) => file
+            .row_groups()
+            .enumerate()
+            .filter(|(rgi, _)| keep.as_ref().is_none_or(|keep| keep[*rgi]))
+            .map(|(_, rg)| rg.row_count)
+            .sum(),
     };
-    metrics.batch_rows_skipped += (decoded[0].len() - rows.len()) as u64;
-    let rest: Vec<usize> = projection
+    let slots = projection
         .iter()
-        .copied()
-        .filter(|c| !tested.contains(c))
-        .collect();
-    let mut rest = read_chunks_at(file, &rest, keep, Some(&rows), metrics)?.into_iter();
-    let cols = projection
-        .iter()
-        .map(|c| match tested.iter().position(|t| t == c) {
-            Some(at) => decoded[at].gather(&rows),
-            None => rest.next().expect("one decoded column per untested one"),
+        .map(|&c| match tested.iter().position(|&t| t == c) {
+            Some(at) => Slot::Decoded(match &selection {
+                Some(rows) => decoded[at].gather(rows),
+                None => decoded[at].clone(),
+            }),
+            None => Slot::InFile { file: 0, column: c },
         })
         .collect();
-    Ok((cols, Some(rows)))
+    Ok(Columns {
+        len,
+        slots,
+        files: vec![file],
+        keep,
+        selection,
+    })
 }
 
 /// The default provider: scan a Norc table directory.
@@ -245,13 +436,7 @@ impl ScanProvider for NorcScanProvider {
         let file = open_split(&self.table, split, metrics)?;
         let keep = self.sarg.as_ref().map(|s| sarg_keep(s, &file));
         let kept_rows = charge_row_groups(metrics, keep.as_deref(), &file);
-        let (cols, _) = read_chunks(
-            &file,
-            &self.projection,
-            keep.as_deref(),
-            self.sarg.as_ref(),
-            metrics,
-        )?;
+        let cols = read_chunks(file, &self.projection, keep, self.sarg.as_ref(), metrics)?;
         metrics.rows_scanned += kept_rows as u64;
         let spent = start.elapsed();
         metrics.read += spent;
@@ -399,7 +584,8 @@ mod tests {
             stitched.extend(
                 p.scan_split(s, &mut split_m)
                     .unwrap()
-                    .into_rows(&mut split_m),
+                    .into_rows(&mut split_m)
+                    .unwrap(),
             );
         }
         assert_eq!(stitched, whole);
@@ -417,11 +603,13 @@ mod tests {
         let batch = p.scan_split(0, &mut bm).unwrap();
         assert!(matches!(batch, Batch::Columns(_)));
         assert_eq!(batch.len(), 8);
-        // Bytes are charged at decode time, before any cell exists.
-        assert!(bm.bytes_read > 0);
+        // Nothing is decoded until the consumer reads a column; bytes are
+        // charged at decode time.
+        assert_eq!(bm.bytes_read, 0);
         assert_eq!(bm.cells_materialized, 0);
         assert_eq!(bm.rows_scanned, 8);
-        let rows = batch.into_rows(&mut bm);
+        let rows = batch.into_rows(&mut bm).unwrap();
+        assert!(bm.bytes_read > 0);
         assert_eq!(bm.cells_materialized, 16);
         assert_eq!(bm.batch_rows_skipped, 0);
         // The whole-table row read is the batch API plus materialization.
@@ -463,15 +651,41 @@ mod tests {
             "the selection's drops, charged once"
         );
         assert_eq!(m.rows_scanned, 6, "rows of the kept row groups");
-        assert_eq!(
-            m.bytes_read,
-            6 * 8 + doc_bytes,
-            "ids whole, documents at 4 rows"
-        );
-        let out = batch.into_rows(&mut m);
+        assert_eq!(m.bytes_read, 6 * 8, "ids whole, documents not yet");
+        let out = batch.into_rows(&mut m).unwrap();
+        assert_eq!(m.bytes_read, 6 * 8 + doc_bytes, "documents at 4 rows");
         let expect: Vec<Vec<Cell>> = rows[2..].iter().map(|r| vec![r[1].clone()]).collect();
         assert_eq!(out, expect);
         assert_eq!(m.batch_rows_skipped, 2);
+        p.table.drop_table().unwrap();
+    }
+
+    /// A column left in its file is decoded at the batch rows a consumer
+    /// asks for alone, mapped through the SARG's row selection; a decoded
+    /// one is gathered at the same rows.
+    #[test]
+    fn read_at_decodes_only_the_asked_rows_through_the_selection() {
+        let t = make_table("readat", &[10], 4);
+        let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(3));
+        let p = NorcScanProvider::new(t, vec![1, 0], Some(sarg)).unwrap();
+        let mut m = ExecMetrics::default();
+        let Batch::Columns(cols) = p.scan_split(0, &mut m).unwrap() else {
+            panic!("a Norc scan is columnar");
+        };
+        // Rows 3..=9 are the batch; the tested `id` is decoded already.
+        assert_eq!(cols.len(), 7);
+        let before = m.bytes_read;
+        let read = cols.read_at(&[0, 1], &[1, 4, 6], &mut m).unwrap();
+        let tags = ["t4", "t7", "t9"];
+        let want: Vec<Cell> = tags.iter().map(|&t| Cell::from(t)).collect();
+        assert_eq!((0..3).map(|i| read[0].get(i)).collect::<Vec<_>>(), want);
+        let ids: Vec<Cell> = [4, 7, 9].map(Cell::Int).to_vec();
+        assert_eq!((0..3).map(|i| read[1].get(i)).collect::<Vec<_>>(), ids);
+        assert_eq!(
+            m.bytes_read - before,
+            6,
+            "three two-byte tags, nothing else"
+        );
         p.table.drop_table().unwrap();
     }
 

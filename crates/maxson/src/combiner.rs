@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
 use maxson_engine::scan::{
-    charge_row_groups, open_split, read_chunks, read_chunks_at, sarg_keep, Batch, ScanProvider,
+    charge_row_groups, open_split, read_chunks, sarg_keep, Batch, ScanProvider,
 };
 use maxson_storage::{Schema, SearchArgument, Table};
 
@@ -104,12 +104,11 @@ impl ScanProvider for CombinedScanProvider {
         let cache_keep = self.cache_sarg.as_ref().map(|s| sarg_keep(s, &cache_file));
 
         let (cols, kept_rows) = if self.is_cache_only() {
-            let keep = cache_keep.as_deref();
-            let kept_rows = charge_row_groups(metrics, keep, &cache_file);
-            let (cols, _) = read_chunks(
-                &cache_file,
+            let kept_rows = charge_row_groups(metrics, cache_keep.as_deref(), &cache_file);
+            let cols = read_chunks(
+                cache_file,
                 &self.cache_projection,
-                keep,
+                cache_keep,
                 self.cache_sarg.as_ref(),
                 metrics,
             )?;
@@ -136,41 +135,33 @@ impl ScanProvider for CombinedScanProvider {
                 && cache_file.stripe_count() <= 1;
             let raw_keep = self.raw_sarg.as_ref().map(|s| sarg_keep(s, &raw_file));
             let shared_keep: Option<Vec<bool>> = if aligned_groups {
-                match (&raw_keep, &cache_keep) {
-                    (Some(r), Some(c)) => Some(r.iter().zip(c).map(|(a, b)| *a && *b).collect()),
-                    (Some(r), None) => Some(r.clone()),
-                    (None, Some(c)) => Some(c.clone()),
-                    (None, None) => None,
+                match (raw_keep, cache_keep) {
+                    (Some(r), Some(c)) => Some(r.iter().zip(&c).map(|(a, b)| *a && *b).collect()),
+                    (r, c) => r.or(c),
                 }
             } else {
                 // Cannot share: only the raw-side SARG can be applied, and
                 // only consistently on both readers, so read everything.
                 None
             };
-            let keep = shared_keep.as_deref();
-            let kept_rows = charge_row_groups(metrics, keep, &cache_file);
+            let kept_rows = charge_row_groups(metrics, shared_keep.as_deref(), &cache_file);
 
-            // Algorithm 2: the two readers decode the same rows of the same
+            // Algorithm 2: the two readers cover the same rows of the same
             // kept row groups — the PrimaryReader selects them with the raw
-            // SARG's row-testable leaves and hands the selection to the
-            // CacheReader as it hands the keep-array — so the positional
+            // SARG's row-testable leaves and the CacheReader shares that
+            // selection as it shares the keep-array — so the positional
             // stitch into the output schema (raw fields then cache fields)
-            // is the two column lists end to end. The cache SARG's leaves
+            // is the two column lists end to end, and a batch row decoded
+            // later is the same row in both files. The cache SARG's leaves
             // sit on string columns and select no rows of their own.
-            let (mut cols, rows) = read_chunks(
-                &raw_file,
+            let mut cols = read_chunks(
+                raw_file,
                 &self.raw_projection,
-                keep,
+                shared_keep,
                 self.raw_sarg.as_ref(),
                 metrics,
             )?;
-            cols.extend(read_chunks_at(
-                &cache_file,
-                &self.cache_projection,
-                keep,
-                rows.as_deref(),
-                metrics,
-            )?);
+            cols.pair(cache_file, &self.cache_projection);
             (cols, kept_rows)
         };
         let n = kept_rows as u64;
@@ -358,20 +349,20 @@ mod tests {
         let mut m = ExecMetrics::default();
         assert!(p.scan_split(0, &mut m).unwrap().is_empty());
         let batch = p.scan_split(1, &mut m).unwrap();
-        let Batch::Columns(cols) = &batch else {
-            panic!("combiner must hand over decoded columns");
+        let Batch::Columns(mut cols) = batch else {
+            panic!("combiner must hand over columns");
         };
-        assert_eq!(cols.len(), 3);
-        assert!(
-            cols.iter().all(|c| c.len() == 5),
-            "raw and cache pruned alike"
-        );
+        assert_eq!(cols.width(), 3);
+        assert_eq!(cols.len(), 5, "raw and cache pruned alike");
         assert_eq!(m.cells_materialized, 0, "no cell before consumption");
+        assert_eq!(m.bytes_read, 0, "no decode before consumption");
         assert_eq!(m.rows_scanned, 5);
         assert_eq!(m.cache_hits, 5);
-        let chunk_bytes: usize = cols.iter().map(|c| c.byte_size()).sum();
+        cols.decode(&[0, 1, 2], &mut m).unwrap();
+        assert!((0..3).all(|c| cols.column(c).len() == 5));
+        let chunk_bytes: usize = (0..3).map(|c| cols.column(c).byte_size()).sum();
         assert_eq!(m.bytes_read, chunk_bytes as u64);
-        let rows = batch.into_rows(&mut m);
+        let rows = Batch::Columns(cols).into_rows(&mut m).unwrap();
         assert_eq!(m.cells_materialized, 15);
         assert_eq!(rows[0][0], Cell::Int(35));
         assert_eq!(rows[0][2], Cell::from("350"));
@@ -409,7 +400,7 @@ mod tests {
             assert_eq!(m.rows_scanned, 5);
             assert_eq!(m.cache_hits, 5);
             assert_eq!(m.batch_rows_skipped, 2);
-            let rows = batch.into_rows(&mut m);
+            let rows = batch.into_rows(&mut m).unwrap();
             let va: Vec<Cell> = rows.iter().map(|r| r[1].clone()).collect();
             assert_eq!(va, ["370", "380", "390"].map(Cell::from));
             if raw_projection == [0] {
@@ -467,7 +458,8 @@ mod tests {
             stitched.extend(
                 p.scan_split(s, &mut split_m)
                     .unwrap()
-                    .into_rows(&mut split_m),
+                    .into_rows(&mut split_m)
+                    .unwrap(),
             );
         }
         assert_eq!(stitched, whole);

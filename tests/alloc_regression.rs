@@ -164,6 +164,7 @@ fn scan_filter_hot_loop_allocations_per_row() {
     assert_cache_build_allocations_per_row();
     assert_plain_encoded_cache_allocations_per_row();
     assert_top_n_holds_only_kept_documents();
+    assert_cached_top_n_decodes_only_kept_rows();
     assert_unique_group_by_allocations_per_row();
     std::fs::remove_dir_all(&root).ok();
 }
@@ -262,7 +263,7 @@ fn allocs_per_row(session: &Session, sql: &str, expect_rows: usize, expect_docs:
 /// even runs. Called from the one test above — the allocation counter is
 /// process-wide, so a second `#[test]` running beside it would be counted.
 fn assert_maxson_rewritten_allocations_per_row(session: &mut Session, root: &PathBuf) {
-    cache_paths(session, root, ["$.group", "$.name"]);
+    cache_paths(session, root, &["$.group", "$.name"]);
 
     // Raw + cache stitch, the plain test's shape and selectivity.
     let stitched = allocs_per_row(
@@ -317,7 +318,7 @@ const TOP_N_STITCH_ALLOCS_PER_ROW_CEILING: f64 = 4.0;
 
 /// Run one midnight cycle that caches `paths` of `db.t.payload`: two daily
 /// users of each make them multi-parsed JSONPaths.
-fn cache_paths(session: &mut Session, root: &PathBuf, paths: [&str; 2]) {
+fn cache_paths(session: &mut Session, root: &PathBuf, paths: &[&str]) {
     let history: Vec<QueryRecord> = (0..20u32)
         .map(|i| QueryRecord {
             query_id: u64::from(i),
@@ -326,8 +327,9 @@ fn cache_paths(session: &mut Session, root: &PathBuf, paths: [&str; 2]) {
             hour: 9,
             recurrence: RecurrenceClass::Daily,
             paths: paths
-                .map(|p| JsonPathLocation::new("db", "t", "payload", p))
-                .to_vec(),
+                .iter()
+                .map(|p| JsonPathLocation::new("db", "t", "payload", *p))
+                .collect(),
         })
         .collect();
     let mut pipeline = MaxsonPipeline::new(
@@ -384,7 +386,7 @@ fn assert_plain_encoded_cache_allocations_per_row() {
             .unwrap();
     }
     session.set_threads(Some(1));
-    cache_paths(&mut session, &root, ["$.name", "$.tag"]);
+    cache_paths(&mut session, &root, &["$.name", "$.tag"]);
 
     let stitched = allocs_per_row(
         &session,
@@ -466,7 +468,7 @@ fn assert_top_n_holds_only_kept_documents() {
         }
     }
     session.set_threads(Some(1));
-    cache_paths(&mut session, &root, ["$.rank", "$.tag"]);
+    cache_paths(&mut session, &root, &["$.rank", "$.tag"]);
 
     let sql = "select id, get_json_object(payload, '$.note') as note from db.t \
                order by get_json_object(payload, '$.rank') desc limit 5";
@@ -486,6 +488,78 @@ fn assert_top_n_holds_only_kept_documents() {
         share <= TOP_N_HELD_SHARE_CEILING,
         "a top-N held {held} bytes at peak, {share:.3} of the table's {doc_bytes} document \
          bytes (ceiling {TOP_N_HELD_SHARE_CEILING}): dropped rows' documents outlive their batch"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Splits of the cached top-N table, the rows it keeps, and its outputs.
+const TOP_N_SPLITS: u64 = 4;
+const TOP_N_KEPT: u64 = 50;
+const TOP_N_OUTPUTS: u64 = 5;
+
+/// Ceiling for Q8's shape on the rewritten path, in allocations per scanned
+/// row: the sort key's value and little else, since each split decodes its
+/// other cached columns at the fifty rows it keeps. Decoding and building
+/// every output of every row cost five allocations a row (four decoded
+/// strings and the row).
+const CACHED_TOP_N_ALLOCS_PER_ROW_CEILING: f64 = 2.0;
+
+/// Table II's Q8 on the rewritten path: `id` and four cached paths, ordered
+/// by one of them, `LIMIT 50`, over four splits of unique values. Each split
+/// builds the sort key for every row and every other output for the rows
+/// it keeps alone, so no more than `rows + splits · n · (outputs − 1)`
+/// cells are materialized. Called from the one test above, like the cells
+/// before it.
+fn assert_cached_top_n_decodes_only_kept_rows() {
+    let root = temp_root("cachedtopn");
+    let mut session = Session::open(&root).unwrap();
+    let schema = Schema::new(vec![
+        Field::new("id", ColumnType::Int64),
+        Field::new("payload", ColumnType::Utf8),
+    ])
+    .unwrap();
+    let split_rows = ROWS / TOP_N_SPLITS as i64;
+    {
+        let mut catalog = session.catalog_mut();
+        let table = catalog.create_table("db", "t", schema, 0).unwrap();
+        for split in 0..TOP_N_SPLITS as i64 {
+            let rows: Vec<Vec<Cell>> = (split * split_rows..(split + 1) * split_rows)
+                .map(|i| {
+                    let doc = format!(
+                        r#"{{"rank": {}, "a": "a-{i}", "b": "b-{i}", "c": "c-{i}"}}"#,
+                        i * 7919 % 1000
+                    );
+                    vec![Cell::Int(i), Cell::from(doc)]
+                })
+                .collect();
+            table
+                .append_file(&rows, WriteOptions::default(), 1)
+                .unwrap();
+        }
+    }
+    session.set_threads(Some(1));
+    cache_paths(&mut session, &root, &["$.rank", "$.a", "$.b", "$.c"]);
+
+    let sql = "select id, get_json_object(payload, '$.a') as a, \
+               get_json_object(payload, '$.b') as b, get_json_object(payload, '$.c') as c, \
+               get_json_object(payload, '$.rank') as r from db.t order by r desc limit 50";
+    let per_row = allocs_per_row(&session, sql, TOP_N_KEPT as usize, 0);
+    let result = session.execute(sql).unwrap();
+    let cells = result.metrics.cells_materialized;
+    let ceiling = ROWS as u64 + TOP_N_SPLITS * TOP_N_KEPT * (TOP_N_OUTPUTS - 1);
+    eprintln!(
+        "alloc_regression: cached top-N {per_row:.4} allocs/row, {cells} cells materialized \
+         (ceiling {ceiling})"
+    );
+    assert!(
+        cells <= ceiling,
+        "a cached top-N materialized {cells} cells, more than the {ceiling} of its sort key's \
+         rows and the kept rows' other outputs: dropped rows are decoded"
+    );
+    assert!(
+        per_row <= CACHED_TOP_N_ALLOCS_PER_ROW_CEILING,
+        "cached top-N allocations per row regressed: {per_row:.3} \
+         (ceiling {CACHED_TOP_N_ALLOCS_PER_ROW_CEILING})"
     );
     std::fs::remove_dir_all(&root).ok();
 }

@@ -97,16 +97,20 @@ fn rewritten_golden_tree_exact_at_one_and_four_threads() {
 /// under `ORDER BY … LIMIT`. The pipeline and the sort run without the
 /// uncached path, which the limit evaluates for the five rows it keeps, so
 /// the parse is charged on the `limit` line, above the sort. Each split
-/// hands on only its own first five rows; `rows_in` on the `limit` line
-/// counts every row the splits offered.
+/// decodes the sort key's cache column for its 1,000 rows, keeps its own
+/// first five rows and decodes the two deferred raw columns (`id` and the
+/// `payload` the late path parses) at those five rows alone:
+/// `cells_materialized` 1,000 + 2 × 5 per split. `rows_in` on the `limit`
+/// line counts every row the splits offered, `deferred_rows` the rows the
+/// deferred columns were decoded at.
 const LATE_GOLDEN: &str = "\
 query wall=_ rows=5
   planning wall=_
-  limit wall=_ rows_in=2000 late_exprs=1 late_rows=5 rows_out=5 parse_calls=5 docs_parsed=5
+  limit wall=_ rows_in=2000 deferred_cols=2 deferred_rows=10 late_exprs=1 late_rows=5 rows_out=5 parse_calls=5 docs_parsed=5
     sort wall=_ rows_in=10
       scan_pipeline wall=_ label=MaxsonCombinedScan(raw_cols=[0, 2], cache_cols=[0]) stages=scan+project splits=2 rows_out=10
-        split wall=_ split=0 rows_out=5 rows_scanned=1000 bytes_read=378538 cache_hits=1000 rg_read=4 cells_materialized=3000
-        split wall=_ split=1 rows_out=5 rows_scanned=1000 bytes_read=378855 cache_hits=1000 rg_read=4 cells_materialized=3000";
+        split wall=_ split=0 rows_out=5 rows_scanned=1000 bytes_read=6408 cache_hits=1000 rg_read=4 cells_materialized=1010
+        split wall=_ split=1 rows_out=5 rows_scanned=1000 bytes_read=6725 cache_hits=1000 rg_read=4 cells_materialized=1010";
 
 #[test]
 fn late_projection_charges_its_parse_above_the_sort() {

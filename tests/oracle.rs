@@ -11,7 +11,7 @@
 //! Every statement with a pushable `WHERE` leaf also runs spelled without
 //! one (`date + 0 …`).
 //!
-//! Cells: parser {Jackson, Mison, Tape} × threads {1, 4} × SIMD tier
+//! Cells: parser {Jackson, Mison, Tape} × threads {1, 2, 4} × SIMD tier
 //! (every tier the CPU has) × reuse cache {off, fill, hit} × plan {plain,
 //! Maxson-rewritten} × {in-process, served} × part files {mapped, copied},
 //! chosen by a covering array in which every pair of dimension values
@@ -213,17 +213,48 @@ const LATE_SLICE: [(&str, Option<u64>); 13] = [
     ),
 ];
 
-/// The late-projection slice in rewritten cells, every parser at one and
-/// two threads: the oracle's rows, and the documents `LATE_SLICE` states.
+/// Generated top-N statements (the generator's Q8 / S2 production), half
+/// of them under a `WHERE`.
+const GENERATED_TOP_N: usize = 12;
+
+/// The late-projection slice and generated top-N statements in rewritten
+/// cells, every parser at one and two threads: the oracle's rows, and the
+/// documents `LATE_SLICE` states.
 #[test]
 fn late_projection_slice_agrees_with_the_oracle_and_parses_only_kept_rows() {
     let root = support::generated_warehouse("oracle-late");
     let oracle = Oracle::new(&root);
-    let cases: Vec<Case> = LATE_SLICE
+    let mut cases: Vec<Case> = LATE_SLICE
         .iter()
         .enumerate()
         .map(|(i, (sql, _))| Case::new(&oracle, &format!("late #{i}"), sql))
         .collect();
+    let sources = [
+        Source::sample(
+            &oracle,
+            "nb",
+            "docs",
+            "payload",
+            &["$.str1", "$.num", "$.str2", "$.dyn1", "$.nested_obj.str"],
+            &[],
+        )
+        .uncached(&["$.dyn1", "$.nested_obj.str"]),
+        Source::sample(
+            &oracle,
+            "db",
+            "mixed",
+            "payload",
+            &["$.k", "$.name", "$.t", "$.w", "$.obj.a"],
+            &[],
+        )
+        .uncached(&["$.w", "$.obj.a"]),
+    ];
+    let mut generator = Generator::new(seed() ^ 3, &sources);
+    for i in 0..GENERATED_TOP_N {
+        let stmt = generator.top_n(i % 2 == 0);
+        let label = format!("generated top-N #{i}");
+        cases.extend(Case::spellings_of(&oracle, &label, &stmt, render(&stmt)));
+    }
     let cells = parser_thread_cells(&PARSERS, &[1, 2])
         .into_iter()
         .map(|cell| ConfigCell {

@@ -104,6 +104,10 @@ pub fn parser_thread_cells(parsers: &[JsonParserKind], threads: &[usize]) -> Vec
         .collect()
 }
 
+/// Thread counts the covering array draws from: one thread, four, and two
+/// (the caller and one pool worker, the benchmark box's shape).
+const THREADS: [usize; 3] = [1, 4, 2];
+
 /// A pairwise covering array over the seven dimensions: every pair of
 /// values of any two dimensions appears in some cell. With `families`, it
 /// starts from an in-process, reuse-off cell at one thread on the first
@@ -113,7 +117,7 @@ pub fn parser_thread_cells(parsers: &[JsonParserKind], threads: &[usize]) -> Vec
 /// `seed` breaks ties.
 pub fn covering_array(seed: u64, families: bool) -> Vec<ConfigCell> {
     let tiers = kernels::available();
-    let dims = [PARSERS.len(), 2, tiers.len(), 3, 2, 2, 2];
+    let dims = [PARSERS.len(), THREADS.len(), tiers.len(), 3, 2, 2, 2];
     let mut rows: Vec<[usize; 7]> = Vec::new();
     if families {
         for parser in 0..PARSERS.len() {
@@ -176,7 +180,7 @@ pub fn covering_array(seed: u64, families: bool) -> Vec<ConfigCell> {
     rows.into_iter()
         .map(|r| ConfigCell {
             parser: PARSERS[r[0]],
-            threads: [1, 4][r[1]],
+            threads: THREADS[r[1]],
             simd: tiers[r[2]],
             reuse: reuse[r[3]],
             rewritten: r[4] == 1,

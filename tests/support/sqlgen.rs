@@ -10,7 +10,8 @@
 //! columns and over JSONPaths the cache holds and does not hold. Literals
 //! are drawn from the data, so comparisons land on row-group and row
 //! boundaries. [`Generator::repeated_output`] draws statements that name one
-//! column or JSONPath twice in the select list.
+//! column or JSONPath twice in the select list, [`Generator::top_n`] the
+//! stitch statements' `ORDER BY … LIMIT` shape.
 
 use std::collections::BTreeSet;
 
@@ -313,7 +314,12 @@ pub fn literal_variant(stmt: &SelectStatement, k: usize) -> Option<SelectStateme
                 Cell::Str(s) => Cell::from(format!("{s}x")),
             }
         }
-        None => out.limit = stmt.limit.map(|n| n + 1),
+        // SQL integer literals are `i64`s: the largest `LIMIT` steps down.
+        None => {
+            out.limit = stmt
+                .limit
+                .map(|n| if n < LIMIT_MAX { n + 1 } else { n - 1 })
+        }
     }
     Some(out)
 }
@@ -330,6 +336,10 @@ pub struct Source {
     table: String,
     atoms: Vec<(SqlExpr, Vec<Cell>)>,
     join_keys: Vec<SqlExpr>,
+    /// Rows in the table.
+    rows: usize,
+    /// The atoms that are JSONPaths the cache does not hold.
+    uncached: Vec<SqlExpr>,
 }
 
 impl Source {
@@ -371,11 +381,31 @@ impl Source {
             table: table.to_string(),
             atoms,
             join_keys: join_keys.iter().map(|k| atom(k)).collect(),
+            rows: data.rows.len(),
+            uncached: Vec::new(),
         }
+    }
+
+    /// This source with `paths` (among its atoms) named as the ones the
+    /// cache does not hold: [`Generator::top_n`] stitches one of them.
+    pub fn uncached(mut self, paths: &[&str]) -> Source {
+        self.uncached = self
+            .atoms
+            .iter()
+            .map(|(atom, _)| atom)
+            .filter(|atom| {
+                matches!(atom, SqlExpr::GetJsonObject { path, .. } if paths.contains(&path.as_str()))
+            })
+            .cloned()
+            .collect();
+        self
     }
 }
 
 const COMPARISONS: [BinaryOp; 6] = [Eq, NotEq, Lt, LtEq, Gt, GtEq];
+
+/// The largest `LIMIT` the grammar takes: SQL integer literals are `i64`s.
+pub const LIMIT_MAX: usize = i64::MAX as usize;
 
 /// Seeded statement generator over a set of [`Source`]s.
 pub struct Generator<'a> {
@@ -690,6 +720,63 @@ impl<'a> Generator<'a> {
             having: None,
             order_by,
             limit: self.chance(0.3).then(|| self.below(25)),
+        }
+    }
+
+    /// The stitch statements' shape (Table II's Q8 and S2): three to five
+    /// bare outputs — raw columns and paths the cache holds — plus one path
+    /// it does not hold, `ORDER BY` one bare output (keys drawn from the
+    /// data, so with duplicates and NULLs) half the time, under a `WHERE`
+    /// when `filtered`, with `LIMIT` 0, 1, more than the table's rows or
+    /// the largest the grammar takes ([`LIMIT_MAX`]).
+    pub fn top_n(&mut self, filtered: bool) -> SelectStatement {
+        self.source = self.pick_source();
+        self.qualifiers = &[None];
+        let bare: Vec<SqlExpr> = self
+            .source
+            .atoms
+            .iter()
+            .map(|(atom, _)| atom.clone())
+            .filter(|atom| !self.source.uncached.contains(atom))
+            .collect();
+        let mut outputs: Vec<SqlExpr> = (0..3 + self.below(3)).map(|_| self.pick(&bare)).collect();
+        let stitch = match self.source.uncached.is_empty() {
+            true => self.atom().0,
+            false => self.pick(&self.source.uncached),
+        };
+        outputs.insert(self.below(outputs.len() + 1), stitch.clone());
+        let keys: Vec<usize> = (0..outputs.len())
+            .filter(|&i| outputs[i] != stitch)
+            .collect();
+        let order_by = match self.chance(0.5) {
+            true => vec![OrderItem {
+                expr: column(None, &format!("c{}", self.pick(&keys))),
+                asc: self.chance(0.5),
+            }],
+            false => Vec::new(),
+        };
+        let beyond = self.source.rows + 1 + self.below(50);
+        let limit = self.pick(&[0, 1, beyond, LIMIT_MAX]);
+        SelectStatement {
+            distinct: false,
+            items: (0..)
+                .zip(outputs)
+                .map(|(i, expr)| SelectItem::Expr {
+                    expr,
+                    alias: Some(format!("c{i}")),
+                })
+                .collect(),
+            from: TableRef {
+                database: self.source.database.clone(),
+                table: self.source.table.clone(),
+                alias: None,
+            },
+            join: None,
+            where_clause: filtered.then(|| self.predicate(1)),
+            group_by: Vec::new(),
+            having: None,
+            order_by,
+            limit: Some(limit),
         }
     }
 

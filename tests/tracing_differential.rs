@@ -101,6 +101,31 @@ fn property_tracing_never_changes_rows_or_counters() {
 // Chrome trace export: structure of the emitted file
 // ---------------------------------------------------------------------
 
+/// Holds the first split task until a second thread asks for one, so a
+/// parallel run puts split spans on two threads however short its tasks
+/// are: the calling thread works the split cursor beside the pool workers
+/// and could otherwise run every task before a worker starts.
+#[derive(Debug, Default)]
+struct TwoThreadsAtOnce {
+    asked: std::sync::Mutex<usize>,
+    second: std::sync::Condvar,
+}
+
+impl maxson_engine::SplitScheduler for TwoThreadsAtOnce {
+    fn acquire(&self) {
+        let mut asked = self.asked.lock().unwrap();
+        *asked += 1;
+        self.second.notify_all();
+        let wait = std::time::Duration::from_secs(10);
+        let (_asked, _) = self
+            .second
+            .wait_timeout_while(asked, wait, |asked| *asked < 2)
+            .unwrap();
+    }
+
+    fn release(&self) {}
+}
+
 #[test]
 fn chrome_export_nests_spans_on_named_thread_tracks() {
     let root = support::temp_root("export");
@@ -114,6 +139,7 @@ fn chrome_export_nests_spans_on_named_thread_tracks() {
         .collect();
     support::json_table(&mut session, "db", "t", &files, 1024);
     session.set_threads(Some(4));
+    session.set_split_scheduler(Some(std::sync::Arc::new(TwoThreadsAtOnce::default())));
     let trace_path = root.join("trace.json");
     session.set_trace_path(Some(trace_path.clone()));
     session
