@@ -7,10 +7,12 @@ cd "$(dirname "$0")"
 
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Doc comments are checked too: a link to a deleted or private item fails.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 cargo build --release --offline
 
-# The whole suite runs twice: once with split tasks inline on the calling
-# thread and once on pool workers. Note the root Cargo.toml is both a
+# The whole suite runs twice: once with the calling thread running every
+# split task alone and once beside pool workers. Note the root Cargo.toml is both a
 # workspace and a package, so bare `cargo test` would only run the root
 # integration tests; --workspace covers the crates. The suites that vary
 # the reuse cache, the parser, the mmap mode and the SIMD tier set them per

@@ -7,7 +7,8 @@
 //! both tables are materialized in full, keyed by their global row number,
 //! and hash-joined back together.
 //!
-//! Differences from [`maxson::combiner::CombinedScanProvider`]:
+//! Differences from the value combiner,
+//! [`maxson_engine::scan::NorcScanProvider`] paired with a cache table:
 //!
 //! * every row of both tables is read (no shared row-group skipping — a
 //!   SARG on the cache table cannot restrict the raw side, because rows
@@ -124,8 +125,7 @@ impl ScanProvider for JoinStitchProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maxson::combiner::CombinedScanProvider;
-    use maxson_engine::scan::scan_rows;
+    use maxson_engine::scan::{scan_rows, NorcScanProvider};
     use maxson_storage::file::WriteOptions;
     use maxson_storage::{ColumnType, Field};
     use std::path::PathBuf;
@@ -181,15 +181,10 @@ mod tests {
     #[test]
     fn join_stitch_produces_same_rows_as_combiner() {
         let (raw, cache, rd, cd) = tables("equiv");
-        let combiner = CombinedScanProvider::new(
-            Some(raw.clone()),
-            vec![0],
-            cache.clone(),
-            vec![0],
-            out_schema(),
-            None,
-            None,
-        );
+        let combiner = NorcScanProvider::new(raw.clone(), vec![0], None)
+            .unwrap()
+            .with_cache(cache.clone(), vec![0], None)
+            .unwrap();
         let join = JoinStitchProvider::new(raw, vec![0], cache, vec![0], out_schema());
         let mut m1 = ExecMetrics::default();
         let mut m2 = ExecMetrics::default();

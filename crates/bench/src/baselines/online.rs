@@ -15,11 +15,11 @@ use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
 use maxson_engine::scan::{open_split, Batch, ScanProvider};
-use maxson_engine::session::{ScanContext, ScanRewrite, Session, TableScanRewriter};
+use maxson_engine::session::{ScanContext, ScanRewrite, TableScanRewriter};
 use maxson_engine::EngineError;
 use maxson_json::JsonPath;
 use maxson_obs::Tracer;
-use maxson_storage::{Catalog, Cell, Field, Schema, Table};
+use maxson_storage::{Cell, Field, Schema, Table};
 use maxson_trace::JsonPathLocation;
 
 /// One cached value column.
@@ -43,7 +43,6 @@ struct LruState {
 
 /// The online LRU rewriter/baseline.
 pub struct OnlineLruRewriter {
-    catalog: Catalog,
     budget_bytes: u64,
     state: Arc<Mutex<LruState>>,
     tracer: Tracer,
@@ -52,20 +51,15 @@ pub struct OnlineLruRewriter {
 }
 
 impl OnlineLruRewriter {
-    /// Open over `session`'s warehouse with a byte budget, reading part
-    /// files through the session's footer cache.
-    pub fn open(session: &Session, budget_bytes: u64) -> maxson_storage::Result<Self> {
-        let catalog = {
-            let current = session.catalog();
-            Catalog::open_with_cache(current.root(), Arc::clone(current.meta_cache()))?
-        };
-        Ok(OnlineLruRewriter {
-            catalog,
+    /// A rewriter with an empty cache of `budget_bytes`. Each scan reads the
+    /// table the planner hands it, through the session's footer cache.
+    pub fn new(budget_bytes: u64) -> Self {
+        OnlineLruRewriter {
             budget_bytes,
             state: Arc::new(Mutex::new(LruState::default())),
             tracer: Tracer::disabled(),
             metrics: Arc::clone(maxson_obs::Registry::global()),
-        })
+        }
     }
 
     /// Record an `lru_scan` span per scan into `tracer` (normally a clone
@@ -91,23 +85,20 @@ impl TableScanRewriter for OnlineLruRewriter {
         if ctx.json_calls.is_empty() {
             return Ok(None);
         }
-        let table = self
-            .catalog
-            .table(ctx.database, ctx.table)
-            .map_err(EngineError::Storage)?
-            .clone();
+        let table = ctx.table.clone();
+        let schema = table.schema();
         // Output schema: raw columns then one pseudo-column per call.
         let mut raw_names: Vec<String> = ctx.raw_columns.to_vec();
         // The JSON columns themselves are read by the provider to parse
         // misses, but are only part of the *output* if referenced raw.
-        raw_names.sort_by_key(|c| ctx.table_schema.index_of(c));
+        raw_names.sort_by_key(|c| schema.index_of(c));
         let raw_projection: Vec<usize> = raw_names
             .iter()
-            .filter_map(|c| ctx.table_schema.index_of(c))
+            .filter_map(|c| schema.index_of(c))
             .collect();
         let mut out_fields: Vec<Field> = raw_projection
             .iter()
-            .map(|&i| ctx.table_schema.fields()[i].clone())
+            .map(|&i| schema.fields()[i].clone())
             .collect();
         let mut resolved = Vec::new();
         let mut call_fields = Vec::new();
@@ -119,9 +110,9 @@ impl TableScanRewriter for OnlineLruRewriter {
         }
         let out_schema = Schema::new(out_fields).map_err(EngineError::Storage)?;
         let provider = LruBackedProvider {
-            table,
             database: ctx.database.to_string(),
-            table_name: ctx.table.to_string(),
+            table_name: ctx.table_name.to_string(),
+            table,
             raw_projection,
             calls: call_fields,
             out_schema,
@@ -370,7 +361,7 @@ mod tests {
     #[test]
     fn first_access_misses_then_hits() {
         let (mut session, root) = setup("hits");
-        let lru = OnlineLruRewriter::open(&session, u64::MAX).unwrap();
+        let lru = OnlineLruRewriter::new(u64::MAX);
         session.set_scan_rewriter(Some(Box::new(lru)));
         let sql = "select get_json_object(payload, '$.a') as a from db.t";
         let expected: Vec<Vec<Cell>> = (0..30).map(|i| vec![Cell::from(i.to_string())]).collect();
@@ -391,7 +382,7 @@ mod tests {
     #[test]
     fn miss_fill_charges_structural_kernel_work() {
         let (mut session, root) = setup("bitmaps");
-        let lru = OnlineLruRewriter::open(&session, u64::MAX).unwrap();
+        let lru = OnlineLruRewriter::new(u64::MAX);
         session.set_scan_rewriter(Some(Box::new(lru)));
         let m = session
             .execute(
@@ -412,7 +403,7 @@ mod tests {
     fn eviction_under_small_budget() {
         let (mut session, root) = setup("evict");
         // Budget fits roughly one column of small values.
-        let lru = OnlineLruRewriter::open(&session, 80).unwrap();
+        let lru = OnlineLruRewriter::new(80);
         let state = Arc::clone(&lru.state);
         session.set_scan_rewriter(Some(Box::new(lru)));
         let a = "select get_json_object(payload, '$.a') as a from db.t";
@@ -433,9 +424,7 @@ mod tests {
     #[test]
     fn table_update_invalidates_entries() {
         let (mut session, root) = setup("invalidate");
-        let lru = OnlineLruRewriter::open(&session, u64::MAX).unwrap();
-        let state = Arc::clone(&lru.state);
-        session.set_scan_rewriter(Some(Box::new(lru)));
+        session.set_scan_rewriter(Some(Box::new(OnlineLruRewriter::new(u64::MAX))));
         let sql = "select get_json_object(payload, '$.a') as a from db.t";
         assert_eq!(lru_events(&session, sql), (0, 1, 0));
         // Append new data: version bump.
@@ -449,13 +438,8 @@ mod tests {
                 7,
             )
             .unwrap();
-        // The rewriter's own catalog instance must observe the change; it
-        // reads from disk via Table metadata, but our in-memory Table handle
-        // is stale — reopen to simulate the next planning cycle.
-        let lru2 = OnlineLruRewriter::open(&session, u64::MAX).unwrap();
-        // Carry over the old state to prove invalidation (versions differ).
-        *lru2.state.lock().unwrap() = std::mem::take(&mut state.lock().unwrap());
-        session.set_scan_rewriter(Some(Box::new(lru2)));
+        // The planner hands the rewriter the appended table: the cached
+        // column's version no longer matches it.
         let r = session.execute(sql).unwrap();
         assert_eq!(r.rows.len(), 31);
         assert_eq!(

@@ -6,11 +6,10 @@
 //! readers), while the join baseline materializes everything and probes a
 //! hash table per row.
 
-use maxson::combiner::CombinedScanProvider;
 use maxson_bench::baselines::JoinStitchProvider;
 use maxson_bench::{Report, Series};
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::{scan_rows, ScanProvider};
+use maxson_engine::scan::{scan_rows, NorcScanProvider, ScanProvider};
 use maxson_storage::file::WriteOptions;
 use maxson_storage::{Cell, CmpOp, ColumnType, Field, Schema, SearchArgument, Table};
 
@@ -80,15 +79,10 @@ fn main() {
     for rows in [10_000usize, 50_000] {
         let (raw, cache, root) = build_tables(rows);
         let reps = 5;
-        let combiner = CombinedScanProvider::new(
-            Some(raw.clone()),
-            vec![0],
-            cache.clone(),
-            vec![0],
-            out_schema(),
-            None,
-            None,
-        );
+        let combiner = NorcScanProvider::new(raw.clone(), vec![0], None)
+            .expect("raw scan")
+            .with_cache(cache.clone(), vec![0], None)
+            .expect("combined scan");
         let join =
             JoinStitchProvider::new(raw.clone(), vec![0], cache.clone(), vec![0], out_schema());
         let (tc, nc) = time_scan(&combiner, reps);
@@ -106,15 +100,10 @@ fn main() {
         // alignment is exactly what it does not rely on.
         let sarg =
             SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int((rows as f64 * 0.9) as i64));
-        let combiner_sarg = CombinedScanProvider::new(
-            Some(raw.clone()),
-            vec![0],
-            cache.clone(),
-            vec![0],
-            out_schema(),
-            None,
-            Some(sarg),
-        );
+        let combiner_sarg = NorcScanProvider::new(raw.clone(), vec![0], None)
+            .expect("raw scan")
+            .with_cache(cache.clone(), vec![0], Some(sarg))
+            .expect("combined scan");
         let (ts, _) = time_scan(&combiner_sarg, reps);
         println!(
             "{rows} rows selective: combiner+SARG {ts:.5}s vs join {tj:.5}s ({:.1}x)",

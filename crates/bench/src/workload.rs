@@ -210,7 +210,7 @@ pub fn cached_path_count(query: &QuerySpec, cached: &[JsonPathLocation]) -> usiz
 /// An online-LRU session (Fig. 14's baseline).
 pub fn lru_session(budget_bytes: u64) -> Session {
     let mut session = fresh_session();
-    let mut lru = OnlineLruRewriter::open(&session, budget_bytes).expect("lru rewriter");
+    let mut lru = OnlineLruRewriter::new(budget_bytes);
     lru.set_tracer(session.tracer().clone());
     session.set_scan_rewriter(Some(Box::new(lru)));
     session

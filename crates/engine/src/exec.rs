@@ -18,14 +18,14 @@
 //!   stage per operator (stages over a materialised input are not fused,
 //!   so each keeps its own shared-parse extractor and span).
 //!
-//! Output rows are built by the segment's [`RowShape`]: a bare `Column`
+//! Output rows are built by the segment's `RowShape`: a bare `Column`
 //! output is handed over, not evaluated — moved out of a columnar batch
 //! for the rows the filter keeps, or out of an owned row — so each cell
 //! reaches the result once.
 //!
 //! Join, sort, limit and distinct are blocking operators, not row loops,
 //! and keep arms of their own in [`execute_plan_traced`]. A limit over a
-//! row projection runs as a top-N ([`TopN`]): each split task keeps its
+//! row projection runs as a top-N (`TopN`): each split task keeps its
 //! first `n` rows and decodes the columns only they need at those rows
 //! alone, and JSON work the sort does not need waits for the rows the
 //! limit keeps.
@@ -33,12 +33,12 @@
 //! ## Split tasks
 //!
 //! `run_pipeline` hands the splits to [`crate::pool::run_split_tasks`] at
-//! every thread count and split count. The pool runs them inline on the
-//! caller's thread, in split order, when `threads <= 1` or the table has at
-//! most one split, and otherwise on the caller and `threads - 1` scoped
-//! worker threads, which share one split cursor; either way each
-//! task runs inside the scheduler's acquire/release bracket and a panic
-//! comes back as an error naming the split. Each task charges its own
+//! every thread count and split count. The caller and up to `threads - 1`
+//! scoped worker threads share one split cursor (none are spawned when
+//! `threads <= 1` or the table has at most one split, and the caller runs
+//! the splits in order); each task runs inside the scheduler's
+//! acquire/release bracket and a panic comes back as an error naming the
+//! split. Each task charges its own
 //! zero-based [`ExecMetrics`] and fills its own sink; the barrier absorbs
 //! task metrics and concatenates rows (or merges aggregate partials) **in
 //! split order**, which makes the output independent of the thread count:
@@ -72,17 +72,17 @@ use crate::sql::ast::AggFunc;
 /// Knobs controlling one plan execution.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// Maximum worker threads for split tasks. At `1` the pool runs every
-    /// task inline on the calling thread, in split order.
+    /// Maximum worker threads for split tasks, the calling thread
+    /// included. At `1` the calling thread runs every task, in split order.
     pub threads: usize,
-    /// Cooperative split scheduler: when set, every split task (inline or
-    /// pooled) runs inside an acquire/release bracket so a query server can
+    /// Cooperative split scheduler: when set, every split task, on whichever
+    /// thread, runs inside an acquire/release bracket so a query server can
     /// time-slice split execution fairly across concurrent queries.
     pub scheduler: Option<std::sync::Arc<dyn pool::SplitScheduler>>,
 }
 
 impl ExecOptions {
-    /// One thread: split tasks run inline on the calling thread.
+    /// One thread: the calling thread runs every split task.
     pub fn serial() -> Self {
         ExecOptions::with_threads(1)
     }
@@ -808,9 +808,9 @@ fn absorb_pool_run<'m, T: 'm>(
 /// Run a scan-rooted segment: one pool task per split, each scanning its
 /// split into a batch and running the row loop over it against its own
 /// zero-based metrics and sink; the barrier absorbs the metrics and merges
-/// the sinks in split order. The pool decides where tasks run (inline on
-/// this thread for one thread or at most one split); the pool gauges are
-/// charged only when it spawned threads.
+/// the sinks in split order. The pool decides where tasks run (this thread
+/// alone for one thread or at most one split); the pool gauges are charged
+/// only when it spawned threads.
 fn run_pipeline(
     segment: &PipelineSegment<'_>,
     provider: &dyn ScanProvider,
@@ -2399,8 +2399,8 @@ mod tests {
         }
     }
 
-    /// One acquire/release pair per split task, whether the pool runs the
-    /// tasks inline (one thread, or a single split) or on workers.
+    /// One acquire/release pair per split task, whether the calling thread
+    /// runs the tasks alone (one thread, or a single split) or beside workers.
     #[test]
     fn every_split_task_runs_inside_a_scheduler_permit() {
         let ten_split_aggregate = || LogicalPlan::Aggregate {

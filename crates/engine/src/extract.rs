@@ -91,11 +91,6 @@ impl JsonExtractor {
         }
     }
 
-    /// Number of JSON columns covered.
-    pub fn column_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Total distinct `(column, path)` pairs covered.
     pub fn path_count(&self) -> usize {
         self.groups.iter().map(|g| g.paths.len()).sum()
@@ -229,7 +224,6 @@ mod tests {
         };
         let select = [jp(0, "$.a"), jp(0, "$.b"), jp(2, "$.a")];
         let ex = JsonExtractor::from_exprs(std::iter::once(&filter).chain(select.iter())).unwrap();
-        assert_eq!(ex.column_count(), 2);
         assert_eq!(ex.path_count(), 3, "repeated $.a on column 0 deduped");
         assert!(ex.lookup(0, &JsonPath::parse("$.b").unwrap()).is_some());
         assert!(ex.lookup(2, &JsonPath::parse("$.a").unwrap()).is_some());

@@ -15,10 +15,12 @@
 //!   is parsed once per row and all the query's paths are answered from
 //!   that single parse,
 //! * [`plan`] — the logical plan with a [`scan::ScanProvider`]
-//!   extension point that Maxson's combined reader plugs into,
+//!   extension point; the Norc scan, paired with a Maxson cache table, is
+//!   the value combiner,
 //! * [`planner`] — statement → logical plan: name resolution, the
-//!   scan-rewriter contract Algorithm 1 plugs into, and the one
-//!   predicate → SARG translator (Algorithm 3) every scan shares,
+//!   scan-rewriter contract Algorithm 1 plugs into, and the one scan
+//!   builder — projections, schema and SARGs (Algorithm 3) — every Norc
+//!   scan goes through,
 //! * [`exec`] — volcano-style operators (scan, filter, project, hash
 //!   aggregate, hash join, sort, limit) over materialized row batches,
 //! * [`metrics`] — per-phase instrumentation (Read / Parse / Compute), the

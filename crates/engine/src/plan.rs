@@ -19,7 +19,8 @@ use crate::sql::ast::AggFunc;
 pub enum LogicalPlan {
     /// Leaf: produce rows from a provider.
     Scan {
-        /// The row source (Norc reader, or Maxson's combined reader).
+        /// The row source (the Norc scan, plain or paired with a cache
+        /// table, or a rewriter's own provider).
         provider: Box<dyn ScanProvider>,
     },
     /// Keep rows where `predicate` is true.
@@ -206,68 +207,6 @@ impl LogicalPlan {
             }
         }
     }
-
-    /// Count the *distinct* `(column, path)` extraction sites in the plan —
-    /// the number of per-row parses shared-parse execution pays, versus
-    /// [`Self::json_parse_expr_count`] parses for the naive path. The gap
-    /// between the two is the plan's intra-query dedup opportunity.
-    pub fn distinct_json_path_count(&self) -> usize {
-        fn collect(plan: &LogicalPlan, pairs: &mut Vec<(usize, String)>) {
-            let mut visit = |e: &Expr| {
-                e.walk(&mut |node| {
-                    if let Expr::GetJsonObject { column, path } = node {
-                        let pair = (*column, path.to_string());
-                        if !pairs.contains(&pair) {
-                            pairs.push(pair);
-                        }
-                    }
-                });
-            };
-            match plan {
-                LogicalPlan::Scan { .. } => {}
-                LogicalPlan::Filter { input, predicate } => {
-                    visit(predicate);
-                    collect(input, pairs);
-                }
-                LogicalPlan::Project { input, exprs, .. } => {
-                    exprs.iter().for_each(|(e, _)| visit(e));
-                    collect(input, pairs);
-                }
-                LogicalPlan::Aggregate {
-                    input,
-                    group_by,
-                    aggs,
-                    ..
-                } => {
-                    group_by.iter().for_each(&mut visit);
-                    aggs.iter().filter_map(|(_, a)| a.as_ref()).for_each(visit);
-                    collect(input, pairs);
-                }
-                LogicalPlan::Join {
-                    left,
-                    right,
-                    left_key,
-                    right_key,
-                    ..
-                } => {
-                    visit(left_key);
-                    visit(right_key);
-                    collect(left, pairs);
-                    collect(right, pairs);
-                }
-                LogicalPlan::Sort { input, keys } => {
-                    keys.iter().for_each(|(e, _)| visit(e));
-                    collect(input, pairs);
-                }
-                LogicalPlan::Limit { input, .. } | LogicalPlan::Distinct { input } => {
-                    collect(input, pairs);
-                }
-            }
-        }
-        let mut pairs = Vec::new();
-        collect(self, &mut pairs);
-        pairs.len()
-    }
 }
 
 #[cfg(test)]
@@ -344,13 +283,13 @@ mod tests {
     }
 
     #[test]
-    fn distinct_json_path_counting_dedupes_across_operators() {
+    fn parse_expr_counting_spans_operators() {
         let jp = |p: &str| Expr::GetJsonObject {
             column: 0,
             path: JsonPath::parse(p).unwrap(),
         };
         // $.a appears three times (projection twice, filter once), $.b once:
-        // four parse expressions, two distinct extraction sites.
+        // four parse expressions.
         let plan = LogicalPlan::Project {
             schema: Schema::new(vec![Field::new("x", ColumnType::Utf8)]).unwrap(),
             exprs: vec![(jp("$.a"), "x".into()), (jp("$.a"), "y".into())],
@@ -364,6 +303,5 @@ mod tests {
             }),
         };
         assert_eq!(plan.json_parse_expr_count(), 4);
-        assert_eq!(plan.distinct_json_path_count(), 2);
     }
 }

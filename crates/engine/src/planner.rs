@@ -8,25 +8,24 @@
 //!
 //! * **Plan rewrite (Algorithm 1).** Every table scan is offered to the
 //!   installed [`TableScanRewriter`] together with the `get_json_object`
-//!   calls that run over it and the query predicate. The rewriter may
-//!   substitute its own [`ScanProvider`] whose output schema carries extra
-//!   pre-parsed columns; the calls it claims compile to plain column
-//!   references (the paper's *placeholders*) instead of parse expressions.
-//!   The rewriter contract ([`ScanContext`], [`ScanRewrite`],
-//!   [`TableScanRewriter`]) lives here because the planner is its only
-//!   caller; `session` re-exports it under the old paths.
-//! * **Pushdown (Algorithm 3).** [`sarg::extract`] is the one translator
-//!   from predicate conjuncts to [`SearchArgument`]s. It walks
-//!   `SqlExpr::conjuncts`, recognises `lhs op literal`, `literal op lhs`
-//!   (operator flipped) and `lhs BETWEEN literal AND literal`, checks the
-//!   left-hand side's qualifier against the scan's alias, and then asks its
-//!   caller where the leaf goes: the closure receives the left-hand side as
-//!   a [`sarg::Lhs`] (a column of this table, or a `get_json_object` call
-//!   over one) and answers with the [`sarg::Side`] and the column index in
-//!   that side's file schema, or `None` to leave the conjunct to the
-//!   `Filter`. The default scan answers "this table's raw column"; the
-//!   Maxson rewriter answers "raw column → raw SARG, resolved
-//!   `get_json_object` → cache SARG".
+//!   calls that run over it and the query predicate. The rewriter may name
+//!   a cache table and the calls it serves; the calls it claims compile to
+//!   plain column references (the paper's *placeholders*) instead of parse
+//!   expressions. The rewriter contract ([`ScanContext`], [`CacheSide`],
+//!   [`ScanRewrite`], [`TableScanRewriter`]) lives here because the
+//!   planner is its only caller; `session` re-exports it under the old
+//!   paths.
+//! * **The scan.** [`ScanContext::build_scan`] is the one place a Norc
+//!   scan's reads are decided — the raw and cache projections, the output
+//!   schema, the split count and the pushdown (Algorithm 3) — for the
+//!   default scan and a Maxson-combined one alike. Its pushdown runs
+//!   through `sarg::extract`, the one translator from predicate conjuncts
+//!   to search arguments: it walks `SqlExpr::conjuncts`, recognises
+//!   `lhs op literal`, `literal op lhs` (operator flipped) and
+//!   `lhs BETWEEN literal AND literal`, checks the left-hand side's
+//!   qualifier against the scan's alias, and places a plain column on the
+//!   raw SARG and a cache-resolved `get_json_object` call on the cache
+//!   SARG; anything else is left to the `Filter`.
 //!
 //! Expressions compile through one structural `SqlExpr` → [`Expr`]
 //! recursion, `compile_expr`, whose leaf hook decides what a column, a
@@ -34,7 +33,7 @@
 //! scan (or join) schema, `post_agg_leaf` against an aggregate's output.
 
 use maxson_json::JsonPath;
-use maxson_storage::{Catalog, ColumnType, Field, Schema, SearchArgument};
+use maxson_storage::{Catalog, ColumnType, Field, Schema, Table};
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
@@ -50,12 +49,13 @@ pub struct ScanContext<'a> {
     /// Database of the scanned table.
     pub database: &'a str,
     /// Name of the scanned table.
-    pub table: &'a str,
+    pub table_name: &'a str,
+    /// The scanned table, as the planner's catalog holds it: the snapshot
+    /// the scan reads, and the one a rewriter judges cache validity by.
+    pub table: &'a Table,
     /// Alias that qualified references to this scan carry: set for the two
     /// sides of a join, `None` for a single-table statement.
     pub alias: Option<&'a str>,
-    /// The raw table schema.
-    pub table_schema: &'a Schema,
     /// Raw columns referenced as plain columns (must appear in the output).
     pub raw_columns: &'a [String],
     /// Deduplicated `get_json_object` calls over this table:
@@ -63,6 +63,92 @@ pub struct ScanContext<'a> {
     pub json_calls: &'a [(String, String)],
     /// The WHERE clause, for predicate-pushdown decisions.
     pub predicate: Option<&'a SqlExpr>,
+}
+
+/// The cache side of a Maxson-combined scan: what a rewriter resolved.
+#[derive(Debug, Clone, Copy)]
+pub struct CacheSide<'a> {
+    /// The cache table, aligned file by file with the raw table.
+    pub table: &'a Table,
+    /// `(column, path) -> cache field` for every call served from `table`.
+    pub resolved: &'a [((String, String), String)],
+    /// Turn predicate leaves into SARGs (Algorithm 3). Off, neither side
+    /// gets one: the pushdown ablation.
+    pub pushdown: bool,
+}
+
+impl ScanContext<'_> {
+    /// The Norc scan of this table, plain or paired with `cache`: the one
+    /// place a scan's reads are decided.
+    ///
+    /// * The raw projection is every plain column plus the JSON column of
+    ///   every call `cache` does not resolve, in table order. A plain scan
+    ///   that needs no column (`select count(*)`) reads the first one; a
+    ///   paired scan that needs none reads the cache table alone.
+    /// * The output schema is the raw fields, then the cache fields (each
+    ///   resolved field once, in resolution order).
+    /// * Predicate leaves over plain columns join the raw SARG, leaves over
+    ///   resolved calls the cache SARG, both through `sarg::extract`.
+    /// * A paired scan has one split per cache file.
+    pub fn build_scan(&self, cache: Option<CacheSide<'_>>) -> Result<NorcScanProvider> {
+        let schema = self.table.schema();
+        let resolved = cache.map_or(&[][..], |c| c.resolved);
+        let field_of = |column: &str, path: &str| {
+            resolved
+                .iter()
+                .find(|((c, p), _)| c == column && p == path)
+                .map(|(_, field)| field.as_str())
+        };
+        let mut columns: Vec<&str> = self.raw_columns.iter().map(String::as_str).collect();
+        for (column, path) in self.json_calls {
+            if field_of(column, path).is_none() && !columns.contains(&column.as_str()) {
+                columns.push(column);
+            }
+        }
+        if columns.is_empty() && cache.is_none() {
+            columns.extend(schema.fields().first().map(|f| f.name.as_str()));
+        }
+        // Stable order: table schema order keeps plans deterministic.
+        columns.sort_by_key(|c| schema.index_of(c));
+        let projection: Vec<usize> = columns
+            .iter()
+            .map(|c| {
+                schema.index_of(c).ok_or_else(|| {
+                    EngineError::plan(format!(
+                        "column '{c}' not found in {}.{}",
+                        self.database, self.table_name
+                    ))
+                })
+            })
+            .collect::<Result<_>>()?;
+        let (raw_sarg, cache_sarg) = match cache {
+            Some(cache) if !cache.pushdown => (None, None),
+            _ => sarg::extract(self.predicate, self.alias, |lhs| match lhs {
+                sarg::Lhs::Column(name) => Some((sarg::Side::Raw, schema.index_of(name)?)),
+                sarg::Lhs::JsonCall { column, path } => {
+                    let index = cache?.table.schema().index_of(field_of(column, path)?)?;
+                    Some((sarg::Side::Cache, index))
+                }
+            }),
+        };
+        let provider = NorcScanProvider::new(self.table.clone(), projection, raw_sarg)?;
+        let Some(cache) = cache else {
+            return Ok(provider);
+        };
+        let mut cache_projection: Vec<usize> = Vec::new();
+        for (_, field) in resolved {
+            let index = cache.table.schema().index_of(field).ok_or_else(|| {
+                EngineError::plan(format!(
+                    "cache field '{field}' missing in cache table {}",
+                    cache.table.dir().display()
+                ))
+            })?;
+            if !cache_projection.contains(&index) {
+                cache_projection.push(index);
+            }
+        }
+        provider.with_cache(cache.table.clone(), cache_projection, cache_sarg)
+    }
 }
 
 /// The rewriter's answer: a replacement provider plus the JSONPath calls it
@@ -418,91 +504,40 @@ impl ScanPlanner<'_> {
             }
         }
 
-        let resolver_over = |schema: Schema, resolved_paths| Resolver {
-            schema,
+        // Offer to the rewriter, otherwise scan the table plainly.
+        let ctx = ScanContext {
+            database: &table_ref.database,
+            table_name: &table_ref.table,
+            table,
+            alias,
+            raw_columns: &raw_columns,
+            json_calls: &json_calls,
+            predicate: self.predicate,
+        };
+        let rewritten = self.rewriter.map(|rw| rw.rewrite_scan(&ctx)).transpose()?;
+        let rewrite = match rewritten.flatten() {
+            Some(rewrite) => rewrite,
+            None => ScanRewrite {
+                provider: Box::new(ctx.build_scan(None)?),
+                resolved_paths: Vec::new(),
+            },
+        };
+        let resolver = Resolver {
+            schema: rewrite.provider.schema().clone(),
             alias: alias.map(str::to_string),
-            resolved_paths,
+            resolved_paths: rewrite.resolved_paths,
             left_fields: 0,
         };
-
-        // Offer to the rewriter.
-        if let Some(rw) = self.rewriter {
-            let ctx = ScanContext {
-                database: &table_ref.database,
-                table: &table_ref.table,
-                alias,
-                table_schema: schema,
-                raw_columns: &raw_columns,
-                json_calls: &json_calls,
-                predicate: self.predicate,
-            };
-            if let Some(rewrite) = rw.rewrite_scan(&ctx)? {
-                let resolver =
-                    resolver_over(rewrite.provider.schema().clone(), rewrite.resolved_paths);
-                let plan = LogicalPlan::Scan {
-                    provider: rewrite.provider,
-                };
-                return Ok((plan, resolver));
-            }
-        }
-
-        // Default scan: raw columns plus JSON columns for every call.
-        let mut scan_columns = raw_columns;
-        for (c, _) in &json_calls {
-            if !scan_columns.contains(c) {
-                scan_columns.push(c.clone());
-            }
-        }
-        // A query referencing no columns at all (e.g. `select count(*)`)
-        // still needs the row count: scan the narrowest column.
-        if scan_columns.is_empty() {
-            if let Some(f) = schema.fields().first() {
-                scan_columns.push(f.name.clone());
-            }
-        }
-        // Stable order: table schema order keeps plans deterministic.
-        scan_columns.sort_by_key(|c| schema.index_of(c));
-        let projection: Vec<usize> = scan_columns
-            .iter()
-            .map(|c| {
-                schema.index_of(c).ok_or_else(|| {
-                    EngineError::plan(format!(
-                        "column '{c}' not found in {}.{}",
-                        table_ref.database, table_ref.table
-                    ))
-                })
-            })
-            .collect::<Result<_>>()?;
-        let sarg = raw_sarg(self.predicate, alias, schema);
-        let provider = NorcScanProvider::new(table.clone(), projection, sarg)?;
-        let resolver = resolver_over(provider.schema().clone(), Vec::new());
-        Ok((
-            LogicalPlan::Scan {
-                provider: Box::new(provider),
-            },
-            resolver,
-        ))
+        let plan = LogicalPlan::Scan {
+            provider: rewrite.provider,
+        };
+        Ok((plan, resolver))
     }
-}
-
-/// The default scan's pushdown: leaves over this table's raw columns. JSON
-/// calls are not pushed here — that is the cache-side pushdown a rewriter
-/// performs.
-fn raw_sarg(
-    predicate: Option<&SqlExpr>,
-    alias: Option<&str>,
-    schema: &Schema,
-) -> Option<SearchArgument> {
-    let (raw, _) = sarg::extract(predicate, alias, |lhs| match lhs {
-        sarg::Lhs::Column(name) => Some((sarg::Side::Raw, schema.index_of(name)?)),
-        sarg::Lhs::JsonCall { .. } => None,
-    });
-    raw
 }
 
 /// Predicate → [`SearchArgument`] translation (Algorithm 3), shared by the
 /// default scan and every rewriter; see the module docs for the contract.
-pub mod sarg {
+pub(crate) mod sarg {
     use maxson_storage::sarg::SargLeaf;
     use maxson_storage::{Cell, CmpOp, SearchArgument};
 
@@ -888,11 +923,10 @@ fn collect_aggs(e: &SqlExpr, out: &mut Vec<(AggFunc, Option<SqlExpr>)>) {
 
 #[cfg(test)]
 mod tests {
-    use super::sarg::{Lhs, Side};
     use super::*;
     use crate::sql::ast::BinaryOp;
     use crate::sql::parse_select;
-    use maxson_storage::{Cell, CmpOp};
+    use maxson_storage::{Cell, CmpOp, SearchArgument};
 
     fn predicate(text: &str) -> SqlExpr {
         let stmt = parse_select(&format!("select id from db.t where {text}")).unwrap();
@@ -927,20 +961,83 @@ mod tests {
         })
     }
 
-    /// The closure the Maxson rewriter hands the translator: raw column →
-    /// raw SARG, `get_json_object` over the one cached path → cache SARG.
-    fn maxson_sargs(predicate: &SqlExpr, alias: Option<&str>) -> (Leaves, Leaves) {
-        let raw_schema = raw_schema();
-        let cache_schema = utf8_schema(["other", "payload_p"]).unwrap();
-        let (raw, cache) = sarg::extract(Some(predicate), alias, |lhs| match lhs {
-            Lhs::Column(name) => Some((Side::Raw, raw_schema.index_of(name)?)),
-            Lhs::JsonCall {
-                column: "payload",
-                path: "$.p",
-            } => Some((Side::Cache, cache_schema.index_of("payload_p")?)),
-            Lhs::JsonCall { .. } => None,
-        });
-        (leaves_of(raw), leaves_of(cache))
+    /// `db.t(id, k, payload)` with no part file, and a cache table
+    /// `(other, payload_p)` of two one-row files serving `$.p`.
+    struct Tables {
+        root: std::path::PathBuf,
+        raw: Table,
+        cache: Table,
+    }
+
+    impl Tables {
+        fn new(name: &str) -> Self {
+            use std::time::{SystemTime, UNIX_EPOCH};
+            let nanos = SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .unwrap()
+                .subsec_nanos();
+            let root = std::env::temp_dir().join(format!(
+                "maxson-planner-{}-{nanos}-{name}",
+                std::process::id()
+            ));
+            let raw = Table::create(root.join("raw"), raw_schema(), 0).unwrap();
+            let mut cache = Table::create(
+                root.join("cache"),
+                utf8_schema(["other", "payload_p"]).unwrap(),
+                0,
+            )
+            .unwrap();
+            for _ in 0..2 {
+                let row = vec![Cell::from("o"), Cell::from("p")];
+                cache.append_file(&[row], Default::default(), 1).unwrap();
+            }
+            Tables { root, raw, cache }
+        }
+
+        /// The scan the builder makes of `calls` and plain `columns` under
+        /// `predicate`, plain or served from the cache table.
+        fn scan(
+            &self,
+            columns: &[&str],
+            calls: &[&str],
+            predicate: Option<&SqlExpr>,
+            alias: Option<&str>,
+            cache: Option<bool>,
+        ) -> NorcScanProvider {
+            let raw_columns: Vec<String> = columns.iter().map(|c| c.to_string()).collect();
+            let json_calls: Vec<(String, String)> = calls
+                .iter()
+                .map(|p| ("payload".to_string(), p.to_string()))
+                .collect();
+            let resolved = [(("payload".into(), "$.p".into()), "payload_p".into())];
+            let ctx = ScanContext {
+                database: "db",
+                table_name: "t",
+                table: &self.raw,
+                alias,
+                raw_columns: &raw_columns,
+                json_calls: &json_calls,
+                predicate,
+            };
+            ctx.build_scan(cache.map(|pushdown| CacheSide {
+                table: &self.cache,
+                resolved: &resolved,
+                pushdown,
+            }))
+            .unwrap()
+        }
+    }
+
+    impl Drop for Tables {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.root).ok();
+        }
+    }
+
+    /// The SARG leaves of the raw and of the cache side of a scan.
+    fn sargs(scan: &NorcScanProvider) -> (Leaves, Leaves) {
+        let ((_, raw), cache) = scan.parts();
+        (leaves_of(raw), leaves_of(cache.and_then(|(_, s)| s)))
     }
 
     #[test]
@@ -1016,22 +1113,86 @@ mod tests {
                 vec![(1, Eq, Cell::from("x"))],
             ),
         ];
+        let tables = Tables::new("sargs");
+        let calls = ["$.p", "$.q"];
         for (text, alias, raw, cache) in cases {
             let p = predicate(&text);
-            // The default scan pushes raw columns only...
+            // The plain scan pushes raw columns only...
+            let plain = tables.scan(&["id"], &calls, Some(&p), alias, None);
             assert_eq!(
-                leaves_of(raw_sarg(Some(&p), alias, &raw_schema())),
-                raw,
-                "default scan: {text} under {alias:?}"
+                sargs(&plain),
+                (raw.clone(), vec![]),
+                "plain: {text} under {alias:?}"
             );
-            // ...a Maxson-style caller both sides, through the same walk.
+            // ...a scan paired with the cache both sides, through the same walk.
+            let paired = tables.scan(&["id"], &calls, Some(&p), alias, Some(true));
             assert_eq!(
-                maxson_sargs(&p, alias),
+                sargs(&paired),
                 (raw, cache),
-                "rewriter: {text} under {alias:?}"
+                "paired: {text} under {alias:?}"
             );
         }
-        assert_eq!(raw_sarg(None, None, &raw_schema()), None);
+        let plain = tables.scan(&["id"], &calls, None, None, None);
+        assert_eq!(sargs(&plain), (vec![], vec![]));
+    }
+
+    /// The builder's four shapes: each decides the projections, the field
+    /// order, the side each SARG leaf lands on and the split count; with
+    /// pushdown off, a paired scan builds neither SARG.
+    #[test]
+    fn scan_builder_shapes() {
+        use CmpOp::*;
+        let tables = Tables::new("shapes");
+        let p = predicate("k < 3 and get_json_object(payload, '$.p') > 9");
+        let names = |scan: &NorcScanProvider| -> Vec<String> {
+            scan.schema()
+                .fields()
+                .iter()
+                .map(|f| f.name.clone())
+                .collect()
+        };
+        let k_leaf = vec![(1, Lt, Cell::Int(3))];
+        let p_leaf = vec![(1, Gt, Cell::Int(9))];
+
+        // Plain: the plain columns and the JSON column, raw leaves only.
+        let plain = tables.scan(&["k"], &["$.p"], Some(&p), None, None);
+        assert_eq!(plain.parts().0 .0, [1, 2]);
+        assert!(plain.parts().1.is_none());
+        assert_eq!(names(&plain), ["k", "payload"]);
+        assert_eq!(sargs(&plain), (k_leaf.clone(), vec![]));
+        assert_eq!(plain.split_count(), 0, "one split per raw file");
+        assert!(plain.label().starts_with("NorcScan("));
+
+        // Plain `count(*)`: no column referenced, the first one read.
+        let count = tables.scan(&[], &[], None, None, None);
+        assert_eq!(count.parts().0 .0, [0]);
+        assert_eq!(names(&count), ["id"]);
+
+        // Combined: the unresolved `$.q` keeps `payload` on the raw side,
+        // the resolved `$.p` is read from the cache, after the raw fields.
+        let combined = tables.scan(&["k"], &["$.p", "$.q"], Some(&p), None, Some(true));
+        let ((raw, _), cache) = combined.parts();
+        assert_eq!(raw, [1, 2]);
+        assert_eq!(cache.unwrap().0, [1]);
+        assert_eq!(names(&combined), ["k", "payload", "payload_p"]);
+        assert_eq!(sargs(&combined), (k_leaf, p_leaf.clone()));
+        assert_eq!(combined.split_count(), 2, "one split per cache file");
+        assert!(!combined.is_cache_only());
+
+        // Cache-only: every call resolved and no plain column.
+        let p = predicate("get_json_object(payload, '$.p') > 9");
+        let cache_only = tables.scan(&[], &["$.p"], Some(&p), None, Some(true));
+        assert_eq!(cache_only.parts().0 .0, Vec::<usize>::new());
+        assert_eq!(names(&cache_only), ["payload_p"]);
+        assert_eq!(sargs(&cache_only), (vec![], p_leaf));
+        assert!(cache_only.is_cache_only());
+        assert!(cache_only.label().ends_with(", cache_sarg, cache-only)"));
+
+        // Pushdown off: neither side gets a SARG.
+        let p = predicate("k < 3 and get_json_object(payload, '$.p') > 9");
+        let unpushed = tables.scan(&["k"], &["$.p"], Some(&p), None, Some(false));
+        assert_eq!(sargs(&unpushed), (vec![], vec![]));
+        assert_eq!(names(&unpushed), ["k", "payload_p"]);
     }
 
     #[test]

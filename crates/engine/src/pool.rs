@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use crate::error::{EngineError, Result};
 
 /// Cooperative split-level scheduling hook. The pool brackets every split
-/// task with `acquire`/`release` (inline and pooled paths alike), so an
+/// task with `acquire`/`release`, whichever thread runs it, so an
 /// external scheduler — the query server's fair-share admission controller —
 /// can time-slice split execution across many in-flight queries. `acquire`
 /// may block; `release` is guaranteed to run even when the task panics.
@@ -57,8 +57,8 @@ pub struct PoolRun<T> {
     /// Per-task results, indexed by task (= split) index.
     pub results: Vec<T>,
     /// Threads the run put on its tasks, the caller included (0 when the
-    /// run was inline). A worker that starts after the others have taken
-    /// every task runs none.
+    /// caller ran them alone). A worker that starts after the others have
+    /// taken every task runs none.
     pub threads_used: usize,
     /// Wall time of each task, indexed like `results`.
     pub task_walls: Vec<Duration>,
@@ -67,17 +67,17 @@ pub struct PoolRun<T> {
 /// Run `tasks` closures, at most `max_threads` at a time, returning their
 /// results in task order.
 ///
-/// * `max_threads <= 1` or `tasks <= 1` runs everything inline on the
-///   caller's thread, in task order — no threads are spawned. The
-///   executor has no serial path of its own: this is it.
-/// * Otherwise `min(max_threads, tasks)` workers share the cursor: the
-///   caller and `min(max_threads, tasks) - 1` spawned threads, so the
-///   caller works instead of waiting for the others to start.
+/// * `min(max_threads, tasks)` workers share the cursor: the caller and
+///   `min(max_threads, tasks) - 1` spawned threads, so the caller works
+///   instead of waiting for the others to start. At one worker
+///   (`max_threads <= 1` or a single task) the caller runs every task, in
+///   task order, and no thread is spawned. The executor has no serial path
+///   of its own: this is it.
 /// * A task returning `Err` or panicking aborts the run; the error for the
 ///   **lowest failing task index** is returned so failure is deterministic
 ///   regardless of scheduling. Once a failure is recorded, queued tasks
 ///   above its index are skipped; those below it still run.
-/// * When `scheduler` is set, every task (inline or pooled) runs inside an
+/// * When `scheduler` is set, every task, on whichever thread, runs inside an
 ///   acquire/release bracket, letting a server time-slice splits fairly
 ///   across concurrent queries.
 pub fn run_split_tasks<T, F>(
@@ -90,23 +90,14 @@ where
     T: Send,
     F: Fn(usize) -> Result<T> + Sync,
 {
-    if tasks <= 1 || max_threads <= 1 {
-        let mut results = Vec::with_capacity(tasks);
-        let mut task_walls = Vec::with_capacity(tasks);
-        for i in 0..tasks {
-            let permit = SchedulerPermit::acquire(scheduler);
-            let start = Instant::now();
-            results.push(run_one(&task, permit, i)?);
-            task_walls.push(start.elapsed());
-        }
+    if tasks == 0 {
         return Ok(PoolRun {
-            results,
+            results: Vec::new(),
             threads_used: 0,
-            task_walls,
+            task_walls: Vec::new(),
         });
     }
-
-    let workers = max_threads.min(tasks);
+    let workers = max_threads.clamp(1, tasks);
     let cursor = AtomicUsize::new(0);
     // One slot per task; a Mutex around the whole vector keeps this simple
     // (contention is negligible: one lock per task completion).
@@ -169,12 +160,12 @@ where
     debug_assert_eq!(results.len(), tasks, "no failure implies every slot ran");
     Ok(PoolRun {
         results,
-        threads_used: workers,
+        threads_used: if workers > 1 { workers } else { 0 },
         task_walls,
     })
 }
 
-/// One task under panic containment, inline or on a worker. The permit
+/// One task under panic containment, on the caller or a worker. The permit
 /// moves into the unwind scope so a panicking task still releases its
 /// scheduler slot.
 fn run_one<T>(
@@ -194,9 +185,9 @@ fn panic_error(split: usize, payload: &(dyn std::any::Any + Send)) -> EngineErro
     EngineError::exec(format!("task for split {split} panicked: {message}"))
 }
 
-/// The text of a caught panic's payload. For callers whose task index is
-/// not a split index (the cacher's `(table, split)` list) and who catch
-/// their own panics to name the task properly.
+/// The text of a caught panic's payload. For callers that catch their own
+/// panics: the cacher, whose task index is not a split index, and the query
+/// server, which answers a panicking query with an error.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()

@@ -372,13 +372,6 @@ impl ReuseCache {
         self.inject_fill_panic.store(true, Ordering::SeqCst);
     }
 
-    /// Change the byte budget at runtime (existing entries are evicted on
-    /// the next fill if over the new budget).
-    pub fn set_budget_mb(&self, budget_mb: u64) {
-        self.budget_bytes
-            .store(budget_mb.saturating_mul(1024 * 1024), Ordering::Relaxed);
-    }
-
     /// Point-in-time statistics.
     pub fn stats(&self) -> ReuseStats {
         let inner = self.lock();

@@ -2,18 +2,18 @@
 //!
 //! [`ScanProvider`] is the engine's extension point for the table-reading
 //! phase: a provider names its splits and reads one split as a [`Batch`].
-//! The default [`NorcScanProvider`] reads a Norc table split by split,
-//! applying SARG row-group skipping. Maxson's value combiner installs its
-//! own provider that stitches the raw table's and the cache table's decoded
-//! columns side by side.
+//! [`NorcScanProvider`] reads a Norc table split by split, applying SARG
+//! row-group skipping, and is also Maxson's value combiner (Algorithm 2)
+//! and shared pushdown (Algorithm 3): paired with a cache table, it stitches
+//! the raw table's and the cache table's columns side by side.
 
 use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::Instant;
 
-use maxson_storage::{Cell, ColumnData, NorcFile, Schema, SearchArgument, Table};
+use maxson_storage::{Cell, ColumnData, Field, NorcFile, Schema, SearchArgument, Table};
 
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::metrics::ExecMetrics;
 
 /// One split's worth of scanned data.
@@ -287,7 +287,7 @@ pub fn open_split(table: &Table, split: usize, metrics: &mut ExecMetrics) -> Res
 /// Evaluate `sarg` against `file`'s row-group statistics. Match ORC: only
 /// single-stripe files support skipping, mirroring the restriction the
 /// paper inherits (§IV-F); a multi-stripe file keeps every row group.
-pub fn sarg_keep(sarg: &SearchArgument, file: &NorcFile) -> Vec<bool> {
+pub(crate) fn sarg_keep(sarg: &SearchArgument, file: &NorcFile) -> Vec<bool> {
     if file.stripe_count() <= 1 {
         sarg.keep_array(file.row_groups())
     } else {
@@ -341,7 +341,7 @@ pub fn read_chunks_at(
 /// columns with [`Columns::pair`], sharing the keep-array and the
 /// selection. Rows the selection drops are charged to `batch_rows_skipped`
 /// here; the `Filter` above still runs.
-pub fn read_chunks(
+pub(crate) fn read_chunks(
     file: Arc<NorcFile>,
     projection: &[usize],
     keep: Option<Vec<bool>>,
@@ -387,39 +387,103 @@ pub fn read_chunks(
     })
 }
 
-/// The default provider: scan a Norc table directory.
+/// One table a Norc scan reads: the columns it decodes and the SARG its
+/// row groups are tested against (column indexes of the table's schema).
+#[derive(Debug)]
+struct TableRead {
+    table: Table,
+    projection: Vec<usize>,
+    sarg: Option<SearchArgument>,
+}
+
+/// The one provider that reads Norc files: a raw table, optionally paired
+/// with its cache table (Maxson's value combiner, Algorithm 2).
+///
+/// One split is the raw file and the cache file with the same index. The
+/// cacher writes the two with the same row count and row-group boundaries,
+/// so they are stitched positionally, with no join: the raw file is read
+/// through `read_chunks` and the cache file's columns join the batch with
+/// [`Columns::pair`], sharing its keep-array and row selection. When the
+/// predicate constrains a cached JSONPath, the cache-side SARG is tested
+/// against the cache file's row-group statistics and the keep-array is
+/// shared with the raw file (Algorithm 3); as in the paper, sharing needs
+/// both files to hold a single stripe. A scan that needs no raw column
+/// reads the cache table alone (§IV-B).
 #[derive(Debug)]
 pub struct NorcScanProvider {
-    table: Table,
-    /// Column indexes to materialize, in output order.
-    projection: Vec<usize>,
-    /// Projected schema.
+    raw: TableRead,
+    cache: Option<TableRead>,
+    /// Raw fields, then cache fields.
     out_schema: Schema,
-    /// Optional SARG used to skip row groups (on raw columns).
-    sarg: Option<SearchArgument>,
 }
 
 impl NorcScanProvider {
     /// Create a provider over `table`, materializing `projection` columns.
     /// `sarg` column indexes refer to the *table* schema.
     pub fn new(table: Table, projection: Vec<usize>, sarg: Option<SearchArgument>) -> Result<Self> {
-        let names: Vec<&str> = projection
-            .iter()
-            .map(|&i| table.schema().fields()[i].name.as_str())
-            .collect();
-        let out_schema = table.schema().project(&names)?;
+        let out_schema = Schema::new(fields_of(&table, &projection))?;
         Ok(NorcScanProvider {
-            table,
-            projection,
+            raw: TableRead {
+                table,
+                projection,
+                sarg,
+            },
+            cache: None,
             out_schema,
-            sarg,
         })
     }
 
-    /// The underlying table.
-    pub fn table(&self) -> &Table {
-        &self.table
+    /// Pair the scan with `cache`, a cache table aligned file by file with
+    /// the raw table, appending its `projection` columns to the output.
+    /// `sarg` column indexes refer to the cache table's schema.
+    pub fn with_cache(
+        mut self,
+        cache: Table,
+        projection: Vec<usize>,
+        sarg: Option<SearchArgument>,
+    ) -> Result<Self> {
+        let mut fields = self.out_schema.fields().to_vec();
+        fields.extend(fields_of(&cache, &projection));
+        self.out_schema = Schema::new(fields)?;
+        self.cache = Some(TableRead {
+            table: cache,
+            projection,
+            sarg,
+        });
+        Ok(self)
     }
+
+    /// Whether this scan reads only the cache table.
+    pub fn is_cache_only(&self) -> bool {
+        self.cache.is_some() && self.raw.projection.is_empty()
+    }
+
+    /// The tables each split reads, the one whose rows the batch selects
+    /// first.
+    fn reads(&self) -> Vec<&TableRead> {
+        let raw = (!self.is_cache_only()).then_some(&self.raw);
+        raw.into_iter().chain(&self.cache).collect()
+    }
+}
+
+/// `(projection, SARG)` of the raw side and of the cache side, if any:
+/// what the planner's scan builder decided.
+#[cfg(test)]
+type ReadParts = (Vec<usize>, Option<SearchArgument>);
+
+#[cfg(test)]
+impl NorcScanProvider {
+    pub(crate) fn parts(&self) -> (ReadParts, Option<ReadParts>) {
+        let parts = |r: &TableRead| (r.projection.clone(), r.sarg.clone());
+        (parts(&self.raw), self.cache.as_ref().map(parts))
+    }
+}
+
+fn fields_of(table: &Table, projection: &[usize]) -> Vec<Field> {
+    projection
+        .iter()
+        .map(|&i| table.schema().fields()[i].clone())
+        .collect()
 }
 
 impl ScanProvider for NorcScanProvider {
@@ -427,17 +491,67 @@ impl ScanProvider for NorcScanProvider {
         &self.out_schema
     }
 
+    /// Cache files are written one per raw file, so either table's file
+    /// count is the split count; the cache's covers cache-only scans.
     fn split_count(&self) -> usize {
-        self.table.file_count()
+        self.cache.as_ref().unwrap_or(&self.raw).table.file_count()
     }
 
     fn scan_split(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Batch> {
         let start = Instant::now();
-        let file = open_split(&self.table, split, metrics)?;
-        let keep = self.sarg.as_ref().map(|s| sarg_keep(s, &file));
-        let kept_rows = charge_row_groups(metrics, keep.as_deref(), &file);
-        let cols = read_chunks(file, &self.projection, keep, self.sarg.as_ref(), metrics)?;
-        metrics.rows_scanned += kept_rows as u64;
+        let reads = self.reads();
+        let files = reads
+            .iter()
+            .map(|read| open_split(&read.table, split, metrics))
+            .collect::<Result<Vec<_>>>()?;
+        // The alignment invariant of §IV-C. If it does not hold (the raw
+        // table changed underneath the cache) fail loudly rather than
+        // stitch misaligned rows.
+        if let [raw, cache] = &files[..] {
+            if raw.num_rows() != cache.num_rows() {
+                return Err(EngineError::exec(format!(
+                    "cache misalignment on split {split}: raw has {} rows, cache has {}",
+                    raw.num_rows(),
+                    cache.num_rows()
+                )));
+            }
+        }
+        // One keep-array for every file, the AND of each side's. Sharing
+        // needs identical row-group boundaries; otherwise read everything.
+        let shared = match &files[..] {
+            [raw, cache] => {
+                raw.row_group_count() == cache.row_group_count()
+                    && raw.stripe_count() <= 1
+                    && cache.stripe_count() <= 1
+            }
+            _ => true,
+        };
+        let keep = if shared {
+            reads
+                .iter()
+                .zip(&files)
+                .filter_map(|(read, file)| read.sarg.as_ref().map(|s| sarg_keep(s, file)))
+                .reduce(|a, b| a.iter().zip(&b).map(|(a, b)| *a && *b).collect())
+        } else {
+            None
+        };
+        let kept_rows = charge_row_groups(metrics, keep.as_deref(), &files[0]);
+
+        // Algorithm 2: the leading reader selects rows with its SARG's
+        // row-testable leaves and the paired reader shares that selection
+        // as it shares the keep-array, so the stitch (raw fields then cache
+        // fields) is the two column lists end to end, and a batch row
+        // decoded later is the same row in both files. The cache SARG's
+        // leaves sit on string columns and select no rows of their own.
+        let mut pairs = reads.iter().zip(files);
+        let (lead, file) = pairs.next().expect("a scan reads a table");
+        let mut cols = read_chunks(file, &lead.projection, keep, lead.sarg.as_ref(), metrics)?;
+        for (read, file) in pairs {
+            cols.pair(file, &read.projection);
+        }
+        let n = kept_rows as u64;
+        metrics.rows_scanned += n;
+        metrics.cache_hits += n * self.cache.as_ref().map_or(0, |c| c.projection.len()) as u64;
         let spent = start.elapsed();
         metrics.read += spent;
         metrics.read_wall += spent;
@@ -445,16 +559,32 @@ impl ScanProvider for NorcScanProvider {
     }
 
     fn label(&self) -> String {
-        format!(
-            "NorcScan({}, cols={:?}{})",
-            self.table.dir().display(),
-            self.projection,
-            if self.sarg.as_ref().is_some_and(|s| !s.is_empty()) {
-                ", sarg"
+        let flag = |sarg: &Option<SearchArgument>, name| {
+            if sarg.as_ref().is_some_and(|s| !s.is_empty()) {
+                name
             } else {
                 ""
             }
-        )
+        };
+        match &self.cache {
+            None => format!(
+                "NorcScan({}, cols={:?}{})",
+                self.raw.table.dir().display(),
+                self.raw.projection,
+                flag(&self.raw.sarg, ", sarg")
+            ),
+            Some(cache) => format!(
+                "MaxsonCombinedScan(raw_cols={:?}, cache_cols={:?}{}{})",
+                self.raw.projection,
+                cache.projection,
+                flag(&cache.sarg, ", cache_sarg"),
+                if self.is_cache_only() {
+                    ", cache-only"
+                } else {
+                    ""
+                },
+            ),
+        }
     }
 }
 
@@ -512,7 +642,7 @@ mod tests {
         assert_eq!(m.rows_scanned, 15);
         assert!(m.bytes_read > 0);
         assert!(m.read > std::time::Duration::ZERO);
-        p.table.drop_table().unwrap();
+        p.raw.table.drop_table().unwrap();
     }
 
     #[test]
@@ -523,7 +653,7 @@ mod tests {
         let mut m = ExecMetrics::default();
         let rows = scan_rows(&p, &mut m).unwrap();
         assert_eq!(rows[3], vec![Cell::Str("t3".into())]);
-        p.table.drop_table().unwrap();
+        p.raw.table.drop_table().unwrap();
     }
 
     #[test]
@@ -542,7 +672,7 @@ mod tests {
         assert_eq!(m.batch_rows_skipped, 2);
         assert_eq!(rows.len(), 8);
         assert_eq!(rows[0][0], Cell::Int(12));
-        p.table.drop_table().unwrap();
+        p.raw.table.drop_table().unwrap();
     }
 
     #[test]
@@ -568,7 +698,7 @@ mod tests {
         // Row selection reads values, not statistics, so it still applies.
         assert_eq!(m.batch_rows_skipped, 20);
         assert!(rows.is_empty());
-        p.table.drop_table().unwrap();
+        p.raw.table.drop_table().unwrap();
     }
 
     #[test]
@@ -592,7 +722,7 @@ mod tests {
         assert_eq!(split_m.rows_scanned, whole_m.rows_scanned);
         assert_eq!(split_m.bytes_read, whole_m.bytes_read);
         assert_eq!(split_m.row_groups_read, whole_m.row_groups_read);
-        p.table.drop_table().unwrap();
+        p.raw.table.drop_table().unwrap();
     }
 
     #[test]
@@ -618,7 +748,7 @@ mod tests {
         assert_eq!(rows, via_rows);
         assert_eq!(rm.bytes_read, bm.bytes_read);
         assert_eq!(rm.cells_materialized, 16);
-        p.table.drop_table().unwrap();
+        p.raw.table.drop_table().unwrap();
     }
 
     /// The SARG's row selection runs over a column the scan does not even
@@ -657,7 +787,7 @@ mod tests {
         let expect: Vec<Vec<Cell>> = rows[2..].iter().map(|r| vec![r[1].clone()]).collect();
         assert_eq!(out, expect);
         assert_eq!(m.batch_rows_skipped, 2);
-        p.table.drop_table().unwrap();
+        p.raw.table.drop_table().unwrap();
     }
 
     /// A column left in its file is decoded at the batch rows a consumer
@@ -686,7 +816,7 @@ mod tests {
             6,
             "three two-byte tags, nothing else"
         );
-        p.table.drop_table().unwrap();
+        p.raw.table.drop_table().unwrap();
     }
 
     #[test]
@@ -695,6 +825,351 @@ mod tests {
         let sarg = SearchArgument::new().with(0, CmpOp::Eq, Cell::Int(0));
         let p = NorcScanProvider::new(t, vec![0], Some(sarg)).unwrap();
         assert!(p.label().contains("sarg"));
-        p.table.drop_table().unwrap();
+        p.raw.table.drop_table().unwrap();
+    }
+
+    /// The value combiner (Algorithm 2) and the shared pushdown
+    /// (Algorithm 3): a raw table paired with its cache table.
+    mod combiner {
+        use super::*;
+
+        fn temp_dir(name: &str) -> PathBuf {
+            use std::time::{SystemTime, UNIX_EPOCH};
+            let nanos = SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .unwrap()
+                .subsec_nanos();
+            std::env::temp_dir().join(format!(
+                "maxson-combined-{}-{nanos}-{name}",
+                std::process::id()
+            ))
+        }
+
+        /// Raw table: (id, payload); cache table: (va,) where va = id * 10 as
+        /// string. Two files of 20 rows each, row groups of 5.
+        fn setup(name: &str) -> (Table, Table, PathBuf, PathBuf) {
+            let raw_schema = Schema::new(vec![
+                Field::new("id", ColumnType::Int64),
+                Field::new("payload", ColumnType::Utf8),
+            ])
+            .unwrap();
+            let cache_schema = Schema::new(vec![Field::new("va", ColumnType::Utf8)]).unwrap();
+            let raw_dir = temp_dir(&format!("{name}-raw"));
+            let cache_dir = temp_dir(&format!("{name}-cache"));
+            let mut raw = Table::create(&raw_dir, raw_schema, 0).unwrap();
+            let mut cache = Table::create(&cache_dir, cache_schema, 0).unwrap();
+            let opts = WriteOptions {
+                row_group_size: 5,
+                ..Default::default()
+            };
+            for f in 0..2i64 {
+                let raw_rows: Vec<Vec<Cell>> = (0..20)
+                    .map(|i| {
+                        let n = f * 20 + i;
+                        vec![Cell::Int(n), Cell::from(format!("{{\"a\":{}}}", n * 10))]
+                    })
+                    .collect();
+                let cache_rows: Vec<Vec<Cell>> = (0..20)
+                    .map(|i| {
+                        let n = f * 20 + i;
+                        vec![Cell::from(format!("{}", n * 10))]
+                    })
+                    .collect();
+                raw.append_file(&raw_rows, opts, 1).unwrap();
+                cache.append_file(&cache_rows, opts, 1).unwrap();
+            }
+            (raw, cache, raw_dir, cache_dir)
+        }
+
+        /// `raw` paired with `cache`, as the planner builds a combined
+        /// scan; the provider must derive `out_schema`, raw fields then
+        /// cache fields.
+        fn combined(
+            raw: Table,
+            raw_projection: Vec<usize>,
+            cache: Table,
+            cache_projection: Vec<usize>,
+            out_schema: Schema,
+            raw_sarg: Option<SearchArgument>,
+            cache_sarg: Option<SearchArgument>,
+        ) -> NorcScanProvider {
+            let p = NorcScanProvider::new(raw, raw_projection, raw_sarg)
+                .unwrap()
+                .with_cache(cache, cache_projection, cache_sarg)
+                .unwrap();
+            assert_eq!(p.schema(), &out_schema);
+            p
+        }
+
+        fn out_schema() -> Schema {
+            Schema::new(vec![
+                Field::new("id", ColumnType::Int64),
+                Field::new("va", ColumnType::Utf8),
+            ])
+            .unwrap()
+        }
+
+        #[test]
+        fn stitches_rows_positionally() {
+            let (raw, cache, rd, cd) = setup("stitch");
+            let p = combined(raw, vec![0], cache, vec![0], out_schema(), None, None);
+            let mut m = ExecMetrics::default();
+            let rows = scan_rows(&p, &mut m).unwrap();
+            assert_eq!(rows.len(), 40);
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(row[0], Cell::Int(i as i64));
+                assert_eq!(row[1], Cell::from(format!("{}", i * 10)));
+            }
+            assert_eq!(m.cache_hits, 40);
+            assert_eq!(m.rows_scanned, 40);
+            std::fs::remove_dir_all(rd).ok();
+            std::fs::remove_dir_all(cd).ok();
+        }
+
+        #[test]
+        fn cache_sarg_skip_is_shared_with_primary_reader() {
+            let (raw, cache, rd, cd) = setup("share");
+            // va >= "350" numerically -> only rows 35..39 (last row group of
+            // file 1) qualify.
+            let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(350));
+            let p = combined(raw, vec![0], cache, vec![0], out_schema(), None, Some(sarg));
+            let mut m = ExecMetrics::default();
+            let rows = scan_rows(&p, &mut m).unwrap();
+            // Row group size 5, 4 groups per file, 2 files = 8 shared groups.
+            // Only file 1's last group ([35..39], va 350..390) survives.
+            assert_eq!(m.row_groups_read, 1);
+            assert_eq!(m.row_groups_skipped, 7);
+            assert_eq!(rows.len(), 5);
+            assert_eq!(rows[0][0], Cell::Int(35));
+            std::fs::remove_dir_all(rd).ok();
+            std::fs::remove_dir_all(cd).ok();
+        }
+
+        #[test]
+        fn raw_and_cache_sargs_combine() {
+            let (raw, cache, rd, cd) = setup("combine");
+            let raw_sarg = SearchArgument::new().with(0, CmpOp::Lt, Cell::Int(10));
+            let cache_sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(50));
+            let p = combined(
+                raw,
+                vec![0],
+                cache,
+                vec![0],
+                out_schema(),
+                Some(raw_sarg),
+                Some(cache_sarg),
+            );
+            let mut m = ExecMetrics::default();
+            let rows = scan_rows(&p, &mut m).unwrap();
+            // id < 10 AND va >= 50 -> ids 5..9 (row group [5..9]).
+            assert_eq!(rows.len(), 5);
+            assert_eq!(rows[0][0], Cell::Int(5));
+            std::fs::remove_dir_all(rd).ok();
+            std::fs::remove_dir_all(cd).ok();
+        }
+
+        /// The stitch is columnar: no cell exists until the consumer builds
+        /// one, bytes are charged per decoded chunk, and the shared keep-array
+        /// prunes the raw and the cache columns to the same length.
+        #[test]
+        fn split_batch_is_columnar_and_pruned_on_both_sides() {
+            let (raw, cache, rd, cd) = setup("columnar");
+            // Only file 1's last row group (va 350..390) survives.
+            let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(350));
+            let p = combined(
+                raw,
+                vec![0, 1],
+                cache,
+                vec![0],
+                Schema::new(vec![
+                    Field::new("id", ColumnType::Int64),
+                    Field::new("payload", ColumnType::Utf8),
+                    Field::new("va", ColumnType::Utf8),
+                ])
+                .unwrap(),
+                None,
+                Some(sarg),
+            );
+            let mut m = ExecMetrics::default();
+            assert!(p.scan_split(0, &mut m).unwrap().is_empty());
+            let batch = p.scan_split(1, &mut m).unwrap();
+            let Batch::Columns(mut cols) = batch else {
+                panic!("combiner must hand over columns");
+            };
+            assert_eq!(cols.width(), 3);
+            assert_eq!(cols.len(), 5, "raw and cache pruned alike");
+            assert_eq!(m.cells_materialized, 0, "no cell before consumption");
+            assert_eq!(m.bytes_read, 0, "no decode before consumption");
+            assert_eq!(m.rows_scanned, 5);
+            assert_eq!(m.cache_hits, 5);
+            cols.decode(&[0, 1, 2], &mut m).unwrap();
+            assert!((0..3).all(|c| cols.column(c).len() == 5));
+            let chunk_bytes: usize = (0..3).map(|c| cols.column(c).byte_size()).sum();
+            assert_eq!(m.bytes_read, chunk_bytes as u64);
+            let rows = Batch::Columns(cols).into_rows(&mut m).unwrap();
+            assert_eq!(m.cells_materialized, 15);
+            assert_eq!(rows[0][0], Cell::Int(35));
+            assert_eq!(rows[0][2], Cell::from("350"));
+            std::fs::remove_dir_all(rd).ok();
+            std::fs::remove_dir_all(cd).ok();
+        }
+
+        /// Algorithm 3 at row granularity: the rows the raw SARG's `id` leaf
+        /// selects are the rows the cache reader decodes, so the stitch stays
+        /// positional; the scan is still charged for the kept row group.
+        #[test]
+        fn raw_row_selection_is_shared_with_the_cache_reader() {
+            for raw_projection in [vec![0], vec![1]] {
+                let (raw, cache, rd, cd) = setup("rowsel");
+                // Row groups of 5: only [35..39] may hold id >= 37.
+                let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(37));
+                let raw_field = ["id", "payload"][raw_projection[0]];
+                let raw_type = [ColumnType::Int64, ColumnType::Utf8][raw_projection[0]];
+                let p = combined(
+                    raw,
+                    raw_projection.clone(),
+                    cache,
+                    vec![0],
+                    Schema::new(vec![
+                        Field::new(raw_field, raw_type),
+                        Field::new("va", ColumnType::Utf8),
+                    ])
+                    .unwrap(),
+                    Some(sarg),
+                    None,
+                );
+                let mut m = ExecMetrics::default();
+                let batch = p.scan_split(1, &mut m).unwrap();
+                assert_eq!(batch.len(), 3, "the batch is dense");
+                assert_eq!(m.rows_scanned, 5);
+                assert_eq!(m.cache_hits, 5);
+                assert_eq!(m.batch_rows_skipped, 2);
+                let rows = batch.into_rows(&mut m).unwrap();
+                let va: Vec<Cell> = rows.iter().map(|r| r[1].clone()).collect();
+                assert_eq!(va, ["370", "380", "390"].map(Cell::from));
+                if raw_projection == [0] {
+                    assert_eq!(rows[0][0], Cell::Int(37));
+                    // `id` for the kept group, `va` at the three selected rows.
+                    assert_eq!(m.bytes_read, 5 * 8 + 3 * 3);
+                } else {
+                    assert_eq!(rows[2][0], Cell::from("{\"a\":390}"));
+                }
+                assert_eq!(m.cells_materialized, 6);
+                std::fs::remove_dir_all(rd).ok();
+                std::fs::remove_dir_all(cd).ok();
+            }
+        }
+
+        #[test]
+        fn cache_only_scan_never_opens_raw() {
+            let (raw, cache, rd, cd) = setup("cacheonly");
+            let schema = Schema::new(vec![Field::new("va", ColumnType::Utf8)]).unwrap();
+            let p = combined(raw, vec![], cache, vec![0], schema, None, None);
+            assert!(p.is_cache_only());
+            let mut m = ExecMetrics::default();
+            let rows = scan_rows(&p, &mut m).unwrap();
+            assert_eq!(rows.len(), 40);
+            assert_eq!(m.cache_hits, 40);
+            assert_eq!(
+                m.meta_cache_hits + m.meta_cache_misses,
+                2,
+                "cache files only"
+            );
+            assert!(p.label().contains("cache-only"));
+            std::fs::remove_dir_all(rd).ok();
+            std::fs::remove_dir_all(cd).ok();
+        }
+
+        #[test]
+        fn split_scan_concatenation_matches_whole_scan() {
+            let (raw, cache, rd, cd) = setup("splitpair");
+            let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(150));
+            let p = combined(raw, vec![0], cache, vec![0], out_schema(), None, Some(sarg));
+            assert_eq!(p.split_count(), 2);
+            let mut whole_m = ExecMetrics::default();
+            let whole = scan_rows(&p, &mut whole_m).unwrap();
+            let mut split_m = ExecMetrics::default();
+            let mut stitched = Vec::new();
+            for s in 0..p.split_count() {
+                stitched.extend(
+                    p.scan_split(s, &mut split_m)
+                        .unwrap()
+                        .into_rows(&mut split_m)
+                        .unwrap(),
+                );
+            }
+            assert_eq!(stitched, whole);
+            assert_eq!(split_m.rows_scanned, whole_m.rows_scanned);
+            assert_eq!(split_m.row_groups_skipped, whole_m.row_groups_skipped);
+            assert_eq!(split_m.row_groups_read, whole_m.row_groups_read);
+            assert_eq!(split_m.cache_hits, whole_m.cache_hits);
+            std::fs::remove_dir_all(rd).ok();
+            std::fs::remove_dir_all(cd).ok();
+        }
+
+        #[test]
+        fn misaligned_split_is_detected() {
+            let (raw, _cache, rd, cd) = setup("misaligned");
+            // Build a cache table with a different row count.
+            let bad_dir = temp_dir("misaligned-bad");
+            let schema = Schema::new(vec![Field::new("va", ColumnType::Utf8)]).unwrap();
+            let mut bad = Table::create(&bad_dir, schema, 0).unwrap();
+            let rows: Vec<Vec<Cell>> = (0..7).map(|i| vec![Cell::from(format!("{i}"))]).collect();
+            bad.append_file(&rows, WriteOptions::default(), 1).unwrap();
+            bad.append_file(&rows, WriteOptions::default(), 1).unwrap();
+            let p = combined(raw, vec![0], bad, vec![0], out_schema(), None, None);
+            let mut m = ExecMetrics::default();
+            let err = scan_rows(&p, &mut m).unwrap_err();
+            assert!(err.to_string().contains("misalignment"));
+            std::fs::remove_dir_all(rd).ok();
+            std::fs::remove_dir_all(cd).ok();
+            std::fs::remove_dir_all(bad_dir).ok();
+        }
+
+        #[test]
+        fn multi_stripe_cache_file_disables_sharing() {
+            // Cache file written with multiple stripes: SARG must not skip.
+            let raw_schema = Schema::new(vec![Field::new("id", ColumnType::Int64)]).unwrap();
+            let cache_schema = Schema::new(vec![Field::new("va", ColumnType::Utf8)]).unwrap();
+            let rd = temp_dir("multistripe-raw");
+            let cd = temp_dir("multistripe-cache");
+            let mut raw = Table::create(&rd, raw_schema, 0).unwrap();
+            let mut cache = Table::create(&cd, cache_schema, 0).unwrap();
+            let raw_rows: Vec<Vec<Cell>> = (0..20).map(|i| vec![Cell::Int(i)]).collect();
+            let cache_rows: Vec<Vec<Cell>> =
+                (0..20).map(|i| vec![Cell::from(format!("{i}"))]).collect();
+            raw.append_file(
+                &raw_rows,
+                WriteOptions {
+                    row_group_size: 5,
+                    ..Default::default()
+                },
+                1,
+            )
+            .unwrap();
+            cache
+                .append_file(
+                    &cache_rows,
+                    WriteOptions {
+                        row_group_size: 5,
+                        row_groups_per_stripe: 1,
+                    },
+                    1,
+                )
+                .unwrap();
+            let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(100));
+            let schema = Schema::new(vec![
+                Field::new("id", ColumnType::Int64),
+                Field::new("va", ColumnType::Utf8),
+            ])
+            .unwrap();
+            let p = combined(raw, vec![0], cache, vec![0], schema, None, Some(sarg));
+            let mut m = ExecMetrics::default();
+            let rows = scan_rows(&p, &mut m).unwrap();
+            assert_eq!(rows.len(), 20, "no skipping on multi-stripe files");
+            assert_eq!(m.row_groups_skipped, 0);
+            std::fs::remove_dir_all(rd).ok();
+            std::fs::remove_dir_all(cd).ok();
+        }
     }
 }

@@ -406,11 +406,6 @@ impl Session {
         Ok(())
     }
 
-    /// Path of the active query log, if logging is on.
-    pub fn query_log_path(&self) -> Option<&Path> {
-        self.query_log.as_deref().map(QueryLog::path)
-    }
-
     /// Wall-time threshold past which a query is flagged `slow=true` in
     /// the query log (`MAXSON_SLOW_MS`; default 1000 ms).
     pub fn set_slow_threshold(&mut self, threshold: Duration) {
@@ -430,8 +425,8 @@ impl Session {
 
     /// Set (or clear) the worker-thread count for split-parallel execution.
     /// `None` means one worker per available core, resolved here rather
-    /// than at each `execute`; `Some(1)` runs the split tasks inline on the
-    /// calling thread.
+    /// than at each `execute`; `Some(1)` has the calling thread run every
+    /// split task itself.
     pub fn set_threads(&mut self, threads: Option<usize>) {
         self.threads_override = threads;
         self.threads = threads.unwrap_or_else(default_threads);

@@ -26,7 +26,7 @@
 //!
 //! The SWAR/SIMD tiers classify bytes into per-word backslash / quote /
 //! structural masks and hand them to one shared word-sequential resolver
-//! ([`resolve_word`]), so the only per-tier code is trivially verifiable
+//! (`resolve_word`), so the only per-tier code is trivially verifiable
 //! byte classification — the string-mask derivation is common by
 //! construction. The resolver reproduces the scalar state machine exactly,
 //! including on malformed input: globally "escaped" quotes *outside* a

@@ -54,12 +54,6 @@ impl<'a> StructuralIndex<'a> {
         Self::from_bitmaps(input, kernels::build_bitmaps(input.as_bytes()))
     }
 
-    /// [`Self::build`] with an explicitly pinned kernel tier — the
-    /// differential suites prove every tier yields identical indexes.
-    pub fn build_with(kernel: kernels::Kernel, input: &'a str) -> Self {
-        Self::from_bitmaps(input, kernels::build_bitmaps_with(kernel, input.as_bytes()))
-    }
-
     fn from_bitmaps(input: &'a str, bitmaps: kernels::Bitmaps) -> Self {
         let bytes = input.as_bytes();
         let kernels::Bitmaps {

@@ -142,15 +142,6 @@ impl JsonPath {
         self.steps.is_empty()
     }
 
-    /// The leading field name, if the first step is a field access. Used by
-    /// the Mison projector to seed the structural-index lookup.
-    pub fn first_field(&self) -> Option<&str> {
-        match self.steps.first() {
-            Some(Step::Field(f)) => Some(f),
-            _ => None,
-        }
-    }
-
     /// Evaluate against a parsed document. Returns `None` when any step does
     /// not match (Hive semantics: missing key / out-of-range index / type
     /// mismatch all yield NULL).
@@ -174,12 +165,6 @@ impl JsonPath {
             }
         }
         Some(EvalResult::Borrowed(cur))
-    }
-
-    /// Evaluate against raw JSON text via a full parse (the Jackson cost
-    /// model). Returns the Hive string rendering.
-    pub fn eval_str(&self, json: &str) -> Option<String> {
-        crate::get_json_object(json, self)
     }
 }
 
@@ -289,7 +274,6 @@ mod tests {
             &[Step::Field("a".into()), Step::Field("b".into())]
         );
         assert_eq!(p.text(), "$.a.b");
-        assert_eq!(p.first_field(), Some("a"));
         assert_eq!(p.len(), 2);
     }
 
@@ -312,7 +296,6 @@ mod tests {
     fn parse_root_only() {
         let p = JsonPath::parse("$").unwrap();
         assert!(p.is_empty());
-        assert_eq!(p.first_field(), None);
     }
 
     #[test]
@@ -373,14 +356,12 @@ mod tests {
     }
 
     #[test]
-    fn eval_str_matches_dom_eval() {
+    fn get_json_object_renders_hive_strings() {
         let json = r#"{"a":{"b":"v"},"n":5}"#;
-        let p = JsonPath::parse("$.a.b").unwrap();
-        assert_eq!(p.eval_str(json).unwrap(), "v");
-        let p = JsonPath::parse("$.n").unwrap();
-        assert_eq!(p.eval_str(json).unwrap(), "5");
-        let p = JsonPath::parse("$.missing").unwrap();
-        assert_eq!(p.eval_str(json), None);
+        let eval = |path: &str| crate::get_json_object(json, &JsonPath::parse(path).unwrap());
+        assert_eq!(eval("$.a.b").unwrap(), "v");
+        assert_eq!(eval("$.n").unwrap(), "5");
+        assert_eq!(eval("$.missing"), None);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! Strings — most of a document's bytes — cost stage 2 a word at a time:
 //! the closing quote is the first clear bit of the string-interior bitmap
-//! after the opening quote ([`StructuralIndex::closing_quote`], a
+//! after the opening quote (`StructuralIndex::closing_quote`, a
 //! `trailing_zeros` walk), and the body is checked eight bytes per step for
 //! "any byte below 0x20 or a backslash"; only a chunk that trips that test
 //! goes through the per-byte escape/surrogate checker. The bitmaps and the

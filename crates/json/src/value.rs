@@ -230,12 +230,6 @@ impl JsonValue {
         walk(self, &mut prefix, &mut out);
         out
     }
-
-    /// A canonical ordering key so values can be compared in a `BTreeMap`
-    /// during tests.
-    pub fn sort_key(&self) -> String {
-        to_string(self)
-    }
 }
 
 impl From<bool> for JsonValue {

@@ -96,22 +96,9 @@ impl CacheRegistry {
         self.entries.is_empty()
     }
 
-    /// Total bytes across entries.
-    pub fn total_bytes(&self) -> u64 {
-        self.entries.values().map(|e| e.bytes).sum()
-    }
-
     /// Insert an entry.
     pub fn insert(&mut self, entry: CachedEntry) {
         self.entries.insert(entry.location.key(), entry);
-    }
-
-    /// Remove every entry of one cache table; returns how many were
-    /// removed.
-    pub fn remove_table(&mut self, cache_table: &str) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.cache_table != cache_table);
-        before - self.entries.len()
     }
 
     /// Serialize to a JSON document.
@@ -657,7 +644,6 @@ mod tests {
         let cat = Catalog::open(&root).unwrap();
         let reg = CacheRegistry::load(&cat).unwrap();
         assert!(reg.is_empty());
-        assert_eq!(reg.total_bytes(), 0);
         std::fs::remove_dir_all(&root).ok();
     }
 

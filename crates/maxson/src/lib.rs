@@ -20,15 +20,13 @@
 //! * [`rewriter`] — Algorithm 1: a [`maxson_engine::session::TableScanRewriter`]
 //!   that pattern-matches `get_json_object` calls, checks cache validity
 //!   against table modification times, and swaps hits for placeholders.
-//! * [`combiner`] — Algorithm 2 and 3: the combined scan provider running
-//!   a PrimaryReader and a CacheReader over the same split index, stitching
-//!   rows positionally and sharing the SARG row-group skip array between
-//!   the two readers.
+//!   Algorithms 2 and 3 — the paired raw and cache readers that stitch rows
+//!   positionally and share the SARG row-group skip array — belong to the
+//!   scan: [`maxson_engine::scan::NorcScanProvider`].
 //! * [`pipeline`] — `MaxsonPipeline`, the end-to-end "every midnight" cycle
 //!   used by the examples and benchmarks.
 
 pub mod cacher;
-pub mod combiner;
 pub mod error;
 pub mod mpjp;
 pub mod pipeline;

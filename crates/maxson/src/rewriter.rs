@@ -15,27 +15,28 @@
 //! `maxson_scan_rewrites_total{decision="cache_only"|"combined"|"no_rewrite"}`
 //! per scan. The tracer only records a `maxson_rewrite` span per scan.
 //!
-//! Predicate conjuncts of the form `get_json_object(col, path) <cmp>
-//! literal` over cached paths are turned into SARGs on the cache table
-//! (Algorithm 3) by the engine's one translator,
-//! [`maxson_engine::planner::sarg`] — the rewriter only answers which
-//! side and column a left-hand side maps to — and handed to the combined
-//! provider, which shares the row-group skips with the raw-side reader.
+//! The rewriter decides nothing about what the scan reads: it names the
+//! cache table and the resolved fields, and the engine's one scan builder,
+//! [`ScanContext::build_scan`], derives the raw and cache projections, the
+//! output schema and the two SARGs (Algorithm 3) from them. Staleness is
+//! judged against [`ScanContext::table`], the snapshot of the raw table the
+//! scan reads, so rows appended after the rewriter was installed are never
+//! dropped by a cache that predates them.
 
 use std::sync::Arc;
 
-use maxson_engine::planner::sarg::{self, Lhs, Side};
+use maxson_engine::planner::CacheSide;
 use maxson_engine::session::{ScanContext, ScanRewrite, Session, TableScanRewriter};
 use maxson_engine::EngineError;
 use maxson_obs::{Registry, Tracer};
-use maxson_storage::{Catalog, Field, Schema};
+use maxson_storage::Catalog;
 use maxson_trace::JsonPathLocation;
 
 use crate::cacher::{CacheRegistry, CACHE_DB};
-use crate::combiner::CombinedScanProvider;
 
-/// The rewriter. Holds its own read-only catalog handle (opened over the
-/// session's warehouse root and footer cache) plus the cache registry. It
+/// The rewriter. Holds its own read-only catalog handle for the cache
+/// tables (opened over the session's warehouse root and footer cache) plus
+/// the cache registry; the raw table comes with each scan's context. It
 /// keeps no tally of its own: every decision is charged to its metric
 /// registry, so planning a scan takes no lock of the rewriter's.
 pub struct MaxsonScanRewriter {
@@ -103,31 +104,23 @@ impl TableScanRewriter for MaxsonScanRewriter {
             return Ok(None);
         }
         let span = self.tracer.span("maxson_rewrite");
-        span.attr("table", format!("{}.{}", ctx.database, ctx.table));
-        let raw_meta = self
-            .catalog
-            .table_meta(ctx.database, ctx.table)
-            .map_err(EngineError::Storage)?;
+        span.attr("table", format!("{}.{}", ctx.database, ctx.table_name));
 
         // Classify each call: valid hit, stale, or miss (Alg. 1 lines 14-23).
-        let mut stale = 0u64;
+        let (mut misses, mut stale) = (0u64, 0u64);
         let mut resolved: Vec<((String, String), String)> = Vec::new();
-        let mut unresolved: Vec<(String, String)> = Vec::new();
-        let mut cache_table_name: Option<String> = None;
+        let mut cache_table_name: Option<&str> = None;
         for (column, path) in ctx.json_calls {
-            let loc = JsonPathLocation::new(ctx.database, ctx.table, column.clone(), path.clone());
+            let loc =
+                JsonPathLocation::new(ctx.database, ctx.table_name, column.clone(), path.clone());
             match self.registry.get(&loc) {
+                // Stale: the table changed after caching; fall back to parsing.
+                Some(entry) if ctx.table.modified_at() > entry.cached_at => stale += 1,
                 Some(entry) => {
-                    if raw_meta.modified_at > entry.cached_at {
-                        // Stale: fall back to parsing.
-                        stale += 1;
-                        unresolved.push((column.clone(), path.clone()));
-                    } else {
-                        cache_table_name = Some(entry.cache_table.clone());
-                        resolved.push(((column.clone(), path.clone()), entry.cache_field.clone()));
-                    }
+                    cache_table_name = Some(&entry.cache_table);
+                    resolved.push(((column.clone(), path.clone()), entry.cache_field.clone()));
                 }
-                None => unresolved.push((column.clone(), path.clone())),
+                None => misses += 1,
             }
         }
         let outcome = |o: &str| {
@@ -137,115 +130,36 @@ impl TableScanRewriter for MaxsonScanRewriter {
         // `miss` counts never-cached paths only; stale entries get their
         // own outcome so cache churn is visible separately.
         outcome("hit").add(resolved.len() as u64);
-        outcome("miss").add(unresolved.len() as u64 - stale);
+        outcome("miss").add(misses);
         outcome("stale").add(stale);
         if span.is_recording() {
             span.attr("hits", resolved.len());
-            span.attr("misses", unresolved.len());
+            span.attr("misses", misses + stale);
         }
-        let Some(cache_table_name) = cache_table_name else {
-            span.attr("decision", "no_rewrite");
+        let decide = |decision: &str| {
+            span.attr("decision", decision);
             self.metrics
-                .counter("maxson_scan_rewrites_total", &[("decision", "no_rewrite")])
+                .counter("maxson_scan_rewrites_total", &[("decision", decision)])
                 .inc();
+        };
+        let Some(cache_table_name) = cache_table_name else {
+            decide("no_rewrite");
             return Ok(None); // No valid hits: keep the default scan.
         };
         let cache_table = self
             .catalog
-            .table(CACHE_DB, &cache_table_name)
-            .map_err(EngineError::Storage)?
-            .clone();
-
-        // Raw columns the combined scan must still read: every plain column
-        // reference, plus the JSON column of every unresolved call.
-        let mut raw_names: Vec<String> = ctx.raw_columns.to_vec();
-        for (column, _) in &unresolved {
-            if !raw_names.contains(column) {
-                raw_names.push(column.clone());
-            }
-        }
-        raw_names.sort_by_key(|c| ctx.table_schema.index_of(c));
-        let raw_projection: Vec<usize> = raw_names
-            .iter()
-            .map(|c| {
-                ctx.table_schema.index_of(c).ok_or_else(|| {
-                    EngineError::plan(format!(
-                        "column '{c}' missing in {}.{}",
-                        ctx.database, ctx.table
-                    ))
-                })
-            })
-            .collect::<maxson_engine::Result<_>>()?;
-
-        // Cache columns to read, deduplicated in resolution order.
-        let mut cache_fields: Vec<String> = Vec::new();
-        for (_, field) in &resolved {
-            if !cache_fields.contains(field) {
-                cache_fields.push(field.clone());
-            }
-        }
-        let cache_projection: Vec<usize> = cache_fields
-            .iter()
-            .map(|f| {
-                cache_table.schema().index_of(f).ok_or_else(|| {
-                    EngineError::plan(format!(
-                        "cache field '{f}' missing in cache table {cache_table_name}"
-                    ))
-                })
-            })
-            .collect::<maxson_engine::Result<_>>()?;
-
-        // Output schema: raw fields then cache fields.
-        let mut out_fields: Vec<Field> = raw_projection
-            .iter()
-            .map(|&i| ctx.table_schema.fields()[i].clone())
-            .collect();
-        for &ci in &cache_projection {
-            out_fields.push(cache_table.schema().fields()[ci].clone());
-        }
-        let out_schema = Schema::new(out_fields).map_err(EngineError::Storage)?;
-
-        // SARGs. Cache-side pushdown (Alg. 3) plus plain raw-column SARGs,
-        // through the translator the default scan uses.
-        let (raw_sarg, cache_sarg) = if self.enable_pushdown {
-            sarg::extract(ctx.predicate, ctx.alias, |lhs| match lhs {
-                Lhs::Column(name) => Some((Side::Raw, ctx.table_schema.index_of(name)?)),
-                Lhs::JsonCall { column, path } => {
-                    let (_, field) = resolved
-                        .iter()
-                        .find(|((c, p), _)| c == column && p == path)?;
-                    Some((Side::Cache, cache_table.schema().index_of(field)?))
-                }
-            })
+            .table(CACHE_DB, cache_table_name)
+            .map_err(EngineError::Storage)?;
+        let provider = ctx.build_scan(Some(CacheSide {
+            table: cache_table,
+            resolved: &resolved,
+            pushdown: self.enable_pushdown,
+        }))?;
+        decide(if provider.is_cache_only() {
+            "cache_only"
         } else {
-            (None, None)
-        };
-
-        let cache_only = raw_projection.is_empty();
-        let decision = if cache_only { "cache_only" } else { "combined" };
-        span.attr("decision", decision);
-        self.metrics
-            .counter("maxson_scan_rewrites_total", &[("decision", decision)])
-            .inc();
-        let raw = if cache_only {
-            None
-        } else {
-            Some(
-                self.catalog
-                    .table(ctx.database, ctx.table)
-                    .map_err(EngineError::Storage)?
-                    .clone(),
-            )
-        };
-        let provider = CombinedScanProvider::new(
-            raw,
-            raw_projection,
-            cache_table,
-            cache_projection,
-            out_schema,
-            raw_sarg,
-            cache_sarg,
-        );
+            "combined"
+        });
         Ok(Some(ScanRewrite {
             provider: Box::new(provider),
             resolved_paths: resolved,
@@ -261,7 +175,7 @@ mod tests {
     use crate::score::score_candidates;
     use maxson_engine::session::Session;
     use maxson_storage::file::WriteOptions;
-    use maxson_storage::{Cell, ColumnType, Field};
+    use maxson_storage::{Cell, ColumnType, Field, Schema};
     use maxson_trace::model::RecurrenceClass;
     use maxson_trace::QueryRecord;
     use std::path::PathBuf;
@@ -406,13 +320,8 @@ mod tests {
             .unwrap()
             .touch(200)
             .unwrap();
-        // A fresh session sees the new modification time at plan time.
-        let (rewriter, registry) = counted_rewriter(&Session::open(&root).unwrap());
-        let ctx_schema = Schema::new(vec![
-            Field::new("id", ColumnType::Int64),
-            Field::new("payload", ColumnType::Utf8),
-        ])
-        .unwrap();
+        let (rewriter, registry) = counted_rewriter(&session);
+        let catalog = session.catalog();
         let calls = vec![
             ("payload".to_string(), "$.a".to_string()),
             ("payload".to_string(), "$.b".to_string()),
@@ -420,9 +329,9 @@ mod tests {
         let raw_cols: Vec<String> = vec![];
         let ctx = maxson_engine::session::ScanContext {
             database: "db",
-            table: "t",
+            table_name: "t",
+            table: catalog.table("db", "t").unwrap(),
             alias: None,
-            table_schema: &ctx_schema,
             raw_columns: &raw_cols,
             json_calls: &calls,
             predicate: None,
@@ -439,11 +348,7 @@ mod tests {
     fn rewrite_scan_resolves_hit_and_keeps_miss() {
         let (session, root) = setup("mixed");
         let (rewriter, registry) = counted_rewriter(&session);
-        let ctx_schema = Schema::new(vec![
-            Field::new("id", ColumnType::Int64),
-            Field::new("payload", ColumnType::Utf8),
-        ])
-        .unwrap();
+        let catalog = session.catalog();
         let calls = vec![
             ("payload".to_string(), "$.a".to_string()),
             ("payload".to_string(), "$.b".to_string()),
@@ -451,9 +356,9 @@ mod tests {
         let raw_cols = vec!["id".to_string()];
         let ctx = maxson_engine::session::ScanContext {
             database: "db",
-            table: "t",
+            table_name: "t",
+            table: catalog.table("db", "t").unwrap(),
             alias: None,
-            table_schema: &ctx_schema,
             raw_columns: &raw_cols,
             json_calls: &calls,
             predicate: None,
@@ -526,13 +431,13 @@ mod tests {
     fn no_json_calls_keeps_default_scan() {
         let (session, root) = setup("nocalls");
         let rewriter = MaxsonScanRewriter::open(&session).unwrap();
-        let ctx_schema = Schema::new(vec![Field::new("id", ColumnType::Int64)]).unwrap();
+        let catalog = session.catalog();
         let raw_cols = vec!["id".to_string()];
         let ctx = maxson_engine::session::ScanContext {
             database: "db",
-            table: "t",
+            table_name: "t",
+            table: catalog.table("db", "t").unwrap(),
             alias: None,
-            table_schema: &ctx_schema,
             raw_columns: &raw_cols,
             json_calls: &[],
             predicate: None,

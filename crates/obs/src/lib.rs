@@ -8,7 +8,7 @@
 //! [`Tracer::span`] (roots) or [`Tracer::child`] (explicit parent, so a
 //! worker thread can attach its spans to a span opened on the coordinating
 //! thread); the returned [`SpanGuard`] records the end timestamp on drop.
-//! Timestamps come from one [`Instant`] origin fixed when the tracer is
+//! Timestamps come from one [`std::time::Instant`] origin fixed when the tracer is
 //! created, so intervals are monotonic and comparable across threads.
 //! Every span remembers which OS thread recorded it — the Chrome export
 //! turns that into one track per worker thread.

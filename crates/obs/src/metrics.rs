@@ -291,15 +291,6 @@ impl Registry {
         }
     }
 
-    /// Current value of a gauge series, if registered.
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        let key = MetricKey::new(name, labels);
-        match self.slots.lock().expect("registry poisoned").get(&key) {
-            Some(Slot::Gauge(g)) => Some(g.load(Ordering::Relaxed)),
-            _ => None,
-        }
-    }
-
     /// Snapshot of a histogram series, if registered.
     pub fn histogram_snapshot(
         &self,

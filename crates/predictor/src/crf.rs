@@ -11,6 +11,7 @@
 //! decode time.
 
 use crate::features::SequenceExample;
+#[cfg(test)]
 use crate::linalg::log_sum_exp;
 use crate::lstm::LstmLabeler;
 use crate::MpjpModel;
@@ -95,9 +96,10 @@ impl CrfLayer {
         labels
     }
 
-    /// Log partition function over all label sequences (forward algorithm);
-    /// exposed for testing the chain's probabilistic consistency.
-    pub fn log_partition(&self, emissions: &[[f64; 2]]) -> f64 {
+    /// Log partition function over all label sequences (forward algorithm),
+    /// the tests' check of the chain's probabilistic consistency.
+    #[cfg(test)]
+    fn log_partition(&self, emissions: &[[f64; 2]]) -> f64 {
         if emissions.is_empty() {
             return 0.0;
         }
@@ -119,8 +121,10 @@ impl CrfLayer {
         log_sum_exp(&alpha)
     }
 
-    /// Score of one specific label sequence.
-    pub fn sequence_score(&self, emissions: &[[f64; 2]], labels: &[bool]) -> f64 {
+    /// Score of one specific label sequence, the tests' brute-force
+    /// reference for Viterbi decoding.
+    #[cfg(test)]
+    fn sequence_score(&self, emissions: &[[f64; 2]], labels: &[bool]) -> f64 {
         if emissions.is_empty() {
             return 0.0;
         }

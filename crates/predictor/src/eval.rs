@@ -57,16 +57,6 @@ impl Metrics {
             2.0 * p * r / (p + r)
         }
     }
-
-    /// Accuracy over all predictions.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.tp + self.fp + self.fn_ + self.tn;
-        if total == 0 {
-            0.0
-        } else {
-            (self.tp + self.tn) as f64 / total as f64
-        }
-    }
 }
 
 /// Evaluate a model over the final-step labels of `examples`.
@@ -94,7 +84,6 @@ mod tests {
         assert!((m.recall() - 8.0 / 12.0).abs() < 1e-12);
         let expected_f1 = 2.0 * 0.8 * (8.0 / 12.0) / (0.8 + 8.0 / 12.0);
         assert!((m.f1() - expected_f1).abs() < 1e-12);
-        assert!((m.accuracy() - 0.94).abs() < 1e-12);
     }
 
     #[test]
@@ -103,7 +92,6 @@ mod tests {
         assert_eq!(empty.precision(), 1.0);
         assert_eq!(empty.recall(), 0.0);
         assert_eq!(empty.f1(), 0.0);
-        assert_eq!(empty.accuracy(), 0.0);
     }
 
     #[test]

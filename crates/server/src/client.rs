@@ -6,7 +6,6 @@
 //! served results byte for byte against serial in-process execution.
 
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 use maxson_engine::{ExecMetrics, QueryResult};
 use maxson_storage::Cell;
@@ -26,12 +25,6 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         Ok(Client { stream })
-    }
-
-    /// Set (or clear) the per-response read timeout.
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<()> {
-        self.stream.set_read_timeout(timeout)?;
-        Ok(())
     }
 
     fn request(&mut self, payload: &[u8]) -> Result<Vec<u8>> {

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use maxson_engine::Session;
+use maxson_engine::{pool, Session};
 use maxson_obs::LatencyHistogram;
 
 use crate::sched::{FairScheduler, QueryLease};
@@ -500,14 +500,10 @@ fn run_query(
     match outcome {
         Ok(Ok(result)) => Ok(result),
         Ok(Err(e)) => Err(e.to_string()),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            Err(format!("query panicked: {msg}"))
-        }
+        Err(payload) => Err(format!(
+            "query panicked: {}",
+            pool::panic_message(payload.as_ref())
+        )),
     }
 }
 

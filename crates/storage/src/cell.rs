@@ -142,16 +142,6 @@ impl Cell {
         }
     }
 
-    /// Equality for group-by keys: NULL groups with NULL, numbers compare
-    /// numerically across Int/Float.
-    pub fn group_eq(&self, other: &Cell) -> bool {
-        match (self, other) {
-            (Cell::Null, Cell::Null) => true,
-            (Cell::Int(a), Cell::Float(b)) | (Cell::Float(b), Cell::Int(a)) => *a as f64 == *b,
-            (a, b) => a == b,
-        }
-    }
-
     /// A hashable normalized key string for group-by / join hash maps.
     ///
     /// Retained as the reference semantics for [`CellKey`]/[`RowKey`] (and
@@ -426,9 +416,6 @@ mod tests {
     #[test]
     fn group_keys_normalize_numeric_types() {
         assert_eq!(Cell::Int(2).key_string(), Cell::Float(2.0).key_string());
-        assert!(Cell::Int(2).group_eq(&Cell::Float(2.0)));
-        assert!(!Cell::Int(2).group_eq(&Cell::Str("2".into())));
-        assert!(Cell::Null.group_eq(&Cell::Null));
     }
 
     #[test]

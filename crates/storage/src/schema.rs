@@ -138,14 +138,6 @@ impl Schema {
         self.fields.iter().find(|f| f.name == name)
     }
 
-    /// Append a field, returning a new schema (used when deriving cache
-    /// table schemas from raw table schemas).
-    pub fn with_field(&self, field: Field) -> Result<Schema> {
-        let mut fields = self.fields.clone();
-        fields.push(field);
-        Schema::new(fields)
-    }
-
     /// Project a subset of columns by name, preserving the requested order.
     pub fn project(&self, names: &[&str]) -> Result<Schema> {
         let mut fields = Vec::with_capacity(names.len());

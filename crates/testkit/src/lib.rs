@@ -11,9 +11,9 @@
 //! * [`corpus`] — a seed-replayable adversarial JSON corpus (valid and
 //!   invalid tiers plus byte-level mutation) for parser differential and
 //!   failure-injection tests.
-//! * [`bench`] — a wall-clock bench runner (warmup + N timed iterations,
+//! * [`mod@bench`] — a wall-clock bench runner (warmup + N timed iterations,
 //!   median/p95) whose stats feed the workspace's `Report` JSON format.
-//! * [`alloc`] (feature `count-alloc`) — a counting global allocator for
+//! * `alloc` (feature `count-alloc`) — a counting global allocator for
 //!   allocation-per-row regression tests on the zero-copy scan path.
 //!
 //! The workspace builds and tests fully offline (`cargo test -q

@@ -80,12 +80,6 @@ impl JsonPathCollector {
             .unwrap_or(0)
     }
 
-    /// Count sequence for `loc` over `[from, to)` (inclusive-exclusive),
-    /// zero-filled.
-    pub fn count_sequence(&self, loc: &JsonPathLocation, from: u32, to: u32) -> Vec<u32> {
-        (from..to).map(|d| self.count_on(loc, d)).collect()
-    }
-
     /// `true` when the path was parsed at least twice on `day` — the MPJP
     /// ground-truth label.
     pub fn is_mpjp(&self, loc: &JsonPathLocation, day: u32) -> bool {
@@ -98,30 +92,6 @@ impl JsonPathCollector {
             .values()
             .filter_map(|(loc, days)| days.get(&day).map(|&c| (loc, c)))
             .collect()
-    }
-
-    /// Total parse traffic (sum of all counts).
-    pub fn total_traffic(&self) -> u64 {
-        self.stats
-            .values()
-            .map(|(_, days)| days.values().map(|&c| u64::from(c)).sum::<u64>())
-            .sum()
-    }
-
-    /// Per-path total query counts, descending — the series of Fig. 4.
-    pub fn traffic_per_path(&self) -> Vec<(JsonPathLocation, u64)> {
-        let mut v: Vec<(JsonPathLocation, u64)> = self
-            .stats
-            .values()
-            .map(|(loc, days)| {
-                (
-                    loc.clone(),
-                    days.values().map(|&c| u64::from(c)).sum::<u64>(),
-                )
-            })
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
     }
 }
 
@@ -157,7 +127,6 @@ mod tests {
         assert_eq!(c.count_on(&loc("$.zzz"), 0), 0);
         assert_eq!(c.path_count(), 2);
         assert_eq!(c.max_day(), 1);
-        assert_eq!(c.total_traffic(), 4);
     }
 
     #[test]
@@ -170,22 +139,20 @@ mod tests {
     }
 
     #[test]
-    fn count_sequence_zero_fills() {
+    fn days_without_access_count_zero() {
         let mut c = JsonPathCollector::new();
         c.observe(&query(1, &["$.a"]));
         c.observe(&query(3, &["$.a"]));
-        assert_eq!(c.count_sequence(&loc("$.a"), 0, 5), vec![0, 1, 0, 1, 0]);
+        let counts: Vec<u32> = (0..5).map(|d| c.count_on(&loc("$.a"), d)).collect();
+        assert_eq!(counts, vec![0, 1, 0, 1, 0]);
     }
 
     #[test]
-    fn day_partition_and_traffic_ranking() {
+    fn day_partition_lists_the_days_paths() {
         let mut c = JsonPathCollector::new();
         c.observe(&query(0, &["$.a", "$.b"]));
         c.observe(&query(0, &["$.a"]));
         let part = c.day_partition(0);
         assert_eq!(part.len(), 2);
-        let ranked = c.traffic_per_path();
-        assert_eq!(ranked[0].0.path, "$.a");
-        assert_eq!(ranked[0].1, 2);
     }
 }

@@ -538,7 +538,7 @@ impl TableScanRewriter for SelectivePanicRewriter {
         "SelectivePanic"
     }
     fn rewrite_scan(&self, ctx: &ScanContext<'_>) -> maxson_engine::Result<Option<ScanRewrite>> {
-        if ctx.table != "boom" {
+        if ctx.table_name != "boom" {
             return Ok(None);
         }
         let schema = Schema::new(vec![Field::new("id", ColumnType::Int64)]).unwrap();

@@ -157,8 +157,7 @@ fn lru_baseline_matches_maxson_results() {
     let (root, queries) = workload_root("lru-equiv");
     let reference = oracle_answers(&root, &queries[..3]);
     let mut session = Session::open(&root).unwrap();
-    let lru = OnlineLruRewriter::open(&session, u64::MAX).unwrap();
-    session.set_scan_rewriter(Some(Box::new(lru)));
+    session.set_scan_rewriter(Some(Box::new(OnlineLruRewriter::new(u64::MAX))));
     for round in 0..2 {
         for (q, expected) in queries.iter().take(3).zip(&reference) {
             let result = session.execute(&q.sql).unwrap();

@@ -1,5 +1,6 @@
 //! Golden tests for the Maxson plan rewriter over the checked-in
-//! `bench-data/` warehouse (read-only: nothing here mutates the data).
+//! `bench-data/` warehouse (read-only: nothing here mutates the data; the
+//! stale-append case builds a warehouse of its own).
 //!
 //! The warehouse ships with a valid cache for `mydb`: every `qN` table has
 //! a `__maxson_cache.mydb__qN` companion whose `cached_at` postdates the
@@ -10,7 +11,13 @@
 
 mod support;
 
+use std::sync::Arc;
+
+use maxson::MaxsonScanRewriter;
 use maxson_engine::session::Session;
+use maxson_engine::Registry;
+use maxson_storage::file::WriteOptions;
+use maxson_storage::Cell;
 use support::cells::assert_matches;
 use support::oracle::Oracle;
 use support::{bench_data_root, GOLDEN_QUERIES};
@@ -133,4 +140,35 @@ fn pushdown_query_stays_rewritten_and_correct() {
         "filter must be selective: {} rows out of {table_rows}",
         result.rows.len()
     );
+}
+
+/// Rows appended to a raw table after the rewriter was installed make its
+/// cache entries stale (§IV): the rewritten session must parse them, not
+/// serve the cache and drop the new rows.
+#[test]
+fn append_after_install_parses_the_stale_calls() {
+    let root = support::generated_warehouse("stale-append");
+    let mut session = Session::open(&root).unwrap();
+    let registry = Arc::new(Registry::new());
+    let mut rewriter = MaxsonScanRewriter::open(&session).unwrap();
+    rewriter.set_metrics_registry(Arc::clone(&registry));
+    session.set_scan_rewriter(Some(Box::new(rewriter)));
+    // The cache was built at logical time 100; the new part lands at 200.
+    let rows: Vec<Vec<Cell>> = (240..250)
+        .map(|i| vec![Cell::Int(i), Cell::from(format!(r#"{{"str1": "new{i}"}}"#))])
+        .collect();
+    session
+        .catalog_mut()
+        .table_mut("nb", "docs")
+        .unwrap()
+        .append_file(&rows, WriteOptions::default(), 200)
+        .unwrap();
+    let sql = "select id, get_json_object(payload, '$.str1') as s1 from nb.docs";
+    let rewritten = session.execute(sql).unwrap();
+    let plain = Session::open(&root).unwrap().execute(sql).unwrap();
+    assert_eq!(plain.rows.len(), 250);
+    assert_eq!(rewritten.rows, plain.rows);
+    let stale = registry.counter_value("maxson_rewrite_paths_total", &[("outcome", "stale")]);
+    assert_eq!(stale, Some(1));
+    std::fs::remove_dir_all(&root).ok();
 }
