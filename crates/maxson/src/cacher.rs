@@ -449,6 +449,12 @@ impl TableBuild {
     }
 }
 
+/// Workers an offline stage runs on: the engine's split pool size
+/// (`MAXSON_THREADS`, default one per core).
+pub(crate) fn pool_threads() -> usize {
+    Config::from_env().threads.unwrap_or_else(default_threads)
+}
+
 /// Run every `(table, split)` of `builds` as one flat task list on the
 /// engine's split pool, then register each table's new parts in split
 /// order with one metadata write. A failing or panicking task fails the
@@ -463,8 +469,7 @@ fn build_and_register(
         .iter()
         .flat_map(|(build, splits)| splits.clone().map(move |split| (build, split)))
         .collect();
-    let threads = Config::from_env().threads.unwrap_or_else(default_threads);
-    let run = pool::run_split_tasks(tasks.len(), threads, None, |i| {
+    let run = pool::run_split_tasks(tasks.len(), pool_threads(), None, |i| {
         let (build, split) = tasks[i];
         // The pool would name a panic by flat task index; catch it here,
         // where table and split are known.

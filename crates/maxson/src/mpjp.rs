@@ -7,7 +7,7 @@
 //! predictor for tomorrow's label.
 
 use maxson_predictor::crf::LstmCrf;
-use maxson_predictor::features::{FeatureConfig, SequenceExample};
+use maxson_predictor::features::{window_example, FeatureConfig};
 use maxson_predictor::linear::{LinearConfig, LinearModel, Loss};
 use maxson_predictor::lstm::{LstmConfig, LstmLabeler};
 use maxson_predictor::mlp::{MlpClassifier, MlpConfig};
@@ -41,66 +41,6 @@ pub struct MpjpCandidate {
     pub location: JsonPathLocation,
     /// The day the prediction targets (tomorrow).
     pub target_day: u32,
-}
-
-/// Build the feature window for one path ending at `today`.
-fn window_example(
-    collector: &JsonPathCollector,
-    loc: &JsonPathLocation,
-    today: u32,
-    config: &FeatureConfig,
-) -> SequenceExample {
-    let w = config.window as u32;
-    let start = today.saturating_sub(w - 1);
-    let steps: Vec<Vec<f64>> = (start..=today)
-        .map(|d| {
-            let count = collector.count_on(loc, d);
-            let datediff = today - d + 1;
-            step_features(config, loc, count, datediff)
-        })
-        .collect();
-    // Labels are unknown for the future; fill with the historical labels
-    // shifted by one (only used during training, not at prediction time).
-    let labels: Vec<bool> = (start..=today)
-        .map(|d| collector.is_mpjp(loc, d + 1))
-        .collect();
-    SequenceExample {
-        location: loc.clone(),
-        day: today,
-        steps,
-        labels,
-    }
-}
-
-/// Re-derivation of the feature builder for single windows (kept in sync
-/// with `maxson_predictor::features` by the cross-check test below).
-fn step_features(
-    config: &FeatureConfig,
-    loc: &JsonPathLocation,
-    count: u32,
-    datediff: u32,
-) -> Vec<f64> {
-    // Reuse the canonical builder through a one-day dataset would be
-    // wasteful; the predictor crate exposes the exact function via
-    // build_dataset, so we mirror its layout here.
-    let mut v = vec![0.0; config.feature_dim()];
-    let bucket = |s: &str, salt: u64| -> usize {
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ salt;
-        for b in s.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        (h % config.location_buckets as u64) as usize
-    };
-    v[bucket(&loc.database, 1)] = 1.0;
-    v[config.location_buckets + bucket(&loc.table, 2)] = 1.0;
-    v[2 * config.location_buckets + bucket(&loc.column, 3)] = 1.0;
-    let base = 3 * config.location_buckets;
-    v[base] = f64::from(count).min(50.0) / 50.0;
-    v[base + 1] = f64::from(count).ln_1p() / 5.0;
-    v[base + 2] = if count >= 2 { 1.0 } else { 0.0 };
-    v[base + 3] = f64::from(datediff) / config.window as f64;
-    v
 }
 
 /// A trained predictor wrapped behind one dispatchable type.
@@ -222,22 +162,56 @@ mod tests {
     }
 
     #[test]
-    fn step_features_match_canonical_builder() {
-        // Cross-check the mirrored feature layout against the predictor
-        // crate's dataset builder on one real example.
+    fn prediction_window_is_the_training_example_of_the_next_day() {
+        // Training's example for prediction day `day` and the window the
+        // nightly prediction builds on `today = day - 1` are one example.
         let c = collector();
         let config = FeatureConfig::default();
         let ds = build_dataset(&c, config.clone());
-        let ex = &ds.examples[0];
-        let w = config.window as u32;
-        let start = ex.day - w;
-        for (t, step) in ex.steps.iter().enumerate() {
-            let d = start + t as u32;
-            let count = c.count_on(&ex.location, d);
-            let datediff = ex.day - d;
-            let mirrored = step_features(&config, &ex.location, count, datediff);
-            assert_eq!(step, &mirrored, "step {t} diverged");
+        assert!(ds.examples.len() > 100);
+        for trained in &ds.examples {
+            let today = trained.day - 1;
+            let predicted = window_example(&c, &trained.location, today, &config);
+            assert_eq!(predicted.location, trained.location);
+            assert_eq!(predicted.day, today + 1);
+            assert_eq!(predicted.steps, trained.steps, "{}", trained.location.key());
+            assert_eq!(predicted.labels, trained.labels);
         }
+    }
+
+    /// Tomorrow's LSTM+CRF predictions on `collector()`'s trace, per
+    /// source column, recorded before the LSTM trained in one reused
+    /// workspace: a faster trainer must predict exactly these.
+    const PINNED_LSTM_CRF: [(&str, &str, &str, &str); 8] = [
+        ("db0", "table0", "json_col0", "$.f0 $.f1 $.f10 $.f11 $.f12 $.f13 $.f14 $.f15 $.f16 $.f17 $.f18 $.f19 $.f2 $.f3 $.f4 $.f5 $.f6 $.f7 $.f8 $.f9"),
+        ("db0", "table5", "json_col0", "$.f0 $.f1 $.f10 $.f13 $.f16 $.f17 $.f18 $.f19 $.f3 $.f4 $.f5 $.f6 $.f8 $.f9"),
+        ("db1", "table1", "json_col0", "$.f0 $.f1 $.f10 $.f11 $.f12 $.f13 $.f14 $.f15 $.f16 $.f17 $.f18 $.f19 $.f2 $.f3 $.f4 $.f5 $.f6 $.f7 $.f8 $.f9"),
+        ("db1", "table6", "json_col0", "$.f10 $.f13 $.f14 $.f15 $.f17 $.f9"),
+        ("db2", "table2", "json_col0", "$.f0 $.f1 $.f10 $.f11 $.f12 $.f13 $.f14 $.f15 $.f16 $.f17 $.f18 $.f19 $.f2 $.f3 $.f4 $.f5 $.f6 $.f7 $.f8 $.f9"),
+        ("db2", "table7", "json_col0", "$.f0"),
+        ("db3", "table3", "json_col0", "$.f1 $.f10 $.f11 $.f12 $.f13 $.f14 $.f15 $.f16 $.f18 $.f19 $.f2 $.f3 $.f4 $.f5 $.f7 $.f8 $.f9"),
+        ("db4", "table4", "json_col0", "$.f11 $.f18 $.f19 $.f8"),
+    ];
+
+    #[test]
+    fn lstm_crf_predictions_are_pinned() {
+        let c = collector();
+        let config = FeatureConfig::default();
+        let model = TrainedPredictor::train(PredictorKind::LstmCrf, &c, &config);
+        let predicted: Vec<String> = predict_mpjps(&c, &model, c.max_day() - 1, &config)
+            .into_iter()
+            .map(|m| m.location.key())
+            .collect();
+        let pinned: Vec<String> = PINNED_LSTM_CRF
+            .iter()
+            .flat_map(|&(db, table, column, paths)| {
+                paths
+                    .split(' ')
+                    .map(move |path| JsonPathLocation::new(db, table, column, path).key())
+            })
+            .collect();
+        assert_eq!(pinned.len(), 102);
+        assert_eq!(predicted, pinned);
     }
 
     #[test]

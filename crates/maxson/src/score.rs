@@ -16,11 +16,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use maxson_engine::pool;
 use maxson_json::tape::{project_paths, TapeStats};
 use maxson_json::JsonPath;
 use maxson_storage::{Catalog, ColumnData, Table};
 use maxson_trace::{JsonPathLocation, QueryRecord};
 
+use crate::cacher::pool_threads;
 use crate::error::{MaxsonError, Result};
 use crate::mpjp::MpjpCandidate;
 
@@ -51,91 +53,103 @@ pub struct ScoredMpjp {
 /// How many rows to sample per table when measuring `P_j` and `B_j`.
 const SAMPLE_ROWS: usize = 64;
 
+/// `O_j` and the two sums behind `R_j` of one candidate.
+#[derive(Debug, Default)]
+struct Tally {
+    occurrence: u64,
+    relevance_num: u64,
+    relevance_den: u64,
+}
+
 /// Measure `P_j`/`B_j` for every candidate and combine with `R_j`/`O_j`
 /// from the recent query history. Returns candidates sorted by descending
-/// score (the order the cacher consumes).
+/// score (the order the cacher consumes). The tables are sampled in
+/// parallel on the split pool the cache build runs on.
 pub fn score_candidates(
     catalog: &Catalog,
     candidates: &[MpjpCandidate],
     history: &[QueryRecord],
 ) -> Result<Vec<ScoredMpjp>> {
-    let mpjp_set: BTreeSet<String> = candidates.iter().map(|c| c.location.key()).collect();
+    score_candidates_on(catalog, candidates, history, pool_threads())
+}
 
-    // Per-query M_i (MPJPs among its paths) and N_i (paths).
-    // Also O_j per path.
-    let mut occurrence: BTreeMap<String, u64> = BTreeMap::new();
-    let mut relevance_num: BTreeMap<String, u64> = BTreeMap::new();
-    let mut relevance_den: BTreeMap<String, u64> = BTreeMap::new();
+/// [`score_candidates`] sampling the source tables as tasks on at most
+/// `threads` workers. Results come back in task order, so every score is
+/// the same at any thread count.
+fn score_candidates_on(
+    catalog: &Catalog,
+    candidates: &[MpjpCandidate],
+    history: &[QueryRecord],
+    threads: usize,
+) -> Result<Vec<ScoredMpjp>> {
+    // Per-query M_i (MPJPs among its paths) and N_i (paths), and O_j per
+    // MPJP, with each path's key built once per query.
+    let mut tallies: BTreeMap<String, Tally> = candidates
+        .iter()
+        .map(|c| (c.location.key(), Tally::default()))
+        .collect();
+    let mut keys = Vec::new();
     for q in history {
         let n_i = q.paths.len() as u64;
         if n_i == 0 {
             continue;
         }
-        let m_i = q
-            .paths
-            .iter()
-            .filter(|p| mpjp_set.contains(&p.key()))
-            .count() as u64;
+        keys.clear();
+        keys.extend(q.paths.iter().map(JsonPathLocation::key));
+        let m_i = keys.iter().filter(|k| tallies.contains_key(*k)).count() as u64;
         let mut seen = BTreeSet::new();
-        for p in &q.paths {
-            if !mpjp_set.contains(&p.key()) || !seen.insert(p.key()) {
-                continue;
+        for key in &keys {
+            if let Some(tally) = tallies.get_mut(key) {
+                if seen.insert(key) {
+                    tally.occurrence += 1;
+                    tally.relevance_num += m_i;
+                    tally.relevance_den += n_i;
+                }
             }
-            *occurrence.entry(p.key()).or_default() += 1;
-            *relevance_num.entry(p.key()).or_default() += m_i;
-            *relevance_den.entry(p.key()).or_default() += n_i;
         }
     }
 
     // Group candidates per (db, table, column) so each table is sampled
     // once.
-    let mut by_source: BTreeMap<(String, String, String), Vec<&MpjpCandidate>> = BTreeMap::new();
+    let mut by_source: BTreeMap<(&str, &str, &str), Vec<&MpjpCandidate>> = BTreeMap::new();
     for c in candidates {
+        let l = &c.location;
         by_source
-            .entry((
-                c.location.database.clone(),
-                c.location.table.clone(),
-                c.location.column.clone(),
-            ))
+            .entry((&l.database, &l.table, &l.column))
             .or_default()
             .push(c);
     }
+    let sources: Vec<_> = by_source.into_iter().collect();
+    // A source's error is the task's value, not the pool's: the first one
+    // in source order is returned, as a serial loop would.
+    let run = pool::run_split_tasks(sources.len(), threads, None, |i| {
+        let ((db, table, column), cands) = &sources[i];
+        Ok(measure_source(catalog, db, table, column, cands))
+    })?;
 
     let mut scored = Vec::with_capacity(candidates.len());
-    for ((db, table_name, column), cands) in by_source {
-        let table = catalog.table(&db, &table_name)?;
-        let col_idx = table.schema().index_of(&column).ok_or_else(|| {
-            MaxsonError::invalid(format!("column {column} missing in {db}.{table_name}"))
-        })?;
-        let total_rows = table.num_rows()? as u64;
-        let paths = cands
-            .iter()
-            .map(|c| {
-                JsonPath::parse(&c.location.path)
-                    .map_err(|e| MaxsonError::invalid(format!("bad path: {e}")))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let measured = measure_sample(table, col_idx, &paths)?;
-        for (cand, (parse_time, value_size)) in cands.into_iter().zip(measured) {
+    for ((_, cands), measured) in sources.iter().zip(run.results) {
+        let (total_rows, measured) = measured?;
+        for (cand, (parse_time, value_size)) in cands.iter().zip(measured) {
             let acceleration = if value_size > 0.0 {
                 parse_time / value_size
             } else {
                 0.0
             };
-            let key = cand.location.key();
-            let occ = occurrence.get(&key).copied().unwrap_or(0);
-            let relevance = match (relevance_num.get(&key), relevance_den.get(&key)) {
-                (Some(&n), Some(&d)) if d > 0 => n as f64 / d as f64,
-                _ => 0.0,
+            let tally = &tallies[&cand.location.key()];
+            let relevance = if tally.relevance_den > 0 {
+                tally.relevance_num as f64 / tally.relevance_den as f64
+            } else {
+                0.0
             };
-            let score = acceleration * relevance * occ as f64;
+            let score = acceleration * relevance * tally.occurrence as f64;
             scored.push(ScoredMpjp {
                 location: cand.location.clone(),
                 parse_time,
                 value_size,
                 acceleration,
                 relevance,
-                occurrence: occ,
+                occurrence: tally.occurrence,
                 score,
                 estimated_bytes: (value_size.max(1.0) as u64) * total_rows,
             });
@@ -150,40 +164,52 @@ pub fn score_candidates(
     Ok(scored)
 }
 
+/// The row count of `db.table` and the sampled `(P_j, B_j)` of each of
+/// `cands`, all on `column`.
+fn measure_source(
+    catalog: &Catalog,
+    db: &str,
+    table_name: &str,
+    column: &str,
+    cands: &[&MpjpCandidate],
+) -> Result<(u64, Vec<(f64, f64)>)> {
+    let table = catalog.table(db, table_name)?;
+    let col_idx = table.schema().index_of(column).ok_or_else(|| {
+        MaxsonError::invalid(format!("column {column} missing in {db}.{table_name}"))
+    })?;
+    let total_rows = table.num_rows()? as u64;
+    let paths = cands
+        .iter()
+        .map(|c| {
+            JsonPath::parse(&c.location.path)
+                .map_err(|e| MaxsonError::invalid(format!("bad path: {e}")))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Ok((total_rows, measure_sample(table, col_idx, &paths)?))
+}
+
 /// Average (parse-cost proxy, value bytes) of each of `paths` over the
-/// first [`SAMPLE_ROWS`] documents of the table's first split: only the
-/// leading row groups that hold the sample are decoded, and every path is
-/// answered from **one tape per sampled document**. The cost proxy is the
-/// mean raw document length in bytes: evaluating a path through a full
-/// parse reads every input byte, so the cost ratio between two paths on the
-/// same column equals their document ratio — exactly what `A_j` divides
-/// away — while staying bit-identical across runs (a wall clock here made
-/// the scores, and therefore which cache tables get built, depend on
-/// machine load).
+/// first [`SAMPLE_ROWS`] documents of the table's first split: only those
+/// rows are decoded, and every path is answered from **one tape per
+/// sampled document**. The cost proxy is the mean raw document length in
+/// bytes: evaluating a path through a full parse reads every input byte, so
+/// the cost ratio between two paths on the same column equals their
+/// document ratio — exactly what `A_j` divides away — while staying
+/// bit-identical across runs (a wall clock here made the scores, and
+/// therefore which cache tables get built, depend on machine load).
 fn measure_sample(table: &Table, column: usize, paths: &[JsonPath]) -> Result<Vec<(f64, f64)>> {
     let mut docs = 0usize;
     let mut doc_bytes = 0usize;
     let mut value_bytes = vec![0usize; paths.len()];
     if table.file_count() > 0 {
         let file = table.open_split(0)?;
-        let mut covered = 0usize;
-        let keep: Vec<bool> = file
-            .row_groups()
-            .map(|rg| {
-                let needed = covered < SAMPLE_ROWS;
-                covered += rg.row_count;
-                needed
-            })
-            .collect();
-        let sample = file.read_columns(&[column], Some(&keep))?.swap_remove(0);
+        let rows: Vec<u32> = (0..file.num_rows().min(SAMPLE_ROWS) as u32).collect();
+        let sample = file
+            .read_columns_at(&[column], None, Some(&rows))?
+            .swap_remove(0);
         if let ColumnData::Utf8 { valid, values } = &sample {
             let mut stats = TapeStats::default();
-            for (_, json) in valid
-                .iter()
-                .zip(values)
-                .take(SAMPLE_ROWS)
-                .filter(|(valid, _)| **valid)
-            {
+            for (_, json) in valid.iter().zip(values).filter(|(valid, _)| **valid) {
                 docs += 1;
                 doc_bytes += json.len();
                 for (sum, value) in value_bytes
@@ -442,6 +468,71 @@ mod tests {
             }
             std::fs::remove_dir_all(&root).ok();
         }
+    }
+
+    /// Every field of every ranked candidate, as bits.
+    fn ranking_bits(scored: &[ScoredMpjp]) -> Vec<(String, [u64; 7])> {
+        scored
+            .iter()
+            .map(|s| {
+                let fields = [
+                    s.parse_time.to_bits(),
+                    s.value_size.to_bits(),
+                    s.acceleration.to_bits(),
+                    s.relevance.to_bits(),
+                    s.occurrence,
+                    s.score.to_bits(),
+                    s.estimated_bytes,
+                ];
+                (s.location.key(), fields)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ranking_is_the_same_at_one_and_four_threads() {
+        let root = temp_root("threads");
+        let mut cat = Catalog::open(&root).unwrap();
+        let schema = Schema::new(vec![Field::new("payload", ColumnType::Utf8)]).unwrap();
+        let paths = ["$.small", "$.big", "$.deep.x.y", "$.nope"];
+        let mut cands = Vec::new();
+        let mut history = Vec::new();
+        for t in 0..5usize {
+            let name = format!("t{t}");
+            let table = cat.create_table("db", &name, schema.clone(), 0).unwrap();
+            let rows: Vec<Vec<Cell>> = (0..40 + 30 * t)
+                .map(|i| {
+                    vec![Cell::from(format!(
+                        r#"{{"small": {i}, "big": "{}", "deep": {{"x": {{"y": {}}}}}}}"#,
+                        "z".repeat((i * 7 + t * 50) % 300),
+                        i * t
+                    ))]
+                })
+                .collect();
+            let opts = WriteOptions {
+                row_group_size: 16 + 8 * t,
+                ..Default::default()
+            };
+            table.append_file(&rows, opts, 1).unwrap();
+            let at = |p: &str| JsonPathLocation::new("db", name.as_str(), "payload", p);
+            cands.extend(paths[..2 + t % 3].iter().map(|p| MpjpCandidate {
+                location: at(p),
+                target_day: 1,
+            }));
+            for q in 0..=t {
+                let mut record = query(&[]);
+                record.paths = paths[q % 4..].iter().map(|p| at(p)).collect();
+                history.push(record);
+            }
+        }
+        let serial = score_candidates_on(&cat, &cands, &history, 1).unwrap();
+        assert_eq!(serial.len(), cands.len());
+        assert!(serial.iter().any(|s| s.score > 0.0));
+        let parallel = score_candidates_on(&cat, &cands, &history, 4).unwrap();
+        assert_eq!(ranking_bits(&parallel), ranking_bits(&serial));
+        let default = score_candidates(&cat, &cands, &history).unwrap();
+        assert_eq!(ranking_bits(&default), ranking_bits(&serial));
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

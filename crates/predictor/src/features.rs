@@ -44,12 +44,12 @@ impl FeatureConfig {
 pub struct SequenceExample {
     /// The path this example describes.
     pub location: JsonPathLocation,
-    /// The prediction day (labels refer to `day - window + 1 + t + 1`).
+    /// The prediction day: the steps are the `window` days before it.
     pub day: u32,
     /// Per-step features, `window` long.
     pub steps: Vec<Vec<f64>>,
     /// Per-step labels: `labels[t]` = was the path an MPJP on the day after
-    /// step `t`.
+    /// step `t` (the last one refers to `day` itself).
     pub labels: Vec<bool>,
 }
 
@@ -150,6 +150,30 @@ fn step_features(
     v
 }
 
+/// The example for `loc` whose window ends on `last_day`: one step per
+/// day of the `config.window` days up to and including it (fewer when the
+/// history is shorter), predicting day `last_day + 1`. Training builds its
+/// examples here, and the nightly prediction builds tomorrow's from today.
+pub fn window_example(
+    collector: &JsonPathCollector,
+    loc: &JsonPathLocation,
+    last_day: u32,
+    config: &FeatureConfig,
+) -> SequenceExample {
+    let day = last_day + 1;
+    let start = day.saturating_sub(config.window as u32);
+    SequenceExample {
+        location: loc.clone(),
+        day,
+        steps: (start..day)
+            .map(|d| step_features(config, loc, collector.count_on(loc, d), day - d))
+            .collect(),
+        labels: (start..day)
+            .map(|d| collector.is_mpjp(loc, d + 1))
+            .collect(),
+    }
+}
+
 /// Build the dataset: one example per (path, prediction day) over
 /// `[window, max_day - 1]`, so every step has both history and a next-day
 /// label.
@@ -166,24 +190,7 @@ pub fn build_dataset(collector: &JsonPathCollector, config: FeatureConfig) -> Da
         // trace).
         let mut day = w;
         while day < max_day {
-            let start = day - w;
-            let steps: Vec<Vec<f64>> = (0..w)
-                .map(|t| {
-                    let d = start + t;
-                    let count = collector.count_on(loc, d);
-                    let datediff = day - d;
-                    step_features(&config, loc, count, datediff)
-                })
-                .collect();
-            let labels: Vec<bool> = (0..w)
-                .map(|t| collector.is_mpjp(loc, start + t + 1))
-                .collect();
-            examples.push(SequenceExample {
-                location: loc.clone(),
-                day,
-                steps,
-                labels,
-            });
+            examples.push(window_example(collector, loc, day - 1, &config));
             day += w;
         }
     }

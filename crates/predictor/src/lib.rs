@@ -29,7 +29,9 @@ pub mod mlp;
 
 pub use crf::{CrfLayer, LstmCrf};
 pub use eval::{evaluate, Metrics};
-pub use features::{build_dataset, DataSplit, Dataset, FeatureConfig, SequenceExample};
+pub use features::{
+    build_dataset, window_example, DataSplit, Dataset, FeatureConfig, SequenceExample,
+};
 pub use linear::{LinearModel, Loss};
 pub use lstm::LstmLabeler;
 pub use mlp::MlpClassifier;

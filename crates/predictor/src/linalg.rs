@@ -47,6 +47,29 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
+    /// Row `r` as a slice.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[f64] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Row `r` as a mutable slice.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// The transpose, `cols x rows`.
+    pub fn transpose(&self) -> Matrix {
+        let mut t = Matrix::zeros(self.cols, self.rows);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                t.data[c * self.rows + r] = self.data[r * self.cols + c];
+            }
+        }
+        t
+    }
+
     /// `y = W x` (matrix-vector product).
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         debug_assert_eq!(x.len(), self.cols);

@@ -157,16 +157,6 @@ pub fn rle_decode_i64_with(
     Ok(())
 }
 
-/// Decode a stream produced by [`rle_encode_i64`] holding `rows` values.
-pub fn rle_decode_i64(buf: &[u8], pos: &mut usize, rows: usize) -> Result<Vec<i64>> {
-    let mut out = Vec::with_capacity(rows);
-    rle_decode_i64_with(buf, pos, rows, None, |v| {
-        out.push(v);
-        Ok(())
-    })?;
-    Ok(out)
-}
-
 /// Append a length-prefixed UTF-8 string.
 pub fn write_str(out: &mut Vec<u8>, s: &str) {
     write_varint(out, s.len() as u64);
@@ -286,13 +276,6 @@ impl<'a> Bitmap<'a> {
     }
 }
 
-/// Inverse of [`write_bitmap`].
-pub fn read_bitmap(buf: &[u8], pos: &mut usize) -> Result<Vec<bool>> {
-    let mut out = Vec::new();
-    Bitmap::read(buf, pos)?.append_to(&mut out, None);
-    Ok(out)
-}
-
 /// FNV-1a 64-bit hash, used as the file checksum.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -306,6 +289,16 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every value of an RLE stream, decoded the way a chunk reader does.
+    fn rle_decode_i64(buf: &[u8], pos: &mut usize, rows: usize) -> Result<Vec<i64>> {
+        let mut out = Vec::new();
+        rle_decode_i64_with(buf, pos, rows, None, |v| {
+            out.push(v);
+            Ok(())
+        })?;
+        Ok(out)
+    }
 
     #[test]
     fn varint_round_trip() {
@@ -466,8 +459,11 @@ mod tests {
             let bits: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
             let mut buf = Vec::new();
             write_bitmap(&mut buf, &bits);
-            let mut pos = 0;
-            assert_eq!(read_bitmap(&buf, &mut pos).unwrap(), bits);
+            let (mut pos, mut got) = (0, Vec::new());
+            Bitmap::read(&buf, &mut pos)
+                .unwrap()
+                .append_to(&mut got, None);
+            assert_eq!(got, bits);
             assert_eq!(pos, buf.len());
         }
     }

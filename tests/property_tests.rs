@@ -8,8 +8,8 @@ use maxson_json::mison::MisonProjector;
 use maxson_json::value::{JsonNumber, JsonValue};
 use maxson_json::{parse, to_string, to_string_pretty, JsonPath};
 use maxson_storage::encoding::{
-    read_bitmap, read_str, read_varint, rle_decode_i64, rle_encode_i64, unzigzag, write_bitmap,
-    write_str, write_varint, zigzag,
+    read_str, read_varint, rle_decode_i64_with, rle_encode_i64, unzigzag, write_bitmap, write_str,
+    write_varint, zigzag, Bitmap,
 };
 use maxson_storage::file::{write_rows, MmapMode, NorcFile, WriteOptions};
 use maxson_storage::{Cell, CmpOp, ColumnData, ColumnType, Field, Schema, SearchArgument};
@@ -203,11 +203,13 @@ fn rle_round_trip() {
     check("rle_round_trip", &cfg128(), &gen, |values| {
         let mut buf = Vec::new();
         rle_encode_i64(values, &mut buf);
-        let mut pos = 0;
-        prop_assert_eq!(
-            rle_decode_i64(&buf, &mut pos, values.len()).unwrap(),
-            values.clone()
-        );
+        let (mut pos, mut decoded) = (0, Vec::new());
+        rle_decode_i64_with(&buf, &mut pos, values.len(), None, |v| {
+            decoded.push(v);
+            Ok(())
+        })
+        .unwrap();
+        prop_assert_eq!(&decoded, values);
         prop_assert_eq!(pos, buf.len());
         Ok(())
     });
@@ -226,7 +228,11 @@ fn string_and_bitmap_round_trip() {
             write_bitmap(&mut buf, bits);
             let mut pos = 0;
             prop_assert_eq!(read_str(&buf, &mut pos).unwrap(), s.clone());
-            prop_assert_eq!(read_bitmap(&buf, &mut pos).unwrap(), bits.clone());
+            let mut decoded = Vec::new();
+            Bitmap::read(&buf, &mut pos)
+                .unwrap()
+                .append_to(&mut decoded, None);
+            prop_assert_eq!(&decoded, bits);
             Ok(())
         },
     );
