@@ -15,8 +15,8 @@ cargo build --release --offline
 # split task alone and once beside pool workers. Note the root Cargo.toml is both a
 # workspace and a package, so bare `cargo test` would only run the root
 # integration tests; --workspace covers the crates. The suites that vary
-# the reuse cache, the parser, the mmap mode and the SIMD tier set them per
-# session (through Session::open_with, or kernels::set_active), and knob
+# the reuse cache, the parser and the SIMD tier set them per session
+# (through Session::open_with, or kernels::set_active), and knob
 # resolution is tested over Config::from_lookup, so no other environment
 # default needs a pass of its own.
 MAXSON_THREADS=1 cargo test -q --offline --workspace

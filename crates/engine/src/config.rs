@@ -7,8 +7,8 @@
 //! ([`Config::knobs`]) all expand from that table. [`Config::from_env`] is
 //! the only place the process environment is read at run time: a session
 //! resolves its configuration once, at [`crate::Session::open`], and hands
-//! typed values to the layers below it — the footer cache gets the mmap mode
-//! and its byte budget, the executor a thread count.
+//! typed values to the layers below it — the footer cache gets its byte
+//! budget, the executor a thread count.
 //!
 //! A variable that is unset, or set to a value its row cannot parse,
 //! resolves to the row's default.
@@ -17,7 +17,6 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use maxson_storage::metacache::DEFAULT_META_CACHE_BYTES;
-use maxson_storage::MmapMode;
 
 use crate::expr::JsonParserKind;
 
@@ -101,10 +100,6 @@ config! {
         JsonParserKind::from_name,
         |p| p.name().to_string(),
         "JSON parser behind `get_json_object`: `jackson` (DOM), `mison` (structural index) or `tape` (on-demand tape), case-insensitive; `Session::set_parser_kind` overrides.";
-    "MAXSON_MMAP" => mmap: MmapMode = MmapMode::Enabled,
-        |v| Some(MmapMode::parse(v)),
-        |m| if *m == MmapMode::Enabled { "on" } else { "off" }.to_string(),
-        "how the session's footer cache reads Norc part files: memory-mapped (`on`; falls back to a copy where mapping fails or is unsupported) or copied with `fs::read` (`0`/`false`/`off`). A property of the cache, fixed when it is created; rewriters opened from the session read through it. A catalog opened on its own (`Catalog::open`) always maps.";
     "MAXSON_META_CACHE_BYTES" => meta_cache_bytes: u64 = DEFAULT_META_CACHE_BYTES,
         |v| v.trim().parse().ok(),
         |b| b.to_string(),
@@ -154,7 +149,6 @@ mod tests {
         let d = Config::default();
         assert_eq!(d.threads, None);
         assert_eq!(d.parser, JsonParserKind::Jackson);
-        assert_eq!(d.mmap, MmapMode::Enabled);
         assert_eq!(d.meta_cache_bytes, DEFAULT_META_CACHE_BYTES);
         assert_eq!((d.trace, d.query_log), (None, None));
         assert_eq!(d.slow_threshold, Duration::from_millis(1000));
@@ -174,7 +168,6 @@ mod tests {
         let rows = [
             ("MAXSON_THREADS", " 4 ", "0", set(|c| c.threads = Some(4))),
             ("MAXSON_PARSER", "TAPE", "simdjson", set(|c| c.parser = JsonParserKind::Tape)),
-            ("MAXSON_MMAP", "off", "maybe", set(|c| c.mmap = MmapMode::Disabled)),
             ("MAXSON_META_CACHE_BYTES", "4096", "lots", set(|c| c.meta_cache_bytes = 4096)),
             ("MAXSON_TRACE", "t.json", "", set(|c| c.trace = Some("t.json".into()))),
             ("MAXSON_QUERY_LOG", "q.jsonl", "", set(|c| c.query_log = Some("q.jsonl".into()))),
@@ -193,15 +186,11 @@ mod tests {
     }
 
     #[test]
-    fn result_cache_zero_is_off_and_mmap_accepts_every_off_spelling() {
+    fn result_cache_zero_is_off() {
         assert_eq!(
             resolve(&[("MAXSON_RESULT_CACHE_MB", "0")]).result_cache_mb,
             None
         );
-        for off in ["0", "false", " off "] {
-            assert_eq!(resolve(&[("MAXSON_MMAP", off)]).mmap, MmapMode::Disabled);
-        }
-        assert_eq!(resolve(&[("MAXSON_MMAP", "1")]).mmap, MmapMode::Enabled);
     }
 
     #[test]
@@ -222,7 +211,7 @@ mod tests {
         let line = resolve(&[("MAXSON_THREADS", "2"), ("MAXSON_RESULT_CACHE_MB", "8")]).describe();
         assert_eq!(
             line,
-            "threads=2 parser=jackson mmap=on meta_cache_bytes=268435456 trace=off \
+            "threads=2 parser=jackson meta_cache_bytes=268435456 trace=off \
              query_log=off slow_threshold=1000ms result_cache_mb=8MiB"
         );
     }

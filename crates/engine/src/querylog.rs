@@ -4,12 +4,11 @@
 //! `MAXSON_QUERY_LOG` (or [`crate::session::Session::set_query_log`]).
 //! Each line is a self-contained JSON object with a stable field order;
 //! `parser`, `threads` and the slow threshold are the session's resolved
-//! values, `mmap` the mode of its footer cache, `simd` the active kernel
-//! tier:
+//! values, `simd` the active kernel tier:
 //!
 //! ```json
 //! {"fingerprint":"9f86d081884c7d65","sql":"select ...","parser":"tape",
-//!  "simd":"avx2","mmap":true,"threads":4,"epoch":2,
+//!  "simd":"avx2","threads":4,"epoch":2,
 //!  "reuse":"miss","rows":100,"wall_us":1234,"planning_us":88,"slow":false,
 //!  "counters":{"read_us":310,"parse_us":640,...,"rows_scanned":100,
 //!   "bytes_read":5120,"parse_calls":300,"docs_parsed":100,"cache_hits":0,
@@ -63,8 +62,6 @@ pub struct QueryLogEntry<'a> {
     pub parser: &'a str,
     /// Structural-kernel tier name (`avx2` / `swar` / `scalar`).
     pub simd: &'a str,
-    /// Whether the session's footer cache memory-maps Norc part files.
-    pub mmap: bool,
     /// The session's worker threads (resolved; 1 = serial).
     pub threads: u64,
     /// Warehouse epoch the query planned against.
@@ -138,7 +135,6 @@ impl QueryLog {
             ("sql".into(), JsonValue::String(entry.sql.to_string())),
             ("parser".into(), JsonValue::String(entry.parser.to_string())),
             ("simd".into(), JsonValue::String(entry.simd.to_string())),
-            ("mmap".into(), JsonValue::Bool(entry.mmap)),
             ("threads".into(), n(entry.threads)),
             ("epoch".into(), n(entry.epoch)),
             ("reuse".into(), JsonValue::String(entry.reuse.to_string())),
@@ -186,7 +182,6 @@ mod tests {
                 sql: "select 1 from db.t",
                 parser: "tape",
                 simd: "scalar",
-                mmap: true,
                 threads: i + 1,
                 epoch: 7,
                 reuse: "miss",
@@ -234,7 +229,6 @@ mod tests {
             sql: "q",
             parser: "jackson",
             simd: "scalar",
-            mmap: false,
             threads: 1,
             epoch: 0,
             reuse: "off",

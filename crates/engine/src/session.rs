@@ -15,7 +15,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use maxson_obs::{Registry, SpanId, Tracer};
-use maxson_storage::{Catalog, Cell, MmapMode, NorcMetaCache};
+use maxson_storage::{Catalog, Cell, NorcMetaCache};
 
 use crate::config::Config;
 use crate::error::{EngineError, Result};
@@ -303,7 +303,7 @@ impl Session {
 
     /// Open a session over a warehouse directory under `config`. The
     /// footer cache the catalog opens part files through is created with
-    /// the configured mmap mode and byte budget; a named trace file starts
+    /// the configured byte budget; a named trace file starts
     /// tracing enabled, and every execute rewrites it; a named query log is
     /// opened for appending; a result-cache budget enables the reuse cache.
     /// Every knob is consumed here: what the session runs under afterwards
@@ -312,7 +312,6 @@ impl Session {
         let Config {
             threads,
             parser,
-            mmap,
             meta_cache_bytes,
             trace,
             query_log,
@@ -324,7 +323,7 @@ impl Session {
         let query_log = query_log
             .map(|p| QueryLog::open(p).map(Arc::new))
             .transpose()?;
-        let meta_cache = Arc::new(NorcMetaCache::new(meta_cache_bytes, mmap));
+        let meta_cache = Arc::new(NorcMetaCache::new(meta_cache_bytes));
         Ok(Session {
             warehouse: Arc::new(RwLock::new(Warehouse {
                 catalog: Catalog::open_with_cache(root.as_ref(), meta_cache)?,
@@ -770,15 +769,11 @@ impl Session {
         }
 
         if let Some(log) = &self.query_log {
-            // The mode of the footer cache the scans read through — the
-            // session's, which every rewriter opened from it shares.
-            let mmap = self.wh_read().catalog.meta_cache().mode();
             let entry = QueryLogEntry {
                 fingerprint,
                 sql: sql.trim(),
                 parser,
                 simd: maxson_json::kernels::active().name(),
-                mmap: mmap == MmapMode::Enabled,
                 threads: self.threads as u64,
                 epoch: pq.epoch,
                 reuse: reuse_status,

@@ -53,8 +53,7 @@ pub struct MaxsonScanRewriter {
 impl MaxsonScanRewriter {
     /// Open a rewriter over `session`'s warehouse, loading the registry
     /// from disk. Its catalog reads part files through the session's footer
-    /// cache, so rewritten scans read them the session's way (`MAXSON_MMAP`)
-    /// and share its resident footers.
+    /// cache, so rewritten scans share its resident footers and open files.
     pub fn open(session: &Session) -> crate::Result<Self> {
         let catalog = {
             let current = session.catalog();

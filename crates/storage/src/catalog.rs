@@ -12,7 +12,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::error::{Result, StorageError};
-use crate::file::MmapMode;
 use crate::metacache::{NorcMetaCache, DEFAULT_META_CACHE_BYTES};
 use crate::schema::Schema;
 use crate::table::Table;
@@ -45,10 +44,10 @@ pub struct Catalog {
 impl Catalog {
     /// Open (or initialize) a catalog rooted at `root`, loading any tables
     /// already present on disk. A fresh metadata cache with the default
-    /// budget, mapping part files, is created for it; a session passes the
-    /// cache its configuration asks for through [`Catalog::open_with_cache`].
+    /// budget is created for it; a session passes the cache its
+    /// configuration asks for through [`Catalog::open_with_cache`].
     pub fn open(root: impl Into<PathBuf>) -> Result<Self> {
-        let cache = NorcMetaCache::new(DEFAULT_META_CACHE_BYTES, MmapMode::Enabled);
+        let cache = NorcMetaCache::new(DEFAULT_META_CACHE_BYTES);
         Catalog::open_with_cache(root, Arc::new(cache))
     }
 

@@ -251,7 +251,8 @@ impl Eq for CellKey {}
 pub struct RowKeySlice([Cell]);
 
 impl RowKeySlice {
-    /// View a cell slice as a key.
+    /// View a cell slice as a key. The crate's one `unsafe` block.
+    #[allow(unsafe_code)]
     pub fn new(cells: &[Cell]) -> &RowKeySlice {
         // SAFETY: RowKeySlice is a repr(transparent) wrapper over [Cell].
         unsafe { &*(cells as *const [Cell] as *const RowKeySlice) }

@@ -278,7 +278,15 @@ impl<'a> Bitmap<'a> {
 
 /// FNV-1a 64-bit hash, used as the file checksum.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(FNV1A_EMPTY, bytes)
+}
+
+/// FNV-1a of no bytes: the state a streamed hash starts from.
+pub(crate) const FNV1A_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Carry the FNV-1a state `h` over `bytes`, so a file hashed a buffer at a
+/// time ends at [`fnv1a`] of its whole contents.
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1000_0000_01b3);
@@ -492,5 +500,9 @@ mod tests {
         assert_eq!(a, fnv1a(b"hello"));
         assert_ne!(a, fnv1a(b"hellp"));
         assert_ne!(fnv1a(b""), 0);
+        let streamed = [&b"he"[..], b"", b"llo"]
+            .iter()
+            .fold(FNV1A_EMPTY, |h, piece| fnv1a_extend(h, piece));
+        assert_eq!(streamed, a);
     }
 }

@@ -15,11 +15,15 @@
 //! truncation or bit rot is detected on open.
 
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::cell::Cell;
 use crate::column::ColumnData;
-use crate::encoding::{fnv1a, read_f64, read_str, read_varint, write_f64, write_str, write_varint};
+use crate::encoding::{
+    fnv1a, fnv1a_extend, read_f64, read_str, read_varint, write_f64, write_str, write_varint,
+    FNV1A_EMPTY,
+};
 use crate::error::{Result, StorageError};
 use crate::schema::{ColumnType, Schema};
 
@@ -461,7 +465,8 @@ impl NorcWriter {
         }
     }
 
-    /// Flush pending data, write the footer and checksum, and close the file.
+    /// Flush pending data, write the footer and checksum, and return the
+    /// written file, which reads through the handle that wrote it.
     pub fn finish(mut self) -> Result<NorcFile> {
         self.flush_row_group();
         if !self.current_stripe.is_empty() {
@@ -500,32 +505,38 @@ impl NorcWriter {
         out.extend_from_slice(&footer_len.to_le_bytes());
         let checksum = fnv1a(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
-        fs::write(&self.path, &out)?;
+        let mut file = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&self.path)?;
+        file.write_all(&out)?;
         Ok(NorcFile {
             path: self.path,
             schema: self.schema,
             stripes: self.stripes,
-            data: FileBytes::Owned(out),
+            file,
+            len: out.len() as u64,
         })
     }
 }
 
-/// How [`NorcFile::open_with`] acquires the file body. A warehouse's
-/// [`crate::NorcMetaCache`] owns one mode and opens every part file with it.
+/// The two values of the `MAXSON_MMAP` variable, which no longer selects
+/// anything: Norc reads part files one way. The type, [`MmapMode::parse`]
+/// and [`MmapMode::from_env`] exist only for the benchmark harness's knob
+/// line, which prints them, until ROADMAP item 1(b) deletes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MmapMode {
-    /// Memory-map the file (`PROT_READ`/`MAP_PRIVATE`), so chunk decodes
-    /// borrow page-cache bytes instead of copying the whole file through
-    /// `fs::read`. Falls back to [`MmapMode::Disabled`] when the kernel
-    /// refuses the mapping, and on non-unix targets.
+    /// The variable is unset or names no off spelling.
     Enabled,
-    /// Copy the file into an owned buffer via `fs::read`.
+    /// The variable is `0`, `false` or `off`.
     Disabled,
 }
 
 impl MmapMode {
-    /// Parse a `MAXSON_MMAP` value: `0`/`false`/`off` disable mapping;
-    /// anything else enables it where the platform supports it.
+    /// Parse a `MAXSON_MMAP` value: `0`/`false`/`off` are
+    /// [`MmapMode::Disabled`], anything else [`MmapMode::Enabled`].
     pub fn parse(value: &str) -> MmapMode {
         match value.trim() {
             "0" | "false" | "off" => MmapMode::Disabled,
@@ -534,145 +545,100 @@ impl MmapMode {
     }
 
     /// [`MmapMode::parse`] over the process environment's `MAXSON_MMAP`
-    /// (unset = enabled). Nothing in `crates/` calls this — a session
-    /// resolves the knob through the engine's `Config` — it stays for the
-    /// benchmark harness's knob line, which ROADMAP item 1(e) replaces with
-    /// `Config::describe`, retiring this wrapper.
+    /// (unset = enabled).
     pub fn from_env() -> MmapMode {
         MmapMode::parse(&std::env::var("MAXSON_MMAP").unwrap_or_default())
     }
 }
 
-/// The file body: owned bytes or a shared read-only mapping. Cloning a
-/// mapped body bumps the `Arc` instead of copying the file.
-#[derive(Debug, Clone)]
-enum FileBytes {
-    Owned(Vec<u8>),
-    #[cfg(unix)]
-    Mapped(std::sync::Arc<crate::mmap::Mmap>),
+/// Bytes per read while [`NorcFile::open`] streams a file through the
+/// checksum.
+const OPEN_BUFFER_BYTES: usize = 64 * 1024;
+
+thread_local! {
+    /// The buffer this thread's chunk reads land in, grown to the largest
+    /// chunk read so far and reused by every later read.
+    static CHUNK_BUFFER: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-impl FileBytes {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            FileBytes::Owned(v) => v,
-            #[cfg(unix)]
-            FileBytes::Mapped(m) => m,
-        }
+/// Fill `buf` with the bytes of `file` at `offset`. A file that ends first
+/// is an `UnexpectedEof` error.
+fn read_at(file: &fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    #[cfg(unix)]
+    return std::os::unix::fs::FileExt::read_exact_at(file, buf, offset);
+    #[cfg(not(unix))]
+    {
+        // No portable positioned read: seek the handle's shared cursor,
+        // one reader at a time.
+        use std::io::{Read, Seek, SeekFrom};
+        static CURSOR: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _turn = CURSOR.lock().unwrap_or_else(|e| e.into_inner());
+        let mut file = file;
+        file.seek(SeekFrom::Start(offset))?;
+        file.read_exact(buf)
     }
 }
 
-/// An opened Norc file: parsed footer plus the raw bytes for chunk decoding.
-#[derive(Debug, Clone)]
+/// An opened Norc file: the decoded footer, plus the descriptor it was
+/// opened through, which every chunk read goes to.
+#[derive(Debug)]
 pub struct NorcFile {
     path: PathBuf,
     schema: Schema,
     stripes: Vec<StripeInfo>,
-    data: FileBytes,
+    file: fs::File,
+    len: u64,
 }
 
 impl NorcFile {
-    /// Open and validate a Norc file (magic, checksum, footer), mapping
-    /// the body where the platform allows and copying it otherwise.
+    /// Open and validate a Norc file. The size, the magic and the checksum
+    /// over every byte before it are checked by streaming the file through
+    /// one fixed buffer; the footer is then read with one positioned read
+    /// of the tail and decoded. The descriptor stays open for the file's
+    /// life, so every chunk read goes to the inode whose checksum was
+    /// verified here, even after the path is renamed over.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Self::open_with(path, MmapMode::Enabled)
-    }
-
-    /// [`Self::open`] with an explicit body-acquisition mode (differential
-    /// tests pin both modes). Validation is identical in either mode: the
-    /// checksum is verified over the mapped or copied bytes before any
-    /// footer field is trusted.
-    pub fn open_with(path: impl AsRef<Path>, mode: MmapMode) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let data = match mode {
-            #[cfg(unix)]
-            MmapMode::Enabled => match crate::mmap::Mmap::map(&fs::File::open(&path)?) {
-                Ok(map) => FileBytes::Mapped(std::sync::Arc::new(map)),
-                Err(_) => FileBytes::Owned(fs::read(&path)?),
-            },
-            _ => FileBytes::Owned(fs::read(&path)?),
-        };
-        Self::parse(path, data)
-    }
-
-    fn parse(path: PathBuf, bytes: FileBytes) -> Result<Self> {
-        let data = bytes.as_slice();
-        if data.len() < MAGIC.len() + 16 {
+        let file = fs::File::open(&path)?;
+        let len = file.metadata()?.len();
+        if len < (MAGIC.len() + 16) as u64 {
             return Err(StorageError::corrupt("file too short"));
         }
-        if &data[..MAGIC.len()] != MAGIC {
-            return Err(StorageError::corrupt("bad magic"));
+        let cksum_start = len - 8;
+        let mut buf = vec![0u8; OPEN_BUFFER_BYTES];
+        let mut hash = FNV1A_EMPTY;
+        let mut at = 0u64;
+        while at < cksum_start {
+            let n = (cksum_start - at).min(OPEN_BUFFER_BYTES as u64) as usize;
+            read_at(&file, &mut buf[..n], at)?;
+            // The first read is at least as long as the magic.
+            if at == 0 && &buf[..MAGIC.len()] != MAGIC {
+                return Err(StorageError::corrupt("bad magic"));
+            }
+            hash = fnv1a_extend(hash, &buf[..n]);
+            at += n as u64;
         }
-        let cksum_start = data.len() - 8;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&data[cksum_start..]);
-        let stored = u64::from_le_bytes(b);
-        if fnv1a(&data[..cksum_start]) != stored {
+        let mut trailer = [0u8; 16];
+        read_at(&file, &mut trailer, len - 16)?;
+        let [footer_len, stored] = [&trailer[..8], &trailer[8..]]
+            .map(|b| u64::from_le_bytes(b.try_into().expect("eight bytes")));
+        if hash != stored {
             return Err(StorageError::corrupt("checksum mismatch"));
         }
-        b.copy_from_slice(&data[cksum_start - 8..cksum_start]);
-        let footer_len = u64::from_le_bytes(b) as usize;
-        if footer_len + 8 + 8 + MAGIC.len() > data.len() {
-            return Err(StorageError::corrupt("footer length out of range"));
-        }
-        let footer_start = cksum_start - 8 - footer_len;
-        let footer = &data[footer_start..cksum_start - 8];
-        let body_len = (footer_start - MAGIC.len()) as u64;
-        let mut pos = 0usize;
-        // Schema.
-        let ncols = read_varint(footer, &mut pos)? as usize;
-        let mut fields = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let name = read_str(footer, &mut pos)?;
-            let tag = *footer
-                .get(pos)
-                .ok_or_else(|| StorageError::corrupt("schema truncated"))?;
-            pos += 1;
-            fields.push(crate::schema::Field::new(name, ColumnType::from_tag(tag)?));
-        }
-        let schema = Schema::new(fields).map_err(|e| StorageError::corrupt(e.to_string()))?;
-        // Stripes.
-        let nstripes = read_varint(footer, &mut pos)? as usize;
-        let mut stripes = Vec::with_capacity(nstripes);
-        for _ in 0..nstripes {
-            let nrg = read_varint(footer, &mut pos)? as usize;
-            let mut row_groups = Vec::with_capacity(nrg);
-            for _ in 0..nrg {
-                let row_count = read_varint(footer, &mut pos)?;
-                let mut chunks = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    let off = read_varint(footer, &mut pos)?;
-                    let len = read_varint(footer, &mut pos)?;
-                    if off.checked_add(len).is_none_or(|end| end > body_len) {
-                        return Err(StorageError::corrupt("chunk out of range"));
-                    }
-                    // A chunk opens with one validity bit per row, so its
-                    // bytes bound the row count readers reserve for.
-                    if row_count.div_ceil(8) > len {
-                        return Err(StorageError::corrupt(
-                            "row group declares more rows than its chunks hold",
-                        ));
-                    }
-                    chunks.push((off, len));
-                }
-                let row_count = row_count as usize;
-                let mut columns = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    columns.push(ColumnStats::decode(footer, &mut pos)?);
-                }
-                row_groups.push(RowGroupStats {
-                    row_count,
-                    chunks,
-                    columns,
-                });
-            }
-            stripes.push(StripeInfo { row_groups });
-        }
+        let out_of_range = || StorageError::corrupt("footer length out of range");
+        let footer_start = (len - 16)
+            .checked_sub(footer_len)
+            .filter(|&start| start >= MAGIC.len() as u64)
+            .ok_or_else(out_of_range)?;
+        let mut footer = vec![0u8; usize::try_from(footer_len).map_err(|_| out_of_range())?];
+        read_at(&file, &mut footer, footer_start)?;
+        let (schema, stripes) = decode_footer(&footer, footer_start - MAGIC.len() as u64)?;
         Ok(NorcFile {
             path,
             schema,
             stripes,
-            data: bytes,
+            file,
+            len,
         })
     }
 
@@ -713,17 +679,7 @@ impl NorcFile {
 
     /// Size on disk in bytes.
     pub fn byte_size(&self) -> usize {
-        self.data.as_slice().len()
-    }
-
-    /// `true` when the body is a shared memory mapping rather than an
-    /// owned copy (observability for tests and benches).
-    pub fn is_mapped(&self) -> bool {
-        match self.data {
-            FileBytes::Owned(_) => false,
-            #[cfg(unix)]
-            FileBytes::Mapped(_) => true,
-        }
+        self.len as usize
     }
 
     /// Read the requested columns for the row groups where `keep` is true
@@ -739,8 +695,10 @@ impl NorcFile {
 
     /// [`NorcFile::read_columns`] restricted to `rows`: ascending positions
     /// in the concatenation of the kept row groups (`None` = every row).
-    /// Each kept chunk is decoded once, straight into the output column; a
-    /// row group none of whose rows is wanted is not decoded at all.
+    /// Each kept chunk is read with one positioned read into this thread's
+    /// reused buffer and decoded once, straight into the output column; a
+    /// row group none of whose rows is wanted is not read at all. A file
+    /// shortened since it was opened is an [`StorageError::Io`].
     pub fn read_columns_at(
         &self,
         columns: &[usize],
@@ -780,7 +738,9 @@ impl NorcFile {
         for col in &mut out {
             col.reserve(rows.map_or(kept_rows, <[u32]>::len));
         }
-        let data = self.data.as_slice();
+        // Taken, not borrowed: an error drops it, and the next read grows a
+        // fresh one.
+        let mut chunk = CHUNK_BUFFER.take();
         // Unvisited tail of `rows`, and the chunk-local indexes of the rows
         // that fall into the current row group.
         let mut ahead = rows;
@@ -800,15 +760,19 @@ impl NorcFile {
                 continue;
             }
             for (col, &c) in out.iter_mut().zip(columns) {
-                // `parse` checked every chunk against the body's length.
+                // `open` checked every chunk against the body's length.
                 let (off, len) = rg.chunks[c];
-                let start = MAGIC.len() + off as usize;
-                let chunk = &data[start..start + len as usize];
-                if col.decode_into(chunk, &mut 0, select)? != rg.row_count {
+                let len = len as usize;
+                if chunk.len() < len {
+                    chunk.resize(len, 0);
+                }
+                read_at(&self.file, &mut chunk[..len], MAGIC.len() as u64 + off)?;
+                if col.decode_into(&chunk[..len], &mut 0, select)? != rg.row_count {
                     return Err(StorageError::corrupt("chunk row count mismatch"));
                 }
             }
         }
+        CHUNK_BUFFER.set(chunk);
         Ok(out)
     }
 
@@ -823,6 +787,63 @@ impl NorcFile {
         }
         Ok(rows)
     }
+}
+
+/// Decode a footer whose file's body (the chunks, after the magic) is
+/// `body_len` bytes. Every chunk must lie inside the body and hold the
+/// validity bits of its row group's rows.
+fn decode_footer(footer: &[u8], body_len: u64) -> Result<(Schema, Vec<StripeInfo>)> {
+    let mut pos = 0usize;
+    // Schema.
+    let ncols = read_varint(footer, &mut pos)? as usize;
+    let mut fields = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        let name = read_str(footer, &mut pos)?;
+        let tag = *footer
+            .get(pos)
+            .ok_or_else(|| StorageError::corrupt("schema truncated"))?;
+        pos += 1;
+        fields.push(crate::schema::Field::new(name, ColumnType::from_tag(tag)?));
+    }
+    let schema = Schema::new(fields).map_err(|e| StorageError::corrupt(e.to_string()))?;
+    // Stripes.
+    let nstripes = read_varint(footer, &mut pos)? as usize;
+    let mut stripes = Vec::with_capacity(nstripes);
+    for _ in 0..nstripes {
+        let nrg = read_varint(footer, &mut pos)? as usize;
+        let mut row_groups = Vec::with_capacity(nrg);
+        for _ in 0..nrg {
+            let row_count = read_varint(footer, &mut pos)?;
+            let mut chunks = Vec::with_capacity(ncols);
+            for _ in 0..ncols {
+                let off = read_varint(footer, &mut pos)?;
+                let len = read_varint(footer, &mut pos)?;
+                if off.checked_add(len).is_none_or(|end| end > body_len) {
+                    return Err(StorageError::corrupt("chunk out of range"));
+                }
+                // A chunk opens with one validity bit per row, so its
+                // bytes bound the row count readers reserve for.
+                if row_count.div_ceil(8) > len {
+                    return Err(StorageError::corrupt(
+                        "row group declares more rows than its chunks hold",
+                    ));
+                }
+                chunks.push((off, len));
+            }
+            let row_count = row_count as usize;
+            let mut columns = Vec::with_capacity(ncols);
+            for _ in 0..ncols {
+                columns.push(ColumnStats::decode(footer, &mut pos)?);
+            }
+            row_groups.push(RowGroupStats {
+                row_count,
+                chunks,
+                columns,
+            });
+        }
+        stripes.push(StripeInfo { row_groups });
+    }
+    Ok((schema, stripes))
 }
 
 /// Convenience: write `rows` to `path` in one call.
@@ -1029,12 +1050,32 @@ mod tests {
             let checksum = fnv1a(&hostile);
             hostile.extend_from_slice(&checksum.to_le_bytes());
             fs::write(&path, &hostile).unwrap();
-            for mode in [MmapMode::Enabled, MmapMode::Disabled] {
-                assert!(matches!(
-                    NorcFile::open_with(&path, mode),
-                    Err(StorageError::Corrupt { .. })
-                ));
-            }
+            assert!(matches!(
+                NorcFile::open(&path),
+                Err(StorageError::Corrupt { .. })
+            ));
+        }
+    }
+
+    /// A footer-length field with a valid checksum that no file could hold
+    /// is refused at open; the tail read's bound cannot overflow on it.
+    #[test]
+    fn hostile_footer_length_rejected_at_open() {
+        let path = temp_path("hostile-footer-len");
+        let schema = Schema::new(vec![Field::new("v", ColumnType::Int64)]).unwrap();
+        let rows: Vec<Vec<Cell>> = (0..5).map(|i| vec![Cell::Int(i)]).collect();
+        write_rows(&path, schema, &rows, WriteOptions::default()).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        for footer_len in [u64::MAX, u64::MAX - 20] {
+            let mut hostile = bytes[..bytes.len() - 16].to_vec();
+            hostile.extend_from_slice(&footer_len.to_le_bytes());
+            let checksum = fnv1a(&hostile);
+            hostile.extend_from_slice(&checksum.to_le_bytes());
+            fs::write(&path, &hostile).unwrap();
+            assert!(matches!(
+                NorcFile::open(&path),
+                Err(StorageError::Corrupt { .. })
+            ));
         }
     }
 

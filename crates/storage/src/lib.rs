@@ -22,6 +22,8 @@
 //! file carries a checksum, so corruption is detected rather than silently
 //! mis-read.
 
+#![deny(unsafe_code)]
+
 pub mod catalog;
 pub mod cell;
 pub mod column;
@@ -29,7 +31,6 @@ pub mod encoding;
 pub mod error;
 pub mod file;
 pub mod metacache;
-pub mod mmap;
 pub mod sarg;
 pub mod schema;
 pub mod table;

@@ -1,7 +1,8 @@
 //! Process-wide cache of opened Norc files (decoded footer, stripe/row-group
-//! index, and file bytes), shared by every session over one warehouse.
+//! index, and the open descriptor), shared by every session over one
+//! warehouse.
 //!
-//! Opening a Norc file reads the whole part file, verifies its checksum, and
+//! Opening a Norc file streams the whole part file through its checksum and
 //! decodes the footer — work that is identical on every query touching the
 //! split. The Presto metadata-caching study (PAPERS.md) reports most scan
 //! latency going to exactly this repeated footer/index re-read, and the
@@ -15,11 +16,10 @@
 //! eviction; hit/miss/invalidation/eviction counts are exposed for the server
 //! stats endpoint and the stress-test invariant checker.
 //!
-//! How a file body is acquired — mapped or copied ([`MmapMode`]) — is a
-//! property of the cache, fixed when it is created, not a per-open choice.
-//! The validation key says nothing about how an entry's bytes arrived, so a
-//! mode that could change under a warm cache would be served entries read
-//! the other way, silently.
+//! Each resident entry holds one open file descriptor, and its chunk reads
+//! go to the inode whose checksum was verified at open. An entry is charged
+//! the file's length ([`NorcFile::byte_size`]), so the budget bounds the
+//! bytes of the files held open, not the memory an entry takes.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
 use crate::error::Result;
-use crate::file::{MmapMode, NorcFile};
+use crate::file::NorcFile;
 
 /// Default byte budget (`MAXSON_META_CACHE_BYTES` unset).
 pub const DEFAULT_META_CACHE_BYTES: u64 = 256 * 1024 * 1024;
@@ -68,7 +68,6 @@ struct CacheState {
 /// [`Arc`]; every [`crate::Catalog`] owns one and attaches it to its tables.
 pub struct NorcMetaCache {
     budget_bytes: u64,
-    mode: MmapMode,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -81,7 +80,6 @@ impl std::fmt::Debug for NorcMetaCache {
         let s = self.stats();
         f.debug_struct("NorcMetaCache")
             .field("budget_bytes", &self.budget_bytes)
-            .field("mode", &self.mode)
             .field("resident_bytes", &s.resident_bytes)
             .field("resident_files", &s.resident_files)
             .field("hits", &s.hits)
@@ -92,12 +90,10 @@ impl std::fmt::Debug for NorcMetaCache {
 
 impl NorcMetaCache {
     /// A cache bounded to `budget_bytes` (0 disables residency: every open
-    /// misses, which keeps the type usable as an "off" switch in tests)
-    /// that opens every file with `mode`.
-    pub fn new(budget_bytes: u64, mode: MmapMode) -> Self {
+    /// misses, which keeps the type usable as an "off" switch in tests).
+    pub fn new(budget_bytes: u64) -> Self {
         NorcMetaCache {
             budget_bytes,
-            mode,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
@@ -109,11 +105,6 @@ impl NorcMetaCache {
     /// The configured byte budget.
     pub fn budget_bytes(&self) -> u64 {
         self.budget_bytes
-    }
-
-    /// How this cache acquires file bodies.
-    pub fn mode(&self) -> MmapMode {
-        self.mode
     }
 
     /// Open `path`, serving the decoded file from the cache when the on-disk
@@ -148,7 +139,7 @@ impl NorcMetaCache {
         // Read outside the lock so concurrent misses on different files
         // don't serialize on each other's disk reads.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let file = Arc::new(NorcFile::open_with(path, self.mode)?);
+        let file = Arc::new(NorcFile::open(path)?);
         let size = file.byte_size() as u64;
         if size <= self.budget_bytes {
             let mut state = self.state.lock().unwrap();
@@ -246,7 +237,7 @@ mod tests {
     fn second_open_hits() {
         let dir = temp_dir("hits");
         let path = write_part(&dir, "a.norc", 10);
-        let cache = NorcMetaCache::new(u64::MAX, MmapMode::Enabled);
+        let cache = NorcMetaCache::new(u64::MAX);
         let (f1, hit1) = cache.open(&path).unwrap();
         let (f2, hit2) = cache.open(&path).unwrap();
         assert!(!hit1);
@@ -259,25 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn files_are_opened_in_the_cache_mode() {
-        let dir = temp_dir("mode");
-        let path = write_part(&dir, "a.norc", 10);
-        for mode in [MmapMode::Enabled, MmapMode::Disabled] {
-            let cache = NorcMetaCache::new(u64::MAX, mode);
-            assert_eq!(cache.mode(), mode);
-            for _ in 0..2 {
-                let (file, _) = cache.open(&path).unwrap();
-                assert_eq!(file.is_mapped(), cfg!(unix) && mode == MmapMode::Enabled);
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn changed_file_invalidates() {
         let dir = temp_dir("inval");
         let path = write_part(&dir, "a.norc", 10);
-        let cache = NorcMetaCache::new(u64::MAX, MmapMode::Enabled);
+        let cache = NorcMetaCache::new(u64::MAX);
         cache.open(&path).unwrap();
         // Rewrite with a different row count: length changes.
         write_part(&dir, "a.norc", 25);
@@ -298,7 +274,7 @@ mod tests {
         let c = write_part(&dir, "c.norc", 50);
         let one = NorcFile::open(&a).unwrap().byte_size() as u64;
         // Room for roughly two files.
-        let cache = NorcMetaCache::new(one * 2 + one / 2, MmapMode::Enabled);
+        let cache = NorcMetaCache::new(one * 2 + one / 2);
         cache.open(&a).unwrap();
         cache.open(&b).unwrap();
         cache.open(&a).unwrap(); // a most recent → b is the LRU victim
@@ -315,7 +291,7 @@ mod tests {
     fn zero_budget_never_resides() {
         let dir = temp_dir("zero");
         let path = write_part(&dir, "a.norc", 10);
-        let cache = NorcMetaCache::new(0, MmapMode::Enabled);
+        let cache = NorcMetaCache::new(0);
         assert!(!cache.open(&path).unwrap().1);
         assert!(!cache.open(&path).unwrap().1);
         assert_eq!(cache.stats().resident_files, 0);
@@ -326,7 +302,7 @@ mod tests {
     fn clear_drops_entries_keeps_counters() {
         let dir = temp_dir("clear");
         let path = write_part(&dir, "a.norc", 10);
-        let cache = NorcMetaCache::new(u64::MAX, MmapMode::Enabled);
+        let cache = NorcMetaCache::new(u64::MAX);
         cache.open(&path).unwrap();
         cache.open(&path).unwrap();
         cache.clear();

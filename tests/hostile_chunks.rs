@@ -10,11 +10,18 @@
 //! chunk's length (plus a page of slack for small chunks). An honest chunk —
 //! one long run — really does decode to that much.
 //!
+//! A part file shortened after it was opened is held to the same rule: the
+//! next chunk read through the open handle is a `StorageError::Io`, never a
+//! signal.
+//!
 //! A failing case prints its seed; replay it with
 //! `MAXSON_TESTKIT_SEED=<seed> cargo test --test hostile_chunks`.
 
 use maxson_storage::encoding::{read_varint, write_varint, Bitmap};
-use maxson_storage::{Cell, ColumnData, ColumnType, StorageError};
+use maxson_storage::file::{write_rows, WriteOptions};
+use maxson_storage::{
+    Catalog, Cell, ColumnData, ColumnType, Field, NorcFile, Schema, StorageError,
+};
 use maxson_testkit::corpus::mutate_byte_slice;
 use maxson_testkit::prop::{check, Config, Gen};
 use maxson_testkit::{prop_assert, Rng};
@@ -183,4 +190,47 @@ fn property_mutated_chunks_error_never_panic() {
             Ok(())
         },
     );
+}
+
+/// A part file of two row groups, truncated to a quarter while three
+/// handles hold it open: a direct open's, the one a catalog's footer cache
+/// serves and the writer's. Reading every column through each is an
+/// `Io` error, and the test binary lives on to check the next one.
+#[test]
+fn part_file_shortened_after_open_is_an_io_error() {
+    let root = std::env::temp_dir().join(format!("maxson-shortened-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let mut catalog = Catalog::open(&root).unwrap();
+    let schema = Schema::new(vec![
+        Field::new("id", ColumnType::Int64),
+        Field::new("doc", ColumnType::Utf8),
+    ])
+    .unwrap();
+    let table = catalog.create_table("db", "t", schema.clone(), 1).unwrap();
+    let rows: Vec<Vec<Cell>> = (0..20_000)
+        .map(|i| vec![Cell::Int(i), Cell::from(format!("{{\"n\":{i}}}"))])
+        .collect();
+    let path = table.part_path(0);
+    let written = write_rows(&path, schema, &rows, WriteOptions::default()).unwrap();
+    table.register_parts(1, 2).unwrap();
+    assert_eq!(written.row_group_count(), 2);
+    let opened = NorcFile::open(&path).unwrap();
+    let (cached, _) = catalog
+        .table("db", "t")
+        .unwrap()
+        .open_split_cached(0)
+        .unwrap();
+
+    let len = std::fs::metadata(&path).unwrap().len();
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.set_len(len / 4).unwrap();
+    for (how, handle) in [
+        ("opened", &opened),
+        ("cached", &*cached),
+        ("written", &written),
+    ] {
+        let read = handle.read_columns(&[0, 1], None);
+        assert!(matches!(read, Err(StorageError::Io(_))), "{how}: {read:?}");
+    }
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -11,7 +11,7 @@ use maxson_storage::encoding::{
     read_str, read_varint, rle_decode_i64_with, rle_encode_i64, unzigzag, write_bitmap, write_str,
     write_varint, zigzag, Bitmap,
 };
-use maxson_storage::file::{write_rows, MmapMode, NorcFile, WriteOptions};
+use maxson_storage::file::{write_rows, NorcFile, WriteOptions};
 use maxson_storage::{Cell, CmpOp, ColumnData, ColumnType, Field, Schema, SearchArgument};
 use maxson_testkit::prop::{alphabet, check, Config, Gen};
 use maxson_testkit::Rng;
@@ -566,20 +566,17 @@ fn selected_read_equals_unselected_read_gathered() {
             let groups = rows.len().div_ceil(*rg_size);
             let keep: Vec<bool> = (0..groups).map(|_| rng.gen_bool(0.7)).collect();
             let columns = [4, 0, 3, 1, 2];
-            for mode in [MmapMode::Enabled, MmapMode::Disabled] {
-                let file = NorcFile::open_with(&path, mode).unwrap();
-                let whole = file.read_columns(&columns, Some(&keep)).unwrap();
-                // density 0 selects nothing, 3 everything.
-                let selection: Vec<u32> = (0..whole[0].len() as u32)
-                    .filter(|_| rng.gen_bool(*density as f64 / 3.0))
-                    .collect();
-                let at = file
-                    .read_columns_at(&columns, Some(&keep), Some(&selection))
-                    .unwrap();
-                let gathered: Vec<ColumnData> =
-                    whole.iter().map(|c| c.gather(&selection)).collect();
-                prop_assert_eq!(at, gathered, "keep {:?} rows {:?}", keep, selection);
-            }
+            let file = NorcFile::open(&path).unwrap();
+            let whole = file.read_columns(&columns, Some(&keep)).unwrap();
+            // density 0 selects nothing, 3 everything.
+            let selection: Vec<u32> = (0..whole[0].len() as u32)
+                .filter(|_| rng.gen_bool(*density as f64 / 3.0))
+                .collect();
+            let at = file
+                .read_columns_at(&columns, Some(&keep), Some(&selection))
+                .unwrap();
+            let gathered: Vec<ColumnData> = whole.iter().map(|c| c.gather(&selection)).collect();
+            prop_assert_eq!(at, gathered, "keep {:?} rows {:?}", keep, selection);
             std::fs::remove_file(&path).ok();
             Ok(())
         },

@@ -5,9 +5,8 @@
 //! A cell fixes the JSON parser, the thread count, the SIMD tier, how the
 //! reuse cache takes part (off; on, so the run fills it; on, run after a
 //! literal variant and then again, so it may hit), whether the Maxson
-//! rewriter is installed, whether the statement goes over the wire to a
-//! server or runs in-process, and whether the session's footer cache maps
-//! part files or copies them. [`covering_array`] picks cells so that every
+//! rewriter is installed, and whether the statement goes over the wire to a
+//! server or runs in-process. [`covering_array`] picks cells so that every
 //! pair of values of any two dimensions meets.
 
 use std::collections::BTreeSet;
@@ -21,7 +20,7 @@ use maxson_engine::sql::parse_select;
 use maxson_engine::{Config, ExecMetrics, QueryResult};
 use maxson_json::kernels::{self, Kernel};
 use maxson_server::{Client, Server, ServerConfig};
-use maxson_storage::{Cell, MmapMode};
+use maxson_storage::Cell;
 use maxson_testkit::rng::Rng;
 
 use super::oracle::{Answer, Oracle};
@@ -54,13 +53,11 @@ pub struct ConfigCell {
     pub reuse: Reuse,
     pub rewritten: bool,
     pub served: bool,
-    /// How the session's footer cache reads part files.
-    pub mmap: MmapMode,
 }
 
 impl Default for ConfigCell {
     /// Jackson, one thread, the best tier, no reuse cache, plain,
-    /// in-process, mapped part files.
+    /// in-process.
     fn default() -> Self {
         ConfigCell {
             parser: JsonParserKind::Jackson,
@@ -69,7 +66,6 @@ impl Default for ConfigCell {
             reuse: Reuse::Off,
             rewritten: false,
             served: false,
-            mmap: MmapMode::Enabled,
         }
     }
 }
@@ -78,14 +74,13 @@ impl fmt::Display for ConfigCell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "parser={} threads={} simd={} reuse={:?} plan={} via={} mmap={:?}",
+            "parser={} threads={} simd={} reuse={:?} plan={} via={}",
             self.parser.name(),
             self.threads,
             self.simd.name(),
             self.reuse,
             if self.rewritten { "rewritten" } else { "plain" },
             if self.served { "server" } else { "in-process" },
-            self.mmap,
         )
     }
 }
@@ -108,22 +103,21 @@ pub fn parser_thread_cells(parsers: &[JsonParserKind], threads: &[usize]) -> Vec
 /// (the caller and one pool worker, the benchmark box's shape).
 const THREADS: [usize; 3] = [1, 4, 2];
 
-/// A pairwise covering array over the seven dimensions: every pair of
-/// values of any two dimensions appears in some cell. With `families`, it
-/// starts from an in-process, reuse-off cell at one thread on the first
-/// tier over mapped part files and one at four threads on the last tier
-/// over copied ones for every (parser, plan) — what the work-counter rules
-/// compare — and completes the pairs those leave uncovered greedily;
-/// `seed` breaks ties.
+/// A pairwise covering array over the six dimensions: every pair of values
+/// of any two dimensions appears in some cell. With `families`, it starts
+/// from an in-process, reuse-off cell at one thread on the first tier and
+/// one at four threads on the last tier for every (parser, plan) — what
+/// the work-counter rules compare — and completes the pairs those leave
+/// uncovered greedily; `seed` breaks ties.
 pub fn covering_array(seed: u64, families: bool) -> Vec<ConfigCell> {
     let tiers = kernels::available();
-    let dims = [PARSERS.len(), THREADS.len(), tiers.len(), 3, 2, 2, 2];
-    let mut rows: Vec<[usize; 7]> = Vec::new();
+    let dims = [PARSERS.len(), THREADS.len(), tiers.len(), 3, 2, 2];
+    let mut rows: Vec<[usize; 6]> = Vec::new();
     if families {
         for parser in 0..PARSERS.len() {
             for plan in 0..2 {
-                rows.push([parser, 0, 0, 0, plan, 0, 0]);
-                rows.push([parser, 1, tiers.len() - 1, 0, plan, 0, 1]);
+                rows.push([parser, 0, 0, 0, plan, 0]);
+                rows.push([parser, 1, tiers.len() - 1, 0, plan, 0]);
             }
         }
     }
@@ -137,7 +131,7 @@ pub fn covering_array(seed: u64, families: bool) -> Vec<ConfigCell> {
             }
         }
     }
-    let cover = |uncovered: &mut BTreeSet<_>, row: &[usize; 7]| {
+    let cover = |uncovered: &mut BTreeSet<_>, row: &[usize; 6]| {
         for i in 0..dims.len() {
             for j in i + 1..dims.len() {
                 uncovered.remove(&(i, row[i], j, row[j]));
@@ -147,7 +141,7 @@ pub fn covering_array(seed: u64, families: bool) -> Vec<ConfigCell> {
     rows.iter().for_each(|row| cover(&mut uncovered, row));
     let mut rng = Rng::seed_from_u64(seed);
     while let Some(&(i, a, j, b)) = uncovered.iter().next() {
-        let mut row = [usize::MAX; 7];
+        let mut row = [usize::MAX; 6];
         row[i] = a;
         row[j] = b;
         for d in 0..dims.len() {
@@ -185,7 +179,6 @@ pub fn covering_array(seed: u64, families: bool) -> Vec<ConfigCell> {
             reuse: reuse[r[3]],
             rewritten: r[4] == 1,
             served: r[5] == 1,
-            mmap: [MmapMode::Enabled, MmapMode::Disabled][r[6]],
         })
         .collect()
 }
@@ -281,7 +274,6 @@ impl Runner {
         let config = Config {
             parser: cell.parser,
             threads: Some(cell.threads),
-            mmap: cell.mmap,
             result_cache_mb: match cell.reuse {
                 Reuse::Off => None,
                 Reuse::Fill | Reuse::Hit => Some(16),
@@ -457,7 +449,7 @@ pub fn property_agrees(name: &str, cases: u32, cells: &[ConfigCell]) {
 
 /// The work-counter rules over one statement's in-process, reuse-off runs:
 /// within a (parser, plan) family every counter is identical across
-/// thread counts, SIMD tiers and mmap modes; across parsers of one plan only
+/// thread counts and SIMD tiers; across parsers of one plan only
 /// `bitmap_*` (which Jackson never charges) and `nodes_skipped` (which only
 /// Tape charges) may differ.
 pub fn assert_counter_rules(label: &str, runs: &[(ConfigCell, ExecMetrics)]) {
