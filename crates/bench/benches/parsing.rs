@@ -2,8 +2,8 @@
 //! Maxson-style cached read, per record size, on the testkit bench runner.
 //!
 //! This is the microscopic view of Fig. 15: what one `get_json_object`
-//! call costs under each strategy, plus the structural-bitmap build per
-//! kernel tier. Run with `cargo bench --bench parsing`;
+//! call costs under each strategy, the cache build's per-document tape
+//! projection, plus the structural-bitmap build per kernel tier. Run with `cargo bench --bench parsing`;
 //! set `MAXSON_BENCH_FAST=1` for a quick smoke pass.
 
 use maxson_bench::report::{Report, Series};
@@ -107,6 +107,85 @@ fn bench_tape_build(runner: &BenchRunner) -> Report {
     report
 }
 
+/// A document shaped like workload table `name`'s: its schema's leaves
+/// nested as the datagen nests them (ints, quarter floats and 20-byte
+/// strings in turn), padded to the table's average size, with the paths
+/// its query reads.
+fn workload_record(name: &str) -> (String, Vec<JsonPath>) {
+    use maxson_datagen::tables::{query_paths, schema_paths, table_specs};
+    use maxson_json::JsonValue;
+    fn insert(obj: &mut Vec<(String, JsonValue)>, steps: &[&str], value: JsonValue) {
+        let [first, rest @ ..] = steps else { return };
+        if rest.is_empty() {
+            obj.push((first.to_string(), value));
+            return;
+        }
+        if let Some((_, JsonValue::Object(inner))) = obj.iter_mut().find(|(k, _)| k == first) {
+            return insert(inner, rest, value);
+        }
+        let mut inner = Vec::new();
+        insert(&mut inner, rest, value);
+        obj.push((first.to_string(), JsonValue::Object(inner)));
+    }
+    let spec = table_specs().into_iter().find(|s| s.name == name).unwrap();
+    let mut root = Vec::new();
+    for (i, path) in schema_paths(&spec).iter().enumerate() {
+        let steps: Vec<&str> = path[2..].split('.').collect();
+        let value = match i % 4 {
+            0 => JsonValue::from(i as i64 * 31),
+            1 => JsonValue::from(i as f64 / 4.0),
+            _ => JsonValue::from(format!("value-{i:04}-abcdefghij")),
+        };
+        insert(&mut root, &steps, value);
+    }
+    let mut text = maxson_json::to_string(&JsonValue::Object(root));
+    let pad = spec.avg_size.saturating_sub(text.len() + 12);
+    text.pop();
+    text.push_str(&format!(",\"_pad\":\"{}\"}}", "x".repeat(pad)));
+    let paths = query_paths(&spec)
+        .iter()
+        .map(|p| JsonPath::parse(p).unwrap())
+        .collect();
+    (text, paths)
+}
+
+/// What the cache build does per document — build one tape, answer every
+/// cached path off it — over q6- and q3-shaped documents: through
+/// `tape::project_paths` (one call per document, the paths compiled each
+/// time) and through a `PathSet` compiled once, as the cacher runs it.
+fn bench_tape_projection(runner: &BenchRunner) -> Report {
+    use maxson_json::tape::{project_paths, PathSet, TapeDoc, TapeStats};
+    let mut report = Report::new(
+        "bench-parsing-tape-projection",
+        "tape multi-path projection throughput (build + every cached path)",
+    );
+    report.note("MB/s at the median, document bytes over build + projection");
+    let mut per_call = Series::new("project_paths");
+    let mut compiled = Series::new("compiled_set");
+    for table in ["q6", "q3"] {
+        let (record, paths) = workload_record(table);
+        let label = format!("{table}: {} paths, {} B", paths.len(), record.len());
+        let mb_per_s = |median_ns: f64| record.len() as f64 / median_ns * 1e3;
+        let mut stats = TapeStats::default();
+        let run = runner.run(&format!("project_paths/{table}"), || {
+            bb(project_paths(bb(&record), &paths, &mut stats))
+        });
+        per_call.push(&label, mb_per_s(run.median_ns));
+        let set = PathSet::new(&paths);
+        let run = runner.run(&format!("compiled_set/{table}"), || {
+            let mut bytes = 0;
+            if let Ok(tape) = TapeDoc::build(bb(&record)) {
+                tape.project(&set, &mut stats, |_, value| bytes += value.len());
+            }
+            bb(bytes)
+        });
+        compiled.push(&label, mb_per_s(run.median_ns));
+    }
+    report.add(per_call);
+    report.add(compiled);
+    report
+}
+
 /// Structural-bitmap construction throughput per kernel tier the CPU runs,
 /// over the padded documents: pure kernel time, so tiers compare directly.
 fn bench_bitmap_tiers(runner: &BenchRunner) -> Report {
@@ -137,5 +216,6 @@ fn main() {
     bench_parsers(&runner).emit();
     bench_structural_index_build(&runner).emit();
     bench_tape_build(&runner).emit();
+    bench_tape_projection(&runner).emit();
     bench_bitmap_tiers(&runner).emit();
 }

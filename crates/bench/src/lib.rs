@@ -12,6 +12,7 @@
 //! * [`report`] — aligned text tables and a machine-readable JSON dump of
 //!   every experiment's series, written under `bench-results/`.
 
+#![deny(unreachable_pub)]
 pub mod baselines;
 pub mod report;
 pub mod workload;

@@ -11,6 +11,7 @@
 //! All generators are deterministic given a seed, so benchmarks and tests
 //! are reproducible.
 
+#![deny(unreachable_pub)]
 pub mod nobench;
 pub mod tables;
 

@@ -10,8 +10,9 @@
 //! then parses each document **at most once per column** — one shared DOM
 //! walk in Jackson mode ([`maxson_json::get_json_objects`]), one shared
 //! structural index in Mison mode
-//! ([`MisonProjector::project_paths`]), one shared typed tape in Tape mode
-//! ([`maxson_json::tape::project_paths`]) — and answers every later path
+//! ([`MisonProjector::project_paths`]), one shared typed tape in Tape mode,
+//! walked once for all the group's paths ([`maxson_json::tape::PathSet`])
+//! — and answers every later path
 //! evaluation from the filled slots. Slots hold `Arc<str>` values, so a
 //! path evaluated in both the filter and the projection clones a refcount,
 //! not the text.
@@ -36,6 +37,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use maxson_json::mison::MisonProjector;
+use maxson_json::tape::PathSet;
 use maxson_json::JsonPath;
 
 use crate::expr::{Expr, JsonParserKind};
@@ -48,6 +50,8 @@ struct ColumnGroup {
     column: usize,
     /// Distinct compiled paths over that column.
     paths: Vec<JsonPath>,
+    /// The same paths as one trie, for Tape mode's one-pass projection.
+    set: PathSet,
 }
 
 /// The deduplicated `(column, path)` extraction sites of one operator (or
@@ -66,29 +70,33 @@ impl JsonExtractor {
     /// plain `Column` placeholders, so only *residual* uncached paths
     /// arrive here — composition with the combiner is automatic.
     pub fn from_exprs<'a>(exprs: impl IntoIterator<Item = &'a Expr>) -> Option<JsonExtractor> {
-        let mut groups: Vec<ColumnGroup> = Vec::new();
+        let mut columns: Vec<(usize, Vec<JsonPath>)> = Vec::new();
         for e in exprs {
             e.walk(&mut |node| {
                 if let Expr::GetJsonObject { column, path } = node {
-                    match groups.iter_mut().find(|g| g.column == *column) {
-                        Some(g) => {
-                            if !g.paths.contains(path) {
-                                g.paths.push(path.clone());
+                    match columns.iter_mut().find(|(c, _)| c == column) {
+                        Some((_, paths)) => {
+                            if !paths.contains(path) {
+                                paths.push(path.clone());
                             }
                         }
-                        None => groups.push(ColumnGroup {
-                            column: *column,
-                            paths: vec![path.clone()],
-                        }),
+                        None => columns.push((*column, vec![path.clone()])),
                     }
                 }
             });
         }
-        if groups.is_empty() {
-            None
-        } else {
-            Some(JsonExtractor { groups })
+        if columns.is_empty() {
+            return None;
         }
+        let groups = columns
+            .into_iter()
+            .map(|(column, paths)| ColumnGroup {
+                column,
+                set: PathSet::new(&paths),
+                paths,
+            })
+            .collect();
+        Some(JsonExtractor { groups })
     }
 
     /// Total distinct `(column, path)` pairs covered.
@@ -130,7 +138,7 @@ impl JsonExtractor {
                 let nav = Instant::now();
                 let mut stats = maxson_json::tape::TapeStats::default();
                 let values = match &tape {
-                    Some(t) => t.eval_paths(paths, &mut stats),
+                    Some(t) => t.eval_set(&self.groups[gi].set, &mut stats),
                     None => vec![None; paths.len()],
                 };
                 metrics.tape_nav_wall += nav.elapsed();

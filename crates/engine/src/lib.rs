@@ -44,6 +44,7 @@
 //! println!("{}", result.to_display_string());
 //! ```
 
+#![deny(unreachable_pub)]
 pub mod config;
 pub mod error;
 pub mod exec;

@@ -547,7 +547,7 @@ pub(crate) mod sarg {
     /// The non-literal side of a pushable comparison, already checked
     /// against the scan's alias.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Lhs<'a> {
+    pub(crate) enum Lhs<'a> {
         /// A plain column reference.
         Column(&'a str),
         /// `get_json_object(column, path)`.
@@ -561,7 +561,7 @@ pub(crate) mod sarg {
 
     /// Which of a scan's two search arguments a leaf joins.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Side {
+    pub(crate) enum Side {
         /// The raw table's files.
         Raw,
         /// The cache table's files.
@@ -643,7 +643,7 @@ pub(crate) mod sarg {
     /// scan planned under `alias`. `place` maps each leaf's left-hand side
     /// to the side it constrains and the column index in that side's file
     /// schema; `None` leaves the conjunct to the `Filter` alone.
-    pub fn extract(
+    pub(crate) fn extract(
         predicate: Option<&SqlExpr>,
         alias: Option<&str>,
         mut place: impl FnMut(Lhs<'_>) -> Option<(Side, usize)>,

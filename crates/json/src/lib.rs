@@ -33,6 +33,7 @@
 //! assert_eq!(path.eval(&doc).unwrap().as_str(), Some("apple"));
 //! ```
 
+#![deny(unreachable_pub)]
 pub mod error;
 pub mod kernels;
 pub mod mison;

@@ -172,36 +172,53 @@ impl<'a> Parser<'a> {
 
     pub(crate) fn parse_string(&mut self) -> Result<String> {
         self.expect(b'"', "'\"'")?;
-        let start = self.pos;
-        // Fast path: scan for a closing quote with no escapes.
-        let mut i = self.pos;
-        while i < self.bytes.len() {
-            let b = self.bytes[i];
-            if b == b'"' {
-                // Safety of from_utf8: input came from &str and contains no
-                // escape, so the slice is valid UTF-8 on char boundaries.
-                let s =
-                    std::str::from_utf8(&self.bytes[start..i]).expect("slice of valid UTF-8 input");
-                self.pos = i + 1;
-                return Ok(s.to_string());
-            }
-            if b == b'\\' || b < 0x20 {
-                break;
-            }
-            i += 1;
+        // Fast path: a string with no escape is one copy of its span.
+        let end = self.run_end();
+        if self.bytes.get(end) == Some(&b'"') {
+            // Safety of from_utf8: input came from &str and contains no
+            // escape, so the slice is valid UTF-8 on char boundaries.
+            let s = std::str::from_utf8(&self.bytes[self.pos..end])
+                .expect("slice of valid UTF-8 input");
+            self.pos = end + 1;
+            return Ok(s.to_string());
         }
-        // Slow path with escape handling.
         let mut out = String::new();
-        out.push_str(
-            std::str::from_utf8(&self.bytes[start..i]).expect("slice of valid UTF-8 input"),
-        );
-        self.pos = i;
+        self.string_body(&mut out)?;
+        Ok(out)
+    }
+
+    /// Parse one string token, appending its unescaped text to `out`.
+    pub(crate) fn parse_string_into(&mut self, out: &mut String) -> Result<()> {
+        self.expect(b'"', "'\"'")?;
+        self.string_body(out)
+    }
+
+    /// Where the run of bytes from `pos` that holds no quote, backslash or
+    /// control byte ends.
+    fn run_end(&self) -> usize {
+        self.bytes[self.pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .map_or(self.bytes.len(), |n| self.pos + n)
+    }
+
+    /// Append the text of the string whose opening quote is behind `pos`
+    /// to `out`, unescaped, and step past its closing quote.
+    fn string_body(&mut self, out: &mut String) -> Result<()> {
         loop {
+            // A run free of quotes, escapes and control bytes is copied
+            // whole: it starts and ends at ASCII bytes of valid UTF-8.
+            let run = self.run_end();
+            out.push_str(
+                std::str::from_utf8(&self.bytes[self.pos..run])
+                    .expect("slice of valid UTF-8 input"),
+            );
+            self.pos = run;
             match self.peek() {
                 None => return Err(JsonError::UnexpectedEof { context: "string" }),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -266,19 +283,11 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                Some(b) if b < 0x20 => {
+                Some(_) => {
                     return Err(JsonError::InvalidString {
                         offset: self.pos,
                         reason: "raw control character",
                     })
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .expect("suffix of valid UTF-8 input");
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -462,6 +471,21 @@ mod tests {
         let v = parse(r#"{"k":1,"k":2}"#).unwrap();
         assert_eq!(v.as_object().unwrap().len(), 2);
         assert_eq!(v.get("k").unwrap().as_i64(), Some(1));
+    }
+
+    /// The text after an escape is copied run by run: a long string with
+    /// an escape near its start parses in time linear in its length (a
+    /// walk that re-validated the rest of the input for every character
+    /// took seconds here).
+    #[test]
+    fn escaped_long_string_parses_in_linear_time() {
+        let body = "é-".repeat(32 * 1024);
+        let doc = format!(r#"{{"s":"\n{body}\t","t":"\u00e9{body}"}}"#);
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(2));
+        assert_eq!(v.get("s").unwrap().as_str().unwrap(), format!("\n{body}\t"));
+        assert_eq!(v.get("t").unwrap().as_str().unwrap(), format!("é{body}"));
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub fn to_string_pretty(v: &JsonValue) -> String {
     out
 }
 
-fn write_value(out: &mut String, v: &JsonValue) {
+pub(crate) fn write_value(out: &mut String, v: &JsonValue) {
     match v {
         JsonValue::Null => out.push_str("null"),
         JsonValue::Bool(true) => out.push_str("true"),

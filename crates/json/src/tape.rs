@@ -12,6 +12,14 @@
 //! entries jumped over are counted as `nodes_skipped`, surfaced through
 //! `ExecMetrics` and EXPLAIN ANALYZE.
 //!
+//! Every path query is one **projection pass** ([`TapeDoc::project`]): the
+//! wanted paths are compiled into a trie ([`PathSet`]), and each object on
+//! the way is scanned once, key by key in document order, against all the
+//! names wanted at that level (a hash probe per key) — not once per path.
+//! The first occurrence of a name binds it; a level stops scanning once
+//! every name it wants is bound. `nodes_skipped` still counts what each
+//! path would hop on its own, computed from each match's position.
+//!
 //! Strings — most of a document's bytes — cost stage 2 a word at a time:
 //! the closing quote is the first clear bit of the string-interior bitmap
 //! after the opening quote (`StructuralIndex::closing_quote`, a
@@ -27,12 +35,15 @@
 //! `TapeDoc::build(..).is_err()` iff `parse(..).is_err()` and the engine's
 //! NULL-on-malformed semantics are byte-identical across parser modes.
 //! What the tape *defers* is materialization: no `String`/`Vec`/`JsonValue`
-//! is built for any node the query never touches. Queried leaves render
-//! straight out of the input span into `Arc<str>` cells; only a queried
-//! container (or a wildcard step) falls back to DOM-parsing its slice,
-//! which keeps rendering byte-identical to the Jackson path.
+//! is built for any node the query never touches. A queried leaf is handed
+//! out as a `&str` of the input span when it already is its rendering (a
+//! string without escapes, most number literals, `true`/`false`/`null`),
+//! else rendered into a reused buffer; only a queried container (or a
+//! wildcard step) falls back to DOM-parsing its slice, which keeps
+//! rendering byte-identical to the Jackson path.
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crate::error::{JsonError, Result};
@@ -40,6 +51,7 @@ use crate::kernels::{self, Bitmaps};
 use crate::mison::{steps_to_path, StructuralIndex};
 use crate::parser::{Parser, MAX_DEPTH};
 use crate::path::{JsonPath, Step};
+use crate::value::JsonValue;
 
 /// What one tape entry is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,8 +106,8 @@ pub struct TapeStats {
     pub nodes_skipped: u64,
 }
 
-/// A built tape over one record. Borrows the input; rendered values copy
-/// only the queried span into an `Arc<str>`.
+/// A built tape over one record. Borrows the input; a projection hands
+/// out each queried value as a `&str`, which the caller copies once.
 #[derive(Debug)]
 pub struct TapeDoc<'a> {
     input: &'a str,
@@ -175,104 +187,54 @@ impl<'a> TapeDoc<'a> {
     /// Evaluate one path, rendering the result the way `get_json_object`
     /// does. Skipped-entry counts accumulate into `stats`.
     pub fn eval_path(&self, path: &JsonPath, stats: &mut TapeStats) -> Option<Arc<str>> {
-        self.eval_steps(0, path.steps(), stats)
+        self.eval_paths(std::slice::from_ref(path), stats).pop()?
     }
 
     /// Evaluate many paths off this one tape (the tape-mode half of
     /// intra-query shared parsing). Entry `i` answers `paths[i]`, exactly
     /// as [`Self::eval_path`] would.
     pub fn eval_paths(&self, paths: &[JsonPath], stats: &mut TapeStats) -> Vec<Option<Arc<str>>> {
-        paths.iter().map(|p| self.eval_path(p, stats)).collect()
+        self.eval_set(&PathSet::new(paths), stats)
     }
 
-    fn eval_steps(
-        &self,
-        mut node: usize,
-        steps: &[Step],
-        stats: &mut TapeStats,
-    ) -> Option<Arc<str>> {
-        for (si, step) in steps.iter().enumerate() {
-            match step {
-                Step::Field(name) => {
-                    if self.nodes[node].kind != NodeKind::Object {
-                        return None;
-                    }
-                    node = self.find_field(node, name, stats)?;
-                }
-                Step::Index(want) => {
-                    if self.nodes[node].kind != NodeKind::Array {
-                        return None;
-                    }
-                    node = self.find_index(node, *want, stats)?;
-                }
-                Step::Wildcard => {
-                    // Wildcards collect across elements; materialize just
-                    // this subtree and finish with the DOM evaluator (same
-                    // fallback the Mison projector uses).
-                    let doc = crate::parse(self.span(node)).ok()?;
-                    let rest = steps_to_path(&steps[si..]);
-                    return rest.eval(&doc).map(|v| Arc::from(v.to_hive_string()));
-                }
-            }
-        }
-        Some(self.render(node))
+    /// [`Self::eval_paths`] over paths compiled once: entry `i` answers
+    /// the set's path `i`.
+    pub fn eval_set(&self, set: &PathSet, stats: &mut TapeStats) -> Vec<Option<Arc<str>>> {
+        let mut out = vec![None; set.len()];
+        self.project(set, stats, |slot, value| out[slot] = Some(Arc::from(value)));
+        out
     }
 
-    /// First-wins field lookup (Hive semantics, matching `JsonValue::get`
-    /// and the Mison colon scan): probe keys in document order, jump each
-    /// non-matching value subtree via its skip marker, return the first
-    /// match's value entry.
-    fn find_field(&self, obj: usize, name: &str, stats: &mut TapeStats) -> Option<usize> {
-        let end = self.nodes[obj].skip as usize;
-        let mut k = obj + 1;
-        while k < end {
-            let key = self.nodes[k];
-            debug_assert_eq!(key.kind, NodeKind::Key);
-            let value = k + 1;
-            let next = key.skip as usize;
-            if self.key_matches(&key, name) {
-                // Everything after the matched value is never visited.
-                stats.nodes_skipped += (end - next) as u64;
-                return Some(value);
-            }
-            // The non-matching value's subtree is hopped over unvisited
-            // (the key entry itself was examined).
-            stats.nodes_skipped += (next - value) as u64;
-            k = next;
+    /// The one projection pass: walk the tape once against `set`, calling
+    /// `emit(i, value)` for every path `i` of the set that has a value,
+    /// rendered the way `get_json_object` renders it. A path without a
+    /// value is not emitted.
+    ///
+    /// Each object on the way is scanned once, in document order, for all
+    /// the names wanted there; the first occurrence of a name wins (Hive
+    /// semantics, like `JsonValue::get`), even when its value is a scalar
+    /// and a longer path wanted an object, and the scan stops once every
+    /// wanted name is bound. Index steps hop to their element; a wildcard
+    /// finishes its path with the DOM evaluator on that subtree. `value`
+    /// borrows the input or a reused buffer: a string without escapes and
+    /// an integer literal that is already its rendering are not copied.
+    /// `stats` gets what evaluating each path on its own would count.
+    pub fn project(&self, set: &PathSet, stats: &mut TapeStats, emit: impl FnMut(usize, &str)) {
+        let mut scratch = PROJECTION.with(RefCell::take);
+        if scratch.seen.len() < set.nodes.len() {
+            scratch.seen.resize(set.nodes.len(), 0);
         }
-        None
-    }
-
-    /// Array element lookup: hop `want` sibling subtrees, return the
-    /// element's entry.
-    fn find_index(&self, arr: usize, want: usize, stats: &mut TapeStats) -> Option<usize> {
-        let end = self.nodes[arr].skip as usize;
-        let mut child = arr + 1;
-        let mut i = 0usize;
-        while child < end {
-            let next = self.nodes[child].skip as usize;
-            if i == want {
-                stats.nodes_skipped += (end - next) as u64;
-                return Some(child);
-            }
-            stats.nodes_skipped += (next - child) as u64;
-            child = next;
-            i += 1;
+        let mut walk = Walk {
+            tape: self,
+            set,
+            scratch: &mut scratch,
+            stats,
+            emit,
+        };
+        walk.visit(0, 0, 0);
+        if scratch.render.capacity() <= RETAIN {
+            PROJECTION.with(|p| p.replace(scratch));
         }
-        None
-    }
-
-    fn key_matches(&self, key: &TapeNode, name: &str) -> bool {
-        let raw = &self.input[key.start as usize + 1..key.end as usize - 1];
-        if !raw.contains('\\') {
-            return raw == name;
-        }
-        // Escaped key: unescape through the validated string machinery.
-        let quoted = &self.input[key.start as usize..key.end as usize];
-        Parser::new(quoted)
-            .parse_string()
-            .map(|s| s == name)
-            .unwrap_or(false)
     }
 
     fn span(&self, node: usize) -> &'a str {
@@ -280,38 +242,490 @@ impl<'a> TapeDoc<'a> {
         &self.input[n.start as usize..n.end as usize]
     }
 
+    /// The name of key entry `key`: its span without the quotes, or for a
+    /// key holding an escape the unescaped text, written into `buf`.
+    fn key_name<'b>(&'b self, key: &TapeNode, buf: &'b mut String) -> &'b [u8] {
+        let raw = &self.input.as_bytes()[key.start as usize + 1..key.end as usize - 1];
+        if !raw.contains(&b'\\') {
+            return raw;
+        }
+        buf.clear();
+        let quoted = &self.input[key.start as usize..key.end as usize];
+        Parser::new(quoted)
+            .parse_string_into(buf)
+            .expect("key span validated at build");
+        buf.as_bytes()
+    }
+
     /// Render one entry the way `get_json_object` renders values: strings
-    /// unescaped/unquoted straight from the span, scalars normalized
-    /// through the value model, containers re-serialized compactly.
-    fn render(&self, node: usize) -> Arc<str> {
+    /// unescaped and unquoted, scalars in their Hive form, containers
+    /// re-serialized compactly. The result borrows the input where it is
+    /// the input's own bytes, and `buf` otherwise.
+    fn render<'b>(&'b self, node: usize, buf: &'b mut String) -> &'b str {
         let text = self.span(node);
         match self.nodes[node].kind {
             NodeKind::String => {
                 let inner = &text[1..text.len() - 1];
                 if !inner.contains('\\') {
-                    Arc::from(inner)
-                } else {
-                    Arc::from(
-                        Parser::new(text)
-                            .parse_string()
-                            .expect("string span validated at build"),
-                    )
+                    return inner;
                 }
-            }
-            NodeKind::Number => Arc::from(
+                buf.clear();
                 Parser::new(text)
+                    .parse_string_into(buf)
+                    .expect("string span validated at build");
+            }
+            NodeKind::Number if is_hive_rendering(text) => return text,
+            NodeKind::Number => {
+                buf.clear();
+                let JsonValue::Number(n) = Parser::new(text)
                     .parse_number()
                     .expect("number span validated at build")
-                    .to_hive_string(),
-            ),
-            NodeKind::True => Arc::from("true"),
-            NodeKind::False => Arc::from("false"),
-            NodeKind::Null => Arc::from("null"),
+                else {
+                    unreachable!("a number literal parses as a number")
+                };
+                let _ = write!(buf, "{n}");
+            }
+            // The span is the keyword itself.
+            NodeKind::True | NodeKind::False | NodeKind::Null => return text,
             NodeKind::Object | NodeKind::Array => {
+                buf.clear();
                 let v = crate::parse(text).expect("container span validated at build");
-                Arc::from(crate::to_string(&v))
+                crate::serializer::write_value(buf, &v);
             }
             NodeKind::Key => unreachable!("keys are never rendered as values"),
+        }
+        buf
+    }
+}
+
+/// `true` when number literal `text` is already its Hive rendering
+/// (`JsonNumber`'s `Display` of the parsed value), so it is copied, not
+/// parsed and formatted:
+/// * an integer (no fraction or exponent) of at most 18 digits, which
+///   fits an `i64`, other than `-0`;
+/// * a decimal without an exponent of at most 15 digits, whose fraction
+///   is `0` or does not end in `0`, other than `-0.0`. Fifteen digits
+///   survive the trip through an `f64`, so the shortest digits that
+///   print the parsed value are the literal's own, and a fraction of `0`
+///   prints as the `{:.1}` of an integral value below 10^15.
+///
+/// The grammar already rules out leading zeros.
+fn is_hive_rendering(text: &str) -> bool {
+    let unsigned = text.strip_prefix('-').unwrap_or(text);
+    let (int, frac) = match unsigned.split_once('.') {
+        Some((int, frac)) => (int, Some(frac)),
+        None => (unsigned, None),
+    };
+    let digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
+    match frac {
+        None => int.len() <= 18 && digits(int) && text != "-0",
+        Some(frac) => {
+            int.len() + frac.len() <= 15
+                && digits(frac)
+                && (frac == "0" || !frac.ends_with('0'))
+                && text != "-0.0"
+        }
+    }
+}
+
+/// End of a sibling or end list.
+const NONE: u32 = u32::MAX;
+
+/// How a [`PathSet`] node is reached from its parent.
+#[derive(Debug, Clone, Copy)]
+enum Edge {
+    /// The root, `$`.
+    Root,
+    /// `.name`, the name being `PathSet::names[start..start + len]`.
+    Field { start: u32, len: u32 },
+    /// `[n]`.
+    Index(usize),
+}
+
+/// One node of a [`PathSet`]: a step some wanted path takes.
+#[derive(Debug, Clone)]
+struct TrieNode {
+    edge: Edge,
+    /// Children, as a list through `next_sibling`.
+    first_child: u32,
+    next_sibling: u32,
+    /// Paths ending here, as a list through [`PathEnd::next`].
+    first_end: u32,
+    /// Paths ending in this node's subtree, its own included.
+    below: u64,
+    /// Children reached by a field step.
+    fields: u32,
+    /// Bit `min(len, 63)` set for the name length of every field child:
+    /// many keys of an object are rejected on their length alone.
+    field_lens: u64,
+    /// The field children's open-addressing table:
+    /// `PathSet::table[table..table + table_mask + 1]`.
+    table: u32,
+    table_mask: u32,
+}
+
+impl TrieNode {
+    fn new(edge: Edge) -> Self {
+        TrieNode {
+            edge,
+            first_child: NONE,
+            next_sibling: NONE,
+            first_end: NONE,
+            below: 0,
+            fields: 0,
+            field_lens: 0,
+            table: 0,
+            table_mask: 0,
+        }
+    }
+}
+
+/// A wanted path that ends at a [`PathSet`] node.
+#[derive(Debug, Clone)]
+struct PathEnd {
+    /// The path's index in the set.
+    slot: usize,
+    next: u32,
+    /// From a wildcard on, the rest of the path, which the DOM evaluates
+    /// on the node's subtree.
+    rest: Option<JsonPath>,
+}
+
+/// A list of JSONPaths compiled into a trie for [`TapeDoc::project`]: each
+/// node is one field or index step and knows which paths end there, so
+/// one walk over a document answers every path. Paths sharing a prefix
+/// share its nodes; a path listed twice ends twice at the same node.
+#[derive(Debug, Clone)]
+pub struct PathSet {
+    /// Node 0 is the root, `$`; a parent comes before its children.
+    nodes: Vec<TrieNode>,
+    ends: Vec<PathEnd>,
+    /// The field names of every field edge, back to back.
+    names: String,
+    /// Every node's field-child table, back to back: `(name hash, child)`
+    /// slots, a child's found from its name's [`name_hash`] by linear
+    /// probing; empty slots hold child [`NONE`].
+    table: Vec<(u32, u32)>,
+}
+
+impl PathSet {
+    /// Compile `paths`; entry `i` of a projection answers `paths[i]`.
+    pub fn new(paths: &[JsonPath]) -> PathSet {
+        let steps: usize = paths.iter().map(JsonPath::len).sum();
+        let name_bytes = paths
+            .iter()
+            .flat_map(JsonPath::steps)
+            .map(|step| match step {
+                Step::Field(name) => name.len(),
+                _ => 0,
+            })
+            .sum();
+        let mut set = PathSet {
+            nodes: Vec::with_capacity(1 + steps),
+            ends: Vec::with_capacity(paths.len()),
+            names: String::with_capacity(name_bytes),
+            table: Vec::new(),
+        };
+        set.nodes.push(TrieNode::new(Edge::Root));
+        for (slot, path) in paths.iter().enumerate() {
+            let mut node = 0;
+            set.nodes[0].below += 1;
+            let mut rest = None;
+            for (si, step) in path.steps().iter().enumerate() {
+                node = match step {
+                    Step::Field(name) => set.child(node, Some(name), 0),
+                    Step::Index(i) => set.child(node, None, *i),
+                    Step::Wildcard => {
+                        rest = Some(steps_to_path(&path.steps()[si..]));
+                        break;
+                    }
+                };
+                set.nodes[node].below += 1;
+            }
+            set.ends.push(PathEnd {
+                slot,
+                next: set.nodes[node].first_end,
+                rest,
+            });
+            set.nodes[node].first_end = (set.ends.len() - 1) as u32;
+        }
+        let table_size = |n: &TrieNode| match n.fields {
+            0 => 0,
+            fields => (2 * fields as usize).next_power_of_two(),
+        };
+        set.table = vec![(0, NONE); set.nodes.iter().map(table_size).sum()];
+        let mut start = 0;
+        for node in 0..set.nodes.len() {
+            let size = table_size(&set.nodes[node]);
+            set.nodes[node].table = start as u32;
+            set.nodes[node].table_mask = size.saturating_sub(1) as u32;
+            let mut child = set.nodes[node].first_child;
+            while child != NONE {
+                let c = &set.nodes[child as usize];
+                if let Some(name) = set.name(c.edge) {
+                    let hash = name_hash(name.as_bytes());
+                    let mut at = hash as usize;
+                    while set.table[start + (at & (size - 1))].1 != NONE {
+                        at += 1;
+                    }
+                    set.table[start + (at & (size - 1))] = (hash, child);
+                }
+                child = c.next_sibling;
+            }
+            start += size;
+        }
+        set
+    }
+
+    /// Number of paths in the set.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` for a set of no paths.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    fn name(&self, edge: Edge) -> Option<&str> {
+        match edge {
+            Edge::Field { start, len } => Some(&self.names[start as usize..(start + len) as usize]),
+            _ => None,
+        }
+    }
+
+    fn children(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut next = self.nodes[node].first_child;
+        std::iter::from_fn(move || {
+            let child = (next != NONE).then_some(next as usize)?;
+            next = self.nodes[child].next_sibling;
+            Some(child)
+        })
+    }
+
+    /// The child of `parent` reached by field `name` (or, without a name,
+    /// by index `index`), added if it is new.
+    fn child(&mut self, parent: usize, name: Option<&str>, index: usize) -> usize {
+        let found = self
+            .children(parent)
+            .find(|&c| match (self.nodes[c].edge, name) {
+                (Edge::Index(i), None) => i == index,
+                (edge @ Edge::Field { len, .. }, Some(name)) => {
+                    len as usize == name.len() && self.name(edge) == Some(name)
+                }
+                _ => false,
+            });
+        if let Some(child) = found {
+            return child;
+        }
+        let edge = match name {
+            Some(name) => {
+                let start = self.names.len() as u32;
+                self.names.push_str(name);
+                let p = &mut self.nodes[parent];
+                p.fields += 1;
+                p.field_lens |= 1 << name.len().min(63);
+                Edge::Field {
+                    start,
+                    len: name.len() as u32,
+                }
+            }
+            None => Edge::Index(index),
+        };
+        let child = self.nodes.len();
+        self.nodes.push(TrieNode {
+            next_sibling: self.nodes[parent].first_child,
+            ..TrieNode::new(edge)
+        });
+        self.nodes[parent].first_child = child as u32;
+        child
+    }
+
+    /// The field child of `node` named `name`.
+    fn field(&self, node: usize, name: &[u8]) -> Option<usize> {
+        let n = &self.nodes[node];
+        if n.field_lens & 1 << name.len().min(63) == 0 {
+            return None;
+        }
+        let hash = name_hash(name);
+        let mut at = hash;
+        loop {
+            let (slot_hash, child) = self.table[(n.table + (at & n.table_mask)) as usize];
+            if child == NONE {
+                return None;
+            }
+            if slot_hash == hash {
+                let Edge::Field { start, len } = self.nodes[child as usize].edge else {
+                    unreachable!("field tables hold field children")
+                };
+                if &self.names.as_bytes()[start as usize..(start + len) as usize] == name {
+                    return Some(child as usize);
+                }
+            }
+            at = at.wrapping_add(1);
+        }
+    }
+}
+
+/// A field name's hash (the Fx word step over its bytes and length), in
+/// the bits a power-of-two table indexes with.
+fn name_hash(name: &[u8]) -> u32 {
+    let mut h = name.len() as u64;
+    for word in name.chunks(8) {
+        let w = word.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b));
+        h = (h.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+    (h >> 32) as u32
+}
+
+/// What one thread's projections hand from one document to the next.
+#[derive(Default)]
+struct Projection {
+    /// Rendered values that are not a span of the input.
+    render: String,
+    /// An escaped key's unescaped name.
+    key: String,
+    /// Per set node, the stamp of the object scan that bound it.
+    seen: Vec<u32>,
+    /// The last stamp handed out.
+    stamp: u32,
+}
+
+impl Projection {
+    /// A stamp no node of `seen` holds yet.
+    fn next_stamp(&mut self) -> u32 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        self.stamp
+    }
+}
+
+thread_local! {
+    static PROJECTION: RefCell<Projection> = RefCell::new(Projection::default());
+}
+
+/// One [`TapeDoc::project`] call in progress.
+struct Walk<'w, 'a, F> {
+    tape: &'w TapeDoc<'a>,
+    set: &'w PathSet,
+    scratch: &'w mut Projection,
+    stats: &'w mut TapeStats,
+    emit: F,
+}
+
+impl<F: FnMut(usize, &str)> Walk<'_, '_, F> {
+    /// Set node `t` is bound to tape entry `v`; evaluating each path
+    /// through `t` on its own would so far have skipped `acc` entries.
+    fn visit(&mut self, t: usize, v: usize, acc: u64) {
+        let (tape, set) = (self.tape, self.set);
+        let ends = || {
+            let mut e = set.nodes[t].first_end;
+            std::iter::from_fn(move || {
+                let end = set.ends.get(e as usize)?;
+                e = end.next;
+                Some(end)
+            })
+        };
+        // Rendered once, however many paths end here.
+        let rendered = ends()
+            .any(|end| end.rest.is_none())
+            .then(|| tape.render(v, &mut self.scratch.render));
+        for end in ends() {
+            self.stats.nodes_skipped += acc;
+            match &end.rest {
+                None => (self.emit)(end.slot, rendered.expect("rendered above")),
+                Some(rest) => {
+                    if let Some(value) = crate::parse(tape.span(v))
+                        .ok()
+                        .and_then(|doc| rest.eval(&doc).map(|v| v.to_hive_string()))
+                    {
+                        (self.emit)(end.slot, &value);
+                    }
+                }
+            }
+        }
+        if set.nodes[t].first_child == NONE {
+            return;
+        }
+        match tape.nodes[v].kind {
+            NodeKind::Object => self.object(t, v, acc),
+            NodeKind::Array => self.array(t, v, acc),
+            // No step goes on from a scalar: each path through a child
+            // stops here.
+            _ => {
+                for c in set.children(t) {
+                    self.stats.nodes_skipped += acc * set.nodes[c].below;
+                }
+            }
+        }
+    }
+
+    /// Scan object `v`'s keys once for the field children of `t`.
+    fn object(&mut self, t: usize, v: usize, acc: u64) {
+        let (tape, set) = (self.tape, self.set);
+        let end = tape.nodes[v].skip as usize;
+        let wanted = set.nodes[t].fields;
+        let stamp = self.scratch.next_stamp();
+        let (mut bound, mut keys) = (0, 0usize);
+        let mut k = v + 1;
+        while bound < wanted && k < end {
+            let key = tape.nodes[k];
+            debug_assert_eq!(key.kind, NodeKind::Key);
+            let next = key.skip as usize;
+            let name = tape.key_name(&key, &mut self.scratch.key);
+            if let Some(c) = set.field(t, name) {
+                if self.scratch.seen[c] != stamp {
+                    self.scratch.seen[c] = stamp;
+                    bound += 1;
+                    // On its own, the lookup hops the value subtrees of the
+                    // `keys` keys before this one, then everything after
+                    // the matched value.
+                    let hopped = (k - v - 1 - keys) + (end - next);
+                    self.visit(c, k + 1, acc + hopped as u64);
+                }
+            }
+            keys += 1;
+            k = next;
+        }
+        // A name still unbound was looked for over the whole object, which
+        // hops every value subtree. Index steps go on from an array only.
+        let values = (end - v - 1 - keys) as u64;
+        for c in set.children(t) {
+            let node = &set.nodes[c];
+            match node.edge {
+                Edge::Field { .. } if self.scratch.seen[c] == stamp => {}
+                Edge::Field { .. } => self.stats.nodes_skipped += (acc + values) * node.below,
+                _ => self.stats.nodes_skipped += acc * node.below,
+            }
+        }
+    }
+
+    /// Hop to each index child of `t` in array `v`.
+    fn array(&mut self, t: usize, v: usize, acc: u64) {
+        let (tape, set) = (self.tape, self.set);
+        let end = tape.nodes[v].skip as usize;
+        for child in set.children(t) {
+            let Edge::Index(want) = set.nodes[child].edge else {
+                self.stats.nodes_skipped += acc * set.nodes[child].below;
+                continue;
+            };
+            let mut element = v + 1;
+            let mut i = 0;
+            while element < end && i < want {
+                element = tape.nodes[element].skip as usize;
+                i += 1;
+            }
+            if element < end {
+                // The elements before it, then everything after it.
+                let next = tape.nodes[element].skip as usize;
+                let hopped = (element - v - 1) + (end - next);
+                self.visit(child, element, acc + hopped as u64);
+            } else {
+                self.stats.nodes_skipped += (acc + (end - v - 1) as u64) * set.nodes[child].below;
+            }
         }
     }
 }
@@ -877,6 +1291,90 @@ mod tests {
             assert!(n.skip as usize > i, "skip must advance at entry {i}");
             assert!(n.skip as usize <= nodes.len());
             assert!(n.end > n.start, "non-empty span at entry {i}");
+        }
+    }
+
+    /// Every literal the renderer copies is what parsing and formatting
+    /// it would give, and the ones it must not copy are formatted.
+    #[test]
+    fn number_literals_copied_only_when_they_are_their_rendering() {
+        let format = |text: &str| match Parser::new(text).parse_number().unwrap() {
+            JsonValue::Number(n) => n.to_string(),
+            _ => unreachable!(),
+        };
+        let mut literals: Vec<String> = [
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "123456789012345678",
+            "-123456789012345678",
+            "1234567890123456789",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "0.0",
+            "-0.0",
+            "3.0",
+            "3.00",
+            "3.10",
+            "1.50",
+            "0.1",
+            "0.001",
+            "-12.25",
+            "12.25",
+            "1e2",
+            "1E2",
+            "1.5e3",
+            "-0.5",
+            "99999999999999.0",
+            "999999999999999.0",
+            "1000000000000000.0",
+            "0.30000000000000004",
+            "0.123456789012345",
+            "0.1234567890123456",
+            "5e-324",
+            "1e999",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let int = x % 10u64.pow((x >> 60) as u32 % 16);
+            let frac_digits = (x >> 40) as usize % 9;
+            let frac = format!(
+                "{:0width$}",
+                (x >> 8) % 10u64.pow(frac_digits as u32),
+                width = frac_digits
+            );
+            let sign = if x & 1 == 1 { "-" } else { "" };
+            literals.push(match frac_digits {
+                0 => format!("{sign}{int}"),
+                _ => format!("{sign}{int}.{frac}"),
+            });
+        }
+        let mut copied = 0;
+        for text in &literals {
+            if is_hive_rendering(text) {
+                assert_eq!(format(text), *text, "copied {text} is not its rendering");
+                copied += 1;
+            }
+        }
+        assert!(copied > 10_000, "only {copied} literals took the copy");
+        for text in [
+            "-0",
+            "-0.0",
+            "3.00",
+            "1.50",
+            "1e2",
+            "9223372036854775808",
+            "1000000000000000.0",
+        ] {
+            assert!(!is_hive_rendering(text), "{text} must be formatted");
         }
     }
 

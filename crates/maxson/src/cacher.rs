@@ -22,10 +22,13 @@
 //! [`JsonPathCacher::refresh_incremental`] — is one flat list of
 //! `(cache table, split)` tasks on the engine's split pool (`MAXSON_THREADS`
 //! workers, default one per core), the paper's "scalable way using Spark".
-//! A task reads its raw split, projects every cached path of the table off
-//! one tape per document straight into per-path string columns, and encodes
-//! and writes its own `part-0000k.norc`; tasks share nothing, so at most
-//! *workers* splits are in memory. The calling thread registers the parts
+//! A task touches each byte of its raw split once: each document is
+//! borrowed from the read buffer (`NorcFile::visit_strs`), built into one
+//! tape and walked once against the table's cached paths, compiled once per
+//! build into a [`PathSet`]; each value found costs one `Arc<str>`, pushed
+//! straight into its per-path string column, and the columns are encoded
+//! and written as the task's own `part-0000k.norc` without a copy. Tasks
+//! share nothing, so at most *workers* splits are in memory. The calling thread registers the parts
 //! in split order, one `_meta.json` write per table, and only once every
 //! task succeeded: a failed or panicking task is an error naming its table
 //! and split, and leaves no part listed that was not written.
@@ -36,7 +39,7 @@ use std::sync::Arc;
 
 use maxson_engine::exec::default_threads;
 use maxson_engine::{pool, Config, EngineError};
-use maxson_json::tape::{project_paths, TapeStats};
+use maxson_json::tape::{PathSet, TapeDoc, TapeStats};
 use maxson_json::{parse as json_parse, JsonPath, JsonValue};
 use maxson_storage::file::{NorcWriter, WriteOptions};
 use maxson_storage::{Catalog, ColumnData, ColumnType, Field, Schema, Table};
@@ -319,17 +322,17 @@ impl JsonPathCacher {
     }
 }
 
-/// The cached paths of one source column, grouped so cache population
-/// builds exactly one tape per raw JSON document no matter how many paths
-/// it caches from it — the combiner-side mirror of the engine's
-/// shared-parse slots.
+/// The cached paths of one source column, compiled once per table build
+/// into one [`PathSet`], so cache population walks each raw JSON document
+/// once no matter how many paths it caches from it — the combiner-side
+/// mirror of the engine's shared-parse slots.
 struct ColumnPaths {
     /// Raw-table column index holding the JSON string.
     col: usize,
-    /// Cache-table column each path fills, in `paths` order.
+    /// Cache-table column each path fills, in `set` order.
     slots: Vec<usize>,
     /// The cached paths over this column.
-    paths: Vec<JsonPath>,
+    set: PathSet,
 }
 
 /// What the split tasks of one cache table share: where to read, what to
@@ -357,24 +360,28 @@ impl TableBuild {
         let source = format!("{database}.{table}");
         let raw = catalog.table(database, table)?.clone();
         let cache = catalog.table(CACHE_DB, &cache_table)?.clone();
-        let mut groups: Vec<ColumnPaths> = Vec::new();
+        let mut columns: Vec<(usize, Vec<usize>, Vec<JsonPath>)> = Vec::new();
         for (slot, (column, path)) in fields.iter().enumerate() {
             let col = raw.schema().index_of(column).ok_or_else(|| {
                 MaxsonError::invalid(format!("column {column} missing in {source}"))
             })?;
             let path = JsonPath::parse(path)
                 .map_err(|e| MaxsonError::invalid(format!("bad path: {e}")))?;
-            let at = groups.iter().position(|g| g.col == col).unwrap_or_else(|| {
-                groups.push(ColumnPaths {
-                    col,
-                    slots: Vec::new(),
-                    paths: Vec::new(),
-                });
-                groups.len() - 1
+            let at = columns.iter().position(|g| g.0 == col).unwrap_or_else(|| {
+                columns.push((col, Vec::new(), Vec::new()));
+                columns.len() - 1
             });
-            groups[at].slots.push(slot);
-            groups[at].paths.push(path);
+            columns[at].1.push(slot);
+            columns[at].2.push(path);
         }
+        let groups = columns
+            .into_iter()
+            .map(|(col, slots, paths)| ColumnPaths {
+                col,
+                slots,
+                set: PathSet::new(&paths),
+            })
+            .collect();
         Ok(TableBuild {
             source,
             raw,
@@ -385,10 +392,13 @@ impl TableBuild {
     }
 
     /// Build cache part `split` from raw part `split`: same row count, same
-    /// row-group boundaries. One tape per JSON document answers every
-    /// cached path over it; non-string and invalid documents leave their
-    /// values NULL, exactly as a per-path DOM parse would. Returns the
-    /// decoded bytes of the values written.
+    /// row-group boundaries. Each JSON document is borrowed from the read
+    /// buffer, built into one tape and walked once for every cached path
+    /// over it; each value found costs one `Arc<str>`, pushed straight into
+    /// its cache column, which the writer encodes in place. Non-string
+    /// and invalid documents leave their values NULL, exactly as a
+    /// per-path DOM parse would. Returns the decoded bytes of the values
+    /// written.
     fn build_split(&self, split: usize) -> Result<u64> {
         let file = self.raw.open_split(split)?;
         // Reconstruct the raw file's row-group size so boundaries match.
@@ -397,42 +407,49 @@ impl TableBuild {
             .map(|rg| rg.row_count)
             .max()
             .unwrap_or(maxson_storage::DEFAULT_ROW_GROUP_SIZE);
-        let needed: Vec<usize> = self.groups.iter().map(|g| g.col).collect();
-        let raw_cols = file.read_columns(&needed, None)?;
         let rows = file.num_rows();
         let width = self.cache.schema().len();
-        let mut valid = vec![vec![false; rows]; width];
-        let null: Arc<str> = Arc::from("");
-        let mut values = vec![vec![null; rows]; width];
+        // NULLs and empty values share one buffer.
+        let empty: Arc<str> = Arc::from("");
+        let mut columns: Vec<(Vec<bool>, Vec<Arc<str>>)> = (0..width)
+            .map(|_| (Vec::with_capacity(rows), Vec::with_capacity(rows)))
+            .collect();
         let mut bytes = 0u64;
         let mut stats = TapeStats::default();
-        for (g, raw_col) in self.groups.iter().zip(&raw_cols) {
-            let ColumnData::Utf8 {
-                valid: present,
-                values: docs,
-            } = raw_col
-            else {
-                continue;
-            };
-            for (row, json) in docs.iter().enumerate().filter(|(row, _)| present[*row]) {
-                for (&slot, value) in g
-                    .slots
-                    .iter()
-                    .zip(project_paths(json, &g.paths, &mut stats))
-                {
-                    if let Some(value) = value {
+        for g in &self.groups {
+            let mut row = 0;
+            let mut project = |doc: Option<&str>| {
+                if let Some(tape) = doc.and_then(|doc| TapeDoc::build(doc).ok()) {
+                    tape.project(&g.set, &mut stats, |i, value| {
+                        let (valid, values) = &mut columns[g.slots[i]];
+                        valid.push(true);
+                        values.push(match value {
+                            "" => Arc::clone(&empty),
+                            value => Arc::from(value),
+                        });
                         bytes += value.len() as u64;
-                        valid[slot][row] = true;
-                        values[slot][row] = value;
+                    });
+                }
+                // A path the document did not answer is NULL, which costs
+                // the marker byte of `Cell::Null.byte_size()`.
+                row += 1;
+                for &slot in &g.slots {
+                    let (valid, values) = &mut columns[slot];
+                    if valid.len() < row {
+                        valid.push(false);
+                        values.push(Arc::clone(&empty));
+                        bytes += 1;
                     }
                 }
+            };
+            if file.schema().fields()[g.col].ty == ColumnType::Utf8 {
+                file.visit_strs(g.col, None, &mut project)?;
+            } else {
+                (0..rows).for_each(|_| project(None));
             }
         }
-        // A NULL costs the marker byte of `Cell::Null.byte_size()`.
-        bytes += valid.iter().flatten().filter(|v| !**v).count() as u64;
-        let columns: Vec<ColumnData> = valid
+        let columns: Vec<ColumnData> = columns
             .into_iter()
-            .zip(values)
             .map(|(valid, values)| ColumnData::Utf8 { valid, values })
             .collect();
         let mut writer = NorcWriter::create(

@@ -26,6 +26,7 @@
 //! * [`pipeline`] — `MaxsonPipeline`, the end-to-end "every midnight" cycle
 //!   used by the examples and benchmarks.
 
+#![deny(unreachable_pub)]
 pub mod cacher;
 pub mod error;
 pub mod mpjp;

@@ -17,9 +17,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use maxson_engine::pool;
-use maxson_json::tape::{project_paths, TapeStats};
+use maxson_json::tape::{PathSet, TapeDoc, TapeStats};
 use maxson_json::JsonPath;
-use maxson_storage::{Catalog, ColumnData, Table};
+use maxson_storage::{Catalog, ColumnType, Table};
 use maxson_trace::{JsonPathLocation, QueryRecord};
 
 use crate::cacher::pool_threads;
@@ -190,8 +190,9 @@ fn measure_source(
 
 /// Average (parse-cost proxy, value bytes) of each of `paths` over the
 /// first [`SAMPLE_ROWS`] documents of the table's first split: only those
-/// rows are decoded, and every path is answered from **one tape per
-/// sampled document**. The cost proxy is the mean raw document length in
+/// rows are read, each borrowed from the read buffer, and every path is
+/// answered by **one walk of one tape per sampled document** — the cache
+/// build's compiled [`PathSet`] walk. The cost proxy is the mean raw document length in
 /// bytes: evaluating a path through a full parse reads every input byte, so
 /// the cost ratio between two paths on the same column equals their
 /// document ratio — exactly what `A_j` divides away — while staying
@@ -201,26 +202,28 @@ fn measure_sample(table: &Table, column: usize, paths: &[JsonPath]) -> Result<Ve
     let mut docs = 0usize;
     let mut doc_bytes = 0usize;
     let mut value_bytes = vec![0usize; paths.len()];
-    if table.file_count() > 0 {
-        let file = table.open_split(0)?;
+    let file = match table.file_count() {
+        0 => None,
+        _ => Some(table.open_split(0)?),
+    };
+    if let Some(file) = file.filter(|f| f.schema().fields()[column].ty == ColumnType::Utf8) {
         let rows: Vec<u32> = (0..file.num_rows().min(SAMPLE_ROWS) as u32).collect();
-        let sample = file
-            .read_columns_at(&[column], None, Some(&rows))?
-            .swap_remove(0);
-        if let ColumnData::Utf8 { valid, values } = &sample {
-            let mut stats = TapeStats::default();
-            for (_, json) in valid.iter().zip(values).filter(|(valid, _)| **valid) {
-                docs += 1;
-                doc_bytes += json.len();
-                for (sum, value) in value_bytes
-                    .iter_mut()
-                    .zip(project_paths(json, paths, &mut stats))
-                {
-                    // A miss costs the NULL marker byte of Cell::Null.byte_size().
-                    *sum += value.map_or(1, |v| v.len());
-                }
+        let set = PathSet::new(paths);
+        let mut stats = TapeStats::default();
+        file.visit_strs(column, Some(&rows), |json| {
+            let Some(json) = json else { return };
+            docs += 1;
+            doc_bytes += json.len();
+            // Every path is charged the NULL marker byte of
+            // `Cell::Null.byte_size()` first; a path with a value trades it
+            // for the value's length.
+            value_bytes.iter_mut().for_each(|sum| *sum += 1);
+            if let Ok(tape) = TapeDoc::build(json) {
+                tape.project(&set, &mut stats, |i, value| {
+                    value_bytes[i] = value_bytes[i] - 1 + value.len();
+                });
             }
-        }
+        })?;
     }
     if docs == 0 {
         return Ok(vec![(0.0, 1.0); paths.len()]);

@@ -21,7 +21,7 @@ fn s(v: &str) -> JsonValue {
 }
 
 /// Render `snap` as a Trace Event Format document.
-pub fn to_chrome_json(snap: &TraceSnapshot) -> String {
+pub(crate) fn to_chrome_json(snap: &TraceSnapshot) -> String {
     let mut events: Vec<JsonValue> = Vec::new();
     for (track, name) in snap.threads.iter().enumerate() {
         events.push(JsonValue::object(vec![

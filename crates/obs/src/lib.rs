@@ -26,6 +26,7 @@
 //! `attr` never formats its value (the generic parameter is only rendered
 //! after the enabled check): branch-on-a-bool, no allocation, no lock.
 
+#![deny(unreachable_pub)]
 mod chrome;
 mod hist;
 mod metrics;

@@ -19,6 +19,7 @@
 //!   sequence*, with 70/20/10 train/validation/test splits,
 //! * [`eval`] — precision / recall / F1.
 
+#![deny(unreachable_pub)]
 pub mod crf;
 pub mod eval;
 pub mod features;

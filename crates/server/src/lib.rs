@@ -14,6 +14,7 @@
 //! scheduling model, and `tests/server_differential.rs` for the proof that
 //! served results are byte-identical to serial in-process execution.
 
+#![deny(unreachable_pub)]
 pub mod client;
 pub mod sched;
 pub mod server;

@@ -1,11 +1,13 @@
 //! In-memory column vectors.
 
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::cell::Cell;
 use crate::encoding::{
     read_str, read_varint, rle_decode_i64_with, rle_encode_i64, skip_str, write_bitmap, write_f64,
-    write_str, write_varint, Bitmap,
+    write_str, write_varint, Bitmap, DictHash,
 };
 use crate::error::{Result, StorageError};
 use crate::schema::ColumnType;
@@ -281,36 +283,31 @@ impl ColumnData {
 
     /// Encode into `out`. Layout: null bitmap, then type-specific stream.
     pub fn encode(&self, out: &mut Vec<u8>) {
+        self.encode_rows(0..self.len(), out);
+    }
+
+    /// Encode rows `rows` into `out`, as [`ColumnData::encode`] encodes a
+    /// column holding just those rows.
+    pub(crate) fn encode_rows(&self, rows: Range<usize>, out: &mut Vec<u8>) {
         match self {
             ColumnData::Int64 { valid, values } => {
-                write_bitmap(out, valid);
-                rle_encode_i64(values, out);
+                write_bitmap(out, &valid[rows.clone()]);
+                rle_encode_i64(&values[rows], out);
             }
             ColumnData::Float64 { valid, values } => {
-                write_bitmap(out, valid);
-                write_varint(out, values.len() as u64);
-                for &v in values {
+                write_bitmap(out, &valid[rows.clone()]);
+                write_varint(out, rows.len() as u64);
+                for &v in &values[rows] {
                     write_f64(out, v);
                 }
             }
             ColumnData::Utf8 { valid, values } => {
-                write_bitmap(out, valid);
+                let values = &values[rows.clone()];
+                write_bitmap(out, &valid[rows]);
                 write_varint(out, values.len() as u64);
                 // Dictionary encoding (like ORC's DICTIONARY_V2) when the
                 // column is repetitive enough to pay off; plain otherwise.
-                let mut dict: Vec<&str> = Vec::new();
-                let mut index_of: std::collections::HashMap<&str, usize> =
-                    std::collections::HashMap::new();
-                let mut indexes: Vec<i64> = Vec::with_capacity(values.len());
-                for v in values {
-                    let idx = *index_of.entry(v.as_ref()).or_insert_with(|| {
-                        dict.push(v.as_ref());
-                        dict.len() - 1
-                    });
-                    indexes.push(idx as i64);
-                }
-                let use_dict = !values.is_empty() && dict.len() * 2 <= values.len();
-                if use_dict {
+                if let Some((dict, indexes)) = dictionary(values) {
                     out.push(1); // dictionary stream
                     write_varint(out, dict.len() as u64);
                     for d in &dict {
@@ -325,8 +322,8 @@ impl ColumnData {
                 }
             }
             ColumnData::Bool { valid, values } => {
-                write_bitmap(out, valid);
-                write_bitmap(out, values);
+                write_bitmap(out, &valid[rows.clone()]);
+                write_bitmap(out, &values[rows]);
             }
         }
     }
@@ -355,21 +352,8 @@ impl ColumnData {
         pos: &mut usize,
         select: Option<&[u32]>,
     ) -> Result<usize> {
-        let validity = Bitmap::read(buf, pos)?;
+        let validity = chunk_validity(buf, pos, select)?;
         let rows = validity.len();
-        if select.is_some_and(|s| s.last().is_some_and(|&r| r as usize >= rows)) {
-            return Err(StorageError::corrupt("chunk row count mismatch"));
-        }
-        // Float and string streams repeat the row count.
-        let check_count = |pos: &mut usize, what: &str| {
-            if read_varint(buf, pos)? == rows as u64 {
-                Ok(())
-            } else {
-                Err(StorageError::corrupt(format!(
-                    "{what} column length mismatch"
-                )))
-            }
-        };
         match self {
             ColumnData::Int64 { valid, values } => {
                 validity.append_to(valid, select);
@@ -379,7 +363,7 @@ impl ColumnData {
                 })?;
             }
             ColumnData::Float64 { valid, values } => {
-                check_count(pos, "float")?;
+                check_count(buf, pos, rows, "float")?;
                 let raw = rows
                     .checked_mul(8)
                     .and_then(|len| pos.checked_add(len))
@@ -397,60 +381,12 @@ impl ColumnData {
                 }
             }
             ColumnData::Utf8 { valid, values } => {
-                check_count(pos, "string")?;
-                let mode = *buf
-                    .get(*pos)
-                    .ok_or_else(|| StorageError::corrupt("string stream mode truncated"))?;
-                *pos += 1;
-                // Every plain string and every dictionary entry costs at
-                // least its length byte.
-                let left = buf.len() - *pos;
-                match mode {
-                    0 => {
-                        if rows > left {
-                            return Err(StorageError::corrupt("string truncated"));
-                        }
-                        validity.append_to(valid, select);
-                        let mut wanted = select.map(|s| s.iter().peekable());
-                        for i in 0..rows {
-                            let keep = wanted
-                                .as_mut()
-                                .is_none_or(|w| w.next_if(|&&r| r as usize == i).is_some());
-                            if keep && validity.get(i) {
-                                values.push(shared_str(read_str(buf, pos)?));
-                            } else {
-                                skip_str(buf, pos)?;
-                                if keep {
-                                    values.push(shared_str(""));
-                                }
-                            }
-                        }
-                    }
-                    1 => {
-                        let dict_len = read_varint(buf, pos)?;
-                        if dict_len > left as u64 {
-                            return Err(StorageError::corrupt("dictionary longer than its chunk"));
-                        }
-                        // Rows sharing a dictionary entry share one
-                        // allocation in memory too.
-                        let dict = (0..dict_len)
-                            .map(|_| read_str(buf, pos).map(shared_str))
-                            .collect::<Result<Vec<Arc<str>>>>()?;
-                        validity.append_to(valid, select);
-                        rle_decode_i64_with(buf, pos, rows, select, |i| {
-                            let entry = usize::try_from(i).ok().and_then(|i| dict.get(i));
-                            values.push(Arc::clone(entry.ok_or_else(|| {
-                                StorageError::corrupt("dictionary index out of range")
-                            })?));
-                            Ok(())
-                        })?;
-                    }
-                    m => {
-                        return Err(StorageError::corrupt(format!(
-                            "unknown string stream mode {m}"
-                        )))
-                    }
-                }
+                validity.append_to(valid, select);
+                // Rows sharing a dictionary entry share one allocation in
+                // memory too.
+                decode_str_stream(buf, pos, validity, select, shared_str, |value| {
+                    values.push(value.unwrap_or_else(|| shared_str("")));
+                })?;
             }
             ColumnData::Bool { valid, values } => {
                 let bits = Bitmap::read(buf, pos)?;
@@ -520,6 +456,151 @@ impl ColumnData {
             ColumnData::Bool { values, .. } => values.len(),
         }
     }
+}
+
+/// The dictionary of a string column — its distinct values in order of
+/// first appearance — and each row's index into it, when at most half of
+/// the rows hold a new value. The probe stops at the first value past that
+/// share, where the plain stream is certain: a column of unique values (a
+/// cache column, mostly) is hashed only halfway.
+fn dictionary(values: &[Arc<str>]) -> Option<(Vec<&str>, Vec<i64>)> {
+    if values.is_empty() {
+        return None;
+    }
+    // Sized for the most entries a dictionary may hold: no probe regrows.
+    let most = values.len() / 2 + 1;
+    let mut dict: Vec<&str> = Vec::with_capacity(most);
+    let mut index_of: HashMap<&str, usize, DictHash> =
+        HashMap::with_capacity_and_hasher(most, DictHash);
+    let mut indexes: Vec<i64> = Vec::with_capacity(values.len());
+    for v in values {
+        let idx = *index_of.entry(v.as_ref()).or_insert_with(|| {
+            dict.push(v.as_ref());
+            dict.len() - 1
+        });
+        if dict.len() * 2 > values.len() {
+            return None;
+        }
+        indexes.push(idx as i64);
+    }
+    Some((dict, indexes))
+}
+
+/// The validity bitmap that opens every chunk, checked against the
+/// highest row `select` wants.
+fn chunk_validity<'b>(
+    buf: &'b [u8],
+    pos: &mut usize,
+    select: Option<&[u32]>,
+) -> Result<Bitmap<'b>> {
+    let validity = Bitmap::read(buf, pos)?;
+    if select.is_some_and(|s| s.last().is_some_and(|&r| r as usize >= validity.len())) {
+        return Err(StorageError::corrupt("chunk row count mismatch"));
+    }
+    Ok(validity)
+}
+
+/// Float and string streams repeat the chunk's row count.
+fn check_count(buf: &[u8], pos: &mut usize, rows: usize, what: &str) -> Result<()> {
+    if read_varint(buf, pos)? == rows as u64 {
+        Ok(())
+    } else {
+        Err(StorageError::corrupt(format!(
+            "{what} column length mismatch"
+        )))
+    }
+}
+
+/// Decode one encoded Utf8 chunk from `buf`, advancing `pos` past it, and
+/// hand each kept row's value to `visit` in row order — every row, or with
+/// `select` (ascending chunk-local row indexes) only those; `None` is a
+/// NULL. The values are `&str`s borrowed from `buf`: nothing is copied.
+/// Returns the chunk's row count.
+pub(crate) fn decode_strs<'b>(
+    buf: &'b [u8],
+    pos: &mut usize,
+    select: Option<&[u32]>,
+    visit: impl FnMut(Option<&'b str>),
+) -> Result<usize> {
+    let validity = chunk_validity(buf, pos, select)?;
+    decode_str_stream(buf, pos, validity, select, |s| s, visit)?;
+    Ok(validity.len())
+}
+
+/// The one string-stream decoder, behind [`decode_strs`] and
+/// [`ColumnData::decode_into`]: `make` turns each plain string and each
+/// dictionary entry into a value once, and `visit` gets each kept row's
+/// value (a clone of its entry's, for a dictionary row). A skipped plain
+/// string is stepped over unvalidated.
+///
+/// Every count in the stream is checked against the bytes that must back
+/// it before it sizes anything.
+fn decode_str_stream<'b, T: Clone>(
+    buf: &'b [u8],
+    pos: &mut usize,
+    validity: Bitmap<'_>,
+    select: Option<&[u32]>,
+    make: impl Fn(&'b str) -> T,
+    mut visit: impl FnMut(Option<T>),
+) -> Result<()> {
+    let rows = validity.len();
+    check_count(buf, pos, rows, "string")?;
+    let mode = *buf
+        .get(*pos)
+        .ok_or_else(|| StorageError::corrupt("string stream mode truncated"))?;
+    *pos += 1;
+    // Every plain string and every dictionary entry costs at least its
+    // length byte.
+    let left = buf.len() - *pos;
+    match mode {
+        0 => {
+            if rows > left {
+                return Err(StorageError::corrupt("string truncated"));
+            }
+            let mut wanted = select.map(|s| s.iter().peekable());
+            for i in 0..rows {
+                let keep = wanted
+                    .as_mut()
+                    .is_none_or(|w| w.next_if(|&&r| r as usize == i).is_some());
+                if keep && validity.get(i) {
+                    visit(Some(make(read_str(buf, pos)?)));
+                } else {
+                    skip_str(buf, pos)?;
+                    if keep {
+                        visit(None);
+                    }
+                }
+            }
+        }
+        1 => {
+            let dict_len = read_varint(buf, pos)?;
+            if dict_len > left as u64 {
+                return Err(StorageError::corrupt("dictionary longer than its chunk"));
+            }
+            let dict = (0..dict_len)
+                .map(|_| read_str(buf, pos).map(&make))
+                .collect::<Result<Vec<T>>>()?;
+            // How many indexes were decoded: the next one's row is
+            // `select[next]`, or `next` itself without a selection.
+            let mut next = 0usize;
+            rle_decode_i64_with(buf, pos, rows, select, |i| {
+                let entry = usize::try_from(i)
+                    .ok()
+                    .and_then(|i| dict.get(i))
+                    .ok_or_else(|| StorageError::corrupt("dictionary index out of range"))?;
+                let row = select.map_or(next, |s| s[next] as usize);
+                next += 1;
+                visit(validity.get(row).then(|| entry.clone()));
+                Ok(())
+            })?;
+        }
+        m => {
+            return Err(StorageError::corrupt(format!(
+                "unknown string stream mode {m}"
+            )))
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -770,6 +851,35 @@ mod dict_tests {
         assert_eq!(buf[pos], 0, "unique values must use the plain stream");
         let (back, _) = round_trip(&col);
         assert_eq!(back, col);
+    }
+
+    /// The probe that stops early picks what counting every distinct value
+    /// picks — a dictionary exactly when at most half the rows are distinct
+    /// — wherever the new values fall in the column.
+    #[test]
+    fn dictionary_choice_is_the_half_rule_in_any_order() {
+        for rows in 1..24usize {
+            for distinct in 1..=rows {
+                let front: Vec<String> = (0..rows)
+                    .map(|i| format!("v{}", i.min(distinct - 1)))
+                    .collect();
+                let back: Vec<String> = (0..rows)
+                    .map(|i| format!("v{}", (i + distinct).saturating_sub(rows)))
+                    .collect();
+                let cycled: Vec<String> = (0..rows).map(|i| format!("v{}", i % distinct)).collect();
+                for values in [front, back, cycled] {
+                    let refs: Vec<&str> = values.iter().map(String::as_str).collect();
+                    let col = utf8_col(&refs);
+                    let mut buf = Vec::new();
+                    col.encode(&mut buf);
+                    let mut pos = 0;
+                    let _ = Bitmap::read(&buf, &mut pos).unwrap();
+                    let _ = crate::encoding::read_varint(&buf, &mut pos).unwrap();
+                    assert_eq!(buf[pos] == 1, distinct * 2 <= rows, "{values:?}");
+                    assert_eq!(round_trip(&col).0, col);
+                }
+            }
+        }
     }
 
     #[test]

@@ -294,6 +294,66 @@ pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// The writer's dictionary-probe hasher: the Fx word step (rotate, xor,
+/// multiply a word at a time, several times cheaper than the standard
+/// library's SipHash on short strings), started from a key drawn once per
+/// process from the standard library's random source, and finished with
+/// an avalanche so the low bits a table indexes by depend on every input
+/// bit. The key keeps the values a column would need to collide, and so
+/// slow its probe, unknown in advance; the hash never changes what is
+/// written.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct DictHash;
+
+impl std::hash::BuildHasher for DictHash {
+    type Hasher = FxHasher;
+
+    fn build_hasher(&self) -> FxHasher {
+        static KEY: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+        let key = KEY.get_or_init(|| {
+            std::hash::BuildHasher::hash_one(&std::collections::hash_map::RandomState::new(), 0u8)
+        });
+        FxHasher { hash: *key }
+    }
+}
+
+/// The hasher [`DictHash`] builds.
+pub(crate) struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl std::hash::Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.hash;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^ h >> 33
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,10 +16,11 @@
 
 use std::fs;
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::cell::Cell;
-use crate::column::ColumnData;
+use crate::column::{decode_strs, ColumnData};
 use crate::encoding::{
     fnv1a, fnv1a_extend, read_f64, read_str, read_varint, write_f64, write_str, write_varint,
     FNV1A_EMPTY,
@@ -104,8 +105,8 @@ pub enum ColumnStats {
 }
 
 impl ColumnStats {
-    /// Statistics of one row group's column, folded in row order.
-    fn of(col: &ColumnData) -> Self {
+    /// Statistics of rows `rows` of one column, folded in row order.
+    fn of(col: &ColumnData, rows: Range<usize>) -> Self {
         fn nulls(valid: &[bool]) -> u64 {
             valid.iter().filter(|v| !**v).count() as u64
         }
@@ -117,12 +118,16 @@ impl ColumnStats {
                 .map(|(_, x)| x)
         }
         match col {
-            ColumnData::Int64 { valid, values } => ColumnStats::Int {
-                min: present(valid, values).copied().min(),
-                max: present(valid, values).copied().max(),
-                nulls: nulls(valid),
-            },
+            ColumnData::Int64 { valid, values } => {
+                let (valid, values) = (&valid[rows.clone()], &values[rows]);
+                ColumnStats::Int {
+                    min: present(valid, values).copied().min(),
+                    max: present(valid, values).copied().max(),
+                    nulls: nulls(valid),
+                }
+            }
             ColumnData::Float64 { valid, values } => {
+                let (valid, values) = (&valid[rows.clone()], &values[rows]);
                 let (mut min, mut max) = (None::<f64>, None::<f64>);
                 for &v in present(valid, values) {
                     min = Some(min.map_or(v, |m| m.min(v)));
@@ -135,6 +140,7 @@ impl ColumnStats {
                 }
             }
             ColumnData::Utf8 { valid, values } => {
+                let (valid, values) = (&valid[rows.clone()], &values[rows]);
                 let (mut min, mut max) = (None::<&str>, None::<&str>);
                 let (mut num_min, mut num_max) = (None::<f64>, None::<f64>);
                 let mut all_numeric = true;
@@ -164,6 +170,7 @@ impl ColumnStats {
                 }
             }
             ColumnData::Bool { valid, values } => {
+                let (valid, values) = (&valid[rows.clone()], &values[rows]);
                 let true_count = present(valid, values).filter(|b| **b).count() as u64;
                 let nulls = nulls(valid);
                 ColumnStats::Bool {
@@ -388,7 +395,9 @@ impl NorcWriter {
     /// schema column, of the column's type, all of one length. The chunk
     /// may be any length; row groups still close every `row_group_size`
     /// rows, so the file is the one the same rows would give through
-    /// [`NorcWriter::append_row`].
+    /// [`NorcWriter::append_row`]. A whole row group of the chunk is
+    /// encoded straight from it; only rows that share a row group with
+    /// rows of another append are copied into the pending group.
     pub fn append_columns(&mut self, columns: &[ColumnData]) -> Result<()> {
         self.check_width(columns.len(), "chunk", "columns")?;
         let rows = columns.first().map_or(0, ColumnData::len);
@@ -409,11 +418,15 @@ impl NorcWriter {
         let mut done = 0;
         while done < rows {
             let take = (self.options.row_group_size - self.pending_rows).min(rows - done);
-            for (pending, chunk) in self.pending_cols.iter_mut().zip(columns) {
-                pending.extend_from(chunk, done..done + take);
+            if take == self.options.row_group_size {
+                self.write_row_group(columns, done..done + take);
+            } else {
+                for (pending, chunk) in self.pending_cols.iter_mut().zip(columns) {
+                    pending.extend_from(chunk, done..done + take);
+                }
+                self.rows_added(take);
             }
             done += take;
-            self.rows_added(take);
         }
         Ok(())
     }
@@ -437,26 +450,35 @@ impl NorcWriter {
         }
     }
 
-    /// Close the pending row group: statistics and encoding of every column
-    /// happen here and nowhere else.
+    /// Close the pending row group.
     fn flush_row_group(&mut self) {
         if self.pending_rows == 0 {
             return;
         }
-        let mut chunks = Vec::with_capacity(self.pending_cols.len());
-        let mut columns = Vec::with_capacity(self.pending_cols.len());
-        for (col, field) in self.pending_cols.iter_mut().zip(self.schema.fields()) {
-            let start = self.body.len() as u64;
-            col.encode(&mut self.body);
-            chunks.push((start, self.body.len() as u64 - start));
-            columns.push(ColumnStats::of(col));
+        let mut pending = std::mem::take(&mut self.pending_cols);
+        let rows = std::mem::take(&mut self.pending_rows);
+        self.write_row_group(&pending, 0..rows);
+        for (col, field) in pending.iter_mut().zip(self.schema.fields()) {
             *col = ColumnData::empty(field.ty);
         }
-        let row_count = std::mem::take(&mut self.pending_rows);
+        self.pending_cols = pending;
+    }
+
+    /// Write rows `rows` of `columns` as one row group: statistics and
+    /// encoding of every column happen here and nowhere else.
+    fn write_row_group(&mut self, columns: &[ColumnData], rows: Range<usize>) {
+        let mut chunks = Vec::with_capacity(columns.len());
+        let mut stats = Vec::with_capacity(columns.len());
+        for col in columns {
+            let start = self.body.len() as u64;
+            col.encode_rows(rows.clone(), &mut self.body);
+            chunks.push((start, self.body.len() as u64 - start));
+            stats.push(ColumnStats::of(col, rows.clone()));
+        }
         self.current_stripe.push(RowGroupStats {
-            row_count,
+            row_count: rows.len(),
             chunks,
-            columns,
+            columns: stats,
         });
         if self.current_stripe.len() >= self.options.row_groups_per_stripe {
             self.stripes.push(StripeInfo {
@@ -705,6 +727,48 @@ impl NorcFile {
         keep: Option<&[bool]>,
         rows: Option<&[u32]>,
     ) -> Result<Vec<ColumnData>> {
+        let kept_rows = self.check_selection(keep, rows)?;
+        let mut out: Vec<ColumnData> = columns
+            .iter()
+            .map(|&c| ColumnData::empty(self.schema.fields()[c].ty))
+            .collect();
+        for col in &mut out {
+            col.reserve(rows.map_or(kept_rows, <[u32]>::len));
+        }
+        self.for_each_chunk(columns, keep, rows, |i, chunk, select| {
+            out[i].decode_into(chunk, &mut 0, select)
+        })?;
+        Ok(out)
+    }
+
+    /// Hand every value of string column `column` — at `rows`, ascending
+    /// row positions (`None` = every row) — to `visit` in row order, `None`
+    /// for a NULL. Each value borrows this thread's chunk buffer, which the
+    /// chunk was read into: no string is copied out of it, and none
+    /// outlives the call.
+    pub fn visit_strs(
+        &self,
+        column: usize,
+        rows: Option<&[u32]>,
+        mut visit: impl FnMut(Option<&str>),
+    ) -> Result<()> {
+        let field = &self.schema.fields()[column];
+        if field.ty != ColumnType::Utf8 {
+            return Err(StorageError::TypeMismatch {
+                column: field.name.clone(),
+                expected: ColumnType::Utf8.name(),
+                found: format!("a {} column", field.ty.name()),
+            });
+        }
+        self.check_selection(None, rows)?;
+        self.for_each_chunk(&[column], None, rows, |_, chunk, select| {
+            decode_strs(chunk, &mut 0, select, &mut visit)
+        })
+    }
+
+    /// Check `keep` against the row groups and `rows` against the rows of
+    /// the kept ones; returns how many rows the kept row groups hold.
+    fn check_selection(&self, keep: Option<&[bool]>, rows: Option<&[u32]>) -> Result<usize> {
         if let Some(keep) = keep {
             if keep.len() != self.row_group_count() {
                 return Err(StorageError::ShapeMismatch {
@@ -716,13 +780,7 @@ impl NorcFile {
                 });
             }
         }
-        let kept = || {
-            self.row_groups()
-                .enumerate()
-                .filter(|(rgi, _)| keep.is_none_or(|keep| keep[*rgi]))
-                .map(|(_, rg)| rg)
-        };
-        let kept_rows: usize = kept().map(|rg| rg.row_count).sum();
+        let kept_rows: usize = self.kept_row_groups(keep).map(|rg| rg.row_count).sum();
         if rows.is_some_and(|rows| {
             rows.last().is_some_and(|&r| r as usize >= kept_rows)
                 || rows.windows(2).any(|pair| pair[0] >= pair[1])
@@ -731,13 +789,34 @@ impl NorcFile {
                 detail: format!("row selection is not ascending within the {kept_rows} kept rows"),
             });
         }
-        let mut out: Vec<ColumnData> = columns
-            .iter()
-            .map(|&c| ColumnData::empty(self.schema.fields()[c].ty))
-            .collect();
-        for col in &mut out {
-            col.reserve(rows.map_or(kept_rows, <[u32]>::len));
-        }
+        Ok(kept_rows)
+    }
+
+    fn kept_row_groups<'f>(
+        &'f self,
+        keep: Option<&'f [bool]>,
+    ) -> impl Iterator<Item = &'f RowGroupStats> + 'f {
+        self.row_groups()
+            .enumerate()
+            .filter(move |(rgi, _)| keep.is_none_or(|keep| keep[*rgi]))
+            .map(|(_, rg)| rg)
+    }
+
+    /// The chunk loop behind every read, over a selection
+    /// [`NorcFile::check_selection`] accepted: each kept chunk of
+    /// `columns` is read with one positioned read into this thread's
+    /// reused buffer and handed to `decode(i, chunk, select)` — `i` its
+    /// position in `columns`, `select` the chunk-local indexes of the
+    /// wanted rows — which returns the chunk's row count. A row group none
+    /// of whose rows is wanted is not read at all. A file shortened since
+    /// it was opened is an [`StorageError::Io`].
+    fn for_each_chunk(
+        &self,
+        columns: &[usize],
+        keep: Option<&[bool]>,
+        rows: Option<&[u32]>,
+        mut decode: impl FnMut(usize, &[u8], Option<&[u32]>) -> Result<usize>,
+    ) -> Result<()> {
         // Taken, not borrowed: an error drops it, and the next read grows a
         // fresh one.
         let mut chunk = CHUNK_BUFFER.take();
@@ -746,7 +825,7 @@ impl NorcFile {
         let mut ahead = rows;
         let mut local: Vec<u32> = Vec::new();
         let mut base = 0usize;
-        for rg in kept() {
+        for rg in self.kept_row_groups(keep) {
             let end = base + rg.row_count;
             let select = ahead.as_mut().map(|ahead| {
                 let here = ahead.partition_point(|&r| (r as usize) < end);
@@ -759,7 +838,7 @@ impl NorcFile {
             if select.is_some_and(<[u32]>::is_empty) {
                 continue;
             }
-            for (col, &c) in out.iter_mut().zip(columns) {
+            for (i, &c) in columns.iter().enumerate() {
                 // `open` checked every chunk against the body's length.
                 let (off, len) = rg.chunks[c];
                 let len = len as usize;
@@ -767,13 +846,13 @@ impl NorcFile {
                     chunk.resize(len, 0);
                 }
                 read_at(&self.file, &mut chunk[..len], MAGIC.len() as u64 + off)?;
-                if col.decode_into(&chunk[..len], &mut 0, select)? != rg.row_count {
+                if decode(i, &chunk[..len], select)? != rg.row_count {
                     return Err(StorageError::corrupt("chunk row count mismatch"));
                 }
             }
         }
         CHUNK_BUFFER.set(chunk);
-        Ok(out)
+        Ok(())
     }
 
     /// Materialize full rows (all columns), mostly for tests and examples.
@@ -1162,6 +1241,47 @@ mod tests {
 
     /// Rows that exercise every stats and encoding branch: nulls, a
     /// dictionary-worthy string column, a numeric-string column, bools.
+    /// `visit_strs` hands out, row for row, what `read_columns_at` decodes —
+    /// plain and dictionary chunks, NULLs, with and without a selection —
+    /// and refuses a column that does not hold strings.
+    #[test]
+    fn visit_strs_borrows_what_read_columns_at_decodes() {
+        let (schema, rows) = mixed_rows(90);
+        let opts = WriteOptions {
+            row_group_size: 16,
+            ..Default::default()
+        };
+        let f = write_rows(temp_path("visit"), schema, &rows, opts).unwrap();
+        let picked: Vec<u32> = (0..90).filter(|r| r % 4 != 1).collect();
+        for column in [1, 3, 4] {
+            for select in [
+                None,
+                Some(&picked[..]),
+                Some(&[5, 16, 89][..]),
+                Some(&[][..]),
+            ] {
+                let decoded = f.read_columns_at(&[column], None, select).unwrap();
+                let mut visited = Vec::new();
+                f.visit_strs(column, select, |s| {
+                    visited.push(s.map_or(Cell::Null, Cell::from));
+                })
+                .unwrap();
+                let expected: Vec<Cell> =
+                    (0..decoded[0].len()).map(|i| decoded[0].get(i)).collect();
+                assert_eq!(visited, expected, "column {column} select {select:?}");
+            }
+        }
+        assert!(matches!(
+            f.visit_strs(0, None, |_| {}),
+            Err(StorageError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            f.visit_strs(1, Some(&[3, 2]), |_| {}),
+            Err(StorageError::ShapeMismatch { .. })
+        ));
+        std::fs::remove_file(f.path()).ok();
+    }
+
     fn mixed_rows(n: usize) -> (Schema, Vec<Vec<Cell>>) {
         let schema = Schema::new(vec![
             Field::new("id", ColumnType::Int64),

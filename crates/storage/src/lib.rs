@@ -23,6 +23,7 @@
 //! mis-read.
 
 #![deny(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub mod catalog;
 pub mod cell;

@@ -21,6 +21,7 @@
 //! deterministic by construction so behavior is pinned by seeds, not by
 //! whichever registry version resolution happens to pick.
 
+#![deny(unreachable_pub)]
 #[cfg(feature = "count-alloc")]
 pub mod alloc;
 pub mod bench;

@@ -18,6 +18,7 @@
 //! Collector*: it folds query records into a per-(path, date) access-count
 //! statistics table — the training input of the predictor.
 
+#![deny(unreachable_pub)]
 pub mod analysis;
 pub mod collector;
 pub mod model;

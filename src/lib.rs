@@ -1,4 +1,5 @@
 //! Umbrella crate re-exporting the Maxson reproduction workspace.
+#![deny(unreachable_pub)]
 pub use maxson;
 pub use maxson_datagen as datagen;
 pub use maxson_engine as engine;

@@ -174,8 +174,10 @@ fn scan_filter_hot_loop_allocations_per_row() {
 /// values on average, each an `Arc<str>` of its own). The row-at-a-time
 /// build — a tape's vectors and five index vectors per document, a
 /// `Vec<Cell>` per row — measured 43.2 here; the per-split column build
-/// measures 20.6.
-const CACHE_BUILD_ALLOCS_PER_ROW_CEILING: f64 = 30.0;
+/// 20.6; the borrowed-document build, one allocation per cached value and
+/// none per document, measures 11.1 (the rest is per split and per
+/// column: files, footers, statistics). The ceiling is that plus 10 %.
+const CACHE_BUILD_ALLOCS_PER_ROW_CEILING: f64 = 12.2;
 
 /// The write side of the same property: building the cache must not pay
 /// per-document scratch or per-row containers. Called from the one test

@@ -17,6 +17,10 @@
 //!    three parsers; selective queries under Tape skip nodes without
 //!    parsing a single extra document; a `MAXSON_PARSER` value resolves
 //!    through the configuration into the session that opens with it.
+//! 4. **The one-pass projector** — `TapeDoc::project` (one walk over a
+//!    document for a whole `PathSet`) against the DOM per path and against
+//!    a per-path tape navigator kept here as the reference, values and
+//!    `nodes_skipped` both, on hand-picked edge cases and the corpus.
 //!
 //! Parsers and thread counts are pinned per session, never through the
 //! process environment, so parallel tests cannot race on global state.
@@ -26,7 +30,8 @@ mod support;
 use maxson_engine::session::{JsonParserKind, Session};
 use maxson_engine::Config as SessionConfig;
 use maxson_json::mison::MisonProjector;
-use maxson_json::tape::{self, TapeStats};
+use maxson_json::path::Step;
+use maxson_json::tape::{self, NodeKind, PathSet, TapeDoc, TapeStats};
 use maxson_json::JsonPath;
 use maxson_storage::Cell;
 use maxson_testkit::corpus;
@@ -553,4 +558,228 @@ fn session_open_resolves_parser_from_env() {
 #[test]
 fn property_corpus_queries_three_way_identical() {
     property_agrees("tape_three_way_oracle", 10, &cells(false));
+}
+
+// ---------------------------------------------------------------------
+// The one-pass projector
+// ---------------------------------------------------------------------
+
+/// One path navigated on its own over a built tape, the way the tape
+/// evaluated paths before the one-pass projector: a field step probes the
+/// object's keys in document order from its first key, hopping each
+/// non-matching value's subtree, and takes the first match; an index step
+/// hops the elements before it; a wildcard finishes with the DOM on the
+/// subtree. Returns the rendered value and the entries the navigation
+/// hopped (its `nodes_skipped`).
+fn navigate_one_path(tape: &TapeDoc, input: &str, path: &JsonPath) -> (Option<String>, u64) {
+    let nodes = tape.nodes();
+    let span = |i: usize| &input[nodes[i].start as usize..nodes[i].end as usize];
+    let (mut node, mut hopped) = (0usize, 0u64);
+    for (si, step) in path.steps().iter().enumerate() {
+        let end = nodes[node].skip as usize;
+        let mut found = None;
+        match step {
+            Step::Field(name) if nodes[node].kind == NodeKind::Object => {
+                let mut k = node + 1;
+                while k < end {
+                    let next = nodes[k].skip as usize;
+                    let key = maxson_json::parse(span(k)).unwrap();
+                    if key.as_str() == Some(name.as_str()) {
+                        hopped += (end - next) as u64;
+                        found = Some(k + 1);
+                        break;
+                    }
+                    hopped += (next - k - 1) as u64;
+                    k = next;
+                }
+            }
+            Step::Index(want) if nodes[node].kind == NodeKind::Array => {
+                let (mut child, mut i) = (node + 1, 0);
+                while child < end {
+                    let next = nodes[child].skip as usize;
+                    if i == *want {
+                        hopped += (end - next) as u64;
+                        found = Some(child);
+                        break;
+                    }
+                    hopped += (next - child) as u64;
+                    child = next;
+                    i += 1;
+                }
+            }
+            Step::Wildcard => {
+                // The wildcard paths here have plain field names.
+                let mut rest = String::from("$");
+                for step in &path.steps()[si..] {
+                    match step {
+                        Step::Field(name) => rest.push_str(&format!(".{name}")),
+                        Step::Index(i) => rest.push_str(&format!("[{i}]")),
+                        Step::Wildcard => rest.push_str("[*]"),
+                    }
+                }
+                let doc = maxson_json::parse(span(node)).unwrap();
+                let value = JsonPath::parse(&rest).unwrap().eval(&doc);
+                return (value.map(|v| v.to_hive_string()), hopped);
+            }
+            _ => {}
+        }
+        match found {
+            Some(next) => node = next,
+            None => return (None, hopped),
+        }
+    }
+    let value = maxson_json::parse(span(node)).unwrap().to_hive_string();
+    (Some(value), hopped)
+}
+
+/// Project `paths` off `doc` every way there is — one `PathSet` walk,
+/// `eval_paths`, `project_paths`, each path alone — and check them against
+/// the DOM and the per-path navigator, `nodes_skipped` included.
+fn assert_projection_agrees(doc: &str, paths: &[JsonPath]) {
+    let dom: Vec<Option<String>> = paths
+        .iter()
+        .map(|p| maxson_json::get_json_object(doc, p))
+        .collect();
+    let mut shared_stats = TapeStats::default();
+    let shared: Vec<Option<String>> = tape::project_paths(doc, paths, &mut shared_stats)
+        .into_iter()
+        .map(|v| v.map(|s| s.to_string()))
+        .collect();
+    assert_eq!(
+        shared, dom,
+        "project_paths diverged from the DOM on {doc:?}"
+    );
+    let Ok(built) = TapeDoc::build(doc) else {
+        assert!(dom.iter().all(Option::is_none), "invalid {doc:?} answered");
+        return;
+    };
+    let mut alone_stats = TapeStats::default();
+    let mut reference_skipped = 0;
+    for (i, path) in paths.iter().enumerate() {
+        let (value, hopped) = navigate_one_path(&built, doc, path);
+        assert_eq!(
+            value, dom[i],
+            "navigator diverged from the DOM: {doc:?} {path}"
+        );
+        reference_skipped += hopped;
+        let alone = built
+            .eval_path(path, &mut alone_stats)
+            .map(|s| s.to_string());
+        assert_eq!(alone, dom[i], "eval_path diverged: {doc:?} {path}");
+    }
+    let mut set_stats = TapeStats::default();
+    let mut emitted: Vec<Option<String>> = vec![None; paths.len()];
+    built.project(&PathSet::new(paths), &mut set_stats, |i, value| {
+        assert!(emitted[i].is_none(), "path {i} emitted twice");
+        emitted[i] = Some(value.to_string());
+    });
+    assert_eq!(emitted, dom, "project diverged from the DOM on {doc:?}");
+    for (what, stats) in [
+        ("project", set_stats),
+        ("project_paths", shared_stats),
+        ("eval_path", alone_stats),
+    ] {
+        assert_eq!(
+            stats.nodes_skipped, reference_skipped,
+            "{what}: nodes_skipped is not the per-path sum on {doc:?}"
+        );
+    }
+}
+
+fn compile(paths: &[&str]) -> Vec<JsonPath> {
+    paths.iter().map(|p| JsonPath::parse(p).unwrap()).collect()
+}
+
+#[test]
+fn one_pass_projection_matches_per_path_on_edge_cases() {
+    let cases: &[(&str, &[&str])] = &[
+        // First occurrence wins, even as a scalar a longer path cannot
+        // step into.
+        (r#"{"a":1,"a":{"b":2}}"#, &["$.a", "$.a.b", "$.a.b"]),
+        (r#"{"a":{"b":2},"a":1,"c":3}"#, &["$.a.b", "$.a", "$.c"]),
+        // Escaped keys compare unescaped.
+        (
+            r#"{"we\"ird":7,"x\u0041":8,"tab\t":9}"#,
+            &["$.we\"ird", "$.xA", "$.x\\u0041", "$.tab\t"],
+        ),
+        // The root, a prefix of another path, the same path twice.
+        (
+            r#"{"o":{"x":1,"y":[1,{"z":"s"}]},"t":true}"#,
+            &["$", "$.o", "$.o.x", "$.o", "$.o.y[1].z", "$.t", "$.o.x"],
+        ),
+        // Index and wildcard steps.
+        (
+            r#"{"arr":[10,{"p":1},[2,3],{"p":4}],"items":[{"p":1},{"q":9},{"p":3}]}"#,
+            &[
+                "$.arr[0]",
+                "$.arr[1].p",
+                "$.arr[2][1]",
+                "$.arr[9]",
+                "$.arr[*]",
+                "$.items[*].p",
+                "$.items[1].q",
+                "$.arr.p",
+            ],
+        ),
+        // A non-object (or non-array) where the trie wants to go on.
+        (
+            r#"{"o":5,"s":"x","n":null,"l":[1],"m":{"0":1}}"#,
+            &[
+                "$.o.x", "$.s.x", "$.n.x", "$.l.x", "$.m[0]", "$.l[0]", "$.o[0]",
+            ],
+        ),
+        (r#"[1,{"a":2}]"#, &["$[1].a", "$.a", "$[0]", "$[5]", "$"]),
+        (r#""bare""#, &["$", "$.a", "$[0]"]),
+        // Numbers that are and are not their own rendering.
+        (
+            r#"{"z":-0,"e":1e2,"E":1E2,"f":1.50,"big":9223372036854775808,"p":0.1,"i18":123456789012345678,"n18":-123456789012345678,"i19":1234567890123456789,"min":-9223372036854775808,"two":2.0,"neg":-7,"zero":0}"#,
+            &[
+                "$.z", "$.e", "$.E", "$.f", "$.big", "$.p", "$.i18", "$.n18", "$.i19", "$.min",
+                "$.two", "$.neg", "$.zero",
+            ],
+        ),
+        // Strings with escapes, nested containers, empty ones.
+        (
+            r#"{"s":"a\"b\\c\u00e9\ud83d\ude00","e":"","o":{},"a":[],"d":{"k":[1,{"x":null}]}}"#,
+            &["$.s", "$.e", "$.o", "$.a", "$.d", "$.d.k", "$.d.k[1].x"],
+        ),
+        // Invalid documents answer nothing.
+        ("{broken", &["$", "$.a", "$.a.b"]),
+        ("", &["$.a"]),
+        (r#"{"a":1} x"#, &["$.a"]),
+        // No paths at all.
+        (r#"{"a":1}"#, &[]),
+    ];
+    for (doc, paths) in cases {
+        assert_projection_agrees(doc, &compile(paths));
+    }
+}
+
+/// The corpus's valid documents under its query paths, the same paths
+/// shuffled into one set with their prefixes and duplicates, and wider
+/// sets than any level holds names for.
+#[test]
+fn one_pass_projection_matches_per_path_on_the_corpus() {
+    let mut paths: Vec<&str> = corpus::query_paths().to_vec();
+    paths.extend([
+        "$", "$.deep", "$.arr", "$.arr[*]", "$.id", "$.deep.x", "$.deep.y",
+    ]);
+    let wide: Vec<String> = (0..70).map(|i| format!("$.f{i}")).collect();
+    let wide_doc = format!(
+        "{{{}}}",
+        (0..80)
+            .rev()
+            .map(|i| format!("\"f{i}\":{i}"))
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    let wide: Vec<&str> = wide.iter().map(String::as_str).collect();
+    assert_projection_agrees(&wide_doc, &compile(&wide));
+    for doc in corpus::valid_docs(0x0DD5EED, 200) {
+        assert_projection_agrees(&doc, &compile(&paths));
+        assert_projection_agrees(&doc, &compile(corpus::query_paths()));
+    }
+    for doc in corpus::invalid_docs(0x0DD5EED, 50) {
+        assert_projection_agrees(&doc, &compile(&paths));
+    }
 }
