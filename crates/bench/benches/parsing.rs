@@ -2,8 +2,8 @@
 //! Maxson-style cached read, per record size, on the testkit bench runner.
 //!
 //! This is the microscopic view of Fig. 15: what one `get_json_object`
-//! call costs under each strategy, the cache build's per-document tape
-//! projection, plus the structural-bitmap build per kernel tier. Run with `cargo bench --bench parsing`;
+//! call costs under each strategy, the cache build's per-document
+//! projection walk, plus the structural-bitmap build per kernel tier. Run with `cargo bench --bench parsing`;
 //! set `MAXSON_BENCH_FAST=1` for a quick smoke pass.
 
 use maxson_bench::report::{Report, Series};
@@ -82,19 +82,24 @@ fn padded_record(size: usize) -> String {
     s
 }
 
+/// The projection walk over no paths, which only validates, beside the
+/// DOM parse.
 fn bench_tape_build(runner: &BenchRunner) -> Report {
+    use maxson_json::tape::{project, PathSet, TapeStats};
     let mut report = Report::new(
         "bench-parsing-tape-build",
-        "tape build vs DOM parse throughput on padded documents",
+        "validating walk (no paths) vs DOM parse throughput on padded documents",
     );
-    report.note("MB/s at the median; the tape's strings cost a word at a time, the DOM's a byte");
+    report.note("MB/s at the median; the walk's strings cost a word at a time, the DOM's a byte");
     let mut tape = Series::new("tape_build");
     let mut dom = Series::new("jackson_dom");
+    let none = PathSet::new(&[]);
     for (label, size) in [("padded 4.8 kB", 4_800usize), ("padded 21 kB", 21_000)] {
         let record = padded_record(size);
         let mb_per_s = |median_ns: f64| record.len() as f64 / median_ns * 1e3;
+        let mut skipped = TapeStats::default();
         let stats = runner.run(&format!("tape_build/{size}"), || {
-            bb(maxson_json::tape::TapeDoc::build(bb(&record)).map(|t| t.node_count()))
+            bb(project(bb(&record), &none, &mut skipped, |_, _| {}))
         });
         tape.push(label, mb_per_s(stats.median_ns));
         let stats = runner.run(&format!("jackson_dom/{size}"), || {
@@ -149,17 +154,17 @@ fn workload_record(name: &str) -> (String, Vec<JsonPath>) {
     (text, paths)
 }
 
-/// What the cache build does per document — build one tape, answer every
-/// cached path off it — over q6- and q3-shaped documents: through
+/// What the cache build does per document — one validating walk that
+/// answers every cached path — over q6- and q3-shaped documents: through
 /// `tape::project_paths` (one call per document, the paths compiled each
 /// time) and through a `PathSet` compiled once, as the cacher runs it.
 fn bench_tape_projection(runner: &BenchRunner) -> Report {
-    use maxson_json::tape::{project_paths, PathSet, TapeDoc, TapeStats};
+    use maxson_json::tape::{project, project_paths, PathSet, TapeStats};
     let mut report = Report::new(
         "bench-parsing-tape-projection",
-        "tape multi-path projection throughput (build + every cached path)",
+        "tape multi-path projection throughput (validation + every cached path)",
     );
-    report.note("MB/s at the median, document bytes over build + projection");
+    report.note("MB/s at the median, document bytes over the whole walk");
     let mut per_call = Series::new("project_paths");
     let mut compiled = Series::new("compiled_set");
     for table in ["q6", "q3"] {
@@ -174,9 +179,9 @@ fn bench_tape_projection(runner: &BenchRunner) -> Report {
         let set = PathSet::new(&paths);
         let run = runner.run(&format!("compiled_set/{table}"), || {
             let mut bytes = 0;
-            if let Ok(tape) = TapeDoc::build(bb(&record)) {
-                tape.project(&set, &mut stats, |_, value| bytes += value.len());
-            }
+            let _ = project(bb(&record), &set, &mut stats, |_, value| {
+                bytes += value.len()
+            });
             bb(bytes)
         });
         compiled.push(&label, mb_per_s(run.median_ns));

@@ -7,7 +7,7 @@
 //! projection cost at all; and Mison complements Maxson on uncached paths
 //! (Maxson+Mison is the best of both). The tape series adds the On-Demand
 //! parser class: same document counts as Jackson (one parse per doc), but
-//! skip markers hop unqueried subtrees — the `nodes_skipped` counter must
+//! no unqueried subtree is materialized — the `nodes_skipped` counter must
 //! be positive on the selective workload queries, and zero for the other
 //! parsers.
 
@@ -72,9 +72,9 @@ fn main() {
                 m.docs_parsed,
                 m.parse_calls
             );
-            // Smoke invariants of the tape parser: skip markers fire on
-            // the selective workload queries without changing how many
-            // documents are parsed, and only the tape parser skips.
+            // Smoke invariants of the tape parser: unqueried subtrees are
+            // counted on the selective workload queries without changing
+            // how many documents are parsed, and only the tape parser skips.
             let key = (system.uses_cache(), q.name.clone());
             match system.parser() {
                 maxson_engine::session::JsonParserKind::Jackson => {

@@ -99,7 +99,7 @@ config! {
     "MAXSON_PARSER" => parser: JsonParserKind = JsonParserKind::Jackson,
         JsonParserKind::from_name,
         |p| p.name().to_string(),
-        "JSON parser behind `get_json_object`: `jackson` (DOM), `mison` (structural index) or `tape` (on-demand tape), case-insensitive; `Session::set_parser_kind` overrides.";
+        "JSON parser behind `get_json_object`: `jackson` (DOM), `mison` (structural index) or `tape` (on-demand projection walk), case-insensitive; `Session::set_parser_kind` overrides.";
     "MAXSON_META_CACHE_BYTES" => meta_cache_bytes: u64 = DEFAULT_META_CACHE_BYTES,
         |v| v.trim().parse().ok(),
         |b| b.to_string(),

@@ -21,8 +21,8 @@ use crate::sql::ast::{BinaryOp, ScalarFunc};
 
 /// How `get_json_object` parses records: the full-DOM "Jackson" baseline,
 /// the structural-index "Mison" projector (Fig. 15's parser axis), or the
-/// two-stage "Tape" parser (On-Demand style: structural index → typed tape
-/// with skip markers).
+/// "Tape" projector (On-Demand style: one validating walk that answers
+/// every wanted path, `maxson_json::tape::project`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JsonParserKind {
     /// Full recursive-descent DOM parse (SparkSQL's default Jackson).
@@ -30,8 +30,8 @@ pub enum JsonParserKind {
     Jackson,
     /// Mison-style structural-index projection.
     Mison,
-    /// Tape-based on-demand navigation: skip markers hop over unqueried
-    /// subtrees without materializing them.
+    /// On-demand projection: one validating walk per document answers
+    /// every wanted path and materializes no unqueried subtree.
     Tape,
 }
 

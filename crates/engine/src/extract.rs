@@ -10,9 +10,10 @@
 //! then parses each document **at most once per column** — one shared DOM
 //! walk in Jackson mode ([`maxson_json::get_json_objects`]), one shared
 //! structural index in Mison mode
-//! ([`MisonProjector::project_paths`]), one shared typed tape in Tape mode,
-//! walked once for all the group's paths ([`maxson_json::tape::PathSet`])
-//! — and answers every later path
+//! ([`MisonProjector::project_paths`]), one validating projection walk in
+//! Tape mode, which answers all the group's paths while it checks the
+//! document ([`maxson_json::tape::project`] over a compiled
+//! [`maxson_json::tape::PathSet`]) — and answers every later path
 //! evaluation from the filled slots. Slots hold `Arc<str>` values, so a
 //! path evaluated in both the filter and the projection clones a refcount,
 //! not the text.
@@ -37,7 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use maxson_json::mison::MisonProjector;
-use maxson_json::tape::PathSet;
+use maxson_json::tape::{self, PathSet, TapeStats};
 use maxson_json::JsonPath;
 
 use crate::expr::{Expr, JsonParserKind};
@@ -112,8 +113,8 @@ impl JsonExtractor {
     }
 
     /// Parse `json` once and evaluate every path of group `gi` against it.
-    /// Tape mode charges its skip counter and build/navigate wall split to
-    /// `metrics` (the other modes have no tape to account for).
+    /// Tape mode charges its `nodes_skipped` to `metrics` (the other modes
+    /// have no such counter).
     fn extract_group(
         &self,
         gi: usize,
@@ -132,16 +133,12 @@ impl JsonExtractor {
                 .map(|v| v.map(Arc::from))
                 .collect(),
             JsonParserKind::Tape => {
-                let start = Instant::now();
-                let tape = maxson_json::tape::TapeDoc::build(json).ok();
-                metrics.tape_build_wall += start.elapsed();
-                let nav = Instant::now();
-                let mut stats = maxson_json::tape::TapeStats::default();
-                let values = match &tape {
-                    Some(t) => t.eval_set(&self.groups[gi].set, &mut stats),
-                    None => vec![None; paths.len()],
-                };
-                metrics.tape_nav_wall += nav.elapsed();
+                let mut stats = TapeStats::default();
+                let mut values = vec![None; paths.len()];
+                // A malformed document emits nothing: every path stays `None`.
+                let _ = tape::project(json, &self.groups[gi].set, &mut stats, |i, value| {
+                    values[i] = Some(Arc::from(value));
+                });
                 metrics.nodes_skipped += stats.nodes_skipped;
                 values
             }

@@ -227,9 +227,9 @@ exec_metrics! {
         "Online-LRU cache: lookups that had to parse and fill.";
     lru_evictions: u64, Sum, "lru_evictions", true,
         "Online-LRU cache: entries evicted to make room during this query.";
-    /// Zero in Jackson and Mison modes — those parsers have no tape to skip.
+    /// Zero in Jackson and Mison modes — only the tape projector counts it.
     nodes_skipped: u64, Sum, "nodes_skipped", true,
-        "Tape mode: tape entries navigation hopped over via skip markers without visiting (unqueried sibling subtrees).";
+        "Tape mode: entries (one per value and per key) that evaluating each path on its own would hop over without visiting (unqueried sibling subtrees).";
     /// Zero in Jackson mode — the DOM parser builds no bitmaps.
     bitmap_builds: u64, Sum, "bitmap_builds", true,
         "Structural-bitmap constructions (one per record indexed by the Mison or tape parser).";
@@ -251,10 +251,6 @@ exec_metrics! {
         "95th-percentile per-task wall time of the slowest-skewed pool run.";
     task_skew: f64, Max, "skew", false,
         "Task skew: max task wall over mean task wall (1.0 = perfectly even, 0.0 = no parallel run happened).";
-    tape_build_wall: Duration, Sum, "tape_build", false,
-        "Tape mode: wall time spent building tapes (structural index + typed tape), summed across tasks.";
-    tape_nav_wall: Duration, Sum, "tape_nav", false,
-        "Tape mode: wall time spent navigating built tapes and rendering the queried spans, summed across tasks.";
     bitmap_build_wall: Duration, Sum, "bitmap_wall", false,
         "Wall time inside structural-bitmap construction (classification + string-mask resolve, not the colon/bracket walk), summed across tasks.";
     /// The tier is process-wide, so concurrent tasks always agree.
@@ -730,10 +726,9 @@ mod tests {
         assert!(l.summary().contains("lru_ratio=0.75"));
         let t = ExecMetrics {
             nodes_skipped: 7,
-            tape_build_wall: Duration::from_micros(10),
             ..Default::default()
         };
-        assert!(t.summary().contains("nodes_skipped=7 tape_build=10µs"));
+        assert!(t.summary().contains("nodes_skipped=7"));
         assert!(!m.summary().contains("simd="), "no bitmap work, no tier");
         let k = ExecMetrics {
             bitmap_builds: 4,

@@ -18,10 +18,11 @@
 //!   VLDB 2017), its bitmaps built by [`kernels`]. It extracts individual
 //!   fields without materializing a DOM, which is the "fast parser"
 //!   baseline of the paper's Fig. 15.
-//! * [`tape`] — a two-stage tape parser in the style of On-Demand JSON
-//!   (Keiser & Lemire, VLDB 2021): the Mison structural index drives a
-//!   typed tape whose skip markers let path navigation hop over unqueried
-//!   subtrees without materializing them.
+//! * [`tape`] — a projector in the style of On-Demand JSON (Keiser &
+//!   Lemire, VLDB 2021): over the kernels' string bitmap, one validating
+//!   walk per document answers a whole compiled set of paths
+//!   ([`tape::project`]), materializing no value no path wants and
+//!   building neither a tape nor a DOM.
 //!
 //! # Quick example
 //!

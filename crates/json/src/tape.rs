@@ -1,46 +1,49 @@
-//! A two-stage tape parser in the style of On-Demand JSON
-//! (Keiser & Lemire, VLDB 2021).
+//! A validating projection walk in the style of On-Demand JSON
+//! (Keiser & Lemire, VLDB 2021): one pass over a document's bytes both
+//! checks it and finds the value of every wanted path. No tape, and no
+//! DOM, is built.
 //!
 //! Stage 1 is the dispatched [`crate::kernels`] bitmap build; of its output
-//! the tape reads only the string-interior bitmap (the colon/bracket index
-//! Mison layers on top is never built). Stage 2 walks the bytes once to
-//! build a *typed tape*: one entry per JSON node carrying its kind, its raw
-//! byte span, and a **skip marker** — the tape index one past the node's
-//! whole subtree. Path navigation then follows skip markers: probing
-//! `$.f12` hops key→key in O(1) per sibling, never materializing (or even
-//! re-scanning) the subtrees of the eleven fields it jumps over. The
-//! entries jumped over are counted as `nodes_skipped`, surfaced through
+//! the walk reads only the string-interior bitmap (the colon/bracket index
+//! Mison layers on top is never built). Stage 2, [`project`], walks the
+//! bytes once, token by token, carrying a [`PathSet`]: the wanted paths
+//! compiled into a trie. At an object bound to a trie node, each key is
+//! probed against all the names wanted there (a hash probe per key, none
+//! once every name is bound); the first occurrence of a name binds it, and
+//! its value is walked bound to that name's own trie node. Everything else
+//! is walked only to be validated. A bound value is kept as a byte span,
+//! and the spans are rendered and handed out only after the whole
+//! document has validated, so a document that turns malformed after its
+//! last wanted value still answers nothing.
+//!
+//! `nodes_skipped` counts what evaluating each path on its own would hop
+//! over without visiting, on a tape of one entry per value and one per
+//! key: the values of the keys a field step probes past, the members after
+//! its match, every element but the one an index step wants. The walk sees
+//! every value, so it counts each subtree's entries and computes each
+//! match's hop from those counts. The counter is surfaced through
 //! `ExecMetrics` and EXPLAIN ANALYZE.
 //!
-//! Every path query is one **projection pass** ([`TapeDoc::project`]): the
-//! wanted paths are compiled into a trie ([`PathSet`]), and each object on
-//! the way is scanned once, key by key in document order, against all the
-//! names wanted at that level (a hash probe per key) — not once per path.
-//! The first occurrence of a name binds it; a level stops scanning once
-//! every name it wants is bound. `nodes_skipped` still counts what each
-//! path would hop on its own, computed from each match's position.
-//!
-//! Strings — most of a document's bytes — cost stage 2 a word at a time:
+//! Strings — most of a document's bytes — cost the walk a word at a time:
 //! the closing quote is the first clear bit of the string-interior bitmap
 //! after the opening quote (`StructuralIndex::closing_quote`, a
 //! `trailing_zeros` walk), and the body is checked eight bytes per step for
 //! "any byte below 0x20 or a backslash"; only a chunk that trips that test
 //! goes through the per-byte escape/surrogate checker. The bitmaps and the
-//! node vector are recycled through a per-thread scratch, so a worker that
-//! builds one tape after another allocates for none of them.
+//! span table are recycled through a per-thread scratch, so a worker that
+//! projects one document after another allocates for none of them.
 //!
-//! The build validates exactly the document set the DOM parser
+//! The walk accepts exactly the document set the DOM parser
 //! ([`crate::parse`]) accepts — same depth limit, number grammar,
-//! escape/surrogate rules, and trailing-data rejection — so
-//! `TapeDoc::build(..).is_err()` iff `parse(..).is_err()` and the engine's
-//! NULL-on-malformed semantics are byte-identical across parser modes.
-//! What the tape *defers* is materialization: no `String`/`Vec`/`JsonValue`
-//! is built for any node the query never touches. A queried leaf is handed
-//! out as a `&str` of the input span when it already is its rendering (a
-//! string without escapes, most number literals, `true`/`false`/`null`),
-//! else rendered into a reused buffer; only a queried container (or a
-//! wildcard step) falls back to DOM-parsing its slice, which keeps
-//! rendering byte-identical to the Jackson path.
+//! escape/surrogate rules, and trailing-data rejection — so [`project`]
+//! fails iff `parse` fails and the engine's NULL-on-malformed semantics are
+//! byte-identical across parser modes. No `String`/`Vec`/`JsonValue` is
+//! built for a value no path wants. A wanted leaf is handed out as a `&str`
+//! of the input span when it already is its rendering (a string without
+//! escapes, most number literals, `true`/`false`/`null`), else rendered
+//! into a reused buffer; only a wanted container (or a wildcard step)
+//! falls back to DOM-parsing its slice, which keeps rendering
+//! byte-identical to the Jackson path.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -53,249 +56,197 @@ use crate::parser::{Parser, MAX_DEPTH};
 use crate::path::{JsonPath, Step};
 use crate::value::JsonValue;
 
-/// What one tape entry is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeKind {
-    /// `{...}` — children alternate Key / value-subtree.
-    Object,
-    /// `[...]` — children are value subtrees.
-    Array,
-    /// An object key (span includes the quotes).
-    Key,
-    /// A string value (span includes the quotes).
-    String,
-    /// A number literal.
-    Number,
-    /// `true`.
-    True,
-    /// `false`.
-    False,
-    /// `null`.
-    Null,
-}
-
-/// One tape entry: kind, raw byte span, and the skip marker.
-///
-/// Invariants (checked by `debug_assert`s and the differential suite):
-/// * entries appear in document order; a container's children occupy
-///   `idx+1 .. skip` contiguously;
-/// * `skip` is the index one past the node's subtree — for scalars and keys
-///   that is the next entry, for containers it jumps the whole subtree;
-/// * a `Key` entry's `skip` jumps past its *value* subtree too (key at `k`,
-///   value at `k+1`, next key — or object end — at `skip`).
-#[derive(Debug, Clone, Copy)]
-pub struct TapeNode {
-    /// Entry kind.
-    pub kind: NodeKind,
-    /// Byte offset of the token's first byte.
-    pub start: u32,
-    /// Byte offset one past the token (for containers: past the close
-    /// bracket).
-    pub end: u32,
-    /// Tape index one past this entry's subtree.
-    pub skip: u32,
-}
-
-/// Work counters for one navigation: how many tape entries skip markers
-/// jumped over without visiting.
+/// Work counters of projections.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TapeStats {
-    /// Tape entries never visited because a skip marker hopped over them
-    /// (non-matching siblings' subtrees, and the remainder of a container
-    /// once the target child is found).
+    /// Entries — one per value and one per key — that evaluating each path
+    /// on its own would pass over without visiting: the values of the keys
+    /// a field step probes past, the rest of a container once the wanted
+    /// child is found, the whole of one that lacks it. Summed over the
+    /// paths of every document that validated.
     pub nodes_skipped: u64,
 }
 
-/// A built tape over one record. Borrows the input; a projection hands
-/// out each queried value as a `&str`, which the caller copies once.
-#[derive(Debug)]
-pub struct TapeDoc<'a> {
-    input: &'a str,
-    nodes: Vec<TapeNode>,
-}
-
-/// What one thread's tape builds hand from one document to the next: the
-/// stage-1 bitmaps (dead once the build returns) and the node vector of the
-/// last dropped tape.
+/// What one thread's projections hand from one document to the next.
 #[derive(Default)]
 struct Scratch {
+    /// Stage 1's output, dead once the walk returns.
     bitmaps: Bitmaps,
-    nodes: Vec<TapeNode>,
+    /// Per [`PathSet`] node, the value bound to it.
+    bound: Vec<Binding>,
+    /// The last stamp handed out.
+    stamp: u32,
+    /// An escaped key's unescaped name.
+    key: String,
+    /// Rendered values that are not a span of the input.
+    render: String,
+}
+
+impl Scratch {
+    /// A stamp no entry of `bound` holds yet.
+    fn next_stamp(&mut self) -> u32 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.bound.fill(Binding::default());
+            self.stamp = 1;
+        }
+        self.stamp
+    }
+}
+
+/// The value a [`PathSet`] node is bound to, by its byte span; stale unless
+/// `stamp` is the running projection's.
+#[derive(Debug, Default, Clone, Copy)]
+struct Binding {
+    stamp: u32,
+    start: usize,
+    end: usize,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
-/// Entries a recycled vector may hold (a 1 MiB node vector, bitmaps of a
-/// 4 MiB document): one giant document does not pin its scratch to the
-/// thread for good.
+/// Capacity a recycled buffer may keep (64 Ki bitmap words cover a 4 MiB
+/// document): one giant document does not pin its scratch to the thread
+/// for good.
 const RETAIN: usize = 1 << 16;
 
-impl Drop for TapeDoc<'_> {
-    /// Leave the node vector for this thread's next build. `try_with`: a
-    /// tape dropped during thread teardown just frees its vector.
-    fn drop(&mut self) {
-        let mut nodes = std::mem::take(&mut self.nodes);
-        nodes.clear();
-        let _ = SCRATCH.try_with(|scratch| {
-            if let Ok(mut scratch) = scratch.try_borrow_mut() {
-                let capacity = nodes.capacity();
-                if capacity > scratch.nodes.capacity() && capacity <= RETAIN {
-                    scratch.nodes = nodes;
+/// The one projection: validate `record` and find the value of every path
+/// of `set` in one walk over its bytes. Once the whole document has
+/// validated, `emit(i, value)` is called for every path `i` of the set
+/// that has a value, rendered the way `get_json_object` renders it, and
+/// `stats` gets what evaluating each path on its own would count. A
+/// malformed document emits and counts nothing: the walk rejects exactly
+/// what [`crate::parse`] rejects, with its error (except that a `\u`
+/// escape cut short by the closing quote is reported as the end of input).
+///
+/// The first occurrence of a name binds it (Hive semantics, like
+/// `JsonValue::get`), even when its value is a scalar and a longer path
+/// wanted an object. Index steps are exact; a wildcard finishes its path
+/// with the DOM evaluator on that subtree. `value` borrows the input or a
+/// reused buffer: a string without escapes and a number literal that is
+/// already its rendering are not copied. Over an empty set the walk only
+/// validates.
+pub fn project(
+    record: &str,
+    set: &PathSet,
+    stats: &mut TapeStats,
+    mut emit: impl FnMut(usize, &str),
+) -> Result<()> {
+    let mut scratch = SCRATCH.with(RefCell::take);
+    kernels::build_bitmaps_into(kernels::active(), record.as_bytes(), &mut scratch.bitmaps);
+    if scratch.bound.len() < set.nodes.len() {
+        scratch.bound.resize(set.nodes.len(), Binding::default());
+    }
+    let stamp = scratch.next_stamp();
+    let mut walk = Walk {
+        input: record,
+        bytes: record.as_bytes(),
+        pos: 0,
+        in_string: &scratch.bitmaps.in_string,
+        set,
+        bound: &mut scratch.bound,
+        stamp,
+        key: &mut scratch.key,
+        skipped: 0,
+    };
+    let walked = walk.document();
+    if walked.is_ok() {
+        stats.nodes_skipped += walk.skipped;
+        for t in 0..set.nodes.len() {
+            let b = scratch.bound[t];
+            if b.stamp != stamp || set.nodes[t].first_end == NONE {
+                continue;
+            }
+            let text = &record[b.start..b.end];
+            // Rendered once, however many paths end here.
+            let rendered = set
+                .ends_at(t)
+                .any(|end| end.rest.is_none())
+                .then(|| render(text, &mut scratch.render));
+            for end in set.ends_at(t) {
+                match &end.rest {
+                    None => emit(end.slot, rendered.expect("rendered above")),
+                    Some(rest) => {
+                        let doc = crate::parse(text).expect("span validated by the walk");
+                        if let Some(value) = rest.eval(&doc) {
+                            emit(end.slot, &value.to_hive_string());
+                        }
+                    }
                 }
             }
-        });
+        }
     }
+    if scratch.bitmaps.in_string.capacity() > RETAIN {
+        scratch.bitmaps = Bitmaps::default();
+    }
+    if scratch.render.capacity() > RETAIN {
+        scratch.render = String::new();
+    }
+    SCRATCH.with(|s| s.replace(scratch));
+    walked
 }
 
-impl<'a> TapeDoc<'a> {
-    /// Build the tape for one record: string-interior bitmap first, then
-    /// one validating walk that emits typed entries. Errors on exactly the
-    /// inputs [`crate::parse`] errors on.
-    pub fn build(input: &'a str) -> Result<TapeDoc<'a>> {
-        let mut scratch = SCRATCH.with(RefCell::take);
-        kernels::build_bitmaps_into(kernels::active(), input.as_bytes(), &mut scratch.bitmaps);
-        let mut b = Builder {
-            bytes: input.as_bytes(),
-            pos: 0,
-            in_string: &scratch.bitmaps.in_string,
-            nodes: std::mem::take(&mut scratch.nodes),
-        };
-        let built = b.document();
-        // The tape (or, on error, its drop) carries the node vector on.
-        let tape = TapeDoc {
-            input,
-            nodes: b.nodes,
-        };
-        if scratch.bitmaps.in_string.capacity() <= RETAIN {
-            SCRATCH.with(|s| s.borrow_mut().bitmaps = scratch.bitmaps);
-        }
-        built.map(|()| tape)
-    }
+/// Evaluate one path, as [`project`] over a set of that path alone.
+/// Invalid documents yield `None`, matching [`crate::get_json_object`].
+pub fn project_path(record: &str, path: &JsonPath, stats: &mut TapeStats) -> Option<Arc<str>> {
+    project_paths(record, std::slice::from_ref(path), stats).pop()?
+}
 
-    /// Number of tape entries (the root value's subtree).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
+/// Evaluate many paths in one [`project`] walk: entry `i` answers
+/// `paths[i]`. Invalid documents yield all-`None`, matching
+/// [`crate::get_json_objects`].
+pub fn project_paths(
+    record: &str,
+    paths: &[JsonPath],
+    stats: &mut TapeStats,
+) -> Vec<Option<Arc<str>>> {
+    let mut out = vec![None; paths.len()];
+    // A malformed document emits nothing: every path stays `None`.
+    let _ = project(record, &PathSet::new(paths), stats, |i, value| {
+        out[i] = Some(Arc::from(value));
+    });
+    out
+}
 
-    /// The tape entries, in document order.
-    pub fn nodes(&self) -> &[TapeNode] {
-        &self.nodes
-    }
-
-    /// Evaluate one path, rendering the result the way `get_json_object`
-    /// does. Skipped-entry counts accumulate into `stats`.
-    pub fn eval_path(&self, path: &JsonPath, stats: &mut TapeStats) -> Option<Arc<str>> {
-        self.eval_paths(std::slice::from_ref(path), stats).pop()?
-    }
-
-    /// Evaluate many paths off this one tape (the tape-mode half of
-    /// intra-query shared parsing). Entry `i` answers `paths[i]`, exactly
-    /// as [`Self::eval_path`] would.
-    pub fn eval_paths(&self, paths: &[JsonPath], stats: &mut TapeStats) -> Vec<Option<Arc<str>>> {
-        self.eval_set(&PathSet::new(paths), stats)
-    }
-
-    /// [`Self::eval_paths`] over paths compiled once: entry `i` answers
-    /// the set's path `i`.
-    pub fn eval_set(&self, set: &PathSet, stats: &mut TapeStats) -> Vec<Option<Arc<str>>> {
-        let mut out = vec![None; set.len()];
-        self.project(set, stats, |slot, value| out[slot] = Some(Arc::from(value)));
-        out
-    }
-
-    /// The one projection pass: walk the tape once against `set`, calling
-    /// `emit(i, value)` for every path `i` of the set that has a value,
-    /// rendered the way `get_json_object` renders it. A path without a
-    /// value is not emitted.
-    ///
-    /// Each object on the way is scanned once, in document order, for all
-    /// the names wanted there; the first occurrence of a name wins (Hive
-    /// semantics, like `JsonValue::get`), even when its value is a scalar
-    /// and a longer path wanted an object, and the scan stops once every
-    /// wanted name is bound. Index steps hop to their element; a wildcard
-    /// finishes its path with the DOM evaluator on that subtree. `value`
-    /// borrows the input or a reused buffer: a string without escapes and
-    /// an integer literal that is already its rendering are not copied.
-    /// `stats` gets what evaluating each path on its own would count.
-    pub fn project(&self, set: &PathSet, stats: &mut TapeStats, emit: impl FnMut(usize, &str)) {
-        let mut scratch = PROJECTION.with(RefCell::take);
-        if scratch.seen.len() < set.nodes.len() {
-            scratch.seen.resize(set.nodes.len(), 0);
-        }
-        let mut walk = Walk {
-            tape: self,
-            set,
-            scratch: &mut scratch,
-            stats,
-            emit,
-        };
-        walk.visit(0, 0, 0);
-        if scratch.render.capacity() <= RETAIN {
-            PROJECTION.with(|p| p.replace(scratch));
-        }
-    }
-
-    fn span(&self, node: usize) -> &'a str {
-        let n = &self.nodes[node];
-        &self.input[n.start as usize..n.end as usize]
-    }
-
-    /// The name of key entry `key`: its span without the quotes, or for a
-    /// key holding an escape the unescaped text, written into `buf`.
-    fn key_name<'b>(&'b self, key: &TapeNode, buf: &'b mut String) -> &'b [u8] {
-        let raw = &self.input.as_bytes()[key.start as usize + 1..key.end as usize - 1];
-        if !raw.contains(&b'\\') {
-            return raw;
-        }
-        buf.clear();
-        let quoted = &self.input[key.start as usize..key.end as usize];
-        Parser::new(quoted)
-            .parse_string_into(buf)
-            .expect("key span validated at build");
-        buf.as_bytes()
-    }
-
-    /// Render one entry the way `get_json_object` renders values: strings
-    /// unescaped and unquoted, scalars in their Hive form, containers
-    /// re-serialized compactly. The result borrows the input where it is
-    /// the input's own bytes, and `buf` otherwise.
-    fn render<'b>(&'b self, node: usize, buf: &'b mut String) -> &'b str {
-        let text = self.span(node);
-        match self.nodes[node].kind {
-            NodeKind::String => {
-                let inner = &text[1..text.len() - 1];
-                if !inner.contains('\\') {
-                    return inner;
-                }
-                buf.clear();
-                Parser::new(text)
-                    .parse_string_into(buf)
-                    .expect("string span validated at build");
+/// Render the value spanning `text` the way `get_json_object` renders
+/// values: strings unescaped and unquoted, scalars in their Hive form,
+/// containers re-serialized compactly. A value's kind is its first byte.
+/// The result borrows `text` where it is the input's own bytes, and `buf`
+/// otherwise.
+fn render<'b>(text: &'b str, buf: &'b mut String) -> &'b str {
+    match text.as_bytes()[0] {
+        b'"' => {
+            let inner = &text[1..text.len() - 1];
+            if !inner.contains('\\') {
+                return inner;
             }
-            NodeKind::Number if is_hive_rendering(text) => return text,
-            NodeKind::Number => {
-                buf.clear();
-                let JsonValue::Number(n) = Parser::new(text)
-                    .parse_number()
-                    .expect("number span validated at build")
-                else {
-                    unreachable!("a number literal parses as a number")
-                };
-                let _ = write!(buf, "{n}");
-            }
-            // The span is the keyword itself.
-            NodeKind::True | NodeKind::False | NodeKind::Null => return text,
-            NodeKind::Object | NodeKind::Array => {
-                buf.clear();
-                let v = crate::parse(text).expect("container span validated at build");
-                crate::serializer::write_value(buf, &v);
-            }
-            NodeKind::Key => unreachable!("keys are never rendered as values"),
+            buf.clear();
+            Parser::new(text)
+                .parse_string_into(buf)
+                .expect("string span validated by the walk");
         }
-        buf
+        // The span is the keyword itself.
+        b't' | b'f' | b'n' => return text,
+        b'{' | b'[' => {
+            buf.clear();
+            let v = crate::parse(text).expect("container span validated by the walk");
+            crate::serializer::write_value(buf, &v);
+        }
+        _ if is_hive_rendering(text) => return text,
+        _ => {
+            buf.clear();
+            let JsonValue::Number(n) = Parser::new(text)
+                .parse_number()
+                .expect("number span validated by the walk")
+            else {
+                unreachable!("a number literal parses as a number")
+            };
+            let _ = write!(buf, "{n}");
+        }
     }
+    buf
 }
 
 /// `true` when number literal `text` is already its Hive rendering
@@ -355,6 +306,12 @@ struct TrieNode {
     below: u64,
     /// Children reached by a field step.
     fields: u32,
+    /// Paths ending in the subtrees of the field children.
+    field_below: u64,
+    /// Paths ending in the subtrees of the index children.
+    index_below: u64,
+    /// One past the largest index child's index (0 without index children).
+    index_end: usize,
     /// Bit `min(len, 63)` set for the name length of every field child:
     /// many keys of an object are rejected on their length alone.
     field_lens: u64,
@@ -373,6 +330,9 @@ impl TrieNode {
             first_end: NONE,
             below: 0,
             fields: 0,
+            field_below: 0,
+            index_below: 0,
+            index_end: 0,
             field_lens: 0,
             table: 0,
             table_mask: 0,
@@ -391,7 +351,7 @@ struct PathEnd {
     rest: Option<JsonPath>,
 }
 
-/// A list of JSONPaths compiled into a trie for [`TapeDoc::project`]: each
+/// A list of JSONPaths compiled into a trie for [`project`]: each
 /// node is one field or index step and knows which paths end there, so
 /// one walk over a document answers every path. Paths sharing a prefix
 /// share its nodes; a path listed twice ends twice at the same node.
@@ -461,8 +421,11 @@ impl PathSet {
             set.nodes[node].table_mask = size.saturating_sub(1) as u32;
             let mut child = set.nodes[node].first_child;
             while child != NONE {
-                let c = &set.nodes[child as usize];
-                if let Some(name) = set.name(c.edge) {
+                let (edge, below, next) = {
+                    let c = &set.nodes[child as usize];
+                    (c.edge, c.below, c.next_sibling)
+                };
+                if let Some(name) = set.name(edge) {
                     let hash = name_hash(name.as_bytes());
                     let mut at = hash as usize;
                     while set.table[start + (at & (size - 1))].1 != NONE {
@@ -470,21 +433,19 @@ impl PathSet {
                     }
                     set.table[start + (at & (size - 1))] = (hash, child);
                 }
-                child = c.next_sibling;
+                let n = &mut set.nodes[node];
+                match edge {
+                    Edge::Index(i) => {
+                        n.index_below += below;
+                        n.index_end = n.index_end.max(i + 1);
+                    }
+                    _ => n.field_below += below,
+                }
+                child = next;
             }
             start += size;
         }
         set
-    }
-
-    /// Number of paths in the set.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// `true` for a set of no paths.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
     }
 
     fn name(&self, edge: Edge) -> Option<&str> {
@@ -492,6 +453,16 @@ impl PathSet {
             Edge::Field { start, len } => Some(&self.names[start as usize..(start + len) as usize]),
             _ => None,
         }
+    }
+
+    /// The paths ending at `node`.
+    fn ends_at(&self, node: usize) -> impl Iterator<Item = &PathEnd> + '_ {
+        let mut e = self.nodes[node].first_end;
+        std::iter::from_fn(move || {
+            let end = self.ends.get(e as usize)?;
+            e = end.next;
+            Some(end)
+        })
     }
 
     fn children(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
@@ -541,6 +512,13 @@ impl PathSet {
         child
     }
 
+    /// The child of `node` reached by index `index`, or [`NONE`].
+    fn index(&self, node: usize, index: usize) -> u32 {
+        self.children(node)
+            .find(|&c| matches!(self.nodes[c].edge, Edge::Index(i) if i == index))
+            .map_or(NONE, |c| c as u32)
+    }
+
     /// The field child of `node` named `name`.
     fn field(&self, node: usize, name: &[u8]) -> Option<usize> {
         let n = &self.nodes[node];
@@ -578,191 +556,26 @@ fn name_hash(name: &[u8]) -> u32 {
     (h >> 32) as u32
 }
 
-/// What one thread's projections hand from one document to the next.
-#[derive(Default)]
-struct Projection {
-    /// Rendered values that are not a span of the input.
-    render: String,
-    /// An escaped key's unescaped name.
-    key: String,
-    /// Per set node, the stamp of the object scan that bound it.
-    seen: Vec<u32>,
-    /// The last stamp handed out.
-    stamp: u32,
-}
-
-impl Projection {
-    /// A stamp no node of `seen` holds yet.
-    fn next_stamp(&mut self) -> u32 {
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.seen.fill(0);
-            self.stamp = 1;
-        }
-        self.stamp
-    }
-}
-
-thread_local! {
-    static PROJECTION: RefCell<Projection> = RefCell::new(Projection::default());
-}
-
-/// One [`TapeDoc::project`] call in progress.
-struct Walk<'w, 'a, F> {
-    tape: &'w TapeDoc<'a>,
-    set: &'w PathSet,
-    scratch: &'w mut Projection,
-    stats: &'w mut TapeStats,
-    emit: F,
-}
-
-impl<F: FnMut(usize, &str)> Walk<'_, '_, F> {
-    /// Set node `t` is bound to tape entry `v`; evaluating each path
-    /// through `t` on its own would so far have skipped `acc` entries.
-    fn visit(&mut self, t: usize, v: usize, acc: u64) {
-        let (tape, set) = (self.tape, self.set);
-        let ends = || {
-            let mut e = set.nodes[t].first_end;
-            std::iter::from_fn(move || {
-                let end = set.ends.get(e as usize)?;
-                e = end.next;
-                Some(end)
-            })
-        };
-        // Rendered once, however many paths end here.
-        let rendered = ends()
-            .any(|end| end.rest.is_none())
-            .then(|| tape.render(v, &mut self.scratch.render));
-        for end in ends() {
-            self.stats.nodes_skipped += acc;
-            match &end.rest {
-                None => (self.emit)(end.slot, rendered.expect("rendered above")),
-                Some(rest) => {
-                    if let Some(value) = crate::parse(tape.span(v))
-                        .ok()
-                        .and_then(|doc| rest.eval(&doc).map(|v| v.to_hive_string()))
-                    {
-                        (self.emit)(end.slot, &value);
-                    }
-                }
-            }
-        }
-        if set.nodes[t].first_child == NONE {
-            return;
-        }
-        match tape.nodes[v].kind {
-            NodeKind::Object => self.object(t, v, acc),
-            NodeKind::Array => self.array(t, v, acc),
-            // No step goes on from a scalar: each path through a child
-            // stops here.
-            _ => {
-                for c in set.children(t) {
-                    self.stats.nodes_skipped += acc * set.nodes[c].below;
-                }
-            }
-        }
-    }
-
-    /// Scan object `v`'s keys once for the field children of `t`.
-    fn object(&mut self, t: usize, v: usize, acc: u64) {
-        let (tape, set) = (self.tape, self.set);
-        let end = tape.nodes[v].skip as usize;
-        let wanted = set.nodes[t].fields;
-        let stamp = self.scratch.next_stamp();
-        let (mut bound, mut keys) = (0, 0usize);
-        let mut k = v + 1;
-        while bound < wanted && k < end {
-            let key = tape.nodes[k];
-            debug_assert_eq!(key.kind, NodeKind::Key);
-            let next = key.skip as usize;
-            let name = tape.key_name(&key, &mut self.scratch.key);
-            if let Some(c) = set.field(t, name) {
-                if self.scratch.seen[c] != stamp {
-                    self.scratch.seen[c] = stamp;
-                    bound += 1;
-                    // On its own, the lookup hops the value subtrees of the
-                    // `keys` keys before this one, then everything after
-                    // the matched value.
-                    let hopped = (k - v - 1 - keys) + (end - next);
-                    self.visit(c, k + 1, acc + hopped as u64);
-                }
-            }
-            keys += 1;
-            k = next;
-        }
-        // A name still unbound was looked for over the whole object, which
-        // hops every value subtree. Index steps go on from an array only.
-        let values = (end - v - 1 - keys) as u64;
-        for c in set.children(t) {
-            let node = &set.nodes[c];
-            match node.edge {
-                Edge::Field { .. } if self.scratch.seen[c] == stamp => {}
-                Edge::Field { .. } => self.stats.nodes_skipped += (acc + values) * node.below,
-                _ => self.stats.nodes_skipped += acc * node.below,
-            }
-        }
-    }
-
-    /// Hop to each index child of `t` in array `v`.
-    fn array(&mut self, t: usize, v: usize, acc: u64) {
-        let (tape, set) = (self.tape, self.set);
-        let end = tape.nodes[v].skip as usize;
-        for child in set.children(t) {
-            let Edge::Index(want) = set.nodes[child].edge else {
-                self.stats.nodes_skipped += acc * set.nodes[child].below;
-                continue;
-            };
-            let mut element = v + 1;
-            let mut i = 0;
-            while element < end && i < want {
-                element = tape.nodes[element].skip as usize;
-                i += 1;
-            }
-            if element < end {
-                // The elements before it, then everything after it.
-                let next = tape.nodes[element].skip as usize;
-                let hopped = (element - v - 1) + (end - next);
-                self.visit(child, element, acc + hopped as u64);
-            } else {
-                self.stats.nodes_skipped += (acc + (end - v - 1) as u64) * set.nodes[child].below;
-            }
-        }
-    }
-}
-
-/// Build one tape and evaluate one path. Invalid documents yield `None`,
-/// matching [`crate::get_json_object`].
-pub fn project_path(record: &str, path: &JsonPath, stats: &mut TapeStats) -> Option<Arc<str>> {
-    TapeDoc::build(record).ok()?.eval_path(path, stats)
-}
-
-/// Build one tape and evaluate many paths off it. Invalid documents yield
-/// all-`None`, matching [`crate::get_json_objects`].
-pub fn project_paths(
-    record: &str,
-    paths: &[JsonPath],
-    stats: &mut TapeStats,
-) -> Vec<Option<Arc<str>>> {
-    match TapeDoc::build(record) {
-        Ok(tape) => tape.eval_paths(paths, stats),
-        Err(_) => vec![None; paths.len()],
-    }
-}
-
-/// The stage-2 walk: mirrors the DOM parser's control flow token for token
-/// (same depth accounting, same grammar checks) but emits tape entries
-/// instead of building values, using the string-interior bitmap for string
-/// ends.
-struct Builder<'a, 'i> {
+/// One [`project`] call's stage-2 walk: mirrors the DOM parser's control
+/// flow token for token (same depth accounting, same grammar checks, same
+/// errors), finds string ends in the string-interior bitmap, and binds
+/// every value a path of the set reaches to that path's trie node.
+struct Walk<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    in_string: &'i [u64],
-    nodes: Vec<TapeNode>,
+    in_string: &'a [u64],
+    set: &'a PathSet,
+    bound: &'a mut [Binding],
+    stamp: u32,
+    key: &'a mut String,
+    /// The set's `nodes_skipped` so far.
+    skipped: u64,
 }
 
-impl Builder<'_, '_> {
+impl Walk<'_> {
     fn document(&mut self) -> Result<()> {
-        self.value(0)?;
+        self.value(0, 0)?;
         self.skip_ws();
         if self.pos < self.bytes.len() {
             return Err(JsonError::TrailingData { offset: self.pos });
@@ -797,48 +610,47 @@ impl Builder<'_, '_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<()> {
+    /// Walk one value bound to set node `t` (or to none, [`NONE`]) and
+    /// return the entries of its subtree: one per value and one per key.
+    fn value(&mut self, depth: usize, t: u32) -> Result<u64> {
         if depth > MAX_DEPTH {
             return Err(JsonError::TooDeep { limit: MAX_DEPTH });
         }
         self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.container(NodeKind::Object, depth),
-            Some(b'[') => self.container(NodeKind::Array, depth),
-            Some(b'"') => {
-                let start = self.pos;
-                self.string_span()?;
-                self.push_scalar(NodeKind::String, start);
-                Ok(())
-            }
-            Some(b't') => self.keyword("true", NodeKind::True),
-            Some(b'f') => self.keyword("false", NodeKind::False),
-            Some(b'n') => self.keyword("null", NodeKind::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            found => Err(JsonError::UnexpectedChar {
-                offset: self.pos,
-                found,
-                expected: "a JSON value",
-            }),
-        }
-    }
-
-    fn push_scalar(&mut self, kind: NodeKind, start: usize) {
-        let idx = self.nodes.len();
-        self.nodes.push(TapeNode {
-            kind,
-            start: start as u32,
-            end: self.pos as u32,
-            skip: (idx + 1) as u32,
-        });
-    }
-
-    fn keyword(&mut self, kw: &'static str, kind: NodeKind) -> Result<()> {
         let start = self.pos;
+        let entries = match self.peek() {
+            Some(b'{') => self.object(depth, t)?,
+            Some(b'[') => self.array(depth, t)?,
+            Some(b'"') => {
+                self.string_span()?;
+                1
+            }
+            Some(b't') => self.keyword("true").map(|()| 1)?,
+            Some(b'f') => self.keyword("false").map(|()| 1)?,
+            Some(b'n') => self.keyword("null").map(|()| 1)?,
+            Some(b'-') | Some(b'0'..=b'9') => self.number().map(|()| 1)?,
+            found => {
+                return Err(JsonError::UnexpectedChar {
+                    offset: self.pos,
+                    found,
+                    expected: "a JSON value",
+                })
+            }
+        };
+        if t != NONE {
+            self.bound[t as usize] = Binding {
+                stamp: self.stamp,
+                start,
+                end: self.pos,
+            };
+        }
+        Ok(entries)
+    }
+
+    fn keyword(&mut self, kw: &'static str) -> Result<()> {
         let end = self.pos + kw.len();
         if self.bytes.len() >= end && &self.bytes[self.pos..end] == kw.as_bytes() {
             self.pos = end;
-            self.push_scalar(kind, start);
             Ok(())
         } else {
             Err(JsonError::UnexpectedChar {
@@ -849,53 +661,50 @@ impl Builder<'_, '_> {
         }
     }
 
-    fn container(&mut self, kind: NodeKind, depth: usize) -> Result<()> {
-        let idx = self.nodes.len();
-        let start = self.pos;
-        self.nodes.push(TapeNode {
-            kind,
-            start: start as u32,
-            end: 0,
-            skip: 0,
-        });
-        match kind {
-            NodeKind::Object => self.object_body(depth)?,
-            NodeKind::Array => self.array_body(depth)?,
-            _ => unreachable!(),
-        }
-        self.nodes[idx].end = self.pos as u32;
-        self.nodes[idx].skip = self.nodes.len() as u32;
-        Ok(())
-    }
-
-    fn object_body(&mut self, depth: usize) -> Result<()> {
+    /// Walk an object bound to set node `t`. Each key is probed against
+    /// `t`'s field children until all are bound; the first occurrence of
+    /// a wanted name walks its value bound to that child.
+    fn object(&mut self, depth: usize, t: u32) -> Result<u64> {
         self.expect(b'{', "'{'")?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(());
+            return Ok(1);
         }
+        let set = self.set;
+        let wanted = match t {
+            NONE => 0,
+            t => set.nodes[t as usize].fields,
+        };
+        let (mut entries, mut members, mut bound) = (1u64, 0u64, 0u32);
+        // Over the bound names: what each one's hop leaves out (the keys
+        // before it, its own key and value), times the paths below it.
+        let (mut kept, mut bound_below) = (0u64, 0u64);
         loop {
             self.skip_ws();
-            let kstart = self.pos;
+            let key = self.pos;
             self.string_span()?;
-            let kidx = self.nodes.len();
-            self.nodes.push(TapeNode {
-                kind: NodeKind::Key,
-                start: kstart as u32,
-                end: self.pos as u32,
-                skip: 0,
-            });
+            let child = match bound < wanted {
+                true => self.probe(t, key),
+                false => NONE,
+            };
             self.skip_ws();
             self.expect(b':', "':'")?;
-            self.value(depth + 1)?;
-            self.nodes[kidx].skip = self.nodes.len() as u32;
+            let size = self.value(depth + 1, child)?;
+            if child != NONE {
+                let below = set.nodes[child as usize].below;
+                bound += 1;
+                kept += (members + 1 + size) * below;
+                bound_below += below;
+            }
+            members += 1;
+            entries += 1 + size;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(());
+                    break;
                 }
                 found => {
                     return Err(JsonError::UnexpectedChar {
@@ -906,23 +715,70 @@ impl Builder<'_, '_> {
                 }
             }
         }
+        if wanted > 0 {
+            // On its own, a bound name's lookup hops every entry of the
+            // object but the keys before it and its own member; an unbound
+            // name's hops every value.
+            let below = set.nodes[t as usize].field_below;
+            self.skipped += (entries - 1) * below - kept - members * (below - bound_below);
+        }
+        Ok(entries)
     }
 
-    fn array_body(&mut self, depth: usize) -> Result<()> {
+    /// The field child of set node `t` named by the key token from `start`
+    /// to here, unless an earlier key of the object bound it already.
+    fn probe(&mut self, t: u32, start: usize) -> u32 {
+        let quoted = &self.input[start..self.pos];
+        let raw = &quoted.as_bytes()[1..quoted.len() - 1];
+        let name = if raw.contains(&b'\\') {
+            self.key.clear();
+            Parser::new(quoted)
+                .parse_string_into(self.key)
+                .expect("key validated by the walk");
+            self.key.as_bytes()
+        } else {
+            raw
+        };
+        match self.set.field(t as usize, name) {
+            Some(c) if self.bound[c].stamp != self.stamp => c as u32,
+            _ => NONE,
+        }
+    }
+
+    /// Walk an array bound to set node `t`; the element at each of `t`'s
+    /// index children is walked bound to that child.
+    fn array(&mut self, depth: usize, t: u32) -> Result<u64> {
         self.expect(b'[', "'['")?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(());
+            return Ok(1);
         }
+        let set = self.set;
+        let index_end = match t {
+            NONE => 0,
+            t => set.nodes[t as usize].index_end,
+        };
+        let (mut entries, mut i) = (1u64, 0usize);
+        // Over the elements found: their entries times the paths below.
+        let mut kept = 0u64;
         loop {
-            self.value(depth + 1)?;
+            let child = match i < index_end {
+                true => set.index(t as usize, i),
+                false => NONE,
+            };
+            let size = self.value(depth + 1, child)?;
+            if child != NONE {
+                kept += size * set.nodes[child as usize].below;
+            }
+            entries += size;
+            i += 1;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(());
+                    break;
                 }
                 found => {
                     return Err(JsonError::UnexpectedChar {
@@ -933,6 +789,12 @@ impl Builder<'_, '_> {
                 }
             }
         }
+        if index_end > 0 {
+            // On its own, an index step hops every element but its own; a
+            // missing one hops them all.
+            self.skipped += (entries - 1) * set.nodes[t as usize].index_below - kept;
+        }
+        Ok(entries)
     }
 
     /// Consume one string token. The closing quote comes from the
@@ -1097,7 +959,6 @@ impl Builder<'_, '_> {
                 self.pos += 1;
             }
         }
-        self.push_scalar(NodeKind::Number, start);
         Ok(())
     }
 }
@@ -1185,9 +1046,20 @@ mod tests {
         }
     }
 
-    /// Build must accept/reject exactly the DOM parser's document set.
+    /// The walk over no paths, which only validates.
+    fn validate(json: &str) -> Result<()> {
+        project(
+            json,
+            &PathSet::new(&[]),
+            &mut TapeStats::default(),
+            |_, _| {},
+        )
+    }
+
+    /// The walk must accept/reject exactly the DOM parser's document set,
+    /// with the DOM parser's error.
     #[test]
-    fn build_errors_mirror_dom_parser() {
+    fn walk_errors_mirror_dom_parser() {
         let cases = [
             "",
             "{",
@@ -1221,15 +1093,18 @@ mod tests {
         ];
         for case in cases {
             assert_eq!(
-                TapeDoc::build(case).is_err(),
-                crate::parse(case).is_err(),
+                validate(case).err(),
+                crate::parse(case).err(),
                 "accept/reject drift on {case:?}"
             );
         }
         let deep = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
-        assert!(TapeDoc::build(&deep).is_err());
+        assert_eq!(
+            validate(&deep),
+            Err(JsonError::TooDeep { limit: MAX_DEPTH })
+        );
         let ok = "[".repeat(MAX_DEPTH - 1) + &"]".repeat(MAX_DEPTH - 1);
-        assert!(TapeDoc::build(&ok).is_ok());
+        assert!(validate(&ok).is_ok());
     }
 
     #[test]
@@ -1248,7 +1123,7 @@ mod tests {
         let p = JsonPath::parse("$.tail").unwrap();
         assert_eq!(project_path(json, &p, &mut stats).unwrap().as_ref(), "5");
         // The whole "big" subtree (object + x-key/array/3 numbers +
-        // y-key/object/z-key/number) is jumped over, never visited.
+        // y-key/object/z-key/number) is what a lookup of "tail" hops.
         assert!(stats.nodes_skipped >= 8, "got {}", stats.nodes_skipped);
 
         // Probing the first field skips the tail instead.
@@ -1259,7 +1134,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_paths_matches_per_path_eval() {
+    fn project_paths_matches_per_path_projection() {
         let paths: Vec<JsonPath> = ["$.a", "$.o.x", "$.arr[1]", "$.zzz"]
             .iter()
             .map(|p| JsonPath::parse(p).unwrap())
@@ -1277,20 +1152,6 @@ mod tests {
                 .map(|p| project_path(record, p, &mut TapeStats::default()))
                 .collect();
             assert_eq!(shared, naive, "record {record:?}");
-        }
-    }
-
-    #[test]
-    fn tape_layout_invariants_hold() {
-        let json = r#"{"a":[1,{"b":2}],"c":{},"d":"s"}"#;
-        let tape = TapeDoc::build(json).unwrap();
-        let nodes = tape.nodes();
-        assert_eq!(nodes[0].kind, NodeKind::Object);
-        assert_eq!(nodes[0].skip as usize, nodes.len());
-        for (i, n) in nodes.iter().enumerate() {
-            assert!(n.skip as usize > i, "skip must advance at entry {i}");
-            assert!(n.skip as usize <= nodes.len());
-            assert!(n.end > n.start, "non-empty span at entry {i}");
         }
     }
 

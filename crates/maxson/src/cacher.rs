@@ -23,9 +23,9 @@
 //! `(cache table, split)` tasks on the engine's split pool (`MAXSON_THREADS`
 //! workers, default one per core), the paper's "scalable way using Spark".
 //! A task touches each byte of its raw split once: each document is
-//! borrowed from the read buffer (`NorcFile::visit_strs`), built into one
-//! tape and walked once against the table's cached paths, compiled once per
-//! build into a [`PathSet`]; each value found costs one `Arc<str>`, pushed
+//! borrowed from the read buffer (`NorcFile::visit_strs`) and projected in
+//! one validating walk ([`tape::project`]) against the table's cached
+//! paths, compiled once per build into a [`PathSet`]; each value found costs one `Arc<str>`, pushed
 //! straight into its per-path string column, and the columns are encoded
 //! and written as the task's own `part-0000k.norc` without a copy. Tasks
 //! share nothing, so at most *workers* splits are in memory. The calling thread registers the parts
@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use maxson_engine::exec::default_threads;
 use maxson_engine::{pool, Config, EngineError};
-use maxson_json::tape::{PathSet, TapeDoc, TapeStats};
+use maxson_json::tape::{self, PathSet, TapeStats};
 use maxson_json::{parse as json_parse, JsonPath, JsonValue};
 use maxson_storage::file::{NorcWriter, WriteOptions};
 use maxson_storage::{Catalog, ColumnData, ColumnType, Field, Schema, Table};
@@ -393,8 +393,8 @@ impl TableBuild {
 
     /// Build cache part `split` from raw part `split`: same row count, same
     /// row-group boundaries. Each JSON document is borrowed from the read
-    /// buffer, built into one tape and walked once for every cached path
-    /// over it; each value found costs one `Arc<str>`, pushed straight into
+    /// buffer and walked once, validated and projected for every cached
+    /// path over it; each value found costs one `Arc<str>`, pushed straight into
     /// its cache column, which the writer encodes in place. Non-string
     /// and invalid documents leave their values NULL, exactly as a
     /// per-path DOM parse would. Returns the decoded bytes of the values
@@ -419,8 +419,9 @@ impl TableBuild {
         for g in &self.groups {
             let mut row = 0;
             let mut project = |doc: Option<&str>| {
-                if let Some(tape) = doc.and_then(|doc| TapeDoc::build(doc).ok()) {
-                    tape.project(&g.set, &mut stats, |i, value| {
+                if let Some(doc) = doc {
+                    // A malformed document emits nothing.
+                    let _ = tape::project(doc, &g.set, &mut stats, |i, value| {
                         let (valid, values) = &mut columns[g.slots[i]];
                         valid.push(true);
                         values.push(match value {

@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use maxson_engine::pool;
-use maxson_json::tape::{PathSet, TapeDoc, TapeStats};
+use maxson_json::tape::{self, PathSet, TapeStats};
 use maxson_json::JsonPath;
 use maxson_storage::{Catalog, ColumnType, Table};
 use maxson_trace::{JsonPathLocation, QueryRecord};
@@ -191,8 +191,8 @@ fn measure_source(
 /// Average (parse-cost proxy, value bytes) of each of `paths` over the
 /// first [`SAMPLE_ROWS`] documents of the table's first split: only those
 /// rows are read, each borrowed from the read buffer, and every path is
-/// answered by **one walk of one tape per sampled document** — the cache
-/// build's compiled [`PathSet`] walk. The cost proxy is the mean raw document length in
+/// answered by **one validating walk per sampled document** — the cache
+/// build's [`tape::project`] over a compiled [`PathSet`]. The cost proxy is the mean raw document length in
 /// bytes: evaluating a path through a full parse reads every input byte, so
 /// the cost ratio between two paths on the same column equals their
 /// document ratio — exactly what `A_j` divides away — while staying
@@ -218,11 +218,10 @@ fn measure_sample(table: &Table, column: usize, paths: &[JsonPath]) -> Result<Ve
             // `Cell::Null.byte_size()` first; a path with a value trades it
             // for the value's length.
             value_bytes.iter_mut().for_each(|sum| *sum += 1);
-            if let Ok(tape) = TapeDoc::build(json) {
-                tape.project(&set, &mut stats, |i, value| {
-                    value_bytes[i] = value_bytes[i] - 1 + value.len();
-                });
-            }
+            // A malformed document emits nothing.
+            let _ = tape::project(json, &set, &mut stats, |i, value| {
+                value_bytes[i] = value_bytes[i] - 1 + value.len();
+            });
         })?;
     }
     if docs == 0 {

@@ -70,7 +70,7 @@ pub struct StatsSnapshot {
     pub active_queries: u64,
     /// Current warehouse epoch.
     pub epoch: u64,
-    /// Tape entries hopped over via skip markers: the session registry's
+    /// Tape mode's per-path hop count (`TapeStats::nodes_skipped`): the session registry's
     /// `maxson_nodes_skipped_total`, so registry-wide (every session that
     /// charges that registry, served or not), like `hot_paths`.
     pub nodes_skipped: u64,

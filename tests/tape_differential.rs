@@ -17,10 +17,11 @@
 //!    three parsers; selective queries under Tape skip nodes without
 //!    parsing a single extra document; a `MAXSON_PARSER` value resolves
 //!    through the configuration into the session that opens with it.
-//! 4. **The one-pass projector** — `TapeDoc::project` (one walk over a
-//!    document for a whole `PathSet`) against the DOM per path and against
-//!    a per-path tape navigator kept here as the reference, values and
-//!    `nodes_skipped` both, on hand-picked edge cases and the corpus.
+//! 4. **The one-pass projector** — `tape::project` (one validating walk
+//!    over a document for a whole `PathSet`) against the DOM per path and
+//!    against a per-path navigator over the DOM kept here as the
+//!    reference, values and `nodes_skipped` both, on hand-picked edge
+//!    cases and the corpus.
 //!
 //! Parsers and thread counts are pinned per session, never through the
 //! process environment, so parallel tests cannot race on global state.
@@ -31,8 +32,8 @@ use maxson_engine::session::{JsonParserKind, Session};
 use maxson_engine::Config as SessionConfig;
 use maxson_json::mison::MisonProjector;
 use maxson_json::path::Step;
-use maxson_json::tape::{self, NodeKind, PathSet, TapeDoc, TapeStats};
-use maxson_json::JsonPath;
+use maxson_json::tape::{self, PathSet, TapeStats};
+use maxson_json::{JsonPath, JsonValue};
 use maxson_storage::Cell;
 use maxson_testkit::corpus;
 use maxson_testkit::prop::{check, Config, Gen};
@@ -129,8 +130,14 @@ fn api_tape_matches_jackson_on_invalid_corpus() {
             );
         }
         assert!(
-            maxson_json::tape::TapeDoc::build(&doc).is_err(),
-            "tape build accepted invalid doc: {doc:?}"
+            tape::project(
+                &doc,
+                &PathSet::new(&[]),
+                &mut TapeStats::default(),
+                |_, _| {}
+            )
+            .is_err(),
+            "tape walk accepted invalid doc: {doc:?}"
         );
     }
 }
@@ -205,8 +212,8 @@ const INVALID_TAILS: [&str; 8] = [
 /// as a bad hex digit.
 const CUT_SHORT_TAIL: &str = r#"\uD83D\uDE0"#;
 
-/// Build `doc` on every kernel tier; the outcome — the rendered values of
-/// `$.k`, `$.t` and `$` or the build error, offsets included — must not
+/// Project `doc` on every kernel tier; the outcome — the rendered values of
+/// `$.k`, `$.t` and `$` or the walk's error, offsets included — must not
 /// depend on the tier. Returns it.
 fn tape_outcome_on_every_tier(doc: &str) -> Result<Vec<Option<String>>, maxson_json::JsonError> {
     use maxson_json::kernels;
@@ -214,15 +221,14 @@ fn tape_outcome_on_every_tier(doc: &str) -> Result<Vec<Option<String>>, maxson_j
         .iter()
         .map(|p| JsonPath::parse(p).unwrap())
         .collect();
+    let set = PathSet::new(&paths);
     let mut outcomes = kernels::available().into_iter().map(|kernel| {
         assert_eq!(kernels::set_active(kernel), kernel);
-        let built = tape::TapeDoc::build(doc).map(|t| {
-            t.eval_paths(&paths, &mut TapeStats::default())
-                .into_iter()
-                .map(|v| v.map(|s| s.to_string()))
-                .collect::<Vec<_>>()
+        let mut values = vec![None; paths.len()];
+        let walked = tape::project(doc, &set, &mut TapeStats::default(), |i, value| {
+            values[i] = Some(value.to_string());
         });
-        (kernel, built)
+        (kernel, walked.map(|()| values))
     });
     let (_, reference) = outcomes.next().expect("scalar is always available");
     for (kernel, got) in outcomes {
@@ -519,11 +525,6 @@ fn selective_query_skips_nodes_without_extra_parses() {
         tape_run.metrics.nodes_skipped > 0,
         "selective query over multi-field docs must hop unqueried subtrees"
     );
-    // The tape wall split is charged under the parse umbrella.
-    assert!(
-        tape_run.metrics.tape_build_wall > std::time::Duration::ZERO,
-        "tape build wall must be charged"
-    );
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -564,50 +565,54 @@ fn property_corpus_queries_three_way_identical() {
 // The one-pass projector
 // ---------------------------------------------------------------------
 
-/// One path navigated on its own over a built tape, the way the tape
-/// evaluated paths before the one-pass projector: a field step probes the
-/// object's keys in document order from its first key, hopping each
-/// non-matching value's subtree, and takes the first match; an index step
-/// hops the elements before it; a wildcard finishes with the DOM on the
-/// subtree. Returns the rendered value and the entries the navigation
-/// hopped (its `nodes_skipped`).
-fn navigate_one_path(tape: &TapeDoc, input: &str, path: &JsonPath) -> (Option<String>, u64) {
-    let nodes = tape.nodes();
-    let span = |i: usize| &input[nodes[i].start as usize..nodes[i].end as usize];
-    let (mut node, mut hopped) = (0usize, 0u64);
+/// Entries a tape of `value` would hold: one per value, one per key.
+fn entries(value: &JsonValue) -> u64 {
+    match value {
+        JsonValue::Object(members) => 1 + members.iter().map(|(_, v)| 1 + entries(v)).sum::<u64>(),
+        JsonValue::Array(items) => 1 + items.iter().map(entries).sum::<u64>(),
+        _ => 1,
+    }
+}
+
+/// One path navigated on its own over the DOM, counting what a per-path
+/// navigator over a tape (one entry per value and per key) would hop: a
+/// field step probes the object's keys in document order and takes the
+/// first match, hopping the values before it and every member after it;
+/// a miss hops every value. An index step hops every element but its
+/// own. A wildcard finishes with the DOM evaluator on the subtree.
+/// Returns the rendered value and the entries hopped (its `nodes_skipped`).
+fn navigate_one_path(doc: &JsonValue, path: &JsonPath) -> (Option<String>, u64) {
+    let (mut node, mut hopped) = (doc, 0u64);
     for (si, step) in path.steps().iter().enumerate() {
-        let end = nodes[node].skip as usize;
-        let mut found = None;
-        match step {
-            Step::Field(name) if nodes[node].kind == NodeKind::Object => {
-                let mut k = node + 1;
-                while k < end {
-                    let next = nodes[k].skip as usize;
-                    let key = maxson_json::parse(span(k)).unwrap();
-                    if key.as_str() == Some(name.as_str()) {
-                        hopped += (end - next) as u64;
-                        found = Some(k + 1);
-                        break;
+        let found = match (step, node) {
+            (Step::Field(name), JsonValue::Object(members)) => {
+                match members.iter().position(|(key, _)| key == name) {
+                    Some(m) => {
+                        let before: u64 = members[..m].iter().map(|(_, v)| entries(v)).sum();
+                        let after: u64 = members[m + 1..].iter().map(|(_, v)| 1 + entries(v)).sum();
+                        hopped += before + after;
+                        Some(&members[m].1)
                     }
-                    hopped += (next - k - 1) as u64;
-                    k = next;
+                    None => {
+                        hopped += members.iter().map(|(_, v)| entries(v)).sum::<u64>();
+                        None
+                    }
                 }
             }
-            Step::Index(want) if nodes[node].kind == NodeKind::Array => {
-                let (mut child, mut i) = (node + 1, 0);
-                while child < end {
-                    let next = nodes[child].skip as usize;
-                    if i == *want {
-                        hopped += (end - next) as u64;
-                        found = Some(child);
-                        break;
+            (Step::Index(want), JsonValue::Array(items)) => {
+                let all: u64 = items.iter().map(entries).sum();
+                match items.get(*want) {
+                    Some(item) => {
+                        hopped += all - entries(item);
+                        Some(item)
                     }
-                    hopped += (next - child) as u64;
-                    child = next;
-                    i += 1;
+                    None => {
+                        hopped += all;
+                        None
+                    }
                 }
             }
-            Step::Wildcard => {
+            (Step::Wildcard, _) => {
                 // The wildcard paths here have plain field names.
                 let mut rest = String::from("$");
                 for step in &path.steps()[si..] {
@@ -617,24 +622,22 @@ fn navigate_one_path(tape: &TapeDoc, input: &str, path: &JsonPath) -> (Option<St
                         Step::Wildcard => rest.push_str("[*]"),
                     }
                 }
-                let doc = maxson_json::parse(span(node)).unwrap();
-                let value = JsonPath::parse(&rest).unwrap().eval(&doc);
+                let value = JsonPath::parse(&rest).unwrap().eval(node);
                 return (value.map(|v| v.to_hive_string()), hopped);
             }
-            _ => {}
-        }
+            _ => None,
+        };
         match found {
             Some(next) => node = next,
             None => return (None, hopped),
         }
     }
-    let value = maxson_json::parse(span(node)).unwrap().to_hive_string();
-    (Some(value), hopped)
+    (Some(node.to_hive_string()), hopped)
 }
 
 /// Project `paths` off `doc` every way there is — one `PathSet` walk,
-/// `eval_paths`, `project_paths`, each path alone — and check them against
-/// the DOM and the per-path navigator, `nodes_skipped` included.
+/// `project_paths`, each path alone — and check them against the DOM and
+/// the per-path reference navigator, `nodes_skipped` included.
 fn assert_projection_agrees(doc: &str, paths: &[JsonPath]) {
     let dom: Vec<Option<String>> = paths
         .iter()
@@ -649,35 +652,41 @@ fn assert_projection_agrees(doc: &str, paths: &[JsonPath]) {
         shared, dom,
         "project_paths diverged from the DOM on {doc:?}"
     );
-    let Ok(built) = TapeDoc::build(doc) else {
-        assert!(dom.iter().all(Option::is_none), "invalid {doc:?} answered");
-        return;
-    };
     let mut alone_stats = TapeStats::default();
-    let mut reference_skipped = 0;
     for (i, path) in paths.iter().enumerate() {
-        let (value, hopped) = navigate_one_path(&built, doc, path);
-        assert_eq!(
-            value, dom[i],
-            "navigator diverged from the DOM: {doc:?} {path}"
-        );
-        reference_skipped += hopped;
-        let alone = built
-            .eval_path(path, &mut alone_stats)
-            .map(|s| s.to_string());
-        assert_eq!(alone, dom[i], "eval_path diverged: {doc:?} {path}");
+        let alone = tape::project_path(doc, path, &mut alone_stats).map(|s| s.to_string());
+        assert_eq!(alone, dom[i], "project_path diverged: {doc:?} {path}");
     }
     let mut set_stats = TapeStats::default();
     let mut emitted: Vec<Option<String>> = vec![None; paths.len()];
-    built.project(&PathSet::new(paths), &mut set_stats, |i, value| {
+    let walked = tape::project(doc, &PathSet::new(paths), &mut set_stats, |i, value| {
         assert!(emitted[i].is_none(), "path {i} emitted twice");
         emitted[i] = Some(value.to_string());
     });
     assert_eq!(emitted, dom, "project diverged from the DOM on {doc:?}");
+    let reference_skipped = match maxson_json::parse(doc) {
+        Ok(parsed) => {
+            assert!(walked.is_ok(), "walk rejected valid {doc:?}");
+            let mut skipped = 0;
+            for (i, path) in paths.iter().enumerate() {
+                let (value, hopped) = navigate_one_path(&parsed, path);
+                assert_eq!(
+                    value, dom[i],
+                    "navigator diverged from the DOM: {doc:?} {path}"
+                );
+                skipped += hopped;
+            }
+            skipped
+        }
+        Err(e) => {
+            assert_eq!(walked, Err(e), "walk and DOM reject {doc:?} differently");
+            0
+        }
+    };
     for (what, stats) in [
         ("project", set_stats),
         ("project_paths", shared_stats),
-        ("eval_path", alone_stats),
+        ("project_path", alone_stats),
     ] {
         assert_eq!(
             stats.nodes_skipped, reference_skipped,
@@ -752,6 +761,34 @@ fn one_pass_projection_matches_per_path_on_edge_cases() {
     ];
     for (doc, paths) in cases {
         assert_projection_agrees(doc, &compile(paths));
+    }
+    // Malformed only after every wanted name is bound: a trailing comma,
+    // trailing garbage, nesting past the depth limit in a later sibling,
+    // an unpaired surrogate in a later string. A projector that answers
+    // while it walks must still answer nothing.
+    let depth = maxson_json::parser::MAX_DEPTH + 2;
+    let too_deep = format!(
+        r#"{{"a":1,"b":2,"c":{}{}}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let late: &[(&str, &[&str])] = &[
+        (r#"{"a":1,"b":{"c":2},}"#, &["$.a", "$.b.c", "$"]),
+        (r#"{"a":1,"l":[1,2,]}"#, &["$.a", "$.l[0]"]),
+        (r#"{"a":1,"b":[2]} x"#, &["$.a", "$.b[0]"]),
+        (r#"{"a":1,"b":[2]}}"#, &["$.a", "$.b"]),
+        (&too_deep, &["$.a", "$.b"]),
+        (r#"{"a":1,"b":"x","s":"\ud83d x"}"#, &["$.a", "$.b"]),
+        (r#"{"a":1,"b":"x","s":"\udc00"}"#, &["$.a", "$.b"]),
+    ];
+    for (doc, paths) in late {
+        let paths = compile(paths);
+        assert!(maxson_json::parse(doc).is_err(), "{doc:?} is valid");
+        let mut stats = TapeStats::default();
+        let answers = tape::project_paths(doc, &paths, &mut stats);
+        assert!(answers.iter().all(Option::is_none), "{doc:?} answered");
+        assert_eq!(stats.nodes_skipped, 0, "{doc:?} charged nodes_skipped");
+        assert_projection_agrees(doc, &paths);
     }
 }
 
