@@ -73,7 +73,8 @@ pub use pool::SplitScheduler;
 pub use querylog::{QueryLog, QueryLogEntry};
 pub use reuse::{ReuseCache, ReuseStats};
 pub use session::{
-    CatalogRead, CatalogWrite, JsonParserKind, QueryResult, Session, TableScanRewriter,
+    CatalogRead, CatalogWrite, JsonParserKind, QueryResult, Session, SharedResult,
+    TableScanRewriter,
 };
 // Observability handles, re-exported so downstream crates don't need a
 // direct `maxson-obs` dependency to hold or inspect a tracer or charge the

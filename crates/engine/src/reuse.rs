@@ -52,8 +52,11 @@ const SMALL_ENTRY_BYTES: u64 = 64 * 1024;
 /// Entries cheaper than ~1 ns/byte to rebuild are not worth holding.
 const MIN_NS_PER_BYTE: f64 = 1.0;
 
-/// A cached result's rows, shared: serving a hit or admitting a fill is a
-/// refcount bump.
+/// A result's rows, shared. The session carries every statement's rows in
+/// one from the executor or the probe to its caller, so serving a hit or
+/// admitting a fill is a refcount bump through to the server's encoder
+/// (`Session::execute_shared`); only the owned `Session::execute` copies
+/// rows the cache also holds.
 pub type CachedRows = Arc<Vec<Vec<Cell>>>;
 
 /// What a fill attempt did.

@@ -6,6 +6,9 @@
 //! the epoch and the reuse-cache generation the plan belongs to), releases
 //! the lock, and runs the plan — through the cross-query reuse cache when
 //! one is enabled — before charging the metric registry and the query log.
+//! The rows travel as one shared [`CachedRows`] from the executor or the
+//! reuse probe to the caller: [`Session::execute_shared`] hands them over
+//! as they are (a hit is the cache's own rows), and `execute` unwraps them.
 //! The scan-rewriter contract Maxson plugs into is defined by the planner
 //! and re-exported here.
 
@@ -28,11 +31,9 @@ use crate::planner::{self, Planned};
 pub use crate::planner::{ScanContext, ScanRewrite, TableScanRewriter};
 use crate::pool::SplitScheduler;
 use crate::querylog::{QueryLog, QueryLogEntry};
-use crate::reuse::{FillOutcome, ReuseCache, ReuseStats};
+use crate::reuse::{CachedRows, FillOutcome, ReuseCache, ReuseStats};
 use crate::sql::ast::SelectStatement;
 use crate::sql::parse_select;
-
-type Rows = Vec<Vec<Cell>>;
 
 /// Result of executing one query.
 #[derive(Debug)]
@@ -86,20 +87,59 @@ impl QueryResult {
     }
 }
 
+/// The result of [`Session::execute_shared`]: a [`QueryResult`] whose rows
+/// stay shared. On a reuse hit they are the resident entry's rows, on an
+/// admitted fill the rows the cache now holds, so handing either to a
+/// caller (the server's encoder) copies nothing.
+#[derive(Debug)]
+pub struct SharedResult {
+    /// Output column names.
+    pub columns: Vec<String>,
+    /// Output rows, shared with the reuse cache when it holds them.
+    pub rows: CachedRows,
+    /// Per-phase metrics.
+    pub metrics: ExecMetrics,
+    /// Rendered plan (EXPLAIN-style).
+    pub plan_display: String,
+    /// Warehouse epoch this query planned against.
+    pub epoch: u64,
+}
+
+impl SharedResult {
+    /// The owned result: free when nothing else holds the rows (reuse off,
+    /// or a miss the cache turned away), one copy of them when the reuse
+    /// cache does.
+    fn into_owned(self) -> QueryResult {
+        QueryResult {
+            columns: self.columns,
+            rows: Arc::try_unwrap(self.rows).unwrap_or_else(|rows| (*rows).clone()),
+            metrics: self.metrics,
+            plan_display: self.plan_display,
+            epoch: self.epoch,
+        }
+    }
+}
+
 /// Reuse probe: a hit serves the cached rows directly — no operator runs,
 /// no split task is scheduled (so no fair-scheduler lease is ever taken),
-/// no document is parsed.
-fn probe(cache: &ReuseCache, key: u64, epoch: u64, metrics: &mut ExecMetrics) -> Option<Rows> {
+/// no document is parsed, and the rows are the resident entry's own.
+fn probe(
+    cache: &ReuseCache,
+    key: u64,
+    epoch: u64,
+    metrics: &mut ExecMetrics,
+) -> Option<CachedRows> {
     let hit = cache.lookup(key, epoch);
     match hit {
         Some(_) => metrics.reuse_hits = 1,
         None => metrics.reuse_misses = 1,
     }
-    hit.map(|rows| (*rows).clone())
+    hit
 }
 
 /// Offer a miss's output for admission under `key`; `start` is when the
-/// query began executing, the cost the cache weighs.
+/// query began executing, the cost the cache weighs. An admitted entry
+/// and the caller share the one `Arc`.
 /// The fill is contained: a panic inside the cache disables it loudly and
 /// the already-computed rows are returned unchanged.
 fn offer_for_admission(
@@ -107,18 +147,17 @@ fn offer_for_admission(
     key: u64,
     pq: &PlannedQuery,
     start: Instant,
-    rows: Rows,
+    rows: CachedRows,
     metrics: &mut ExecMetrics,
-) -> (Rows, &'static str) {
+) -> (CachedRows, &'static str) {
     if cache.is_disabled() {
         return (rows, "miss");
     }
     let wall_ns = start.elapsed().as_nanos() as u64;
-    let shared = Arc::new(rows);
     let fill = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         cache.fill(
             key,
-            Arc::clone(&shared),
+            Arc::clone(&rows),
             pq.epoch,
             pq.tables.clone(),
             wall_ns,
@@ -137,7 +176,6 @@ fn offer_for_admission(
             "poisoned"
         }
     };
-    let rows = Arc::try_unwrap(shared).unwrap_or_else(|shared| (*shared).clone());
     (rows, status)
 }
 
@@ -608,8 +646,16 @@ impl Session {
     /// plan tree (one row per line) instead of executing; `EXPLAIN
     /// ANALYZE` executes the query under a tracer and returns the recorded
     /// span tree annotated with per-operator wall time, rows, and cache
-    /// counters.
+    /// counters. [`Session::execute_shared`] with the rows unwrapped: free
+    /// unless the reuse cache holds them too, when this is their one copy.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
+        self.execute_shared(sql).map(SharedResult::into_owned)
+    }
+
+    /// [`Session::execute`] with the rows left shared: a reuse hit and an
+    /// admitted fill each hand back the `Arc` the cache holds, a refcount
+    /// bump instead of a copy of every row.
+    pub fn execute_shared(&self, sql: &str) -> Result<SharedResult> {
         if let Some(rest) = strip_keyword(sql, "explain") {
             if let Some(inner) = strip_keyword(rest, "analyze") {
                 return self.explain_analyze(inner);
@@ -620,9 +666,9 @@ impl Session {
                 ..Default::default()
             };
             let display = pq.plan.display();
-            return Ok(QueryResult {
+            return Ok(SharedResult {
                 columns: vec!["plan".to_string()],
-                rows: display.lines().map(|l| vec![Cell::from(l)]).collect(),
+                rows: Arc::new(display.lines().map(|l| vec![Cell::from(l)]).collect()),
                 metrics,
                 plan_display: display,
                 epoch: pq.epoch,
@@ -636,7 +682,7 @@ impl Session {
     /// Plan and run `sql` under `tracer`, recording a query-root span (with
     /// a `planning` child covering compile + rewrite) over the whole
     /// operator tree. Returns the root span id for rendering.
-    fn execute_traced(&self, sql: &str, tracer: &Tracer) -> Result<(QueryResult, Option<SpanId>)> {
+    fn execute_traced(&self, sql: &str, tracer: &Tracer) -> Result<(SharedResult, Option<SpanId>)> {
         let root = tracer.span("query");
         let root_id = root.id();
         if root.is_recording() {
@@ -659,6 +705,7 @@ impl Session {
         let run = |plan: &LogicalPlan, metrics: &mut ExecMetrics| {
             let opts = self.exec_options();
             execute_plan_traced(plan, self.parser_kind, metrics, &opts, tracer, root_id)
+                .map(Arc::new)
         };
         let start = Instant::now();
         let (rows, reuse_status) = match pq.reuse.as_deref() {
@@ -693,7 +740,7 @@ impl Session {
         drop(root);
         self.finish_query(sql, fingerprint, reuse_status, &pq, &metrics, rows.len())?;
         Ok((
-            QueryResult {
+            SharedResult {
                 columns: pq.names,
                 rows,
                 metrics,
@@ -790,7 +837,7 @@ impl Session {
     /// tree. Uses the session tracer when it is already enabled (so the
     /// analyzed run also lands in the `MAXSON_TRACE` export); otherwise a
     /// temporary tracer scoped to this call.
-    fn explain_analyze(&self, sql: &str) -> Result<QueryResult> {
+    fn explain_analyze(&self, sql: &str) -> Result<SharedResult> {
         let local;
         let tracer = if self.tracer.is_enabled() {
             &self.tracer
@@ -802,12 +849,86 @@ impl Session {
         self.flush_trace()?;
         let root = root.expect("tracer is enabled");
         let text = crate::explain::render_analyze(&tracer.snapshot(), root.0);
-        Ok(QueryResult {
+        Ok(SharedResult {
             columns: vec!["explain analyze".to_string()],
-            rows: text.lines().map(|l| vec![Cell::from(l)]).collect(),
+            rows: Arc::new(text.lines().map(|l| vec![Cell::from(l)]).collect()),
             metrics: result.metrics,
             plan_display: result.plan_display,
             epoch: result.epoch,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use maxson_storage::file::WriteOptions;
+    use maxson_storage::{ColumnType, Field, Schema};
+
+    /// A session over a fresh one-table warehouse with the reuse cache on.
+    fn reuse_session(name: &str) -> (Session, PathBuf) {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .subsec_nanos();
+        let root = std::env::temp_dir().join(format!(
+            "maxson-session-{}-{nanos}-{name}",
+            std::process::id()
+        ));
+        let mut session = Session::open_with(&root, Config::default()).unwrap();
+        let schema = Schema::new(vec![
+            Field::new("id", ColumnType::Int64),
+            Field::new("tag", ColumnType::Utf8),
+        ])
+        .unwrap();
+        let rows: Vec<Vec<Cell>> = (0..32)
+            .map(|i| vec![Cell::Int(i), Cell::from(format!("tag-{i}"))])
+            .collect();
+        session
+            .catalog_mut()
+            .create_table("db", "t", schema, 0)
+            .unwrap()
+            .append_file(&rows, WriteOptions::default(), 1)
+            .unwrap();
+        session.set_result_cache(Some(16));
+        (session, root)
+    }
+
+    const SQL: &str = "select id, tag from db.t where id >= 8";
+
+    /// The rows the reuse cache holds for [`SQL`], probed directly.
+    fn resident(session: &Session) -> CachedRows {
+        let key = reuse_key(
+            session.parser_kind().name(),
+            &canonical_stmt_text(&parse_select(SQL).unwrap()),
+        );
+        let cache = session.reuse_cache().unwrap();
+        cache.lookup(key, session.epoch()).expect("entry resident")
+    }
+
+    #[test]
+    fn an_admitted_fill_hands_back_the_rows_the_cache_holds() {
+        let (session, root) = reuse_session("fill");
+        let fill = session.execute_shared(SQL).unwrap();
+        assert_eq!(fill.metrics.reuse_fills, 1, "the miss was admitted");
+        assert_eq!(fill.rows.len(), 24);
+        assert!(Arc::ptr_eq(&fill.rows, &resident(&session)));
+        std::fs::remove_dir_all(root).ok();
+    }
+
+    #[test]
+    fn a_hit_serves_the_resident_rows_themselves() {
+        let (session, root) = reuse_session("hit");
+        let fill = session.execute_shared(SQL).unwrap();
+        let hit = session.execute_shared(SQL).unwrap();
+        assert_eq!(hit.metrics.reuse_hits, 1);
+        assert!(Arc::ptr_eq(&hit.rows, &resident(&session)));
+        assert!(Arc::ptr_eq(&hit.rows, &fill.rows));
+        // The owned entry point returns the same rows, copied out of the
+        // cache, which keeps its own.
+        let owned = session.execute(SQL).unwrap();
+        assert_eq!(owned.rows, *hit.rows);
+        assert!(Arc::ptr_eq(&resident(&session), &fill.rows));
+        std::fs::remove_dir_all(root).ok();
     }
 }

@@ -27,15 +27,15 @@ impl Client {
         Ok(Client { stream })
     }
 
-    fn request(&mut self, payload: &[u8]) -> Result<Vec<u8>> {
-        wire::write_frame(&mut self.stream, payload)?;
+    fn request(&mut self, frame: Writer) -> Result<Vec<u8>> {
+        frame.send(&mut self.stream)?;
         wire::read_frame(&mut self.stream)
     }
 
-    fn op_frame(op: OpCode) -> Vec<u8> {
+    fn op_frame(op: OpCode) -> Writer {
         let mut w = Writer::new();
         w.u8(MAGIC).u8(op as u8);
-        w.into_bytes()
+        w
     }
 
     /// Check the payload's status byte, surfacing server errors.
@@ -49,21 +49,21 @@ impl Client {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<()> {
-        let response = self.request(&Self::op_frame(OpCode::Ping))?;
+        let response = self.request(Self::op_frame(OpCode::Ping))?;
         Self::checked(&response)?;
         Ok(())
     }
 
     /// Ask the server to shut down (all connections drain, threads join).
     pub fn shutdown(&mut self) -> Result<()> {
-        let response = self.request(&Self::op_frame(OpCode::Shutdown))?;
+        let response = self.request(Self::op_frame(OpCode::Shutdown))?;
         Self::checked(&response)?;
         Ok(())
     }
 
     /// Server counters.
     pub fn stats(&mut self) -> Result<StatsSnapshot> {
-        let response = self.request(&Self::op_frame(OpCode::Stats))?;
+        let response = self.request(Self::op_frame(OpCode::Stats))?;
         let mut r = Self::checked(&response)?;
         Ok(StatsSnapshot {
             queries_ok: r.u64()?,
@@ -83,7 +83,8 @@ impl Client {
             reuse_bytes: r.u64()?,
             simd_kernel: r.str()?,
             hot_paths: {
-                let n = r.u32()? as usize;
+                // Two strings and a u64: at least 16 bytes a path.
+                let n = r.count(16)?;
                 let mut paths = Vec::with_capacity(n);
                 for _ in 0..n {
                     let table = r.str()?;
@@ -98,7 +99,7 @@ impl Client {
     /// The server's process-wide metric registry, rendered as Prometheus
     /// text exposition.
     pub fn metrics(&mut self) -> Result<String> {
-        let response = self.request(&Self::op_frame(OpCode::Metrics))?;
+        let response = self.request(Self::op_frame(OpCode::Metrics))?;
         let mut r = Self::checked(&response)?;
         r.str()
     }
@@ -107,15 +108,18 @@ impl Client {
     pub fn query(&mut self, sql: &str) -> Result<QueryResult> {
         let mut w = Writer::new();
         w.u8(MAGIC).u8(OpCode::Query as u8).str(sql);
-        let response = self.request(&w.into_bytes())?;
+        let response = self.request(w)?;
         let mut r = Self::checked(&response)?;
         let epoch = r.u64()?;
-        let ncols = r.u32()? as usize;
+        // Every count is checked against the bytes left before anything is
+        // reserved for it: a column name takes at least its 4-byte length,
+        // a row at least one tag byte a column.
+        let ncols = r.count(4)?;
         let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             columns.push(r.str()?);
         }
-        let nrows = r.u32()? as usize;
+        let nrows = r.count(ncols)?;
         let mut rows: Vec<Vec<Cell>> = Vec::with_capacity(nrows);
         for _ in 0..nrows {
             let mut row = Vec::with_capacity(ncols);

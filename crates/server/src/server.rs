@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use maxson_engine::{pool, Session};
+use maxson_engine::{pool, Session, SharedResult};
 use maxson_obs::LatencyHistogram;
 
 use crate::sched::{FairScheduler, QueryLease};
@@ -369,7 +369,7 @@ fn handle_frame(
         OpCode::Ping => {
             let mut w = Writer::new();
             w.u8(STATUS_OK);
-            wire::write_frame(stream, &w.into_bytes())?;
+            w.send(stream)?;
             Ok(true)
         }
         OpCode::Stats => {
@@ -396,24 +396,24 @@ fn handle_frame(
             for (table, path, count) in &snapshot.hot_paths {
                 w.str(table).str(path).u64(*count);
             }
-            wire::write_frame(stream, &w.into_bytes())?;
+            w.send(stream)?;
             Ok(true)
         }
         OpCode::Metrics => {
             let mut w = Writer::new();
             w.u8(STATUS_OK).str(&session.metrics_registry().expose());
-            wire::write_frame(stream, &w.into_bytes())?;
+            w.send(stream)?;
             Ok(true)
         }
         OpCode::Shutdown => {
             state.shutdown.store(true, Ordering::SeqCst);
             let mut w = Writer::new();
             w.u8(STATUS_OK);
-            wire::write_frame(stream, &w.into_bytes())?;
+            w.send(stream)?;
             Ok(false)
         }
         OpCode::Query => {
-            let sql = match r.str() {
+            let sql = match r.str_ref() {
                 Ok(s) => s,
                 Err(e) => {
                     send_err(stream, &format!("malformed query frame: {e}"))?;
@@ -421,7 +421,7 @@ fn handle_frame(
                 }
             };
             let started = Instant::now();
-            let outcome = run_query(session, scheduler, &sql, client_id, request_id);
+            let outcome = run_query(session, scheduler, sql, client_id, request_id);
             let took = started.elapsed();
             state
                 .latency
@@ -438,24 +438,7 @@ fn handle_frame(
                     registry
                         .counter("maxson_server_queries_total", &[("status", "ok")])
                         .inc();
-                    let mut w = Writer::new();
-                    w.u8(STATUS_OK).u64(result.epoch);
-                    w.u32(result.columns.len() as u32);
-                    for c in &result.columns {
-                        w.str(c);
-                    }
-                    w.u32(result.rows.len() as u32);
-                    for row in &result.rows {
-                        for cell in row {
-                            w.cell(cell);
-                        }
-                    }
-                    w.u64(result.metrics.parse_calls)
-                        .u64(result.metrics.docs_parsed)
-                        .u64(result.metrics.cache_hits)
-                        .u64(result.metrics.meta_cache_hits)
-                        .u64(result.metrics.meta_cache_misses);
-                    wire::write_frame(stream, &w.into_bytes())?;
+                    encode_result(&result).send(stream)?;
                     Ok(true)
                 }
                 Err(message) => {
@@ -481,14 +464,14 @@ fn run_query(
     sql: &str,
     client_id: u64,
     request_id: u64,
-) -> std::result::Result<maxson_engine::QueryResult, String> {
+) -> std::result::Result<SharedResult, String> {
     let lease: Arc<QueryLease> = Arc::new(QueryLease::new(scheduler.clone()));
     session.set_split_scheduler(Some(lease.clone()));
     let outcome = {
         let span = session.tracer().span("server_query");
         span.attr("client", client_id);
         span.attr("request", request_id);
-        let outcome = catch_unwind(AssertUnwindSafe(|| session.execute(sql)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| session.execute_shared(sql)));
         if let Ok(Ok(result)) = &outcome {
             span.attr("rows", result.rows.len());
             span.attr("epoch", result.epoch);
@@ -505,6 +488,32 @@ fn run_query(
             pool::panic_message(payload.as_ref())
         )),
     }
+}
+
+/// A QUERY response, encoded straight from the shared rows — the reuse
+/// cache's own on a hit — into one buffer sized before the first byte is
+/// written, behind the length prefix it reserves.
+fn encode_result(result: &SharedResult) -> Writer {
+    let names: usize = result.columns.iter().map(|c| 4 + c.len()).sum();
+    let cells: usize = result.rows.iter().flatten().map(wire::cell_len).sum();
+    // Status, epoch, two counts and the five metrics around them.
+    let mut w = Writer::with_capacity(1 + 8 + 4 + names + 4 + cells + 5 * 8);
+    w.u8(STATUS_OK).u64(result.epoch);
+    w.u32(result.columns.len() as u32);
+    for c in &result.columns {
+        w.str(c);
+    }
+    w.u32(result.rows.len() as u32);
+    for cell in result.rows.iter().flatten() {
+        w.cell(cell);
+    }
+    let m = &result.metrics;
+    w.u64(m.parse_calls)
+        .u64(m.docs_parsed)
+        .u64(m.cache_hits)
+        .u64(m.meta_cache_hits)
+        .u64(m.meta_cache_misses);
+    w
 }
 
 fn snapshot_stats(
@@ -547,5 +556,5 @@ fn snapshot_stats(
 fn send_err(stream: &mut TcpStream, message: &str) -> Result<()> {
     let mut w = Writer::new();
     w.u8(STATUS_ERR).str(message);
-    wire::write_frame(stream, &w.into_bytes())
+    w.send(stream)
 }

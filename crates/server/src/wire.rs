@@ -88,17 +88,22 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// Write one frame containing `payload` to `w`.
+/// Write one frame containing `payload` to `w`: a copy of `payload` behind
+/// its length prefix, sent in one call. For a payload built elsewhere; a
+/// [`Writer`] sends its own frame without the copy.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    if payload.len() as u64 > u64::from(MAX_FRAME_BYTES) {
+    check_frame_len(payload.len())?;
+    let mut frame = Writer::with_capacity(payload.len());
+    frame.buf.extend_from_slice(payload);
+    frame.send(w)
+}
+
+fn check_frame_len(len: usize) -> Result<()> {
+    if len as u64 > u64::from(MAX_FRAME_BYTES) {
         return Err(ServerError::Protocol(format!(
-            "response of {} bytes exceeds the {MAX_FRAME_BYTES}-byte limit",
-            payload.len()
+            "response of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
         )));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()?;
     Ok(())
 }
 
@@ -149,29 +154,70 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    pub fn str(&mut self) -> Result<String> {
+    /// A `u32` count of items that take at least `min_bytes` bytes each,
+    /// checked against what the rest of the frame can hold: a count no
+    /// frame could back — or any nonzero count of zero-byte items — is a
+    /// protocol error, never a reservation.
+    pub(crate) fn count(&mut self, min_bytes: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > 0 && (min_bytes == 0 || n.saturating_mul(min_bytes) > self.remaining()) {
+            return Err(ServerError::Protocol(format!(
+                "count of {n} items of at least {min_bytes} bytes each, with {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
+    /// A string field, validated in place and borrowed from the frame.
+    pub(crate) fn str_ref(&mut self) -> Result<&'a str> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| ServerError::Protocol("string field is not UTF-8".into()))
     }
 
+    pub fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// One cell; a string cell is one allocation, its `Arc<str>` built
+    /// straight from the frame's bytes.
     pub fn cell(&mut self) -> Result<Cell> {
         match self.u8()? {
             TAG_NULL => Ok(Cell::Null),
             TAG_INT => Ok(Cell::Int(self.i64()?)),
             TAG_FLOAT => Ok(Cell::Float(self.f64()?)),
-            TAG_STR => Ok(Cell::from(self.str()?)),
+            TAG_STR => Ok(Cell::from(self.str_ref()?)),
             TAG_BOOL => Ok(Cell::Bool(self.u8()? != 0)),
             tag => Err(ServerError::Protocol(format!("unknown cell tag {tag}"))),
         }
     }
 }
 
-/// Growable frame payload builder.
-#[derive(Default)]
+/// Bytes [`Writer::cell`] writes for `c`.
+pub(crate) fn cell_len(c: &Cell) -> usize {
+    1 + match c {
+        Cell::Null => 0,
+        Cell::Int(_) | Cell::Float(_) => 8,
+        Cell::Str(s) => 4 + s.len(),
+        Cell::Bool(_) => 1,
+    }
+}
+
+/// Length of the prefix a frame's payload follows.
+const PREFIX: usize = 4;
+
+/// Frame builder. The payload's 4-byte length prefix is reserved at the
+/// head of the buffer, so a finished frame goes out in one `write_all` and
+/// the payload is never copied to prepend it.
 pub struct Writer {
     buf: Vec<u8>,
+}
+
+impl Default for Writer {
+    fn default() -> Self {
+        Writer::with_capacity(0)
+    }
 }
 
 impl Writer {
@@ -179,8 +225,27 @@ impl Writer {
         Writer::default()
     }
 
-    pub fn into_bytes(self) -> Vec<u8> {
+    /// A builder that holds a `payload`-byte payload without growing.
+    pub(crate) fn with_capacity(payload: usize) -> Self {
+        let mut buf = Vec::with_capacity(PREFIX + payload);
+        buf.extend_from_slice(&[0; PREFIX]);
+        Writer { buf }
+    }
+
+    /// The payload written so far, without the reserved prefix.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.drain(..PREFIX);
         self.buf
+    }
+
+    /// Fill in the length prefix and write the frame with one `write_all`.
+    pub(crate) fn send(mut self, w: &mut impl Write) -> Result<()> {
+        let len = self.buf.len() - PREFIX;
+        check_frame_len(len)?;
+        self.buf[..PREFIX].copy_from_slice(&(len as u32).to_be_bytes());
+        w.write_all(&self.buf)?;
+        w.flush()?;
+        Ok(())
     }
 
     pub fn u8(&mut self, v: u8) -> &mut Self {

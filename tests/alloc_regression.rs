@@ -166,6 +166,8 @@ fn scan_filter_hot_loop_allocations_per_row() {
     assert_top_n_holds_only_kept_documents();
     assert_cached_top_n_decodes_only_kept_rows();
     assert_unique_group_by_allocations_per_row();
+    assert_served_results_are_not_copied();
+    assert_wire_string_cells_allocate_once();
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -615,4 +617,120 @@ fn assert_unique_group_by_allocations_per_row() {
          (ceiling {UNIQUE_GROUP_BY_ALLOCS_PER_ROW_CEILING})"
     );
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// `select id, tag from db.s where id >= {from}`: one statement shape
+/// whose result size the literal alone sets.
+fn served(from: i64) -> String {
+    format!("select id, tag from db.s where id >= {from}")
+}
+
+/// A reuse hit through `Session::execute_shared` is a refcount bump: it
+/// allocates the same number of blocks for 8 rows as for 512 (planning
+/// and bookkeeping only), where the owned `execute` copies every row out
+/// of the cache. With reuse off, `execute` hands over the executor's rows
+/// as they are: it allocates exactly what `execute_shared` does. Called
+/// from the one test above, like the cells before it.
+fn assert_served_results_are_not_copied() {
+    let root = temp_root("shared");
+    let mut session = Session::open(&root).unwrap();
+    let schema = Schema::new(vec![
+        Field::new("id", ColumnType::Int64),
+        Field::new("tag", ColumnType::Utf8),
+    ])
+    .unwrap();
+    {
+        let mut catalog = session.catalog_mut();
+        let table = catalog.create_table("db", "s", schema, 0).unwrap();
+        let rows: Vec<Vec<Cell>> = (0..ROWS)
+            .map(|i| vec![Cell::Int(i), Cell::from(format!("tag-{i}"))])
+            .collect();
+        table
+            .append_file(&rows, WriteOptions::default(), 1)
+            .unwrap();
+    }
+    session.set_threads(Some(1));
+
+    // Reuse off: the owned result is the executor's, unwrapped for free.
+    let all = served(0);
+    session.execute(&all).unwrap();
+    let before = allocation_count();
+    let shared = session.execute_shared(&all).unwrap();
+    let shared_allocs = allocation_count() - before;
+    drop(shared);
+    let before = allocation_count();
+    let owned = session.execute(&all).unwrap();
+    let owned_allocs = allocation_count() - before;
+    assert_eq!(owned.rows.len(), ROWS as usize);
+    assert_eq!(
+        owned_allocs, shared_allocs,
+        "with reuse off, execute must not copy the rows it returns"
+    );
+
+    // Reuse on: both statements are filled, then served as hits.
+    session.set_result_cache(Some(16));
+    let hit_allocs = |rows: i64| {
+        let sql = served(ROWS - rows);
+        assert_eq!(session.execute_shared(&sql).unwrap().metrics.reuse_fills, 1);
+        session.execute_shared(&sql).unwrap();
+        let before = allocation_count();
+        let hit = session.execute_shared(&sql).unwrap();
+        let shared = allocation_count() - before;
+        assert_eq!(hit.metrics.reuse_hits, 1);
+        assert_eq!(hit.rows.len(), rows as usize);
+        let before = allocation_count();
+        let owned = session.execute(&sql).unwrap();
+        let copied = allocation_count() - before;
+        assert_eq!(owned.rows, *hit.rows);
+        (shared, copied)
+    };
+    let (small, small_copied) = hit_allocs(8);
+    let (large, large_copied) = hit_allocs(512);
+    eprintln!(
+        "alloc_regression: reuse hit, shared {small} allocs (8 rows) / {large} (512 rows); \
+         owned {small_copied} / {large_copied}"
+    );
+    assert_eq!(
+        small, large,
+        "a shared hit must allocate a fixed number of blocks, whatever the result size"
+    );
+    assert!(
+        large_copied >= large + 512,
+        "the owned hit copies a row vector a row: {large_copied} vs shared {large}"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// The client decodes a string cell into its `Arc<str>` straight from the
+/// frame: one allocation each, none for the other cells. Called from the
+/// one test above, like the cells before it.
+fn assert_wire_string_cells_allocate_once() {
+    use maxson_server::wire::{Reader, Writer};
+
+    let cells: Vec<Cell> = (0..256)
+        .map(|i| match i % 4 {
+            0 => Cell::from(format!("value-{i}-é")),
+            1 => Cell::Int(i),
+            2 => Cell::Null,
+            _ => Cell::from(""),
+        })
+        .collect();
+    let mut w = Writer::new();
+    for cell in &cells {
+        w.cell(cell);
+    }
+    let payload = w.into_bytes();
+    let strings = cells.iter().filter(|c| matches!(c, Cell::Str(_))).count() as u64;
+    let mut decoded = Vec::with_capacity(cells.len());
+    let mut r = Reader::new(&payload);
+    let before = allocation_count();
+    for _ in 0..cells.len() {
+        decoded.push(r.cell().unwrap());
+    }
+    let allocs = allocation_count() - before;
+    assert_eq!(decoded, cells);
+    assert_eq!(
+        allocs, strings,
+        "Reader::cell must allocate exactly once per string cell"
+    );
 }

@@ -1,8 +1,11 @@
-//! Hostile Norc column chunks: whatever bytes a chunk holds — a count
-//! rewritten to something enormous behind a valid checksum, or any byte-level
-//! mutation — decoding it, whole or at a row selection, ends in `Ok` or
-//! `StorageError::Corrupt`: never a panic, and never a reservation sized by
-//! a number the chunk's own bytes cannot back.
+//! Hostile bytes on both sides of the engine: Norc column chunks read from
+//! disk and response frames read off the wire.
+//!
+//! Whatever bytes a chunk holds — a count rewritten to something enormous
+//! behind a valid checksum, or any byte-level mutation — decoding it, whole
+//! or at a row selection, ends in `Ok` or `StorageError::Corrupt`: never a
+//! panic, and never a reservation sized by a number the chunk's own bytes
+//! cannot back.
 //!
 //! The bound checked is per allocation: a chunk's row count is capped by its
 //! validity bitmap (eight rows a byte) and the widest decoded value is a
@@ -14,9 +17,19 @@
 //! next chunk read through the open handle is a `StorageError::Io`, never a
 //! signal.
 //!
+//! A client reading a QUERY or STATS response is held to it too: every
+//! count in a frame is checked against the bytes left before anything is
+//! reserved for it, so a mutated response — or a 13-byte one claiming
+//! `u32::MAX` columns — is a result or an error, never a panic or an
+//! allocation past 32 times the frame (a one-column row is one tag byte on
+//! the wire and a 24-byte vector in memory).
+//!
 //! A failing case prints its seed; replay it with
 //! `MAXSON_TESTKIT_SEED=<seed> cargo test --test hostile_chunks`.
 
+use maxson_engine::session::Session;
+use maxson_server::wire::{self, OpCode, Writer, MAGIC, STATUS_OK};
+use maxson_server::{Client, Server, ServerConfig};
 use maxson_storage::encoding::{read_varint, write_varint, Bitmap};
 use maxson_storage::file::{write_rows, WriteOptions};
 use maxson_storage::{
@@ -27,6 +40,9 @@ use maxson_testkit::prop::{check, Config, Gen};
 use maxson_testkit::{prop_assert, Rng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell as StdCell;
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 thread_local! {
     /// Largest single request this thread has made since it last reset it.
@@ -233,4 +249,167 @@ fn part_file_shortened_after_open_is_an_io_error() {
         assert!(matches!(read, Err(StorageError::Io(_))), "{how}: {read:?}");
     }
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// The QUERY and STATS response payloads a real server sends for a small
+/// table of every cell type, NULLs included.
+fn real_responses() -> (Vec<u8>, Vec<u8>) {
+    let root = std::env::temp_dir().join(format!("maxson-hostile-wire-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let mut session = Session::open(&root).unwrap();
+    let schema = Schema::new(vec![
+        Field::new("id", ColumnType::Int64),
+        Field::new("x", ColumnType::Float64),
+        Field::new("flag", ColumnType::Bool),
+        Field::new("doc", ColumnType::Utf8),
+    ])
+    .unwrap();
+    let rows: Vec<Vec<Cell>> = (0..ROWS as i64)
+        .map(|i| {
+            let null_or = |c: Cell| if i % 7 == 3 { Cell::Null } else { c };
+            vec![
+                Cell::Int(i),
+                null_or(Cell::Float(i as f64 / 3.0)),
+                null_or(Cell::Bool(i % 2 == 0)),
+                null_or(Cell::from(format!("{{\"n\": {i}, \"s\": \"é-{i}\"}}"))),
+            ]
+        })
+        .collect();
+    session
+        .catalog_mut()
+        .create_table("db", "t", schema, 0)
+        .unwrap()
+        .append_file(&rows, WriteOptions::default(), 1)
+        .unwrap();
+    let mut server = Server::serve(session, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut ask = |w: Writer| {
+        wire::write_frame(&mut stream, &w.into_bytes()).unwrap();
+        wire::read_frame(&mut stream).unwrap()
+    };
+    let mut query = Writer::new();
+    query
+        .u8(MAGIC)
+        .u8(OpCode::Query as u8)
+        .str("select id, x, flag, doc, get_json_object(doc, '$.s') as s from db.t");
+    let query = ask(query);
+    let mut stats = Writer::new();
+    stats.u8(MAGIC).u8(OpCode::Stats as u8);
+    let stats = ask(stats);
+    server.stop();
+    std::fs::remove_dir_all(&root).ok();
+    assert_eq!(query[0], STATUS_OK);
+    assert_eq!(stats[0], STATUS_OK);
+    (query, stats)
+}
+
+/// A listener that answers every request frame on one connection with
+/// whatever payload `next` holds at that moment, until the client hangs up.
+fn stub_server(next: Arc<Mutex<Vec<u8>>>) -> (std::net::SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        while wire::read_frame(&mut stream).is_ok() {
+            let payload = next.lock().unwrap().clone();
+            if wire::write_frame(&mut stream, &payload).is_err() {
+                break;
+            }
+        }
+    });
+    (addr, handle)
+}
+
+/// Hand `payload` to the client as the answer to a QUERY (or a STATS), and
+/// hold the decode to the contract: `Ok` or `Err`, and no allocation past
+/// 32 times the frame. `Ok(true)` when the client decoded it.
+fn decode_response(
+    client: &mut Client,
+    next: &Mutex<Vec<u8>>,
+    payload: &[u8],
+    stats: bool,
+) -> Result<bool, String> {
+    *next.lock().unwrap() = payload.to_vec();
+    LARGEST.with(|l| l.set(0));
+    let outcome = if stats {
+        client.stats().map(|s| s.hot_paths.len())
+    } else {
+        client.query("select 1").map(|r| r.rows.len())
+    };
+    let largest = LARGEST.with(StdCell::get);
+    prop_assert!(
+        largest <= 32 * payload.len() + 4096,
+        "one allocation of {largest} bytes decoding a {}-byte response ({outcome:?})",
+        payload.len()
+    );
+    Ok(outcome.is_ok())
+}
+
+#[test]
+fn hostile_responses_are_errors_not_client_aborts() {
+    let (query, stats) = real_responses();
+    let next = Arc::new(Mutex::new(Vec::new()));
+    // The property below is a `Fn`: it reaches the one connection through
+    // a `RefCell`.
+    let (addr, stub) = stub_server(Arc::clone(&next));
+    let connection = std::cell::RefCell::new(Client::connect(addr).unwrap());
+    let mut client = connection.borrow_mut();
+
+    // The unmutated responses decode in full.
+    assert!(decode_response(&mut client, &next, &query, false).unwrap());
+    let served = client.query("select 1").unwrap();
+    assert_eq!((served.columns.len(), served.rows.len()), (5, ROWS));
+    *next.lock().unwrap() = stats.clone();
+    assert!(!client.stats().unwrap().hot_paths.is_empty());
+
+    // Counts no frame could back: `u32::MAX` columns in 13 bytes, rows of
+    // a zero-column result, more rows than bytes, more hot paths than the
+    // frame could spell.
+    let frame = |ncols: u32, nrows: Option<u32>| {
+        let mut w = Writer::new();
+        w.u8(STATUS_OK).u64(1).u32(ncols);
+        if let Some(nrows) = nrows {
+            w.str("c").u32(nrows);
+        }
+        w.into_bytes()
+    };
+    let thirteen = frame(u32::MAX, None);
+    assert_eq!(thirteen.len(), 13);
+    let mut zero_columns = Writer::new();
+    zero_columns.u8(STATUS_OK).u64(1).u32(0).u32(u32::MAX);
+    let mut counted = Writer::new();
+    counted.u8(STATUS_OK);
+    for _ in 0..15 {
+        counted.u64(0);
+    }
+    counted.str("avx2").u32(u32::MAX);
+    for (payload, is_stats) in [
+        (thirteen, false),
+        (frame(1, Some(u32::MAX)), false),
+        (frame(1, Some(1 << 20)), false),
+        (zero_columns.into_bytes(), false),
+        (counted.into_bytes(), true),
+    ] {
+        let decoded = decode_response(&mut client, &next, &payload, is_stats).unwrap();
+        assert!(!decoded, "{payload:?} decodes");
+    }
+
+    drop(client);
+    check(
+        "mutated_responses_no_abort",
+        &Config::with_cases(32),
+        &Gen::u64_any(),
+        |&seed| {
+            let mut rng = Rng::seed_from_u64(seed);
+            for _ in 0..20 {
+                for (payload, is_stats) in [(&query, false), (&stats, true)] {
+                    let mutated = mutate_byte_slice(payload, &mut rng);
+                    decode_response(&mut connection.borrow_mut(), &next, &mutated, is_stats)?;
+                }
+            }
+            Ok(())
+        },
+    );
+    drop(connection);
+    stub.join().unwrap();
 }
