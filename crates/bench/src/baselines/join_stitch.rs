@@ -21,9 +21,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::{
-    charge_row_groups, open_split, read_chunks_at, Batch, Columns, ScanProvider,
-};
+use maxson_engine::scan::{charge_row_groups, open_split, read_chunks_at, Columns, ScanProvider};
 use maxson_storage::{Cell, Schema, Table};
 
 /// Join-based stitching provider (ablation baseline).
@@ -68,7 +66,21 @@ fn read_all(
         let file = open_split(table, split, metrics)?;
         charge_row_groups(metrics, None, &file);
         let cols = read_chunks_at(&file, projection, None, None, metrics)?;
-        rows.extend(Batch::Columns(Columns::decoded(cols)).into_rows(metrics)?);
+        rows.extend(Columns::decoded(cols).into_rows(metrics)?);
+    }
+    Ok(rows)
+}
+
+/// Read a provider's whole table as rows: every split in index order,
+/// materialized. The executor never does this (it consumes batches); the
+/// combiner ablation and the baselines' tests do.
+pub fn scan_rows(
+    provider: &dyn ScanProvider,
+    metrics: &mut ExecMetrics,
+) -> maxson_engine::Result<Vec<Vec<Cell>>> {
+    let mut rows = Vec::new();
+    for split in 0..provider.split_count() {
+        rows.extend(provider.scan_split(split, metrics)?.into_rows(metrics)?);
     }
     Ok(rows)
 }
@@ -79,7 +91,11 @@ impl ScanProvider for JoinStitchProvider {
     }
 
     /// The join needs both tables whole, so the provider is one split.
-    fn scan_split(&self, _split: usize, metrics: &mut ExecMetrics) -> maxson_engine::Result<Batch> {
+    fn scan_split(
+        &self,
+        _split: usize,
+        metrics: &mut ExecMetrics,
+    ) -> maxson_engine::Result<Columns> {
         let start = Instant::now();
         // Materialize both sides in full.
         let raw_rows = read_all(&self.raw, &self.raw_projection, metrics)?;
@@ -111,7 +127,7 @@ impl ScanProvider for JoinStitchProvider {
         let spent = start.elapsed();
         metrics.read += spent;
         metrics.read_wall += spent;
-        Ok(Batch::Rows(out))
+        Columns::from_rows(out, self.out_schema.fields().len())
     }
 
     fn label(&self) -> String {
@@ -125,7 +141,7 @@ impl ScanProvider for JoinStitchProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maxson_engine::scan::{scan_rows, NorcScanProvider};
+    use maxson_engine::scan::NorcScanProvider;
     use maxson_storage::file::WriteOptions;
     use maxson_storage::{ColumnType, Field};
     use std::path::PathBuf;

@@ -4,10 +4,11 @@
 //! * [`online`] — online caching with LRU replacement (§III-A, Fig. 14):
 //!   `fig14_online_lru` via [`crate::workload::lru_session`].
 //! * [`join_stitch`] — the row-number join §I dismisses as the naive way
-//!   to stitch cached and uncached columns: `ablation_combiner`.
+//!   to stitch cached and uncached columns: `ablation_combiner`, which
+//!   reads either stitch whole with [`scan_rows`].
 
 pub mod join_stitch;
 pub mod online;
 
-pub use join_stitch::JoinStitchProvider;
+pub use join_stitch::{scan_rows, JoinStitchProvider};
 pub use online::OnlineLruRewriter;

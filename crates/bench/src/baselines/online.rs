@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::{open_split, Batch, ScanProvider};
+use maxson_engine::scan::{open_split, Columns, ScanProvider};
 use maxson_engine::session::{ScanContext, ScanRewrite, TableScanRewriter};
 use maxson_engine::EngineError;
 use maxson_json::JsonPath;
@@ -158,7 +158,11 @@ impl ScanProvider for LruBackedProvider {
     }
 
     /// Cached columns span the whole table, so the provider is one split.
-    fn scan_split(&self, _split: usize, metrics: &mut ExecMetrics) -> maxson_engine::Result<Batch> {
+    fn scan_split(
+        &self,
+        _split: usize,
+        metrics: &mut ExecMetrics,
+    ) -> maxson_engine::Result<Columns> {
         let span = self.tracer.span("lru_scan");
         span.attr("table", format!("{}.{}", self.database, self.table_name));
         let read_start = Instant::now();
@@ -279,32 +283,24 @@ impl ScanProvider for LruBackedProvider {
             call_columns.push(values);
         }
 
-        // Stitch rows: raw columns then call columns, split by split.
-        let mut rows = Vec::new();
-        let mut offset = 0usize;
+        // The batch: raw columns, each concatenated over the files, then the
+        // call columns, all as cells.
+        let mut columns: Vec<Vec<Cell>> = vec![Vec::new(); self.raw_projection.len()];
         for cols in &raw_cols {
-            let n = if cols.is_empty() {
-                // No raw output columns: derive length from call columns.
-                call_columns.first().map(|c| c.len() - offset).unwrap_or(0)
-            } else {
-                cols[0].len()
-            };
-            for i in 0..n {
-                let mut row: Vec<Cell> = cols.iter().map(|c| c.get(i)).collect();
-                for cc in &call_columns {
-                    row.push(cc[offset + i].clone());
-                }
-                metrics.bytes_read += row.iter().map(Cell::byte_size).sum::<usize>() as u64;
-                rows.push(row);
-            }
-            offset += n;
-            if cols.is_empty() {
-                break;
+            for (column, col) in columns.iter_mut().zip(cols) {
+                column.extend((0..col.len()).map(|i| col.get(i)));
             }
         }
-        metrics.rows_scanned += rows.len() as u64;
-        span.attr("rows_out", rows.len());
-        Ok(Batch::Rows(rows))
+        let len = match (columns.first(), call_columns.first()) {
+            (Some(column), _) => column.len(),
+            (None, Some(values)) => values.len(),
+            (None, None) => 0,
+        };
+        columns.extend(call_columns.iter().map(|values| values.to_vec()));
+        metrics.bytes_read += columns.iter().flatten().map(Cell::byte_size).sum::<usize>() as u64;
+        metrics.rows_scanned += len as u64;
+        span.attr("rows_out", len);
+        Columns::from_cells(len, columns)
     }
 
     fn label(&self) -> String {

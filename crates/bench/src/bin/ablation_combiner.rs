@@ -6,10 +6,10 @@
 //! readers), while the join baseline materializes everything and probes a
 //! hash table per row.
 
-use maxson_bench::baselines::JoinStitchProvider;
+use maxson_bench::baselines::{scan_rows, JoinStitchProvider};
 use maxson_bench::{Report, Series};
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::{scan_rows, NorcScanProvider, ScanProvider};
+use maxson_engine::scan::{NorcScanProvider, ScanProvider};
 use maxson_storage::file::WriteOptions;
 use maxson_storage::{Cell, CmpOp, ColumnType, Field, Schema, SearchArgument, Table};
 

@@ -3,10 +3,10 @@
 //! ## One row loop
 //!
 //! Filter, Project and Aggregate are evaluated in exactly one place,
-//! `PipelineSegment::run`: it takes a [`Batch`], applies the segment's
-//! filter, and feeds every surviving row to a `Sink` — the output row
-//! vector (projected or not) or an aggregate partial. Two things produce
-//! batches:
+//! `PipelineSegment::run`: it takes one batch layout, [`Columns`], applies
+//! the segment's filter, and feeds every surviving row to a `Sink` — the
+//! output row vector (projected or not) or an aggregate partial. Two
+//! things produce batches:
 //!
 //! * **scans** — `Scan`, `Filter(Scan)`, `Project([Filter](Scan))` and
 //!   `Aggregate([Filter](Scan))` are fused into one segment whose batches
@@ -14,14 +14,16 @@
 //!   (`run_pipeline`);
 //! * **materialised inputs** — a Filter / Project / Aggregate over a join,
 //!   aggregate (HAVING, the post-aggregate projection), sort, limit or
-//!   distinct runs the same loop over `Batch::Rows(child_rows)`, one
-//!   stage per operator (stages over a materialised input are not fused,
-//!   so each keeps its own shared-parse extractor and span).
+//!   distinct runs the same loop over `Columns::from_rows(child_rows)`,
+//!   each cell moved into a column of cells, one stage per operator
+//!   (stages over a materialised input are not fused, so each keeps its
+//!   own shared-parse extractor and span).
 //!
 //! Output rows are built by the segment's `RowShape`: a bare `Column`
-//! output is handed over, not evaluated — moved out of a columnar batch
-//! for the rows the filter keeps, or out of an owned row — so each cell
-//! reaches the result once.
+//! output is handed over, not evaluated — moved out of the batch for the
+//! rows the filter keeps — so each cell reaches the result once. The batch
+//! decides what a cell costs: one built from a column is charged to
+//! `cells_materialized`, one moved out of a column of cells is not.
 //!
 //! Join, sort, limit and distinct are blocking operators, not row loops,
 //! and keep arms of their own in [`execute_plan_traced`]. A limit over a
@@ -66,7 +68,7 @@ use crate::extract::{JsonExtractor, RowSlots};
 use crate::metrics::ExecMetrics;
 use crate::plan::LogicalPlan;
 use crate::pool;
-use crate::scan::{Batch, Columns, ScanProvider};
+use crate::scan::{Columns, ScanProvider};
 use crate::sql::ast::AggFunc;
 
 /// Knobs controlling one plan execution.
@@ -209,13 +211,14 @@ fn run_segment(
         );
     }
     // A materialised input: one stage, the same row loop, the child's rows
-    // handed over as one owned row-major batch.
+    // moved into one batch of cells.
     let span = tracer.child(segment.stage_name(), parent);
     let rows = execute_plan_traced(source, parser, metrics, opts, tracer, span.id())?;
     span.attr("rows_in", rows.len());
     let before = counters_before(tracer, metrics);
     let mut sink = segment.new_sink();
-    segment.run(Batch::Rows(rows), &mut sink, parser, metrics)?;
+    let batch = Columns::from_rows(rows, segment.width)?;
+    segment.run(batch, &mut sink, parser, metrics)?;
     let out = sink.finish();
     span.attr("rows_out", out.len());
     attr_counter_deltas(&span, before.as_ref(), metrics);
@@ -315,8 +318,8 @@ struct PipelineSegment<'a> {
     extractor: Option<JsonExtractor>,
     /// Width of the input schema.
     width: usize,
-    /// Input-schema columns the filter reads (ascending). For columnar
-    /// batches only these are materialized before the filter runs.
+    /// Input-schema columns the filter reads (ascending): only these are
+    /// materialized before the filter runs.
     filter_cols: Vec<usize>,
     /// The complement of `filter_cols` over the input schema (ascending):
     /// what an aggregation materializes for rows the filter keeps.
@@ -441,12 +444,12 @@ impl<'a> PipelineSegment<'a> {
         }
     }
 
-    /// Run the segment's filter over columnar row `i`, materializing only
-    /// the predicate's columns into `scratch` first. Returns `false` (and
-    /// charges `batch_rows_skipped`) for a rejected row.
+    /// Run the segment's filter over batch row `i`, materializing only the
+    /// predicate's columns into `scratch` first. Returns `false` for a
+    /// rejected row, which the batch charges.
     fn keep_row(
         &self,
-        cols: &Columns,
+        cols: &mut Columns,
         i: usize,
         scratch: &mut [Cell],
         parser: JsonParserKind,
@@ -456,12 +459,9 @@ impl<'a> PipelineSegment<'a> {
         let Some(predicate) = self.filter else {
             return Ok(true);
         };
-        for &c in &self.filter_cols {
-            scratch[c] = cols.column(c).get(i);
-        }
-        metrics.cells_materialized += self.filter_cols.len() as u64;
+        cols.fill(&self.filter_cols, i, scratch, metrics);
         if !truthy(&predicate.eval_with(scratch, parser, metrics, slots)?) {
-            metrics.batch_rows_skipped += 1;
+            cols.reject(metrics);
             return Ok(false);
         }
         Ok(true)
@@ -473,7 +473,7 @@ impl<'a> PipelineSegment<'a> {
     /// the filter's parse.
     fn run(
         &self,
-        batch: Batch,
+        batch: Columns,
         sink: &mut Sink,
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
@@ -493,15 +493,14 @@ impl<'a> PipelineSegment<'a> {
     }
 
     /// The row loop into output rows, built by the segment's [`RowShape`].
-    /// A row-major batch already owns its cells: each surviving row gives
-    /// its bare columns away. A columnar batch decodes the filter's columns
-    /// and those the evaluated outputs read, and reuses one scratch row for
-    /// them; every other bare column's values for the kept rows are moved
-    /// out of the batch after the loop. A bounded segment keeps only its
-    /// [`Bound`]'s rows, and decodes those other columns at them alone.
+    /// It decodes the filter's columns and those the evaluated outputs
+    /// read, and reuses one scratch row for them; every other bare column's
+    /// values for the kept rows are moved out of the batch after the loop.
+    /// A bounded segment keeps only its [`Bound`]'s rows, and decodes those
+    /// other columns at them alone.
     fn project_rows(
         &self,
-        batch: Batch,
+        mut cols: Columns,
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
     ) -> Result<Vec<Vec<Cell>>> {
@@ -509,127 +508,63 @@ impl<'a> PipelineSegment<'a> {
             .shape
             .as_ref()
             .expect("a Rows sink comes from a row segment");
-        let mut out = OutRows::new(self.bound);
-        match batch {
-            Batch::Rows(mut rows) => {
-                for (i, row) in rows.iter_mut().enumerate() {
-                    let slots = self.extractor.as_ref().map(RowSlots::new);
-                    let slots = slots.as_ref();
-                    if let Some(predicate) = self.filter {
-                        if !truthy(&predicate.eval_with(row, parser, metrics, slots)?) {
-                            continue;
-                        }
-                    }
-                    let built = match self.project {
-                        Some(_) => {
-                            let spare = out.spare();
-                            shape.build(spare, row, &shape.bare, parser, metrics, slots)?
-                        }
-                        None => std::mem::take(row),
-                    };
-                    out.push(built, i, parser, metrics)?;
-                }
-                Ok(out.finish().0)
+        let mut out = OutRows::new(self.bound, cols.spare_rows());
+        cols.decode(&self.filter_cols, metrics)?;
+        cols.decode(&shape.eval_cols, metrics)?;
+        let moved: Vec<usize> = shape.moved.iter().map(|(c, _)| *c).collect();
+        if self.bound.is_none() {
+            cols.decode(&moved, metrics)?;
+        }
+        let mut scratch = vec![Cell::Null; cols.width()];
+        for i in 0..cols.len() {
+            let slots = self.extractor.as_ref().map(RowSlots::new);
+            let slots = slots.as_ref();
+            if !self.keep_row(&mut cols, i, &mut scratch, parser, metrics, slots)? {
+                continue;
             }
-            Batch::Columns(mut cols) => {
-                cols.decode(&self.filter_cols, metrics)?;
-                cols.decode(&shape.eval_cols, metrics)?;
-                let moved: Vec<usize> = shape.moved.iter().map(|(c, _)| *c).collect();
-                if self.bound.is_none() {
-                    cols.decode(&moved, metrics)?;
+            cols.fill(&shape.eval_cols, i, &mut scratch, metrics);
+            let spare = out.spare();
+            let built = shape.build(spare, &mut scratch, parser, metrics, slots)?;
+            out.push(built, i, parser, metrics)?;
+        }
+        let (mut rows, kept) = out.finish();
+        if let Some(bound) = self.bound.filter(|_| !cols.of_cells()) {
+            bound.deferred(moved.len(), kept.len());
+        }
+        // Each moved column's values for the kept rows, in order.
+        let values = cols.take(&moved, &kept, metrics)?;
+        for ((_, positions), cells) in shape.moved.iter().zip(values) {
+            let (&last, copies) = positions.split_last().expect("a moved column is output");
+            for (row, cell) in rows.iter_mut().zip(cells) {
+                for &p in copies {
+                    row[p] = cell.clone();
                 }
-                let mut scratch = vec![Cell::Null; cols.width()];
-                for i in 0..cols.len() {
-                    let slots = self.extractor.as_ref().map(RowSlots::new);
-                    let slots = slots.as_ref();
-                    if !self.keep_row(&cols, i, &mut scratch, parser, metrics, slots)? {
-                        continue;
-                    }
-                    for &c in &shape.eval_cols {
-                        scratch[c] = cols.column(c).get(i);
-                    }
-                    metrics.cells_materialized += shape.eval_cols.len() as u64;
-                    let spare = out.spare();
-                    let built = shape.build(
-                        spare,
-                        &mut scratch,
-                        &shape.scratch_bare,
-                        parser,
-                        metrics,
-                        slots,
-                    )?;
-                    out.push(built, i, parser, metrics)?;
-                }
-                let (mut rows, kept) = out.finish();
-                // Each moved column's values for the kept rows, in order.
-                let values: Vec<Vec<Cell>> = match self.bound {
-                    None => moved
-                        .iter()
-                        .map(|&c| cols.column_mut(c).take_cells(&kept))
-                        .collect(),
-                    Some(bound) => {
-                        bound.deferred(moved.len(), kept.len());
-                        let every: Vec<u32> = (0..kept.len() as u32).collect();
-                        let mut read = cols.read_at(&moved, &kept, metrics)?;
-                        read.iter_mut().map(|col| col.take_cells(&every)).collect()
-                    }
-                };
-                metrics.cells_materialized += (moved.len() * kept.len()) as u64;
-                for ((_, positions), cells) in shape.moved.iter().zip(values) {
-                    let (&last, copies) = positions.split_last().expect("a moved column is output");
-                    for (row, cell) in rows.iter_mut().zip(cells) {
-                        for &p in copies {
-                            row[p] = cell.clone();
-                        }
-                        row[last] = cell;
-                    }
-                }
-                Ok(rows)
+                row[last] = cell;
             }
         }
+        Ok(rows)
     }
 
-    /// The row loop into an aggregate partial. Columnar rows materialize
-    /// the filter's columns first and the rest only for rows it keeps.
+    /// The row loop into an aggregate partial: the filter's columns first,
+    /// the rest only for rows it keeps.
     fn fold_rows(
         &self,
-        mut batch: Batch,
+        mut cols: Columns,
         partial: &mut AggPartial,
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
     ) -> Result<()> {
         let (group_by, aggs) = self.agg.expect("an Agg sink comes from an agg segment");
-        let mut scratch = match &mut batch {
-            Batch::Columns(cols) => {
-                cols.decode_all(metrics)?;
-                vec![Cell::Null; cols.width()]
-            }
-            Batch::Rows(_) => Vec::new(),
-        };
-        for i in 0..batch.len() {
+        cols.decode_all(metrics)?;
+        let mut scratch = vec![Cell::Null; cols.width()];
+        for i in 0..cols.len() {
             let slots = self.extractor.as_ref().map(RowSlots::new);
             let slots = slots.as_ref();
-            let row = match &batch {
-                Batch::Rows(rows) => {
-                    if let Some(predicate) = self.filter {
-                        if !truthy(&predicate.eval_with(&rows[i], parser, metrics, slots)?) {
-                            continue;
-                        }
-                    }
-                    &rows[i]
-                }
-                Batch::Columns(cols) => {
-                    if !self.keep_row(cols, i, &mut scratch, parser, metrics, slots)? {
-                        continue;
-                    }
-                    for &c in &self.rest_cols {
-                        scratch[c] = cols.column(c).get(i);
-                    }
-                    metrics.cells_materialized += self.rest_cols.len() as u64;
-                    &scratch
-                }
-            };
-            partial.update(row, group_by, aggs, parser, metrics, slots)?;
+            if !self.keep_row(&mut cols, i, &mut scratch, parser, metrics, slots)? {
+                continue;
+            }
+            cols.fill(&self.rest_cols, i, &mut scratch, metrics);
+            partial.update(&scratch, group_by, aggs, parser, metrics, slots)?;
         }
         Ok(())
     }
@@ -646,26 +581,23 @@ struct Bare {
 }
 
 /// How a row segment builds each output row. An evaluated output runs
-/// `eval_with` over the input row; a bare `Column` output is handed over
-/// instead — taken from the input row, or moved out of a columnar batch —
-/// so each of its cells is converted once and never cloned on the way. No
+/// `eval_with` over the scratch row; a bare `Column` output is handed over
+/// instead — taken from the scratch row, or moved out of the batch — so
+/// each of its cells is converted once and never cloned on the way. No
 /// projection is the identity: every input column is a bare output. A bare
 /// output a sort key reads goes through the scratch row, so a bounded
 /// segment has it before it cuts.
 struct RowShape<'a> {
     /// Each output's expression; `None` for a bare column, filled after.
     exprs: Vec<Option<&'a Expr>>,
-    /// Every bare output, filled from the input row (a row-major batch).
-    bare: Vec<Bare>,
-    /// Columnar batches: the bare outputs whose column the scratch row
-    /// holds (the filter or an evaluated output reads it).
+    /// The bare outputs whose column the scratch row holds (the filter or
+    /// an evaluated output reads it).
     scratch_bare: Vec<Bare>,
-    /// Columnar batches: every other bare column with its output positions,
-    /// moved out of the batch for the kept rows after the row loop.
+    /// Every other bare column with its output positions, moved out of the
+    /// batch for the kept rows after the row loop.
     moved: Vec<(usize, Vec<usize>)>,
-    /// Columnar batches: the columns outside the filter's that evaluated
-    /// outputs and sort keys read, materialized into the scratch row for
-    /// kept rows.
+    /// The columns outside the filter's that evaluated outputs and sort
+    /// keys read, materialized into the scratch row for kept rows.
     eval_cols: Vec<usize>,
 }
 
@@ -737,22 +669,20 @@ impl<'a> RowShape<'a> {
         }
         RowShape {
             exprs,
-            bare,
             scratch_bare,
             moved,
             eval_cols,
         }
     }
 
-    /// One output row over the input `row`, built in `out` (empty, its
-    /// capacity reused): the evaluated outputs first, then the `bare`
-    /// outputs filled from `row` (a moved column's positions stay NULL
-    /// until the caller moves it in).
+    /// One output row over the scratch `row`, built in `out` (empty, its
+    /// capacity reused): the evaluated outputs first, then the bare outputs
+    /// the scratch row holds (a moved column's positions stay NULL until
+    /// the caller moves it in).
     fn build(
         &self,
         mut out: Vec<Cell>,
         row: &mut [Cell],
-        bare: &[Bare],
         parser: JsonParserKind,
         metrics: &mut ExecMetrics,
         slots: Option<&RowSlots<'_>>,
@@ -764,7 +694,7 @@ impl<'a> RowShape<'a> {
                 None => Cell::Null,
             });
         }
-        for b in bare {
+        for b in &self.scratch_bare {
             let cell = row.get_mut(b.column).ok_or_else(|| {
                 EngineError::exec(format!("column index {} out of range", b.column))
             })?;
@@ -1107,8 +1037,9 @@ struct Bound<'a> {
     n: usize,
     /// Rows offered to every cut: the eager row count.
     offered: AtomicUsize,
-    /// Columns a columnar batch decodes at its kept rows alone, and the
-    /// rows it decodes them at, over every batch.
+    /// Columns a scan's batch decodes at its kept rows alone, and the rows
+    /// it decodes them at, over every batch (a batch of cells decodes
+    /// nothing).
     deferred_cols: AtomicUsize,
     deferred_rows: AtomicUsize,
 }
@@ -1125,12 +1056,13 @@ impl Bound<'_> {
 const CUT_AT_LEAST: usize = 64;
 
 /// One batch's output rows as the row loop builds them, with the batch
-/// position of each. Under a [`Bound`], each time twice `n` rows (and at
-/// least [`CUT_AT_LEAST`]) are held they are cut back to the first `n` by
-/// (keys, position) — each row's keys evaluated once, when it is built —
-/// and the vectors of the rows cut away are reused for the rows built next,
-/// so a batch holds and allocates a few more than `n` rows, however many
-/// it builds.
+/// position of each, each built in a spare vector when there is one: a
+/// batch built from rows hands over its emptied row vectors. Under a
+/// [`Bound`], each time twice `n` rows (and at least [`CUT_AT_LEAST`]) are
+/// held they are cut back to the first `n` by (keys, position) — each
+/// row's keys evaluated once, when it is built — and the vectors of the
+/// rows cut away are reused for the rows built next, so a batch holds and
+/// allocates a few more than `n` rows, however many it builds.
 struct OutRows<'b> {
     bound: Option<&'b Bound<'b>>,
     extractor: Option<JsonExtractor>,
@@ -1144,7 +1076,7 @@ struct OutRows<'b> {
 }
 
 impl<'b> OutRows<'b> {
-    fn new(bound: Option<&'b Bound<'b>>) -> Self {
+    fn new(bound: Option<&'b Bound<'b>>, spare: Vec<Vec<Cell>>) -> Self {
         let keys = bound.and_then(|b| b.keys).unwrap_or_default();
         OutRows {
             bound,
@@ -1152,7 +1084,7 @@ impl<'b> OutRows<'b> {
             rows: Vec::new(),
             positions: Vec::new(),
             keys: Vec::new(),
-            spare: Vec::new(),
+            spare,
             order: Vec::new(),
             offered: 0,
         }
@@ -1721,7 +1653,8 @@ mod tests {
         execute_plan_traced(plan, parser, metrics, &opts, &Tracer::disabled(), None)
     }
 
-    /// Test provider with an explicit split structure.
+    /// Test provider with an explicit split structure, handing each split
+    /// out as a batch of cells.
     #[derive(Debug)]
     struct SplitFixed {
         schema: Schema,
@@ -1751,13 +1684,13 @@ mod tests {
         fn split_count(&self) -> usize {
             self.splits.len()
         }
-        fn scan_split(&self, split: usize, m: &mut ExecMetrics) -> crate::error::Result<Batch> {
+        fn scan_split(&self, split: usize, m: &mut ExecMetrics) -> crate::error::Result<Columns> {
             if self.poisoned == Some(split) {
                 panic!("corrupt split body");
             }
             let rows = self.splits[split].clone();
             m.rows_scanned += rows.len() as u64;
-            Ok(Batch::Rows(rows))
+            Columns::from_rows(rows, self.schema.fields().len())
         }
         fn label(&self) -> String {
             "SplitFixed".into()
@@ -1803,9 +1736,17 @@ mod tests {
         group_by: &[Expr],
         aggs: &[(AggFunc, Option<Expr>)],
     ) -> Vec<Vec<Cell>> {
+        let width = splits.iter().flatten().next().map_or(1, Vec::len);
+        let mut provider = SplitFixed::new(splits);
+        provider.schema = Schema::new(
+            (0..width)
+                .map(|c| Field::new(format!("c{c}"), ColumnType::Utf8))
+                .collect(),
+        )
+        .unwrap();
         let plan = LogicalPlan::Aggregate {
             input: Box::new(LogicalPlan::Scan {
-                provider: Box::new(SplitFixed::new(splits)),
+                provider: Box::new(provider),
             }),
             group_by: group_by.to_vec(),
             aggs: aggs.to_vec(),
@@ -2085,8 +2026,8 @@ mod tests {
 
     /// Bare columns handed to the output — named twice, read by the filter,
     /// read by an evaluated output, or read by nothing else — give the rows
-    /// and the conversion count of evaluating every output, over columnar
-    /// and row-major batches at one and four threads.
+    /// and the conversion count of evaluating every output, at one and four
+    /// threads.
     #[test]
     fn bare_columns_are_handed_over_once() {
         let schema = Schema::new(vec![
@@ -2144,46 +2085,166 @@ mod tests {
                 ]
             })
             .collect();
-        for columnar in [true, false] {
-            for threads in [1, 4] {
-                let provider = Stub {
-                    schema: schema.clone(),
-                    splits: vec![rows[..6].to_vec(), rows[6..].to_vec()],
-                    columnar,
-                };
-                let plan = LogicalPlan::Project {
-                    input: Box::new(LogicalPlan::Filter {
-                        predicate: predicate.clone(),
-                        input: Box::new(LogicalPlan::Scan {
-                            provider: Box::new(provider),
-                        }),
+        for threads in [1, 4] {
+            let provider = Stub {
+                schema: schema.clone(),
+                splits: vec![rows[..6].to_vec(), rows[6..].to_vec()],
+            };
+            let plan = LogicalPlan::Project {
+                input: Box::new(LogicalPlan::Filter {
+                    predicate: predicate.clone(),
+                    input: Box::new(LogicalPlan::Scan {
+                        provider: Box::new(provider),
                     }),
-                    exprs: exprs.clone(),
+                }),
+                exprs: exprs.clone(),
+                schema: schema.clone(),
+            };
+            let mut metrics = m();
+            let out = execute_plan_with(
+                &plan,
+                JsonParserKind::Jackson,
+                &mut metrics,
+                ExecOptions::with_threads(threads),
+            )
+            .unwrap();
+            assert_eq!(out, expected, "threads={threads}");
+            // The filter's column for all ten rows, then `a` and `b` once
+            // each for the seven kept rows.
+            assert_eq!(metrics.cells_materialized, 10 + 2 * 7);
+        }
+    }
+
+    /// The counting rule of a batch of cells: a materialised Filter and
+    /// Project above an Aggregate and above a Sort, and a bounded top-N
+    /// over a join, charge no `cells_materialized` and no
+    /// `batch_rows_skipped` — a cell moved out of a materialised input was
+    /// built already, and its rows are no scan's. Only the scans below
+    /// them charge: every decoded cell they hand over.
+    #[test]
+    fn materialised_stages_charge_no_cells_and_skip_no_batch_rows() {
+        let schema = Schema::new(vec![
+            Field::new("g", ColumnType::Utf8),
+            Field::new("v", ColumnType::Int64),
+        ])
+        .unwrap();
+        let rows: Vec<Vec<Cell>> = (0..10)
+            .map(|i| vec![Cell::from(format!("g{}", i % 3)), Cell::Int(i)])
+            .collect();
+        let scan = || LogicalPlan::Scan {
+            provider: Box::new(Stub {
+                schema: schema.clone(),
+                splits: vec![rows[..6].to_vec(), rows[6..].to_vec()],
+            }),
+        };
+        let col = |c: usize| Box::new(Expr::Column(c));
+        let int = |i: i64| Box::new(Expr::Literal(Cell::Int(i)));
+        let bin = |left, op, right| Expr::Binary { left, op, right };
+        let named = |exprs: Vec<Expr>| -> Vec<(Expr, String)> {
+            exprs.into_iter().map(|e| (e, String::new())).collect()
+        };
+        // HAVING sum > 12, then a projection, over the groups' sums g0 18,
+        // g1 12, g2 15.
+        let over_aggregate = LogicalPlan::Project {
+            input: Box::new(LogicalPlan::Filter {
+                input: Box::new(LogicalPlan::Aggregate {
+                    input: Box::new(scan()),
+                    group_by: vec![Expr::Column(0)],
+                    aggs: vec![(AggFunc::Sum, Some(Expr::Column(1)))],
                     schema: schema.clone(),
-                };
+                }),
+                predicate: bin(col(1), BinaryOp::Gt, int(12)),
+            }),
+            exprs: named(vec![
+                Expr::Column(1),
+                Expr::Column(0),
+                bin(col(1), BinaryOp::Add, int(1)),
+            ]),
+            schema: schema.clone(),
+        };
+        // Even values, sorted descending.
+        let over_sort = LogicalPlan::Project {
+            input: Box::new(LogicalPlan::Filter {
+                input: Box::new(LogicalPlan::Sort {
+                    input: Box::new(scan()),
+                    keys: vec![(Expr::Column(1), false)],
+                }),
+                predicate: bin(
+                    Box::new(bin(col(1), BinaryOp::Mod, int(2))),
+                    BinaryOp::Eq,
+                    int(0),
+                ),
+            }),
+            exprs: named(vec![Expr::Column(1), Expr::Column(0)]),
+            schema: schema.clone(),
+        };
+        // The first three join rows by the left value, descending: the left
+        // row (g0, 9) meets g0's four right rows, values 0, 3, 6 and 9.
+        let top_n_over_join = LogicalPlan::Limit {
+            n: 3,
+            input: Box::new(LogicalPlan::Sort {
+                input: Box::new(LogicalPlan::Project {
+                    input: Box::new(LogicalPlan::Join {
+                        left: Box::new(scan()),
+                        right: Box::new(scan()),
+                        left_key: Expr::Column(0),
+                        right_key: Expr::Column(0),
+                        schema: Schema::new(
+                            ["g", "v", "rg", "rv"]
+                                .map(|n| Field::new(n, ColumnType::Utf8))
+                                .to_vec(),
+                        )
+                        .unwrap(),
+                    }),
+                    exprs: named(vec![Expr::Column(1), Expr::Column(3)]),
+                    schema: schema.clone(),
+                }),
+                keys: vec![(Expr::Column(0), false)],
+            }),
+        };
+        let ints = |pairs: &[[i64; 2]]| -> Vec<Vec<Cell>> {
+            pairs.iter().map(|p| p.map(Cell::Int).to_vec()).collect()
+        };
+        let g = |n: i64, text: &str| vec![Cell::Int(n), Cell::from(text)];
+        let cases = [
+            (
+                over_aggregate,
+                vec![
+                    vec![Cell::Int(18), Cell::from("g0"), Cell::Int(19)],
+                    vec![Cell::Int(15), Cell::from("g2"), Cell::Int(16)],
+                ],
+                20,
+            ),
+            (
+                over_sort,
+                vec![g(8, "g2"), g(6, "g0"), g(4, "g1"), g(2, "g2"), g(0, "g0")],
+                20,
+            ),
+            (top_n_over_join, ints(&[[9, 0], [9, 3], [9, 6]]), 40),
+        ];
+        for (plan, expected, scanned_cells) in &cases {
+            for threads in [1, 4] {
                 let mut metrics = m();
                 let out = execute_plan_with(
-                    &plan,
+                    plan,
                     JsonParserKind::Jackson,
                     &mut metrics,
                     ExecOptions::with_threads(threads),
                 )
                 .unwrap();
-                assert_eq!(out, expected, "columnar={columnar} threads={threads}");
-                // Columnar: the filter's column for all ten rows, then `a`
-                // and `b` once each for the seven kept rows.
-                let cells = if columnar { 10 + 2 * 7 } else { 0 };
-                assert_eq!(metrics.cells_materialized, cells, "columnar={columnar}");
+                assert_eq!(&out, expected, "{threads} threads");
+                // Each scan hands over its ten rows' two decoded columns.
+                assert_eq!(metrics.cells_materialized, *scanned_cells, "{expected:?}");
+                assert_eq!(metrics.batch_rows_skipped, 0, "{expected:?}");
             }
         }
     }
 
-    /// A provider handing out its splits as columnar or row-major batches.
+    /// A provider handing out its splits as decoded columns.
     #[derive(Debug)]
     struct Stub {
         schema: Schema,
         splits: Vec<Vec<Vec<Cell>>>,
-        columnar: bool,
     }
 
     impl ScanProvider for Stub {
@@ -2193,11 +2254,8 @@ mod tests {
         fn split_count(&self) -> usize {
             self.splits.len()
         }
-        fn scan_split(&self, split: usize, _m: &mut ExecMetrics) -> crate::error::Result<Batch> {
-            let rows = self.splits[split].clone();
-            if !self.columnar {
-                return Ok(Batch::Rows(rows));
-            }
+        fn scan_split(&self, split: usize, _m: &mut ExecMetrics) -> crate::error::Result<Columns> {
+            let rows = &self.splits[split];
             let cols = self
                 .schema
                 .fields()
@@ -2205,13 +2263,13 @@ mod tests {
                 .enumerate()
                 .map(|(c, f)| {
                     let mut col = ColumnData::empty(f.ty);
-                    for row in &rows {
+                    for row in rows {
                         col.push(&row[c], &f.name).unwrap();
                     }
                     col
                 })
                 .collect();
-            Ok(Batch::Columns(Columns::decoded(cols)))
+            Ok(Columns::decoded(cols))
         }
         fn label(&self) -> String {
             "Stub".into()
@@ -2248,8 +2306,8 @@ mod tests {
                 &self,
                 _split: usize,
                 _m: &mut ExecMetrics,
-            ) -> crate::error::Result<Batch> {
-                Ok(Batch::Rows(self.1.clone()))
+            ) -> crate::error::Result<Columns> {
+                Columns::from_rows(self.1.clone(), 1)
             }
             fn label(&self) -> String {
                 "Fixed".into()
@@ -2625,8 +2683,8 @@ mod tests {
     }
 
     fn late_projection_case(key: Expr, table: &maxson_storage::Table) {
-        let top = |n: Option<usize>, columnar: bool| {
-            let source = match columnar {
+        let top = |n: Option<usize>, norc: bool| {
+            let source = match norc {
                 true => LogicalPlan::Scan {
                     provider: Box::new(
                         crate::scan::NorcScanProvider::new(table.clone(), vec![0, 1], None)
@@ -2672,10 +2730,10 @@ mod tests {
         for parser in [JsonParserKind::Jackson, JsonParserKind::Tape] {
             for threads in [1, 2, 4] {
                 for n in [0, 3, 8, 20, usize::MAX] {
-                    for columnar in [false, true] {
+                    for norc in [false, true] {
                         let mut metrics = m();
                         let rows = execute_plan_with(
-                            &top(Some(n), columnar),
+                            &top(Some(n), norc),
                             parser,
                             &mut metrics,
                             ExecOptions::with_threads(threads),
@@ -2683,7 +2741,7 @@ mod tests {
                         .unwrap();
                         let kept = n.min(full.len());
                         let case = format!(
-                            "{key:?}, {parser:?}, {threads} threads, limit {n}, columnar {columnar}"
+                            "{key:?}, {parser:?}, {threads} threads, limit {n}, norc {norc}"
                         );
                         assert_eq!(rows, full[..kept], "{case}");
                         assert_eq!(metrics.docs_parsed, kept as u64, "{case}");
@@ -2699,7 +2757,7 @@ mod tests {
                             2 + kept.div_ceil(kept.div_ceil(threads))
                         };
                         assert_eq!(metrics.par_tasks, tasks as u64, "{case}");
-                        if columnar {
+                        if norc {
                             // The key's ints at every row; the documents at
                             // each split's first `n` rows alone.
                             let deferred = 2 * n.min(4) as u64;

@@ -30,7 +30,8 @@
 use crate::sql::ast::{BinaryOp, SelectItem, SelectStatement, SqlExpr, TableRef};
 
 /// FNV-1a 64-bit hash (the identity hash; stable by spec, golden-tested
-/// against the published vectors below).
+/// against the published vectors below). Not the Norc checksum
+/// [`maxson_storage::encoding::fnv1a`], whose multiplier differs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf29ce484222325;
     for &b in bytes {

@@ -226,8 +226,8 @@ mod tests {
             &self,
             _split: usize,
             _m: &mut crate::metrics::ExecMetrics,
-        ) -> crate::error::Result<crate::scan::Batch> {
-            Ok(crate::scan::Batch::Rows(vec![]))
+        ) -> crate::error::Result<crate::scan::Columns> {
+            crate::scan::Columns::from_rows(vec![], 1)
         }
         fn label(&self) -> String {
             "Fake".into()

@@ -48,9 +48,6 @@ use maxson_json::JsonValue;
 
 use crate::error::{EngineError, Result};
 use crate::metrics::{ExecMetrics, Get, Merge};
-// The identity hash lives in the shared fingerprint module now; re-export
-// so `querylog::fnv1a64` callers keep compiling.
-pub use crate::fingerprint::fnv1a64;
 
 /// Everything one query-log line records besides the counters.
 pub struct QueryLogEntry<'a> {
@@ -158,6 +155,7 @@ impl QueryLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::fnv1a64;
 
     #[test]
     fn record_appends_parseable_lines() {

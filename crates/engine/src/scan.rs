@@ -1,11 +1,13 @@
-//! Table scanning with a pluggable provider.
+//! Table scanning with a pluggable provider, and the one batch layout.
 //!
 //! [`ScanProvider`] is the engine's extension point for the table-reading
-//! phase: a provider names its splits and reads one split as a [`Batch`].
-//! [`NorcScanProvider`] reads a Norc table split by split, applying SARG
-//! row-group skipping, and is also Maxson's value combiner (Algorithm 2)
-//! and shared pushdown (Algorithm 3): paired with a cache table, it stitches
-//! the raw table's and the cache table's columns side by side.
+//! phase: a provider names its splits and reads one split as [`Columns`],
+//! the one batch layout the row loop reads — a scan's split and a
+//! materialised input's rows alike. [`NorcScanProvider`] reads a Norc table
+//! split by split, applying SARG row-group skipping, and is also Maxson's
+//! value combiner (Algorithm 2) and shared pushdown (Algorithm 3): paired
+//! with a cache table, it stitches the raw table's and the cache table's
+//! columns side by side.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -16,59 +18,23 @@ use maxson_storage::{Cell, ColumnData, Field, NorcFile, Schema, SearchArgument, 
 use crate::error::{EngineError, Result};
 use crate::metrics::ExecMetrics;
 
-/// One split's worth of scanned data.
-#[derive(Debug)]
-pub enum Batch {
-    /// Row-major: providers that already hold cells (the online LRU, the
-    /// join-stitch baseline, materialised inputs, test stubs).
-    Rows(Vec<Vec<Cell>>),
-    /// Column-major: a split's columns, each decoded when its consumer
-    /// first reads it. Cells are built lazily by the consumer.
-    Columns(Columns),
-}
-
-impl Batch {
-    /// Number of rows held.
-    pub fn len(&self) -> usize {
-        match self {
-            Batch::Rows(rows) => rows.len(),
-            Batch::Columns(cols) => cols.len(),
-        }
-    }
-
-    /// `true` when the batch holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Materialize the rows, decoding every column still in its file and
-    /// charging `cells_materialized` for every column→cell conversion.
-    /// Row-major batches charge nothing (their cells were already built by
-    /// the provider).
-    pub fn into_rows(self, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
-        let n = self.len();
-        match self {
-            Batch::Rows(rows) => Ok(rows),
-            Batch::Columns(mut cols) => {
-                cols.decode_all(metrics)?;
-                metrics.cells_materialized += (n * cols.width()) as u64;
-                Ok((0..n)
-                    .map(|i| (0..cols.width()).map(|c| cols.column(c).get(i)).collect())
-                    .collect())
-            }
-        }
-    }
-}
-
-/// The columns of one split. Each is decoded already or still in one of
-/// the split's files; the consumer decodes what it reads at every row with
-/// [`Columns::decode`] and the rest at the rows it keeps with
-/// [`Columns::read_at`], so a value nothing reads is never built. A batch
-/// row is a position in the rows the SARG's row selection kept within the
-/// kept row groups, and it maps through both to the same row of every file
-/// the batch reads: the raw file and an aligned cache file alike
-/// (Algorithm 2's synchronized readers).
-#[derive(Debug)]
+/// One batch of rows, held column by column. A scan's columns are decoded
+/// already or still in one of the split's files; the consumer decodes what
+/// it reads at every row with [`Columns::decode`] and the rest at the rows
+/// it keeps, so a value nothing reads is never built. A batch row is a
+/// position in the rows the SARG's row selection kept within the kept row
+/// groups, and it maps through both to the same row of every file the
+/// batch reads: the raw file and an aligned cache file alike (Algorithm
+/// 2's synchronized readers).
+///
+/// A batch of cells ([`Columns::from_rows`], [`Columns::from_cells`]: no
+/// file, every column cells) holds values some operator or provider built
+/// already, such as a materialised input's rows moved column by column.
+/// The batch owns the counting rule: a cell built from a column is charged
+/// to `cells_materialized`, one moved out of a column of cells is not, and
+/// only a scan's rows are charged to `batch_rows_skipped` when a filter
+/// drops them.
+#[derive(Debug, Default)]
 pub struct Columns {
     len: usize,
     slots: Vec<Slot>,
@@ -77,11 +43,18 @@ pub struct Columns {
     keep: Option<Vec<bool>>,
     /// The batch's rows as positions in the kept row groups (`None` = all).
     selection: Option<Vec<u32>>,
+    /// The emptied vectors of the rows the batch was built from, for the
+    /// consumer to build its output rows in.
+    spare: Vec<Vec<Cell>>,
 }
 
 #[derive(Debug)]
 enum Slot {
     Decoded(ColumnData),
+    /// Cells built already, each moved out when it is read. Unlike a
+    /// [`ColumnData`], a slot may mix types: a column of `SUM`s is `Int`
+    /// for one group and `Float` for another.
+    Cells(Vec<Cell>),
     /// Column `column` of `files[file]`, not decoded yet.
     InFile {
         file: usize,
@@ -95,10 +68,41 @@ impl Columns {
         Columns {
             len: cols.first().map_or(0, ColumnData::len),
             slots: cols.into_iter().map(Slot::Decoded).collect(),
-            files: Vec::new(),
-            keep: None,
-            selection: None,
+            ..Columns::default()
         }
+    }
+
+    /// A batch of `len` rows of cells, given column by column.
+    pub fn from_cells(len: usize, cols: Vec<Vec<Cell>>) -> Result<Self> {
+        if let Some(col) = cols.iter().find(|col| col.len() != len) {
+            let e = format!("{} cells in a batch of {len} rows", col.len());
+            return Err(EngineError::exec(e));
+        }
+        let slots = cols.into_iter().map(Slot::Cells).collect();
+        Ok(Columns {
+            len,
+            slots,
+            ..Columns::default()
+        })
+    }
+
+    /// A batch of cells holding `rows`, each of `width` cells: every cell
+    /// is moved into its column, none is cloned, and the emptied row
+    /// vectors are kept for the consumer to build its output rows in.
+    pub fn from_rows(mut rows: Vec<Vec<Cell>>, width: usize) -> Result<Self> {
+        let mut cols: Vec<Vec<Cell>> = (0..width).map(|_| Vec::with_capacity(rows.len())).collect();
+        for row in &mut rows {
+            if row.len() != width {
+                let e = format!("a row of {} cells, not {width}", row.len());
+                return Err(EngineError::exec(e));
+            }
+            for (col, cell) in cols.iter_mut().zip(row.drain(..)) {
+                col.push(cell);
+            }
+        }
+        let mut batch = Columns::from_cells(rows.len(), cols)?;
+        batch.spare = rows;
+        Ok(batch)
     }
 
     /// Number of rows.
@@ -114,6 +118,18 @@ impl Columns {
     /// Number of columns.
     pub fn width(&self) -> usize {
         self.slots.len()
+    }
+
+    /// `true` for a batch of cells, whose rows are no scan's: a consumer
+    /// decodes nothing of it, at its kept rows or elsewhere.
+    pub(crate) fn of_cells(&self) -> bool {
+        self.files.is_empty() && (0..self.width()).all(|c| self.is_cells(c))
+    }
+
+    /// The emptied vectors of the rows the batch was built from, to build
+    /// output rows in (none for any other batch).
+    pub(crate) fn spare_rows(&mut self) -> Vec<Vec<Cell>> {
+        std::mem::take(&mut self.spare)
     }
 
     /// Append `projection` of `file`, a file aligned with the batch's first
@@ -152,47 +168,99 @@ impl Columns {
         self.decode(&(0..self.width()).collect::<Vec<_>>(), metrics)
     }
 
-    /// Column `c`. A consumer decodes every column it reads before reading
-    /// it; reading one still in its file is a bug, and panics.
-    pub fn column(&self, c: usize) -> &ColumnData {
-        match &self.slots[c] {
-            Slot::Decoded(col) => col,
-            Slot::InFile { .. } => panic!("column {c} read before it was decoded"),
+    /// Put row `i` of `columns`, each decoded already, into `row` at the
+    /// same positions: a decoded column's cell is built and charged to
+    /// `cells_materialized`, a batch of cells' is moved out. Each cell is
+    /// read at most once; reading a column still in its file is a bug, and
+    /// panics.
+    pub(crate) fn fill(
+        &mut self,
+        columns: &[usize],
+        i: usize,
+        row: &mut [Cell],
+        metrics: &mut ExecMetrics,
+    ) {
+        for &c in columns {
+            row[c] = match &mut self.slots[c] {
+                Slot::Decoded(col) => {
+                    metrics.cells_materialized += 1;
+                    col.get(i)
+                }
+                Slot::Cells(cells) => std::mem::replace(&mut cells[i], Cell::Null),
+                Slot::InFile { .. } => panic!("column {c} read before it was decoded"),
+            };
         }
     }
 
-    /// Column `c`, mutably (see [`Columns::column`]).
-    pub fn column_mut(&mut self, c: usize) -> &mut ColumnData {
-        match &mut self.slots[c] {
-            Slot::Decoded(col) => col,
-            Slot::InFile { .. } => panic!("column {c} read before it was decoded"),
+    /// Charge a row the consumer's filter dropped: a scan's row is a
+    /// `batch_rows_skipped`, a batch of cells' is not.
+    pub(crate) fn reject(&self, metrics: &mut ExecMetrics) {
+        if !self.of_cells() {
+            metrics.batch_rows_skipped += 1;
         }
     }
 
-    /// `columns` at the batch rows `rows` (ascending) alone: a decoded
-    /// column is gathered, one still in its file is decoded at those rows
-    /// only, charging `bytes_read` for them.
-    pub fn read_at(
-        &self,
+    /// `columns` at the batch rows `rows` (ascending) alone, moved out as
+    /// cells, one vector per column: a decoded column's are built and a
+    /// column still in its file is decoded at those rows only, charging
+    /// `bytes_read` for them; each is charged to `cells_materialized`. A
+    /// batch of cells' are moved out, uncharged. Each cell is taken at
+    /// most once.
+    pub(crate) fn take(
+        &mut self,
         columns: &[usize],
         rows: &[u32],
         metrics: &mut ExecMetrics,
-    ) -> Result<Vec<ColumnData>> {
+    ) -> Result<Vec<Vec<Cell>>> {
         let in_file: Vec<usize> = columns
             .iter()
             .copied()
             .filter(|&c| matches!(self.slots[c], Slot::InFile { .. }))
             .collect();
-        let at: Vec<u32> = match &self.selection {
-            Some(selection) => rows.iter().map(|&r| selection[r as usize]).collect(),
-            None => rows.to_vec(),
-        };
-        let mut read = self.read(&in_file, Some(&at), metrics)?.into_iter();
+        let built = columns.len() - columns.iter().filter(|&&c| self.is_cells(c)).count();
+        metrics.cells_materialized += (built * rows.len()) as u64;
+        let mut read = if in_file.is_empty() {
+            Vec::new()
+        } else {
+            let at: Vec<u32> = match &self.selection {
+                Some(selection) => rows.iter().map(|&r| selection[r as usize]).collect(),
+                None => rows.to_vec(),
+            };
+            self.read(&in_file, Some(&at), metrics)?
+        }
+        .into_iter();
         Ok(columns
             .iter()
-            .map(|&c| match &self.slots[c] {
-                Slot::Decoded(col) => col.gather(rows),
-                Slot::InFile { .. } => read.next().expect("one read column per column in a file"),
+            .map(|&c| match &mut self.slots[c] {
+                Slot::Decoded(col) => col.take_cells(rows),
+                Slot::Cells(cells) => rows
+                    .iter()
+                    .map(|&r| std::mem::replace(&mut cells[r as usize], Cell::Null))
+                    .collect(),
+                // Read at `rows` alone: every one of its values is taken.
+                Slot::InFile { .. } => {
+                    let col = read.next().expect("one read column per column in a file");
+                    (0..col.len()).map(|i| col.get(i)).collect()
+                }
+            })
+            .collect())
+    }
+
+    fn is_cells(&self, c: usize) -> bool {
+        matches!(self.slots[c], Slot::Cells(_))
+    }
+
+    /// Every row, decoding every column still in its file: each cell built
+    /// from a column is charged to `cells_materialized`, a batch of cells'
+    /// are moved out uncharged.
+    pub fn into_rows(mut self, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
+        self.decode_all(metrics)?;
+        let all: Vec<usize> = (0..self.width()).collect();
+        Ok((0..self.len)
+            .map(|i| {
+                let mut row = vec![Cell::Null; all.len()];
+                self.fill(&all, i, &mut row, metrics);
+                row
             })
             .collect())
     }
@@ -255,21 +323,10 @@ pub trait ScanProvider: Debug + Send + Sync {
     /// Read one split (`0 <= split < split_count()`), charging that split's
     /// read time/bytes to `metrics`. The table is the rows of every split
     /// concatenated in index order.
-    fn scan_split(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Batch>;
+    fn scan_split(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Columns>;
 
     /// Short label for plan display.
     fn label(&self) -> String;
-}
-
-/// Read a provider's whole table as rows: every split in index order,
-/// materialized. The executor never does this (it consumes batches); tests
-/// and the combiner ablation do.
-pub fn scan_rows(provider: &dyn ScanProvider, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
-    let mut rows = Vec::new();
-    for split in 0..provider.split_count() {
-        rows.extend(provider.scan_split(split, metrics)?.into_rows(metrics)?);
-    }
-    Ok(rows)
 }
 
 /// Open one split of `table` through the shared footer cache, charging the
@@ -384,6 +441,7 @@ pub(crate) fn read_chunks(
         files: vec![file],
         keep,
         selection,
+        spare: Vec::new(),
     })
 }
 
@@ -497,7 +555,7 @@ impl ScanProvider for NorcScanProvider {
         self.cache.as_ref().unwrap_or(&self.raw).table.file_count()
     }
 
-    fn scan_split(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Batch> {
+    fn scan_split(&self, split: usize, metrics: &mut ExecMetrics) -> Result<Columns> {
         let start = Instant::now();
         let reads = self.reads();
         let files = reads
@@ -555,7 +613,7 @@ impl ScanProvider for NorcScanProvider {
         let spent = start.elapsed();
         metrics.read += spent;
         metrics.read_wall += spent;
-        Ok(Batch::Columns(cols))
+        Ok(cols)
     }
 
     fn label(&self) -> String {
@@ -594,6 +652,25 @@ mod tests {
     use maxson_storage::file::WriteOptions;
     use maxson_storage::{CmpOp, ColumnType, Field};
     use std::path::PathBuf;
+
+    /// Every split of `provider` in index order, materialized.
+    fn scan_rows(provider: &dyn ScanProvider, metrics: &mut ExecMetrics) -> Result<Vec<Vec<Cell>>> {
+        let mut rows = Vec::new();
+        for split in 0..provider.split_count() {
+            rows.extend(provider.scan_split(split, metrics)?.into_rows(metrics)?);
+        }
+        Ok(rows)
+    }
+
+    impl Columns {
+        /// Column `c`, decoded already.
+        fn column(&self, c: usize) -> &ColumnData {
+            match &self.slots[c] {
+                Slot::Decoded(col) => col,
+                _ => panic!("column {c} is not decoded"),
+            }
+        }
+    }
 
     fn temp_dir(name: &str) -> PathBuf {
         use std::time::{SystemTime, UNIX_EPOCH};
@@ -731,7 +808,7 @@ mod tests {
         let p = NorcScanProvider::new(t, vec![0, 1], None).unwrap();
         let mut bm = ExecMetrics::default();
         let batch = p.scan_split(0, &mut bm).unwrap();
-        assert!(matches!(batch, Batch::Columns(_)));
+        assert!(!batch.of_cells());
         assert_eq!(batch.len(), 8);
         // Nothing is decoded until the consumer reads a column; bytes are
         // charged at decode time.
@@ -794,29 +871,69 @@ mod tests {
     /// asks for alone, mapped through the SARG's row selection; a decoded
     /// one is gathered at the same rows.
     #[test]
-    fn read_at_decodes_only_the_asked_rows_through_the_selection() {
+    fn take_decodes_only_the_asked_rows_through_the_selection() {
         let t = make_table("readat", &[10], 4);
         let sarg = SearchArgument::new().with(0, CmpOp::GtEq, Cell::Int(3));
         let p = NorcScanProvider::new(t, vec![1, 0], Some(sarg)).unwrap();
         let mut m = ExecMetrics::default();
-        let Batch::Columns(cols) = p.scan_split(0, &mut m).unwrap() else {
-            panic!("a Norc scan is columnar");
-        };
+        let mut cols = p.scan_split(0, &mut m).unwrap();
         // Rows 3..=9 are the batch; the tested `id` is decoded already.
         assert_eq!(cols.len(), 7);
         let before = m.bytes_read;
-        let read = cols.read_at(&[0, 1], &[1, 4, 6], &mut m).unwrap();
+        let read = cols.take(&[0, 1], &[1, 4, 6], &mut m).unwrap();
         let tags = ["t4", "t7", "t9"];
         let want: Vec<Cell> = tags.iter().map(|&t| Cell::from(t)).collect();
-        assert_eq!((0..3).map(|i| read[0].get(i)).collect::<Vec<_>>(), want);
-        let ids: Vec<Cell> = [4, 7, 9].map(Cell::Int).to_vec();
-        assert_eq!((0..3).map(|i| read[1].get(i)).collect::<Vec<_>>(), ids);
+        assert_eq!(read[0], want);
+        assert_eq!(read[1], [4, 7, 9].map(Cell::Int));
         assert_eq!(
             m.bytes_read - before,
             6,
             "three two-byte tags, nothing else"
         );
+        assert_eq!(m.cells_materialized, 6);
         p.raw.table.drop_table().unwrap();
+    }
+
+    /// A batch built from rows moves each cell into its column, mixed
+    /// types and all, and charges nothing for a cell taken from it or for
+    /// a row a filter drops; a row of the wrong width is an error.
+    #[test]
+    fn a_batch_of_rows_moves_its_cells_and_charges_nothing() {
+        let rows = vec![
+            vec![Cell::from("a"), Cell::Int(7)],
+            vec![Cell::Null, Cell::Float(2.5)],
+            vec![Cell::from("c"), Cell::Int(-1)],
+        ];
+        let mut m = ExecMetrics::default();
+        let mut cols = Columns::from_rows(rows.clone(), 2).unwrap();
+        assert!(cols.of_cells());
+        assert_eq!((cols.len(), cols.width()), (3, 2));
+        cols.decode_all(&mut m).unwrap();
+        let mut scratch = vec![Cell::Null; 2];
+        cols.fill(&[1], 1, &mut scratch, &mut m);
+        assert_eq!(scratch[1], Cell::Float(2.5));
+        cols.reject(&mut m);
+        let taken = cols.take(&[1, 0], &[0, 2], &mut m).unwrap();
+        assert_eq!(taken[0], [Cell::Int(7), Cell::Int(-1)]);
+        assert_eq!(taken[1], [Cell::from("a"), Cell::from("c")]);
+        assert_eq!((m.cells_materialized, m.batch_rows_skipped), (0, 0));
+        assert_eq!(m.bytes_read, 0);
+        let spare = cols.spare_rows();
+        assert_eq!(spare.len(), 3, "the emptied rows, to build output rows in");
+        assert!(spare
+            .iter()
+            .all(|row| row.is_empty() && row.capacity() >= 2));
+        let mut m = ExecMetrics::default();
+        let whole = Columns::from_rows(rows.clone(), 2).unwrap();
+        assert_eq!(whole.into_rows(&mut m).unwrap(), rows);
+        assert_eq!(m.cells_materialized, 0);
+        assert!(Columns::from_rows(rows, 3).is_err());
+        assert!(Columns::from_cells(2, vec![vec![Cell::Null]]).is_err());
+        // A decoded batch charges every cell it builds, and every drop.
+        let cols = Columns::decoded(vec![ColumnData::empty(ColumnType::Int64)]);
+        assert!(!cols.of_cells());
+        cols.reject(&mut m);
+        assert_eq!(m.batch_rows_skipped, 1);
     }
 
     #[test]
@@ -992,10 +1109,7 @@ mod tests {
             );
             let mut m = ExecMetrics::default();
             assert!(p.scan_split(0, &mut m).unwrap().is_empty());
-            let batch = p.scan_split(1, &mut m).unwrap();
-            let Batch::Columns(mut cols) = batch else {
-                panic!("combiner must hand over columns");
-            };
+            let mut cols = p.scan_split(1, &mut m).unwrap();
             assert_eq!(cols.width(), 3);
             assert_eq!(cols.len(), 5, "raw and cache pruned alike");
             assert_eq!(m.cells_materialized, 0, "no cell before consumption");
@@ -1006,7 +1120,7 @@ mod tests {
             assert!((0..3).all(|c| cols.column(c).len() == 5));
             let chunk_bytes: usize = (0..3).map(|c| cols.column(c).byte_size()).sum();
             assert_eq!(m.bytes_read, chunk_bytes as u64);
-            let rows = Batch::Columns(cols).into_rows(&mut m).unwrap();
+            let rows = cols.into_rows(&mut m).unwrap();
             assert_eq!(m.cells_materialized, 15);
             assert_eq!(rows[0][0], Cell::Int(35));
             assert_eq!(rows[0][2], Cell::from("350"));

@@ -276,7 +276,10 @@ impl<'a> Bitmap<'a> {
     }
 }
 
-/// FNV-1a 64-bit hash, used as the file checksum.
+/// The file checksum: FNV-1a's steps with the multiplier
+/// `0x1000_0000_01b3`, not FNV's published prime `0x100_0000_01b3`, so its
+/// values are not FNV-1a's. Every part file carries it; changing it is a
+/// format change.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_extend(FNV1A_EMPTY, bytes)
 }
@@ -560,6 +563,8 @@ mod tests {
         assert_eq!(a, fnv1a(b"hello"));
         assert_ne!(a, fnv1a(b"hellp"));
         assert_ne!(fnv1a(b""), 0);
+        // Pinned: the committed part files' checksums depend on it.
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
         let streamed = [&b"he"[..], b"", b"llo"]
             .iter()
             .fold(FNV1A_EMPTY, |h, piece| fnv1a_extend(h, piece));

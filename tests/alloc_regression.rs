@@ -576,8 +576,15 @@ const GROUP_ROWS: i64 = 4096;
 /// `SUM` addend list and the output row. Measured 7.05 when each group
 /// cloned its key for the group map and again for the first-seen order
 /// list, and grew the key into its output row; 4.05 with the evaluated key
-/// owned by the group index alone, sized for the output row.
+/// owned by the group index alone, sized for the output row; 3.06 once the
+/// projection above builds its rows in the aggregate's row vectors.
 const UNIQUE_GROUP_BY_ALLOCS_PER_ROW_CEILING: f64 = 5.5;
+
+/// Ceiling for what a HAVING stage that keeps all [`GROUP_ROWS`] groups
+/// adds to the statement without it, in allocations: its plan, columns and
+/// scratch row, and the doubling of its output vectors — 63 measured, not
+/// one a row.
+const HAVING_STAGE_ALLOCS_CEILING: u64 = 128;
 
 /// A group-by whose every row opens a group pays its per-group costs once
 /// a row. Called from the one test above, like the cells before it.
@@ -615,6 +622,26 @@ fn assert_unique_group_by_allocations_per_row() {
         per_row <= UNIQUE_GROUP_BY_ALLOCS_PER_ROW_CEILING,
         "unique-key group-by allocations per row regressed: {per_row:.3} \
          (ceiling {UNIQUE_GROUP_BY_ALLOCS_PER_ROW_CEILING})"
+    );
+    // A HAVING that keeps every group is a stage of its own over the
+    // aggregate's rows: it moves their cells into columns and builds each
+    // kept row in a row vector its input gave up, so it allocates per
+    // column, never per row.
+    let having = format!("{sql} having count(*) > 0");
+    assert_eq!(
+        session.execute(&having).unwrap().rows.len(),
+        GROUP_ROWS as usize
+    );
+    let before = allocation_count();
+    let result = session.execute(&having).unwrap();
+    let with_having = allocation_count() - before;
+    assert_eq!(result.rows.len(), GROUP_ROWS as usize);
+    eprintln!("alloc_regression: the HAVING stage {with_having} - {allocs} allocations");
+    assert!(
+        with_having <= allocs + HAVING_STAGE_ALLOCS_CEILING,
+        "a HAVING stage allocated {} more than the statement without it \
+         (ceiling {HAVING_STAGE_ALLOCS_CEILING}; one a row would be {GROUP_ROWS})",
+        with_having.saturating_sub(allocs)
     );
     std::fs::remove_dir_all(&root).ok();
 }

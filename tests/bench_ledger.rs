@@ -243,7 +243,10 @@ fn gated_counters_change_only_where_named() {
 /// fails until `counters_changed` names it, and a moved wall never fails.
 #[test]
 fn an_unnamed_counter_change_is_caught() {
-    let (_, doc) = ledger().pop().expect("a ledger file");
+    // The newest file, naming no change: what it names itself must not
+    // excuse the edits below.
+    let (_, mut doc) = ledger().pop().expect("a ledger file");
+    name_changes(&mut doc, Vec::new());
     let edit = |workload: &str, metric: &str, by: f64| -> JsonValue {
         let mut edited = doc.clone();
         let old = traced(&doc, workload, metric).unwrap();
@@ -256,18 +259,11 @@ fn an_unnamed_counter_change_is_caught() {
         ["midnight_cycle.engine.docs_parsed"]
     );
     let mut named = moved;
-    let JsonValue::Object(members) = &mut named else {
-        unreachable!("a ledger file is an object")
-    };
     let entry = maxson_json::parse(
         r#"{"workload": "midnight_cycle", "counter": "engine.docs_parsed", "reason": "test"}"#,
     )
     .unwrap();
-    for (key, value) in members.iter_mut() {
-        if key == "counters_changed" {
-            *value = JsonValue::Array(vec![entry.clone()]);
-        }
-    }
+    name_changes(&mut named, vec![entry]);
     assert!(unnamed_changes(&doc, &named).is_empty());
     let slower = edit("midnight_cycle", "block_p50_traced_ms", 50.0);
     assert!(
@@ -286,6 +282,18 @@ fn an_unnamed_counter_change_is_caught() {
     );
     let raced = edit("serve_zipf", "engine.cache_hits", 100.0);
     assert!(unnamed_changes(&doc, &raced).is_empty(), "serve_zipf races");
+}
+
+/// Replace `doc`'s `counters_changed` with `entries`.
+fn name_changes(doc: &mut JsonValue, entries: Vec<JsonValue>) {
+    let JsonValue::Object(members) = doc else {
+        unreachable!("a ledger file is an object")
+    };
+    for (key, value) in members.iter_mut() {
+        if key == "counters_changed" {
+            *value = JsonValue::Array(entries.clone());
+        }
+    }
 }
 
 fn set_traced(doc: &mut JsonValue, workload: &str, metric: &str, to: f64) {

@@ -396,7 +396,7 @@ fn property_mutated_sql_errors_never_panic() {
 // ---------------------------------------------------------------------
 
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::{Batch, ScanProvider};
+use maxson_engine::scan::{Columns, ScanProvider};
 use maxson_engine::session::{ScanContext, ScanRewrite, TableScanRewriter};
 use maxson_server::wire::{self, OpCode, Writer, MAGIC, STATUS_ERR};
 use maxson_server::{Client, Server, ServerConfig};
@@ -522,7 +522,7 @@ impl ScanProvider for AlwaysPanicProvider {
         &self,
         _split: usize,
         _metrics: &mut ExecMetrics,
-    ) -> maxson_engine::Result<Batch> {
+    ) -> maxson_engine::Result<Columns> {
         panic!("poisoned provider");
     }
     fn label(&self) -> String {

@@ -13,9 +13,9 @@
 //!
 //! Cells: parser {Jackson, Mison, Tape} × threads {1, 2, 4} × SIMD tier
 //! (every tier the CPU has) × reuse cache {off, fill, hit} × plan {plain,
-//! Maxson-rewritten} × {in-process, served} × part files {mapped, copied},
-//! chosen by a covering array in which every pair of dimension values
-//! meets for every statement. Every
+//! Maxson-rewritten} × {in-process, served} — six dimensions, chosen by a
+//! covering array in which every pair of dimension values meets for every
+//! statement. Every
 //! in-process, reuse-off run also feeds the work-counter rules
 //! (`cells::assert_counter_rules`), and the Table II statements'
 //! `EXPLAIN ANALYZE` trees must not depend on the thread count.
@@ -53,6 +53,17 @@ const PINNED: [&str; 1] = [
     // `*` under the rewriter named the cache column of `$.f0` instead of
     // `payload`.
     "select * from mydb.q1 where get_json_object(payload, '$.f0') > 900 limit 5",
+];
+
+/// Fixed statements over the temporary warehouse's `db.mixed`. A `SUM`
+/// whose addends are `Int` in some groups (`round` to no digits, or a NULL
+/// digit count) and `Float` in others (`round` to one digit) is a column
+/// mixing `Int` and `Float` in the stages above the aggregate: the HAVING
+/// filter reads it, the top-N sorts on it and keeps Ints and Floats, and
+/// the NULL group is filtered out.
+const PINNED_MIXED: [&str; 1] = [
+    "select id % 6 as g, sum(round(score, id % 2)) as s, count(*) as n from db.mixed \
+     group by id % 6 having sum(round(score, id % 2)) > 125 order by s desc limit 5",
 ];
 
 fn seed() -> u64 {
@@ -353,6 +364,16 @@ fn nobench_pinned_and_generated_statements_agree_with_the_oracle_in_every_cell()
         .enumerate()
         .flat_map(|(i, sql)| Case::spellings(&oracle, &format!("nobench #{i}"), sql))
         .collect();
+    for (i, sql) in PINNED_MIXED.iter().enumerate() {
+        let pinned = Case::spellings(&oracle, &format!("pinned mixed #{i}"), sql);
+        let sums: Vec<&Cell> = pinned[0].expected.rows.iter().map(|r| &r[1]).collect();
+        assert!(
+            sums.iter().any(|c| matches!(c, Cell::Int(_)))
+                && sums.iter().any(|c| matches!(c, Cell::Float(_))),
+            "pinned mixed #{i} no longer mixes Int and Float sums: {sums:?}"
+        );
+        cases.extend(pinned);
+    }
     cases.extend(generated(&oracle, &sources, seed ^ 1, GENERATED_TEMPORARY));
     sweep(&root, &cases, seed, true);
     std::fs::remove_dir_all(&root).ok();

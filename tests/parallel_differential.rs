@@ -12,7 +12,7 @@
 mod support;
 
 use maxson_engine::metrics::ExecMetrics;
-use maxson_engine::scan::{Batch, ScanProvider};
+use maxson_engine::scan::{Columns, ScanProvider};
 use maxson_engine::session::{ScanContext, ScanRewrite, Session, TableScanRewriter};
 use maxson_storage::{Cell, ColumnType, Field, Schema};
 use std::path::PathBuf;
@@ -100,11 +100,15 @@ impl ScanProvider for PoisonedProvider {
     fn split_count(&self) -> usize {
         self.splits
     }
-    fn scan_split(&self, split: usize, _metrics: &mut ExecMetrics) -> maxson_engine::Result<Batch> {
+    fn scan_split(
+        &self,
+        split: usize,
+        _metrics: &mut ExecMetrics,
+    ) -> maxson_engine::Result<Columns> {
         if split == self.poisoned {
             panic!("poisoned split payload");
         }
-        Ok(Batch::Rows(vec![vec![Cell::Int(split as i64)]]))
+        Columns::from_rows(vec![vec![Cell::Int(split as i64)]], 1)
     }
     fn label(&self) -> String {
         "PoisonedProvider".into()
