@@ -47,6 +47,10 @@ cargo run --release --offline -q -p maxson-bench --bin make_warehouse
 # and that nodes_skipped is positive on tape runs and zero elsewhere.
 MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig15_parsers
 
+# Smoke-run the parsing microbenches (fast mode, ~4 s): every kernel tier's
+# bitmap build, the validating walk and the compiled projection still run.
+MAXSON_BENCH_FAST=1 cargo bench --offline -p maxson-bench --bench parsing
+
 # Server smoke: starts the TCP query server over a throwaway warehouse,
 # replays queries from 8 concurrent clients (results checked against a
 # serial reference), then shuts down cleanly and proves no thread leaked.

@@ -8,6 +8,12 @@
 //! parse-cost measurements. Maxson's Algorithm 1 rewrite replaces
 //! `GetJsonObject` nodes with plain `Column` references into cache-provided
 //! slots, making the parse cost vanish.
+//!
+//! Integer arithmetic is Java `long` arithmetic, as in Spark's non-ANSI
+//! mode: `+`, `-`, `*`, unary minus, `%` and `abs` wrap on overflow
+//! (`i64::MIN % -1` is 0, `-i64::MIN` is `i64::MIN`), `%` takes the sign of
+//! its left operand, and `/` is always a float division. A zero divisor
+//! gives NULL. No integer operation panics.
 
 use std::cmp::Ordering;
 
@@ -228,7 +234,7 @@ impl Expr {
             }
             Expr::Neg(e) => match e.eval_with(row, parser, metrics, slots)? {
                 Cell::Null => Ok(Cell::Null),
-                Cell::Int(i) => Ok(Cell::Int(-i)),
+                Cell::Int(i) => Ok(Cell::Int(i.wrapping_neg())),
                 Cell::Float(f) => Ok(Cell::Float(-f)),
                 c => match c.coerce_f64() {
                     Some(f) => Ok(Cell::Float(-f)),
@@ -569,7 +575,7 @@ fn eval_binary(l: &Cell, op: BinaryOp, r: &Cell) -> Result<Cell> {
                         if *b == 0 {
                             Cell::Null
                         } else {
-                            Cell::Int(a % b)
+                            Cell::Int(a.wrapping_rem(*b))
                         }
                     }
                     _ => unreachable!(),
@@ -617,6 +623,30 @@ mod tests {
             left: Box::new(l),
             op,
             right: Box::new(r),
+        }
+    }
+
+    /// Java `long` arithmetic, each expected value written from the rule
+    /// in the module doc, not computed by the engine.
+    #[test]
+    fn integer_arithmetic_wraps_like_java_long() {
+        use BinaryOp::{Add, Mod, Mul, Sub};
+        let int = |i: i64| Expr::Literal(Cell::Int(i));
+        let neg = |e: Expr| Expr::Neg(Box::new(e));
+        let cases: [(Expr, Cell); 10] = [
+            (bin(int(i64::MIN), Mod, int(-1)), Cell::Int(0)),
+            (neg(int(i64::MIN)), Cell::Int(i64::MIN)),
+            (bin(int(-7), Mod, int(3)), Cell::Int(-1)),
+            (bin(int(7), Mod, int(-3)), Cell::Int(1)),
+            (bin(int(7), Mod, int(0)), Cell::Null),
+            (bin(int(i64::MIN), Mod, int(0)), Cell::Null),
+            (bin(int(i64::MAX), Add, int(1)), Cell::Int(i64::MIN)),
+            (bin(int(i64::MIN), Sub, int(1)), Cell::Int(i64::MAX)),
+            (bin(int(i64::MIN), Mul, int(-1)), Cell::Int(i64::MIN)),
+            (neg(int(i64::MAX)), Cell::Int(-i64::MAX)),
+        ];
+        for (e, want) in cases {
+            assert_eq!(eval(&e, &[]), want, "{e:?}");
         }
     }
 

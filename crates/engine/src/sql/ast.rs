@@ -358,12 +358,12 @@ impl SqlExpr {
     }
 
     /// Collect the distinct `get_json_object` calls as
-    /// `(column_name, path_text)`, in first-seen order. Repeated calls on
-    /// the same column/path are one extraction site — the unit both the
-    /// Maxson cache and shared-parse execution reason about — so they are
-    /// reported once. Only direct column arguments are reported (the form
-    /// the paper's workload uses).
-    pub fn json_path_calls(&self) -> Vec<(String, String)> {
+    /// `(column_name, path_text)`, in first-seen order: the parser's and
+    /// this module's tests read what a statement extracts through it.
+    /// Repeated calls on the same column/path are one extraction site, so
+    /// they are reported once. Only direct column arguments are reported.
+    #[cfg(test)]
+    pub(crate) fn json_path_calls(&self) -> Vec<(String, String)> {
         let mut out: Vec<(String, String)> = Vec::new();
         self.walk(&mut |e| {
             if let SqlExpr::GetJsonObject { column, path } = e {

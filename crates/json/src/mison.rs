@@ -51,7 +51,10 @@ impl<'a> StructuralIndex<'a> {
     /// (pass 1), then a word-at-a-time walk over the set structural bits
     /// derives leveled colons and bracket matching (pass 2).
     pub fn build(input: &'a str) -> Self {
-        Self::from_bitmaps(input, kernels::build_bitmaps(input.as_bytes()))
+        Self::from_bitmaps(
+            input,
+            kernels::build_structural_with(kernels::active(), input.as_bytes()),
+        )
     }
 
     fn from_bitmaps(input: &'a str, bitmaps: kernels::Bitmaps) -> Self {
@@ -59,6 +62,7 @@ impl<'a> StructuralIndex<'a> {
         let kernels::Bitmaps {
             in_string,
             structural,
+            ..
         } = bitmaps;
 
         // Pass 2: leveled colons and bracket matching. The kernel already
@@ -113,9 +117,9 @@ impl<'a> StructuralIndex<'a> {
     /// quote, so that quote is the first clear bit after `open` — found a
     /// word at a time, no byte of the string is looked at. `None` when the
     /// string runs to the end of the input. `open` must be a quote outside
-    /// any string (a structural position), which is where both callers —
-    /// [`Self::value_end`] and the tape builder — stand.
-    pub(crate) fn closing_quote(in_string: &[u64], len: usize, open: usize) -> Option<usize> {
+    /// any string (a structural position), which is where
+    /// [`Self::value_end`] stands.
+    fn closing_quote(in_string: &[u64], len: usize, open: usize) -> Option<usize> {
         let from = open + 1;
         let mut w = from / 64;
         // Bits below `from` in the first word count as set (not candidates).

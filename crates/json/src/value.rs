@@ -199,37 +199,6 @@ impl JsonValue {
             _ => 1,
         }
     }
-
-    /// Collect all root-to-leaf JSONPaths in the document, in `$.a.b[0]`
-    /// syntax. Arrays contribute indexed steps.
-    pub fn leaf_paths(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        fn walk(v: &JsonValue, prefix: &mut String, out: &mut Vec<String>) {
-            match v {
-                JsonValue::Object(pairs) => {
-                    for (k, child) in pairs {
-                        let len = prefix.len();
-                        prefix.push('.');
-                        prefix.push_str(k);
-                        walk(child, prefix, out);
-                        prefix.truncate(len);
-                    }
-                }
-                JsonValue::Array(items) => {
-                    for (i, child) in items.iter().enumerate() {
-                        let len = prefix.len();
-                        prefix.push_str(&format!("[{i}]"));
-                        walk(child, prefix, out);
-                        prefix.truncate(len);
-                    }
-                }
-                _ => out.push(prefix.clone()),
-            }
-        }
-        let mut prefix = String::from("$");
-        walk(self, &mut prefix, &mut out);
-        out
-    }
 }
 
 impl From<bool> for JsonValue {
@@ -301,16 +270,6 @@ mod tests {
         assert_eq!(v.depth(), 4); // object -> object -> array -> scalar
         assert_eq!(v.property_count(), 4); // id, name, 2 tags
         assert_eq!(JsonValue::Null.depth(), 1);
-    }
-
-    #[test]
-    fn leaf_paths_enumerate_all_leaves() {
-        let v = sample();
-        let paths = v.leaf_paths();
-        assert_eq!(
-            paths,
-            vec!["$.id", "$.item.name", "$.item.tags[0]", "$.item.tags[1]"]
-        );
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! decode time.
 
 use crate::features::SequenceExample;
-#[cfg(test)]
-use crate::linalg::log_sum_exp;
 use crate::lstm::LstmLabeler;
 use crate::MpjpModel;
 
@@ -174,9 +172,29 @@ impl MpjpModel for LstmCrf {
     }
 }
 
+/// log(sum(exp(xs))) computed stably, for [`CrfLayer::log_partition`].
+#[cfg(test)]
+fn log_sum_exp(xs: &[f64]) -> f64 {
+    let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if m.is_infinite() {
+        return m;
+    }
+    m + xs.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn log_sum_exp_stable() {
+        let v = log_sum_exp(&[1000.0, 1000.0]);
+        assert!((v - (1000.0 + 2f64.ln())).abs() < 1e-9);
+        assert_eq!(
+            log_sum_exp(&[f64::NEG_INFINITY, f64::NEG_INFINITY]),
+            f64::NEG_INFINITY
+        );
+    }
 
     fn sticky_crf() -> CrfLayer {
         // Labels strongly persist: P(b|b)=0.9, P(n|n)=0.9.

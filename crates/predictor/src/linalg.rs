@@ -147,15 +147,6 @@ pub fn sgd_step_vec(w: &mut [f64], grad: &[f64], lr: f64, clip: f64) {
     }
 }
 
-/// log(sum(exp(xs))) computed stably.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if m.is_infinite() {
-        return m;
-    }
-    m + xs.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,16 +176,6 @@ mod tests {
         assert!(sigmoid(1000.0) <= 1.0);
         assert!(sigmoid(-1000.0) >= 0.0);
         assert!(sigmoid(-1000.0) < 1e-10);
-    }
-
-    #[test]
-    fn log_sum_exp_stable() {
-        let v = log_sum_exp(&[1000.0, 1000.0]);
-        assert!((v - (1000.0 + 2f64.ln())).abs() < 1e-9);
-        assert_eq!(
-            log_sum_exp(&[f64::NEG_INFINITY, f64::NEG_INFINITY]),
-            f64::NEG_INFINITY
-        );
     }
 
     #[test]

@@ -16,21 +16,6 @@ use crate::metacache::{NorcMetaCache, DEFAULT_META_CACHE_BYTES};
 use crate::schema::Schema;
 use crate::table::Table;
 
-/// Lightweight table metadata snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableMeta {
-    /// Database name.
-    pub database: String,
-    /// Table name.
-    pub table: String,
-    /// Table schema.
-    pub schema: Schema,
-    /// Logical timestamp of last modification.
-    pub modified_at: u64,
-    /// Number of part files.
-    pub file_count: usize,
-}
-
 /// Directory-backed catalog. Tables are kept open in memory; the on-disk
 /// metadata stays the source of truth between processes.
 #[derive(Debug)]
@@ -151,18 +136,6 @@ impl Catalog {
         t.drop_table()
     }
 
-    /// Metadata snapshot for one table.
-    pub fn table_meta(&self, database: &str, table: &str) -> Result<TableMeta> {
-        let t = self.table(database, table)?;
-        Ok(TableMeta {
-            database: database.to_string(),
-            table: table.to_string(),
-            schema: t.schema().clone(),
-            modified_at: t.modified_at(),
-            file_count: t.file_count(),
-        })
-    }
-
     /// List `(database, table)` pairs in name order.
     pub fn list_tables(&self) -> Vec<(String, String)> {
         self.tables.keys().cloned().collect()
@@ -201,9 +174,9 @@ mod tests {
         assert!(!cat.has_table("mydb", "x"));
         assert!(cat.create_table("mydb", "t", schema(), 1).is_err());
 
-        let meta = cat.table_meta("mydb", "t").unwrap();
-        assert_eq!(meta.modified_at, 1);
-        assert_eq!(meta.file_count, 0);
+        let t = cat.table("mydb", "t").unwrap();
+        assert_eq!(t.modified_at(), 1);
+        assert_eq!(t.file_count(), 0);
 
         cat.drop_table("mydb", "t").unwrap();
         assert!(!cat.has_table("mydb", "t"));
@@ -229,7 +202,7 @@ mod tests {
                 ("db2".to_string(), "logs".to_string()),
             ]
         );
-        assert_eq!(cat.table_meta("db1", "sales").unwrap().modified_at, 6);
+        assert_eq!(cat.table("db1", "sales").unwrap().modified_at(), 6);
         assert_eq!(cat.table("db1", "sales").unwrap().num_rows().unwrap(), 1);
         fs::remove_dir_all(&root).ok();
     }
@@ -239,7 +212,6 @@ mod tests {
         let root = temp_root("missing");
         let cat = Catalog::open(&root).unwrap();
         assert!(cat.table("no", "table").is_err());
-        assert!(cat.table_meta("no", "table").is_err());
         fs::remove_dir_all(&root).ok();
     }
 }

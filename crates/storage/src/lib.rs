@@ -36,7 +36,7 @@ pub mod sarg;
 pub mod schema;
 pub mod table;
 
-pub use catalog::{Catalog, TableMeta};
+pub use catalog::Catalog;
 pub use cell::{Cell, CellKey, RowKey, RowKeySlice};
 pub use column::ColumnData;
 pub use error::{Result, StorageError};

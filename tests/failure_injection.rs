@@ -334,6 +334,47 @@ fn property_mutated_payloads_error_never_panic() {
 }
 
 // ---------------------------------------------------------------------
+// Integer overflow: Java `long` values, never a panic
+// ---------------------------------------------------------------------
+
+/// `i64::MIN % -1` is 0 and `-i64::MIN` is `i64::MIN` (`-` wraps, so SQL
+/// reaches `i64::MIN` as `-9223372036854775807 - 1`): in a split task's
+/// projection, and in a Filter and a Project over an aggregate, the
+/// materialised stages with no pool to catch a panic.
+#[test]
+fn long_overflow_boundaries_wrap_in_projections_and_over_aggregates() {
+    let root = temp_root("long-boundaries");
+    let mut session = Session::open(&root).unwrap();
+    a_table(&mut session, 6, 4);
+    let min = "(-9223372036854775807 - 1)";
+    let r = session
+        .execute(&format!(
+            "select id, {min} % -1 as m, -{min} as n from db.t where id < 2"
+        ))
+        .unwrap();
+    for row in &r.rows {
+        assert_eq!(row[1..], [Cell::Int(0), Cell::Int(i64::MIN)], "{row:?}");
+    }
+    assert_eq!(r.rows.len(), 2);
+    let r = session
+        .execute(&format!(
+            "select id % 2 as g, count(*) as c, (min(id) + {min}) % -1 as m from db.t \
+             group by id % 2 having {min} % -1 = 0 and -(max(id) * 0 + {min}) < 0"
+        ))
+        .unwrap();
+    let mut groups: Vec<_> = r.rows.iter().map(|row| row.to_vec()).collect();
+    groups.sort_by_key(|row| format!("{row:?}"));
+    assert_eq!(
+        groups,
+        [
+            vec![Cell::Int(0), Cell::Int(3), Cell::Int(0)],
+            vec![Cell::Int(1), Cell::Int(3), Cell::Int(0)],
+        ]
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+// ---------------------------------------------------------------------
 // Mutated SQL: an error, never a panic
 // ---------------------------------------------------------------------
 

@@ -166,15 +166,15 @@ fn api_tape_matches_jackson_on_mutated_corpus() {
 // String boundaries: the tape's word-at-a-time string handling
 // ---------------------------------------------------------------------
 //
-// The tape finds a closing quote as the first clear bit of the
-// string-interior bitmap (64 input bytes per word) and validates a string
-// body eight bytes per step, dropping to the per-byte checker only in a
-// chunk holding a control byte or a backslash. Every document below puts
-// the bytes that matter on one of those boundaries.
+// The tape finds a closing quote as the next bit of stage 1's token index
+// (64 input bytes per word) and looks at a string body only where stage
+// 1's escape bitmap marks a control byte or a backslash, handing each
+// such byte to the per-byte escape checker. Every document below puts
+// the bytes that matter on a word boundary, or at the start of a body.
 
 /// `{"k": "<body>", "t": 1}` behind `pad` bytes of leading whitespace, so
 /// the body starts anywhere in a bitmap word; `filler` x's inside the body
-/// move what follows them through the eight lanes of a validation chunk.
+/// put what follows them at that offset of the body.
 fn boundary_doc(pad: usize, filler: usize, tail: &str) -> String {
     format!(
         r#"{}{{"k": "{}{tail}", "t": 1}}"#,
@@ -290,6 +290,53 @@ fn strings_on_chunk_and_word_boundaries_match_jackson_on_every_tier() {
             assert!(jackson_outcome(&doc).is_err(), "{doc:?}");
         }
     }
+    // A control byte, a one-byte escape and a `\u` escape at body offsets
+    // 0–9 and 62–66, the body starting on, before and after a word edge.
+    for pad in [0, 1, 56, 57, 63] {
+        for offset in (0..=9).chain(62..=66) {
+            for tail in [
+                "\u{1}",
+                "x\u{1f}",
+                r#"\n"#,
+                r#"\""#,
+                r#"\u00e9"#,
+                r#"\uD83D\uDE00"#,
+                r#"\q"#,
+            ] {
+                let doc = boundary_doc(pad, offset, tail);
+                assert_eq!(
+                    tape_outcome_on_every_tier(&doc),
+                    jackson_outcome(&doc),
+                    "{doc:?}"
+                );
+            }
+        }
+    }
+    // Escaped keys shorter than a word's eight bytes: each one's name is
+    // compared unescaped (`\u006b` is `k`), and a bad one is rejected.
+    for key in [
+        r#"\u006b"#,
+        r#"\""#,
+        r#"a\nb"#,
+        r#"\\"#,
+        r#"\/k"#,
+        r#"k\t"#,
+        "k\u{1}",
+        r#"\q"#,
+        r#"\u0G6b"#,
+        r#"\uDE00"#,
+    ] {
+        for pad in [0, 3, 60, 63] {
+            let doc = format!(r#"{}{{"{key}": 5, "t": 1}}"#, " ".repeat(pad));
+            assert_eq!(
+                tape_outcome_on_every_tier(&doc),
+                jackson_outcome(&doc),
+                "{doc:?}"
+            );
+        }
+    }
+    let escaped_k = tape_outcome_on_every_tier(r#"{"\u006b": 5, "t": 1}"#).unwrap();
+    assert_eq!(escaped_k[0].as_deref(), Some("5"));
 }
 
 #[test]
