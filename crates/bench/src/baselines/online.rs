@@ -7,7 +7,9 @@
 //! serves cached columns from memory, parses misses on the spot (charging
 //! parse time), and inserts them into the LRU. Hits, misses and evictions
 //! are counted in the query's `ExecMetrics` (`lru_hits`, `lru_misses`,
-//! `lru_evictions`) and nowhere else.
+//! `lru_evictions`) and nowhere else. Like Maxson's rewriter it holds no
+//! observer: each scan's provider takes the tracer and the resident-bytes
+//! gauge of the registry its planning context lends.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -18,7 +20,7 @@ use maxson_engine::scan::{open_split, Columns, ScanProvider};
 use maxson_engine::session::{ScanContext, ScanRewrite, TableScanRewriter};
 use maxson_engine::EngineError;
 use maxson_json::JsonPath;
-use maxson_obs::Tracer;
+use maxson_obs::{Gauge, Tracer};
 use maxson_storage::{Cell, Field, Schema, Table};
 use maxson_trace::JsonPathLocation;
 
@@ -45,9 +47,6 @@ struct LruState {
 pub struct OnlineLruRewriter {
     budget_bytes: u64,
     state: Arc<Mutex<LruState>>,
-    tracer: Tracer,
-    /// Process-wide metric registry the resident-bytes gauge lands in.
-    metrics: Arc<maxson_obs::Registry>,
 }
 
 impl OnlineLruRewriter {
@@ -57,22 +56,7 @@ impl OnlineLruRewriter {
         OnlineLruRewriter {
             budget_bytes,
             state: Arc::new(Mutex::new(LruState::default())),
-            tracer: Tracer::disabled(),
-            metrics: Arc::clone(maxson_obs::Registry::global()),
         }
-    }
-
-    /// Record an `lru_scan` span per scan into `tracer` (normally a clone
-    /// of the session's, so LRU activity shows up in the same trace file as
-    /// the queries that caused it).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Replace the metric registry (tests inject a fresh one; the default
-    /// is the process-wide [`maxson_obs::Registry::global`]).
-    pub fn set_metrics_registry(&mut self, registry: Arc<maxson_obs::Registry>) {
-        self.metrics = registry;
     }
 }
 
@@ -118,8 +102,8 @@ impl TableScanRewriter for OnlineLruRewriter {
             out_schema,
             state: Arc::clone(&self.state),
             budget_bytes: self.budget_bytes,
-            tracer: self.tracer.clone(),
-            metrics: Arc::clone(&self.metrics),
+            tracer: ctx.tracer.clone(),
+            resident_bytes: ctx.metrics.gauge("maxson_lru_resident_bytes", &[]),
         };
         Ok(Some(ScanRewrite {
             provider: Box::new(provider),
@@ -138,8 +122,10 @@ struct LruBackedProvider {
     out_schema: Schema,
     state: Arc<Mutex<LruState>>,
     budget_bytes: u64,
+    /// Records one `lru_scan` span per scan (the session's tracer).
     tracer: Tracer,
-    metrics: Arc<maxson_obs::Registry>,
+    /// `maxson_lru_resident_bytes` of the planning session's registry.
+    resident_bytes: Gauge,
 }
 
 impl std::fmt::Debug for LruBackedProvider {
@@ -276,9 +262,7 @@ impl ScanProvider for LruBackedProvider {
                     );
                 }
                 metrics.lru_resident_bytes = metrics.lru_resident_bytes.max(st.used_bytes);
-                self.metrics
-                    .gauge("maxson_lru_resident_bytes", &[])
-                    .set(st.used_bytes);
+                self.resident_bytes.set(st.used_bytes);
             }
             call_columns.push(values);
         }

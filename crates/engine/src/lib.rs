@@ -77,8 +77,8 @@ pub use session::{
     TableScanRewriter,
 };
 // Observability handles, re-exported so downstream crates don't need a
-// direct `maxson-obs` dependency to hold or inspect a tracer or charge the
-// process-wide metric registry.
+// direct `maxson-obs` dependency to hold or inspect a tracer or charge a
+// warehouse's metric registry.
 pub use maxson_obs::{
     Counter, Gauge, HistogramHandle, LatencyHistogram, OpRollup, Registry, SpanGuard, SpanId,
     TraceSnapshot, Tracer,

@@ -1,10 +1,10 @@
 //! The planner: everything that turns a [`SelectStatement`] into a
 //! [`LogicalPlan`].
 //!
-//! `plan` is a function of a catalog, an optional scan rewriter and a
-//! parsed statement — no session, no lock, no warehouse on disk — so
-//! planning is testable on its own. It owns the two planning-time steps
-//! of Maxson's online half:
+//! `plan` is a function of a catalog, an optional scan rewriter, a
+//! parsed statement and the session's observers — no session, no lock, no
+//! warehouse on disk — so planning is testable on its own. It owns the
+//! two planning-time steps of Maxson's online half:
 //!
 //! * **Plan rewrite (Algorithm 1).** Every table scan is offered to the
 //!   installed [`TableScanRewriter`] together with the `get_json_object`
@@ -14,7 +14,8 @@
 //!   expressions. The rewriter contract ([`ScanContext`], [`CacheSide`],
 //!   [`ScanRewrite`], [`TableScanRewriter`]) lives here because the
 //!   planner is its only caller; `session` re-exports it under the old
-//!   paths.
+//!   paths. The context also lends the rewriter the query's tracer,
+//!   `planning` span and registry: a rewriter owns no observer.
 //! * **The scan.** [`ScanContext::build_scan`] is the one place a Norc
 //!   scan's reads are decided — the raw and cache projections, the output
 //!   schema, the split count and the pushdown (Algorithm 3) — for the
@@ -33,6 +34,7 @@
 //! scan (or join) schema, `post_agg_leaf` against an aggregate's output.
 
 use maxson_json::JsonPath;
+use maxson_obs::{Registry, SpanId, Tracer};
 use maxson_storage::{Catalog, ColumnType, Field, Schema, Table};
 
 use crate::error::{EngineError, Result};
@@ -63,6 +65,12 @@ pub struct ScanContext<'a> {
     pub json_calls: &'a [(String, String)],
     /// The WHERE clause, for predicate-pushdown decisions.
     pub predicate: Option<&'a SqlExpr>,
+    /// The tracer a rewriter records its decision span into, below
+    /// `planning` (the query's span; `None` outside a traced query).
+    pub tracer: &'a Tracer,
+    pub planning: Option<SpanId>,
+    /// The warehouse's registry every rewrite decision is charged to.
+    pub metrics: &'a Registry,
 }
 
 /// The cache side of a Maxson-combined scan: what a rewriter resolved.
@@ -203,12 +211,21 @@ fn qualifier_matches(qualifier: &Option<String>, alias: Option<&str>) -> bool {
     qualifier.as_deref().is_none_or(|q| alias == Some(q))
 }
 
+/// What every scan's rewriter is lent (see [`ScanContext`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Observers<'a> {
+    pub(crate) tracer: &'a Tracer,
+    pub(crate) planning: Option<SpanId>,
+    pub(crate) metrics: &'a Registry,
+}
+
 /// Compile `stmt` against `catalog`, offering every table scan to
-/// `rewriter`.
+/// `rewriter` under `observers`.
 pub(crate) fn plan(
     catalog: &Catalog,
     rewriter: Option<&dyn TableScanRewriter>,
     stmt: &SelectStatement,
+    observers: Observers<'_>,
 ) -> Result<Planned> {
     // 1. Gather every expression in the query (for column analysis).
     let mut exprs: Vec<&SqlExpr> = Vec::new();
@@ -228,6 +245,7 @@ pub(crate) fn plan(
     let mut scans = ScanPlanner {
         catalog,
         rewriter,
+        observers,
         exprs,
         predicate: stmt.where_clause.as_ref(),
         wildcard: stmt.items.iter().any(|i| matches!(i, SelectItem::Wildcard)),
@@ -431,6 +449,7 @@ pub(crate) fn plan(
 struct ScanPlanner<'a> {
     catalog: &'a Catalog,
     rewriter: Option<&'a dyn TableScanRewriter>,
+    observers: Observers<'a>,
     /// Every expression of the statement.
     exprs: Vec<&'a SqlExpr>,
     /// The WHERE clause.
@@ -513,6 +532,9 @@ impl ScanPlanner<'_> {
             raw_columns: &raw_columns,
             json_calls: &json_calls,
             predicate: self.predicate,
+            tracer: self.observers.tracer,
+            planning: self.observers.planning,
+            metrics: self.observers.metrics,
         };
         let rewritten = self.rewriter.map(|rw| rw.rewrite_scan(&ctx)).transpose()?;
         let rewrite = match rewritten.flatten() {
@@ -1018,6 +1040,9 @@ mod tests {
                 raw_columns: &raw_columns,
                 json_calls: &json_calls,
                 predicate,
+                tracer: &Tracer::disabled(),
+                planning: None,
+                metrics: &Registry::new(),
             };
             ctx.build_scan(cache.map(|pushdown| CacheSide {
                 table: &self.cache,

@@ -6,6 +6,8 @@
 //! the epoch and the reuse-cache generation the plan belongs to), releases
 //! the lock, and runs the plan — through the cross-query reuse cache when
 //! one is enabled — before charging the metric registry and the query log.
+//! A warehouse has one tracer and one metric registry: `open` creates both,
+//! clones share them, and the planner lends them to the rewriter.
 //! The rows travel as one shared [`CachedRows`] from the executor or the
 //! reuse probe to the caller: [`Session::execute_shared`] hands them over
 //! as they are (a hit is the cache's own rows), and `execute` unwraps them.
@@ -27,7 +29,7 @@ pub use crate::expr::JsonParserKind;
 use crate::fingerprint::{canonical_stmt_text, reuse_key, stmt_fingerprint, table_key};
 use crate::metrics::ExecMetrics;
 use crate::plan::LogicalPlan;
-use crate::planner::{self, Planned};
+use crate::planner::{self, Observers, Planned};
 pub use crate::planner::{ScanContext, ScanRewrite, TableScanRewriter};
 use crate::pool::SplitScheduler;
 use crate::querylog::{QueryLog, QueryLogEntry};
@@ -291,8 +293,8 @@ impl Drop for CatalogWrite<'_> {
 /// A warehouse session.
 ///
 /// Cloning is cheap and shares the warehouse: clones see the same catalog,
-/// rewriter, epoch, and Norc metadata cache, and record into the same trace
-/// buffer. Per-session knobs (parser, thread count, split scheduler) stay
+/// rewriter, epoch, Norc metadata cache, trace buffer and metric registry.
+/// Per-session knobs (parser, thread count, split scheduler) stay
 /// independent per clone — the serving front end gives every connection
 /// its own clone over one warehouse.
 #[derive(Clone)]
@@ -318,9 +320,8 @@ pub struct Session {
     /// Where to write the Chrome trace-event JSON (`MAXSON_TRACE`;
     /// rewritten after every execute). `None` = no export.
     trace_path: Option<PathBuf>,
-    /// Always-on metric registry charged after every execute. Defaults to
-    /// the process-global [`Registry`]; tests inject fresh instances via
-    /// [`Session::set_metrics_registry`] to stay isolated.
+    /// Always-on metric registry charged after every execute: the
+    /// warehouse's one registry, created by `open` and shared by clones.
     registry: Arc<Registry>,
     /// Structured JSONL query log (`MAXSON_QUERY_LOG`); `None` = off.
     /// Clones share the handle, so one file serializes whole lines across
@@ -375,7 +376,7 @@ impl Session {
             scheduler: None,
             tracer,
             trace_path: trace,
-            registry: Arc::clone(Registry::global()),
+            registry: Arc::new(Registry::new()),
             query_log,
             slow_threshold,
         })
@@ -398,10 +399,10 @@ impl Session {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The session's tracer. Clone it into rewriters and providers so their
-    /// spans land in the same buffer; the clones follow this session's
-    /// enable toggle. It records spans only: counts live in each query's
-    /// `ExecMetrics` and in [`Session::metrics_registry`].
+    /// The session's tracer. Rewriters are lent it through
+    /// [`ScanContext::tracer`], so their spans land in the same buffer. It
+    /// records spans only: counts live in each query's `ExecMetrics` and
+    /// in [`Session::metrics_registry`].
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -422,17 +423,10 @@ impl Session {
         self.tracer.set_enabled(on);
     }
 
-    /// The metric registry this session charges (the process-global one
-    /// unless [`Session::set_metrics_registry`] injected another).
+    /// The warehouse's metric registry, which every clone, the rewriter,
+    /// the server and the midnight cycle charge (another `open` has its own).
     pub fn metrics_registry(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// Point this session at a different metric registry. Clones made
-    /// afterwards inherit it; the serving front end passes one registry to
-    /// every connection, and tests pass fresh instances for isolation.
-    pub fn set_metrics_registry(&mut self, registry: Arc<Registry>) {
-        self.registry = registry;
     }
 
     /// Open (or disable) the structured JSONL query log. Equivalent to
@@ -605,7 +599,7 @@ impl Session {
     /// Compile SQL into a plan without executing. Returns the plan and the
     /// planning time — the measurement behind Fig. 13.
     pub fn plan(&self, sql: &str) -> Result<(LogicalPlan, std::time::Duration, Vec<String>)> {
-        let pq = self.plan_snapshot(sql)?;
+        let pq = self.plan_snapshot(sql, &self.tracer, None)?;
         Ok((pq.plan, pq.planning, pq.names))
     }
 
@@ -614,12 +608,23 @@ impl Session {
     /// execution proceeds against an immutable snapshot; everything the
     /// post-execution bookkeeping needs (epoch, fingerprint identity,
     /// scanned tables, reuse handle) rides along in the same snapshot.
-    fn plan_snapshot(&self, sql: &str) -> Result<PlannedQuery> {
+    /// A rewriter records its spans into `tracer` below `planning`.
+    fn plan_snapshot(
+        &self,
+        sql: &str,
+        tracer: &Tracer,
+        planning: Option<SpanId>,
+    ) -> Result<PlannedQuery> {
         let start = Instant::now();
         let stmt = parse_select(sql)?;
         let wh = self.wh_read();
+        let observers = Observers {
+            tracer,
+            planning,
+            metrics: &self.registry,
+        };
         let Planned { plan, names, paths } =
-            planner::plan(&wh.catalog, wh.rewriter.as_deref(), &stmt)?;
+            planner::plan(&wh.catalog, wh.rewriter.as_deref(), &stmt, observers)?;
         // `db.table` identities this query reads, for reuse-cache
         // dependency tracking (shared identity with the workload sketch).
         let mut tables = vec![table_key(&stmt.from.database, &stmt.from.table)];
@@ -660,7 +665,7 @@ impl Session {
             if let Some(inner) = strip_keyword(rest, "analyze") {
                 return self.explain_analyze(inner);
             }
-            let pq = self.plan_snapshot(rest)?;
+            let pq = self.plan_snapshot(rest, &self.tracer, None)?;
             let metrics = ExecMetrics {
                 planning: pq.planning,
                 ..Default::default()
@@ -689,8 +694,8 @@ impl Session {
             root.attr("sql", sql.trim());
         }
         let pq = {
-            let _planning_span = tracer.child("planning", root_id);
-            self.plan_snapshot(sql)?
+            let planning = tracer.child("planning", root_id);
+            self.plan_snapshot(sql, tracer, planning.id())?
         };
         let mut metrics = ExecMetrics {
             planning: pq.planning,
@@ -751,7 +756,7 @@ impl Session {
         ))
     }
 
-    /// Post-execution telemetry: charge the process-wide registry, feed the
+    /// Post-execution telemetry: charge the warehouse's registry, feed the
     /// workload sketch, and append the query-log line. Pure observation —
     /// reads `metrics`, never mutates it — so results and work counters are
     /// byte-identical with or without a query log installed.

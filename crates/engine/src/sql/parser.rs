@@ -1,4 +1,5 @@
-//! Recursive-descent SQL parser for the warehouse query subset.
+//! Recursive-descent SQL parser for the warehouse query subset;
+//! expressions by precedence climbing, never deeper than [`MAX_EXPR_DEPTH`].
 
 use maxson_storage::Cell;
 
@@ -9,10 +10,37 @@ use crate::sql::ast::{
 };
 use crate::sql::lexer::{tokenize, Token, TokenKind};
 
+/// The deepest expression tree a statement may hold: one level per
+/// nesting (parenthesis, `NOT`, unary minus, call, `IN` list) and per
+/// operator of a left-deep chain. Parsing, planning, evaluating and
+/// dropping recurse once per level, so the bound keeps every accepted
+/// statement inside a server connection thread's 2 MiB stack.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
+/// An expression and the depth of its tree.
+type Deep = (SqlExpr, usize);
+
+/// How tightly an expression form binds, loosest first (`Cmp`: `=`, `IN`,
+/// `LIKE`, `BETWEEN`, `IS`, whose operands bind at `Add`).
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
+enum Level {
+    Or,
+    And,
+    Not,
+    Cmp,
+    Add,
+    Mul,
+    Unary,
+}
+
 /// Parse a single `SELECT` statement.
 pub fn parse_select(sql: &str) -> Result<SelectStatement> {
     let tokens = tokenize(sql)?;
-    let mut p = SqlParser { tokens, pos: 0 };
+    let mut p = SqlParser {
+        tokens,
+        pos: 0,
+        open: 0,
+    };
     let stmt = p.select()?;
     if p.pos < p.tokens.len() {
         return Err(p.err("trailing tokens after statement"));
@@ -23,6 +51,8 @@ pub fn parse_select(sql: &str) -> Result<SelectStatement> {
 struct SqlParser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nestings currently open (see `SqlParser::nested`).
+    open: usize,
 }
 
 impl SqlParser {
@@ -155,9 +185,9 @@ impl SqlParser {
             self.expect_kw("on")?;
             // Parse at additive precedence so the `=` separating the two
             // join keys is not swallowed by the comparison rule.
-            let on_left = self.additive()?;
+            let on_left = self.parse(Level::Add)?.0;
             self.expect_sym("=")?;
-            let on_right = self.additive()?;
+            let on_right = self.parse(Level::Add)?.0;
             Some(JoinClause {
                 table,
                 on_left,
@@ -248,262 +278,241 @@ impl SqlParser {
         })
     }
 
-    // Expression precedence: OR < AND < NOT < comparison/BETWEEN/IS < add < mul < unary.
+    /// A statement-level expression.
     fn expr(&mut self) -> Result<SqlExpr> {
-        self.or_expr()
+        Ok(self.parse(Level::Or)?.0)
     }
 
-    fn or_expr(&mut self) -> Result<SqlExpr> {
-        let mut left = self.and_expr()?;
-        while self.eat_kw("or") {
-            let right = self.and_expr()?;
-            left = SqlExpr::Binary {
-                left: Box::new(left),
-                op: BinaryOp::Or,
-                right: Box::new(right),
-            };
+    fn too_deep(&self) -> EngineError {
+        self.err(format!(
+            "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+        ))
+    }
+
+    /// `node` one level over children at most `below` deep, refused past
+    /// [`MAX_EXPR_DEPTH`]: a chain stops before it is too deep to drop.
+    fn level(&self, node: SqlExpr, below: usize) -> Result<Deep> {
+        if below >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
         }
-        Ok(left)
+        Ok((node, below + 1))
     }
 
-    fn and_expr(&mut self) -> Result<SqlExpr> {
-        let mut left = self.not_expr()?;
-        while self.eat_kw("and") {
-            let right = self.not_expr()?;
-            left = SqlExpr::Binary {
-                left: Box::new(left),
-                op: BinaryOp::And,
-                right: Box::new(right),
-            };
+    /// Run `rule` one nesting deeper. Each open nesting adds a level to the
+    /// finished tree, so refusing the `MAX_EXPR_DEPTH + 1`th rejects
+    /// nothing `level` accepts and bounds recursion before a tree exists.
+    fn nested<T>(&mut self, rule: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.open >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
         }
-        Ok(left)
+        self.open += 1;
+        let parsed = rule(self);
+        self.open -= 1;
+        parsed
     }
 
-    fn not_expr(&mut self) -> Result<SqlExpr> {
-        if self.eat_kw("not") {
-            Ok(SqlExpr::Not(Box::new(self.not_expr()?)))
+    /// Precedence climbing: a prefix form or a primary, then every operator
+    /// of level `min` or tighter that may take what was parsed as its left
+    /// operand — one binding at least as tightly as the operator (`at`),
+    /// for a comparison strictly tighter, so comparisons do not chain and
+    /// `NOT x` takes only `AND` and `OR`. A parenthesis costs one frame.
+    fn parse(&mut self, min: Level) -> Result<Deep> {
+        let (mut left, mut at) = if min <= Level::Not && self.eat_kw("not") {
+            let (e, d) = self.nested(|p| p.parse(Level::Not))?;
+            (self.level(SqlExpr::Not(Box::new(e)), d)?, Level::Not)
+        } else if self.eat_sym("-") {
+            let (e, d) = self.nested(|p| p.parse(Level::Unary))?;
+            (self.level(SqlExpr::Neg(Box::new(e)), d)?, Level::Unary)
+        } else if self.eat_sym("(") {
+            let (e, d) = self.nested(|p| p.parse(Level::Or))?;
+            self.expect_sym(")")?;
+            (self.level(e, d)?, Level::Unary)
         } else {
-            self.comparison()
+            (self.primary()?, Level::Unary)
+        };
+        loop {
+            if let Some((op, level, operand)) = self.binary_op() {
+                if level < min || at < level {
+                    return Ok(left);
+                }
+                self.pos += 1;
+                let right = self.parse(operand)?;
+                (left, at) = (self.binary(left, op, right)?, level);
+            } else if min <= Level::Cmp && at > Level::Cmp && self.at_comparison() {
+                (left, at) = (self.comparison(left)?, Level::Cmp);
+            } else {
+                return Ok(left);
+            }
         }
     }
 
-    fn comparison(&mut self) -> Result<SqlExpr> {
-        let left = self.additive()?;
-        // `NOT IN` / `NOT LIKE` (prefix NOT of a whole expression is
-        // handled one level up in not_expr).
-        let negated_postfix = {
-            let save = self.pos;
-            if self.eat_kw("not") {
-                if matches!(self.peek(), Some(TokenKind::Ident(s))
-                    if s.eq_ignore_ascii_case("in") || s.eq_ignore_ascii_case("like"))
-                {
-                    true
-                } else {
-                    self.pos = save;
-                    false
-                }
-            } else {
-                false
-            }
+    fn binary(&self, (left, l): Deep, op: BinaryOp, (right, r): Deep) -> Result<Deep> {
+        let (left, right) = (Box::new(left), Box::new(right));
+        self.level(SqlExpr::Binary { left, op, right }, l.max(r))
+    }
+
+    /// The binary operator next: its level and its right operand's.
+    fn binary_op(&self) -> Option<(BinaryOp, Level, Level)> {
+        use Level::*;
+        Some(match self.peek()? {
+            TokenKind::Symbol("*") => (BinaryOp::Mul, Mul, Unary),
+            TokenKind::Symbol("/") => (BinaryOp::Div, Mul, Unary),
+            TokenKind::Symbol("%") => (BinaryOp::Mod, Mul, Unary),
+            TokenKind::Symbol("+") => (BinaryOp::Add, Add, Mul),
+            TokenKind::Symbol("-") => (BinaryOp::Sub, Add, Mul),
+            TokenKind::Ident(s) if s.eq_ignore_ascii_case("and") => (BinaryOp::And, And, Not),
+            TokenKind::Ident(s) if s.eq_ignore_ascii_case("or") => (BinaryOp::Or, Or, And),
+            _ => return None,
+        })
+    }
+
+    /// Whether a comparison operator, `IN`, `LIKE`, `BETWEEN`, `IS`, or
+    /// `NOT` before `IN` or `LIKE` comes next.
+    fn at_comparison(&self) -> bool {
+        let kw = |at: usize, words: &[&str]| {
+            matches!(self.tokens.get(at).map(|t| &t.kind),
+                Some(TokenKind::Ident(s)) if words.iter().any(|w| s.eq_ignore_ascii_case(w)))
         };
+        matches!(
+            self.peek(),
+            Some(TokenKind::Symbol("=" | "<>" | "<" | "<=" | ">" | ">="))
+        ) || kw(self.pos, &["in", "like", "between", "is"])
+            || (kw(self.pos, &["not"]) && kw(self.pos + 1, &["in", "like"]))
+    }
+
+    /// The comparison [`Self::at_comparison`] found, over `left`.
+    fn comparison(&mut self, (left, depth): Deep) -> Result<Deep> {
+        let expr = Box::new(left);
+        let negated = self.eat_kw("not");
         if self.eat_kw("in") {
             self.expect_sym("(")?;
-            let mut items = Vec::new();
-            loop {
-                items.push(self.expr()?);
-                if !self.eat_sym(",") {
-                    break;
-                }
-            }
+            let (items, d) = self.nested(Self::list)?;
             self.expect_sym(")")?;
-            return Ok(SqlExpr::InList {
-                expr: Box::new(left),
+            let node = SqlExpr::InList {
+                expr,
                 items,
-                negated: negated_postfix,
-            });
+                negated,
+            };
+            return self.level(node, depth.max(d));
         }
         if self.eat_kw("like") {
-            let pattern = match self.next() {
-                Some(TokenKind::StringLit(s)) => s,
-                _ => return Err(self.err("LIKE requires a string pattern")),
+            let Some(TokenKind::StringLit(pattern)) = self.next() else {
+                return Err(self.err("LIKE requires a string pattern"));
             };
-            return Ok(SqlExpr::Like {
-                expr: Box::new(left),
+            let node = SqlExpr::Like {
+                expr,
                 pattern,
-                negated: negated_postfix,
-            });
-        }
-        if negated_postfix {
-            return Err(self.err("expected IN or LIKE after NOT"));
+                negated,
+            };
+            return self.level(node, depth);
         }
         if self.eat_kw("between") {
-            let low = self.additive()?;
+            let (low, low_depth) = self.parse(Level::Add)?;
             self.expect_kw("and")?;
-            let high = self.additive()?;
-            return Ok(SqlExpr::Between {
-                expr: Box::new(left),
-                low: Box::new(low),
-                high: Box::new(high),
-            });
+            let (high, high_depth) = self.parse(Level::Add)?;
+            let (low, high) = (Box::new(low), Box::new(high));
+            let node = SqlExpr::Between { expr, low, high };
+            return self.level(node, depth.max(low_depth).max(high_depth));
         }
         if self.eat_kw("is") {
             let negated = self.eat_kw("not");
             self.expect_kw("null")?;
-            return Ok(SqlExpr::IsNull {
-                expr: Box::new(left),
-                negated,
-            });
+            return self.level(SqlExpr::IsNull { expr, negated }, depth);
         }
-        let op = match self.peek() {
-            Some(TokenKind::Symbol("=")) => Some(BinaryOp::Eq),
-            Some(TokenKind::Symbol("<>")) => Some(BinaryOp::NotEq),
-            Some(TokenKind::Symbol("<")) => Some(BinaryOp::Lt),
-            Some(TokenKind::Symbol("<=")) => Some(BinaryOp::LtEq),
-            Some(TokenKind::Symbol(">")) => Some(BinaryOp::Gt),
-            Some(TokenKind::Symbol(">=")) => Some(BinaryOp::GtEq),
-            _ => None,
+        let op = match self.next() {
+            Some(TokenKind::Symbol("=")) => BinaryOp::Eq,
+            Some(TokenKind::Symbol("<>")) => BinaryOp::NotEq,
+            Some(TokenKind::Symbol("<")) => BinaryOp::Lt,
+            Some(TokenKind::Symbol("<=")) => BinaryOp::LtEq,
+            Some(TokenKind::Symbol(">")) => BinaryOp::Gt,
+            _ => BinaryOp::GtEq,
         };
-        if let Some(op) = op {
-            self.pos += 1;
-            let right = self.additive()?;
-            return Ok(SqlExpr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            });
-        }
-        Ok(left)
+        let (right, d) = self.parse(Level::Add)?;
+        let (left, right) = (expr, Box::new(right));
+        self.level(SqlExpr::Binary { left, op, right }, depth.max(d))
     }
 
-    fn additive(&mut self) -> Result<SqlExpr> {
-        let mut left = self.multiplicative()?;
+    /// A comma-separated expression list and its deepest item's depth.
+    fn list(&mut self) -> Result<(Vec<SqlExpr>, usize)> {
+        let (mut items, mut deepest) = (Vec::new(), 0);
         loop {
-            let op = match self.peek() {
-                Some(TokenKind::Symbol("+")) => BinaryOp::Add,
-                Some(TokenKind::Symbol("-")) => BinaryOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.multiplicative()?;
-            left = SqlExpr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn multiplicative(&mut self) -> Result<SqlExpr> {
-        let mut left = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Symbol("*")) => BinaryOp::Mul,
-                Some(TokenKind::Symbol("/")) => BinaryOp::Div,
-                Some(TokenKind::Symbol("%")) => BinaryOp::Mod,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.unary()?;
-            left = SqlExpr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn unary(&mut self) -> Result<SqlExpr> {
-        if self.eat_sym("-") {
-            return Ok(SqlExpr::Neg(Box::new(self.unary()?)));
-        }
-        self.primary()
-    }
-
-    fn primary(&mut self) -> Result<SqlExpr> {
-        match self.next() {
-            Some(TokenKind::IntLit(n)) => Ok(SqlExpr::Literal(Cell::Int(n))),
-            Some(TokenKind::FloatLit(f)) => Ok(SqlExpr::Literal(Cell::Float(f))),
-            Some(TokenKind::StringLit(s)) => Ok(SqlExpr::Literal(Cell::from(s))),
-            Some(TokenKind::Symbol("(")) => {
-                let e = self.expr()?;
-                self.expect_sym(")")?;
-                Ok(e)
+            let (item, depth) = self.parse(Level::Or)?;
+            items.push(item);
+            deepest = deepest.max(depth);
+            if !self.eat_sym(",") {
+                return Ok((items, deepest));
             }
-            Some(TokenKind::Ident(name)) => {
-                let lower = name.to_ascii_lowercase();
-                match lower.as_str() {
-                    "true" => return Ok(SqlExpr::Literal(Cell::Bool(true))),
-                    "false" => return Ok(SqlExpr::Literal(Cell::Bool(false))),
-                    "null" => return Ok(SqlExpr::Literal(Cell::Null)),
-                    _ => {}
-                }
-                if self.eat_sym("(") {
-                    // Function call.
-                    if lower == "get_json_object" {
-                        let column = self.expr()?;
-                        self.expect_sym(",")?;
-                        let path = match self.next() {
-                            Some(TokenKind::StringLit(s)) => s,
-                            _ => return Err(self.err("get_json_object requires a string JSONPath")),
-                        };
-                        self.expect_sym(")")?;
-                        return Ok(SqlExpr::GetJsonObject {
-                            column: Box::new(column),
-                            path,
-                        });
-                    }
-                    if let Some(func) = AggFunc::from_name(&lower) {
-                        let (func, arg) = if self.eat_sym("*") {
-                            (func, None)
-                        } else if func == AggFunc::Count && self.eat_kw("distinct") {
-                            (AggFunc::CountDistinct, Some(Box::new(self.expr()?)))
-                        } else {
-                            (func, Some(Box::new(self.expr()?)))
-                        };
-                        self.expect_sym(")")?;
-                        return Ok(SqlExpr::Aggregate { func, arg });
-                    }
-                    if let Some(func) = ScalarFunc::from_name(&lower) {
-                        let mut args = Vec::new();
-                        if !self.eat_sym(")") {
-                            loop {
-                                args.push(self.expr()?);
-                                if !self.eat_sym(",") {
-                                    break;
-                                }
-                            }
-                            self.expect_sym(")")?;
-                        }
-                        let (min, max) = func.arity();
-                        if args.len() < min || args.len() > max {
-                            return Err(self.err(format!(
-                                "wrong argument count for {name}: got {}",
-                                args.len()
-                            )));
-                        }
-                        return Ok(SqlExpr::Function { func, args });
-                    }
-                    return Err(self.err(format!("unknown function '{name}'")));
-                }
-                if self.eat_sym(".") {
-                    let column = self.ident()?;
-                    return Ok(SqlExpr::Column {
-                        qualifier: Some(name),
-                        name: column,
-                    });
-                }
-                Ok(SqlExpr::Column {
+        }
+    }
+
+    fn primary(&mut self) -> Result<Deep> {
+        let node = match self.next() {
+            Some(TokenKind::IntLit(n)) => SqlExpr::Literal(Cell::Int(n)),
+            Some(TokenKind::FloatLit(f)) => SqlExpr::Literal(Cell::Float(f)),
+            Some(TokenKind::StringLit(s)) => SqlExpr::Literal(Cell::from(s)),
+            Some(TokenKind::Ident(name)) => match name.to_ascii_lowercase() {
+                lower if lower == "true" => SqlExpr::Literal(Cell::Bool(true)),
+                lower if lower == "false" => SqlExpr::Literal(Cell::Bool(false)),
+                lower if lower == "null" => SqlExpr::Literal(Cell::Null),
+                lower if self.eat_sym("(") => return self.nested(|p| p.call(&name, &lower)),
+                _ if self.eat_sym(".") => SqlExpr::Column {
+                    qualifier: Some(name),
+                    name: self.ident()?,
+                },
+                _ => SqlExpr::Column {
                     qualifier: None,
                     name,
-                })
-            }
+                },
+            },
             other => {
                 self.pos = self.pos.saturating_sub(1);
-                Err(self.err(format!("unexpected token {other:?} in expression")))
+                return Err(self.err(format!("unexpected token {other:?} in expression")));
             }
+        };
+        Ok((node, 1))
+    }
+
+    /// A function call `name(` … `)`, its opening parenthesis consumed.
+    fn call(&mut self, name: &str, lower: &str) -> Result<Deep> {
+        if lower == "get_json_object" {
+            let (column, depth) = self.parse(Level::Or)?;
+            self.expect_sym(",")?;
+            let Some(TokenKind::StringLit(path)) = self.next() else {
+                return Err(self.err("get_json_object requires a string JSONPath"));
+            };
+            self.expect_sym(")")?;
+            let column = Box::new(column);
+            return self.level(SqlExpr::GetJsonObject { column, path }, depth);
         }
+        if let Some(func) = AggFunc::from_name(lower) {
+            let (func, arg) = if self.eat_sym("*") {
+                (func, None)
+            } else if func == AggFunc::Count && self.eat_kw("distinct") {
+                (AggFunc::CountDistinct, Some(self.parse(Level::Or)?))
+            } else {
+                (func, Some(self.parse(Level::Or)?))
+            };
+            self.expect_sym(")")?;
+            let depth = arg.as_ref().map_or(0, |(_, d)| *d);
+            let arg = arg.map(|(e, _)| Box::new(e));
+            return self.level(SqlExpr::Aggregate { func, arg }, depth);
+        }
+        let Some(func) = ScalarFunc::from_name(lower) else {
+            return Err(self.err(format!("unknown function '{name}'")));
+        };
+        let (args, depth) = if self.eat_sym(")") {
+            (Vec::new(), 0)
+        } else {
+            let args = self.list()?;
+            self.expect_sym(")")?;
+            args
+        };
+        let (min, max) = func.arity();
+        if args.len() < min || args.len() > max {
+            let got = args.len();
+            return Err(self.err(format!("wrong argument count for {name}: got {got}")));
+        }
+        self.level(SqlExpr::Function { func, args }, depth)
     }
 }
 
@@ -701,6 +710,30 @@ mod tests {
             "select v from t where v not 5",
         ] {
             assert!(parse_select(bad).is_err(), "expected error for {bad:?}");
+        }
+    }
+
+    /// The bound is on the tree, not on any one rule's recursion: left-deep
+    /// chains nested in each other's left operands, each chain and each
+    /// nesting well under the limit, are accepted exactly when the whole
+    /// tree is (`1 + p × (n + 1)` levels: the leaf, then per group its
+    /// parenthesis and its `n` operators).
+    #[test]
+    fn depth_bound_is_exact_for_nested_chains() {
+        for p in 1..=16 {
+            for n in 0..=16 {
+                let sql = format!(
+                    "select {}1{} from t",
+                    "(".repeat(p),
+                    format!("{})", " + 1".repeat(n)).repeat(p)
+                );
+                let depth = 1 + p * (n + 1);
+                assert_eq!(
+                    parse_select(&sql).is_ok(),
+                    depth <= MAX_EXPR_DEPTH,
+                    "p={p} n={n} depth={depth}"
+                );
+            }
         }
     }
 

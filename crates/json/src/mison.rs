@@ -247,32 +247,9 @@ impl<'a> StructuralIndex<'a> {
 /// sliced subtree with the DOM parser (still far less text than the full
 /// record).
 #[derive(Debug)]
-pub struct MisonProjector {
-    paths: Vec<JsonPath>,
-}
+pub struct MisonProjector;
 
 impl MisonProjector {
-    /// Compile a projector for `paths`.
-    pub fn new(paths: Vec<JsonPath>) -> Self {
-        MisonProjector { paths }
-    }
-
-    /// The compiled paths, in projection order.
-    pub fn paths(&self) -> &[JsonPath] {
-        &self.paths
-    }
-
-    /// Project all compiled paths out of `record`. Entry `i` is the Hive
-    /// string rendering of path `i`, or `None` on a miss.
-    pub fn project(&self, record: &str) -> Vec<Option<String>> {
-        let index = StructuralIndex::build(record);
-        let root = index.skip_ws_after(0);
-        self.paths
-            .iter()
-            .map(|p| project_one(record, &index, root, p.steps()))
-            .collect()
-    }
-
     /// Project a single path out of `record` (builds a fresh index).
     pub fn project_path(record: &str, path: &JsonPath) -> Option<String> {
         let index = StructuralIndex::build(record);
@@ -465,8 +442,7 @@ mod tests {
             JsonPath::parse("$.missing").unwrap(),
             JsonPath::parse("$.nested.a.b").unwrap(),
         ];
-        let proj = MisonProjector::new(paths);
-        let got = proj.project(RECORD);
+        let got = MisonProjector::project_paths(RECORD, &paths);
         assert_eq!(
             got,
             vec![Some("1".to_string()), None, Some("9".to_string())]

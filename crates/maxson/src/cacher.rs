@@ -210,6 +210,23 @@ pub fn cache_field_name(column: &str, path: &str) -> String {
     format!("{column}{sanitized}")
 }
 
+/// The cache column of each `(column, path)` of one cache table: its
+/// [`cache_field_name`], suffixed `_2`, `_3`, … only where that is taken
+/// (`$.a.b` and `$.a_b` both give `…__a_b`). Deterministic in order.
+fn cache_field_names(fields: &[(&str, &str)]) -> Vec<String> {
+    let mut names: Vec<String> = Vec::with_capacity(fields.len());
+    for (column, path) in fields {
+        let (base, mut n) = (cache_field_name(column, path), 1);
+        let mut name = base.clone();
+        while names.contains(&name) {
+            n += 1;
+            name = format!("{base}_{n}");
+        }
+        names.push(name);
+    }
+    names
+}
+
 /// The cacher: materializes ranked MPJPs into cache tables.
 #[derive(Debug)]
 pub struct JsonPathCacher {
@@ -285,20 +302,21 @@ impl JsonPathCacher {
                 .push(cand);
         }
         let mut builds = Vec::with_capacity(by_table.len());
+        let mut table_fields = Vec::with_capacity(by_table.len());
         for ((db, table_name), cands) in &by_table {
             let fields: Vec<(&str, &str)> = cands
                 .iter()
                 .map(|c| (c.location.column.as_str(), c.location.path.as_str()))
                 .collect();
+            let names = cache_field_names(&fields);
             let cache_schema = Schema::new(
-                fields
+                names
                     .iter()
-                    .map(|(column, path)| {
-                        Field::new(cache_field_name(column, path), ColumnType::Utf8)
-                    })
+                    .map(|name| Field::new(name.clone(), ColumnType::Utf8))
                     .collect(),
             )
             .map_err(MaxsonError::Storage)?;
+            table_fields.push(names);
             let ct_name = cache_table_name(db, table_name);
             catalog.create_table(CACHE_DB, &ct_name, cache_schema, now)?;
             let build = TableBuild::new(catalog, db, table_name, ct_name, &fields)?;
@@ -306,11 +324,12 @@ impl JsonPathCacher {
             builds.push((build, splits));
         }
         report.bytes_used = build_and_register(catalog, &builds, now)?;
-        for cand in by_table.values().flatten() {
+        let fields = table_fields.into_iter().flatten();
+        for (cand, cache_field) in by_table.values().flatten().zip(fields) {
             registry.insert(CachedEntry {
                 location: cand.location.clone(),
                 cache_table: cache_table_name(&cand.location.database, &cand.location.table),
-                cache_field: cache_field_name(&cand.location.column, &cand.location.path),
+                cache_field,
                 cached_at: now,
                 bytes: cand.estimated_bytes,
             });

@@ -177,8 +177,6 @@ impl MaxsonPipeline {
         let stage = tracer.child("install_rewriter", cycle.id());
         let mut rewriter = MaxsonScanRewriter::with_registry(work, registry);
         rewriter.enable_pushdown = self.config.enable_pushdown;
-        rewriter.set_tracer(tracer.clone());
-        rewriter.set_metrics_registry(std::sync::Arc::clone(&telemetry));
         let epoch = session.swap_warehouse_epoch(Some(Box::new(rewriter)))?;
         stage.attr("epoch", epoch);
         drop(stage);

@@ -10,10 +10,12 @@
 //! passed over (the next population cycle rebuilds it) and the call keeps
 //! paying the parse cost.
 //!
-//! Every decision is counted once, in the rewriter's metric registry:
-//! `maxson_rewrite_paths_total{outcome="hit"|"miss"|"stale"}` per call and
+//! Every decision is counted once, in the registry the planner lends
+//! ([`ScanContext::metrics`]): `maxson_rewrite_paths_total{outcome="hit"|"miss"|"stale"}`
+//! per call and
 //! `maxson_scan_rewrites_total{decision="cache_only"|"combined"|"no_rewrite"}`
-//! per scan. The tracer only records a `maxson_rewrite` span per scan.
+//! per scan. The lent tracer only records a `maxson_rewrite` span per scan,
+//! below the query's `planning` span.
 //!
 //! The rewriter decides nothing about what the scan reads: it names the
 //! cache table and the resolved fields, and the engine's one scan builder,
@@ -28,7 +30,6 @@ use std::sync::Arc;
 use maxson_engine::planner::CacheSide;
 use maxson_engine::session::{ScanContext, ScanRewrite, Session, TableScanRewriter};
 use maxson_engine::EngineError;
-use maxson_obs::{Registry, Tracer};
 use maxson_storage::Catalog;
 use maxson_trace::JsonPathLocation;
 
@@ -37,17 +38,14 @@ use crate::cacher::{CacheRegistry, CACHE_DB};
 /// The rewriter. Holds its own read-only catalog handle for the cache
 /// tables (opened over the session's warehouse root and footer cache) plus
 /// the cache registry; the raw table comes with each scan's context. It
-/// keeps no tally of its own: every decision is charged to its metric
-/// registry, so planning a scan takes no lock of the rewriter's.
+/// keeps no tally and no observer of its own: every decision is charged to
+/// the registry the scan's context lends, so planning a scan takes no lock
+/// of the rewriter's.
 pub struct MaxsonScanRewriter {
     catalog: Catalog,
     registry: CacheRegistry,
     /// Enable Algorithm 3 pushdown (ablation switch).
     pub enable_pushdown: bool,
-    /// Span sink for rewrite decisions; inert unless installed.
-    tracer: Tracer,
-    /// Process-wide metric registry rewrite outcomes are charged to.
-    metrics: Arc<Registry>,
 }
 
 impl MaxsonScanRewriter {
@@ -60,13 +58,7 @@ impl MaxsonScanRewriter {
             Catalog::open_with_cache(current.root(), Arc::clone(current.meta_cache()))?
         };
         let registry = CacheRegistry::load(&catalog)?;
-        Ok(MaxsonScanRewriter {
-            catalog,
-            registry,
-            enable_pushdown: true,
-            tracer: Tracer::disabled(),
-            metrics: Arc::clone(Registry::global()),
-        })
+        Ok(Self::with_registry(catalog, registry))
     }
 
     /// Build from parts (used by the pipeline right after population).
@@ -75,21 +67,7 @@ impl MaxsonScanRewriter {
             catalog,
             registry,
             enable_pushdown: true,
-            tracer: Tracer::disabled(),
-            metrics: Arc::clone(Registry::global()),
         }
-    }
-
-    /// Install the tracer each scan's `maxson_rewrite` span is recorded
-    /// into (normally a clone of the session's).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Replace the metric registry (tests inject a fresh one; the default
-    /// is the process-wide [`Registry::global`]).
-    pub fn set_metrics_registry(&mut self, registry: Arc<Registry>) {
-        self.metrics = registry;
     }
 }
 
@@ -102,7 +80,7 @@ impl TableScanRewriter for MaxsonScanRewriter {
         if ctx.json_calls.is_empty() || ctx.database == CACHE_DB {
             return Ok(None);
         }
-        let span = self.tracer.span("maxson_rewrite");
+        let span = ctx.tracer.child("maxson_rewrite", ctx.planning);
         span.attr("table", format!("{}.{}", ctx.database, ctx.table_name));
 
         // Classify each call: valid hit, stale, or miss (Alg. 1 lines 14-23).
@@ -123,7 +101,7 @@ impl TableScanRewriter for MaxsonScanRewriter {
             }
         }
         let outcome = |o: &str| {
-            self.metrics
+            ctx.metrics
                 .counter("maxson_rewrite_paths_total", &[("outcome", o)])
         };
         // `miss` counts never-cached paths only; stale entries get their
@@ -137,7 +115,7 @@ impl TableScanRewriter for MaxsonScanRewriter {
         }
         let decide = |decision: &str| {
             span.attr("decision", decision);
-            self.metrics
+            ctx.metrics
                 .counter("maxson_scan_rewrites_total", &[("decision", decision)])
                 .inc();
         };
@@ -242,17 +220,31 @@ mod tests {
         (session, root)
     }
 
-    /// A rewriter over `session` charging a fresh registry.
-    fn counted_rewriter(session: &Session) -> (MaxsonScanRewriter, Arc<Registry>) {
-        let registry = Arc::new(Registry::new());
-        let mut rewriter = MaxsonScanRewriter::open(session).unwrap();
-        rewriter.set_metrics_registry(Arc::clone(&registry));
-        (rewriter, registry)
+    /// A scan context over `db.t` planned outside a traced query, lending
+    /// `session`'s registry.
+    fn context<'a>(
+        session: &'a Session,
+        table: &'a maxson_storage::Table,
+        raw_columns: &'a [String],
+        json_calls: &'a [(String, String)],
+    ) -> ScanContext<'a> {
+        ScanContext {
+            database: "db",
+            table_name: "t",
+            table,
+            alias: None,
+            raw_columns,
+            json_calls,
+            predicate: None,
+            tracer: session.tracer(),
+            planning: None,
+            metrics: session.metrics_registry(),
+        }
     }
 
     /// `[hit, miss, stale]` path outcomes and `[cache_only, combined,
     /// no_rewrite]` scan decisions charged to `registry`.
-    fn outcomes(registry: &Registry) -> ([u64; 3], [u64; 3]) {
+    fn outcomes(registry: &maxson_obs::Registry) -> ([u64; 3], [u64; 3]) {
         let count = |name: &str, label: &str, value: &str| {
             registry.counter_value(name, &[(label, value)]).unwrap_or(0)
         };
@@ -266,8 +258,9 @@ mod tests {
     #[test]
     fn registry_counts_hits_misses_and_scan_decisions() {
         let (mut session, root) = setup("stats");
-        let (rewriter, registry) = counted_rewriter(&session);
+        let rewriter = MaxsonScanRewriter::open(&session).unwrap();
         session.set_scan_rewriter(Some(Box::new(rewriter)));
+        let registry = Arc::clone(session.metrics_registry());
         // $.a hits (cache-only: no raw columns needed).
         session
             .execute("select get_json_object(payload, '$.a') as a from db.t")
@@ -319,49 +312,34 @@ mod tests {
             .unwrap()
             .touch(200)
             .unwrap();
-        let (rewriter, registry) = counted_rewriter(&session);
+        let rewriter = MaxsonScanRewriter::open(&session).unwrap();
         let catalog = session.catalog();
         let calls = vec![
             ("payload".to_string(), "$.a".to_string()),
             ("payload".to_string(), "$.b".to_string()),
         ];
-        let raw_cols: Vec<String> = vec![];
-        let ctx = maxson_engine::session::ScanContext {
-            database: "db",
-            table_name: "t",
-            table: catalog.table("db", "t").unwrap(),
-            alias: None,
-            raw_columns: &raw_cols,
-            json_calls: &calls,
-            predicate: None,
-        };
+        let table = catalog.table("db", "t").unwrap();
+        let ctx = context(&session, table, &[], &calls);
         let rewrite = rewriter.rewrite_scan(&ctx).unwrap();
         assert!(rewrite.is_none(), "stale cache must not rewrite");
         // Both calls parse, but only never-cached `$.b` is a miss: stale
         // `$.a` is counted apart from it.
-        assert_eq!(outcomes(&registry), ([0, 1, 1], [0, 0, 1]));
+        assert_eq!(outcomes(session.metrics_registry()), ([0, 1, 1], [0, 0, 1]));
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn rewrite_scan_resolves_hit_and_keeps_miss() {
         let (session, root) = setup("mixed");
-        let (rewriter, registry) = counted_rewriter(&session);
+        let rewriter = MaxsonScanRewriter::open(&session).unwrap();
         let catalog = session.catalog();
         let calls = vec![
             ("payload".to_string(), "$.a".to_string()),
             ("payload".to_string(), "$.b".to_string()),
         ];
         let raw_cols = vec!["id".to_string()];
-        let ctx = maxson_engine::session::ScanContext {
-            database: "db",
-            table_name: "t",
-            table: catalog.table("db", "t").unwrap(),
-            alias: None,
-            raw_columns: &raw_cols,
-            json_calls: &calls,
-            predicate: None,
-        };
+        let table = catalog.table("db", "t").unwrap();
+        let ctx = context(&session, table, &raw_cols, &calls);
         let rewrite = rewriter.rewrite_scan(&ctx).unwrap().expect("hit rewrites");
         assert_eq!(rewrite.resolved_paths.len(), 1);
         assert_eq!(
@@ -379,7 +357,7 @@ mod tests {
         assert!(names.contains(&"id"));
         assert!(names.contains(&"payload"));
         assert!(names.contains(&cache_field_name("payload", "$.a").as_str()));
-        assert_eq!(outcomes(&registry), ([1, 1, 0], [0, 1, 0]));
+        assert_eq!(outcomes(session.metrics_registry()), ([1, 1, 0], [0, 1, 0]));
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -432,15 +410,7 @@ mod tests {
         let rewriter = MaxsonScanRewriter::open(&session).unwrap();
         let catalog = session.catalog();
         let raw_cols = vec!["id".to_string()];
-        let ctx = maxson_engine::session::ScanContext {
-            database: "db",
-            table_name: "t",
-            table: catalog.table("db", "t").unwrap(),
-            alias: None,
-            raw_columns: &raw_cols,
-            json_calls: &[],
-            predicate: None,
-        };
+        let ctx = context(&session, catalog.table("db", "t").unwrap(), &raw_cols, &[]);
         assert!(rewriter.rewrite_scan(&ctx).unwrap().is_none());
         std::fs::remove_dir_all(&root).ok();
     }

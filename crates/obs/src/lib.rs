@@ -14,7 +14,7 @@
 //! turns that into one track per worker thread.
 //!
 //! The tracer records spans and nothing else: a count belongs in the
-//! engine's `ExecMetrics` (per query) or a [`Registry`] (process-wide),
+//! engine's `ExecMetrics` (per query) or a [`Registry`] (per warehouse),
 //! never in a third ledger beside them.
 //!
 //! ## Overhead contract

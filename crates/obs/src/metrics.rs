@@ -1,4 +1,5 @@
-//! Process-wide metric registry with Prometheus-style text exposition.
+//! Metric registry with Prometheus-style text exposition; one per
+//! warehouse (a session creates it), none process-wide.
 //!
 //! The registry hands out cheap, lock-free *handles* — [`Counter`] and
 //! [`Gauge`] wrap an `Arc<AtomicU64>`, [`HistogramHandle`] wraps the
@@ -34,7 +35,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::hist::LatencyHistogram;
@@ -66,6 +67,7 @@ impl MetricKey {
 }
 
 /// One registered series.
+#[derive(Debug)]
 enum Slot {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicU64>),
@@ -173,6 +175,7 @@ impl HistogramHandle {
 }
 
 /// Thread-safe metric registry. See the module docs.
+#[derive(Debug)]
 pub struct Registry {
     slots: Mutex<BTreeMap<MetricKey, Slot>>,
     type_conflicts: AtomicU64,
@@ -193,12 +196,6 @@ impl Registry {
             type_conflicts: AtomicU64::new(0),
             paths: Mutex::new(SpaceSaving::new(PATH_SKETCH_CAPACITY)),
         }
-    }
-
-    /// The process-global registry (created on first use).
-    pub fn global() -> &'static Arc<Registry> {
-        static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(Registry::new()))
     }
 
     /// Counter handle for `name{labels}` (registering it on first use).

@@ -5,9 +5,12 @@
 use std::sync::Arc;
 
 use maxson_engine::Session;
-use maxson_server::{Client, Server, ServerConfig};
+use maxson_server::{Client, Server, ServerConfig, ServerError};
 use maxson_storage::file::WriteOptions;
 use maxson_storage::{Cell, ColumnType, Field, Schema};
+
+const SQL: &str = "select id, get_json_object(payload, '$.a') as a from db.t \
+                   where get_json_object(payload, '$.b') = 3";
 
 fn temp_root() -> std::path::PathBuf {
     use std::time::{SystemTime, UNIX_EPOCH};
@@ -68,9 +71,7 @@ fn main() {
     // Serial reference: one client, one session's worth of truth.
     let reference = {
         let mut c = Client::connect(addr).expect("connect reference");
-        c.query("select id, get_json_object(payload, '$.a') as a from db.t where get_json_object(payload, '$.b') = 3")
-            .expect("reference query")
-            .to_display_string()
+        c.query(SQL).expect("reference query").to_display_string()
     };
 
     // 8 concurrent clients, each replaying the same query several times.
@@ -82,10 +83,7 @@ fn main() {
                 let mut c = Client::connect(addr).expect("connect");
                 c.ping().expect("ping");
                 for _ in 0..5 {
-                    let got = c
-                        .query("select id, get_json_object(payload, '$.a') as a from db.t where get_json_object(payload, '$.b') = 3")
-                        .expect("query")
-                        .to_display_string();
+                    let got = c.query(SQL).expect("query").to_display_string();
                     assert_eq!(got, *reference, "client {i} diverged from reference");
                 }
             })
@@ -95,20 +93,33 @@ fn main() {
         c.join().expect("client thread");
     }
 
-    // Counters must reflect the load: 1 reference + 8 * 5 queries.
+    // A statement nested past the parser's depth bound is answered ERR,
+    // and the same connection serves the next query.
+    let mut c = Client::connect(addr).expect("connect deep");
+    let nest = "(".repeat(1_000) + "id" + &")".repeat(1_000);
+    let refused = c.query(&format!("select {nest} from db.t"));
+    assert!(
+        matches!(refused, Err(ServerError::Remote(_))),
+        "1,000 parentheses not refused"
+    );
+    let again = c
+        .query(SQL)
+        .expect("query after an ERR")
+        .to_display_string();
+    assert_eq!(again, *reference, "the connection diverged after an ERR");
+
+    // Counters must reflect the load: 1 reference + 8 * 5 + 1 queries
+    // served, and the refused one.
     let stats = {
         let mut c = Client::connect(addr).expect("connect stats");
         c.stats().expect("stats")
     };
-    assert_eq!(stats.queries_ok, 41, "unexpected query count: {stats:?}");
-    assert_eq!(stats.queries_err, 0, "unexpected errors: {stats:?}");
+    assert_eq!(stats.queries_ok, 42, "unexpected query count: {stats:?}");
+    assert_eq!(stats.queries_err, 1, "unexpected errors: {stats:?}");
+    let qps = (stats.queries_ok + stats.queries_err) as f64 * 1e6 / stats.uptime_us.max(1) as f64;
     println!(
-        "server_smoke: {} queries ok, qps={:.0}, p99={}us, meta hits={} misses={}",
-        stats.queries_ok,
-        stats.qps(),
-        stats.p99_us,
-        stats.meta_cache_hits,
-        stats.meta_cache_misses
+        "server_smoke: {} queries ok, qps={qps:.0}, p99={}us, meta hits={} misses={}",
+        stats.queries_ok, stats.p99_us, stats.meta_cache_hits, stats.meta_cache_misses
     );
 
     // Clean shutdown joins every thread the server spawned.

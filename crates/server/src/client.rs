@@ -96,7 +96,7 @@ impl Client {
         })
     }
 
-    /// The server's process-wide metric registry, rendered as Prometheus
+    /// The served warehouse's metric registry, rendered as Prometheus
     /// text exposition.
     pub fn metrics(&mut self) -> Result<String> {
         let response = self.request(Self::op_frame(OpCode::Metrics))?;

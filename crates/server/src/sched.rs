@@ -13,6 +13,8 @@
 //! least `active * max(1, permits/active) >= permits` — contradicting
 //! availability. Hence whenever a permit is free, some query is eligible,
 //! and release wakes all waiters.
+//! Permits and waits are charged to the registry [`FairScheduler::new`]
+//! is given, the served warehouse's.
 
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex};
@@ -45,8 +47,9 @@ struct Inner {
 }
 
 impl FairScheduler {
-    /// A scheduler with `permits` split slots (clamped to at least 1).
-    pub fn new(permits: usize) -> Self {
+    /// A scheduler with `permits` split slots (clamped to at least 1),
+    /// charging its permit counters to `registry`.
+    pub fn new(permits: usize, registry: &Registry) -> Self {
         FairScheduler {
             inner: Mutex::new(Inner {
                 in_use: 0,
@@ -55,8 +58,8 @@ impl FairScheduler {
             }),
             cv: Condvar::new(),
             permits: permits.max(1),
-            acquires: Registry::global().counter("maxson_sched_acquires_total", &[]),
-            waits: Registry::global().counter("maxson_sched_waits_total", &[]),
+            acquires: registry.counter("maxson_sched_acquires_total", &[]),
+            waits: registry.counter("maxson_sched_waits_total", &[]),
         }
     }
 
@@ -199,7 +202,7 @@ mod tests {
 
     #[test]
     fn lone_query_gets_the_whole_pool() {
-        let sched = Arc::new(FairScheduler::new(4));
+        let sched = Arc::new(FairScheduler::new(4, &Registry::new()));
         let lease = QueryLease::new(sched.clone());
         for _ in 0..4 {
             lease.acquire();
@@ -213,7 +216,7 @@ mod tests {
 
     #[test]
     fn dropping_a_lease_frees_its_permits() {
-        let sched = Arc::new(FairScheduler::new(2));
+        let sched = Arc::new(FairScheduler::new(2, &Registry::new()));
         let a = QueryLease::new(sched.clone());
         a.acquire();
         a.acquire();
@@ -226,7 +229,7 @@ mod tests {
     fn two_queries_split_the_pool_fairly() {
         // 2 permits, 2 queries: each query's floor share is 1, so neither
         // can starve the other even if one is split-hungry.
-        let sched = Arc::new(FairScheduler::new(2));
+        let sched = Arc::new(FairScheduler::new(2, &Registry::new()));
         let greedy = QueryLease::new(sched.clone());
         let meek = QueryLease::new(sched.clone());
         greedy.acquire(); // holds 1 of share 1
@@ -238,7 +241,7 @@ mod tests {
 
     #[test]
     fn blocked_acquire_wakes_on_release() {
-        let sched = Arc::new(FairScheduler::new(1));
+        let sched = Arc::new(FairScheduler::new(1, &Registry::new()));
         let a = QueryLease::new(sched.clone());
         a.acquire();
         let sched2 = sched.clone();
@@ -263,7 +266,7 @@ mod tests {
     fn an_unacquired_lease_never_registers() {
         // Reuse-hit-served queries drop their lease without acquiring; they
         // must not have counted against anyone's fair share.
-        let sched = Arc::new(FairScheduler::new(2));
+        let sched = Arc::new(FairScheduler::new(2, &Registry::new()));
         let idle = QueryLease::new(sched.clone());
         assert_eq!(
             sched.active_queries(),
@@ -288,7 +291,7 @@ mod tests {
     /// finish, and the pool never over-commits.
     #[test]
     fn pool_never_overcommits_under_contention() {
-        let sched = Arc::new(FairScheduler::new(3));
+        let sched = Arc::new(FairScheduler::new(3, &Registry::new()));
         let peak = Arc::new(AtomicUsize::new(0));
         let threads: Vec<_> = (0..8)
             .map(|_| {

@@ -8,6 +8,11 @@
 //! permit per split task, so a 40-split scan cannot starve a 2-split
 //! point query.
 //!
+//! The server keeps no ledger: each QUERY charges the served warehouse's
+//! registry (`maxson_server_queries_total{status}`,
+//! `maxson_server_query_wall_seconds`), STATS is rendered from it and
+//! METRICS exposes it, so the two agree.
+//!
 //! Containment invariants, exercised by `tests/failure_injection.rs`:
 //! * a client disconnecting mid-query only ends its own connection;
 //! * malformed frames, bad magic, and oversized payloads get an error
@@ -22,12 +27,11 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use maxson_engine::{pool, Session, SharedResult};
-use maxson_obs::LatencyHistogram;
 
 use crate::sched::{FairScheduler, QueryLease};
 use crate::wire::{self, OpCode, Writer, MAGIC, STATUS_ERR, STATUS_OK};
@@ -52,15 +56,16 @@ pub struct ServerConfig {
 /// Point-in-time server counters, as returned by the STATS opcode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Successfully answered queries.
+    /// Successfully answered queries (`maxson_server_queries_total{status="ok"}`).
     pub queries_ok: u64,
-    /// Queries answered with an error response.
+    /// Queries answered with an error response (`status="err"`).
     pub queries_err: u64,
     /// Microseconds since the server started.
     pub uptime_us: u64,
-    /// Query latency p50 (µs, log-bucket upper bound).
+    /// Query latency p50 (µs, log-bucket upper bound) of
+    /// `maxson_server_query_wall_seconds`.
     pub p50_us: u64,
-    /// Query latency p99 (µs, log-bucket upper bound).
+    /// Query latency p99 (µs, log-bucket upper bound), same histogram.
     pub p99_us: u64,
     /// Norc metadata cache hits across the warehouse.
     pub meta_cache_hits: u64,
@@ -92,25 +97,10 @@ pub struct StatsSnapshot {
     pub hot_paths: Vec<(String, String, u64)>,
 }
 
-impl StatsSnapshot {
-    /// Sustained queries per second over the server's uptime.
-    pub fn qps(&self) -> f64 {
-        let secs = self.uptime_us as f64 / 1e6;
-        if secs > 0.0 {
-            (self.queries_ok + self.queries_err) as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Shared mutable server counters.
+/// What the server's threads share besides the warehouse.
 #[derive(Debug)]
 struct ServerState {
     started: Instant,
-    queries_ok: AtomicU64,
-    queries_err: AtomicU64,
-    latency: Mutex<LatencyHistogram>,
     next_client_id: AtomicU64,
     shutdown: AtomicBool,
 }
@@ -146,12 +136,9 @@ impl Server {
         let permits = config
             .permits
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let scheduler = Arc::new(FairScheduler::new(permits));
+        let scheduler = Arc::new(FairScheduler::new(permits, template.metrics_registry()));
         let state = Arc::new(ServerState {
             started: Instant::now(),
-            queries_ok: AtomicU64::new(0),
-            queries_err: AtomicU64::new(0),
-            latency: Mutex::new(LatencyHistogram::new()),
             next_client_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
@@ -422,35 +409,20 @@ fn handle_frame(
             };
             let started = Instant::now();
             let outcome = run_query(session, scheduler, sql, client_id, request_id);
-            let took = started.elapsed();
-            state
-                .latency
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .record(took);
-            let registry = std::sync::Arc::clone(session.metrics_registry());
+            let registry = session.metrics_registry();
             registry
                 .histogram("maxson_server_query_wall_seconds", &[])
-                .observe(took);
+                .observe(started.elapsed());
+            let status = if outcome.is_ok() { "ok" } else { "err" };
+            registry
+                .counter("maxson_server_queries_total", &[("status", status)])
+                .inc();
             match outcome {
-                Ok(result) => {
-                    state.queries_ok.fetch_add(1, Ordering::Relaxed);
-                    registry
-                        .counter("maxson_server_queries_total", &[("status", "ok")])
-                        .inc();
-                    encode_result(&result).send(stream)?;
-                    Ok(true)
-                }
-                Err(message) => {
-                    state.queries_err.fetch_add(1, Ordering::Relaxed);
-                    registry
-                        .counter("maxson_server_queries_total", &[("status", "err")])
-                        .inc();
-                    send_err(stream, &message)?;
-                    // Query errors are recoverable: the connection lives on.
-                    Ok(true)
-                }
+                Ok(result) => encode_result(&result).send(stream)?,
+                // Query errors are recoverable: the connection lives on.
+                Err(message) => send_err(stream, &message)?,
             }
+            Ok(true)
         }
     }
 }
@@ -521,23 +493,24 @@ fn snapshot_stats(
     scheduler: &Arc<FairScheduler>,
     state: &Arc<ServerState>,
 ) -> StatsSnapshot {
-    let (p50, p99) = {
-        let hist = state
-            .latency
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        (hist.quantile(0.5), hist.quantile(0.99))
-    };
     let meta = session.catalog().meta_cache().stats();
     let registry = session.metrics_registry();
     let total = |series: &str| registry.counter_value(series, &[]).unwrap_or(0);
+    let served = |status: &str| {
+        registry
+            .counter_value("maxson_server_queries_total", &[("status", status)])
+            .unwrap_or(0)
+    };
+    let wall = registry
+        .histogram_snapshot("maxson_server_query_wall_seconds", &[])
+        .unwrap_or_default();
     let reuse = session.reuse_stats();
     StatsSnapshot {
-        queries_ok: state.queries_ok.load(Ordering::Relaxed),
-        queries_err: state.queries_err.load(Ordering::Relaxed),
+        queries_ok: served("ok"),
+        queries_err: served("err"),
         uptime_us: state.started.elapsed().as_micros() as u64,
-        p50_us: p50.as_micros() as u64,
-        p99_us: p99.as_micros() as u64,
+        p50_us: wall.quantile(0.5).as_micros() as u64,
+        p99_us: wall.quantile(0.99).as_micros() as u64,
         meta_cache_hits: meta.hits,
         meta_cache_misses: meta.misses,
         active_queries: scheduler.active_queries() as u64,

@@ -70,10 +70,12 @@ fn golden_tree_exact_at_one_and_four_threads() {
 /// bytes), the 150 that fail `id < 100` are charged to `batch_rows_skipped`
 /// by the scan, and `f0` is decoded (356 bytes) and both cells are built
 /// for the 100 selected rows only. `rows_scanned` and `cache_hits` keep
-/// counting the kept row group's rows.
+/// counting the kept row group's rows. The rewriter's decision is a child
+/// of `planning`, whichever way the rewriter was installed.
 const MAXSON_GOLDEN: &str = "\
 query wall=_ rows=100
   planning wall=_
+    maxson_rewrite wall=_ table=mydb.q1 hits=1 misses=0 decision=combined
   scan_pipeline wall=_ label=MaxsonCombinedScan(raw_cols=[0], cache_cols=[1]) stages=scan+filter+project splits=2 rows_out=100
     split wall=_ split=0 rows_out=100 rows_scanned=250 bytes_read=2356 cache_hits=250 rg_read=1 rg_skipped=3 cells_materialized=200 batch_rows_skipped=150
     split wall=_ split=1 rows_out=0 rg_skipped=4";
@@ -106,6 +108,7 @@ fn rewritten_golden_tree_exact_at_one_and_four_threads() {
 const LATE_GOLDEN: &str = "\
 query wall=_ rows=5
   planning wall=_
+    maxson_rewrite wall=_ table=mydb.q8 hits=1 misses=1 decision=combined
   limit wall=_ rows_in=2000 deferred_cols=2 deferred_rows=10 late_exprs=1 late_rows=5 rows_out=5 parse_calls=5 docs_parsed=5
     sort wall=_ rows_in=10
       scan_pipeline wall=_ label=MaxsonCombinedScan(raw_cols=[0, 2], cache_cols=[0]) stages=scan+project splits=2 rows_out=10
@@ -158,9 +161,10 @@ fn rewritten_queries_deterministic_across_threads() {
 }
 
 /// `EXPLAIN ANALYZE` prints this query's tree and nothing else. The
-/// rewriter a midnight cycle installs records into the session's tracer,
-/// so turning session tracing on lights it up; the rendered text must still
-/// be the same as with tracing off, on the first run and on a repeat.
+/// rewriter records into whichever tracer the query is planned under, so
+/// turning session tracing on puts its spans into the session's buffer;
+/// the rendered text must still be the same as with tracing off, on the
+/// first run and on a repeat.
 #[test]
 fn explain_analyze_is_per_query_with_session_tracing_on_or_off() {
     let root = temp_root("perquery");

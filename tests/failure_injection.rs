@@ -431,6 +431,130 @@ fn property_mutated_sql_errors_never_panic() {
 }
 
 // ---------------------------------------------------------------------
+// Statement depth: no SQL text may abort the process. Parsing, planning,
+// evaluating and dropping an expression each recurse once per tree level,
+// so the parser refuses a tree deeper than `MAX_EXPR_DEPTH` and everything
+// it accepts must fit the 2 MiB stack of a server connection thread.
+// ---------------------------------------------------------------------
+
+use maxson_engine::sql::parser::MAX_EXPR_DEPTH;
+
+/// Run `f` on a thread with a server connection thread's 2 MiB stack.
+fn on_connection_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .unwrap()
+        .join()
+        .expect("the statement fits a connection thread's stack")
+}
+
+/// Statements over [`a_table`]'s `db.t` whose expression tree is `depth`
+/// levels deep, one per shape that deepens a tree: parentheses, `NOT`,
+/// unary minus, an arithmetic chain, an `AND` chain, nested calls and
+/// nested `IN` lists.
+fn statements_of_depth(depth: usize) -> Vec<String> {
+    let nest =
+        |open: &str, close: &str, n: usize| format!("{}id{}", open.repeat(n), close.repeat(n));
+    vec![
+        format!("select {} as v from db.t", nest("(", ")", depth - 1)),
+        format!(
+            "select id from db.t where {}id < 5",
+            "not ".repeat(depth - 2)
+        ),
+        format!("select {}id as v from db.t", "- ".repeat(depth - 1)),
+        format!("select {} as v from db.t", vec!["id"; depth].join(" + ")),
+        format!(
+            "select id from db.t where {}",
+            vec!["id >= 3"; depth - 1].join(" and ")
+        ),
+        format!("select {} as v from db.t", nest("upper(", ")", depth - 1)),
+        format!(
+            "select id from db.t where {}",
+            nest("id in (", ")", depth - 1)
+        ),
+    ]
+}
+
+/// Every deepest accepted shape parses, plans, executes (and explains)
+/// and drops on a connection thread's stack, and returns the oracle's
+/// rows.
+#[test]
+fn deepest_accepted_statements_run_on_a_connection_stack() {
+    let root = temp_root("deepest");
+    let mut session = Session::open(&root).unwrap();
+    a_table(&mut session, 10, 4);
+    let statements = statements_of_depth(MAX_EXPR_DEPTH);
+    let results = on_connection_stack({
+        let statements = statements.clone();
+        move || {
+            let run = |sql: &str| {
+                session
+                    .execute(sql)
+                    .unwrap_or_else(|e| panic!("{e}: {sql}"))
+            };
+            statements
+                .iter()
+                .map(|sql| {
+                    run(&format!("explain analyze {sql}"));
+                    run(sql)
+                })
+                .collect::<Vec<_>>()
+        }
+    });
+    let oracle = Oracle::new(&root);
+    for (sql, result) in statements.iter().zip(&results) {
+        assert_matches(&oracle.answer(sql).unwrap(), result, sql);
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn statements_past_the_depth_limit_are_errors() {
+    on_connection_stack(|| {
+        for sql in statements_of_depth(MAX_EXPR_DEPTH + 1) {
+            assert!(parse_select(&sql).is_err(), "{sql}");
+        }
+        let hostile = [
+            format!(
+                "select {}1{} from t",
+                "(".repeat(10_000),
+                ")".repeat(10_000)
+            ),
+            format!("select 1 from t where {}true", "not ".repeat(100_000)),
+            format!("select {}1 from t", "- ".repeat(100_000)),
+            format!("select 1{} from t", "+1".repeat(999_999)),
+        ];
+        for sql in &hostile {
+            let err = parse_select(sql).expect_err("too deep to accept");
+            assert!(err.to_string().contains("nests deeper than"), "{err}");
+        }
+    });
+}
+
+#[test]
+fn a_served_statement_past_the_depth_limit_is_answered_err() {
+    let (mut server, root) = serve_small("deep");
+    let deep = format!(
+        "select {}id{} from db.t",
+        "(".repeat(1_000),
+        ")".repeat(1_000)
+    );
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.query(&deep) {
+        Err(maxson_server::ServerError::Remote(message)) => {
+            assert!(message.contains("nests deeper than"), "{message}")
+        }
+        other => panic!("expected an ERR answer, got {other:?}"),
+    }
+    assert_eq!(client.query(SERVED_SQL).unwrap().rows.len(), 5);
+    let mut fresh = Client::connect(server.addr()).unwrap();
+    assert_eq!(fresh.query(SERVED_SQL).unwrap().rows.len(), 5);
+    server.stop();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+// ---------------------------------------------------------------------
 // Server fault injection: hostile clients and panicking queries must be
 // contained at the connection boundary — the server keeps serving and
 // shared warehouse state stays usable.
@@ -649,9 +773,6 @@ fn panicking_split_is_contained_at(threads: usize) {
 // silently serve from a structure a panic may have left inconsistent.
 // ---------------------------------------------------------------------
 
-use maxson_obs::Registry;
-use std::sync::Arc;
-
 const REUSE_SQL: &str = "select id, get_json_object(payload, '$.a') as a from db.t where id < 20";
 
 fn reuse_table(name: &str) -> PathBuf {
@@ -666,8 +787,6 @@ fn poisoned_reuse_fill_is_contained_and_disables_the_cache_loudly() {
 
     let mut session = Session::open(&root).unwrap();
     session.set_result_cache(Some(8));
-    let registry = Arc::new(Registry::new());
-    session.set_metrics_registry(Arc::clone(&registry));
     let log_path = temp_root("reuse-poison-log").with_extension("jsonl");
     session.set_query_log(Some(log_path.clone())).unwrap();
 
@@ -681,7 +800,9 @@ fn poisoned_reuse_fill_is_contained_and_disables_the_cache_loudly() {
 
     // Loud, not silent: the poison is counted, logged, and latched.
     assert_eq!(
-        registry.counter_value("maxson_reuse_poisoned_total", &[]),
+        session
+            .metrics_registry()
+            .counter_value("maxson_reuse_poisoned_total", &[]),
         Some(1),
         "contained fill panic must charge the poisoned counter"
     );

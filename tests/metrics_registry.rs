@@ -12,10 +12,6 @@
 //! The README's per-query metric catalogue is rendered from the metric
 //! declaration (`ExecMetrics::fields`); the last test fails when the two
 //! differ, so a field cannot land undocumented.
-//!
-//! The scheduler's permit counter lives in the process-wide registry, so
-//! the one test that reads it through a server's METRICS frame sits here:
-//! no other test in this binary starts a scheduler.
 
 mod support;
 

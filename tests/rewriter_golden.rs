@@ -11,11 +11,8 @@
 
 mod support;
 
-use std::sync::Arc;
-
 use maxson::MaxsonScanRewriter;
 use maxson_engine::session::Session;
-use maxson_engine::Registry;
 use maxson_storage::file::WriteOptions;
 use maxson_storage::Cell;
 use support::cells::assert_matches;
@@ -149,9 +146,7 @@ fn pushdown_query_stays_rewritten_and_correct() {
 fn append_after_install_parses_the_stale_calls() {
     let root = support::generated_warehouse("stale-append");
     let mut session = Session::open(&root).unwrap();
-    let registry = Arc::new(Registry::new());
-    let mut rewriter = MaxsonScanRewriter::open(&session).unwrap();
-    rewriter.set_metrics_registry(Arc::clone(&registry));
+    let rewriter = MaxsonScanRewriter::open(&session).unwrap();
     session.set_scan_rewriter(Some(Box::new(rewriter)));
     // The cache was built at logical time 100; the new part lands at 200.
     let rows: Vec<Vec<Cell>> = (240..250)
@@ -168,7 +163,60 @@ fn append_after_install_parses_the_stale_calls() {
     let plain = Session::open(&root).unwrap().execute(sql).unwrap();
     assert_eq!(plain.rows.len(), 250);
     assert_eq!(rewritten.rows, plain.rows);
+    let registry = session.metrics_registry();
     let stale = registry.counter_value("maxson_rewrite_paths_total", &[("outcome", "stale")]);
     assert_eq!(stale, Some(1));
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// `$.a.b` and `$.a_b` both sanitize to the cache field name
+/// `payload__a_b`. One midnight cycle caches both: the cache table gives
+/// the second a column of its own, and each rewritten query reads its own
+/// path's values, as the oracle computes them from the raw documents.
+#[test]
+fn colliding_cache_field_names_each_serve_their_own_path() {
+    use maxson::cacher::cache_field_name;
+    assert_eq!(
+        cache_field_name("payload", "$.a.b"),
+        cache_field_name("payload", "$.a_b")
+    );
+    let root = support::temp_root("collide");
+    let mut session = Session::open(&root).unwrap();
+    let files: Vec<Vec<(i64, String)>> = (0..2i64)
+        .map(|f| {
+            (f * 10..(f + 1) * 10)
+                .map(|n| {
+                    (
+                        n,
+                        format!(r#"{{"a": {{"b": "nested{n}"}}, "a_b": "flat{n}"}}"#),
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    support::json_table(&mut session, "db", "t", &files, 5);
+    support::cache_paths(
+        &mut session,
+        &root,
+        &[("db", "t", "$.a.b"), ("db", "t", "$.a_b")],
+    );
+    let oracle = Oracle::new(&root);
+    for sql in [
+        "select id, get_json_object(payload, '$.a.b') as v from db.t",
+        "select id, get_json_object(payload, '$.a_b') as v from db.t",
+        "select get_json_object(payload, '$.a_b') as flat, \
+         get_json_object(payload, '$.a.b') as nested from db.t where id > 3",
+    ] {
+        let result = session.execute(sql).unwrap();
+        assert_eq!(
+            result.metrics.parse_calls, 0,
+            "not served from cache: {sql}"
+        );
+        assert!(
+            result.metrics.cache_hits > 0,
+            "not served from cache: {sql}"
+        );
+        assert_matches(&oracle.answer(sql).unwrap(), &result, sql);
+    }
     std::fs::remove_dir_all(&root).ok();
 }

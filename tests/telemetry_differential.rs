@@ -1,9 +1,9 @@
 //! The always-on telemetry subsystem is observation-only: with a query
-//! log, a private metric registry and a zero slow-query threshold
-//! installed, a query still returns what the oracle returns and charges
-//! the work counters the bare query charges.
+//! log and a zero slow-query threshold installed, a query still returns
+//! what the oracle returns and charges the work counters the bare query
+//! charges, to its warehouse's own metric registry.
 //!
-//! Five layers:
+//! Six layers:
 //!
 //! 1. **Golden queries** — Maxson-rewritten golden queries over the
 //!    checked-in warehouse, across Jackson/Mison/Tape at 1 and 4 threads.
@@ -19,6 +19,8 @@
 //!    key derived from the metric declaration settles exactly to the
 //!    `ExecMetrics` the engine returned, and the server's STATS and
 //!    METRICS opcodes read that same registry.
+//! 6. **Isolation** — two warehouses in one process, each served, charge
+//!    two registries: STATS and METRICS of one count its activity alone.
 
 mod support;
 
@@ -59,8 +61,7 @@ fn assert_telemetry_is_observation_only(
         .unwrap_or_else(|e| panic!("[{label}] bare run failed for {sql}: {e}"));
 
     let mut instrumented_session = make_session();
-    let registry = Arc::new(Registry::new());
-    instrumented_session.set_metrics_registry(Arc::clone(&registry));
+    let registry = Arc::clone(instrumented_session.metrics_registry());
     let log_path = temp_log(&format!("diff-{}", label.replace('/', "-")));
     instrumented_session
         .set_query_log(Some(log_path.clone()))
@@ -181,8 +182,7 @@ fn replay_golden(parser: JsonParserKind) -> (Arc<Registry>, Vec<ExecMetrics>) {
     let mut session = Session::open(&root).unwrap();
     session.set_parser_kind(parser);
     session.set_threads(Some(2));
-    let registry = Arc::new(Registry::new());
-    session.set_metrics_registry(Arc::clone(&registry));
+    let registry = Arc::clone(session.metrics_registry());
     let mut all = Vec::new();
     for sql in GOLDEN_QUERIES {
         all.push(session.execute(sql).expect("golden query").metrics);
@@ -262,8 +262,7 @@ fn registry_and_query_log_settle_exactly_to_the_summed_exec_metrics() {
         };
         session.set_parser_kind(parser);
         session.set_threads(Some(2));
-        let registry = Arc::new(Registry::new());
-        session.set_metrics_registry(Arc::clone(&registry));
+        let registry = Arc::clone(session.metrics_registry());
         let log_path = temp_log(&format!("settle-{parser:?}"));
         session.set_query_log(Some(log_path.clone())).unwrap();
         let per_query: Vec<ExecMetrics> = GOLDEN_QUERIES
@@ -348,4 +347,114 @@ fn registry_and_query_log_settle_exactly_to_the_summed_exec_metrics() {
         drop(client);
         server.stop();
     }
+}
+
+/// `db.t(id, payload)` over `files` part files of four `{"a": n}` rows.
+fn small_warehouse(name: &str, files: i64) -> (Session, PathBuf) {
+    let root = temp_root(name);
+    let mut session = Session::open(&root).unwrap();
+    let parts: Vec<Vec<(i64, String)>> = (0..files)
+        .map(|f| {
+            (f * 4..(f + 1) * 4)
+                .map(|n| (n, format!(r#"{{"a": {n}}}"#)))
+                .collect()
+        })
+        .collect();
+    support::json_table(&mut session, "db", "t", &parts, 4);
+    (session, root)
+}
+
+/// The value of the unlabelled or labelled series `series` in a METRICS
+/// text, if present.
+fn exposed(text: &str, series: &str) -> Option<u64> {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+}
+
+/// Two warehouses in one process. A runs one midnight cycle, is served
+/// with a rewriter from `MaxsonScanRewriter::open`, and answers three
+/// rewritten queries and one bad one; B, served beside it by a server of
+/// its own, answers five plain queries. Each server's STATS and METRICS
+/// count its own warehouse's activity alone, its STATS quantiles are its
+/// registry's histogram's, and B's registry holds nothing of A's.
+#[test]
+fn two_served_warehouses_charge_two_registries() {
+    const SQL: &str = "select id, get_json_object(payload, '$.a') as a from db.t";
+    let (mut a, root_a) = small_warehouse("two-a", 2);
+    let (b, root_b) = small_warehouse("two-b", 3);
+    support::cache_paths(&mut a, &root_a, &[("db", "t", "$.a")]);
+    let a = support::install_rewriter(a);
+    let config = ServerConfig {
+        threads: Some(1),
+        ..ServerConfig::default()
+    };
+    let mut server_a = Server::serve(a.clone(), "127.0.0.1:0", config.clone()).unwrap();
+    let mut server_b = Server::serve(b.clone(), "127.0.0.1:0", config).unwrap();
+    let mut client_a = Client::connect(server_a.addr()).unwrap();
+    let mut client_b = Client::connect(server_b.addr()).unwrap();
+    for _ in 0..3 {
+        let result = client_a.query(SQL).unwrap();
+        assert_eq!((result.rows.len(), result.metrics.parse_calls), (8, 0));
+    }
+    assert!(client_a.query("select nope from db.t").is_err());
+    for _ in 0..5 {
+        assert_eq!(client_b.query(SQL).unwrap().rows.len(), 12);
+    }
+
+    let stats = client_a.stats().unwrap();
+    let metrics = client_a.metrics().unwrap();
+    let registry = a.metrics_registry();
+    assert_eq!((stats.queries_ok, stats.queries_err), (3, 1));
+    let wall = registry
+        .histogram_snapshot("maxson_server_query_wall_seconds", &[])
+        .unwrap();
+    assert_eq!(wall.count(), 4);
+    assert_eq!(stats.p50_us, wall.quantile(0.5).as_micros() as u64);
+    assert_eq!(stats.p99_us, wall.quantile(0.99).as_micros() as u64);
+    let served = |text: &str, status: &str| {
+        exposed(
+            text,
+            &format!("maxson_server_queries_total{{status=\"{status}\"}}"),
+        )
+    };
+    assert_eq!(served(&metrics, "ok"), Some(3));
+    assert_eq!(served(&metrics, "err"), Some(1));
+    assert_eq!(
+        exposed(&metrics, "maxson_rewrite_paths_total{outcome=\"hit\"}"),
+        Some(3)
+    );
+    assert_eq!(exposed(&metrics, "maxson_midnight_cycles_total"), Some(1));
+    // One permit per split task: two cache files per rewritten scan.
+    assert_eq!(
+        exposed(&metrics, "maxson_sched_acquires_total"),
+        Some(3 * 2)
+    );
+    assert_eq!(metrics, registry.expose(), "METRICS is A's registry");
+
+    let stats = client_b.stats().unwrap();
+    let metrics = client_b.metrics().unwrap();
+    assert_eq!((stats.queries_ok, stats.queries_err), (5, 0));
+    assert_eq!(served(&metrics, "ok"), Some(5));
+    assert_eq!(served(&metrics, "err"), None);
+    assert_eq!(
+        exposed(&metrics, "maxson_sched_acquires_total"),
+        Some(5 * 3)
+    );
+    let registry = b.metrics_registry();
+    for series in ["maxson_midnight_cycles_total", "maxson_rewrite_paths_total"] {
+        assert!(!metrics.contains(series), "B's METRICS shows A's {series}");
+    }
+    assert_eq!(
+        registry.counter_value("maxson_rewrite_paths_total", &[("outcome", "hit")]),
+        None
+    );
+    assert_eq!(
+        registry.counter_value("maxson_midnight_cycles_total", &[]),
+        None
+    );
+
+    server_a.stop();
+    server_b.stop();
+    std::fs::remove_dir_all(&root_a).ok();
+    std::fs::remove_dir_all(&root_b).ok();
 }
