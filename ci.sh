@@ -51,6 +51,11 @@ MAXSON_BENCH_FAST=1 cargo run --release --offline -p maxson-bench --bin fig15_pa
 # bitmap build, the validating walk and the compiled projection still run.
 MAXSON_BENCH_FAST=1 cargo bench --offline -p maxson-bench --bench parsing
 
+# Smoke-run the wire microbench (fast mode, ~1 s): a Q1-shaped QUERY
+# response encodes and decodes back to the same rows through the client's
+# one-pass decoder.
+MAXSON_BENCH_FAST=1 cargo bench --offline -p maxson-bench --bench wire
+
 # Server smoke: starts the TCP query server over a throwaway warehouse,
 # replays queries from 8 concurrent clients (results checked against a
 # serial reference), then shuts down cleanly and proves no thread leaked.

@@ -1193,6 +1193,9 @@ enum AggState {
     },
 }
 
+/// Every integer operation of the fold names its overflow behaviour: a
+/// count and an integer sum are Java `long`s and wrap, as in `expr.rs`.
+#[deny(clippy::arithmetic_side_effects)]
 impl AggState {
     fn new(func: AggFunc) -> Self {
         match func {
@@ -1216,8 +1219,8 @@ impl AggState {
             AggState::Count(n) => {
                 // COUNT(*) counts every row (value None); COUNT(expr) skips NULL.
                 match value {
-                    None => *n += 1,
-                    Some(c) if !c.is_null() => *n += 1,
+                    None => *n = n.wrapping_add(1),
+                    Some(c) if !c.is_null() => *n = n.wrapping_add(1),
                     _ => {}
                 }
             }
@@ -1288,7 +1291,7 @@ impl AggState {
     /// meets the same pair in the same order.
     fn merge(&mut self, other: AggState) {
         match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
+            (AggState::Count(a), AggState::Count(b)) => *a = a.wrapping_add(b),
             (AggState::CountDistinct(a), AggState::CountDistinct(b)) => a.extend(b),
             (
                 AggState::Sum {

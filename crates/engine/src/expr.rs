@@ -15,6 +15,8 @@
 //! its left operand, and `/` is always a float division. A zero divisor
 //! gives NULL. No integer operation panics.
 
+#![deny(clippy::arithmetic_side_effects)]
+
 use std::cmp::Ordering;
 
 use maxson_json::JsonPath;
@@ -378,10 +380,10 @@ impl Expr {
     /// Number of `GetJsonObject` nodes in the tree: the parses a naive
     /// evaluation of it pays per row.
     pub fn json_parse_count(&self) -> usize {
-        let mut n = 0;
+        let mut n = 0usize;
         self.walk(&mut |node| {
             if matches!(node, Expr::GetJsonObject { .. }) {
-                n += 1;
+                n = n.wrapping_add(1);
             }
         });
         n
@@ -410,14 +412,17 @@ pub fn like_match(text: &str, pattern: &str) -> bool {
     let t: Vec<char> = text.chars().collect();
     let p: Vec<char> = pattern.chars().collect();
     // `star`: the pattern index after the last `%`; `from`: where the
-    // text it absorbs currently ends.
-    let (mut ti, mut pi, mut star, mut from) = (0, 0, None, 0);
+    // text it absorbs currently ends. No index passes a vector's length,
+    // so no step can wrap.
+    let (mut ti, mut pi, mut star, mut from) = (0usize, 0usize, None, 0usize);
     while ti < t.len() {
         match p.get(pi) {
-            Some('%') => (pi, star, from) = (pi + 1, Some(pi + 1), ti),
-            Some(&c) if c == '_' || c == t[ti] => (pi, ti) = (pi + 1, ti + 1),
+            Some('%') => (pi, star, from) = (pi.wrapping_add(1), Some(pi.wrapping_add(1)), ti),
+            Some(&c) if c == '_' || c == t[ti] => {
+                (pi, ti) = (pi.wrapping_add(1), ti.wrapping_add(1))
+            }
             _ => match star {
-                Some(after) => (pi, from, ti) = (after, from + 1, from + 1),
+                Some(after) => (pi, from, ti) = (after, from.wrapping_add(1), from.wrapping_add(1)),
                 None => return false,
             },
         }
@@ -466,7 +471,7 @@ fn eval_scalar(func: ScalarFunc, args: &[Cell]) -> Cell {
             };
             // 1-based; negative counts from the end (Hive).
             let begin = if start > 0 {
-                (start - 1) as usize
+                start.wrapping_sub(1) as usize
             } else if start < 0 {
                 chars.len().saturating_sub(start.unsigned_abs() as usize)
             } else {
@@ -571,13 +576,12 @@ fn eval_binary(l: &Cell, op: BinaryOp, r: &Cell) -> Result<Cell> {
                             Cell::Float(*a as f64 / *b as f64)
                         }
                     }
-                    Mod => {
-                        if *b == 0 {
-                            Cell::Null
-                        } else {
-                            Cell::Int(a.wrapping_rem(*b))
-                        }
-                    }
+                    Mod => match a.checked_rem(*b) {
+                        Some(rem) => Cell::Int(rem),
+                        // `i64::MIN % -1` overflows; Java's `long` gives 0.
+                        None if *b == -1 => Cell::Int(0),
+                        None => Cell::Null,
+                    },
                     _ => unreachable!(),
                 });
             }

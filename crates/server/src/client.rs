@@ -4,11 +4,15 @@
 //! parse/cache metric subset the server ships), so callers can reuse
 //! `QueryResult::to_display_string` — the differential test suite compares
 //! served results byte for byte against serial in-process execution.
+//!
+//! On a reuse hit the client's decode is most of a request's wall, so
+//! [`decode_query`] reads the row block in one pass over the received
+//! frame ([`wire::Reader::rows`]): one allocation per string cell, one per
+//! row and one for the row list.
 
 use std::net::{TcpStream, ToSocketAddrs};
 
 use maxson_engine::{ExecMetrics, QueryResult};
-use maxson_storage::Cell;
 
 use crate::server::StatsSnapshot;
 use crate::wire::{self, OpCode, Writer, MAGIC, STATUS_OK};
@@ -109,39 +113,37 @@ impl Client {
         let mut w = Writer::new();
         w.u8(MAGIC).u8(OpCode::Query as u8).str(sql);
         let response = self.request(w)?;
-        let mut r = Self::checked(&response)?;
-        let epoch = r.u64()?;
-        // Every count is checked against the bytes left before anything is
-        // reserved for it: a column name takes at least its 4-byte length,
-        // a row at least one tag byte a column.
-        let ncols = r.count(4)?;
-        let mut columns = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            columns.push(r.str()?);
-        }
-        let nrows = r.count(ncols)?;
-        let mut rows: Vec<Vec<Cell>> = Vec::with_capacity(nrows);
-        for _ in 0..nrows {
-            let mut row = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                row.push(r.cell()?);
-            }
-            rows.push(row);
-        }
-        let metrics = ExecMetrics {
-            parse_calls: r.u64()?,
-            docs_parsed: r.u64()?,
-            cache_hits: r.u64()?,
-            meta_cache_hits: r.u64()?,
-            meta_cache_misses: r.u64()?,
-            ..Default::default()
-        };
-        Ok(QueryResult {
-            columns,
-            rows,
-            metrics,
-            plan_display: String::new(),
-            epoch,
-        })
+        decode_query(&response)
     }
+}
+
+/// Decode a QUERY response payload: the column names, then the row block
+/// in one pass over the frame ([`wire::Reader::rows`]), then the metrics.
+/// A server error is [`ServerError::Remote`].
+pub fn decode_query(payload: &[u8]) -> Result<QueryResult> {
+    let mut r = Client::checked(payload)?;
+    let epoch = r.u64()?;
+    // Every count is checked against the bytes left before anything is
+    // reserved for it: a column name takes at least its 4-byte length.
+    let ncols = r.count(4)?;
+    let mut columns = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        columns.push(r.str()?);
+    }
+    let rows = r.rows(ncols)?;
+    let metrics = ExecMetrics {
+        parse_calls: r.u64()?,
+        docs_parsed: r.u64()?,
+        cache_hits: r.u64()?,
+        meta_cache_hits: r.u64()?,
+        meta_cache_misses: r.u64()?,
+        ..Default::default()
+    };
+    Ok(QueryResult {
+        columns,
+        rows,
+        metrics,
+        plan_display: String::new(),
+        epoch,
+    })
 }

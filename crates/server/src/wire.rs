@@ -15,6 +15,13 @@
 //!
 //! Frames larger than [`MAX_FRAME_BYTES`] are rejected before any
 //! allocation, so a malicious length prefix cannot OOM the server.
+//!
+//! A QUERY response's row block is decoded in one pass over the frame
+//! ([`Reader::rows`]): a local cursor over the frame's bytes and one
+//! inlined per-cell decoder, whose errors are built out of line. Every
+//! length is checked against the bytes that remain, every string's UTF-8
+//! is validated, an unknown tag is a protocol error, and the row count is
+//! checked before anything is reserved for it.
 
 use std::io::{Read, Write};
 
@@ -124,10 +131,7 @@ impl<'a> Reader<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
-            return Err(ServerError::Protocol(format!(
-                "truncated frame: wanted {n} more bytes, have {}",
-                self.remaining()
-            )));
+            return Err(truncated(n, self.remaining()));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -172,26 +176,99 @@ impl<'a> Reader<'a> {
     /// A string field, validated in place and borrowed from the frame.
     pub(crate) fn str_ref(&mut self) -> Result<&'a str> {
         let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?)
-            .map_err(|_| ServerError::Protocol("string field is not UTF-8".into()))
+        std::str::from_utf8(self.take(len)?).map_err(|_| not_utf8())
     }
 
     pub fn str(&mut self) -> Result<String> {
         self.str_ref().map(str::to_owned)
     }
 
-    /// One cell; a string cell is one allocation, its `Arc<str>` built
-    /// straight from the frame's bytes.
-    pub fn cell(&mut self) -> Result<Cell> {
-        match self.u8()? {
-            TAG_NULL => Ok(Cell::Null),
-            TAG_INT => Ok(Cell::Int(self.i64()?)),
-            TAG_FLOAT => Ok(Cell::Float(self.f64()?)),
-            TAG_STR => Ok(Cell::from(self.str_ref()?)),
-            TAG_BOOL => Ok(Cell::Bool(self.u8()? != 0)),
-            tag => Err(ServerError::Protocol(format!("unknown cell tag {tag}"))),
+    /// A row block: a `u32` row count, then `ncols` cells a row, decoded
+    /// in one pass over the frame. The count is checked before anything is
+    /// reserved for it (a row takes at least one tag byte a column). The
+    /// block allocates one vector for the rows, one a row and one
+    /// `Arc<str>` a string cell, nothing else.
+    pub fn rows(&mut self, ncols: usize) -> Result<Vec<Vec<Cell>>> {
+        let nrows = self.count(ncols)?;
+        let mut rows = Vec::with_capacity(nrows);
+        let mut rest = &self.buf[self.pos..];
+        for _ in 0..nrows {
+            let mut row = Vec::with_capacity(ncols);
+            for _ in 0..ncols {
+                row.push(next_cell(&mut rest)?);
+            }
+            rows.push(row);
         }
+        self.pos = self.buf.len() - rest.len();
+        Ok(rows)
     }
+}
+
+/// The cell at the head of `rest`, which then starts past it: the one cell
+/// decoder. Every length is checked against the bytes that remain, a
+/// string's bytes are validated as UTF-8 and built straight into its
+/// `Arc<str>`, and an unknown tag is a protocol error. Errors are built
+/// out of line, so the row loop that inlines this carries no formatting.
+#[inline(always)]
+fn next_cell(rest: &mut &[u8]) -> Result<Cell> {
+    let Some((&tag, body)) = rest.split_first() else {
+        return Err(truncated(1, 0));
+    };
+    let (cell, tail) = match tag {
+        TAG_NULL => (Cell::Null, body),
+        TAG_INT => {
+            let (v, tail) = fixed::<8>(body)?;
+            (Cell::Int(i64::from_be_bytes(v)), tail)
+        }
+        TAG_FLOAT => {
+            let (v, tail) = fixed::<8>(body)?;
+            (Cell::Float(f64::from_bits(u64::from_be_bytes(v))), tail)
+        }
+        TAG_STR => {
+            let (len, tail) = fixed::<4>(body)?;
+            let len = u32::from_be_bytes(len) as usize;
+            let Some((bytes, tail)) = tail.split_at_checked(len) else {
+                return Err(truncated(len, tail.len()));
+            };
+            let Ok(s) = std::str::from_utf8(bytes) else {
+                return Err(not_utf8());
+            };
+            (Cell::Str(s.into()), tail)
+        }
+        TAG_BOOL => {
+            let (v, tail) = fixed::<1>(body)?;
+            (Cell::Bool(v[0] != 0), tail)
+        }
+        tag => return Err(unknown_tag(tag)),
+    };
+    *rest = tail;
+    Ok(cell)
+}
+
+/// The first `N` bytes of `body` and what follows them.
+#[inline(always)]
+fn fixed<const N: usize>(body: &[u8]) -> Result<([u8; N], &[u8])> {
+    match body.split_first_chunk::<N>() {
+        Some((head, tail)) => Ok((*head, tail)),
+        None => Err(truncated(N, body.len())),
+    }
+}
+
+#[cold]
+fn truncated(wanted: usize, have: usize) -> ServerError {
+    ServerError::Protocol(format!(
+        "truncated frame: wanted {wanted} more bytes, have {have}"
+    ))
+}
+
+#[cold]
+fn not_utf8() -> ServerError {
+    ServerError::Protocol("string field is not UTF-8".into())
+}
+
+#[cold]
+fn unknown_tag(tag: u8) -> ServerError {
+    ServerError::Protocol(format!("unknown cell tag {tag}"))
 }
 
 /// Bytes [`Writer::cell`] writes for `c`.
@@ -337,23 +414,27 @@ mod tests {
             Cell::Float(1.5),
             Cell::Float(f64::NAN),
             Cell::from("héllo"),
+            Cell::Bool(true),
+            Cell::Bool(false),
         ];
         let mut w = Writer::new();
+        w.u32(1);
         for c in &cells {
             w.cell(c);
         }
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert_eq!(r.cell().unwrap(), Cell::Null);
-        assert_eq!(r.cell().unwrap(), Cell::Int(-42));
-        assert_eq!(r.cell().unwrap(), Cell::Float(1.5));
-        // NaN: compare bit patterns, not values.
-        match r.cell().unwrap() {
-            Cell::Float(f) => assert_eq!(f.to_bits(), f64::NAN.to_bits()),
-            other => panic!("expected float, got {other:?}"),
-        }
-        assert_eq!(r.cell().unwrap(), Cell::from("héllo"));
+        let mut rows = r.rows(cells.len()).unwrap();
         assert_eq!(r.remaining(), 0);
+        let row = rows.pop().unwrap();
+        assert!(rows.is_empty());
+        assert_eq!(row[..3], cells[..3]);
+        // NaN: compare bit patterns, not values.
+        match row[3] {
+            Cell::Float(f) => assert_eq!(f.to_bits(), f64::NAN.to_bits()),
+            ref other => panic!("expected float, got {other:?}"),
+        }
+        assert_eq!(row[4..], cells[4..]);
     }
 
     #[test]
@@ -368,8 +449,29 @@ mod tests {
 
     #[test]
     fn unknown_cell_tag_is_a_protocol_error() {
-        let mut r = Reader::new(&[9u8]);
-        let err = r.cell().unwrap_err();
+        let mut r = Reader::new(&[0, 0, 0, 1, 9]);
+        let err = r.rows(1).unwrap_err();
         assert!(err.to_string().contains("unknown cell tag"), "{err}");
+    }
+
+    #[test]
+    fn every_cut_of_a_row_block_is_a_protocol_error() {
+        let mut w = Writer::new();
+        w.u32(2);
+        for c in [Cell::Int(7), Cell::from("ab"), Cell::Null, Cell::Float(0.5)] {
+            w.cell(&c);
+        }
+        w.cell(&Cell::Bool(true)).cell(&Cell::from("é"));
+        let bytes = w.into_bytes();
+        assert_eq!(Reader::new(&bytes).rows(3).unwrap().len(), 2);
+        for cut in 0..bytes.len() {
+            let err = Reader::new(&bytes[..cut]).rows(3).unwrap_err();
+            assert!(matches!(err, ServerError::Protocol(_)), "cut {cut}: {err}");
+        }
+        // The last string's bytes stop being UTF-8.
+        let mut bad = bytes.clone();
+        *bad.last_mut().unwrap() = 0xFF;
+        let err = Reader::new(&bad).rows(3).unwrap_err();
+        assert!(err.to_string().contains("not UTF-8"), "{err}");
     }
 }

@@ -54,7 +54,9 @@ impl BenchRunner {
     }
 
     /// Run `f` warmup+timed times and report per-iteration nanoseconds.
-    /// Prints a one-line summary to stdout.
+    /// What `f` returns is dropped after the clock stops, so a bench of a
+    /// decoder times the decode and not its output's drop. Prints a
+    /// one-line summary to stdout.
     pub fn run<R>(&self, name: &str, mut f: impl FnMut() -> R) -> BenchStats {
         for _ in 0..self.warmup_iters {
             black_box(f());
@@ -62,8 +64,9 @@ impl BenchRunner {
         let mut samples_ns: Vec<f64> = Vec::with_capacity(self.iters as usize);
         for _ in 0..self.iters.max(1) {
             let start = Instant::now();
-            black_box(f());
+            let out = black_box(f());
             samples_ns.push(start.elapsed().as_nanos() as f64);
+            drop(out);
         }
         let stats = BenchStats::from_samples(name, &mut samples_ns);
         println!("{stats}");

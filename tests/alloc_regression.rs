@@ -728,12 +728,14 @@ fn assert_served_results_are_not_copied() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// The client decodes a string cell into its `Arc<str>` straight from the
-/// frame: one allocation each, none for the other cells. Called from the
-/// one test above, like the cells before it.
+/// The client decodes a row block in one pass, each string cell into its
+/// `Arc<str>` straight from the frame: exactly one allocation a string
+/// cell, one a row vector and one for the row list, none for the other
+/// cells. Called from the one test above, like the cells before it.
 fn assert_wire_string_cells_allocate_once() {
     use maxson_server::wire::{Reader, Writer};
 
+    const COLS: usize = 8;
     let cells: Vec<Cell> = (0..256)
         .map(|i| match i % 4 {
             0 => Cell::from(format!("value-{i}-é")),
@@ -742,22 +744,23 @@ fn assert_wire_string_cells_allocate_once() {
             _ => Cell::from(""),
         })
         .collect();
+    let rows: Vec<Vec<Cell>> = cells.chunks(COLS).map(<[Cell]>::to_vec).collect();
     let mut w = Writer::new();
+    w.u32(rows.len() as u32);
     for cell in &cells {
         w.cell(cell);
     }
     let payload = w.into_bytes();
     let strings = cells.iter().filter(|c| matches!(c, Cell::Str(_))).count() as u64;
-    let mut decoded = Vec::with_capacity(cells.len());
     let mut r = Reader::new(&payload);
     let before = allocation_count();
-    for _ in 0..cells.len() {
-        decoded.push(r.cell().unwrap());
-    }
+    let decoded = r.rows(COLS).unwrap();
     let allocs = allocation_count() - before;
-    assert_eq!(decoded, cells);
+    assert_eq!(decoded, rows);
+    assert_eq!(r.remaining(), 0);
     assert_eq!(
-        allocs, strings,
-        "Reader::cell must allocate exactly once per string cell"
+        allocs,
+        strings + rows.len() as u64 + 1,
+        "Reader::rows must allocate once per string cell, once per row and once for the rows"
     );
 }

@@ -563,7 +563,7 @@ fn a_served_statement_past_the_depth_limit_is_answered_err() {
 use maxson_engine::metrics::ExecMetrics;
 use maxson_engine::scan::{Columns, ScanProvider};
 use maxson_engine::session::{ScanContext, ScanRewrite, TableScanRewriter};
-use maxson_server::wire::{self, OpCode, Writer, MAGIC, STATUS_ERR};
+use maxson_server::wire::{self, OpCode, Writer, MAGIC, STATUS_ERR, STATUS_OK};
 use maxson_server::{Client, Server, ServerConfig};
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -647,6 +647,109 @@ fn malformed_frames_are_answered_and_contained() {
         client.ping().unwrap();
         assert_eq!(client.query(SERVED_SQL).unwrap().rows.len(), 5);
     }
+    server.stop();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Whether a server reading `bytes` as back-to-back frames would meet a
+/// well-formed SHUTDOWN request (magic, then opcode 4).
+fn holds_a_shutdown(mut bytes: &[u8]) -> bool {
+    while let Some((len, rest)) = bytes.split_first_chunk::<4>() {
+        let Some((payload, rest)) = rest.split_at_checked(u32::from_be_bytes(*len) as usize) else {
+            return false;
+        };
+        if payload.starts_with(&[MAGIC, OpCode::Shutdown as u8]) {
+            return true;
+        }
+        bytes = rest;
+    }
+    false
+}
+
+/// Real QUERY, STATS, METRICS and PING request frames, each mutated twice
+/// — its payload behind an honest length prefix, and the whole frame,
+/// prefix included — and sent on a connection of its own to a live
+/// server, which then sees the connection's write half close. Each is
+/// answered `OK` or `ERR`, or its connection is closed; a fresh connection
+/// then still answers PING and the served statement. A mutation the
+/// server would read as a well-formed SHUTDOWN stops it legitimately: it
+/// is skipped, not sent (the whole run shares one server). Replay a
+/// failing case with `MAXSON_TESTKIT_SEED=<seed>`.
+#[test]
+fn property_mutated_request_frames_are_answered_or_closed() {
+    let (mut server, root) = serve_small("mutated-requests");
+    let addr = server.addr();
+    let framed = |payload: &[u8]| {
+        let mut frame = Vec::new();
+        wire::write_frame(&mut frame, payload).unwrap();
+        frame
+    };
+    let payloads: Vec<Vec<u8>> = [OpCode::Query, OpCode::Stats, OpCode::Metrics, OpCode::Ping]
+        .into_iter()
+        .map(|op| {
+            let mut w = Writer::new();
+            w.u8(MAGIC).u8(op as u8);
+            if op == OpCode::Query {
+                w.str(SERVED_SQL);
+            }
+            w.into_bytes()
+        })
+        .collect();
+    check(
+        "mutated_request_frames",
+        &Config::with_cases(16),
+        &Gen::u64_any(),
+        |&seed| {
+            let mut rng = Rng::seed_from_u64(seed);
+            for _ in 0..4 {
+                let mutations = payloads.iter().flat_map(|payload| {
+                    let honest = framed(&corpus::mutate_byte_slice(payload, &mut rng));
+                    [
+                        honest,
+                        corpus::mutate_byte_slice(&framed(payload), &mut rng),
+                    ]
+                });
+                for mutated in mutations {
+                    if holds_a_shutdown(&mutated) {
+                        continue;
+                    }
+                    let mut raw = TcpStream::connect(addr).map_err(|e| e.to_string())?;
+                    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                        .unwrap();
+                    // The server may close before it has read every byte.
+                    let _ = raw.write_all(&mutated);
+                    let _ = raw.shutdown(std::net::Shutdown::Write);
+                    match wire::read_frame(&mut raw) {
+                        Ok(payload) => maxson_testkit::prop_assert!(
+                            matches!(payload.first(), Some(&STATUS_OK | &STATUS_ERR)),
+                            "{mutated:?} answered with status {:?}",
+                            payload.first()
+                        ),
+                        Err(maxson_server::ServerError::Io(e)) => maxson_testkit::prop_assert!(
+                            matches!(
+                                e.kind(),
+                                std::io::ErrorKind::UnexpectedEof
+                                    | std::io::ErrorKind::ConnectionReset
+                            ),
+                            "{mutated:?} neither answered nor closed: {e}"
+                        ),
+                        Err(e) => return Err(format!("{mutated:?}: {e}")),
+                    }
+                }
+                let mut fresh = Client::connect(addr).map_err(|e| e.to_string())?;
+                fresh
+                    .ping()
+                    .map_err(|e| format!("PING after mutations: {e}"))?;
+                let rows = fresh
+                    .query(SERVED_SQL)
+                    .map_err(|e| format!("served statement after mutations: {e}"))?
+                    .rows
+                    .len();
+                maxson_testkit::prop_assert_eq!(rows, 5);
+            }
+            Ok(())
+        },
+    );
     server.stop();
     std::fs::remove_dir_all(&root).ok();
 }

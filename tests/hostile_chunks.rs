@@ -22,7 +22,10 @@
 //! reserved for it, so a mutated response — or a 13-byte one claiming
 //! `u32::MAX` columns — is a result or an error, never a panic or an
 //! allocation past 32 times the frame (a one-column row is one tag byte on
-//! the wire and a 24-byte vector in memory).
+//! the wire and a 24-byte vector in memory). Hand-made frames bend the
+//! last cell of the one-pass row loop — a string length one past the frame
+//! or of `u32::MAX`, invalid UTF-8, an unknown tag, a block one byte
+//! short — and each is an error.
 //!
 //! A failing case prints its seed; replay it with
 //! `MAXSON_TESTKIT_SEED=<seed> cargo test --test hostile_chunks`.
@@ -392,6 +395,36 @@ fn hostile_responses_are_errors_not_client_aborts() {
     ] {
         let decoded = decode_response(&mut client, &next, &payload, is_stats).unwrap();
         assert!(!decoded, "{payload:?} decodes");
+    }
+
+    // Hand-made frames at the edges of the one-pass row loop: a two-row
+    // block whose last cell is a string, bent at that cell, then the five
+    // metrics (40 bytes). `tail` is how many metric bytes follow.
+    let edge = |tag: u8, len: u32, body: &[u8], tail: usize| {
+        let mut w = Writer::new();
+        w.u8(STATUS_OK).u64(1).u32(2).str("a").str("b").u32(2);
+        w.cell(&Cell::Int(1))
+            .cell(&Cell::from("é"))
+            .cell(&Cell::Null);
+        w.u8(tag).u32(len);
+        let mut payload = w.into_bytes();
+        payload.extend_from_slice(body);
+        payload.resize(payload.len() + tail, 0);
+        payload
+    };
+    assert!(decode_response(&mut client, &next, &edge(3, 4, b"last", 40), false).unwrap());
+    for (edit, payload) in [
+        (
+            "length one past the frame",
+            edge(3, 4 + 40 + 1, b"last", 40),
+        ),
+        ("length u32::MAX", edge(3, u32::MAX, b"last", 40)),
+        ("invalid UTF-8", edge(3, 4, b"la\xFFt", 40)),
+        ("unknown tag", edge(9, 4, b"last", 40)),
+        ("block one byte short", edge(3, 4, b"las", 0)),
+    ] {
+        let decoded = decode_response(&mut client, &next, &payload, false).unwrap();
+        assert!(!decoded, "last cell with {edit} decodes: {payload:?}");
     }
 
     drop(client);
