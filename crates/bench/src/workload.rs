@@ -12,7 +12,7 @@ use maxson::mpjp::PredictorKind;
 use maxson::{MaxsonPipeline, PipelineConfig, ScoringStrategy};
 use maxson_datagen::tables::{load_workload_tables, QuerySpec, WorkloadConfig};
 use maxson_engine::session::{JsonParserKind, Session};
-use maxson_engine::ExecMetrics;
+use maxson_engine::{Config, ExecMetrics};
 use maxson_storage::Catalog;
 use maxson_trace::model::RecurrenceClass;
 use maxson_trace::{JsonPathLocation, QueryRecord};
@@ -164,8 +164,11 @@ pub fn session_for(
     budget_bytes: u64,
     use_scoring: bool,
 ) -> (Session, Vec<JsonPathLocation>) {
-    let mut session = fresh_session();
-    session.set_parser_kind(system.parser());
+    let config = Config {
+        parser: system.parser(),
+        ..Config::from_env()
+    };
+    let mut session = Session::open_with(bench_root(), config).expect("open session");
     if !system.uses_cache() {
         return (session, Vec::new());
     }

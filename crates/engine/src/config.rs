@@ -6,9 +6,9 @@
 //! benches print ([`Config::describe`]) and the rows of README's knob table
 //! ([`Config::knobs`]) all expand from that table. [`Config::from_env`] is
 //! the only place the process environment is read at run time: a session
-//! resolves its configuration once, at [`crate::Session::open`], and hands
-//! typed values to the layers below it — the footer cache gets its byte
-//! budget, the executor a thread count.
+//! resolves its configuration once, at [`crate::Session::open`], keeps it
+//! ([`crate::Session::config`]), and hands typed values to the layers below
+//! it — the footer cache gets its byte budget, the executor a thread count.
 //!
 //! A variable that is unset, or set to a value its row cannot parse,
 //! resolves to the row's default.
@@ -99,7 +99,7 @@ config! {
     "MAXSON_PARSER" => parser: JsonParserKind = JsonParserKind::Jackson,
         JsonParserKind::from_name,
         |p| p.name().to_string(),
-        "JSON parser behind `get_json_object`: `jackson` (DOM), `mison` (structural index) or `tape` (on-demand projection walk), case-insensitive; `Session::set_parser_kind` overrides.";
+        "JSON parser behind `get_json_object`: `jackson` (DOM), `mison` (structural index) or `tape` (on-demand projection walk), case-insensitive; a session runs the parser it was opened with.";
     "MAXSON_META_CACHE_BYTES" => meta_cache_bytes: u64 = DEFAULT_META_CACHE_BYTES,
         |v| v.trim().parse().ok(),
         |b| b.to_string(),
@@ -107,7 +107,7 @@ config! {
     "MAXSON_TRACE" => trace: Option<PathBuf> = None,
         path,
         |p| or_off(p.as_ref().map(|p| p.display())),
-        "file the Chrome trace-event JSON is rewritten to after every execute (tracing on); unset = off. `Session::set_trace_path` overrides.";
+        "file the Chrome trace-event JSON is rewritten to after every execute (tracing on); unset = off.";
     "MAXSON_QUERY_LOG" => query_log: Option<PathBuf> = None,
         path,
         |p| or_off(p.as_ref().map(|p| p.display())),
@@ -119,7 +119,7 @@ config! {
     "MAXSON_RESULT_CACHE_MB" => result_cache_mb: Option<u64> = None,
         |v| v.trim().parse().ok().map(|mb: u64| (mb > 0).then_some(mb)),
         |mb| or_off(mb.map(|mb| format!("{mb}MiB"))),
-        "byte budget in MiB of the cross-query reuse cache, shared by every session cloned from one; unset or `0` = no reuse cache. `Session::set_result_cache` overrides per warehouse.";
+        "byte budget in MiB of the cross-query reuse cache, shared by every session cloned from one; unset or `0` = no reuse cache.";
 }
 
 impl Config {

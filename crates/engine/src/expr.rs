@@ -13,7 +13,9 @@
 //! mode: `+`, `-`, `*`, unary minus, `%` and `abs` wrap on overflow
 //! (`i64::MIN % -1` is 0, `-i64::MIN` is `i64::MIN`), `%` takes the sign of
 //! its left operand, and `/` is always a float division. A zero divisor
-//! gives NULL. No integer operation panics.
+//! gives NULL. No integer operation panics. `round(x, d)` reads all 64
+//! bits of `d`: past ±308 digits it keeps `x` (positive) or gives 0
+//! (negative).
 
 #![deny(clippy::arithmetic_side_effects)]
 
@@ -498,12 +500,26 @@ fn eval_scalar(func: ScalarFunc, args: &[Cell]) -> Cell {
                 return Cell::Null;
             };
             let digits = args.get(1).and_then(Cell::coerce_i64).unwrap_or(0);
-            let factor = 10f64.powi(digits as i32);
-            let rounded = (x * factor).round() / factor;
-            if digits <= 0 {
-                Cell::Int(rounded as i64)
-            } else {
-                Cell::Float(rounded)
+            // Past ±308 digits `10^digits` is no finite, non-zero `f64`:
+            // every value already has that many decimals, and rounds to 0
+            // at that many tens. A scaled value of 2^53 or more has no
+            // fraction left to round, so it too keeps the value.
+            match i32::try_from(digits) {
+                Ok(d @ 1..=308) => {
+                    let factor = 10f64.powi(d);
+                    let scaled = x * factor;
+                    Cell::Float(if scaled.abs() >= 9_007_199_254_740_992.0 {
+                        x
+                    } else {
+                        scaled.round() / factor
+                    })
+                }
+                Ok(d @ -308..=0) => {
+                    let factor = 10f64.powi(d);
+                    Cell::Int(((x * factor).round() / factor) as i64)
+                }
+                _ if digits > 0 => Cell::Float(x),
+                _ => Cell::Int(0),
             }
         }
     }
@@ -630,27 +646,227 @@ mod tests {
         }
     }
 
-    /// Java `long` arithmetic, each expected value written from the rule
-    /// in the module doc, not computed by the engine.
+    /// Float cells compare by bits, so `-0.0` differs from `0.0`, and any
+    /// NaN equals any NaN.
+    fn same(a: &Cell, b: &Cell) -> bool {
+        match (a, b) {
+            (Cell::Float(x), Cell::Float(y)) => {
+                (x.is_nan() && y.is_nan()) || x.to_bits() == y.to_bits()
+            }
+            _ => a == b,
+        }
+    }
+
+    /// Every binary and unary operator and every scalar function over
+    /// boundary operands: `i64::{MIN, MAX}`, -1, 0, ±0.0, ±inf, NaN, the
+    /// empty string and a multi-byte string, with `substr` and `round`
+    /// arguments past `i32` and `usize`. Each expected value is written by
+    /// hand from the rules in the module doc and the function docs, never
+    /// computed by the engine.
     #[test]
-    fn integer_arithmetic_wraps_like_java_long() {
-        use BinaryOp::{Add, Mod, Mul, Sub};
-        let int = |i: i64| Expr::Literal(Cell::Int(i));
-        let neg = |e: Expr| Expr::Neg(Box::new(e));
-        let cases: [(Expr, Cell); 10] = [
-            (bin(int(i64::MIN), Mod, int(-1)), Cell::Int(0)),
-            (neg(int(i64::MIN)), Cell::Int(i64::MIN)),
-            (bin(int(-7), Mod, int(3)), Cell::Int(-1)),
-            (bin(int(7), Mod, int(-3)), Cell::Int(1)),
-            (bin(int(7), Mod, int(0)), Cell::Null),
-            (bin(int(i64::MIN), Mod, int(0)), Cell::Null),
-            (bin(int(i64::MAX), Add, int(1)), Cell::Int(i64::MIN)),
-            (bin(int(i64::MIN), Sub, int(1)), Cell::Int(i64::MAX)),
-            (bin(int(i64::MIN), Mul, int(-1)), Cell::Int(i64::MIN)),
-            (neg(int(i64::MAX)), Cell::Int(-i64::MAX)),
+    fn every_operator_and_function_over_boundary_operands() {
+        use BinaryOp::*;
+        use ScalarFunc::*;
+        const MIN: i64 = i64::MIN;
+        const MAX: i64 = i64::MAX;
+        const INF: f64 = f64::INFINITY;
+        const NAN: f64 = f64::NAN;
+        const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+        let (int, float) = (Cell::Int, Cell::Float);
+        const T: Cell = Cell::Bool(true);
+        const F: Cell = Cell::Bool(false);
+        const NULL: Cell = Cell::Null;
+        let s = |text: &str| Cell::from(text);
+        let lit = |c: &Cell| Expr::Literal(c.clone());
+        let b = |l: Cell, op: BinaryOp, r: Cell| bin(lit(&l), op, lit(&r));
+        let neg = |c: Cell| Expr::Neg(Box::new(lit(&c)));
+        let not = |c: Cell| Expr::Not(Box::new(lit(&c)));
+        let is_null = |c: Cell, negated: bool| Expr::IsNull {
+            expr: Box::new(lit(&c)),
+            negated,
+        };
+        let call = |func: ScalarFunc, args: &[Cell]| Expr::Function {
+            func,
+            args: args.iter().map(lit).collect(),
+        };
+        #[rustfmt::skip]
+        let cases: Vec<(Expr, Cell)> = vec![
+            // `+ - *` wrap like Java `long`; a float or string side makes
+            // the operation a float one, and a side that is no number NULL.
+            (b(int(MAX), Add, int(1)), int(MIN)),
+            (b(int(MIN), Add, int(-1)), int(MAX)),
+            (b(int(MIN), Add, int(MIN)), int(0)),
+            (b(int(MAX), Add, float(1.0)), float(TWO_63)),
+            (b(float(0.0), Add, float(-0.0)), float(0.0)),
+            (b(float(INF), Add, float(-INF)), float(NAN)),
+            (b(float(NAN), Add, int(1)), float(NAN)),
+            (b(s(""), Add, int(1)), NULL),
+            (b(s("é"), Add, int(1)), NULL),
+            (b(s(" 1 "), Add, int(1)), float(2.0)),
+            (b(NULL, Add, int(1)), NULL),
+            (b(int(MIN), Sub, int(1)), int(MAX)),
+            (b(int(0), Sub, int(MIN)), int(MIN)),
+            (b(int(-1), Sub, int(MAX)), int(MIN)),
+            (b(float(-0.0), Sub, float(0.0)), float(-0.0)),
+            (b(float(INF), Sub, float(INF)), float(NAN)),
+            (b(int(MIN), Mul, int(-1)), int(MIN)),
+            (b(int(MAX), Mul, int(MAX)), int(1)),
+            (b(int(MAX), Mul, int(2)), int(-2)),
+            (b(float(0.0), Mul, int(-1)), float(-0.0)),
+            (b(float(INF), Mul, int(0)), float(NAN)),
+            (b(float(-INF), Mul, int(-1)), float(INF)),
+            // `/` always divides floats; a zero divisor of either sign is NULL.
+            (b(int(7), Div, int(2)), float(3.5)),
+            (b(int(1), Div, int(0)), NULL),
+            (b(int(1), Div, float(-0.0)), NULL),
+            (b(int(MIN), Div, int(-1)), float(TWO_63)),
+            (b(float(INF), Div, float(INF)), float(NAN)),
+            (b(int(-1), Div, float(INF)), float(-0.0)),
+            (b(s("é"), Div, int(1)), NULL),
+            // `%` takes the left operand's sign; `i64::MIN % -1` is 0.
+            (b(int(MIN), Mod, int(-1)), int(0)),
+            (b(int(-7), Mod, int(3)), int(-1)),
+            (b(int(7), Mod, int(-3)), int(1)),
+            (b(int(7), Mod, int(0)), NULL),
+            (b(int(MIN), Mod, int(0)), NULL),
+            (b(int(MAX), Mod, int(MIN)), int(MAX)),
+            (b(int(MIN), Mod, int(MAX)), int(-1)),
+            (b(float(5.5), Mod, float(-0.0)), NULL),
+            (b(float(INF), Mod, int(1)), float(NAN)),
+            (b(int(1), Mod, float(INF)), float(1.0)),
+            (b(float(-0.0), Mod, int(1)), float(-0.0)),
+            // Comparisons: numbers by value (no order for NaN, so NULL),
+            // numeric strings as numbers, other strings bytewise.
+            (b(float(0.0), Eq, float(-0.0)), T),
+            (b(float(NAN), Eq, float(NAN)), NULL),
+            (b(float(NAN), Lt, int(1)), NULL),
+            (b(float(INF), Gt, int(MAX)), T),
+            (b(float(-INF), Lt, int(MIN)), T),
+            (b(int(MIN), NotEq, int(MAX)), T),
+            (b(int(MIN), LtEq, int(MIN)), T),
+            (b(int(-1), GtEq, int(0)), F),
+            (b(s(""), Eq, s("")), T),
+            (b(s(""), Lt, s("é")), T),
+            (b(s("é"), Gt, s("z")), T),
+            (b(s(" 1 "), Eq, s("1.0")), T),
+            (b(s(""), Eq, int(0)), NULL),
+            (b(NULL, NotEq, int(0)), NULL),
+            // AND / OR: three-valued over truthiness (0, ±0.0 and "" are
+            // false; NaN is not zero, so it is true).
+            (b(NULL, And, F), F),
+            (b(NULL, And, int(1)), NULL),
+            (b(float(NAN), And, int(-1)), T),
+            (b(float(-0.0), And, int(MIN)), F),
+            (b(NULL, Or, s("")), NULL),
+            (b(NULL, Or, float(-INF)), T),
+            (b(float(0.0), Or, float(-0.0)), F),
+            (b(s(""), Or, s("é")), T),
+            // Unary minus wraps; a non-number is NULL.
+            (neg(int(MIN)), int(MIN)),
+            (neg(int(MAX)), int(-MAX)),
+            (neg(int(0)), int(0)),
+            (neg(float(0.0)), float(-0.0)),
+            (neg(float(-0.0)), float(0.0)),
+            (neg(float(INF)), float(-INF)),
+            (neg(float(NAN)), float(NAN)),
+            (neg(s(" 5 ")), float(-5.0)),
+            (neg(s("")), NULL),
+            (neg(s("é")), NULL),
+            (neg(NULL), NULL),
+            // NOT negates truthiness; IS [NOT] NULL sees only NULL.
+            (not(int(0)), T),
+            (not(int(MIN)), F),
+            (not(float(-0.0)), T),
+            (not(float(NAN)), F),
+            (not(s("")), T),
+            (not(s("é")), F),
+            (not(NULL), NULL),
+            (is_null(float(NAN), false), F),
+            (is_null(s(""), false), F),
+            (is_null(NULL, false), T),
+            (is_null(NULL, true), F),
+            // Functions over a value's rendering count characters, not bytes.
+            (call(Length, &[s("")]), int(0)),
+            (call(Length, &[s("日本")]), int(2)),
+            (call(Length, &[int(MIN)]), int(20)),
+            (call(Length, &[float(-0.0)]), int(2)),
+            (call(Length, &[float(NAN)]), int(3)),
+            (call(Length, &[float(-INF)]), int(4)),
+            (call(Length, &[NULL]), NULL),
+            (call(Lower, &[s("ÀÉ")]), s("àé")),
+            (call(Lower, &[float(-INF)]), s("-inf")),
+            (call(Lower, &[s("")]), s("")),
+            (call(Upper, &[s("straße")]), s("STRASSE")),
+            (call(Upper, &[float(NAN)]), s("NAN")),
+            (call(Upper, &[NULL]), NULL),
+            (call(Concat, &[s(""), s("é")]), s("é")),
+            (call(Concat, &[int(MIN), float(-0.0)]), s("-9223372036854775808-0")),
+            (call(Concat, &[float(INF), s("")]), s("inf")),
+            (call(Concat, &[s("a"), NULL]), NULL),
+            (call(Coalesce, &[NULL, float(NAN), int(1)]), float(NAN)),
+            (call(Coalesce, &[s(""), int(0)]), s("")),
+            (call(Coalesce, &[NULL, NULL]), NULL),
+            // `substr` is 1-based over characters; a negative start counts
+            // from the end; a negative length is NULL; a start or length
+            // past the text (as far as `i64` goes, a float past `usize`
+            // saturating there) clamps.
+            (call(Substr, &[s("héllo"), int(2), int(3)]), s("éll")),
+            (call(Substr, &[s("héllo"), int(0)]), s("héllo")),
+            (call(Substr, &[s("héllo"), int(-2)]), s("lo")),
+            (call(Substr, &[s("héllo"), int(MIN)]), s("héllo")),
+            (call(Substr, &[s("héllo"), int(MAX)]), s("")),
+            (call(Substr, &[s("héllo"), int(4_294_967_297)]), s("")),
+            (call(Substr, &[s("héllo"), int(1), int(4_294_967_297)]), s("héllo")),
+            (call(Substr, &[s("héllo"), int(1), int(MAX)]), s("héllo")),
+            (call(Substr, &[s("héllo"), float(1e20)]), s("")),
+            (call(Substr, &[s("héllo"), float(-1e20)]), s("héllo")),
+            (call(Substr, &[s("héllo"), int(1), float(1e20)]), s("héllo")),
+            (call(Substr, &[s("héllo"), int(1), int(-1)]), NULL),
+            (call(Substr, &[s("héllo"), int(2), int(0)]), s("")),
+            (call(Substr, &[s("héllo"), float(2.5)]), NULL),
+            (call(Substr, &[s("héllo"), float(INF)]), NULL),
+            (call(Substr, &[s(""), int(1)]), s("")),
+            (call(Substr, &[int(MIN), int(2), int(3)]), s("922")),
+            (call(Substr, &[NULL, int(1)]), NULL),
+            // `abs` wraps on `i64::MIN`, keeps floats floats.
+            (call(Abs, &[int(MIN)]), int(MIN)),
+            (call(Abs, &[int(-1)]), int(1)),
+            (call(Abs, &[float(-0.0)]), float(0.0)),
+            (call(Abs, &[float(-INF)]), float(INF)),
+            (call(Abs, &[float(NAN)]), float(NAN)),
+            (call(Abs, &[s("-2")]), float(2.0)),
+            (call(Abs, &[s("")]), NULL),
+            (call(Abs, &[NULL]), NULL),
+            // `round` halves away from zero; digits ≤ 0 give an integer
+            // (saturating, NaN 0), digits > 0 a float. Digits past ±308
+            // keep the value (positive) or give 0 (negative), whatever
+            // their low 32 bits are.
+            (call(Round, &[float(2.5)]), int(3)),
+            (call(Round, &[float(-2.5)]), int(-3)),
+            (call(Round, &[float(1.25), int(1)]), float(1.3)),
+            (call(Round, &[float(15.0), int(-1)]), int(20)),
+            (call(Round, &[float(-0.0), int(1)]), float(-0.0)),
+            (call(Round, &[int(MAX)]), int(MAX)),
+            (call(Round, &[int(MIN)]), int(MIN)),
+            (call(Round, &[float(NAN)]), int(0)),
+            (call(Round, &[float(INF)]), int(MAX)),
+            (call(Round, &[float(-INF)]), int(MIN)),
+            (call(Round, &[float(INF), int(2)]), float(INF)),
+            (call(Round, &[float(NAN), int(2)]), float(NAN)),
+            (call(Round, &[s("2.5")]), int(3)),
+            (call(Round, &[s(""), int(1)]), NULL),
+            (call(Round, &[float(15.0), int(MAX)]), float(15.0)),
+            (call(Round, &[float(1.25), int(4_294_967_297)]), float(1.25)),
+            (call(Round, &[float(1.5), int(400)]), float(1.5)),
+            (call(Round, &[float(1.5), int(309)]), float(1.5)),
+            (call(Round, &[float(1e300), int(10)]), float(1e300)),
+            (call(Round, &[float(15.0), int(-400)]), int(0)),
+            (call(Round, &[float(15.0), int(MIN)]), int(0)),
+            (call(Round, &[float(15.0), int(-4_294_967_297)]), int(0)),
         ];
         for (e, want) in cases {
-            assert_eq!(eval(&e, &[]), want, "{e:?}");
+            let got = eval(&e, &[]);
+            assert!(same(&got, &want), "{e:?}: got {got:?}, want {want:?}");
         }
     }
 

@@ -31,8 +31,8 @@
 //!   once per session into a [`Config`],
 //! * [`session`] — the user-facing entry point: a catalog plus
 //!   `execute(sql)` with pluggable plan rewriters, a per-query span tracer
-//!   (`maxson-obs`), and Chrome-trace export via `MAXSON_TRACE=<path>` or
-//!   `Session::set_trace_path`.
+//!   (`maxson-obs`), and Chrome-trace export via `MAXSON_TRACE=<path>`
+//!   (`Config::trace`).
 //!
 //! ```no_run
 //! use maxson_engine::session::Session;

@@ -1,7 +1,7 @@
 //! Structured JSONL query log.
 //!
 //! One line per executed query, written append-only to the path named by
-//! `MAXSON_QUERY_LOG` (or [`crate::session::Session::set_query_log`]).
+//! `MAXSON_QUERY_LOG` (`Config::query_log`).
 //! Each line is a self-contained JSON object with a stable field order;
 //! `parser`, `threads` and the slow threshold are the session's resolved
 //! values, `simd` the active kernel tier:

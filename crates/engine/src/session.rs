@@ -15,7 +15,7 @@
 //! and re-exported here.
 
 use std::ops::{Deref, DerefMut};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -293,20 +293,19 @@ impl Drop for CatalogWrite<'_> {
 /// A warehouse session.
 ///
 /// Cloning is cheap and shares the warehouse: clones see the same catalog,
-/// rewriter, epoch, Norc metadata cache, trace buffer and metric registry.
-/// Per-session knobs (parser, thread count, split scheduler) stay
-/// independent per clone — the serving front end gives every connection
-/// its own clone over one warehouse.
+/// rewriter, epoch, Norc metadata cache, reuse cache, trace buffer, query
+/// log and metric registry. A session runs under the [`Config`] it was
+/// opened with ([`Session::config`]); a clone copies it, and the serving
+/// front end gives every connection a clone of one template, so every
+/// connection runs under the template's configuration.
 #[derive(Clone)]
 pub struct Session {
     warehouse: Arc<RwLock<Warehouse>>,
-    /// JSON parser behind `get_json_object` (`MAXSON_PARSER`).
-    parser_kind: JsonParserKind,
-    /// Explicit worker-thread count (`MAXSON_THREADS`); `None` = one per
-    /// available core.
-    threads_override: Option<usize>,
-    /// The override, or one worker per available core — resolved when the
-    /// count is set, never per execute.
+    /// The configuration the session runs under: what `open_with` was
+    /// given, with `set_threads` and `set_result_cache` written through.
+    config: Config,
+    /// `config.threads`, or one worker per available core — resolved when
+    /// the count is set, never per execute.
     threads: usize,
     /// Cooperative split scheduler consulted around every split task (the
     /// server installs its fair-share scheduler here). `None` = run freely.
@@ -317,19 +316,13 @@ pub struct Session {
     /// shows the daily job next to the queries it accelerated. Disabled
     /// by default — every hook is then a branch on a bool.
     tracer: Tracer,
-    /// Where to write the Chrome trace-event JSON (`MAXSON_TRACE`;
-    /// rewritten after every execute). `None` = no export.
-    trace_path: Option<PathBuf>,
     /// Always-on metric registry charged after every execute: the
     /// warehouse's one registry, created by `open` and shared by clones.
     registry: Arc<Registry>,
-    /// Structured JSONL query log (`MAXSON_QUERY_LOG`); `None` = off.
-    /// Clones share the handle, so one file serializes whole lines across
-    /// every connection of a serving warehouse.
+    /// The open `config.query_log`; `None` = off. Clones share the handle,
+    /// so one file serializes whole lines across every connection of a
+    /// serving warehouse.
     query_log: Option<Arc<QueryLog>>,
-    /// Queries whose wall time exceeds this get `slow=true` in the log
-    /// (`MAXSON_SLOW_MS`).
-    slow_threshold: Duration,
 }
 
 impl Session {
@@ -340,46 +333,42 @@ impl Session {
         Session::open_with(root, Config::from_env())
     }
 
-    /// Open a session over a warehouse directory under `config`. The
-    /// footer cache the catalog opens part files through is created with
-    /// the configured byte budget; a named trace file starts
-    /// tracing enabled, and every execute rewrites it; a named query log is
-    /// opened for appending; a result-cache budget enables the reuse cache.
-    /// Every knob is consumed here: what the session runs under afterwards
-    /// lives in the state it configures, not in a copy of `config`.
+    /// Open a session over a warehouse directory under `config`, which the
+    /// session keeps ([`Session::config`]). The footer cache the catalog
+    /// opens part files through is created with the configured byte budget;
+    /// a named trace file starts tracing enabled, and every execute
+    /// rewrites it; a named query log is opened for appending; a
+    /// result-cache budget enables the reuse cache.
     pub fn open_with(root: impl AsRef<Path>, config: Config) -> Result<Self> {
-        let Config {
-            threads,
-            parser,
-            meta_cache_bytes,
-            trace,
-            query_log,
-            slow_threshold,
-            result_cache_mb,
-        } = config;
         let tracer = Tracer::new();
-        tracer.set_enabled(trace.is_some());
-        let query_log = query_log
+        tracer.set_enabled(config.trace.is_some());
+        let query_log = config
+            .query_log
+            .as_ref()
             .map(|p| QueryLog::open(p).map(Arc::new))
             .transpose()?;
-        let meta_cache = Arc::new(NorcMetaCache::new(meta_cache_bytes));
+        let meta_cache = Arc::new(NorcMetaCache::new(config.meta_cache_bytes));
         Ok(Session {
             warehouse: Arc::new(RwLock::new(Warehouse {
                 catalog: Catalog::open_with_cache(root.as_ref(), meta_cache)?,
                 rewriter: None,
                 epoch: 0,
-                reuse: result_cache_mb.map(|mb| Arc::new(ReuseCache::new(mb))),
+                reuse: config
+                    .result_cache_mb
+                    .map(|mb| Arc::new(ReuseCache::new(mb))),
             })),
-            parser_kind: parser,
-            threads_override: threads,
-            threads: threads.unwrap_or_else(default_threads),
+            threads: config.threads.unwrap_or_else(default_threads),
+            config,
             scheduler: None,
             tracer,
-            trace_path: trace,
             registry: Arc::new(Registry::new()),
             query_log,
-            slow_threshold,
         })
+    }
+
+    /// The configuration this session runs under.
+    pub fn config(&self) -> &Config {
+        &self.config
     }
 
     /// Lock helpers: a panic while a guard is held (e.g. a rewriter
@@ -407,17 +396,8 @@ impl Session {
         &self.tracer
     }
 
-    /// Set (or clear) the Chrome trace-event export path. Setting a path
-    /// enables tracing; clearing it disables tracing (use
-    /// [`Session::set_trace_enabled`] for in-memory tracing without
-    /// export).
-    pub fn set_trace_path(&mut self, path: Option<PathBuf>) {
-        self.tracer.set_enabled(path.is_some());
-        self.trace_path = path;
-    }
-
-    /// Toggle in-memory tracing without touching the export path. The
-    /// buffer keeps accumulating across queries; use
+    /// Toggle in-memory tracing; the export path (`MAXSON_TRACE`) stays as
+    /// configured. The buffer keeps accumulating across queries; use
     /// `session.tracer().reset()` between queries for per-query rollups.
     pub fn set_trace_enabled(&self, on: bool) {
         self.tracer.set_enabled(on);
@@ -429,24 +409,10 @@ impl Session {
         &self.registry
     }
 
-    /// Open (or disable) the structured JSONL query log. Equivalent to
-    /// launching with `MAXSON_QUERY_LOG=<path>`; see [`crate::querylog`]
-    /// for the line schema.
-    pub fn set_query_log(&mut self, path: Option<PathBuf>) -> Result<()> {
-        self.query_log = path.map(QueryLog::open).transpose()?.map(Arc::new);
-        Ok(())
-    }
-
-    /// Wall-time threshold past which a query is flagged `slow=true` in
-    /// the query log (`MAXSON_SLOW_MS`; default 1000 ms).
-    pub fn set_slow_threshold(&mut self, threshold: Duration) {
-        self.slow_threshold = threshold;
-    }
-
     /// Write the accumulated trace to the export path, if one is set.
     /// Called automatically after every `execute`.
     pub fn flush_trace(&self) -> Result<()> {
-        if let Some(path) = &self.trace_path {
+        if let Some(path) = &self.config.trace {
             self.tracer.export_chrome(path).map_err(|e| {
                 EngineError::exec(format!("trace export to {}: {e}", path.display()))
             })?;
@@ -454,18 +420,18 @@ impl Session {
         Ok(())
     }
 
-    /// Set (or clear) the worker-thread count for split-parallel execution.
-    /// `None` means one worker per available core, resolved here rather
-    /// than at each `execute`; `Some(1)` has the calling thread run every
-    /// split task itself.
+    /// Set (or clear) the worker-thread count for split-parallel execution,
+    /// as `config().threads`. `None` means one worker per available core,
+    /// resolved here rather than at each `execute`; `Some(1)` has the
+    /// calling thread run every split task itself.
     pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads_override = threads;
+        self.config.threads = threads;
         self.threads = threads.unwrap_or_else(default_threads);
     }
 
     /// The configured thread count, if any (`None` = one per core).
     pub fn threads(&self) -> Option<usize> {
-        self.threads_override
+        self.config.threads
     }
 
     /// Install (or clear) the cooperative split scheduler consulted around
@@ -479,12 +445,6 @@ impl Session {
         ExecOptions::with_threads(self.threads).with_scheduler(self.scheduler.clone())
     }
 
-    /// Which JSON parser `get_json_object` uses (Fig. 15's axis),
-    /// overriding the configured `MAXSON_PARSER`.
-    pub fn set_parser_kind(&mut self, kind: JsonParserKind) {
-        self.parser_kind = kind;
-    }
-
     /// The structural-kernel tier currently in effect: process-wide, the
     /// best available unless `maxson_json::kernels::set_active` pinned
     /// another.
@@ -492,9 +452,9 @@ impl Session {
         maxson_json::kernels::active()
     }
 
-    /// Current JSON parser kind.
+    /// The JSON parser behind `get_json_object` (Fig. 15's axis).
     pub fn parser_kind(&self) -> JsonParserKind {
-        self.parser_kind
+        self.config.parser
     }
 
     /// Install (or clear) the scan rewriter — Maxson plugs in here. The
@@ -513,11 +473,12 @@ impl Session {
     }
 
     /// Enable (or disable, with `None`) the cross-query reuse cache, with
-    /// a byte budget of `budget_mb` MiB. Equivalent to launching with
-    /// `MAXSON_RESULT_CACHE_MB=<mb>`. The cache is warehouse-shared: every
-    /// session cloned from this one probes and fills the same cache (the
-    /// serving front end enables it once and all connections benefit).
+    /// a byte budget of `budget_mb` MiB, as `config().result_cache_mb`.
+    /// The cache is warehouse-shared: every session cloned from this one
+    /// probes and fills the same cache (the serving front end enables it
+    /// once and all connections benefit).
     pub fn set_result_cache(&mut self, budget_mb: Option<u64>) {
+        self.config.result_cache_mb = budget_mb;
         let mut wh = self.wh_write();
         wh.reuse = budget_mb.map(|mb| Arc::new(ReuseCache::new(mb)));
     }
@@ -701,7 +662,7 @@ impl Session {
             planning: pq.planning,
             ..Default::default()
         };
-        let parser = self.parser_kind.name();
+        let parser = self.config.parser.name();
         // Identity is derived from the *statement*, never the physical
         // plan, so a Maxson cache-rewritten plan fingerprints identically
         // to its logical source.
@@ -709,7 +670,7 @@ impl Session {
         let plan_display = pq.plan.display();
         let run = |plan: &LogicalPlan, metrics: &mut ExecMetrics| {
             let opts = self.exec_options();
-            execute_plan_traced(plan, self.parser_kind, metrics, &opts, tracer, root_id)
+            execute_plan_traced(plan, self.config.parser, metrics, &opts, tracer, root_id)
                 .map(Arc::new)
         };
         let start = Instant::now();
@@ -769,7 +730,7 @@ impl Session {
         metrics: &ExecMetrics,
         rows: usize,
     ) -> Result<()> {
-        let parser = self.parser_kind.name();
+        let parser = self.config.parser.name();
         let labels = [("parser", parser)];
         let r = &self.registry;
         r.counter("maxson_queries_total", &labels).inc();
@@ -803,7 +764,7 @@ impl Session {
                 r.counter("maxson_reuse_poisoned_total", &[]).inc();
             }
         }
-        let slow = metrics.total > self.slow_threshold;
+        let slow = metrics.total > self.config.slow_threshold;
         if slow {
             r.counter("maxson_slow_queries_total", &labels).inc();
         }
@@ -831,7 +792,7 @@ impl Session {
                 reuse: reuse_status,
                 rows: rows as u64,
                 wall: metrics.total,
-                slow_threshold: self.slow_threshold,
+                slow_threshold: self.config.slow_threshold,
             };
             log.record(&entry, metrics)?;
         }
@@ -869,6 +830,7 @@ mod tests {
     use super::*;
     use maxson_storage::file::WriteOptions;
     use maxson_storage::{ColumnType, Field, Schema};
+    use std::path::PathBuf;
 
     /// A session over a fresh one-table warehouse with the reuse cache on.
     fn reuse_session(name: &str) -> (Session, PathBuf) {

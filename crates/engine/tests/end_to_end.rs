@@ -1,6 +1,7 @@
 //! End-to-end engine tests: SQL in, rows out, over real Norc tables.
 
 use maxson_engine::session::{JsonParserKind, Session};
+use maxson_engine::Config;
 use maxson_storage::file::WriteOptions;
 use maxson_storage::{Cell, ColumnType, Field, Schema};
 use std::path::PathBuf;
@@ -178,7 +179,7 @@ fn sarg_pushdown_skips_row_groups_on_raw_columns() {
 
 #[test]
 fn mison_parser_produces_same_results() {
-    let (mut session, root) = sales_session("mison");
+    let (_, root) = sales_session("mison");
     let sql = "select get_json_object(sale_logs, '$.item_name') as item from mydb.t order by item";
     let expected: Vec<Vec<Cell>> = ["apple", "apple", "banana", "banana", "pear", "watermelon"]
         .iter()
@@ -189,7 +190,11 @@ fn mison_parser_produces_same_results() {
         JsonParserKind::Mison,
         JsonParserKind::Tape,
     ] {
-        session.set_parser_kind(parser);
+        let config = Config {
+            parser,
+            ..Config::from_env()
+        };
+        let session = Session::open_with(&root, config).unwrap();
         assert_eq!(session.execute(sql).unwrap().rows, expected, "{parser:?}");
     }
     std::fs::remove_dir_all(&root).ok();

@@ -43,12 +43,13 @@ impl JsonNumber {
         }
     }
 
-    /// The value as an `i64`, when it is an exact integer.
+    /// The value as an `i64`, when it is an exact integer in range.
     pub fn as_i64(self) -> Option<i64> {
         match self {
             JsonNumber::Int(i) => Some(i),
             JsonNumber::Float(f) => {
-                if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 {
+                // `i64::MAX as f64` is 2^63, one past the range: exclusive.
+                if f.fract() == 0.0 && f >= i64::MIN as f64 && f < i64::MAX as f64 {
                     Some(f as i64)
                 } else {
                     None
@@ -286,6 +287,14 @@ mod tests {
         assert_eq!(JsonNumber::Int(5).as_f64(), 5.0);
         assert_eq!(JsonNumber::Float(5.0).as_i64(), Some(5));
         assert_eq!(JsonNumber::Float(5.5).as_i64(), None);
+        assert_eq!(
+            JsonNumber::Float(-9_223_372_036_854_775_808.0).as_i64(),
+            Some(i64::MIN)
+        );
+        assert_eq!(
+            JsonNumber::Float(9_223_372_036_854_775_808.0).as_i64(),
+            None
+        );
         assert_eq!(JsonNumber::Int(5).to_string(), "5");
         assert_eq!(JsonNumber::Float(2.5).to_string(), "2.5");
         assert_eq!(JsonNumber::Float(2.0).to_string(), "2.0");

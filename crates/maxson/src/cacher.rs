@@ -148,10 +148,13 @@ impl CacheRegistry {
                     .ok_or_else(|| MaxsonError::invalid(format!("registry entry missing {k}")))
             };
             let geti = |k: &str| -> Result<u64> {
-                item.get(k)
+                let v = item
+                    .get(k)
                     .and_then(JsonValue::as_i64)
-                    .map(|v| v as u64)
-                    .ok_or_else(|| MaxsonError::invalid(format!("registry entry missing {k}")))
+                    .ok_or_else(|| MaxsonError::invalid(format!("registry entry missing {k}")))?;
+                u64::try_from(v).map_err(|_| {
+                    MaxsonError::invalid(format!("registry entry has negative {k} {v}"))
+                })
             };
             reg.insert(CachedEntry {
                 location: JsonPathLocation::new(

@@ -4,8 +4,8 @@
 //! Many TCP clients execute SQL against a single [`maxson_engine::Session`]
 //! warehouse: the catalog, installed Maxson rewriter, warehouse epoch,
 //! Norc metadata cache and metric registry are shared by every
-//! connection; per-connection session clones keep their own parser/thread
-//! knobs. A fair-share split
+//! connection, and every connection's session clone runs under the served
+//! session's configuration. A fair-share split
 //! scheduler time-slices the engine's split-level parallelism across
 //! in-flight queries, and the midnight cycle's epoch swap stays atomic
 //! under concurrent load — every query sees exactly one epoch.

@@ -37,13 +37,11 @@ use crate::sched::{FairScheduler, QueryLease};
 use crate::wire::{self, OpCode, Writer, MAGIC, STATUS_ERR, STATUS_OK};
 use crate::{Result, ServerError};
 
-/// Tuning knobs for [`Server::start`].
+/// The server's own settings for [`Server::serve`]. Everything else a
+/// connection runs under is the served session's configuration
+/// ([`Session::config`]): every connection is a clone of that session.
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Worker threads per query (engine split parallelism). `None` keeps
-    /// the served session's count — its configured `MAXSON_THREADS`, else
-    /// one per available core.
-    pub threads: Option<usize>,
     /// Split permits in the fair scheduler. `None` = available cores.
     pub permits: Option<usize>,
     /// Enable the cross-query reuse cache with this byte budget (MiB) on
@@ -147,7 +145,7 @@ impl Server {
         let accept_handle = std::thread::Builder::new()
             .name("maxson-accept".into())
             .spawn(move || {
-                accept_loop(listener, template, config, scheduler, accept_state);
+                accept_loop(listener, template, scheduler, accept_state);
             })
             .map_err(ServerError::Io)?;
 
@@ -190,7 +188,6 @@ impl Drop for Server {
 fn accept_loop(
     listener: TcpListener,
     template: Session,
-    config: ServerConfig,
     scheduler: Arc<FairScheduler>,
     state: Arc<ServerState>,
 ) {
@@ -205,10 +202,7 @@ fn accept_loop(
                     break;
                 }
                 let client_id = state.next_client_id.fetch_add(1, Ordering::Relaxed);
-                let mut session = template.clone();
-                if let Some(t) = config.threads {
-                    session.set_threads(Some(t));
-                }
+                let session = template.clone();
                 let scheduler = scheduler.clone();
                 let state = state.clone();
                 let spawned = std::thread::Builder::new()

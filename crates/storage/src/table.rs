@@ -68,15 +68,19 @@ impl Table {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self> {
         let dir = dir.into();
         let meta_path = dir.join(META_FILE);
-        let text = fs::read_to_string(&meta_path).map_err(|_| StorageError::NotFound {
+        let bytes = fs::read(&meta_path).map_err(|_| StorageError::NotFound {
             what: format!("table metadata {}", meta_path.display()),
         })?;
+        let text = String::from_utf8(bytes)
+            .map_err(|_| StorageError::corrupt("table metadata is not UTF-8"))?;
         let doc = json_parse(&text).map_err(|e| StorageError::corrupt(e.to_string()))?;
-        let schema_val = doc
-            .get("schema")
-            .ok_or_else(|| StorageError::corrupt("meta missing schema"))?;
+        let array = |key: &str| {
+            doc.get(key)
+                .and_then(JsonValue::as_array)
+                .ok_or_else(|| StorageError::corrupt(format!("meta {key} is not an array")))
+        };
         let mut fields = Vec::new();
-        for item in schema_val.as_array().unwrap_or(&[]) {
+        for item in array("schema")? {
             let name = item
                 .get("name")
                 .and_then(JsonValue::as_str)
@@ -85,23 +89,25 @@ impl Table {
                 .get("type")
                 .and_then(JsonValue::as_i64)
                 .ok_or_else(|| StorageError::corrupt("field missing type"))?;
-            fields.push(Field::new(name, ColumnType::from_tag(ty as u8)?));
+            let tag = u8::try_from(ty)
+                .map_err(|_| StorageError::corrupt(format!("unknown column type tag {ty}")))?;
+            fields.push(Field::new(name, ColumnType::from_tag(tag)?));
         }
         let schema = Schema::new(fields).map_err(|e| StorageError::corrupt(e.to_string()))?;
         let modified_at = doc
             .get("modified_at")
             .and_then(JsonValue::as_i64)
-            .ok_or_else(|| StorageError::corrupt("meta missing modified_at"))?
-            as u64;
-        let files = doc
-            .get("files")
-            .and_then(JsonValue::as_array)
-            .map(|a| {
-                a.iter()
-                    .filter_map(|v| v.as_str().map(str::to_string))
-                    .collect()
+            .ok_or_else(|| StorageError::corrupt("meta missing modified_at"))?;
+        let modified_at = u64::try_from(modified_at)
+            .map_err(|_| StorageError::corrupt(format!("negative modified_at {modified_at}")))?;
+        let files = array("files")?
+            .iter()
+            .map(|v| {
+                v.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| StorageError::corrupt("a files entry is not a string"))
             })
-            .unwrap_or_default();
+            .collect::<Result<Vec<_>>>()?;
         Ok(Table {
             dir,
             schema,

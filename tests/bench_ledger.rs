@@ -21,6 +21,14 @@
 //! hits differ from run to run. Walls are printed as a trajectory
 //! (`--nocapture`) and never gated: the host field says why two files'
 //! walls need not compare.
+//!
+//! What does compare across files is each file's A/B: both sides ran in
+//! one sitting on one host. So the trajectory that survives a host change
+//! is the chain of A/B ratios — per workload, the product of every file's
+//! `block_p50_ms` `change_median / parent_median` from `BENCH_38` on (the
+//! back-filled `BENCH_30`–`35` have no A/B). It is printed with
+//! `--nocapture`, and each file's `delta_pct` must be its own medians'
+//! ratio, to the 0.1 it is rounded to.
 
 use std::path::{Path, PathBuf};
 
@@ -282,6 +290,91 @@ fn an_unnamed_counter_change_is_caught() {
     );
     let raced = edit("serve_zipf", "engine.cache_hits", 100.0);
     assert!(unnamed_changes(&doc, &raced).is_empty(), "serve_zipf races");
+}
+
+/// The first file whose A/B starts the chain.
+const CHAIN_FROM: u64 = 38;
+
+/// `(parent_median, change_median, delta_pct)` of every A/B metric in `ab`,
+/// as `(workload.metric, …)`.
+fn ab_metrics(ab: &JsonValue) -> Vec<(String, [f64; 3])> {
+    let mut out = Vec::new();
+    for (workload, metrics) in ab
+        .get("workloads")
+        .and_then(JsonValue::as_object)
+        .unwrap_or_default()
+    {
+        for (metric, m) in metrics.as_object().unwrap_or_default() {
+            let field = |k: &str| m.get(k).and_then(JsonValue::as_f64);
+            if let (Some(p), Some(c), Some(d)) = (
+                field("parent_median"),
+                field("change_median"),
+                field("delta_pct"),
+            ) {
+                out.push((format!("{workload}.{metric}"), [p, c, d]));
+            }
+        }
+    }
+    out
+}
+
+/// Per workload, the product of `block_p50_ms` change/parent over the
+/// ledger files from [`CHAIN_FROM`] through `upto` that carry an A/B.
+fn chained(files: &[(u64, JsonValue)], upto: u64) -> Vec<(&'static str, f64)> {
+    WORKLOADS
+        .iter()
+        .map(|&workload| {
+            let product = files
+                .iter()
+                .filter(|(pr, _)| (CHAIN_FROM..=upto).contains(pr))
+                .filter_map(|(pr, doc)| Some((pr, doc.get("ab").filter(|ab| !ab.is_null())?)))
+                .map(|(pr, ab)| {
+                    let medians = ab_metrics(ab)
+                        .into_iter()
+                        .find(|(name, _)| *name == format!("{workload}.block_p50_ms"))
+                        .unwrap_or_else(|| panic!("BENCH_{pr}: no {workload} block_p50_ms A/B"))
+                        .1;
+                    medians[1] / medians[0]
+                })
+                .product();
+            (workload, product)
+        })
+        .collect()
+}
+
+#[test]
+fn chained_ab_ratios_and_each_delta_matches_its_medians() {
+    let files = ledger();
+    for (pr, doc) in &files {
+        let Some(ab) = doc.get("ab").filter(|ab| !ab.is_null()) else {
+            continue;
+        };
+        for (name, [parent, change, delta]) in ab_metrics(ab) {
+            let ratio = (change / parent - 1.0) * 100.0;
+            assert!(
+                (ratio - delta).abs() <= 0.1,
+                "BENCH_{pr}: {name} delta_pct {delta} but its medians give {ratio:.2} %"
+            );
+        }
+    }
+    let last = files.last().expect("a ledger file").0;
+    let chain: Vec<String> = chained(&files, last)
+        .into_iter()
+        .map(|(w, product)| format!("{w} {:+.1} %", (product - 1.0) * 100.0))
+        .collect();
+    println!(
+        "chained block_p50 BENCH_{CHAIN_FROM}..={last}: {}",
+        chain.join(", ")
+    );
+    // The chain through BENCH_43, as computed by hand at the re-anchor.
+    let hand = [4.1, 2.6, -34.3, -5.3];
+    for ((workload, product), want) in chained(&files, 43).into_iter().zip(hand) {
+        let got = (product - 1.0) * 100.0;
+        assert!(
+            (got - want).abs() < 0.05,
+            "{workload}: chained {got:.2} %, by hand {want} %"
+        );
+    }
 }
 
 /// Replace `doc`'s `counters_changed` with `entries`.

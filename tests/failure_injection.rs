@@ -12,6 +12,7 @@ use maxson::{CacheRegistry, MaxsonPipeline, PipelineConfig};
 use maxson_datagen::tables::{query_paths, schema_paths, table_specs};
 use maxson_engine::session::{JsonParserKind, Session};
 use maxson_engine::sql::parse_select;
+use maxson_engine::Config as EngineConfig;
 use maxson_storage::file::WriteOptions;
 use maxson_storage::{Catalog, Cell, ColumnType, Field, Schema};
 use maxson_testkit::corpus;
@@ -282,9 +283,7 @@ fn malformed_payload_literals_execute_in_every_parser_mode() {
         "all documents are invalid, so no row passes the predicate"
     );
     for parser in PARSERS {
-        let mut session = Session::open(&root).unwrap();
-        session.set_parser_kind(parser);
-        session.set_threads(Some(2));
+        let session = Session::open_with(&root, two_threads(parser)).unwrap();
         let result = session
             .execute(MALFORMED_SQL)
             .unwrap_or_else(|e| panic!("{parser:?} errored: {e}"));
@@ -296,6 +295,15 @@ fn malformed_payload_literals_execute_in_every_parser_mode() {
         }
     }
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// The environment's configuration running `parser` on two threads.
+fn two_threads(parser: JsonParserKind) -> EngineConfig {
+    EngineConfig {
+        parser,
+        threads: Some(2),
+        ..EngineConfig::from_env()
+    }
 }
 
 /// Property test: byte-level mutations of valid documents — flips,
@@ -317,9 +325,8 @@ fn property_mutated_payloads_error_never_panic() {
             let root = payload_table(&format!("mut-{seed}"), &docs);
             let expected = Oracle::new(&root).answer(MALFORMED_SQL)?;
             for parser in PARSERS {
-                let mut session = Session::open(&root).map_err(|e| format!("open: {e}"))?;
-                session.set_parser_kind(parser);
-                session.set_threads(Some(2));
+                let session = Session::open_with(&root, two_threads(parser))
+                    .map_err(|e| format!("open: {e}"))?;
                 let result = session
                     .execute(MALFORMED_SQL)
                     .map_err(|e| format!("{parser:?}: {e}"))?;
@@ -828,7 +835,11 @@ fn panicking_split_task_is_contained_by_the_server() {
 
 fn panicking_split_is_contained_at(threads: usize) {
     let root = temp_root(&format!("panic-split-{threads}"));
-    let mut template = Session::open(&root).unwrap();
+    let config = EngineConfig {
+        threads: Some(threads),
+        ..EngineConfig::from_env()
+    };
+    let mut template = Session::open_with(&root, config).unwrap();
     a_table(&mut template, 24, 1024);
     let boom: Vec<(i64, String)> = (0..4).map(|i| (i, format!(r#"{{"a": {i}}}"#))).collect();
     support::json_table(&mut template, "db", "boom", &[boom], 1024);
@@ -837,7 +848,6 @@ fn panicking_split_is_contained_at(threads: usize) {
         template,
         "127.0.0.1:0",
         ServerConfig {
-            threads: Some(threads),
             permits: Some(4),
             result_cache_mb: None,
         },
@@ -888,10 +898,13 @@ fn poisoned_reuse_fill_is_contained_and_disables_the_cache_loudly() {
     let root = reuse_table("reuse-poison");
     let reference = Oracle::new(&root).answer(REUSE_SQL).unwrap();
 
-    let mut session = Session::open(&root).unwrap();
-    session.set_result_cache(Some(8));
     let log_path = temp_root("reuse-poison-log").with_extension("jsonl");
-    session.set_query_log(Some(log_path.clone())).unwrap();
+    let config = EngineConfig {
+        query_log: Some(log_path.clone()),
+        ..EngineConfig::from_env()
+    };
+    let mut session = Session::open_with(&root, config).unwrap();
+    session.set_result_cache(Some(8));
 
     let cache = session.reuse_cache().expect("cache enabled");
     cache.inject_fill_panic();

@@ -10,6 +10,7 @@ use maxson::{MaxsonPipeline, PipelineConfig};
 use maxson_bench::baselines::OnlineLruRewriter;
 use maxson_datagen::tables::{load_workload_tables, WorkloadConfig};
 use maxson_engine::session::{JsonParserKind, Session};
+use maxson_engine::Config;
 use maxson_storage::{Catalog, Cell};
 use maxson_trace::model::RecurrenceClass;
 use maxson_trace::{JsonPathLocation, QueryRecord};
@@ -126,8 +127,11 @@ fn cached_results_match_uncached_results_for_every_query() {
 #[test]
 fn cached_results_match_under_mison_parser_too() {
     let (root, queries) = workload_root("mison-equiv");
-    let mut session = Session::open(&root).unwrap();
-    session.set_parser_kind(JsonParserKind::Mison);
+    let config = Config {
+        parser: JsonParserKind::Mison,
+        ..Config::from_env()
+    };
+    let mut session = Session::open_with(&root, config).unwrap();
     let reference = oracle_answers(&root, &queries[..4]);
     let history = history_for(&queries, 10);
     let mut pipeline = MaxsonPipeline::new(

@@ -1,5 +1,6 @@
-//! Hostile bytes on both sides of the engine: Norc column chunks read from
-//! disk and response frames read off the wire.
+//! Hostile bytes on both sides of the engine: Norc column chunks and
+//! metadata documents read from disk, and response frames read off the
+//! wire.
 //!
 //! Whatever bytes a chunk holds — a count rewritten to something enormous
 //! behind a valid checksum, or any byte-level mutation — decoding it, whole
@@ -27,10 +28,19 @@
 //! or of `u32::MAX`, invalid UTF-8, an unknown tag, a block one byte
 //! short — and each is an error.
 //!
+//! A table's `_meta.json` and the cache registry's `registry.json` are
+//! held to a stricter rule: a document is refused (`Corrupt` / `Invalid`)
+//! or read exactly as it spells every value. A negative or too-large
+//! number, a type tag past `u8`, a part-file name that is no string, or a
+//! schema or file list that is no array is an error, never a wrapped,
+//! truncated or dropped value.
+//!
 //! A failing case prints its seed; replay it with
 //! `MAXSON_TESTKIT_SEED=<seed> cargo test --test hostile_chunks`.
 
 use maxson_engine::session::Session;
+use maxson_json::value::JsonNumber;
+use maxson_json::JsonValue;
 use maxson_server::wire::{self, OpCode, Writer, MAGIC, STATUS_OK};
 use maxson_server::{Client, Server, ServerConfig};
 use maxson_storage::encoding::{read_varint, write_varint, Bitmap};
@@ -445,4 +455,266 @@ fn hostile_responses_are_errors_not_client_aborts() {
     );
     drop(connection);
     stub.join().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Metadata documents: a table's `_meta.json` and the cache registry's
+// `registry.json` are refused when a value does not fit its field, never
+// wrapped, truncated or dropped into one that does.
+// ---------------------------------------------------------------------
+
+/// The exact integer a JSON number spells, in a type wider than any field
+/// it is decoded into, so a wrapped or saturated field shows as a mismatch.
+fn spelled_int(v: Option<&JsonValue>) -> Option<i128> {
+    match v? {
+        JsonValue::Number(JsonNumber::Int(i)) => Some(i128::from(*i)),
+        JsonValue::Number(JsonNumber::Float(f)) if f.fract() == 0.0 && f.abs() < 1e30 => {
+            Some(*f as i128)
+        }
+        _ => None,
+    }
+}
+
+/// Numbers a field might be handed: in range, negative, past `i64` as an
+/// integer or as a float (2^63 exactly among them), fractional, or no
+/// number at all.
+const NUMBERS: [&str; 14] = [
+    "0",
+    "1",
+    "2",
+    "257",
+    "-1",
+    "-9223372036854775808",
+    "9223372036854775807",
+    "9223372036854775808",
+    "18446744073709551615",
+    "1.5",
+    "3.0",
+    "1e3",
+    "\"2\"",
+    "null",
+];
+
+fn pick<'a>(rng: &mut Rng, options: &[&'a str]) -> &'a str {
+    options[rng.gen_range(0..options.len())]
+}
+
+/// A `_meta.json` assembled from drawn spellings, byte-mutated half the time.
+fn hostile_meta(rng: &mut Rng) -> Vec<u8> {
+    let field = |rng: &mut Rng, name: &str| {
+        format!(r#"{{"name": "{name}", "type": {}}}"#, pick(rng, &NUMBERS))
+    };
+    let schema = match rng.gen_range(0u32..4) {
+        0 => pick(rng, &["{}", "null", "\"id\"", "7"]).to_string(),
+        _ => format!("[{}, {}]", field(rng, "id"), field(rng, "payload")),
+    };
+    let entries = [
+        "\"part-00000.norc\"",
+        "\"part-00001.norc\"",
+        "7",
+        "null",
+        "[]",
+        "{}",
+    ];
+    let files = match rng.gen_range(0u32..4) {
+        0 => pick(rng, &["{}", "null", "\"part-00000.norc\""]).to_string(),
+        _ => format!("[{}, {}]", pick(rng, &entries), pick(rng, &entries)),
+    };
+    let doc = format!(
+        r#"{{"schema": {schema}, "modified_at": {}, "files": {files}}}"#,
+        pick(rng, &NUMBERS)
+    );
+    if rng.gen_bool(0.5) {
+        mutate_byte_slice(doc.as_bytes(), rng)
+    } else {
+        doc.into_bytes()
+    }
+}
+
+/// Open a table over `meta`. Accepted, the table must hold exactly what
+/// the document spells: every field's tag, `modified_at` and every part
+/// file name, none wrapped, truncated or skipped.
+fn open_meta(dir: &std::path::Path, meta: &[u8]) -> Result<bool, String> {
+    std::fs::write(dir.join("_meta.json"), meta).map_err(|e| e.to_string())?;
+    let table = match maxson_storage::Table::open(dir) {
+        Ok(table) => table,
+        Err(StorageError::Corrupt { .. }) => return Ok(false),
+        Err(e) => return Err(format!("not a corrupt error: {e}")),
+    };
+    let text = std::str::from_utf8(meta).map_err(|e| format!("accepted non-UTF-8: {e}"))?;
+    let doc = maxson_json::parse(text).map_err(|e| format!("accepted bad JSON: {e}"))?;
+    let fields = doc.get("schema").and_then(JsonValue::as_array);
+    let fields = fields.ok_or("accepted a schema that is not an array")?;
+    prop_assert!(
+        fields.len() == table.schema().fields().len(),
+        "a field dropped"
+    );
+    for (spelled, field) in fields.iter().zip(table.schema().fields()) {
+        let tag = spelled_int(spelled.get("type"));
+        prop_assert!(
+            tag == Some(i128::from(field.ty.tag())),
+            "type {:?} read as tag {}",
+            spelled.get("type"),
+            field.ty.tag()
+        );
+    }
+    prop_assert!(
+        spelled_int(doc.get("modified_at")) == Some(i128::from(table.modified_at())),
+        "modified_at {:?} read as {}",
+        doc.get("modified_at"),
+        table.modified_at()
+    );
+    let files = doc.get("files").and_then(JsonValue::as_array);
+    let files: Vec<Option<&str>> = files
+        .ok_or("accepted files that are not an array")?
+        .iter()
+        .map(JsonValue::as_str)
+        .collect();
+    let opened: Vec<Option<&str>> = table.files().iter().map(|f| Some(f.as_str())).collect();
+    prop_assert!(files == opened, "files {files:?} read as {opened:?}");
+    Ok(true)
+}
+
+/// A registry document of two entries over one or two locations, with
+/// drawn `cached_at` and `bytes`, byte-mutated half the time.
+fn hostile_registry(rng: &mut Rng) -> Vec<u8> {
+    let entry = |rng: &mut Rng| {
+        format!(
+            r#"{{"database": "db", "table": "t", "column": "payload", "path": "{}", "cache_table": "db__t", "cache_field": "{}", "cached_at": {}, "bytes": {}}}"#,
+            pick(rng, &["$.a", "$.b"]),
+            pick(rng, &["c0", "c1"]),
+            pick(rng, &NUMBERS),
+            pick(rng, &NUMBERS)
+        )
+    };
+    let doc = format!("[{}, {}]", entry(rng), entry(rng));
+    if rng.gen_bool(0.5) {
+        mutate_byte_slice(doc.as_bytes(), rng)
+    } else {
+        doc.into_bytes()
+    }
+}
+
+/// Decode a registry document. Accepted, every entry must carry exactly
+/// the numbers and names the last item for its location spells.
+fn decode_registry(bytes: &[u8]) -> Result<bool, String> {
+    let Ok(doc) = maxson_json::parse(&String::from_utf8_lossy(bytes)) else {
+        return Ok(false);
+    };
+    let registry = match maxson::CacheRegistry::from_json(&doc) {
+        Ok(registry) => registry,
+        Err(maxson::MaxsonError::Invalid { .. }) => return Ok(false),
+        Err(e) => return Err(format!("not an invalid error: {e}")),
+    };
+    let items = doc
+        .as_array()
+        .ok_or("accepted a registry that is not an array")?;
+    let text =
+        |item: &JsonValue, key: &str| item.get(key).and_then(JsonValue::as_str).map(String::from);
+    for entry in registry.entries() {
+        let loc = &entry.location;
+        let item = items
+            .iter()
+            .rev()
+            .find(|item| {
+                [("database", &loc.database), ("table", &loc.table)]
+                    .into_iter()
+                    .chain([("column", &loc.column), ("path", &loc.path)])
+                    .all(|(key, want)| text(item, key).as_ref() == Some(want))
+            })
+            .ok_or_else(|| format!("entry {loc:?} is in no item"))?;
+        prop_assert!(text(item, "cache_table").as_ref() == Some(&entry.cache_table));
+        prop_assert!(text(item, "cache_field").as_ref() == Some(&entry.cache_field));
+        for (key, got) in [("cached_at", entry.cached_at), ("bytes", entry.bytes)] {
+            prop_assert!(
+                spelled_int(item.get(key)) == Some(i128::from(got)),
+                "{key} {:?} read as {got}",
+                item.get(key)
+            );
+        }
+    }
+    Ok(true)
+}
+
+/// One hand-made document per way the decoders used to reinterpret bad
+/// input, each refused, beside the well-formed one, accepted.
+#[test]
+fn metadata_decoders_refuse_values_that_do_not_fit() {
+    let dir = std::env::temp_dir().join(format!("maxson-hostile-meta-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let meta = |schema: &str, modified_at: &str, files: &str| {
+        format!(r#"{{"schema": {schema}, "modified_at": {modified_at}, "files": {files}}}"#)
+    };
+    let schema = r#"[{"name": "id", "type": 0}]"#;
+    let files = r#"["part-00000.norc"]"#;
+    assert_eq!(
+        open_meta(&dir, meta(schema, "3", files).as_bytes()),
+        Ok(true)
+    );
+    for (defect, doc) in [
+        (
+            "type 257",
+            meta(r#"[{"name": "id", "type": 257}]"#, "3", files),
+        ),
+        (
+            "type -255",
+            meta(r#"[{"name": "id", "type": -255}]"#, "3", files),
+        ),
+        (
+            "a files entry that is no string",
+            meta(schema, "3", r#"["part-00000.norc", 7]"#),
+        ),
+        ("files that are no array", meta(schema, "3", "{}")),
+        ("a schema that is no array", meta("{}", "3", files)),
+        ("negative modified_at", meta(schema, "-1", files)),
+        (
+            "modified_at 2^63",
+            meta(schema, "9223372036854775808", files),
+        ),
+    ] {
+        assert_eq!(
+            open_meta(&dir, doc.as_bytes()),
+            Ok(false),
+            "{defect}: {doc}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    let registry = |cached_at: &str, bytes: &str| {
+        format!(
+            r#"[{{"database": "db", "table": "t", "column": "payload", "path": "$.a", "cache_table": "db__t", "cache_field": "c0", "cached_at": {cached_at}, "bytes": {bytes}}}]"#
+        )
+    };
+    assert_eq!(decode_registry(registry("3", "4096").as_bytes()), Ok(true));
+    for (defect, doc) in [
+        ("negative cached_at", registry("-1", "4096")),
+        ("negative bytes", registry("3", "-4096")),
+        ("bytes 2^63", registry("3", "9223372036854775808")),
+    ] {
+        assert_eq!(
+            decode_registry(doc.as_bytes()),
+            Ok(false),
+            "{defect}: {doc}"
+        );
+    }
+}
+
+#[test]
+fn property_mutated_metadata_is_refused_or_read_exactly() {
+    let dir = std::env::temp_dir().join(format!("maxson-mutated-meta-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    check(
+        "mutated_metadata_refused_or_exact",
+        &Config::with_cases(64),
+        &Gen::u64_any(),
+        |&seed| {
+            let mut rng = Rng::seed_from_u64(seed);
+            for _ in 0..20 {
+                open_meta(&dir, &hostile_meta(&mut rng))?;
+                decode_registry(&hostile_registry(&mut rng))?;
+            }
+            Ok(())
+        },
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

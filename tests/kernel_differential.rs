@@ -25,6 +25,7 @@
 mod support;
 
 use maxson_engine::session::{JsonParserKind, Session};
+use maxson_engine::Config;
 use maxson_json::kernels::{self, Bitmaps, Kernel};
 use maxson_storage::NorcFile;
 use maxson_testkit::corpus;
@@ -109,10 +110,17 @@ fn golden_queries_identical_across_kernel_tiers() {
 
 #[test]
 fn kernel_metrics_surface_in_query_metrics() {
-    let mut session = Session::open(bench_data_root()).unwrap();
-    session.set_parser_kind(JsonParserKind::Mison);
-    session.set_threads(Some(1));
-    let r = session.execute(GOLDEN_QUERIES[0]).unwrap();
+    let open = |parser| {
+        let config = Config {
+            parser,
+            threads: Some(1),
+            ..Config::from_env()
+        };
+        Session::open_with(bench_data_root(), config).unwrap()
+    };
+    let r = open(JsonParserKind::Mison)
+        .execute(GOLDEN_QUERIES[0])
+        .unwrap();
     let m = &r.metrics;
     assert!(m.bitmap_builds > 0, "Mison parse must build bitmaps: {m:?}");
     assert!(m.bitmap_bytes > 0);
@@ -124,8 +132,9 @@ fn kernel_metrics_surface_in_query_metrics() {
     assert!(m.summary().contains("simd="), "summary: {}", m.summary());
 
     // Jackson parses a DOM: no bitmaps, no kernel recorded.
-    session.set_parser_kind(JsonParserKind::Jackson);
-    let r = session.execute(GOLDEN_QUERIES[0]).unwrap();
+    let r = open(JsonParserKind::Jackson)
+        .execute(GOLDEN_QUERIES[0])
+        .unwrap();
     assert_eq!(r.metrics.bitmap_builds, 0, "{:?}", r.metrics);
     assert_eq!(r.metrics.simd_kernel, 0);
 }

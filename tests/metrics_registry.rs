@@ -235,7 +235,11 @@ fn one_thread_server_takes_a_scheduler_permit_per_split() {
 
     const FILES: u64 = 3;
     let root = support::temp_root("sched");
-    let mut template = Session::open(&root).unwrap();
+    let config = maxson_engine::Config {
+        threads: Some(1),
+        ..maxson_engine::Config::from_env()
+    };
+    let mut template = Session::open_with(&root, config).unwrap();
     {
         let schema = Schema::new(vec![Field::new("id", ColumnType::Int64)]).unwrap();
         let mut catalog = template.catalog_mut();
@@ -250,7 +254,6 @@ fn one_thread_server_takes_a_scheduler_permit_per_split() {
         template,
         "127.0.0.1:0",
         ServerConfig {
-            threads: Some(1),
             permits: Some(4),
             result_cache_mb: None,
         },

@@ -30,7 +30,7 @@ use std::path::Path;
 
 use maxson_datagen::tables::{query_paths, schema_paths, table_specs};
 use maxson_engine::session::{JsonParserKind, Session};
-use maxson_engine::ExecMetrics;
+use maxson_engine::{Config, ExecMetrics};
 use maxson_storage::Cell;
 use support::cells::{
     assert_agrees, assert_counter_rules, check, check_cell, covering_array, parser_thread_cells,
@@ -116,14 +116,16 @@ fn table_ii_statements_agree_with_the_oracle_in_every_cell() {
     for (i, (name, sql)) in stmts.iter().enumerate() {
         for rewritten in [false, true] {
             let trees = [1, 4].map(|threads| {
-                let mut session = if rewritten {
-                    support::rewritten_session(&root)
-                } else {
-                    maxson_engine::Session::open(&root).unwrap()
+                let config = Config {
+                    parser: PARSERS[i % PARSERS.len()],
+                    threads: Some(threads),
+                    result_cache_mb: None,
+                    ..Config::from_env()
                 };
-                session.set_parser_kind(PARSERS[i % PARSERS.len()]);
-                session.set_threads(Some(threads));
-                session.set_result_cache(None);
+                let mut session = Session::open_with(&root, config).unwrap();
+                if rewritten {
+                    session = support::install_rewriter(session);
+                }
                 support::normalized_tree(&session, sql, &root)
             });
             assert_eq!(
@@ -525,9 +527,15 @@ fn fig15_shape_reaches_4x_dedup_factor() {
                get_json_object(payload, '$.c') as c from db.t \
                where get_json_object(payload, '$.v') >= 0";
     for parser in SHARED_PARSE_PARSERS {
-        session.set_parser_kind(parser);
-        session.set_threads(Some(1));
-        let result = session.execute(sql).unwrap();
+        let config = Config {
+            parser,
+            threads: Some(1),
+            ..Config::from_env()
+        };
+        let result = Session::open_with(&root, config)
+            .unwrap()
+            .execute(sql)
+            .unwrap();
         assert_eq!(result.rows.len(), 120);
         assert_eq!(result.rows[7][1], Cell::from("s7"), "{parser:?}");
         assert_eq!(result.metrics.parse_calls, 480, "4 evaluations per row");

@@ -9,7 +9,10 @@
 
 mod support;
 
+use maxson_engine::fingerprint::{canonical_stmt_text, reuse_key};
 use maxson_engine::session::{JsonParserKind, Session};
+use maxson_engine::sql::parse_select;
+use maxson_engine::Config;
 use maxson_storage::file::WriteOptions;
 use maxson_storage::Cell;
 use std::path::PathBuf;
@@ -45,10 +48,12 @@ const QUERIES: [&str; 5] = [
 ];
 
 fn open(root: &PathBuf, parser: JsonParserKind, threads: usize) -> Session {
-    let mut session = Session::open(root).unwrap();
-    session.set_parser_kind(parser);
-    session.set_threads(Some(threads));
-    session
+    let config = Config {
+        parser,
+        threads: Some(threads),
+        ..Config::from_env()
+    };
+    Session::open_with(root, config).unwrap()
 }
 
 /// Three parsers, one and four threads, a cold fill and — after a literal
@@ -119,19 +124,25 @@ fn commuted_predicates_share_an_entry_but_changed_literals_miss() {
 
 /// An entry filled under one parser never serves another: parsers may
 /// legitimately disagree on malformed documents, so the parser name is
-/// folded into the reuse key.
+/// folded into the reuse key. A session's parser is fixed when it opens,
+/// so the probe is made on the filled cache under each parser's key.
 #[test]
 fn entries_are_parser_scoped() {
     let root = build_table("parser-scope");
     let mut session = open(&root, JsonParserKind::Jackson, 1);
     session.set_result_cache(Some(16));
     let sql = QUERIES[0];
-    session.execute(sql).unwrap();
-    session.set_parser_kind(JsonParserKind::Tape);
-    let other = session.execute(sql).unwrap();
-    assert_eq!(other.metrics.reuse_hits, 0, "cross-parser reuse is unsound");
-    assert_eq!(other.metrics.reuse_misses, 1);
-    assert!(other.metrics.docs_parsed > 0);
+    assert_eq!(session.execute(sql).unwrap().metrics.reuse_fills, 1);
+    let text = canonical_stmt_text(&parse_select(sql).unwrap());
+    let (cache, epoch) = (session.reuse_cache().unwrap(), session.epoch());
+    assert!(cache.lookup(reuse_key("jackson", &text), epoch).is_some());
+    for parser in [JsonParserKind::Mison, JsonParserKind::Tape] {
+        let key = reuse_key(parser.name(), &text);
+        assert!(
+            cache.lookup(key, epoch).is_none(),
+            "cross-parser reuse is unsound: {parser:?}"
+        );
+    }
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -203,9 +214,7 @@ fn late_projection_never_reaches_the_reuse_cache() {
     };
     for parser in PARSERS {
         for threads in [1, 4] {
-            let mut session = support::rewritten_session(&root);
-            session.set_parser_kind(parser);
-            session.set_threads(Some(threads));
+            let mut session = support::install_rewriter(open(&root, parser, threads));
             session.set_result_cache(Some(16));
             for (limit, miss_parses) in [(" limit 5", 5), (" limit 6", 6), ("", 60)] {
                 let sql = sql(limit);

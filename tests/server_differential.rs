@@ -13,7 +13,7 @@ mod support;
 use std::path::Path;
 use std::sync::Arc;
 
-use maxson_engine::{JsonParserKind, Session};
+use maxson_engine::{Config, JsonParserKind, Session};
 use maxson_server::{Client, Server, ServerConfig};
 use support::cells::{assert_matches, PARSERS};
 use support::oracle::{Answer, Oracle};
@@ -32,13 +32,16 @@ fn assert_served_identical(
     threads: usize,
     label: &str,
 ) {
-    let mut template = Session::open(root).unwrap();
-    template.set_parser_kind(parser);
+    let config = Config {
+        parser,
+        threads: Some(threads),
+        ..Config::from_env()
+    };
+    let template = Session::open_with(root, config).unwrap();
     let mut server = Server::serve(
         template,
         "127.0.0.1:0",
         ServerConfig {
-            threads: Some(threads),
             permits: Some(4),
             result_cache_mb: None,
         },

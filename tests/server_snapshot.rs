@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use maxson::mpjp::PredictorKind;
 use maxson::{MaxsonPipeline, PipelineConfig};
-use maxson_engine::Session;
+use maxson_engine::{Config, Session};
 use maxson_server::{Client, Server, ServerConfig};
 use maxson_trace::QueryRecord;
 use support::oracle::Oracle;
@@ -31,10 +31,15 @@ const SQL: &str = "select id, get_json_object(payload, '$.a') as a from db.t";
 const CLIENTS: usize = 6;
 
 /// Warehouse with a JSON table plus the query history that makes the
-/// midnight cycle cache `$.a` — but without running the cycle yet.
+/// midnight cycle cache `$.a` — but without running the cycle yet —
+/// opened to run two worker threads.
 fn warehouse_with_history(name: &str) -> (Session, Vec<QueryRecord>, PathBuf) {
     let root = temp_root(name);
-    let mut session = Session::open(&root).unwrap();
+    let config = Config {
+        threads: Some(2),
+        ..Config::from_env()
+    };
+    let mut session = Session::open_with(&root, config).unwrap();
     let docs: Vec<(i64, String)> = (0..40).map(|i| (i, format!(r#"{{"a": {i}}}"#))).collect();
     support::json_table(&mut session, "db", "t", &[docs], 10);
     let history = support::daily_history(&[("db", "t", "$.a")]);
@@ -63,7 +68,6 @@ fn midnight_cycle_is_an_atomic_epoch_swap_under_load() {
         template,
         "127.0.0.1:0",
         ServerConfig {
-            threads: Some(2),
             permits: Some(4),
             result_cache_mb: None,
         },
@@ -187,7 +191,11 @@ fn reuse_cache_never_serves_stale_results_across_an_epoch_swap() {
                             where get_json_object(payload, '$.v') > 1 order by id";
 
     let root = temp_root("reuse-swap");
-    let mut admin = Session::open(&root).unwrap();
+    let config = Config {
+        threads: Some(2),
+        ..Config::from_env()
+    };
+    let mut admin = Session::open_with(&root, config).unwrap();
     let docs: Vec<(i64, String)> = (0..40)
         .map(|i| (i, format!(r#"{{"v": 1, "a": {i}}}"#)))
         .collect();
@@ -198,7 +206,6 @@ fn reuse_cache_never_serves_stale_results_across_an_epoch_swap() {
         admin.clone(),
         "127.0.0.1:0",
         ServerConfig {
-            threads: Some(2),
             permits: Some(4),
             result_cache_mb: Some(16),
         },

@@ -38,9 +38,14 @@ const QUERIES: [&str; 3] = [
 ];
 const BAD_QUERY: &str = "select boom from no.such_table";
 
+/// The stress warehouse, opened to run two worker threads per query.
 fn build_warehouse(name: &str) -> (Session, PathBuf) {
     let root = temp_root(name);
-    let mut session = Session::open(&root).unwrap();
+    let config = maxson_engine::Config {
+        threads: Some(2),
+        ..maxson_engine::Config::from_env()
+    };
+    let mut session = Session::open_with(&root, config).unwrap();
     let files: Vec<Vec<(i64, String)>> = (0..FILES as i64)
         .map(|f| {
             (f * 32..(f + 1) * 32)
@@ -139,7 +144,6 @@ fn randomized_client_mix_preserves_server_invariants() {
                 template,
                 "127.0.0.1:0",
                 ServerConfig {
-                    threads: Some(2),
                     permits: Some(4),
                     result_cache_mb: None,
                 },

@@ -288,7 +288,6 @@ impl Runner {
             return Runner::InProcess(session);
         }
         let config = ServerConfig {
-            threads: Some(cell.threads),
             permits: Some(2),
             result_cache_mb: None,
         };

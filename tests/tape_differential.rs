@@ -536,7 +536,11 @@ fn duplicate_keys_are_first_wins_in_all_parsers() {
         );
     }
     for parser in PARSERS {
-        session.set_parser_kind(parser);
+        let config = SessionConfig {
+            parser,
+            ..SessionConfig::from_env()
+        };
+        let session = Session::open_with(&root, config).unwrap();
         assert_matches(
             &expected,
             &session.execute(sql).unwrap(),
@@ -554,15 +558,21 @@ fn selective_query_skips_nodes_without_extra_parses() {
     let root = corpus_table("skipcount", 0x5E1EC7, 120, 2);
     let sql = "select get_json_object(payload, '$.id') as id from adv.docs \
                where get_json_object(payload, '$.id') >= 0";
-    let mut session = Session::open(&root).unwrap();
-    session.set_threads(Some(1));
-
-    session.set_parser_kind(JsonParserKind::Jackson);
-    let jackson = session.execute(sql).unwrap();
+    let run = |parser| {
+        let config = SessionConfig {
+            parser,
+            threads: Some(1),
+            ..SessionConfig::from_env()
+        };
+        Session::open_with(&root, config)
+            .unwrap()
+            .execute(sql)
+            .unwrap()
+    };
+    let jackson = run(JsonParserKind::Jackson);
     assert_eq!(jackson.metrics.nodes_skipped, 0);
 
-    session.set_parser_kind(JsonParserKind::Tape);
-    let tape_run = session.execute(sql).unwrap();
+    let tape_run = run(JsonParserKind::Tape);
     assert_matches(&Oracle::new(&root).answer(sql).unwrap(), &tape_run, "tape");
     assert_eq!(
         tape_run.metrics.docs_parsed, jackson.metrics.docs_parsed,
@@ -576,10 +586,9 @@ fn selective_query_skips_nodes_without_extra_parses() {
 }
 
 /// A `MAXSON_PARSER` value opens a session running the parser it names
-/// (any case, surrounding blanks ignored); unset or unknown opens Jackson;
-/// `set_parser_kind` still overrides. Resolved through
-/// `Config::from_lookup`, so every branch runs without touching the
-/// process environment.
+/// (any case, surrounding blanks ignored); unset or unknown opens Jackson.
+/// Resolved through `Config::from_lookup`, so every branch runs without
+/// touching the process environment.
 #[test]
 fn session_open_resolves_parser_from_env() {
     let root = support::temp_root("envparser");
@@ -595,10 +604,8 @@ fn session_open_resolves_parser_from_env() {
                 .filter(|_| name == "MAXSON_PARSER")
                 .map(str::to_string)
         });
-        let mut session = Session::open_with(&root, config).unwrap();
+        let session = Session::open_with(&root, config).unwrap();
         assert_eq!(session.parser_kind(), expected, "MAXSON_PARSER={value:?}");
-        session.set_parser_kind(JsonParserKind::Mison);
-        assert_eq!(session.parser_kind(), JsonParserKind::Mison);
     }
     std::fs::remove_dir_all(&root).ok();
 }

@@ -21,6 +21,8 @@
 //!    METRICS opcodes read that same registry.
 //! 6. **Isolation** — two warehouses in one process, each served, charge
 //!    two registries: STATS and METRICS of one count its activity alone.
+//! 7. **Configuration** — a session reports the `Config` it runs under,
+//!    and a served connection runs, and logs, its template's.
 
 mod support;
 
@@ -31,7 +33,7 @@ use std::time::Duration;
 
 use maxson_engine::metrics::{ExecMetrics, Get, Merge};
 use maxson_engine::session::{JsonParserKind, Session};
-use maxson_engine::Registry;
+use maxson_engine::{Config, Registry};
 use maxson_server::{Client, Server, ServerConfig};
 use support::cells::{assert_matches, PARSERS};
 use support::oracle::Oracle;
@@ -47,26 +49,28 @@ const GOLDEN_QUERIES: [&str; 3] = [
     support::GOLDEN_QUERIES[2],
 ];
 
-/// Run `sql` bare and fully instrumented (private registry, query log,
-/// zero slow threshold): the instrumented run returns the oracle's rows and
-/// charges the bare run's work counters.
+/// Run `sql` bare under `config` and fully instrumented (private
+/// registry, query log, zero slow threshold) on sessions `open` builds: the
+/// instrumented run returns the oracle's rows and charges the bare run's
+/// work counters.
 fn assert_telemetry_is_observation_only(
-    mut make_session: impl FnMut() -> Session,
+    open: impl Fn(Config) -> Session,
+    config: &Config,
     oracle: &Oracle,
     sql: &str,
     label: &str,
 ) {
-    let bare = make_session()
+    let bare = open(config.clone())
         .execute(sql)
         .unwrap_or_else(|e| panic!("[{label}] bare run failed for {sql}: {e}"));
 
-    let mut instrumented_session = make_session();
-    let registry = Arc::clone(instrumented_session.metrics_registry());
     let log_path = temp_log(&format!("diff-{}", label.replace('/', "-")));
-    instrumented_session
-        .set_query_log(Some(log_path.clone()))
-        .expect("query log opens");
-    instrumented_session.set_slow_threshold(Duration::ZERO);
+    let instrumented_session = open(Config {
+        query_log: Some(log_path.clone()),
+        slow_threshold: Duration::ZERO,
+        ..config.clone()
+    });
+    let registry = Arc::clone(instrumented_session.metrics_registry());
     let instrumented = instrumented_session
         .execute(sql)
         .unwrap_or_else(|e| panic!("[{label}] instrumented run failed for {sql}: {e}"));
@@ -114,15 +118,16 @@ fn golden_queries_unchanged_by_telemetry_three_parsers_both_thread_counts() {
     let oracle = Oracle::new(&root);
     for parser in PARSERS {
         for threads in [1usize, 4] {
-            let make = || {
-                let mut session = support::rewritten_session(&root);
-                session.set_parser_kind(parser);
-                session.set_threads(Some(threads));
-                session
+            let config = Config {
+                parser,
+                threads: Some(threads),
+                ..Config::from_env()
             };
+            let open =
+                |config| support::install_rewriter(Session::open_with(&root, config).unwrap());
             for sql in GOLDEN_QUERIES {
                 let label = format!("{parser:?}/{threads}t");
-                assert_telemetry_is_observation_only(make, &oracle, sql, &label);
+                assert_telemetry_is_observation_only(open, &config, &oracle, sql, &label);
             }
         }
     }
@@ -161,15 +166,15 @@ fn synthetic_warehouse_unchanged_by_telemetry() {
     ];
     for parser in PARSERS {
         for threads in [1usize, 4] {
-            let make = || {
-                let mut session = Session::open(&root).unwrap();
-                session.set_parser_kind(parser);
-                session.set_threads(Some(threads));
-                session
+            let config = Config {
+                parser,
+                threads: Some(threads),
+                ..Config::from_env()
             };
+            let open = |config| Session::open_with(&root, config).unwrap();
             for sql in queries {
                 let label = format!("synth-{parser:?}/{threads}t");
-                assert_telemetry_is_observation_only(make, &oracle, sql, &label);
+                assert_telemetry_is_observation_only(open, &config, &oracle, sql, &label);
             }
         }
     }
@@ -178,10 +183,12 @@ fn synthetic_warehouse_unchanged_by_telemetry() {
 
 /// Replay the golden query sequence against a fresh registry.
 fn replay_golden(parser: JsonParserKind) -> (Arc<Registry>, Vec<ExecMetrics>) {
-    let root = bench_data_root();
-    let mut session = Session::open(&root).unwrap();
-    session.set_parser_kind(parser);
-    session.set_threads(Some(2));
+    let config = Config {
+        parser,
+        threads: Some(2),
+        ..Config::from_env()
+    };
+    let session = Session::open_with(bench_data_root(), config).unwrap();
     let registry = Arc::clone(session.metrics_registry());
     let mut all = Vec::new();
     for sql in GOLDEN_QUERIES {
@@ -255,16 +262,18 @@ fn registry_and_query_log_settle_exactly_to_the_summed_exec_metrics() {
         (JsonParserKind::Tape, true),
     ] {
         let label = format!("{parser:?}/rewritten={rewritten}");
-        let mut session = if rewritten {
-            support::rewritten_session(&root)
-        } else {
-            Session::open(&root).unwrap()
-        };
-        session.set_parser_kind(parser);
-        session.set_threads(Some(2));
-        let registry = Arc::clone(session.metrics_registry());
         let log_path = temp_log(&format!("settle-{parser:?}"));
-        session.set_query_log(Some(log_path.clone())).unwrap();
+        let config = Config {
+            parser,
+            threads: Some(2),
+            query_log: Some(log_path.clone()),
+            ..Config::from_env()
+        };
+        let mut session = Session::open_with(&root, config).unwrap();
+        if rewritten {
+            session = support::install_rewriter(session);
+        }
+        let registry = Arc::clone(session.metrics_registry());
         let per_query: Vec<ExecMetrics> = GOLDEN_QUERIES
             .iter()
             .map(|sql| session.execute(sql).expect("golden query").metrics)
@@ -349,10 +358,15 @@ fn registry_and_query_log_settle_exactly_to_the_summed_exec_metrics() {
     }
 }
 
-/// `db.t(id, payload)` over `files` part files of four `{"a": n}` rows.
+/// `db.t(id, payload)` over `files` part files of four `{"a": n}` rows,
+/// opened to run one worker thread.
 fn small_warehouse(name: &str, files: i64) -> (Session, PathBuf) {
     let root = temp_root(name);
-    let mut session = Session::open(&root).unwrap();
+    let config = Config {
+        threads: Some(1),
+        ..Config::from_env()
+    };
+    let mut session = Session::open_with(&root, config).unwrap();
     let parts: Vec<Vec<(i64, String)>> = (0..files)
         .map(|f| {
             (f * 4..(f + 1) * 4)
@@ -384,10 +398,7 @@ fn two_served_warehouses_charge_two_registries() {
     let (b, root_b) = small_warehouse("two-b", 3);
     support::cache_paths(&mut a, &root_a, &[("db", "t", "$.a")]);
     let a = support::install_rewriter(a);
-    let config = ServerConfig {
-        threads: Some(1),
-        ..ServerConfig::default()
-    };
+    let config = ServerConfig::default();
     let mut server_a = Server::serve(a.clone(), "127.0.0.1:0", config.clone()).unwrap();
     let mut server_b = Server::serve(b.clone(), "127.0.0.1:0", config).unwrap();
     let mut client_a = Client::connect(server_a.addr()).unwrap();
@@ -457,4 +468,84 @@ fn two_served_warehouses_charge_two_registries() {
     server_b.stop();
     std::fs::remove_dir_all(&root_a).ok();
     std::fs::remove_dir_all(&root_b).ok();
+}
+
+/// Every knob at a non-default value comes back from `Session::config`,
+/// the two setters perfbench still calls write through to it, and a
+/// served connection's query-log line reports the thread count its
+/// template was opened with.
+#[test]
+fn a_session_runs_and_reports_the_config_it_was_opened_with() {
+    let root = temp_root("config");
+    let dir = root.with_extension("files");
+    std::fs::create_dir_all(&dir).unwrap();
+    let value = |var: &str| -> String {
+        match var {
+            "MAXSON_THREADS" => "3".into(),
+            "MAXSON_PARSER" => "tape".into(),
+            "MAXSON_META_CACHE_BYTES" => "4096".into(),
+            "MAXSON_TRACE" => dir.join("trace.json").display().to_string(),
+            "MAXSON_QUERY_LOG" => dir.join("q.jsonl").display().to_string(),
+            "MAXSON_SLOW_MS" => "25".into(),
+            "MAXSON_RESULT_CACHE_MB" => "8".into(),
+            other => panic!("no case for knob {other}"),
+        }
+    };
+    for (var, _, _) in Config::knobs() {
+        let raw = value(var);
+        let config = Config::from_lookup(|name| (name == var).then(|| raw.clone()));
+        assert_ne!(
+            config,
+            Config::default(),
+            "{var}={raw} is not a non-default value"
+        );
+        let session = Session::open_with(&root, config.clone()).unwrap();
+        assert_eq!(session.config(), &config, "{var}={raw}");
+        assert_eq!(
+            session.clone().config(),
+            &config,
+            "a clone runs the same {var}"
+        );
+    }
+
+    let mut session = Session::open_with(&root, Config::default()).unwrap();
+    session.set_threads(Some(5));
+    assert_eq!(session.config().threads, Some(5));
+    session.set_result_cache(Some(4));
+    assert_eq!(session.config().result_cache_mb, Some(4));
+    assert_eq!(session.reuse_stats().unwrap().budget_bytes, 4 << 20);
+    session.set_result_cache(None);
+    assert_eq!(session.config().result_cache_mb, None);
+    assert!(session.reuse_stats().is_none());
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::remove_dir_all(&dir).ok();
+
+    for threads in [1, 2] {
+        let root = temp_root(&format!("served-config-{threads}"));
+        let log_path = temp_log(&format!("served-config-{threads}"));
+        let config = Config {
+            threads: Some(threads),
+            query_log: Some(log_path.clone()),
+            ..Config::from_env()
+        };
+        let mut template = Session::open_with(&root, config).unwrap();
+        let docs: Vec<(i64, String)> = (0..8).map(|n| (n, format!(r#"{{"a": {n}}}"#))).collect();
+        support::json_table(&mut template, "db", "t", &[docs], 4);
+        let mut server = Server::serve(template, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        assert_eq!(client.query("select id from db.t").unwrap().rows.len(), 8);
+        drop(client);
+        server.stop();
+        let log = std::fs::read_to_string(&log_path).expect("query log written");
+        let lines: Vec<&str> = log.lines().collect();
+        assert_eq!(lines.len(), 1, "{log}");
+        let line = maxson_json::parse(lines[0]).expect("log line parses");
+        assert_eq!(
+            line.get("threads").and_then(|t| t.as_i64()),
+            Some(threads as i64),
+            "served under a template opened with {threads} threads: {log}"
+        );
+        std::fs::remove_file(&log_path).ok();
+        std::fs::remove_dir_all(&root).ok();
+    }
 }

@@ -16,6 +16,7 @@
 mod support;
 
 use maxson_engine::session::{JsonParserKind, Session};
+use maxson_engine::Config as EngineConfig;
 use maxson_json::JsonValue;
 use maxson_testkit::prop::{check, Config, Gen};
 use support::cells::assert_matches;
@@ -58,10 +59,12 @@ fn golden_queries_unchanged_by_tracing_both_parsers_both_thread_counts() {
     for parser in [JsonParserKind::Jackson, JsonParserKind::Mison] {
         for threads in [1usize, 4] {
             let make = || {
-                let mut session = support::rewritten_session(&root);
-                session.set_parser_kind(parser);
-                session.set_threads(Some(threads));
-                session
+                let config = EngineConfig {
+                    parser,
+                    threads: Some(threads),
+                    ..EngineConfig::from_env()
+                };
+                support::install_rewriter(Session::open_with(&root, config).unwrap())
             };
             for sql in &support::GOLDEN_QUERIES[..3] {
                 assert_tracing_is_invisible(make, &oracle, sql, &format!("{parser:?}/{threads}t"));
@@ -83,12 +86,14 @@ fn property_tracing_never_changes_rows_or_counters() {
             let source = Source::sample(&oracle, "db", "t", "payload", &paths, &[]);
             let sql = render(&Generator::new(seed, &[source]).statement());
             let make = || {
-                let mut session = Session::open(&root).unwrap();
-                session.set_threads(Some(1 + seed as usize % 4));
+                let mut config = EngineConfig {
+                    threads: Some(1 + seed as usize % 4),
+                    ..EngineConfig::from_env()
+                };
                 if seed % 2 == 0 {
-                    session.set_parser_kind(JsonParserKind::Mison);
+                    config.parser = JsonParserKind::Mison;
                 }
-                session
+                Session::open_with(&root, config).unwrap()
             };
             assert_tracing_is_invisible(make, &oracle, &sql, &format!("table seed {seed}"));
             std::fs::remove_dir_all(&root).ok();
@@ -129,7 +134,12 @@ impl maxson_engine::SplitScheduler for TwoThreadsAtOnce {
 #[test]
 fn chrome_export_nests_spans_on_named_thread_tracks() {
     let root = support::temp_root("export");
-    let mut session = Session::open(&root).unwrap();
+    let trace_path = root.join("trace.json");
+    let config = EngineConfig {
+        trace: Some(trace_path.clone()),
+        ..EngineConfig::from_env()
+    };
+    let mut session = Session::open_with(&root, config).unwrap();
     let files: Vec<Vec<(i64, String)>> = (0..4i64)
         .map(|f| {
             (f * 12..(f + 1) * 12)
@@ -140,8 +150,6 @@ fn chrome_export_nests_spans_on_named_thread_tracks() {
     support::json_table(&mut session, "db", "t", &files, 1024);
     session.set_threads(Some(4));
     session.set_split_scheduler(Some(std::sync::Arc::new(TwoThreadsAtOnce::default())));
-    let trace_path = root.join("trace.json");
-    session.set_trace_path(Some(trace_path.clone()));
     session
         .execute("select id, get_json_object(payload, '$.a') as a from db.t")
         .unwrap();
